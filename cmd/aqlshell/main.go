@@ -180,6 +180,7 @@ func main() {
 			for _, planLine := range cq.Plan.Describe() {
 				fmt.Println(planLine)
 			}
+			fmt.Println("-- streaming: " + cq.Plan.Stream.Describe())
 		case strings.HasPrefix(line, `\c `):
 			res, err := p.TranslateDialect(dialect, strings.TrimPrefix(line, `\c `), aqualogic.ModeXML)
 			if err != nil {

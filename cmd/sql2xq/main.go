@@ -79,9 +79,11 @@ func main() {
 	fmt.Print(res.XQuery())
 	if *explain {
 		fmt.Println("-- query plan (evaluator):")
-		for _, line := range aqualogic.PlanQuery(res).Describe() {
+		plan := aqualogic.PlanQuery(res)
+		for _, line := range plan.Describe() {
 			fmt.Println(line)
 		}
+		fmt.Println("-- streaming: " + plan.Stream.Describe())
 	}
 	if *columns {
 		fmt.Println()

@@ -333,7 +333,7 @@ func FromText(payload string, cols []Column) (*Rows, error) {
 		return rows, nil
 	}
 	if !strings.HasPrefix(payload, RowDelimiter) {
-		return nil, fmt.Errorf("resultset: malformed text payload: missing leading row delimiter")
+		return nil, errMissingRowDelimiter
 	}
 	for _, rowText := range strings.Split(payload[1:], RowDelimiter) {
 		row, err := decodeTextRow(rowText, cols)

@@ -1,6 +1,7 @@
 package resultset
 
 import (
+	"io"
 	"strings"
 	"testing"
 
@@ -169,6 +170,111 @@ func TestFromTextErrors(t *testing.T) {
 	}
 	if _, err := FromText(">x<y<1.5", testCols()); err == nil {
 		t.Fatal("untypeable integer should fail")
+	}
+}
+
+// chunkStream is an ItemStream over fixed chunks, row-aligned or not.
+type chunkStream struct {
+	chunks  []xdm.Sequence
+	aligned bool
+}
+
+func (s *chunkStream) Next() (xdm.Sequence, error) {
+	if len(s.chunks) == 0 {
+		return nil, io.EOF
+	}
+	chunk := s.chunks[0]
+	s.chunks = s.chunks[1:]
+	return chunk, nil
+}
+func (s *chunkStream) Close() error     { return nil }
+func (s *chunkStream) RowAligned() bool { return s.aligned }
+
+// TestStreamTextChunkShapes: a row arriving as one string (the evaluator's
+// fused rows), as a token sequence, or as arbitrary fragments of the
+// payload decodes to what FromText makes of the whole payload — and a
+// malformed payload fails with FromText's error on every path.
+func TestStreamTextChunkShapes(t *testing.T) {
+	str := func(parts ...string) xdm.Sequence {
+		var s xdm.Sequence
+		for _, p := range parts {
+			s = append(s, xdm.String(p))
+		}
+		return s
+	}
+	shapes := func(rows ...[]string) map[string]*chunkStream {
+		fused := &chunkStream{aligned: true}
+		tokens := &chunkStream{aligned: true}
+		frags := &chunkStream{}
+		for _, r := range rows {
+			fused.chunks = append(fused.chunks, str(strings.Join(r, "")))
+			tokens.chunks = append(tokens.chunks, str(r...))
+			for _, tok := range r {
+				frags.chunks = append(frags.chunks, str(tok))
+			}
+		}
+		return map[string]*chunkStream{"one string per row": fused, "tokens per row": tokens, "fragments": frags}
+	}
+	drain := func(cur RowCursor) (string, error) {
+		var b strings.Builder
+		for {
+			row, err := cur.Next()
+			if err == io.EOF {
+				return b.String(), nil
+			}
+			if err != nil {
+				return b.String(), err
+			}
+			for _, v := range row {
+				if v == nil {
+					b.WriteString("|NULL")
+				} else {
+					b.WriteString("|" + v.Lexical())
+				}
+			}
+			b.WriteByte('\n')
+		}
+	}
+
+	good := [][]string{
+		{">", "1", "<", "Acme &lt;Widgets&gt; &amp; Sons", "<", "100.50"},
+		{">", "2", "<", "&null;", "<", "&null;"},
+		{">", "3", "<", "", "<", "0.5"},
+	}
+	var payload strings.Builder
+	for _, r := range good {
+		payload.WriteString(strings.Join(r, ""))
+	}
+	rows, err := FromText(payload.String(), testCols())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := drain(rows.Cursor())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, src := range shapes(good...) {
+		got, err := drain(StreamText(src, testCols()))
+		if err != nil || got != want {
+			t.Fatalf("%s: got %q, %v; want %q", name, got, err, want)
+		}
+	}
+
+	for _, bad := range [][]string{
+		{"1", "<", "x", "<", "1.5"},      // no leading row delimiter
+		{">", "1", "<", "x"},             // too few fields
+		{">", "1", "<", "x", "<", "<"},   // too many
+		{">", "x", "<", "y", "<", "1.5"}, // untypeable integer
+	} {
+		_, wantErr := FromText(strings.Join(bad, ""), testCols())
+		if wantErr == nil {
+			t.Fatalf("FromText accepted %q", bad)
+		}
+		for name, src := range shapes(bad) {
+			if _, err := drain(StreamText(src, testCols())); err == nil || err.Error() != wantErr.Error() {
+				t.Fatalf("%s over %q: error %v, FromText says %v", name, bad, err, wantErr)
+			}
+		}
 	}
 }
 

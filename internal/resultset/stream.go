@@ -8,6 +8,7 @@
 package resultset
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -160,33 +161,49 @@ func (c *textCursor) Next() ([]xdm.Atomic, error) {
 		if err != nil {
 			return nil, err
 		}
-		var b strings.Builder
-		for _, it := range chunk {
-			b.WriteString(xdm.StringValue(it))
+		text := chunkText(chunk)
+		if c.aligned {
+			// One whole row, delimiter included: decode it in place.
+			if !strings.HasPrefix(text, RowDelimiter) {
+				return nil, errMissingRowDelimiter
+			}
+			row, err := decodeTextRow(text[len(RowDelimiter):], c.cols)
+			if err != nil {
+				return nil, err
+			}
+			obsv.Global.RowsStreamed.Inc()
+			return row, nil
 		}
-		if err := c.feed(b.String()); err != nil {
+		if err := c.feed(text); err != nil {
 			return nil, err
 		}
 	}
 }
 
-// feed appends one payload fragment, splitting complete rows off into the
-// pending queue. Aligned chunks are one whole row each — delimiter
-// included — and complete immediately.
-func (c *textCursor) feed(text string) error {
-	if c.aligned {
-		if !strings.HasPrefix(text, RowDelimiter) {
-			return fmt.Errorf("resultset: malformed text payload: missing leading row delimiter")
-		}
-		c.pending = append(c.pending, text[1:])
-		return nil
+var errMissingRowDelimiter = errors.New("resultset: malformed text payload: missing leading row delimiter")
+
+// chunkText is a chunk's text: a fused row arrives as one string and is
+// taken as is; a token sequence is concatenated.
+func chunkText(chunk xdm.Sequence) string {
+	if len(chunk) == 1 {
+		return xdm.StringValue(chunk[0])
 	}
+	var b strings.Builder
+	for _, it := range chunk {
+		b.WriteString(xdm.StringValue(it))
+	}
+	return b.String()
+}
+
+// feed appends one fragment of an unaligned payload, splitting complete
+// rows off into the pending queue.
+func (c *textCursor) feed(text string) error {
 	if !c.started {
 		if text == "" {
 			return nil
 		}
 		if !strings.HasPrefix(text, RowDelimiter) {
-			return fmt.Errorf("resultset: malformed text payload: missing leading row delimiter")
+			return errMissingRowDelimiter
 		}
 		c.started = true
 		text = text[1:]
@@ -236,12 +253,13 @@ func decodeRecord(rec *xdm.Element, cols []Column) ([]xdm.Atomic, error) {
 // decodeTextRow types one delimiter-separated row (leading row delimiter
 // already stripped) — the per-row core FromText loops over.
 func decodeTextRow(rowText string, cols []Column) ([]xdm.Atomic, error) {
-	fields := strings.Split(rowText, ColumnDelimiter)
-	if len(fields) != len(cols) {
-		return nil, fmt.Errorf("resultset: row has %d fields, schema has %d columns", len(fields), len(cols))
+	if n := strings.Count(rowText, ColumnDelimiter) + 1; n != len(cols) {
+		return nil, fmt.Errorf("resultset: row has %d fields, schema has %d columns", n, len(cols))
 	}
 	row := make([]xdm.Atomic, len(cols))
-	for i, field := range fields {
+	for i := range cols {
+		var field string
+		field, rowText, _ = strings.Cut(rowText, ColumnDelimiter)
 		if field == NullToken {
 			row[i] = nil
 			continue

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"strconv"
 	"time"
@@ -53,6 +54,12 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// maxRequestBytes bounds every request body. The largest legitimate
+// request is one statement's text (or a view definition) plus its bound
+// arguments; anything larger is refused with a typed resource-limit error
+// before it is buffered.
+const maxRequestBytes = 1 << 20
+
 // handle registers one JSON-over-POST endpoint with the shared decode /
 // recover / encode discipline.
 func handle[Req, Resp any](mux *http.ServeMux, path string, fn func(ctx context.Context, req Req) (Resp, error)) {
@@ -62,7 +69,12 @@ func handle[Req, Resp any](mux *http.ServeMux, path string, fn func(ctx context.
 			return
 		}
 		var req Req
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(&req); err != nil {
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				writeWireError(w, aqerr.Errorf(aqerr.KindResourceLimit, "decode", "request body exceeds %d bytes", tooBig.Limit))
+				return
+			}
 			writeWireError(w, aqerr.Errorf(aqerr.KindPermanent, "decode", "malformed request: %v", err))
 			return
 		}

@@ -199,5 +199,21 @@ func castErr(a Atomic, target AtomicType) error {
 // entry point for reading typed column values from XML payloads and from
 // the text-delimited result format.
 func ParseAtomic(lexical string, t AtomicType) (Atomic, error) {
+	// Well-formed forms of the common column types parse without boxing
+	// an intermediate xs:untypedAtomic (decoders call this once per cell);
+	// anything else takes Cast's path — same parsers, plus its whitespace
+	// trimming, leniency and error text.
+	switch t {
+	case TypeString:
+		return String(lexical), nil
+	case TypeInteger:
+		if n, err := strconv.ParseInt(lexical, 10, 64); err == nil {
+			return Integer(n), nil
+		}
+	case TypeDecimal:
+		if f, err := strconv.ParseFloat(lexical, 64); err == nil {
+			return Decimal(f), nil
+		}
+	}
 	return Cast(Untyped(lexical), t)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"unicode/utf8"
 )
 
 // EscapeText escapes XML text content: the three markup characters, plus
@@ -13,23 +14,30 @@ func EscapeText(s string) string {
 	if !strings.ContainsAny(s, "&<>\r") {
 		return s
 	}
-	var b strings.Builder
-	b.Grow(len(s) + 8)
+	return string(AppendEscapedText(make([]byte, 0, len(s)+8), s))
+}
+
+// AppendEscapedText appends EscapeText(s) to dst — the allocation-free
+// form for callers assembling escaped text in a buffer of their own.
+func AppendEscapedText(dst []byte, s string) []byte {
+	if !strings.ContainsAny(s, "&<>\r") {
+		return append(dst, s...)
+	}
 	for _, r := range s {
 		switch r {
 		case '&':
-			b.WriteString("&amp;")
+			dst = append(dst, "&amp;"...)
 		case '<':
-			b.WriteString("&lt;")
+			dst = append(dst, "&lt;"...)
 		case '>':
-			b.WriteString("&gt;")
+			dst = append(dst, "&gt;"...)
 		case '\r':
-			b.WriteString("&#xD;")
+			dst = append(dst, "&#xD;"...)
 		default:
-			b.WriteRune(r)
+			dst = utf8.AppendRune(dst, r)
 		}
 	}
-	return b.String()
+	return dst
 }
 
 // escapeAttr escapes XML attribute values: text escapes plus quotes, plus

@@ -174,6 +174,16 @@ func (e *Element) Kind() ItemKind { return KindElement }
 
 // StringValue implements Node: the concatenated text of all descendants.
 func (e *Element) StringValue() string {
+	// A flat row's column element holds at most one text node: return it
+	// as is instead of copying it through a builder.
+	switch len(e.Children) {
+	case 0:
+		return ""
+	case 1:
+		if t, ok := e.Children[0].(*Text); ok {
+			return t.Value
+		}
+	}
 	var b strings.Builder
 	e.appendText(&b)
 	return b.String()

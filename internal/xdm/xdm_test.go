@@ -506,3 +506,27 @@ func TestEscapeTextFastPath(t *testing.T) {
 		t.Fatal("fast path should return input unchanged")
 	}
 }
+
+// ParseAtomic's direct parse of string/integer/decimal forms is a second
+// path beside Cast(Untyped(...)): hold the two identical — value, type and
+// error text — over well-formed, lenient and malformed lexical forms.
+func TestParseAtomicMatchesCast(t *testing.T) {
+	lexicals := []string{
+		"", "0", "7", "-7", "+7", "007", "9223372036854775807", "9223372036854775808",
+		"10.0", "10.5", "-0.25", ".5", "5.", "1e3", "1E-2", "0x10", "1_000", "NaN", "Inf", "-Inf",
+		" 42", "42 ", "\t4.2\n", "4 2", "abc", "1,5", "&null;", "<b>", "true",
+	}
+	for _, typ := range []AtomicType{TypeString, TypeInteger, TypeDecimal} {
+		for _, lex := range lexicals {
+			got, gerr := ParseAtomic(lex, typ)
+			want, werr := Cast(Untyped(lex), typ)
+			if (gerr == nil) != (werr == nil) || (gerr != nil && gerr.Error() != werr.Error()) {
+				t.Errorf("%s %q: ParseAtomic error %v, Cast error %v", typ, lex, gerr, werr)
+				continue
+			}
+			if gerr == nil && (got.Type() != want.Type() || got.Lexical() != want.Lexical()) {
+				t.Errorf("%s %q: ParseAtomic = %s %q, Cast = %s %q", typ, lex, got.Type(), got.Lexical(), want.Type(), want.Lexical())
+			}
+		}
+	}
+}

@@ -232,14 +232,19 @@ func evalBinary(e *xquery.Binary, env *scope) (xdm.Sequence, error) {
 	if err != nil {
 		return nil, err
 	}
+	return applyBinary(e.Op, left, right)
+}
 
-	if op, ok := generalCompareOps[e.Op]; ok {
+// applyBinary applies a comparison or arithmetic operator to evaluated
+// operands.
+func applyBinary(opName string, left, right xdm.Sequence) (xdm.Sequence, error) {
+	if op, ok := generalCompareOps[opName]; ok {
 		return evalGeneralCompare(left, right, op)
 	}
-	if op, ok := valueCompareOps[e.Op]; ok {
+	if op, ok := valueCompareOps[opName]; ok {
 		return evalValueCompare(left, right, op)
 	}
-	if op, ok := arithOps[e.Op]; ok {
+	if op, ok := arithOps[opName]; ok {
 		// Arithmetic propagates the empty sequence (SQL NULL).
 		if left.Empty() || right.Empty() {
 			return nil, nil
@@ -258,7 +263,7 @@ func evalBinary(e *xquery.Binary, env *scope) (xdm.Sequence, error) {
 		}
 		return xdm.SequenceOf(res), nil
 	}
-	return nil, dynErr("unsupported operator %q", e.Op)
+	return nil, dynErr("unsupported operator %q", opName)
 }
 
 // evalGeneralCompare implements XQuery general comparison: existential
@@ -409,6 +414,11 @@ func evalEBV(e xquery.Expr, env *scope) (bool, error) {
 	if err != nil {
 		return false, err
 	}
+	return effectiveBool(v)
+}
+
+// effectiveBool is xdm.EffectiveBool as a dynamic error.
+func effectiveBool(v xdm.Sequence) (bool, error) {
 	b, err := xdm.EffectiveBool(v)
 	if err != nil {
 		return false, dynErr("%v", err)

@@ -150,11 +150,11 @@ func (ex *flworExec) canParallel(ops []planOp, tuples []*scope) (ExecConfig, boo
 	return cfg, true
 }
 
-// morselResult is one morsel's buffered output: return values on the final
+// morselResult is one morsel's buffered output: emitted values on the final
 // segment, surviving tuple scopes on a barrier segment, and the first
 // error the morsel hit (processing stops there, so vals/tups hold the
-// morsel's pre-error prefix). The charge ledger — how many tuples the
-// morsel charged in total, and the running tuple count at the moment each
+// morsel's pre-error prefix). The charge ledger — how many rows and tuples
+// the morsel charged in total, and the running counts at the moment each
 // val was buffered — is what lets the merge loop advance the authoritative
 // serial counters exactly, including through a mid-morsel FETCH FIRST stop.
 type morselResult struct {
@@ -164,8 +164,13 @@ type morselResult struct {
 
 	rowsCharged   int64
 	tuplesCharged int64
-	tupleAt       []int64
+	chargedAt     []morselCharge
 }
+
+// morselCharge is the morsel's running row/tuple charge once a val was
+// buffered. A val's own row charge is not its length: a fused text row is
+// one item that charges the RECORD and every token it stands for.
+type morselCharge struct{ rows, tuples int64 }
 
 // runParallel fans ops[0]'s materialized source out to morsel workers.
 // With final=true each surviving tuple's return value is buffered and the
@@ -279,12 +284,10 @@ func (ex *flworExec) runParallel(ops []planOp, base *scope, cfg ExecConfig, fina
 	// limiter's sentinel coming back through emit, a cursor-side abort)
 	// leaves them exactly where serial execution would have stopped
 	// charging.
-	flush := func(r *morselResult, tupleBase int64) error {
+	flush := func(r *morselResult, rowBase, tupleBase int64) error {
 		for i, v := range r.vals {
-			serRows += int64(len(v))
-			if i < len(r.tupleAt) {
-				serTuples = tupleBase + r.tupleAt[i]
-			}
+			serRows = rowBase + r.chargedAt[i].rows
+			serTuples = tupleBase + r.chargedAt[i].tuples
 			if err := emit(v); err != nil {
 				return err
 			}
@@ -324,7 +327,7 @@ func (ex *flworExec) runParallel(ops []planOp, base *scope, cfg ExecConfig, fina
 			return nil, context.Canceled
 		}
 
-		tupleBase := serTuples
+		rowBase, tupleBase := serRows, serTuples
 		rerun := false
 		switch {
 		case r.err != nil && isSpeculativeLimit(r.err):
@@ -369,7 +372,7 @@ func (ex *flworExec) runParallel(ops []planOp, base *scope, cfg ExecConfig, fina
 			base.counters.steps += rc.steps
 			base.counters.pruned += rc.pruned
 			if final {
-				if err := flush(rr, tupleBase); err != nil {
+				if err := flush(rr, rowBase, tupleBase); err != nil {
 					// Includes the FETCH FIRST stop sentinel, which serial
 					// execution hits before any error later in the morsel.
 					join()
@@ -392,25 +395,25 @@ func (ex *flworExec) runParallel(ops []planOp, base *scope, cfg ExecConfig, fina
 			// unless a FETCH FIRST stop lands first, which serial execution
 			// would also have hit first.
 			if final {
-				if err := flush(r, tupleBase); err != nil {
+				if err := flush(r, rowBase, tupleBase); err != nil {
 					join()
 					return nil, err
 				}
 			}
-			serTuples = tupleBase + r.tuplesCharged
+			serRows, serTuples = rowBase+r.rowsCharged, tupleBase+r.tuplesCharged
 			join()
 			return nil, r.err
 
 		default:
 			if final {
-				if err := flush(r, tupleBase); err != nil {
+				if err := flush(r, rowBase, tupleBase); err != nil {
 					join()
 					return nil, err
 				}
 			} else {
 				collected = append(collected, r.tups...)
 			}
-			serTuples = tupleBase + r.tuplesCharged
+			serRows, serTuples = rowBase+r.rowsCharged, tupleBase+r.tuplesCharged
 		}
 
 		results[m] = nil
@@ -449,21 +452,16 @@ func (ex *flworExec) runMorsel(ops []planOp, ws *scope, seq xdm.Sequence, start,
 	}()
 	var sink tupleSink
 	if final {
+		var buf []byte
 		sink = func(t2 *scope) error {
-			if err := t2.checkCancel(); err != nil {
-				return err
-			}
-			v, err := evalExpr(ex.fp.flwor.Return, t2)
+			// finalValue charges before we buffer — a row is never buffered
+			// without having been counted — and the watermarks let the
+			// merger advance the serial counters row by row.
+			v, err := ex.finalValue(t2, &buf)
 			if err != nil {
 				return err
 			}
-			// Charge before buffering — a row is never buffered without
-			// having been counted — and record the tuple watermark so the
-			// merger can advance the serial counters row by row.
-			if err := t2.countRows(len(v)); err != nil {
-				return err
-			}
-			r.tupleAt = append(r.tupleAt, ws.counters.tuples-tups0)
+			r.chargedAt = append(r.chargedAt, morselCharge{ws.counters.rows - rows0, ws.counters.tuples - tups0})
 			r.vals = append(r.vals, v)
 			return nil
 		}

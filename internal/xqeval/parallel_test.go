@@ -360,29 +360,35 @@ func TestParallelErrorPrefixMatchesSerial(t *testing.T) {
 		}
 		return args[0], nil
 	})
-	q, err := xqeval.Compile(`import schema namespace p = "ld:ParTest" at "ParTest.xsd";
-<RECORDSET>{for $r in p:T() return <ROW>{p:CHECKED($r/ID)}</ROW>}</RECORDSET>`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := e.CompileAST(q, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	e.SetExec(parallelExec(1))
-	serialPrefix, serr := drainCursor(e.EvalStream(ctx, plan, nil, nil))
-	if serr == nil {
-		t.Fatal("serial run must surface the source error")
-	}
-	for i := 0; i < 10; i++ {
-		e.SetExec(parallelExec(8))
-		parPrefix, perr := drainCursor(e.EvalStream(ctx, plan, nil, nil))
-		if perr == nil || !strings.Contains(perr.Error(), "rejected row 137") {
-			t.Fatalf("iter %d: parallel surfaced the wrong error: %v (serial: %v)", i, perr, serr)
+	// The second query adds a filter with a hoisted operand (xs:integer("0")
+	// is cached in the FLWOR's shared state by the first tuple to reach it):
+	// the re-run of the poisoned morsel reads that cache and must find a
+	// value there, never a sibling's cancellation.
+	for _, where := range []string{"", `where ($r/ID >= xs:integer("0")) `} {
+		q, err := xqeval.Compile(`import schema namespace p = "ld:ParTest" at "ParTest.xsd";
+<RECORDSET>{for $r in p:T() ` + where + `return <ROW>{p:CHECKED($r/ID)}</ROW>}</RECORDSET>`)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got, want := xdm.MarshalSequence(parPrefix), xdm.MarshalSequence(serialPrefix); got != want {
-			t.Fatalf("iter %d: pre-error prefix diverges from serial\ngot:  %s\nwant: %s", i, got, want)
+		plan, err := e.CompileAST(q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		e.SetExec(parallelExec(1))
+		serialPrefix, serr := drainCursor(e.EvalStream(ctx, plan, nil, nil))
+		if serr == nil {
+			t.Fatal("serial run must surface the source error")
+		}
+		for i := 0; i < 10; i++ {
+			e.SetExec(parallelExec(8))
+			parPrefix, perr := drainCursor(e.EvalStream(ctx, plan, nil, nil))
+			if perr == nil || !strings.Contains(perr.Error(), "rejected row 137") {
+				t.Fatalf("%siter %d: parallel surfaced the wrong error: %v (serial: %v)", where, i, perr, serr)
+			}
+			if got, want := xdm.MarshalSequence(parPrefix), xdm.MarshalSequence(serialPrefix); got != want {
+				t.Fatalf("%siter %d: pre-error prefix diverges from serial\ngot:  %s\nwant: %s", where, i, got, want)
+			}
 		}
 	}
 }
@@ -588,6 +594,8 @@ func FuzzParallelDifferential(f *testing.F) {
 	}
 	app, _, engine := demo.Setup(demo.Sizes{Customers: 8, PaymentsPerCustomer: 2, Orders: 10, ItemsPerOrder: 2})
 	trans := translator.New(catalog.NewCache(app))
+	textTrans := translator.New(catalog.NewCache(app))
+	textTrans.Options.Mode = translator.ModeText
 	f.Fuzz(func(t *testing.T, sql string) {
 		res, err := trans.Translate(sql)
 		if err != nil {
@@ -613,6 +621,25 @@ func FuzzParallelDifferential(f *testing.F) {
 		}
 		if got, want := xdm.MarshalSequence(par), xdm.MarshalSequence(serial); got != want {
 			t.Fatalf("%q: result divergence\nparallel: %s\nserial:   %s", sql, got, want)
+		}
+		// The same statement in text mode, streamed at 8 workers — through
+		// the row program when the shape allows — against the naive stream,
+		// which never fuses.
+		tres, err := textTrans.Translate(sql)
+		if err != nil {
+			return
+		}
+		tplan, err := engine.CompileAST(tres.Query, externalNames(tres.ParamCount))
+		if err != nil {
+			return
+		}
+		naive, _, nerr := drainRows(engine.EvalStreamNaive(context.Background(), tres.Query, ext, nil))
+		streamed, _, serr := drainRows(engine.EvalStream(context.Background(), tplan, ext, nil))
+		if nerr != nil || serr != nil {
+			return // planned and naive may differ in which dynamic errors surface (§2.3.4)
+		}
+		if got, want := strings.Join(streamed, ""), strings.Join(naive, ""); got != want {
+			t.Fatalf("%q: text stream diverges from naive\nplanned: %s\nnaive:   %s", sql, got, want)
 		}
 	})
 }

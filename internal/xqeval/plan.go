@@ -123,6 +123,12 @@ type planOp struct {
 	// stateIdx indexes the executor's per-run state array; -1 when the op
 	// carries no state.
 	stateIdx int
+	// operandState, on a filter whose conjunct is a comparison or
+	// arithmetic Binary, indexes the cached value of its left/right operand
+	// when that operand references no FLWOR-local variable (the cast of an
+	// external parameter, typically): evaluated on the first tuple to reach
+	// the filter instead of on every one. -1 = evaluated per tuple.
+	operandState [2]int
 
 	// hash turns an invariant for into a hash join.
 	hash *hashJoinSpec
@@ -203,6 +209,7 @@ func buildPlan(q *xquery.Query, sp StatsProvider) *Plan {
 		}
 		return true
 	})
+	p.Stream.fuse(p.flwors)
 	obsv.Global.PlansBuilt.Inc()
 	obsv.Global.PlanHashJoins.Add(int64(p.HashJoins))
 	obsv.Global.PlanPredicatesPushed.Add(int64(p.PredicatesPushed))
@@ -275,13 +282,23 @@ func planFLWOR(f *xquery.FLWOR, p *Plan, pc *planCtx) *flworPlan {
 	// names; barriers close the running segment.
 	var segs []planSegment
 	var cur planSegment
+	sawFor := false
+	var local map[string]bool // every variable the FLWOR binds
+	if len(entries) > 0 {
+		local = entries[len(entries)-1].boundAfter
+	}
 	emitFilters := func(slot int) {
 		for i := range conds {
 			c := &conds[i]
 			if c.slot != slot || c.consumed {
 				continue
 			}
-			cur.ops = append(cur.ops, planOp{kind: opKindFilter, cond: c.cond, pushed: c.pushed, stateIdx: -1})
+			op := planOp{kind: opKindFilter, cond: c.cond, pushed: c.pushed, stateIdx: -1, operandState: [2]int{-1, -1}}
+			// Before the first for a filter runs once anyway.
+			if rewrite && sawFor {
+				p.InvariantsHoisted += fp.hoistOperands(&op, local)
+			}
+			cur.ops = append(cur.ops, op)
 			if c.pushed {
 				p.PredicatesPushed++
 			}
@@ -289,7 +306,6 @@ func planFLWOR(f *xquery.FLWOR, p *Plan, pc *planCtx) *flworPlan {
 	}
 
 	emitFilters(-1)
-	sawFor := false
 	for j, ent := range entries {
 		localBefore := map[string]bool{}
 		if j > 0 {
@@ -458,6 +474,36 @@ func placeConjunct(conj xquery.Expr, entries []pipeEntry, localAll map[string]bo
 	return origin
 }
 
+// hoistOperands gives each hoistable operand of a comparison or arithmetic
+// filter a state slot, returning how many it hoisted.
+func (fp *flworPlan) hoistOperands(op *planOp, local map[string]bool) (hoisted int) {
+	b, ok := op.cond.(*xquery.Binary)
+	if !ok || b.Op == "and" || b.Op == "or" {
+		return 0
+	}
+	for side, operand := range [2]xquery.Expr{b.Left, b.Right} {
+		if hoistableOperand(operand, local) {
+			op.operandState[side] = fp.numStates
+			fp.numStates++
+			hoisted++
+		}
+	}
+	return hoisted
+}
+
+// hoistableOperand reports whether a filter operand is worth caching per
+// FLWOR execution: it computes something (a bare variable or literal costs
+// no more to re-evaluate than to look up) from nothing the FLWOR binds, and
+// charges nothing — whichever morsel worker evaluates it first, the
+// row/tuple ledgers read as in serial execution.
+func hoistableOperand(e xquery.Expr, local map[string]bool) bool {
+	switch e.(type) {
+	case *xquery.Var, *xquery.StringLit, *xquery.NumberLit, *xquery.EmptySeq, *xquery.ContextItem:
+		return false
+	}
+	return pureExpr(e) && !xquery.UsesVars(e, local)
+}
+
 // pickHashConjunct looks among the conjuncts placed at slot j for
 // equi-joins the for clause can execute as a hash join: one comparison side
 // referencing exactly the for variable, the other referencing only earlier
@@ -517,15 +563,10 @@ func pickHashConjunct(c *xquery.For, conds []pendingCond, j int, localBefore map
 // every translator-generated equi-join takes. Other shapes cost-annotate
 // with an unknown key.
 func joinKeyColumn(e xquery.Expr, forVar string) string {
-	p, ok := e.(*xquery.Path)
-	if !ok || len(p.Steps) != 1 || p.Steps[0].Name == "*" || len(p.Steps[0].Predicates) != 0 {
-		return ""
+	if v, name, ok := childPath(e); ok && v == forVar {
+		return name
 	}
-	v, ok := p.Base.(*xquery.Var)
-	if !ok || v.Name != forVar {
-		return ""
-	}
-	return p.Steps[0].Name
+	return ""
 }
 
 func classifyJoinSides(b *xquery.Binary, forVar string, localBefore map[string]bool) *hashJoinSpec {
@@ -662,6 +703,13 @@ func describeOp(op planOp) string {
 		s := "filter " + exprText(op.cond)
 		if op.pushed {
 			s += " [pushed]"
+		}
+		if b, ok := op.cond.(*xquery.Binary); ok {
+			for side, operand := range [2]xquery.Expr{b.Left, b.Right} {
+				if op.operandState[side] >= 0 {
+					s += " [invariant " + exprText(operand) + "]"
+				}
+			}
 		}
 		return s
 	default:

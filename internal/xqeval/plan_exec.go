@@ -3,8 +3,10 @@ package xqeval
 import (
 	"math"
 	"sort"
+	"sync"
 
 	"repro/internal/xdm"
+	"repro/internal/xquery"
 )
 
 // plan_exec.go executes a flworPlan. All mutable run state lives here, in
@@ -18,6 +20,9 @@ import (
 type flworExec struct {
 	fp     *flworPlan
 	states []opState
+	// prog, when set, replaces the return clause in the final tuple sink
+	// (rowprog.go) — the streaming text path only.
+	prog *rowProgram
 }
 
 // opState is the lazily-filled per-run state of one op: the cached
@@ -30,6 +35,10 @@ type opState struct {
 	transformed bool
 	seq         xdm.Sequence
 	hash        *hashTable
+	// once/err serve a hoisted filter operand, the one state filled lazily
+	// even on eager plans — where morsel workers share it.
+	once sync.Once
+	err  error
 }
 
 // tupleSink receives each tuple that survives a segment's ops.
@@ -39,7 +48,7 @@ type tupleSink func(t *scope) error
 // the sequence-valued entry point evalFLWOR uses.
 func execPlannedFLWOR(fp *flworPlan, env *scope) (xdm.Sequence, error) {
 	var out xdm.Sequence
-	err := execPlannedFLWORTo(fp, env, func(v xdm.Sequence) error {
+	err := execPlannedFLWORTo(fp, env, nil, func(v xdm.Sequence) error {
 		out = append(out, v...)
 		return nil
 	})
@@ -60,8 +69,8 @@ func execPlannedFLWOR(fp *flworPlan, env *scope) (xdm.Sequence, error) {
 // emits nothing, so the whole tuple loop is skipped; and with the shared
 // state read-only from then on, an eligible segment can fan its outer scan
 // out to morsel workers (parallel.go) without synchronizing on it.
-func execPlannedFLWORTo(fp *flworPlan, env *scope, emit func(xdm.Sequence) error) error {
-	ex := &flworExec{fp: fp, states: make([]opState, fp.numStates)}
+func execPlannedFLWORTo(fp *flworPlan, env *scope, prog *rowProgram, emit func(xdm.Sequence) error) error {
+	ex := &flworExec{fp: fp, states: make([]opState, fp.numStates), prog: prog}
 	tuples := []*scope{env}
 	for si, seg := range fp.segments {
 		final := si == len(fp.segments)-1
@@ -81,16 +90,11 @@ func execPlannedFLWORTo(fp *flworPlan, env *scope, emit func(xdm.Sequence) error
 				_, err := ex.runParallel(seg.ops, tuples[0], cfg, true, emit)
 				return err
 			}
+			var buf []byte
 			for _, t := range tuples {
 				err := ex.feed(seg.ops, 0, t, func(t2 *scope) error {
-					if err := t2.checkCancel(); err != nil {
-						return err
-					}
-					v, err := evalExpr(fp.flwor.Return, t2)
+					v, err := ex.finalValue(t2, &buf)
 					if err != nil {
-						return err
-					}
-					if err := t2.countRows(len(v)); err != nil {
 						return err
 					}
 					return emit(v)
@@ -131,6 +135,26 @@ func execPlannedFLWORTo(fp *flworPlan, env *scope, emit func(xdm.Sequence) error
 		tuples = next
 	}
 	return nil
+}
+
+// finalValue produces and charges what one surviving tuple emits: the
+// return clause's value, or the row program's fused text row. buf is the
+// calling goroutine's scratch for the latter.
+func (ex *flworExec) finalValue(t *scope, buf *[]byte) (xdm.Sequence, error) {
+	if err := t.checkCancel(); err != nil {
+		return nil, err
+	}
+	if ex.prog != nil {
+		return ex.prog.run(t, buf)
+	}
+	v, err := evalExpr(ex.fp.flwor.Return, t)
+	if err != nil {
+		return nil, err
+	}
+	if err := t.countRows(len(v)); err != nil {
+		return nil, err
+	}
+	return v, nil
 }
 
 // prepare eagerly fills every invariant state in one segment's ops,
@@ -196,7 +220,7 @@ func (ex *flworExec) feed(ops []planOp, i int, t *scope, out tupleSink) error {
 	op := &ops[i]
 	switch op.kind {
 	case opKindFilter:
-		ok, err := evalEBV(op.cond, t)
+		ok, err := ex.evalFilter(op, t)
 		if err != nil {
 			return err
 		}
@@ -279,6 +303,49 @@ func (ex *flworExec) feed(ops []planOp, i int, t *scope, out tupleSink) error {
 		return nil
 	}
 	return dynErr("unknown plan op")
+}
+
+// evalFilter is evalEBV(op.cond) with hoisted operands (plan.go's
+// operandState) evaluated once per FLWOR execution: on the first tuple to
+// reach the filter, never before, so a query no tuple of which gets here
+// raises none of the operand's errors — the same latitude as without the
+// hoist.
+func (ex *flworExec) evalFilter(op *planOp, t *scope) (bool, error) {
+	if op.operandState == [2]int{-1, -1} {
+		return evalEBV(op.cond, t)
+	}
+	if err := t.step(); err != nil {
+		return false, err
+	}
+	b := op.cond.(*xquery.Binary)
+	var sides [2]xdm.Sequence
+	for i, operand := range [2]xquery.Expr{b.Left, b.Right} {
+		var err error
+		if idx := op.operandState[i]; idx < 0 {
+			sides[i], err = evalExpr(operand, t)
+		} else {
+			st := &ex.states[idx]
+			st.once.Do(func() {
+				// Deaf to cancellation: the operand is pure, so nothing in
+				// it blocks, and the slot outlives this tuple — a worker
+				// whose sibling cancelled it would otherwise cache
+				// context.Canceled for the merger's serial re-run (live
+				// parent context, same states) to read.
+				deaf := *t
+				deaf.goCtx = nil
+				st.seq, st.err = evalExpr(operand, &deaf)
+			})
+			sides[i], err = st.seq, st.err
+		}
+		if err != nil {
+			return false, err
+		}
+	}
+	v, err := applyBinary(b.Op, sides[0], sides[1])
+	if err != nil {
+		return false, err
+	}
+	return effectiveBool(v)
 }
 
 // probeHash executes a hash-join for: build once from the cached source

@@ -357,3 +357,85 @@ func TestPlanPositionalVarDisablesHash(t *testing.T) {
 		t.Fatalf("out = %s, want 2", xdm.MarshalSequence(out))
 	}
 }
+
+// hoistedFilterQuery is `for $a in j:L() where $a > xs:integer($p) return
+// $a`: the right operand reads nothing the FLWOR binds and casts, so the
+// planner gives it a state slot.
+func hoistedFilterQuery() *xquery.Query {
+	return &xquery.Query{
+		Prolog: xquery.Prolog{SchemaImports: []xquery.SchemaImport{
+			{Prefix: "j", Namespace: "urn:j", Location: "j.xsd"},
+		}},
+		Body: &xquery.FLWOR{
+			Clauses: []xquery.Clause{
+				&xquery.For{Var: "a", In: xquery.Call("j:L")},
+				&xquery.Where{Cond: &xquery.Binary{Op: ">", Left: xquery.VarRef("a"),
+					Right: xquery.Call("xs:integer", xquery.VarRef("p"))}},
+			},
+			Return: xquery.VarRef("a"),
+		},
+	}
+}
+
+// A hoisted filter operand is evaluated by the first tuple to reach the
+// filter and not before: with no tuples its cast error is never raised,
+// with one it is, and either way planned agrees with naive.
+func TestPlanHoistedOperandIsLazy(t *testing.T) {
+	q := hoistedFilterQuery()
+	p := NewPlan(q)
+	if p.InvariantsHoisted != 1 {
+		t.Fatalf("InvariantsHoisted = %d, want 1:\n%s", p.InvariantsHoisted, strings.Join(p.Describe(), "\n"))
+	}
+	ctx := context.Background()
+	bad := map[string]xdm.Sequence{"p": atoms(xdm.String("abc"))}
+	if out, err := joinEngine(nil, nil).EvalPlanWithTrace(ctx, p, bad, nil); err != nil || len(out) != 0 {
+		t.Fatalf("no tuples: out=%v err=%v, want empty and no cast error", out, err)
+	}
+	e := joinEngine(atoms(xdm.Integer(1), xdm.Integer(5), xdm.Integer(9)), nil)
+	if _, err := e.EvalPlanWithTrace(ctx, p, bad, nil); err == nil || !strings.Contains(err.Error(), "cannot cast") {
+		t.Fatalf("with tuples the cast error must surface, got %v", err)
+	}
+	if _, err := e.EvalNaiveWithTrace(ctx, q, bad, nil); err == nil {
+		t.Fatal("naive must raise the cast error too")
+	}
+	good := map[string]xdm.Sequence{"p": atoms(xdm.String("4"))}
+	out, err := e.EvalPlanWithTrace(ctx, p, good, nil)
+	if err != nil || xdm.MarshalSequence(out) != "5 9" {
+		t.Fatalf("out = %q, err = %v; want \"5 9\"", xdm.MarshalSequence(out), err)
+	}
+}
+
+// The hoisted operand's slot is shared by morsel workers and the merger's
+// serial re-run, so a cancellation seen while filling it must not be
+// cached. step() polls the context every 1024th step: start the counter at
+// every phase of that cycle so the poll lands inside the operand for some
+// of them, evaluate the filter under a cancelled context, then again under
+// a live one — the second call must never read back context.Canceled.
+func TestPlanHoistedOperandIgnoresCancellation(t *testing.T) {
+	q := hoistedFilterQuery()
+	fp := NewPlan(q).flwors[q.Body.(*xquery.FLWOR)]
+	var filter *planOp
+	for i := range fp.segments[0].ops {
+		if op := &fp.segments[0].ops[i]; op.kind == opKindFilter {
+			filter = op
+		}
+	}
+	if filter == nil || filter.operandState[1] < 0 {
+		t.Fatalf("no hoisted filter in %v", fp.segments[0].ops)
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for start := int64(1010); start < 1030; start++ {
+		ex := &flworExec{fp: fp, states: make([]opState, fp.numStates)}
+		root := &scope{engine: New(), prefixes: map[string]string{}, counters: &evalCounters{steps: start},
+			vars: map[string]xdm.Sequence{"p": atoms(xdm.String("4"))}}
+		tuple := root.bind("a", atoms(xdm.Integer(5)))
+		tuple.goCtx = cancelled
+		ex.evalFilter(filter, tuple) // may fail with context.Canceled; must not poison the slot
+		tuple.goCtx = context.Background()
+		ok, err := ex.evalFilter(filter, tuple)
+		if err != nil || !ok {
+			t.Fatalf("steps start %d: filter after a cancelled first evaluation = %v, %v; want true, nil", start, ok, err)
+		}
+	}
+}

@@ -1,0 +1,414 @@
+// Nets for the fused text path (rowprog.go). The naive evaluator never
+// fuses, so it is the oracle: for every statement below, rows streamed from
+// a compiled plan — serial and at 2 and 4 morsel workers — must be
+// byte-identical, row for row, to EvalStreamNaive, and their concatenation
+// to the materialized string the unfused fn:string-join evaluation returns.
+// Resource limits must trip at the same row with the same typed error and
+// the same tuple count either way.
+package xqeval_test
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"io"
+	"strconv"
+	"strings"
+	"testing"
+
+	"repro/internal/aqerr"
+	"repro/internal/catalog"
+	"repro/internal/demo"
+	"repro/internal/translator"
+	"repro/internal/xdm"
+	"repro/internal/xqeval"
+	"repro/internal/xquery"
+)
+
+// edgeSetup is a one-table application whose rows sit on every edge of the
+// text encoding: NULL in each position, an empty string in a non-nullable
+// column, the markup characters and the NULL token as data, a repeated
+// source element (a multi-atom value) and a present-but-empty nullable one.
+func edgeSetup() (*catalog.Application, *xqeval.Engine) {
+	app := &catalog.Application{Name: "EdgeApp"}
+	app.AddDSFile(&catalog.DSFile{Path: "Edge", Name: "E", Functions: []*catalog.Function{
+		catalog.NewRelationalImport("Edge", "E", []catalog.Column{
+			{Name: "K", Type: catalog.SQLInteger},
+			{Name: "S", Type: catalog.SQLVarchar, Precision: 32},
+			{Name: "A", Type: catalog.SQLVarchar, Nullable: true, Precision: 32},
+			{Name: "B", Type: catalog.SQLVarchar, Nullable: true, Precision: 32},
+			{Name: "D", Type: catalog.SQLDecimal, Nullable: true, Precision: 10, Scale: 2},
+		}),
+	}})
+	row := func(cells ...string) *xdm.Element {
+		r := xdm.NewElement("E")
+		for i := 0; i+1 < len(cells); i += 2 {
+			r.AddChild(xdm.NewTextElement(cells[i], cells[i+1]))
+		}
+		return r
+	}
+	rows := []*xdm.Element{
+		row("K", "1", "S", "plain", "A", "a1", "B", "b1", "D", "1.50"),
+		row("K", "2", "S", "no A", "B", "b2", "D", "2.25"),
+		row("K", "3", "S", "no B, no D", "A", "a3"),
+		row("K", "4", "S", "all NULL"),
+		row("K", "5", "S", "", "A", "empty S", "B", "b5", "D", "5.00"),
+		row("K", "6", "S", "<tag> & </tag>", "A", "&null;", "B", "a>b<c\rd", "D", "6.00"),
+		row("K", "7", "S", "two As", "A", "first", "A", "second", "B", "b7"),
+		row("K", "8", "S", "empty A", "A", "", "B", "&amp;", "D", "-8.10"),
+		row("S", "no K", "A", "a9", "D", "9.99"),
+		row("K", "10", "S", "café € <é>", "A", "ü", "B", "x", "D", "10.00"),
+	}
+	for i := 11; i <= 30; i++ {
+		cells := []string{"K", strconv.Itoa(i), "S", "row " + strconv.Itoa(i)}
+		if i%3 != 0 {
+			cells = append(cells, "A", "a&"+strconv.Itoa(i))
+		}
+		if i%4 != 0 {
+			cells = append(cells, "D", strconv.Itoa(i)+".25")
+		}
+		rows = append(rows, row(cells...))
+	}
+	e := xqeval.New()
+	e.RegisterRows("ld:Edge/E", "E", rows)
+	return app, e
+}
+
+// handWrapped is a text-wrapper query written by hand around a RECORD whose
+// columns no SQL produces: a multi-atom sequence, element- and
+// document-free node content, a guarded computed value.
+const handWrapped = `import schema namespace e = "ld:Edge/E" at "E.xsd";
+fn:string-join(
+  let $actualQuery := <RECORDSET>{
+    for $r in e:E()
+    where ($r/K > xs:integer($p1))
+    return <RECORD>
+      <M>{(fn:data($r/K), 7, "x&y", fn:data($r/B))}</M>
+      <N>{($r/S, $r/A, "tail")}</N>
+      { if (fn:empty(fn:upper-case(fn:data($r/B)))) then () else <U>{fn:upper-case(fn:data($r/B))}</U> }
+      <Z>{()}</Z>
+    </RECORD>
+  }</RECORDSET>
+  for $tokenQuery in $actualQuery/RECORD
+  return (">", fn-bea:if-empty(fn-bea:xml-escape(fn-bea:serialize-atomic(fn:data($tokenQuery/M))), "&amp;null;"),
+          "<", fn-bea:if-empty(fn-bea:xml-escape(fn-bea:serialize-atomic(fn:data($tokenQuery/N))), "&amp;null;"),
+          "<", fn-bea:if-empty(fn-bea:xml-escape(fn-bea:serialize-atomic(fn:data($tokenQuery/U))), "&amp;null;"),
+          "<", fn-bea:if-empty(fn-bea:xml-escape(fn-bea:serialize-atomic(fn:data($tokenQuery/Z))), "&amp;null;"))
+, "")`
+
+// fusedCase is one statement of the differential.
+type fusedCase struct {
+	name   string
+	engine *xqeval.Engine
+	query  *xquery.Query
+	ext    map[string]xdm.Sequence
+	params int
+	// fused is whether the plan must carry a row program; a declined shape
+	// must say why.
+	fused bool
+}
+
+func fusedCases(t testing.TB) []fusedCase {
+	t.Helper()
+	var cases []fusedCase
+
+	// The translator's golden corpus over the demo data, text mode. Set
+	// operations and DISTINCT sit behind fn-bea:distinct-rows / rows-except
+	// and keep the unfused path.
+	app, _, engine := demo.Setup(demo.DefaultSizes)
+	trans := translator.New(catalog.NewCache(app))
+	trans.Options.Mode = translator.ModeText
+	for _, sql := range differentialCorpus() {
+		res, err := trans.Translate(sql)
+		if err != nil {
+			t.Fatalf("%q must translate: %v", sql, err)
+		}
+		up := strings.ToUpper(sql)
+		cases = append(cases, fusedCase{name: sql, engine: engine, query: res.Query, ext: bindParams(res), params: res.ParamCount,
+			fused: !strings.Contains(up, "DISTINCT CITY FROM") && !strings.Contains(up, " UNION ") && !strings.Contains(up, " EXCEPT ")})
+	}
+
+	edgeApp, edgeEngine := edgeSetup()
+	etrans := translator.New(catalog.NewCache(edgeApp))
+	etrans.Options.Mode = translator.ModeText
+	for _, c := range []struct {
+		sql   string
+		fused bool
+	}{
+		{"SELECT K, S, A, B, D FROM E", true},
+		{"SELECT A, B, D, K FROM E WHERE K > ?", true},
+		{"SELECT D, A FROM E WHERE A IS NOT NULL", true},
+		{"SELECT * FROM E FETCH FIRST 7 ROWS ONLY", true},
+		{"SELECT S, K FROM E WHERE K > ? ORDER BY S DESC FETCH FIRST 12 ROWS ONLY", true},
+		{"SELECT K, S FROM E ORDER BY S DESC, K", true},
+		{"SELECT A, COUNT(*), MAX(D) FROM E GROUP BY A", true},
+		{"SELECT K + 1, D * 2, UPPER(B), S || B FROM E", true},
+		{"SELECT K, (SELECT MAX(D) FROM E) FROM E WHERE K > ?", false}, // guarded nested query
+		{"SELECT K, K FROM E", false},                                  // duplicate output names
+		{"SELECT K, S FROM E FETCH FIRST 0 ROWS ONLY", true},
+	} {
+		res, err := etrans.Translate(c.sql)
+		if err != nil {
+			t.Fatalf("%q must translate: %v", c.sql, err)
+		}
+		ext := map[string]xdm.Sequence{}
+		for i := 0; i < res.ParamCount; i++ {
+			ext["p"+strconv.Itoa(i+1)] = xdm.SequenceOf(xdm.Integer(2))
+		}
+		cases = append(cases, fusedCase{name: c.sql, engine: edgeEngine, query: res.Query, ext: ext, params: res.ParamCount, fused: c.fused})
+	}
+
+	q, err := xqeval.Compile(handWrapped)
+	if err != nil {
+		t.Fatalf("hand-written wrapper must parse: %v", err)
+	}
+	cases = append(cases, fusedCase{name: "hand-written multi-atom and node-valued columns", engine: edgeEngine, query: q,
+		ext: map[string]xdm.Sequence{"p1": xdm.SequenceOf(xdm.Integer(0))}, params: 1, fused: true})
+	return cases
+}
+
+// rowText is what fn:string-join makes of one chunk: its items' string
+// values, concatenated.
+func rowText(chunk xdm.Sequence) string {
+	var b strings.Builder
+	for _, it := range chunk {
+		b.WriteString(xdm.StringValue(it))
+	}
+	return b.String()
+}
+
+// drainRows pulls a cursor dry: one string per chunk, the error the stream
+// ended with, and the evaluation's tuple count.
+func drainRows(cur *xqeval.Cursor) (rows []string, tuples int64, err error) {
+	defer func() {
+		cur.Close()
+		_, tuples = cur.Stats()
+	}()
+	for {
+		chunk, err := cur.Next()
+		if err == io.EOF {
+			return rows, 0, nil
+		}
+		if err != nil {
+			return rows, 0, err
+		}
+		rows = append(rows, rowText(chunk))
+	}
+}
+
+func TestFusedMatchesNaive(t *testing.T) {
+	ctx := context.Background()
+	fusedSeen := 0
+	for _, c := range fusedCases(t) {
+		c.engine.SetExec(parallelExec(1))
+		plan, err := c.engine.CompileAST(c.query, externalNames(c.params))
+		if err != nil {
+			t.Fatalf("%s: must compile: %v", c.name, err)
+		}
+		desc := plan.Stream.Describe()
+		if got := strings.Contains(desc, ", fused: "); got != c.fused {
+			t.Fatalf("%s: fused = %v, want %v (%s)", c.name, got, c.fused, desc)
+		}
+		if !c.fused && !strings.Contains(desc, ", unfused: ") {
+			t.Fatalf("%s: a declined text shape must say why: %s", c.name, desc)
+		}
+		if c.fused {
+			fusedSeen++
+		}
+
+		// A statement may fail (duplicate output names make the wrapper's
+		// serialize-atomic see two values): then every path must fail alike.
+		want, _, werr := drainRows(c.engine.EvalStreamNaive(ctx, c.query, c.ext, nil))
+		out, err := c.engine.EvalPlanWithTrace(ctx, plan, c.ext, nil)
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("%s: materialized error %v, naive stream error %v", c.name, err, werr)
+		}
+		if got := rowText(out); werr == nil && got != strings.Join(want, "") {
+			t.Fatalf("%s: naive stream diverges from the materialized string\ngot:  %q\nwant: %q", c.name, strings.Join(want, ""), got)
+		}
+
+		check := func(label string, p *xqeval.Plan) {
+			t.Helper()
+			cur := c.engine.EvalStream(ctx, p, c.ext, nil)
+			if !cur.RowAligned() {
+				t.Fatalf("%s, %s: text rows must stream row-aligned", c.name, label)
+			}
+			got, _, err := drainRows(cur)
+			if (err == nil) != (werr == nil) || (err != nil && err.Error() != werr.Error()) {
+				t.Fatalf("%s, %s: error %v, naive %v", c.name, label, err, werr)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s, %s: %d rows, naive has %d", c.name, label, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s, %s: row %d diverges from naive\ngot:  %q\nwant: %q", c.name, label, i, got[i], want[i])
+				}
+			}
+		}
+		check("structural plan", xqeval.NewPlan(c.query))
+		for _, workers := range []int{1, 2, 4} {
+			c.engine.SetExec(parallelExec(workers))
+			check(fmt.Sprintf("%d workers", workers), plan)
+		}
+		c.engine.SetExec(xqeval.ExecConfig{})
+	}
+	if fusedSeen < 20 {
+		t.Fatalf("only %d statements fused: the net no longer exercises the row program", fusedSeen)
+	}
+}
+
+// TestFusedChunkIsOneString pins the emitted shape: a fused row is a single
+// xs:string, never a token sequence.
+func TestFusedChunkIsOneString(t *testing.T) {
+	app, engine := edgeSetup()
+	trans := translator.New(catalog.NewCache(app))
+	trans.Options.Mode = translator.ModeText
+	res, err := trans.Translate("SELECT K, A FROM E")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := engine.CompileAST(res.Query, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur := engine.EvalStream(context.Background(), plan, nil, nil)
+	defer cur.Close()
+	chunk, err := cur.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(chunk) != 1 || chunk[0] != xdm.String(">1<a1") {
+		t.Fatalf("first chunk = %v, want the single string \">1<a1\"", chunk)
+	}
+}
+
+// TestFusedLimitParity sweeps MaxRows and MaxTuples across every charge a
+// row makes — the RECORD item, the $tokenQuery tuple, the tokens — and
+// holds the fused path, serial and parallel, to the naive one: the same
+// rows delivered before the error, the same typed error, the same tuple
+// count.
+func TestFusedLimitParity(t *testing.T) {
+	ctx := context.Background()
+	app, engine := edgeSetup()
+	defer engine.SetLimits(xqeval.Limits{})
+	trans := translator.New(catalog.NewCache(app))
+	trans.Options.Mode = translator.ModeText
+	for _, sql := range []string{
+		"SELECT K, A, D FROM E WHERE K > 3",
+		"SELECT K, S FROM E WHERE K > 3 FETCH FIRST 9 ROWS ONLY",
+	} {
+		res, err := trans.Translate(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := engine.CompileAST(res.Query, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(plan.Stream.Describe(), ", fused: ") {
+			t.Fatalf("%q must fuse: %s", sql, plan.Stream.Describe())
+		}
+		var limits []xqeval.Limits
+		for n := int64(1); n <= 200; n += 1 + n/40 {
+			limits = append(limits, xqeval.Limits{MaxRows: n}, xqeval.Limits{MaxTuples: n})
+		}
+		tripped := 0
+		for _, lim := range limits {
+			engine.SetLimits(lim)
+			engine.SetExec(parallelExec(1))
+			want, wantTuples, werr := drainRows(engine.EvalStreamNaive(ctx, res.Query, nil, nil))
+			if werr != nil {
+				tripped++
+				var qe *aqerr.QueryError
+				if !errors.As(werr, &qe) || qe.Kind != aqerr.KindResourceLimit {
+					t.Fatalf("%q %+v: naive error is not a typed resource limit: %v", sql, lim, werr)
+				}
+			}
+			for _, workers := range []int{1, 2, 4} {
+				engine.SetExec(parallelExec(workers))
+				for iter := 0; iter < 3; iter++ { // worker scheduling varies
+					got, tuples, err := drainRows(engine.EvalStream(ctx, plan, nil, nil))
+					if (err == nil) != (werr == nil) || (err != nil && err.Error() != werr.Error()) {
+						t.Fatalf("%q %+v, %d workers: error %v, naive %v", sql, lim, workers, err, werr)
+					}
+					if strings.Join(got, "") != strings.Join(want, "") || len(got) != len(want) {
+						t.Fatalf("%q %+v, %d workers: delivered %d rows %q, naive %d rows %q", sql, lim, workers, len(got), got, len(want), want)
+					}
+					if tuples != wantTuples {
+						t.Fatalf("%q %+v, %d workers: %d tuples, naive counted %d", sql, lim, workers, tuples, wantTuples)
+					}
+				}
+			}
+		}
+		if tripped < 20 || tripped == len(limits) {
+			t.Fatalf("%q: %d of %d limits tripped — the sweep must straddle the query's charges", sql, tripped, len(limits))
+		}
+	}
+	engine.SetExec(xqeval.ExecConfig{})
+}
+
+// TestFusedScanAllocs is the erosion guard for the hot loop: draining the
+// scan shape — one filtered source, plain column references, text mode —
+// costs the evaluator at most 20 allocations per row, all in (tuple scope,
+// filter, row string, chunk).
+func TestFusedScanAllocs(t *testing.T) {
+	const n = 2000
+	app := &catalog.Application{Name: "ScanApp"}
+	app.AddDSFile(&catalog.DSFile{Path: "Scan", Name: "W", Functions: []*catalog.Function{
+		catalog.NewRelationalImport("Scan", "W", []catalog.Column{
+			{Name: "C0", Type: catalog.SQLInteger},
+			{Name: "C1", Type: catalog.SQLVarchar, Nullable: true, Precision: 32},
+			{Name: "C2", Type: catalog.SQLDecimal, Nullable: true, Precision: 10, Scale: 2},
+			{Name: "C4", Type: catalog.SQLVarchar, Nullable: true, Precision: 32},
+		}),
+	}})
+	rows := make([]*xdm.Element, n)
+	for i := range rows {
+		r := xdm.NewElement("W")
+		r.AddChild(xdm.NewTextElement("C0", strconv.Itoa(i+1)))
+		r.AddChild(xdm.NewTextElement("C1", "word-"+strconv.Itoa(i)+" <&>"))
+		if i%8 != 0 {
+			r.AddChild(xdm.NewTextElement("C2", strconv.Itoa(i)+".25"))
+		}
+		r.AddChild(xdm.NewTextElement("C4", "plain"))
+		rows[i] = r
+	}
+	engine := xqeval.New()
+	engine.RegisterRows("ld:Scan/W", "W", rows)
+	engine.SetExec(xqeval.ExecConfig{Workers: 1})
+	trans := translator.New(catalog.NewCache(app))
+	trans.Options.Mode = translator.ModeText
+	res, err := trans.Translate("SELECT C0, C1, C2, C4 FROM W WHERE C0 > ?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := engine.CompileAST(res.Query, externalNames(res.ParamCount))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ext := map[string]xdm.Sequence{"p1": xdm.SequenceOf(xdm.Integer(0))}
+	ctx := context.Background()
+	drain := func() int {
+		cur := engine.EvalStream(ctx, plan, ext, nil)
+		defer cur.Close()
+		got := 0
+		for {
+			if _, err := cur.Next(); err != nil {
+				if err != io.EOF {
+					t.Fatal(err)
+				}
+				return got
+			}
+			got++
+		}
+	}
+	if got := drain(); got != n {
+		t.Fatalf("scan returned %d rows, want %d", got, n)
+	}
+	perRow := testing.AllocsPerRun(5, func() { drain() }) / n
+	t.Logf("%.1f allocations per row", perRow)
+	if perRow > 20 {
+		t.Fatalf("the fused scan costs %.1f allocations per row, want <= 20", perRow)
+	}
+}

@@ -3,6 +3,7 @@ package xqeval
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"strconv"
 	"sync"
@@ -75,6 +76,11 @@ type StreamPlan struct {
 	// each streamed RECORD element, ret evaluates with tokenVar bound to it.
 	tokenVar string
 	ret      xquery.Expr
+	// prog is the row program fusing the RECORD constructor with ret
+	// (rowprog.go); unfused says why a text-rows plan has none. Both are
+	// empty on decompositions made outside buildPlan — the naive path.
+	prog    *rowProgram
+	unfused string
 }
 
 // Streamable reports whether rows can be produced incrementally.
@@ -84,10 +90,17 @@ func (sp *StreamPlan) Streamable() bool {
 
 // Describe renders the decomposition for the EXPLAIN status footer.
 func (sp *StreamPlan) Describe() string {
-	if sp.Streamable() {
-		return "row cursor (" + sp.Kind.String() + "); barriers: group by / order by segments materialize"
+	if !sp.Streamable() {
+		return "materialized (body has no row-stream decomposition)"
 	}
-	return "materialized (body has no row-stream decomposition)"
+	kind := sp.Kind.String()
+	switch {
+	case sp.prog != nil:
+		kind += fmt.Sprintf(", fused: %d columns", len(sp.prog.cols))
+	case sp.unfused != "":
+		kind += ", unfused: " + sp.unfused
+	}
+	return "row cursor (" + kind + "); barriers: group by / order by segments materialize"
 }
 
 // planStream pattern-matches the translator's two generated top-level
@@ -389,6 +402,9 @@ func runStream(body xquery.Expr, sp *StreamPlan, env *scope, emit func(xdm.Seque
 			return emit(xdm.SequenceOf(it))
 		})
 	case StreamTextRows:
+		if sp.prog != nil {
+			return sp.prog.stream(env, emit)
+		}
 		return streamItems(sp.rows, env, func(it xdm.Item) error {
 			return streamTextTokens(it, sp, env, emit)
 		})
@@ -406,14 +422,21 @@ func runStream(body xquery.Expr, sp *StreamPlan, env *scope, emit func(xdm.Seque
 	}
 }
 
-// streamTextTokens replays the text wrapper's `for $tokenQuery in
-// $actualQuery/RECORD return (tokens)` for one streamed rows item, without
-// ever building the RECORDSET element: element children named RECORD become
+// streamTextTokens is the unfused text path — the naive evaluator's, and
+// the fallback for shapes no row program covers. It replays the wrapper's
+// `for $tokenQuery in $actualQuery/RECORD return (tokens)` for one streamed
+// rows item, without ever building the RECORDSET element: element children named RECORD become
 // rows, documents splice their children (as enclosed content would), and
 // anything else is dropped exactly as the /RECORD step drops non-element
 // content.
 func streamTextTokens(it xdm.Item, sp *StreamPlan, env *scope, emit func(xdm.Sequence) error) error {
 	switch n := it.(type) {
+	case *xdm.Document:
+		for _, ch := range n.Children {
+			if err := streamTextTokens(ch, sp, env, emit); err != nil {
+				return err
+			}
+		}
 	case *xdm.Element:
 		if n.Name.Local != "RECORD" {
 			return nil
@@ -433,20 +456,8 @@ func streamTextTokens(it xdm.Item, sp *StreamPlan, env *scope, emit func(xdm.Seq
 			return err
 		}
 		return emit(v)
-	case *xdm.Document:
-		for _, ch := range n.Children {
-			el, ok := ch.(*xdm.Element)
-			if !ok {
-				continue
-			}
-			if err := streamTextTokens(el, sp, env, emit); err != nil {
-				return err
-			}
-		}
-		return nil
-	default:
-		return nil
 	}
+	return nil
 }
 
 // streamItems produces a row expression's items one at a time: FLWORs run
@@ -467,7 +478,7 @@ func streamItems(e xquery.Expr, env *scope, emitItem func(xdm.Item) error) error
 		}
 		if env.plan != nil {
 			if fp, ok := env.plan.flwors[n]; ok {
-				return execPlannedFLWORTo(fp, env, emitSeq)
+				return execPlannedFLWORTo(fp, env, nil, emitSeq)
 			}
 		}
 		return streamNaiveFLWOR(n, env, emitSeq)
@@ -497,18 +508,25 @@ func streamItems(e xquery.Expr, env *scope, emitItem func(xdm.Item) error) error
 	return nil
 }
 
-// streamLimited streams inner's first limit items and then stops the
-// producing pipeline with a sentinel caught here — the cursor-boundary
-// short circuit behind FETCH FIRST. The sentinel is unique per limiter so
-// a nested outer limit propagates through an inner one.
+// streamLimited streams inner's first limit items — the cursor-boundary
+// short circuit behind FETCH FIRST.
 func streamLimited(inner xquery.Expr, env *scope, limit int64, emitItem func(xdm.Item) error) error {
+	return limitStream(limit, emitItem, func(emit func(xdm.Item) error) error {
+		return streamItems(inner, env, emit)
+	})
+}
+
+// limitStream runs a producer until it has emitted limit values, then
+// stops it with a sentinel caught here. The sentinel is unique per limiter
+// so a nested outer limit propagates through an inner one.
+func limitStream[T any](limit int64, emit func(T) error, run func(emit func(T) error) error) error {
 	if limit <= 0 {
 		return nil
 	}
 	stop := errors.New("xqeval: stream limit reached")
 	remaining := limit
-	err := streamItems(inner, env, func(it xdm.Item) error {
-		if err := emitItem(it); err != nil {
+	err := run(func(v T) error {
+		if err := emit(v); err != nil {
 			return err
 		}
 		remaining--

@@ -14,6 +14,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -190,6 +191,59 @@ func postWire(t *testing.T, h http.Handler, path string, in, out any) *wire.Erro
 		}
 	}
 	return nil
+}
+
+// endlessString reads as the opening of a JSON request followed by an
+// unterminated string of n bytes, produced without holding them.
+type endlessString struct {
+	head string
+	n    int
+}
+
+func (r *endlessString) Read(p []byte) (int, error) {
+	if r.head != "" {
+		k := copy(p, r.head)
+		r.head = r.head[k:]
+		return k, nil
+	}
+	if r.n == 0 {
+		return 0, io.EOF
+	}
+	k := min(len(p), r.n)
+	for i := range p[:k] {
+		p[i] = 'a'
+	}
+	r.n -= k
+	return k, nil
+}
+
+// TestServeBoundsRequestBody: every verb refuses a request body past the
+// server's bound with the typed resource-limit frame, and does so without
+// buffering it — a 64 MB body may not grow the heap by anything like its
+// size.
+func TestServeBoundsRequestBody(t *testing.T) {
+	srv := server.New(Demo(), server.Config{SessionIdleTimeout: time.Minute})
+	defer srv.Close()
+	h := srv.Handler()
+	const huge = 64 << 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, path := range []string{wire.PathHandshake, wire.PathPrepare, wire.PathExecute, wire.PathFetch, wire.PathCreateView, wire.PathStats} {
+		req := httptest.NewRequest(http.MethodPost, path, &endlessString{head: `{"sql":"`, n: huge})
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		var er wire.ErrorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || er.Error == nil {
+			t.Fatalf("%s: HTTP %d with undecodable error body %q", path, rec.Code, rec.Body.String())
+		}
+		if rec.Code != http.StatusInsufficientStorage || er.Error.Kind != "resource-limit" || !strings.Contains(er.Error.Msg, "request body exceeds") {
+			t.Fatalf("%s: HTTP %d %+v, want the typed resource-limit refusal", path, rec.Code, er.Error)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if grown := after.TotalAlloc - before.TotalAlloc; grown > huge/2 {
+		t.Fatalf("refusing six %d MB bodies allocated %d MB", huge>>20, grown>>20)
+	}
 }
 
 // TestServeSessionLifecycle pins the session-state machine at the wire

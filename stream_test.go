@@ -23,28 +23,13 @@ import (
 // evaluate to completion, then decode the whole payload — as the byte
 // oracle the cursor path must match.
 func materializedOracle(p *Platform, mode ResultMode, sql string, args []any) (*Rows, error) {
-	cq, err := p.Compile(sql, mode)
+	cq, ext, cols, err := oracleInputs(p, mode, sql, args)
 	if err != nil {
 		return nil, err
-	}
-	if len(args) != cq.Res.ParamCount {
-		return nil, fmt.Errorf("statement has %d parameter(s), got %d", cq.Res.ParamCount, len(args))
-	}
-	ext := make(map[string]Sequence, len(args))
-	for i, a := range args {
-		v, err := ToAtomic(a)
-		if err != nil {
-			return nil, err
-		}
-		ext[fmt.Sprintf("p%d", i+1)] = xdm.SequenceOf(v)
 	}
 	out, err := p.Engine.EvalPlanWithTrace(context.Background(), cq.Plan, ext, nil)
 	if err != nil {
 		return nil, err
-	}
-	cols := make([]resultset.Column, len(cq.Res.Columns))
-	for i, c := range cq.Res.Columns {
-		cols[i] = resultset.Column{Label: c.Label, ElementName: c.ElementName, Type: c.Type, Nullable: c.Nullable}
 	}
 	if mode == ModeText {
 		it, err := out.Singleton()
@@ -54,6 +39,46 @@ func materializedOracle(p *Platform, mode ResultMode, sql string, args []any) (*
 		return resultset.FromText(xdm.StringValue(it), cols)
 	}
 	return resultset.FromXML(out, cols)
+}
+
+// naiveStreamOracle streams a statement through the unplanned evaluator,
+// which never fuses the text wrapper with the RECORD constructor — the
+// oracle the row-program path is held to.
+func naiveStreamOracle(p *Platform, mode ResultMode, sql string, args []any) (*Rows, error) {
+	cq, ext, cols, err := oracleInputs(p, mode, sql, args)
+	if err != nil {
+		return nil, err
+	}
+	cur := p.Engine.EvalStreamNaive(context.Background(), cq.Res.Query, ext, nil)
+	if mode == ModeText {
+		return resultset.NewStreaming(resultset.StreamText(cur, cols)), nil
+	}
+	return resultset.NewStreaming(resultset.StreamXML(cur, cols)), nil
+}
+
+// oracleInputs compiles a statement and binds its arguments and result
+// schema the way the facade does.
+func oracleInputs(p *Platform, mode ResultMode, sql string, args []any) (*CompiledQuery, map[string]Sequence, []resultset.Column, error) {
+	cq, err := p.Compile(sql, mode)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if len(args) != cq.Res.ParamCount {
+		return nil, nil, nil, fmt.Errorf("statement has %d parameter(s), got %d", cq.Res.ParamCount, len(args))
+	}
+	ext := make(map[string]Sequence, len(args))
+	for i, a := range args {
+		v, err := ToAtomic(a)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		ext[fmt.Sprintf("p%d", i+1)] = xdm.SequenceOf(v)
+	}
+	cols := make([]resultset.Column, len(cq.Res.Columns))
+	for i, c := range cq.Res.Columns {
+		cols[i] = resultset.Column{Label: c.Label, ElementName: c.ElementName, Type: c.Type, Nullable: c.Nullable}
+	}
+	return cq, ext, cols, nil
 }
 
 // marshalStreamed renders a live streaming result row by row — the genuine
@@ -108,6 +133,14 @@ func TestStreamedMatchesMaterialized(t *testing.T) {
 			if want := marshalRows(mrows); got != want {
 				t.Fatalf("mode %v: %q: streamed rows diverged from materialized decode\ngot:  %s\nwant: %s",
 					mode, sql, got, want)
+			}
+			nrows, err := naiveStreamOracle(p, mode, sql, args)
+			if err != nil {
+				t.Fatalf("mode %v: %q: naive stream oracle: %v", mode, sql, err)
+			}
+			if want, err := marshalStreamed(nrows); err != nil || got != want {
+				t.Fatalf("mode %v: %q: planned stream diverged from the naive (unfused) stream: %v\ngot:  %s\nwant: %s",
+					mode, sql, err, got, want)
 			}
 			if cq, err := p.Compile(sql, mode); err == nil && cq.Streamable() {
 				streamable++
@@ -287,6 +320,13 @@ func FuzzStreamDifferential(f *testing.F) {
 			if want := marshalRows(mrows); got != want {
 				t.Fatalf("mode %v: %q: streamed diverged from materialized\ngot:  %s\nwant: %s",
 					mode, sql, got, want)
+			}
+			// Fused (planned) against unfused (naive) streaming.
+			if nrows, err := naiveStreamOracle(p, mode, sql, args); err == nil {
+				if want, err := marshalStreamed(nrows); err == nil && got != want {
+					t.Fatalf("mode %v: %q: planned stream diverged from the naive stream\ngot:  %s\nwant: %s",
+						mode, sql, got, want)
+				}
 			}
 		}
 	})
