@@ -51,6 +51,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzCompiledDifferential -fuzztime=$(FUZZTIME) .
 	$(GO) test -run='^$$' -fuzz=FuzzStreamDifferential -fuzztime=$(FUZZTIME) .
 	$(GO) test -run='^$$' -fuzz=FuzzServeDifferential -fuzztime=$(FUZZTIME) .
+	$(GO) test -run='^$$' -fuzz=FuzzPlanDifferential -fuzztime=$(FUZZTIME) ./internal/xqeval/
 	$(GO) test -run='^$$' -fuzz=FuzzParallelDifferential -fuzztime=$(FUZZTIME) ./internal/xqeval/
 	$(GO) test -run='^$$' -fuzz=FuzzFederatedDifferential -fuzztime=$(FUZZTIME) .
 

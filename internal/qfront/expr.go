@@ -142,13 +142,60 @@ func (u *UnaryExpr) SQL() string {
 	if u.Op == UnaryNot {
 		return "NOT (" + u.Operand.SQL() + ")"
 	}
-	operand := u.Operand.SQL()
+	operand := operandSQL(u.Operand, precUnary)
 	// Adjacent minus signs would lex as a SQL line comment, so a nested
 	// negation renders parenthesized to stay re-parseable.
 	if u.Op == UnaryMinus && strings.HasPrefix(operand, "-") {
 		return u.Op.String() + "(" + operand + ")"
 	}
 	return u.Op.String() + operand
+}
+
+// Binding strength of rendered expressions, loosest first, as the SQL-92
+// grammar nests them: NOT, then predicates (comparison, BETWEEN, IN, LIKE,
+// IS NULL, EXISTS, quantified), then + - ||, then * /, then unary sign, then
+// primaries. AND/OR render self-parenthesized, so they are primaries.
+const (
+	precNot = iota + 1
+	precPredicate
+	precAdditive
+	precMultiplicative
+	precUnary
+	precPrimary
+)
+
+// precedence is how tightly e's rendering binds.
+func precedence(e Expr) int {
+	switch n := e.(type) {
+	case *UnaryExpr:
+		if n.Op == UnaryNot {
+			return precNot
+		}
+		return precUnary
+	case *BinaryExpr:
+		switch {
+		case n.Op.Logical():
+			return precPrimary
+		case n.Op.Comparison():
+			return precPredicate
+		case n.Op == BinMul || n.Op == BinDiv:
+			return precMultiplicative
+		default:
+			return precAdditive
+		}
+	case *BetweenExpr, *InExpr, *LikeExpr, *IsNullExpr, *ExistsExpr, *QuantifiedExpr:
+		return precPredicate
+	}
+	return precPrimary
+}
+
+// operandSQL renders e where the grammar wants something binding at least
+// as tightly as min, parenthesizing it otherwise.
+func operandSQL(e Expr, min int) string {
+	if precedence(e) < min {
+		return "(" + e.SQL() + ")"
+	}
+	return e.SQL()
 }
 
 // BinaryOp is a binary operator (arithmetic, comparison, logical, concat).
@@ -226,12 +273,22 @@ func (*BinaryExpr) expr() {}
 // Position implements Node.
 func (b *BinaryExpr) Position() Pos { return b.Pos }
 
-// SQL implements Node.
+// SQL implements Node. Operands are parenthesized where the grammar would
+// otherwise bind them differently: comparisons do not chain, and the
+// arithmetic operators associate left, so a right operand of the same
+// strength needs parentheses (A - (B - C)).
 func (b *BinaryExpr) SQL() string {
 	if b.Op.Logical() {
 		return "(" + b.Left.SQL() + " " + b.Op.String() + " " + b.Right.SQL() + ")"
 	}
-	return b.Left.SQL() + " " + b.Op.String() + " " + b.Right.SQL()
+	left, right := precAdditive, precAdditive
+	switch precedence(b) {
+	case precAdditive:
+		right = precMultiplicative
+	case precMultiplicative:
+		left, right = precMultiplicative, precUnary
+	}
+	return operandSQL(b.Left, left) + " " + b.Op.String() + " " + operandSQL(b.Right, right)
 }
 
 // FuncCall is a function invocation: scalar (UPPER, CONCAT, …) or aggregate
@@ -367,7 +424,7 @@ func (b *BetweenExpr) SQL() string {
 	if b.Not {
 		not = "NOT "
 	}
-	return b.Operand.SQL() + " " + not + "BETWEEN " + b.Low.SQL() + " AND " + b.High.SQL()
+	return operandSQL(b.Operand, precAdditive) + " " + not + "BETWEEN " + operandSQL(b.Low, precAdditive) + " AND " + operandSQL(b.High, precAdditive)
 }
 
 // InExpr is x [NOT] IN (list) or x [NOT] IN (subquery).
@@ -390,14 +447,15 @@ func (i *InExpr) SQL() string {
 	if i.Not {
 		not = "NOT "
 	}
+	operand := operandSQL(i.Operand, precAdditive)
 	if i.Subquery != nil {
-		return i.Operand.SQL() + " " + not + "IN (" + i.Subquery.SQL() + ")"
+		return operand + " " + not + "IN (" + i.Subquery.SQL() + ")"
 	}
 	var parts []string
 	for _, e := range i.List {
-		parts = append(parts, e.SQL())
+		parts = append(parts, operandSQL(e, precAdditive))
 	}
-	return i.Operand.SQL() + " " + not + "IN (" + strings.Join(parts, ", ") + ")"
+	return operand + " " + not + "IN (" + strings.Join(parts, ", ") + ")"
 }
 
 // ExistsExpr is EXISTS (subquery).
@@ -434,9 +492,9 @@ func (l *LikeExpr) SQL() string {
 	if l.Not {
 		not = "NOT "
 	}
-	s := l.Operand.SQL() + " " + not + "LIKE " + l.Pattern.SQL()
+	s := operandSQL(l.Operand, precAdditive) + " " + not + "LIKE " + operandSQL(l.Pattern, precAdditive)
 	if l.Escape != nil {
-		s += " ESCAPE " + l.Escape.SQL()
+		s += " ESCAPE " + operandSQL(l.Escape, precAdditive)
 	}
 	return s
 }
@@ -456,9 +514,9 @@ func (i *IsNullExpr) Position() Pos { return i.Pos }
 // SQL implements Node.
 func (i *IsNullExpr) SQL() string {
 	if i.Not {
-		return i.Operand.SQL() + " IS NOT NULL"
+		return operandSQL(i.Operand, precAdditive) + " IS NOT NULL"
 	}
-	return i.Operand.SQL() + " IS NULL"
+	return operandSQL(i.Operand, precAdditive) + " IS NULL"
 }
 
 // SubqueryExpr is a scalar subquery used in expression position.
@@ -507,7 +565,7 @@ func (q *QuantifiedExpr) Position() Pos { return q.Pos }
 
 // SQL implements Node.
 func (q *QuantifiedExpr) SQL() string {
-	return q.Left.SQL() + " " + q.Op.String() + " " + q.Quant.String() + " (" + q.Subquery.SQL() + ")"
+	return operandSQL(q.Left, precAdditive) + " " + q.Op.String() + " " + q.Quant.String() + " (" + q.Subquery.SQL() + ")"
 }
 
 // RowExpr is a SQL-92 row value constructor: (a, b, …). It may appear as

@@ -785,3 +785,21 @@ func intSeq(n int64) xdm.Sequence { return xdm.SequenceOf(xdm.Integer(n)) }
 func newTranslator() *translator.Translator {
 	return translator.New(catalog.Demo())
 }
+
+// TestExecOrderByRenderedExpression: ORDER BY matches a select item by its
+// rendered SQL, so (K-2)*(K-2) and K-2*K-2 must render differently — they
+// once both rendered as "CUSTOMERID - 2 * CUSTOMERID - 2" and the ORDER BY
+// sorted by the first. By Y = K-2*K-2 = -K-4 the order is 3, 2, 1.
+func TestExecOrderByRenderedExpression(t *testing.T) {
+	rows := run(t, `SELECT CUSTOMERID, (CUSTOMERID-2)*(CUSTOMERID-2) X, CUSTOMERID-2*CUSTOMERID-2 Y
+		FROM CUSTOMERS WHERE CUSTOMERID < 4 ORDER BY CUSTOMERID-2*CUSTOMERID-2`)
+	if got := joined(t, rows, 0); got != "3,2,1" {
+		t.Fatalf("order = %s, want 3,2,1", got)
+	}
+	// And a select item is only a grouping key if it is the same expression.
+	_, err := translator.New(catalog.Demo()).Translate(`SELECT (CUSTOMERID-2)*(CUSTOMERID-2), COUNT(*)
+		FROM CUSTOMERS GROUP BY CUSTOMERID-2*CUSTOMERID-2`)
+	if err == nil {
+		t.Fatal("a select item differing from the GROUP BY key by its parentheses must be rejected")
+	}
+}

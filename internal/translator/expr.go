@@ -478,7 +478,10 @@ func (g *generator) genIn(e *qfront.InExpr, sc *qscope, agg *aggEnv) (xquery.Exp
 	if err != nil {
 		return nil, typeInfo{}, err
 	}
-	var values xquery.Expr
+	// SQL-92 makes x NOT IN (…) TRUE only when x <> v is TRUE for every v:
+	// vacuously for an empty subquery, never when x or some v is NULL. The
+	// general comparison `!=` is false when either side is empty, so it is
+	// exactly "x <> v is TRUE".
 	if e.Subquery != nil {
 		rows, cols, err := g.genSelectStmt(e.Subquery, sc)
 		if err != nil {
@@ -487,31 +490,48 @@ func (g *generator) genIn(e *qfront.InExpr, sc *qscope, agg *aggEnv) (xquery.Exp
 		if len(cols) != 1 {
 			return nil, typeInfo{}, semErr(e.Pos, "IN subquery must return exactly one column, got %d", len(cols))
 		}
-		values = xquery.Call("fn:data", &xquery.Path{
+		if e.Not {
+			qv := g.names.rowVar(0, zoneWhere)
+			differs := &xquery.Binary{Op: "!=", Left: operand, Right: xquery.Call("fn:data", xquery.ChildPath(qv, cols[0].ElementName))}
+			return noRowWhere(qv, rows, differs), tBoolean, nil
+		}
+		values := xquery.Call("fn:data", &xquery.Path{
 			Base:  rows,
 			Steps: []xquery.PathStep{{Name: cols[0].ElementName}},
 		})
-	} else {
-		items := make([]xquery.Expr, len(e.List))
-		for i, item := range e.List {
-			xe, it, err := g.genExpr(item, sc, agg)
-			if err != nil {
-				return nil, typeInfo{}, err
-			}
-			_, xe = g.coerceComparison(e.Operand, operand, ot, item, xe, it)
-			items[i] = xe
-		}
-		values = &xquery.Seq{Items: items}
+		return &xquery.Binary{Op: "=", Left: operand, Right: values}, tBoolean, nil
 	}
-	cond := xquery.Expr(&xquery.Binary{Op: "=", Left: operand, Right: values})
+	items := make([]xquery.Expr, len(e.List))
+	for i, item := range e.List {
+		xe, it, err := g.genExpr(item, sc, agg)
+		if err != nil {
+			return nil, typeInfo{}, err
+		}
+		_, xe = g.coerceComparison(e.Operand, operand, ot, item, xe, it)
+		items[i] = xe
+	}
 	if e.Not {
-		cond = &xquery.Binary{
-			Op:    "and",
-			Left:  xquery.Call("fn:exists", xquery.Call("fn:data", operand)),
-			Right: xquery.Call("fn:not", cond),
+		differs := make([]xquery.Expr, len(items))
+		for i, item := range items {
+			differs[i] = &xquery.Binary{Op: "!=", Left: operand, Right: item}
 		}
+		return xquery.JoinConjuncts(differs), tBoolean, nil
 	}
-	return cond, tBoolean, nil
+	return &xquery.Binary{Op: "=", Left: operand, Right: &xquery.Seq{Items: items}}, tBoolean, nil
+}
+
+// noRowWhere is `fn:empty(for $v in rows where fn:not(differs) return $v)`:
+// TRUE when every subquery row makes differs TRUE, an empty subquery
+// included — the NOT IN test. A FLWOR rather than `every … satisfies`,
+// which would rebind the context item an outer-join ON predicate reads.
+func noRowWhere(v string, rows, differs xquery.Expr) xquery.Expr {
+	return xquery.Call("fn:empty", &xquery.FLWOR{
+		Clauses: []xquery.Clause{
+			&xquery.For{Var: v, In: rows},
+			&xquery.Where{Cond: xquery.Call("fn:not", differs)},
+		},
+		Return: xquery.VarRef(v),
+	})
 }
 
 func (g *generator) genLike(e *qfront.LikeExpr, sc *qscope, agg *aggEnv) (xquery.Expr, typeInfo, error) {
@@ -651,9 +671,16 @@ func expandRowComparison(op qfront.BinaryOp, l, r *qfront.RowExpr, pos qfront.Po
 
 // genRowIn translates multi-column IN: (a, b) IN (SELECT x, y …) becomes a
 // quantified membership test over the subquery's RECORD rows, and the list
-// form (a, b) IN ((1, 2), (3, 4)) a disjunction of row equalities.
+// form (a, b) IN ((1, 2), (3, 4)) a disjunction of row equalities. NOT IN
+// holds when the row differs from every member, (a, b) <> (x, y) being
+// a <> x OR b <> y — TRUE only if some column pair is non-NULL and unequal.
 func (g *generator) genRowIn(e *qfront.InExpr, row *qfront.RowExpr, sc *qscope, agg *aggEnv) (xquery.Expr, typeInfo, error) {
-	var cond xquery.Expr
+	// Per member, the row comparison joins its columns; across members
+	// the list form joins the comparisons.
+	op, join, across := qfront.BinEq, "and", "or"
+	if e.Not {
+		op, join, across = qfront.BinNe, "or", "and"
+	}
 	if e.Subquery != nil {
 		rows, cols, err := g.genSelectStmt(e.Subquery, sc)
 		if err != nil {
@@ -669,43 +696,43 @@ func (g *generator) genRowIn(e *qfront.InExpr, row *qfront.RowExpr, sc *qscope, 
 			if err != nil {
 				return nil, typeInfo{}, err
 			}
-			eq := &xquery.Binary{Op: "=",
+			cmp := &xquery.Binary{Op: comparisonXQ[op],
 				Left:  atomized(typedExpr{E: xe, T: it}),
 				Right: xquery.Call("fn:data", xquery.ChildPath(qv, cols[i].ElementName)),
 			}
 			if sat == nil {
-				sat = eq
+				sat = cmp
 			} else {
-				sat = &xquery.Binary{Op: "and", Left: sat, Right: eq}
+				sat = &xquery.Binary{Op: join, Left: sat, Right: cmp}
 			}
 		}
-		cond = &xquery.Quantified{Var: qv, In: rows, Satisfies: sat}
-	} else {
-		for _, item := range e.List {
-			other, ok := item.(*qfront.RowExpr)
-			if !ok {
-				return nil, typeInfo{}, semErr(item.Position(), "IN list for a row value must contain row values")
-			}
-			expanded, err := expandRowComparison(qfront.BinEq, row, other, e.Pos)
-			if err != nil {
-				return nil, typeInfo{}, err
-			}
-			eq, _, err := g.genExpr(expanded, sc, agg)
-			if err != nil {
-				return nil, typeInfo{}, err
-			}
-			if cond == nil {
-				cond = eq
-			} else {
-				cond = &xquery.Binary{Op: "or", Left: cond, Right: eq}
-			}
+		if e.Not {
+			return noRowWhere(qv, rows, sat), tBoolean, nil
+		}
+		return &xquery.Quantified{Var: qv, In: rows, Satisfies: sat}, tBoolean, nil
+	}
+	var cond xquery.Expr
+	for _, item := range e.List {
+		other, ok := item.(*qfront.RowExpr)
+		if !ok {
+			return nil, typeInfo{}, semErr(item.Position(), "IN list for a row value must contain row values")
+		}
+		expanded, err := expandRowComparison(op, row, other, e.Pos)
+		if err != nil {
+			return nil, typeInfo{}, err
+		}
+		cmp, _, err := g.genExpr(expanded, sc, agg)
+		if err != nil {
+			return nil, typeInfo{}, err
 		}
 		if cond == nil {
-			return nil, typeInfo{}, semErr(e.Pos, "empty IN list")
+			cond = cmp
+		} else {
+			cond = &xquery.Binary{Op: across, Left: cond, Right: cmp}
 		}
 	}
-	if e.Not {
-		cond = xquery.Call("fn:not", cond)
+	if cond == nil {
+		return nil, typeInfo{}, semErr(e.Pos, "empty IN list")
 	}
 	return cond, tBoolean, nil
 }

@@ -46,6 +46,12 @@ func differentialCorpus() []string {
 		"SELECT EXTRACT(YEAR FROM PAYDATE), SUM(PAYMENT) FROM PAYMENTS GROUP BY EXTRACT(YEAR FROM PAYDATE)",
 		"SELECT * FROM PO_CUSTOMERS WHERE STATUS = 'OPEN' AND TOTAL BETWEEN 10 AND 500",
 		"SELECT CUSTOMERID FROM CUSTOMERS EXCEPT SELECT CUSTID FROM PAYMENTS",
+		// Correlated lookups run as hash probes, and SQL-92's NOT IN
+		// (aqlbench join_group_xml's outer join and NOT EXISTS drill).
+		"SELECT C.CUSTOMERID, C.CUSTOMERNAME, O.ORDERID, O.TOTAL FROM CUSTOMERS C LEFT OUTER JOIN PO_CUSTOMERS O ON C.CUSTOMERID = O.CUSTOMERID WHERE C.CUSTOMERID >= ?",
+		"SELECT C.CUSTOMERID, C.CUSTOMERNAME FROM CUSTOMERS C WHERE NOT EXISTS (SELECT 1 FROM PO_CUSTOMERS O WHERE O.CUSTOMERID = C.CUSTOMERID AND O.TOTAL > ?)",
+		"SELECT CUSTOMERNAME FROM CUSTOMERS C WHERE EXISTS (SELECT 1 FROM PAYMENTS P WHERE P.CUSTID = C.CUSTOMERID AND P.PAYMENT > 100)",
+		"SELECT CUSTOMERNAME FROM CUSTOMERS WHERE CUSTOMERID NOT IN (SELECT CUSTID FROM PAYMENTS WHERE PAYMENT > 100)",
 	}
 	seen := map[string]bool{}
 	var out []string
@@ -56,6 +62,17 @@ func differentialCorpus() []string {
 		}
 	}
 	return out
+}
+
+// correlatedSeeds start the plan and parallel fuzzers from more correlated
+// lookups over the demo tables — IN, ANY, a scalar subquery, two levels, an
+// ON conjunct with WHERE on the padded side — on top of the corpus.
+var correlatedSeeds = []string{
+	"SELECT CUSTOMERNAME FROM CUSTOMERS C WHERE CITY IN (SELECT O.STATUS FROM PO_CUSTOMERS O WHERE O.CUSTOMERID = C.CUSTOMERID)",
+	"SELECT CUSTOMERID FROM CUSTOMERS C WHERE 100 < ANY (SELECT P.PAYMENT FROM PAYMENTS P WHERE P.CUSTID = C.CUSTOMERID)",
+	"SELECT CUSTOMERID, (SELECT MAX(TOTAL) FROM PO_CUSTOMERS O WHERE O.CUSTOMERID = C.CUSTOMERID) FROM CUSTOMERS C",
+	"SELECT CUSTOMERID FROM CUSTOMERS C WHERE EXISTS (SELECT 1 FROM PO_CUSTOMERS O WHERE O.CUSTOMERID = C.CUSTOMERID AND NOT EXISTS (SELECT 1 FROM PO_ITEMS I WHERE I.ORDERID = O.ORDERID))",
+	"SELECT C.CUSTOMERID, P.PAYMENT FROM CUSTOMERS C LEFT OUTER JOIN PAYMENTS P ON C.CUSTOMERID = P.CUSTID AND P.PAYMENT > 50 WHERE P.PAYMENT IS NULL",
 }
 
 // bindParams builds plausible external variable bindings $p1…$pN for a
@@ -105,7 +122,7 @@ func TestPlannedMatchesNaiveOnCorpus(t *testing.T) {
 			checked++
 		}
 	}
-	if checked < 38 { // 19 distinct statements × 2 modes
+	if checked < 46 { // 23 distinct statements × 2 modes
 		t.Fatalf("corpus shrank: only %d checks ran", checked)
 	}
 }
@@ -114,7 +131,7 @@ func TestPlannedMatchesNaiveOnCorpus(t *testing.T) {
 // any SQL the translator accepts is evaluated planned and naive over a
 // small demo dataset, and any divergence (or planner panic) fails.
 func FuzzPlanDifferential(f *testing.F) {
-	for _, s := range differentialCorpus() {
+	for _, s := range append(differentialCorpus(), correlatedSeeds...) {
 		f.Add(s)
 	}
 	// Small dataset: the naive evaluator materializes full cross products,

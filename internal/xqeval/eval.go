@@ -46,11 +46,7 @@ func evalExpr(e xquery.Expr, env *scope) (xdm.Sequence, error) {
 		}
 		return evalSteps(base, e.Steps, env)
 	case *xquery.Filter:
-		base, err := evalExpr(e.Base, env)
-		if err != nil {
-			return nil, err
-		}
-		return applyPredicates(base, e.Predicates, env)
+		return evalFilterExpr(e, env)
 	case *xquery.Binary:
 		return evalBinary(e, env)
 	case *xquery.Unary:
@@ -111,6 +107,21 @@ func evalNumberLit(e *xquery.NumberLit) (xdm.Sequence, error) {
 		return nil, dynErr("bad numeric literal %q: %v", text, err)
 	}
 	return xdm.SequenceOf(a), nil
+}
+
+// evalFilterExpr evaluates base[predicates]: as the probe FLWOR the planner
+// made of it (probeFilter), or item by item.
+func evalFilterExpr(e *xquery.Filter, env *scope) (xdm.Sequence, error) {
+	if env.plan != nil {
+		if fp, ok := env.plan.flwors[e]; ok {
+			return execFilter(fp, env)
+		}
+	}
+	base, err := evalExpr(e.Base, env)
+	if err != nil {
+		return nil, err
+	}
+	return applyPredicates(base, e.Predicates, env)
 }
 
 // evalSteps applies child-axis steps with predicates to every node in base,

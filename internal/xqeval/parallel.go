@@ -283,15 +283,22 @@ func (ex *flworExec) runParallel(ops []planOp, base *scope, cfg ExecConfig, fina
 	// the serial counters per row so an early stop (the FETCH FIRST
 	// limiter's sentinel coming back through emit, a cursor-side abort)
 	// leaves them exactly where serial execution would have stopped
-	// charging.
+	// charging, and then past the whole morsel. emit may charge too — the
+	// unfused text path tokenizes each row on this goroutine, against the
+	// caller's counters — so those hold the serial count while it runs,
+	// and what it adds is serial work the later rows are charged on top of.
 	flush := func(r *morselResult, rowBase, tupleBase int64) error {
 		for i, v := range r.vals {
-			serRows = rowBase + r.chargedAt[i].rows
-			serTuples = tupleBase + r.chargedAt[i].tuples
-			if err := emit(v); err != nil {
+			at := r.chargedAt[i]
+			base.counters.rows, base.counters.tuples = rowBase+at.rows, tupleBase+at.tuples
+			err := emit(v)
+			serRows, serTuples = base.counters.rows, base.counters.tuples
+			rowBase, tupleBase = serRows-at.rows, serTuples-at.tuples
+			if err != nil {
 				return err
 			}
 		}
+		serRows, serTuples = rowBase+r.rowsCharged, tupleBase+r.tuplesCharged
 		return nil
 	}
 
@@ -380,8 +387,8 @@ func (ex *flworExec) runParallel(ops []planOp, base *scope, cfg ExecConfig, fina
 				}
 			} else {
 				collected = append(collected, rr.tups...)
+				serRows, serTuples = rc.rows, rc.tuples
 			}
-			serRows, serTuples = rc.rows, rc.tuples
 			if rr.err != nil {
 				// Authoritative: the exact error, after the exact row
 				// prefix, that serial execution produces.
@@ -399,8 +406,9 @@ func (ex *flworExec) runParallel(ops []planOp, base *scope, cfg ExecConfig, fina
 					join()
 					return nil, err
 				}
+			} else {
+				serRows, serTuples = rowBase+r.rowsCharged, tupleBase+r.tuplesCharged
 			}
-			serRows, serTuples = rowBase+r.rowsCharged, tupleBase+r.tuplesCharged
 			join()
 			return nil, r.err
 
@@ -412,8 +420,8 @@ func (ex *flworExec) runParallel(ops []planOp, base *scope, cfg ExecConfig, fina
 				}
 			} else {
 				collected = append(collected, r.tups...)
+				serRows, serTuples = rowBase+r.rowsCharged, tupleBase+r.tuplesCharged
 			}
-			serRows, serTuples = rowBase+r.rowsCharged, tupleBase+r.tuplesCharged
 		}
 
 		results[m] = nil

@@ -116,7 +116,7 @@ func TestParallelMatchesSerialOnCorpus(t *testing.T) {
 			}
 		}
 	}
-	if checked < 76 { // 19 distinct statements × 2 modes × 2 worker counts
+	if checked < 92 { // 23 distinct statements × 2 modes × 2 worker counts
 		t.Fatalf("corpus shrank: only %d checks ran", checked)
 	}
 }
@@ -398,9 +398,59 @@ func TestParallelErrorPrefixMatchesSerial(t *testing.T) {
 // folded-back tuple counter (surfaced via Cursor.Stats) must equal the
 // serial run's exactly, not include the window of morsels workers
 // processed past the stop.
+//
+// The unfused text shapes tokenize each row on the merging goroutine, in
+// the cursor's emit: those $tokenQuery tuple and token row charges are
+// serial work too, and must survive the merge — and count against
+// MaxTuples at the row serial execution trips on.
 func TestParallelTupleAccountingMatchesSerial(t *testing.T) {
 	ctx := context.Background()
 	e, plan := parallelStreamSetup(t, 5000, "fn:subsequence(", ", 1, 20)")
+	for _, unfused := range []struct{ name, rows string }{
+		{"unfused text, FETCH FIRST", "fn:subsequence(for $r in p:T() return <RECORD><ID>{fn:data($r/ID)}</ID></RECORD>, 1, 20)"},
+		{"unfused text", "for $r in p:T() where $r/ID mod 3 = 0 return <RECORD><ID>{fn:data($r/ID)}</ID></RECORD>"},
+	} {
+		// The token is not the serialize/escape/if-empty chain, so no row
+		// program covers it.
+		q, err := xqeval.Compile(`import schema namespace p = "ld:ParTest" at "ParTest.xsd";
+fn:string-join(let $actualQuery := <RECORDSET>{` + unfused.rows + `}</RECORDSET>
+for $tokenQuery in $actualQuery/RECORD return (">", fn:data($tokenQuery/ID)), "")`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tplan, err := e.CompileAST(q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := tplan.Stream.Describe(); !strings.Contains(d, "unfused") {
+			t.Fatalf("%s: want an unfused text plan, got %s", unfused.name, d)
+		}
+		serialRows, serialTuples, serr := drainAt(e, tplan, parallelExec(1))
+		if serr != nil {
+			t.Fatal(serr)
+		}
+		for _, workers := range []int{2, 8} {
+			rows, tuples, err := drainAt(e, tplan, parallelExec(workers))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if strings.Join(rows, "") != strings.Join(serialRows, "") || tuples != serialTuples {
+				t.Fatalf("%s, workers %d: %d rows, %d tuples; serial %d rows, %d tuples", unfused.name, workers, len(rows), tuples, len(serialRows), serialTuples)
+			}
+		}
+		// A tuple cap between the worker-side and the full count trips in
+		// both, after the same rows.
+		e.SetLimits(xqeval.Limits{MaxTuples: serialTuples * 3 / 4})
+		serialRows, _, serr = drainAt(e, tplan, parallelExec(1))
+		for _, workers := range []int{2, 8} {
+			rows, _, err := drainAt(e, tplan, parallelExec(workers))
+			if serr == nil || err == nil || err.Error() != serr.Error() || strings.Join(rows, "") != strings.Join(serialRows, "") {
+				t.Fatalf("%s, workers %d, MaxTuples %d: %d rows then %v; serial %d rows then %v",
+					unfused.name, workers, serialTuples*3/4, len(rows), err, len(serialRows), serr)
+			}
+		}
+		e.SetLimits(xqeval.Limits{})
+	}
 
 	e.SetExec(parallelExec(1))
 	cur := e.EvalStream(ctx, plan, nil, nil)
@@ -417,6 +467,14 @@ func TestParallelTupleAccountingMatchesSerial(t *testing.T) {
 	if _, parTuples := pcur.Stats(); parTuples != serialTuples {
 		t.Fatalf("parallel tuple accounting diverges after FETCH FIRST: parallel=%d serial=%d (speculative charges not refunded)", parTuples, serialTuples)
 	}
+}
+
+// drainAt streams plan under cfg: one string per row, the tuple count, the
+// error the stream ended with.
+func drainAt(e *xqeval.Engine, plan *xqeval.Plan, cfg xqeval.ExecConfig) ([]string, int64, error) {
+	e.SetExec(cfg)
+	rows, tuples, err := drainRows(e.EvalStream(context.Background(), plan, nil, nil))
+	return rows, tuples, err
 }
 
 // TestParallelCancellationNoHang is the deadlock regression for external
@@ -589,7 +647,7 @@ return p:CHECKED($r/ID)`)
 // presence, fails. (Parallel execution has no §2.3.4 latitude against its
 // own serial run — both execute the identical eager plan.)
 func FuzzParallelDifferential(f *testing.F) {
-	for _, s := range differentialCorpus() {
+	for _, s := range append(differentialCorpus(), correlatedSeeds...) {
 		f.Add(s)
 	}
 	app, _, engine := demo.Setup(demo.Sizes{Customers: 8, PaymentsPerCustomer: 2, Orders: 10, ItemsPerOrder: 2})

@@ -35,8 +35,13 @@ type Plan struct {
 	// artifacts carry it, so cached statements stream without re-analysis.
 	Stream *StreamPlan
 
-	flwors  map[*xquery.FLWOR]*flworPlan
+	// flwors maps each planned FLWOR node — and each filter node planned as
+	// a probe FLWOR (probeFilter) — to its pipeline.
+	flwors  map[xquery.Expr]*flworPlan
 	ordered []*flworPlan
+	// tables counts the hash tables built once per evaluation
+	// (hashJoinSpec.table): each evaluation allocates that many slots.
+	tables int
 
 	// Static decision counts across all FLWORs in the query.
 	HashJoins         int
@@ -160,6 +165,13 @@ type hashJoinSpec struct {
 	// existential comparison); the executor verifies every hash candidate
 	// under the exact operator semantics.
 	valueCmp bool
+	// correlated marks a probe that reads no variable of its own FLWOR,
+	// only enclosing bindings: a semi-, anti- or outer-join lookup from an
+	// EXISTS, IN, ANY or §3.5 outer join. Its build table is built once per
+	// evaluation, in slot table of the evaluation's evalTables; a join's
+	// (table -1) is built per FLWOR execution.
+	correlated bool
+	table      int
 
 	// Cost-model annotations (stats-built plans only; see pickHashConjunct).
 	// keyCol is the build-side key column when the build expression is a
@@ -195,16 +207,23 @@ func NewPlanStats(q *xquery.Query, sp StatsProvider) *Plan {
 }
 
 func buildPlan(q *xquery.Query, sp StatsProvider) *Plan {
-	p := &Plan{Query: q, Stream: planStream(q.Body), flwors: map[*xquery.FLWOR]*flworPlan{}}
-	pc := &planCtx{sp: sp, prefixes: map[string]string{}}
+	p := &Plan{Query: q, Stream: planStream(q.Body), flwors: map[xquery.Expr]*flworPlan{}}
+	pc := &planCtx{sp: sp, prefixes: map[string]string{}, body: q.Body}
 	for _, imp := range q.Prolog.SchemaImports {
 		pc.prefixes[imp.Prefix] = imp.Namespace
 	}
 	xquery.WalkExprs(q.Body, func(e xquery.Expr) bool {
-		if f, ok := e.(*xquery.FLWOR); ok {
+		var f *xquery.FLWOR
+		switch n := e.(type) {
+		case *xquery.FLWOR:
+			f = n
+		case *xquery.Filter:
+			f = pc.probeFilter(n)
+		}
+		if f != nil {
 			fp := planFLWOR(f, p, pc)
 			fp.id = len(p.ordered) + 1
-			p.flwors[f] = fp
+			p.flwors[e] = fp
 			p.ordered = append(p.ordered, fp)
 		}
 		return true
@@ -218,10 +237,87 @@ func buildPlan(q *xquery.Query, sp StatsProvider) *Plan {
 }
 
 // planCtx carries per-query planning inputs: the prolog's prefix bindings
-// (to resolve scan sources) and the optional statistics provider.
+// (to resolve scan sources), the optional statistics provider, and the
+// query body, whose binders boundVars collects on first need.
 type planCtx struct {
 	prefixes map[string]string
 	sp       StatsProvider
+	body     xquery.Expr
+	bound    map[string]bool
+}
+
+// boundVars is every variable bound anywhere in the query — for, at, let,
+// group-by and quantifier variables. It is computed when the first hash
+// candidate asks, so queries without one pay nothing for it.
+func (pc *planCtx) boundVars() map[string]bool {
+	if pc.bound != nil {
+		return pc.bound
+	}
+	pc.bound = map[string]bool{}
+	add := func(name string) {
+		if name != "" {
+			pc.bound[name] = true
+		}
+	}
+	xquery.WalkExprs(pc.body, func(e xquery.Expr) bool {
+		switch n := e.(type) {
+		case *xquery.Quantified:
+			add(n.Var)
+		case *xquery.FLWOR:
+			for _, cl := range n.Clauses {
+				switch c := cl.(type) {
+				case *xquery.For:
+					add(c.Var)
+					add(c.At)
+				case *xquery.Let:
+					add(c.Var)
+				case *xquery.GroupBy:
+					for _, k := range c.Keys {
+						add(k.Var)
+					}
+					add(c.PartitionVar)
+				}
+			}
+		}
+		return true
+	})
+	return pc.bound
+}
+
+// readsOnly reports whether e evaluates the same everywhere in one
+// evaluation once v (may be "") is fixed: it reads no variable the query
+// binds other than v, and no context item. External parameters are fine.
+// readsContext is conservative about FLWORs, which also keeps their row and
+// tuple charges out of per-evaluation builds.
+func (pc *planCtx) readsOnly(e xquery.Expr, v string) bool {
+	if readsContext(e) {
+		return false
+	}
+	bound := pc.boundVars()
+	for name := range xquery.FreeVars(e) {
+		if name != v && bound[name] {
+			return false
+		}
+	}
+	return true
+}
+
+// sharedProbe reports whether a correlated lookup can probe a table built
+// once per evaluation: the probe reads some query binding (not just
+// external parameters, which would make it a constant filter), and the
+// source and build key read none but the for variable.
+func (pc *planCtx) sharedProbe(spec *hashJoinSpec, c *xquery.For) bool {
+	return xquery.UsesVars(spec.probeExpr, pc.boundVars()) && pc.readsOnly(c.In, "") && pc.readsOnly(spec.buildExpr, c.Var)
+}
+
+// partition returns the partition spec of a partitioned scan, if the
+// provider knows one.
+func (pc *planCtx) partition(ref *scanRef) (*PartitionSpec, bool) {
+	pp, ok := pc.sp.(PartitionProvider)
+	if !ok || ref == nil {
+		return nil, false
+	}
+	return pp.SourcePartition(ref.namespace, ref.local)
 }
 
 // resolveScan recognizes a for-source of the form prefix:LOCAL() — a
@@ -328,30 +424,31 @@ func planFLWOR(f *xquery.FLWOR, p *Plan, pc *planCtx) *flworPlan {
 					op.estRows = st.Rows
 					p.StatsSources++
 				}
+				spec, partitioned := pc.partition(op.scan)
 				if c.At == "" {
-					if spec := pickHashConjunct(c, conds, j, localBefore, st); spec != nil {
-						op.hash = spec
+					if h := pickHashConjunct(c, conds, j, localBefore, st, pc, partitioned); h != nil {
+						op.hash = h
 						p.HashJoins++
+						if h.table >= 0 {
+							h.table = p.tables
+							p.tables++
+						}
 					}
 				}
-				if op.scan != nil {
-					if pp, ok := pc.sp.(PartitionProvider); ok {
-						if spec, ok := pp.SourcePartition(op.scan.namespace, op.scan.local); ok {
-							op.part = &partitionPlan{spec: spec}
-							p.PartitionedScans++
-							// Positional binding pins row indices to the full
-							// concatenation; pruning and filtering would shift
-							// them, so the pushdowns require no `at` clause.
-							if c.At == "" {
-								if cond, probe, valueCmp, ok := findShardPin(c, conds, j, spec); ok {
-									op.part.pinCond = cond
-									op.part.pinProbe = probe
-									op.part.pinValueCmp = valueCmp
-									p.ShardPins++
-								}
-								op.part.projCols = projectionColumns(f, c.Var, spec.Key)
-							}
+				if partitioned {
+					op.part = &partitionPlan{spec: spec}
+					p.PartitionedScans++
+					// Positional binding pins row indices to the full
+					// concatenation; pruning and filtering would shift them,
+					// so the pushdowns require no `at` clause.
+					if c.At == "" {
+						if cond, probe, valueCmp, ok := findShardPin(c, conds, j, spec); ok {
+							op.part.pinCond = cond
+							op.part.pinProbe = probe
+							op.part.pinValueCmp = valueCmp
+							p.ShardPins++
 						}
+						op.part.projCols = projectionColumns(f, c.Var, spec.Key)
 					}
 				}
 			}
@@ -506,15 +603,20 @@ func hoistableOperand(e xquery.Expr, local map[string]bool) bool {
 
 // pickHashConjunct looks among the conjuncts placed at slot j for
 // equi-joins the for clause can execute as a hash join: one comparison side
-// referencing exactly the for variable, the other referencing only earlier
-// bindings (at least one, so it is a genuine join and not a constant
-// filter). Without statistics the first match wins — the original
-// structural rule. With statistics and several candidates, the key with the
-// highest estimated distinctness wins (fewest expected matches per probe);
-// every unchosen candidate remains an ordinary filter, so the choice never
-// changes which tuples flow or in what order. The chosen conjunct is
-// consumed.
-func pickHashConjunct(c *xquery.For, conds []pendingCond, j int, localBefore map[string]bool, st *SourceStats) *hashJoinSpec {
+// referencing the for variable and no other binding of the FLWOR (the build
+// key), the other not referencing it (the probe). A probe reading earlier
+// bindings of the FLWOR makes a join; a probe reading only enclosing ones
+// makes a correlated lookup, accepted only when the build table can be
+// shared across FLWOR executions — otherwise every execution would rebuild
+// it at the cost of the scan it replaces. A probe reading no binding at all
+// is a constant filter, not a join. Without statistics the first match wins
+// — the original structural rule. With statistics and several candidates,
+// the key with the highest estimated distinctness wins (fewest expected
+// matches per probe); every unchosen candidate remains an ordinary filter,
+// so the choice never changes which tuples flow or in what order. The
+// chosen conjunct is consumed. Its table is 0 for a correlated lookup (the
+// caller numbers the per-evaluation slot), else -1.
+func pickHashConjunct(c *xquery.For, conds []pendingCond, j int, localBefore map[string]bool, st *SourceStats, pctx *planCtx, partitioned bool) *hashJoinSpec {
 	type candidate struct {
 		pc   *pendingCond
 		spec *hashJoinSpec
@@ -530,7 +632,7 @@ func pickHashConjunct(c *xquery.For, conds []pendingCond, j int, localBefore map
 			continue
 		}
 		spec := classifyJoinSides(b, c.Var, localBefore)
-		if spec == nil {
+		if spec == nil || spec.correlated && (partitioned || !pctx.sharedProbe(spec, c)) {
 			continue
 		}
 		spec.valueCmp = b.Op == "eq"
@@ -555,7 +657,12 @@ func pickHashConjunct(c *xquery.For, conds []pendingCond, j int, localBefore map
 		cands[best].spec.statsPick = best != 0
 	}
 	cands[best].pc.consumed = true
-	return cands[best].spec
+	spec := cands[best].spec
+	spec.table = -1
+	if spec.correlated {
+		spec.table = 0
+	}
+	return spec
 }
 
 // joinKeyColumn extracts the build-side key column when the expression is a
@@ -569,17 +676,162 @@ func joinKeyColumn(e xquery.Expr, forVar string) string {
 	return ""
 }
 
+// classifyJoinSides splits an equi-conjunct placed right after the for into
+// build side (reads the for variable, no earlier binding of the FLWOR) and
+// probe side (reads some variable, not the for variable). The probe is
+// correlated when none of the variables it reads is an earlier binding of
+// the FLWOR; nil when neither orientation fits.
 func classifyJoinSides(b *xquery.Binary, forVar string, localBefore map[string]bool) *hashJoinSpec {
-	forOnly := map[string]bool{forVar: true}
-	leftLocal := localFreeVars(b.Left, mergeVarSets(localBefore, forOnly))
-	rightLocal := localFreeVars(b.Right, mergeVarSets(localBefore, forOnly))
-	switch {
-	case isExactly(leftLocal, forVar) && len(rightLocal) > 0 && subsetOf(rightLocal, localBefore):
-		return &hashJoinSpec{cond: b, buildExpr: b.Left, probeExpr: b.Right}
-	case isExactly(rightLocal, forVar) && len(leftLocal) > 0 && subsetOf(leftLocal, localBefore):
-		return &hashJoinSpec{cond: b, buildExpr: b.Right, probeExpr: b.Left}
+	left, right := xquery.FreeVars(b.Left), xquery.FreeVars(b.Right)
+	for _, s := range [2]struct {
+		build, probe xquery.Expr
+		bv, pv       map[string]bool
+	}{{b.Left, b.Right, left, right}, {b.Right, b.Left, right, left}} {
+		if !s.bv[forVar] || s.pv[forVar] || len(s.pv) == 0 || readsAny(s.bv, localBefore) {
+			continue
+		}
+		return &hashJoinSpec{cond: b, buildExpr: s.build, probeExpr: s.probe, correlated: !readsAny(s.pv, localBefore)}
 	}
 	return nil
+}
+
+// filterVar is the variable a probe filter binds its items to; no parsed
+// variable can be named ".".
+const filterVar = "."
+
+// probeFilter recognizes the §3.5 outer-join lookup SRC()[K = probe]: one
+// predicate, among whose conjuncts an equi-comparison has one side reading
+// the context item and no query binding (the key) and the other reading
+// enclosing bindings but not the context item (the probe), over an
+// evaluation-invariant SRC. It restates the filter as
+//
+//	for $. in SRC() where K' = probe … return $.
+//
+// with K' reading $. where K read the context item, so planFLWOR makes the
+// comparison a hash probe into a table built once per evaluation — the same
+// operator as a correlated subquery's. nil leaves the nested-loop filter; a
+// filter that is not an equi-lookup is rejected before anything allocates.
+func (pc *planCtx) probeFilter(f *xquery.Filter) *xquery.FLWOR {
+	if len(f.Predicates) != 1 || !hasKeyConjunct(f.Predicates[0]) {
+		return nil
+	}
+	if _, partitioned := pc.partition(pc.resolveScan(f.Base)); partitioned {
+		return nil
+	}
+	loop := &xquery.For{Var: filterVar, In: f.Base}
+	conjs := xquery.SplitConjuncts(f.Predicates[0])
+	probe := false
+	for i, c := range conjs {
+		var ok bool
+		if conjs[i], ok = bindContext(c, filterVar); !ok {
+			return nil
+		}
+		if b, ok := conjs[i].(*xquery.Binary); ok && !probe && (b.Op == "=" || b.Op == "eq") {
+			spec := classifyJoinSides(b, filterVar, nil)
+			probe = spec != nil && pc.sharedProbe(spec, loop)
+		}
+	}
+	if !probe {
+		return nil
+	}
+	return &xquery.FLWOR{
+		Clauses: []xquery.Clause{loop, &xquery.Where{Cond: xquery.JoinConjuncts(conjs)}},
+		Return:  xquery.VarRef(filterVar),
+	}
+}
+
+// hasKeyConjunct reports whether the `and` tree e holds an `=`/`eq` whose
+// sides split into one reading the context item and one not.
+func hasKeyConjunct(e xquery.Expr) bool {
+	b, ok := e.(*xquery.Binary)
+	switch {
+	case !ok:
+		return false
+	case b.Op == "and":
+		return hasKeyConjunct(b.Left) || hasKeyConjunct(b.Right)
+	case b.Op == "=" || b.Op == "eq":
+		return readsContext(b.Left) != readsContext(b.Right)
+	}
+	return false
+}
+
+// readsContext reports whether e may read the context item outside the
+// predicates that rebind it. Expressions it does not look into — FLWORs,
+// quantifiers, constructors — count as reading it.
+func readsContext(e xquery.Expr) bool {
+	switch n := e.(type) {
+	case *xquery.Var, *xquery.StringLit, *xquery.NumberLit, *xquery.EmptySeq:
+		return false
+	case *xquery.Path:
+		return readsContext(n.Base)
+	case *xquery.Filter:
+		return readsContext(n.Base)
+	case *xquery.Cast:
+		return readsContext(n.Operand)
+	case *xquery.Unary:
+		return readsContext(n.Operand)
+	case *xquery.Binary:
+		return readsContext(n.Left) || readsContext(n.Right)
+	case *xquery.FuncCall:
+		for _, a := range n.Args {
+			if readsContext(a) {
+				return true
+			}
+		}
+		return false
+	}
+	return true
+}
+
+// bindContext rewrites a filter conjunct to read the context item from
+// variable v: `.` becomes $v and a relative path K becomes $v/K. Subtrees
+// that do not read the context item are shared, not copied; ok is false
+// where readsContext gave up.
+func bindContext(e xquery.Expr, v string) (out xquery.Expr, ok bool) {
+	if !readsContext(e) {
+		return e, true
+	}
+	switch n := e.(type) {
+	case *xquery.ContextItem:
+		return xquery.VarRef(v), true
+	case *xquery.RelPath:
+		return &xquery.Path{Base: xquery.VarRef(v), Steps: n.Steps}, true
+	case *xquery.Path:
+		base, ok := bindContext(n.Base, v)
+		return &xquery.Path{Base: base, Steps: n.Steps}, ok
+	case *xquery.Filter:
+		base, ok := bindContext(n.Base, v)
+		return &xquery.Filter{Base: base, Predicates: n.Predicates}, ok
+	case *xquery.Cast:
+		operand, ok := bindContext(n.Operand, v)
+		return &xquery.Cast{Type: n.Type, Operand: operand}, ok
+	case *xquery.Unary:
+		operand, ok := bindContext(n.Operand, v)
+		return &xquery.Unary{Op: n.Op, Operand: operand}, ok
+	case *xquery.Binary:
+		l, okL := bindContext(n.Left, v)
+		r, okR := bindContext(n.Right, v)
+		return &xquery.Binary{Op: n.Op, Left: l, Right: r}, okL && okR
+	case *xquery.FuncCall:
+		args := make([]xquery.Expr, len(n.Args))
+		for i, a := range n.Args {
+			if args[i], ok = bindContext(a, v); !ok {
+				return nil, false
+			}
+		}
+		return &xquery.FuncCall{Name: n.Name, Args: args}, true
+	}
+	return nil, false
+}
+
+// readsAny reports whether the variable set vars meets set.
+func readsAny(vars, set map[string]bool) bool {
+	for v := range vars {
+		if set[v] {
+			return true
+		}
+	}
+	return false
 }
 
 // localFreeVars restricts an expression's free variables to the FLWOR-local
@@ -604,21 +856,9 @@ func subsetOf(sub, super map[string]bool) bool {
 	return true
 }
 
-func isExactly(set map[string]bool, name string) bool {
-	return len(set) == 1 && set[name]
-}
-
 func cloneVarSet(in map[string]bool) map[string]bool {
 	out := make(map[string]bool, len(in)+2)
 	for k := range in {
-		out[k] = true
-	}
-	return out
-}
-
-func mergeVarSets(a, b map[string]bool) map[string]bool {
-	out := cloneVarSet(a)
-	for k := range b {
 		out[k] = true
 	}
 	return out
@@ -652,8 +892,16 @@ func describeOp(op planOp) string {
 	case opKindFor:
 		var b strings.Builder
 		if op.hash != nil {
-			fmt.Fprintf(&b, "hash join $%s in %s", op.forClause.Var, exprText(op.forClause.In))
-			fmt.Fprintf(&b, " [build %s probe %s]", exprText(op.hash.buildExpr), exprText(op.hash.probeExpr))
+			kind := "join"
+			if op.hash.correlated {
+				kind = "probe"
+			}
+			fmt.Fprintf(&b, "hash %s $%s in %s", kind, op.forClause.Var, exprText(op.forClause.In))
+			fmt.Fprintf(&b, " [build %s probe %s", exprText(op.hash.buildExpr), exprText(op.hash.probeExpr))
+			if op.hash.table >= 0 {
+				b.WriteString(", built once per evaluation")
+			}
+			b.WriteString("]")
 			if h := op.hash; h.estBuild >= 0 {
 				key := h.keyCol
 				if key == "" {

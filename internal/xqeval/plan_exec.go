@@ -4,6 +4,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/xdm"
 	"repro/internal/xquery"
@@ -173,30 +174,17 @@ func (ex *flworExec) prepare(ops []planOp, t *scope) (dead bool, err error) {
 		st := &ex.states[op.stateIdx]
 		switch op.kind {
 		case opKindFor:
-			if !st.done {
-				var s xdm.Sequence
-				var err error
-				if op.part != nil {
-					s, st.transformed, err = ex.gatherPartitioned(op, t)
-				} else {
-					s, err = evalExpr(op.forClause.In, t)
-				}
+			var items xdm.Sequence
+			if op.hash != nil {
+				h, err := ex.hashTable(op, t)
 				if err != nil {
 					return false, err
 				}
-				if !st.transformed {
-					maybeObserveScan(t, op, s)
-				}
-				st.seq, st.done = s, true
+				items = h.items
+			} else if items, err = ex.source(op, t); err != nil {
+				return false, err
 			}
-			if op.hash != nil && st.hash == nil {
-				h, err := buildHashTable(op, t, st.seq)
-				if err != nil {
-					return false, err
-				}
-				st.hash = h
-			}
-			if len(st.seq) == 0 {
+			if len(items) == 0 {
 				return true, nil
 			}
 		case opKindLet:
@@ -258,35 +246,22 @@ func (ex *flworExec) feed(ops []planOp, i int, t *scope, out tupleSink) error {
 		if err := t.checkCancel(); err != nil {
 			return err
 		}
-		var seq xdm.Sequence
-		if op.invariant {
-			st := &ex.states[op.stateIdx]
-			if !st.done {
-				var s xdm.Sequence
-				var err error
-				if op.part != nil {
-					s, st.transformed, err = ex.gatherPartitioned(op, t)
-				} else {
-					s, err = evalExpr(op.forClause.In, t)
-				}
-				if err != nil {
-					return err
-				}
-				if !st.transformed {
-					maybeObserveScan(t, op, s)
-				}
-				st.seq, st.done = s, true
-			}
-			seq = st.seq
-		} else {
-			var err error
-			seq, err = evalExpr(op.forClause.In, t)
+		if op.hash != nil {
+			h, err := ex.hashTable(op, t)
 			if err != nil {
 				return err
 			}
+			return ex.probeHash(ops, i, op, t, h, out)
 		}
-		if op.hash != nil {
-			return ex.probeHash(ops, i, op, t, seq, out)
+		var seq xdm.Sequence
+		var err error
+		if op.invariant {
+			seq, err = ex.source(op, t)
+		} else {
+			seq, err = evalExpr(op.forClause.In, t)
+		}
+		if err != nil {
+			return err
 		}
 		for idx, it := range seq {
 			if err := t.countTuple(); err != nil {
@@ -348,19 +323,124 @@ func (ex *flworExec) evalFilter(op *planOp, t *scope) (bool, error) {
 	return effectiveBool(v)
 }
 
-// probeHash executes a hash-join for: build once from the cached source
-// items, then per tuple evaluate the probe key and emit only the matching
-// items, in source order. Every candidate is re-verified under the exact
-// comparison semantics, so bucket collisions (and the deliberately lossy
-// key normalization) can only cost time, never change results.
-func (ex *flworExec) probeHash(ops []planOp, i int, op *planOp, t *scope, items xdm.Sequence, out tupleSink) error {
+// source returns an invariant for's items, evaluated on the first tuple to
+// need them and cached for the rest of this FLWOR execution.
+func (ex *flworExec) source(op *planOp, t *scope) (xdm.Sequence, error) {
+	st := &ex.states[op.stateIdx]
+	if !st.done {
+		var s xdm.Sequence
+		var err error
+		if op.part != nil {
+			s, st.transformed, err = ex.gatherPartitioned(op, t)
+		} else {
+			s, err = evalExpr(op.forClause.In, t)
+		}
+		if err != nil {
+			return nil, err
+		}
+		if !st.transformed {
+			maybeObserveScan(t, op, s)
+		}
+		st.seq, st.done = s, true
+	}
+	return st.seq, nil
+}
+
+// hashTable returns a hash op's build table: the evaluation's shared one
+// when the plan gave it a slot, else this FLWOR execution's own.
+func (ex *flworExec) hashTable(op *planOp, t *scope) (*hashTable, error) {
+	if op.hash.table >= 0 {
+		return t.tables.get(op, t)
+	}
 	st := &ex.states[op.stateIdx]
 	if st.hash == nil {
-		h, err := buildHashTable(op, t, items)
+		items, err := ex.source(op, t)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		st.hash = h
+		if st.hash, err = buildHashTable(op, t, items); err != nil {
+			return nil, err
+		}
+	}
+	return st.hash, nil
+}
+
+// evalTables is one evaluation's set of hash tables whose source and build
+// key are evaluation-invariant (hashJoinSpec.table): each is built by the
+// first FLWOR execution — serial, nested or morsel worker — that probes it,
+// and only read from then on.
+type evalTables struct {
+	root   *scope
+	tables []sharedTable
+}
+
+type sharedTable struct {
+	mu    sync.Mutex
+	built atomic.Pointer[hashTable]
+}
+
+// get returns op's table, building it on first use. The build runs on a
+// copy of the evaluation's root scope — source and key read nothing the
+// query binds, so every prober would build the same table, at the same
+// scope depth — under the caller's context and counters. Only a finished
+// table is kept: an error, cancellation above all, goes back to its caller
+// and the next prober builds again. Concurrent probers wait on the lock
+// rather than call the source again; the build cannot reach this table
+// (its source holds no FLWOR, and a view's body is its own evaluation).
+func (et *evalTables) get(op *planOp, t *scope) (*hashTable, error) {
+	st := &et.tables[op.hash.table]
+	if h := st.built.Load(); h != nil {
+		return h, nil
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if h := st.built.Load(); h != nil {
+		return h, nil
+	}
+	bs := *et.root
+	bs.goCtx, bs.counters, bs.par = t.goCtx, t.counters, t.par
+	items, err := evalExpr(op.forClause.In, &bs)
+	if err != nil {
+		return nil, err
+	}
+	maybeObserveScan(&bs, op, items)
+	h, err := buildHashTable(op, &bs, items)
+	if err != nil {
+		return nil, err
+	}
+	st.built.Store(h)
+	return h, nil
+}
+
+// execFilter evaluates a filter planned as a probe FLWOR (probeFilter): the
+// items bound to its for variable are the filter's result. No return
+// clause runs and no row is charged — the naive filter charges none.
+func execFilter(fp *flworPlan, env *scope) (xdm.Sequence, error) {
+	ex := &flworExec{fp: fp, states: make([]opState, fp.numStates)}
+	var out xdm.Sequence
+	err := ex.feed(fp.segments[0].ops, 0, env, func(t *scope) error {
+		v, _ := t.lookupVar(filterVar)
+		out = append(out, v...)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// probeHash executes a hash-join for: per tuple evaluate the probe key and
+// emit only the matching build items, in source order. Every candidate is
+// re-verified under the exact comparison semantics, so bucket collisions
+// (and the deliberately lossy key normalization) can only cost time, never
+// change results. An empty probe (SQL NULL) matches nothing; the
+// `if (fn:empty(…))` and `fn:not(fn:exists(…))` around a correlated lookup
+// turn that into NULL padding and the anti-join. Against an empty table the
+// probe is not evaluated at all, as the nested loop over no items
+// evaluates no predicate.
+func (ex *flworExec) probeHash(ops []planOp, i int, op *planOp, t *scope, h *hashTable, out tupleSink) error {
+	if len(h.items) == 0 {
+		return nil
 	}
 	probe, err := evalExpr(op.hash.probeExpr, t)
 	if err != nil {
@@ -368,8 +448,8 @@ func (ex *flworExec) probeHash(ops []planOp, i int, op *planOp, t *scope, items 
 	}
 	probeAtoms := xdm.Atomize(probe)
 	matched := 0
-	for _, ci := range st.hash.candidates(probeAtoms, op.hash.valueCmp) {
-		ok, err := verifyJoinPair(probeAtoms, st.hash.keys[ci], op.hash.valueCmp)
+	for _, ci := range h.candidates(probeAtoms, op.hash.valueCmp) {
+		ok, err := verifyJoinPair(probeAtoms, h.keys[ci], op.hash.valueCmp)
 		if err != nil {
 			return err
 		}
@@ -380,12 +460,12 @@ func (ex *flworExec) probeHash(ops []planOp, i int, op *planOp, t *scope, items 
 		if err := t.countTuple(); err != nil {
 			return err
 		}
-		nt := t.bind(op.forClause.Var, xdm.SequenceOf(st.hash.items[ci]))
+		nt := t.bind(op.forClause.Var, xdm.SequenceOf(h.items[ci]))
 		if err := ex.feed(ops, i+1, nt, out); err != nil {
 			return err
 		}
 	}
-	t.prune(int64(len(items) - matched))
+	t.prune(int64(len(h.items) - matched))
 	return nil
 }
 

@@ -439,3 +439,55 @@ func TestPlanHoistedOperandIgnoresCancellation(t *testing.T) {
 		}
 	}
 }
+
+// A per-evaluation build table is filled by whichever prober gets there
+// first — possibly a morsel worker a sibling has just cancelled. Its
+// cancellation must not stick: the next prober, on a live context, builds
+// the table and every later one reads it.
+func TestSharedTableIgnoresCancellation(t *testing.T) {
+	calls := 0
+	e := joinEngine(atoms(xdm.Integer(1), xdm.Integer(2)), nil)
+	e.RegisterContext("urn:j", "R", func(ctx context.Context, _ []xdm.Sequence) (xdm.Sequence, error) {
+		calls++
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		return atoms(xdm.Integer(2)), nil
+	})
+	q, err := Compile(`import schema namespace j = "urn:j" at "j.xsd";
+for $a in j:L() where fn:not(fn:exists(for $b in j:R() where $b = $a return $b)) return $a`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewPlan(q)
+	var probe *planOp
+	for _, fp := range p.ordered {
+		for _, seg := range fp.segments {
+			for i := range seg.ops {
+				if seg.ops[i].hash != nil && seg.ops[i].hash.table >= 0 {
+					probe = &seg.ops[i]
+				}
+			}
+		}
+	}
+	if probe == nil {
+		t.Fatalf("no per-evaluation probe in:\n%s", strings.Join(p.Describe(), "\n"))
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	root := e.rootScope(cancelled, q, p, nil, &evalCounters{})
+	if _, err := root.tables.get(probe, root); err == nil {
+		t.Fatal("a build under a cancelled context must fail")
+	}
+	live := *root
+	live.goCtx = context.Background()
+	for i := 0; i < 2; i++ {
+		h, err := root.tables.get(probe, &live)
+		if err != nil || len(h.items) != 1 {
+			t.Fatalf("probe %d after a cancelled build: %v, %v", i, h, err)
+		}
+	}
+	if calls != 2 {
+		t.Fatalf("source called %d times, want 2 (cancelled build, then one live build)", calls)
+	}
+}

@@ -59,7 +59,7 @@ type rowCol struct {
 
 // fuse compiles the row program for a text-rows decomposition, or records
 // why the shape does not qualify. flwors is the plan's FLWOR table.
-func (sp *StreamPlan) fuse(flwors map[*xquery.FLWOR]*flworPlan) {
+func (sp *StreamPlan) fuse(flwors map[xquery.Expr]*flworPlan) {
 	if sp.Kind != StreamTextRows {
 		return
 	}

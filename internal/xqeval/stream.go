@@ -349,16 +349,7 @@ func (e *Engine) EvalStreamNaive(ctx context.Context, q *xquery.Query, external 
 func (e *Engine) evalStream(ctx context.Context, q *xquery.Query, p *Plan, sp *StreamPlan, external map[string]xdm.Sequence, tr *obsv.Trace) *Cursor {
 	sctx, cancel := context.WithCancel(ctx)
 	counters := &evalCounters{}
-	env := &scope{engine: e, prefixes: map[string]string{}, goCtx: sctx, counters: counters, plan: p, limits: e.Limits()}
-	for _, imp := range q.Prolog.SchemaImports {
-		env.prefixes[imp.Prefix] = imp.Namespace
-	}
-	if len(external) > 0 {
-		env.vars = make(map[string]xdm.Sequence, len(external))
-		for k, v := range external {
-			env.vars[k] = v
-		}
-	}
+	env := e.rootScope(sctx, q, p, external, counters)
 	span := tr.StartStage(obsv.StageEvaluate)
 	cur := &Cursor{
 		ch:       make(chan xdm.Sequence, streamBuffer),
