@@ -5,8 +5,10 @@ FUZZTIME ?= 10s
 
 ci: vet build race chaos soak federate-smoke serve-smoke bench-smoke fuzz bench-module
 
+# vet also fails on any Go file gofmt would rewrite.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -54,6 +56,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzPlanDifferential -fuzztime=$(FUZZTIME) ./internal/xqeval/
 	$(GO) test -run='^$$' -fuzz=FuzzParallelDifferential -fuzztime=$(FUZZTIME) ./internal/xqeval/
 	$(GO) test -run='^$$' -fuzz=FuzzFederatedDifferential -fuzztime=$(FUZZTIME) .
+	$(GO) test -run='^$$' -fuzz=FuzzTextRowCodec -fuzztime=$(FUZZTIME) ./internal/resultset/
 
 bench:
 	$(GO) run ./cmd/benchharness -stagejson BENCH_stages.json -evaljson BENCH_eval.json -faultjson BENCH_faults.json -compilejson BENCH_compile.json -streamjson BENCH_stream.json -servejson BENCH_serve.json -overloadjson BENCH_overload.json -federatejson BENCH_federate.json

@@ -377,15 +377,15 @@ func quoteIdentIfNeeded(s string) string {
 	return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
 }
 
-// bareIdent reports whether s lexes as one plain identifier token. '/' is
-// tolerated mid-name for the schema-path identifiers of the AquaLogic
-// artifact mapping (catalog paths like TestDataServices/schemas).
+// bareIdent reports whether s lexes as one plain identifier token. A
+// schema path such as TestDataServices/schemas does not: '/' lexes as
+// division, so such names are delimited.
 func bareIdent(s string) bool {
 	if s == "" || !isIdentStart(s[0]) {
 		return false
 	}
 	for i := 1; i < len(s); i++ {
-		if !isIdentPart(s[i]) && s[i] != '/' {
+		if !isIdentPart(s[i]) {
 			return false
 		}
 	}

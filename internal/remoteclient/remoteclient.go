@@ -115,7 +115,7 @@ func connect(base string, hc *http.Client, opts Options) (*Client, error) {
 	// A lost handshake response leaks a session until the idle reaper
 	// collects it, which is why retrying it here is safe.
 	resp, err := postRetry[wire.HandshakeResponse](context.Background(), c, "handshake", wire.PathHandshake,
-		wire.HandshakeRequest{Client: "remoteclient"}, true)
+		wire.HandshakeRequest{Client: "remoteclient", Protocol: wire.ProtocolVersion}, true)
 	if err != nil {
 		return nil, err
 	}
@@ -264,16 +264,6 @@ func encodeArgs(op string, args []any) ([]*wire.Atom, error) {
 	return out, nil
 }
 
-// clientColumns decodes a wire result schema.
-func clientColumns(cols []wire.Column) []resultset.Column {
-	out := make([]resultset.Column, len(cols))
-	for i, c := range cols {
-		out[i] = resultset.Column{Label: c.Label, ElementName: c.ElementName,
-			Type: catalog.SQLType(c.Type), Nullable: c.Nullable, Precision: c.Precision, Scale: c.Scale}
-	}
-	return out
-}
-
 // Query runs ad-hoc SQL in the default text result mode.
 func (c *Client) Query(ctx context.Context, sql string, args ...any) (*resultset.Rows, error) {
 	return c.QueryStreamMode(ctx, translator.ModeText, sql, args...)
@@ -314,7 +304,7 @@ func (c *Client) execute(ctx context.Context, req wire.ExecuteRequest) (*results
 	if err != nil {
 		return nil, err
 	}
-	cur := &remoteCursor{c: c, ctx: ctx, cursor: resp.Cursor, cols: clientColumns(resp.Columns)}
+	cur := &remoteCursor{c: c, ctx: ctx, cursor: resp.Cursor, cols: resp.Columns}
 	return resultset.NewStreaming(cur), nil
 }
 
@@ -342,7 +332,7 @@ func (c *Client) PrepareDialect(ctx context.Context, dialect, text string, mode 
 	if err != nil {
 		return nil, err
 	}
-	return &Stmt{c: c, id: resp.Stmt, cols: clientColumns(resp.Columns), params: resp.ParamCount}, nil
+	return &Stmt{c: c, id: resp.Stmt, cols: resp.Columns, params: resp.ParamCount}, nil
 }
 
 // Columns returns the prepared statement's result schema.
@@ -435,7 +425,7 @@ type remoteCursor struct {
 	cols   []resultset.Column
 
 	seq     int64 // last successfully consumed fetch sequence number
-	buf     [][]*wire.Atom
+	buf     []string
 	pos     int
 	eof     bool
 	pending error
@@ -445,14 +435,14 @@ type remoteCursor struct {
 // Columns implements resultset.RowCursor.
 func (rc *remoteCursor) Columns() []resultset.Column { return rc.cols }
 
-// Next implements resultset.RowCursor: one decoded row per call, io.EOF
-// after the last.
+// Next implements resultset.RowCursor: one row per call, typed by the
+// in-process decoder (failing as it fails), io.EOF after the last.
 func (rc *remoteCursor) Next() ([]xdm.Atomic, error) {
 	for {
 		if rc.pos < len(rc.buf) {
 			row := rc.buf[rc.pos]
 			rc.pos++
-			return decodeRow(row, rc.cols)
+			return resultset.DecodeTextRow(row, rc.cols)
 		}
 		if rc.pending != nil {
 			return nil, rc.pending
@@ -572,20 +562,4 @@ func (rc *remoteCursor) Close() error {
 		return nil // best-effort cleanup after a terminal stream
 	}
 	return err
-}
-
-// decodeRow re-parses one wire row into atomic values (nil = SQL NULL).
-func decodeRow(row []*wire.Atom, cols []resultset.Column) ([]xdm.Atomic, error) {
-	out := make([]xdm.Atomic, len(cols))
-	for i := range cols {
-		if i >= len(row) || row[i] == nil {
-			continue
-		}
-		v, err := xdm.ParseAtomic(row[i].V, xdm.AtomicType(row[i].T))
-		if err != nil {
-			return nil, aqerr.Errorf(aqerr.KindInternal, "decode row", "column %d: %v", i+1, err)
-		}
-		out[i] = v
-	}
-	return out, nil
 }

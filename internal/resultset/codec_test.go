@@ -1,0 +1,148 @@
+package resultset
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"strings"
+	"testing"
+	"unicode/utf8"
+
+	"repro/internal/catalog"
+	"repro/internal/xdm"
+)
+
+// edgeStrings are the values the §4 escaping exists for, plus the NULL
+// token and an escaped carriage return as literal data.
+var edgeStrings = []string{
+	"", "&null;", "<", ">", "&", "\r", "&#xD;", "&amp;#xD;", "a\rb", "x<y>z&w",
+	"&lt;&gt;&amp;", "café € <é> ü 😀", "tab\tnl\n", `"quoted" \back`, "\x01\x1f",
+}
+
+// codecCols is one nullable column of every SQL type the schema maps.
+func codecCols() []Column {
+	var cols []Column
+	for st := catalog.SQLUnknown; st <= catalog.SQLTimestamp; st++ {
+		cols = append(cols, Column{Label: st.String(), ElementName: st.String(), Type: st, Nullable: true})
+	}
+	return cols
+}
+
+// randomValue draws a value of the column's atomic type, in the form the
+// decoder produces (parsed from a lexical form, as every served value is).
+func randomValue(rng *rand.Rand, st catalog.SQLType) xdm.Atomic {
+	var lex string
+	switch t := st.Atomic(); t {
+	case xdm.TypeInteger:
+		lex = fmt.Sprint([]int64{0, -1, math.MaxInt64, math.MinInt64, rng.Int63() - rng.Int63()}[rng.Intn(5)])
+	case xdm.TypeDecimal:
+		lex = xdm.Decimal([]float64{0, -0.5, 100.50, 1e-7, (rng.Float64() - 0.5) * 1e6}[rng.Intn(5)]).Lexical()
+	case xdm.TypeDouble:
+		lex = xdm.Double([]float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e300, rng.NormFloat64()}[rng.Intn(5)]).Lexical()
+	case xdm.TypeBoolean:
+		lex = fmt.Sprint(rng.Intn(2) == 1)
+	case xdm.TypeDate:
+		lex = fmt.Sprintf("%04d-%02d-%02d", 1900+rng.Intn(200), 1+rng.Intn(12), 1+rng.Intn(28))
+	case xdm.TypeTime:
+		lex = fmt.Sprintf("%02d:%02d:%02d", rng.Intn(24), rng.Intn(60), rng.Intn(60))
+	case xdm.TypeDateTime:
+		lex = fmt.Sprintf("%04d-%02d-%02dT%02d:%02d:%02d", 1900+rng.Intn(200), 1+rng.Intn(12), 1+rng.Intn(28), rng.Intn(24), rng.Intn(60), rng.Intn(60))
+	default: // strings, and untyped columns, which decode as strings
+		var b strings.Builder
+		for n := rng.Intn(4); n > 0; n-- {
+			b.WriteString(edgeStrings[rng.Intn(len(edgeStrings))])
+		}
+		return xdm.String(b.String())
+	}
+	v, err := xdm.ParseAtomic(lex, st.Atomic())
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
+// checkRoundTrip: the encoded row is one well-formed §4 row — no row
+// delimiter, one column delimiter per column boundary — and decodes back
+// to the same values (compared by type and lexical form, so NaN counts).
+func checkRoundTrip(t *testing.T, row []xdm.Atomic, cols []Column) {
+	t.Helper()
+	text := string(appendTextRow(nil, row))
+	if strings.Contains(text, RowDelimiter) || strings.Count(text, ColumnDelimiter) != len(cols)-1 {
+		t.Fatalf("row %v encodes as malformed %q", row, text)
+	}
+	got, err := DecodeTextRow(text, cols)
+	if err != nil {
+		t.Fatalf("row %v: decode %q: %v", row, text, err)
+	}
+	for i := range row {
+		switch {
+		case row[i] == nil && got[i] == nil:
+		case row[i] == nil || got[i] == nil:
+			t.Fatalf("column %d: %v came back as %v (via %q)", i, row[i], got[i], text)
+		case row[i].Type() != got[i].Type() || row[i].Lexical() != got[i].Lexical():
+			t.Fatalf("column %d: %v %q came back as %v %q (via %q)",
+				i, row[i].Type(), row[i].Lexical(), got[i].Type(), got[i].Lexical(), text)
+		}
+	}
+}
+
+// TestTextRowCodecRoundTrip: DecodeTextRow inverts appendTextRow — the
+// encoder the server uses for rows it holds typed — for every atomic type
+// the schema maps SQL types to, with NULL in every position, every edge
+// string in every string column, and random rows besides.
+func TestTextRowCodecRoundTrip(t *testing.T) {
+	cols := codecCols()
+	rng := rand.New(rand.NewSource(1))
+	row := func() []xdm.Atomic {
+		r := make([]xdm.Atomic, len(cols))
+		for i, c := range cols {
+			r[i] = randomValue(rng, c.Type)
+		}
+		return r
+	}
+	checkRoundTrip(t, make([]xdm.Atomic, len(cols)), cols) // all NULL
+	for i := range cols {
+		r := row()
+		r[i] = nil
+		checkRoundTrip(t, r, cols)
+	}
+	for _, s := range edgeStrings {
+		r := row()
+		for i, c := range cols {
+			if c.Type.Atomic() == xdm.TypeString || c.Type.Atomic() == xdm.TypeUntyped {
+				r[i] = xdm.String(s)
+			}
+		}
+		checkRoundTrip(t, r, cols)
+	}
+	for n := 0; n < 2000; n++ {
+		checkRoundTrip(t, row(), cols)
+	}
+}
+
+// FuzzTextRowCodec: any text and numbers, NULL or not per column,
+// round-trip through the row codec. Values are XML text, so valid UTF-8.
+func FuzzTextRowCodec(f *testing.F) {
+	for i, s := range edgeStrings {
+		f.Add(s, edgeStrings[len(edgeStrings)-1-i], int64(i), float64(i)/3, uint8(i))
+	}
+	cols := []Column{
+		{Label: "A", Type: catalog.SQLVarchar, Nullable: true},
+		{Label: "K", Type: catalog.SQLInteger, Nullable: true},
+		{Label: "B", Type: catalog.SQLChar, Nullable: true},
+		{Label: "D", Type: catalog.SQLDouble, Nullable: true},
+		{Label: "U", Type: catalog.SQLUnknown, Nullable: true},
+	}
+	f.Fuzz(func(t *testing.T, a, b string, k int64, d float64, nulls uint8) {
+		if !utf8.ValidString(a) || !utf8.ValidString(b) {
+			return
+		}
+		row := []xdm.Atomic{xdm.String(a), xdm.Integer(k), xdm.String(b), xdm.Double(d), xdm.String(a + b)}
+		for i := range row {
+			if nulls&(1<<i) != 0 {
+				row[i] = nil
+			}
+		}
+		checkRoundTrip(t, row, cols)
+	})
+}

@@ -37,14 +37,15 @@ const (
 )
 
 // Column is the computed result schema for one output column.
+// The JSON names are its wire form.
 type Column struct {
-	Label       string
-	ElementName string
-	Type        catalog.SQLType
-	Nullable    bool
+	Label       string          `json:"label"`
+	ElementName string          `json:"element"`
+	Type        catalog.SQLType `json:"type"`
+	Nullable    bool            `json:"nullable"`
 	// Precision and Scale are declared facets (zero when unspecified).
-	Precision int
-	Scale     int
+	Precision int `json:"precision,omitempty"`
+	Scale     int `json:"scale,omitempty"`
 }
 
 // Rows is a result set. It is forward-only streaming while a row cursor
@@ -61,6 +62,7 @@ type Rows struct {
 	curRow []xdm.Atomic
 	onRow  bool
 	err    error
+	text   []byte // NextText's encoding buffer
 }
 
 // Columns returns the result schema.
@@ -82,11 +84,7 @@ func (r *Rows) Next() bool {
 	if r.cur != nil {
 		row, err := r.cur.Next()
 		if err != nil {
-			if err == io.EOF {
-				err = nil
-			}
-			r.endStream(err)
-			r.onRow = false
+			r.stop(err)
 			return false
 		}
 		r.curRow, r.onRow = row, true
@@ -98,6 +96,40 @@ func (r *Rows) Next() bool {
 	r.pos++
 	r.onRow = false
 	return r.pos <= len(r.data)
+}
+
+// NextText advances like Next, returning the row as DecodeTextRow reads
+// it: one §4 row without its leading RowDelimiter. A text-mode stream's
+// rows are passed on as the evaluator produced them, untyped; any other
+// row is encoded. False means past the last row or an error (see Err).
+// The row is not available through Value.
+func (r *Rows) NextText() (string, bool) {
+	tc, raw := r.cur.(*textCursor)
+	if !raw {
+		if !r.Next() {
+			return "", false
+		}
+		row, _ := r.current() // cannot fail after a true Next
+		r.text = appendTextRow(r.text[:0], row)
+		return string(r.text), true
+	}
+	text, err := tc.nextText()
+	if err != nil {
+		r.stop(err)
+		return "", false
+	}
+	obsv.Global.RowsStreamed.Inc()
+	r.curRow, r.onRow = nil, false
+	return text, true
+}
+
+// stop ends a streaming result at err (io.EOF is the clean end).
+func (r *Rows) stop(err error) {
+	if err == io.EOF {
+		err = nil
+	}
+	r.endStream(err)
+	r.onRow = false
 }
 
 // endStream detaches and closes the cursor, keeping the first error seen.
@@ -135,10 +167,7 @@ func (r *Rows) Materialize() error {
 	for r.cur != nil {
 		row, err := r.cur.Next()
 		if err != nil {
-			if err == io.EOF {
-				err = nil
-			}
-			r.endStream(err)
+			r.stop(err)
 			break
 		}
 		r.data = append(r.data, row)
@@ -336,7 +365,7 @@ func FromText(payload string, cols []Column) (*Rows, error) {
 		return nil, errMissingRowDelimiter
 	}
 	for _, rowText := range strings.Split(payload[1:], RowDelimiter) {
-		row, err := decodeTextRow(rowText, cols)
+		row, err := DecodeTextRow(rowText, cols)
 		if err != nil {
 			return nil, err
 		}
@@ -360,8 +389,8 @@ func parseValue(text string, c Column) (xdm.Atomic, error) {
 	return v, nil
 }
 
-// unescape reverses fn-bea:xml-escape.
-var unescaper = strings.NewReplacer("&lt;", "<", "&gt;", ">", "&amp;", "&")
+// unescape reverses fn-bea:xml-escape; a literal "&#xD;" arrives as "&amp;#xD;".
+var unescaper = strings.NewReplacer("&lt;", "<", "&gt;", ">", "&#xD;", "\r", "&amp;", "&")
 
 func unescape(s string) string {
 	if !strings.Contains(s, "&") {

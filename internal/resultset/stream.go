@@ -133,19 +133,29 @@ type textCursor struct {
 func (c *textCursor) Columns() []Column { return c.cols }
 
 func (c *textCursor) Next() ([]xdm.Atomic, error) {
+	rowText, err := c.nextText()
+	if err != nil {
+		return nil, err
+	}
+	row, err := DecodeTextRow(rowText, c.cols)
+	if err != nil {
+		return nil, err
+	}
+	obsv.Global.RowsStreamed.Inc()
+	return row, nil
+}
+
+// nextText returns the next row's text as the payload carries it (leading
+// row delimiter stripped, still escaped), and io.EOF after the last row.
+func (c *textCursor) nextText() (string, error) {
 	for {
 		if len(c.pending) > 0 {
 			rowText := c.pending[0]
 			c.pending = c.pending[1:]
-			row, err := decodeTextRow(rowText, c.cols)
-			if err != nil {
-				return nil, err
-			}
-			obsv.Global.RowsStreamed.Inc()
-			return row, nil
+			return rowText, nil
 		}
 		if c.closed || c.srcEOF {
-			return nil, io.EOF
+			return "", io.EOF
 		}
 		chunk, err := c.src.Next()
 		if err == io.EOF {
@@ -159,23 +169,18 @@ func (c *textCursor) Next() ([]xdm.Atomic, error) {
 			continue
 		}
 		if err != nil {
-			return nil, err
+			return "", err
 		}
 		text := chunkText(chunk)
 		if c.aligned {
-			// One whole row, delimiter included: decode it in place.
+			// One whole row, delimiter included.
 			if !strings.HasPrefix(text, RowDelimiter) {
-				return nil, errMissingRowDelimiter
+				return "", errMissingRowDelimiter
 			}
-			row, err := decodeTextRow(text[len(RowDelimiter):], c.cols)
-			if err != nil {
-				return nil, err
-			}
-			obsv.Global.RowsStreamed.Inc()
-			return row, nil
+			return text[len(RowDelimiter):], nil
 		}
 		if err := c.feed(text); err != nil {
-			return nil, err
+			return "", err
 		}
 	}
 }
@@ -250,9 +255,9 @@ func decodeRecord(rec *xdm.Element, cols []Column) ([]xdm.Atomic, error) {
 	return row, nil
 }
 
-// decodeTextRow types one delimiter-separated row (leading row delimiter
-// already stripped) — the per-row core FromText loops over.
-func decodeTextRow(rowText string, cols []Column) ([]xdm.Atomic, error) {
+// DecodeTextRow types one delimiter-separated row (leading row delimiter
+// already stripped) — the per-row core of FromText, StreamText and fetch.
+func DecodeTextRow(rowText string, cols []Column) ([]xdm.Atomic, error) {
 	if n := strings.Count(rowText, ColumnDelimiter) + 1; n != len(cols) {
 		return nil, fmt.Errorf("resultset: row has %d fields, schema has %d columns", n, len(cols))
 	}
@@ -271,6 +276,21 @@ func decodeTextRow(rowText string, cols []Column) ([]xdm.Atomic, error) {
 		row[i] = v
 	}
 	return row, nil
+}
+
+// appendTextRow appends row in the form DecodeTextRow reads back.
+func appendTextRow(dst []byte, row []xdm.Atomic) []byte {
+	for i, v := range row {
+		if i > 0 {
+			dst = append(dst, ColumnDelimiter...)
+		}
+		if v == nil {
+			dst = append(dst, NullToken...)
+		} else {
+			dst = xdm.AppendEscapedText(dst, v.Lexical())
+		}
+	}
+	return dst
 }
 
 // NewStreaming wraps a row cursor as a Rows: a thin pull view until the

@@ -43,10 +43,10 @@ type admission struct {
 	wait        time.Duration
 	decay       time.Duration
 
-	mu       sync.Mutex
-	inFlight int64      // weighted slots held
-	queue    *list.List // FIFO of *waiter
-	peak     int64
+	mu        sync.Mutex
+	inFlight  int64      // weighted slots held
+	queue     *list.List // FIFO of *waiter
+	peak      int64
 	queuePeak int64
 
 	brownoutLevel int

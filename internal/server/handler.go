@@ -97,9 +97,18 @@ func handle[Req, Resp any](mux *http.ServeMux, path string, fn func(ctx context.
 			writeWireError(w, err)
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(resp)
+		writeJSON(w, http.StatusOK, resp)
 	})
+}
+
+// writeJSON writes one response body, HTML escaping off: fetch rows are
+// dense with '<', '>' and '&', which it would send as six-byte escapes.
+func writeJSON(w http.ResponseWriter, status int, body any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	enc := json.NewEncoder(w)
+	enc.SetEscapeHTML(false)
+	_ = enc.Encode(body) // the client sees a short body as a transport failure
 }
 
 // writeWireError encodes a typed failure as a wire.Error body. The HTTP
@@ -120,7 +129,5 @@ func writeWireError(w http.ResponseWriter, err error) {
 	case aqerr.KindInternal, aqerr.KindUnknown:
 		status = http.StatusInternalServerError
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(wire.ErrorResponse{Error: we})
+	writeJSON(w, status, wire.ErrorResponse{Error: we})
 }

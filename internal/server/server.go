@@ -1,7 +1,7 @@
 // Package server is the network front end of the platform: the AquaLogic
 // DSP server process the paper's thin JDBC driver talks to. Everything the
 // repo previously did in-process behind the facade — metadata lookups,
-// SQL→XQuery compilation, streaming evaluation, §4 result decoding — is
+// SQL→XQuery compilation, streaming evaluation, §4 result rows — is
 // exposed here over an HTTP/JSON wire protocol (internal/wire) with
 // per-session prepared-statement and cursor tables, connection/session
 // limits, admission control, and idle-session reaping.
@@ -379,7 +379,6 @@ type prepared struct {
 // admission slots its evaluation occupies.
 type cursor struct {
 	rows    *resultset.Rows
-	cols    []wire.Column
 	cancel  context.CancelFunc
 	weight  int64  // admission slots held until release
 	execKey string // idempotency token that opened this cursor, if any
@@ -395,8 +394,12 @@ type cursor struct {
 	lastResp wire.FetchResponse
 }
 
-// handshake opens a session.
+// handshake opens a session for a client of this protocol version.
 func (s *Server) handshake(ctx context.Context, req wire.HandshakeRequest) (wire.HandshakeResponse, error) {
+	if req.Protocol != wire.ProtocolVersion {
+		return wire.HandshakeResponse{}, aqerr.Errorf(aqerr.KindPermanent, "handshake",
+			"client speaks wire protocol %d, server speaks %d", req.Protocol, wire.ProtocolVersion)
+	}
 	if err := s.fault(ctx, "srv/handshake"); err != nil {
 		return wire.HandshakeResponse{}, aqerr.Wrap("handshake", err)
 	}
@@ -540,7 +543,7 @@ func (s *Server) prepare(ctx context.Context, req wire.PrepareRequest) (wire.Pre
 	ss.stmts[id] = &prepared{sql: req.SQL, dialect: dialect, mode: mode}
 	return wire.PrepareResponse{
 		Stmt:       id,
-		Columns:    wireColumns(resultColumns(cq)),
+		Columns:    resultColumns(cq),
 		ParamCount: cq.Res.ParamCount,
 	}, nil
 }
@@ -568,7 +571,7 @@ func (s *Server) execute(ctx context.Context, req wire.ExecuteRequest) (wire.Exe
 			if cur != nil {
 				s.execReplays.Add(1)
 				obsv.Global.ExecReplays.Inc()
-				return wire.ExecuteResponse{Cursor: id, Columns: cur.cols}, nil
+				return wire.ExecuteResponse{Cursor: id, Columns: cur.rows.Columns()}, nil
 			}
 			// The cursor this key opened is already closed: the original
 			// response was evidently acted on, so a late retry is a
@@ -642,8 +645,7 @@ func (s *Server) execute(ctx context.Context, req wire.ExecuteRequest) (wire.Exe
 		s.release(weight)
 		return wire.ExecuteResponse{}, aqerr.Wrap("execute", err)
 	}
-	cols := wireColumns(rows.Columns())
-	cur := &cursor{rows: rows, cols: cols, cancel: cancel, weight: weight, execKey: req.ExecKey}
+	cur := &cursor{rows: rows, cancel: cancel, weight: weight, execKey: req.ExecKey}
 
 	ss.mu.Lock()
 	if ss.closed {
@@ -663,7 +665,7 @@ func (s *Server) execute(ctx context.Context, req wire.ExecuteRequest) (wire.Exe
 	s.cursorsOpened.Add(1)
 	s.cursorsOpen.Add(1)
 	obsv.Global.CursorsOpened.Inc()
-	return wire.ExecuteResponse{Cursor: id, Columns: cols}, nil
+	return wire.ExecuteResponse{Cursor: id, Columns: rows.Columns()}, nil
 }
 
 // fetch pulls the next chunk of rows from a cursor. EOF and errors are
@@ -731,7 +733,8 @@ func (s *Server) fetch(ctx context.Context, req wire.FetchRequest) (wire.FetchRe
 	}
 	resp := wire.FetchResponse{}
 	for len(resp.Rows) < limit {
-		if !cur.rows.Next() {
+		row, ok := cur.rows.NextText()
+		if !ok {
 			if rerr := cur.rows.Err(); rerr != nil {
 				cur.failed = wireError("fetch", rerr)
 				resp.Error = cur.failed
@@ -741,19 +744,6 @@ func (s *Server) fetch(ctx context.Context, req wire.FetchRequest) (wire.FetchRe
 			}
 			cur.releaseLocked(s) // evaluation finished; free the slot early
 			break
-		}
-		row := make([]*wire.Atom, len(cur.cols))
-		for i := range cur.cols {
-			v, verr := cur.rows.Value(i)
-			if verr != nil {
-				cur.failed = wireError("fetch", verr)
-				resp.Error = cur.failed
-				cur.releaseLocked(s)
-				return finish(resp)
-			}
-			if v != nil {
-				row[i] = &wire.Atom{T: int(v.Type()), V: v.Lexical()}
-			}
 		}
 		resp.Rows = append(resp.Rows, row)
 	}
@@ -895,16 +885,6 @@ func resultColumns(cq *qcache.CompiledQuery) []resultset.Column {
 			Type: c.Type, Nullable: c.Nullable, Precision: c.Precision, Scale: c.Scale}
 	}
 	return cols
-}
-
-// wireColumns encodes a result schema for transit.
-func wireColumns(cols []resultset.Column) []wire.Column {
-	out := make([]wire.Column, len(cols))
-	for i, c := range cols {
-		out[i] = wire.Column{Label: c.Label, ElementName: c.ElementName,
-			Type: int(c.Type), Nullable: c.Nullable, Precision: c.Precision, Scale: c.Scale}
-	}
-	return out
 }
 
 // wireError flattens an error for transit, classifying unclassified ones

@@ -4,18 +4,18 @@
 // the wire (internal/server and internal/remoteclient) share these types,
 // so the protocol cannot skew between them.
 //
-// Values travel in lexical form tagged with their atomic type: the client
-// re-parses them with xdm.ParseAtomic, reproducing the exact atomic values
-// the in-process result path would have decoded. SQL NULL is a JSON null
-// (a nil *Atom). Errors travel as (kind, op, message) triples and are
-// reconstructed client-side as typed aqerr.QueryError values, so
-// errors.As-based handling works identically against a remote server and
-// an in-process platform.
+// Rows travel as the paper's §4 text, one string per row (resultset owns
+// the format); their types come from the result schema an execute returns
+// once, and the client types each row with the in-process decoder. Errors
+// travel as (kind, op, message) triples and are reconstructed client-side
+// as typed aqerr.QueryError values, so errors.As-based handling works
+// identically against a remote server and an in-process platform.
 package wire
 
 import (
 	"repro/internal/catalog"
 	"repro/internal/obsv"
+	"repro/internal/resultset"
 	"repro/internal/translator"
 )
 
@@ -43,21 +43,16 @@ const (
 	PathStats        = "/v1/stats"
 )
 
-// Atom is one non-NULL atomic value in transit: the lexical form plus the
-// xdm.AtomicType it parses back into. NULL is represented as a nil *Atom.
+// ProtocolVersion is sent in the handshake; a server refuses any other
+// value, so peers built from different revisions part there instead of
+// misreading fetch chunks. Clients that carried typed-atom rows sent none.
+const ProtocolVersion = 2
+
+// Atom is one non-NULL execute argument in transit: the lexical form plus
+// the xdm.AtomicType it parses back into. NULL is a nil *Atom.
 type Atom struct {
 	T int    `json:"t"`
 	V string `json:"v"`
-}
-
-// Column mirrors resultset.Column across the wire.
-type Column struct {
-	Label       string `json:"label"`
-	ElementName string `json:"element"`
-	Type        int    `json:"type"` // catalog.SQLType
-	Nullable    bool   `json:"nullable"`
-	Precision   int    `json:"precision,omitempty"`
-	Scale       int    `json:"scale,omitempty"`
 }
 
 // Error is a typed failure in transit (aqerr.QueryError flattened).
@@ -79,7 +74,8 @@ const BudgetHeader = "X-Aql-Budget-Ms"
 
 // Handshake opens a session.
 type HandshakeRequest struct {
-	Client string `json:"client,omitempty"` // free-form client identity
+	Client   string `json:"client,omitempty"` // free-form client identity
+	Protocol int    `json:"protocol"`         // the client's ProtocolVersion
 }
 
 // HandshakeResponse returns the session token every later request carries.
@@ -99,9 +95,9 @@ type PrepareRequest struct {
 
 // PrepareResponse describes the prepared statement.
 type PrepareResponse struct {
-	Stmt       int64    `json:"stmt"`
-	Columns    []Column `json:"columns"`
-	ParamCount int      `json:"params"`
+	Stmt       int64              `json:"stmt"`
+	Columns    []resultset.Column `json:"columns"`
+	ParamCount int                `json:"params"`
 }
 
 // ExecuteRequest starts an evaluation: either of a prepared statement
@@ -128,8 +124,8 @@ type ExecuteRequest struct {
 // ExecuteResponse hands back the server-side cursor. Rows stream through
 // fetch calls; the evaluation is already running when this returns.
 type ExecuteResponse struct {
-	Cursor  int64    `json:"cursor"`
-	Columns []Column `json:"columns"`
+	Cursor  int64              `json:"cursor"`
+	Columns []resultset.Column `json:"columns"`
 }
 
 // FetchRequest pulls the next chunk of rows from a cursor.
@@ -147,14 +143,14 @@ type FetchRequest struct {
 	Seq     int64  `json:"seq,omitempty"`
 }
 
-// FetchResponse carries up to MaxRows decoded rows. EOF marks stream end;
-// Error carries a mid-stream failure and may accompany rows already
-// produced (a truncated stream delivers its prefix *and* the error, never
-// silently).
+// FetchResponse carries up to MaxRows rows in resultset.Rows.NextText's
+// form. EOF marks stream end; Error carries a mid-stream failure and may
+// accompany rows already produced (a truncated stream delivers its prefix
+// *and* the error, never silently).
 type FetchResponse struct {
-	Rows  [][]*Atom `json:"rows,omitempty"`
-	EOF   bool      `json:"eof,omitempty"`
-	Error *Error    `json:"error,omitempty"`
+	Rows  []string `json:"rows,omitempty"`
+	EOF   bool     `json:"eof,omitempty"`
+	Error *Error   `json:"error,omitempty"`
 }
 
 // CloseCursorRequest releases a cursor (idempotent: closing an unknown or

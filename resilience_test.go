@@ -79,7 +79,7 @@ func TestExecuteReplayIdempotency(t *testing.T) {
 	h := srv.Handler()
 
 	var hs wire.HandshakeResponse
-	if we := postWire(t, h, wire.PathHandshake, wire.HandshakeRequest{}, &hs); we != nil {
+	if we := postWire(t, h, wire.PathHandshake, wire.HandshakeRequest{Protocol: wire.ProtocolVersion}, &hs); we != nil {
 		t.Fatalf("handshake: %v", we)
 	}
 	req := wire.ExecuteRequest{
@@ -125,7 +125,7 @@ func TestFetchSeqReplay(t *testing.T) {
 	h := srv.Handler()
 
 	var hs wire.HandshakeResponse
-	if we := postWire(t, h, wire.PathHandshake, wire.HandshakeRequest{}, &hs); we != nil {
+	if we := postWire(t, h, wire.PathHandshake, wire.HandshakeRequest{Protocol: wire.ProtocolVersion}, &hs); we != nil {
 		t.Fatalf("handshake: %v", we)
 	}
 	var ex wire.ExecuteResponse

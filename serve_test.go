@@ -14,10 +14,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -29,6 +31,8 @@ import (
 	"repro/internal/remoteclient"
 	"repro/internal/server"
 	"repro/internal/wire"
+	"repro/internal/xdm"
+	"repro/internal/xqeval"
 )
 
 // The facade must keep satisfying the server's backend surface.
@@ -119,6 +123,113 @@ func TestServedMatchesInProcess(t *testing.T) {
 	}
 }
 
+// edgePlatform serves one table whose rows sit on the edges of the §4 text
+// form — NULL in every nullable position, "", the NULL token, '<', '>',
+// '&', carriage returns, an escaped carriage return as literal data,
+// non-ASCII text — with, at K = 8, an INTEGER column holding "zz", which
+// neither path can type.
+func edgePlatform() *Platform {
+	app := &catalog.Application{Name: "EdgeApp"}
+	app.AddDSFile(&catalog.DSFile{Path: "Edge", Name: "EDGE", Functions: []*catalog.Function{
+		catalog.NewRelationalImport("Edge", "EDGE", []catalog.Column{
+			{Name: "K", Type: catalog.SQLInteger},
+			{Name: "S", Type: catalog.SQLVarchar, Nullable: true, Precision: 32},
+			{Name: "T", Type: catalog.SQLVarchar, Nullable: true, Precision: 32},
+			{Name: "N", Type: catalog.SQLInteger, Nullable: true},
+		}),
+	}})
+	row := func(cells ...string) *xdm.Element {
+		r := xdm.NewElement("EDGE")
+		for i := 0; i+1 < len(cells); i += 2 {
+			r.AddChild(xdm.NewTextElement(cells[i], cells[i+1]))
+		}
+		return r
+	}
+	engine := xqeval.New()
+	engine.RegisterRows("ld:Edge/EDGE", "EDGE", []*xdm.Element{
+		row("K", "1", "S", "", "T", "&null;", "N", "1"),
+		row("K", "2", "T", "<", "N", "2"),
+		row("K", "3", "S", ">", "N", "3"),
+		row("K", "4", "S", "&", "T", "\r"),
+		row("K", "5", "S", "a\rb", "T", "&#xD;", "N", "5"),
+		row("K", "6"),
+		row("K", "7", "S", "café € <é> ü", "T", "&amp;#xD; &lt;", "N", "-7"),
+		row("K", "8", "S", "untypeable", "N", "zz"),
+		row("K", "9", "S", "after", "N", "9"),
+	})
+	return New(app, engine)
+}
+
+// TestServedEdgeDataMatchesInProcess extends the conformance net to the
+// edge table: in both modes, ad hoc and prepared, at 1-, 3- and 256-row
+// fetch chunks, the served path delivers the in-process rows — or, over
+// the untypeable row, the same prefix and then the same error kind; in
+// text mode, where the client types the rows, the very same error.
+func TestServedEdgeDataMatchesInProcess(t *testing.T) {
+	p := edgePlatform()
+	stmts := []struct {
+		sql   string
+		args  []any
+		fails bool
+		holds string // a row the result must contain
+	}{
+		{"SELECT K, S, T, N FROM EDGE WHERE K <> 8", nil, false, "|5|a\rb|&#xD;|5\n"},
+		{"SELECT K, S, T, N FROM EDGE", nil, true, "|7|café € <é> ü|&amp;#xD; &lt;|-7\n"},
+		{"SELECT N, T, S FROM EDGE WHERE K > ?", []any{3}, true, "|NULL|\r|&\n"},
+		{"SELECT S, N FROM EDGE WHERE K > ?", []any{8}, false, "|after|9\n"},
+	}
+	ctx := context.Background()
+	for _, fetchRows := range []int{1, 3, 256} {
+		srv := server.New(p, server.Config{FetchRows: fetchRows, SessionIdleTimeout: time.Minute})
+		c, err := remoteclient.Loopback(srv.Handler())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range []ResultMode{ModeXML, ModeText} {
+			for _, st := range stmts {
+				local, err := p.QueryMode(mode, st.sql, st.args...)
+				if err != nil {
+					t.Fatalf("%q: in-process: %v", st.sql, err)
+				}
+				want, werr := drainClose(local)
+				if (werr != nil) != st.fails {
+					t.Fatalf("mode %v: %q: in-process error %v, want failure %v", mode, st.sql, werr, st.fails)
+				}
+				if !strings.Contains(want, st.holds) {
+					t.Fatalf("mode %v: %q: in-process rows %q lack %q", mode, st.sql, want, st.holds)
+				}
+				adhoc, err := c.QueryStreamMode(ctx, mode, st.sql, st.args...)
+				if err != nil {
+					t.Fatalf("%q: served: %v", st.sql, err)
+				}
+				prep, err := c.Prepare(ctx, st.sql, mode)
+				if err != nil {
+					t.Fatalf("%q: prepare: %v", st.sql, err)
+				}
+				prepared, err := prep.Execute(ctx, st.args...)
+				if err != nil {
+					t.Fatalf("%q: prepared execute: %v", st.sql, err)
+				}
+				for how, remote := range map[string]*Rows{"ad hoc": adhoc, "prepared": prepared} {
+					got, gerr := drainClose(remote)
+					where := fmt.Sprintf("fetch %d, mode %v, %s %q", fetchRows, mode, how, st.sql)
+					if got != want {
+						t.Fatalf("%s: served rows diverged\ngot:  %q\nwant: %q", where, got, want)
+					}
+					if (gerr != nil) != (werr != nil) || errKindName(gerr) != errKindName(werr) {
+						t.Fatalf("%s: served error %v, in-process %v", where, gerr, werr)
+					}
+					if mode == ModeText && gerr != nil && gerr.Error() != werr.Error() {
+						t.Fatalf("%s: served error %q, in-process %q", where, gerr, werr)
+					}
+				}
+			}
+		}
+		_ = c.Close()
+		srv.Close()
+	}
+}
+
 // FuzzServeDifferential extends the conformance net to arbitrary accepted
 // SQL: whatever the statement, a doubly-successful run must produce
 // byte-identical rows served and in-process.
@@ -171,6 +282,26 @@ func FuzzServeDifferential(f *testing.F) {
 // response returns the decoded wire error.
 func postWire(t *testing.T, h http.Handler, path string, in, out any) *wire.Error {
 	t.Helper()
+	code, body := postRaw(t, h, path, in)
+	if code != http.StatusOK {
+		var er wire.ErrorResponse
+		if err := json.Unmarshal(body, &er); err != nil || er.Error == nil {
+			t.Fatalf("%s: HTTP %d with undecodable error body %q", path, code, body)
+		}
+		return er.Error
+	}
+	if out != nil {
+		if err := json.Unmarshal(body, out); err != nil {
+			t.Fatalf("%s: decode response: %v", path, err)
+		}
+	}
+	return nil
+}
+
+// postRaw performs one raw wire exchange, returning the status and the
+// response body as the server wrote it.
+func postRaw(t *testing.T, h http.Handler, path string, in any) (int, []byte) {
+	t.Helper()
 	b, err := json.Marshal(in)
 	if err != nil {
 		t.Fatalf("%s: encode: %v", path, err)
@@ -178,19 +309,74 @@ func postWire(t *testing.T, h http.Handler, path string, in, out any) *wire.Erro
 	req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(b))
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
-	if rec.Code != http.StatusOK {
-		var er wire.ErrorResponse
-		if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || er.Error == nil {
-			t.Fatalf("%s: HTTP %d with undecodable error body %q", path, rec.Code, rec.Body.String())
+	return rec.Code, rec.Body.Bytes()
+}
+
+// TestServeRefusesMismatchedProtocol: a handshake naming any protocol
+// version but the server's — including none, as clients that carried rows
+// as typed atoms sent — is refused with a typed permanent error naming
+// both versions, and opens no session.
+func TestServeRefusesMismatchedProtocol(t *testing.T) {
+	srv := server.New(Demo(), server.Config{SessionIdleTimeout: time.Minute})
+	defer srv.Close()
+	h := srv.Handler()
+	for _, v := range []int{0, wire.ProtocolVersion - 1, wire.ProtocolVersion + 1} {
+		var hs wire.HandshakeResponse
+		we := postWire(t, h, wire.PathHandshake, wire.HandshakeRequest{Client: "other", Protocol: v}, &hs)
+		if we == nil {
+			t.Fatalf("protocol %d: handshake accepted (session %q)", v, hs.Session)
 		}
-		return er.Error
-	}
-	if out != nil {
-		if err := json.Unmarshal(rec.Body.Bytes(), out); err != nil {
-			t.Fatalf("%s: decode response: %v", path, err)
+		if aqerr.ParseKind(we.Kind) != aqerr.KindPermanent ||
+			!strings.Contains(we.Msg, fmt.Sprintf("protocol %d,", v)) ||
+			!strings.Contains(we.Msg, fmt.Sprintf("speaks %d", wire.ProtocolVersion)) {
+			t.Fatalf("protocol %d: refused with %+v, want a permanent error naming both versions", v, we)
 		}
 	}
-	return nil
+	if st := srv.Stats(); st.SessionsOpened != 0 {
+		t.Fatalf("refused handshakes opened %d sessions", st.SessionsOpened)
+	}
+}
+
+// TestServeFetchRowsAreText pins the fetch chunk's row form: each row is
+// the §4 row text an in-process NextText reads — the evaluator's own text
+// in text mode, the typed row encoded in XML mode — and the delimiters
+// leave the server as single bytes, not six-byte JSON escapes.
+func TestServeFetchRowsAreText(t *testing.T) {
+	p, srv, _ := newLoopback(t, server.Config{SessionIdleTimeout: time.Minute})
+	h := srv.Handler()
+	var hs wire.HandshakeResponse
+	if we := postWire(t, h, wire.PathHandshake, wire.HandshakeRequest{Protocol: wire.ProtocolVersion}, &hs); we != nil {
+		t.Fatalf("handshake: %v", we)
+	}
+	const sql = "SELECT CUSTOMERID, CUSTOMERNAME, CITY FROM CUSTOMERS WHERE CUSTOMERID < 1004"
+	for _, mode := range []ResultMode{ModeText, ModeXML} {
+		local, err := p.QueryMode(mode, sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []string
+		for row, ok := local.NextText(); ok; row, ok = local.NextText() {
+			want = append(want, row)
+		}
+		if err := local.Err(); err != nil || len(want) != 4 {
+			t.Fatalf("mode %v: in-process rows %q, err %v", mode, want, err)
+		}
+		var ex wire.ExecuteResponse
+		if we := postWire(t, h, wire.PathExecute, wire.ExecuteRequest{Session: hs.Session, SQL: sql, Mode: wire.ModeName(mode)}, &ex); we != nil {
+			t.Fatalf("mode %v: execute: %v", mode, we)
+		}
+		code, body := postRaw(t, h, wire.PathFetch, wire.FetchRequest{Session: hs.Session, Cursor: ex.Cursor, Seq: 1})
+		if code != http.StatusOK || !bytes.Contains(body, []byte("<")) || bytes.Contains(body, []byte("\\u003c")) {
+			t.Fatalf("mode %v: HTTP %d, body %s: want '<' as one byte", mode, code, body)
+		}
+		var fr wire.FetchResponse
+		if err := json.Unmarshal(body, &fr); err != nil {
+			t.Fatal(err)
+		}
+		if !fr.EOF || fr.Error != nil || !reflect.DeepEqual(fr.Rows, want) {
+			t.Fatalf("mode %v: fetched %+v, want rows %q and EOF", mode, fr, want)
+		}
+	}
 }
 
 // endlessString reads as the opening of a JSON request followed by an
@@ -255,7 +441,7 @@ func TestServeSessionLifecycle(t *testing.T) {
 	h := srv.Handler()
 
 	var hs wire.HandshakeResponse
-	if we := postWire(t, h, wire.PathHandshake, wire.HandshakeRequest{}, &hs); we != nil {
+	if we := postWire(t, h, wire.PathHandshake, wire.HandshakeRequest{Protocol: wire.ProtocolVersion}, &hs); we != nil {
 		t.Fatalf("handshake: %v", we)
 	}
 
@@ -266,7 +452,7 @@ func TestServeSessionLifecycle(t *testing.T) {
 		t.Fatalf("execute: %v", we)
 	}
 
-	var rows int
+	var rows []string
 	for {
 		var fr wire.FetchResponse
 		if we := postWire(t, h, wire.PathFetch, wire.FetchRequest{Session: hs.Session, Cursor: ex.Cursor}, &fr); we != nil {
@@ -275,13 +461,13 @@ func TestServeSessionLifecycle(t *testing.T) {
 		if fr.Error != nil {
 			t.Fatalf("fetch error: %v", fr.Error)
 		}
-		rows += len(fr.Rows)
+		rows = append(rows, fr.Rows...)
 		if fr.EOF {
 			break
 		}
 	}
-	if rows != 3 {
-		t.Fatalf("fetched %d rows, want 3", rows)
+	if want := []string{"1000", "1001", "1002"}; !reflect.DeepEqual(rows, want) {
+		t.Fatalf("fetched rows %q, want %q", rows, want)
 	}
 
 	// Fetch past EOF: EOF again, not an error, no rows.

@@ -82,7 +82,8 @@ func oracleInputs(p *Platform, mode ResultMode, sql string, args []any) (*Compil
 }
 
 // marshalStreamed renders a live streaming result row by row — the genuine
-// pull path, no Materialize — in marshalRows's canonical format.
+// pull path, no Materialize — in marshalRows's canonical format. A stream
+// that fails returns the rows delivered before the error along with it.
 func marshalStreamed(r *Rows) (string, error) {
 	var b strings.Builder
 	for _, c := range r.Columns() {
@@ -103,10 +104,7 @@ func marshalStreamed(r *Rows) (string, error) {
 		}
 		b.WriteByte('\n')
 	}
-	if err := r.Err(); err != nil {
-		return "", err
-	}
-	return b.String(), nil
+	return b.String(), r.Err()
 }
 
 // TestStreamedMatchesMaterialized is the streaming differential: the pull
