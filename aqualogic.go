@@ -674,7 +674,7 @@ func (p *Platform) QueryDialect(ctx context.Context, dialect Dialect, mode Resul
 	cur := p.Engine.EvalStream(ctx, cq.Plan, ext, nil)
 	if err := cur.Prime(); err != nil {
 		cur.Close()
-		return nil, err
+		return nil, aqerr.Wrap("query", err)
 	}
 	cols := make([]resultset.Column, len(res.Columns))
 	for i, c := range res.Columns {
@@ -860,8 +860,10 @@ func NewRow(rowElement string, colValuePairs ...string) *Element {
 // whose body is a SQL view over existing data services — the paper's §2
 // layering, where logical data services are authored on top of physical
 // ones and are themselves queryable (and further composable). The view is
-// translated once; each call evaluates the stored query and returns flat
-// rows shaped like any physical function's.
+// translated and planned once; each call evaluates the stored plan under
+// the calling query's context — so cancelling or timing out that query
+// reaches the view's own data service calls — and returns flat rows
+// shaped like any physical function's.
 //
 // The view appears as table `name` in schema `path/name`, with columns
 // named by the view's (necessarily unique) output labels.
@@ -872,6 +874,10 @@ func (p *Platform) DefineView(path, name, sql string) error {
 	}
 	if res.ParamCount != 0 {
 		return fmt.Errorf("aqualogic: define view %s: views cannot contain parameter markers", name)
+	}
+	plan, err := p.Engine.CompileAST(res.Query, nil)
+	if err != nil {
+		return fmt.Errorf("aqualogic: define view %s: %w", name, err)
 	}
 	seen := map[string]bool{}
 	cols := make([]Column, len(res.Columns))
@@ -913,13 +919,12 @@ func (p *Platform) DefineView(path, name, sql string) error {
 	// the view now shadows or composes over.
 	p.Engine.InvalidateSourceStats()
 
-	query := res.Query
 	resCols := res.Columns
-	p.Engine.Register(fn.Namespace, fn.Name, func(args []Sequence) (Sequence, error) {
+	p.Engine.RegisterContext(fn.Namespace, fn.Name, func(ctx context.Context, args []Sequence) (Sequence, error) {
 		if len(args) != 0 {
 			return nil, fmt.Errorf("view %s takes no arguments", name)
 		}
-		out, err := p.Engine.Eval(query)
+		out, err := p.Engine.EvalPlanWithTrace(ctx, plan, nil, nil)
 		if err != nil {
 			return nil, fmt.Errorf("view %s: %w", name, err)
 		}

@@ -1,7 +1,8 @@
 package aqualogic
 
 // Benchmarks regenerating the paper's quantitative content; see DESIGN.md's
-// experiment index and EXPERIMENTS.md for recorded results.
+// experiment index and EXPERIMENTS.md for recorded results. The end-to-end
+// numbers the repo tracks over time come from aqlbench (benchmark/).
 //
 //	P1  BenchmarkResultHandling — §4: XML materialization vs text decoding
 //	P2  BenchmarkTranslate      — §3.2(ii): translator latency per class
@@ -9,18 +10,212 @@ package aqualogic
 //	    BenchmarkEndToEnd       — full driver path per mode
 //	    BenchmarkJoinShapes     — ablation: generated join patterns
 //	    BenchmarkEngine         — the substrate's own evaluation cost
-//	P6  BenchmarkEvalJoinPlan   — evaluator planner: nested loop vs hash join
 //	P11 BenchmarkParallelScan   — morsel-parallel execution through the facade
 
 import (
+	"context"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/bench"
+	"repro/internal/catalog"
+	"repro/internal/demo"
+	"repro/internal/resultset"
 	"repro/internal/translator"
+	"repro/internal/xdm"
 	"repro/internal/xquery"
 )
+
+// wideTable builds a catalog + engine holding one table W with the given
+// column count (alternating integer/string/decimal columns, one in eight
+// values NULL) and row count — the §4 sweep's data source.
+func wideTable(rows, cols int) (*Application, *Engine) {
+	columns := make([]Column, cols)
+	for i := range columns {
+		name := fmt.Sprintf("C%d", i)
+		switch i % 3 {
+		case 0:
+			columns[i] = Column{Name: name, Type: SQLInteger, Nullable: i > 0}
+		case 1:
+			columns[i] = Column{Name: name, Type: SQLVarchar, Nullable: true, Precision: 32}
+		default:
+			columns[i] = Column{Name: name, Type: SQLDecimal, Nullable: true, Precision: 10, Scale: 2}
+		}
+	}
+	app := &Application{Name: "BenchApp"}
+	app.AddDSFile(&DSFile{Path: "Bench", Name: "W", Functions: []*Function{NewRelationalImport("Bench", "W", columns)}})
+
+	data := make([]*Element, rows)
+	for r := range data {
+		row := xdm.NewElement("W")
+		for c := 0; c < cols; c++ {
+			if c > 0 && (r+c)%8 == 0 {
+				continue // NULL
+			}
+			var v string
+			switch c % 3 {
+			case 0:
+				v = fmt.Sprintf("%d", r*31+c)
+			case 1:
+				v = fmt.Sprintf("value-%d-%d 100%% & <sons>", r, c)
+			default:
+				v = fmt.Sprintf("%d.%02d", r%1000, c%100)
+			}
+			row.AddChild(xdm.NewTextElement(columns[c].Name, v))
+		}
+		data[r] = row
+	}
+	engine := NewEngine()
+	engine.RegisterRows("ld:Bench/W", "W", data)
+	return app, engine
+}
+
+// payloads is SELECT * over a wideTable serialized in both §4 modes, plus
+// the decoding schema, so the client-side decode cost can be measured in
+// isolation.
+type payloads struct {
+	xml, text string
+	columns   []resultset.Column
+}
+
+func buildPayloads(rows, cols int) (*payloads, error) {
+	app, engine := wideTable(rows, cols)
+	p := New(app, engine)
+	var out payloads
+	for _, mode := range []ResultMode{ModeXML, ModeText} {
+		cq, err := p.Compile("SELECT * FROM W", mode)
+		if err != nil {
+			return nil, err
+		}
+		seq, err := engine.EvalPlanWithTrace(context.Background(), cq.Plan, nil, nil)
+		if err != nil {
+			return nil, err
+		}
+		it, err := seq.Singleton()
+		if err != nil {
+			return nil, err
+		}
+		if mode == ModeText {
+			out.text = xdm.StringValue(it)
+			continue
+		}
+		root, ok := it.(*Element)
+		if !ok {
+			return nil, fmt.Errorf("XML result is %T, not an element", it)
+		}
+		out.xml = xdm.Marshal(root)
+		for _, c := range cq.Res.Columns {
+			out.columns = append(out.columns, resultset.Column{Label: c.Label, ElementName: c.ElementName, Type: c.Type, Nullable: c.Nullable})
+		}
+	}
+	return &out, nil
+}
+
+// translationWorkload is the P2 query mix, one query per complexity class
+// the paper's examples span.
+var translationWorkload = []struct{ name, sql string }{
+	{"simple", "SELECT * FROM CUSTOMERS"},
+	{"filter", "SELECT CUSTOMERID, CUSTOMERNAME FROM CUSTOMERS WHERE CITY = 'Springfield' AND CUSTOMERID BETWEEN 1000 AND 1040"},
+	{"join", "SELECT CUSTOMERS.CUSTOMERNAME, PO_CUSTOMERS.TOTAL FROM CUSTOMERS INNER JOIN PO_CUSTOMERS ON CUSTOMERS.CUSTOMERID = PO_CUSTOMERS.CUSTOMERID"},
+	{"outerjoin", "SELECT CUSTOMERS.CUSTOMERNAME, PAYMENTS.PAYMENT FROM CUSTOMERS LEFT OUTER JOIN PAYMENTS ON CUSTOMERS.CUSTOMERID = PAYMENTS.CUSTID"},
+	{"subquery", "SELECT INFO.ID FROM (SELECT CUSTOMERID ID, CUSTOMERNAME NAME FROM CUSTOMERS) AS INFO WHERE INFO.ID > 1010"},
+	{"grouped", "SELECT CITY, COUNT(*), SUM(CUSTOMERID) FROM CUSTOMERS GROUP BY CITY HAVING COUNT(*) > 1 ORDER BY 2 DESC"},
+	{"complex", `SELECT C.CITY, COUNT(*) CNT, MAX(P.TOTAL) M
+		FROM CUSTOMERS C INNER JOIN PO_CUSTOMERS P ON C.CUSTOMERID = P.CUSTOMERID
+		WHERE P.STATUS IN ('OPEN', 'SHIPPED') AND C.CUSTOMERNAME LIKE '%s%'
+		GROUP BY C.CITY ORDER BY CNT DESC`},
+}
+
+// newDemoTranslator builds a translator over the demo catalog behind a
+// metadata cache, optionally with a simulated remote round trip per
+// uncached lookup.
+func newDemoTranslator(latency time.Duration) (*translator.Translator, *catalog.Cache) {
+	var src catalog.Source = catalog.Demo()
+	if latency > 0 {
+		src = &catalog.Remote{Inner: src, Latency: latency}
+	}
+	cache := catalog.NewCache(src)
+	return translator.New(cache), cache
+}
+
+// demoEngine builds the demo deployment at a given customer scale (two
+// orders per customer).
+func demoEngine(customers int) (*Application, *Engine) {
+	sz := demo.DefaultSizes
+	sz.Customers = customers
+	sz.Orders = customers * 2
+	app, _, engine := demo.Setup(sz)
+	return app, engine
+}
+
+func TestWideTableShape(t *testing.T) {
+	app, engine := wideTable(10, 5)
+	meta, err := app.Lookup(catalog.TableRef{Table: "W"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(meta.Function.Columns) != 5 {
+		t.Fatalf("columns = %d", len(meta.Function.Columns))
+	}
+	rows, err := engine.Call("ld:Bench/W", "W", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 10 {
+		t.Fatalf("rows = %d", len(rows))
+	}
+}
+
+// TestBuildPayloadsDecodeEquivalence keeps P1 honest: both payloads decode
+// to the same 50 rows, NULLs and markup-bearing values included.
+func TestBuildPayloadsDecodeEquivalence(t *testing.T) {
+	p, err := buildPayloads(50, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.xml == "" || p.text == "" {
+		t.Fatal("empty payloads")
+	}
+	xmlRows, err := resultset.FromXMLString(p.xml, p.columns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	textRows, err := resultset.FromText(p.text, p.columns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if xmlRows.Len() != 50 || textRows.Len() != 50 {
+		t.Fatalf("rows = %d / %d", xmlRows.Len(), textRows.Len())
+	}
+	for xmlRows.Next() && textRows.Next() {
+		for i := range p.columns {
+			a, aok, err := xmlRows.String(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, bok, err := textRows.String(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a != b || aok != bok {
+				t.Fatalf("column %d differs: xml %q/%v vs text %q/%v", i, a, aok, b, bok)
+			}
+		}
+	}
+}
+
+func TestPayloadsContainEscapedData(t *testing.T) {
+	p, err := buildPayloads(5, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// wideTable plants "100% & <sons>" strings; both encodings must carry
+	// them escaped.
+	if !strings.Contains(p.xml, "&amp;") || !strings.Contains(p.text, "&amp;") {
+		t.Fatal("expected escaped ampersands in payloads")
+	}
+}
 
 // BenchmarkResultHandling is the headline §4 experiment: the client-side
 // cost of turning a query result into a JDBC-style result set, per
@@ -28,22 +223,22 @@ import (
 func BenchmarkResultHandling(b *testing.B) {
 	for _, cols := range []int{2, 4, 8} {
 		for _, rows := range []int{100, 1000, 10000} {
-			p, err := bench.BuildPayloads(rows, cols)
+			p, err := buildPayloads(rows, cols)
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.Run(fmt.Sprintf("XML/rows=%d/cols=%d", rows, cols), func(b *testing.B) {
-				b.SetBytes(int64(len(p.XML)))
+				b.SetBytes(int64(len(p.xml)))
 				for i := 0; i < b.N; i++ {
-					if _, err := p.DecodeXML(); err != nil {
+					if _, err := resultset.FromXMLString(p.xml, p.columns); err != nil {
 						b.Fatal(err)
 					}
 				}
 			})
 			b.Run(fmt.Sprintf("Text/rows=%d/cols=%d", rows, cols), func(b *testing.B) {
-				b.SetBytes(int64(len(p.Text)))
+				b.SetBytes(int64(len(p.text)))
 				for i := 0; i < b.N; i++ {
-					if _, err := p.DecodeText(); err != nil {
+					if _, err := resultset.FromText(p.text, p.columns); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -55,15 +250,15 @@ func BenchmarkResultHandling(b *testing.B) {
 // BenchmarkTranslate measures SQL→XQuery translation per query class with
 // warm metadata (the "intensive, ad hoc query environment" of §3.2).
 func BenchmarkTranslate(b *testing.B) {
-	tr, _ := bench.NewDemoTranslator(0, true)
-	for _, q := range bench.TranslationWorkload {
+	tr, _ := newDemoTranslator(0)
+	for _, q := range translationWorkload {
 		// Warm the cache and validate the query.
-		if _, err := tr.Translate(q.SQL); err != nil {
-			b.Fatalf("%s: %v", q.Name, err)
+		if _, err := tr.Translate(q.sql); err != nil {
+			b.Fatalf("%s: %v", q.name, err)
 		}
-		b.Run(q.Name, func(b *testing.B) {
+		b.Run(q.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := tr.Translate(q.SQL); err != nil {
+				if _, err := tr.Translate(q.sql); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -78,7 +273,7 @@ func BenchmarkMetadataCache(b *testing.B) {
 	sql := "SELECT CUSTOMERS.CUSTOMERNAME, PAYMENTS.PAYMENT FROM CUSTOMERS INNER JOIN PAYMENTS ON CUSTOMERS.CUSTOMERID = PAYMENTS.CUSTID"
 
 	b.Run("cold", func(b *testing.B) {
-		tr, cache := bench.NewDemoTranslator(latency, true)
+		tr, cache := newDemoTranslator(latency)
 		for i := 0; i < b.N; i++ {
 			cache.Invalidate()
 			if _, err := tr.Translate(sql); err != nil {
@@ -87,7 +282,7 @@ func BenchmarkMetadataCache(b *testing.B) {
 		}
 	})
 	b.Run("warm", func(b *testing.B) {
-		tr, _ := bench.NewDemoTranslator(latency, true)
+		tr, _ := newDemoTranslator(latency)
 		if _, err := tr.Translate(sql); err != nil {
 			b.Fatal(err)
 		}
@@ -104,8 +299,7 @@ func BenchmarkMetadataCache(b *testing.B) {
 // decode — per result mode at two data scales.
 func BenchmarkEndToEnd(b *testing.B) {
 	for _, customers := range []int{50, 500} {
-		app, engine := bench.DemoEngine(customers)
-		p := New(app, engine)
+		p := New(demoEngine(customers))
 		sql := "SELECT CUSTOMERID, CUSTOMERNAME, CITY FROM CUSTOMERS WHERE CUSTOMERID >= 1000 ORDER BY CUSTOMERNAME"
 		for _, mode := range []struct {
 			name string
@@ -130,8 +324,7 @@ func BenchmarkEndToEnd(b *testing.B) {
 // the flattened double-for inner join vs the let+filter+if-empty outer
 // join, executed end to end.
 func BenchmarkJoinShapes(b *testing.B) {
-	app, engine := bench.DemoEngine(200)
-	p := New(app, engine)
+	p := New(demoEngine(200))
 	queries := map[string]string{
 		"inner": "SELECT CUSTOMERS.CUSTOMERNAME, PAYMENTS.PAYMENT FROM CUSTOMERS INNER JOIN PAYMENTS ON CUSTOMERS.CUSTOMERID = PAYMENTS.CUSTID",
 		"outer": "SELECT CUSTOMERS.CUSTOMERNAME, PAYMENTS.PAYMENT FROM CUSTOMERS LEFT OUTER JOIN PAYMENTS ON CUSTOMERS.CUSTOMERID = PAYMENTS.CUSTID",
@@ -147,18 +340,21 @@ func BenchmarkJoinShapes(b *testing.B) {
 	}
 }
 
-// BenchmarkEngine isolates the substrate: evaluating an already-translated
-// query, without translation or decoding.
+// BenchmarkEngine isolates the substrate: evaluating an already-translated,
+// already-planned query, without translation, planning or decoding.
 func BenchmarkEngine(b *testing.B) {
-	app, engine := bench.DemoEngine(200)
-	tr := translator.New(app)
-	res, err := tr.Translate("SELECT CITY, COUNT(*) FROM CUSTOMERS GROUP BY CITY")
+	app, engine := demoEngine(200)
+	res, err := translator.New(app).Translate("SELECT CITY, COUNT(*) FROM CUSTOMERS GROUP BY CITY")
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan, err := engine.CompileAST(res.Query, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := engine.Eval(res.Query); err != nil {
+		if _, err := engine.EvalPlanWithTrace(context.Background(), plan, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -168,37 +364,21 @@ func BenchmarkEngine(b *testing.B) {
 // driver/server boundary: parsing + statically checking the generated
 // XQuery text the driver ships.
 func BenchmarkXQueryCompile(b *testing.B) {
-	tr, _ := bench.NewDemoTranslator(0, true)
-	app, engine := bench.DemoEngine(50)
-	_ = app
-	for _, q := range bench.TranslationWorkload {
-		res, err := tr.Translate(q.SQL)
+	tr, _ := newDemoTranslator(0)
+	_, engine := demoEngine(50)
+	for _, q := range translationWorkload {
+		res, err := tr.Translate(q.sql)
 		if err != nil {
 			b.Fatal(err)
 		}
 		text := res.XQuery()
-		b.Run(q.Name, func(b *testing.B) {
+		b.Run(q.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				parsed, err := xquery.Parse(text)
 				if err != nil {
 					b.Fatal(err)
 				}
 				if err := engine.Check(parsed, externalNames(res.ParamCount)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkEvalJoinPlan is the P6 experiment at benchmark scale: one
-// translated equi-join executed by the naive nested-loop pipeline and by
-// the planner's hash join over identical synthetic tables.
-func BenchmarkEvalJoinPlan(b *testing.B) {
-	for _, n := range []int{100, 500} {
-		b.Run(fmt.Sprintf("size=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := bench.RunEvalJoin([]int{n}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -214,26 +394,10 @@ func externalNames(n int) []string {
 	return out
 }
 
-// BenchmarkStreamDelivery is the P9 experiment: time to first row and
-// total latency of the pull-cursor path against materialize-then-decode,
-// per result cardinality.
-func BenchmarkStreamDelivery(b *testing.B) {
-	for _, rows := range []int{100, 10000} {
-		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := bench.RunStreamSweep([]int{rows}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkParallelScan is the P11 smoke axis: the demo join through the
 // full facade at several degrees of parallelism, with morsels sized so
 // even the 50-row demo scans fan out. CI's bench-smoke runs it once per
-// worker count to prove the parallel path stays executable; the real
-// speedup measurement is the P11 sweep (bench.RunEvalParallel).
+// worker count to prove the parallel path stays executable.
 func BenchmarkParallelScan(b *testing.B) {
 	const sql = "SELECT C.CUSTOMERNAME, P.PAYMENT FROM CUSTOMERS C, PAYMENTS P WHERE C.CUSTOMERID = P.CUSTID"
 	for _, workers := range []int{1, 4} {
@@ -270,8 +434,7 @@ func BenchmarkCorrelatedJoinScaling(b *testing.B) {
 		{"notexists", "SELECT C.CUSTOMERID, C.CUSTOMERNAME FROM CUSTOMERS C WHERE NOT EXISTS (SELECT 1 FROM PO_CUSTOMERS O WHERE O.CUSTOMERID = C.CUSTOMERID AND O.TOTAL > ?)", 500},
 	}
 	for _, customers := range []int{150, 600, 2000} {
-		app, engine := bench.DemoEngine(customers)
-		p := New(app, engine)
+		p := New(demoEngine(customers))
 		for _, st := range stmts {
 			b.Run(fmt.Sprintf("%s/customers=%d/orders=%d", st.name, customers, 2*customers), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {

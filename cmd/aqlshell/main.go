@@ -26,7 +26,7 @@
 // SQL and EXPLAIN travel the wire, \s renders the remote server's
 // pipeline metrics, and \r renders the remote resilience picture — the
 // server's admission/brownout/shed gauges from /v1/stats alongside this
-// client's own breaker, retry, and hedge state.
+// client's own breaker and retry state.
 package main
 
 import (

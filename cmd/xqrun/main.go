@@ -58,11 +58,12 @@ func main() {
 	}
 
 	_, _, engine := demo.Setup(demo.DefaultSizes)
-	if err := engine.Check(q, nil); err != nil {
+	plan, err := engine.CompileAST(q, nil)
+	if err != nil {
 		fatal(err)
 	}
 	tr := obsv.NewTrace(src)
-	out, err := engine.EvalWithTrace(context.Background(), q, nil, tr)
+	out, err := engine.EvalPlanWithTrace(context.Background(), plan, nil, tr)
 	if err != nil {
 		fatal(err)
 	}

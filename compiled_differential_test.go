@@ -18,7 +18,7 @@ import (
 	"repro/internal/demo"
 	"repro/internal/translator"
 	"repro/internal/xdm"
-	"repro/internal/xqeval"
+	"repro/internal/xquery"
 )
 
 // compiledCorpus mirrors the planner differential corpus
@@ -90,7 +90,7 @@ func compiledBindings(res *translator.Result) (map[string]xdm.Sequence, []string
 func evalTextual(t *testing.T, engine *Engine, cq *CompiledQuery, ext map[string]xdm.Sequence, names []string) (xdm.Sequence, error) {
 	t.Helper()
 	text := cq.XQuery()
-	parsed, err := xqeval.Compile(text)
+	parsed, err := xquery.Parse(text)
 	if err != nil {
 		t.Fatalf("%q: serialized XQuery failed to re-parse: %v\n%s", cq.SQL, err, text)
 	}

@@ -5,7 +5,7 @@ package catalog
 // "TestDataServices" holding the CUSTOMERS, PAYMENTS, PO_CUSTOMERS and
 // PO_ITEMS data services, plus a parameterized getCustomerById function
 // (surfaced as a stored procedure). The corresponding row data is produced
-// by the workload generator in internal/bench.
+// by the deterministic generator in internal/demo.
 func Demo() *Application {
 	app := &Application{Name: "TestApp"}
 	app.AddDSFile(&DSFile{

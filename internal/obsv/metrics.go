@@ -298,8 +298,7 @@ type Metrics struct {
 	// counted by reason. Replays are idempotent retries served from cursor
 	// state (execute by idempotency key, fetch by chunk sequence number)
 	// instead of re-evaluated. Client side: remoteclient retry attempts
-	// beyond the first and how many operations they rescued, plus hedged
-	// fetch duplicates and how often the hedge beat the primary.
+	// beyond the first and how many operations they rescued.
 	WeightedInFlight     Gauge
 	WeightedPeak         Gauge
 	AdmissionQueueDepth  Gauge
@@ -313,8 +312,6 @@ type Metrics struct {
 	FetchReplays         Counter
 	RemoteRetries        Counter
 	RemoteRetrySuccesses Counter
-	FetchHedges          Counter
-	HedgeWins            Counter
 
 	stageTime [NumStages]Histogram
 }
@@ -417,8 +414,6 @@ type Snapshot struct {
 	FetchReplays         int64
 	RemoteRetries        int64
 	RemoteRetrySuccesses int64
-	FetchHedges          int64
-	HedgeWins            int64
 
 	Stages []StageSnapshot // pipeline order; stages never seen are omitted
 }
@@ -492,8 +487,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		FetchReplays:         m.FetchReplays.Load(),
 		RemoteRetries:        m.RemoteRetries.Load(),
 		RemoteRetrySuccesses: m.RemoteRetrySuccesses.Load(),
-		FetchHedges:          m.FetchHedges.Load(),
-		HedgeWins:            m.HedgeWins.Load(),
 	}
 	if ttfr := m.TimeToFirstRow.Snapshot(); ttfr.Count > 0 {
 		s.TimeToFirstRowCount = ttfr.Count
@@ -628,6 +621,5 @@ func (s Snapshot) RenderResilience(w io.Writer) {
 		s.Retries, s.RetrySuccesses, s.BreakerOpens, s.BreakerFastFails)
 	fmt.Fprintf(w, "metadata degradation: stale serves=%d, single-flight shared=%d\n",
 		s.StaleServes, s.SingleFlightShared)
-	fmt.Fprintf(w, "remote client: retries=%d (rescued: %d), hedged fetches=%d (hedge won: %d)\n",
-		s.RemoteRetries, s.RemoteRetrySuccesses, s.FetchHedges, s.HedgeWins)
+	fmt.Fprintf(w, "remote client: retries=%d (rescued: %d)\n", s.RemoteRetries, s.RemoteRetrySuccesses)
 }

@@ -27,7 +27,7 @@
 // retry with backoff, honoring server Retry-After hints; a per-server
 // circuit breaker fails fast when the transport itself is down; every
 // execute carries an idempotency key and every fetch a sequence number,
-// so a retried or hedged duplicate replays the server's cached chunk
+// so a retried duplicate replays the server's cached chunk
 // byte-identically instead of skipping or doubling rows. Each verb also
 // forwards the caller's remaining context deadline as an explicit
 // budget header, so the server never keeps working on a request its
@@ -485,55 +485,11 @@ func (rc *remoteCursor) Next() ([]xdm.Atomic, error) {
 	}
 }
 
-// fetchChunk pulls one sequenced chunk, optionally hedged: when the
-// first request has not answered within HedgeDelay, an identical
-// request (same sequence number, so the server replays rather than
-// advances) races it and the first answer wins. The loser is cancelled
-// and drains into a buffered channel, so a hedge never leaks a
-// goroutine past the pull that spawned it.
+// fetchChunk pulls one sequenced chunk. A retry re-presents the same
+// sequence number, so the server replays the chunk rather than advances.
 func (rc *remoteCursor) fetchChunk(seq int64) (wire.FetchResponse, error) {
-	c := rc.c
-	req := wire.FetchRequest{Session: c.session, Cursor: rc.cursor, Seq: seq}
-	if c.opts.HedgeDelay <= 0 {
-		return postRetry[wire.FetchResponse](rc.ctx, c, "fetch", wire.PathFetch, req, true)
-	}
-	hctx, cancel := context.WithCancel(rc.ctx)
-	defer cancel()
-	type outcome struct {
-		resp   wire.FetchResponse
-		err    error
-		hedged bool
-	}
-	ch := make(chan outcome, 2)
-	launch := func(hedged bool) {
-		resp, err := postRetry[wire.FetchResponse](hctx, c, "fetch", wire.PathFetch, req, true)
-		ch <- outcome{resp: resp, err: err, hedged: hedged}
-	}
-	go launch(false)
-	timer := time.NewTimer(c.opts.HedgeDelay)
-	defer timer.Stop()
-	outstanding, hedgeLaunched := 1, false
-	for {
-		select {
-		case o := <-ch:
-			outstanding--
-			if o.err == nil || outstanding == 0 {
-				if o.err == nil && o.hedged {
-					obsv.Global.HedgeWins.Inc()
-				}
-				return o.resp, o.err
-			}
-			// The first arrival failed while its twin is still in flight:
-			// let the twin's outcome decide.
-		case <-timer.C:
-			if !hedgeLaunched {
-				hedgeLaunched = true
-				outstanding++
-				obsv.Global.FetchHedges.Inc()
-				go launch(true)
-			}
-		}
-	}
+	req := wire.FetchRequest{Session: rc.c.session, Cursor: rc.cursor, Seq: seq}
+	return postRetry[wire.FetchResponse](rc.ctx, rc.c, "fetch", wire.PathFetch, req, true)
 }
 
 // Close implements resultset.RowCursor, releasing the server-side cursor

@@ -37,13 +37,6 @@ type Options struct {
 	// BreakerCooldown is how long the open breaker waits before letting
 	// a half-open probe through (default 100ms).
 	BreakerCooldown time.Duration
-	// HedgeDelay arms hedged fetches: when a fetch chunk has not
-	// answered after this long, a duplicate request (same sequence
-	// number, so the server replays rather than advances) races it and
-	// the first answer wins. Zero disables hedging (the default): it
-	// trades duplicate server work for tail latency, which is not a
-	// trade to make silently.
-	HedgeDelay time.Duration
 }
 
 func (o Options) withDefaults() Options {

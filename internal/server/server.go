@@ -388,7 +388,7 @@ type cursor struct {
 	failed   *wire.Error // sticky: re-reported on every later fetch
 	released bool        // admission slots returned
 	// Sequenced-fetch replay state: the last chunk produced and its
-	// sequence number. A retried or hedged fetch re-presenting lastSeq
+	// sequence number. A retried fetch re-presenting lastSeq
 	// gets lastResp byte-identically instead of advancing the cursor.
 	lastSeq  int64
 	lastResp wire.FetchResponse
@@ -706,7 +706,7 @@ func (s *Server) fetch(ctx context.Context, req wire.FetchRequest) (wire.FetchRe
 	if req.Seq != 0 {
 		// Sequenced fetch: replay the cached chunk for the current number,
 		// advance for the next, reject anything else. This is what makes
-		// fetch idempotent — a retried or hedged duplicate of chunk n gets
+		// fetch idempotent — a retried duplicate of chunk n gets
 		// the same bytes, never a skipped or doubled chunk.
 		switch {
 		case req.Seq == cur.lastSeq:

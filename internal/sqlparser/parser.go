@@ -2,11 +2,13 @@ package sqlparser
 
 import (
 	"strings"
+
+	"repro/internal/qfront"
 )
 
 // Parse parses a SQL-92 SELECT statement (stage one of the translation).
 // It returns a typed AST or a ParseError describing the first syntax error.
-func Parse(src string) (*SelectStmt, error) {
+func Parse(src string) (*qfront.SelectStmt, error) {
 	toks, err := Lex(src)
 	if err != nil {
 		return nil, err
@@ -17,7 +19,7 @@ func Parse(src string) (*SelectStmt, error) {
 // ParseTokens parses an already-lexed token stream (as produced by Lex).
 // Splitting the two phases lets callers observe lexing and parsing as
 // separate pipeline stages without scanning the source twice.
-func ParseTokens(toks []Token) (*SelectStmt, error) {
+func ParseTokens(toks []Token) (*qfront.SelectStmt, error) {
 	if len(toks) == 0 || toks[len(toks)-1].Type != TokEOF {
 		return nil, errAt(Pos{Line: 1, Col: 1}, "token stream does not end in EOF")
 	}
@@ -126,13 +128,13 @@ func (p *parser) acceptAliasIdent() (string, bool) {
 }
 
 // parseSelectStmt parses a query expression with optional ORDER BY.
-func (p *parser) parseSelectStmt() (*SelectStmt, error) {
+func (p *parser) parseSelectStmt() (*qfront.SelectStmt, error) {
 	start := p.peek().Pos
 	body, err := p.parseQueryExpr()
 	if err != nil {
 		return nil, err
 	}
-	stmt := &SelectStmt{Pos: start, Body: body, Limit: -1}
+	stmt := &qfront.SelectStmt{Pos: start, Body: body, Limit: -1}
 	if p.accept("ORDER") {
 		if err := p.expect("BY"); err != nil {
 			return nil, err
@@ -178,13 +180,13 @@ func (p *parser) parseFetchFirst() (int, error) {
 	return n, nil
 }
 
-func (p *parser) parseOrderItem() (OrderItem, error) {
+func (p *parser) parseOrderItem() (qfront.OrderItem, error) {
 	start := p.peek().Pos
 	e, err := p.parseExpr()
 	if err != nil {
-		return OrderItem{}, err
+		return qfront.OrderItem{}, err
 	}
-	item := OrderItem{Pos: start, Expr: e}
+	item := qfront.OrderItem{Pos: start, Expr: e}
 	if p.accept("DESC") {
 		item.Desc = true
 	} else {
@@ -194,18 +196,18 @@ func (p *parser) parseOrderItem() (OrderItem, error) {
 }
 
 // parseQueryExpr handles UNION/EXCEPT (left-associative, lowest precedence).
-func (p *parser) parseQueryExpr() (QueryExpr, error) {
+func (p *parser) parseQueryExpr() (qfront.QueryExpr, error) {
 	left, err := p.parseQueryTerm()
 	if err != nil {
 		return nil, err
 	}
 	for {
-		var op SetOpType
+		var op qfront.SetOpType
 		switch {
 		case p.peek().Is("UNION"):
-			op = SetUnion
+			op = qfront.SetUnion
 		case p.peek().Is("EXCEPT"):
-			op = SetExcept
+			op = qfront.SetExcept
 		default:
 			return left, nil
 		}
@@ -218,12 +220,12 @@ func (p *parser) parseQueryExpr() (QueryExpr, error) {
 		if err != nil {
 			return nil, err
 		}
-		left = &SetOpExpr{Pos: pos, Op: op, All: all, Left: left, Right: right}
+		left = &qfront.SetOpExpr{Pos: pos, Op: op, All: all, Left: left, Right: right}
 	}
 }
 
 // parseQueryTerm handles INTERSECT (binds tighter than UNION per SQL-92).
-func (p *parser) parseQueryTerm() (QueryExpr, error) {
+func (p *parser) parseQueryTerm() (qfront.QueryExpr, error) {
 	left, err := p.parseQueryPrimary()
 	if err != nil {
 		return nil, err
@@ -238,12 +240,12 @@ func (p *parser) parseQueryTerm() (QueryExpr, error) {
 		if err != nil {
 			return nil, err
 		}
-		left = &SetOpExpr{Pos: pos, Op: SetIntersect, All: all, Left: left, Right: right}
+		left = &qfront.SetOpExpr{Pos: pos, Op: qfront.SetIntersect, All: all, Left: left, Right: right}
 	}
 	return left, nil
 }
 
-func (p *parser) parseQueryPrimary() (QueryExpr, error) {
+func (p *parser) parseQueryPrimary() (qfront.QueryExpr, error) {
 	if p.peek().IsOp("(") {
 		p.advance()
 		inner, err := p.parseQueryExpr()
@@ -259,12 +261,12 @@ func (p *parser) parseQueryPrimary() (QueryExpr, error) {
 }
 
 // parseQuerySpec parses one SELECT block.
-func (p *parser) parseQuerySpec() (*QuerySpec, error) {
+func (p *parser) parseQuerySpec() (*qfront.QuerySpec, error) {
 	start := p.peek().Pos
 	if err := p.expect("SELECT"); err != nil {
 		return nil, err
 	}
-	q := &QuerySpec{Pos: start}
+	q := &qfront.QuerySpec{Pos: start}
 	if p.accept("DISTINCT") {
 		q.Distinct = true
 	} else {
@@ -324,12 +326,12 @@ func (p *parser) parseQuerySpec() (*QuerySpec, error) {
 	return q, nil
 }
 
-func (p *parser) parseSelectItem() (SelectItem, error) {
+func (p *parser) parseSelectItem() (qfront.SelectItem, error) {
 	start := p.peek().Pos
 	// Bare `*`.
 	if p.peek().IsOp("*") {
 		p.advance()
-		return SelectItem{Pos: start, Wildcard: true}, nil
+		return qfront.SelectItem{Pos: start, Wildcard: true}, nil
 	}
 	// Qualified wildcard `T.*` (also `S.T.*`): scan ahead for ident(.ident)*.*
 	if p.peek().Type == TokIdent || p.peek().Type == TokQuotedIdent {
@@ -356,18 +358,18 @@ func (p *parser) parseSelectItem() (SelectItem, error) {
 				p.advance() // the dot
 			}
 			p.advance() // the star
-			return SelectItem{Pos: start, Wildcard: true, Qualifier: strings.Join(quals, ".")}, nil
+			return qfront.SelectItem{Pos: start, Wildcard: true, Qualifier: strings.Join(quals, ".")}, nil
 		}
 	}
 	e, err := p.parseExpr()
 	if err != nil {
-		return SelectItem{}, err
+		return qfront.SelectItem{}, err
 	}
-	item := SelectItem{Pos: start, Expr: e}
+	item := qfront.SelectItem{Pos: start, Expr: e}
 	if p.accept("AS") {
 		name, err := p.expectIdent("column alias")
 		if err != nil {
-			return SelectItem{}, err
+			return qfront.SelectItem{}, err
 		}
 		item.Alias = name
 	} else if name, ok := p.acceptAliasIdent(); ok {
@@ -377,7 +379,7 @@ func (p *parser) parseSelectItem() (SelectItem, error) {
 }
 
 // parseTableRef parses one FROM item: a chain of joins over table primaries.
-func (p *parser) parseTableRef() (TableRef, error) {
+func (p *parser) parseTableRef() (qfront.TableRef, error) {
 	left, err := p.parseTablePrimary()
 	if err != nil {
 		return nil, err
@@ -396,10 +398,10 @@ func (p *parser) parseTableRef() (TableRef, error) {
 
 // parseJoinTail parses `[NATURAL] [join type] JOIN right [ON …|USING …]`
 // if present.
-func (p *parser) parseJoinTail(left TableRef) (TableRef, bool, error) {
+func (p *parser) parseJoinTail(left qfront.TableRef) (qfront.TableRef, bool, error) {
 	start := p.peek().Pos
 	natural := false
-	jt := JoinInner
+	jt := qfront.JoinInner
 	explicit := false
 	save := p.pos
 	if p.accept("NATURAL") {
@@ -407,18 +409,18 @@ func (p *parser) parseJoinTail(left TableRef) (TableRef, bool, error) {
 	}
 	switch {
 	case p.accept("INNER"):
-		jt, explicit = JoinInner, true
+		jt, explicit = qfront.JoinInner, true
 	case p.accept("LEFT"):
 		p.accept("OUTER")
-		jt, explicit = JoinLeftOuter, true
+		jt, explicit = qfront.JoinLeftOuter, true
 	case p.accept("RIGHT"):
 		p.accept("OUTER")
-		jt, explicit = JoinRightOuter, true
+		jt, explicit = qfront.JoinRightOuter, true
 	case p.accept("FULL"):
 		p.accept("OUTER")
-		jt, explicit = JoinFullOuter, true
+		jt, explicit = qfront.JoinFullOuter, true
 	case p.accept("CROSS"):
-		jt, explicit = JoinCross, true
+		jt, explicit = qfront.JoinCross, true
 	}
 	if !p.peek().Is("JOIN") {
 		if natural || explicit {
@@ -432,8 +434,8 @@ func (p *parser) parseJoinTail(left TableRef) (TableRef, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	j := &JoinExpr{Pos: start, Type: jt, Left: left, Right: right, Natural: natural}
-	if jt == JoinCross {
+	j := &qfront.JoinExpr{Pos: start, Type: jt, Left: left, Right: right, Natural: natural}
+	if jt == qfront.JoinCross {
 		return j, true, nil
 	}
 	if natural {
@@ -471,7 +473,7 @@ func (p *parser) parseJoinTail(left TableRef) (TableRef, bool, error) {
 
 // parseTablePrimary parses a base table, a derived table, or a
 // parenthesized join.
-func (p *parser) parseTablePrimary() (TableRef, error) {
+func (p *parser) parseTablePrimary() (qfront.TableRef, error) {
 	start := p.peek().Pos
 	if p.peek().IsOp("(") {
 		if p.peekAt(1).Is("SELECT") || p.peekAt(1).IsOp("(") && p.subqueryAhead() {
@@ -483,7 +485,7 @@ func (p *parser) parseTablePrimary() (TableRef, error) {
 			if err := p.expectOp(")"); err != nil {
 				return nil, err
 			}
-			d := &DerivedTable{Pos: start, Query: sub}
+			d := &qfront.DerivedTable{Pos: start, Query: sub}
 			p.accept("AS")
 			name, err := p.expectIdent("derived table alias")
 			if err != nil {
@@ -517,7 +519,7 @@ func (p *parser) parseTablePrimary() (TableRef, error) {
 		if err := p.expectOp(")"); err != nil {
 			return nil, err
 		}
-		if j, ok := inner.(*JoinExpr); ok {
+		if j, ok := inner.(*qfront.JoinExpr); ok {
 			if p.accept("AS") {
 				name, err := p.expectIdent("join alias")
 				if err != nil {
@@ -545,7 +547,7 @@ func (p *parser) parseTablePrimary() (TableRef, error) {
 		}
 		parts = append(parts, next)
 	}
-	t := &TableName{Pos: start}
+	t := &qfront.TableName{Pos: start}
 	switch len(parts) {
 	case 1:
 		t.Name = parts[0]

@@ -1,6 +1,10 @@
 package sqlparser
 
-import "strings"
+import (
+	"strings"
+
+	"repro/internal/qfront"
+)
 
 // Expression grammar, SQL-92 precedence from loosest to tightest:
 //
@@ -13,11 +17,11 @@ import "strings"
 //	term        := factor ((*|/) factor)*
 //	factor      := [+|-] primary
 //	primary     := literal | ? | column | function | CASE | CAST | '(' … ')'
-func (p *parser) parseExpr() (Expr, error) {
+func (p *parser) parseExpr() (qfront.Expr, error) {
 	return p.parseOr()
 }
 
-func (p *parser) parseOr() (Expr, error) {
+func (p *parser) parseOr() (qfront.Expr, error) {
 	left, err := p.parseAnd()
 	if err != nil {
 		return nil, err
@@ -28,12 +32,12 @@ func (p *parser) parseOr() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		left = &BinaryExpr{Pos: pos, Op: BinOr, Left: left, Right: right}
+		left = &qfront.BinaryExpr{Pos: pos, Op: qfront.BinOr, Left: left, Right: right}
 	}
 	return left, nil
 }
 
-func (p *parser) parseAnd() (Expr, error) {
+func (p *parser) parseAnd() (qfront.Expr, error) {
 	left, err := p.parseNot()
 	if err != nil {
 		return nil, err
@@ -44,28 +48,28 @@ func (p *parser) parseAnd() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		left = &BinaryExpr{Pos: pos, Op: BinAnd, Left: left, Right: right}
+		left = &qfront.BinaryExpr{Pos: pos, Op: qfront.BinAnd, Left: left, Right: right}
 	}
 	return left, nil
 }
 
-func (p *parser) parseNot() (Expr, error) {
+func (p *parser) parseNot() (qfront.Expr, error) {
 	if p.peek().Is("NOT") {
 		pos := p.advance().Pos
 		inner, err := p.parseNot()
 		if err != nil {
 			return nil, err
 		}
-		return &UnaryExpr{Pos: pos, Op: UnaryNot, Operand: inner}, nil
+		return &qfront.UnaryExpr{Pos: pos, Op: qfront.UnaryNot, Operand: inner}, nil
 	}
 	return p.parsePredicate()
 }
 
-var comparisonOps = map[string]BinaryOp{
-	"=": BinEq, "<>": BinNe, "<": BinLt, "<=": BinLe, ">": BinGt, ">=": BinGe,
+var comparisonOps = map[string]qfront.BinaryOp{
+	"=": qfront.BinEq, "<>": qfront.BinNe, "<": qfront.BinLt, "<=": qfront.BinLe, ">": qfront.BinGt, ">=": qfront.BinGe,
 }
 
-func (p *parser) parsePredicate() (Expr, error) {
+func (p *parser) parsePredicate() (qfront.Expr, error) {
 	// EXISTS (subquery)
 	if p.peek().Is("EXISTS") {
 		pos := p.advance().Pos
@@ -79,7 +83,7 @@ func (p *parser) parsePredicate() (Expr, error) {
 		if err := p.expectOp(")"); err != nil {
 			return nil, err
 		}
-		return &ExistsExpr{Pos: pos, Subquery: sub}, nil
+		return &qfront.ExistsExpr{Pos: pos, Subquery: sub}, nil
 	}
 
 	left, err := p.parseRowValue()
@@ -92,9 +96,9 @@ func (p *parser) parsePredicate() (Expr, error) {
 		if op, ok := comparisonOps[p.peek().Text]; ok {
 			pos := p.advance().Pos
 			if p.peek().Is("ANY") || p.peek().Is("SOME") || p.peek().Is("ALL") {
-				quant := QuantAny
+				quant := qfront.QuantAny
 				if p.peek().Is("ALL") {
-					quant = QuantAll
+					quant = qfront.QuantAll
 				}
 				p.advance()
 				if err := p.expectOp("("); err != nil {
@@ -107,13 +111,13 @@ func (p *parser) parsePredicate() (Expr, error) {
 				if err := p.expectOp(")"); err != nil {
 					return nil, err
 				}
-				return &QuantifiedExpr{Pos: pos, Op: op, Quant: quant, Left: left, Subquery: sub}, nil
+				return &qfront.QuantifiedExpr{Pos: pos, Op: op, Quant: quant, Left: left, Subquery: sub}, nil
 			}
 			right, err := p.parseRowValue()
 			if err != nil {
 				return nil, err
 			}
-			return &BinaryExpr{Pos: pos, Op: op, Left: left, Right: right}, nil
+			return &qfront.BinaryExpr{Pos: pos, Op: op, Left: left, Right: right}, nil
 		}
 	}
 
@@ -142,14 +146,14 @@ func (p *parser) parsePredicate() (Expr, error) {
 		if not {
 			pos = notPos
 		}
-		return &BetweenExpr{Pos: pos, Not: not, Operand: left, Low: low, High: high}, nil
+		return &qfront.BetweenExpr{Pos: pos, Not: not, Operand: left, Low: low, High: high}, nil
 
 	case p.peek().Is("IN"):
 		pos := p.advance().Pos
 		if err := p.expectOp("("); err != nil {
 			return nil, err
 		}
-		in := &InExpr{Pos: pos, Not: not, Operand: left}
+		in := &qfront.InExpr{Pos: pos, Not: not, Operand: left}
 		if p.peek().Is("SELECT") {
 			sub, err := p.parseSelectStmt()
 			if err != nil {
@@ -179,7 +183,7 @@ func (p *parser) parsePredicate() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		like := &LikeExpr{Pos: pos, Not: not, Operand: left, Pattern: pattern}
+		like := &qfront.LikeExpr{Pos: pos, Not: not, Operand: left, Pattern: pattern}
 		if p.accept("ESCAPE") {
 			esc, err := p.parseRowValue()
 			if err != nil {
@@ -195,7 +199,7 @@ func (p *parser) parsePredicate() (Expr, error) {
 		if err := p.expect("NULL"); err != nil {
 			return nil, err
 		}
-		return &IsNullExpr{Pos: pos, Not: isNot, Operand: left}, nil
+		return &qfront.IsNullExpr{Pos: pos, Not: isNot, Operand: left}, nil
 	}
 
 	if not {
@@ -204,20 +208,20 @@ func (p *parser) parsePredicate() (Expr, error) {
 	return left, nil
 }
 
-func (p *parser) parseRowValue() (Expr, error) {
+func (p *parser) parseRowValue() (qfront.Expr, error) {
 	left, err := p.parseTerm()
 	if err != nil {
 		return nil, err
 	}
 	for {
-		var op BinaryOp
+		var op qfront.BinaryOp
 		switch {
 		case p.peek().IsOp("+"):
-			op = BinAdd
+			op = qfront.BinAdd
 		case p.peek().IsOp("-"):
-			op = BinSub
+			op = qfront.BinSub
 		case p.peek().IsOp("||"):
-			op = BinConcat
+			op = qfront.BinConcat
 		default:
 			return left, nil
 		}
@@ -226,22 +230,22 @@ func (p *parser) parseRowValue() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		left = &BinaryExpr{Pos: pos, Op: op, Left: left, Right: right}
+		left = &qfront.BinaryExpr{Pos: pos, Op: op, Left: left, Right: right}
 	}
 }
 
-func (p *parser) parseTerm() (Expr, error) {
+func (p *parser) parseTerm() (qfront.Expr, error) {
 	left, err := p.parseFactor()
 	if err != nil {
 		return nil, err
 	}
 	for {
-		var op BinaryOp
+		var op qfront.BinaryOp
 		switch {
 		case p.peek().IsOp("*"):
-			op = BinMul
+			op = qfront.BinMul
 		case p.peek().IsOp("/"):
-			op = BinDiv
+			op = qfront.BinDiv
 		default:
 			return left, nil
 		}
@@ -250,11 +254,11 @@ func (p *parser) parseTerm() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		left = &BinaryExpr{Pos: pos, Op: op, Left: left, Right: right}
+		left = &qfront.BinaryExpr{Pos: pos, Op: op, Left: left, Right: right}
 	}
 }
 
-func (p *parser) parseFactor() (Expr, error) {
+func (p *parser) parseFactor() (qfront.Expr, error) {
 	switch {
 	case p.peek().IsOp("-"):
 		pos := p.advance().Pos
@@ -262,38 +266,38 @@ func (p *parser) parseFactor() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &UnaryExpr{Pos: pos, Op: UnaryMinus, Operand: operand}, nil
+		return &qfront.UnaryExpr{Pos: pos, Op: qfront.UnaryMinus, Operand: operand}, nil
 	case p.peek().IsOp("+"):
 		pos := p.advance().Pos
 		operand, err := p.parseFactor()
 		if err != nil {
 			return nil, err
 		}
-		return &UnaryExpr{Pos: pos, Op: UnaryPlus, Operand: operand}, nil
+		return &qfront.UnaryExpr{Pos: pos, Op: qfront.UnaryPlus, Operand: operand}, nil
 	}
 	return p.parsePrimary()
 }
 
-func (p *parser) parsePrimary() (Expr, error) {
+func (p *parser) parsePrimary() (qfront.Expr, error) {
 	t := p.peek()
 	pos := t.Pos
 	switch t.Type {
 	case TokInteger:
 		p.advance()
-		return &Literal{Pos: pos, Type: LitInteger, Text: t.Text}, nil
+		return &qfront.Literal{Pos: pos, Type: qfront.LitInteger, Text: t.Text}, nil
 	case TokDecimal:
 		p.advance()
-		return &Literal{Pos: pos, Type: LitDecimal, Text: t.Text}, nil
+		return &qfront.Literal{Pos: pos, Type: qfront.LitDecimal, Text: t.Text}, nil
 	case TokFloat:
 		p.advance()
-		return &Literal{Pos: pos, Type: LitFloat, Text: t.Text}, nil
+		return &qfront.Literal{Pos: pos, Type: qfront.LitFloat, Text: t.Text}, nil
 	case TokString:
 		p.advance()
-		return &Literal{Pos: pos, Type: LitString, Text: t.Text}, nil
+		return &qfront.Literal{Pos: pos, Type: qfront.LitString, Text: t.Text}, nil
 	case TokParam:
 		p.advance()
 		p.paramCount++
-		return &Param{Pos: pos, Index: p.paramCount}, nil
+		return &qfront.Param{Pos: pos, Index: p.paramCount}, nil
 	case TokKeyword:
 		return p.parseKeywordPrimary()
 	case TokIdent, TokQuotedIdent:
@@ -309,7 +313,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 				if err := p.expectOp(")"); err != nil {
 					return nil, err
 				}
-				return &SubqueryExpr{Pos: pos, Query: sub}, nil
+				return &qfront.SubqueryExpr{Pos: pos, Query: sub}, nil
 			}
 			inner, err := p.parseExpr()
 			if err != nil {
@@ -317,7 +321,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 			}
 			if p.peek().IsOp(",") {
 				// Row value constructor: (a, b, …).
-				row := &RowExpr{Pos: pos, Items: []Expr{inner}}
+				row := &qfront.RowExpr{Pos: pos, Items: []qfront.Expr{inner}}
 				for p.acceptOp(",") {
 					item, err := p.parseExpr()
 					if err != nil {
@@ -342,19 +346,19 @@ func (p *parser) parsePrimary() (Expr, error) {
 // parseKeywordPrimary handles expressions that begin with a reserved word:
 // NULL, TRUE/FALSE, CASE, CAST, datetime literals, special built-in
 // function syntax, and keyword-named functions (COUNT, SUM, UPPER, …).
-func (p *parser) parseKeywordPrimary() (Expr, error) {
+func (p *parser) parseKeywordPrimary() (qfront.Expr, error) {
 	t := p.peek()
 	pos := t.Pos
 	switch t.Text {
 	case "NULL":
 		p.advance()
-		return &Literal{Pos: pos, Type: LitNull, Text: "NULL"}, nil
+		return &qfront.Literal{Pos: pos, Type: qfront.LitNull, Text: "NULL"}, nil
 	case "TRUE":
 		p.advance()
-		return &Literal{Pos: pos, Type: LitBoolean, Text: "true"}, nil
+		return &qfront.Literal{Pos: pos, Type: qfront.LitBoolean, Text: "true"}, nil
 	case "FALSE":
 		p.advance()
-		return &Literal{Pos: pos, Type: LitBoolean, Text: "false"}, nil
+		return &qfront.Literal{Pos: pos, Type: qfront.LitBoolean, Text: "false"}, nil
 	case "DATE", "TIME", "TIMESTAMP":
 		// Datetime literal: DATE '2006-01-02'. Only when followed by a
 		// string; otherwise fall through (e.g. a column named DATE is
@@ -362,21 +366,21 @@ func (p *parser) parseKeywordPrimary() (Expr, error) {
 		if p.peekAt(1).Type == TokString {
 			p.advance()
 			lit := p.advance()
-			var lt LiteralType
+			var lt qfront.LiteralType
 			switch t.Text {
 			case "DATE":
-				lt = LitDate
+				lt = qfront.LitDate
 			case "TIME":
-				lt = LitTime
+				lt = qfront.LitTime
 			default:
-				lt = LitTimestamp
+				lt = qfront.LitTimestamp
 			}
-			return &Literal{Pos: pos, Type: lt, Text: lit.Text}, nil
+			return &qfront.Literal{Pos: pos, Type: lt, Text: lit.Text}, nil
 		}
 		return nil, errAt(pos, "expected string literal after %s", t.Text)
 	case "CURRENT_DATE", "CURRENT_TIME", "CURRENT_TIMESTAMP":
 		p.advance()
-		return &FuncCall{Pos: pos, Name: t.Text}, nil
+		return &qfront.FuncCall{Pos: pos, Name: t.Text}, nil
 	case "CASE":
 		return p.parseCase()
 	case "CAST":
@@ -398,7 +402,7 @@ func (p *parser) parseKeywordPrimary() (Expr, error) {
 
 // parseNamePrimary parses a column reference or a function call beginning
 // with an identifier.
-func (p *parser) parseNamePrimary() (Expr, error) {
+func (p *parser) parseNamePrimary() (qfront.Expr, error) {
 	pos := p.peek().Pos
 	if p.peekAt(1).IsOp("(") {
 		return p.parseFuncCall()
@@ -413,7 +417,7 @@ func (p *parser) parseNamePrimary() (Expr, error) {
 		}
 		parts = append(parts, name)
 	}
-	ref := &ColumnRef{Pos: pos}
+	ref := &qfront.ColumnRef{Pos: pos}
 	switch len(parts) {
 	case 1:
 		ref.Column = parts[0]
@@ -427,13 +431,13 @@ func (p *parser) parseNamePrimary() (Expr, error) {
 	return ref, nil
 }
 
-func (p *parser) parseFuncCall() (Expr, error) {
+func (p *parser) parseFuncCall() (qfront.Expr, error) {
 	pos := p.peek().Pos
 	name := strings.ToUpper(p.advance().Text)
 	if err := p.expectOp("("); err != nil {
 		return nil, err
 	}
-	f := &FuncCall{Pos: pos, Name: name}
+	f := &qfront.FuncCall{Pos: pos, Name: name}
 	if p.acceptOp(")") {
 		return f, nil
 	}
@@ -469,9 +473,9 @@ func (p *parser) parseFuncCall() (Expr, error) {
 	return f, nil
 }
 
-func (p *parser) parseCase() (Expr, error) {
+func (p *parser) parseCase() (qfront.Expr, error) {
 	pos := p.advance().Pos // CASE
-	c := &CaseExpr{Pos: pos}
+	c := &qfront.CaseExpr{Pos: pos}
 	if !p.peek().Is("WHEN") {
 		operand, err := p.parseExpr()
 		if err != nil {
@@ -491,7 +495,7 @@ func (p *parser) parseCase() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		c.Whens = append(c.Whens, WhenClause{When: when, Then: then})
+		c.Whens = append(c.Whens, qfront.WhenClause{When: when, Then: then})
 	}
 	if len(c.Whens) == 0 {
 		return nil, errAt(pos, "CASE requires at least one WHEN clause")
@@ -509,7 +513,7 @@ func (p *parser) parseCase() (Expr, error) {
 	return c, nil
 }
 
-func (p *parser) parseCast() (Expr, error) {
+func (p *parser) parseCast() (qfront.Expr, error) {
 	pos := p.advance().Pos // CAST
 	if err := p.expectOp("("); err != nil {
 		return nil, err
@@ -528,16 +532,16 @@ func (p *parser) parseCast() (Expr, error) {
 	if err := p.expectOp(")"); err != nil {
 		return nil, err
 	}
-	return &CastExpr{Pos: pos, Operand: operand, Type: tn}, nil
+	return &qfront.CastExpr{Pos: pos, Operand: operand, Type: tn}, nil
 }
 
-func (p *parser) parseTypeName() (TypeName, error) {
+func (p *parser) parseTypeName() (qfront.TypeName, error) {
 	t := p.peek()
 	if t.Type != TokKeyword && t.Type != TokIdent {
-		return TypeName{}, errAt(t.Pos, "expected type name, found %s", t)
+		return qfront.TypeName{}, errAt(t.Pos, "expected type name, found %s", t)
 	}
 	p.advance()
-	tn := TypeName{Name: t.Text, Precision: -1, Scale: -1}
+	tn := qfront.TypeName{Name: t.Text, Precision: -1, Scale: -1}
 	switch t.Text {
 	case "CHARACTER", "CHAR":
 		tn.Name = "CHAR"
@@ -555,20 +559,20 @@ func (p *parser) parseTypeName() (TypeName, error) {
 	if p.acceptOp("(") {
 		prec := p.peek()
 		if prec.Type != TokInteger {
-			return TypeName{}, errAt(prec.Pos, "expected precision, found %s", prec)
+			return qfront.TypeName{}, errAt(prec.Pos, "expected precision, found %s", prec)
 		}
 		p.advance()
 		tn.Precision = atoiSafe(prec.Text)
 		if p.acceptOp(",") {
 			sc := p.peek()
 			if sc.Type != TokInteger {
-				return TypeName{}, errAt(sc.Pos, "expected scale, found %s", sc)
+				return qfront.TypeName{}, errAt(sc.Pos, "expected scale, found %s", sc)
 			}
 			p.advance()
 			tn.Scale = atoiSafe(sc.Text)
 		}
 		if err := p.expectOp(")"); err != nil {
-			return TypeName{}, err
+			return qfront.TypeName{}, err
 		}
 	}
 	return tn, nil
@@ -584,7 +588,7 @@ func atoiSafe(s string) int {
 
 // parseExtract parses EXTRACT(field FROM expr) into a FuncCall named
 // EXTRACT_<FIELD>.
-func (p *parser) parseExtract() (Expr, error) {
+func (p *parser) parseExtract() (qfront.Expr, error) {
 	pos := p.advance().Pos
 	if err := p.expectOp("("); err != nil {
 		return nil, err
@@ -604,11 +608,11 @@ func (p *parser) parseExtract() (Expr, error) {
 	if err := p.expectOp(")"); err != nil {
 		return nil, err
 	}
-	return &FuncCall{Pos: pos, Name: "EXTRACT_" + field.Text, Args: []Expr{arg}}, nil
+	return &qfront.FuncCall{Pos: pos, Name: "EXTRACT_" + field.Text, Args: []qfront.Expr{arg}}, nil
 }
 
 // parsePosition parses POSITION(needle IN haystack) into POSITION(needle, haystack).
-func (p *parser) parsePosition() (Expr, error) {
+func (p *parser) parsePosition() (qfront.Expr, error) {
 	pos := p.advance().Pos
 	if err := p.expectOp("("); err != nil {
 		return nil, err
@@ -627,12 +631,12 @@ func (p *parser) parsePosition() (Expr, error) {
 	if err := p.expectOp(")"); err != nil {
 		return nil, err
 	}
-	return &FuncCall{Pos: pos, Name: "POSITION", Args: []Expr{needle, hay}}, nil
+	return &qfront.FuncCall{Pos: pos, Name: "POSITION", Args: []qfront.Expr{needle, hay}}, nil
 }
 
 // parseSubstring parses both SUBSTRING(x FROM start [FOR len]) and the
 // comma form SUBSTRING(x, start [, len]).
-func (p *parser) parseSubstring() (Expr, error) {
+func (p *parser) parseSubstring() (qfront.Expr, error) {
 	pos := p.advance().Pos
 	if err := p.expectOp("("); err != nil {
 		return nil, err
@@ -641,7 +645,7 @@ func (p *parser) parseSubstring() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &FuncCall{Pos: pos, Name: "SUBSTRING", Args: []Expr{src}}
+	f := &qfront.FuncCall{Pos: pos, Name: "SUBSTRING", Args: []qfront.Expr{src}}
 	if p.accept("FROM") {
 		start, err := p.parseExpr()
 		if err != nil {
@@ -675,7 +679,7 @@ func (p *parser) parseSubstring() (Expr, error) {
 
 // parseTrim parses TRIM([LEADING|TRAILING|BOTH] [chars] FROM str) and the
 // plain TRIM(str) form, producing TRIM/LTRIM/RTRIM calls.
-func (p *parser) parseTrim() (Expr, error) {
+func (p *parser) parseTrim() (qfront.Expr, error) {
 	pos := p.advance().Pos
 	if err := p.expectOp("("); err != nil {
 		return nil, err
@@ -689,7 +693,7 @@ func (p *parser) parseTrim() (Expr, error) {
 	case p.accept("BOTH"):
 		name = "TRIM"
 	}
-	var args []Expr
+	var args []qfront.Expr
 	if !p.peek().Is("FROM") {
 		first, err := p.parseExpr()
 		if err != nil {
@@ -704,9 +708,9 @@ func (p *parser) parseTrim() (Expr, error) {
 		}
 		// Normalize to (source [, chars]) argument order.
 		if len(args) == 1 {
-			args = []Expr{src, args[0]}
+			args = []qfront.Expr{src, args[0]}
 		} else {
-			args = []Expr{src}
+			args = []qfront.Expr{src}
 		}
 	}
 	if err := p.expectOp(")"); err != nil {
@@ -715,5 +719,5 @@ func (p *parser) parseTrim() (Expr, error) {
 	if len(args) == 0 {
 		return nil, errAt(pos, "TRIM requires an argument")
 	}
-	return &FuncCall{Pos: pos, Name: name, Args: args}, nil
+	return &qfront.FuncCall{Pos: pos, Name: name, Args: args}, nil
 }

@@ -3,6 +3,8 @@ package sqlparser
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/qfront"
 )
 
 // TestSQLRenderKitchenSink drives SQL() through every node type at once.
@@ -111,13 +113,13 @@ func TestPositionAccessors(t *testing.T) {
 		t.Fatal("stmt position")
 	}
 	seen := 0
-	spec := stmt.Body.(*QuerySpec)
+	spec := stmt.Body.(*qfront.QuerySpec)
 	if spec.Position().Line != 1 {
 		t.Fatal("spec position")
 	}
 	for _, item := range spec.Items {
 		if item.Expr != nil {
-			WalkExpr(item.Expr, func(e Expr) bool {
+			qfront.WalkExpr(item.Expr, func(e qfront.Expr) bool {
 				if e.Position().Line < 1 {
 					t.Errorf("%T has no position", e)
 				}
@@ -129,12 +131,12 @@ func TestPositionAccessors(t *testing.T) {
 			t.Error("item position")
 		}
 	}
-	WalkTableRefs(spec.From, func(r TableRef) {
+	qfront.WalkTableRefs(spec.From, func(r qfront.TableRef) {
 		if r.Position().Line < 1 {
 			t.Errorf("%T has no position", r)
 		}
 	})
-	WalkExpr(spec.Where, func(e Expr) bool {
+	qfront.WalkExpr(spec.Where, func(e qfront.Expr) bool {
 		if e.Position().Line < 1 {
 			t.Errorf("%T has no position", e)
 		}
@@ -148,31 +150,31 @@ func TestPositionAccessors(t *testing.T) {
 // TestOperatorClassPredicates pins the operator classification helpers the
 // translator dispatches on.
 func TestOperatorClassPredicates(t *testing.T) {
-	if !BinEq.Comparison() || !BinGe.Comparison() || BinAdd.Comparison() {
+	if !qfront.BinEq.Comparison() || !qfront.BinGe.Comparison() || qfront.BinAdd.Comparison() {
 		t.Fatal("Comparison()")
 	}
-	if !BinAnd.Logical() || !BinOr.Logical() || BinEq.Logical() {
+	if !qfront.BinAnd.Logical() || !qfront.BinOr.Logical() || qfront.BinEq.Logical() {
 		t.Fatal("Logical()")
 	}
-	if !BinAdd.Arithmetic() || !BinDiv.Arithmetic() || BinConcat.Arithmetic() {
+	if !qfront.BinAdd.Arithmetic() || !qfront.BinDiv.Arithmetic() || qfront.BinConcat.Arithmetic() {
 		t.Fatal("Arithmetic()")
 	}
-	for op := BinAdd; op <= BinOr; op++ {
+	for op := qfront.BinAdd; op <= qfront.BinOr; op++ {
 		if strings.Contains(op.String(), "BinaryOp(") {
 			t.Errorf("missing spelling for op %d", op)
 		}
 	}
-	for _, u := range []UnaryOp{UnaryMinus, UnaryPlus, UnaryNot} {
+	for _, u := range []qfront.UnaryOp{qfront.UnaryMinus, qfront.UnaryPlus, qfront.UnaryNot} {
 		if strings.Contains(u.String(), "UnaryOp(") {
 			t.Errorf("missing spelling for unary %v", u)
 		}
 	}
-	for _, j := range []JoinType{JoinInner, JoinLeftOuter, JoinRightOuter, JoinFullOuter, JoinCross} {
+	for _, j := range []qfront.JoinType{qfront.JoinInner, qfront.JoinLeftOuter, qfront.JoinRightOuter, qfront.JoinFullOuter, qfront.JoinCross} {
 		if strings.Contains(j.String(), "JoinType(") {
 			t.Errorf("missing spelling for join %v", j)
 		}
 	}
-	for _, s := range []SetOpType{SetUnion, SetExcept, SetIntersect} {
+	for _, s := range []qfront.SetOpType{qfront.SetUnion, qfront.SetExcept, qfront.SetIntersect} {
 		if strings.Contains(s.String(), "SetOpType(") {
 			t.Errorf("missing spelling for set op %v", s)
 		}

@@ -193,7 +193,7 @@ func TestSQL92ConformanceMatrix(t *testing.T) {
 			for i := 0; i < res.ParamCount; i++ {
 				ext[fmt.Sprintf("p%d", i+1)] = intSeq(1)
 			}
-			if _, err := engine.EvalWith(res.Query, ext); err != nil {
+			if _, err := evalQuery(engine, res.Query, ext); err != nil {
 				t.Fatalf("execute: %v\nxquery:\n%s", err, res.XQuery())
 			}
 		})
@@ -215,7 +215,7 @@ func TestConformanceBothModes(t *testing.T) {
 		for i := 0; i < res.ParamCount; i++ {
 			ext[fmt.Sprintf("p%d", i+1)] = intSeq(1)
 		}
-		if _, err := engine.EvalWith(res.Query, ext); err != nil {
+		if _, err := evalQuery(engine, res.Query, ext); err != nil {
 			t.Fatalf("%s: execute (text mode): %v", c.feature, err)
 		}
 	}

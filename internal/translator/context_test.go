@@ -3,6 +3,7 @@ package translator
 import (
 	"testing"
 
+	"repro/internal/qfront"
 	"repro/internal/sqlparser"
 )
 
@@ -117,15 +118,15 @@ func TestContextsJoinConditionSubquery(t *testing.T) {
 func TestContextFind(t *testing.T) {
 	stmt, _ := sqlparser.Parse("SELECT * FROM (SELECT A FROM T) AS D")
 	root := CaptureContexts(stmt)
-	outerSpec := stmt.Body.(*sqlparser.QuerySpec)
+	outerSpec := stmt.Body.(*qfront.QuerySpec)
 	if ctx := root.Find(outerSpec); ctx == nil || ctx.ID != 1 {
 		t.Fatalf("Find(outer) = %+v", ctx)
 	}
-	innerSpec := outerSpec.From[0].(*sqlparser.DerivedTable).Query.Body.(*sqlparser.QuerySpec)
+	innerSpec := outerSpec.From[0].(*qfront.DerivedTable).Query.Body.(*qfront.QuerySpec)
 	if ctx := root.Find(innerSpec); ctx == nil || ctx.ID != 2 {
 		t.Fatalf("Find(inner) = %+v", ctx)
 	}
-	if root.Find(&sqlparser.QuerySpec{}) != nil {
+	if root.Find(&qfront.QuerySpec{}) != nil {
 		t.Fatal("Find of unknown spec should be nil")
 	}
 }

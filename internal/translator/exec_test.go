@@ -7,6 +7,7 @@ package translator_test
 // what the SQL query would have done".
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -16,7 +17,14 @@ import (
 	"repro/internal/translator"
 	"repro/internal/xdm"
 	"repro/internal/xqeval"
+	"repro/internal/xquery"
 )
+
+// evalQuery plans q and evaluates it materialized with the given
+// parameter bindings.
+func evalQuery(e *xqeval.Engine, q *xquery.Query, ext map[string]xdm.Sequence) (xdm.Sequence, error) {
+	return e.EvalPlanWithTrace(context.Background(), xqeval.NewPlan(q), ext, nil)
+}
 
 // fixtureEngine builds a small hand-written dataset whose query answers
 // are computable by inspection.
@@ -104,7 +112,7 @@ func run(t *testing.T, sql string, params ...xdm.Atomic) *resultset.Rows {
 	for i, p := range params {
 		ext[fmt.Sprintf("p%d", i+1)] = xdm.SequenceOf(p)
 	}
-	out, err := fixtureEngine().EvalWith(res.Query, ext)
+	out, err := evalQuery(fixtureEngine(), res.Query, ext)
 	if err != nil {
 		t.Fatalf("execute %q: %v\nxquery:\n%s", sql, err, res.XQuery())
 	}
@@ -125,7 +133,7 @@ func runText(t *testing.T, sql string) *resultset.Rows {
 	if err != nil {
 		t.Fatalf("translate %q: %v", sql, err)
 	}
-	out, err := fixtureEngine().Eval(res.Query)
+	out, err := evalQuery(fixtureEngine(), res.Query, nil)
 	if err != nil {
 		t.Fatalf("execute %q: %v\nxquery:\n%s", sql, err, res.XQuery())
 	}
@@ -705,7 +713,7 @@ func TestExecTextModeEscaping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := e.Eval(res.Query)
+	out, err := evalQuery(e, res.Query, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -747,7 +755,7 @@ func TestExecNullVsEmptyStringInTextMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := e.Eval(res.Query)
+	out, err := evalQuery(e, res.Query, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

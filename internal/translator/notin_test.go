@@ -52,7 +52,7 @@ func runNullBoth(t *testing.T, app *catalog.Application, e *xqeval.Engine, sql s
 		if err != nil {
 			t.Fatalf("translate %q: %v", sql, err)
 		}
-		evals := []func() (xdm.Sequence, error){func() (xdm.Sequence, error) { return e.Eval(res.Query) }}
+		evals := []func() (xdm.Sequence, error){func() (xdm.Sequence, error) { return evalQuery(e, res.Query, nil) }}
 		if mode == translator.ModeXML {
 			evals = append(evals, func() (xdm.Sequence, error) {
 				return e.EvalNaiveWithTrace(context.Background(), res.Query, nil, nil)

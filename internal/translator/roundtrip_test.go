@@ -63,11 +63,11 @@ func TestParsedTranslationExecutesIdentically(t *testing.T) {
 		for i := 0; i < res.ParamCount; i++ {
 			ext[fmt.Sprintf("p%d", i+1)] = intSeq(1)
 		}
-		want, err := engine.EvalWith(res.Query, ext)
+		want, err := evalQuery(engine, res.Query, ext)
 		if err != nil {
 			t.Fatalf("%s: eval original: %v", c.feature, err)
 		}
-		got, err := engine.EvalWith(parsed, ext)
+		got, err := evalQuery(engine, parsed, ext)
 		if err != nil {
 			t.Fatalf("%s: eval parsed: %v", c.feature, err)
 		}

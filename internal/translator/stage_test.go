@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/catalog"
+	"repro/internal/qfront"
 	"repro/internal/sqlparser"
 	"repro/internal/xquery"
 )
@@ -19,7 +20,7 @@ func TestStageOneASTFigure5(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, ok := stmt.Body.(*sqlparser.QuerySpec)
+	spec, ok := stmt.Body.(*qfront.QuerySpec)
 	if !ok {
 		t.Fatalf("body = %T", stmt.Body)
 	}
@@ -37,7 +38,7 @@ func TestStageOneASTFigure5(t *testing.T) {
 // metadata column, using metadata fetched from the catalog.
 func TestStageTwoWildcardExpansionFigure6(t *testing.T) {
 	g := newGenerator(context.Background(), catalog.Demo(), Options{}, CaptureContexts(mustParseStmt(t, "SELECT * FROM CUSTOMERS")))
-	fr, err := g.buildFrom(mustParseStmt(t, "SELECT * FROM CUSTOMERS").Body.(*sqlparser.QuerySpec).From, nil, 1)
+	fr, err := g.buildFrom(mustParseStmt(t, "SELECT * FROM CUSTOMERS").Body.(*qfront.QuerySpec).From, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestStageTwoWildcardExpansionFigure6(t *testing.T) {
 func TestStageTwoQualifiedExpansion(t *testing.T) {
 	stmt := mustParseStmt(t, "SELECT * FROM CUSTOMERS, PAYMENTS")
 	g := newGenerator(context.Background(), catalog.Demo(), Options{}, CaptureContexts(stmt))
-	fr, err := g.buildFrom(stmt.Body.(*sqlparser.QuerySpec).From, nil, 1)
+	fr, err := g.buildFrom(stmt.Body.(*qfront.QuerySpec).From, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestStageThreeClauseMappingFigure7(t *testing.T) {
 	}
 }
 
-func mustParseStmt(t *testing.T, sql string) *sqlparser.SelectStmt {
+func mustParseStmt(t *testing.T, sql string) *qfront.SelectStmt {
 	t.Helper()
 	stmt, err := sqlparser.Parse(sql)
 	if err != nil {

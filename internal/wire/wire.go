@@ -133,7 +133,7 @@ type ExecuteResponse struct {
 // Seq makes fetch idempotent: the client numbers chunks 1, 2, 3, … per
 // cursor, and the server caches the last chunk it produced. Re-presenting
 // the current sequence number replays that chunk byte-identically (a retry
-// or a hedged duplicate never skips or doubles rows); presenting the next
+// never skips or doubles rows); presenting the next
 // number advances the cursor. Seq 0 selects the legacy non-replayable
 // behavior (every fetch advances).
 type FetchRequest struct {

@@ -45,7 +45,7 @@ func TestEvalCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := e.EvalWithContext(ctx, crossJoinQuery(), nil)
+		_, err := e.EvalPlanWithTrace(ctx, NewPlan(crossJoinQuery()), nil, nil)
 		done <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -65,7 +65,7 @@ func TestEvalDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := e.EvalWithContext(ctx, crossJoinQuery(), nil)
+	_, err := e.EvalPlanWithTrace(ctx, NewPlan(crossJoinQuery()), nil, nil)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want deadline exceeded", err)
 	}
@@ -76,7 +76,7 @@ func TestEvalDeadline(t *testing.T) {
 
 func TestEvalContextCompletesNormally(t *testing.T) {
 	e := bigEngine(5)
-	out, err := e.EvalWithContext(context.Background(), crossJoinQuery(), nil)
+	out, err := e.EvalPlanWithTrace(context.Background(), NewPlan(crossJoinQuery()), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,18 +85,28 @@ func TestEvalContextCompletesNormally(t *testing.T) {
 	}
 }
 
+// TestEvalStringFrontDoor: XQuery text goes through xquery.Parse, then
+// CompileAST (static check + plan), then evaluation.
 func TestEvalStringFrontDoor(t *testing.T) {
 	e := bigEngine(3)
-	out, err := e.EvalString(`
+	q, err := xquery.Parse(`
 		import schema namespace b = "urn:big" at "big.xsd";
 		fn:count(for $x in b:T() where ($x/N >= 1) return $x)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := e.CompileAST(q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := e.EvalPlanWithTrace(context.Background(), plan, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out[0].(xdm.Integer) != 2 {
 		t.Fatalf("count = %v", out[0])
 	}
-	if _, err := e.EvalString("for $x"); err != nil {
+	if _, err := xquery.Parse("for $x"); err != nil {
 		var pe *xquery.ParseError
 		if !errors.As(err, &pe) {
 			t.Fatalf("err type = %T", err)

@@ -93,8 +93,8 @@ func TestCheckScoping(t *testing.T) {
 }
 
 // TestCheckAgreesWithEval: for every translated conformance query shape the
-// Check pass must accept what Eval executes (tested indirectly through the
-// translator round-trip suite); here we just confirm Check + Eval agree on
+// Check pass must accept what evaluation executes (tested indirectly through the
+// translator round-trip suite); here we just confirm Check + evaluation agree on
 // a representative generated query.
 func TestCheckThenEval(t *testing.T) {
 	e := New()
@@ -111,7 +111,7 @@ func TestCheckThenEval(t *testing.T) {
 	if err := e.Check(q, nil); err != nil {
 		t.Fatalf("check: %v", err)
 	}
-	if _, err := e.Eval(q); err != nil {
+	if _, err := evalQuery(e, q, nil); err != nil {
 		t.Fatalf("eval: %v", err)
 	}
 }

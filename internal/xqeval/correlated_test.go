@@ -96,7 +96,7 @@ func corrSetup(t testing.TB) (*catalog.Application, *xqeval.Engine) {
 		catalog.NewRelationalImport("Corr", "V", orderCols[:3]),
 	}})
 	e.Register("ld:Corr/V", "V", func([]xdm.Sequence) (xdm.Sequence, error) {
-		out, err := e.Eval(res.Query)
+		out, err := e.EvalPlanWithTrace(context.Background(), xqeval.NewPlan(res.Query), nil, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -276,7 +276,7 @@ func TestCorrelatedProbeKeyClasses(t *testing.T) {
 		`for $a in j:ML() where fn:exists($a/K) and fn:exists(for $b in j:MR() where fn:exists($b/K) and fn:data($b/K)[1] eq fn:data($a/K)[1] return $b) return fn:data($a/K)`,
 		`for $a in j:ML() return fn:count(j:MR()[(fn:string(K[1]) eq fn:string($a/K[1]))])`,
 	} {
-		q, err := xqeval.Compile(prolog + body)
+		q, err := xquery.Parse(prolog + body)
 		if err != nil {
 			t.Fatalf("%s: %v", body, err)
 		}
@@ -311,7 +311,7 @@ func TestCorrelatedLimitsSameKind(t *testing.T) {
 			}
 			ext := corrParams(res.ParamCount)
 			_, nerr := e.EvalNaiveWithTrace(context.Background(), res.Query, ext, nil)
-			_, perr := e.EvalWithContext(context.Background(), res.Query, ext)
+			_, perr := e.EvalPlanWithTrace(context.Background(), xqeval.NewPlan(res.Query), ext, nil)
 			for _, err := range []error{nerr, perr} {
 				var qe *aqerr.QueryError
 				if !errors.As(err, &qe) || qe.Kind != aqerr.KindResourceLimit {
@@ -334,12 +334,12 @@ func TestCorrelatedSourceCalledOncePerEvaluation(t *testing.T) {
 		calls++
 		return xdm.Sequence{xdm.Integer(2)}, nil
 	})
-	q, err := xqeval.Compile(`import schema namespace j = "urn:j" at "j.xsd";
+	q, err := xquery.Parse(`import schema namespace j = "urn:j" at "j.xsd";
 for $a in j:L() where fn:not(fn:exists(for $b in j:R() where $b = $a return $b)) return ($a, fn:count(j:R()[(. = $a)]))`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := e.Eval(q)
+	out, err := e.EvalPlanWithTrace(context.Background(), xqeval.NewPlan(q), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,6 +19,7 @@ import (
 	"repro/internal/demo"
 	"repro/internal/translator"
 	"repro/internal/xdm"
+	"repro/internal/xqeval"
 )
 
 // differentialCorpus is the union of the driver's EXPLAIN golden SQL and
@@ -108,7 +109,7 @@ func TestPlannedMatchesNaiveOnCorpus(t *testing.T) {
 				t.Fatalf("mode %v: %q must translate: %v", mode, sql, err)
 			}
 			ext := bindParams(res)
-			planned, perr := engine.EvalWithContext(context.Background(), res.Query, ext)
+			planned, perr := engine.EvalPlanWithTrace(context.Background(), xqeval.NewPlan(res.Query), ext, nil)
 			naive, nerr := engine.EvalNaiveWithTrace(context.Background(), res.Query, ext, nil)
 			if (perr == nil) != (nerr == nil) {
 				t.Fatalf("mode %v: %q: error divergence\nplanned: %v\nnaive:   %v", mode, sql, perr, nerr)
@@ -147,7 +148,7 @@ func FuzzPlanDifferential(f *testing.F) {
 			return // nondeterministic between the two evaluations
 		}
 		ext := bindParams(res)
-		planned, perr := engine.EvalWithContext(context.Background(), res.Query, ext)
+		planned, perr := engine.EvalPlanWithTrace(context.Background(), xqeval.NewPlan(res.Query), ext, nil)
 		naive, nerr := engine.EvalNaiveWithTrace(context.Background(), res.Query, ext, nil)
 		if perr != nil || nerr != nil {
 			// Error-presence divergence is permitted: conjunct splitting

@@ -1,6 +1,7 @@
 package xqeval
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -63,9 +64,15 @@ func customersQuery(body xquery.Expr) *xquery.Query {
 	}
 }
 
+// evalQuery plans q and evaluates it materialized — what a caller holding
+// only an AST does.
+func evalQuery(e *Engine, q *xquery.Query, ext map[string]xdm.Sequence) (xdm.Sequence, error) {
+	return e.EvalPlanWithTrace(context.Background(), NewPlan(q), ext, nil)
+}
+
 func evalBody(t *testing.T, body xquery.Expr) xdm.Sequence {
 	t.Helper()
-	out, err := testEngine().Eval(customersQuery(body))
+	out, err := evalQuery(testEngine(), customersQuery(body), nil)
 	if err != nil {
 		t.Fatalf("eval: %v\nquery:\n%s", err, xquery.String(body))
 	}
@@ -89,7 +96,7 @@ func TestEvalLiteralsAndVars(t *testing.T) {
 	if out[0].(xdm.Double) != 100 {
 		t.Fatalf("out = %v", out)
 	}
-	if _, err := testEngine().Eval(customersQuery(xquery.VarRef("nope"))); err == nil {
+	if _, err := evalQuery(testEngine(), customersQuery(xquery.VarRef("nope")), nil); err == nil {
 		t.Fatal("unbound variable should error")
 	}
 }
@@ -105,11 +112,11 @@ func TestEvalDataServiceFunction(t *testing.T) {
 }
 
 func TestEvalUnknownFunction(t *testing.T) {
-	_, err := testEngine().Eval(customersQuery(xquery.Call("ns0:NOPE")))
+	_, err := evalQuery(testEngine(), customersQuery(xquery.Call("ns0:NOPE")), nil)
 	if err == nil || !strings.Contains(err.Error(), "no data service function") {
 		t.Fatalf("err = %v", err)
 	}
-	_, err = testEngine().Eval(customersQuery(xquery.Call("fn:no-such")))
+	_, err = evalQuery(testEngine(), customersQuery(xquery.Call("fn:no-such")), nil)
 	if err == nil || !strings.Contains(err.Error(), "unknown function") {
 		t.Fatalf("err = %v", err)
 	}
@@ -282,7 +289,7 @@ func TestEvalGroupByNullKeysFormOneGroup(t *testing.T) {
 			Return: xquery.Call("fn:count", xquery.VarRef("p")),
 		},
 	}
-	out, err := e.Eval(q)
+	out, err := evalQuery(e, q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +366,7 @@ func TestEvalOrderByEmptyLeastAndGreatest(t *testing.T) {
 				}}, xquery.Str("")),
 			},
 		}
-		out, err := e.Eval(q)
+		out, err := evalQuery(e, q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -507,7 +514,7 @@ func TestEvalPositionalPredicate(t *testing.T) {
 
 func TestEvalExternalVariables(t *testing.T) {
 	q := customersQuery(&xquery.Binary{Op: "+", Left: xquery.VarRef("p1"), Right: xquery.Num("1")})
-	out, err := testEngine().EvalWith(q, map[string]xdm.Sequence{
+	out, err := evalQuery(testEngine(), q, map[string]xdm.Sequence{
 		"p1": xdm.SequenceOf(xdm.Integer(41)),
 	})
 	if err != nil {
@@ -519,10 +526,10 @@ func TestEvalExternalVariables(t *testing.T) {
 }
 
 func TestEvalPathOverAtomicErrors(t *testing.T) {
-	_, err := testEngine().Eval(customersQuery(&xquery.Path{
+	_, err := evalQuery(testEngine(), customersQuery(&xquery.Path{
 		Base:  xquery.Num("1"),
 		Steps: []xquery.PathStep{{Name: "X"}},
-	}))
+	}), nil)
 	if err == nil {
 		t.Fatal("path over atomic should error")
 	}

@@ -43,7 +43,7 @@ func flakyQuery() *xquery.Query {
 
 func TestDataServiceErrorPropagates(t *testing.T) {
 	e := failingEngine(0)
-	_, err := e.Eval(flakyQuery())
+	_, err := evalQuery(e, flakyQuery(), nil)
 	if err == nil || !strings.Contains(err.Error(), "backend unavailable") {
 		t.Fatalf("err = %v", err)
 	}
@@ -52,12 +52,12 @@ func TestDataServiceErrorPropagates(t *testing.T) {
 func TestEngineUsableAfterFailure(t *testing.T) {
 	e := failingEngine(1)
 	// First call succeeds.
-	out, err := e.Eval(flakyQuery())
+	out, err := evalQuery(e, flakyQuery(), nil)
 	if err != nil || len(out) != 1 {
 		t.Fatalf("first eval: %v %v", out, err)
 	}
 	// Second fails.
-	if _, err := e.Eval(flakyQuery()); err == nil {
+	if _, err := evalQuery(e, flakyQuery(), nil); err == nil {
 		t.Fatal("second eval should fail")
 	}
 	// Other functions on the same engine keep working.
@@ -68,7 +68,7 @@ func TestEngineUsableAfterFailure(t *testing.T) {
 		}},
 		Body: xquery.Call("fn:count", xquery.Call("k:T")),
 	}
-	out, err = e.Eval(q)
+	out, err = evalQuery(e, q, nil)
 	if err != nil || out[0].(xdm.Integer) != 1 {
 		t.Fatalf("engine corrupted after failure: %v %v", out, err)
 	}
@@ -100,7 +100,7 @@ func TestErrorInsideOuterJoinFilter(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "backend unavailable") {
 		t.Fatalf("naive err = %v", err)
 	}
-	out, err := failingEngine(2).Eval(q)
+	out, err := evalQuery(failingEngine(2), q, nil)
 	if err != nil {
 		t.Fatalf("planned eval should hoist the invariant let past the failure: %v", err)
 	}
@@ -111,7 +111,7 @@ func TestErrorInsideOuterJoinFilter(t *testing.T) {
 
 func TestDynamicErrorType(t *testing.T) {
 	e := New()
-	_, err := e.Eval(&xquery.Query{Body: xquery.Call("fn:no-such")})
+	_, err := evalQuery(e, &xquery.Query{Body: xquery.Call("fn:no-such")}, nil)
 	var dyn *Error
 	if !errors.As(err, &dyn) {
 		t.Fatalf("err type = %T", err)

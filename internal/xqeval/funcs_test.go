@@ -354,7 +354,7 @@ func TestXSConstructorFunctionCall(t *testing.T) {
 	// xs:integer("42") called as a function (not a Cast node).
 	e := New()
 	q := &xquery.Query{Body: xquery.Call("xs:integer", xquery.Str("42"))}
-	out, err := e.Eval(q)
+	out, err := evalQuery(e, q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,10 +365,10 @@ func TestXSConstructorFunctionCall(t *testing.T) {
 
 func TestBuiltinArityChecking(t *testing.T) {
 	e := New()
-	if _, err := e.Eval(&xquery.Query{Body: xquery.Call("fn:count")}); err == nil || !strings.Contains(err.Error(), "at least") {
+	if _, err := evalQuery(e, &xquery.Query{Body: xquery.Call("fn:count")}, nil); err == nil || !strings.Contains(err.Error(), "at least") {
 		t.Fatalf("err = %v", err)
 	}
-	if _, err := e.Eval(&xquery.Query{Body: xquery.Call("fn:empty", &xquery.EmptySeq{}, &xquery.EmptySeq{})}); err == nil || !strings.Contains(err.Error(), "at most") {
+	if _, err := evalQuery(e, &xquery.Query{Body: xquery.Call("fn:empty", &xquery.EmptySeq{}, &xquery.EmptySeq{})}, nil); err == nil || !strings.Contains(err.Error(), "at most") {
 		t.Fatalf("err = %v", err)
 	}
 }

@@ -32,7 +32,7 @@ func TestMaxRowsAborts(t *testing.T) {
 		},
 	}
 	for name, eval := range map[string]func() (xdm.Sequence, error){
-		"planned": func() (xdm.Sequence, error) { return e.Eval(q) },
+		"planned": func() (xdm.Sequence, error) { return evalQuery(e, q, nil) },
 		"naive": func() (xdm.Sequence, error) {
 			return e.EvalNaiveWithTrace(context.Background(), q, nil, nil)
 		},
@@ -50,7 +50,7 @@ func TestMaxRowsAborts(t *testing.T) {
 func TestMaxTuplesAborts(t *testing.T) {
 	e := bigEngine(50) // 50³ = 125k tuples, limit far below
 	e.SetLimits(Limits{MaxTuples: 1000})
-	_, err := e.Eval(crossJoinQuery())
+	_, err := evalQuery(e, crossJoinQuery(), nil)
 	if err == nil {
 		t.Fatal("cross join over tuple limit should fail")
 	}
@@ -62,7 +62,7 @@ func TestMaxTuplesAborts(t *testing.T) {
 func TestLimitsOffByDefault(t *testing.T) {
 	e := bigEngine(20)
 	q := crossJoinQuery()
-	out, err := e.Eval(q)
+	out, err := evalQuery(e, q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

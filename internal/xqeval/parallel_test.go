@@ -25,6 +25,7 @@ import (
 	"repro/internal/translator"
 	"repro/internal/xdm"
 	"repro/internal/xqeval"
+	"repro/internal/xquery"
 )
 
 // parallelExec is the test configuration: tiny morsels and threshold so
@@ -134,7 +135,7 @@ func parallelScanSetup(t testing.TB, n int) (*xqeval.Engine, *xqeval.Plan) {
 	}
 	e := xqeval.New()
 	e.RegisterRows("ld:ParTest", "T", rows)
-	q, err := xqeval.Compile(`import schema namespace p = "ld:ParTest" at "ParTest.xsd";
+	q, err := xquery.Parse(`import schema namespace p = "ld:ParTest" at "ParTest.xsd";
 for $r in p:T()
 return <ROW>{$r/ID}</ROW>`)
 	if err != nil {
@@ -199,7 +200,7 @@ func TestParallelFetchFirstShortCircuit(t *testing.T) {
 	}
 	e := xqeval.New()
 	e.RegisterRows("ld:ParTest", "T", rows)
-	q, err := xqeval.Compile(`import schema namespace p = "ld:ParTest" at "ParTest.xsd";
+	q, err := xquery.Parse(`import schema namespace p = "ld:ParTest" at "ParTest.xsd";
 fn:subsequence(for $r in p:T() return <ROW>{$r/ID}</ROW>, 1, 5)`)
 	if err != nil {
 		t.Fatal(err)
@@ -242,7 +243,7 @@ func parallelStreamSetup(t testing.TB, n int, wrapOpen, wrapClose string) (*xqev
 	}
 	e := xqeval.New()
 	e.RegisterRows("ld:ParTest", "T", rows)
-	q, err := xqeval.Compile(`import schema namespace p = "ld:ParTest" at "ParTest.xsd";
+	q, err := xquery.Parse(`import schema namespace p = "ld:ParTest" at "ParTest.xsd";
 <RECORDSET>{` + wrapOpen + `for $r in p:T() return <ROW>{$r/ID}</ROW>` + wrapClose + `}</RECORDSET>`)
 	if err != nil {
 		t.Fatal(err)
@@ -277,7 +278,7 @@ func TestParallelFetchFirstUnderRowLimit(t *testing.T) {
 		time.Sleep(20 * time.Microsecond)
 		return args[0], nil
 	})
-	q, err := xqeval.Compile(`import schema namespace p = "ld:ParTest" at "ParTest.xsd";
+	q, err := xquery.Parse(`import schema namespace p = "ld:ParTest" at "ParTest.xsd";
 <RECORDSET>{fn:subsequence(for $r in p:T() return <ROW>{p:SLOW($r/ID)}</ROW>, 1, 20)}</RECORDSET>`)
 	if err != nil {
 		t.Fatal(err)
@@ -365,7 +366,7 @@ func TestParallelErrorPrefixMatchesSerial(t *testing.T) {
 	// the re-run of the poisoned morsel reads that cache and must find a
 	// value there, never a sibling's cancellation.
 	for _, where := range []string{"", `where ($r/ID >= xs:integer("0")) `} {
-		q, err := xqeval.Compile(`import schema namespace p = "ld:ParTest" at "ParTest.xsd";
+		q, err := xquery.Parse(`import schema namespace p = "ld:ParTest" at "ParTest.xsd";
 <RECORDSET>{for $r in p:T() ` + where + `return <ROW>{p:CHECKED($r/ID)}</ROW>}</RECORDSET>`)
 		if err != nil {
 			t.Fatal(err)
@@ -412,7 +413,7 @@ func TestParallelTupleAccountingMatchesSerial(t *testing.T) {
 	} {
 		// The token is not the serialize/escape/if-empty chain, so no row
 		// program covers it.
-		q, err := xqeval.Compile(`import schema namespace p = "ld:ParTest" at "ParTest.xsd";
+		q, err := xquery.Parse(`import schema namespace p = "ld:ParTest" at "ParTest.xsd";
 fn:string-join(let $actualQuery := <RECORDSET>{` + unfused.rows + `}</RECORDSET>
 for $tokenQuery in $actualQuery/RECORD return (">", fn:data($tokenQuery/ID)), "")`)
 		if err != nil {
@@ -500,7 +501,7 @@ func TestParallelCancellationNoHang(t *testing.T) {
 		}
 		return args[0], nil
 	})
-	q, err := xqeval.Compile(`import schema namespace p = "ld:ParTest" at "ParTest.xsd";
+	q, err := xquery.Parse(`import schema namespace p = "ld:ParTest" at "ParTest.xsd";
 for $r in p:T()
 return p:SLOW($r/ID)`)
 	if err != nil {
@@ -575,7 +576,7 @@ func TestParallelCancellation(t *testing.T) {
 		}
 		return args[0], nil
 	})
-	q, err := xqeval.Compile(`import schema namespace p = "ld:ParTest" at "ParTest.xsd";
+	q, err := xquery.Parse(`import schema namespace p = "ld:ParTest" at "ParTest.xsd";
 for $r in p:T()
 return p:SLOW($r/ID)`)
 	if err != nil {
@@ -618,7 +619,7 @@ func TestParallelWorkerErrorSurfaces(t *testing.T) {
 		}
 		return args[0], nil
 	})
-	q, err := xqeval.Compile(`import schema namespace p = "ld:ParTest" at "ParTest.xsd";
+	q, err := xquery.Parse(`import schema namespace p = "ld:ParTest" at "ParTest.xsd";
 for $r in p:T()
 return p:CHECKED($r/ID)`)
 	if err != nil {

@@ -35,7 +35,7 @@ func joinQuery(op string) *xquery.Query {
 // diffEval evaluates q planned and naive and requires identical outcomes.
 func diffEval(t *testing.T, e *Engine, q *xquery.Query) xdm.Sequence {
 	t.Helper()
-	planned, perr := e.EvalWithTrace(context.Background(), q, nil, nil)
+	planned, perr := e.EvalPlanWithTrace(context.Background(), NewPlan(q), nil, nil)
 	naive, nerr := e.EvalNaiveWithTrace(context.Background(), q, nil, nil)
 	if (perr == nil) != (nerr == nil) {
 		t.Fatalf("error divergence: planned=%v naive=%v", perr, nerr)
@@ -215,7 +215,7 @@ func TestPlanInvariantForEvaluatedOnce(t *testing.T) {
 		return atoms(xdm.Integer(2)), nil
 	})
 	q := joinQuery("=")
-	out, err := e.EvalWithContext(context.Background(), q, nil)
+	out, err := e.EvalPlanWithTrace(context.Background(), NewPlan(q), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,7 +454,7 @@ func TestSharedTableIgnoresCancellation(t *testing.T) {
 		}
 		return atoms(xdm.Integer(2)), nil
 	})
-	q, err := Compile(`import schema namespace j = "urn:j" at "j.xsd";
+	q, err := xquery.Parse(`import schema namespace j = "urn:j" at "j.xsd";
 for $a in j:L() where fn:not(fn:exists(for $b in j:R() where $b = $a return $b)) return $a`)
 	if err != nil {
 		t.Fatal(err)

@@ -158,7 +158,7 @@ func fusedCases(t testing.TB) []fusedCase {
 		cases = append(cases, fusedCase{name: c.sql, engine: edgeEngine, query: res.Query, ext: ext, params: res.ParamCount, fused: c.fused})
 	}
 
-	q, err := xqeval.Compile(handWrapped)
+	q, err := xquery.Parse(handWrapped)
 	if err != nil {
 		t.Fatalf("hand-written wrapper must parse: %v", err)
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/xdm"
+	"repro/internal/xquery"
 )
 
 // statsTestRows builds n flat rows named name with an ID column (unique)
@@ -141,7 +142,7 @@ func statsJoinEngine(t *testing.T) *Engine {
 func TestStatsCostAnnotationsAndKeyChoice(t *testing.T) {
 	e := statsJoinEngine(t)
 	ctx := context.Background()
-	q, err := Compile(statsJoinQuery)
+	q, err := xquery.Parse(statsJoinQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +193,7 @@ func TestStatsCostAnnotationsAndKeyChoice(t *testing.T) {
 // the generation; a plan compiled afterwards carries their cardinalities.
 func TestLazyObservationFeedsNextCompile(t *testing.T) {
 	e := statsJoinEngine(t)
-	q, err := Compile(statsJoinQuery)
+	q, err := xquery.Parse(statsJoinQuery)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -104,7 +104,7 @@ func TestEvalStreamMatchesEval(t *testing.T) {
 	e := bigEngine(20)
 	q := streamingCrossQuery()
 
-	out, err := e.Eval(q)
+	out, err := evalQuery(e, q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestStreamLimitShortCircuit(t *testing.T) {
 	}
 
 	// Materialized path: evalFuncCall takes the same short circuit.
-	out, err := e.Eval(q)
+	out, err := evalQuery(e, q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,8 @@
 // Regression net for the overload-resilience surfaces: the error-kind
 // taxonomy a remote caller sees (server shed vs its own cancellation vs
-// transport fault), execute/fetch idempotency replay at the wire level,
-// fetch against a restarted server, and hedged-fetch hygiene. These pin
-// the contracts the retry layer and the P12 experiment depend on.
+// transport fault), the overload contract under 2× sustained load,
+// execute/fetch idempotency replay at the wire level, and fetch against a
+// restarted server. These pin the contracts the retry layer depends on.
 package aqualogic
 
 import (
@@ -12,6 +12,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"sort"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -71,6 +73,122 @@ func TestShedVsCancelTaxonomyAcrossWire(t *testing.T) {
 	}
 }
 
+// TestOverloadContract pins the overload contract through the real server.
+// Closed-loop clients (retries off, so every shed is seen raw) run an
+// aggregate-join / point-lookup mix, first at capacity, then at 2× capacity
+// with cost-weighted admission, a short queue and an admission deadline of
+// 2× the uncontended p99. Every op must complete or shed with a typed
+// error; nothing sheds uncontended, something sheds overloaded; a shed
+// answers within the deadline plus 100 ms; the drain leaks no goroutine.
+func TestOverloadContract(t *testing.T) {
+	const capacity, opsPerClient = 2, 15
+	const reportSQL = `SELECT C.CITY, COUNT(*) AS ORDERS, SUM(O.TOTAL) AS REVENUE
+		FROM CUSTOMERS C INNER JOIN PO_CUSTOMERS O ON C.CUSTOMERID = O.CUSTOMERID
+		WHERE C.CITY IS NOT NULL GROUP BY C.CITY HAVING COUNT(*) > 1 ORDER BY 3 DESC`
+	const pointSQL = "SELECT CITY FROM CUSTOMERS WHERE CUSTOMERID = ?"
+	p := Demo()
+	runtime.GC()
+	baseline := runtime.NumGoroutine()
+
+	// run drives clients closed-loop clients against a fresh server and
+	// returns the accepted and shed latencies, each sorted.
+	run := func(name string, cfg server.Config, clients int) (accepted, shed []time.Duration) {
+		srv := server.New(p, cfg)
+		defer srv.Close()
+		var mu sync.Mutex
+		var wg sync.WaitGroup
+		untyped := 0
+		for ci := 0; ci < clients; ci++ {
+			wg.Add(1)
+			go func(ci int) {
+				defer wg.Done()
+				c, err := remoteclient.LoopbackOptions(srv.Handler(), remoteclient.Options{MaxRetries: -1})
+				if err != nil {
+					t.Errorf("%s: client %d handshake: %v", name, ci, err)
+					return
+				}
+				defer c.Close()
+				for i := 0; i < opsPerClient; i++ {
+					sql, args := pointSQL, []any{1000 + (ci+i)%50}
+					if (ci+i)%3 == 0 {
+						sql, args = reportSQL, nil
+					}
+					t0 := time.Now()
+					rows, err := c.Query(context.Background(), sql, args...)
+					if err == nil {
+						for rows.Next() {
+						}
+						err = rows.Err()
+						rows.Close()
+					}
+					lat := time.Since(t0)
+					var qe *aqerr.QueryError
+					mu.Lock()
+					switch {
+					case err == nil:
+						accepted = append(accepted, lat)
+					case errors.As(err, &qe) && (qe.Kind == aqerr.KindUnavailable || qe.Kind == aqerr.KindTimeout):
+						shed = append(shed, lat)
+					default:
+						untyped++
+						t.Errorf("%s: untyped failure: %v", name, err)
+					}
+					mu.Unlock()
+				}
+			}(ci)
+		}
+		wg.Wait()
+		if n := len(accepted) + len(shed) + untyped; n != clients*opsPerClient {
+			t.Errorf("%s: %d of %d ops accounted for", name, n, clients*opsPerClient)
+		}
+		for _, d := range [][]time.Duration{accepted, shed} {
+			sort.Slice(d, func(i, j int) bool { return d[i] < d[j] })
+		}
+		return accepted, shed
+	}
+	p99 := func(d []time.Duration) time.Duration {
+		if len(d) == 0 {
+			return 0
+		}
+		return d[min(len(d)-1, len(d)*99/100)]
+	}
+
+	accepted, shed := run("uncontended", server.Config{MaxConcurrentQueries: capacity, CostPerSlot: -1,
+		AdmissionWait: 10 * time.Second, SessionIdleTimeout: time.Minute, FetchRows: 64}, capacity)
+	if len(shed) != 0 {
+		t.Errorf("uncontended phase shed %d ops", len(shed))
+	}
+
+	// One admission slot per cheapest-statement cost, so the heavier
+	// statement weighs at least 2: the discrimination admission acts on.
+	cost := func(sql string) int64 {
+		cq, err := p.CompileContext(context.Background(), sql, ModeText)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cq.Cost()
+	}
+	wait := max(2*p99(accepted), 5*time.Millisecond)
+	_, shed = run("overload 2x", server.Config{MaxConcurrentQueries: capacity,
+		CostPerSlot: min(cost(reportSQL), cost(pointSQL)) + 1, MaxQueryWeight: capacity,
+		AdmissionWait: wait, AdmissionQueue: capacity / 2, BrownoutDecay: 100 * time.Millisecond,
+		SessionIdleTimeout: time.Minute, FetchRows: 64}, 2*capacity)
+	if len(shed) == 0 {
+		t.Error("overload phase shed nothing: admission control never engaged")
+	}
+	if got := p99(shed); got > wait+100*time.Millisecond {
+		t.Errorf("shed p99 %s exceeds admission deadline %s + 100ms", got, wait)
+	}
+
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked after the drain: baseline %d, now %d", baseline, runtime.NumGoroutine())
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
 // TestExecuteReplayIdempotency pins exec-key replay at the wire level: a
 // retried execute re-presenting the same idempotency key gets the same
 // cursor back instead of evaluating twice.
@@ -117,7 +235,7 @@ func TestExecuteReplayIdempotency(t *testing.T) {
 }
 
 // TestFetchSeqReplay pins sequenced-fetch semantics: re-presenting the
-// current sequence number replays the identical chunk (the hedged/retry
+// current sequence number replays the identical chunk (the retry
 // path), the successor advances, and anything else is a typed permanent
 // out-of-order error rather than silent data corruption.
 func TestFetchSeqReplay(t *testing.T) {
@@ -251,63 +369,5 @@ func TestFetchAgainstRestartedServer(t *testing.T) {
 	}
 	if out, err := drainClose(fresh); err != nil || out == "" {
 		t.Fatalf("restarted server rows: %q err=%v", out, err)
-	}
-}
-
-// TestHedgedFetchNoLeak pins hedging hygiene: with a deliberately slow
-// fetch path and an aggressive hedge delay, streams still deliver exact
-// rows (the server replays the same sequence number identically), hedges
-// actually fire, and the losing requests never leak goroutines.
-func TestHedgedFetchNoLeak(t *testing.T) {
-	baseline := runtime.NumGoroutine()
-	p := Demo()
-	srv := server.New(p, server.Config{FetchRows: 2, SessionIdleTimeout: time.Minute})
-	defer srv.Close()
-
-	inner := srv.Handler()
-	slow := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == wire.PathFetch {
-			time.Sleep(8 * time.Millisecond)
-		}
-		inner.ServeHTTP(w, r)
-	})
-
-	hedgesBefore := Stats().FetchHedges
-	c, err := remoteclient.LoopbackOptions(slow, remoteclient.Options{
-		HedgeDelay: 2 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := ""
-	for i := 0; i < 5; i++ {
-		rows, err := c.QueryStreamMode(context.Background(), ModeText,
-			"SELECT CUSTOMERID, CITY FROM CUSTOMERS WHERE CUSTOMERID < 1008")
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := drainClose(rows)
-		if err != nil {
-			t.Fatalf("hedged stream: %v", err)
-		}
-		if want == "" {
-			want = got
-		} else if got != want {
-			t.Fatalf("hedged stream diverged between runs\ngot:  %s\nwant: %s", got, want)
-		}
-	}
-	if Stats().FetchHedges == hedgesBefore {
-		t.Fatal("hedge never fired despite slow fetches")
-	}
-	_ = c.Close()
-	srv.Close()
-
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > baseline+2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked after hedged streams: baseline %d, now %d",
-				baseline, runtime.NumGoroutine())
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -1,8 +1,11 @@
 package aqualogic
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
+	"time"
 )
 
 // Logical data service (view) tests — the paper's §2 layering: new data
@@ -126,6 +129,50 @@ func TestViewNullColumnsStayNull(t *testing.T) {
 	n, _, _ := rows.Int64(0)
 	if n == 0 {
 		t.Fatal("NULL cities must survive the view boundary")
+	}
+}
+
+// TestViewObservesCallerDeadline: a view evaluates under the calling
+// query's context, so the query's deadline reaches the data service calls
+// inside the view — here a source that blocks until its context is done.
+func TestViewObservesCallerDeadline(t *testing.T) {
+	p := Demo()
+	release := make(chan struct{})
+	defer close(release)
+	p.App.AddDSFile(&DSFile{Path: "Slow", Name: "STALL", Functions: []*Function{
+		NewRelationalImport("Slow", "STALL", []Column{{Name: "ID", Type: SQLInteger}})}})
+	p.Engine.RegisterContext("ld:Slow/STALL", "STALL", func(ctx context.Context, _ []Sequence) (Sequence, error) {
+		select {
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		case <-release:
+			return nil, nil
+		}
+	})
+	if err := p.DefineView("Logical", "STALLED", "SELECT ID FROM STALL"); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		defer cancel()
+		rows, err := p.QueryStream(ctx, "SELECT ID FROM STALLED")
+		if err == nil {
+			for rows.Next() {
+			}
+			err = rows.Err()
+			rows.Close()
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		var qe *QueryError
+		if !errors.As(err, &qe) || qe.Kind != ErrTimeout {
+			t.Fatalf("err = %v, want a typed timeout", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("query over a view ignored its 50ms deadline")
 	}
 }
 
