@@ -1,9 +1,9 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: ci vet build test race chaos soak federate-smoke fuzz bench-smoke bench-module serve-smoke clean
+.PHONY: ci vet build test race stress chaos soak federate-smoke fuzz bench-smoke bench-module serve-smoke clean
 
-ci: vet build race chaos soak federate-smoke serve-smoke bench-smoke fuzz bench-module
+ci: vet build race stress chaos soak federate-smoke serve-smoke bench-smoke fuzz bench-module
 
 # vet also fails on any Go file gofmt would rewrite.
 vet:
@@ -18,6 +18,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Executor stress: the morsel executor's limit, error, FETCH FIRST and
+# cancellation nets plus the fused and correlated paths, repeated under
+# the race detector — where a worker trips and which morsels the merge
+# point re-runs depend on scheduling, so one pass proves little.
+stress:
+	$(GO) test -race -count=20 -run 'TestParallel|TestFusedLimitParity|TestCorrelated' ./internal/xqeval/
 
 # Chaos soak: the fault-injection net at several fault rates under the
 # race detector — zero escaped panics, typed errors only, retried

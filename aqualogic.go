@@ -310,7 +310,11 @@ func (p *Platform) EnableResilience(cfg ResilienceConfig) {
 // Workers caps the per-query morsel worker pool (0 = GOMAXPROCS, 1 =
 // serial), MorselSize the scan partition size, MinParallelItems the
 // smallest scan worth fanning out. Serial and parallel execution are
-// byte-identical; the knob trades coordination overhead for scan/join
+// byte-identical — rows, errors, resource-limit trips and tuple counts —
+// because workers charge limits per morsel and the in-order merge point
+// re-runs serially any morsel that crosses one; the knob trades
+// coordination overhead, and at most a window of 2×Workers morsels of
+// speculative work past a FETCH FIRST stop or limit trip, for scan/join
 // throughput.
 func (p *Platform) ConfigureExec(cfg ExecConfig) {
 	p.Engine.SetExec(cfg)
@@ -676,14 +680,10 @@ func (p *Platform) QueryDialect(ctx context.Context, dialect Dialect, mode Resul
 		cur.Close()
 		return nil, aqerr.Wrap("query", err)
 	}
-	cols := make([]resultset.Column, len(res.Columns))
-	for i, c := range res.Columns {
-		cols[i] = resultset.Column{Label: c.Label, ElementName: c.ElementName, Type: c.Type, Nullable: c.Nullable}
-	}
 	if mode == ModeText {
-		return resultset.NewStreaming(resultset.StreamText(cur, cols)), nil
+		return resultset.NewStreaming(resultset.StreamText(cur, cq.Columns)), nil
 	}
-	return resultset.NewStreaming(resultset.StreamXML(cur, cols)), nil
+	return resultset.NewStreaming(resultset.StreamXML(cur, cq.Columns)), nil
 }
 
 // RegisterDriver exposes the platform through database/sql under the given

@@ -126,39 +126,6 @@ func TestFederatedMatchesSingleSource(t *testing.T) {
 	}
 }
 
-// TestFederatedPushdownToggleMatches re-runs the corpus with pushdown
-// disabled (the benchmark's control arm): still byte-identical, no pruning.
-func TestFederatedPushdownToggleMatches(t *testing.T) {
-	fed := federatedPlatform(t, demo.DefaultFederatedSizes, false)
-	ora := oraclePlatform(demo.DefaultFederatedSizes)
-	fed.ConfigureExec(ExecConfig{Workers: 4, DisablePartitionPushdown: true})
-
-	before := obsv.Global.Snapshot()
-	for _, q := range federatedCorpus() {
-		fcq, err := fed.Compile(q, ModeXML)
-		if err != nil {
-			t.Fatalf("compile %q: %v", q, err)
-		}
-		ocq, _ := ora.Compile(q, ModeXML)
-		ext := federatedBindings(fcq.Res)
-		got, err := fed.Engine.EvalPlanWithTrace(context.Background(), fcq.Plan, ext, nil)
-		if err != nil {
-			t.Fatalf("federated eval %q: %v", q, err)
-		}
-		want, err := ora.Engine.EvalPlanWithTrace(context.Background(), ocq.Plan, ext, nil)
-		if err != nil {
-			t.Fatalf("oracle eval %q: %v", q, err)
-		}
-		if g, w := xdm.MarshalSequence(got), xdm.MarshalSequence(want); g != w {
-			t.Fatalf("%q diverged with pushdown disabled\nfederated: %s\noracle:    %s", q, g, w)
-		}
-	}
-	after := obsv.Global.Snapshot()
-	if after.ShardsPruned != before.ShardsPruned {
-		t.Fatalf("pruning ran despite DisablePartitionPushdown (%d -> %d)", before.ShardsPruned, after.ShardsPruned)
-	}
-}
-
 // TestFederatedSmoke is the quick ci gate: the federation resolves, prunes,
 // streams, attributes scans per source, and EXPLAIN names the backends.
 func TestFederatedSmoke(t *testing.T) {

@@ -200,16 +200,11 @@ func (s *stmt) queryContext(ctx context.Context, args []driver.Value) (dr driver
 		return nil, aqerr.Wrap("query", err)
 	}
 	s.conn.obs.QueriesExecuted.Inc()
-	cols := make([]resultset.Column, len(s.cq.Res.Columns))
-	for i, c := range s.cq.Res.Columns {
-		cols[i] = resultset.Column{Label: c.Label, ElementName: c.ElementName,
-			Type: c.Type, Nullable: c.Nullable, Precision: c.Precision, Scale: c.Scale}
-	}
 	var rc resultset.RowCursor
 	if s.cq.Res.Mode == translator.ModeText {
-		rc = resultset.StreamText(cur, cols)
+		rc = resultset.StreamText(cur, s.cq.Columns)
 	} else {
-		rc = resultset.StreamXML(cur, cols)
+		rc = resultset.StreamXML(cur, s.cq.Columns)
 	}
 	// Decoding now interleaves with consumption, so the decode span brackets
 	// the cursor's whole delivery window and closes with the row count.

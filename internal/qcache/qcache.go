@@ -43,6 +43,7 @@ import (
 
 	"repro/internal/obsv"
 	"repro/internal/qfront"
+	"repro/internal/resultset"
 	"repro/internal/translator"
 	"repro/internal/xqeval"
 )
@@ -73,6 +74,9 @@ type CompiledQuery struct {
 	StatsGen uint64
 	// Res is the completed translation: AST, result schema, contexts.
 	Res *translator.Result
+	// Columns is Res.Columns as the result set's schema, facets included,
+	// built once and shared read-only by every execution's rows.
+	Columns []resultset.Column
 	// Plan is the evaluator's immutable execution plan over Res.Query. It
 	// carries the streaming decomposition (Plan.Stream) built at compile
 	// time, so a cached statement streams rows without re-analyzing the
@@ -144,7 +148,12 @@ func Compile(ctx context.Context, tr *translator.Translator, engine *xqeval.Engi
 	}
 	sp.Add("external", int64(res.ParamCount))
 	sp.End()
-	return &CompiledQuery{Dialect: fe.Dialect(), SQL: text, Mode: res.Mode, Res: res, Plan: plan, Trace: trace, CostScore: plan.CostEstimate()}, nil
+	cols := make([]resultset.Column, len(res.Columns))
+	for i, c := range res.Columns {
+		cols[i] = resultset.Column{Label: c.Label, ElementName: c.ElementName,
+			Type: c.Type, Nullable: c.Nullable, Precision: c.Precision, Scale: c.Scale}
+	}
+	return &CompiledQuery{Dialect: fe.Dialect(), SQL: text, Mode: res.Mode, Res: res, Columns: cols, Plan: plan, Trace: trace, CostScore: plan.CostEstimate()}, nil
 }
 
 // GenerationSource is the metadata-versioning surface the cache keys on;

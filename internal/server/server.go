@@ -53,16 +53,12 @@ import (
 // Backend is the query-processing surface the server fronts. The
 // aqualogic.Platform satisfies it; tests may substitute fakes.
 type Backend interface {
-	// CompileContext translates, checks, and plans a SELECT through the
-	// shared compile cache.
-	CompileContext(ctx context.Context, sql string, mode translator.ResultMode) (*qcache.CompiledQuery, error)
-	// CompileDialect is CompileContext with an explicit query dialect:
-	// the statement text is parsed by the dialect's registered front end.
+	// CompileDialect translates, checks, and plans a statement through the
+	// shared compile cache; the text is parsed by the dialect's registered
+	// front end.
 	CompileDialect(ctx context.Context, dialect qfront.Dialect, text string, mode translator.ResultMode) (*qcache.CompiledQuery, error)
-	// QueryStreamMode compiles (cached), binds parameters, and starts a
-	// streaming evaluation.
-	QueryStreamMode(ctx context.Context, mode translator.ResultMode, sql string, args ...any) (*resultset.Rows, error)
-	// QueryDialect is QueryStreamMode with an explicit query dialect.
+	// QueryDialect compiles (cached), binds parameters, and starts a
+	// streaming evaluation, parsing the text with the dialect's front end.
 	QueryDialect(ctx context.Context, dialect qfront.Dialect, mode translator.ResultMode, text string, args ...any) (*resultset.Rows, error)
 	// DefineView registers a logical data service (CREATE VIEW).
 	DefineView(path, name, sql string) error
@@ -543,7 +539,7 @@ func (s *Server) prepare(ctx context.Context, req wire.PrepareRequest) (wire.Pre
 	ss.stmts[id] = &prepared{sql: req.SQL, dialect: dialect, mode: mode}
 	return wire.PrepareResponse{
 		Stmt:       id,
-		Columns:    resultColumns(cq),
+		Columns:    cq.Columns,
 		ParamCount: cq.Res.ParamCount,
 	}, nil
 }
@@ -875,16 +871,6 @@ func parseMode(mode string) (translator.ResultMode, error) {
 	default:
 		return 0, aqerr.Errorf(aqerr.KindPermanent, "prepare", "unknown result mode %q", mode)
 	}
-}
-
-// resultColumns projects a compiled query's result schema.
-func resultColumns(cq *qcache.CompiledQuery) []resultset.Column {
-	cols := make([]resultset.Column, len(cq.Res.Columns))
-	for i, c := range cq.Res.Columns {
-		cols[i] = resultset.Column{Label: c.Label, ElementName: c.ElementName,
-			Type: c.Type, Nullable: c.Nullable, Precision: c.Precision, Scale: c.Scale}
-	}
-	return cols
 }
 
 // wireError flattens an error for transit, classifying unclassified ones

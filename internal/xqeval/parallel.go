@@ -27,26 +27,28 @@ import (
 // window × morsel-size items were processed beyond the limit, and the
 // shared context cancels every worker promptly.
 //
-// Resource limits are enforced in two stages. Workers charge a shared
-// atomic budget (parCounters) seeded from the evaluation's counters, which
-// bounds the total work speculation can buffer: once the budget trips,
-// every later speculative charge trips too. But the budget is only a bound,
-// not a verdict — it both overcharges (morsels ahead of the merge point
-// that a FETCH FIRST short-circuit or an earlier error will discard) and
-// undercharges (a late-indexed morsel can run before an earlier one has
-// charged) relative to serial order. So a worker-side trip is tentative
-// (speculativeLimit), and the merger keeps the authoritative serial
-// counters: exactly what serial execution would have charged for everything
-// merged so far. Any morsel whose recorded charges would cross a limit at
-// its serial position — and any morsel that tripped speculatively or was
-// truncated by a sibling's cancellation — is re-run single-threaded against
-// those counters (everything it reads is immutable, so the re-run IS the
-// serial execution of that morsel, at the cost of re-invoking its source
-// calls). The result: rows delivered, the error surfaced, and the counters
-// folded back into the caller are all byte-identical to the serial path,
-// on success, on limit trips, on evaluation errors, and under FETCH FIRST
-// — the only latitude left is external cancellation, whose timing is
-// inherently racy in both paths.
+// Resource limits are enforced once, at the merge point, which keeps the
+// serial counters: exactly what serial execution would have charged for
+// everything merged so far. A worker charges each morsel as serial code
+// does, through the same countRows/countTuple checks, but against its own
+// counters reset to zero at every claim. The morsel's charge at any row is
+// therefore at most the serial charge at that row (serial adds everything
+// merged before it), so a worker-side trip proves serial execution trips
+// at or before that row: it is an ordinary error that ends the morsel and
+// cancels its siblings, and it is never surfaced or counted as is. Any
+// morsel whose charges would cross a limit at its serial position — which
+// includes every morsel that tripped — any morsel that hit another guard
+// (MaxDepth), and any morsel truncated by a sibling's cancellation is
+// re-run single-threaded against the serial counters
+// (everything it reads is immutable, so the re-run IS the serial execution
+// of that morsel, at the cost of re-invoking its source calls). A worker
+// never charges more than the limit in one morsel, so a limit bounds the
+// wasted speculative work at window × the limit. The result: rows
+// delivered, the error surfaced, and the counters folded back into the
+// caller are all byte-identical to the serial path, on success, on limit
+// trips, on evaluation errors, and under FETCH FIRST — the only latitude
+// left is external cancellation, whose timing is inherently racy in both
+// paths.
 
 // ExecConfig configures parallel query execution. The zero value resolves
 // to GOMAXPROCS workers; Workers=1 (or any negative value) forces the
@@ -62,11 +64,6 @@ type ExecConfig struct {
 	// MinParallelItems is the smallest outer scan worth fanning out
 	// (default 4096); below it the serial path always wins.
 	MinParallelItems int
-	// DisablePartitionPushdown turns off shard pruning and the per-shard
-	// filter/projection on partitioned scans (partition.go) — shards are
-	// still scattered concurrently, but every shard's full rows flow into
-	// the central pipeline. The federation benchmark's on/off toggle.
-	DisablePartitionPushdown bool
 }
 
 func (c ExecConfig) withDefaults() ExecConfig {
@@ -85,42 +82,6 @@ func (c ExecConfig) withDefaults() ExecConfig {
 	return c
 }
 
-// parCounters is the shared row/tuple budget across one parallel segment's
-// workers. Seeded from the evaluation's counters before the fan-out, it
-// bounds the total work speculation can buffer; it is deliberately NOT
-// folded back into the caller — the merge loop's serial counters are the
-// authoritative values, so charges by discarded morsels are refunded.
-type parCounters struct {
-	rows   atomic.Int64
-	tuples atomic.Int64
-}
-
-// speculativeLimit wraps a MaxRows/MaxTuples error raised against the
-// shared speculative budget. The budget counts every worker's charges in
-// whatever order they land, so a trip proves only that parallel
-// speculation hit the cap — not that serial execution would have. The
-// merger treats it as a checkpoint: the morsel is re-run single-threaded
-// against the authoritative serial counters, and only a trip in that
-// re-run surfaces. A speculativeLimit therefore never crosses the
-// executor's boundary.
-type speculativeLimit struct{ err error }
-
-func (e *speculativeLimit) Error() string { return e.err.Error() }
-func (e *speculativeLimit) Unwrap() error { return e.err }
-
-// speculativeLimitErr builds a tentative budget-trip error. It bypasses
-// limitErr on purpose: obsv's ResourceLimitHits counts evaluations a guard
-// actually aborted, and a tentative trip may yet be refuted at the merge
-// point (the authoritative re-run goes through limitErr if it trips).
-func speculativeLimitErr(format string, args ...any) error {
-	return &speculativeLimit{aqerr.Errorf(aqerr.KindResourceLimit, "evaluate", format, args...)}
-}
-
-func isSpeculativeLimit(err error) bool {
-	var s *speculativeLimit
-	return errors.As(err, &s)
-}
-
 // canParallel reports whether one segment qualifies for morsel execution
 // under the engine's installed ExecConfig, returning the resolved config.
 // The shape requirements: exactly one driving tuple (so morsels partition
@@ -133,7 +94,7 @@ func (ex *flworExec) canParallel(ops []planOp, tuples []*scope) (ExecConfig, boo
 		return ExecConfig{}, false
 	}
 	base := tuples[0]
-	if base.engine == nil || base.counters == nil || base.par != nil {
+	if base.engine == nil || base.counters == nil || base.counters.worker {
 		return ExecConfig{}, false
 	}
 	if len(ops) == 0 || ops[0].kind != opKindFor || !ops[0].invariant || ops[0].hash != nil {
@@ -155,8 +116,8 @@ func (ex *flworExec) canParallel(ops []planOp, tuples []*scope) (ExecConfig, boo
 // error the morsel hit (processing stops there, so vals/tups hold the
 // morsel's pre-error prefix). The charge ledger — how many rows and tuples
 // the morsel charged in total, and the running counts at the moment each
-// val was buffered — is what lets the merge loop advance the authoritative
-// serial counters exactly, including through a mid-morsel FETCH FIRST stop.
+// val was buffered — is what lets the merge loop advance the serial
+// counters exactly, including through a mid-morsel FETCH FIRST stop.
 type morselResult struct {
 	vals []xdm.Sequence
 	tups []*scope
@@ -191,10 +152,6 @@ func (ex *flworExec) runParallel(ops []planOp, base *scope, cfg ExecConfig, fina
 	}
 	workCtx, cancel := context.WithCancel(parentCtx)
 
-	par := &parCounters{}
-	par.rows.Store(base.counters.rows)
-	par.tuples.Store(base.counters.tuples)
-
 	results := make([]*morselResult, num)
 	done := make([]chan struct{}, num)
 	for i := range done {
@@ -216,7 +173,7 @@ func (ex *flworExec) runParallel(ops []planOp, base *scope, cfg ExecConfig, fina
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			wc := &evalCounters{}
+			wc := &evalCounters{worker: true}
 			defer func() {
 				workerSteps.Add(wc.steps)
 				workerPruned.Add(wc.pruned)
@@ -224,7 +181,6 @@ func (ex *flworExec) runParallel(ops []planOp, base *scope, cfg ExecConfig, fina
 			ws := *base
 			ws.goCtx = workCtx
 			ws.counters = wc
-			ws.par = par
 			for {
 				select {
 				case <-workCtx.Done():
@@ -235,17 +191,17 @@ func (ex *flworExec) runParallel(ops []planOp, base *scope, cfg ExecConfig, fina
 				if m >= num {
 					return
 				}
+				wc.rows, wc.tuples = 0, 0
 				r := &morselResult{}
 				ex.runMorsel(ops, &ws, seq, m*cfg.MorselSize, min((m+1)*cfg.MorselSize, len(seq)), final, r)
 				results[m] = r
 				close(done[m])
 				completed.Add(1)
-				if r.err != nil && !isSpeculativeLimit(r.err) {
-					// A genuine error: cancel siblings promptly; the merger
-					// decides what surfaces. Tentative budget trips must NOT
-					// cancel — a tripped budget makes every later speculative
-					// charge trip immediately, so the remaining morsels drain
-					// cheaply while the merger re-checks serially.
+				if r.err != nil {
+					// Serial execution stops at or before this error — a
+					// limit trip included — so no later morsel can matter:
+					// cancel siblings promptly; the merger decides what
+					// surfaces.
 					cancel()
 					return
 				}
@@ -253,17 +209,17 @@ func (ex *flworExec) runParallel(ops []planOp, base *scope, cfg ExecConfig, fina
 		}()
 	}
 
-	// serRows/serTuples are the authoritative serial counters: exactly what
-	// the serial path would have charged for everything merged so far. They
-	// advance only at the merge point, so charges by morsels that are
-	// discarded (past a FETCH FIRST stop, beyond an error) are refunded for
-	// free, and join folds them — never the speculative budget — back into
-	// the caller's counters.
+	// serRows/serTuples are the serial counters: exactly what the serial
+	// path would have charged for everything merged so far. They advance
+	// only at the merge point, so charges by morsels that are discarded
+	// (past a FETCH FIRST stop, beyond an error) are refunded for free, and
+	// they are what the caller's counters hold on every exit path.
 	serRows := base.counters.rows
 	serTuples := base.counters.tuples
+	defer func() { base.counters.rows, base.counters.tuples = serRows, serTuples }()
 
-	// join tears the pool down and folds worker accounting back into the
-	// caller's counters — on every exit path, including mid-merge errors.
+	// join tears the pool down and folds the workers' step and prune counts
+	// into the caller's counters.
 	joined := false
 	join := func() {
 		if joined {
@@ -272,8 +228,6 @@ func (ex *flworExec) runParallel(ops []planOp, base *scope, cfg ExecConfig, fina
 		joined = true
 		cancel()
 		wg.Wait()
-		base.counters.rows = serRows
-		base.counters.tuples = serTuples
 		base.counters.steps += workerSteps.Load()
 		base.counters.pruned += workerPruned.Load()
 	}
@@ -311,7 +265,7 @@ func (ex *flworExec) runParallel(ops []planOp, base *scope, cfg ExecConfig, fina
 			case <-done[m]:
 			case <-workCtx.Done():
 				// The pool is winding down — external cancellation, or a
-				// sibling worker cancelled after a genuine error. Unclaimed
+				// worker cancelled its siblings after an error. Unclaimed
 				// morsels will never close their done channel, so blocking
 				// on done[m] could hang a cancelled query forever. Settle
 				// the workers instead: after the join every claimed morsel's
@@ -325,103 +279,52 @@ func (ex *flworExec) runParallel(ops []planOp, base *scope, cfg ExecConfig, fina
 			// Only reachable after join. Claims are strictly ascending and a
 			// worker abandons the claim loop only on cancellation, so a nil
 			// slot means the pool observed cancellation before any worker
-			// reached morsel m — and any genuine worker error would sit at a
-			// claimed, hence earlier, already-merged slot. The cancellation
-			// is therefore external; surface the caller's context error.
+			// reached morsel m — and any worker error would sit at a claimed,
+			// hence earlier, slot the merge has already returned at. The
+			// cancellation is therefore external; surface the caller's
+			// context error.
 			if err := parentCtx.Err(); err != nil {
 				return nil, err
 			}
 			return nil, context.Canceled
 		}
 
+		// A clean result, or an evaluation error, is exactly what serial
+		// execution produced for this morsel — unless its charges cross a
+		// resource limit at its serial position (every worker-side trip
+		// does), the worker hit a limit, or the pool's cancellation
+		// truncated it. Those are re-run single-threaded against the serial
+		// counters: everything the morsel reads — the source sequence,
+		// invariant states, hash build tables — is immutable, so the re-run
+		// is the serial execution of the morsel, trips at the exact serial
+		// row, and is safe while siblings still speculate. Under external
+		// cancellation the re-run aborts on its first cancel check.
 		rowBase, tupleBase := serRows, serTuples
-		rerun := false
-		switch {
-		case r.err != nil && isSpeculativeLimit(r.err):
-			// Tentative budget trip — only the serial counters can tell
-			// whether it is real.
-			rerun = true
-		case r.err != nil && isContextErr(r.err):
-			// Truncated by the pool's cancellation, not by its own work.
-			// Under external cancellation the re-run aborts on its first
-			// cancel check and surfaces the context error; under a
-			// sibling's cancel (parent still live) it completes the morsel
-			// exactly as serial execution would have, so the rows delivered
-			// ahead of the sibling's error match the serial prefix.
-			rerun = true
-		default:
-			// Clean result or genuine error: the buffered prefix is exactly
-			// what serial execution produced — unless the morsel's charges
-			// cross a resource limit at its serial position. The worker
-			// checked them against the shared budget, which can run behind
-			// serial order (a late morsel may charge before an earlier one
-			// has), so the crossing must be re-found serially to trip at
-			// the exact row serial execution trips at.
-			lim := base.limits
-			rerun = (lim.MaxRows > 0 && serRows+r.rowsCharged > lim.MaxRows) ||
-				(lim.MaxTuples > 0 && serTuples+r.tuplesCharged > lim.MaxTuples)
-		}
-
-		switch {
-		case rerun:
-			// Re-run the morsel single-threaded against the authoritative
-			// serial counters. Everything it reads — the source sequence,
-			// invariant states, hash build tables — is immutable, so this
-			// is the serial execution of the morsel, concurrent-safe even
-			// while sibling workers are still speculating.
+		lim := base.limits
+		if isContextErr(r.err) || isLimitErr(r.err) ||
+			(lim.MaxRows > 0 && serRows+r.rowsCharged > lim.MaxRows) ||
+			(lim.MaxTuples > 0 && serTuples+r.tuplesCharged > lim.MaxTuples) {
 			rc := &evalCounters{rows: serRows, tuples: serTuples}
 			rs := *base
 			rs.goCtx = parentCtx
 			rs.counters = rc
-			rs.par = nil
-			rr := &morselResult{}
-			ex.runMorsel(ops, &rs, seq, m*cfg.MorselSize, min((m+1)*cfg.MorselSize, len(seq)), final, rr)
+			r = &morselResult{}
+			ex.runMorsel(ops, &rs, seq, m*cfg.MorselSize, min((m+1)*cfg.MorselSize, len(seq)), final, r)
 			base.counters.steps += rc.steps
 			base.counters.pruned += rc.pruned
-			if final {
-				if err := flush(rr, rowBase, tupleBase); err != nil {
-					// Includes the FETCH FIRST stop sentinel, which serial
-					// execution hits before any error later in the morsel.
-					join()
-					return nil, err
-				}
-			} else {
-				collected = append(collected, rr.tups...)
-				serRows, serTuples = rc.rows, rc.tuples
+		}
+		if final {
+			// A stop here — the FETCH FIRST sentinel included — lands
+			// before any error later in the morsel, as in serial execution.
+			if err := flush(r, rowBase, tupleBase); err != nil {
+				return nil, err
 			}
-			if rr.err != nil {
-				// Authoritative: the exact error, after the exact row
-				// prefix, that serial execution produces.
-				join()
-				return nil, rr.err
-			}
-
-		case r.err != nil:
-			// Genuine error with charges inside every limit: the buffered
-			// prefix is the serial prefix. Deliver it, then the error —
-			// unless a FETCH FIRST stop lands first, which serial execution
-			// would also have hit first.
-			if final {
-				if err := flush(r, rowBase, tupleBase); err != nil {
-					join()
-					return nil, err
-				}
-			} else {
-				serRows, serTuples = rowBase+r.rowsCharged, tupleBase+r.tuplesCharged
-			}
-			join()
+		} else {
+			collected = append(collected, r.tups...)
+			serRows, serTuples = rowBase+r.rowsCharged, tupleBase+r.tuplesCharged
+		}
+		if r.err != nil {
 			return nil, r.err
-
-		default:
-			if final {
-				if err := flush(r, rowBase, tupleBase); err != nil {
-					join()
-					return nil, err
-				}
-			} else {
-				collected = append(collected, r.tups...)
-				serRows, serTuples = rowBase+r.rowsCharged, tupleBase+r.tuplesCharged
-			}
 		}
 
 		results[m] = nil
@@ -439,7 +342,6 @@ func (ex *flworExec) runParallel(ops []planOp, base *scope, cfg ExecConfig, fina
 		for _, t := range collected {
 			t.goCtx = base.goCtx
 			t.counters = base.counters
-			t.par = nil
 		}
 	}
 	return collected, nil
@@ -448,10 +350,9 @@ func (ex *flworExec) runParallel(ops []planOp, base *scope, cfg ExecConfig, fina
 // runMorsel processes outer-scan items [start,end) through ops[1:],
 // buffering into r and stopping at the first error. ws.counters doubles as
 // the charge ledger: the deltas accumulated here are what the merge loop
-// replays against the authoritative serial counters. The same code serves
-// the worker pass (ws.par set, charges checked against the shared budget)
-// and the merge-time authoritative re-run (ws.par nil, charges checked
-// serially).
+// replays against the serial counters. The same code serves the worker
+// pass (counters starting at zero) and the merge-time re-run (counters
+// starting at the serial counts).
 func (ex *flworExec) runMorsel(ops []planOp, ws *scope, seq xdm.Sequence, start, end int, final bool, r *morselResult) {
 	rows0, tups0 := ws.counters.rows, ws.counters.tuples
 	defer func() {
@@ -502,4 +403,9 @@ func (ex *flworExec) runMorsel(ops []planOp, ws *scope, seq xdm.Sequence, start,
 
 func isContextErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+}
+
+func isLimitErr(err error) bool {
+	var qe *aqerr.QueryError
+	return errors.As(err, &qe) && qe.Kind == aqerr.KindResourceLimit
 }

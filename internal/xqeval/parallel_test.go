@@ -16,12 +16,14 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/aqerr"
 	"repro/internal/catalog"
 	"repro/internal/demo"
+	"repro/internal/obsv"
 	"repro/internal/translator"
 	"repro/internal/xdm"
 	"repro/internal/xqeval"
@@ -150,8 +152,9 @@ return <ROW>{$r/ID}</ROW>`)
 }
 
 // TestParallelLimits proves MaxRows/MaxTuples hold exactly under
-// speculation: the shared atomic budget makes the limit trip with a typed
-// error and never lets more than the cap be delivered.
+// speculation: a worker's per-morsel trip is re-found serially at the
+// merge point, so the limit trips with a typed error and never lets more
+// than the cap be delivered.
 func TestParallelLimits(t *testing.T) {
 	ctx := context.Background()
 
@@ -258,10 +261,10 @@ func parallelStreamSetup(t testing.TB, n int, wrapOpen, wrapClose string) (*xqev
 
 // TestParallelFetchFirstUnderRowLimit pins the limits × FETCH FIRST
 // interaction: with MaxRows strictly between the fetch limit and the
-// speculation ceiling, workers overrun the shared budget while the merge
-// point never reaches it. Serial execution succeeds (the limiter stops the
-// pipeline before MaxRows), so parallel execution must too — the
-// speculative trip is refuted at the merge point, never surfaced.
+// speculation ceiling, workers speculate past MaxRows in total while the
+// merge point never reaches it. Serial execution succeeds (the limiter
+// stops the pipeline before MaxRows), so parallel execution must too —
+// only the merge point's serial counters decide a trip.
 func TestParallelFetchFirstUnderRowLimit(t *testing.T) {
 	ctx := context.Background()
 	rows := make([]*xdm.Element, 5000)
@@ -340,7 +343,7 @@ func TestParallelRowLimitPrefixMatchesSerial(t *testing.T) {
 
 // TestParallelErrorPrefixMatchesSerial streams a query whose source
 // rejects one row deep in the scan: the rows delivered before the error,
-// and the error itself, must be byte-identical to the serial run even
+// the error itself, and the tuple count must match the serial run even
 // though the failing worker cancels its siblings mid-morsel (the merge
 // point re-runs poisoned morsels serially instead of discarding them).
 func TestParallelErrorPrefixMatchesSerial(t *testing.T) {
@@ -377,18 +380,103 @@ func TestParallelErrorPrefixMatchesSerial(t *testing.T) {
 		}
 
 		e.SetExec(parallelExec(1))
-		serialPrefix, serr := drainCursor(e.EvalStream(ctx, plan, nil, nil))
+		cur := e.EvalStream(ctx, plan, nil, nil)
+		serialPrefix, serr := drainCursor(cur)
 		if serr == nil {
 			t.Fatal("serial run must surface the source error")
 		}
+		_, serialTuples := cur.Stats()
 		for i := 0; i < 10; i++ {
 			e.SetExec(parallelExec(8))
-			parPrefix, perr := drainCursor(e.EvalStream(ctx, plan, nil, nil))
+			cur := e.EvalStream(ctx, plan, nil, nil)
+			parPrefix, perr := drainCursor(cur)
 			if perr == nil || !strings.Contains(perr.Error(), "rejected row 137") {
 				t.Fatalf("%siter %d: parallel surfaced the wrong error: %v (serial: %v)", where, i, perr, serr)
 			}
 			if got, want := xdm.MarshalSequence(parPrefix), xdm.MarshalSequence(serialPrefix); got != want {
 				t.Fatalf("%siter %d: pre-error prefix diverges from serial\ngot:  %s\nwant: %s", where, i, got, want)
+			}
+			// The merge stops at the error after re-running the morsels the
+			// failing worker's cancellation truncated; the tuples it
+			// charged on the way are the serial run's.
+			if _, tuples := cur.Stats(); tuples != serialTuples {
+				t.Fatalf("%siter %d: %d tuples charged; serial %d", where, i, tuples, serialTuples)
+			}
+		}
+	}
+}
+
+// TestParallelSpeculationBounded trips MaxTuples = n over a scan whose
+// per-item work a data service counts. Workers charge each morsel from
+// zero, so a limit below the morsel size trips inside every claimed morsel
+// and one above it trips only at the merge point; either way the
+// evaluation ends as the serial one does — error, row prefix, tuple count,
+// exactly one ResourceLimitHits — after at most the token window's
+// morsels, each cut off at the limit, plus the serial re-run. A MaxDepth
+// one below the deepest scope trips on the first row of every morsel, and
+// must be counted once too.
+func TestParallelSpeculationBounded(t *testing.T) {
+	ctx := context.Background()
+	rows := make([]*xdm.Element, 500)
+	for i := range rows {
+		row := xdm.NewElement("T")
+		row.AddChild(xdm.NewTextElement("ID", strconv.Itoa(i)))
+		rows[i] = row
+	}
+	e := xqeval.New()
+	e.RegisterRows("ld:ParTest", "T", rows)
+	var calls atomic.Int64
+	e.RegisterContext("ld:ParTest", "WORK", func(ctx context.Context, args []xdm.Sequence) (xdm.Sequence, error) {
+		calls.Add(1)
+		return args[0], nil
+	})
+	q, err := xquery.Parse(`import schema namespace p = "ld:ParTest" at "ParTest.xsd";
+<RECORDSET>{for $r in p:T() let $v := p:WORK($r/ID) return <ROW>{$v}</ROW>}</RECORDSET>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := e.CompileAST(q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	depth := int64(1) // the smallest MaxDepth the query runs under
+	for ; ; depth++ {
+		e.SetLimits(xqeval.Limits{MaxDepth: depth})
+		if _, err := e.EvalPlanWithTrace(ctx, plan, nil, nil); err == nil {
+			break
+		}
+	}
+	for _, c := range []struct {
+		lim xqeval.Limits
+		n   int64
+	}{{xqeval.Limits{MaxTuples: 5}, 5}, {xqeval.Limits{MaxTuples: 50}, 50}, {xqeval.Limits{MaxDepth: depth - 1}, 1}} {
+		e.SetLimits(c.lim)
+		var serialPrefix string
+		var serialErr error
+		var serialTuples int64
+		for _, workers := range []int{1, 2, 8} {
+			e.SetExec(parallelExec(workers))
+			calls.Store(0)
+			hits := obsv.Global.ResourceLimitHits.Load()
+			cur := e.EvalStream(ctx, plan, nil, nil)
+			prefix, err := drainCursor(cur)
+			_, tuples := cur.Stats()
+			if got := obsv.Global.ResourceLimitHits.Load() - hits; got != 1 {
+				t.Fatalf("%+v, workers %d: ResourceLimitHits grew by %d, want 1", c.lim, workers, got)
+			}
+			if workers == 1 {
+				if err == nil {
+					t.Fatalf("serial %+v over 500 rows must trip", c.lim)
+				}
+				serialPrefix, serialErr, serialTuples = xdm.MarshalSequence(prefix), err, tuples
+				continue
+			}
+			if err == nil || err.Error() != serialErr.Error() || xdm.MarshalSequence(prefix) != serialPrefix || tuples != serialTuples {
+				t.Fatalf("%+v, workers %d: %d rows, %d tuples, then %v; serial %d tuples, then %v",
+					c.lim, workers, len(prefix), tuples, err, serialTuples, serialErr)
+			}
+			if bound := int64(2*workers+1) * c.n; calls.Load() > bound {
+				t.Fatalf("%+v, workers %d: %d source calls, bound %d", c.lim, workers, calls.Load(), bound)
 			}
 		}
 	}

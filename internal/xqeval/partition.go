@@ -207,7 +207,7 @@ type shardOutcome struct {
 // selected shards concurrently (bounded by the engine's worker config),
 // and concatenate their rows in shard order — the serial concatenation
 // order, which is what keeps federated results byte-identical to the
-// single-source oracle. With pushdown enabled the pinned conjunct also
+// single-source oracle. After pruning the pinned conjunct also
 // filters each shard's rows (the central filter re-checks survivors, so
 // the surviving tuple set is unchanged) and rows are projected down to the
 // referenced columns. transformed reports whether the returned sequence
@@ -216,15 +216,12 @@ type shardOutcome struct {
 func (ex *flworExec) gatherPartitioned(op *planOp, t *scope) (seq xdm.Sequence, transformed bool, err error) {
 	part := op.part
 	spec := part.spec
-	cfg := t.engine.Exec()
-	pushdown := !cfg.DisablePartitionPushdown
-
 	selected := make([]int, len(spec.Shards))
 	for i := range selected {
 		selected[i] = i
 	}
 	pinActive := false
-	if pushdown && part.pinProbe != nil && spec.ShardFor != nil {
+	if part.pinProbe != nil && spec.ShardFor != nil {
 		if pruned, ok := ex.pruneShards(part, spec, t); ok {
 			obsv.Global.ShardsPruned.Add(int64(len(selected) - len(pruned)))
 			selected = pruned
@@ -234,11 +231,7 @@ func (ex *flworExec) gatherPartitioned(op *planOp, t *scope) (seq xdm.Sequence, 
 	}
 
 	outcomes := make([]shardOutcome, len(selected))
-	workers := cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	sem := make(chan struct{}, workers)
+	sem := make(chan struct{}, t.engine.Exec().Workers)
 	var wg sync.WaitGroup
 	for i, shardIdx := range selected {
 		wg.Add(1)
@@ -271,14 +264,14 @@ func (ex *flworExec) gatherPartitioned(op *planOp, t *scope) (seq xdm.Sequence, 
 		obsv.Global.ShardScans.Inc()
 		obsv.Global.SourceScans.Add(sh.Source, 1)
 		rows := oc.rows
-		if pushdown && pinActive && part.pinCond != nil {
+		if pinActive && part.pinCond != nil {
 			rows, err = ex.filterShardRows(op, part, t, rows)
 			if err != nil {
 				return nil, false, err
 			}
 			transformed = true
 		}
-		if pushdown && part.projCols != nil {
+		if part.projCols != nil {
 			rows = projectRows(rows, part.projCols)
 			transformed = true
 		}

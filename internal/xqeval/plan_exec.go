@@ -398,7 +398,7 @@ func (et *evalTables) get(op *planOp, t *scope) (*hashTable, error) {
 		return h, nil
 	}
 	bs := *et.root
-	bs.goCtx, bs.counters, bs.par = t.goCtx, t.counters, t.par
+	bs.goCtx, bs.counters = t.goCtx, t.counters
 	items, err := evalExpr(op.forClause.In, &bs)
 	if err != nil {
 		return nil, err

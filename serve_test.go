@@ -12,6 +12,7 @@ package aqualogic
 import (
 	"bytes"
 	"context"
+	"database/sql"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -596,6 +597,62 @@ func TestServeAdmissionControl(t *testing.T) {
 	if st := srv.Stats(); st.QueriesInFlight != 0 {
 		t.Fatalf("in-flight not drained: %+v", st)
 	}
+}
+
+// TestResultColumnFacetsAgree checks every surface that hands out a result
+// schema — the facade, database/sql, served prepare, and served ad-hoc
+// execute — reports PAYMENT's declared DECIMAL(10,2) facets.
+func TestResultColumnFacetsAgree(t *testing.T) {
+	p, _, c := newLoopback(t, server.Config{SessionIdleTimeout: time.Minute})
+	ctx := context.Background()
+	const q = "SELECT PAYMENT FROM PAYMENTS"
+	check := func(surface string, prec, scale int64) {
+		t.Helper()
+		if prec != 10 || scale != 2 {
+			t.Fatalf("%s: PAYMENT facets (%d, %d), want (10, 2)", surface, prec, scale)
+		}
+	}
+
+	rows, err := p.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := rows.Columns()[0]
+	rows.Close()
+	check("facade", int64(col.Precision), int64(col.Scale))
+
+	p.RegisterDriver("facets-test")
+	db, err := sql.Open("aqualogic", "facets-test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	dr, err := db.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	types, err := dr.ColumnTypes()
+	dr.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prec, scale, _ := types[0].DecimalSize()
+	check("database/sql", prec, scale)
+
+	st, err := c.Prepare(ctx, q, ModeText)
+	if err != nil {
+		t.Fatal(err)
+	}
+	col = st.Columns()[0]
+	check("served prepare", int64(col.Precision), int64(col.Scale))
+
+	remote, err := c.QueryStreamMode(ctx, ModeText, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	col = remote.Columns()[0]
+	remote.Close()
+	check("served execute", int64(col.Precision), int64(col.Scale))
 }
 
 // TestServePreparedAcrossViewChange pins prepared statements against
