@@ -37,11 +37,13 @@ chaos:
 # connection resets, slow links, black holes, and mid-response
 # truncation — every query byte-identical to the oracle or a typed
 # error, zero leaked goroutines, all under the race detector. Also
-# gates the overload contract under 2x sustained load and the
-# replay regression net.
+# gates the overload contract under 2x sustained load, the replay
+# regression net, and the wire client's own suite with the one-round-trip
+# net (which results finish inside execute, and that they leave nothing
+# open).
 soak:
-	$(GO) test -race -count=1 ./internal/netchaos/
-	$(GO) test -race -count=1 -run='TestNetChaosDifferential|TestShedVsCancel|TestOverloadContract|TestExecuteReplay|TestFetchSeqReplay|TestFetchAgainstRestarted' .
+	$(GO) test -race -count=1 ./internal/netchaos/ ./internal/remoteclient/
+	$(GO) test -race -count=1 -run='TestNetChaosDifferential|TestShedVsCancel|TestOverloadContract|TestExecuteReplay|TestFetchSeqReplay|TestServeOneRoundTrip|TestFetchAgainstRestarted' .
 
 # Federation smoke: the multi-source mediation stack end-to-end — the
 # federated catalog, shard-pinned pushdown, and the per-source stats

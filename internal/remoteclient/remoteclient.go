@@ -9,13 +9,16 @@
 //     the typed NotFoundError/AmbiguousError shapes), so metadata-hungry
 //     tools browse a remote server exactly as they browse a local catalog.
 //
-// Result rows stream: execute opens a server-side cursor and the returned
-// Rows pulls chunks over fetch calls through a RowCursor, preserving the
-// platform's incremental delivery — first row before last row exists —
-// across the wire. Mid-stream failures arrive as typed errors after any
-// rows that preceded them (a truncated stream is never silent), and a
-// cancelled client context surfaces as a timeout-kind error wrapping
-// context.Canceled, distinguishable from server-side failures.
+// Result rows stream in chunks: the execute response carries the first,
+// and when that chunk ends the result the server has already closed the
+// evaluation — one round trip, nothing to close. A longer result leaves a
+// server-side cursor that the returned Rows pulls further chunks from
+// over fetch calls through a RowCursor, preserving the platform's
+// incremental delivery — first row before last row exists — across the
+// wire, and closes when done. Mid-stream failures arrive as typed errors
+// after any rows that preceded them (a truncated stream is never silent),
+// and a cancelled client context surfaces as a timeout-kind error
+// wrapping context.Canceled, distinguishable from server-side failures.
 //
 // Two transports exist: Dial speaks real HTTP to a remote address, and
 // Loopback binds a client directly to a server's http.Handler in process
@@ -28,7 +31,8 @@
 // circuit breaker fails fast when the transport itself is down; every
 // execute carries an idempotency key and every fetch a sequence number,
 // so a retried duplicate replays the server's cached chunk
-// byte-identically instead of skipping or doubling rows. Each verb also
+// byte-identically instead of skipping or doubling rows (a retried
+// execute whose result already ended evaluates again). Each verb also
 // forwards the caller's remaining context deadline as an explicit
 // budget header, so the server never keeps working on a request its
 // caller has already abandoned.
@@ -290,10 +294,11 @@ func (c *Client) QueryDialect(ctx context.Context, dialect string, mode translat
 
 func (c *Client) execute(ctx context.Context, req wire.ExecuteRequest) (*resultset.Rows, error) {
 	// The exec key makes this verb idempotent: a retry after a lost
-	// response replays the already-opened cursor instead of running the
-	// query twice. The explicit budget lets the server clamp evaluation —
-	// and bound the admission queue wait — to what the caller will
-	// actually wait for.
+	// response replays the open cursor and its first chunk instead of
+	// running the query twice; a result that ended in its first chunk left
+	// nothing open, and a retry reads it again. The explicit budget lets
+	// the server clamp evaluation — and bound the admission queue wait —
+	// to what the caller will actually wait for.
 	req.ExecKey = "x" + strconv.FormatInt(c.execSeq.Add(1), 10)
 	if dl, ok := ctx.Deadline(); ok {
 		if ms := time.Until(dl).Milliseconds(); ms > 0 {
@@ -305,6 +310,7 @@ func (c *Client) execute(ctx context.Context, req wire.ExecuteRequest) (*results
 		return nil, err
 	}
 	cur := &remoteCursor{c: c, ctx: ctx, cursor: resp.Cursor, cols: resp.Columns}
+	cur.take(1, wire.FetchResponse{Rows: resp.Rows, EOF: resp.EOF, Error: resp.Error})
 	return resultset.NewStreaming(cur), nil
 }
 
@@ -414,17 +420,19 @@ func (c *Client) Procedures() ([]*catalog.TableMeta, error) {
 	return resp.Metas, err
 }
 
-// remoteCursor is the fetch-chunked resultset.RowCursor behind remote
-// queries. Rows buffer one chunk at a time; EOF and errors are terminal
+// remoteCursor is the chunked resultset.RowCursor behind remote queries.
+// It starts from the chunk the execute response carried and fetches the
+// rest; cursor 0 means that chunk ended the stream and the server holds
+// nothing. Rows buffer one chunk at a time; EOF and errors are terminal
 // and sticky, and an in-band error is delivered only after the rows that
 // preceded it (truncation semantics match the in-process fault path).
 type remoteCursor struct {
 	c      *Client
 	ctx    context.Context
-	cursor int64
+	cursor int64 // 0: closed by the server at execute
 	cols   []resultset.Column
 
-	seq     int64 // last successfully consumed fetch sequence number
+	seq     int64 // last successfully consumed chunk sequence number
 	buf     []string
 	pos     int
 	eof     bool
@@ -470,18 +478,23 @@ func (rc *remoteCursor) Next() ([]xdm.Atomic, error) {
 				resp = r2
 			}
 		}
-		rc.seq = seq
-		rc.buf, rc.pos = resp.Rows, 0
-		switch {
-		case resp.Error != nil:
-			rc.pending = decodeError(resp.Error)
-		case resp.EOF:
-			rc.eof = true
-		case len(resp.Rows) == 0:
-			// Defensive: a chunk with no rows and no terminal marker would
-			// spin this loop; treat it as a protocol error.
-			rc.pending = aqerr.Errorf(aqerr.KindInternal, "fetch", "empty fetch chunk without EOF")
-		}
+		rc.take(seq, resp)
+	}
+}
+
+// take makes chunk seq the buffered one, recording how it ends the stream.
+func (rc *remoteCursor) take(seq int64, resp wire.FetchResponse) {
+	rc.seq = seq
+	rc.buf, rc.pos = resp.Rows, 0
+	switch {
+	case resp.Error != nil:
+		rc.pending = decodeError(resp.Error)
+	case resp.EOF:
+		rc.eof = true
+	case len(resp.Rows) == 0:
+		// Defensive: a chunk with no rows and no terminal marker would
+		// spin Next; treat it as a protocol error.
+		rc.pending = aqerr.Errorf(aqerr.KindInternal, "fetch", "empty chunk without EOF")
 	}
 }
 
@@ -495,7 +508,7 @@ func (rc *remoteCursor) fetchChunk(seq int64) (wire.FetchResponse, error) {
 // Close implements resultset.RowCursor, releasing the server-side cursor
 // (which cancels the remote evaluation). It uses its own deadline rather
 // than the stream context, so cancelling a query still cleans up its
-// server state.
+// server state. A result the server closed at execute posts nothing.
 //
 // The two ways a cursor closes have different stakes. Mid-stream, the
 // close IS the cancellation — if it fails the server may keep evaluating,
@@ -510,6 +523,9 @@ func (rc *remoteCursor) Close() error {
 	}
 	rc.closed = true
 	rc.buf = nil
+	if rc.cursor == 0 {
+		return nil
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	_, err := postRetry[wire.CloseCursorResponse](ctx, rc.c, "close cursor", wire.PathCloseCursor,

@@ -1,0 +1,280 @@
+package remoteclient
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"net/http"
+	"reflect"
+	"testing"
+	"time"
+
+	"repro/internal/aqerr"
+	"repro/internal/catalog"
+	"repro/internal/qcache"
+	"repro/internal/qfront"
+	"repro/internal/resultset"
+	"repro/internal/server"
+	"repro/internal/translator"
+	"repro/internal/wire"
+	"repro/internal/xdm"
+)
+
+// script is a scripted backend's answer to one statement: the integers
+// 1..rows, then err. With early set, err fails the evaluation itself,
+// before any row exists.
+type script struct {
+	rows  int
+	err   error
+	early bool
+}
+
+// scripted is a server.Backend whose statement texts name scripts.
+type scripted map[string]script
+
+// CompileDialect compiles nothing, so admission weighs every statement 1.
+func (scripted) CompileDialect(context.Context, qfront.Dialect, string, translator.ResultMode) (*qcache.CompiledQuery, error) {
+	return nil, errors.New("scripted backend: no compiler")
+}
+
+func (b scripted) QueryDialect(_ context.Context, _ qfront.Dialect, _ translator.ResultMode, text string, _ ...any) (*resultset.Rows, error) {
+	sc, ok := b[text]
+	switch {
+	case !ok:
+		return nil, aqerr.Errorf(aqerr.KindPermanent, "scripted", "no script %q", text)
+	case sc.early:
+		return nil, sc.err
+	}
+	return resultset.NewStreaming(&counter{n: sc.rows, err: sc.err}), nil
+}
+
+func (scripted) DefineView(string, string, string) error {
+	return errors.New("scripted backend: read-only")
+}
+
+func (scripted) Metadata() catalog.Source { return nil }
+
+var counterColumns = []resultset.Column{{Label: "N", ElementName: "N", Type: catalog.SQLInteger}}
+
+// counter yields the integers 1..n, one per row, then err (io.EOF if nil).
+type counter struct {
+	i, n int
+	err  error
+}
+
+func (c *counter) Columns() []resultset.Column { return counterColumns }
+
+func (c *counter) Next() ([]xdm.Atomic, error) {
+	if c.i == c.n {
+		if c.err != nil {
+			return nil, c.err
+		}
+		return nil, io.EOF
+	}
+	c.i++
+	return []xdm.Atomic{xdm.Integer(c.i)}, nil
+}
+
+func (c *counter) Close() error { return nil }
+
+// harness is a client without retries, looped back to a server over a
+// scripted backend, that records the path of every request after the
+// handshake and the sequence number of every fetch.
+type harness struct {
+	srv   *server.Server
+	c     *Client
+	paths []string
+	seqs  []int64
+}
+
+func newHarness(t *testing.T, b scripted, fetchRows int) *harness {
+	t.Helper()
+	hn := &harness{srv: server.New(b, server.Config{FetchRows: fetchRows, SessionIdleTimeout: time.Minute})}
+	h := hn.srv.Handler()
+	record := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hn.paths = append(hn.paths, r.URL.Path)
+		if r.URL.Path == wire.PathFetch {
+			body, _ := io.ReadAll(r.Body)
+			var fr wire.FetchRequest
+			if err := json.Unmarshal(body, &fr); err == nil {
+				hn.seqs = append(hn.seqs, fr.Seq)
+			}
+			r.Body = io.NopCloser(bytes.NewReader(body))
+		}
+		h.ServeHTTP(w, r)
+	})
+	c, err := LoopbackOptions(record, Options{MaxRetries: -1})
+	if err != nil {
+		hn.srv.Close()
+		t.Fatal(err)
+	}
+	hn.c = c
+	t.Cleanup(func() {
+		_ = c.Close()
+		hn.srv.Close()
+	})
+	hn.reset()
+	return hn
+}
+
+func (hn *harness) reset() { hn.paths, hn.seqs = nil, nil }
+
+// expect checks the requests sent since the last reset and that the
+// server holds no cursor and no admission slot.
+func (hn *harness) expect(t *testing.T, paths ...string) {
+	t.Helper()
+	if !reflect.DeepEqual(hn.paths, paths) {
+		t.Fatalf("requests %q, want %q", hn.paths, paths)
+	}
+	if st := hn.srv.Stats(); st.CursorsOpen != 0 || st.WeightedInFlight != 0 || st.QueriesInFlight != 0 {
+		t.Fatalf("server state left behind: %+v", st)
+	}
+	hn.reset()
+}
+
+// ints reads every remaining row's integer.
+func ints(t *testing.T, rows *resultset.Rows) []int64 {
+	t.Helper()
+	var got []int64
+	for rows.Next() {
+		n, _, err := rows.Int64(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, n)
+	}
+	return got
+}
+
+// TestInlineEOFPostsNoClose: a result that ends in the execute response's
+// chunk is one request, and closing it — drained or not — posts nothing.
+func TestInlineEOFPostsNoClose(t *testing.T) {
+	hn := newHarness(t, scripted{"two": {rows: 2}}, 3)
+	ctx := context.Background()
+
+	rows, err := hn.c.Query(ctx, "two")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ints(t, rows); !reflect.DeepEqual(got, []int64{1, 2}) || rows.Err() != nil {
+		t.Fatalf("rows %v, err %v", got, rows.Err())
+	}
+	rows.Close()
+	hn.expect(t, wire.PathExecute)
+
+	rows, err = hn.c.Query(ctx, "two")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rows.Next() {
+		t.Fatalf("no first row: %v", rows.Err())
+	}
+	rows.Close()
+	hn.expect(t, wire.PathExecute)
+}
+
+// TestMultiChunkStream: past the first chunk the client fetches from
+// sequence 2, and closing mid-stream releases the server's cursor.
+func TestMultiChunkStream(t *testing.T) {
+	hn := newHarness(t, scripted{"ten": {rows: 10}}, 3)
+	ctx := context.Background()
+
+	rows, err := hn.c.Query(ctx, "ten")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ints(t, rows); len(got) != 10 || got[9] != 10 || rows.Err() != nil {
+		t.Fatalf("rows %v, err %v", got, rows.Err())
+	}
+	rows.Close()
+	if !reflect.DeepEqual(hn.seqs, []int64{2, 3, 4}) {
+		t.Fatalf("fetch sequence numbers %v, want [2 3 4]", hn.seqs)
+	}
+	hn.expect(t, wire.PathExecute, wire.PathFetch, wire.PathFetch, wire.PathFetch, wire.PathCloseCursor)
+
+	rows, err = hn.c.Query(ctx, "ten")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if !rows.Next() {
+			t.Fatalf("row %d: %v", i+1, rows.Err())
+		}
+	}
+	if st := hn.srv.Stats(); st.CursorsOpen != 1 {
+		t.Fatalf("mid-stream: %d cursors open, want 1", st.CursorsOpen)
+	}
+	rows.Close()
+	if !reflect.DeepEqual(hn.seqs, []int64{2}) {
+		t.Fatalf("fetch sequence numbers %v, want [2]", hn.seqs)
+	}
+	hn.expect(t, wire.PathExecute, wire.PathFetch, wire.PathCloseCursor)
+}
+
+// TestErrorKindsCrossTheWire sends every aqerr.Kind, and a Retry-After
+// hint on unavailable, through both ways a server error reaches the
+// client: the HTTP error body of an execute that fails before its first
+// row, and the in-band error of a chunk that fails after two rows. Either
+// way the client rebuilds the same QueryError — kind, op, message and
+// hint — and the in-band one arrives after its prefix, through Rows.Err,
+// in the one execute exchange.
+func TestErrorKindsCrossTheWire(t *testing.T) {
+	type sent struct {
+		kind  aqerr.Kind
+		after time.Duration
+	}
+	table := []sent{
+		{aqerr.KindUnknown, 0},
+		{aqerr.KindTransient, 0},
+		{aqerr.KindPermanent, 0},
+		{aqerr.KindUnavailable, 0},
+		{aqerr.KindUnavailable, 40 * time.Millisecond},
+		{aqerr.KindTimeout, 0},
+		{aqerr.KindResourceLimit, 0},
+		{aqerr.KindInternal, 0},
+	}
+	const op = "data service EDGE"
+	b := scripted{}
+	for _, s := range table {
+		qe := &aqerr.QueryError{Kind: s.kind, Op: op, Err: errors.New("broke <&> " + s.kind.String()), RetryAfter: s.after}
+		b[fmt.Sprintf("early %v %v", s.kind, s.after)] = script{err: qe, early: true}
+		b[fmt.Sprintf("late %v %v", s.kind, s.after)] = script{rows: 2, err: qe}
+	}
+	hn := newHarness(t, b, 8)
+	ctx := context.Background()
+
+	check := func(t *testing.T, s sent, err error) {
+		t.Helper()
+		var qe *aqerr.QueryError
+		if !errors.As(err, &qe) {
+			t.Fatalf("%v is not a QueryError", err)
+		}
+		if qe.Kind != s.kind || qe.Op != op || qe.Err == nil || qe.Err.Error() != "broke <&> "+s.kind.String() {
+			t.Fatalf("got kind %v op %q cause %v, want %v %q %q", qe.Kind, qe.Op, qe.Err, s.kind, op, "broke <&> "+s.kind.String())
+		}
+		if got := aqerr.RetryAfterHint(err); got != s.after {
+			t.Fatalf("Retry-After %v, want %v", got, s.after)
+		}
+	}
+	for _, s := range table {
+		t.Run(fmt.Sprintf("%v %v", s.kind, s.after), func(t *testing.T) {
+			_, err := hn.c.Query(ctx, fmt.Sprintf("early %v %v", s.kind, s.after))
+			check(t, s, err)
+			hn.expect(t, wire.PathExecute)
+
+			rows, err := hn.c.Query(ctx, fmt.Sprintf("late %v %v", s.kind, s.after))
+			if err != nil {
+				t.Fatalf("execute: %v", err)
+			}
+			if got := ints(t, rows); !reflect.DeepEqual(got, []int64{1, 2}) {
+				t.Fatalf("prefix %v, want [1 2]", got)
+			}
+			check(t, s, rows.Err())
+			rows.Close()
+			hn.expect(t, wire.PathExecute)
+		})
+	}
+}

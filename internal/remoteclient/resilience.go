@@ -15,7 +15,9 @@ import (
 //
 // Retries apply only to idempotent verbs. The catalog and stats verbs
 // are read-only; execute is idempotent because every request carries an
-// exec key the server replays the same cursor for; fetch is idempotent
+// exec key the server replays the same open cursor for (a result that
+// ended in its first chunk is read again: the platform is read-only);
+// fetch is idempotent
 // because every chunk carries a sequence number the server replays
 // byte-identically. CREATE VIEW is the one non-idempotent verb and is
 // never retried.

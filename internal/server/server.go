@@ -19,11 +19,15 @@
 //   - Admission control. A concurrency semaphore bounds evaluations in
 //     flight; executions beyond it wait briefly and are then rejected with
 //     a typed unavailable error rather than queueing without bound.
-//   - Backpressure. Rows leave the server only through fetch calls. The
-//     evaluator's bounded-channel cursor (PR 5) blocks the producer once
-//     its 64-row buffer fills, so a slow reader holds a query's whole
-//     memory footprint to one channel's worth of rows — and a reader that
-//     never returns is eventually reaped, which cancels the evaluation.
+//   - Backpressure. Rows leave the server only in chunks of at most
+//     FetchRows: the first in the execute response, the rest through
+//     fetch calls. A result that fits the first chunk closes its cursor
+//     before execute replies, so a point query is one round trip and
+//     leaves no server state. The evaluator's bounded-channel cursor
+//     blocks the producer once its 64-row buffer fills, so a slow reader
+//     holds a query's whole memory footprint to one channel's worth of
+//     rows — and a reader that never returns is eventually reaped, which
+//     cancels the evaluation.
 //
 // Fault points named srv/* hook the request surface into the faultnet
 // chaos layer, and every counter the server keeps (sessions, in-flight
@@ -353,8 +357,9 @@ type session struct {
 	mu      sync.Mutex
 	stmts   map[int64]*prepared
 	cursors map[int64]*cursor
-	// execKeys maps an execute idempotency token to the cursor it opened:
-	// a retried execute replays the cursor instead of re-evaluating.
+	// execKeys maps an execute idempotency token to the open cursor it
+	// opened: a retried execute replays the cursor instead of
+	// re-evaluating. A key leaves the map with its cursor.
 	execKeys map[string]int64
 	nextID   int64
 	closed   bool
@@ -384,8 +389,9 @@ type cursor struct {
 	failed   *wire.Error // sticky: re-reported on every later fetch
 	released bool        // admission slots returned
 	// Sequenced-fetch replay state: the last chunk produced and its
-	// sequence number. A retried fetch re-presenting lastSeq
-	// gets lastResp byte-identically instead of advancing the cursor.
+	// sequence number, starting with execute's chunk as sequence 1. A
+	// retried fetch re-presenting lastSeq gets lastResp byte-identically
+	// instead of advancing the cursor.
 	lastSeq  int64
 	lastResp wire.FetchResponse
 }
@@ -545,11 +551,12 @@ func (s *Server) prepare(ctx context.Context, req wire.PrepareRequest) (wire.Pre
 }
 
 // execute starts an evaluation — of a prepared statement or of ad-hoc SQL
-// — under cost-aware admission control, and registers the resulting
-// cursor. A request re-presenting an idempotency key the session has
-// already executed replays the original cursor instead of evaluating
-// again: a response lost on the wire costs the retrying client nothing
-// and never duplicates work.
+// — under cost-aware admission control and answers with its first chunk
+// of rows. A chunk that ends the stream closes the cursor before the
+// reply; otherwise the cursor is registered for fetch. A request
+// re-presenting the idempotency key of an open cursor replays that cursor
+// and its first chunk instead of evaluating again: a response lost on the
+// wire costs the retrying client nothing and never duplicates work.
 func (s *Server) execute(ctx context.Context, req wire.ExecuteRequest) (wire.ExecuteResponse, error) {
 	ss, err := s.lookupSession(req.Session)
 	if err != nil {
@@ -561,21 +568,12 @@ func (s *Server) execute(ctx context.Context, req wire.ExecuteRequest) (wire.Exe
 
 	if req.ExecKey != "" {
 		ss.mu.Lock()
-		if id, ok := ss.execKeys[req.ExecKey]; ok {
-			cur := ss.cursors[id]
-			ss.mu.Unlock()
-			if cur != nil {
-				s.execReplays.Add(1)
-				obsv.Global.ExecReplays.Inc()
-				return wire.ExecuteResponse{Cursor: id, Columns: cur.rows.Columns()}, nil
-			}
-			// The cursor this key opened is already closed: the original
-			// response was evidently acted on, so a late retry is a
-			// protocol-level duplicate, not a lost response.
-			return wire.ExecuteResponse{}, aqerr.Errorf(aqerr.KindPermanent, "execute",
-				"idempotency key %q refers to a closed cursor", req.ExecKey)
-		}
+		id, ok := ss.execKeys[req.ExecKey]
+		cur := ss.cursors[id]
 		ss.mu.Unlock()
+		if ok {
+			return s.replayExecute(id, cur)
+		}
 	}
 
 	sqlText, dialect, mode := req.SQL, qfront.DialectSQL, translator.ModeText
@@ -642,13 +640,36 @@ func (s *Server) execute(ctx context.Context, req wire.ExecuteRequest) (wire.Exe
 		return wire.ExecuteResponse{}, aqerr.Wrap("execute", err)
 	}
 	cur := &cursor{rows: rows, cancel: cancel, weight: weight, execKey: req.ExecKey}
+	s.cursorsOpened.Add(1)
+	s.cursorsOpen.Add(1)
+	obsv.Global.CursorsOpened.Inc()
+
+	cur.mu.Lock()
+	first := cur.nextChunkLocked(s, s.cfg.FetchRows)
+	cur.lastSeq, cur.lastResp = 1, first
+	cur.mu.Unlock()
+	if first.EOF || first.Error != nil {
+		// The evaluation is over and its slots are back: close the cursor
+		// now, so the result holds no server state and needs no close
+		// request. Such a cursor is never registered, so its exec key is
+		// not kept either.
+		cur.closeCursor(s)
+		return chunkResponse(0, cur, first), nil
+	}
 
 	ss.mu.Lock()
 	if ss.closed {
 		ss.mu.Unlock()
 		cur.closeCursor(s)
-		s.cursorsOpen.Add(1) // closeCursor decremented a cursor never counted open
 		return wire.ExecuteResponse{}, aqerr.Errorf(aqerr.KindUnavailable, "session", "session %q is closed", ss.id)
+	}
+	if id, ok := ss.execKeys[req.ExecKey]; ok {
+		// A retry raced the original, and the original registered first:
+		// keep its cursor, drop this duplicate evaluation.
+		orig := ss.cursors[id]
+		ss.mu.Unlock()
+		cur.closeCursor(s)
+		return s.replayExecute(id, orig)
 	}
 	ss.nextID++
 	id := ss.nextID
@@ -657,11 +678,60 @@ func (s *Server) execute(ctx context.Context, req wire.ExecuteRequest) (wire.Exe
 		ss.execKeys[req.ExecKey] = id
 	}
 	ss.mu.Unlock()
+	return chunkResponse(id, cur, first), nil
+}
 
-	s.cursorsOpened.Add(1)
-	s.cursorsOpen.Add(1)
-	obsv.Global.CursorsOpened.Inc()
-	return wire.ExecuteResponse{Cursor: id, Columns: rows.Columns()}, nil
+// replayExecute answers a re-presented exec key from the open cursor it
+// opened: the same cursor id and, byte-identical, its first chunk. The
+// client fetches only after it has that chunk, so a key re-presented once
+// the cursor has moved on is a protocol error, not a lost response.
+func (s *Server) replayExecute(id int64, cur *cursor) (wire.ExecuteResponse, error) {
+	cur.mu.Lock()
+	defer cur.mu.Unlock()
+	if cur.lastSeq != 1 {
+		return wire.ExecuteResponse{}, aqerr.Errorf(aqerr.KindPermanent, "execute",
+			"idempotency key %q: cursor %d has moved past its first chunk", cur.execKey, id)
+	}
+	s.execReplays.Add(1)
+	obsv.Global.ExecReplays.Inc()
+	return chunkResponse(id, cur, cur.lastResp), nil
+}
+
+// chunkResponse is execute's reply: the cursor id (0 once closed), the
+// result schema and the first chunk.
+func chunkResponse(id int64, cur *cursor, chunk wire.FetchResponse) wire.ExecuteResponse {
+	return wire.ExecuteResponse{Cursor: id, Columns: cur.rows.Columns(),
+		Rows: chunk.Rows, EOF: chunk.EOF, Error: chunk.Error}
+}
+
+// nextChunkLocked fills one chunk of at most limit rows: the loop behind
+// execute's first chunk and every fetch. EOF and errors are sticky —
+// past the end a chunk re-reports them — and the end of the stream
+// returns the admission slots at once, before the cursor closes.
+func (c *cursor) nextChunkLocked(s *Server, limit int) wire.FetchResponse {
+	if c.failed != nil {
+		return wire.FetchResponse{Error: c.failed}
+	}
+	if c.eof {
+		return wire.FetchResponse{EOF: true}
+	}
+	var resp wire.FetchResponse
+	for len(resp.Rows) < limit {
+		row, ok := c.rows.NextText()
+		if !ok {
+			if rerr := c.rows.Err(); rerr != nil {
+				c.failed = wireError("fetch", rerr)
+				resp.Error = c.failed
+			} else {
+				c.eof = true
+				resp.EOF = true
+			}
+			c.releaseLocked(s)
+			break
+		}
+		resp.Rows = append(resp.Rows, row)
+	}
+	return resp
 }
 
 // fetch pulls the next chunk of rows from a cursor. EOF and errors are
@@ -714,34 +784,10 @@ func (s *Server) fetch(ctx context.Context, req wire.FetchRequest) (wire.FetchRe
 				"fetch sequence %d out of order (expected %d or %d)", req.Seq, cur.lastSeq, cur.lastSeq+1)
 		}
 	}
-	finish := func(resp wire.FetchResponse) (wire.FetchResponse, error) {
-		if req.Seq != 0 {
-			cur.lastSeq = req.Seq
-			cur.lastResp = resp
-		}
-		return resp, nil
-	}
-	if cur.failed != nil {
-		return finish(wire.FetchResponse{Error: cur.failed})
-	}
-	if cur.eof {
-		return finish(wire.FetchResponse{EOF: true})
-	}
-	resp := wire.FetchResponse{}
-	for len(resp.Rows) < limit {
-		row, ok := cur.rows.NextText()
-		if !ok {
-			if rerr := cur.rows.Err(); rerr != nil {
-				cur.failed = wireError("fetch", rerr)
-				resp.Error = cur.failed
-			} else {
-				cur.eof = true
-				resp.EOF = true
-			}
-			cur.releaseLocked(s) // evaluation finished; free the slot early
-			break
-		}
-		resp.Rows = append(resp.Rows, row)
+	resp := cur.nextChunkLocked(s, limit)
+	if req.Seq != 0 {
+		cur.lastSeq = req.Seq
+		cur.lastResp = resp
 	}
 	if truncate {
 		// A connection dropped mid-chunk: the prefix travels with the
@@ -749,17 +795,12 @@ func (s *Server) fetch(ctx context.Context, req wire.FetchRequest) (wire.FetchRe
 		// The replay cache keeps the intact chunk — the damage is to this
 		// transmission, not the cursor, so a sequenced retry recovers the
 		// full chunk instead of replaying the fault.
-		if req.Seq != 0 {
-			cur.lastSeq = req.Seq
-			cur.lastResp = resp
-		}
 		resp.Rows = resp.Rows[:len(resp.Rows)/2]
 		resp.EOF = false
 		ferr := &faultnet.Error{Site: "srv/fetch", Kind: faultnet.KindTruncate}
 		resp.Error = wireError("fetch", aqerr.Wrap("fetch", ferr))
-		return resp, nil
 	}
-	return finish(resp)
+	return resp, nil
 }
 
 // closeCursor releases one cursor. Closing an unknown (or already closed)

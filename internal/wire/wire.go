@@ -6,7 +6,10 @@
 //
 // Rows travel as the paper's §4 text, one string per row (resultset owns
 // the format); their types come from the result schema an execute returns
-// once, and the client types each row with the in-process decoder. Errors
+// once, and the client types each row with the in-process decoder. The
+// execute response carries the first chunk itself, so a result that fits
+// one chunk costs one round trip and leaves no cursor behind; a larger
+// one continues through fetch and ends with a cursor close. Errors
 // travel as (kind, op, message) triples and are reconstructed client-side
 // as typed aqerr.QueryError values, so errors.As-based handling works
 // identically against a remote server and an in-process platform.
@@ -45,8 +48,10 @@ const (
 
 // ProtocolVersion is sent in the handshake; a server refuses any other
 // value, so peers built from different revisions part there instead of
-// misreading fetch chunks. Clients that carried typed-atom rows sent none.
-const ProtocolVersion = 2
+// misreading chunks. Version 3 carries the first chunk in the execute
+// response; version 2 opened every cursor empty, and clients that carried
+// typed-atom rows sent none.
+const ProtocolVersion = 3
 
 // Atom is one non-NULL execute argument in transit: the lexical form plus
 // the xdm.AtomicType it parses back into. NULL is a nil *Atom.
@@ -104,10 +109,13 @@ type PrepareResponse struct {
 // (Stmt > 0) or of ad-hoc SQL (Stmt == 0, SQL/Mode set).
 //
 // ExecKey is the idempotency token: a client-unique key for this logical
-// execute. When a retried request re-presents a key the session has
-// already executed, the server replays the original cursor instead of
+// execute. When a retried request re-presents a key whose cursor is still
+// open, the server replays that cursor and its first chunk instead of
 // starting a second evaluation — a response lost to the network never
-// leaks a duplicate running query. BudgetMS is the client's remaining
+// leaks a duplicate running query. A result that ended in its first chunk
+// left no cursor and so keeps no key: a retry whose response was lost
+// evaluates again, which on this read-only platform holds nothing open
+// and returns the same answer. BudgetMS is the client's remaining
 // deadline in milliseconds; the server clamps the evaluation context to
 // min(server QueryTimeout, BudgetMS), so abandoned work is not evaluated.
 type ExecuteRequest struct {
@@ -121,17 +129,25 @@ type ExecuteRequest struct {
 	BudgetMS int64   `json:"budget_ms,omitempty"`
 }
 
-// ExecuteResponse hands back the server-side cursor. Rows stream through
-// fetch calls; the evaluation is already running when this returns.
+// ExecuteResponse carries the result schema and the first chunk of rows,
+// with FetchResponse's meaning: EOF marks stream end, Error a failure
+// after the rows that preceded it. A chunk that ends the stream has
+// already closed the evaluation, and Cursor is 0; otherwise Cursor names
+// the open server-side cursor, the chunk is its sequence 1, and the rest
+// streams through fetch calls from sequence 2.
 type ExecuteResponse struct {
 	Cursor  int64              `json:"cursor"`
 	Columns []resultset.Column `json:"columns"`
+	Rows    []string           `json:"rows,omitempty"`
+	EOF     bool               `json:"eof,omitempty"`
+	Error   *Error             `json:"error,omitempty"`
 }
 
 // FetchRequest pulls the next chunk of rows from a cursor.
 //
 // Seq makes fetch idempotent: the client numbers chunks 1, 2, 3, … per
-// cursor, and the server caches the last chunk it produced. Re-presenting
+// cursor — chunk 1 came with execute, so the first fetch is 2 — and the
+// server caches the last chunk it produced. Re-presenting
 // the current sequence number replays that chunk byte-identically (a retry
 // never skips or doubles rows); presenting the next
 // number advances the cursor. Seq 0 selects the legacy non-replayable

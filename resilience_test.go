@@ -6,11 +6,13 @@
 package aqualogic
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"sort"
 	"sync"
@@ -30,12 +32,14 @@ import (
 //   - caller cancel → KindTimeout, errors.Is(context.Canceled)
 //
 // and that the two never blur: a shed is not Is(Canceled), a cancel
-// carries no Retry-After.
+// carries no Retry-After. The holder's 50 rows span several 4-row chunks,
+// so its cursor keeps the one slot after execute.
 func TestShedVsCancelTaxonomyAcrossWire(t *testing.T) {
 	_, _, c := newLoopback(t, server.Config{
 		MaxConcurrentQueries: 1,
 		AdmissionWait:        time.Millisecond,
 		SessionIdleTimeout:   time.Minute,
+		FetchRows:            4,
 	})
 	ctx := context.Background()
 
@@ -189,98 +193,184 @@ func TestOverloadContract(t *testing.T) {
 	}
 }
 
-// TestExecuteReplayIdempotency pins exec-key replay at the wire level: a
-// retried execute re-presenting the same idempotency key gets the same
-// cursor back instead of evaluating twice.
+// TestExecuteReplayIdempotency pins exec-key replay at the wire level. A
+// retried execute of a result longer than one chunk re-presents its key
+// and gets the same cursor and a byte-identical first chunk back instead
+// of evaluating twice. A result that ended in its first chunk kept no
+// state and no key: the retry evaluates again, returns the same bytes,
+// and leaves nothing open either.
 func TestExecuteReplayIdempotency(t *testing.T) {
-	_, srv, _ := newLoopback(t, server.Config{FetchRows: 4, SessionIdleTimeout: time.Minute})
-	h := srv.Handler()
-
-	var hs wire.HandshakeResponse
-	if we := postWire(t, h, wire.PathHandshake, wire.HandshakeRequest{Protocol: wire.ProtocolVersion}, &hs); we != nil {
-		t.Fatalf("handshake: %v", we)
-	}
-	req := wire.ExecuteRequest{
-		Session: hs.Session,
-		SQL:     "SELECT CUSTOMERID FROM CUSTOMERS WHERE CUSTOMERID < 1003",
-		ExecKey: "retry-1",
-	}
-	var first, second wire.ExecuteResponse
-	if we := postWire(t, h, wire.PathExecute, req, &first); we != nil {
-		t.Fatalf("execute: %v", we)
-	}
-	if we := postWire(t, h, wire.PathExecute, req, &second); we != nil {
-		t.Fatalf("replayed execute: %v", we)
-	}
-	if second.Cursor != first.Cursor {
-		t.Fatalf("replay opened a new cursor: %d vs %d", second.Cursor, first.Cursor)
-	}
-	st := srv.Stats()
-	if st.ExecReplays != 1 {
-		t.Fatalf("ExecReplays = %d, want 1", st.ExecReplays)
-	}
-	if st.CursorsOpened != 1 {
-		t.Fatalf("replayed execute evaluated twice: %d cursors opened", st.CursorsOpened)
+	execTwice := func(t *testing.T, h http.Handler, req wire.ExecuteRequest) wire.ExecuteResponse {
+		t.Helper()
+		code, first := postRaw(t, h, wire.PathExecute, req)
+		if code != http.StatusOK {
+			t.Fatalf("execute: HTTP %d %s", code, first)
+		}
+		code, second := postRaw(t, h, wire.PathExecute, req)
+		if code != http.StatusOK || !bytes.Equal(second, first) {
+			t.Fatalf("replayed execute: HTTP %d\ngot:  %s\nwant: %s", code, second, first)
+		}
+		var ex wire.ExecuteResponse
+		if err := json.Unmarshal(first, &ex); err != nil {
+			t.Fatal(err)
+		}
+		return ex
 	}
 
-	// A different key is a different execution.
-	req.ExecKey = "retry-2"
-	var third wire.ExecuteResponse
-	if we := postWire(t, h, wire.PathExecute, req, &third); we != nil {
-		t.Fatalf("fresh execute: %v", we)
-	}
-	if third.Cursor == first.Cursor {
-		t.Fatal("distinct exec keys shared a cursor")
-	}
+	t.Run("multi-chunk", func(t *testing.T) {
+		_, srv, _ := newLoopback(t, server.Config{FetchRows: 2, SessionIdleTimeout: time.Minute})
+		h := srv.Handler()
+		req := wire.ExecuteRequest{
+			Session: wireSession(t, h),
+			SQL:     "SELECT CUSTOMERID FROM CUSTOMERS WHERE CUSTOMERID < 1006",
+			ExecKey: "retry-1",
+		}
+		first := execTwice(t, h, req)
+		if first.Cursor == 0 || first.EOF || len(first.Rows) != 2 {
+			t.Fatalf("execute: %+v, want an open cursor and a two-row chunk", first)
+		}
+		st := srv.Stats()
+		if st.ExecReplays != 1 {
+			t.Fatalf("ExecReplays = %d, want 1", st.ExecReplays)
+		}
+		if st.CursorsOpened != 1 {
+			t.Fatalf("replayed execute evaluated twice: %d cursors opened", st.CursorsOpened)
+		}
+
+		// A different key is a different execution.
+		req.ExecKey = "retry-2"
+		var third wire.ExecuteResponse
+		if we := postWire(t, h, wire.PathExecute, req, &third); we != nil {
+			t.Fatalf("fresh execute: %v", we)
+		}
+		if third.Cursor == first.Cursor {
+			t.Fatal("distinct exec keys shared a cursor")
+		}
+
+		// Once the client has fetched on, its first chunk is gone from the
+		// replay slot: re-presenting the key is refused, not answered with
+		// the wrong rows.
+		var fr wire.FetchResponse
+		if we := postWire(t, h, wire.PathFetch, wire.FetchRequest{Session: req.Session, Cursor: third.Cursor, Seq: 2}, &fr); we != nil {
+			t.Fatalf("fetch: %v", we)
+		}
+		if we := postWire(t, h, wire.PathExecute, req, &third); we == nil || aqerr.ParseKind(we.Kind) != aqerr.KindPermanent {
+			t.Fatalf("replay past the first chunk: %v, want a permanent error", we)
+		}
+	})
+
+	// Retries that race the original into the cursor table: whichever
+	// registers first keeps its cursor, every other reply replays it, and
+	// the losing evaluations are closed rather than left holding slots.
+	t.Run("concurrent", func(t *testing.T) {
+		_, srv, _ := newLoopback(t, server.Config{FetchRows: 2, SessionIdleTimeout: time.Minute})
+		h := srv.Handler()
+		body, err := json.Marshal(wire.ExecuteRequest{
+			Session: wireSession(t, h),
+			SQL:     "SELECT CUSTOMERID FROM CUSTOMERS WHERE CUSTOMERID < 1006",
+			ExecKey: "race-1",
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		replies := make([]*httptest.ResponseRecorder, 8)
+		var wg sync.WaitGroup
+		for i := range replies {
+			replies[i] = httptest.NewRecorder()
+			wg.Add(1)
+			go func(rec *httptest.ResponseRecorder) {
+				defer wg.Done()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, wire.PathExecute, bytes.NewReader(body)))
+			}(replies[i])
+		}
+		wg.Wait()
+		for _, rec := range replies {
+			if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), replies[0].Body.Bytes()) {
+				t.Fatalf("concurrent execute: HTTP %d\ngot:  %s\nwant: %s", rec.Code, rec.Body.Bytes(), replies[0].Body.Bytes())
+			}
+		}
+		if st := srv.Stats(); st.CursorsOpen != 1 || st.QueriesInFlight != 1 {
+			t.Fatalf("one key, %d cursors open and %d queries in flight; want 1 and 1", st.CursorsOpen, st.QueriesInFlight)
+		}
+	})
+
+	t.Run("one-shot", func(t *testing.T) {
+		_, srv, _ := newLoopback(t, server.Config{FetchRows: 4, SessionIdleTimeout: time.Minute})
+		h := srv.Handler()
+		ex := execTwice(t, h, wire.ExecuteRequest{
+			Session: wireSession(t, h),
+			SQL:     "SELECT CUSTOMERID FROM CUSTOMERS WHERE CUSTOMERID < 1002",
+			ExecKey: "once-1",
+		})
+		if want := []string{"1000", "1001"}; ex.Cursor != 0 || !ex.EOF || !reflect.DeepEqual(ex.Rows, want) {
+			t.Fatalf("execute: %+v, want rows %q, EOF and cursor 0", ex, want)
+		}
+		st := srv.Stats()
+		if st.ExecReplays != 0 || st.CursorsOpened != 2 {
+			t.Fatalf("one-shot retry: %d replays, %d evaluations; want 0 and 2", st.ExecReplays, st.CursorsOpened)
+		}
+		if st.CursorsOpen != 0 || st.WeightedInFlight != 0 || st.QueriesInFlight != 0 {
+			t.Fatalf("one-shot retry left server state: %+v", st)
+		}
+	})
 }
 
-// TestFetchSeqReplay pins sequenced-fetch semantics: re-presenting the
-// current sequence number replays the identical chunk (the retry
-// path), the successor advances, and anything else is a typed permanent
-// out-of-order error rather than silent data corruption.
+// TestFetchSeqReplay pins sequenced-fetch semantics: execute's chunk is
+// sequence 1, so the first fetch is 2; re-presenting the current sequence
+// number replays the identical chunk (the retry path), the successor
+// advances, and anything else is a typed permanent out-of-order error
+// rather than silent data corruption.
 func TestFetchSeqReplay(t *testing.T) {
 	_, srv, _ := newLoopback(t, server.Config{FetchRows: 2, SessionIdleTimeout: time.Minute})
 	h := srv.Handler()
 
-	var hs wire.HandshakeResponse
-	if we := postWire(t, h, wire.PathHandshake, wire.HandshakeRequest{Protocol: wire.ProtocolVersion}, &hs); we != nil {
-		t.Fatalf("handshake: %v", we)
-	}
+	session := wireSession(t, h)
 	var ex wire.ExecuteResponse
 	if we := postWire(t, h, wire.PathExecute, wire.ExecuteRequest{
-		Session: hs.Session, SQL: "SELECT CUSTOMERID FROM CUSTOMERS WHERE CUSTOMERID < 1006",
+		Session: session, SQL: "SELECT CUSTOMERID FROM CUSTOMERS WHERE CUSTOMERID < 1008",
 	}, &ex); we != nil {
 		t.Fatalf("execute: %v", we)
+	}
+	if ex.Cursor == 0 || len(ex.Rows) != 2 {
+		t.Fatalf("execute: %+v, want an open cursor and a two-row chunk", ex)
 	}
 	fetch := func(seq int64) wire.FetchResponse {
 		var fr wire.FetchResponse
 		if we := postWire(t, h, wire.PathFetch, wire.FetchRequest{
-			Session: hs.Session, Cursor: ex.Cursor, Seq: seq,
+			Session: session, Cursor: ex.Cursor, Seq: seq,
 		}, &fr); we != nil {
 			t.Fatalf("fetch seq %d: %v", seq, we)
 		}
 		return fr
 	}
 
-	one := fetch(1)
-	if one.Error != nil || len(one.Rows) != 2 {
-		t.Fatalf("first chunk: %+v", one)
+	// Sequence 1 is the chunk execute carried.
+	if one := fetch(1); mustJSON(t, one.Rows) != mustJSON(t, ex.Rows) || one.EOF || one.Error != nil {
+		t.Fatalf("seq-1 replay %+v, want execute's chunk %q", one, ex.Rows)
 	}
-	replay := fetch(1)
-	if len(replay.Rows) != len(one.Rows) || replay.EOF != one.EOF {
-		t.Fatalf("seq-1 replay diverged: %+v vs %+v", replay, one)
+
+	two := fetch(2)
+	if two.Error != nil || len(two.Rows) != 2 {
+		t.Fatalf("second chunk: %+v", two)
 	}
-	if rb, ob := mustJSON(t, replay.Rows), mustJSON(t, one.Rows); rb != ob {
-		t.Fatalf("seq-1 replay rows diverged: %s vs %s", rb, ob)
+	if mustJSON(t, two.Rows) == mustJSON(t, ex.Rows) {
+		t.Fatal("first fetch re-delivered execute's chunk")
 	}
-	if st := srv.Stats(); st.FetchReplays != 1 {
-		t.Fatalf("FetchReplays = %d, want 1", st.FetchReplays)
+	replay := fetch(2)
+	if len(replay.Rows) != len(two.Rows) || replay.EOF != two.EOF {
+		t.Fatalf("seq-2 replay diverged: %+v vs %+v", replay, two)
+	}
+	if rb, ob := mustJSON(t, replay.Rows), mustJSON(t, two.Rows); rb != ob {
+		t.Fatalf("seq-2 replay rows diverged: %s vs %s", rb, ob)
+	}
+	if st := srv.Stats(); st.FetchReplays != 2 {
+		t.Fatalf("FetchReplays = %d, want 2", st.FetchReplays)
 	}
 
 	// Skipping ahead is a hard protocol error, not quiet row loss.
 	var oo wire.FetchResponse
 	if we := postWire(t, h, wire.PathFetch, wire.FetchRequest{
-		Session: hs.Session, Cursor: ex.Cursor, Seq: 3,
+		Session: session, Cursor: ex.Cursor, Seq: 4,
 	}, &oo); we == nil {
 		t.Fatal("out-of-order fetch succeeded")
 	} else if aqerr.ParseKind(we.Kind) != aqerr.KindPermanent {
@@ -288,12 +378,12 @@ func TestFetchSeqReplay(t *testing.T) {
 	}
 
 	// The successor still advances normally after the rejected skip.
-	two := fetch(2)
-	if two.Error != nil || len(two.Rows) != 2 {
-		t.Fatalf("second chunk after replay: %+v", two)
+	three := fetch(3)
+	if three.Error != nil || len(three.Rows) != 2 {
+		t.Fatalf("third chunk after replay: %+v", three)
 	}
-	if mustJSON(t, two.Rows) == mustJSON(t, one.Rows) {
-		t.Fatal("advance re-delivered the first chunk")
+	if mustJSON(t, three.Rows) == mustJSON(t, two.Rows) {
+		t.Fatal("advance re-delivered the second chunk")
 	}
 }
 

@@ -299,6 +299,17 @@ func postWire(t *testing.T, h http.Handler, path string, in, out any) *wire.Erro
 	return nil
 }
 
+// wireSession opens a session with a raw handshake at the server's
+// protocol version.
+func wireSession(t *testing.T, h http.Handler) string {
+	t.Helper()
+	var hs wire.HandshakeResponse
+	if we := postWire(t, h, wire.PathHandshake, wire.HandshakeRequest{Protocol: wire.ProtocolVersion}, &hs); we != nil {
+		t.Fatalf("handshake: %v", we)
+	}
+	return hs.Session
+}
+
 // postRaw performs one raw wire exchange, returning the status and the
 // response body as the server wrote it.
 func postRaw(t *testing.T, h http.Handler, path string, in any) (int, []byte) {
@@ -315,13 +326,14 @@ func postRaw(t *testing.T, h http.Handler, path string, in any) (int, []byte) {
 
 // TestServeRefusesMismatchedProtocol: a handshake naming any protocol
 // version but the server's — including none, as clients that carried rows
-// as typed atoms sent — is refused with a typed permanent error naming
-// both versions, and opens no session.
+// as typed atoms sent, and 2, whose clients expect an empty execute — is
+// refused with a typed permanent error naming both versions, and opens no
+// session.
 func TestServeRefusesMismatchedProtocol(t *testing.T) {
 	srv := server.New(Demo(), server.Config{SessionIdleTimeout: time.Minute})
 	defer srv.Close()
 	h := srv.Handler()
-	for _, v := range []int{0, wire.ProtocolVersion - 1, wire.ProtocolVersion + 1} {
+	for _, v := range []int{0, 2, wire.ProtocolVersion + 1} {
 		var hs wire.HandshakeResponse
 		we := postWire(t, h, wire.PathHandshake, wire.HandshakeRequest{Client: "other", Protocol: v}, &hs)
 		if we == nil {
@@ -338,17 +350,15 @@ func TestServeRefusesMismatchedProtocol(t *testing.T) {
 	}
 }
 
-// TestServeFetchRowsAreText pins the fetch chunk's row form: each row is
-// the §4 row text an in-process NextText reads — the evaluator's own text
-// in text mode, the typed row encoded in XML mode — and the delimiters
-// leave the server as single bytes, not six-byte JSON escapes.
+// TestServeFetchRowsAreText pins a chunk's row form, here the chunk the
+// execute response carries: each row is the §4 row text an in-process
+// NextText reads — the evaluator's own text in text mode, the typed row
+// encoded in XML mode — and the delimiters leave the server as single
+// bytes, not six-byte JSON escapes.
 func TestServeFetchRowsAreText(t *testing.T) {
 	p, srv, _ := newLoopback(t, server.Config{SessionIdleTimeout: time.Minute})
 	h := srv.Handler()
-	var hs wire.HandshakeResponse
-	if we := postWire(t, h, wire.PathHandshake, wire.HandshakeRequest{Protocol: wire.ProtocolVersion}, &hs); we != nil {
-		t.Fatalf("handshake: %v", we)
-	}
+	session := wireSession(t, h)
 	const sql = "SELECT CUSTOMERID, CUSTOMERNAME, CITY FROM CUSTOMERS WHERE CUSTOMERID < 1004"
 	for _, mode := range []ResultMode{ModeText, ModeXML} {
 		local, err := p.QueryMode(mode, sql)
@@ -362,20 +372,16 @@ func TestServeFetchRowsAreText(t *testing.T) {
 		if err := local.Err(); err != nil || len(want) != 4 {
 			t.Fatalf("mode %v: in-process rows %q, err %v", mode, want, err)
 		}
-		var ex wire.ExecuteResponse
-		if we := postWire(t, h, wire.PathExecute, wire.ExecuteRequest{Session: hs.Session, SQL: sql, Mode: wire.ModeName(mode)}, &ex); we != nil {
-			t.Fatalf("mode %v: execute: %v", mode, we)
-		}
-		code, body := postRaw(t, h, wire.PathFetch, wire.FetchRequest{Session: hs.Session, Cursor: ex.Cursor, Seq: 1})
+		code, body := postRaw(t, h, wire.PathExecute, wire.ExecuteRequest{Session: session, SQL: sql, Mode: wire.ModeName(mode)})
 		if code != http.StatusOK || !bytes.Contains(body, []byte("<")) || bytes.Contains(body, []byte("\\u003c")) {
 			t.Fatalf("mode %v: HTTP %d, body %s: want '<' as one byte", mode, code, body)
 		}
-		var fr wire.FetchResponse
-		if err := json.Unmarshal(body, &fr); err != nil {
+		var ex wire.ExecuteResponse
+		if err := json.Unmarshal(body, &ex); err != nil {
 			t.Fatal(err)
 		}
-		if !fr.EOF || fr.Error != nil || !reflect.DeepEqual(fr.Rows, want) {
-			t.Fatalf("mode %v: fetched %+v, want rows %q and EOF", mode, fr, want)
+		if ex.Cursor != 0 || !ex.EOF || ex.Error != nil || !reflect.DeepEqual(ex.Rows, want) {
+			t.Fatalf("mode %v: executed %+v, want rows %q, EOF and no cursor", mode, ex, want)
 		}
 	}
 }
@@ -434,29 +440,49 @@ func TestServeBoundsRequestBody(t *testing.T) {
 }
 
 // TestServeSessionLifecycle pins the session-state machine at the wire
-// level: fetch past EOF re-reports EOF, closing a cursor twice is a safe
-// no-op, closing a session twice is idempotent, and using a closed
-// session is a typed unavailable error.
+// level: a result that fits the first chunk comes back whole from execute
+// with no cursor left behind; a longer one streams through fetch, and
+// fetch past EOF re-reports EOF; closing a cursor twice is a safe no-op,
+// closing a session twice is idempotent, and using a closed session is a
+// typed unavailable error.
 func TestServeSessionLifecycle(t *testing.T) {
 	_, srv, _ := newLoopback(t, server.Config{FetchRows: 4, SessionIdleTimeout: time.Minute})
 	h := srv.Handler()
+	session := wireSession(t, h)
 
-	var hs wire.HandshakeResponse
-	if we := postWire(t, h, wire.PathHandshake, wire.HandshakeRequest{Protocol: wire.ProtocolVersion}, &hs); we != nil {
-		t.Fatalf("handshake: %v", we)
+	// Three rows under a four-row chunk: one exchange, nothing to fetch or
+	// close.
+	var one wire.ExecuteResponse
+	if we := postWire(t, h, wire.PathExecute, wire.ExecuteRequest{
+		Session: session, SQL: "SELECT CUSTOMERID FROM CUSTOMERS WHERE CUSTOMERID < 1003",
+	}, &one); we != nil {
+		t.Fatalf("execute: %v", we)
+	}
+	if want := []string{"1000", "1001", "1002"}; one.Cursor != 0 || !one.EOF || one.Error != nil || !reflect.DeepEqual(one.Rows, want) {
+		t.Fatalf("one-chunk execute: %+v, want rows %q, EOF and cursor 0", one, want)
+	}
+	var cc wire.CloseCursorResponse
+	if we := postWire(t, h, wire.PathCloseCursor, wire.CloseCursorRequest{Session: session, Cursor: one.Cursor}, &cc); we != nil || cc.Closed {
+		t.Fatalf("close of a finished result: closed=%v err=%v, want a no-op", cc.Closed, we)
+	}
+	if st := srv.Stats(); st.CursorsOpen != 0 || st.QueriesInFlight != 0 {
+		t.Fatalf("one-chunk result left server state: %+v", st)
 	}
 
+	// Six rows: the first four with execute, the rest through fetch.
 	var ex wire.ExecuteResponse
 	if we := postWire(t, h, wire.PathExecute, wire.ExecuteRequest{
-		Session: hs.Session, SQL: "SELECT CUSTOMERID FROM CUSTOMERS WHERE CUSTOMERID < 1003",
+		Session: session, SQL: "SELECT CUSTOMERID FROM CUSTOMERS WHERE CUSTOMERID < 1006",
 	}, &ex); we != nil {
 		t.Fatalf("execute: %v", we)
 	}
-
-	var rows []string
+	if ex.Cursor == 0 || ex.EOF || ex.Error != nil || len(ex.Rows) != 4 {
+		t.Fatalf("multi-chunk execute: %+v, want a cursor and four rows", ex)
+	}
+	rows := ex.Rows
 	for {
 		var fr wire.FetchResponse
-		if we := postWire(t, h, wire.PathFetch, wire.FetchRequest{Session: hs.Session, Cursor: ex.Cursor}, &fr); we != nil {
+		if we := postWire(t, h, wire.PathFetch, wire.FetchRequest{Session: session, Cursor: ex.Cursor}, &fr); we != nil {
 			t.Fatalf("fetch: %v", we)
 		}
 		if fr.Error != nil {
@@ -467,13 +493,13 @@ func TestServeSessionLifecycle(t *testing.T) {
 			break
 		}
 	}
-	if want := []string{"1000", "1001", "1002"}; !reflect.DeepEqual(rows, want) {
+	if want := []string{"1000", "1001", "1002", "1003", "1004", "1005"}; !reflect.DeepEqual(rows, want) {
 		t.Fatalf("fetched rows %q, want %q", rows, want)
 	}
 
 	// Fetch past EOF: EOF again, not an error, no rows.
 	var past wire.FetchResponse
-	if we := postWire(t, h, wire.PathFetch, wire.FetchRequest{Session: hs.Session, Cursor: ex.Cursor}, &past); we != nil {
+	if we := postWire(t, h, wire.PathFetch, wire.FetchRequest{Session: session, Cursor: ex.Cursor}, &past); we != nil {
 		t.Fatalf("fetch past EOF: %v", we)
 	}
 	if !past.EOF || past.Error != nil || len(past.Rows) != 0 {
@@ -482,23 +508,22 @@ func TestServeSessionLifecycle(t *testing.T) {
 
 	// Double close-cursor: first close reports a live cursor, the second
 	// is a successful no-op.
-	var cc wire.CloseCursorResponse
-	if we := postWire(t, h, wire.PathCloseCursor, wire.CloseCursorRequest{Session: hs.Session, Cursor: ex.Cursor}, &cc); we != nil || !cc.Closed {
+	if we := postWire(t, h, wire.PathCloseCursor, wire.CloseCursorRequest{Session: session, Cursor: ex.Cursor}, &cc); we != nil || !cc.Closed {
 		t.Fatalf("close cursor: closed=%v err=%v", cc.Closed, we)
 	}
-	if we := postWire(t, h, wire.PathCloseCursor, wire.CloseCursorRequest{Session: hs.Session, Cursor: ex.Cursor}, &cc); we != nil || cc.Closed {
+	if we := postWire(t, h, wire.PathCloseCursor, wire.CloseCursorRequest{Session: session, Cursor: ex.Cursor}, &cc); we != nil || cc.Closed {
 		t.Fatalf("double close cursor: closed=%v err=%v, want idempotent no-op", cc.Closed, we)
 	}
 
 	// Fetch on the closed cursor is a typed permanent error.
-	if we := postWire(t, h, wire.PathFetch, wire.FetchRequest{Session: hs.Session, Cursor: ex.Cursor}, &past); we == nil {
+	if we := postWire(t, h, wire.PathFetch, wire.FetchRequest{Session: session, Cursor: ex.Cursor}, &past); we == nil {
 		t.Fatal("fetch on closed cursor succeeded")
 	} else if aqerr.ParseKind(we.Kind) != aqerr.KindPermanent {
 		t.Fatalf("fetch on closed cursor: kind %s, want permanent", we.Kind)
 	}
 
 	// Executing an unknown prepared statement is permanent, not a crash.
-	if we := postWire(t, h, wire.PathExecute, wire.ExecuteRequest{Session: hs.Session, Stmt: 9999}, &ex); we == nil {
+	if we := postWire(t, h, wire.PathExecute, wire.ExecuteRequest{Session: session, Stmt: 9999}, &ex); we == nil {
 		t.Fatal("execute of unknown statement succeeded")
 	} else if aqerr.ParseKind(we.Kind) != aqerr.KindPermanent {
 		t.Fatalf("unknown statement: kind %s, want permanent", we.Kind)
@@ -506,16 +531,94 @@ func TestServeSessionLifecycle(t *testing.T) {
 
 	// Session close is idempotent; everything after it is unavailable.
 	var cs wire.CloseSessionResponse
-	if we := postWire(t, h, wire.PathCloseSession, wire.CloseSessionRequest{Session: hs.Session}, &cs); we != nil {
+	if we := postWire(t, h, wire.PathCloseSession, wire.CloseSessionRequest{Session: session}, &cs); we != nil {
 		t.Fatalf("close session: %v", we)
 	}
-	if we := postWire(t, h, wire.PathCloseSession, wire.CloseSessionRequest{Session: hs.Session}, &cs); we != nil {
+	if we := postWire(t, h, wire.PathCloseSession, wire.CloseSessionRequest{Session: session}, &cs); we != nil {
 		t.Fatalf("double close session: %v", we)
 	}
-	if we := postWire(t, h, wire.PathExecute, wire.ExecuteRequest{Session: hs.Session, SQL: "SELECT 1 FROM CUSTOMERS"}, &ex); we == nil {
+	if we := postWire(t, h, wire.PathExecute, wire.ExecuteRequest{Session: session, SQL: "SELECT 1 FROM CUSTOMERS"}, &ex); we == nil {
 		t.Fatal("execute on closed session succeeded")
 	} else if aqerr.ParseKind(we.Kind) != aqerr.KindUnavailable {
 		t.Fatalf("execute on closed session: kind %s, want unavailable", we.Kind)
+	}
+}
+
+// TestServeOneRoundTrip pins what a served result costs in HTTP requests.
+// One that ends inside the execute response's chunk — a prepared point
+// lookup, an empty result, one row short of a chunk, an in-band error
+// after its prefix — is that one request, and the server holds no cursor
+// and no admission slot once it is answered. A result of a full chunk or
+// more keeps the cursor protocol: execute, fetch, cursor close. Every
+// result is one evaluation either way.
+func TestServeOneRoundTrip(t *testing.T) {
+	const fetchRows = 8 // the edge table has 9 rows; row 8 fails in XML mode
+	srv := server.New(edgePlatform(), server.Config{FetchRows: fetchRows, SessionIdleTimeout: time.Minute})
+	defer srv.Close()
+	h := srv.Handler()
+	var paths []string
+	c, err := remoteclient.Loopback(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		paths = append(paths, r.URL.Path)
+		h.ServeHTTP(w, r)
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	point, err := c.Prepare(ctx, "SELECT S FROM EDGE WHERE K = ?", ModeText)
+	if err != nil {
+		t.Fatal(err)
+	}
+	adhoc := func(mode ResultMode, sql string) func() (*Rows, error) {
+		return func() (*Rows, error) { return c.QueryStreamMode(ctx, mode, sql) }
+	}
+
+	oneTrip := []string{wire.PathExecute}
+	cursorTrips := []string{wire.PathExecute, wire.PathFetch, wire.PathCloseCursor}
+	for _, tc := range []struct {
+		name  string
+		run   func() (*Rows, error)
+		rows  int
+		fails bool
+		want  []string
+	}{
+		{"prepared point lookup", func() (*Rows, error) { return point.Execute(ctx, 9) }, 1, false, oneTrip},
+		{"no rows", adhoc(ModeText, "SELECT K FROM EDGE WHERE K > 9"), 0, false, oneTrip},
+		{"one row short of a chunk", adhoc(ModeText, "SELECT K FROM EDGE WHERE K < 8"), fetchRows - 1, false, oneTrip},
+		{"in-band error after 5 rows", adhoc(ModeXML, "SELECT K, N FROM EDGE WHERE K > 2"), 5, true, oneTrip},
+		{"exactly a chunk", adhoc(ModeText, "SELECT K FROM EDGE WHERE K < 9"), fetchRows, false, cursorTrips},
+		{"a chunk and a row", adhoc(ModeText, "SELECT K FROM EDGE"), fetchRows + 1, false, cursorTrips},
+	} {
+		before := srv.Stats()
+		paths = nil
+		rows, err := tc.run()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		oneShot := len(tc.want) == 1
+		if st := srv.Stats(); oneShot && (st.CursorsOpen != 0 || st.WeightedInFlight != 0) {
+			t.Fatalf("%s: answered execute left %d cursors open, %d slots held", tc.name, st.CursorsOpen, st.WeightedInFlight)
+		}
+		n := 0
+		for rows.Next() {
+			n++
+		}
+		rerr := rows.Err()
+		rows.Close()
+		if n != tc.rows || (rerr != nil) != tc.fails {
+			t.Fatalf("%s: %d rows, err %v; want %d rows, failure %v", tc.name, n, rerr, tc.rows, tc.fails)
+		}
+		if !reflect.DeepEqual(paths, tc.want) {
+			t.Fatalf("%s: requests %q, want %q", tc.name, paths, tc.want)
+		}
+		st := srv.Stats()
+		if st.CursorsOpen != 0 || st.WeightedInFlight != 0 || st.QueriesInFlight != 0 {
+			t.Fatalf("%s: server state left behind: %+v", tc.name, st)
+		}
+		if opened := st.CursorsOpened - before.CursorsOpened; opened != 1 {
+			t.Fatalf("%s: %d evaluations counted, want 1", tc.name, opened)
+		}
 	}
 }
 
@@ -563,12 +666,13 @@ func TestServeSessionReap(t *testing.T) {
 // TestServeAdmissionControl pins the load-shed path: with one admission
 // slot held by an undrained cursor, the next execute is rejected with a
 // typed unavailable error and counted; releasing the cursor frees the
-// slot.
+// slot. The chunk is small so the holder's 50 rows outlast its execute.
 func TestServeAdmissionControl(t *testing.T) {
 	_, srv, c := newLoopback(t, server.Config{
 		MaxConcurrentQueries: 1,
 		AdmissionWait:        time.Millisecond,
 		SessionIdleTimeout:   time.Minute,
+		FetchRows:            4,
 	})
 	ctx := context.Background()
 
