@@ -22,9 +22,12 @@ race:
 # Executor stress: the morsel executor's limit, error, FETCH FIRST and
 # cancellation nets plus the fused and correlated paths, repeated under
 # the race detector — where a worker trips and which morsels the merge
-# point re-runs depend on scheduling, so one pass proves little.
+# point re-runs depend on scheduling, so one pass proves little. The
+# driver's concurrency and streaming nets follow: every database/sql
+# connection shares one platform's compile and metadata caches.
 stress:
 	$(GO) test -race -count=20 -run 'TestParallel|TestFusedLimitParity|TestCorrelated' ./internal/xqeval/
+	$(GO) test -race -count=10 -run 'TestConcurrent|TestStreaming|TestRows' ./internal/driver/
 
 # Chaos soak: the fault-injection net at several fault rates under the
 # race detector — zero escaped panics, typed errors only, retried

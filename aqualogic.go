@@ -104,9 +104,6 @@ type (
 	// PipelineStats is a snapshot of pipeline metrics (counters plus
 	// per-stage timing aggregates).
 	PipelineStats = obsv.Snapshot
-	// ConnStats is the per-connection snapshot the driver exposes through
-	// database/sql's Conn.Raw (see driver.StatsReporter).
-	ConnStats = driver.ConnStats
 	// QueryPlan is the evaluator's optimized execution plan for a
 	// translation: hash equi-joins, pushed predicates, hoisted invariants.
 	QueryPlan = xqeval.Plan
@@ -551,16 +548,24 @@ func (p *Platform) CompileContext(ctx context.Context, sql string, mode ResultMo
 // is cached under (dialect, normalized text, mode, generations) — two
 // dialects can never share or clobber an entry, even on identical text.
 func (p *Platform) CompileDialect(ctx context.Context, dialect Dialect, text string, mode ResultMode) (*CompiledQuery, error) {
+	cq, _, err := p.compile(ctx, dialect, text, mode)
+	return cq, err
+}
+
+// compile is the one compile step behind the facade and every database/sql
+// statement: it resolves text through the shared compile cache,
+// translating, checking and planning only on a miss. hit reports artifact
+// reuse, which EXPLAIN's compile-cache line shows.
+func (p *Platform) compile(ctx context.Context, dialect Dialect, text string, mode ResultMode) (cq *CompiledQuery, hit bool, err error) {
 	fe, err := qfront.Lookup(dialect)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	cq, _, err := p.queryCache().Get(ctx, fe, text, mode, func(ctx context.Context, text string) (*qcache.CompiledQuery, error) {
+	return p.queryCache().Get(ctx, fe, text, mode, func(ctx context.Context, text string) (*qcache.CompiledQuery, error) {
 		tr := obsv.NewTrace(text)
 		tr.Hook = obsv.Global.ObserveStage
 		return qcache.Compile(ctx, p.Translator(mode), p.Engine, fe, text, tr)
 	})
-	return cq, err
 }
 
 // CompileStats reports the shared compile cache's counters. Process-wide
@@ -659,49 +664,82 @@ func (p *Platform) QueryStreamMode(ctx context.Context, mode ResultMode, sql str
 // through exactly the same compile cache, planner, and streaming cursor
 // as SQL.
 func (p *Platform) QueryDialect(ctx context.Context, dialect Dialect, mode ResultMode, text string, args ...any) (*Rows, error) {
-	cq, err := p.CompileDialect(ctx, dialect, text, mode)
+	cq, _, err := p.compile(ctx, dialect, text, mode)
 	if err != nil {
 		return nil, err
 	}
-	res := cq.Res
-	if len(args) != res.ParamCount {
-		return nil, fmt.Errorf("aqualogic: statement has %d parameter(s), got %d value(s)", res.ParamCount, len(args))
+	return p.execute(ctx, cq, args, nil)
+}
+
+// execute is the one bind → evaluate → decode tail behind the facade and
+// every database/sql statement. A parameter that does not convert is the
+// caller's error, typed permanent with the message the wire client gives.
+// Priming pulls the first chunk, so errors raised before any row exists
+// (unbound sources, source faults at open) return here; later ones surface
+// through rows.Err(). tr, when non-nil, traces the evaluation and the
+// decode stage, which spans the result's whole delivery window.
+func (p *Platform) execute(ctx context.Context, cq *CompiledQuery, args []any, tr *Trace) (*Rows, error) {
+	if len(args) != cq.Res.ParamCount {
+		return nil, fmt.Errorf("aqualogic: statement has %d parameter(s), got %d value(s)", cq.Res.ParamCount, len(args))
 	}
+	// Built here rather than returned from a helper: the evaluator copies
+	// the bindings out, so the map stays off the heap.
 	ext := make(map[string]Sequence, len(args))
 	for i, a := range args {
 		v, err := ToAtomic(a)
 		if err != nil {
-			return nil, fmt.Errorf("aqualogic: parameter %d: %v", i+1, err)
+			return nil, aqerr.Errorf(aqerr.KindPermanent, "execute", "parameter %d: %v", i+1, err)
 		}
 		ext[fmt.Sprintf("p%d", i+1)] = xdm.SequenceOf(v)
 	}
-	cur := p.Engine.EvalStream(ctx, cq.Plan, ext, nil)
+	cur := p.Engine.EvalStream(ctx, cq.Plan, ext, tr)
 	if err := cur.Prime(); err != nil {
 		cur.Close()
 		return nil, aqerr.Wrap("query", err)
 	}
-	if mode == ModeText {
-		return resultset.NewStreaming(resultset.StreamText(cur, cq.Columns)), nil
+	var rc resultset.RowCursor
+	if cq.Res.Mode == ModeText {
+		rc = resultset.StreamText(cur, cq.Columns)
+	} else {
+		rc = resultset.StreamXML(cur, cq.Columns)
 	}
-	return resultset.NewStreaming(resultset.StreamXML(cur, cq.Columns)), nil
+	if tr != nil {
+		rc = &decodeSpan{RowCursor: rc, sp: tr.StartStage(obsv.StageDecode)}
+	}
+	return resultset.NewStreaming(rc), nil
+}
+
+// decodeSpan closes a decode stage span, with the delivered row count, when
+// its cursor closes.
+type decodeSpan struct {
+	resultset.RowCursor
+	sp *obsv.Span
+	n  int
+}
+
+func (d *decodeSpan) Next() ([]Atomic, error) {
+	row, err := d.RowCursor.Next()
+	if err == nil {
+		d.n++
+	}
+	return row, err
+}
+
+func (d *decodeSpan) Close() error {
+	if d.sp != nil {
+		d.sp.SetOutput(d.n)
+		d.sp.End()
+		d.sp = nil
+	}
+	return d.RowCursor.Close()
 }
 
 // RegisterDriver exposes the platform through database/sql under the given
-// DSN name: sql.Open("aqualogic", name).
+// DSN name: sql.Open("aqualogic", name). Connections read the platform's
+// live state, so sources, views and resilience settings added after
+// registration reach them.
 func (p *Platform) RegisterDriver(name string) {
-	srv := &driver.Server{
-		App:        p.App,
-		Engine:     p.Engine,
-		Meta:       p.metaSource(),
-		Cache:      p.queryCache(), // one compile cache across facade + all connections
-		DefineView: p.DefineView,
-	}
-	p.cacheMu.Lock()
-	if p.resilience != nil {
-		srv.QueryTimeout = p.resilience.QueryTimeout
-	}
-	p.cacheMu.Unlock()
-	driver.RegisterServer(name, srv)
+	driver.Register(name, session{p})
 }
 
 // metaCache returns the platform's cache if it has been built yet.
@@ -824,10 +862,9 @@ func PlanQuery(t *Translation) *QueryPlan {
 
 // Stats snapshots the process-wide pipeline metrics (queries translated
 // and executed, metadata- and compile-cache hits/misses/evictions, rows
-// materialized, evaluator steps, per-stage timing aggregates).
-// Per-connection figures are available via the driver's Stats() (see
-// driver.StatsReporter); the platform's own metadata-cache counters via
-// MetadataStats, and its compile-cache counters via CompileStats.
+// materialized, evaluator steps, per-stage timing aggregates). The
+// platform's own metadata-cache counters are in MetadataStats, and its
+// compile-cache counters in CompileStats.
 func Stats() PipelineStats {
 	return obsv.Global.Snapshot()
 }

@@ -9,6 +9,8 @@ package aqualogic
 import (
 	"context"
 	"database/sql"
+	"fmt"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -228,6 +230,63 @@ func TestFederatedAmbiguity(t *testing.T) {
 	}
 	if strings.Join(order, " ") != strings.Join(want, " ") {
 		t.Fatalf("listing order = %v, want %v", order, want)
+	}
+}
+
+// TestFederatedShowStatements: database/sql's metadata browsing names each
+// table's own source as its catalog, so billing's and files' RATES can be
+// told apart, and SHOW CATALOGS lists every source once.
+func TestFederatedShowStatements(t *testing.T) {
+	p := federatedPlatform(t, demo.DefaultFederatedSizes, false)
+	p.RegisterDriver("federated-show")
+	db := openSQL(t, "federated-show")
+	show := func(stmt string) []string {
+		t.Helper()
+		rows, err := db.Query(stmt)
+		if err != nil {
+			t.Fatalf("%s: %v", stmt, err)
+		}
+		defer rows.Close()
+		cols, _ := rows.Columns()
+		vals := make([]any, len(cols))
+		ptrs := make([]any, len(cols))
+		for i := range vals {
+			ptrs[i] = &vals[i]
+		}
+		var out []string
+		for rows.Next() {
+			if err := rows.Scan(ptrs...); err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, strings.Trim(fmt.Sprintln(vals...), "\n"))
+		}
+		if err := rows.Err(); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	if got, want := show("SHOW CATALOGS"), []string{"TestApp", "billing", "files"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("SHOW CATALOGS = %q, want %q", got, want)
+	}
+	var tables []string
+	for _, row := range show("SHOW TABLES") {
+		f := strings.Fields(row) // catalog, schema, name, type
+		tables = append(tables, f[0]+":"+f[2])
+	}
+	want := []string{
+		"TestApp:ACCOUNTS", "TestApp:ORDERS",
+		"billing:INVOICES", "billing:RATES",
+		"files:RATES", "files:REGIONS",
+	}
+	if !reflect.DeepEqual(tables, want) {
+		t.Fatalf("SHOW TABLES catalogs = %q, want %q", tables, want)
+	}
+	var schemaCats []string
+	for _, row := range show("SHOW SCHEMAS") {
+		schemaCats = append(schemaCats, strings.Fields(row)[1])
+	}
+	if got := strings.Join(schemaCats, " "); !strings.Contains(got, "billing") || !strings.Contains(got, "files") {
+		t.Fatalf("SHOW SCHEMAS catalogs = %q, want the billing and files sources", got)
 	}
 }
 

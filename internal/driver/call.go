@@ -62,7 +62,7 @@ func newCallStmt(ctx context.Context, c *conn, query string) (driver.Stmt, error
 	}
 	s := &callStmt{conn: c}
 	ref := tableRefFromName(strings.Join(nameParts, "."))
-	meta, err := catalog.LookupContext(ctx, c.cache, ref)
+	meta, err := catalog.LookupContext(ctx, c.sess.Metadata(), ref)
 	if err != nil {
 		return nil, err
 	}
@@ -132,22 +132,18 @@ func (s *callStmt) Exec(args []driver.Value) (driver.Result, error) {
 	return nil, fmt.Errorf("aqualogic: CALL statements return rows; use Query")
 }
 
-// Query implements driver.Stmt: the function is invoked directly through
-// the engine and its flat rows decode with the function's column schema.
+// Query implements driver.Stmt: the function is invoked through the
+// session and its flat rows decode with the function's column schema.
 func (s *callStmt) Query(args []driver.Value) (driver.Rows, error) {
-	return s.queryContext(context.Background(), args)
+	return s.queryContext(context.Background(), plainArgs(args))
 }
 
 // QueryContext implements driver.StmtQueryContext for CALL statements.
 func (s *callStmt) QueryContext(ctx context.Context, args []driver.NamedValue) (driver.Rows, error) {
-	plain := make([]driver.Value, len(args))
-	for i, a := range args {
-		plain[i] = a.Value
-	}
-	return s.queryContext(ctx, plain)
+	return s.queryContext(ctx, namedArgs(args))
 }
 
-func (s *callStmt) queryContext(ctx context.Context, args []driver.Value) (dr driver.Rows, err error) {
+func (s *callStmt) queryContext(ctx context.Context, args []any) (dr driver.Rows, err error) {
 	defer aqerr.Recover("call", &err)
 	ctx, cancel := s.conn.withTimeout(ctx)
 	defer cancel()
@@ -158,9 +154,9 @@ func (s *callStmt) queryContext(ctx context.Context, args []driver.Value) (dr dr
 			if a.paramIndex > len(args) {
 				return nil, fmt.Errorf("aqualogic: missing value for parameter %d", a.paramIndex)
 			}
-			v, err := toAtomic(args[a.paramIndex-1])
+			v, err := xdm.FromGo(args[a.paramIndex-1])
 			if err != nil {
-				return nil, err
+				return nil, aqerr.Errorf(aqerr.KindPermanent, "execute", "parameter %d: %v", a.paramIndex, err)
 			}
 			callArgs[i] = xdm.SequenceOf(v)
 		} else {
@@ -174,7 +170,7 @@ func (s *callStmt) queryContext(ctx context.Context, args []driver.Value) (dr dr
 		}
 	}
 
-	out, err := s.invoke(ctx, callArgs)
+	out, err := s.conn.sess.Call(ctx, f.Namespace, f.Name, callArgs)
 	if err != nil {
 		return nil, aqerr.Wrap("call "+f.Name, err)
 	}
@@ -200,12 +196,7 @@ func (s *callStmt) queryContext(ctx context.Context, args []driver.Value) (dr dr
 	if err != nil {
 		return nil, err
 	}
-	// Stored-procedure results are materialized by construction (the whole
-	// function result is in hand); a cursor view joins them to the streaming
-	// driver path.
-	return &driverRows{cur: rows.Cursor()}, nil
-}
-
-func (s *callStmt) invoke(ctx context.Context, args []xdm.Sequence) (xdm.Sequence, error) {
-	return s.conn.engine.CallContext(ctx, s.meta.Function.Namespace, s.meta.Function.Name, args)
+	// Stored-procedure results are materialized by construction: the whole
+	// function result is in hand.
+	return &driverRows{rows: rows}, nil
 }

@@ -6,67 +6,22 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"time"
 
 	"repro/internal/aqerr"
-	"repro/internal/catalog"
-	"repro/internal/obsv"
-	"repro/internal/qcache"
 	"repro/internal/qfront"
 	"repro/internal/resultset"
 	"repro/internal/translator"
 	"repro/internal/xdm"
-	"repro/internal/xqeval"
 )
 
-// conn is one connection: a translator with its own metadata cache (the
-// paper's per-connection fetch-and-cache behavior) plus the execution
-// engine and the per-connection metrics behind Stats(). Compiled-query
-// artifacts are not per-connection: they live in the server's shared
-// compile cache, so translation work done on any connection is reused by
-// all of them.
+// conn is one connection: a session plus the result mode and dialect its
+// DSN selected. Everything a statement compiles or caches lives in the
+// session, so connections share it all.
 type conn struct {
-	srv        *Server
-	engine     *xqeval.Engine
-	translator *translator.Translator
-	cache      *catalog.Cache
-	mode       translator.ResultMode
-	frontend   qfront.Frontend
-	obs        *obsv.Metrics
-	closed     bool
-}
-
-func newConn(srv *Server, mode string, fe qfront.Frontend) *conn {
-	cache := catalog.NewCache(srv.metaSource())
-	tr := translator.New(cache)
-	tr.Options.DefaultCatalog = srv.App.Name
-	if mode == "xml" {
-		tr.Options.Mode = translator.ModeXML
-	} else {
-		tr.Options.Mode = translator.ModeText
-	}
-	return &conn{srv: srv, engine: srv.Engine, translator: tr, cache: cache,
-		mode: tr.Options.Mode, frontend: fe, obs: &obsv.Metrics{}}
-}
-
-// compile resolves query through the server's shared compile cache,
-// translating + checking + planning only on a miss (single-flight across
-// racing connections). hit reports artifact reuse; only fresh compiles
-// count toward the connection's QueriesTranslated.
-func (c *conn) compile(ctx context.Context, query string) (cq *qcache.CompiledQuery, hit bool, err error) {
-	cq, hit, err = c.srv.compileCache().Get(ctx, c.frontend, query, c.mode, func(ctx context.Context, text string) (*qcache.CompiledQuery, error) {
-		tr := obsv.NewTrace(text)
-		tr.Hook = c.observeStage
-		return qcache.Compile(ctx, c.translator, c.engine, c.frontend, text, tr)
-	})
-	if err != nil {
-		c.obs.TranslateErrors.Inc()
-		return nil, false, err
-	}
-	if !hit {
-		c.obs.QueriesTranslated.Inc()
-	}
-	return cq, hit, nil
+	sess    Session
+	mode    translator.ResultMode
+	dialect qfront.Dialect
+	closed  bool
 }
 
 // Prepare implements driver.Conn: statements translate once here and
@@ -98,25 +53,24 @@ func (c *conn) PrepareContext(ctx context.Context, query string) (st driver.Stmt
 	case strings.HasPrefix(upper, "CREATE VIEW "):
 		return newCreateViewStmt(c, trimmed)
 	}
-	// Compile once through the server's shared cache: translate, statically
-	// check, and plan the generated AST directly (no serialize→reparse).
-	// The artifact is immutable, so one prepared statement can execute it
-	// concurrently, and a repeat of the same statement — on this or any
-	// other connection — reuses it without compiling.
-	cq, _, err := c.compile(ctx, query)
+	// Compile once through the session's shared cache. The artifact is
+	// immutable, so one prepared statement can execute it concurrently, and
+	// a repeat of the same statement — on this or any other connection, or
+	// the facade — reuses it without compiling.
+	p, err := c.sess.Prepare(ctx, c.dialect, query, c.mode)
 	if err != nil {
 		return nil, aqerr.Wrap("prepare", err)
 	}
-	return &stmt{conn: c, cq: cq}, nil
+	return &stmt{conn: c, p: p}, nil
 }
 
-// withTimeout applies the server's QueryTimeout to contexts that carry no
+// withTimeout applies the session's QueryTimeout to contexts that carry no
 // deadline of their own — how the non-context Query/Exec entry points
 // (which reach here with context.Background()) still get bounded.
 func (c *conn) withTimeout(ctx context.Context) (context.Context, context.CancelFunc) {
-	if c.srv.QueryTimeout > 0 {
+	if d := c.sess.QueryTimeout(); d > 0 {
 		if _, ok := ctx.Deadline(); !ok {
-			return context.WithTimeout(ctx, c.srv.QueryTimeout)
+			return context.WithTimeout(ctx, d)
 		}
 	}
 	return ctx, func() {}
@@ -134,17 +88,17 @@ func (c *conn) Begin() (driver.Tx, error) {
 	return nil, fmt.Errorf("aqualogic: transactions are not supported (data services are read-only)")
 }
 
-// stmt is a prepared SELECT holding its compiled-query artifact.
+// stmt is a prepared SELECT.
 type stmt struct {
 	conn *conn
-	cq   *qcache.CompiledQuery
+	p    Prepared
 }
 
 // Close implements driver.Stmt.
 func (s *stmt) Close() error { return nil }
 
 // NumInput implements driver.Stmt.
-func (s *stmt) NumInput() int { return s.cq.Res.ParamCount }
+func (s *stmt) NumInput() int { return s.p.ParamCount() }
 
 // Exec implements driver.Stmt; the driver is read-only.
 func (s *stmt) Exec(args []driver.Value) (driver.Result, error) {
@@ -153,101 +107,60 @@ func (s *stmt) Exec(args []driver.Value) (driver.Result, error) {
 
 // Query implements driver.Stmt.
 func (s *stmt) Query(args []driver.Value) (driver.Rows, error) {
-	return s.queryContext(context.Background(), args)
+	return s.queryContext(context.Background(), plainArgs(args))
 }
 
 // QueryContext implements driver.StmtQueryContext: the evaluation observes
 // cancellation and deadlines at tuple boundaries.
 func (s *stmt) QueryContext(ctx context.Context, args []driver.NamedValue) (driver.Rows, error) {
-	plain := make([]driver.Value, len(args))
-	for i, a := range args {
-		plain[i] = a.Value
-	}
-	return s.queryContext(ctx, plain)
+	return s.queryContext(ctx, namedArgs(args))
 }
 
-func (s *stmt) queryContext(ctx context.Context, args []driver.Value) (dr driver.Rows, err error) {
+func (s *stmt) queryContext(ctx context.Context, args []any) (dr driver.Rows, err error) {
 	// A panic below (engine bug, malformed injected data) becomes a typed
 	// internal error at this boundary instead of unwinding into database/sql.
 	defer aqerr.Recover("query", &err)
 	ctx, cancel := s.conn.withTimeout(ctx)
 	// The evaluation outlives this call: rows stream out of a still-running
 	// query, so the context's cancel transfers to the returned driver.Rows
-	// (released by its Close). Cancel locally only on the error paths.
-	defer func() {
-		if err != nil {
-			cancel()
-		}
-	}()
-	ext := make(map[string]xdm.Sequence, len(args))
+	// (released by its Close).
+	rows, err := s.p.Execute(ctx, args...)
+	if err != nil {
+		cancel()
+		return nil, err
+	}
+	return &driverRows{rows: rows, cancel: cancel}, nil
+}
+
+// plainArgs and namedArgs hand database/sql's parameter values on as the
+// session's positional arguments.
+func plainArgs(args []driver.Value) []any {
+	out := make([]any, len(args))
 	for i, a := range args {
-		v, err := toAtomic(a)
-		if err != nil {
-			return nil, fmt.Errorf("aqualogic: parameter %d: %v", i+1, err)
-		}
-		ext[fmt.Sprintf("p%d", i+1)] = xdm.SequenceOf(v)
+		out[i] = a
 	}
-	// The trace is named by the source SQL, not the serialized XQuery: the
-	// compiled path never needs the textual form to execute.
-	tr := obsv.NewTrace(s.cq.SQL)
-	tr.Hook = s.conn.observeStage
-	cur := s.conn.engine.EvalStream(ctx, s.cq.Plan, ext, tr)
-	// Priming pulls the first chunk, so errors raised before any row exists
-	// (unbound sources, bad parameters, source faults at open) surface here
-	// synchronously, as they did on the materialized path.
-	if err := cur.Prime(); err != nil {
-		cur.Close()
-		return nil, aqerr.Wrap("query", err)
-	}
-	s.conn.obs.QueriesExecuted.Inc()
-	var rc resultset.RowCursor
-	if s.cq.Res.Mode == translator.ModeText {
-		rc = resultset.StreamText(cur, s.cq.Columns)
-	} else {
-		rc = resultset.StreamXML(cur, s.cq.Columns)
-	}
-	// Decoding now interleaves with consumption, so the decode span brackets
-	// the cursor's whole delivery window and closes with the row count.
-	return &driverRows{cur: rc, conn: s.conn, cancel: cancel, sp: tr.StartStage(obsv.StageDecode)}, nil
+	return out
 }
 
-// toAtomic converts a database/sql parameter to an atomic value.
-func toAtomic(v driver.Value) (xdm.Atomic, error) {
-	switch v := v.(type) {
-	case int64:
-		return xdm.Integer(v), nil
-	case float64:
-		return xdm.Double(v), nil
-	case bool:
-		return xdm.Boolean(v), nil
-	case string:
-		return xdm.String(v), nil
-	case []byte:
-		return xdm.String(string(v)), nil
-	case time.Time:
-		return xdm.DateTime{T: v}, nil
-	case nil:
-		return nil, fmt.Errorf("NULL parameters are not supported (comparisons with NULL are never true in SQL)")
-	default:
-		return nil, fmt.Errorf("unsupported parameter type %T", v)
+func namedArgs(args []driver.NamedValue) []any {
+	out := make([]any, len(args))
+	for i, a := range args {
+		out[i] = a.Value
 	}
+	return out
 }
 
-// driverRows adapts a pull row cursor to driver.Rows. Rows decode one at a
-// time as database/sql's Rows.Next pulls them; Close terminates a
-// still-running evaluation early by cancelling its context.
+// driverRows adapts a result set to driver.Rows. Rows decode one at a time
+// as database/sql's Rows.Next pulls them; Close terminates a still-running
+// evaluation early by cancelling its context.
 type driverRows struct {
-	cur    resultset.RowCursor
-	conn   *conn              // nil for ancillary statements (CALL)
+	rows   *resultset.Rows
 	cancel context.CancelFunc // nil when no live evaluation is attached
-	sp     *obsv.Span         // decode span, closed with the delivered row count
-	n      int64              // rows delivered
-	closed bool
 }
 
 // Columns implements driver.Rows.
 func (r *driverRows) Columns() []string {
-	cols := r.cur.Columns()
+	cols := r.rows.Columns()
 	out := make([]string, len(cols))
 	for i, c := range cols {
 		out[i] = c.Label
@@ -255,49 +168,34 @@ func (r *driverRows) Columns() []string {
 	return out
 }
 
-// Close implements driver.Rows. It is idempotent and releases everything
-// exactly once: the cursor (dropping buffered rows), then the evaluation
-// context, so a result set abandoned mid-stream cancels the query instead
+// Close implements driver.Rows. It is idempotent: the result set drops its
+// buffered rows and closes its cursor, then the evaluation context is
+// released, so a result set abandoned mid-stream cancels the query instead
 // of evaluating tuples nobody will read.
 func (r *driverRows) Close() error {
-	if r.closed {
-		return nil
-	}
-	r.closed = true
-	err := r.cur.Close()
+	r.rows.Close()
 	if r.cancel != nil {
 		r.cancel()
 	}
-	if r.sp != nil {
-		r.sp.SetOutput(int(r.n))
-		r.sp.End()
-	}
-	if r.conn != nil {
-		r.conn.obs.RowsStreamed.Add(r.n)
-	}
-	return err
+	return nil
 }
 
-// Next implements driver.Rows: one pull on the cursor per row. Errors that
-// strike mid-stream (source faults, cancellation) surface here as typed
-// query errors through sql.Rows.Err.
+// Next implements driver.Rows: one pull on the result set per row. Errors
+// that strike mid-stream (source faults, cancellation) surface here as
+// typed query errors through sql.Rows.Err.
 func (r *driverRows) Next(dest []driver.Value) error {
-	if r.closed {
-		return io.EOF
-	}
-	row, err := r.cur.Next()
-	if err == io.EOF {
-		return io.EOF
-	}
-	if err != nil {
-		return aqerr.Wrap("query", err)
-	}
-	r.n++
-	for i := range dest {
-		if i >= len(row) {
-			return fmt.Errorf("aqualogic: column index %d out of range (0..%d)", i, len(row)-1)
+	if !r.rows.Next() {
+		if err := r.rows.Err(); err != nil {
+			return err
 		}
-		dest[i] = fromAtomic(row[i])
+		return io.EOF
+	}
+	for i := range dest {
+		v, err := r.rows.Value(i)
+		if err != nil {
+			return err
+		}
+		dest[i] = fromAtomic(v)
 	}
 	return nil
 }
@@ -305,18 +203,18 @@ func (r *driverRows) Next(dest []driver.Value) error {
 // ColumnTypeDatabaseTypeName implements driver.RowsColumnTypeDatabaseTypeName:
 // rows.ColumnTypes() reports the SQL type of each output column.
 func (r *driverRows) ColumnTypeDatabaseTypeName(index int) string {
-	return r.cur.Columns()[index].Type.String()
+	return r.rows.Columns()[index].Type.String()
 }
 
 // ColumnTypeNullable implements driver.RowsColumnTypeNullable.
 func (r *driverRows) ColumnTypeNullable(index int) (nullable, ok bool) {
-	return r.cur.Columns()[index].Nullable, true
+	return r.rows.Columns()[index].Nullable, true
 }
 
 // ColumnTypePrecisionScale implements driver.RowsColumnTypePrecisionScale
 // for columns with declared facets (DECIMAL(p,s), VARCHAR(n)).
 func (r *driverRows) ColumnTypePrecisionScale(index int) (precision, scale int64, ok bool) {
-	c := r.cur.Columns()[index]
+	c := r.rows.Columns()[index]
 	if c.Precision == 0 && c.Scale == 0 {
 		return 0, 0, false
 	}

@@ -1,8 +1,10 @@
 // Package driver implements the Go analog of the paper's JDBC driver: a
-// database/sql/driver over the SQL-to-XQuery translator and an XQuery
-// engine. SQL arrives through the standard database/sql API, is translated
-// per statement (once, at Prepare time — the prepared-statement path), and
-// executes against the registered in-memory DSP stand-in.
+// database/sql/driver that is a client of the platform. SQL arrives
+// through the standard database/sql API and is handed to a Session — the
+// platform's one compile-and-execute path, compile cache and metadata
+// cache — which compiles it once at Prepare time (the prepared-statement
+// path) and evaluates it per execution. The driver holds no translator,
+// engine or cache of its own.
 //
 // Beyond SELECT, the driver supports the metadata-browsing and
 // stored-procedure surfaces reporting tools use:
@@ -11,12 +13,13 @@
 //	SHOW COLUMNS FROM <table>
 //	CALL <function>(args…)   — parameterized data service functions
 //
-// The DSN names a registered server, optionally selecting the §4 result
+// The DSN names a registered session, optionally selecting the §4 result
 // mode and the query dialect: "demo", "demo?mode=text" (default),
 // "demo?mode=xml", "demo?dialect=path" (default "sql").
 package driver
 
 import (
+	"context"
 	"database/sql"
 	"database/sql/driver"
 	"fmt"
@@ -25,80 +28,49 @@ import (
 	"time"
 
 	"repro/internal/catalog"
-	"repro/internal/qcache"
 	"repro/internal/qfront"
-	"repro/internal/xqeval"
+	"repro/internal/resultset"
+	"repro/internal/translator"
+	"repro/internal/xdm"
 )
 
-// Server is one AquaLogic-style deployment: the application metadata and
-// the engine serving its data service functions.
-type Server struct {
-	App    *catalog.Application
-	Engine *xqeval.Engine
-	// Meta optionally overrides the metadata source seen by translators
-	// (e.g. a latency-simulating catalog.Remote). Defaults to App.
-	Meta catalog.Source
-	// Cache optionally supplies the server's shared compiled-query cache
-	// (the Platform facade passes its own, so facade queries and driver
-	// statements share one artifact pool). When nil, a server-private
-	// cache is built on first use, keyed on Meta's metadata generation
-	// when Meta versions itself.
-	Cache *qcache.Cache
-	// DefineView, when set, enables the CREATE VIEW statement: it should
-	// register a logical data service for the given schema path, view
-	// name, and SELECT body (the Platform facade wires its DefineView
-	// here).
-	DefineView func(path, name, sql string) error
-	// QueryTimeout, when positive, bounds every statement execution that
-	// arrives without its own deadline — including the non-context
-	// Query/Exec paths, which database/sql cannot otherwise cancel.
-	QueryTimeout time.Duration
-
-	cacheMu sync.Mutex
+// Session is the platform a connection is a client of. Every call reads
+// the platform's current state, so metadata, compile-cache and
+// configuration changes made after registration reach every connection.
+type Session interface {
+	// Prepare compiles a statement through the platform's compile cache.
+	Prepare(ctx context.Context, dialect qfront.Dialect, text string, mode translator.ResultMode) (Prepared, error)
+	// Explain renders a statement's compiled artifact, one line per row.
+	Explain(ctx context.Context, dialect qfront.Dialect, text string, mode translator.ResultMode) ([]string, error)
+	// Call invokes a data service function — what CALL runs.
+	Call(ctx context.Context, namespace, name string, args []xdm.Sequence) (xdm.Sequence, error)
+	// DefineView registers a logical data service (CREATE VIEW).
+	DefineView(path, name, sql string) error
+	// Metadata is the catalog SHOW and CALL resolve against.
+	Metadata() catalog.Source
+	// QueryTimeout bounds executions that arrive without a deadline; zero
+	// means unbounded.
+	QueryTimeout() time.Duration
 }
 
-func (s *Server) metaSource() catalog.Source {
-	if s.Meta != nil {
-		return s.Meta
-	}
-	return s.App
-}
-
-// compileCache returns the server's shared compiled-query cache, building
-// a private one lazily when the embedder supplied none. Every connection
-// of the server populates and consumes the same cache: a statement
-// prepared on one connection is a compile-cache hit on all of them.
-func (s *Server) compileCache() *qcache.Cache {
-	s.cacheMu.Lock()
-	defer s.cacheMu.Unlock()
-	if s.Cache == nil {
-		cfg := qcache.Config{}
-		if gs, ok := s.metaSource().(qcache.GenerationSource); ok {
-			cfg.Generation = gs.Generation
-		}
-		s.Cache = qcache.New(cfg)
-	}
-	return s.Cache
+// Prepared is a compiled statement that executes many times with
+// different parameters, concurrently if need be.
+type Prepared interface {
+	Columns() []resultset.Column
+	ParamCount() int
+	Execute(ctx context.Context, args ...any) (*resultset.Rows, error)
 }
 
 var (
 	registryMu sync.RWMutex
-	registry   = map[string]*Server{}
+	registry   = map[string]Session{}
 )
 
-// RegisterServer installs a server under a DSN name.
-func RegisterServer(name string, s *Server) {
+// Register installs a session under a DSN name.
+func Register(name string, s Session) {
 	registryMu.Lock()
 	defer registryMu.Unlock()
 	registry[name] = s
-}
-
-// lookupServer resolves a DSN name.
-func lookupServer(name string) (*Server, bool) {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	s, ok := registry[name]
-	return s, ok
 }
 
 // Driver implements driver.Driver.
@@ -107,8 +79,7 @@ type Driver struct{}
 // Open implements driver.Driver.
 func (Driver) Open(dsn string) (driver.Conn, error) {
 	name := dsn
-	mode := "text"
-	dialect := qfront.DialectSQL
+	c := &conn{mode: translator.ModeText, dialect: qfront.DialectSQL}
 	if i := strings.IndexByte(dsn, '?'); i >= 0 {
 		name = dsn[:i]
 		for _, kv := range strings.Split(dsn[i+1:], "&") {
@@ -118,26 +89,31 @@ func (Driver) Open(dsn string) (driver.Conn, error) {
 			}
 			switch k {
 			case "mode":
-				if v != "text" && v != "xml" {
+				switch v {
+				case "text":
+					c.mode = translator.ModeText
+				case "xml":
+					c.mode = translator.ModeXML
+				default:
 					return nil, fmt.Errorf("aqualogic: unknown result mode %q", v)
 				}
-				mode = v
 			case "dialect":
-				dialect = qfront.Dialect(v)
+				c.dialect = qfront.Dialect(v)
 			default:
 				return nil, fmt.Errorf("aqualogic: unknown DSN option %q", k)
 			}
 		}
 	}
-	fe, err := qfront.Lookup(dialect)
-	if err != nil {
+	if _, err := qfront.Lookup(c.dialect); err != nil {
 		return nil, fmt.Errorf("aqualogic: %v", err)
 	}
-	srv, ok := lookupServer(name)
-	if !ok {
+	registryMu.RLock()
+	c.sess = registry[name]
+	registryMu.RUnlock()
+	if c.sess == nil {
 		return nil, fmt.Errorf("aqualogic: no registered server %q", name)
 	}
-	return newConn(srv, mode, fe), nil
+	return c, nil
 }
 
 func init() {

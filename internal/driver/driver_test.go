@@ -1,4 +1,4 @@
-package driver
+package driver_test
 
 import (
 	"context"
@@ -11,18 +11,28 @@ import (
 	"testing"
 	"time"
 
+	aqualogic "repro"
+	"repro/internal/aqerr"
 	"repro/internal/demo"
+	"repro/internal/driver"
+	"repro/internal/remoteclient"
 )
+
+// The wire client's prepared statement already has the Prepared method
+// set, so a wire session can stand behind the driver unchanged.
+var _ driver.Prepared = (*remoteclient.Stmt)(nil)
 
 var registerOnce sync.Once
 
 func openDemo(t *testing.T, opts string) *sql.DB {
 	t.Helper()
-	registerOnce.Do(func() {
-		app, _, engine := demo.Setup(demo.DefaultSizes)
-		RegisterServer("demo", &Server{App: app, Engine: engine})
-	})
-	db, err := sql.Open("aqualogic", "demo"+opts)
+	registerOnce.Do(func() { aqualogic.Demo().RegisterDriver("demo") })
+	return open(t, "demo"+opts)
+}
+
+func open(t *testing.T, dsn string) *sql.DB {
+	t.Helper()
+	db, err := sql.Open("aqualogic", dsn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,23 +42,23 @@ func openDemo(t *testing.T, opts string) *sql.DB {
 
 var isolatedSeq atomic.Int64
 
-// openIsolated registers a fresh demo server under a unique DSN and opens
-// it: nothing is shared with other tests. The compile cache is per server,
-// so tests asserting on cold-vs-warm compile or catalog behavior (EXPLAIN
-// goldens, cache-effect lines, translate-once counters) must use this —
-// on the shared "demo" server another test may already have compiled the
-// same statement.
-func openIsolated(t *testing.T, opts string) *sql.DB {
-	t.Helper()
-	app, _, engine := demo.Setup(demo.DefaultSizes)
+// register exposes p under a fresh DSN name.
+func register(p *aqualogic.Platform) string {
 	name := fmt.Sprintf("demo-isolated-%d", isolatedSeq.Add(1))
-	RegisterServer(name, &Server{App: app, Engine: engine})
-	db, err := sql.Open("aqualogic", name+opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { db.Close() })
-	return db
+	p.RegisterDriver(name)
+	return name
+}
+
+// openIsolated registers a fresh demo platform under a unique DSN and opens
+// it: nothing is shared with other tests. The compile and metadata caches
+// are per platform, so tests asserting on cold-vs-warm compile or catalog
+// behavior (EXPLAIN goldens, cache-effect lines, translate-once counters)
+// must use this — on the shared "demo" platform another test may already
+// have compiled the same statement.
+func openIsolated(t *testing.T, opts string) (*sql.DB, *aqualogic.Platform) {
+	t.Helper()
+	p := aqualogic.Demo()
+	return open(t, register(p)+opts), p
 }
 
 func TestQueryThroughDatabaseSQL(t *testing.T) {
@@ -466,10 +476,106 @@ func TestTimeParameterAgainstDateColumn(t *testing.T) {
 	}
 }
 
-func TestCreateViewWithoutHookRefused(t *testing.T) {
-	db := openDemo(t, "")
-	_, err := db.Exec("CREATE VIEW X AS SELECT 1")
-	if err == nil || !strings.Contains(err.Error(), "does not support CREATE VIEW") {
-		t.Fatalf("err = %v", err)
+// TestCreateViewAcrossConnections: a view created on one connection is
+// queryable on another that looked the name up, and failed, before it
+// existed — no connection keeps a metadata cache of its own.
+func TestCreateViewAcrossConnections(t *testing.T) {
+	db, _ := openIsolated(t, "")
+	ctx := context.Background()
+	a, err := db.Conn(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := db.Conn(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	const q = "SELECT COUNT(*) FROM XVIEW"
+	var n int64
+	if err := b.QueryRowContext(ctx, q).Scan(&n); err == nil {
+		t.Fatal("query against a missing view succeeded")
+	}
+	if _, err := a.ExecContext(ctx, "CREATE VIEW XVIEW AS SELECT CUSTOMERID FROM CUSTOMERS"); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.QueryRowContext(ctx, q).Scan(&n); err != nil || n != 50 {
+		t.Fatalf("second connection after CREATE VIEW: count %d, err %v", n, err)
+	}
+}
+
+// TestRegisterBeforeAddSource: a source added after RegisterDriver is
+// visible through database/sql, as it is through the facade.
+func TestRegisterBeforeAddSource(t *testing.T) {
+	fx := demo.FederatedSetup(demo.DefaultFederatedSizes, false)
+	p := aqualogic.New(fx.App, fx.Engine)
+	db := open(t, register(p))
+	for _, b := range fx.Extra {
+		if err := p.AddSource(b.Name, b.Source); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const q = "SELECT AMOUNT FROM INVOICES"
+	want, err := p.Query(q)
+	if err != nil {
+		t.Fatalf("facade: %v", err)
+	}
+	rows, err := db.Query(q)
+	if err != nil {
+		t.Fatalf("database/sql: %v", err)
+	}
+	defer rows.Close()
+	n := 0
+	for rows.Next() {
+		n++
+	}
+	if err := rows.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if n == 0 || n != want.Len() {
+		t.Fatalf("database/sql read %d invoices, facade %d", n, want.Len())
+	}
+}
+
+// TestRegisterBeforeResilienceTimeout: a QueryTimeout set by
+// EnableResilience after RegisterDriver bounds database/sql statements —
+// here one over a data service that blocks until its context is done.
+func TestRegisterBeforeResilienceTimeout(t *testing.T) {
+	p := aqualogic.Demo()
+	release := make(chan struct{})
+	defer close(release)
+	p.App.AddDSFile(&aqualogic.DSFile{Path: "Slow", Name: "STALL", Functions: []*aqualogic.Function{
+		aqualogic.NewRelationalImport("Slow", "STALL", []aqualogic.Column{{Name: "ID", Type: aqualogic.SQLInteger}})}})
+	p.Engine.RegisterContext("ld:Slow/STALL", "STALL", func(ctx context.Context, _ []aqualogic.Sequence) (aqualogic.Sequence, error) {
+		select {
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		case <-release:
+			return nil, nil
+		}
+	})
+	db := open(t, register(p))
+	p.EnableResilience(aqualogic.ResilienceConfig{QueryTimeout: 50 * time.Millisecond})
+
+	done := make(chan error, 1)
+	go func() {
+		rows, err := db.Query("SELECT ID FROM STALL")
+		if err == nil {
+			for rows.Next() {
+			}
+			err = rows.Err()
+			rows.Close()
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		var qe *aqerr.QueryError
+		if !errors.As(err, &qe) || qe.Kind != aqerr.KindTimeout {
+			t.Fatalf("err = %v, want a typed timeout", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("database/sql ignored the platform's 50ms QueryTimeout")
 	}
 }

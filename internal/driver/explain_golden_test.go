@@ -1,4 +1,4 @@
-package driver
+package driver_test
 
 import (
 	"context"
@@ -52,10 +52,10 @@ func normalizeExplain(s string) string {
 
 func runExplain(t *testing.T, sqlText string) string {
 	t.Helper()
-	// A fresh server per statement gives each EXPLAIN a cold compile cache
-	// and a cold connection catalog cache, so hit/miss deltas in the golden
-	// files are deterministic regardless of what other tests compiled.
-	db := openIsolated(t, "")
+	// A fresh platform per statement gives each EXPLAIN a cold compile cache
+	// and a cold catalog cache, so hit/miss deltas in the golden files are
+	// deterministic regardless of what other tests compiled.
+	db, _ := openIsolated(t, "")
 	rows, err := db.Query("EXPLAIN " + sqlText)
 	if err != nil {
 		t.Fatalf("EXPLAIN %s: %v", sqlText, err)
@@ -135,11 +135,11 @@ func TestExplainStageOrder(t *testing.T) {
 }
 
 // TestExplainRepeatedCacheHits checks the cache-effect lines on a warm
-// server: the first EXPLAIN compiles (catalog miss included), the second
+// platform: the first EXPLAIN compiles (catalog miss included), the second
 // reuses the cached artifact — no translation, no catalog traffic, and
 // the stage trace rendered is the original compile's.
 func TestExplainRepeatedCacheHits(t *testing.T) {
-	db := openIsolated(t, "")
+	db, _ := openIsolated(t, "")
 	conn, err := db.Conn(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -171,7 +171,7 @@ func TestExplainRepeatedCacheHits(t *testing.T) {
 	if !strings.Contains(second, "-- compile cache: hit") {
 		t.Fatalf("warm compile line missing:\n%s", second)
 	}
-	if !strings.Contains(second, "-- catalog cache: hits=0 misses=0 (connection totals: hits=0 misses=1)") {
+	if !strings.Contains(second, "-- catalog cache: hits=0 misses=0 (platform totals: hits=0 misses=1)") {
 		t.Fatalf("warm cache line should show no catalog traffic:\n%s", second)
 	}
 	// A cached EXPLAIN still renders the full artifact.
@@ -182,28 +182,13 @@ func TestExplainRepeatedCacheHits(t *testing.T) {
 
 // TestExplainTranslatesOnce is the regression test for the EXPLAIN
 // double-translation bug: one EXPLAIN statement performs exactly one
-// translation (it used to translate for the trace and let Prepare
-// translate again), and EXPLAIN of a statement the server already
-// compiled performs none.
+// compile (it used to translate for the trace and let Prepare translate
+// again), and EXPLAIN of a statement the platform already compiled
+// performs none.
 func TestExplainTranslatesOnce(t *testing.T) {
-	db := openIsolated(t, "")
-	conn, err := db.Conn(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	translated := func() int64 {
-		var n int64
-		if err := conn.Raw(func(dc any) error {
-			n = dc.(StatsReporter).Stats().Pipeline.QueriesTranslated
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return n
-	}
+	db, p := openIsolated(t, "")
 	run := func(q string) {
-		rows, err := conn.QueryContext(context.Background(), q)
+		rows, err := db.Query(q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,14 +196,14 @@ func TestExplainTranslatesOnce(t *testing.T) {
 	}
 
 	run("EXPLAIN SELECT CITY FROM CUSTOMERS")
-	if n := translated(); n != 1 {
-		t.Fatalf("one EXPLAIN translated %d times, want exactly 1", n)
+	if n := p.CompileStats().Misses; n != 1 {
+		t.Fatalf("one EXPLAIN compiled %d times, want exactly 1", n)
 	}
 	// EXPLAIN again, then execute the same statement: both reuse the
 	// artifact the first EXPLAIN compiled.
 	run("EXPLAIN SELECT CITY FROM CUSTOMERS")
 	run("SELECT CITY FROM CUSTOMERS")
-	if n := translated(); n != 1 {
-		t.Fatalf("cached EXPLAIN + execute re-translated (total %d, want 1)", n)
+	if s := p.CompileStats(); s.Misses != 1 || s.Hits != 2 {
+		t.Fatalf("cached EXPLAIN + execute recompiled: %+v, want 1 miss and 2 hits", s)
 	}
 }

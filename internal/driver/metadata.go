@@ -59,58 +59,79 @@ func (s *showStmt) Exec(args []driver.Value) (driver.Result, error) {
 	return nil, fmt.Errorf("aqualogic: SHOW statements are queries")
 }
 
-// Query implements driver.Stmt.
+// Query implements driver.Stmt. Each table and procedure is listed under
+// the catalog that owns it: the application, or in a federation the
+// source it was registered from.
 func (s *showStmt) Query(args []driver.Value) (driver.Rows, error) {
+	meta := s.conn.sess.Metadata()
 	switch s.kind {
 	case "CATALOGS":
-		return &staticRows{cols: []string{"TABLE_CAT"}, rows: [][]driver.Value{{s.conn.srv.App.Name}}}, nil
-
-	case "SCHEMAS":
-		tables, err := s.conn.srv.metaSource().Tables()
+		tables, err := meta.Tables()
+		if err != nil {
+			return nil, err
+		}
+		procs, err := meta.Procedures()
 		if err != nil {
 			return nil, err
 		}
 		seen := map[string]bool{}
+		out := &staticRows{cols: []string{"TABLE_CAT"}}
+		for _, list := range [][]*catalog.TableMeta{tables, procs} {
+			for _, t := range list {
+				if !seen[t.Source] {
+					seen[t.Source] = true
+					out.rows = append(out.rows, []driver.Value{t.Source})
+				}
+			}
+		}
+		return out, nil
+
+	case "SCHEMAS":
+		tables, err := meta.Tables()
+		if err != nil {
+			return nil, err
+		}
+		seen := map[[2]string]bool{}
 		out := &staticRows{cols: []string{"TABLE_SCHEM", "TABLE_CATALOG"}}
 		for _, t := range tables {
-			if !seen[t.Schema] {
-				seen[t.Schema] = true
-				out.rows = append(out.rows, []driver.Value{t.Schema, s.conn.srv.App.Name})
+			if key := [2]string{t.Schema, t.Source}; !seen[key] {
+				seen[key] = true
+				out.rows = append(out.rows, []driver.Value{t.Schema, t.Source})
 			}
 		}
 		return out, nil
 
 	case "TABLES":
-		tables, err := s.conn.srv.metaSource().Tables()
+		tables, err := meta.Tables()
 		if err != nil {
 			return nil, err
 		}
 		out := &staticRows{cols: []string{"TABLE_CAT", "TABLE_SCHEM", "TABLE_NAME", "TABLE_TYPE"}}
 		for _, t := range tables {
-			out.rows = append(out.rows, []driver.Value{s.conn.srv.App.Name, t.Schema, t.Function.Name, "TABLE"})
+			out.rows = append(out.rows, []driver.Value{t.Source, t.Schema, t.Function.Name, "TABLE"})
 		}
 		return out, nil
 
 	case "PROCEDURES":
-		procs, err := s.conn.srv.metaSource().Procedures()
+		procs, err := meta.Procedures()
 		if err != nil {
 			return nil, err
 		}
 		out := &staticRows{cols: []string{"PROCEDURE_CAT", "PROCEDURE_SCHEM", "PROCEDURE_NAME", "NUM_PARAMS"}}
 		for _, p := range procs {
 			out.rows = append(out.rows, []driver.Value{
-				s.conn.srv.App.Name, p.Schema, p.Function.Name, int64(len(p.Function.Params)),
+				p.Source, p.Schema, p.Function.Name, int64(len(p.Function.Params)),
 			})
 		}
 		return out, nil
 
 	case "COLUMNS":
-		meta, err := s.conn.cache.Lookup(tableRefFromName(s.arg))
+		tm, err := meta.Lookup(tableRefFromName(s.arg))
 		if err != nil {
 			return nil, err
 		}
 		out := &staticRows{cols: []string{"COLUMN_NAME", "TYPE_NAME", "IS_NULLABLE", "ORDINAL_POSITION"}}
-		for i, c := range meta.Function.Columns {
+		for i, c := range tm.Function.Columns {
 			nullable := "NO"
 			if c.Nullable {
 				nullable = "YES"
@@ -162,52 +183,19 @@ func (r *staticRows) Next(dest []driver.Value) error {
 	return nil
 }
 
-// newExplainStmt resolves the statement through the server's shared
-// compile cache — compiling only when no artifact exists, exactly like
-// Prepare — and renders the artifact: the compile-time stage trace (wall
-// time, sizes, stage detail), the compile- and catalog-cache effects, the
-// query-context tree (the paper's Figure 4 view), the generated XQuery,
-// and the evaluator plan, one line per row. EXPLAIN of a statement the
-// server has already compiled performs no translation at all: every
-// section, including the stage trace, comes from the cached artifact.
+// newExplainStmt renders the statement's compiled artifact through the
+// session, which compiles only when no artifact exists — exactly like
+// Prepare — so EXPLAIN of a statement already compiled anywhere on the
+// platform performs no translation at all.
 func newExplainStmt(ctx context.Context, c *conn, sql string) (driver.Stmt, error) {
-	before := c.cache.Stats()
-	cq, hit, err := c.compile(ctx, sql)
+	lines, err := c.sess.Explain(ctx, c.dialect, sql, c.mode)
 	if err != nil {
 		return nil, err
 	}
-	after := c.cache.Stats()
-
-	status := "miss (compiled now)"
-	if hit {
-		status = "hit (stage trace below is the original compile's)"
-	}
 	out := &staticRows{cols: []string{"PLAN"}}
-	addLines := func(s string) {
-		for _, line := range strings.Split(strings.TrimRight(s, "\n"), "\n") {
-			out.rows = append(out.rows, []driver.Value{line})
-		}
+	for _, line := range lines {
+		out.rows = append(out.rows, []driver.Value{line})
 	}
-	addLines(fmt.Sprintf("-- dialect: %s", cq.Dialect))
-	if len(cq.Res.Sources) > 0 {
-		// Scan attribution: which federation backends the statement's
-		// table references resolved against, in first-touch order.
-		addLines(fmt.Sprintf("-- sources: %s", strings.Join(cq.Res.Sources, ", ")))
-	}
-	addLines("-- stage trace:")
-	addLines(cq.Trace.RenderString(true))
-	addLines(fmt.Sprintf("-- compile cache: %s", status))
-	addLines(fmt.Sprintf("-- catalog cache: hits=%d misses=%d (connection totals: hits=%d misses=%d)",
-		after.Hits-before.Hits, after.Misses-before.Misses, after.Hits, after.Misses))
-	addLines("-- query contexts (stage one):")
-	addLines(cq.Res.Contexts.Tree())
-	addLines("-- generated XQuery (stage three):")
-	addLines(cq.XQuery())
-	addLines("-- query plan (evaluator):")
-	for _, line := range cq.Plan.Describe() {
-		addLines(line)
-	}
-	addLines(fmt.Sprintf("-- streaming: %s", cq.Plan.Stream.Describe()))
 	return &explainStmt{rows: out}, nil
 }
 
@@ -235,12 +223,9 @@ func (s *explainStmt) Query(args []driver.Value) (driver.Rows, error) {
 }
 
 // newCreateViewStmt parses CREATE VIEW [schema.]name AS <select> and
-// registers a logical data service through the server's DefineView hook —
-// the SQL-tool-facing way to author the paper's logical layer.
+// registers a logical data service through the session — the
+// SQL-tool-facing way to author the paper's logical layer.
 func newCreateViewStmt(c *conn, stmtText string) (driver.Stmt, error) {
-	if c.srv.DefineView == nil {
-		return nil, fmt.Errorf("aqualogic: this server does not support CREATE VIEW")
-	}
 	rest := strings.TrimSpace(stmtText[len("CREATE VIEW"):])
 	// The view name runs to the AS keyword (case-insensitive, own token).
 	fields := strings.Fields(rest)
@@ -273,15 +258,12 @@ func (s *createViewStmt) Close() error { return nil }
 func (s *createViewStmt) NumInput() int { return 0 }
 
 // Exec implements driver.Stmt: view creation is DDL, executed not queried.
+// The session retires the metadata and compiled artifacts the new view
+// makes stale, for every connection at once.
 func (s *createViewStmt) Exec(args []driver.Value) (driver.Result, error) {
-	if err := s.conn.srv.DefineView(s.path, s.name, s.body); err != nil {
+	if err := s.conn.sess.DefineView(s.path, s.name, s.body); err != nil {
 		return nil, err
 	}
-	// New metadata invalidates this connection's catalog cache and every
-	// compiled artifact on the server (a query naming the new view may
-	// have compiled to a not-found error moments ago).
-	s.conn.cache.Invalidate()
-	s.conn.srv.compileCache().Invalidate()
 	return driver.RowsAffected(0), nil
 }
 

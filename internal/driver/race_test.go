@@ -1,9 +1,6 @@
-package driver
+package driver_test
 
 import (
-	"context"
-	"database/sql/driver"
-	"fmt"
 	"sync"
 	"testing"
 )
@@ -11,8 +8,8 @@ import (
 // TestConcurrentMixedQueries drives one *sql.DB from many goroutines
 // with a rotating workload. The pool hands out multiple driver
 // connections and reuses prepared statements across goroutines, so this
-// exercises conn, stmt, the per-connection metrics, and the shared
-// catalog cache under -race.
+// exercises conn, stmt, and the platform's shared compile and catalog
+// caches under -race.
 func TestConcurrentMixedQueries(t *testing.T) {
 	db := openDemo(t, "")
 	queries := []string{
@@ -84,11 +81,11 @@ func TestConcurrentSharedStmt(t *testing.T) {
 	wg.Wait()
 }
 
-// TestConcurrentStats interleaves queries with Stats() snapshots taken
-// through sql.Conn.Raw — the documented way to read per-connection
-// pipeline metrics — plus EXPLAIN traffic on other connections.
+// TestConcurrentStats interleaves EXPLAIN traffic on several connections
+// with compile-cache snapshots, the platform-wide counters every
+// connection shares.
 func TestConcurrentStats(t *testing.T) {
-	db := openDemo(t, "")
+	db, p := openIsolated(t, "")
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -111,44 +108,25 @@ func TestConcurrentStats(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
-				conn, err := db.Conn(context.Background())
-				if err != nil {
-					t.Errorf("conn: %v", err)
+				if s := p.CompileStats(); s.Misses > 1 {
+					t.Errorf("one statement compiled %d times", s.Misses)
 					return
 				}
-				err = conn.Raw(func(dc any) error {
-					st, ok := dc.(StatsReporter)
-					if !ok {
-						return fmt.Errorf("driver conn %T does not report stats", dc)
-					}
-					s := st.Stats()
-					if s.Pipeline.QueriesTranslated < 0 {
-						return fmt.Errorf("negative translate count")
-					}
-					return nil
-				})
-				if err != nil {
-					t.Error(err)
-				}
-				conn.Close()
 			}
 		}()
 	}
 	wg.Wait()
-}
-
-// TestConnImplementsStatsReporter pins the Raw-accessible interface.
-func TestConnImplementsStatsReporter(t *testing.T) {
-	var _ StatsReporter = (*conn)(nil)
-	var _ driver.Conn = (*conn)(nil)
+	if s := p.CompileStats(); s.Misses != 1 || s.Hits+s.Shared != 39 {
+		t.Fatalf("40 EXPLAINs of one statement: %+v, want 1 miss and 39 reuses", s)
+	}
 }
 
 // TestConcurrentPrepareStampede races many pool connections preparing the
-// same cold statement: the server's shared compile cache must single-
-// flight the compile — exactly one translation however many connections
-// collide — and every statement must still execute correctly.
+// same cold statement: the platform's compile cache must single-flight the
+// compile — exactly one translation however many connections collide —
+// and every statement must still execute correctly.
 func TestConcurrentPrepareStampede(t *testing.T) {
-	db := openIsolated(t, "")
+	db, p := openIsolated(t, "")
 	db.SetMaxOpenConns(16)
 
 	const goroutines = 16
@@ -172,21 +150,7 @@ func TestConcurrentPrepareStampede(t *testing.T) {
 	close(start)
 	wg.Wait()
 
-	conn, err := db.Conn(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := conn.Raw(func(dc any) error {
-		s := dc.(StatsReporter).Stats().Compile
-		if s.Misses != 1 {
-			return fmt.Errorf("stampede compiled %d times, want 1 (stats %+v)", s.Misses, s)
-		}
-		if s.Hits+s.Shared != goroutines-1 {
-			return fmt.Errorf("hits=%d shared=%d, want %d reuses", s.Hits, s.Shared, goroutines-1)
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
+	if s := p.CompileStats(); s.Misses != 1 || s.Hits+s.Shared != goroutines-1 {
+		t.Fatalf("stampede: %+v, want 1 compile and %d reuses", s, goroutines-1)
 	}
 }

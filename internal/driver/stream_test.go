@@ -1,7 +1,7 @@
 // Streaming behavior at the driver boundary: rows from a still-running
 // evaluation, early termination through Close, and statement reuse while
 // streams are in flight.
-package driver
+package driver_test
 
 import (
 	"context"
@@ -10,18 +10,33 @@ import (
 	"sync"
 	"testing"
 
+	aqualogic "repro"
 	"repro/internal/demo"
 	"repro/internal/obsv"
-	"repro/internal/sqlparser"
 )
 
-// streamConn builds a private server over a customers-only dataset and
-// opens one raw connection on it, bypassing database/sql so the test can
-// drive driver.Rows directly.
-func streamConn(t *testing.T, customers int) *conn {
+// rawStmt opens a customers-only platform, prepares query on one raw
+// driver connection, and hands the driver statement to fn, bypassing
+// database/sql so the test can drive driver.Rows directly.
+func rawStmt(t *testing.T, customers int, query string, fn func(sqldriver.Stmt)) {
 	t.Helper()
 	app, _, engine := demo.Setup(demo.Sizes{Customers: customers, PaymentsPerCustomer: 0, Orders: 1, ItemsPerOrder: 1})
-	return newConn(&Server{App: app, Engine: engine}, "text", sqlparser.Front{})
+	db := open(t, register(aqualogic.New(app, engine)))
+	conn, err := db.Conn(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := conn.Raw(func(dc any) error {
+		st, err := dc.(sqldriver.ConnPrepareContext).PrepareContext(context.Background(), query)
+		if err != nil {
+			return err
+		}
+		fn(st)
+		return st.Close()
+	}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // evalStepsDelta runs fn and reports how many evaluator steps the process
@@ -39,12 +54,13 @@ func evalStepsDelta(fn func()) int64 {
 // the same statement drained fully fixes the full-evaluation step cost,
 // and the abandoned run must spend a small fraction of it.
 func TestClosedRowsCancelEvaluation(t *testing.T) {
-	c := streamConn(t, 700) // cross join: 490 000 tuples if run to completion
-	st, err := c.PrepareContext(context.Background(), "SELECT A.CUSTOMERID FROM CUSTOMERS A, CUSTOMERS B")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := st.(*stmt)
+	// Cross join: 490 000 tuples if run to completion.
+	rawStmt(t, 700, "SELECT A.CUSTOMERID FROM CUSTOMERS A, CUSTOMERS B", func(s sqldriver.Stmt) {
+		closedRowsCancelEvaluation(t, s)
+	})
+}
+
+func closedRowsCancelEvaluation(t *testing.T, s sqldriver.Stmt) {
 	dest := make([]sqldriver.Value, 1)
 
 	fullSteps := evalStepsDelta(func() {
@@ -96,36 +112,33 @@ func TestClosedRowsCancelEvaluation(t *testing.T) {
 }
 
 // TestRowsCloseReleasesOnce: repeated Close calls on a live stream are
-// safe, report each row exactly once through the connection metrics, and
-// leave the statement reusable.
+// safe, end the decode stage exactly once, and leave the statement
+// reusable.
 func TestRowsCloseReleasesOnce(t *testing.T) {
-	c := streamConn(t, 50)
-	st, err := c.PrepareContext(context.Background(), "SELECT CUSTOMERID FROM CUSTOMERS")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := st.(*stmt)
-	for round := 0; round < 3; round++ {
-		rows, err := s.Query(nil)
-		if err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
-		dest := make([]sqldriver.Value, 1)
-		for i := 0; i < 2; i++ {
-			if err := rows.Next(dest); err != nil {
-				t.Fatalf("round %d row %d: %v", round, i, err)
+	rawStmt(t, 50, "SELECT CUSTOMERID FROM CUSTOMERS", func(s sqldriver.Stmt) {
+		decodes := func() int64 { return obsv.Global.StageTime(obsv.StageDecode).Snapshot().Count }
+		for round := 0; round < 3; round++ {
+			rows, err := s.Query(nil)
+			if err != nil {
+				t.Fatalf("round %d: %v", round, err)
+			}
+			dest := make([]sqldriver.Value, 1)
+			for i := 0; i < 2; i++ {
+				if err := rows.Next(dest); err != nil {
+					t.Fatalf("round %d row %d: %v", round, i, err)
+				}
+			}
+			before := decodes()
+			for i := 0; i < 3; i++ {
+				if err := rows.Close(); err != nil {
+					t.Fatalf("round %d close %d: %v", round, i, err)
+				}
+			}
+			if got := decodes() - before; got != 1 {
+				t.Fatalf("round %d: 3 Closes ended %d decode stages, want 1 (exactly once)", round, got)
 			}
 		}
-		before := c.obs.Snapshot().RowsStreamed
-		for i := 0; i < 3; i++ {
-			if err := rows.Close(); err != nil {
-				t.Fatalf("round %d close %d: %v", round, i, err)
-			}
-		}
-		if got := c.obs.Snapshot().RowsStreamed - before; got != 2 {
-			t.Fatalf("round %d: %d rows counted across 3 Closes, want 2 (exactly once)", round, got)
-		}
-	}
+	})
 }
 
 // TestStreamingStatementReuseRace hammers one prepared statement from

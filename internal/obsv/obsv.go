@@ -13,7 +13,7 @@
 //     generated, evaluator steps, …). A nil *Trace is a valid no-op
 //     tracer, so pipeline code threads it unconditionally.
 //
-//   - Metrics — process- or connection-scoped atomic counters and duration
+//   - Metrics — process-scoped atomic counters and duration
 //     histograms aggregating queries translated, cache hits/misses, rows
 //     materialized, evaluator steps, and cumulative per-stage time.
 //     Metrics values are updated with atomics only; they are safe for
@@ -113,8 +113,8 @@ type Trace struct {
 	// SQL is the traced statement (for rendering).
 	SQL string
 	// Hook, when set, is invoked synchronously with each completed
-	// StageEvent — the structured-observation surface the bench harness
-	// and the driver's per-connection metrics use.
+	// StageEvent — the structured-observation surface that feeds the
+	// per-stage histograms.
 	Hook func(StageEvent)
 
 	mu     sync.Mutex

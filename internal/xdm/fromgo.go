@@ -12,6 +12,8 @@ import (
 // means in process.
 func FromGo(v any) (Atomic, error) {
 	switch v := v.(type) {
+	case nil:
+		return nil, fmt.Errorf("NULL parameters are not supported")
 	case int:
 		return Integer(v), nil
 	case int32:

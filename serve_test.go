@@ -106,13 +106,7 @@ func TestServedMatchesInProcess(t *testing.T) {
 	}
 
 	// Failing statements: the typed-error kind must survive the wire.
-	failing := []string{
-		"SELECT NOPE FROM NO_SUCH_TABLE",
-		"SELECT FROM WHERE",
-		"SELECT CUSTOMERID FROM CUSTOMERS WHERE CUSTOMERID = ? AND CITY = ? AND STATUS = ?",
-		"SELECT CUSTOMERID FROM",
-	}
-	for _, sql := range failing {
+	for _, sql := range failingCorpus() {
 		_, lerr := p.QueryMode(ModeText, sql)
 		_, rerr := c.QueryStreamMode(context.Background(), ModeText, sql)
 		if lerr == nil || rerr == nil {
@@ -120,6 +114,130 @@ func TestServedMatchesInProcess(t *testing.T) {
 		}
 		if lk, rk := errKindName(lerr), errKindName(rerr); lk != rk {
 			t.Fatalf("%q: error kind diverged: in-process %s, served %s (%v vs %v)", sql, lk, rk, lerr, rerr)
+		}
+	}
+}
+
+// failingCorpus is statements every surface must refuse with the same
+// typed-error kind.
+func failingCorpus() []string {
+	return []string{
+		"SELECT NOPE FROM NO_SUCH_TABLE",
+		"SELECT FROM WHERE",
+		"SELECT CUSTOMERID FROM CUSTOMERS WHERE CUSTOMERID = ? AND CITY = ? AND STATUS = ?",
+		"SELECT CUSTOMERID FROM",
+	}
+}
+
+// TestDriverMatchesFacadeOnCorpus is the database/sql differential: the
+// full corpus, both result modes, through mode-selecting DSNs against the
+// facade. Scanned values must match row for row, and failing statements
+// must fail with the same typed-error kind.
+func TestDriverMatchesFacadeOnCorpus(t *testing.T) {
+	p := Demo()
+	p.RegisterDriver("driver-differential")
+	for _, mode := range []ResultMode{ModeXML, ModeText} {
+		db := openSQL(t, "driver-differential?mode="+wire.ModeName(mode))
+		for _, q := range compiledCorpus() {
+			args := chaosArgs(strings.Count(q, "?"))
+			local, err := p.QueryMode(mode, q, args...)
+			if err != nil {
+				t.Fatalf("mode %v: %q: facade: %v", mode, q, err)
+			}
+			var want []string
+			for local.Next() {
+				row := make([]any, len(local.Columns()))
+				for i := range row {
+					v, err := local.Value(i)
+					if err != nil {
+						t.Fatal(err)
+					}
+					row[i] = sqlValue(v)
+				}
+				want = append(want, fmt.Sprintf("%#v", row))
+			}
+			if err := local.Err(); err != nil {
+				t.Fatalf("mode %v: %q: facade iteration: %v", mode, q, err)
+			}
+			rows, err := db.Query(q, args...)
+			if err != nil {
+				t.Fatalf("mode %v: %q: database/sql: %v", mode, q, err)
+			}
+			cols, _ := rows.Columns()
+			var got []string
+			for rows.Next() {
+				row := make([]any, len(cols))
+				ptrs := make([]any, len(cols))
+				for i := range row {
+					ptrs[i] = &row[i]
+				}
+				if err := rows.Scan(ptrs...); err != nil {
+					t.Fatal(err)
+				}
+				got = append(got, fmt.Sprintf("%#v", row))
+			}
+			if err := rows.Err(); err != nil {
+				t.Fatalf("mode %v: %q: database/sql iteration: %v", mode, q, err)
+			}
+			rows.Close()
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("mode %v: %q: database/sql diverged from the facade\ngot:  %v\nwant: %v", mode, q, got, want)
+			}
+		}
+		for _, q := range failingCorpus() {
+			_, lerr := p.QueryMode(mode, q)
+			_, rerr := db.Query(q)
+			if lerr == nil || rerr == nil {
+				t.Fatalf("%q: expected both paths to fail (facade=%v database/sql=%v)", q, lerr, rerr)
+			}
+			if lk, rk := errKindName(lerr), errKindName(rerr); lk != rk {
+				t.Fatalf("%q: error kind diverged: facade %s, database/sql %s (%v vs %v)", q, lk, rk, lerr, rerr)
+			}
+		}
+	}
+}
+
+// sqlValue is the database/sql value the driver hands out for an atomic.
+func sqlValue(v xdm.Atomic) any {
+	switch v := v.(type) {
+	case nil:
+		return nil
+	case xdm.Integer:
+		return int64(v)
+	case xdm.Decimal:
+		return float64(v)
+	case xdm.Double:
+		return float64(v)
+	case xdm.Boolean:
+		return bool(v)
+	case xdm.Date:
+		return v.T
+	case xdm.Time:
+		return v.T
+	case xdm.DateTime:
+		return v.T
+	}
+	return v.Lexical()
+}
+
+// TestNullArgumentSameErrorEverywhere: a NULL argument is refused with the
+// same typed permanent error by the facade, by database/sql and by the wire
+// client.
+func TestNullArgumentSameErrorEverywhere(t *testing.T) {
+	p, _, c := newLoopback(t, server.Config{SessionIdleTimeout: time.Minute})
+	p.RegisterDriver("null-argument")
+	db := openSQL(t, "null-argument")
+	const q = "SELECT CITY FROM CUSTOMERS WHERE CUSTOMERID = ?"
+	_, facade := p.Query(q, nil)
+	_, viaSQL := db.Query(q, nil)
+	_, served := c.QueryStreamMode(context.Background(), ModeText, q, nil)
+	for surface, err := range map[string]error{"facade": facade, "database/sql": viaSQL, "served": served} {
+		var qe *aqerr.QueryError
+		if !errors.As(err, &qe) || qe.Kind != aqerr.KindPermanent {
+			t.Fatalf("%s: %v, want a permanent QueryError", surface, err)
+		}
+		if err.Error() != served.Error() {
+			t.Fatalf("%s: %q, served %q", surface, err, served)
 		}
 	}
 }

@@ -218,8 +218,6 @@ func TestCreateViewThroughDriver(t *testing.T) {
 	if _, err := db.Exec("CREATE VIEW MALFORMED SELECT 1"); err == nil {
 		t.Fatal("missing AS should fail")
 	}
-	// Servers without the hook refuse.
-	// (internal/driver tests cover the nil-hook path directly.)
 }
 
 func TestDefineViewInvalidatesCompiledQueries(t *testing.T) {
