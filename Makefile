@@ -22,11 +22,12 @@ race:
 # Executor stress: the morsel executor's limit, error, FETCH FIRST and
 # cancellation nets plus the fused and correlated paths, repeated under
 # the race detector — where a worker trips and which morsels the merge
-# point re-runs depend on scheduling, so one pass proves little. The
+# point re-runs depend on scheduling, so one pass proves little — and the
+# column kernels' differential against the generic path and naive. The
 # driver's concurrency and streaming nets follow: every database/sql
 # connection shares one platform's compile and metadata caches.
 stress:
-	$(GO) test -race -count=20 -run 'TestParallel|TestFusedLimitParity|TestCorrelated' ./internal/xqeval/
+	$(GO) test -race -count=20 -run 'TestParallel|TestFusedLimitParity|TestCorrelated|TestColumnKernels|TestHashJoinNegativeZero' ./internal/xqeval/
 	$(GO) test -race -count=10 -run 'TestConcurrent|TestStreaming|TestRows' ./internal/driver/
 
 # Chaos soak: the fault-injection net at several fault rates under the
@@ -68,6 +69,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParallelDifferential -fuzztime=$(FUZZTIME) ./internal/xqeval/
 	$(GO) test -run='^$$' -fuzz=FuzzFederatedDifferential -fuzztime=$(FUZZTIME) .
 	$(GO) test -run='^$$' -fuzz=FuzzTextRowCodec -fuzztime=$(FUZZTIME) ./internal/resultset/
+	$(GO) test -run='^$$' -fuzz=FuzzCompareUntyped -fuzztime=$(FUZZTIME) ./internal/xdm/
 
 # Serve smoke: the network front end end-to-end — loopback and real-TCP
 # conformance against the in-process oracle, the wire session-state

@@ -134,6 +134,11 @@ func FuzzTextRowCodec(f *testing.F) {
 		{Label: "U", Type: catalog.SQLUnknown, Nullable: true},
 	}
 	f.Fuzz(func(t *testing.T, a, b string, k int64, d float64, nulls uint8) {
+		for _, s := range []string{a, b, a + b} {
+			if got, want := unescape(s), unescapeReplacer.Replace(s); got != want {
+				t.Fatalf("unescape(%q) = %q, the replacer gives %q", s, got, want)
+			}
+		}
 		if !utf8.ValidString(a) || !utf8.ValidString(b) {
 			return
 		}
@@ -145,4 +150,29 @@ func FuzzTextRowCodec(f *testing.F) {
 		}
 		checkRoundTrip(t, row, cols)
 	})
+}
+
+// unescapeReplacer is the strings.Replacer unescape once was: the
+// definition the one-pass scan is held to.
+var unescapeReplacer = strings.NewReplacer("&lt;", "<", "&gt;", ">", "&#xD;", "\r", "&amp;", "&")
+
+// TestUnescapeMatchesReplacer holds the one-pass unescape equal to the
+// replacer on the codec corpus — each edge string alone, escaped, and
+// concatenated with every other — and on overlapping entities.
+func TestUnescapeMatchesReplacer(t *testing.T) {
+	inputs := []string{
+		"&amp;lt;", "&amp;amp;", "&&lt;", "&lt;&", "&l", "&lt", "&#xD", "&#xd;", "&amp", "&;", "&&&",
+		"&amp;#xD;", "&#xD;&#xD;", "a&b&c", "&gt;&gt", "x&amp;&lt;y",
+	}
+	for _, a := range edgeStrings {
+		inputs = append(inputs, a, string(xdm.AppendEscapedText(nil, a)))
+		for _, b := range edgeStrings {
+			inputs = append(inputs, a+b)
+		}
+	}
+	for _, s := range inputs {
+		if got, want := unescape(s), unescapeReplacer.Replace(s); got != want {
+			t.Errorf("unescape(%q) = %q, the replacer gives %q", s, got, want)
+		}
+	}
 }

@@ -265,6 +265,46 @@ func CompareAtomic(a, b Atomic, op CompareOp) (bool, error) {
 	if err != nil {
 		return false, err
 	}
+	return orderSatisfies(c, op)
+}
+
+// CompareUntyped is CompareAtomic(Untyped(text), b, op) — same result, same
+// error text — without boxing text: the comparison a column read makes
+// against an operand. Numeric and string operands parse and order through
+// the code Cast and OrderAtomic use; other types take CompareAtomic itself.
+func CompareUntyped(text string, b Atomic, op CompareOp) (bool, error) {
+	var c int
+	switch bv := b.(type) {
+	case Untyped:
+		c = strings.Compare(text, string(bv))
+	case String:
+		c = strings.Compare(text, string(bv))
+	case Integer:
+		n, ok := parseInteger(text)
+		if !ok {
+			return false, castErr(Untyped(text), TypeInteger)
+		}
+		c = orderInt(n, int64(bv))
+	case Decimal:
+		f, ok := parseDecimal(text)
+		if !ok {
+			return false, castErr(Untyped(text), TypeDecimal)
+		}
+		c = orderFloat(f, float64(bv))
+	case Double:
+		f, ok := UntypedNumber(text)
+		if !ok {
+			return false, castErr(Untyped(text), TypeDouble)
+		}
+		c = orderFloat(f, float64(bv))
+	default:
+		return CompareAtomic(Untyped(text), b, op)
+	}
+	return orderSatisfies(c, op)
+}
+
+// orderSatisfies reports whether an OrderAtomic result c satisfies op.
+func orderSatisfies(c int, op CompareOp) (bool, error) {
 	switch op {
 	case OpEq:
 		return c == 0, nil
@@ -307,15 +347,7 @@ func OrderAtomic(a, b Atomic) (int, error) {
 			return 1, nil
 		}
 	case Integer:
-		bv := b2.(Integer)
-		switch {
-		case av < bv:
-			return -1, nil
-		case av > bv:
-			return 1, nil
-		default:
-			return 0, nil
-		}
+		return orderInt(int64(av), int64(b2.(Integer))), nil
 	case Decimal:
 		return orderFloat(float64(av), float64(b2.(Decimal))), nil
 	case Double:
@@ -328,6 +360,17 @@ func OrderAtomic(a, b Atomic) (int, error) {
 		return orderTime(av.T, b2.(DateTime).T), nil
 	default:
 		return 0, fmt.Errorf("xdm: cannot order %s values", a2.Type())
+	}
+}
+
+func orderInt(a, b int64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	default:
+		return 0
 	}
 }
 

@@ -78,21 +78,29 @@ func castInteger(a Atomic) (Atomic, error) {
 		}
 		return Integer(int64(math.Trunc(f))), nil
 	case String, Untyped:
-		s := strings.TrimSpace(a.Lexical())
-		n, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			// SQL tools routinely push "10.0" at integer columns;
-			// accept a decimal lexical whose value is integral.
-			f, ferr := strconv.ParseFloat(s, 64)
-			if ferr != nil || f != math.Trunc(f) {
-				return nil, castErr(a, TypeInteger)
-			}
-			return Integer(int64(f)), nil
+		n, ok := parseInteger(a.Lexical())
+		if !ok {
+			return nil, castErr(a, TypeInteger)
 		}
 		return Integer(n), nil
 	default:
 		return nil, castErr(a, TypeInteger)
 	}
+}
+
+// parseInteger is the xs:integer a string or untypedAtomic of this lexical
+// form casts to. SQL tools routinely push "10.0" at integer columns, so a
+// decimal lexical whose value is integral is accepted.
+func parseInteger(lexical string) (int64, bool) {
+	s := strings.TrimSpace(lexical)
+	if n, err := strconv.ParseInt(s, 10, 64); err == nil {
+		return n, true
+	}
+	f, err := strconv.ParseFloat(s, 64)
+	if err != nil || f != math.Trunc(f) {
+		return 0, false
+	}
+	return int64(f), true
 }
 
 func castDecimal(a Atomic) (Atomic, error) {
@@ -111,14 +119,21 @@ func castDecimal(a Atomic) (Atomic, error) {
 		}
 		return Decimal(f), nil
 	case String, Untyped:
-		f, err := strconv.ParseFloat(strings.TrimSpace(a.Lexical()), 64)
-		if err != nil {
+		f, ok := parseDecimal(a.Lexical())
+		if !ok {
 			return nil, castErr(a, TypeDecimal)
 		}
 		return Decimal(f), nil
 	default:
 		return nil, castErr(a, TypeDecimal)
 	}
+}
+
+// parseDecimal is the xs:decimal a string or untypedAtomic of this lexical
+// form casts to.
+func parseDecimal(lexical string) (float64, bool) {
+	f, err := strconv.ParseFloat(strings.TrimSpace(lexical), 64)
+	return f, err == nil
 }
 
 func castDouble(a Atomic) (Atomic, error) {
@@ -133,23 +148,31 @@ func castDouble(a Atomic) (Atomic, error) {
 	case Decimal:
 		return Double(float64(v)), nil
 	case String, Untyped:
-		s := strings.TrimSpace(a.Lexical())
-		switch s {
-		case "INF":
-			return Double(math.Inf(1)), nil
-		case "-INF":
-			return Double(math.Inf(-1)), nil
-		case "NaN":
-			return Double(math.NaN()), nil
-		}
-		f, err := strconv.ParseFloat(s, 64)
-		if err != nil {
+		f, ok := UntypedNumber(a.Lexical())
+		if !ok {
 			return nil, castErr(a, TypeDouble)
 		}
 		return Double(f), nil
 	default:
 		return nil, castErr(a, TypeDouble)
 	}
+}
+
+// UntypedNumber is the xs:double an untypedAtomic (or string) of this
+// lexical form casts to — Cast's own parser, without boxing either side;
+// ok is false where the cast fails.
+func UntypedNumber(lexical string) (f float64, ok bool) {
+	s := strings.TrimSpace(lexical)
+	switch s {
+	case "INF":
+		return math.Inf(1), true
+	case "-INF":
+		return math.Inf(-1), true
+	case "NaN":
+		return math.NaN(), true
+	}
+	f, err := strconv.ParseFloat(s, 64)
+	return f, err == nil
 }
 
 var temporalLayouts = map[AtomicType][]string{

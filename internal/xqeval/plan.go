@@ -134,6 +134,9 @@ type planOp struct {
 	// external parameter, typically): evaluated on the first tuple to reach
 	// the filter instead of on every one. -1 = evaluated per tuple.
 	operandState [2]int
+	// column, on a filter comparing column reads with hoisted operands or
+	// with each other, runs the conjunct as a column kernel (kernel.go).
+	column *filterKernel
 
 	// hash turns an invariant for into a hash join.
 	hash *hashJoinSpec
@@ -172,14 +175,16 @@ type hashJoinSpec struct {
 	// (table -1) is built per FLWOR execution.
 	correlated bool
 	table      int
-
-	// Cost-model annotations (stats-built plans only; see pickHashConjunct).
 	// keyCol is the build-side key column when the build expression is a
-	// single-step path off the for variable; estBuild/estDistinct are the
-	// estimated build cardinality and key distinctness (-1/0 = unknown);
-	// statsPick records that statistics chose this key over at least one
-	// other hashable equi-conjunct.
-	keyCol      string
+	// column read of the for variable, probeCol the probe's column read:
+	// the table is built, and probed, by the column kernels (kernel.go).
+	keyCol   string
+	probeCol colRead
+
+	// Cost-model annotations (stats-built plans only; see pickHashConjunct):
+	// estBuild/estDistinct are the estimated build cardinality and key
+	// distinctness (-1/0 = unknown); statsPick records that statistics chose
+	// this key over at least one other hashable equi-conjunct.
 	estBuild    int64
 	estDistinct int64
 	statsPick   bool
@@ -394,6 +399,7 @@ func planFLWOR(f *xquery.FLWOR, p *Plan, pc *planCtx) *flworPlan {
 			if rewrite && sawFor {
 				p.InvariantsHoisted += fp.hoistOperands(&op, local)
 			}
+			op.column = columnFilterOf(&op)
 			cur.ops = append(cur.ops, op)
 			if c.pushed {
 				p.PredicatesPushed++
@@ -637,6 +643,7 @@ func pickHashConjunct(c *xquery.For, conds []pendingCond, j int, localBefore map
 		}
 		spec.valueCmp = b.Op == "eq"
 		spec.keyCol = joinKeyColumn(spec.buildExpr, c.Var)
+		spec.probeCol = colReadOf(spec.probeExpr)
 		spec.estBuild = -1
 		if st != nil {
 			spec.estBuild = st.Rows
@@ -667,8 +674,8 @@ func pickHashConjunct(c *xquery.For, conds []pendingCond, j int, localBefore map
 
 // joinKeyColumn extracts the build-side key column when the expression is a
 // bare single-step child path off the for variable ($v/COL) — the shape
-// every translator-generated equi-join takes. Other shapes cost-annotate
-// with an unknown key.
+// every translator-generated equi-join takes. Other shapes build through
+// the generic evaluator and cost-annotate with an unknown key.
 func joinKeyColumn(e xquery.Expr, forVar string) string {
 	if v, name, ok := childPath(e); ok && v == forVar {
 		return name
@@ -902,6 +909,9 @@ func describeOp(op planOp) string {
 				b.WriteString(", built once per evaluation")
 			}
 			b.WriteString("]")
+			if op.hash.keyCol != "" || op.hash.probeCol.col != "" {
+				b.WriteString(" [column]")
+			}
 			if h := op.hash; h.estBuild >= 0 {
 				key := h.keyCol
 				if key == "" {
@@ -958,6 +968,9 @@ func describeOp(op planOp) string {
 					s += " [invariant " + exprText(operand) + "]"
 				}
 			}
+		}
+		if op.column != nil {
+			s += " [column]"
 		}
 		return s
 	default:

@@ -2,7 +2,7 @@ package xqeval
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -284,8 +284,13 @@ func (ex *flworExec) feed(ops []planOp, i int, t *scope, out tupleSink) error {
 // operandState) evaluated once per FLWOR execution: on the first tuple to
 // reach the filter, never before, so a query no tuple of which gets here
 // raises none of the operand's errors — the same latitude as without the
-// hoist.
+// hoist. A filter with a column kernel runs it when the tuple allows.
 func (ex *flworExec) evalFilter(op *planOp, t *scope) (bool, error) {
+	if op.column != nil {
+		if ok, handled, err := ex.columnFilter(op, t); handled {
+			return ok, err
+		}
+	}
 	if op.operandState == [2]int{-1, -1} {
 		return evalEBV(op.cond, t)
 	}
@@ -296,21 +301,10 @@ func (ex *flworExec) evalFilter(op *planOp, t *scope) (bool, error) {
 	var sides [2]xdm.Sequence
 	for i, operand := range [2]xquery.Expr{b.Left, b.Right} {
 		var err error
-		if idx := op.operandState[i]; idx < 0 {
+		if op.operandState[i] < 0 {
 			sides[i], err = evalExpr(operand, t)
 		} else {
-			st := &ex.states[idx]
-			st.once.Do(func() {
-				// Deaf to cancellation: the operand is pure, so nothing in
-				// it blocks, and the slot outlives this tuple — a worker
-				// whose sibling cancelled it would otherwise cache
-				// context.Canceled for the merger's serial re-run (live
-				// parent context, same states) to read.
-				deaf := *t
-				deaf.goCtx = nil
-				st.seq, st.err = evalExpr(operand, &deaf)
-			})
-			sides[i], err = st.seq, st.err
+			sides[i], err = ex.operand(op, i, t)
 		}
 		if err != nil {
 			return false, err
@@ -321,6 +315,26 @@ func (ex *flworExec) evalFilter(op *planOp, t *scope) (bool, error) {
 		return false, err
 	}
 	return effectiveBool(v)
+}
+
+// operand returns a filter's hoisted operand, evaluated by the first call
+// and atomized — comparison and arithmetic atomize their operands anyway,
+// so the column kernel reads atoms without atomizing per tuple.
+func (ex *flworExec) operand(op *planOp, side int, t *scope) (xdm.Sequence, error) {
+	st := &ex.states[op.operandState[side]]
+	st.once.Do(func() {
+		b := op.cond.(*xquery.Binary)
+		// Deaf to cancellation: the operand is pure, so nothing in it
+		// blocks, and the slot outlives this tuple — a worker whose sibling
+		// cancelled it would otherwise cache context.Canceled for the
+		// merger's serial re-run (live parent context, same states) to read.
+		deaf := *t
+		deaf.goCtx = nil
+		var v xdm.Sequence
+		v, st.err = evalExpr([2]xquery.Expr{b.Left, b.Right}[side], &deaf)
+		st.seq = xdm.Atomize(v)
+	})
+	return st.seq, st.err
 }
 
 // source returns an invariant for's items, evaluated on the first tuple to
@@ -442,14 +456,13 @@ func (ex *flworExec) probeHash(ops []planOp, i int, op *planOp, t *scope, h *has
 	if len(h.items) == 0 {
 		return nil
 	}
-	probe, err := evalExpr(op.hash.probeExpr, t)
+	probe, err := op.hash.probeKey(t)
 	if err != nil {
 		return err
 	}
-	probeAtoms := xdm.Atomize(probe)
 	matched := 0
-	for _, ci := range h.candidates(probeAtoms, op.hash.valueCmp) {
-		ok, err := verifyJoinPair(probeAtoms, h.keys[ci], op.hash.valueCmp)
+	for _, ci := range h.candidates(&probe, op.hash.valueCmp) {
+		ok, err := h.verify(&probe, ci, op.hash.valueCmp)
 		if err != nil {
 			return err
 		}
@@ -467,6 +480,61 @@ func (ex *flworExec) probeHash(ops []planOp, i int, op *planOp, t *scope, h *has
 	}
 	t.prune(int64(len(h.items) - matched))
 	return nil
+}
+
+// joinProbe is one tuple's atomized probe key. A column-read probe with one
+// child keeps only that child's text: the key is the one untyped atom.
+type joinProbe struct {
+	atoms xdm.Sequence
+	text  string
+	one   bool
+}
+
+// probeKey evaluates the probe key on t: as a column read (kernel.go) when
+// the probe is one and its variable holds one element, else generically.
+func (spec *hashJoinSpec) probeKey(t *scope) (joinProbe, error) {
+	row, ok := spec.probeCol.row(t)
+	if !ok {
+		v, err := evalExpr(spec.probeExpr, t)
+		if err != nil {
+			return joinProbe{}, err
+		}
+		return joinProbe{atoms: xdm.Atomize(v)}, nil
+	}
+	if err := columnSteps(t, t.depth); err != nil {
+		return joinProbe{}, err
+	}
+	first, n := firstColumn(row, spec.probeCol.col)
+	if n == 1 {
+		return joinProbe{text: first, one: true}, nil
+	}
+	return joinProbe{atoms: columnAtoms(row, spec.probeCol.col)}, nil
+}
+
+func (p *joinProbe) size() int {
+	if p.one {
+		return 1
+	}
+	return len(p.atoms)
+}
+
+// seq is the probe as a sequence, boxed once on first need.
+func (p *joinProbe) seq() xdm.Sequence {
+	if p.one && p.atoms == nil {
+		p.atoms = xdm.Sequence{xdm.Untyped(p.text)}
+	}
+	return p.atoms
+}
+
+// keys returns the bucket keys of probe atom i, and whether it is untyped.
+func (p *joinProbe) keys(i int) (keys [2]hashKey, n int, untyped, ok bool) {
+	if p.one {
+		keys, n, ok = textKeys(p.text)
+		return keys, n, true, ok
+	}
+	a := p.atoms[i].(xdm.Atomic)
+	keys, n, ok = atomKeys(a)
+	return keys, n, a.Type() == xdm.TypeUntyped, ok
 }
 
 // verifyJoinPair applies the original comparison operator to one probe /
@@ -491,153 +559,316 @@ func verifyJoinPair(probe, key xdm.Sequence, valueCmp bool) (bool, error) {
 // hashTable is the build side of one hash join.
 type hashTable struct {
 	items xdm.Sequence
-	// keys[i] is item i's atomized join key.
+	// keys[i] is item i's atomized join key — unless col is set: then every
+	// item is a row element and its key is re-read from its col children.
 	keys []xdm.Sequence
-	// buckets maps normalized key forms to item indices.
-	buckets map[string][]int
+	col  string
+	// ids numbers the buckets; bucket b holds the ascending item indices
+	// flat[runs[b]:runs[b+1]], so a bucket is a run of one shared index
+	// array rather than a slice of its own.
+	ids  map[hashKey]int32
+	runs []int32
+	flat []int32
 	// residual lists items whose key cannot be normalized (booleans,
 	// temporals, NaN-valued numerics, multi-item keys under `eq`); they
 	// are verified against every probe, preserving naive error and
 	// mixed-type comparison behavior for those values.
-	residual []int
+	residual []int32
+	// numericKeys records a numeric-typed key atom: without one, an untyped
+	// probe can only equal a key of the same text.
+	numericKeys bool
 }
 
-func buildHashTable(op *planOp, t *scope, items xdm.Sequence) (*hashTable, error) {
-	h := &hashTable{
-		items:   items,
-		keys:    make([]xdm.Sequence, len(items)),
-		buckets: make(map[string][]int, len(items)),
+// hashKey is a bucket key: a number (by value, so -0 and 0, which compare
+// equal, share a bucket — Go map keys compare floats with ==) or a text.
+type hashKey struct {
+	numeric bool
+	f       float64
+	s       string
+}
+
+// atomKeys returns the keys one atom files under, chosen so that any two
+// atoms the promotion rules could find equal share one:
+//
+//   - all numerics promote through float64, so they file under the double;
+//   - strings file under their text;
+//   - untyped atomics compare as strings against strings/untyped and as
+//     numbers against numerics, so they file under both applicable keys;
+//   - booleans and temporals (which also compare lexically against
+//     strings), plus anything NaN-valued (which OrderAtomic treats as equal
+//     to every number), have no safe key and stay in the residual list.
+func atomKeys(a xdm.Atomic) (keys [2]hashKey, n int, ok bool) {
+	switch v := a.(type) {
+	case xdm.String:
+		return [2]hashKey{{s: string(v)}}, 1, true
+	case xdm.Untyped:
+		return textKeys(string(v))
+	case xdm.Integer:
+		return numberKeys(float64(v))
+	case xdm.Decimal:
+		return numberKeys(float64(v))
+	case xdm.Double:
+		return numberKeys(float64(v))
 	}
+	return keys, 0, false
+}
+
+// textKeys is atomKeys of an untyped atom, from its text.
+func textKeys(text string) (keys [2]hashKey, n int, ok bool) {
+	keys[0] = hashKey{s: text}
+	f, isNum := xdm.UntypedNumber(text)
+	switch {
+	case !isNum:
+		return keys, 1, true
+	case math.IsNaN(f):
+		return keys, 0, false
+	}
+	keys[1] = hashKey{numeric: true, f: f}
+	return keys, 2, true
+}
+
+func numberKeys(f float64) (keys [2]hashKey, n int, ok bool) {
+	if math.IsNaN(f) {
+		return keys, 0, false
+	}
+	keys[0] = hashKey{numeric: true, f: f}
+	return keys, 1, true
+}
+
+// buildHashTable files every source item under its build key. A column-read
+// key over row elements is read by the kernel and not stored.
+func buildHashTable(op *planOp, t *scope, items xdm.Sequence) (*hashTable, error) {
+	spec := op.hash
+	h := &hashTable{items: items, col: spec.keyCol}
+	if h.col != "" && !allElements(items) {
+		h.col = ""
+	}
+	if h.col == "" {
+		h.keys = make([]xdm.Sequence, len(items))
+	}
+	b := newTableBuilder(h, len(items))
 	for i, it := range items {
 		if i&255 == 0 {
 			if err := t.checkCancel(); err != nil {
 				return nil, err
 			}
 		}
-		kseq, err := evalExpr(op.hash.buildExpr, t.bind(op.forClause.Var, xdm.SequenceOf(it)))
+		if h.col != "" {
+			// The generic build evaluates the key on a scope bound below t.
+			if err := columnSteps(t, t.depth+1); err != nil {
+				return nil, err
+			}
+			b.fileRow(it.(*xdm.Element), int32(i), spec.valueCmp)
+			continue
+		}
+		kseq, err := evalExpr(spec.buildExpr, t.bind(op.forClause.Var, xdm.SequenceOf(it)))
 		if err != nil {
 			return nil, err
 		}
 		key := xdm.Atomize(kseq)
 		h.keys[i] = key
-		if key.Empty() {
-			// An empty key matches nothing under either comparison and can
-			// raise no comparison error: drop the item entirely.
-			continue
-		}
-		if op.hash.valueCmp && len(key) != 1 {
-			// Value comparison against a multi-item key is a dynamic error
-			// in the naive pipeline; keep the item where every probe will
-			// trip over it.
-			h.residual = append(h.residual, i)
-			continue
-		}
-		forms, ok := normalizeKeyAtoms(key)
-		if !ok {
-			h.residual = append(h.residual, i)
-			continue
-		}
-		for _, f := range forms {
-			h.buckets[f] = append(h.buckets[f], i)
-		}
+		b.fileAtoms(key, int32(i), spec.valueCmp)
 	}
+	b.finish()
 	return h, nil
 }
 
+func allElements(items xdm.Sequence) bool {
+	for _, it := range items {
+		if _, ok := it.(*xdm.Element); !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// tableBuilder files item indices under keys, then lays the buckets out.
+// Items are filed in ascending order, so each bucket's run comes out
+// ascending — the naive inner loop's order.
+type tableBuilder struct {
+	h *hashTable
+	// count[b] is bucket b's size; last[b] the last item filed in it, so an
+	// item whose key atoms share a key is filed once.
+	count, last []int32
+	ents        []tableEntry
+}
+
+type tableEntry struct{ bucket, item int32 }
+
+func newTableBuilder(h *hashTable, n int) *tableBuilder {
+	h.ids = make(map[hashKey]int32, n)
+	return &tableBuilder{h: h, ents: make([]tableEntry, 0, 2*n)}
+}
+
+func (b *tableBuilder) file(k hashKey, item int32) {
+	id, ok := b.h.ids[k]
+	if !ok {
+		id = int32(len(b.count))
+		b.h.ids[k] = id
+		b.count = append(b.count, 0)
+		b.last = append(b.last, -1)
+	}
+	if b.last[id] == item {
+		return
+	}
+	b.last[id] = item
+	b.count[id]++
+	b.ents = append(b.ents, tableEntry{id, item})
+}
+
+// fileAtoms files one item under its key atoms. An empty key matches
+// nothing under either comparison and can raise no comparison error: the
+// item is dropped. Value comparison against a multi-item key is a dynamic
+// error in the naive pipeline, so such an item stays where every probe
+// will trip over it — as does one with any atom that has no key.
+func (b *tableBuilder) fileAtoms(key xdm.Sequence, item int32, valueCmp bool) {
+	switch {
+	case len(key) == 0:
+		return
+	case valueCmp && len(key) != 1:
+		b.h.residual = append(b.h.residual, item)
+		return
+	}
+	for _, a := range key {
+		if _, _, ok := atomKeys(a.(xdm.Atomic)); !ok {
+			b.h.residual = append(b.h.residual, item)
+			return
+		}
+	}
+	for _, a := range key {
+		keys, n, _ := atomKeys(a.(xdm.Atomic))
+		for _, k := range keys[:n] {
+			b.file(k, item)
+		}
+		if a.(xdm.Atomic).Type().Numeric() {
+			b.h.numericKeys = true
+		}
+	}
+}
+
+// fileRow is fileAtoms over a row's key column, read as untyped texts.
+func (b *tableBuilder) fileRow(row *xdm.Element, item int32, valueCmp bool) {
+	first, n := firstColumn(row, b.h.col)
+	if n == 1 {
+		if keys, k, ok := textKeys(first); ok {
+			for _, key := range keys[:k] {
+				b.file(key, item)
+			}
+			return
+		}
+	}
+	if n > 0 {
+		b.fileAtoms(columnAtoms(row, b.h.col), item, valueCmp)
+	}
+}
+
+// finish lays bucket b out as flat[runs[b]:runs[b+1]].
+func (b *tableBuilder) finish() {
+	h := b.h
+	h.runs = make([]int32, len(b.count)+1)
+	for id, c := range b.count {
+		h.runs[id+1] = h.runs[id] + c
+	}
+	next := b.count // reused as each bucket's fill position
+	copy(next, h.runs)
+	h.flat = make([]int32, len(b.ents))
+	for _, e := range b.ents {
+		h.flat[next[e.bucket]] = e.item
+		next[e.bucket]++
+	}
+}
+
+func (h *hashTable) bucket(k hashKey) []int32 {
+	id, ok := h.ids[k]
+	if !ok {
+		return nil
+	}
+	return h.flat[h.runs[id]:h.runs[id+1]]
+}
+
 // candidates returns the item indices a probe key must be verified
-// against, ascending (= the naive inner-loop order). Unhashable probes
-// degrade to scanning every item.
-func (h *hashTable) candidates(probe xdm.Sequence, valueCmp bool) []int {
-	if probe.Empty() {
+// against, ascending (= the naive inner-loop order): one bucket as is when
+// a single key settles it, else the sorted union with the residual list.
+// Unhashable probes degrade to scanning every item.
+func (h *hashTable) candidates(p *joinProbe, valueCmp bool) []int32 {
+	n := p.size()
+	if n == 0 {
 		// Empty compares false against everything, errors never: no
 		// candidates at all.
 		return nil
 	}
-	if valueCmp && len(probe) != 1 {
+	if valueCmp && n != 1 {
 		// The naive pipeline raises a singleton error on the first build
 		// item it meets; scan so verification reproduces it.
 		return h.allItems()
 	}
-	seen := make(map[int]bool, len(h.residual))
-	var cand []int
-	add := func(i int) {
-		if !seen[i] {
-			seen[i] = true
-			cand = append(cand, i)
-		}
-	}
-	for _, i := range h.residual {
-		add(i)
-	}
-	for _, a := range probe {
-		forms, ok := atomKeyForms(a.(xdm.Atomic))
+	if n == 1 && len(h.residual) == 0 {
+		keys, k, untyped, ok := p.keys(0)
 		if !ok {
 			return h.allItems()
 		}
-		for _, f := range forms {
-			for _, i := range h.buckets[f] {
-				add(i)
-			}
+		// An untyped probe meets an untyped or string key by text alone;
+		// its numeric key matters only against numeric-typed keys.
+		if k == 1 || untyped && !h.numericKeys {
+			return h.bucket(keys[0])
 		}
 	}
-	sort.Ints(cand)
-	return cand
+	cand := append([]int32(nil), h.residual...)
+	for i := 0; i < n; i++ {
+		keys, k, _, ok := p.keys(i)
+		if !ok {
+			return h.allItems()
+		}
+		for _, key := range keys[:k] {
+			cand = append(cand, h.bucket(key)...)
+		}
+	}
+	slices.Sort(cand)
+	return slices.Compact(cand)
 }
 
-func (h *hashTable) allItems() []int {
-	all := make([]int, len(h.items))
+func (h *hashTable) allItems() []int32 {
+	all := make([]int32, len(h.items))
 	for i := range all {
-		all[i] = i
+		all[i] = int32(i)
 	}
 	return all
 }
 
-// normalizeKeyAtoms returns every bucket form a key sequence should be
-// filed under; ok is false if any atom has no normal form (the whole item
-// then goes to the residual list).
-func normalizeKeyAtoms(atoms xdm.Sequence) ([]string, bool) {
-	var forms []string
-	for _, a := range atoms {
-		f, ok := atomKeyForms(a.(xdm.Atomic))
-		if !ok {
-			return nil, false
-		}
-		forms = append(forms, f...)
+// verify applies the join's exact comparison to the probe and candidate
+// ci's key. A column table re-reads the key from the row: under `=` (or
+// `eq` between singletons, the same comparison) each probe atom against
+// each key child, probe outermost as evalGeneralCompare loops; two untyped
+// atoms are equal exactly when their texts are.
+func (h *hashTable) verify(p *joinProbe, ci int32, valueCmp bool) (bool, error) {
+	if h.col == "" {
+		return verifyJoinPair(p.seq(), h.keys[ci], valueCmp)
 	}
-	return forms, true
-}
-
-// atomKeyForms normalizes one atomic value into bucket-key strings chosen
-// so that any two atoms the evaluator's promotion rules could find equal
-// share at least one form:
-//
-//   - all numerics promote through float64, so they file under the double's
-//     lexical form ("n:…");
-//   - strings file under their lexical form ("s:…");
-//   - untyped atomics compare as strings against strings/untyped and as
-//     numbers against numerics, so they file under both applicable forms;
-//   - booleans and temporals (which also compare lexically against
-//     strings), plus anything NaN-valued (which OrderAtomic treats as equal
-//     to every number), have no safe form and stay in the residual list.
-func atomKeyForms(a xdm.Atomic) ([]string, bool) {
-	switch t := a.Type(); {
-	case t == xdm.TypeString:
-		return []string{"s:" + a.Lexical()}, true
-	case t.Numeric():
-		d, err := xdm.Cast(a, xdm.TypeDouble)
-		if err != nil || math.IsNaN(float64(d.(xdm.Double))) {
-			return nil, false
+	row := h.items[ci].(*xdm.Element)
+	if valueCmp {
+		if _, n := firstColumn(row, h.col); p.size() != 1 || n != 1 {
+			return verifyJoinPair(p.seq(), columnAtoms(row, h.col), true)
 		}
-		return []string{"n:" + d.Lexical()}, true
-	case t == xdm.TypeUntyped:
-		if d, err := xdm.Cast(a, xdm.TypeDouble); err == nil {
-			if math.IsNaN(float64(d.(xdm.Double))) {
-				return nil, false
+	}
+	for i := 0; i < p.size(); i++ {
+		for _, ch := range row.Children {
+			text, isCol := columnText(ch, h.col)
+			if !isCol {
+				continue
 			}
-			return []string{"s:" + a.Lexical(), "n:" + d.Lexical()}, true
+			var eq bool
+			if p.one {
+				eq = text == p.text
+			} else {
+				var err error
+				if eq, err = xdm.CompareUntyped(text, p.atoms[i].(xdm.Atomic), xdm.OpEq); err != nil {
+					return false, dynErr("%v", err)
+				}
+			}
+			if eq {
+				return true, nil
+			}
 		}
-		return []string{"s:" + a.Lexical()}, true
-	default:
-		return nil, false
 	}
+	return false, nil
 }

@@ -350,8 +350,8 @@ func TestFusedLimitParity(t *testing.T) {
 
 // TestFusedScanAllocs is the erosion guard for the hot loop: draining the
 // scan shape — one filtered source, plain column references, text mode —
-// costs the evaluator at most 20 allocations per row, all in (tuple scope,
-// filter, row string, chunk).
+// costs the evaluator at most 8 allocations per row, all in (tuple scope,
+// row string, chunk); the filter's column kernel allocates nothing.
 func TestFusedScanAllocs(t *testing.T) {
 	const n = 2000
 	app := &catalog.Application{Name: "ScanApp"}
@@ -408,7 +408,19 @@ func TestFusedScanAllocs(t *testing.T) {
 	}
 	perRow := testing.AllocsPerRun(5, func() { drain() }) / n
 	t.Logf("%.1f allocations per row", perRow)
-	if perRow > 20 {
-		t.Fatalf("the fused scan costs %.1f allocations per row, want <= 20", perRow)
+	if perRow > 8 {
+		t.Fatalf("the fused scan costs %.1f allocations per row, want <= 8", perRow)
+	}
+
+	// A threshold no row passes leaves the tuple scope and the filter's
+	// column kernel as the whole per-tuple cost.
+	ext["p1"] = xdm.SequenceOf(xdm.Integer(n))
+	if got := drain(); got != 0 {
+		t.Fatalf("scan above every key returned %d rows", got)
+	}
+	perTuple := testing.AllocsPerRun(5, func() { drain() }) / n
+	t.Logf("%.2f allocations per rejected tuple (tuple scope and filter)", perTuple)
+	if perTuple > 3 {
+		t.Fatalf("a rejected tuple costs %.2f allocations, want <= 3", perTuple)
 	}
 }
