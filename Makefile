@@ -23,11 +23,11 @@ race:
 # cancellation nets plus the fused and correlated paths, repeated under
 # the race detector — where a worker trips and which morsels the merge
 # point re-runs depend on scheduling, so one pass proves little — and the
-# column kernels' differential against the generic path and naive. The
-# driver's concurrency and streaming nets follow: every database/sql
-# connection shares one platform's compile and metadata caches.
+# column and record kernels' differentials against the generic path and
+# naive. The driver's concurrency and streaming nets follow: every
+# database/sql connection shares one platform's compile and metadata caches.
 stress:
-	$(GO) test -race -count=20 -run 'TestParallel|TestFusedLimitParity|TestCorrelated|TestColumnKernels|TestHashJoinNegativeZero' ./internal/xqeval/
+	$(GO) test -race -count=20 -run 'TestParallel|TestFusedLimitParity|TestCorrelated|TestColumnKernels|TestRecordKernel|TestHashJoinNegativeZero' ./internal/xqeval/
 	$(GO) test -race -count=10 -run 'TestConcurrent|TestStreaming|TestRows' ./internal/driver/
 
 # Chaos soak: the fault-injection net at several fault rates under the

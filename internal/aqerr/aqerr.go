@@ -194,8 +194,9 @@ func Wrap(op string, err error) error {
 	}
 }
 
-// RetryAfterHint extracts the deepest RetryAfter hint in err's chain, or
-// zero when no QueryError in the chain carries one.
+// RetryAfterHint extracts the outermost RetryAfter hint in err's chain —
+// the first QueryError carrying one, unwrapping from err — or zero when
+// none does.
 func RetryAfterHint(err error) time.Duration {
 	for e := err; e != nil; e = errors.Unwrap(e) {
 		if qe, ok := e.(*QueryError); ok && qe.RetryAfter > 0 {

@@ -679,6 +679,13 @@ func compareOrderKeys(a, b xdm.Sequence, emptyGreatest bool) (int, error) {
 // enclosed expressions contribute their result sequences (nodes copied,
 // atomics space-joined into text, per XQuery content construction).
 func constructElement(e *xquery.ElementCtor, env *scope) (*xdm.Element, error) {
+	if env.plan != nil {
+		if k, ok := env.plan.records[e]; ok {
+			if el, handled, err := k.build(env); handled {
+				return el, err
+			}
+		}
+	}
 	el := &xdm.Element{Name: xdm.QName{Local: e.Name}}
 	for _, c := range e.Content {
 		switch c := c.(type) {

@@ -37,7 +37,13 @@ func (c colRead) row(t *scope) (*xdm.Element, bool) {
 	if c.col == "" {
 		return nil, false
 	}
-	v, ok := t.lookupVar(c.v)
+	return boundRow(t, c.v)
+}
+
+// boundRow returns the element variable v is bound to on t, when it is
+// bound to exactly one.
+func boundRow(t *scope, name string) (*xdm.Element, bool) {
+	v, ok := t.lookupVar(name)
 	if !ok || len(v) != 1 {
 		return nil, false
 	}

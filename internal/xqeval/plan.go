@@ -2,6 +2,7 @@ package xqeval
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/obsv"
@@ -42,6 +43,9 @@ type Plan struct {
 	// tables counts the hash tables built once per evaluation
 	// (hashJoinSpec.table): each evaluation allocates that many slots.
 	tables int
+	// records maps each constructor of column copies to its column-record
+	// kernel (record.go); nil when the query has none.
+	records map[*xquery.ElementCtor]*recordKernel
 
 	// Static decision counts across all FLWORs in the query.
 	HashJoins         int
@@ -224,6 +228,15 @@ func buildPlan(q *xquery.Query, sp StatsProvider) *Plan {
 			f = n
 		case *xquery.Filter:
 			f = pc.probeFilter(n)
+		case *xquery.ElementCtor:
+			if k := recordKernelOf(n); k != nil {
+				if p.records == nil {
+					p.records = map[*xquery.ElementCtor]*recordKernel{}
+				}
+				p.records[n] = k
+				// Its content is column copies: nothing below to plan.
+				return false
+			}
 		}
 		if f != nil {
 			fp := planFLWOR(f, p, pc)
@@ -890,8 +903,36 @@ func (p *Plan) Describe() []string {
 				lines = append(lines, "  "+describeBarrier(seg.barrier))
 			}
 		}
+		// A fused row FLWOR's RECORD is the row program's to build.
+		if p.Stream.prog != nil && p.Stream.prog.fp == fp {
+			continue
+		}
+		if names := p.recordNames(fp.flwor.Return); len(names) > 0 {
+			lines = append(lines, "  return "+strings.Join(names, ", ")+" [column]")
+		}
 	}
 	return lines
+}
+
+// recordNames lists, as <NAME>, the column-record kernels e builds outside
+// the nested FLWORs that describe their own.
+func (p *Plan) recordNames(e xquery.Expr) []string {
+	var names []string
+	xquery.WalkExprs(e, func(e xquery.Expr) bool {
+		switch n := e.(type) {
+		case *xquery.FLWOR:
+			return false
+		case *xquery.ElementCtor:
+			if _, ok := p.records[n]; ok {
+				if name := "<" + n.Name + ">"; !slices.Contains(names, name) {
+					names = append(names, name)
+				}
+				return false
+			}
+		}
+		return true
+	})
+	return names
 }
 
 func describeOp(op planOp) string {
