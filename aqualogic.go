@@ -568,8 +568,8 @@ func (p *Platform) compile(ctx context.Context, dialect Dialect, text string, mo
 	})
 }
 
-// CompileStats reports the shared compile cache's counters. Process-wide
-// figures (all platforms) are also in Stats().
+// CompileStats reports the platform's compile cache counters. They belong
+// to this platform alone; no process-wide total mirrors them.
 func (p *Platform) CompileStats() CompileCacheStats {
 	return p.queryCache().Stats()
 }
@@ -861,10 +861,10 @@ func PlanQuery(t *Translation) *QueryPlan {
 }
 
 // Stats snapshots the process-wide pipeline metrics (queries translated
-// and executed, metadata- and compile-cache hits/misses/evictions, rows
-// materialized, evaluator steps, per-stage timing aggregates). The
-// platform's own metadata-cache counters are in MetadataStats, and its
-// compile-cache counters in CompileStats.
+// and executed, rows materialized and streamed, evaluator steps, planner,
+// federation and resilience counters, per-stage timing aggregates). Cache
+// counters are not among them: each platform's metadata cache reports
+// through MetadataStats and its compile cache through CompileStats.
 func Stats() PipelineStats {
 	return obsv.Global.Snapshot()
 }

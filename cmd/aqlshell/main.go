@@ -24,7 +24,9 @@
 // With -server <url> the shell connects to a running aqlserve process
 // through the resilient remote client instead of the in-process demo:
 // SQL and EXPLAIN travel the wire, \s renders the remote server's
-// pipeline metrics, and \r renders the remote resilience picture — the
+// pipeline metrics, session and cursor counters, and its platform's
+// compile and metadata caches, and \r renders the remote resilience
+// picture — the
 // server's admission/brownout/shed gauges from /v1/stats alongside this
 // client's own breaker and retry state.
 package main
@@ -116,7 +118,6 @@ func main() {
 			fmt.Printf("compile cache: hits=%d misses=%d shared=%d evictions=%d invalidations=%d\n",
 				cs.Hits, cs.Misses, cs.Shared, cs.Evictions, cs.Invalidations)
 			fmt.Printf("entries: %d/%d, metadata generation: %d\n", cs.Size, cs.MaxEntries, cs.Generation)
-			aqualogic.Stats().RenderCompileCache(os.Stdout)
 		case line == `\f`:
 			if fetchSize > 0 {
 				fmt.Printf("fetch size: %d rows per page\n", fetchSize)
@@ -144,8 +145,9 @@ func main() {
 			fmt.Println(res.XQuery())
 		case line == `\s`:
 			aqualogic.Stats().Render(os.Stdout)
-			cache := p.MetadataStats()
+			cache, cs := p.MetadataStats(), p.CompileStats()
 			fmt.Printf("platform metadata cache: hits=%d misses=%d\n", cache.Hits, cache.Misses)
+			fmt.Printf("platform compile cache: hits=%d misses=%d shared=%d\n", cs.Hits, cs.Misses, cs.Shared)
 		case line == `\r`:
 			aqualogic.Stats().RenderResilience(os.Stdout)
 			cache := p.MetadataStats()
@@ -321,6 +323,16 @@ func runRemote(url string) {
 				continue
 			}
 			resp.Pipeline.Render(os.Stdout)
+			s := resp.Server
+			fmt.Printf("server sessions: open=%d opened=%d reaped=%d; cursors: open=%d opened=%d reaped=%d\n",
+				s.SessionsOpen, s.SessionsOpened, s.SessionsReaped, s.CursorsOpen, s.CursorsOpened, s.CursorsReaped)
+			fmt.Printf("server queries: in-flight=%d peak=%d admission-rejected=%d\n",
+				s.QueriesInFlight, s.PeakInFlight, s.AdmissionRejected)
+			cs, md := resp.Compile, resp.Metadata
+			fmt.Printf("server compile cache: hits=%d misses=%d shared=%d evictions=%d size=%d\n",
+				cs.Hits, cs.Misses, cs.Shared, cs.Evictions, cs.Size)
+			fmt.Printf("server metadata cache: hits=%d misses=%d stale serves=%d degraded=%v\n",
+				md.Hits, md.Misses, md.StaleServes, md.Degraded)
 		case line == `\r`:
 			renderRemoteResilience(c)
 		case strings.HasPrefix(strings.ToUpper(line), "EXPLAIN "):
@@ -381,8 +393,8 @@ func renderRemoteResilience(c *remoteclient.Client) {
 	s := resp.Server
 	fmt.Printf("server admission: weighted in-flight %d/%d (peak %d), queue depth %d (peak %d)\n",
 		s.WeightedInFlight, s.WeightedCapacity, s.WeightedPeak, s.QueueDepth, s.QueuePeak)
-	fmt.Printf("server shed: queue-full=%d queue-timeout=%d brownout=%d (level %d)\n",
-		s.ShedQueueFull, s.ShedQueueTimeout, s.ShedBrownout, s.BrownoutLevel)
+	fmt.Printf("server shed: queue-full=%d queue-timeout=%d brownout=%d (level %d, engaged %d)\n",
+		s.ShedQueueFull, s.ShedQueueTimeout, s.ShedBrownout, s.BrownoutLevel, s.BrownoutEngaged)
 	fmt.Printf("server replays: execute=%d fetch=%d; sessions open=%d cursors open=%d\n",
 		s.ExecReplays, s.FetchReplays, s.SessionsOpen, s.CursorsOpen)
 	resp.Pipeline.RenderResilience(os.Stdout)

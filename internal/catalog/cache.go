@@ -6,8 +6,6 @@ import (
 	"reflect"
 	"sync"
 	"time"
-
-	"repro/internal/obsv"
 )
 
 // ContextSource is an optional extension of Source whose lookups observe
@@ -177,8 +175,8 @@ func NewCache(src Source) *Cache {
 	}
 }
 
-// Lookup implements Source, consulting the cache first. Hits and misses
-// are counted both per cache (Stats) and process-wide (obsv.Global).
+// Lookup implements Source, consulting the cache first. Hits, misses,
+// shared flights and stale serves are counted once, here (Stats).
 func (c *Cache) Lookup(ref TableRef) (*TableMeta, error) {
 	return c.LookupContext(context.Background(), ref)
 }
@@ -189,14 +187,12 @@ func (c *Cache) LookupContext(ctx context.Context, ref TableRef) (*TableMeta, er
 	if e, ok := c.entries[ref]; ok && c.fresh(e) {
 		c.stats.Hits++
 		c.mu.Unlock()
-		obsv.Global.CacheHits.Inc()
 		return e.meta, e.err
 	}
 	if fl, ok := c.flights[ref]; ok {
 		// Another goroutine is already fetching this ref: share its result.
 		c.stats.Shared++
 		c.mu.Unlock()
-		obsv.Global.SingleFlightShared.Inc()
 		select {
 		case <-fl.done:
 		case <-ctx.Done():
@@ -211,7 +207,6 @@ func (c *Cache) LookupContext(ctx context.Context, ref TableRef) (*TableMeta, er
 	c.flights[ref] = fl
 	c.stats.Misses++
 	c.mu.Unlock()
-	obsv.Global.CacheMisses.Inc()
 
 	meta, err := LookupContext(ctx, c.Inner, ref)
 
@@ -266,7 +261,6 @@ func (c *Cache) serveStaleOr(ref TableRef, fetchErr error) (*TableMeta, error) {
 		return nil, fetchErr
 	}
 	c.stats.StaleServes++
-	obsv.Global.StaleServes.Inc()
 	return e.meta, e.err
 }
 

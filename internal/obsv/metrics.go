@@ -25,17 +25,11 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 // Load returns the current value.
 func (c *Counter) Load() int64 { return c.v.Load() }
 
-// Gauge is an atomic instantaneous value (e.g. a cache's current size) —
-// unlike Counter it can move both ways and be set outright.
+// Gauge is an atomic high-water mark: unlike Counter it records the
+// largest value seen, not a running total.
 type Gauge struct {
 	v atomic.Int64
 }
-
-// Set overwrites the value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add adjusts the value by n (negative to decrease).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
 
 // Load returns the current value.
 func (g *Gauge) Load() int64 { return g.v.Load() }
@@ -181,8 +175,13 @@ func (c *LabeledCounter) Snapshot() map[string]int64 {
 
 // Metrics aggregates pipeline activity. The zero value is ready to use;
 // every field updates atomically, so one Metrics may be shared by any
-// number of goroutines. The process-wide instance is Global; the driver
-// additionally keeps one per connection for its Stats() surface.
+// number of goroutines. The process-wide instance is Global.
+//
+// A counter lives here only when no object owns the event it counts. The
+// metadata cache (catalog.Cache.Stats), the compile cache (qcache.Cache.Stats)
+// and the network server (server.Server.Stats) keep their own counters and
+// are read from their owners, never mirrored here, so two platforms or two
+// servers in one process never add into each other's figures.
 type Metrics struct {
 	// QueriesTranslated counts completed translations;
 	// TranslateErrors counts translations rejected at any stage.
@@ -190,9 +189,6 @@ type Metrics struct {
 	TranslateErrors   Counter
 	// QueriesExecuted counts engine evaluations of translated queries.
 	QueriesExecuted Counter
-	// CacheHits/CacheMisses count metadata-cache lookups (§3.5).
-	CacheHits   Counter
-	CacheMisses Counter
 	// RowsMaterialized counts result-set rows decoded whole (§4, both
 	// paths); RowsStreamed counts rows delivered one pull at a time
 	// through the streaming decoders.
@@ -244,72 +240,21 @@ type Metrics struct {
 	ShardsSkipped  Counter
 	SourceScans    LabeledCounter
 
-	// Compile-cache counters (internal/qcache): lookups of CompiledQuery
-	// artifacts at the compiled-query boundary. Hits reuse a compiled
-	// artifact, misses compile one, shared lookups coalesced onto another
-	// caller's in-flight compile, evictions are LRU drops under the size
-	// bound, and invalidations are whole-cache flushes (catalog change or
-	// degradation). Size is the current entry count across the process.
-	CompileCacheHits          Counter
-	CompileCacheMisses        Counter
-	CompileCacheShared        Counter
-	CompileCacheEvictions     Counter
-	CompileCacheInvalidations Counter
-	CompileCacheSize          Gauge
-
 	// Resilience counters (fault injection and the defenses around it).
 	// FaultsInjected counts chaos-layer injections (internal/faultnet);
 	// the rest count the production-side reactions: retry attempts beyond
 	// the first try, operations rescued by those retries, breaker state
-	// transitions to open, calls rejected fast by an open breaker,
-	// metadata lookups served stale during a backend outage, lookups
-	// coalesced onto another in-flight fetch, panics converted to typed
-	// errors, and queries aborted by a resource guard.
-	FaultsInjected     Counter
-	Retries            Counter
-	RetrySuccesses     Counter
-	BreakerOpens       Counter
-	BreakerFastFails   Counter
-	StaleServes        Counter
-	SingleFlightShared Counter
-	PanicsRecovered    Counter
-	ResourceLimitHits  Counter
-
-	// Server front-end counters (internal/server): wire-protocol sessions
-	// opened over the server's lifetime and open right now, sessions
-	// closed by the idle reaper, queries admitted and in flight (with the
-	// high-water mark), executions rejected by admission control, and
-	// server-side cursors opened / reaped from abandoned sessions (each
-	// reaped cursor is a cancelled evaluation that would otherwise have
-	// pinned a producer goroutine and its buffered rows).
-	SessionsOpened      Counter
-	SessionsActive      Gauge
-	SessionsReaped      Counter
-	QueriesInFlight     Gauge
-	PeakQueriesInFlight Gauge
-	AdmissionRejected   Counter
-	CursorsOpened       Counter
-	CursorsReaped       Counter
-
-	// Overload-resilience counters. Server side: cost-aware admission holds
-	// a weighted semaphore (weights in slots, one slot = CostPerSlot of
-	// predicted work), a bounded FIFO queue in front of it, and a brownout
-	// level that halves the admissible weight ceiling per step; sheds are
-	// counted by reason. Replays are idempotent retries served from cursor
-	// state (execute by idempotency key, fetch by chunk sequence number)
-	// instead of re-evaluated. Client side: remoteclient retry attempts
-	// beyond the first and how many operations they rescued.
-	WeightedInFlight     Gauge
-	WeightedPeak         Gauge
-	AdmissionQueueDepth  Gauge
-	AdmissionQueuePeak   Gauge
-	ShedQueueFull        Counter
-	ShedQueueTimeout     Counter
-	ShedBrownout         Counter
-	BrownoutLevel        Gauge
-	BrownoutEngaged      Counter
-	ExecReplays          Counter
-	FetchReplays         Counter
+	// transitions to open, calls rejected fast by an open breaker, panics
+	// converted to typed errors, and queries aborted by a resource guard.
+	// RemoteRetries and RemoteRetrySuccesses are the remote client's retry
+	// attempts beyond the first and the operations they rescued.
+	FaultsInjected       Counter
+	Retries              Counter
+	RetrySuccesses       Counter
+	BreakerOpens         Counter
+	BreakerFastFails     Counter
+	PanicsRecovered      Counter
+	ResourceLimitHits    Counter
 	RemoteRetries        Counter
 	RemoteRetrySuccesses Counter
 
@@ -346,8 +291,6 @@ type Snapshot struct {
 	QueriesTranslated    int64
 	TranslateErrors      int64
 	QueriesExecuted      int64
-	CacheHits            int64
-	CacheMisses          int64
 	RowsMaterialized     int64
 	RowsStreamed         int64
 	TimeToFirstRowCount  int64
@@ -375,43 +318,13 @@ type Snapshot struct {
 	// it; nil when the process never ran a federated scan.
 	SourceScans map[string]int64
 
-	CompileCacheHits          int64
-	CompileCacheMisses        int64
-	CompileCacheShared        int64
-	CompileCacheEvictions     int64
-	CompileCacheInvalidations int64
-	CompileCacheSize          int64
-
-	FaultsInjected     int64
-	Retries            int64
-	RetrySuccesses     int64
-	BreakerOpens       int64
-	BreakerFastFails   int64
-	StaleServes        int64
-	SingleFlightShared int64
-	PanicsRecovered    int64
-	ResourceLimitHits  int64
-
-	SessionsOpened      int64
-	SessionsActive      int64
-	SessionsReaped      int64
-	QueriesInFlight     int64
-	PeakQueriesInFlight int64
-	AdmissionRejected   int64
-	CursorsOpened       int64
-	CursorsReaped       int64
-
-	WeightedInFlight     int64
-	WeightedPeak         int64
-	AdmissionQueueDepth  int64
-	AdmissionQueuePeak   int64
-	ShedQueueFull        int64
-	ShedQueueTimeout     int64
-	ShedBrownout         int64
-	BrownoutLevel        int64
-	BrownoutEngaged      int64
-	ExecReplays          int64
-	FetchReplays         int64
+	FaultsInjected       int64
+	Retries              int64
+	RetrySuccesses       int64
+	BreakerOpens         int64
+	BreakerFastFails     int64
+	PanicsRecovered      int64
+	ResourceLimitHits    int64
 	RemoteRetries        int64
 	RemoteRetrySuccesses int64
 
@@ -424,8 +337,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		QueriesTranslated: m.QueriesTranslated.Load(),
 		TranslateErrors:   m.TranslateErrors.Load(),
 		QueriesExecuted:   m.QueriesExecuted.Load(),
-		CacheHits:         m.CacheHits.Load(),
-		CacheMisses:       m.CacheMisses.Load(),
 		RowsMaterialized:  m.RowsMaterialized.Load(),
 		RowsStreamed:      m.RowsStreamed.Load(),
 		PeakInFlightRows:  m.PeakInFlightRows.Load(),
@@ -448,43 +359,13 @@ func (m *Metrics) Snapshot() Snapshot {
 		ShardsSkipped:  m.ShardsSkipped.Load(),
 		SourceScans:    m.SourceScans.Snapshot(),
 
-		CompileCacheHits:          m.CompileCacheHits.Load(),
-		CompileCacheMisses:        m.CompileCacheMisses.Load(),
-		CompileCacheShared:        m.CompileCacheShared.Load(),
-		CompileCacheEvictions:     m.CompileCacheEvictions.Load(),
-		CompileCacheInvalidations: m.CompileCacheInvalidations.Load(),
-		CompileCacheSize:          m.CompileCacheSize.Load(),
-
-		FaultsInjected:     m.FaultsInjected.Load(),
-		Retries:            m.Retries.Load(),
-		RetrySuccesses:     m.RetrySuccesses.Load(),
-		BreakerOpens:       m.BreakerOpens.Load(),
-		BreakerFastFails:   m.BreakerFastFails.Load(),
-		StaleServes:        m.StaleServes.Load(),
-		SingleFlightShared: m.SingleFlightShared.Load(),
-		PanicsRecovered:    m.PanicsRecovered.Load(),
-		ResourceLimitHits:  m.ResourceLimitHits.Load(),
-
-		SessionsOpened:      m.SessionsOpened.Load(),
-		SessionsActive:      m.SessionsActive.Load(),
-		SessionsReaped:      m.SessionsReaped.Load(),
-		QueriesInFlight:     m.QueriesInFlight.Load(),
-		PeakQueriesInFlight: m.PeakQueriesInFlight.Load(),
-		AdmissionRejected:   m.AdmissionRejected.Load(),
-		CursorsOpened:       m.CursorsOpened.Load(),
-		CursorsReaped:       m.CursorsReaped.Load(),
-
-		WeightedInFlight:     m.WeightedInFlight.Load(),
-		WeightedPeak:         m.WeightedPeak.Load(),
-		AdmissionQueueDepth:  m.AdmissionQueueDepth.Load(),
-		AdmissionQueuePeak:   m.AdmissionQueuePeak.Load(),
-		ShedQueueFull:        m.ShedQueueFull.Load(),
-		ShedQueueTimeout:     m.ShedQueueTimeout.Load(),
-		ShedBrownout:         m.ShedBrownout.Load(),
-		BrownoutLevel:        m.BrownoutLevel.Load(),
-		BrownoutEngaged:      m.BrownoutEngaged.Load(),
-		ExecReplays:          m.ExecReplays.Load(),
-		FetchReplays:         m.FetchReplays.Load(),
+		FaultsInjected:       m.FaultsInjected.Load(),
+		Retries:              m.Retries.Load(),
+		RetrySuccesses:       m.RetrySuccesses.Load(),
+		BreakerOpens:         m.BreakerOpens.Load(),
+		BreakerFastFails:     m.BreakerFastFails.Load(),
+		PanicsRecovered:      m.PanicsRecovered.Load(),
+		ResourceLimitHits:    m.ResourceLimitHits.Load(),
 		RemoteRetries:        m.RemoteRetries.Load(),
 		RemoteRetrySuccesses: m.RemoteRetrySuccesses.Load(),
 	}
@@ -514,7 +395,6 @@ func (m *Metrics) Snapshot() Snapshot {
 func (s Snapshot) Render(w io.Writer) {
 	fmt.Fprintf(w, "queries translated: %d (errors: %d), executed: %d\n",
 		s.QueriesTranslated, s.TranslateErrors, s.QueriesExecuted)
-	fmt.Fprintf(w, "metadata cache: hits=%d misses=%d\n", s.CacheHits, s.CacheMisses)
 	fmt.Fprintf(w, "rows materialized: %d, evaluator steps: %d\n",
 		s.RowsMaterialized, s.EvalSteps)
 	if s.RowsStreamed > 0 || s.TimeToFirstRowCount > 0 {
@@ -538,14 +418,8 @@ func (s Snapshot) Render(w io.Writer) {
 	if s.FederatedScans > 0 {
 		s.RenderFederation(w)
 	}
-	if s.CompileCacheHits+s.CompileCacheMisses+s.CompileCacheShared > 0 {
-		s.RenderCompileCache(w)
-	}
 	if s.resilienceActive() {
 		s.RenderResilience(w)
-	}
-	if s.SessionsOpened+s.SessionsActive+s.AdmissionRejected+s.CursorsOpened > 0 {
-		s.RenderServer(w)
 	}
 	if len(s.Stages) > 0 {
 		fmt.Fprintf(w, "%-18s %-8s %-12s %-12s %s\n", "stage", "count", "total", "mean", "p99<=")
@@ -556,31 +430,6 @@ func (s Snapshot) Render(w io.Writer) {
 				time.Duration(st.P99NS).Round(time.Microsecond))
 		}
 	}
-}
-
-// RenderCompileCache writes the compile-cache counter block (aqlshell's
-// `\q`), unconditionally — zeros included, so a cache that has never been
-// consulted is also visible.
-func (s Snapshot) RenderCompileCache(w io.Writer) {
-	fmt.Fprintf(w, "compile cache: hits=%d misses=%d shared=%d evictions=%d invalidations=%d size=%d\n",
-		s.CompileCacheHits, s.CompileCacheMisses, s.CompileCacheShared,
-		s.CompileCacheEvictions, s.CompileCacheInvalidations, s.CompileCacheSize)
-}
-
-// RenderServer writes the network-server counter block (aqlshell's `\v`),
-// unconditionally — zeros included, so an idle server is also visible.
-func (s Snapshot) RenderServer(w io.Writer) {
-	fmt.Fprintf(w, "server sessions: open=%d opened=%d reaped=%d\n",
-		s.SessionsActive, s.SessionsOpened, s.SessionsReaped)
-	fmt.Fprintf(w, "server queries: in-flight=%d peak=%d admission-rejected=%d\n",
-		s.QueriesInFlight, s.PeakQueriesInFlight, s.AdmissionRejected)
-	fmt.Fprintf(w, "server admission: weighted in-flight=%d peak=%d queue depth=%d peak=%d brownout level=%d (engaged %d)\n",
-		s.WeightedInFlight, s.WeightedPeak, s.AdmissionQueueDepth, s.AdmissionQueuePeak,
-		s.BrownoutLevel, s.BrownoutEngaged)
-	fmt.Fprintf(w, "server shed: queue-full=%d queue-timeout=%d brownout=%d, replays: exec=%d fetch=%d\n",
-		s.ShedQueueFull, s.ShedQueueTimeout, s.ShedBrownout, s.ExecReplays, s.FetchReplays)
-	fmt.Fprintf(w, "server cursors: opened=%d reaped=%d\n",
-		s.CursorsOpened, s.CursorsReaped)
 }
 
 // RenderFederation writes the federated-scan counter block (aqlshell's
@@ -607,8 +456,7 @@ func (s Snapshot) RenderFederation(w io.Writer) {
 // block is omitted from Render for fault-free, defense-free processes).
 func (s Snapshot) resilienceActive() bool {
 	return s.FaultsInjected+s.Retries+s.RetrySuccesses+s.BreakerOpens+
-		s.BreakerFastFails+s.StaleServes+s.SingleFlightShared+
-		s.PanicsRecovered+s.ResourceLimitHits > 0
+		s.BreakerFastFails+s.PanicsRecovered+s.ResourceLimitHits > 0
 }
 
 // RenderResilience writes the resilience counter block (aqlshell's `\r`),
@@ -619,7 +467,5 @@ func (s Snapshot) RenderResilience(w io.Writer) {
 		s.FaultsInjected, s.PanicsRecovered, s.ResourceLimitHits)
 	fmt.Fprintf(w, "retries: %d (rescued: %d), breaker: opened=%d fast-fails=%d\n",
 		s.Retries, s.RetrySuccesses, s.BreakerOpens, s.BreakerFastFails)
-	fmt.Fprintf(w, "metadata degradation: stale serves=%d, single-flight shared=%d\n",
-		s.StaleServes, s.SingleFlightShared)
 	fmt.Fprintf(w, "remote client: retries=%d (rescued: %d)\n", s.RemoteRetries, s.RemoteRetrySuccesses)
 }

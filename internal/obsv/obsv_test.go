@@ -158,15 +158,15 @@ func TestBucketForRange(t *testing.T) {
 func TestMetricsSnapshot(t *testing.T) {
 	m := &Metrics{}
 	m.QueriesTranslated.Add(5)
-	m.CacheHits.Inc()
-	m.CacheMisses.Add(2)
+	m.TranslateErrors.Inc()
+	m.QueriesExecuted.Add(2)
 	m.RowsMaterialized.Add(100)
 	m.EvalSteps.Add(999)
 	m.ObserveStage(StageEvent{Stage: StageParse, Duration: time.Millisecond})
 	m.ObserveStage(StageEvent{Stage: StageParse, Duration: 3 * time.Millisecond})
 
 	s := m.Snapshot()
-	if s.QueriesTranslated != 5 || s.CacheHits != 1 || s.CacheMisses != 2 ||
+	if s.QueriesTranslated != 5 || s.TranslateErrors != 1 || s.QueriesExecuted != 2 ||
 		s.RowsMaterialized != 100 || s.EvalSteps != 999 {
 		t.Fatalf("snapshot = %+v", s)
 	}
@@ -179,7 +179,7 @@ func TestMetricsSnapshot(t *testing.T) {
 
 	var b strings.Builder
 	s.Render(&b)
-	if !strings.Contains(b.String(), "hits=1 misses=2") {
+	if !strings.Contains(b.String(), "queries translated: 5 (errors: 1), executed: 2") {
 		t.Fatalf("render = %q", b.String())
 	}
 }

@@ -309,7 +309,6 @@ func (c *Cache) Get(ctx context.Context, fe qfront.Frontend, text string, mode t
 			c.lru.MoveToFront(el)
 			c.stats.Hits++
 			c.mu.Unlock()
-			obsv.Global.CompileCacheHits.Inc()
 			return cq, true, nil
 		}
 		// Per-source validation calls the SourceGeneration func, which may
@@ -323,7 +322,6 @@ func (c *Cache) Get(ctx context.Context, fe qfront.Frontend, text string, mode t
 			}
 			c.stats.Hits++
 			c.mu.Unlock()
-			obsv.Global.CompileCacheHits.Inc()
 			return cq, true, nil
 		}
 		// One of the artifact's backends invalidated: retire this entry
@@ -333,13 +331,11 @@ func (c *Cache) Get(ctx context.Context, fe qfront.Frontend, text string, mode t
 			c.lru.Remove(el)
 			delete(c.entries, key)
 			c.stats.SourceRetirements++
-			c.reportSizeLocked()
 		}
 	}
 	if fl, ok := c.flights[key]; ok {
 		c.stats.Shared++
 		c.mu.Unlock()
-		obsv.Global.CompileCacheShared.Inc()
 		select {
 		case <-fl.done:
 		case <-ctx.Done():
@@ -355,7 +351,6 @@ func (c *Cache) Get(ctx context.Context, fe qfront.Frontend, text string, mode t
 	epoch := c.epoch
 	c.stats.Misses++
 	c.mu.Unlock()
-	obsv.Global.CompileCacheMisses.Inc()
 
 	cq, err := compile(ctx, text)
 	if err == nil {
@@ -447,18 +442,7 @@ func (c *Cache) storeLocked(key Key, cq *CompiledQuery) {
 		c.lru.Remove(oldest)
 		delete(c.entries, oldest.Value.(*entry).key)
 		c.stats.Evictions++
-		obsv.Global.CompileCacheEvictions.Inc()
 	}
-	c.reportSizeLocked()
-}
-
-// reportSizeLocked keeps the process-wide size gauge in step with this
-// cache's contribution. Callers hold c.mu.
-func (c *Cache) reportSizeLocked() {
-	if delta := c.lru.Len() - c.stats.Size; delta != 0 {
-		obsv.Global.CompileCacheSize.Add(int64(delta))
-	}
-	c.stats.Size = c.lru.Len()
 }
 
 // Invalidate drops every cached artifact (a data service redeployment,
@@ -471,8 +455,6 @@ func (c *Cache) Invalidate() {
 	c.lru = list.New()
 	c.epoch++
 	c.stats.Invalidations++
-	obsv.Global.CompileCacheInvalidations.Inc()
-	c.reportSizeLocked()
 }
 
 // Stats snapshots the cache's counters.

@@ -57,6 +57,10 @@ func (scripted) DefineView(string, string, string) error {
 
 func (scripted) Metadata() catalog.Source { return nil }
 
+func (scripted) CompileStats() qcache.Stats { return qcache.Stats{} }
+
+func (scripted) MetadataStats() catalog.CacheStats { return catalog.CacheStats{} }
+
 var counterColumns = []resultset.Column{{Label: "N", ElementName: "N", Type: catalog.SQLInteger}}
 
 // counter yields the integers 1..n, one per row, then err (io.EOF if nil).

@@ -7,7 +7,7 @@ import (
 	"time"
 
 	"repro/internal/aqerr"
-	"repro/internal/obsv"
+	"repro/internal/wire"
 )
 
 // admission.go replaces the count-only admission semaphore with a
@@ -123,7 +123,6 @@ func (a *admission) admit(ctx context.Context, weight int64, budget time.Duratio
 		}
 		level := a.brownoutLevel
 		a.mu.Unlock()
-		obsv.Global.ShedBrownout.Inc()
 		return shedErr("brownout level %d: predicted cost too high (weight %d > ceiling %d)",
 			retry, level, weight, a.ceiling(level))
 	}
@@ -136,7 +135,6 @@ func (a *admission) admit(ctx context.Context, weight int64, budget time.Duratio
 		a.shedQueueFull++
 		a.raisePressureLocked(now)
 		a.mu.Unlock()
-		obsv.Global.ShedQueueFull.Inc()
 		return shedErr("admission queue full (%d waiting)", a.wait, a.queueLimit)
 	}
 	w := &waiter{weight: weight, ready: make(chan struct{})}
@@ -144,8 +142,6 @@ func (a *admission) admit(ctx context.Context, weight int64, budget time.Duratio
 	if d := int64(a.queue.Len()); d > a.queuePeak {
 		a.queuePeak = d
 	}
-	obsv.Global.AdmissionQueueDepth.Add(1)
-	obsv.Global.AdmissionQueuePeak.SetMax(int64(a.queue.Len()))
 	a.mu.Unlock()
 
 	wait := a.wait
@@ -158,13 +154,11 @@ func (a *admission) admit(ctx context.Context, weight int64, budget time.Duratio
 	defer t.Stop()
 	select {
 	case <-w.ready:
-		obsv.Global.AdmissionQueueDepth.Add(-1)
 		return nil
 	case <-t.C:
 		if !a.abandonWaiter(el, w, true) {
 			return nil // granted while the timer fired
 		}
-		obsv.Global.ShedQueueTimeout.Inc()
 		if deadlineShed {
 			// The client's budget ran out first: its deadline is the real
 			// failure, not server capacity.
@@ -186,7 +180,6 @@ func (a *admission) admit(ctx context.Context, weight int64, budget time.Duratio
 func (a *admission) abandonWaiter(el *list.Element, w *waiter, pressure bool) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	obsv.Global.AdmissionQueueDepth.Add(-1)
 	select {
 	case <-w.ready:
 		return false
@@ -208,8 +201,6 @@ func (a *admission) grantDirectLocked(weight int64) {
 	if a.inFlight > a.peak {
 		a.peak = a.inFlight
 	}
-	obsv.Global.WeightedInFlight.Add(weight)
-	obsv.Global.WeightedPeak.SetMax(a.inFlight)
 }
 
 // grantQueueLocked admits queued waiters FIFO while they fit.
@@ -230,7 +221,6 @@ func (a *admission) grantQueueLocked() {
 func (a *admission) release(weight int64) {
 	a.mu.Lock()
 	a.inFlight -= weight
-	obsv.Global.WeightedInFlight.Add(-weight)
 	a.grantQueueLocked()
 	a.mu.Unlock()
 }
@@ -258,8 +248,6 @@ func (a *admission) raisePressureLocked(now time.Time) {
 	if a.brownoutLevel < a.maxLevel {
 		a.brownoutLevel++
 		a.brownoutEngaged++
-		obsv.Global.BrownoutEngaged.Inc()
-		obsv.Global.BrownoutLevel.Set(int64(a.brownoutLevel))
 	}
 	a.lastPressure = now
 }
@@ -276,14 +264,24 @@ func (a *admission) decayLocked(now time.Time) {
 	if a.brownoutLevel == 0 {
 		a.lastPressure = time.Time{}
 	}
-	obsv.Global.BrownoutLevel.Set(int64(a.brownoutLevel))
 }
 
-// snapshot reads the gauges for Stats.
-func (a *admission) snapshot() (inFlight, peak, queueDepth, queuePeak, shedFull, shedTimeout, shedBrownout int64, level int64) {
+// snapshot reads the admission gauges and shed counters into the fields of
+// the server's Stats they own.
+func (a *admission) snapshot() wire.ServerStats {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.decayLocked(time.Now())
-	return a.inFlight, a.peak, int64(a.queue.Len()), a.queuePeak,
-		a.shedQueueFull, a.shedQueueTimeout, a.shedBrownout, int64(a.brownoutLevel)
+	return wire.ServerStats{
+		WeightedInFlight: a.inFlight,
+		WeightedCapacity: a.capacity,
+		WeightedPeak:     a.peak,
+		QueueDepth:       int64(a.queue.Len()),
+		QueuePeak:        a.queuePeak,
+		ShedQueueFull:    a.shedQueueFull,
+		ShedQueueTimeout: a.shedQueueTimeout,
+		ShedBrownout:     a.shedBrownout,
+		BrownoutLevel:    int64(a.brownoutLevel),
+		BrownoutEngaged:  a.brownoutEngaged,
+	}
 }

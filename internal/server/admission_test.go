@@ -90,9 +90,8 @@ func TestQueueFullShedsTyped(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		shedKind(t, <-parked, "queue-timeout admit")
 	}
-	_, _, _, _, full, timeout, _, _ := a.snapshot()
-	if full != 1 || timeout != 2 {
-		t.Fatalf("shed counters full=%d timeout=%d, want 1/2", full, timeout)
+	if st := a.snapshot(); st.ShedQueueFull != 1 || st.ShedQueueTimeout != 2 {
+		t.Fatalf("shed counters full=%d timeout=%d, want 1/2", st.ShedQueueFull, st.ShedQueueTimeout)
 	}
 	a.release(4)
 }
@@ -169,9 +168,8 @@ func TestBrownoutShedsHeavyKeepsCheap(t *testing.T) {
 	}
 	a.release(1)
 
-	_, _, _, _, _, _, brown, _ := a.snapshot()
-	if brown != 1 {
-		t.Fatalf("shedBrownout = %d, want 1", brown)
+	if st := a.snapshot(); st.ShedBrownout != 1 || st.BrownoutEngaged != 1 {
+		t.Fatalf("shedBrownout = %d, brownoutEngaged = %d, want 1/1", st.ShedBrownout, st.BrownoutEngaged)
 	}
 
 	// After a full quiet decay interval the heavy class admits again.
@@ -182,8 +180,7 @@ func TestBrownoutShedsHeavyKeepsCheap(t *testing.T) {
 		t.Fatalf("heavy after decay: %v", err)
 	}
 	a.release(3)
-	_, _, _, _, _, _, _, lvl := a.snapshot()
-	if lvl != 0 {
+	if lvl := a.snapshot().BrownoutLevel; lvl != 0 {
 		t.Fatalf("level after decay = %d, want 0", lvl)
 	}
 }
@@ -239,8 +236,7 @@ func TestWeightedReleaseWakesQueue(t *testing.T) {
 	}
 	a.release(2)
 	a.release(2)
-	inFlight, peak, _, _, _, _, _, _ := a.snapshot()
-	if inFlight != 0 || peak != 4 {
-		t.Fatalf("after full release: inFlight=%d peak=%d, want 0/4", inFlight, peak)
+	if st := a.snapshot(); st.WeightedInFlight != 0 || st.WeightedPeak != 4 {
+		t.Fatalf("after full release: inFlight=%d peak=%d, want 0/4", st.WeightedInFlight, st.WeightedPeak)
 	}
 }

@@ -49,7 +49,8 @@ func (s *Server) Handler() http.Handler {
 		return wire.MetasResponse{Metas: metas}, aqerr.Wrap("metadata procedures", err)
 	})
 	handle(mux, wire.PathStats, func(ctx context.Context, req wire.StatsRequest) (wire.StatsResponse, error) {
-		return wire.StatsResponse{Server: s.Stats(), Pipeline: obsv.Global.Snapshot()}, nil
+		return wire.StatsResponse{Server: s.Stats(), Compile: s.b.CompileStats(),
+			Metadata: s.b.MetadataStats(), Pipeline: obsv.Global.Snapshot()}, nil
 	})
 	return mux
 }

@@ -30,8 +30,9 @@
 //     cancels the evaluation.
 //
 // Fault points named srv/* hook the request surface into the faultnet
-// chaos layer, and every counter the server keeps (sessions, in-flight
-// queries, admission rejections, cursors reaped) reports through obsv.
+// chaos layer. Every counter the server keeps (sessions, in-flight
+// queries, admission rejections and sheds, cursors reaped, replays) belongs
+// to the Server instance and is read through Stats and /v1/stats.
 package server
 
 import (
@@ -68,6 +69,10 @@ type Backend interface {
 	DefineView(path, name, sql string) error
 	// Metadata is the catalog source metadata endpoints serve from.
 	Metadata() catalog.Source
+	// CompileStats and MetadataStats report the backend's own compile and
+	// metadata caches; /v1/stats serves them next to the server's counters.
+	CompileStats() qcache.Stats
+	MetadataStats() catalog.CacheStats
 }
 
 // Config bounds one server instance. Zero fields take the defaults below.
@@ -167,14 +172,13 @@ type Server struct {
 	nextSession atomic.Int64
 	reaperDone  chan struct{}
 
-	// Instance counters (the process-wide mirrors live in obsv.Global).
 	sessionsOpened    atomic.Int64
 	sessionsReaped    atomic.Int64
 	cursorsOpened     atomic.Int64
 	cursorsReaped     atomic.Int64
 	cursorsOpen       atomic.Int64
 	inFlight          atomic.Int64
-	peakInFlight      atomic.Int64
+	peakInFlight      obsv.Gauge
 	admissionRejected atomic.Int64
 	execReplays       atomic.Int64
 	fetchReplays      atomic.Int64
@@ -219,7 +223,6 @@ func (s *Server) Close() {
 
 	for _, ss := range open {
 		ss.close(false)
-		obsv.Global.SessionsActive.Add(-1)
 	}
 	s.stop()
 	if s.reaperDone != nil {
@@ -232,30 +235,19 @@ func (s *Server) Stats() wire.ServerStats {
 	s.mu.Lock()
 	open := int64(len(s.sessions))
 	s.mu.Unlock()
-	wif, wpeak, qdepth, qpeak, shedFull, shedTimeout, shedBrownout, level := s.adm.snapshot()
-	return wire.ServerStats{
-		SessionsOpen:      open,
-		SessionsOpened:    s.sessionsOpened.Load(),
-		SessionsReaped:    s.sessionsReaped.Load(),
-		CursorsOpen:       s.cursorsOpen.Load(),
-		CursorsOpened:     s.cursorsOpened.Load(),
-		CursorsReaped:     s.cursorsReaped.Load(),
-		QueriesInFlight:   s.inFlight.Load(),
-		PeakInFlight:      s.peakInFlight.Load(),
-		AdmissionRejected: s.admissionRejected.Load(),
-
-		WeightedInFlight: wif,
-		WeightedCapacity: s.adm.capacity,
-		WeightedPeak:     wpeak,
-		QueueDepth:       qdepth,
-		QueuePeak:        qpeak,
-		ShedQueueFull:    shedFull,
-		ShedQueueTimeout: shedTimeout,
-		ShedBrownout:     shedBrownout,
-		BrownoutLevel:    level,
-		ExecReplays:      s.execReplays.Load(),
-		FetchReplays:     s.fetchReplays.Load(),
-	}
+	st := s.adm.snapshot()
+	st.SessionsOpen = open
+	st.SessionsOpened = s.sessionsOpened.Load()
+	st.SessionsReaped = s.sessionsReaped.Load()
+	st.CursorsOpen = s.cursorsOpen.Load()
+	st.CursorsOpened = s.cursorsOpened.Load()
+	st.CursorsReaped = s.cursorsReaped.Load()
+	st.QueriesInFlight = s.inFlight.Load()
+	st.PeakInFlight = s.peakInFlight.Load()
+	st.AdmissionRejected = s.admissionRejected.Load()
+	st.ExecReplays = s.execReplays.Load()
+	st.FetchReplays = s.fetchReplays.Load()
+	return st
 }
 
 // reapLoop closes sessions idle past the configured timeout.
@@ -297,8 +289,6 @@ func (s *Server) reapIdle(now time.Time) {
 	for _, ss := range idle {
 		ss.close(true)
 		s.sessionsReaped.Add(1)
-		obsv.Global.SessionsReaped.Inc()
-		obsv.Global.SessionsActive.Add(-1)
 	}
 }
 
@@ -310,18 +300,9 @@ func (s *Server) reapIdle(now time.Time) {
 func (s *Server) admit(ctx context.Context, weight int64, budget time.Duration) error {
 	if err := s.adm.admit(ctx, weight, budget); err != nil {
 		s.admissionRejected.Add(1)
-		obsv.Global.AdmissionRejected.Inc()
 		return err
 	}
-	n := s.inFlight.Add(1)
-	obsv.Global.QueriesInFlight.Add(1)
-	obsv.Global.PeakQueriesInFlight.SetMax(n)
-	for {
-		p := s.peakInFlight.Load()
-		if n <= p || s.peakInFlight.CompareAndSwap(p, n) {
-			break
-		}
-	}
+	s.peakInFlight.SetMax(s.inFlight.Add(1))
 	return nil
 }
 
@@ -329,7 +310,6 @@ func (s *Server) admit(ctx context.Context, weight int64, budget time.Duration) 
 func (s *Server) release(weight int64) {
 	s.adm.release(weight)
 	s.inFlight.Add(-1)
-	obsv.Global.QueriesInFlight.Add(-1)
 }
 
 // fault rolls the named srv/* fault point and realizes the scheduled
@@ -412,7 +392,6 @@ func (s *Server) handshake(ctx context.Context, req wire.HandshakeRequest) (wire
 	}
 	if len(s.sessions) >= s.cfg.MaxSessions {
 		s.admissionRejected.Add(1)
-		obsv.Global.AdmissionRejected.Inc()
 		return wire.HandshakeResponse{}, aqerr.Errorf(aqerr.KindUnavailable, "handshake",
 			"session limit reached (%d open)", s.cfg.MaxSessions)
 	}
@@ -427,8 +406,6 @@ func (s *Server) handshake(ctx context.Context, req wire.HandshakeRequest) (wire
 	ss.lastUsed.Store(time.Now().UnixNano())
 	s.sessions[id] = ss
 	s.sessionsOpened.Add(1)
-	obsv.Global.SessionsOpened.Inc()
-	obsv.Global.SessionsActive.Add(1)
 	return wire.HandshakeResponse{Session: id}, nil
 }
 
@@ -459,7 +436,6 @@ func (s *Server) closeSession(ctx context.Context, req wire.CloseSessionRequest)
 		return nil // idempotent
 	}
 	ss.close(false)
-	obsv.Global.SessionsActive.Add(-1)
 	return nil
 }
 
@@ -485,7 +461,6 @@ func (ss *session) close(reaped bool) {
 		c.closeCursor(ss.srv)
 		if reaped {
 			ss.srv.cursorsReaped.Add(1)
-			obsv.Global.CursorsReaped.Inc()
 		}
 	}
 }
@@ -642,7 +617,6 @@ func (s *Server) execute(ctx context.Context, req wire.ExecuteRequest) (wire.Exe
 	cur := &cursor{rows: rows, cancel: cancel, weight: weight, execKey: req.ExecKey}
 	s.cursorsOpened.Add(1)
 	s.cursorsOpen.Add(1)
-	obsv.Global.CursorsOpened.Inc()
 
 	cur.mu.Lock()
 	first := cur.nextChunkLocked(s, s.cfg.FetchRows)
@@ -693,7 +667,6 @@ func (s *Server) replayExecute(id int64, cur *cursor) (wire.ExecuteResponse, err
 			"idempotency key %q: cursor %d has moved past its first chunk", cur.execKey, id)
 	}
 	s.execReplays.Add(1)
-	obsv.Global.ExecReplays.Inc()
 	return chunkResponse(id, cur, cur.lastResp), nil
 }
 
@@ -777,7 +750,6 @@ func (s *Server) fetch(ctx context.Context, req wire.FetchRequest) (wire.FetchRe
 		switch {
 		case req.Seq == cur.lastSeq:
 			s.fetchReplays.Add(1)
-			obsv.Global.FetchReplays.Inc()
 			return cur.lastResp, nil
 		case req.Seq != cur.lastSeq+1:
 			return wire.FetchResponse{}, aqerr.Errorf(aqerr.KindPermanent, "fetch",

@@ -18,6 +18,7 @@ package wire
 import (
 	"repro/internal/catalog"
 	"repro/internal/obsv"
+	"repro/internal/qcache"
 	"repro/internal/resultset"
 	"repro/internal/translator"
 )
@@ -277,16 +278,21 @@ type ServerStats struct {
 	ShedQueueTimeout int64 `json:"shed_queue_timeout"`
 	ShedBrownout     int64 `json:"shed_brownout"`
 	// BrownoutLevel is the current degradation level (0 = normal); each
-	// level halves the maximum admissible query weight.
-	BrownoutLevel int64 `json:"brownout_level"`
+	// level halves the maximum admissible query weight. BrownoutEngaged
+	// counts the steps up the ladder over the server's lifetime.
+	BrownoutLevel   int64 `json:"brownout_level"`
+	BrownoutEngaged int64 `json:"brownout_engaged"`
 	// Idempotent replays served from cursor state instead of re-running.
 	ExecReplays  int64 `json:"exec_replays"`
 	FetchReplays int64 `json:"fetch_replays"`
 }
 
-// StatsResponse bundles the server counters with the process-wide
-// pipeline snapshot.
+// StatsResponse bundles the server's counters, its backend's compile and
+// metadata cache counters, and the process-wide pipeline snapshot. Each
+// event is counted by one owner, so no figure appears in two blocks.
 type StatsResponse struct {
-	Server   ServerStats   `json:"server"`
-	Pipeline obsv.Snapshot `json:"pipeline"`
+	Server   ServerStats        `json:"server"`
+	Compile  qcache.Stats       `json:"compile"`
+	Metadata catalog.CacheStats `json:"metadata"`
+	Pipeline obsv.Snapshot      `json:"pipeline"`
 }

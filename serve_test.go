@@ -882,7 +882,7 @@ func TestResultColumnFacetsAgree(t *testing.T) {
 // and the next execution of an already-prepared statement recompiles
 // against the new catalog instead of running a stale plan.
 func TestServePreparedAcrossViewChange(t *testing.T) {
-	_, _, c := newLoopback(t, server.Config{SessionIdleTimeout: time.Minute})
+	p, _, c := newLoopback(t, server.Config{SessionIdleTimeout: time.Minute})
 	ctx := context.Background()
 
 	st, err := c.Prepare(ctx, "SELECT CITY FROM CUSTOMERS WHERE CUSTOMERID = ?", ModeText)
@@ -901,7 +901,7 @@ func TestServePreparedAcrossViewChange(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	missesBefore := Stats().CompileCacheMisses
+	missesBefore := p.CompileStats().Misses
 	if err := c.DefineView(ctx, "Views", "V_SERVE_CHURN", "SELECT CUSTOMERID, CITY FROM CUSTOMERS"); err != nil {
 		t.Fatalf("create view: %v", err)
 	}
@@ -917,7 +917,7 @@ func TestServePreparedAcrossViewChange(t *testing.T) {
 	if got != want {
 		t.Fatalf("prepared result changed across unrelated view churn\ngot:  %s\nwant: %s", got, want)
 	}
-	if misses := Stats().CompileCacheMisses; misses <= missesBefore {
+	if misses := p.CompileStats().Misses; misses <= missesBefore {
 		t.Fatalf("execution after CREATE VIEW reused a stale compile (misses %d -> %d)", missesBefore, misses)
 	}
 
