@@ -24,8 +24,9 @@ race:
 # the race detector — where a worker trips and which morsels the merge
 # point re-runs depend on scheduling, so one pass proves little — and the
 # column and record kernels' differentials against the generic path and
-# naive. The driver's concurrency and streaming nets follow: every
-# database/sql connection shares one platform's compile and metadata caches.
+# naive. The driver's concurrency and streaming nets follow, in process and
+# over aql:// (real TCP): every database/sql connection shares one
+# platform's compile and metadata caches.
 stress:
 	$(GO) test -race -count=20 -run 'TestParallel|TestFusedLimitParity|TestCorrelated|TestColumnKernels|TestRecordKernel|TestHashJoinNegativeZero' ./internal/xqeval/
 	$(GO) test -race -count=10 -run 'TestConcurrent|TestStreaming|TestRows' ./internal/driver/
@@ -44,10 +45,12 @@ chaos:
 # gates the overload contract under 2x sustained load, the replay
 # regression net, and the wire client's own suite with the one-round-trip
 # net (which results finish inside execute, and that they leave nothing
-# open).
+# open). The driver suite runs each of its per-transport tests in process
+# and over an aql:// DSN on real TCP, and the database/sql corpus
+# differential runs over both.
 soak:
-	$(GO) test -race -count=1 ./internal/netchaos/ ./internal/remoteclient/
-	$(GO) test -race -count=1 -run='TestNetChaosDifferential|TestShedVsCancel|TestOverloadContract|TestExecuteReplay|TestFetchSeqReplay|TestServeOneRoundTrip|TestFetchAgainstRestarted' .
+	$(GO) test -race -count=1 ./internal/netchaos/ ./internal/remoteclient/ ./internal/driver/
+	$(GO) test -race -count=1 -run='TestNetChaosDifferential|TestShedVsCancel|TestOverloadContract|TestExecuteReplay|TestFetchSeqReplay|TestServeOneRoundTrip|TestFetchAgainstRestarted|TestDriverMatchesFacadeOnCorpus' .
 
 # Federation smoke: the multi-source mediation stack end-to-end — the
 # federated catalog, shard-pinned pushdown, and the per-source stats

@@ -455,7 +455,7 @@ func TestServeChaos(t *testing.T) {
 		}
 		for _, sql := range chaosCorpus() {
 			attempts++
-			rows, err := c.QueryStreamMode(context.Background(), ModeText, sql,
+			rows, err := c.QueryDialect(context.Background(), "", ModeText, sql,
 				chaosArgs(strings.Count(sql, "?"))...)
 			var got string
 			if err == nil {
@@ -492,7 +492,7 @@ func TestServeChaos(t *testing.T) {
 		t.Fatalf("post-chaos handshake: %v", err)
 	}
 	sql := "SELECT CUSTOMERID, CUSTOMERNAME FROM CUSTOMERS"
-	rows, err := c.QueryStreamMode(context.Background(), ModeText, sql)
+	rows, err := c.QueryDialect(context.Background(), "", ModeText, sql)
 	if err != nil {
 		t.Fatalf("post-chaos query: %v", err)
 	}

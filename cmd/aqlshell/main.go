@@ -21,14 +21,15 @@
 // page cancels the rest of the query; \f 0 restores whole-result
 // formatting). Type "quit" or "exit" to leave.
 //
-// With -server <url> the shell connects to a running aqlserve process
-// through the resilient remote client instead of the in-process demo:
-// SQL and EXPLAIN travel the wire, \s renders the remote server's
-// pipeline metrics, session and cursor counters, and its platform's
-// compile and metadata caches, and \r renders the remote resilience
-// picture — the
-// server's admission/brownout/shed gauges from /v1/stats alongside this
-// client's own breaker and retry state.
+// With -server <url> (http://host:port) the shell opens the same
+// database/sql driver on an aql://host:port DSN instead, so every statement —
+// SELECT, SHOW, EXPLAIN, CREATE VIEW, paging — runs in a wire session of
+// a running aqlserve process (CALL is refused: the wire has no verb for
+// it). \s renders the server's pipeline metrics, session and cursor
+// counters, and its platform's compile and metadata caches; \r renders
+// the server's admission/brownout/shed gauges from /v1/stats alongside
+// the shell's stats client's breaker. \x, \c, \p, \q and \src read the
+// in-process platform and are unavailable with -server.
 package main
 
 import (
@@ -51,14 +52,25 @@ import (
 func main() {
 	serverURL := flag.String("server", "", "aqlserve URL (e.g. http://127.0.0.1:7117); empty runs the in-process demo")
 	flag.Parse()
+	var (
+		p     *aqualogic.Platform  // the in-process demo; nil with -server
+		stats *remoteclient.Client // with -server: the session \s and \r read the server's counters through
+		dsn   = "demo"
+	)
 	if *serverURL != "" {
-		runRemote(*serverURL)
-		return
+		var err error
+		if stats, err = remoteclient.Dial(*serverURL); err != nil {
+			fmt.Fprintln(os.Stderr, "aqlshell: connect:", err)
+			os.Exit(1)
+		}
+		defer stats.Close()
+		dsn = "aql://" + strings.TrimPrefix(*serverURL, "http://")
+	} else {
+		p = aqualogic.Demo()
+		p.RegisterDriver(dsn)
 	}
-	p := aqualogic.Demo()
-	p.RegisterDriver("demo")
 	dialect := aqualogic.DialectSQL
-	db, err := sql.Open("aqualogic", "demo")
+	db, err := sql.Open("aqualogic", dsn)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "aqlshell:", err)
 		os.Exit(1)
@@ -66,6 +78,9 @@ func main() {
 	defer func() { db.Close() }()
 
 	fmt.Println("aqlshell — SQL over the AquaLogic-style demo deployment")
+	if stats != nil {
+		fmt.Printf("connected to %s as %s\n", *serverURL, dsn)
+	}
 	fmt.Println(`type SQL (SELECT/SHOW/CALL), "EXPLAIN SELECT ..." for the stage trace,`)
 	fmt.Println(`"\x SELECT ..." to see the XQuery, "\c SELECT ..." to see the query`)
 	fmt.Println(`contexts (Figure 4), "\p SELECT ..." for the evaluator's query plan`)
@@ -94,6 +109,9 @@ func main() {
 			continue
 		case strings.EqualFold(line, "quit") || strings.EqualFold(line, "exit"):
 			return
+		case p == nil && (line == `\q` || line == `\src` || strings.HasPrefix(line, `\x `) ||
+			strings.HasPrefix(line, `\c `) || strings.HasPrefix(line, `\p `)):
+			fmt.Println(`\x, \c, \p, \q and \src read the in-process platform (run without -server)`)
 		case line == `\d`:
 			fmt.Printf("dialect: %s (registered: %s)\n", dialect, strings.Join(dialectNames(), ", "))
 		case strings.HasPrefix(line, `\d `):
@@ -105,7 +123,7 @@ func main() {
 			}
 			// Reopen the DSN with the dialect option: every connection the
 			// pool hands out from here on parses in the chosen language.
-			next, err := sql.Open("aqualogic", "demo?dialect="+string(d))
+			next, err := sql.Open("aqualogic", dsn+"?dialect="+string(d))
 			if err != nil {
 				fmt.Println("error:", err)
 				continue
@@ -143,11 +161,15 @@ func main() {
 				continue
 			}
 			fmt.Println(res.XQuery())
+		case line == `\s` && stats != nil:
+			renderRemoteStats(stats)
 		case line == `\s`:
 			aqualogic.Stats().Render(os.Stdout)
 			cache, cs := p.MetadataStats(), p.CompileStats()
 			fmt.Printf("platform metadata cache: hits=%d misses=%d\n", cache.Hits, cache.Misses)
 			fmt.Printf("platform compile cache: hits=%d misses=%d shared=%d\n", cs.Hits, cs.Misses, cs.Shared)
+		case line == `\r` && stats != nil:
+			renderRemoteResilience(stats)
 		case line == `\r`:
 			aqualogic.Stats().RenderResilience(os.Stdout)
 			cache := p.MetadataStats()
@@ -191,159 +213,7 @@ func main() {
 			}
 			fmt.Print(res.Contexts.Tree())
 		default:
-			var err error
-			if fetchSize > 0 {
-				err = runQueryPaged(db, line, fetchSize, scanner)
-			} else {
-				err = runQuery(db, line)
-			}
-			if err != nil {
-				fmt.Println("error:", err)
-			}
-		}
-	}
-}
-
-// runQueryPaged prints rows straight off the streaming cursor, pageSize at
-// a time: the first page appears while the evaluation is still running,
-// and declining the next page closes the result set, which cancels the
-// remaining evaluation server-side.
-func runQueryPaged(db *sql.DB, query string, pageSize int, in *bufio.Scanner) error {
-	rows, err := db.Query(query)
-	if err != nil {
-		return err
-	}
-	defer rows.Close()
-	cols, err := rows.Columns()
-	if err != nil {
-		return err
-	}
-	fmt.Println(strings.Join(cols, " | "))
-	n := 0
-	for rows.Next() {
-		raw := make([]any, len(cols))
-		for i := range raw {
-			raw[i] = new(sql.NullString)
-		}
-		if err := rows.Scan(raw...); err != nil {
-			return err
-		}
-		rec := make([]string, len(cols))
-		for i := range raw {
-			ns := raw[i].(*sql.NullString)
-			if ns.Valid {
-				rec[i] = ns.String
-			} else {
-				rec[i] = "NULL"
-			}
-		}
-		fmt.Println(strings.Join(rec, " | "))
-		n++
-		if n%pageSize == 0 {
-			fmt.Printf("-- %d row(s) so far; Enter for next %d, q to stop -- ", n, pageSize)
-			if !in.Scan() || strings.EqualFold(strings.TrimSpace(in.Text()), "q") {
-				fmt.Printf("(%d row(s), rest of the query cancelled)\n", n)
-				return rows.Close()
-			}
-		}
-	}
-	if err := rows.Err(); err != nil {
-		return err
-	}
-	fmt.Printf("(%d row(s))\n", n)
-	return nil
-}
-
-// runRemote is the shell's wire mode: the same REPL against a running
-// aqlserve process through the resilient remote client. Translation
-// introspection (\x, \c, \p) is a compile-side feature and stays with
-// the in-process mode; everything observable about a remote deployment
-// — queries, EXPLAIN, server metrics, the resilience picture — is here.
-func runRemote(url string) {
-	c, err := remoteclient.Dial(url)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "aqlshell: connect:", err)
-		os.Exit(1)
-	}
-	defer c.Close()
-
-	fmt.Printf("aqlshell — connected to %s (session %s)\n", url, c.Session())
-	fmt.Println(`type SQL, "EXPLAIN SELECT ..." for the remote plan, "\s" for remote`)
-	fmt.Println(`pipeline metrics, "\r" for the resilience picture (server admission/`)
-	fmt.Println(`brownout/shed state plus this client's breaker and retries), "\f n"`)
-	fmt.Println(`to page results, "\d <dialect>" to switch query language, "quit" or`)
-	fmt.Println(`"exit" to leave`)
-
-	scanner := bufio.NewScanner(os.Stdin)
-	scanner.Buffer(make([]byte, 1<<20), 1<<20)
-	fetchSize := 0
-	dialect := aqualogic.DialectSQL
-	for {
-		fmt.Print("sql> ")
-		if !scanner.Scan() {
-			fmt.Println()
-			return
-		}
-		line := strings.TrimSpace(scanner.Text())
-		switch {
-		case line == "":
-			continue
-		case strings.EqualFold(line, "quit") || strings.EqualFold(line, "exit"):
-			return
-		case line == `\f`:
-			if fetchSize > 0 {
-				fmt.Printf("fetch size: %d rows per page\n", fetchSize)
-			} else {
-				fmt.Println("paging off")
-			}
-		case strings.HasPrefix(line, `\f `):
-			n, err := strconv.Atoi(strings.TrimSpace(strings.TrimPrefix(line, `\f `)))
-			if err != nil || n < 0 {
-				fmt.Println(`usage: \f <rows-per-page>   (0 turns paging off)`)
-				continue
-			}
-			fetchSize = n
-		case line == `\d`:
-			fmt.Printf("dialect: %s (registered locally: %s)\n", dialect, strings.Join(dialectNames(), ", "))
-		case strings.HasPrefix(line, `\d `):
-			// The name travels on the wire per statement; the server's own
-			// registry validates it, so an unknown dialect fails at the next
-			// query with the server's typed error.
-			name := strings.TrimSpace(strings.TrimPrefix(line, `\d `))
-			if d, ok := lookupDialect(name); ok {
-				dialect = d
-			} else {
-				dialect = aqualogic.Dialect(name)
-			}
-			fmt.Printf("dialect: %s\n", dialect)
-		case line == `\s`:
-			resp, err := c.ServerStats(statsCtx())
-			if err != nil {
-				fmt.Println("error:", err)
-				continue
-			}
-			resp.Pipeline.Render(os.Stdout)
-			s := resp.Server
-			fmt.Printf("server sessions: open=%d opened=%d reaped=%d; cursors: open=%d opened=%d reaped=%d\n",
-				s.SessionsOpen, s.SessionsOpened, s.SessionsReaped, s.CursorsOpen, s.CursorsOpened, s.CursorsReaped)
-			fmt.Printf("server queries: in-flight=%d peak=%d admission-rejected=%d\n",
-				s.QueriesInFlight, s.PeakInFlight, s.AdmissionRejected)
-			cs, md := resp.Compile, resp.Metadata
-			fmt.Printf("server compile cache: hits=%d misses=%d shared=%d evictions=%d size=%d\n",
-				cs.Hits, cs.Misses, cs.Shared, cs.Evictions, cs.Size)
-			fmt.Printf("server metadata cache: hits=%d misses=%d stale serves=%d degraded=%v\n",
-				md.Hits, md.Misses, md.StaleServes, md.Degraded)
-		case line == `\r`:
-			renderRemoteResilience(c)
-		case strings.HasPrefix(strings.ToUpper(line), "EXPLAIN "):
-			text, err := c.ExplainDialect(context.Background(), string(dialect), strings.TrimSpace(line[len("EXPLAIN "):]), aqualogic.ModeText)
-			if err != nil {
-				fmt.Println("error:", err)
-				continue
-			}
-			fmt.Println(text)
-		default:
-			if err := runRemoteQuery(c, string(dialect), line, fetchSize, scanner); err != nil {
+			if err := runQuery(db, line, fetchSize, scanner); err != nil {
 				fmt.Println("error:", err)
 			}
 		}
@@ -380,6 +250,27 @@ func statsCtx() context.Context {
 	return ctx
 }
 
+// renderRemoteStats is the wire-mode \s: the server's pipeline metrics,
+// session and cursor counters, and its platform's caches.
+func renderRemoteStats(c *remoteclient.Client) {
+	resp, err := c.ServerStats(statsCtx())
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	resp.Pipeline.Render(os.Stdout)
+	s := resp.Server
+	fmt.Printf("server sessions: open=%d opened=%d reaped=%d; cursors: open=%d opened=%d reaped=%d\n",
+		s.SessionsOpen, s.SessionsOpened, s.SessionsReaped, s.CursorsOpen, s.CursorsOpened, s.CursorsReaped)
+	fmt.Printf("server queries: in-flight=%d peak=%d admission-rejected=%d\n",
+		s.QueriesInFlight, s.PeakInFlight, s.AdmissionRejected)
+	cs, md := resp.Compile, resp.Metadata
+	fmt.Printf("server compile cache: hits=%d misses=%d shared=%d evictions=%d size=%d\n",
+		cs.Hits, cs.Misses, cs.Shared, cs.Evictions, cs.Size)
+	fmt.Printf("server metadata cache: hits=%d misses=%d stale serves=%d degraded=%v\n",
+		md.Hits, md.Misses, md.StaleServes, md.Degraded)
+}
+
 // renderRemoteResilience is the wire-mode \r: the server's overload
 // posture (weighted admission, queue, sheds by reason, brownout level,
 // idempotent replays) next to this client's own defenses.
@@ -401,54 +292,12 @@ func renderRemoteResilience(c *remoteclient.Client) {
 	fmt.Printf("client breaker: %s\n", c.BreakerState())
 }
 
-// runRemoteQuery streams a remote result set to the terminal, paging
-// when asked; abandoning a page closes the cursor, which cancels the
-// rest of the evaluation server-side.
-func runRemoteQuery(c *remoteclient.Client, dialect, query string, pageSize int, in *bufio.Scanner) error {
-	rows, err := c.QueryDialect(context.Background(), dialect, aqualogic.ModeText, query)
-	if err != nil {
-		return err
-	}
-	defer rows.Close()
-	cols := rows.Columns()
-	labels := make([]string, len(cols))
-	for i, col := range cols {
-		labels[i] = col.Label
-	}
-	fmt.Println(strings.Join(labels, " | "))
-	n := 0
-	for rows.Next() {
-		rec := make([]string, len(cols))
-		for i := range cols {
-			s, ok, err := rows.String(i)
-			switch {
-			case err != nil:
-				return err
-			case !ok:
-				rec[i] = "NULL"
-			default:
-				rec[i] = s
-			}
-		}
-		fmt.Println(strings.Join(rec, " | "))
-		n++
-		if pageSize > 0 && n%pageSize == 0 {
-			fmt.Printf("-- %d row(s) so far; Enter for next %d, q to stop -- ", n, pageSize)
-			if !in.Scan() || strings.EqualFold(strings.TrimSpace(in.Text()), "q") {
-				fmt.Printf("(%d row(s), rest of the query cancelled)\n", n)
-				rows.Close()
-				return nil
-			}
-		}
-	}
-	if err := rows.Err(); err != nil {
-		return err
-	}
-	fmt.Printf("(%d row(s))\n", n)
-	return nil
-}
-
-func runQuery(db *sql.DB, query string) error {
+// runQuery prints a statement's result. With paging off it aligns the
+// columns once every row has arrived; with paging on it prints rows
+// straight off the streaming cursor, pageSize at a time: the first page
+// appears while the evaluation is still running, and declining the next
+// page closes the result set, which cancels the remaining evaluation.
+func runQuery(db *sql.DB, query string, pageSize int, in *bufio.Scanner) error {
 	rows, err := db.Query(query)
 	if err != nil {
 		return err
@@ -458,38 +307,61 @@ func runQuery(db *sql.DB, query string) error {
 	if err != nil {
 		return err
 	}
-
-	widths := make([]int, len(cols))
-	for i, c := range cols {
-		widths[i] = len(c)
+	if pageSize > 0 {
+		fmt.Println(strings.Join(cols, " | "))
+	}
+	raw := make([]any, len(cols))
+	for i := range raw {
+		raw[i] = new(sql.NullString)
 	}
 	var table [][]string
+	n := 0
 	for rows.Next() {
-		raw := make([]any, len(cols))
-		for i := range raw {
-			raw[i] = new(sql.NullString)
-		}
 		if err := rows.Scan(raw...); err != nil {
 			return err
 		}
 		rec := make([]string, len(cols))
 		for i := range raw {
-			ns := raw[i].(*sql.NullString)
-			if ns.Valid {
+			rec[i] = "NULL"
+			if ns := raw[i].(*sql.NullString); ns.Valid {
 				rec[i] = ns.String
-			} else {
-				rec[i] = "NULL"
-			}
-			if len(rec[i]) > widths[i] {
-				widths[i] = len(rec[i])
 			}
 		}
-		table = append(table, rec)
+		n++
+		if pageSize == 0 {
+			table = append(table, rec)
+			continue
+		}
+		fmt.Println(strings.Join(rec, " | "))
+		if n%pageSize == 0 {
+			fmt.Printf("-- %d row(s) so far; Enter for next %d, q to stop -- ", n, pageSize)
+			if !in.Scan() || strings.EqualFold(strings.TrimSpace(in.Text()), "q") {
+				fmt.Printf("(%d row(s), rest of the query cancelled)\n", n)
+				return rows.Close()
+			}
+		}
 	}
 	if err := rows.Err(); err != nil {
 		return err
 	}
+	if pageSize == 0 {
+		printTable(cols, table)
+	}
+	fmt.Printf("(%d row(s))\n", n)
+	return nil
+}
 
+// printTable prints rows under their column labels, aligned.
+func printTable(cols []string, table [][]string) {
+	widths := make([]int, len(cols))
+	for i, c := range cols {
+		widths[i] = len(c)
+	}
+	for _, rec := range table {
+		for i, v := range rec {
+			widths[i] = max(widths[i], len(v))
+		}
+	}
 	printRow := func(vals []string) {
 		for i, v := range vals {
 			if i > 0 {
@@ -510,6 +382,4 @@ func runQuery(db *sql.DB, query string) error {
 	for _, rec := range table {
 		printRow(rec)
 	}
-	fmt.Printf("(%d row(s))\n", len(table))
-	return nil
 }

@@ -20,7 +20,7 @@ func TestCountersStayWithTheirOwner(t *testing.T) {
 
 	const q = "SELECT CITY FROM CUSTOMERS WHERE CUSTOMERID < 1003"
 	for i := 0; i < 2; i++ {
-		rows, err := c1.QueryStreamMode(ctx, ModeText, q)
+		rows, err := c1.QueryDialect(ctx, "", ModeText, q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -76,9 +76,13 @@ func (c *conn) withTimeout(ctx context.Context) (context.Context, context.Cancel
 	return ctx, func() {}
 }
 
-// Close implements driver.Conn.
+// Close implements driver.Conn. An aql:// connection ends its wire
+// session, releasing everything the server holds for it.
 func (c *conn) Close() error {
 	c.closed = true
+	if r, ok := c.sess.(remoteSession); ok {
+		return r.c.Close()
+	}
 	return nil
 }
 

@@ -13,29 +13,43 @@
 //	SHOW COLUMNS FROM <table>
 //	CALL <function>(args…)   — parameterized data service functions
 //
-// The DSN names a registered session, optionally selecting the §4 result
-// mode and the query dialect: "demo", "demo?mode=text" (default),
-// "demo?mode=xml", "demo?dialect=path" (default "sql").
+// The DSN picks the transport and, optionally, the §4 result mode and the
+// query dialect:
+//
+//	dsn    = target [ "?" option { "&" option } ]
+//	target = name | "aql://" host ":" port
+//	option = "mode=" ( "text" | "xml" ) | "dialect=" dialect-name
+//
+// A name opens the session registered under it in this process ("demo",
+// "demo?mode=xml", "demo?dialect=path"). An aql:// address opens a wire
+// session to the aqlserve server there, one per connection, ended when
+// the connection closes ("aql://127.0.0.1:7117?mode=xml"). The defaults
+// are mode=text and dialect=sql. Both transports run the same statements,
+// except CALL over aql://, which fails with a permanent error: the wire
+// protocol has no verb that calls a data service function.
 package driver
 
 import (
 	"context"
 	"database/sql"
 	"database/sql/driver"
-	"fmt"
+	"net"
 	"strings"
 	"sync"
 	"time"
 
+	"repro/internal/aqerr"
 	"repro/internal/catalog"
 	"repro/internal/qfront"
+	"repro/internal/remoteclient"
 	"repro/internal/resultset"
 	"repro/internal/translator"
 	"repro/internal/xdm"
 )
 
-// Session is the platform a connection is a client of. Every call reads
-// the platform's current state, so metadata, compile-cache and
+// Session is the platform a connection is a client of: one registered in
+// this process, or a wire session to a server (aql:// DSNs). Every call
+// reads the platform's current state, so metadata, compile-cache and
 // configuration changes made after registration reach every connection.
 type Session interface {
 	// Prepare compiles a statement through the platform's compile cache.
@@ -76,7 +90,8 @@ func Register(name string, s Session) {
 // Driver implements driver.Driver.
 type Driver struct{}
 
-// Open implements driver.Driver.
+// Open implements driver.Driver. Every malformed DSN, unknown name or
+// unreachable server is a typed error.
 func (Driver) Open(dsn string) (driver.Conn, error) {
 	name := dsn
 	c := &conn{mode: translator.ModeText, dialect: qfront.DialectSQL}
@@ -85,7 +100,7 @@ func (Driver) Open(dsn string) (driver.Conn, error) {
 		for _, kv := range strings.Split(dsn[i+1:], "&") {
 			k, v, ok := strings.Cut(kv, "=")
 			if !ok {
-				return nil, fmt.Errorf("aqualogic: malformed DSN option %q", kv)
+				return nil, openError("malformed DSN option %q", kv)
 			}
 			switch k {
 			case "mode":
@@ -95,25 +110,41 @@ func (Driver) Open(dsn string) (driver.Conn, error) {
 				case "xml":
 					c.mode = translator.ModeXML
 				default:
-					return nil, fmt.Errorf("aqualogic: unknown result mode %q", v)
+					return nil, openError("unknown result mode %q", v)
 				}
 			case "dialect":
 				c.dialect = qfront.Dialect(v)
 			default:
-				return nil, fmt.Errorf("aqualogic: unknown DSN option %q", k)
+				return nil, openError("unknown DSN option %q", k)
 			}
 		}
 	}
 	if _, err := qfront.Lookup(c.dialect); err != nil {
-		return nil, fmt.Errorf("aqualogic: %v", err)
+		return nil, openError("%v", err)
+	}
+	if addr, ok := strings.CutPrefix(name, "aql://"); ok {
+		addr = strings.TrimSuffix(addr, "/")
+		if host, port, err := net.SplitHostPort(addr); err != nil || host == "" || port == "" {
+			return nil, openError("DSN %q needs aql://host:port", dsn)
+		}
+		client, err := remoteclient.Dial("http://" + addr)
+		if err != nil {
+			return nil, err
+		}
+		c.sess = remoteSession{client}
+		return c, nil
 	}
 	registryMu.RLock()
 	c.sess = registry[name]
 	registryMu.RUnlock()
 	if c.sess == nil {
-		return nil, fmt.Errorf("aqualogic: no registered server %q", name)
+		return nil, openError("no registered server %q", name)
 	}
 	return c, nil
+}
+
+func openError(format string, args ...any) error {
+	return aqerr.Errorf(aqerr.KindPermanent, "open", format, args...)
 }
 
 func init() {

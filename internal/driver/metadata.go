@@ -59,10 +59,18 @@ func (s *showStmt) Exec(args []driver.Value) (driver.Result, error) {
 	return nil, fmt.Errorf("aqualogic: SHOW statements are queries")
 }
 
-// Query implements driver.Stmt. Each table and procedure is listed under
-// the catalog that owns it: the application, or in a federation the
-// source it was registered from.
+// Query implements driver.Stmt.
 func (s *showStmt) Query(args []driver.Value) (driver.Rows, error) {
+	return s.QueryContext(context.Background(), nil)
+}
+
+// QueryContext implements driver.StmtQueryContext: SHOW COLUMNS' table
+// lookup observes the caller's deadline. Each table and procedure is
+// listed under the catalog that owns it: the application, or in a
+// federation the source it was registered from.
+func (s *showStmt) QueryContext(ctx context.Context, _ []driver.NamedValue) (driver.Rows, error) {
+	ctx, cancel := s.conn.withTimeout(ctx)
+	defer cancel()
 	meta := s.conn.sess.Metadata()
 	switch s.kind {
 	case "CATALOGS":
@@ -126,7 +134,7 @@ func (s *showStmt) Query(args []driver.Value) (driver.Rows, error) {
 		return out, nil
 
 	case "COLUMNS":
-		tm, err := meta.Lookup(tableRefFromName(s.arg))
+		tm, err := catalog.LookupContext(ctx, meta, tableRefFromName(s.arg))
 		if err != nil {
 			return nil, err
 		}

@@ -147,80 +147,84 @@ func TestRowsCloseReleasesOnce(t *testing.T) {
 // others drain theirs fully. Run under -race this pins the cursor
 // hand-off between statement, rows, and evaluation goroutine.
 func TestStreamingStatementReuseRace(t *testing.T) {
-	db := openDemo(t, "")
-	stmt, err := db.Prepare("SELECT P.PAYMENT, C.CUSTOMERNAME FROM PAYMENTS P, CUSTOMERS C WHERE P.CUSTID = C.CUSTOMERID")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stmt.Close()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for round := 0; round < 5; round++ {
-				rows, err := stmt.Query()
-				if err != nil {
-					t.Errorf("goroutine %d round %d: %v", g, round, err)
-					return
-				}
-				limit := -1 // drain fully
-				if g%2 == 0 {
-					limit = g + round // abandon after a prefix
-				}
-				n := 0
-				for rows.Next() {
-					var pay float64
-					var name string
-					if err := rows.Scan(&pay, &name); err != nil {
+	onEachTransport(t, func(t *testing.T, e env) {
+		db := e.open("")
+		stmt, err := db.Prepare("SELECT P.PAYMENT, C.CUSTOMERNAME FROM PAYMENTS P, CUSTOMERS C WHERE P.CUSTID = C.CUSTOMERID")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer stmt.Close()
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for round := 0; round < 5; round++ {
+					rows, err := stmt.Query()
+					if err != nil {
 						t.Errorf("goroutine %d round %d: %v", g, round, err)
-						break
+						return
 					}
-					n++
-					if limit >= 0 && n > limit {
-						break
+					limit := -1 // drain fully
+					if g%2 == 0 {
+						limit = g + round // abandon after a prefix
+					}
+					n := 0
+					for rows.Next() {
+						var pay float64
+						var name string
+						if err := rows.Scan(&pay, &name); err != nil {
+							t.Errorf("goroutine %d round %d: %v", g, round, err)
+							break
+						}
+						n++
+						if limit >= 0 && n > limit {
+							break
+						}
+					}
+					if err := rows.Close(); err != nil {
+						t.Errorf("goroutine %d round %d close: %v", g, round, err)
+					}
+					if err := rows.Err(); err != nil {
+						t.Errorf("goroutine %d round %d err: %v", g, round, err)
 					}
 				}
-				if err := rows.Close(); err != nil {
-					t.Errorf("goroutine %d round %d close: %v", g, round, err)
-				}
-				if err := rows.Err(); err != nil {
-					t.Errorf("goroutine %d round %d err: %v", g, round, err)
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
+			}(g)
+		}
+		wg.Wait()
+	})
 }
 
 // TestRowsSurviveStatementClose: database/sql may close the statement
 // while its rows are still being read (Close on a pool-owned stmt); the
 // in-flight stream must keep delivering.
 func TestRowsSurviveStatementClose(t *testing.T) {
-	db := openDemo(t, "")
-	stmt, err := db.Prepare("SELECT CUSTOMERID FROM CUSTOMERS")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := stmt.Query()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rows.Close()
-	if !rows.Next() {
-		t.Fatalf("no first row: %v", rows.Err())
-	}
-	if err := stmt.Close(); err != nil {
-		t.Fatal(err)
-	}
-	n := 1
-	for rows.Next() {
-		n++
-	}
-	if err := rows.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if n != 50 {
-		t.Fatalf("streamed %d rows after statement close, want 50", n)
-	}
+	onEachTransport(t, func(t *testing.T, e env) {
+		db := e.open("")
+		stmt, err := db.Prepare("SELECT CUSTOMERID FROM CUSTOMERS")
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := stmt.Query()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rows.Close()
+		if !rows.Next() {
+			t.Fatalf("no first row: %v", rows.Err())
+		}
+		if err := stmt.Close(); err != nil {
+			t.Fatal(err)
+		}
+		n := 1
+		for rows.Next() {
+			n++
+		}
+		if err := rows.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if n != 50 {
+			t.Fatalf("streamed %d rows after statement close, want 50", n)
+		}
+	})
 }

@@ -39,6 +39,7 @@ import (
 	"container/list"
 	"context"
 	"strconv"
+	"strings"
 	"sync"
 
 	"repro/internal/obsv"
@@ -118,6 +119,38 @@ func (cq *CompiledQuery) ExternalVars() []string { return externalVars(cq.Res.Pa
 // through a pull cursor (compile-time decomposition succeeded) rather than
 // materializing the full result before the first row.
 func (cq *CompiledQuery) Streamable() bool { return cq.Plan.Stream.Streamable() }
+
+// Explain renders the artifact as EXPLAIN prints it, one line per element:
+// the dialect and the federation sources the statement resolved against,
+// the compile-time stage trace (wall time, sizes, stage detail), the
+// caller's effects lines (what this call did to the caches), the
+// query-context tree (the paper's Figure 4 view), the generated XQuery,
+// and the evaluator plan with its streaming decomposition. Every section
+// comes from the artifact, so rendering a cached statement translates
+// nothing.
+func (cq *CompiledQuery) Explain(effects ...string) []string {
+	var out []string
+	add := func(text string) {
+		out = append(out, strings.Split(strings.TrimRight(text, "\n"), "\n")...)
+	}
+	add("-- dialect: " + string(cq.Dialect))
+	if len(cq.Res.Sources) > 0 {
+		add("-- sources: " + strings.Join(cq.Res.Sources, ", "))
+	}
+	add("-- stage trace:")
+	add(cq.Trace.RenderString(true))
+	out = append(out, effects...)
+	add("-- query contexts (stage one):")
+	add(cq.Res.Contexts.Tree())
+	add("-- generated XQuery (stage three):")
+	add(cq.XQuery())
+	add("-- query plan (evaluator):")
+	for _, line := range cq.Plan.Describe() {
+		add(line)
+	}
+	add("-- streaming: " + cq.Plan.Stream.Describe())
+	return out
+}
 
 func externalVars(n int) []string {
 	if n == 0 {

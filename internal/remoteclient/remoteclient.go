@@ -3,8 +3,10 @@
 // speaks the internal/wire JSON protocol to an aqlserve server and
 // presents the same two surfaces the in-process platform does:
 //
-//   - the query surface (Query/QueryStreamMode returning *resultset.Rows,
-//     Prepare returning reusable statements, Explain, DefineView), and
+//   - the query surface, one method per wire verb (QueryDialect returning
+//     *resultset.Rows, PrepareDialect returning reusable statements,
+//     ExplainDialect, DefineView), which the database/sql driver opens
+//     behind aql:// DSNs, and
 //   - the catalog surface (Client implements catalog.Source, including
 //     the typed NotFoundError/AmbiguousError shapes), so metadata-hungry
 //     tools browse a remote server exactly as they browse a local catalog.
@@ -243,9 +245,17 @@ func (c *Client) post(ctx context.Context, op, path string, in, out any) error {
 
 // decodeError rebuilds a typed QueryError from its wire form, so
 // errors.As/Kind-based handling — including the Retry-After hint on a
-// shed — is identical on both sides of the wire.
+// shed — is identical on both sides of the wire. A timeout the server's
+// context caused keeps that cause: errors.Is matches
+// context.DeadlineExceeded or context.Canceled, as it does in process.
 func decodeError(we *wire.Error) error {
-	qe := aqerr.New(aqerr.ParseKind(we.Kind), we.Op, errors.New(we.Msg))
+	kind, cause := aqerr.ParseKind(we.Kind), errors.New(we.Msg)
+	for _, ctxErr := range []error{context.DeadlineExceeded, context.Canceled} {
+		if prefix, ok := strings.CutSuffix(we.Msg, ctxErr.Error()); ok && kind == aqerr.KindTimeout {
+			cause = fmt.Errorf("%s%w", prefix, ctxErr)
+		}
+	}
+	qe := aqerr.New(kind, we.Op, cause)
 	if we.RetryAfterMS > 0 {
 		qe.RetryAfter = time.Duration(we.RetryAfterMS) * time.Millisecond
 	}
@@ -268,22 +278,11 @@ func encodeArgs(op string, args []any) ([]*wire.Atom, error) {
 	return out, nil
 }
 
-// Query runs ad-hoc SQL in the default text result mode.
-func (c *Client) Query(ctx context.Context, sql string, args ...any) (*resultset.Rows, error) {
-	return c.QueryStreamMode(ctx, translator.ModeText, sql, args...)
-}
-
-// QueryStreamMode runs ad-hoc SQL in an explicit result mode, returning a
-// streaming result set whose rows arrive in fetch-sized chunks. ctx
+// QueryDialect runs an ad-hoc statement in the given dialect and result
+// mode, returning a streaming result set whose rows arrive in fetch-sized
+// chunks. The dialect name travels on the wire; empty means SQL-92. ctx
 // governs the whole stream: cancelling it fails the next fetch with a
 // timeout-kind error wrapping the context error.
-func (c *Client) QueryStreamMode(ctx context.Context, mode translator.ResultMode, sql string, args ...any) (*resultset.Rows, error) {
-	return c.QueryDialect(ctx, "", mode, sql, args...)
-}
-
-// QueryDialect is QueryStreamMode with an explicit query dialect. The
-// dialect name travels on the wire; empty means SQL-92, so the request a
-// pre-dialect client would send is byte-identical.
 func (c *Client) QueryDialect(ctx context.Context, dialect string, mode translator.ResultMode, text string, args ...any) (*resultset.Rows, error) {
 	wargs, err := encodeArgs("execute", args)
 	if err != nil {
@@ -322,14 +321,15 @@ type Stmt struct {
 	params int
 }
 
-// Prepare compiles a statement server-side and pins it in the session's
-// prepared table. Each execution re-resolves through the server's compile
-// cache, so catalog changes (CREATE VIEW) transparently recompile.
+// Prepare is PrepareDialect in SQL-92.
 func (c *Client) Prepare(ctx context.Context, sql string, mode translator.ResultMode) (*Stmt, error) {
 	return c.PrepareDialect(ctx, "", sql, mode)
 }
 
-// PrepareDialect is Prepare with an explicit query dialect ("" = SQL-92).
+// PrepareDialect compiles a statement server-side and pins it in the
+// session's prepared table until the session closes ("" dialect =
+// SQL-92). Each execution re-resolves through the server's compile cache,
+// so catalog changes (CREATE VIEW) transparently recompile.
 func (c *Client) PrepareDialect(ctx context.Context, dialect, text string, mode translator.ResultMode) (*Stmt, error) {
 	// Retry-safe: a duplicate prepare pins a second copy of the statement,
 	// reclaimed with the session — never a semantic change.
@@ -356,12 +356,8 @@ func (s *Stmt) Execute(ctx context.Context, args ...any) (*resultset.Rows, error
 	return s.c.execute(ctx, wire.ExecuteRequest{Session: s.c.session, Stmt: s.id, Args: wargs})
 }
 
-// Explain compiles a statement remotely and returns the rendered plan.
-func (c *Client) Explain(ctx context.Context, sql string, mode translator.ResultMode) (string, error) {
-	return c.ExplainDialect(ctx, "", sql, mode)
-}
-
-// ExplainDialect is Explain with an explicit query dialect ("" = SQL-92).
+// ExplainDialect compiles a statement remotely and returns its rendered
+// artifact, as EXPLAIN prints it ("" dialect = SQL-92).
 func (c *Client) ExplainDialect(ctx context.Context, dialect, text string, mode translator.ResultMode) (string, error) {
 	resp, err := postRetry[wire.ExplainResponse](ctx, c, "explain", wire.PathExplain,
 		wire.ExplainRequest{Session: c.session, SQL: text, Mode: wire.ModeName(mode), Dialect: dialect}, true)

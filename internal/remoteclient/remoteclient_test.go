@@ -25,11 +25,13 @@ import (
 
 // script is a scripted backend's answer to one statement: the integers
 // 1..rows, then err. With early set, err fails the evaluation itself,
-// before any row exists.
+// before any row exists. With stall set, the first row waits for the
+// evaluation's context to end and fails with its error.
 type script struct {
 	rows  int
 	err   error
 	early bool
+	stall bool
 }
 
 // scripted is a server.Backend whose statement texts name scripts.
@@ -40,7 +42,7 @@ func (scripted) CompileDialect(context.Context, qfront.Dialect, string, translat
 	return nil, errors.New("scripted backend: no compiler")
 }
 
-func (b scripted) QueryDialect(_ context.Context, _ qfront.Dialect, _ translator.ResultMode, text string, _ ...any) (*resultset.Rows, error) {
+func (b scripted) QueryDialect(ctx context.Context, _ qfront.Dialect, _ translator.ResultMode, text string, _ ...any) (*resultset.Rows, error) {
 	sc, ok := b[text]
 	switch {
 	case !ok:
@@ -48,7 +50,7 @@ func (b scripted) QueryDialect(_ context.Context, _ qfront.Dialect, _ translator
 	case sc.early:
 		return nil, sc.err
 	}
-	return resultset.NewStreaming(&counter{n: sc.rows, err: sc.err}), nil
+	return resultset.NewStreaming(&counter{n: sc.rows, err: sc.err, stall: sc.stall, ctx: ctx}), nil
 }
 
 func (scripted) DefineView(string, string, string) error {
@@ -63,15 +65,22 @@ func (scripted) MetadataStats() catalog.CacheStats { return catalog.CacheStats{}
 
 var counterColumns = []resultset.Column{{Label: "N", ElementName: "N", Type: catalog.SQLInteger}}
 
-// counter yields the integers 1..n, one per row, then err (io.EOF if nil).
+// counter yields the integers 1..n, one per row, then err (io.EOF if nil);
+// a stalled counter instead waits for ctx to end and fails with its error.
 type counter struct {
-	i, n int
-	err  error
+	i, n  int
+	err   error
+	stall bool
+	ctx   context.Context
 }
 
 func (c *counter) Columns() []resultset.Column { return counterColumns }
 
 func (c *counter) Next() ([]xdm.Atomic, error) {
+	if c.stall {
+		<-c.ctx.Done()
+		return nil, aqerr.Wrap("query", c.ctx.Err())
+	}
 	if c.i == c.n {
 		if c.err != nil {
 			return nil, c.err
@@ -159,7 +168,7 @@ func TestInlineEOFPostsNoClose(t *testing.T) {
 	hn := newHarness(t, scripted{"two": {rows: 2}}, 3)
 	ctx := context.Background()
 
-	rows, err := hn.c.Query(ctx, "two")
+	rows, err := hn.c.QueryDialect(ctx, "", translator.ModeText, "two")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +178,7 @@ func TestInlineEOFPostsNoClose(t *testing.T) {
 	rows.Close()
 	hn.expect(t, wire.PathExecute)
 
-	rows, err = hn.c.Query(ctx, "two")
+	rows, err = hn.c.QueryDialect(ctx, "", translator.ModeText, "two")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +195,7 @@ func TestMultiChunkStream(t *testing.T) {
 	hn := newHarness(t, scripted{"ten": {rows: 10}}, 3)
 	ctx := context.Background()
 
-	rows, err := hn.c.Query(ctx, "ten")
+	rows, err := hn.c.QueryDialect(ctx, "", translator.ModeText, "ten")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +208,7 @@ func TestMultiChunkStream(t *testing.T) {
 	}
 	hn.expect(t, wire.PathExecute, wire.PathFetch, wire.PathFetch, wire.PathFetch, wire.PathCloseCursor)
 
-	rows, err = hn.c.Query(ctx, "ten")
+	rows, err = hn.c.QueryDialect(ctx, "", translator.ModeText, "ten")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,11 +274,11 @@ func TestErrorKindsCrossTheWire(t *testing.T) {
 	}
 	for _, s := range table {
 		t.Run(fmt.Sprintf("%v %v", s.kind, s.after), func(t *testing.T) {
-			_, err := hn.c.Query(ctx, fmt.Sprintf("early %v %v", s.kind, s.after))
+			_, err := hn.c.QueryDialect(ctx, "", translator.ModeText, fmt.Sprintf("early %v %v", s.kind, s.after))
 			check(t, s, err)
 			hn.expect(t, wire.PathExecute)
 
-			rows, err := hn.c.Query(ctx, fmt.Sprintf("late %v %v", s.kind, s.after))
+			rows, err := hn.c.QueryDialect(ctx, "", translator.ModeText, fmt.Sprintf("late %v %v", s.kind, s.after))
 			if err != nil {
 				t.Fatalf("execute: %v", err)
 			}
@@ -280,5 +289,56 @@ func TestErrorKindsCrossTheWire(t *testing.T) {
 			rows.Close()
 			hn.expect(t, wire.PathExecute)
 		})
+	}
+}
+
+// TestServerTimeoutKeepsCause: when the server's own evaluation deadline
+// ends a query — here its QueryTimeout, while the client waits unbounded —
+// the timeout the client rebuilds still matches context.DeadlineExceeded,
+// as it does in process. A cancellation keeps context.Canceled the same
+// way; other kinds carrying the same text gain no cause.
+func TestServerTimeoutKeepsCause(t *testing.T) {
+	srv := server.New(scripted{"stall": {stall: true}}, server.Config{QueryTimeout: 20 * time.Millisecond, SessionIdleTimeout: time.Minute})
+	c, err := LoopbackOptions(srv.Handler(), Options{MaxRetries: -1})
+	if err != nil {
+		srv.Close()
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		_ = c.Close()
+		srv.Close()
+	})
+	rows, err := c.QueryDialect(context.Background(), "", translator.ModeText, "stall")
+	if err == nil {
+		rows.Next()
+		err = rows.Err()
+		rows.Close()
+	}
+	var qe *aqerr.QueryError
+	if !errors.As(err, &qe) || qe.Kind != aqerr.KindTimeout || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("server-side expiry: %v, want a timeout matching context.DeadlineExceeded", err)
+	}
+	if want := "aqualogic: query: timeout: context deadline exceeded"; err.Error() != want {
+		t.Fatalf("message %q, want %q", err, want)
+	}
+
+	for _, tc := range []struct {
+		we    wire.Error
+		cause error
+	}{
+		{wire.Error{Kind: "timeout", Op: "evaluate", Msg: "context canceled"}, context.Canceled},
+		{wire.Error{Kind: "timeout", Op: "fetch", Msg: "stream: context deadline exceeded"}, context.DeadlineExceeded},
+		{wire.Error{Kind: "permanent", Op: "evaluate", Msg: "context canceled"}, nil},
+		{wire.Error{Kind: "timeout", Op: "evaluate", Msg: "budget spent"}, nil},
+	} {
+		err := decodeError(&tc.we)
+		for _, cause := range []error{context.Canceled, context.DeadlineExceeded} {
+			if errors.Is(err, cause) != (cause == tc.cause) {
+				t.Fatalf("%+v: errors.Is(%v) = %v", tc.we, cause, !(cause == tc.cause))
+			}
+		}
+		if want := fmt.Sprintf("aqualogic: %s: %s: %s", tc.we.Op, tc.we.Kind, tc.we.Msg); err.Error() != want {
+			t.Fatalf("message %q, want %q", err, want)
+		}
 	}
 }

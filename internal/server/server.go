@@ -39,6 +39,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -800,8 +801,9 @@ func (s *Server) closeCursor(ctx context.Context, req wire.CloseCursorRequest) (
 	return wire.CloseCursorResponse{Closed: true}, nil
 }
 
-// explain compiles a statement and renders its plan, streaming
-// decomposition, and generated XQuery.
+// explain compiles a statement and renders its artifact as in-process
+// EXPLAIN does, less the per-call cache effects the backend does not
+// report.
 func (s *Server) explain(ctx context.Context, req wire.ExplainRequest) (wire.ExplainResponse, error) {
 	if _, err := s.lookupSession(req.Session); err != nil {
 		return wire.ExplainResponse{}, err
@@ -821,12 +823,7 @@ func (s *Server) explain(ctx context.Context, req wire.ExplainRequest) (wire.Exp
 	if err != nil {
 		return wire.ExplainResponse{}, aqerr.Wrap("explain", err)
 	}
-	text := "-- dialect: " + string(cq.Dialect) + "\n-- plan:\n"
-	for _, line := range cq.Plan.Describe() {
-		text += "--   " + line + "\n"
-	}
-	text += "-- streaming: " + cq.Plan.Stream.Describe() + "\n" + cq.XQuery()
-	return wire.ExplainResponse{Text: text}, nil
+	return wire.ExplainResponse{Text: strings.Join(cq.Explain(), "\n")}, nil
 }
 
 // createView registers a logical data service through the backend.

@@ -136,7 +136,7 @@ func TestServeConcurrentSessions(t *testing.T) {
 					}
 					rows.Close()
 				case 1: // mid-stream disconnect: one row, then walk away
-					rows, err := c.QueryStreamMode(context.Background(), ModeXML,
+					rows, err := c.QueryDialect(context.Background(), "", ModeXML,
 						"SELECT C.CUSTOMERID FROM CUSTOMERS C, PAYMENTS P")
 					if err != nil {
 						t.Errorf("worker %d: big execute: %v", g, err)

@@ -90,7 +90,7 @@ func TestServedMatchesInProcess(t *testing.T) {
 				t.Fatalf("mode %v: %q: in-process: %v", mode, sql, err)
 			}
 			want := marshalRows(local)
-			remote, err := c.QueryStreamMode(context.Background(), mode, sql, args...)
+			remote, err := c.QueryDialect(context.Background(), "", mode, sql, args...)
 			if err != nil {
 				t.Fatalf("mode %v: %q: served: %v", mode, sql, err)
 			}
@@ -108,7 +108,7 @@ func TestServedMatchesInProcess(t *testing.T) {
 	// Failing statements: the typed-error kind must survive the wire.
 	for _, sql := range failingCorpus() {
 		_, lerr := p.QueryMode(ModeText, sql)
-		_, rerr := c.QueryStreamMode(context.Background(), ModeText, sql)
+		_, rerr := c.QueryDialect(context.Background(), "", ModeText, sql)
 		if lerr == nil || rerr == nil {
 			t.Fatalf("%q: expected both paths to fail (local=%v remote=%v)", sql, lerr, rerr)
 		}
@@ -129,70 +129,92 @@ func failingCorpus() []string {
 	}
 }
 
+// serveTCP puts p behind a server on a real TCP listener and returns the
+// server and the aql:// DSN database/sql opens it by.
+func serveTCP(t *testing.T, p *Platform) (*server.Server, string) {
+	t.Helper()
+	srv := server.New(p, server.Config{SessionIdleTimeout: time.Minute})
+	hs := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		hs.Close()
+		srv.Close()
+	})
+	return srv, "aql://" + hs.Listener.Addr().String()
+}
+
 // TestDriverMatchesFacadeOnCorpus is the database/sql differential: the
 // full corpus, both result modes, through mode-selecting DSNs against the
-// facade. Scanned values must match row for row, and failing statements
-// must fail with the same typed-error kind.
+// facade, over both transports — the registered name in process and an
+// aql:// address over real TCP. Scanned values must match row for row,
+// and failing statements must fail with the same typed-error kind.
 func TestDriverMatchesFacadeOnCorpus(t *testing.T) {
 	p := Demo()
 	p.RegisterDriver("driver-differential")
-	for _, mode := range []ResultMode{ModeXML, ModeText} {
-		db := openSQL(t, "driver-differential?mode="+wire.ModeName(mode))
-		for _, q := range compiledCorpus() {
-			args := chaosArgs(strings.Count(q, "?"))
-			local, err := p.QueryMode(mode, q, args...)
-			if err != nil {
-				t.Fatalf("mode %v: %q: facade: %v", mode, q, err)
-			}
-			var want []string
-			for local.Next() {
-				row := make([]any, len(local.Columns()))
-				for i := range row {
-					v, err := local.Value(i)
-					if err != nil {
-						t.Fatal(err)
-					}
-					row[i] = sqlValue(v)
-				}
-				want = append(want, fmt.Sprintf("%#v", row))
-			}
-			if err := local.Err(); err != nil {
-				t.Fatalf("mode %v: %q: facade iteration: %v", mode, q, err)
-			}
-			rows, err := db.Query(q, args...)
-			if err != nil {
-				t.Fatalf("mode %v: %q: database/sql: %v", mode, q, err)
-			}
-			cols, _ := rows.Columns()
-			var got []string
-			for rows.Next() {
-				row := make([]any, len(cols))
-				ptrs := make([]any, len(cols))
-				for i := range row {
-					ptrs[i] = &row[i]
-				}
-				if err := rows.Scan(ptrs...); err != nil {
+	_, remote := serveTCP(t, p)
+	for _, dsn := range []string{"driver-differential", remote} {
+		for _, mode := range []ResultMode{ModeXML, ModeText} {
+			driverMatchesFacade(t, p, dsn+"?mode="+wire.ModeName(mode), mode)
+		}
+	}
+}
+
+// driverMatchesFacade runs the differential on one DSN.
+func driverMatchesFacade(t *testing.T, p *Platform, dsn string, mode ResultMode) {
+	db := openSQL(t, dsn)
+	for _, q := range compiledCorpus() {
+		args := chaosArgs(strings.Count(q, "?"))
+		local, err := p.QueryMode(mode, q, args...)
+		if err != nil {
+			t.Fatalf("%s: %q: facade: %v", dsn, q, err)
+		}
+		var want []string
+		for local.Next() {
+			row := make([]any, len(local.Columns()))
+			for i := range row {
+				v, err := local.Value(i)
+				if err != nil {
 					t.Fatal(err)
 				}
-				got = append(got, fmt.Sprintf("%#v", row))
+				row[i] = sqlValue(v)
 			}
-			if err := rows.Err(); err != nil {
-				t.Fatalf("mode %v: %q: database/sql iteration: %v", mode, q, err)
-			}
-			rows.Close()
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("mode %v: %q: database/sql diverged from the facade\ngot:  %v\nwant: %v", mode, q, got, want)
-			}
+			want = append(want, fmt.Sprintf("%#v", row))
 		}
-		for _, q := range failingCorpus() {
-			_, lerr := p.QueryMode(mode, q)
-			_, rerr := db.Query(q)
-			if lerr == nil || rerr == nil {
-				t.Fatalf("%q: expected both paths to fail (facade=%v database/sql=%v)", q, lerr, rerr)
+		if err := local.Err(); err != nil {
+			t.Fatalf("%s: %q: facade iteration: %v", dsn, q, err)
+		}
+		rows, err := db.Query(q, args...)
+		if err != nil {
+			t.Fatalf("%s: %q: database/sql: %v", dsn, q, err)
+		}
+		cols, _ := rows.Columns()
+		var got []string
+		for rows.Next() {
+			row := make([]any, len(cols))
+			ptrs := make([]any, len(cols))
+			for i := range row {
+				ptrs[i] = &row[i]
 			}
-			if lk, rk := errKindName(lerr), errKindName(rerr); lk != rk {
-				t.Fatalf("%q: error kind diverged: facade %s, database/sql %s (%v vs %v)", q, lk, rk, lerr, rerr)
+			if err := rows.Scan(ptrs...); err != nil {
+				t.Fatal(err)
 			}
+			got = append(got, fmt.Sprintf("%#v", row))
+		}
+		if err := rows.Err(); err != nil {
+			t.Fatalf("%s: %q: database/sql iteration: %v", dsn, q, err)
+		}
+		rows.Close()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: %q: database/sql diverged from the facade\ngot:  %v\nwant: %v", dsn, q, got, want)
+		}
+	}
+	for _, q := range failingCorpus() {
+		_, lerr := p.QueryMode(mode, q)
+		_, rerr := db.Query(q)
+		if lerr == nil || rerr == nil {
+			t.Fatalf("%s: %q: expected both paths to fail (facade=%v database/sql=%v)", dsn, q, lerr, rerr)
+		}
+		if lk, rk := errKindName(lerr), errKindName(rerr); lk != rk {
+			t.Fatalf("%s: %q: error kind diverged: facade %s, database/sql %s (%v vs %v)", dsn, q, lk, rk, lerr, rerr)
 		}
 	}
 }
@@ -221,17 +243,20 @@ func sqlValue(v xdm.Atomic) any {
 }
 
 // TestNullArgumentSameErrorEverywhere: a NULL argument is refused with the
-// same typed permanent error by the facade, by database/sql and by the wire
-// client.
+// same typed permanent error by the facade, by database/sql over both
+// transports and by the wire client.
 func TestNullArgumentSameErrorEverywhere(t *testing.T) {
 	p, _, c := newLoopback(t, server.Config{SessionIdleTimeout: time.Minute})
 	p.RegisterDriver("null-argument")
-	db := openSQL(t, "null-argument")
+	_, remote := serveTCP(t, p)
 	const q = "SELECT CITY FROM CUSTOMERS WHERE CUSTOMERID = ?"
 	_, facade := p.Query(q, nil)
-	_, viaSQL := db.Query(q, nil)
-	_, served := c.QueryStreamMode(context.Background(), ModeText, q, nil)
-	for surface, err := range map[string]error{"facade": facade, "database/sql": viaSQL, "served": served} {
+	_, viaSQL := openSQL(t, "null-argument").Query(q, nil)
+	_, viaAQL := openSQL(t, remote).Query(q, nil)
+	_, served := c.QueryDialect(context.Background(), "", ModeText, q, nil)
+	for surface, err := range map[string]error{
+		"facade": facade, "database/sql": viaSQL, "database/sql over aql://": viaAQL, "served": served,
+	} {
 		var qe *aqerr.QueryError
 		if !errors.As(err, &qe) || qe.Kind != aqerr.KindPermanent {
 			t.Fatalf("%s: %v, want a permanent QueryError", surface, err)
@@ -317,7 +342,7 @@ func TestServedEdgeDataMatchesInProcess(t *testing.T) {
 				if !strings.Contains(want, st.holds) {
 					t.Fatalf("mode %v: %q: in-process rows %q lack %q", mode, st.sql, want, st.holds)
 				}
-				adhoc, err := c.QueryStreamMode(ctx, mode, st.sql, st.args...)
+				adhoc, err := c.QueryDialect(ctx, "", mode, st.sql, st.args...)
 				if err != nil {
 					t.Fatalf("%q: served: %v", st.sql, err)
 				}
@@ -378,7 +403,7 @@ func FuzzServeDifferential(f *testing.F) {
 			if lerr == nil {
 				want = marshalRows(local)
 			}
-			remote, rerr := c.QueryStreamMode(context.Background(), mode, sql, args...)
+			remote, rerr := c.QueryDialect(context.Background(), "", mode, sql, args...)
 			var got string
 			if rerr == nil {
 				got, rerr = drainClose(remote)
@@ -689,7 +714,7 @@ func TestServeOneRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	adhoc := func(mode ResultMode, sql string) func() (*Rows, error) {
-		return func() (*Rows, error) { return c.QueryStreamMode(ctx, mode, sql) }
+		return func() (*Rows, error) { return c.QueryDialect(ctx, "", mode, sql) }
 	}
 
 	oneTrip := []string{wire.PathExecute}
@@ -751,7 +776,7 @@ func TestServeSessionReap(t *testing.T) {
 	})
 
 	// Open a cursor over a large join and abandon it mid-stream.
-	rows, err := c.QueryStreamMode(context.Background(), ModeText,
+	rows, err := c.QueryDialect(context.Background(), "", ModeText,
 		"SELECT C.CUSTOMERID FROM CUSTOMERS C, PAYMENTS P WHERE C.CUSTOMERID = P.CUSTID")
 	if err != nil {
 		t.Fatal(err)
@@ -774,7 +799,7 @@ func TestServeSessionReap(t *testing.T) {
 	}
 
 	// The reaped session is gone: new work on it is typed unavailable.
-	_, err = c.QueryStreamMode(context.Background(), ModeText, "SELECT CUSTOMERID FROM CUSTOMERS")
+	_, err = c.QueryDialect(context.Background(), "", ModeText, "SELECT CUSTOMERID FROM CUSTOMERS")
 	var qe *aqerr.QueryError
 	if !errors.As(err, &qe) || qe.Kind != aqerr.KindUnavailable {
 		t.Fatalf("execute on reaped session: %v, want unavailable QueryError", err)
@@ -794,12 +819,12 @@ func TestServeAdmissionControl(t *testing.T) {
 	})
 	ctx := context.Background()
 
-	holder, err := c.QueryStreamMode(ctx, ModeText, "SELECT CUSTOMERID FROM CUSTOMERS")
+	holder, err := c.QueryDialect(ctx, "", ModeText, "SELECT CUSTOMERID FROM CUSTOMERS")
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	_, err = c.QueryStreamMode(ctx, ModeText, "SELECT CITY FROM CUSTOMERS")
+	_, err = c.QueryDialect(ctx, "", ModeText, "SELECT CITY FROM CUSTOMERS")
 	var qe *aqerr.QueryError
 	if !errors.As(err, &qe) || qe.Kind != aqerr.KindUnavailable {
 		t.Fatalf("over-admission execute: %v, want unavailable QueryError", err)
@@ -809,7 +834,7 @@ func TestServeAdmissionControl(t *testing.T) {
 	}
 
 	holder.Close() // releases the slot
-	again, err := c.QueryStreamMode(ctx, ModeText, "SELECT CITY FROM CUSTOMERS")
+	again, err := c.QueryDialect(ctx, "", ModeText, "SELECT CITY FROM CUSTOMERS")
 	if err != nil {
 		t.Fatalf("execute after release: %v", err)
 	}
@@ -868,7 +893,7 @@ func TestResultColumnFacetsAgree(t *testing.T) {
 	col = st.Columns()[0]
 	check("served prepare", int64(col.Precision), int64(col.Scale))
 
-	remote, err := c.QueryStreamMode(ctx, ModeText, q)
+	remote, err := c.QueryDialect(ctx, "", ModeText, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -922,7 +947,7 @@ func TestServePreparedAcrossViewChange(t *testing.T) {
 	}
 
 	// The new view is queryable in the same session.
-	vrows, err := c.QueryStreamMode(ctx, ModeText, "SELECT CITY FROM V_SERVE_CHURN WHERE CUSTOMERID = 1005")
+	vrows, err := c.QueryDialect(ctx, "", ModeText, "SELECT CITY FROM V_SERVE_CHURN WHERE CUSTOMERID = 1005")
 	if err != nil {
 		t.Fatalf("query new view: %v", err)
 	}
@@ -966,7 +991,7 @@ func TestRowsErrDistinguishesCancelFromServerFault(t *testing.T) {
 	t.Run("remote cancel", func(t *testing.T) {
 		_, srv, c := newLoopback(t, server.Config{FetchRows: 2, SessionIdleTimeout: time.Minute})
 		ctx, cancel := context.WithCancel(context.Background())
-		rows, err := c.QueryStreamMode(ctx, ModeText, bigJoin)
+		rows, err := c.QueryDialect(ctx, "", ModeText, bigJoin)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -998,7 +1023,7 @@ func TestRowsErrDistinguishesCancelFromServerFault(t *testing.T) {
 			SessionIdleTimeout: time.Minute,
 			Faults:             inj,
 		})
-		rows, err := c.QueryStreamMode(context.Background(), ModeText, bigJoin)
+		rows, err := c.QueryDialect(context.Background(), "", ModeText, bigJoin)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -1060,11 +1085,11 @@ func TestServeMetadataSurface(t *testing.T) {
 	}
 
 	// EXPLAIN over the wire matches the in-process compile.
-	text, err := c.Explain(context.Background(), "SELECT CUSTOMERID FROM CUSTOMERS", ModeText)
+	text, err := c.ExplainDialect(context.Background(), "", "SELECT CUSTOMERID FROM CUSTOMERS", ModeText)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(text, "-- plan:") || !strings.Contains(text, "for $") {
+	if !strings.Contains(text, "-- query plan (evaluator):") || !strings.Contains(text, "for $") {
 		t.Fatalf("explain text missing plan or XQuery:\n%s", text)
 	}
 }
@@ -1098,7 +1123,7 @@ func TestServeSmoke(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		remote, err := c.Query(context.Background(), sql, args...)
+		remote, err := c.QueryDialect(context.Background(), "", ModeText, sql, args...)
 		if err != nil {
 			t.Fatalf("%q over TCP: %v", sql, err)
 		}

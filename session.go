@@ -3,7 +3,6 @@ package aqualogic
 import (
 	"context"
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/driver"
@@ -62,12 +61,9 @@ func (s session) QueryTimeout() time.Duration {
 
 // Explain implements driver.Session. It resolves the statement through the
 // compile cache — compiling only when no artifact exists, exactly like
-// Prepare — and renders the artifact: the compile-time stage trace (wall
-// time, sizes, stage detail), the compile- and catalog-cache effects, the
-// query-context tree (the paper's Figure 4 view), the generated XQuery,
-// and the evaluator plan. EXPLAIN of a statement the platform has already
-// compiled performs no translation at all: every section, including the
-// stage trace, comes from the cached artifact.
+// Prepare — and renders the artifact with this call's compile- and
+// catalog-cache effects. EXPLAIN of a statement the platform has already
+// compiled performs no translation at all.
 func (s session) Explain(ctx context.Context, dialect Dialect, text string, mode ResultMode) ([]string, error) {
 	before := s.MetadataStats()
 	cq, hit, err := s.compile(ctx, dialect, text, mode)
@@ -75,34 +71,11 @@ func (s session) Explain(ctx context.Context, dialect Dialect, text string, mode
 		return nil, err
 	}
 	after := s.MetadataStats()
-
 	status := "miss (compiled now)"
 	if hit {
 		status = "hit (stage trace below is the original compile's)"
 	}
-	var out []string
-	addLines := func(text string) {
-		out = append(out, strings.Split(strings.TrimRight(text, "\n"), "\n")...)
-	}
-	addLines(fmt.Sprintf("-- dialect: %s", cq.Dialect))
-	if len(cq.Res.Sources) > 0 {
-		// Scan attribution: which federation backends the statement's
-		// table references resolved against, in first-touch order.
-		addLines(fmt.Sprintf("-- sources: %s", strings.Join(cq.Res.Sources, ", ")))
-	}
-	addLines("-- stage trace:")
-	addLines(cq.Trace.RenderString(true))
-	addLines(fmt.Sprintf("-- compile cache: %s", status))
-	addLines(fmt.Sprintf("-- catalog cache: hits=%d misses=%d (platform totals: hits=%d misses=%d)",
-		after.Hits-before.Hits, after.Misses-before.Misses, after.Hits, after.Misses))
-	addLines("-- query contexts (stage one):")
-	addLines(cq.Res.Contexts.Tree())
-	addLines("-- generated XQuery (stage three):")
-	addLines(cq.XQuery())
-	addLines("-- query plan (evaluator):")
-	for _, line := range cq.Plan.Describe() {
-		addLines(line)
-	}
-	addLines(fmt.Sprintf("-- streaming: %s", cq.Plan.Stream.Describe()))
-	return out, nil
+	return cq.Explain("-- compile cache: "+status,
+		fmt.Sprintf("-- catalog cache: hits=%d misses=%d (platform totals: hits=%d misses=%d)",
+			after.Hits-before.Hits, after.Misses-before.Misses, after.Hits, after.Misses)), nil
 }
