@@ -19,7 +19,7 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Executor stress: the morsel executor's limit, error, FETCH FIRST and
+# Executor stress: the morsel executor's limit, error, FETCH FIRST, barrier and
 # cancellation nets plus the fused and correlated paths, repeated under
 # the race detector — where a worker trips and which morsels the merge
 # point re-runs depend on scheduling, so one pass proves little — and the
@@ -28,7 +28,7 @@ race:
 # over aql:// (real TCP): every database/sql connection shares one
 # platform's compile and metadata caches.
 stress:
-	$(GO) test -race -count=20 -run 'TestParallel|TestFusedLimitParity|TestCorrelated|TestColumnKernels|TestRecordKernel|TestHashJoinNegativeZero' ./internal/xqeval/
+	$(GO) test -race -count=20 -run 'TestParallel|TestBarrierAfterFanOut|TestFusedLimitParity|TestCorrelated|TestColumnKernels|TestRecordKernel|TestHashJoinNegativeZero' ./internal/xqeval/
 	$(GO) test -race -count=10 -run 'TestConcurrent|TestStreaming|TestRows' ./internal/driver/
 
 # Chaos soak: the fault-injection net at several fault rates under the
@@ -92,7 +92,8 @@ bench-smoke:
 # currently RED: TestSmokeTraced asserts that at most 10 % of a traced
 # scan_stream_text op lies outside every layer's span, and since row
 # programs (PR 13) cut the product's share of that op threefold the
-# benchmark's own answer check reads 12-14 %. The threshold lives in
+# benchmark's own answer check reads 17-18 % (four runs: 16.9, 17.2, 17.3,
+# 18.1 %), and every faster product raises it. The threshold lives in
 # benchmark/, which a change claiming a gain may not edit; the next
 # benchmark-only change re-bases it (EXPERIMENTS.md, "aqlbench: row
 # programs").

@@ -28,12 +28,12 @@ func evalExpr(e xquery.Expr, env *scope) (xdm.Sequence, error) {
 		}
 		return v, nil
 	case *xquery.ContextItem:
-		if !env.hasCtx {
+		if env.ctx == nil {
 			return nil, dynErr("context item is undefined")
 		}
 		return xdm.SequenceOf(env.ctx), nil
 	case *xquery.RelPath:
-		if !env.hasCtx {
+		if env.ctx == nil {
 			return nil, dynErr("relative path with undefined context item")
 		}
 		return evalSteps(xdm.SequenceOf(env.ctx), e.Steps, env)
@@ -112,8 +112,8 @@ func evalNumberLit(e *xquery.NumberLit) (xdm.Sequence, error) {
 // evalFilterExpr evaluates base[predicates]: as the probe FLWOR the planner
 // made of it (probeFilter), or item by item.
 func evalFilterExpr(e *xquery.Filter, env *scope) (xdm.Sequence, error) {
-	if env.plan != nil {
-		if fp, ok := env.plan.flwors[e]; ok {
+	if env.st.plan != nil {
+		if fp, ok := env.st.plan.flwors[e]; ok {
 			return execFilter(fp, env)
 		}
 	}
@@ -213,26 +213,26 @@ func evalBinary(e *xquery.Binary, env *scope) (xdm.Sequence, error) {
 			return nil, err
 		}
 		if !l {
-			return xdm.SequenceOf(xdm.Boolean(false)), nil
+			return boolSeq(false), nil
 		}
 		r, err := evalEBV(e.Right, env)
 		if err != nil {
 			return nil, err
 		}
-		return xdm.SequenceOf(xdm.Boolean(r)), nil
+		return boolSeq(r), nil
 	case "or":
 		l, err := evalEBV(e.Left, env)
 		if err != nil {
 			return nil, err
 		}
 		if l {
-			return xdm.SequenceOf(xdm.Boolean(true)), nil
+			return boolSeq(true), nil
 		}
 		r, err := evalEBV(e.Right, env)
 		if err != nil {
 			return nil, err
 		}
-		return xdm.SequenceOf(xdm.Boolean(r)), nil
+		return boolSeq(r), nil
 	}
 
 	left, err := evalExpr(e.Left, env)
@@ -290,11 +290,11 @@ func evalGeneralCompare(left, right xdm.Sequence, op xdm.CompareOp) (xdm.Sequenc
 				return nil, dynErr("%v", err)
 			}
 			if ok {
-				return xdm.SequenceOf(xdm.Boolean(true)), nil
+				return boolSeq(true), nil
 			}
 		}
 	}
-	return xdm.SequenceOf(xdm.Boolean(false)), nil
+	return boolSeq(false), nil
 }
 
 // evalValueCompare implements value comparison: empty operands yield the
@@ -315,7 +315,7 @@ func evalValueCompare(left, right xdm.Sequence, op xdm.CompareOp) (xdm.Sequence,
 	if err != nil {
 		return nil, dynErr("%v", err)
 	}
-	return xdm.SequenceOf(xdm.Boolean(ok)), nil
+	return boolSeq(ok), nil
 }
 
 func singletonAtomic(s xdm.Sequence, what string) (xdm.Atomic, error) {
@@ -402,7 +402,7 @@ func evalQuantified(e *xquery.Quantified, env *scope) (xdm.Sequence, error) {
 		return nil, err
 	}
 	for _, it := range in {
-		inner := env.bind(e.Var, xdm.SequenceOf(it))
+		inner := env.bindItem(e.Var, it)
 		// Quantified predicates over row elements also see the item as
 		// context, so relative paths work inside `satisfies`.
 		inner = inner.withContext(it)
@@ -411,13 +411,13 @@ func evalQuantified(e *xquery.Quantified, env *scope) (xdm.Sequence, error) {
 			return nil, err
 		}
 		if e.Every && !ok {
-			return xdm.SequenceOf(xdm.Boolean(false)), nil
+			return boolSeq(false), nil
 		}
 		if !e.Every && ok {
-			return xdm.SequenceOf(xdm.Boolean(true)), nil
+			return boolSeq(true), nil
 		}
 	}
-	return xdm.SequenceOf(xdm.Boolean(e.Every)), nil
+	return boolSeq(e.Every), nil
 }
 
 func evalEBV(e xquery.Expr, env *scope) (bool, error) {
@@ -426,6 +426,17 @@ func evalEBV(e xquery.Expr, env *scope) (bool, error) {
 		return false, err
 	}
 	return effectiveBool(v)
+}
+
+// The shared boolean results: with capacity one, an append copies them.
+var trueSeq, falseSeq = xdm.Sequence{xdm.Boolean(true)}, xdm.Sequence{xdm.Boolean(false)}
+
+// boolSeq is xdm.SequenceOf(xdm.Boolean(b)), allocated once.
+func boolSeq(b bool) xdm.Sequence {
+	if b {
+		return trueSeq
+	}
+	return falseSeq
 }
 
 // effectiveBool is xdm.EffectiveBool as a dynamic error.
@@ -441,8 +452,8 @@ func effectiveBool(v xdm.Sequence) (bool, error) {
 // When the active plan covers this FLWOR, the planned streaming executor
 // takes over; otherwise the naive materializing pipeline below runs.
 func evalFLWOR(f *xquery.FLWOR, env *scope) (xdm.Sequence, error) {
-	if env.plan != nil {
-		if fp, ok := env.plan.flwors[f]; ok {
+	if env.st.plan != nil {
+		if fp, ok := env.st.plan.flwors[f]; ok {
 			return execPlannedFLWOR(fp, env)
 		}
 	}
@@ -487,9 +498,9 @@ func applyClause(clause xquery.Clause, tuples []*scope) ([]*scope, error) {
 				if err := t.countTuple(); err != nil {
 					return nil, err
 				}
-				nt := t.bind(c.Var, xdm.SequenceOf(it))
+				nt := t.bindItem(c.Var, it)
 				if c.At != "" {
-					nt = nt.bind(c.At, xdm.SequenceOf(xdm.Integer(i+1)))
+					nt = nt.bindItem(c.At, xdm.Integer(i+1))
 				}
 				next = append(next, nt)
 			}
@@ -679,8 +690,8 @@ func compareOrderKeys(a, b xdm.Sequence, emptyGreatest bool) (int, error) {
 // enclosed expressions contribute their result sequences (nodes copied,
 // atomics space-joined into text, per XQuery content construction).
 func constructElement(e *xquery.ElementCtor, env *scope) (*xdm.Element, error) {
-	if env.plan != nil {
-		if k, ok := env.plan.records[e]; ok {
+	if env.st.plan != nil {
+		if k, ok := env.st.plan.records[e]; ok {
 			if el, handled, err := k.build(env); handled {
 				return el, err
 			}

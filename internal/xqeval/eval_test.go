@@ -438,6 +438,33 @@ func TestEvalLogicShortCircuit(t *testing.T) {
 	}
 }
 
+// Every boolean expression returns one of two shared sequences, so an
+// append to one result must leave the next evaluation's result, and what
+// was appended, alone.
+func TestEvalSharedBooleanResults(t *testing.T) {
+	e := testEngine()
+	for _, src := range []string{`fn:exists(())`, `fn:not(fn:exists(()))`, `1 = 2`, `1 < 2`} {
+		q, err := xquery.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, err := evalQuery(e, q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := first.String()
+		grown := append(first, xdm.String("appended"))
+		second, err := evalQuery(e, q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = append(second, xdm.String("overwrite"))
+		if second.String() != want || grown[1] != xdm.String("appended") {
+			t.Fatalf("%s: second result %v, appended %v; want %s and appended", src, second, grown, want)
+		}
+	}
+}
+
 func TestEvalIfAndQuantified(t *testing.T) {
 	out := evalBody(t, &xquery.If{
 		Cond: xquery.Call("fn:true"),

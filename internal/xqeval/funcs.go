@@ -26,7 +26,7 @@ func evalFuncCall(e *xquery.FuncCall, env *scope) (xdm.Sequence, error) {
 	}
 
 	if ns, ok := env.namespace(prefix); ok {
-		fn, found := env.engine.lookup(ns, local)
+		fn, found := env.st.engine.lookup(ns, local)
 		if !found {
 			return nil, dynErr("no data service function %s in namespace %s", local, ns)
 		}
@@ -38,7 +38,7 @@ func evalFuncCall(e *xquery.FuncCall, env *scope) (xdm.Sequence, error) {
 			}
 			args[i] = v
 		}
-		ctx := env.goCtx
+		ctx := env.st.goCtx
 		if ctx == nil {
 			ctx = context.Background()
 		}
@@ -111,10 +111,10 @@ func init() {
 			if err != nil {
 				return nil, dynErr("%v", err)
 			}
-			return xdm.SequenceOf(xdm.Boolean(b)), nil
+			return boolSeq(b), nil
 		}},
-		"fn:true":  {0, 0, func([]xdm.Sequence) (xdm.Sequence, error) { return xdm.SequenceOf(xdm.Boolean(true)), nil }},
-		"fn:false": {0, 0, func([]xdm.Sequence) (xdm.Sequence, error) { return xdm.SequenceOf(xdm.Boolean(false)), nil }},
+		"fn:true":  {0, 0, func([]xdm.Sequence) (xdm.Sequence, error) { return boolSeq(true), nil }},
+		"fn:false": {0, 0, func([]xdm.Sequence) (xdm.Sequence, error) { return boolSeq(false), nil }},
 
 		// --- aggregates (XQuery semantics) ---
 		"fn:sum":             {1, 1, fnSum},
@@ -209,11 +209,11 @@ func fnString(args []xdm.Sequence) (xdm.Sequence, error) {
 }
 
 func fnEmpty(args []xdm.Sequence) (xdm.Sequence, error) {
-	return xdm.SequenceOf(xdm.Boolean(args[0].Empty())), nil
+	return boolSeq(args[0].Empty()), nil
 }
 
 func fnExists(args []xdm.Sequence) (xdm.Sequence, error) {
-	return xdm.SequenceOf(xdm.Boolean(!args[0].Empty())), nil
+	return boolSeq(!args[0].Empty()), nil
 }
 
 func fnCount(args []xdm.Sequence) (xdm.Sequence, error) {
@@ -225,7 +225,7 @@ func fnNot(args []xdm.Sequence) (xdm.Sequence, error) {
 	if err != nil {
 		return nil, dynErr("fn:not: %v", err)
 	}
-	return xdm.SequenceOf(xdm.Boolean(!b)), nil
+	return boolSeq(!b), nil
 }
 
 // numericAtoms atomizes a sequence and casts untyped members to double,
@@ -478,15 +478,15 @@ func fnSubstring(args []xdm.Sequence) (xdm.Sequence, error) {
 }
 
 func fnContains(args []xdm.Sequence) (xdm.Sequence, error) {
-	return xdm.SequenceOf(xdm.Boolean(strings.Contains(seqString(args[0]), seqString(args[1])))), nil
+	return boolSeq(strings.Contains(seqString(args[0]), seqString(args[1]))), nil
 }
 
 func fnStartsWith(args []xdm.Sequence) (xdm.Sequence, error) {
-	return xdm.SequenceOf(xdm.Boolean(strings.HasPrefix(seqString(args[0]), seqString(args[1])))), nil
+	return boolSeq(strings.HasPrefix(seqString(args[0]), seqString(args[1]))), nil
 }
 
 func fnEndsWith(args []xdm.Sequence) (xdm.Sequence, error) {
-	return xdm.SequenceOf(xdm.Boolean(strings.HasSuffix(seqString(args[0]), seqString(args[1])))), nil
+	return boolSeq(strings.HasSuffix(seqString(args[0]), seqString(args[1]))), nil
 }
 
 func numericFunc(f func(float64) float64) func([]xdm.Sequence) (xdm.Sequence, error) {
@@ -604,7 +604,7 @@ func beaSQLLike(args []xdm.Sequence) (xdm.Sequence, error) {
 	if err != nil {
 		return nil, err
 	}
-	return xdm.SequenceOf(xdm.Boolean(ok)), nil
+	return boolSeq(ok), nil
 }
 
 // likeMatch matches SQL LIKE patterns via backtracking on %.

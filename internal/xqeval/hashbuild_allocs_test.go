@@ -30,7 +30,7 @@ for $a in j:A() for $b in j:B() where $b/K = $a/K return $b`)
 	if op.hash == nil {
 		t.Fatal("no hash join planned")
 	}
-	root := &scope{engine: New(), prefixes: map[string]string{}, counters: &evalCounters{}}
+	root := &scope{st: &evalState{engine: New(), prefixes: map[string]string{}, counters: &evalCounters{}}}
 	perItem := testing.AllocsPerRun(20, func() {
 		if _, err := buildHashTable(op, root, items); err != nil {
 			t.Fatal(err)

@@ -146,14 +146,14 @@ func TestColumnKernelsMatchGeneric(t *testing.T) {
 			for _, row := range rows {
 				run := func(o *planOp, bound xdm.Sequence) (string, int64) {
 					ex := &flworExec{fp: fp, states: make([]opState, fp.numStates)}
-					root := &scope{engine: e, prefixes: map[string]string{}, counters: &evalCounters{}, vars: map[string]xdm.Sequence{"p1": p}}
+					root := &scope{st: &evalState{engine: e, prefixes: map[string]string{}, counters: &evalCounters{}, vars: map[string]xdm.Sequence{"p1": p}}}
 					tuple := root.bind("r", bound)
-					return outcome(ex.evalFilter(o, tuple)), root.counters.steps
+					return outcome(ex.evalFilter(o, tuple)), root.st.counters.steps
 				}
 				one := xdm.SequenceOf(row)
 				got, kernelSteps := run(op, one)
 				want, genericSteps := run(&generic, one)
-				root := &scope{engine: e, prefixes: map[string]string{}, vars: map[string]xdm.Sequence{"p1": p}}
+				root := &scope{st: &evalState{engine: e, prefixes: map[string]string{}, vars: map[string]xdm.Sequence{"p1": p}}}
 				plain := outcome(evalEBV(op.cond, root.bind("r", one)))
 				if got != want || got != plain || kernelSteps != genericSteps {
 					t.Fatalf("%s, $p1 = %v, row %s: kernel %s (%d steps), generic %s (%d steps), evalEBV %s",
@@ -185,7 +185,7 @@ func TestColumnKernelsMatchGeneric(t *testing.T) {
 		generic := *op
 		generic.hash = &genericSpec
 		for _, p := range operands {
-			root := &scope{engine: e, prefixes: map[string]string{"j": "urn:j"}, counters: &evalCounters{}, vars: map[string]xdm.Sequence{"p1": p}}
+			root := &scope{st: &evalState{engine: e, prefixes: map[string]string{"j": "urn:j"}, counters: &evalCounters{}, vars: map[string]xdm.Sequence{"p1": p}}}
 			items, err := evalExpr(op.forClause.In, root)
 			if err != nil {
 				t.Fatal(err)
@@ -194,7 +194,7 @@ func TestColumnKernelsMatchGeneric(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			root.counters.steps = 0
+			root.st.counters.steps = 0
 			kernelTable, err := buildHashTable(op, root, items)
 			if err != nil {
 				t.Fatal(err)
@@ -202,32 +202,32 @@ func TestColumnKernelsMatchGeneric(t *testing.T) {
 			if (kernelTable.keys == nil) != (op.hash.keyCol != "") {
 				t.Fatalf("%s: a column build must store no keys, any other build must", body)
 			}
-			kernelSteps := root.counters.steps
-			root.counters.steps = 0
+			kernelSteps := root.st.counters.steps
+			root.st.counters.steps = 0
 			genericTable, err := buildHashTable(&generic, root, items)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if root.counters.steps != kernelSteps {
-				t.Fatalf("%s: column build charged %d steps, generic %d", body, kernelSteps, root.counters.steps)
+			if root.st.counters.steps != kernelSteps {
+				t.Fatalf("%s: column build charged %d steps, generic %d", body, kernelSteps, root.st.counters.steps)
 			}
 			matches := func(o *planOp, h *hashTable, tuple *scope) (string, int64) {
-				tuple.counters.steps = 0
+				tuple.st.counters.steps = 0
 				p, err := o.hash.probeKey(tuple)
 				if err != nil {
-					return "error: " + err.Error(), tuple.counters.steps
+					return "error: " + err.Error(), tuple.st.counters.steps
 				}
 				var out []string
 				for _, ci := range h.candidates(&p, o.hash.valueCmp) {
 					ok, err := h.verify(&p, ci, o.hash.valueCmp)
 					if err != nil {
-						return "error: " + err.Error(), tuple.counters.steps
+						return "error: " + err.Error(), tuple.st.counters.steps
 					}
 					if ok {
 						out = append(out, strconv.Itoa(int(ci)))
 					}
 				}
-				return strings.Join(out, " "), tuple.counters.steps
+				return strings.Join(out, " "), tuple.st.counters.steps
 			}
 			for _, probe := range probes {
 				tuple := root.bind(outer.forClause.Var, xdm.SequenceOf(probe))

@@ -93,8 +93,8 @@ func (ex *flworExec) canParallel(ops []planOp, tuples []*scope) (ExecConfig, boo
 	if !ex.fp.eager || len(tuples) != 1 {
 		return ExecConfig{}, false
 	}
-	base := tuples[0]
-	if base.engine == nil || base.counters == nil || base.counters.worker {
+	eval := tuples[0].st
+	if eval.engine == nil || eval.counters == nil || eval.counters.worker {
 		return ExecConfig{}, false
 	}
 	if len(ops) == 0 || ops[0].kind != opKindFor || !ops[0].invariant || ops[0].hash != nil {
@@ -104,7 +104,7 @@ func (ex *flworExec) canParallel(ops []planOp, tuples []*scope) (ExecConfig, boo
 	if !st.done {
 		return ExecConfig{}, false
 	}
-	cfg := base.engine.Exec()
+	cfg := eval.engine.Exec()
 	if cfg.Workers <= 1 || len(st.seq) < cfg.MinParallelItems {
 		return ExecConfig{}, false
 	}
@@ -136,9 +136,9 @@ type morselCharge struct{ rows, tuples int64 }
 // runParallel fans ops[0]'s materialized source out to morsel workers.
 // With final=true each surviving tuple's return value is buffered and the
 // merger forwards buffers to emit in morsel order; otherwise the surviving
-// scopes are collected and returned (the caller's barrier input), fixed up
-// to the caller's context and counters since execution is single-threaded
-// again from there.
+// scopes are collected and returned (the caller's barrier input), re-homed
+// on the caller's state since execution is single-threaded again from
+// there.
 func (ex *flworExec) runParallel(ops []planOp, base *scope, cfg ExecConfig, final bool, emit func(xdm.Sequence) error) ([]*scope, error) {
 	op := &ops[0]
 	seq := ex.states[op.stateIdx].seq
@@ -146,7 +146,8 @@ func (ex *flworExec) runParallel(ops []planOp, base *scope, cfg ExecConfig, fina
 	workers := min(cfg.Workers, num)
 	window := min(workers*2, num)
 
-	parentCtx := base.goCtx
+	st := base.st
+	parentCtx := st.goCtx
 	if parentCtx == nil {
 		parentCtx = context.Background()
 	}
@@ -178,9 +179,7 @@ func (ex *flworExec) runParallel(ops []planOp, base *scope, cfg ExecConfig, fina
 				workerSteps.Add(wc.steps)
 				workerPruned.Add(wc.pruned)
 			}()
-			ws := *base
-			ws.goCtx = workCtx
-			ws.counters = wc
+			ws := base.on(workCtx, wc)
 			for {
 				select {
 				case <-workCtx.Done():
@@ -193,7 +192,7 @@ func (ex *flworExec) runParallel(ops []planOp, base *scope, cfg ExecConfig, fina
 				}
 				wc.rows, wc.tuples = 0, 0
 				r := &morselResult{}
-				ex.runMorsel(ops, &ws, seq, m*cfg.MorselSize, min((m+1)*cfg.MorselSize, len(seq)), final, r)
+				ex.runMorsel(ops, ws, seq, m*cfg.MorselSize, min((m+1)*cfg.MorselSize, len(seq)), final, r)
 				results[m] = r
 				close(done[m])
 				completed.Add(1)
@@ -214,9 +213,9 @@ func (ex *flworExec) runParallel(ops []planOp, base *scope, cfg ExecConfig, fina
 	// only at the merge point, so charges by morsels that are discarded
 	// (past a FETCH FIRST stop, beyond an error) are refunded for free, and
 	// they are what the caller's counters hold on every exit path.
-	serRows := base.counters.rows
-	serTuples := base.counters.tuples
-	defer func() { base.counters.rows, base.counters.tuples = serRows, serTuples }()
+	counters := st.counters
+	serRows, serTuples := counters.rows, counters.tuples
+	defer func() { counters.rows, counters.tuples = serRows, serTuples }()
 
 	// join tears the pool down and folds the workers' step and prune counts
 	// into the caller's counters.
@@ -228,8 +227,8 @@ func (ex *flworExec) runParallel(ops []planOp, base *scope, cfg ExecConfig, fina
 		joined = true
 		cancel()
 		wg.Wait()
-		base.counters.steps += workerSteps.Load()
-		base.counters.pruned += workerPruned.Load()
+		counters.steps += workerSteps.Load()
+		counters.pruned += workerPruned.Load()
 	}
 	defer join()
 
@@ -244,9 +243,9 @@ func (ex *flworExec) runParallel(ops []planOp, base *scope, cfg ExecConfig, fina
 	flush := func(r *morselResult, rowBase, tupleBase int64) error {
 		for i, v := range r.vals {
 			at := r.chargedAt[i]
-			base.counters.rows, base.counters.tuples = rowBase+at.rows, tupleBase+at.tuples
+			counters.rows, counters.tuples = rowBase+at.rows, tupleBase+at.tuples
 			err := emit(v)
-			serRows, serTuples = base.counters.rows, base.counters.tuples
+			serRows, serTuples = counters.rows, counters.tuples
 			rowBase, tupleBase = serRows-at.rows, serTuples-at.tuples
 			if err != nil {
 				return err
@@ -300,18 +299,15 @@ func (ex *flworExec) runParallel(ops []planOp, base *scope, cfg ExecConfig, fina
 		// row, and is safe while siblings still speculate. Under external
 		// cancellation the re-run aborts on its first cancel check.
 		rowBase, tupleBase := serRows, serTuples
-		lim := base.limits
+		lim := st.limits
 		if isContextErr(r.err) || isLimitErr(r.err) ||
 			(lim.MaxRows > 0 && serRows+r.rowsCharged > lim.MaxRows) ||
 			(lim.MaxTuples > 0 && serTuples+r.tuplesCharged > lim.MaxTuples) {
 			rc := &evalCounters{rows: serRows, tuples: serTuples}
-			rs := *base
-			rs.goCtx = parentCtx
-			rs.counters = rc
 			r = &morselResult{}
-			ex.runMorsel(ops, &rs, seq, m*cfg.MorselSize, min((m+1)*cfg.MorselSize, len(seq)), final, r)
-			base.counters.steps += rc.steps
-			base.counters.pruned += rc.pruned
+			ex.runMorsel(ops, base.on(parentCtx, rc), seq, m*cfg.MorselSize, min((m+1)*cfg.MorselSize, len(seq)), final, r)
+			counters.steps += rc.steps
+			counters.pruned += rc.pruned
 		}
 		if final {
 			// A stop here — the FETCH FIRST sentinel included — lands
@@ -337,30 +333,33 @@ func (ex *flworExec) runParallel(ops []planOp, base *scope, cfg ExecConfig, fina
 	join()
 	if !final {
 		// Execution is single-threaded past the fan-in: re-home the
-		// surviving scopes on the caller's context and counters (derived
-		// scopes copy these fields from the head they are bound off).
+		// surviving tuples on the caller's state (cells bound off a head
+		// take its state pointer, and no cell reads its parent's).
 		for _, t := range collected {
-			t.goCtx = base.goCtx
-			t.counters = base.counters
+			t.st = st
 		}
 	}
 	return collected, nil
 }
 
 // runMorsel processes outer-scan items [start,end) through ops[1:],
-// buffering into r and stopping at the first error. ws.counters doubles as
+// buffering into r and stopping at the first error. ws's counters double as
 // the charge ledger: the deltas accumulated here are what the merge loop
 // replays against the serial counters. The same code serves the worker
 // pass (counters starting at zero) and the merge-time re-run (counters
 // starting at the serial counts).
 func (ex *flworExec) runMorsel(ops []planOp, ws *scope, seq xdm.Sequence, start, end int, final bool, r *morselResult) {
-	rows0, tups0 := ws.counters.rows, ws.counters.tuples
+	counters := ws.st.counters
+	rows0, tups0 := counters.rows, counters.tuples
 	defer func() {
-		r.rowsCharged = ws.counters.rows - rows0
-		r.tuplesCharged = ws.counters.tuples - tups0
+		r.rowsCharged = counters.rows - rows0
+		r.tuplesCharged = counters.tuples - tups0
 	}()
 	var sink tupleSink
 	if final {
+		// Sized once: each item emits one value unless a later for fans out.
+		r.vals = make([]xdm.Sequence, 0, end-start)
+		r.chargedAt = make([]morselCharge, 0, end-start)
 		var buf []byte
 		sink = func(t2 *scope) error {
 			// finalValue charges before we buffer — a row is never buffered
@@ -370,7 +369,7 @@ func (ex *flworExec) runMorsel(ops []planOp, ws *scope, seq xdm.Sequence, start,
 			if err != nil {
 				return err
 			}
-			r.chargedAt = append(r.chargedAt, morselCharge{ws.counters.rows - rows0, ws.counters.tuples - tups0})
+			r.chargedAt = append(r.chargedAt, morselCharge{counters.rows - rows0, counters.tuples - tups0})
 			r.vals = append(r.vals, v)
 			return nil
 		}
@@ -390,9 +389,9 @@ func (ex *flworExec) runMorsel(ops []planOp, ws *scope, seq xdm.Sequence, start,
 			r.err = err
 			return
 		}
-		nt := ws.bind(op.forClause.Var, xdm.SequenceOf(seq[idx]))
+		nt := ws.bindItem(op.forClause.Var, seq[idx])
 		if op.forClause.At != "" {
-			nt = nt.bind(op.forClause.At, xdm.SequenceOf(xdm.Integer(idx+1)))
+			nt = nt.bindItem(op.forClause.At, xdm.Integer(idx+1))
 		}
 		if err := ex.feed(ops, 1, nt, sink); err != nil {
 			r.err = err

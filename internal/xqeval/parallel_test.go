@@ -558,6 +558,84 @@ for $tokenQuery in $actualQuery/RECORD return (">", fn:data($tokenQuery/ID)), ""
 	}
 }
 
+// TestBarrierAfterFanOut pins the re-home of barrier input collected from
+// morsel workers: the tuples a fanned-out segment hands to its ORDER BY or
+// GROUP BY must charge everything after the barrier — the barrier's keys,
+// a later for, the return clause — to the caller's counters and limits,
+// not to a finished worker's. So at 2 and 8 workers the cursor's step and
+// tuple counts equal the serial ones, and a MaxRows limit that trips after
+// the barrier trips at the same row with the same error.
+func TestBarrierAfterFanOut(t *testing.T) {
+	rows := make([]*xdm.Element, 5000)
+	for i := range rows {
+		row := xdm.NewElement("T")
+		row.AddChild(xdm.NewTextElement("ID", strconv.Itoa(i)))
+		row.AddChild(xdm.NewTextElement("VAL", fmt.Sprintf("v%d", i%7)))
+		rows[i] = row
+	}
+	e := xqeval.New()
+	e.RegisterRows("ld:ParTest", "T", rows)
+	type outcome struct {
+		rows          string
+		steps, tuples int64
+		err           error
+	}
+	run := func(plan *xqeval.Plan, workers int) outcome {
+		e.SetExec(parallelExec(workers))
+		cur := e.EvalStream(context.Background(), plan, nil, nil)
+		out, err := drainCursor(cur)
+		steps, tuples := cur.Stats()
+		return outcome{xdm.MarshalSequence(out), steps, tuples, err}
+	}
+	for _, c := range []struct{ name, flwor string }{
+		{"order by", `for $r in p:T() where $r/ID mod 3 != 0 order by $r/VAL descending for $i in (1, 2) return <ROW>{$r/ID}{$i}</ROW>`},
+		{"group by", `for $r in p:T() where $r/ID mod 2 = 0 group $r as $g by $r/VAL as $k for $m in $g where $m/ID mod 5 = 0 return <ROW>{$k}{$m/ID}</ROW>`},
+	} {
+		q, err := xquery.Parse(`import schema namespace p = "ld:ParTest" at "ParTest.xsd";
+<RECORDSET>{` + c.flwor + `}</RECORDSET>`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := e.CompileAST(q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.SetLimits(xqeval.Limits{})
+		serial := run(plan, 1)
+		if serial.err != nil {
+			t.Fatalf("%s: %v", c.name, serial.err)
+		}
+		n := int64(strings.Count(serial.rows, "<ROW>"))
+		for _, workers := range []int{2, 8} {
+			morsels := obsv.Global.MorselsProcessed.Load()
+			got := run(plan, workers)
+			if obsv.Global.MorselsProcessed.Load() == morsels {
+				t.Fatalf("%s, workers %d: the scan before the barrier did not fan out", c.name, workers)
+			}
+			if got != serial {
+				t.Fatalf("%s, workers %d: %d steps, %d tuples, error %v; serial %d steps, %d tuples (rows equal: %v)",
+					c.name, workers, got.steps, got.tuples, got.err, serial.steps, serial.tuples, got.rows == serial.rows)
+			}
+		}
+		// Rows are charged only by the return clause, after the barrier.
+		e.SetLimits(xqeval.Limits{MaxRows: n / 2})
+		serial = run(plan, 1)
+		var qe *aqerr.QueryError
+		if !errors.As(serial.err, &qe) || qe.Kind != aqerr.KindResourceLimit {
+			t.Fatalf("%s, MaxRows %d of %d: serial error %v, want a resource limit", c.name, n/2, n, serial.err)
+		}
+		for _, workers := range []int{2, 8} {
+			got := run(plan, workers)
+			if got.rows != serial.rows || fmt.Sprint(got.err) != fmt.Sprint(serial.err) || got.steps != serial.steps || got.tuples != serial.tuples {
+				t.Fatalf("%s, workers %d, MaxRows %d: %d rows then %v (%d steps, %d tuples); serial %d rows then %v (%d steps, %d tuples)",
+					c.name, workers, n/2, strings.Count(got.rows, "<ROW>"), got.err, got.steps, got.tuples,
+					strings.Count(serial.rows, "<ROW>"), serial.err, serial.steps, serial.tuples)
+			}
+		}
+	}
+	e.SetLimits(xqeval.Limits{})
+}
+
 // drainAt streams plan under cfg: one string per row, the tuple count, the
 // error the stream ended with.
 func drainAt(e *xqeval.Engine, plan *xqeval.Plan, cfg xqeval.ExecConfig) ([]string, int64, error) {

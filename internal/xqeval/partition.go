@@ -231,7 +231,7 @@ func (ex *flworExec) gatherPartitioned(op *planOp, t *scope) (seq xdm.Sequence, 
 	}
 
 	outcomes := make([]shardOutcome, len(selected))
-	sem := make(chan struct{}, t.engine.Exec().Workers)
+	sem := make(chan struct{}, t.st.engine.Exec().Workers)
 	var wg sync.WaitGroup
 	for i, shardIdx := range selected {
 		wg.Add(1)
@@ -239,7 +239,7 @@ func (ex *flworExec) gatherPartitioned(op *planOp, t *scope) (seq xdm.Sequence, 
 		go func(i int, sh ShardSpec) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			rows, err := t.engine.CallContext(t.goCtx, sh.Namespace, sh.Local, nil)
+			rows, err := t.st.engine.CallContext(t.st.goCtx, sh.Namespace, sh.Local, nil)
 			if err != nil && spec.Partial && !isContextErr(err) {
 				outcomes[i] = shardOutcome{skipped: true, err: err}
 				return
@@ -325,7 +325,7 @@ func (ex *flworExec) pruneShards(part *partitionPlan, spec *PartitionSpec, t *sc
 func (ex *flworExec) filterShardRows(op *planOp, part *partitionPlan, t *scope, rows xdm.Sequence) (xdm.Sequence, error) {
 	out := rows[:0:0]
 	for _, it := range rows {
-		ok, err := evalEBV(part.pinCond, t.bind(op.forClause.Var, xdm.SequenceOf(it)))
+		ok, err := evalEBV(part.pinCond, t.bindItem(op.forClause.Var, it))
 		if err != nil {
 			return nil, err
 		}

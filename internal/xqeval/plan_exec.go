@@ -267,9 +267,9 @@ func (ex *flworExec) feed(ops []planOp, i int, t *scope, out tupleSink) error {
 			if err := t.countTuple(); err != nil {
 				return err
 			}
-			nt := t.bind(op.forClause.Var, xdm.SequenceOf(it))
+			nt := t.bindItem(op.forClause.Var, it)
 			if op.forClause.At != "" {
-				nt = nt.bind(op.forClause.At, xdm.SequenceOf(xdm.Integer(idx+1)))
+				nt = nt.bindItem(op.forClause.At, xdm.Integer(idx+1))
 			}
 			if err := ex.feed(ops, i+1, nt, out); err != nil {
 				return err
@@ -328,10 +328,8 @@ func (ex *flworExec) operand(op *planOp, side int, t *scope) (xdm.Sequence, erro
 		// blocks, and the slot outlives this tuple — a worker whose sibling
 		// cancelled it would otherwise cache context.Canceled for the
 		// merger's serial re-run (live parent context, same states) to read.
-		deaf := *t
-		deaf.goCtx = nil
 		var v xdm.Sequence
-		v, st.err = evalExpr([2]xquery.Expr{b.Left, b.Right}[side], &deaf)
+		v, st.err = evalExpr([2]xquery.Expr{b.Left, b.Right}[side], t.on(nil, t.st.counters))
 		st.seq = xdm.Atomize(v)
 	})
 	return st.seq, st.err
@@ -364,7 +362,7 @@ func (ex *flworExec) source(op *planOp, t *scope) (xdm.Sequence, error) {
 // when the plan gave it a slot, else this FLWOR execution's own.
 func (ex *flworExec) hashTable(op *planOp, t *scope) (*hashTable, error) {
 	if op.hash.table >= 0 {
-		return t.tables.get(op, t)
+		return t.st.tables.get(op, t)
 	}
 	st := &ex.states[op.stateIdx]
 	if st.hash == nil {
@@ -396,10 +394,10 @@ type sharedTable struct {
 // get returns op's table, building it on first use. The build runs on a
 // copy of the evaluation's root scope — source and key read nothing the
 // query binds, so every prober would build the same table, at the same
-// scope depth — under the caller's context and counters. Only a finished
-// table is kept: an error, cancellation above all, goes back to its caller
-// and the next prober builds again. Concurrent probers wait on the lock
-// rather than call the source again; the build cannot reach this table
+// scope depth — with its own state under the caller's context and
+// counters. Only a finished table is kept: an error, cancellation above
+// all, goes back to its caller and the next prober builds again.
+// Concurrent probers wait on the lock rather than call the source again; the build cannot reach this table
 // (its source holds no FLWOR, and a view's body is its own evaluation).
 func (et *evalTables) get(op *planOp, t *scope) (*hashTable, error) {
 	st := &et.tables[op.hash.table]
@@ -411,14 +409,13 @@ func (et *evalTables) get(op *planOp, t *scope) (*hashTable, error) {
 	if h := st.built.Load(); h != nil {
 		return h, nil
 	}
-	bs := *et.root
-	bs.goCtx, bs.counters = t.goCtx, t.counters
-	items, err := evalExpr(op.forClause.In, &bs)
+	bs := et.root.on(t.st.goCtx, t.st.counters)
+	items, err := evalExpr(op.forClause.In, bs)
 	if err != nil {
 		return nil, err
 	}
-	maybeObserveScan(&bs, op, items)
-	h, err := buildHashTable(op, &bs, items)
+	maybeObserveScan(bs, op, items)
+	h, err := buildHashTable(op, bs, items)
 	if err != nil {
 		return nil, err
 	}
@@ -473,7 +470,7 @@ func (ex *flworExec) probeHash(ops []planOp, i int, op *planOp, t *scope, h *has
 		if err := t.countTuple(); err != nil {
 			return err
 		}
-		nt := t.bind(op.forClause.Var, xdm.SequenceOf(h.items[ci]))
+		nt := t.bindItem(op.forClause.Var, h.items[ci])
 		if err := ex.feed(ops, i+1, nt, out); err != nil {
 			return err
 		}
@@ -661,7 +658,7 @@ func buildHashTable(op *planOp, t *scope, items xdm.Sequence) (*hashTable, error
 			b.fileRow(it.(*xdm.Element), int32(i), spec.valueCmp)
 			continue
 		}
-		kseq, err := evalExpr(spec.buildExpr, t.bind(op.forClause.Var, xdm.SequenceOf(it)))
+		kseq, err := evalExpr(spec.buildExpr, t.bindItem(op.forClause.Var, it))
 		if err != nil {
 			return nil, err
 		}

@@ -427,13 +427,12 @@ func TestPlanHoistedOperandIgnoresCancellation(t *testing.T) {
 	cancel()
 	for start := int64(1010); start < 1030; start++ {
 		ex := &flworExec{fp: fp, states: make([]opState, fp.numStates)}
-		root := &scope{engine: New(), prefixes: map[string]string{}, counters: &evalCounters{steps: start},
-			vars: map[string]xdm.Sequence{"p": atoms(xdm.String("4"))}}
+		root := &scope{st: &evalState{engine: New(), prefixes: map[string]string{}, counters: &evalCounters{steps: start},
+			vars: map[string]xdm.Sequence{"p": atoms(xdm.String("4"))}}}
 		tuple := root.bind("a", atoms(xdm.Integer(5)))
-		tuple.goCtx = cancelled
-		ex.evalFilter(filter, tuple) // may fail with context.Canceled; must not poison the slot
-		tuple.goCtx = context.Background()
-		ok, err := ex.evalFilter(filter, tuple)
+		counters := tuple.st.counters
+		ex.evalFilter(filter, tuple.on(cancelled, counters)) // may fail with context.Canceled; must not poison the slot
+		ok, err := ex.evalFilter(filter, tuple.on(context.Background(), counters))
 		if err != nil || !ok {
 			t.Fatalf("steps start %d: filter after a cancelled first evaluation = %v, %v; want true, nil", start, ok, err)
 		}
@@ -476,13 +475,12 @@ for $a in j:L() where fn:not(fn:exists(for $b in j:R() where $b = $a return $b))
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	root := e.rootScope(cancelled, q, p, nil, &evalCounters{})
-	if _, err := root.tables.get(probe, root); err == nil {
+	if _, err := root.st.tables.get(probe, root); err == nil {
 		t.Fatal("a build under a cancelled context must fail")
 	}
-	live := *root
-	live.goCtx = context.Background()
+	live := root.on(context.Background(), root.st.counters)
 	for i := 0; i < 2; i++ {
-		h, err := root.tables.get(probe, &live)
+		h, err := root.st.tables.get(probe, live)
 		if err != nil || len(h.items) != 1 {
 			t.Fatalf("probe %d after a cancelled build: %v, %v", i, h, err)
 		}

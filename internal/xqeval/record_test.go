@@ -85,8 +85,8 @@ func recordPlan(t *testing.T, ctor string) (*xquery.ElementCtor, *Plan) {
 // recordScope is a tuple scope binding $a and $b (when set), whose counters
 // start at steps; a maxDepth above zero is one its depth exceeds.
 func recordScope(ctx context.Context, c recordCase, p *Plan, steps, maxDepth int64) *scope {
-	root := &scope{engine: New(), prefixes: map[string]string{}, goCtx: ctx, plan: p,
-		counters: &evalCounters{steps: steps}, limits: Limits{MaxDepth: maxDepth}, depth: maxDepth}
+	root := &scope{st: &evalState{engine: New(), prefixes: map[string]string{}, goCtx: ctx, plan: p,
+		counters: &evalCounters{steps: steps}, limits: Limits{MaxDepth: maxDepth}}, depth: maxDepth}
 	t := root.bind("a", c.a)
 	if c.b != nil {
 		t = t.bind("b", c.b)
@@ -105,11 +105,11 @@ func TestRecordKernelMatchesGeneric(t *testing.T) {
 		}
 		if ok {
 			env := recordScope(context.Background(), c, p, 0, 0)
-			if _, handled, err := k.build(env); handled == c.declined || err != nil || handled && env.counters.steps == 0 {
-				t.Fatalf("%s: kernel handled %v (error %v, %d steps), want %v", c.name, handled, err, env.counters.steps, !c.declined)
+			if _, handled, err := k.build(env); handled == c.declined || err != nil || handled && env.st.counters.steps == 0 {
+				t.Fatalf("%s: kernel handled %v (error %v, %d steps), want %v", c.name, handled, err, env.st.counters.steps, !c.declined)
 			}
-			if c.declined && env.counters.steps != 0 {
-				t.Fatalf("%s: declined record charged %d steps", c.name, env.counters.steps)
+			if c.declined && env.st.counters.steps != 0 {
+				t.Fatalf("%s: declined record charged %d steps", c.name, env.st.counters.steps)
 			}
 		}
 		// Plain, at a depth limit the first step trips, and with the
@@ -128,9 +128,9 @@ func TestRecordKernelMatchesGeneric(t *testing.T) {
 				env := recordScope(r.ctx, c, p, r.steps, r.maxDepth)
 				el, err := constructElement(e, env)
 				if err != nil {
-					return "error: " + err.Error(), env.counters.steps
+					return "error: " + err.Error(), env.st.counters.steps
 				}
-				return xdm.Marshal(el), env.counters.steps
+				return xdm.Marshal(el), env.st.counters.steps
 			}
 			got, gotSteps := eval(p)
 			want, wantSteps := eval(nil)

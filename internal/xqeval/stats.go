@@ -193,10 +193,10 @@ func (e *Engine) registeredSource(namespace, local string) string {
 // a statically-resolved source pass their freshly evaluated sequence here.
 // Already-observed sources return in one read-locked map probe.
 func maybeObserveScan(env *scope, op *planOp, seq xdm.Sequence) {
-	if op.scan == nil || env == nil || env.engine == nil {
+	if op.scan == nil || env == nil || env.st.engine == nil {
 		return
 	}
-	e := env.engine
+	e := env.st.engine
 	e.srcStats.mu.RLock()
 	_, ok := e.srcStats.stats[funcKey{op.scan.namespace, op.scan.local}]
 	e.srcStats.mu.RUnlock()

@@ -435,7 +435,7 @@ func streamTextTokens(it xdm.Item, sp *StreamPlan, env *scope, emit func(xdm.Seq
 		if err := env.countTuple(); err != nil {
 			return err
 		}
-		t := env.bind(sp.tokenVar, xdm.SequenceOf(n))
+		t := env.bindItem(sp.tokenVar, n)
 		if err := t.checkCancel(); err != nil {
 			return err
 		}
@@ -467,8 +467,8 @@ func streamItems(e xquery.Expr, env *scope, emitItem func(xdm.Item) error) error
 			}
 			return nil
 		}
-		if env.plan != nil {
-			if fp, ok := env.plan.flwors[n]; ok {
+		if env.st.plan != nil {
+			if fp, ok := env.st.plan.flwors[n]; ok {
 				return execPlannedFLWORTo(fp, env, nil, emitSeq)
 			}
 		}
@@ -625,9 +625,9 @@ func streamClauses(clauses []xquery.Clause, t *scope, sink tupleSink) error {
 			if err := t.countTuple(); err != nil {
 				return err
 			}
-			nt := t.bind(c.Var, xdm.SequenceOf(it))
+			nt := t.bindItem(c.Var, it)
 			if c.At != "" {
-				nt = nt.bind(c.At, xdm.SequenceOf(xdm.Integer(i+1)))
+				nt = nt.bindItem(c.At, xdm.Integer(i+1))
 			}
 			if err := streamClauses(clauses[1:], nt, sink); err != nil {
 				return err
