@@ -332,8 +332,9 @@ func FromXML(result xdm.Sequence, cols []Column) (*Rows, error) {
 		return nil, fmt.Errorf("resultset: expected RECORDSET element, got %v", it)
 	}
 	rows := &Rows{cols: cols}
+	dups := duplicateNames(cols)
 	for _, rec := range root.ChildElements("RECORD") {
-		row, err := decodeRecord(rec, cols)
+		row, err := decodeRecord(rec, cols, dups)
 		if err != nil {
 			return nil, err
 		}

@@ -373,3 +373,29 @@ func TestTableRendering(t *testing.T) {
 		t.Fatalf("lines = %d:\n%s", len(lines), out)
 	}
 }
+
+// TestDecodeRecordAllocs: an XML-mode row costs its row slice and its
+// boxed atoms — no per-row map of names, no child slice per column —
+// whatever order its children come in.
+func TestDecodeRecordAllocs(t *testing.T) {
+	cols := append(testCols(), Column{Label: "CITY", ElementName: "CITY", Type: catalog.SQLVarchar, Nullable: true})
+	dups := duplicateNames(cols)
+	if dups {
+		t.Fatal("duplicateNames: the schema has none")
+	}
+	children := [][2]string{{"ID", "100000"}, {"NAME", "Acme"}, {"AMOUNT", "12.5"}} // CITY absent: NULL
+	for _, order := range [][]int{{0, 1, 2}, {2, 0, 1}} {
+		rec := xdm.NewElement("RECORD")
+		for _, i := range order {
+			rec.AddChild(xdm.NewTextElement(children[i][0], children[i][1]))
+		}
+		row, err := decodeRecord(rec, cols, dups)
+		if err != nil || row[0] != xdm.Integer(100000) || row[1] != xdm.String("Acme") || row[2] != xdm.Decimal(12.5) || row[3] != nil {
+			t.Fatalf("children in order %v: decoded %v, %v", order, row, err)
+		}
+		allocs := testing.AllocsPerRun(100, func() { decodeRecord(rec, cols, dups) })
+		if allocs > 4 { // the row, then an integer, a string and a decimal
+			t.Fatalf("children in order %v: a 4-column row costs %.0f allocations, want 4", order, allocs)
+		}
+	}
+}

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"repro/internal/obsv"
@@ -51,12 +52,13 @@ func isAligned(src ItemStream) bool {
 // deliver one RECORD element per chunk; a materialized fallback chunk
 // holding the whole RECORDSET is expanded in place.
 func StreamXML(src ItemStream, cols []Column) RowCursor {
-	return &xmlCursor{src: src, cols: cols, aligned: isAligned(src)}
+	return &xmlCursor{src: src, cols: cols, dups: duplicateNames(cols), aligned: isAligned(src)}
 }
 
 type xmlCursor struct {
 	src     ItemStream
 	cols    []Column
+	dups    bool
 	aligned bool
 	queue   []*xdm.Element
 	closed  bool
@@ -69,7 +71,7 @@ func (c *xmlCursor) Next() ([]xdm.Atomic, error) {
 		if len(c.queue) > 0 {
 			rec := c.queue[0]
 			c.queue = c.queue[1:]
-			row, err := decodeRecord(rec, c.cols)
+			row, err := decodeRecord(rec, c.cols, c.dups)
 			if err != nil {
 				return nil, err
 			}
@@ -231,28 +233,42 @@ func (c *textCursor) Close() error {
 	return c.src.Close()
 }
 
-// decodeRecord types one RECORD element against the result schema —
-// the per-row core FromXML loops over.
-func decodeRecord(rec *xdm.Element, cols []Column) ([]xdm.Atomic, error) {
+// decodeRecord types one RECORD element against the result schema — the
+// per-row core FromXML loops over — in one walk of its children: each
+// fills the first empty column of its name, so duplicate names match
+// positionally and an absent element is NULL. Without duplicates (dups) the
+// search starts after the last column filled: schema order hits at once.
+func decodeRecord(rec *xdm.Element, cols []Column, dups bool) ([]xdm.Atomic, error) {
 	row := make([]xdm.Atomic, len(cols))
-	// Columns with duplicate element names are matched positionally
-	// among same-named children.
-	used := map[string]int{}
-	for i, c := range cols {
-		matches := rec.ChildElements(c.ElementName)
-		idx := used[c.ElementName]
-		used[c.ElementName]++
-		if idx >= len(matches) {
-			row[i] = nil // absent element = NULL
-			continue
+	from := 0
+	for _, n := range rec.Children {
+		el, looking := n.(*xdm.Element)
+		for j := 0; looking && j < len(cols); j++ {
+			i := (from + j) % len(cols)
+			if row[i] != nil || cols[i].ElementName != el.Name.Local {
+				continue
+			}
+			v, err := parseValue(el.StringValue(), cols[i])
+			if err != nil {
+				return nil, err
+			}
+			row[i], looking = v, false
+			if !dups {
+				from = i + 1
+			}
 		}
-		v, err := parseValue(matches[idx].StringValue(), c)
-		if err != nil {
-			return nil, err
-		}
-		row[i] = v
 	}
 	return row, nil
+}
+
+// duplicateNames reports whether two columns share an element name.
+func duplicateNames(cols []Column) bool {
+	for i, c := range cols {
+		if slices.ContainsFunc(cols[:i], func(d Column) bool { return d.ElementName == c.ElementName }) {
+			return true
+		}
+	}
+	return false
 }
 
 // DecodeTextRow types one delimiter-separated row (leading row delimiter

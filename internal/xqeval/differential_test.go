@@ -130,9 +130,11 @@ func TestPlannedMatchesNaiveOnCorpus(t *testing.T) {
 
 // FuzzPlanDifferential extends translator fuzzing through the optimizer:
 // any SQL the translator accepts is evaluated planned and naive over a
-// small demo dataset, and any divergence (or planner panic) fails.
+// small demo dataset, and any divergence (or planner panic) fails. It is
+// seeded with the corpus, the correlated seeds and the benchmark's
+// statement shapes, whose intermediate records are pruned.
 func FuzzPlanDifferential(f *testing.F) {
-	for _, s := range append(differentialCorpus(), correlatedSeeds...) {
+	for _, s := range append(append(differentialCorpus(), correlatedSeeds...), pruningShapes...) {
 		f.Add(s)
 	}
 	// Small dataset: the naive evaluator materializes full cross products,

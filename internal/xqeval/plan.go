@@ -246,6 +246,9 @@ func buildPlan(q *xquery.Query, sp StatsProvider) *Plan {
 		}
 		return true
 	})
+	if p.records != nil {
+		xquery.RecordReads(q.Body, p.keepReads)
+	}
 	p.Stream.fuse(p.flwors)
 	obsv.Global.PlansBuilt.Inc()
 	obsv.Global.PlanHashJoins.Add(int64(p.HashJoins))
@@ -907,32 +910,40 @@ func (p *Plan) Describe() []string {
 		if p.Stream.prog != nil && p.Stream.prog.fp == fp {
 			continue
 		}
-		if names := p.recordNames(fp.flwor.Return); len(names) > 0 {
-			lines = append(lines, "  return "+strings.Join(names, ", ")+" [column]")
+		if records := p.describeRecords(fp.flwor.Return); records != "" {
+			lines = append(lines, "  return "+records)
 		}
 	}
 	return lines
 }
 
-// recordNames lists, as <NAME>, the column-record kernels e builds outside
-// the nested FLWORs that describe their own.
-func (p *Plan) recordNames(e xquery.Expr) []string {
+// describeRecords lists, as <NAME>, the column-record kernels e builds outside
+// the nested FLWORs that describe their own, with how many columns each
+// pruned one reads: "<RECORD> [column, reads 2 of 9]".
+func (p *Plan) describeRecords(e xquery.Expr) string {
 	var names []string
+	tags := "[column"
 	xquery.WalkExprs(e, func(e xquery.Expr) bool {
 		switch n := e.(type) {
 		case *xquery.FLWOR:
 			return false
 		case *xquery.ElementCtor:
-			if _, ok := p.records[n]; ok {
+			if k, ok := p.records[n]; ok {
 				if name := "<" + n.Name + ">"; !slices.Contains(names, name) {
 					names = append(names, name)
+				}
+				if k.kept < len(k.cols) {
+					tags += fmt.Sprintf(", reads %d of %d", k.kept, len(k.cols))
 				}
 				return false
 			}
 		}
 		return true
 	})
-	return names
+	if len(names) == 0 {
+		return ""
+	}
+	return strings.Join(names, ", ") + " " + tags + "]"
 }
 
 func describeOp(op planOp) string {

@@ -22,11 +22,12 @@ import (
 // kernel: each source variable is resolved once, each column's text is read
 // straight from the source row, and the RECORD is assembled from three slab
 // allocations however many columns it has. The children are fresh nodes,
-// never the source row's. The kernel charges exactly the steps the generic
-// evaluation charges, and hands back — with nothing charged — a record whose
-// source variable is not bound to one element, whose source row repeats a
-// column, or whose unguarded column is missing. The naive evaluator has no
-// plan, so it never sees a kernel and stays the oracle.
+// never the source row's, and only those xquery.RecordReads finds read; the
+// others are still looked up. The kernel charges exactly the steps the
+// generic evaluation charges, and hands back — with nothing charged — a
+// record whose source variable is not bound to one element, whose source
+// row repeats a column, or whose unguarded column is missing. The naive
+// evaluator has no plan, so it never sees a kernel and stays the oracle.
 
 // Steps the generic evaluation charges per column, all at the record's
 // depth: fn:data, its path and its variable for a plain column; for a
@@ -44,6 +45,7 @@ type recordKernel struct {
 	// vars are the distinct source variables, in order of first use.
 	vars []string
 	cols []recordCol
+	kept int // columns built; a column's slot among them, -1 if dropped
 }
 
 // recordCol is one column copy: the row program's recognized constructor,
@@ -52,6 +54,7 @@ type recordCol struct {
 	rowCol
 	name string
 	src  int
+	slot int
 }
 
 // recordKernelOf recognizes a constructor every content item of which is a
@@ -69,8 +72,29 @@ func recordKernelOf(e *xquery.ElementCtor) *recordKernel {
 		}
 		c.name = name
 		c.src = k.varIndex(c.srcVar)
+		c.slot = i
 	}
+	k.kept = len(k.cols)
 	return k
+}
+
+// keepReads applies one finding of xquery.RecordReads to ctor's kernel: ""
+// keeps no column, a name keeps its columns too, "*" keeps them all.
+func (p *Plan) keepReads(ctor *xquery.ElementCtor, name string) {
+	k := p.records[ctor]
+	if k == nil {
+		return
+	}
+	k.kept = 0
+	for i := range k.cols {
+		c := &k.cols[i]
+		if name == "*" || name != "" && (c.slot >= 0 || c.name == name) {
+			c.slot = k.kept
+			k.kept++
+		} else {
+			c.slot = -1
+		}
+	}
 }
 
 func (k *recordKernel) varIndex(v string) int {
@@ -100,10 +124,10 @@ func (k *recordKernel) build(t *scope) (el *xdm.Element, handled bool, err error
 		}
 		rows = append(rows, row)
 	}
-	// One slab of elements (the columns, then the record), one of texts.
-	// A column is present when its element is named.
-	els := make([]xdm.Element, len(k.cols)+1)
-	texts := make([]xdm.Text, len(k.cols))
+	// One slab of elements (the kept columns, then the record), one of
+	// texts. A kept column is present when its element is named.
+	els := make([]xdm.Element, k.kept+1)
+	texts := make([]xdm.Text, k.kept)
 	present, nonEmpty, steps := 0, 0, 0
 	for i := range k.cols {
 		c := &k.cols[i]
@@ -119,21 +143,24 @@ func (k *recordKernel) build(t *scope) (el *xdm.Element, handled bool, err error
 		default:
 			steps += plainColumnSteps
 		}
-		els[i].Name.Local = c.name
-		texts[i].Value = text
+		if c.slot < 0 {
+			continue
+		}
+		els[c.slot].Name.Local = c.name
+		texts[c.slot].Value = text
 		present++
 		if text != "" {
 			nonEmpty++
 		}
 	}
-	rec := &els[len(k.cols)]
+	rec := &els[k.kept]
 	rec.Name.Local = k.name
 	if present > 0 {
 		// The record's children, then each column's one text child, each
 		// slice capped at its length.
 		nodes := make([]xdm.Node, present+nonEmpty)
 		children, textNodes := nodes[:0:present], nodes[present:]
-		for i := range k.cols {
+		for i := range texts {
 			col := &els[i]
 			if col.Name.Local == "" {
 				continue

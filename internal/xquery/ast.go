@@ -350,22 +350,7 @@ func WalkExprs(e Expr, fn func(Expr) bool) {
 		WalkExprs(e.Satisfies, fn)
 	case *FLWOR:
 		for _, c := range e.Clauses {
-			switch c := c.(type) {
-			case *For:
-				WalkExprs(c.In, fn)
-			case *Let:
-				WalkExprs(c.Expr, fn)
-			case *Where:
-				WalkExprs(c.Cond, fn)
-			case *GroupBy:
-				for _, k := range c.Keys {
-					WalkExprs(k.Expr, fn)
-				}
-			case *OrderByClause:
-				for _, s := range c.Specs {
-					WalkExprs(s.Expr, fn)
-				}
-			}
+			walkClause(c, fn)
 		}
 		WalkExprs(e.Return, fn)
 	case *ElementCtor:
@@ -376,6 +361,26 @@ func WalkExprs(e Expr, fn func(Expr) bool) {
 			case *ElementCtor:
 				WalkExprs(c, fn)
 			}
+		}
+	}
+}
+
+// walkClause visits a FLWOR clause's expressions as WalkExprs does.
+func walkClause(c Clause, fn func(Expr) bool) {
+	switch c := c.(type) {
+	case *For:
+		WalkExprs(c.In, fn)
+	case *Let:
+		WalkExprs(c.Expr, fn)
+	case *Where:
+		WalkExprs(c.Cond, fn)
+	case *GroupBy:
+		for _, k := range c.Keys {
+			WalkExprs(k.Expr, fn)
+		}
+	case *OrderByClause:
+		for _, s := range c.Specs {
+			WalkExprs(s.Expr, fn)
 		}
 	}
 }
