@@ -45,9 +45,11 @@ chaos:
 # gates the overload contract under 2x sustained load, the replay
 # regression net, and the wire client's own suite with the one-round-trip
 # net (which results finish inside execute, and that they leave nothing
-# open). The driver suite runs each of its per-transport tests in process
-# and over an aql:// DSN on real TCP, and the database/sql corpus
-# differential runs over both.
+# open) and the framing net (TestFramingNet: chunk bodies damaged between
+# server and client are typed transient errors that deliver no row of the
+# damaged chunk, and retried chunks match the oracle). The driver suite
+# runs each of its per-transport tests in process and over an aql:// DSN
+# on real TCP, and the database/sql corpus differential runs over both.
 soak:
 	$(GO) test -race -count=1 ./internal/netchaos/ ./internal/remoteclient/ ./internal/driver/
 	$(GO) test -race -count=1 -run='TestNetChaosDifferential|TestShedVsCancel|TestOverloadContract|TestExecuteReplay|TestFetchSeqReplay|TestServeOneRoundTrip|TestFetchAgainstRestarted|TestDriverMatchesFacadeOnCorpus' .
@@ -72,6 +74,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParallelDifferential -fuzztime=$(FUZZTIME) ./internal/xqeval/
 	$(GO) test -run='^$$' -fuzz=FuzzFederatedDifferential -fuzztime=$(FUZZTIME) .
 	$(GO) test -run='^$$' -fuzz=FuzzTextRowCodec -fuzztime=$(FUZZTIME) ./internal/resultset/
+	$(GO) test -run='^$$' -fuzz=FuzzChunkFrame -fuzztime=$(FUZZTIME) ./internal/wire/
 	$(GO) test -run='^$$' -fuzz=FuzzCompareUntyped -fuzztime=$(FUZZTIME) ./internal/xdm/
 
 # Serve smoke: the network front end end-to-end — loopback and real-TCP

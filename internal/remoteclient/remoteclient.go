@@ -1,7 +1,7 @@
 // Package remoteclient is the thin-driver side of the wire protocol: the
 // paper's client-side JDBC driver reimagined for this codebase. A Client
-// speaks the internal/wire JSON protocol to an aqlserve server and
-// presents the same two surfaces the in-process platform does:
+// speaks the internal/wire protocol to an aqlserve server and presents the
+// same two surfaces the in-process platform does:
 //
 //   - the query surface, one method per wire verb (QueryDialect returning
 //     *resultset.Rows, PrepareDialect returning reusable statements,
@@ -17,10 +17,16 @@
 // server-side cursor that the returned Rows pulls further chunks from
 // over fetch calls through a RowCursor, preserving the platform's
 // incremental delivery — first row before last row exists — across the
-// wire, and closes when done. Mid-stream failures arrive as typed errors
-// after any rows that preceded them (a truncated stream is never silent),
-// and a cancelled client context surfaces as a timeout-kind error
-// wrapping context.Canceled, distinguishable from server-side failures.
+// wire, and closes when done. Each chunk arrives as the paper's §4 text:
+// the body is read into a pooled buffer, the payload becomes one string,
+// and its rows are substrings of it held in a row slice the cursor lends
+// to chunk after chunk; wire.ReadBody holds the payload to the row count
+// and length its envelope states, so a damaged body is a typed transient
+// error the sequenced retry recovers from, never a silently short chunk.
+// Mid-stream failures arrive as typed errors after any rows that preceded
+// them (a truncated stream is never silent), and a cancelled client
+// context surfaces as a timeout-kind error wrapping context.Canceled,
+// distinguishable from server-side failures.
 //
 // Two transports exist: Dial speaks real HTTP to a remote address, and
 // Loopback binds a client directly to a server's http.Handler in process
@@ -194,17 +200,18 @@ func (m *memResponse) Write(p []byte) (int, error) {
 	return m.buf.Write(p)
 }
 
-// post performs one JSON request/response exchange. Protocol failures
-// decode the server's wire.Error back into a typed QueryError. Transport
+// post performs one request/response exchange, decoding the body into
+// out with wire.ReadBody. Protocol failures decode the server's
+// wire.Error back into a typed QueryError. Transport
 // failures are classified here, and the split matters to every caller up
 // to Rows.Err(): the caller's own context expiry surfaces as a
 // timeout-kind error still matching errors.Is(ctx.Err()), while every
 // other way an exchange can die without a server verdict — refused or
-// reset connections, a response body cut off mid-stream — is a typed
-// transient error, never an untyped one a retry loop or breaker would
-// have to string-match. The caller's remaining deadline also travels as
-// an explicit budget header, so the server can stop (or never start)
-// work the client will not wait for.
+// reset connections, a response body cut off mid-stream or disagreeing
+// with its envelope — is a typed transient error, never an untyped one a
+// retry loop or breaker would have to string-match. The caller's
+// remaining deadline also travels as an explicit budget header, so the
+// server can stop (or never start) work the client will not wait for.
 func (c *Client) post(ctx context.Context, op, path string, in, out any) error {
 	body, err := json.Marshal(in)
 	if err != nil {
@@ -228,17 +235,23 @@ func (c *Client) post(ctx context.Context, op, path string, in, out any) error {
 		return aqerr.New(aqerr.KindTransient, op, err) // server never answered
 	}
 	defer res.Body.Close()
+	buf := wire.GetBuffer()
+	defer wire.PutBuffer(buf)
+	_, rerr := buf.ReadFrom(res.Body)
 	if res.StatusCode != http.StatusOK {
 		var er wire.ErrorResponse
-		if derr := json.NewDecoder(res.Body).Decode(&er); derr == nil && er.Error != nil {
+		if rerr == nil && wire.ReadBody(buf.Bytes(), &er) == nil && er.Error != nil {
 			return decodeError(er.Error)
 		}
 		// A non-OK status whose error body did not survive the trip: the
 		// server's verdict is unknown, the transport is suspect.
 		return aqerr.Errorf(aqerr.KindTransient, op, "server returned HTTP %d with unreadable error body", res.StatusCode)
 	}
-	if err := json.NewDecoder(res.Body).Decode(out); err != nil {
-		return aqerr.Errorf(aqerr.KindTransient, op, "malformed response: %v", err)
+	if rerr == nil {
+		rerr = wire.ReadBody(buf.Bytes(), out)
+	}
+	if rerr != nil {
+		return aqerr.Errorf(aqerr.KindTransient, op, "malformed response: %v", rerr)
 	}
 	return nil
 }
@@ -309,7 +322,7 @@ func (c *Client) execute(ctx context.Context, req wire.ExecuteRequest) (*results
 		return nil, err
 	}
 	cur := &remoteCursor{c: c, ctx: ctx, cursor: resp.Cursor, cols: resp.Columns}
-	cur.take(1, wire.FetchResponse{Rows: resp.Rows, EOF: resp.EOF, Error: resp.Error})
+	cur.take(1, wire.FetchResponse{Chunk: resp.Chunk, EOF: resp.EOF, Error: resp.Error})
 	return resultset.NewStreaming(cur), nil
 }
 
@@ -419,9 +432,10 @@ func (c *Client) Procedures() ([]*catalog.TableMeta, error) {
 // remoteCursor is the chunked resultset.RowCursor behind remote queries.
 // It starts from the chunk the execute response carried and fetches the
 // rest; cursor 0 means that chunk ended the stream and the server holds
-// nothing. Rows buffer one chunk at a time; EOF and errors are terminal
-// and sticky, and an in-band error is delivered only after the rows that
-// preceded it (truncation semantics match the in-process fault path).
+// nothing. Rows buffer one chunk at a time, in a row slice each fetch
+// reuses; EOF and errors are terminal and sticky, and an in-band error is
+// delivered only after the rows that preceded it (truncation semantics
+// match the in-process fault path).
 type remoteCursor struct {
 	c      *Client
 	ctx    context.Context
@@ -455,7 +469,7 @@ func (rc *remoteCursor) Next() ([]xdm.Atomic, error) {
 			return nil, io.EOF
 		}
 		seq := rc.seq + 1
-		resp, err := rc.fetchChunk(seq)
+		resp, err := rc.fetchChunk(seq, rc.buf)
 		if err != nil {
 			rc.pending = err
 			return nil, err
@@ -467,7 +481,7 @@ func (rc *remoteCursor) Next() ([]xdm.Atomic, error) {
 			// server's intact cached chunk; a genuinely failed cursor
 			// replays the identical error and it is delivered below.
 			obsv.Global.RemoteRetries.Inc()
-			if r2, err2 := rc.fetchChunk(seq); err2 == nil {
+			if r2, err2 := rc.fetchChunk(seq, nil); err2 == nil { // resp keeps its rows
 				if r2.Error == nil {
 					obsv.Global.RemoteRetrySuccesses.Inc()
 				}
@@ -494,11 +508,17 @@ func (rc *remoteCursor) take(seq int64, resp wire.FetchResponse) {
 	}
 }
 
-// fetchChunk pulls one sequenced chunk. A retry re-presents the same
-// sequence number, so the server replays the chunk rather than advances.
-func (rc *remoteCursor) fetchChunk(seq int64) (wire.FetchResponse, error) {
+// fetchChunk pulls one sequenced chunk, its rows appended to rows[:0]. A
+// retry re-presents the same sequence number, so the server replays the
+// chunk rather than advances.
+func (rc *remoteCursor) fetchChunk(seq int64, rows []string) (wire.FetchResponse, error) {
 	req := wire.FetchRequest{Session: rc.c.session, Cursor: rc.cursor, Seq: seq}
-	return postRetry[wire.FetchResponse](rc.ctx, rc.c, "fetch", wire.PathFetch, req, true)
+	var resp wire.FetchResponse
+	err := rc.c.retry(rc.ctx, "fetch", true, func() error {
+		resp = wire.FetchResponse{Chunk: wire.Chunk{Rows: rows}}
+		return rc.c.post(rc.ctx, "fetch", wire.PathFetch, req, &resp)
+	})
+	return resp, err
 }
 
 // Close implements resultset.RowCursor, releasing the server-side cursor

@@ -82,40 +82,51 @@ func breakerFault(err error) error {
 	return err
 }
 
-// postRetry is the resilient form of Client.post: breaker gate, then up
-// to 1+MaxRetries attempts for idempotent verbs, backing off between
-// attempts (honoring a server Retry-After hint over the local
-// schedule). Each attempt decodes into a fresh response value so a
-// half-decoded failure never pollutes the retry's result.
+// postRetry is the resilient form of Client.post. Each attempt decodes
+// into a fresh response value so a half-decoded failure never pollutes
+// the retry's result.
 func postRetry[Resp any](ctx context.Context, c *Client, op, path string, in any, idempotent bool) (Resp, error) {
-	var zero Resp
-	if err := c.br.Allow(); err != nil {
+	var zero, resp Resp
+	err := c.retry(ctx, op, idempotent, func() error {
+		resp = zero
+		return c.post(ctx, op, path, in, &resp)
+	})
+	if err != nil {
 		return zero, err
 	}
+	return resp, nil
+}
+
+// retry runs one exchange behind the breaker gate, then up to
+// 1+MaxRetries attempts for idempotent verbs, backing off between
+// attempts (honoring a server Retry-After hint over the local schedule).
+func (c *Client) retry(ctx context.Context, op string, idempotent bool, attempt func() error) error {
+	if err := c.br.Allow(); err != nil {
+		return err
+	}
 	var lastErr error
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
+	for n := 0; ; n++ {
+		if n > 0 {
 			obsv.Global.RemoteRetries.Inc()
 			delay := aqerr.RetryAfterHint(lastErr)
 			if delay <= 0 {
-				delay = resilient.Backoff(c.opts.BaseBackoff, attempt, op+" "+c.base)
+				delay = resilient.Backoff(c.opts.BaseBackoff, n, op+" "+c.base)
 			}
 			if err := sleepCtx(ctx, delay); err != nil {
-				return zero, aqerr.Wrap(op, err)
+				return aqerr.Wrap(op, err)
 			}
 		}
-		var resp Resp
-		err := c.post(ctx, op, path, in, &resp)
+		err := attempt()
 		c.br.Record(breakerFault(err))
 		if err == nil {
-			if attempt > 0 {
+			if n > 0 {
 				obsv.Global.RemoteRetrySuccesses.Inc()
 			}
-			return resp, nil
+			return nil
 		}
 		lastErr = err
-		if !idempotent || attempt >= c.opts.MaxRetries || !retryable(err) || ctx.Err() != nil {
-			return zero, err
+		if !idempotent || n >= c.opts.MaxRetries || !retryable(err) || ctx.Err() != nil {
+			return err
 		}
 	}
 }

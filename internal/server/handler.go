@@ -1,9 +1,10 @@
 package server
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -14,8 +15,10 @@ import (
 )
 
 // Handler exposes the server over HTTP. Every endpoint is a POST of one
-// JSON request to one wire path; failures travel as a wire.Error body
-// with a kind-derived status code. Each handler sits behind a panic
+// JSON request to one wire path, answered with the body wire.WriteBody
+// writes — JSON, or for execute and fetch an envelope line plus the
+// chunk's §4 payload; failures travel as a wire.Error body with a
+// kind-derived status code. Each handler sits behind a panic
 // recovery boundary (aqerr.Recover), so an injected srv/* panic — or a
 // real engine bug — becomes a typed internal error on one request, not a
 // dead server process.
@@ -61,8 +64,8 @@ func (s *Server) Handler() http.Handler {
 // before it is buffered.
 const maxRequestBytes = 1 << 20
 
-// handle registers one JSON-over-POST endpoint with the shared decode /
-// recover / encode discipline.
+// handle registers one POST endpoint with the shared decode / recover /
+// encode discipline.
 func handle[Req, Resp any](mux *http.ServeMux, path string, fn func(ctx context.Context, req Req) (Resp, error)) {
 	mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -70,13 +73,8 @@ func handle[Req, Resp any](mux *http.ServeMux, path string, fn func(ctx context.
 			return
 		}
 		var req Req
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(&req); err != nil {
-			var tooBig *http.MaxBytesError
-			if errors.As(err, &tooBig) {
-				writeWireError(w, aqerr.Errorf(aqerr.KindResourceLimit, "decode", "request body exceeds %d bytes", tooBig.Limit))
-				return
-			}
-			writeWireError(w, aqerr.Errorf(aqerr.KindPermanent, "decode", "malformed request: %v", err))
+		if err := readRequest(w, r, &req); err != nil {
+			writeWireError(w, err)
 			return
 		}
 		// Honor the client's deadline budget on every verb: the request
@@ -98,18 +96,57 @@ func handle[Req, Resp any](mux *http.ServeMux, path string, fn func(ctx context.
 			writeWireError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, resp)
+		writeBody(w, http.StatusOK, &resp)
 	})
 }
 
-// writeJSON writes one response body, HTML escaping off: fetch rows are
-// dense with '<', '>' and '&', which it would send as six-byte escapes.
-func writeJSON(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json")
+// readRequest decodes a request body, read whole into a pooled buffer.
+// The buffer grows to at most maxRequestBytes: a longer body is refused
+// when its first byte past the bound arrives, not buffered (bytes.Buffer's
+// own ReadFrom would double the buffer past the bound first).
+func readRequest(w http.ResponseWriter, r *http.Request, req any) error {
+	buf := wire.GetBuffer()
+	defer wire.PutBuffer(buf)
+	body := http.MaxBytesReader(w, r.Body, maxRequestBytes)
+	var err error
+	for err == nil {
+		if buf.Len() == maxRequestBytes {
+			_, err = body.Read(make([]byte, 1)) // io.EOF, or the bound's error
+			break
+		}
+		buf.Grow(min(bytes.MinRead, maxRequestBytes-buf.Len()))
+		free := buf.AvailableBuffer()[:buf.Available()]
+		var n int
+		n, err = body.Read(free)
+		buf.Write(free[:n])
+	}
+	if err == io.EOF {
+		err = wire.ReadBody(buf.Bytes(), req)
+	}
+	var tooBig *http.MaxBytesError
+	switch {
+	case err == nil:
+		return nil
+	case errors.As(err, &tooBig):
+		return aqerr.Errorf(aqerr.KindResourceLimit, "decode", "request body exceeds %d bytes", tooBig.Limit)
+	default:
+		return aqerr.Errorf(aqerr.KindPermanent, "decode", "malformed request: %v", err)
+	}
+}
+
+// writeBody writes one response body as wire.WriteBody frames it, built in
+// a pooled buffer and sent with its length.
+func writeBody(w http.ResponseWriter, status int, body any) {
+	buf := wire.GetBuffer()
+	defer wire.PutBuffer(buf)
+	if err := wire.WriteBody(buf, body); err != nil {
+		writeWireError(w, aqerr.Errorf(aqerr.KindInternal, "encode", "response body: %v", err))
+		return
+	}
+	w.Header().Set("Content-Type", wire.ContentType(body))
+	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(body) // the client sees a short body as a transport failure
+	_, _ = w.Write(buf.Bytes()) // the client sees a short body as a transport failure
 }
 
 // writeWireError encodes a typed failure as a wire.Error body. The HTTP
@@ -130,5 +167,5 @@ func writeWireError(w http.ResponseWriter, err error) {
 	case aqerr.KindInternal, aqerr.KindUnknown:
 		status = http.StatusInternalServerError
 	}
-	writeJSON(w, status, wire.ErrorResponse{Error: we})
+	writeBody(w, status, wire.ErrorResponse{Error: we})
 }

@@ -2,9 +2,12 @@
 // DSP server process the paper's thin JDBC driver talks to. Everything the
 // repo previously did in-process behind the facade — metadata lookups,
 // SQL→XQuery compilation, streaming evaluation, §4 result rows — is
-// exposed here over an HTTP/JSON wire protocol (internal/wire) with
+// exposed here over an HTTP wire protocol (internal/wire) with
 // per-session prepared-statement and cursor tables, connection/session
-// limits, admission control, and idle-session reaping.
+// limits, admission control, and idle-session reaping. Requests are JSON;
+// a chunk of rows leaves as one §4 text payload behind a JSON envelope
+// line, each row written straight from the chunk's row strings (in text
+// mode, the evaluator's own).
 //
 // The server is deliberately a thin shell over a Backend (the aqualogic
 // Platform satisfies it): translation, planning, caching, resilience, and
@@ -675,13 +678,15 @@ func (s *Server) replayExecute(id int64, cur *cursor) (wire.ExecuteResponse, err
 // result schema and the first chunk.
 func chunkResponse(id int64, cur *cursor, chunk wire.FetchResponse) wire.ExecuteResponse {
 	return wire.ExecuteResponse{Cursor: id, Columns: cur.rows.Columns(),
-		Rows: chunk.Rows, EOF: chunk.EOF, Error: chunk.Error}
+		Chunk: chunk.Chunk, EOF: chunk.EOF, Error: chunk.Error}
 }
 
 // nextChunkLocked fills one chunk of at most limit rows: the loop behind
 // execute's first chunk and every fetch. EOF and errors are sticky —
 // past the end a chunk re-reports them — and the end of the stream
-// returns the admission slots at once, before the cursor closes.
+// returns the admission slots at once, before the cursor closes. A chunk
+// after the first is sized for its predecessor's row count up front: a
+// result that filled one chunk most likely fills the next.
 func (c *cursor) nextChunkLocked(s *Server, limit int) wire.FetchResponse {
 	if c.failed != nil {
 		return wire.FetchResponse{Error: c.failed}
@@ -690,6 +695,9 @@ func (c *cursor) nextChunkLocked(s *Server, limit int) wire.FetchResponse {
 		return wire.FetchResponse{EOF: true}
 	}
 	var resp wire.FetchResponse
+	if n := len(c.lastResp.Rows); n > 0 {
+		resp.Rows = make([]string, 0, min(n, limit))
+	}
 	for len(resp.Rows) < limit {
 		row, ok := c.rows.NextText()
 		if !ok {

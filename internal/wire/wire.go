@@ -1,21 +1,37 @@
-// Package wire defines the JSON message vocabulary of the aqlserve wire
+// Package wire defines the message vocabulary of the aqlserve wire
 // protocol — the client/server boundary the paper's architecture draws
 // between the thin JDBC driver and the AquaLogic DSP server. Both ends of
-// the wire (internal/server and internal/remoteclient) share these types,
-// so the protocol cannot skew between them.
+// the wire (internal/server and internal/remoteclient) share these types
+// and this package's body writer and reader, so the protocol cannot skew
+// between them.
 //
-// Rows travel as the paper's §4 text, one string per row (resultset owns
-// the format); their types come from the result schema an execute returns
-// once, and the client types each row with the in-process decoder. The
-// execute response carries the first chunk itself, so a result that fits
-// one chunk costs one round trip and leaves no cursor behind; a larger
-// one continues through fetch and ends with a cursor close. Errors
+// Every request, and every response but two, is one JSON value. The two
+// that carry rows — execute and fetch — are framed: one JSON envelope
+// line (the response's fields, plus the chunk's row count and byte
+// length), a newline, then the chunk's rows as the paper's §4 payload,
+// each row prefixed by '>' exactly as resultset.FromText reads it. Rows
+// never pass through JSON; the client splits the payload and types each
+// row with the in-process decoder against the result schema an execute
+// returns once. The envelope's counts let the reader refuse a short,
+// long or garbled payload instead of delivering a silently short chunk.
+//
+// The execute response carries the first chunk itself, so a result that
+// fits one chunk costs one round trip and leaves no cursor behind; a
+// larger one continues through fetch and ends with a cursor close. Errors
 // travel as (kind, op, message) triples and are reconstructed client-side
 // as typed aqerr.QueryError values, so errors.As-based handling works
 // identically against a remote server and an in-process platform.
 package wire
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"slices"
+	"strings"
+	"sync"
+
 	"repro/internal/catalog"
 	"repro/internal/obsv"
 	"repro/internal/qcache"
@@ -49,10 +65,11 @@ const (
 
 // ProtocolVersion is sent in the handshake; a server refuses any other
 // value, so peers built from different revisions part there instead of
-// misreading chunks. Version 3 carries the first chunk in the execute
-// response; version 2 opened every cursor empty, and clients that carried
-// typed-atom rows sent none.
-const ProtocolVersion = 3
+// misreading chunks. Version 4 frames execute and fetch bodies as an
+// envelope line plus a §4 payload; version 3 sent rows as a JSON array of
+// row strings, version 2 opened every cursor empty, and clients that
+// carried typed-atom rows sent none.
+const ProtocolVersion = 4
 
 // Atom is one non-NULL execute argument in transit: the lexical form plus
 // the xdm.AtomicType it parses back into. NULL is a nil *Atom.
@@ -139,9 +156,9 @@ type ExecuteRequest struct {
 type ExecuteResponse struct {
 	Cursor  int64              `json:"cursor"`
 	Columns []resultset.Column `json:"columns"`
-	Rows    []string           `json:"rows,omitempty"`
-	EOF     bool               `json:"eof,omitempty"`
-	Error   *Error             `json:"error,omitempty"`
+	Chunk
+	EOF   bool   `json:"eof,omitempty"`
+	Error *Error `json:"error,omitempty"`
 }
 
 // FetchRequest pulls the next chunk of rows from a cursor.
@@ -165,10 +182,27 @@ type FetchRequest struct {
 // accompany rows already produced (a truncated stream delivers its prefix
 // *and* the error, never silently).
 type FetchResponse struct {
-	Rows  []string `json:"rows,omitempty"`
-	EOF   bool     `json:"eof,omitempty"`
-	Error *Error   `json:"error,omitempty"`
+	Chunk
+	EOF   bool   `json:"eof,omitempty"`
+	Error *Error `json:"error,omitempty"`
 }
+
+// Chunk is the rows an execute or fetch response carries, each one §4 row
+// without its leading '>'. The rows travel after the envelope line, not in
+// it; RowCount and RowBytes are the envelope's record of them (the row
+// count and the payload's length in bytes), which WriteBody fills in and
+// ReadBody holds the payload to.
+type Chunk struct {
+	Rows     []string `json:"-"`
+	RowCount int      `json:"row_count"`
+	RowBytes int      `json:"row_bytes"`
+}
+
+func (c *Chunk) chunk() *Chunk { return c }
+
+// framed is implemented by the responses whose rows follow the envelope:
+// *ExecuteResponse and *FetchResponse.
+type framed interface{ chunk() *Chunk }
 
 // CloseCursorRequest releases a cursor (idempotent: closing an unknown or
 // already-closed cursor succeeds with Closed=false).
@@ -295,4 +329,111 @@ type StatsResponse struct {
 	Compile  qcache.Stats       `json:"compile"`
 	Metadata catalog.CacheStats `json:"metadata"`
 	Pipeline obsv.Snapshot      `json:"pipeline"`
+}
+
+// ChunkContentType labels a framed execute or fetch body; every other body
+// is application/json.
+const ChunkContentType = "application/x-aql-chunk"
+
+// ContentType is the Content-Type of v's body as WriteBody writes it.
+func ContentType(v any) string {
+	if _, ok := v.(framed); ok {
+		return ChunkContentType
+	}
+	return "application/json"
+}
+
+// WriteBody appends the body of message v to buf: one JSON line, HTML
+// escaping off (a column label or error message keeps '<' and '&' as one
+// byte each). An *ExecuteResponse or *FetchResponse is framed instead: its
+// envelope line, with RowCount and RowBytes set from its rows, then the
+// rows as the §4 payload ">row>row…".
+func WriteBody(buf *bytes.Buffer, v any) error {
+	f, ok := v.(framed)
+	var c *Chunk
+	if ok {
+		c = f.chunk()
+		c.RowCount, c.RowBytes = len(c.Rows), len(c.Rows)
+		for _, row := range c.Rows {
+			c.RowBytes += len(row)
+		}
+	}
+	enc := json.NewEncoder(buf)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(v); err != nil { // the envelope line, '\n' included
+		return err
+	}
+	if c != nil {
+		buf.Grow(c.RowBytes)
+		for _, row := range c.Rows {
+			buf.WriteString(resultset.RowDelimiter)
+			buf.WriteString(row)
+		}
+	}
+	return nil
+}
+
+// ReadBody decodes a body WriteBody wrote into v, which must be a fresh
+// value: JSON leaves fields the body omits untouched. A framed body is
+// checked against its envelope — a missing line end, a payload of another
+// length, a payload that does not open with '>', or another number of rows
+// is an error and leaves v's rows empty. Its rows are substrings of one
+// string holding the whole payload, appended to v's Rows[:0] so a reader
+// can lend one row slice to chunk after chunk.
+func ReadBody(body []byte, v any) error {
+	f, ok := v.(framed)
+	if !ok {
+		return json.Unmarshal(body, v)
+	}
+	c := f.chunk()
+	rows := c.Rows[:0]
+	c.Rows = rows
+	nl := bytes.IndexByte(body, '\n')
+	if nl < 0 {
+		return errors.New("wire: chunk envelope has no line end")
+	}
+	if err := json.Unmarshal(body[:nl], v); err != nil {
+		return fmt.Errorf("wire: chunk envelope: %w", err)
+	}
+	payload := body[nl+1:]
+	if len(payload) != c.RowBytes {
+		return fmt.Errorf("wire: chunk payload is %d bytes, envelope says %d", len(payload), c.RowBytes)
+	}
+	if len(payload) > 0 && payload[0] != resultset.RowDelimiter[0] {
+		return errors.New("wire: chunk payload does not open with the row delimiter")
+	}
+	if n := bytes.Count(payload, []byte(resultset.RowDelimiter)); n != c.RowCount {
+		return fmt.Errorf("wire: chunk payload holds %d rows, envelope says %d", n, c.RowCount)
+	}
+	rows = slices.Grow(rows, c.RowCount)
+	text := string(payload)
+	for text != "" {
+		text = text[1:]
+		end := strings.IndexByte(text, resultset.RowDelimiter[0])
+		if end < 0 {
+			end = len(text)
+		}
+		rows = append(rows, text[:end])
+		text = text[end:]
+	}
+	c.Rows = rows
+	return nil
+}
+
+// maxPooledBuffer caps the buffers GetBuffer recycles, so one huge body
+// does not pin its memory in the pool.
+const maxPooledBuffer = 1 << 20
+
+var bufferPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// GetBuffer returns an empty buffer for one request or response body.
+func GetBuffer() *bytes.Buffer { return bufferPool.Get().(*bytes.Buffer) }
+
+// PutBuffer recycles a buffer from GetBuffer. Nothing may hold its bytes
+// afterwards: ReadBody copies what it keeps.
+func PutBuffer(b *bytes.Buffer) {
+	if b.Cap() <= maxPooledBuffer {
+		b.Reset()
+		bufferPool.Put(b)
+	}
 }

@@ -85,7 +85,7 @@ func recordPlan(t *testing.T, ctor string) (*xquery.ElementCtor, *Plan) {
 // recordScope is a tuple scope binding $a and $b (when set), whose counters
 // start at steps; a maxDepth above zero is one its depth exceeds.
 func recordScope(ctx context.Context, c recordCase, p *Plan, steps, maxDepth int64) *scope {
-	root := &scope{st: &evalState{engine: New(), prefixes: map[string]string{}, goCtx: ctx, plan: p,
+	root := &scope{st: &evalState{engine: New(), prefixes: map[string]string{}, goCtx: ctx, done: ctx.Done(), plan: p,
 		counters: &evalCounters{steps: steps}, limits: Limits{MaxDepth: maxDepth}}, depth: maxDepth}
 	t := root.bind("a", c.a)
 	if c.b != nil {

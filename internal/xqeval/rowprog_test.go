@@ -354,39 +354,8 @@ func TestFusedLimitParity(t *testing.T) {
 // row string, chunk); the filter's column kernel allocates nothing.
 func TestFusedScanAllocs(t *testing.T) {
 	const n = 2000
-	app := &catalog.Application{Name: "ScanApp"}
-	app.AddDSFile(&catalog.DSFile{Path: "Scan", Name: "W", Functions: []*catalog.Function{
-		catalog.NewRelationalImport("Scan", "W", []catalog.Column{
-			{Name: "C0", Type: catalog.SQLInteger},
-			{Name: "C1", Type: catalog.SQLVarchar, Nullable: true, Precision: 32},
-			{Name: "C2", Type: catalog.SQLDecimal, Nullable: true, Precision: 10, Scale: 2},
-			{Name: "C4", Type: catalog.SQLVarchar, Nullable: true, Precision: 32},
-		}),
-	}})
-	rows := make([]*xdm.Element, n)
-	for i := range rows {
-		r := xdm.NewElement("W")
-		r.AddChild(xdm.NewTextElement("C0", strconv.Itoa(i+1)))
-		r.AddChild(xdm.NewTextElement("C1", "word-"+strconv.Itoa(i)+" <&>"))
-		if i%8 != 0 {
-			r.AddChild(xdm.NewTextElement("C2", strconv.Itoa(i)+".25"))
-		}
-		r.AddChild(xdm.NewTextElement("C4", "plain"))
-		rows[i] = r
-	}
-	engine := xqeval.New()
-	engine.RegisterRows("ld:Scan/W", "W", rows)
+	engine, plan := fusedScanSetup(t, n)
 	engine.SetExec(xqeval.ExecConfig{Workers: 1})
-	trans := translator.New(catalog.NewCache(app))
-	trans.Options.Mode = translator.ModeText
-	res, err := trans.Translate("SELECT C0, C1, C2, C4 FROM W WHERE C0 > ?")
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := engine.CompileAST(res.Query, externalNames(res.ParamCount))
-	if err != nil {
-		t.Fatal(err)
-	}
 	ext := map[string]xdm.Sequence{"p1": xdm.SequenceOf(xdm.Integer(0))}
 	ctx := context.Background()
 	drain := func() int {
@@ -422,5 +391,79 @@ func TestFusedScanAllocs(t *testing.T) {
 	t.Logf("%.2f allocations per rejected tuple (tuple scope and filter)", perTuple)
 	if perTuple > 3 {
 		t.Fatalf("a rejected tuple costs %.2f allocations, want <= 3", perTuple)
+	}
+}
+
+// fusedScanSetup compiles the scan shape over an n-row table: one source
+// filtered by C0 > $p1, plain column references, text mode.
+func fusedScanSetup(t *testing.T, n int) (*xqeval.Engine, *xqeval.Plan) {
+	t.Helper()
+	app := &catalog.Application{Name: "ScanApp"}
+	app.AddDSFile(&catalog.DSFile{Path: "Scan", Name: "W", Functions: []*catalog.Function{
+		catalog.NewRelationalImport("Scan", "W", []catalog.Column{
+			{Name: "C0", Type: catalog.SQLInteger},
+			{Name: "C1", Type: catalog.SQLVarchar, Nullable: true, Precision: 32},
+			{Name: "C2", Type: catalog.SQLDecimal, Nullable: true, Precision: 10, Scale: 2},
+			{Name: "C4", Type: catalog.SQLVarchar, Nullable: true, Precision: 32},
+		}),
+	}})
+	rows := make([]*xdm.Element, n)
+	for i := range rows {
+		r := xdm.NewElement("W")
+		r.AddChild(xdm.NewTextElement("C0", strconv.Itoa(i+1)))
+		r.AddChild(xdm.NewTextElement("C1", "word-"+strconv.Itoa(i)+" <&>"))
+		if i%8 != 0 {
+			r.AddChild(xdm.NewTextElement("C2", strconv.Itoa(i)+".25"))
+		}
+		r.AddChild(xdm.NewTextElement("C4", "plain"))
+		rows[i] = r
+	}
+	engine := xqeval.New()
+	engine.RegisterRows("ld:Scan/W", "W", rows)
+	trans := translator.New(catalog.NewCache(app))
+	trans.Options.Mode = translator.ModeText
+	res, err := trans.Translate("SELECT C0, C1, C2, C4 FROM W WHERE C0 > ?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := engine.CompileAST(res.Query, externalNames(res.ParamCount))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(plan.Stream.Describe(), ", fused: ") {
+		t.Fatalf("the scan must fuse: %s", plan.Stream.Describe())
+	}
+	return engine, plan
+}
+
+// TestFusedParallelScanCancellation: a context cancelled mid-scan stops a
+// fused scan at four morsel workers as it stops a serial one — well short
+// of the table, with the context's own error, which the layers above type
+// as a timeout.
+func TestFusedParallelScanCancellation(t *testing.T) {
+	const n = 20000
+	engine, plan := fusedScanSetup(t, n)
+	defer engine.SetExec(xqeval.ExecConfig{})
+	ext := map[string]xdm.Sequence{"p1": xdm.SequenceOf(xdm.Integer(0))}
+	for _, workers := range []int{1, 4} {
+		engine.SetExec(parallelExec(workers))
+		ctx, cancel := context.WithCancel(context.Background())
+		cur := engine.EvalStream(ctx, plan, ext, nil)
+		read := 0
+		var err error
+		for ; err == nil; read++ {
+			if read == 100 {
+				cancel()
+			}
+			_, err = cur.Next()
+		}
+		cur.Close()
+		cancel()
+		if err != context.Canceled {
+			t.Fatalf("%d workers: stopped with %v, want the context's own context.Canceled", workers, err)
+		}
+		if read >= n/2 {
+			t.Fatalf("%d workers: %d rows read after cancelling at 100 — the scan did not stop", workers, read)
+		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -211,7 +212,7 @@ func TestExecuteReplayIdempotency(t *testing.T) {
 			t.Fatalf("replayed execute: HTTP %d\ngot:  %s\nwant: %s", code, second, first)
 		}
 		var ex wire.ExecuteResponse
-		if err := json.Unmarshal(first, &ex); err != nil {
+		if err := wire.ReadBody(first, &ex); err != nil {
 			t.Fatal(err)
 		}
 		return ex
@@ -334,34 +335,33 @@ func TestFetchSeqReplay(t *testing.T) {
 	if ex.Cursor == 0 || len(ex.Rows) != 2 {
 		t.Fatalf("execute: %+v, want an open cursor and a two-row chunk", ex)
 	}
-	fetch := func(seq int64) wire.FetchResponse {
+	// fetch returns one sequenced chunk and the body it came in.
+	fetch := func(seq int64) (wire.FetchResponse, []byte) {
+		code, body := postRaw(t, h, wire.PathFetch, wire.FetchRequest{Session: session, Cursor: ex.Cursor, Seq: seq})
 		var fr wire.FetchResponse
-		if we := postWire(t, h, wire.PathFetch, wire.FetchRequest{
-			Session: session, Cursor: ex.Cursor, Seq: seq,
-		}, &fr); we != nil {
-			t.Fatalf("fetch seq %d: %v", seq, we)
+		if code != http.StatusOK {
+			t.Fatalf("fetch seq %d: HTTP %d %s", seq, code, body)
 		}
-		return fr
+		if err := wire.ReadBody(body, &fr); err != nil {
+			t.Fatalf("fetch seq %d: %v", seq, err)
+		}
+		return fr, body
 	}
 
 	// Sequence 1 is the chunk execute carried.
-	if one := fetch(1); mustJSON(t, one.Rows) != mustJSON(t, ex.Rows) || one.EOF || one.Error != nil {
+	if one, _ := fetch(1); !slices.Equal(one.Rows, ex.Rows) || one.EOF || one.Error != nil {
 		t.Fatalf("seq-1 replay %+v, want execute's chunk %q", one, ex.Rows)
 	}
 
-	two := fetch(2)
+	two, twoBody := fetch(2)
 	if two.Error != nil || len(two.Rows) != 2 {
 		t.Fatalf("second chunk: %+v", two)
 	}
-	if mustJSON(t, two.Rows) == mustJSON(t, ex.Rows) {
+	if slices.Equal(two.Rows, ex.Rows) {
 		t.Fatal("first fetch re-delivered execute's chunk")
 	}
-	replay := fetch(2)
-	if len(replay.Rows) != len(two.Rows) || replay.EOF != two.EOF {
-		t.Fatalf("seq-2 replay diverged: %+v vs %+v", replay, two)
-	}
-	if rb, ob := mustJSON(t, replay.Rows), mustJSON(t, two.Rows); rb != ob {
-		t.Fatalf("seq-2 replay rows diverged: %s vs %s", rb, ob)
+	if _, replayBody := fetch(2); !bytes.Equal(replayBody, twoBody) {
+		t.Fatalf("seq-2 replay diverged:\ngot:  %q\nwant: %q", replayBody, twoBody)
 	}
 	if st := srv.Stats(); st.FetchReplays != 2 {
 		t.Fatalf("FetchReplays = %d, want 2", st.FetchReplays)
@@ -378,22 +378,13 @@ func TestFetchSeqReplay(t *testing.T) {
 	}
 
 	// The successor still advances normally after the rejected skip.
-	three := fetch(3)
+	three, _ := fetch(3)
 	if three.Error != nil || len(three.Rows) != 2 {
 		t.Fatalf("third chunk after replay: %+v", three)
 	}
-	if mustJSON(t, three.Rows) == mustJSON(t, two.Rows) {
+	if slices.Equal(three.Rows, two.Rows) {
 		t.Fatal("advance re-delivered the second chunk")
 	}
-}
-
-func mustJSON(t *testing.T, v any) string {
-	t.Helper()
-	b, err := json.Marshal(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(b)
 }
 
 // TestFetchAgainstRestartedServer pins the restart story: a client whose

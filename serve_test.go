@@ -422,8 +422,9 @@ func FuzzServeDifferential(f *testing.F) {
 }
 
 // postWire performs one raw wire exchange against a handler — the
-// request-by-request view the session-lifecycle tests need. A non-OK
-// response returns the decoded wire error.
+// request-by-request view the session-lifecycle tests need — and decodes
+// the response with the wire reader. A non-OK response returns the
+// decoded wire error.
 func postWire(t *testing.T, h http.Handler, path string, in, out any) *wire.Error {
 	t.Helper()
 	code, body := postRaw(t, h, path, in)
@@ -435,7 +436,7 @@ func postWire(t *testing.T, h http.Handler, path string, in, out any) *wire.Erro
 		return er.Error
 	}
 	if out != nil {
-		if err := json.Unmarshal(body, out); err != nil {
+		if err := wire.ReadBody(body, out); err != nil {
 			t.Fatalf("%s: decode response: %v", path, err)
 		}
 	}
@@ -469,14 +470,14 @@ func postRaw(t *testing.T, h http.Handler, path string, in any) (int, []byte) {
 
 // TestServeRefusesMismatchedProtocol: a handshake naming any protocol
 // version but the server's — including none, as clients that carried rows
-// as typed atoms sent, and 2, whose clients expect an empty execute — is
-// refused with a typed permanent error naming both versions, and opens no
+// as typed atoms sent, 2, whose clients expect an empty execute, and 3,
+// whose clients read rows as a JSON array — is refused with a typed permanent error naming both versions, and opens no
 // session.
 func TestServeRefusesMismatchedProtocol(t *testing.T) {
 	srv := server.New(Demo(), server.Config{SessionIdleTimeout: time.Minute})
 	defer srv.Close()
 	h := srv.Handler()
-	for _, v := range []int{0, 2, wire.ProtocolVersion + 1} {
+	for _, v := range []int{0, 2, 3, wire.ProtocolVersion + 1} {
 		var hs wire.HandshakeResponse
 		we := postWire(t, h, wire.PathHandshake, wire.HandshakeRequest{Client: "other", Protocol: v}, &hs)
 		if we == nil {
@@ -520,7 +521,7 @@ func TestServeFetchRowsAreText(t *testing.T) {
 			t.Fatalf("mode %v: HTTP %d, body %s: want '<' as one byte", mode, code, body)
 		}
 		var ex wire.ExecuteResponse
-		if err := json.Unmarshal(body, &ex); err != nil {
+		if err := wire.ReadBody(body, &ex); err != nil {
 			t.Fatal(err)
 		}
 		if ex.Cursor != 0 || !ex.EOF || ex.Error != nil || !reflect.DeepEqual(ex.Rows, want) {
