@@ -46,6 +46,7 @@ import (
 	_ "repro/internal/pathfront" // register the path-template dialect
 	"repro/internal/qcache"
 	"repro/internal/qfront"
+	"repro/internal/remoteclient"
 	"repro/internal/resilient"
 	"repro/internal/resultset"
 	"repro/internal/translator"
@@ -101,9 +102,11 @@ type (
 	// StageEvent is one completed stage record; install a hook on a Trace
 	// to stream them.
 	StageEvent = obsv.StageEvent
-	// PipelineStats is a snapshot of pipeline metrics (counters plus
-	// per-stage timing aggregates).
+	// PipelineStats is a snapshot of one platform's pipeline metrics
+	// (counters plus per-stage timing aggregates); see Platform.Stats.
 	PipelineStats = obsv.Snapshot
+	// RemoteStats are the remote clients' retry counters; see Stats.
+	RemoteStats = remoteclient.RetryStats
 	// QueryPlan is the evaluator's optimized execution plan for a
 	// translation: hash equi-joins, pushed predicates, hoisted invariants.
 	QueryPlan = xqeval.Plan
@@ -232,6 +235,13 @@ type Platform struct {
 	injector   *faultnet.Injector
 	guard      *resilient.EngineGuard
 
+	// The counts the platform owns: translations by outcome, per-stage
+	// times, and the retries its defenses make. Stats reads them next to
+	// its engine's, its injector's and its breakers' own.
+	translated, translateErrors obsv.Counter
+	stages                      obsv.StageTimes
+	retries                     resilient.Counters
+
 	// sources are the extra federation backends added with AddSource; when
 	// non-empty the metadata stack is a catalog.Federation with the App as
 	// its first backend (named App.Name), each behind its own cache.
@@ -286,7 +296,7 @@ func (p *Platform) EnableFaults(cfg FaultConfig) *FaultInjector {
 // after any EnableFaults.
 func (p *Platform) EnableResilience(cfg ResilienceConfig) {
 	cfg = cfg.WithDefaults()
-	guard := resilient.NewEngineGuard(cfg)
+	guard := resilient.NewEngineGuard(cfg, &p.retries)
 	p.cacheMu.Lock()
 	p.resilience = &cfg
 	p.guard = guard
@@ -445,7 +455,7 @@ func (p *Platform) metaSource() catalog.Source {
 			src = p.injector.Source(src)
 		}
 		if p.resilience != nil {
-			src = resilient.NewSource(src, *p.resilience)
+			src = resilient.NewSource(src, *p.resilience, &p.retries)
 		}
 		p.cache = catalog.NewCache(src)
 		if p.resilience != nil {
@@ -463,7 +473,7 @@ func (p *Platform) backendStackLocked(name string, src catalog.Source) catalog.S
 		src = p.injector.SourceNamed(name, src)
 	}
 	if p.resilience != nil {
-		src = resilient.NewSource(src, *p.resilience)
+		src = resilient.NewSource(src, *p.resilience, &p.retries)
 	}
 	return src
 }
@@ -562,10 +572,32 @@ func (p *Platform) compile(ctx context.Context, dialect Dialect, text string, mo
 		return nil, false, err
 	}
 	return p.queryCache().Get(ctx, fe, text, mode, func(ctx context.Context, text string) (*qcache.CompiledQuery, error) {
-		tr := obsv.NewTrace(text)
-		tr.Hook = obsv.Global.ObserveStage
-		return qcache.Compile(ctx, p.Translator(mode), p.Engine, fe, text, tr)
+		tr := p.trace(text)
+		res, err := p.translate(ctx, fe, text, mode, tr)
+		if err != nil {
+			return nil, err
+		}
+		return qcache.Compile(res, p.Engine, fe, text, tr)
 	})
+}
+
+// trace starts a trace whose stages fold into the platform's per-stage
+// histograms.
+func (p *Platform) trace(text string) *Trace {
+	tr := obsv.NewTrace(text)
+	tr.Hook = p.stages.Observe
+	return tr
+}
+
+// translate is the platform's one translation step, counted by outcome.
+func (p *Platform) translate(ctx context.Context, fe qfront.Frontend, text string, mode ResultMode, tr *Trace) (*Translation, error) {
+	res, err := p.Translator(mode).TranslateFrontend(ctx, fe, text, tr)
+	if err != nil {
+		p.translateErrors.Inc()
+	} else {
+		p.translated.Inc()
+	}
+	return res, err
 }
 
 // CompileStats reports the platform's compile cache counters. They belong
@@ -600,7 +632,7 @@ func (p *Platform) Translator(mode ResultMode) *translator.Translator {
 // Translate converts a SQL-92 SELECT into XQuery, returning the full
 // translation (generated query, result schema, parameter info).
 func (p *Platform) Translate(sql string, mode ResultMode) (*Translation, error) {
-	return p.Translator(mode).Translate(sql)
+	return p.TranslateDialect(DialectSQL, sql, mode)
 }
 
 // TranslateDialect is Translate with an explicit query dialect.
@@ -609,7 +641,7 @@ func (p *Platform) TranslateDialect(dialect Dialect, text string, mode ResultMod
 	if err != nil {
 		return nil, err
 	}
-	return p.Translator(mode).TranslateFrontend(context.Background(), fe, text, nil)
+	return p.translate(context.Background(), fe, text, mode, nil)
 }
 
 // TranslateText is a convenience returning just the XQuery source in XML
@@ -800,9 +832,9 @@ func (p *Platform) FederationStats() []SourceHealth {
 	p.cacheMu.Lock()
 	guard := p.guard
 	p.cacheMu.Unlock()
-	var breakers map[string]resilient.BreakerState
+	var breakers map[string]*resilient.Breaker
 	if guard != nil {
-		breakers = guard.Snapshot()
+		breakers = guard.Breakers()
 	}
 	names := fed.SourceNames()
 	out := make([]SourceHealth, 0, len(names))
@@ -811,7 +843,7 @@ func (p *Platform) FederationStats() []SourceHealth {
 		if st, ok := fed.SourceStats(name); ok {
 			h.Metadata = st
 		}
-		for svc, state := range breakers {
+		for svc, br := range breakers {
 			// Source-tagged registrations name breakers "<source>/<local>";
 			// untagged ones (in-process App functions) have no slash.
 			if i := strings.IndexByte(svc, '/'); i >= 0 {
@@ -824,7 +856,7 @@ func (p *Platform) FederationStats() []SourceHealth {
 			if h.Breakers == nil {
 				h.Breakers = map[string]BreakerState{}
 			}
-			h.Breakers[svc] = state
+			h.Breakers[svc] = br.State()
 		}
 		out = append(out, h)
 	}
@@ -846,9 +878,8 @@ func (p *Platform) ExplainDialect(dialect Dialect, text string, mode ResultMode)
 	if err != nil {
 		return nil, nil, err
 	}
-	tr := obsv.NewTrace(text)
-	tr.Hook = obsv.Global.ObserveStage
-	res, err := p.Translator(mode).TranslateFrontend(context.Background(), fe, text, tr)
+	tr := p.trace(text)
+	res, err := p.translate(context.Background(), fe, text, mode, tr)
 	return res, tr, err
 }
 
@@ -860,13 +891,41 @@ func PlanQuery(t *Translation) *QueryPlan {
 	return xqeval.NewPlan(t.Query)
 }
 
-// Stats snapshots the process-wide pipeline metrics (queries translated
-// and executed, rows materialized and streamed, evaluator steps, planner,
-// federation and resilience counters, per-stage timing aggregates). Cache
-// counters are not among them: each platform's metadata cache reports
-// through MetadataStats and its compile cache through CompileStats.
-func Stats() PipelineStats {
-	return obsv.Global.Snapshot()
+// Stats snapshots the platform's pipeline metrics, each read from the
+// object that counts it: translations and per-stage times are the
+// platform's; evaluations, rows, planner, parallel and federation
+// counters its engine's; injected faults its injector's Report; retries,
+// contained panics and breaker figures its defenses'. Two platforms never
+// add into each other's figures. Cache counters are not among them: see
+// MetadataStats and CompileStats.
+func (p *Platform) Stats() PipelineStats {
+	s := p.Engine.Stats()
+	s.QueriesTranslated, s.TranslateErrors = p.translated.Load(), p.translateErrors.Load()
+	s.Retries, s.RetrySuccesses, s.PanicsRecovered = p.retries.Retries.Load(), p.retries.Rescued.Load(), p.retries.Panics.Load()
+	p.cacheMu.Lock()
+	inj, guard := p.injector, p.guard
+	p.cacheMu.Unlock()
+	if inj != nil {
+		for _, site := range inj.Report() {
+			s.FaultsInjected += site.Total()
+		}
+	}
+	if guard != nil {
+		for _, br := range guard.Breakers() {
+			opens, fastFails := br.Stats()
+			s.BreakerOpens += opens
+			s.BreakerFastFails += fastFails
+		}
+	}
+	s.Stages = p.stages.Snapshot()
+	return s
+}
+
+// Stats reports the retry counters of every remote client in the process
+// (the wire client behind aql:// DSNs): the only process-wide counters.
+// Everything a platform counts is read through Platform.Stats.
+func Stats() RemoteStats {
+	return remoteclient.Retries()
 }
 
 // ToAtomic converts a Go value to an XQuery atomic value, accepting the

@@ -34,7 +34,7 @@ func main() {
 	queryTimeout := flag.Duration("query-timeout", 30*time.Second, "per-query evaluation deadline (0 = unbounded)")
 	fetchRows := flag.Int("fetch-rows", 0, "rows per fetch chunk (0 = default 256)")
 	admissionWait := flag.Duration("admission-wait", 0, "max queue wait before a shed (0 = default 50ms)")
-	costPerSlot := flag.Int64("cost-per-slot", 0, "predicted cost per admission slot (0 = default 10000, negative = count-only admission)")
+	costPerSlot := flag.Int64("cost-per-slot", 0, "predicted cost per admission slot (0 = default 10000)")
 	maxWeight := flag.Int64("max-query-weight", 0, "admission-weight clamp per query (0 = default max-queries/4)")
 	admissionQueue := flag.Int("admission-queue", 0, "bounded admission queue length (0 = default 4×max-queries)")
 	brownoutDecay := flag.Duration("brownout-decay", 0, "brownout level step-down interval after pressure stops (0 = default 250ms)")

@@ -164,14 +164,14 @@ func main() {
 		case line == `\s` && stats != nil:
 			renderRemoteStats(stats)
 		case line == `\s`:
-			aqualogic.Stats().Render(os.Stdout)
+			p.Stats().Render(os.Stdout)
 			cache, cs := p.MetadataStats(), p.CompileStats()
 			fmt.Printf("platform metadata cache: hits=%d misses=%d\n", cache.Hits, cache.Misses)
 			fmt.Printf("platform compile cache: hits=%d misses=%d shared=%d\n", cs.Hits, cs.Misses, cs.Shared)
 		case line == `\r` && stats != nil:
 			renderRemoteResilience(stats)
 		case line == `\r`:
-			aqualogic.Stats().RenderResilience(os.Stdout)
+			p.Stats().RenderResilience(os.Stdout)
 			cache := p.MetadataStats()
 			fmt.Printf("metadata cache: stale serves=%d shared fetches=%d degraded=%v\n",
 				cache.StaleServes, cache.Shared, cache.Degraded)
@@ -181,7 +181,7 @@ func main() {
 				fmt.Printf("single-source platform (%s): no federation registered\n", p.App.Name)
 				continue
 			}
-			scans := aqualogic.Stats().SourceScans
+			scans := p.Stats().SourceScans
 			for _, h := range health {
 				fmt.Printf("source %s: metadata generation=%d cache hits=%d misses=%d degraded=%v scans=%d\n",
 					h.Name, h.Generation, h.Metadata.Hits, h.Metadata.Misses, h.Metadata.Degraded, scans[h.Name])
@@ -273,23 +273,25 @@ func renderRemoteStats(c *remoteclient.Client) {
 
 // renderRemoteResilience is the wire-mode \r: the server's overload
 // posture (weighted admission, queue, sheds by reason, brownout level,
-// idempotent replays) next to this client's own defenses.
+// idempotent replays, recovered panics) and its platform's defenses, then
+// this shell's own: its client's breaker and retries.
 func renderRemoteResilience(c *remoteclient.Client) {
-	resp, err := c.ServerStats(statsCtx())
-	if err != nil {
+	if resp, err := c.ServerStats(statsCtx()); err != nil {
 		fmt.Println("error:", err)
-		fmt.Printf("client breaker: %s\n", c.BreakerState())
-		return
+	} else {
+		s := resp.Server
+		fmt.Printf("server admission: weighted in-flight %d/%d (peak %d), queue depth %d (peak %d)\n",
+			s.WeightedInFlight, s.WeightedCapacity, s.WeightedPeak, s.QueueDepth, s.QueuePeak)
+		fmt.Printf("server shed: queue-full=%d queue-timeout=%d brownout=%d (level %d, engaged %d)\n",
+			s.ShedQueueFull, s.ShedQueueTimeout, s.ShedBrownout, s.BrownoutLevel, s.BrownoutEngaged)
+		fmt.Printf("server replays: execute=%d fetch=%d; sessions open=%d cursors open=%d; panics recovered=%d\n",
+			s.ExecReplays, s.FetchReplays, s.SessionsOpen, s.CursorsOpen, s.PanicsRecovered)
+		resp.Pipeline.RenderResilience(os.Stdout)
 	}
-	s := resp.Server
-	fmt.Printf("server admission: weighted in-flight %d/%d (peak %d), queue depth %d (peak %d)\n",
-		s.WeightedInFlight, s.WeightedCapacity, s.WeightedPeak, s.QueueDepth, s.QueuePeak)
-	fmt.Printf("server shed: queue-full=%d queue-timeout=%d brownout=%d (level %d, engaged %d)\n",
-		s.ShedQueueFull, s.ShedQueueTimeout, s.ShedBrownout, s.BrownoutLevel, s.BrownoutEngaged)
-	fmt.Printf("server replays: execute=%d fetch=%d; sessions open=%d cursors open=%d\n",
-		s.ExecReplays, s.FetchReplays, s.SessionsOpen, s.CursorsOpen)
-	resp.Pipeline.RenderResilience(os.Stdout)
-	fmt.Printf("client breaker: %s\n", c.BreakerState())
+	br, r := c.Breaker(), remoteclient.Retries()
+	opens, fastFails := br.Stats()
+	fmt.Printf("client breaker: %s (opened=%d fast-fails=%d), retries=%d (rescued: %d)\n",
+		br.State(), opens, fastFails, r.RemoteRetries, r.RemoteRetrySuccesses)
 }
 
 // runQuery prints a statement's result. With paging off it aligns the

@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/demo"
-	"repro/internal/obsv"
 	"repro/internal/translator"
 	"repro/internal/xdm"
 )
@@ -91,7 +90,7 @@ func TestFederatedMatchesSingleSource(t *testing.T) {
 	fed := federatedPlatform(t, demo.DefaultFederatedSizes, false)
 	ora := oraclePlatform(demo.DefaultFederatedSizes)
 
-	before := obsv.Global.Snapshot()
+	before := fed.Stats()
 	for _, workers := range []int{1, 8} {
 		fed.ConfigureExec(ExecConfig{Workers: workers})
 		for _, mode := range []ResultMode{ModeXML, ModeText} {
@@ -119,7 +118,7 @@ func TestFederatedMatchesSingleSource(t *testing.T) {
 			}
 		}
 	}
-	after := obsv.Global.Snapshot()
+	after := fed.Stats()
 	if after.FederatedScans <= before.FederatedScans {
 		t.Fatalf("no federated scatter-gather ran (scans %d -> %d)", before.FederatedScans, after.FederatedScans)
 	}
@@ -183,7 +182,7 @@ func TestFederatedSmoke(t *testing.T) {
 	if len(health) != 3 {
 		t.Fatalf("FederationStats reported %d sources", len(health))
 	}
-	if s := obsv.Global.Snapshot(); len(s.SourceScans) == 0 {
+	if s := p.Stats(); len(s.SourceScans) == 0 {
 		t.Fatalf("no per-source scan attribution recorded")
 	}
 }
@@ -332,11 +331,11 @@ func TestFederatedPartitionPruning(t *testing.T) {
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	before := obsv.Global.Snapshot()
+	before := p.Stats()
 	if _, err := p.Engine.EvalPlanWithTrace(context.Background(), cq.Plan, nil, nil); err != nil {
 		t.Fatalf("eval: %v", err)
 	}
-	after := obsv.Global.Snapshot()
+	after := p.Stats()
 	if got := after.ShardScans - before.ShardScans; got != 1 {
 		t.Fatalf("pinned query called %d shards, want 1", got)
 	}

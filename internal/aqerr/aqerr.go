@@ -17,8 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"time"
-
-	"repro/internal/obsv"
 )
 
 // Kind classifies a QueryError for programmatic handling.
@@ -213,7 +211,6 @@ func RetryAfterHint(err error) time.Duration {
 //	defer aqerr.Recover("query", &err)
 func Recover(op string, errp *error) {
 	if r := recover(); r != nil {
-		obsv.Global.PanicsRecovered.Inc()
 		*errp = Errorf(KindInternal, op, "recovered panic: %v", r)
 	}
 }

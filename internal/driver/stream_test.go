@@ -18,10 +18,11 @@ import (
 // rawStmt opens a customers-only platform, prepares query on one raw
 // driver connection, and hands the driver statement to fn, bypassing
 // database/sql so the test can drive driver.Rows directly.
-func rawStmt(t *testing.T, customers int, query string, fn func(sqldriver.Stmt)) {
+func rawStmt(t *testing.T, customers int, query string, fn func(*aqualogic.Platform, sqldriver.Stmt)) {
 	t.Helper()
 	app, _, engine := demo.Setup(demo.Sizes{Customers: customers, PaymentsPerCustomer: 0, Orders: 1, ItemsPerOrder: 1})
-	db := open(t, register(aqualogic.New(app, engine)))
+	p := aqualogic.New(app, engine)
+	db := open(t, register(p))
 	conn, err := db.Conn(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -32,20 +33,19 @@ func rawStmt(t *testing.T, customers int, query string, fn func(sqldriver.Stmt))
 		if err != nil {
 			return err
 		}
-		fn(st)
+		fn(p, st)
 		return st.Close()
 	}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// evalStepsDelta runs fn and reports how many evaluator steps the process
-// spent inside it. Driver tests do not run in parallel, so the global
-// counter's delta is attributable to fn.
-func evalStepsDelta(fn func()) int64 {
-	before := obsv.Global.Snapshot().EvalSteps
+// evalStepsDelta runs fn and reports how many evaluator steps p spent
+// inside it.
+func evalStepsDelta(p *aqualogic.Platform, fn func()) int64 {
+	before := p.Stats().EvalSteps
 	fn()
-	return obsv.Global.Snapshot().EvalSteps - before
+	return p.Stats().EvalSteps - before
 }
 
 // TestClosedRowsCancelEvaluation is the early-termination regression: a
@@ -55,15 +55,15 @@ func evalStepsDelta(fn func()) int64 {
 // and the abandoned run must spend a small fraction of it.
 func TestClosedRowsCancelEvaluation(t *testing.T) {
 	// Cross join: 490 000 tuples if run to completion.
-	rawStmt(t, 700, "SELECT A.CUSTOMERID FROM CUSTOMERS A, CUSTOMERS B", func(s sqldriver.Stmt) {
-		closedRowsCancelEvaluation(t, s)
+	rawStmt(t, 700, "SELECT A.CUSTOMERID FROM CUSTOMERS A, CUSTOMERS B", func(p *aqualogic.Platform, s sqldriver.Stmt) {
+		closedRowsCancelEvaluation(t, p, s)
 	})
 }
 
-func closedRowsCancelEvaluation(t *testing.T, s sqldriver.Stmt) {
+func closedRowsCancelEvaluation(t *testing.T, p *aqualogic.Platform, s sqldriver.Stmt) {
 	dest := make([]sqldriver.Value, 1)
 
-	fullSteps := evalStepsDelta(func() {
+	fullSteps := evalStepsDelta(p, func() {
 		rows, err := s.Query(nil)
 		if err != nil {
 			t.Fatal(err)
@@ -81,7 +81,7 @@ func closedRowsCancelEvaluation(t *testing.T, s sqldriver.Stmt) {
 	})
 
 	var rows sqldriver.Rows
-	closedSteps := evalStepsDelta(func() {
+	closedSteps := evalStepsDelta(p, func() {
 		var err error
 		rows, err = s.Query(nil)
 		if err != nil {
@@ -115,8 +115,15 @@ func closedRowsCancelEvaluation(t *testing.T, s sqldriver.Stmt) {
 // safe, end the decode stage exactly once, and leave the statement
 // reusable.
 func TestRowsCloseReleasesOnce(t *testing.T) {
-	rawStmt(t, 50, "SELECT CUSTOMERID FROM CUSTOMERS", func(s sqldriver.Stmt) {
-		decodes := func() int64 { return obsv.Global.StageTime(obsv.StageDecode).Snapshot().Count }
+	rawStmt(t, 50, "SELECT CUSTOMERID FROM CUSTOMERS", func(p *aqualogic.Platform, s sqldriver.Stmt) {
+		decodes := func() int64 {
+			for _, st := range p.Stats().Stages {
+				if st.Stage == obsv.StageDecode.String() {
+					return st.Count
+				}
+			}
+			return 0
+		}
 		for round := 0; round < 3; round++ {
 			rows, err := s.Query(nil)
 			if err != nil {

@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"repro/internal/catalog"
-	"repro/internal/obsv"
 	"repro/internal/xdm"
 	"repro/internal/xqeval"
 )
@@ -254,7 +253,6 @@ func (inj *Injector) roll(s *site, allowed []Kind) (Kind, bool) {
 	}
 	k := kinds[splitmix64(r)%uint64(len(kinds))]
 	s.injected[k].Add(1)
-	obsv.Global.FaultsInjected.Inc()
 	return k, true
 }
 

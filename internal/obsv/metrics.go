@@ -173,108 +173,35 @@ func (c *LabeledCounter) Snapshot() map[string]int64 {
 	return out
 }
 
-// Metrics aggregates pipeline activity. The zero value is ready to use;
-// every field updates atomically, so one Metrics may be shared by any
-// number of goroutines. The process-wide instance is Global.
-//
-// A counter lives here only when no object owns the event it counts. The
-// metadata cache (catalog.Cache.Stats), the compile cache (qcache.Cache.Stats)
-// and the network server (server.Server.Stats) keep their own counters and
-// are read from their owners, never mirrored here, so two platforms or two
-// servers in one process never add into each other's figures.
-type Metrics struct {
-	// QueriesTranslated counts completed translations;
-	// TranslateErrors counts translations rejected at any stage.
-	QueriesTranslated Counter
-	TranslateErrors   Counter
-	// QueriesExecuted counts engine evaluations of translated queries.
-	QueriesExecuted Counter
-	// RowsMaterialized counts result-set rows decoded whole (§4, both
-	// paths); RowsStreamed counts rows delivered one pull at a time
-	// through the streaming decoders.
-	RowsMaterialized Counter
-	RowsStreamed     Counter
-	// TimeToFirstRow observes the latency from opening a streaming cursor
-	// to its first row becoming available; PeakInFlightRows is the
-	// high-water mark of rows buffered between producer and consumer
-	// across all cursors (bounded by the cursor channel's capacity).
-	TimeToFirstRow   Histogram
-	PeakInFlightRows Gauge
-	// EvalSteps counts evaluator expression steps (the engine's unit of
-	// work).
-	EvalSteps Counter
-	// PlansBuilt counts evaluator query plans constructed; the remaining
-	// Plan* counters aggregate the planner's static decisions across those
-	// plans, and TuplesPruned counts tuples the planned executor skipped
-	// relative to the naive nested-loop pipeline (hash-join misses plus
-	// pushed-predicate rejections).
-	PlansBuilt            Counter
-	PlanHashJoins         Counter
-	PlanPredicatesPushed  Counter
-	PlanInvariantsHoisted Counter
-	TuplesPruned          Counter
+// StageTimes holds one duration histogram per pipeline stage. Its owner
+// installs Observe as the Hook of each trace it starts.
+type StageTimes [NumStages]Histogram
 
-	// Parallel-execution counters (internal/xqeval parallel.go):
-	// ParallelWorkers counts morsel workers spawned across all parallel
-	// segments, MorselsProcessed counts morsels flushed through the ordered
-	// merge, and MergeBacklog is the high-water mark of completed morsels
-	// waiting on the merge point (bounded by the speculation window).
-	// SourceStatsHits/Misses count the planner's statistics lookups
-	// (stats.go) — misses mean a plan was built before its sources were
-	// observed.
-	ParallelWorkers   Counter
-	MorselsProcessed  Counter
-	MergeBacklog      Gauge
-	SourceStatsHits   Counter
-	SourceStatsMisses Counter
-
-	// Federation counters (internal/xqeval partition.go): FederatedScans
-	// counts scatter-gather evaluations of partitioned scans, ShardScans
-	// the individual shard calls they made, ShardsPruned the shards a
-	// pinned shard key let the executor skip entirely, and ShardsSkipped
-	// the degraded shards a partial-tolerant scan dropped. SourceScans
-	// attributes shard calls to their federated source.
-	FederatedScans Counter
-	ShardScans     Counter
-	ShardsPruned   Counter
-	ShardsSkipped  Counter
-	SourceScans    LabeledCounter
-
-	// Resilience counters (fault injection and the defenses around it).
-	// FaultsInjected counts chaos-layer injections (internal/faultnet);
-	// the rest count the production-side reactions: retry attempts beyond
-	// the first try, operations rescued by those retries, breaker state
-	// transitions to open, calls rejected fast by an open breaker, panics
-	// converted to typed errors, and queries aborted by a resource guard.
-	// RemoteRetries and RemoteRetrySuccesses are the remote client's retry
-	// attempts beyond the first and the operations they rescued.
-	FaultsInjected       Counter
-	Retries              Counter
-	RetrySuccesses       Counter
-	BreakerOpens         Counter
-	BreakerFastFails     Counter
-	PanicsRecovered      Counter
-	ResourceLimitHits    Counter
-	RemoteRetries        Counter
-	RemoteRetrySuccesses Counter
-
-	stageTime [NumStages]Histogram
-}
-
-// Global is the process-wide metrics instance the pipeline reports into.
-var Global = &Metrics{}
-
-// ObserveStage folds one completed stage event into the per-stage
-// histograms (usable directly as a Trace hook).
-func (m *Metrics) ObserveStage(ev StageEvent) {
-	if ev.Stage < 0 || ev.Stage >= NumStages {
-		return
+// Observe folds one completed stage event into its stage's histogram.
+func (st *StageTimes) Observe(ev StageEvent) {
+	if ev.Stage >= 0 && ev.Stage < NumStages {
+		st[ev.Stage].Observe(ev.Duration)
 	}
-	m.stageTime[ev.Stage].Observe(ev.Duration)
 }
 
-// StageTime returns the histogram for one stage.
-func (m *Metrics) StageTime(s Stage) *Histogram { return &m.stageTime[s] }
+// Snapshot summarizes the stages that have run, in pipeline order.
+func (st *StageTimes) Snapshot() []StageSnapshot {
+	var out []StageSnapshot
+	for s := Stage(0); s < NumStages; s++ {
+		hs := st[s].Snapshot()
+		if hs.Count == 0 {
+			continue
+		}
+		out = append(out, StageSnapshot{
+			Stage:   s.String(),
+			Count:   hs.Count,
+			TotalNS: hs.SumNano,
+			MeanNS:  hs.Mean().Nanoseconds(),
+			P99NS:   hs.Quantile(0.99).Nanoseconds(),
+		})
+	}
+	return out
+}
 
 // StageSnapshot is the exported view of one stage's aggregate timing.
 type StageSnapshot struct {
@@ -285,14 +212,23 @@ type StageSnapshot struct {
 	P99NS   int64
 }
 
-// Snapshot is a point-in-time copy of a Metrics — the scrape surface for
-// embedders (plain values, no atomics).
+// Snapshot is a point-in-time copy of one platform's pipeline counters —
+// the scrape surface for embedders (plain values, no atomics). No field
+// is process-wide: each is read from the object that counts it, so two
+// platforms in one process never add into each other's figures.
 type Snapshot struct {
-	QueriesTranslated    int64
-	TranslateErrors      int64
+	// QueriesTranslated and TranslateErrors count the platform's
+	// translations by outcome.
+	QueriesTranslated int64
+	TranslateErrors   int64
+	// The engine counts the rest of this group: evaluations, rows its
+	// row cursors delivered (a materialized result is a drained cursor,
+	// so every row counts once), the latency to each cursor's first row,
+	// the high-water mark of rows buffered between producer and consumer,
+	// evaluator steps, plans built and their static decisions, and tuples
+	// the planned executor skipped relative to the naive pipeline.
 	QueriesExecuted      int64
-	RowsMaterialized     int64
-	RowsStreamed         int64
+	Rows                 int64
 	TimeToFirstRowCount  int64
 	TimeToFirstRowMeanNS int64
 	TimeToFirstRowP99NS  int64
@@ -304,90 +240,39 @@ type Snapshot struct {
 	InvariantsHoisted    int64
 	TuplesPruned         int64
 
+	// Morsel workers spawned, morsels flushed through the ordered merge,
+	// the merge backlog's high-water mark, and the planner's statistics
+	// lookups (misses mean a plan was built before its sources were
+	// observed).
 	ParallelWorkers   int64
 	MorselsProcessed  int64
 	MergeBacklog      int64
 	SourceStatsHits   int64
 	SourceStatsMisses int64
 
+	// Scatter-gather evaluations of partitioned scans, the shard calls
+	// they made, shards a pinned key pruned, and degraded shards a
+	// partial-tolerant scan dropped. SourceScans maps federated source
+	// name → shard calls attributed to it; nil before any federated scan.
 	FederatedScans int64
 	ShardScans     int64
 	ShardsPruned   int64
 	ShardsSkipped  int64
-	// SourceScans maps federated source name → shard calls attributed to
-	// it; nil when the process never ran a federated scan.
-	SourceScans map[string]int64
+	SourceScans    map[string]int64
 
-	FaultsInjected       int64
-	Retries              int64
-	RetrySuccesses       int64
-	BreakerOpens         int64
-	BreakerFastFails     int64
-	PanicsRecovered      int64
-	ResourceLimitHits    int64
-	RemoteRetries        int64
-	RemoteRetrySuccesses int64
+	// Faults the platform's injector fired; the defenses' retries beyond
+	// the first try, the operations they rescued, and the panics they
+	// contained; breaker openings and calls an open breaker failed fast;
+	// and evaluations a resource guard aborted.
+	FaultsInjected    int64
+	Retries           int64
+	RetrySuccesses    int64
+	BreakerOpens      int64
+	BreakerFastFails  int64
+	PanicsRecovered   int64
+	ResourceLimitHits int64
 
 	Stages []StageSnapshot // pipeline order; stages never seen are omitted
-}
-
-// Snapshot captures the current values.
-func (m *Metrics) Snapshot() Snapshot {
-	s := Snapshot{
-		QueriesTranslated: m.QueriesTranslated.Load(),
-		TranslateErrors:   m.TranslateErrors.Load(),
-		QueriesExecuted:   m.QueriesExecuted.Load(),
-		RowsMaterialized:  m.RowsMaterialized.Load(),
-		RowsStreamed:      m.RowsStreamed.Load(),
-		PeakInFlightRows:  m.PeakInFlightRows.Load(),
-		EvalSteps:         m.EvalSteps.Load(),
-		PlansBuilt:        m.PlansBuilt.Load(),
-		HashJoins:         m.PlanHashJoins.Load(),
-		PredicatesPushed:  m.PlanPredicatesPushed.Load(),
-		InvariantsHoisted: m.PlanInvariantsHoisted.Load(),
-		TuplesPruned:      m.TuplesPruned.Load(),
-
-		ParallelWorkers:   m.ParallelWorkers.Load(),
-		MorselsProcessed:  m.MorselsProcessed.Load(),
-		MergeBacklog:      m.MergeBacklog.Load(),
-		SourceStatsHits:   m.SourceStatsHits.Load(),
-		SourceStatsMisses: m.SourceStatsMisses.Load(),
-
-		FederatedScans: m.FederatedScans.Load(),
-		ShardScans:     m.ShardScans.Load(),
-		ShardsPruned:   m.ShardsPruned.Load(),
-		ShardsSkipped:  m.ShardsSkipped.Load(),
-		SourceScans:    m.SourceScans.Snapshot(),
-
-		FaultsInjected:       m.FaultsInjected.Load(),
-		Retries:              m.Retries.Load(),
-		RetrySuccesses:       m.RetrySuccesses.Load(),
-		BreakerOpens:         m.BreakerOpens.Load(),
-		BreakerFastFails:     m.BreakerFastFails.Load(),
-		PanicsRecovered:      m.PanicsRecovered.Load(),
-		ResourceLimitHits:    m.ResourceLimitHits.Load(),
-		RemoteRetries:        m.RemoteRetries.Load(),
-		RemoteRetrySuccesses: m.RemoteRetrySuccesses.Load(),
-	}
-	if ttfr := m.TimeToFirstRow.Snapshot(); ttfr.Count > 0 {
-		s.TimeToFirstRowCount = ttfr.Count
-		s.TimeToFirstRowMeanNS = ttfr.Mean().Nanoseconds()
-		s.TimeToFirstRowP99NS = ttfr.Quantile(0.99).Nanoseconds()
-	}
-	for st := Stage(0); st < NumStages; st++ {
-		hs := m.stageTime[st].Snapshot()
-		if hs.Count == 0 {
-			continue
-		}
-		s.Stages = append(s.Stages, StageSnapshot{
-			Stage:   st.String(),
-			Count:   hs.Count,
-			TotalNS: hs.SumNano,
-			MeanNS:  hs.Mean().Nanoseconds(),
-			P99NS:   hs.Quantile(0.99).Nanoseconds(),
-		})
-	}
-	return s
 }
 
 // Render writes the snapshot as the aligned text block `\s` in aqlshell
@@ -395,11 +280,9 @@ func (m *Metrics) Snapshot() Snapshot {
 func (s Snapshot) Render(w io.Writer) {
 	fmt.Fprintf(w, "queries translated: %d (errors: %d), executed: %d\n",
 		s.QueriesTranslated, s.TranslateErrors, s.QueriesExecuted)
-	fmt.Fprintf(w, "rows materialized: %d, evaluator steps: %d\n",
-		s.RowsMaterialized, s.EvalSteps)
-	if s.RowsStreamed > 0 || s.TimeToFirstRowCount > 0 {
-		fmt.Fprintf(w, "streaming: rows=%d, first-row mean=%s p99<=%s (%d cursors), peak in-flight rows=%d\n",
-			s.RowsStreamed,
+	fmt.Fprintf(w, "rows: %d, evaluator steps: %d\n", s.Rows, s.EvalSteps)
+	if s.TimeToFirstRowCount > 0 {
+		fmt.Fprintf(w, "streaming: first-row mean=%s p99<=%s (%d cursors), peak in-flight rows=%d\n",
 			time.Duration(s.TimeToFirstRowMeanNS).Round(time.Microsecond),
 			time.Duration(s.TimeToFirstRowP99NS).Round(time.Microsecond),
 			s.TimeToFirstRowCount, s.PeakInFlightRows)
@@ -416,9 +299,24 @@ func (s Snapshot) Render(w io.Writer) {
 			s.ParallelWorkers, s.MorselsProcessed, s.MergeBacklog)
 	}
 	if s.FederatedScans > 0 {
-		s.RenderFederation(w)
+		fmt.Fprintf(w, "federation: scans=%d shard calls=%d pruned=%d skipped=%d\n",
+			s.FederatedScans, s.ShardScans, s.ShardsPruned, s.ShardsSkipped)
+		if len(s.SourceScans) > 0 {
+			names := make([]string, 0, len(s.SourceScans))
+			for n := range s.SourceScans {
+				names = append(names, n)
+			}
+			sort.Strings(names)
+			fmt.Fprintf(w, "federation per-source scans:")
+			for _, n := range names {
+				fmt.Fprintf(w, " %s=%d", n, s.SourceScans[n])
+			}
+			fmt.Fprintln(w)
+		}
 	}
-	if s.resilienceActive() {
+	// The resilience block is omitted while no defense has moved.
+	if s.FaultsInjected+s.Retries+s.RetrySuccesses+s.BreakerOpens+
+		s.BreakerFastFails+s.PanicsRecovered+s.ResourceLimitHits > 0 {
 		s.RenderResilience(w)
 	}
 	if len(s.Stages) > 0 {
@@ -432,33 +330,6 @@ func (s Snapshot) Render(w io.Writer) {
 	}
 }
 
-// RenderFederation writes the federated-scan counter block (aqlshell's
-// `\f`), unconditionally — zeros included, so a federation that has never
-// scattered is also visible.
-func (s Snapshot) RenderFederation(w io.Writer) {
-	fmt.Fprintf(w, "federation: scans=%d shard calls=%d pruned=%d skipped=%d\n",
-		s.FederatedScans, s.ShardScans, s.ShardsPruned, s.ShardsSkipped)
-	if len(s.SourceScans) > 0 {
-		names := make([]string, 0, len(s.SourceScans))
-		for n := range s.SourceScans {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		fmt.Fprintf(w, "federation per-source scans:")
-		for _, n := range names {
-			fmt.Fprintf(w, " %s=%d", n, s.SourceScans[n])
-		}
-		fmt.Fprintln(w)
-	}
-}
-
-// resilienceActive reports whether any resilience counter has moved (the
-// block is omitted from Render for fault-free, defense-free processes).
-func (s Snapshot) resilienceActive() bool {
-	return s.FaultsInjected+s.Retries+s.RetrySuccesses+s.BreakerOpens+
-		s.BreakerFastFails+s.PanicsRecovered+s.ResourceLimitHits > 0
-}
-
 // RenderResilience writes the resilience counter block (aqlshell's `\r`),
 // unconditionally — zeros included, so degradation that has NOT happened
 // is also visible.
@@ -467,5 +338,4 @@ func (s Snapshot) RenderResilience(w io.Writer) {
 		s.FaultsInjected, s.PanicsRecovered, s.ResourceLimitHits)
 	fmt.Fprintf(w, "retries: %d (rescued: %d), breaker: opened=%d fast-fails=%d\n",
 		s.Retries, s.RetrySuccesses, s.BreakerOpens, s.BreakerFastFails)
-	fmt.Fprintf(w, "remote client: retries=%d (rescued: %d)\n", s.RemoteRetries, s.RemoteRetrySuccesses)
 }

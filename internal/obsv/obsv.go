@@ -1,8 +1,8 @@
 // Package obsv is the observability layer of the translation pipeline: a
-// lightweight stage tracer plus process-wide metrics, threaded through
-// every stage the paper's architecture names (§3.4.1's progressive
-// translation, the §3.5 metadata cache, §4 result materialization, and the
-// engine standing in for the DSP server).
+// lightweight stage tracer plus the metric primitives its owners count
+// with, threaded through every stage the paper's architecture names
+// (§3.4.1's progressive translation, the §3.5 metadata cache, §4 result
+// materialization, and the engine standing in for the DSP server).
 //
 // The design has two halves:
 //
@@ -13,21 +13,20 @@
 //     generated, evaluator steps, …). A nil *Trace is a valid no-op
 //     tracer, so pipeline code threads it unconditionally.
 //
-//   - Metrics — process-scoped atomic counters and duration
-//     histograms aggregating queries translated, cache hits/misses, rows
-//     materialized, evaluator steps, and cumulative per-stage time.
-//     Metrics values are updated with atomics only; they are safe for
-//     concurrent use from any number of goroutines.
+//   - Metrics — atomic counters, gauges and duration histograms. There
+//     is no process-wide instance: the object that owns an event keeps
+//     its count (the engine its evaluations, a breaker its openings, the
+//     platform its translations and per-stage times), and a platform's
+//     Snapshot is read from those owners.
 //
 // Consumers observe the layer three ways: EXPLAIN-style rendered traces
-// (Trace.Render), snapshot scraping (Metrics.Snapshot), and structured
-// hooks (Trace.Hook, a func(StageEvent) invoked as each stage closes).
+// (Trace.Render), snapshot scraping (Snapshot), and structured hooks
+// (Trace.Hook, a func(StageEvent) invoked as each stage closes).
 package obsv
 
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -283,24 +282,4 @@ func renderDetail(details []Detail) string {
 		parts[i] = fmt.Sprintf("%s=%d", d.Key, d.Value)
 	}
 	return strings.Join(parts, " ")
-}
-
-// MergeStageNanos folds a trace's durations into a per-stage-name
-// nanosecond map — the accumulation shape the bench harness writes to
-// JSON.
-func (t *Trace) MergeStageNanos(into map[string]int64) {
-	for _, ev := range t.Stages() {
-		into[ev.Stage.String()] += ev.Duration.Nanoseconds()
-	}
-}
-
-// SortedKeys returns a detail/stage map's keys sorted (stable JSON and
-// rendering order for aggregated maps).
-func SortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

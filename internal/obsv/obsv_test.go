@@ -156,20 +156,12 @@ func TestBucketForRange(t *testing.T) {
 }
 
 func TestMetricsSnapshot(t *testing.T) {
-	m := &Metrics{}
-	m.QueriesTranslated.Add(5)
-	m.TranslateErrors.Inc()
-	m.QueriesExecuted.Add(2)
-	m.RowsMaterialized.Add(100)
-	m.EvalSteps.Add(999)
-	m.ObserveStage(StageEvent{Stage: StageParse, Duration: time.Millisecond})
-	m.ObserveStage(StageEvent{Stage: StageParse, Duration: 3 * time.Millisecond})
+	var st StageTimes
+	st.Observe(StageEvent{Stage: StageParse, Duration: time.Millisecond})
+	st.Observe(StageEvent{Stage: StageParse, Duration: 3 * time.Millisecond})
 
-	s := m.Snapshot()
-	if s.QueriesTranslated != 5 || s.TranslateErrors != 1 || s.QueriesExecuted != 2 ||
-		s.RowsMaterialized != 100 || s.EvalSteps != 999 {
-		t.Fatalf("snapshot = %+v", s)
-	}
+	s := Snapshot{QueriesTranslated: 5, TranslateErrors: 1, QueriesExecuted: 2, Rows: 100, EvalSteps: 999,
+		Stages: st.Snapshot()}
 	if len(s.Stages) != 1 || s.Stages[0].Stage != "parse" || s.Stages[0].Count != 2 {
 		t.Fatalf("stages = %+v", s.Stages)
 	}
@@ -179,48 +171,35 @@ func TestMetricsSnapshot(t *testing.T) {
 
 	var b strings.Builder
 	s.Render(&b)
-	if !strings.Contains(b.String(), "queries translated: 5 (errors: 1), executed: 2") {
-		t.Fatalf("render = %q", b.String())
+	for _, want := range []string{"queries translated: 5 (errors: 1), executed: 2", "rows: 100, evaluator steps: 999", "parse "} {
+		if !strings.Contains(b.String(), want) {
+			t.Fatalf("render lacks %q:\n%s", want, b.String())
+		}
 	}
 }
 
 func TestMetricsConcurrent(t *testing.T) {
 	// Exercised under -race: concurrent observation and snapshotting must
 	// be safe.
-	m := &Metrics{}
+	var c Counter
+	var st StageTimes
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				m.QueriesTranslated.Inc()
-				m.ObserveStage(StageEvent{Stage: StageEvaluate, Duration: time.Microsecond})
-				_ = m.Snapshot()
+				c.Inc()
+				st.Observe(StageEvent{Stage: StageEvaluate, Duration: time.Microsecond})
+				_ = st.Snapshot()
 			}
 		}()
 	}
 	wg.Wait()
-	if m.QueriesTranslated.Load() != 4000 {
-		t.Fatalf("count = %d", m.QueriesTranslated.Load())
+	if c.Load() != 4000 {
+		t.Fatalf("count = %d", c.Load())
 	}
-	if m.StageTime(StageEvaluate).Snapshot().Count != 4000 {
-		t.Fatalf("stage count = %d", m.StageTime(StageEvaluate).Snapshot().Count)
-	}
-}
-
-func TestMergeStageNanosAndSortedKeys(t *testing.T) {
-	tr := NewTrace("")
-	tr.Record(StageEvent{Stage: StageLex, Duration: 5 * time.Nanosecond})
-	tr.Record(StageEvent{Stage: StageParse, Duration: 7 * time.Nanosecond})
-	tr.Record(StageEvent{Stage: StageLex, Duration: 3 * time.Nanosecond})
-	into := map[string]int64{}
-	tr.MergeStageNanos(into)
-	if into["lex"] != 8 || into["parse"] != 7 {
-		t.Fatalf("merged = %v", into)
-	}
-	keys := SortedKeys(into)
-	if len(keys) != 2 || keys[0] != "lex" || keys[1] != "parse" {
-		t.Fatalf("keys = %v", keys)
+	if got := st[StageEvaluate].Snapshot().Count; got != 4000 {
+		t.Fatalf("stage count = %d", got)
 	}
 }

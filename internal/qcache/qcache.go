@@ -163,15 +163,11 @@ func externalVars(n int) []string {
 	return out
 }
 
-// Compile runs the whole compile pipeline once: translate (traced), then
-// statically check and plan the generated AST against the engine —
-// recorded as the compile stage span. It is the canonical CompileFunc
-// body; callers wrap it to choose the translator and trace hook.
-func Compile(ctx context.Context, tr *translator.Translator, engine *xqeval.Engine, fe qfront.Frontend, text string, trace *obsv.Trace) (*CompiledQuery, error) {
-	res, err := tr.TranslateFrontend(ctx, fe, text, trace)
-	if err != nil {
-		return nil, err
-	}
+// Compile finishes the compile pipeline over a translation of text made
+// by fe: it statically checks and plans the generated AST against the
+// engine — recorded as the compile stage span on trace. A CompileFunc
+// translates, then calls it.
+func Compile(res *translator.Result, engine *xqeval.Engine, fe qfront.Frontend, text string, trace *obsv.Trace) (*CompiledQuery, error) {
 	sp := trace.StartStage(obsv.StageCompile)
 	sp.SetInput(len(text))
 	plan, err := engine.CompileAST(res.Query, externalVars(res.ParamCount))

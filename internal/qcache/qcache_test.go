@@ -11,6 +11,7 @@ import (
 	"repro/internal/obsv"
 	"repro/internal/sqlparser"
 	"repro/internal/translator"
+	"repro/internal/xquery"
 )
 
 // fakeCompile returns a CompileFunc that fabricates artifacts and counts
@@ -280,8 +281,13 @@ func TestCompileBuildsFullArtifact(t *testing.T) {
 	tr.Options.Mode = translator.ModeText
 	tr.Options.DefaultCatalog = app.Name
 
+	const sql = "SELECT CUSTOMERNAME FROM CUSTOMERS WHERE CUSTOMERID = ?"
 	trace := obsv.NewTrace("")
-	cq, err := Compile(context.Background(), tr, engine, sqlparser.Front{}, "SELECT CUSTOMERNAME FROM CUSTOMERS WHERE CUSTOMERID = ?", trace)
+	res, err := tr.TranslateFrontend(context.Background(), sqlparser.Front{}, sql, trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cq, err := Compile(res, engine, sqlparser.Front{}, sql, trace)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,13 +312,15 @@ func TestCompileBuildsFullArtifact(t *testing.T) {
 }
 
 func TestCompileRejectsUncheckableQuery(t *testing.T) {
-	app, _, engine := demo.Setup(demo.Sizes{Customers: 1, PaymentsPerCustomer: 1, Orders: 1, ItemsPerOrder: 1})
-	tr := translator.New(catalog.NewCache(app))
-	tr.Options.Mode = translator.ModeText
-	tr.Options.DefaultCatalog = app.Name
-	// The translator resolves names against the catalog, so a bad table
-	// fails before the static check; this pins that Compile propagates it.
-	if _, err := Compile(context.Background(), tr, engine, sqlparser.Front{}, "SELECT X FROM NO_SUCH_TABLE", obsv.NewTrace("")); err == nil {
-		t.Fatal("expected error for unknown table")
+	_, _, engine := demo.Setup(demo.Sizes{Customers: 1, PaymentsPerCustomer: 1, Orders: 1, ItemsPerOrder: 1})
+	// A translation whose query names a variable nothing binds fails the
+	// engine's static check; Compile must return that error, not a plan.
+	q, err := xquery.Parse("$nope")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := &translator.Result{Query: q}
+	if _, err := Compile(res, engine, sqlparser.Front{}, "$nope", obsv.NewTrace("")); err == nil {
+		t.Fatal("expected a static check error for an unbound variable")
 	}
 }

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/aqerr"
 	"repro/internal/catalog"
+	"repro/internal/obsv"
 	"repro/internal/qcache"
 	"repro/internal/qfront"
 	"repro/internal/resultset"
@@ -52,6 +53,8 @@ func (edgeTable) Metadata() catalog.Source { return nil }
 func (edgeTable) CompileStats() qcache.Stats { return qcache.Stats{} }
 
 func (edgeTable) MetadataStats() catalog.CacheStats { return catalog.CacheStats{} }
+
+func (edgeTable) Stats() obsv.Snapshot { return obsv.Snapshot{} }
 
 type edgeCursor struct{ i, n int }
 

@@ -60,7 +60,6 @@ import (
 
 	"repro/internal/aqerr"
 	"repro/internal/catalog"
-	"repro/internal/obsv"
 	"repro/internal/resilient"
 	"repro/internal/resultset"
 	"repro/internal/translator"
@@ -480,10 +479,10 @@ func (rc *remoteCursor) Next() ([]xdm.Atomic, error) {
 			// prefix plus the error). One same-sequence replay recovers the
 			// server's intact cached chunk; a genuinely failed cursor
 			// replays the identical error and it is delivered below.
-			obsv.Global.RemoteRetries.Inc()
+			retries.Inc()
 			if r2, err2 := rc.fetchChunk(seq, nil); err2 == nil { // resp keeps its rows
 				if r2.Error == nil {
-					obsv.Global.RemoteRetrySuccesses.Inc()
+					rescued.Inc()
 				}
 				resp = r2
 			}

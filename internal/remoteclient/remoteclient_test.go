@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/aqerr"
 	"repro/internal/catalog"
+	"repro/internal/obsv"
 	"repro/internal/qcache"
 	"repro/internal/qfront"
 	"repro/internal/resultset"
@@ -62,6 +63,8 @@ func (scripted) Metadata() catalog.Source { return nil }
 func (scripted) CompileStats() qcache.Stats { return qcache.Stats{} }
 
 func (scripted) MetadataStats() catalog.CacheStats { return catalog.CacheStats{} }
+
+func (scripted) Stats() obsv.Snapshot { return obsv.Snapshot{} }
 
 var counterColumns = []resultset.Column{{Label: "N", ElementName: "N", Type: catalog.SQLInteger}}
 

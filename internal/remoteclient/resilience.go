@@ -97,6 +97,23 @@ func postRetry[Resp any](ctx context.Context, c *Client, op, path string, in any
 	return resp, nil
 }
 
+// retries and rescued count the retry attempts beyond the first try, and
+// the operations they rescued, of every client in the process. They are
+// the one process-wide pair of counters left: their reader, Retries,
+// takes no client.
+var retries, rescued obsv.Counter
+
+// RetryStats are the remote clients' retry counters.
+type RetryStats struct {
+	RemoteRetries        int64
+	RemoteRetrySuccesses int64
+}
+
+// Retries reports the retry counters of every client in the process.
+func Retries() RetryStats {
+	return RetryStats{RemoteRetries: retries.Load(), RemoteRetrySuccesses: rescued.Load()}
+}
+
 // retry runs one exchange behind the breaker gate, then up to
 // 1+MaxRetries attempts for idempotent verbs, backing off between
 // attempts (honoring a server Retry-After hint over the local schedule).
@@ -107,7 +124,7 @@ func (c *Client) retry(ctx context.Context, op string, idempotent bool, attempt 
 	var lastErr error
 	for n := 0; ; n++ {
 		if n > 0 {
-			obsv.Global.RemoteRetries.Inc()
+			retries.Inc()
 			delay := aqerr.RetryAfterHint(lastErr)
 			if delay <= 0 {
 				delay = resilient.Backoff(c.opts.BaseBackoff, n, op+" "+c.base)
@@ -120,7 +137,7 @@ func (c *Client) retry(ctx context.Context, op string, idempotent bool, attempt 
 		c.br.Record(breakerFault(err))
 		if err == nil {
 			if n > 0 {
-				obsv.Global.RemoteRetrySuccesses.Inc()
+				rescued.Inc()
 			}
 			return nil
 		}
@@ -142,6 +159,6 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// BreakerState reports the client's per-server circuit breaker position
-// for status displays (aqlshell's \r).
-func (c *Client) BreakerState() resilient.BreakerState { return c.br.State() }
+// Breaker is the client's per-server circuit breaker, for status
+// displays (aqlshell's \r): its position, openings and fast-fails.
+func (c *Client) Breaker() *resilient.Breaker { return c.br }

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"sync"
 	"time"
 
@@ -124,7 +125,15 @@ func hashOp(op string) uint64 {
 	return h.Sum64()
 }
 
-// Do runs fn with retries: transient failures re-attempt up to
+// Counters are the retries Do makes for one owner: attempts beyond the
+// first, the operations those attempts rescued, and the panics it
+// contained. The platform keeps one for its engine guard and metadata
+// sources.
+type Counters struct {
+	Retries, Rescued, Panics obsv.Counter
+}
+
+// Do runs fn with retries, counted in n: transient failures re-attempt up to
 // cfg.MaxRetries times with exponential backoff; permanent failures,
 // context expiry, and non-fault errors return immediately. A panic in fn
 // is contained to its attempt and retried as a transient failure — the
@@ -133,14 +142,14 @@ func hashOp(op string) uint64 {
 // zero T is returned — partial results from a failed attempt (truncated
 // row sequences) are always discarded, never patched together. Exhausted
 // retries surface as a typed unavailable error wrapping the last failure.
-func Do[T any](ctx context.Context, cfg Config, op string, fn func(context.Context) (T, error)) (T, error) {
+func Do[T any](ctx context.Context, cfg Config, n *Counters, op string, fn func(context.Context) (T, error)) (T, error) {
 	var zero T
 	var lastErr error
 	opHash := hashOp(op)
 	attempt1 := func(ctx context.Context) (out T, err error) {
 		defer func() {
 			if r := recover(); r != nil {
-				obsv.Global.PanicsRecovered.Inc()
+				n.Panics.Inc()
 				out = zero
 				err = aqerr.Errorf(aqerr.KindTransient, op, "recovered panic: %v", r)
 			}
@@ -149,7 +158,7 @@ func Do[T any](ctx context.Context, cfg Config, op string, fn func(context.Conte
 	}
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
-			obsv.Global.Retries.Inc()
+			n.Retries.Inc()
 			if err := sleep(ctx, backoffFor(cfg.BaseBackoff, attempt, opHash)); err != nil {
 				return zero, aqerr.Wrap(op, err)
 			}
@@ -157,7 +166,7 @@ func Do[T any](ctx context.Context, cfg Config, op string, fn func(context.Conte
 		out, err := attempt1(ctx)
 		if err == nil {
 			if attempt > 0 {
-				obsv.Global.RetrySuccesses.Inc()
+				n.Rescued.Inc()
 			}
 			return out, nil
 		}
@@ -230,11 +239,13 @@ type Breaker struct {
 	threshold int
 	cooldown  time.Duration
 
-	mu       sync.Mutex
-	state    BreakerState
-	failures int
-	openedAt time.Time
-	probing  bool
+	mu        sync.Mutex
+	state     BreakerState
+	failures  int
+	openedAt  time.Time
+	probing   bool
+	opens     int64
+	fastFails int64
 }
 
 // NewBreaker builds a closed breaker; threshold <= 0 disables it (Allow
@@ -267,7 +278,7 @@ func (b *Breaker) Allow() error {
 			return nil
 		}
 	}
-	obsv.Global.BreakerFastFails.Inc()
+	b.fastFails++
 	return aqerr.Errorf(aqerr.KindUnavailable, b.name,
 		"circuit breaker open (%d consecutive faults)", b.failures)
 }
@@ -298,11 +309,19 @@ func (b *Breaker) Record(err error) {
 	b.probing = false
 	if b.state == BreakerHalfOpen || b.failures >= b.threshold {
 		if b.state != BreakerOpen {
-			obsv.Global.BreakerOpens.Inc()
+			b.opens++
 		}
 		b.state = BreakerOpen
 		b.openedAt = time.Now()
 	}
+}
+
+// Stats reports how many times the breaker has opened and how many calls
+// it has failed fast.
+func (b *Breaker) Stats() (opens, fastFails int64) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.opens, b.fastFails
 }
 
 // State returns the breaker's current position (resolving an elapsed
@@ -319,14 +338,15 @@ func (b *Breaker) State() BreakerState {
 // NewSource wraps a metadata source with retries: transient lookup
 // failures (network blips, injected chaos) re-attempt with backoff before
 // the caller — usually catalog.Cache, which adds stale-serving on top —
-// sees them.
-func NewSource(inner catalog.Source, cfg Config) catalog.Source {
-	return &guardedSource{inner: inner, cfg: cfg.WithDefaults()}
+// sees them. n counts the retries.
+func NewSource(inner catalog.Source, cfg Config, n *Counters) catalog.Source {
+	return &guardedSource{inner: inner, cfg: cfg.WithDefaults(), n: n}
 }
 
 type guardedSource struct {
 	inner catalog.Source
 	cfg   Config
+	n     *Counters
 }
 
 func (g *guardedSource) Lookup(ref catalog.TableRef) (*catalog.TableMeta, error) {
@@ -334,7 +354,7 @@ func (g *guardedSource) Lookup(ref catalog.TableRef) (*catalog.TableMeta, error)
 }
 
 func (g *guardedSource) LookupContext(ctx context.Context, ref catalog.TableRef) (*catalog.TableMeta, error) {
-	return Do(ctx, g.cfg, "metadata lookup "+ref.String(), func(ctx context.Context) (*catalog.TableMeta, error) {
+	return Do(ctx, g.cfg, g.n, "metadata lookup "+ref.String(), func(ctx context.Context) (*catalog.TableMeta, error) {
 		return catalog.LookupContext(ctx, g.inner, ref)
 	})
 }
@@ -348,14 +368,15 @@ func (g *guardedSource) Procedures() ([]*catalog.TableMeta, error) { return g.in
 // injection.
 type EngineGuard struct {
 	cfg Config
+	n   *Counters
 
 	mu       sync.Mutex
 	breakers map[string]*Breaker
 }
 
-// NewEngineGuard builds the guard.
-func NewEngineGuard(cfg Config) *EngineGuard {
-	return &EngineGuard{cfg: cfg.WithDefaults(), breakers: make(map[string]*Breaker)}
+// NewEngineGuard builds the guard; n counts its retries.
+func NewEngineGuard(cfg Config, n *Counters) *EngineGuard {
+	return &EngineGuard{cfg: cfg.WithDefaults(), n: n, breakers: make(map[string]*Breaker)}
 }
 
 // BreakerFor returns (creating on first use) the named function's breaker.
@@ -370,18 +391,13 @@ func (g *EngineGuard) BreakerFor(name string) *Breaker {
 	return b
 }
 
-// Snapshot returns the current state of every breaker the guard has
-// created, keyed by the data service function name it guards — how the
-// federation layer reports per-source breaker health without reaching
-// into breaker internals.
-func (g *EngineGuard) Snapshot() map[string]BreakerState {
+// Breakers returns every breaker the guard has created, keyed by the
+// data service function name it guards — how the platform reports
+// per-source breaker health and sums breaker counts.
+func (g *EngineGuard) Breakers() map[string]*Breaker {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	out := make(map[string]BreakerState, len(g.breakers))
-	for name, b := range g.breakers {
-		out[name] = b.State()
-	}
-	return out
+	return maps.Clone(g.breakers)
 }
 
 // Middleware returns the engine middleware applying breaker, retries, and
@@ -396,7 +412,7 @@ func (g *EngineGuard) Middleware() xqeval.Middleware {
 			}
 			// Do contains per-attempt panics, so a crashing data service
 			// is retried like any other transient fault.
-			out, err := Do(ctx, g.cfg, op, func(ctx context.Context) (xdm.Sequence, error) {
+			out, err := Do(ctx, g.cfg, g.n, op, func(ctx context.Context) (xdm.Sequence, error) {
 				return fn(ctx, args)
 			})
 			br.Record(err)

@@ -25,7 +25,8 @@ func transientErr() error {
 
 func TestRetryRescuesTransient(t *testing.T) {
 	calls := 0
-	out, err := Do(context.Background(), fastCfg(), "op", func(context.Context) (int, error) {
+	var n Counters
+	out, err := Do(context.Background(), fastCfg(), &n, "op", func(context.Context) (int, error) {
 		calls++
 		if calls < 3 {
 			return 0, transientErr()
@@ -38,11 +39,14 @@ func TestRetryRescuesTransient(t *testing.T) {
 	if calls != 3 {
 		t.Fatalf("calls = %d, want 3", calls)
 	}
+	if n.Retries.Load() != 2 || n.Rescued.Load() != 1 {
+		t.Fatalf("counted %d retries, %d rescued; want 2, 1", n.Retries.Load(), n.Rescued.Load())
+	}
 }
 
 func TestRetryStopsOnPermanent(t *testing.T) {
 	calls := 0
-	_, err := Do(context.Background(), fastCfg(), "op", func(context.Context) (int, error) {
+	_, err := Do(context.Background(), fastCfg(), &Counters{}, "op", func(context.Context) (int, error) {
 		calls++
 		return 0, aqerr.Errorf(aqerr.KindPermanent, "test", "rejected")
 	})
@@ -58,7 +62,7 @@ func TestRetryStopsOnPermanent(t *testing.T) {
 func TestRetryExhaustionIsUnavailable(t *testing.T) {
 	cfg := fastCfg()
 	calls := 0
-	_, err := Do(context.Background(), cfg, "op", func(context.Context) (int, error) {
+	_, err := Do(context.Background(), cfg, &Counters{}, "op", func(context.Context) (int, error) {
 		calls++
 		return 0, transientErr()
 	})
@@ -75,14 +79,14 @@ func TestRetryDiscardsPartialResults(t *testing.T) {
 	// A truncated attempt returns data AND an error; the retry layer must
 	// never leak the partial value.
 	_, err := Do(context.Background(), Config{MaxRetries: 1, BaseBackoff: time.Microsecond}.WithDefaults(),
-		"op", func(context.Context) ([]int, error) {
+		&Counters{}, "op", func(context.Context) ([]int, error) {
 			return []int{1, 2}, transientErr()
 		})
 	if err == nil {
 		t.Fatal("want error")
 	}
 	out, _ := Do(context.Background(), Config{MaxRetries: 1, BaseBackoff: time.Microsecond},
-		"op", func(context.Context) ([]int, error) {
+		&Counters{}, "op", func(context.Context) ([]int, error) {
 			return []int{1, 2}, transientErr()
 		})
 	if out != nil {
@@ -93,7 +97,7 @@ func TestRetryDiscardsPartialResults(t *testing.T) {
 func TestRetryHonorsContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	calls := 0
-	_, err := Do(ctx, Config{MaxRetries: 100, BaseBackoff: time.Millisecond}, "op",
+	_, err := Do(ctx, Config{MaxRetries: 100, BaseBackoff: time.Millisecond}, &Counters{}, "op",
 		func(context.Context) (int, error) {
 			calls++
 			cancel()
@@ -133,6 +137,9 @@ func TestBreakerLifecycle(t *testing.T) {
 	}
 	if time.Since(start) > time.Second {
 		t.Fatal("fast-fail was not fast")
+	}
+	if opens, fastFails := b.Stats(); opens != 1 || fastFails != 1 {
+		t.Fatalf("breaker counted %d opens, %d fast-fails; want 1, 1", opens, fastFails)
 	}
 
 	// After the cooldown: one probe; success closes.
@@ -182,7 +189,8 @@ func TestEngineGuardRecoversPanics(t *testing.T) {
 		}
 		return xdm.SequenceOf(xdm.Integer(7)), nil
 	})
-	e.Use(NewEngineGuard(fastCfg()).Middleware())
+	var n Counters
+	e.Use(NewEngineGuard(fastCfg(), &n).Middleware())
 	out, err := e.Call("urn:t", "FLAKY", nil)
 	if err != nil {
 		t.Fatalf("retry after recovered panic failed: %v", err)
@@ -192,6 +200,9 @@ func TestEngineGuardRecoversPanics(t *testing.T) {
 	}
 	if calls != 2 {
 		t.Fatalf("calls = %d, want 2", calls)
+	}
+	if n.Panics.Load() != 1 || n.Retries.Load() != 1 {
+		t.Fatalf("guard counted %d panics, %d retries; want 1, 1", n.Panics.Load(), n.Retries.Load())
 	}
 }
 
@@ -204,7 +215,7 @@ func TestEngineGuardBreakerFailsFastDuringOutage(t *testing.T) {
 	})
 	cfg := fastCfg()
 	cfg.BreakerCooldown = time.Minute
-	g := NewEngineGuard(cfg)
+	g := NewEngineGuard(cfg, &Counters{})
 	e.Use(g.Middleware())
 
 	// Drive the breaker open (each engine call retries internally, so a
@@ -243,7 +254,7 @@ func TestSourceGuardRetriesChaos(t *testing.T) {
 	inj := faultnet.New(faultnet.Config{Seed: 11, Rate: 0.4, Kinds: []faultnet.Kind{faultnet.KindTransient}})
 	cfg := fastCfg()
 	cfg.MaxRetries = 8
-	src := NewSource(inj.Source(catalog.Demo()), cfg)
+	src := NewSource(inj.Source(catalog.Demo()), cfg, &Counters{})
 	for i := 0; i < 50; i++ {
 		if _, err := src.Lookup(catalog.TableRef{Table: "CUSTOMERS"}); err != nil {
 			t.Fatalf("lookup %d: %v", i, err)
@@ -258,7 +269,7 @@ func TestStaleMetadataDuringHardDown(t *testing.T) {
 	inner := &switchableSource{src: catalog.Demo()}
 	cfg := fastCfg()
 	cfg.MaxRetries = 1
-	cache := catalog.NewCache(NewSource(inner, cfg))
+	cache := catalog.NewCache(NewSource(inner, cfg, &Counters{}))
 	cache.FreshFor = time.Nanosecond
 	ref := catalog.TableRef{Table: "CUSTOMERS"}
 
@@ -290,7 +301,7 @@ func TestSourceGuardRecoversPanics(t *testing.T) {
 			panic("metadata backend crashed")
 		}
 		return app.Lookup(ref)
-	}), fastCfg())
+	}), fastCfg(), &Counters{})
 	meta, err := src.Lookup(catalog.TableRef{Table: "CUSTOMERS"})
 	if err != nil {
 		t.Fatalf("retry after recovered metadata panic failed: %v", err)

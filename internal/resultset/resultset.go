@@ -25,7 +25,6 @@ import (
 
 	"repro/internal/aqerr"
 	"repro/internal/catalog"
-	"repro/internal/obsv"
 	"repro/internal/xdm"
 )
 
@@ -118,7 +117,6 @@ func (r *Rows) NextText() (string, bool) {
 		r.stop(err)
 		return "", false
 	}
-	obsv.Global.RowsStreamed.Inc()
 	r.curRow, r.onRow = nil, false
 	return text, true
 }
@@ -171,7 +169,6 @@ func (r *Rows) Materialize() error {
 			break
 		}
 		r.data = append(r.data, row)
-		obsv.Global.RowsMaterialized.Inc()
 	}
 	r.pos = 0
 	r.onRow = false
@@ -340,7 +337,6 @@ func FromXML(result xdm.Sequence, cols []Column) (*Rows, error) {
 		}
 		rows.data = append(rows.data, row)
 	}
-	obsv.Global.RowsMaterialized.Add(int64(len(rows.data)))
 	return rows, nil
 }
 
@@ -372,7 +368,6 @@ func FromText(payload string, cols []Column) (*Rows, error) {
 		}
 		rows.data = append(rows.data, row)
 	}
-	obsv.Global.RowsMaterialized.Add(int64(len(rows.data)))
 	return rows, nil
 }
 

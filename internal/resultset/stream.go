@@ -14,7 +14,6 @@ import (
 	"slices"
 	"strings"
 
-	"repro/internal/obsv"
 	"repro/internal/xdm"
 )
 
@@ -75,7 +74,6 @@ func (c *xmlCursor) Next() ([]xdm.Atomic, error) {
 			if err != nil {
 				return nil, err
 			}
-			obsv.Global.RowsStreamed.Inc()
 			return row, nil
 		}
 		if c.closed {
@@ -143,7 +141,6 @@ func (c *textCursor) Next() ([]xdm.Atomic, error) {
 	if err != nil {
 		return nil, err
 	}
-	obsv.Global.RowsStreamed.Inc()
 	return row, nil
 }
 

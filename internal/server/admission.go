@@ -15,8 +15,7 @@ import (
 // compiled artifact's cost estimate (qcache.CompiledQuery.Cost, cache-hot)
 // divides by CostPerSlot into a slot weight, so a point lookup weighs 1
 // and a large scan-join weighs many. The semaphore's capacity is
-// MaxConcurrentQueries slots — the count-only behavior is the special
-// case where every query weighs 1.
+// MaxConcurrentQueries slots.
 //
 // Three layers of degradation, in order of onset:
 //
@@ -83,21 +82,13 @@ func newAdmission(cfg Config) *admission {
 }
 
 // weightFor converts a compiled cost estimate into admission slots:
-// 1 + (cost-1)/CostPerSlot, clamped to MaxQueryWeight. Cost weighting
-// disabled (CostPerSlot < 0) pins every query at weight 1 — the legacy
-// count-only behavior.
+// 1 + (cost-1)/CostPerSlot, clamped to MaxQueryWeight. A CostPerSlot of
+// math.MaxInt64 weighs every query 1.
 func (a *admission) weightFor(cost int64) int64 {
-	if a.costPerSlot < 0 || cost <= 1 {
+	if cost <= 1 {
 		return 1
 	}
-	w := 1 + (cost-1)/a.costPerSlot
-	if w > a.maxWeight {
-		w = a.maxWeight
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return min(1+(cost-1)/a.costPerSlot, a.maxWeight)
 }
 
 // shedErr builds the typed unavailable a shed query fails fast with.

@@ -9,6 +9,7 @@ package server
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -44,7 +45,7 @@ func TestWeightForConversion(t *testing.T) {
 	}
 
 	countOnly := admissionConfig()
-	countOnly.CostPerSlot = -1
+	countOnly.CostPerSlot = math.MaxInt64
 	a = newAdmission(countOnly)
 	if got := a.weightFor(1 << 40); got != 1 {
 		t.Errorf("count-only weightFor = %d, want 1", got)

@@ -7,10 +7,10 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/aqerr"
-	"repro/internal/obsv"
 	"repro/internal/wire"
 )
 
@@ -19,11 +19,11 @@ import (
 // writes — JSON, or for execute and fetch an envelope line plus the
 // chunk's §4 payload; failures travel as a wire.Error body with a
 // kind-derived status code. Each handler sits behind a panic
-// recovery boundary (aqerr.Recover), so an injected srv/* panic — or a
-// real engine bug — becomes a typed internal error on one request, not a
-// dead server process.
+// recovery boundary, so an injected srv/* panic — or a real engine bug —
+// becomes a typed internal error on one request, counted in
+// PanicsRecovered, not a dead server process.
 func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
+	mux := &router{ServeMux: http.NewServeMux(), panics: &s.panicsRecovered}
 	handle(mux, wire.PathHandshake, s.handshake)
 	handle(mux, wire.PathPrepare, s.prepare)
 	handle(mux, wire.PathExecute, s.execute)
@@ -53,9 +53,16 @@ func (s *Server) Handler() http.Handler {
 	})
 	handle(mux, wire.PathStats, func(ctx context.Context, req wire.StatsRequest) (wire.StatsResponse, error) {
 		return wire.StatsResponse{Server: s.Stats(), Compile: s.b.CompileStats(),
-			Metadata: s.b.MetadataStats(), Pipeline: obsv.Global.Snapshot()}, nil
+			Metadata: s.b.MetadataStats(), Pipeline: s.b.Stats()}, nil
 	})
 	return mux
+}
+
+// router is the server's mux with the counter its handlers' recovered
+// panics go to.
+type router struct {
+	*http.ServeMux
+	panics *atomic.Int64
 }
 
 // maxRequestBytes bounds every request body. The largest legitimate
@@ -66,7 +73,7 @@ const maxRequestBytes = 1 << 20
 
 // handle registers one POST endpoint with the shared decode / recover /
 // encode discipline.
-func handle[Req, Resp any](mux *http.ServeMux, path string, fn func(ctx context.Context, req Req) (Resp, error)) {
+func handle[Req, Resp any](mux *router, path string, fn func(ctx context.Context, req Req) (Resp, error)) {
 	mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			http.Error(w, "POST only", http.StatusMethodNotAllowed)
@@ -89,7 +96,12 @@ func handle[Req, Resp any](mux *http.ServeMux, path string, fn func(ctx context.
 			}
 		}
 		resp, err := func() (resp Resp, err error) {
-			defer aqerr.Recover("serve "+path, &err)
+			defer func() {
+				if r := recover(); r != nil {
+					mux.panics.Add(1)
+					err = aqerr.Errorf(aqerr.KindInternal, "serve "+path, "recovered panic: %v", r)
+				}
+			}()
 			return fn(ctx, req)
 		}()
 		if err != nil {

@@ -74,9 +74,11 @@ type Backend interface {
 	// Metadata is the catalog source metadata endpoints serve from.
 	Metadata() catalog.Source
 	// CompileStats and MetadataStats report the backend's own compile and
-	// metadata caches; /v1/stats serves them next to the server's counters.
+	// metadata caches, and Stats its pipeline counters; /v1/stats serves
+	// them next to the server's counters.
 	CompileStats() qcache.Stats
 	MetadataStats() catalog.CacheStats
+	Stats() obsv.Snapshot
 }
 
 // Config bounds one server instance. Zero fields take the defaults below.
@@ -92,9 +94,8 @@ type Config struct {
 	AdmissionWait time.Duration
 	// CostPerSlot converts a compiled query's cost estimate (predicted
 	// tuple visits) into admission slots: weight = 1 + (cost-1)/CostPerSlot,
-	// so statements under one slot's worth of work weigh 1. Zero takes the
-	// default (10000); negative disables cost weighting entirely — every
-	// query weighs 1, the legacy count-only admission.
+	// so statements under one slot's worth of work weigh 1. Zero or
+	// negative takes the default (10000).
 	CostPerSlot int64
 	// MaxQueryWeight clamps one query's admission weight so a single
 	// monster statement cannot starve the server (default
@@ -140,7 +141,7 @@ func (c Config) withDefaults() Config {
 	if c.FetchRows <= 0 {
 		c.FetchRows = 256
 	}
-	if c.CostPerSlot == 0 {
+	if c.CostPerSlot <= 0 {
 		c.CostPerSlot = 10000
 	}
 	if c.MaxQueryWeight <= 0 {
@@ -186,6 +187,7 @@ type Server struct {
 	admissionRejected atomic.Int64
 	execReplays       atomic.Int64
 	fetchReplays      atomic.Int64
+	panicsRecovered   atomic.Int64
 }
 
 // New builds a server over a backend. The returned server is serving
@@ -251,6 +253,7 @@ func (s *Server) Stats() wire.ServerStats {
 	st.AdmissionRejected = s.admissionRejected.Load()
 	st.ExecReplays = s.execReplays.Load()
 	st.FetchReplays = s.fetchReplays.Load()
+	st.PanicsRecovered = s.panicsRecovered.Load()
 	return st
 }
 

@@ -158,7 +158,6 @@ func semErr(pos qfront.Pos, format string, args ...any) error {
 func (t *Translator) TranslateFrontend(ctx context.Context, fe qfront.Frontend, text string, tr *obsv.Trace) (*Result, error) {
 	stmt, err := fe.Parse(text, tr)
 	if err != nil {
-		obsv.Global.TranslateErrors.Inc()
 		return nil, err
 	}
 	return t.translateStmt(ctx, stmt, tr)
@@ -184,7 +183,6 @@ func (t *Translator) translateStmt(ctx context.Context, stmt *qfront.SelectStmt,
 	sp = tr.StartStage(obsv.StageRestructure)
 	rows, cols, err := g.genSelectStmt(stmt, nil)
 	if err != nil {
-		obsv.Global.TranslateErrors.Inc()
 		return nil, err
 	}
 	sp.Add("tables", g.stat.tables)
@@ -233,7 +231,6 @@ func (t *Translator) translateStmt(ctx context.Context, stmt *qfront.SelectStmt,
 		sp.End()
 	}
 
-	obsv.Global.QueriesTranslated.Inc()
 	return res, nil
 }
 

@@ -319,10 +319,12 @@ type ServerStats struct {
 	// Idempotent replays served from cursor state instead of re-running.
 	ExecReplays  int64 `json:"exec_replays"`
 	FetchReplays int64 `json:"fetch_replays"`
+	// PanicsRecovered counts handler panics turned into typed errors.
+	PanicsRecovered int64 `json:"panics_recovered"`
 }
 
 // StatsResponse bundles the server's counters, its backend's compile and
-// metadata cache counters, and the process-wide pipeline snapshot. Each
+// metadata cache counters, and its backend's pipeline snapshot. Each
 // event is counted by one owner, so no figure appears in two blocks.
 type StatsResponse struct {
 	Server   ServerStats        `json:"server"`

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/aqerr"
-	"repro/internal/obsv"
 	"repro/internal/xdm"
 )
 
@@ -168,7 +167,7 @@ func (ex *flworExec) runParallel(ops []planOp, base *scope, cfg ExecConfig, fina
 	}
 	var claim, completed, workerSteps, workerPruned atomic.Int64
 
-	obsv.Global.ParallelWorkers.Add(int64(workers))
+	st.engine.m.workers.Add(int64(workers))
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -324,8 +323,8 @@ func (ex *flworExec) runParallel(ops []planOp, base *scope, cfg ExecConfig, fina
 		}
 
 		results[m] = nil
-		obsv.Global.MorselsProcessed.Inc()
-		obsv.Global.MergeBacklog.SetMax(completed.Load() - int64(m+1))
+		st.engine.m.morsels.Inc()
+		st.engine.m.backlog.SetMax(completed.Load() - int64(m+1))
 		if !joined {
 			tokens <- struct{}{}
 		}

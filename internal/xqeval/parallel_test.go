@@ -23,7 +23,6 @@ import (
 	"repro/internal/aqerr"
 	"repro/internal/catalog"
 	"repro/internal/demo"
-	"repro/internal/obsv"
 	"repro/internal/translator"
 	"repro/internal/xdm"
 	"repro/internal/xqeval"
@@ -457,11 +456,11 @@ func TestParallelSpeculationBounded(t *testing.T) {
 		for _, workers := range []int{1, 2, 8} {
 			e.SetExec(parallelExec(workers))
 			calls.Store(0)
-			hits := obsv.Global.ResourceLimitHits.Load()
+			hits := e.Stats().ResourceLimitHits
 			cur := e.EvalStream(ctx, plan, nil, nil)
 			prefix, err := drainCursor(cur)
 			_, tuples := cur.Stats()
-			if got := obsv.Global.ResourceLimitHits.Load() - hits; got != 1 {
+			if got := e.Stats().ResourceLimitHits - hits; got != 1 {
 				t.Fatalf("%+v, workers %d: ResourceLimitHits grew by %d, want 1", c.lim, workers, got)
 			}
 			if workers == 1 {
@@ -607,9 +606,9 @@ func TestBarrierAfterFanOut(t *testing.T) {
 		}
 		n := int64(strings.Count(serial.rows, "<ROW>"))
 		for _, workers := range []int{2, 8} {
-			morsels := obsv.Global.MorselsProcessed.Load()
+			morsels := e.Stats().MorselsProcessed
 			got := run(plan, workers)
-			if obsv.Global.MorselsProcessed.Load() == morsels {
+			if e.Stats().MorselsProcessed == morsels {
 				t.Fatalf("%s, workers %d: the scan before the barrier did not fan out", c.name, workers)
 			}
 			if got != serial {

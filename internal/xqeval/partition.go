@@ -6,7 +6,6 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/obsv"
 	"repro/internal/xdm"
 	"repro/internal/xquery"
 )
@@ -70,7 +69,7 @@ func (e *Engine) RegisterPartitioned(namespace, local string, spec *PartitionSpe
 			rows, err := e.CallContext(ctx, sh.Namespace, sh.Local, nil)
 			if err != nil {
 				if spec.Partial && !isContextErr(err) {
-					obsv.Global.ShardsSkipped.Inc()
+					e.m.shardsSkipped.Inc()
 					continue
 				}
 				return nil, err
@@ -223,7 +222,7 @@ func (ex *flworExec) gatherPartitioned(op *planOp, t *scope) (seq xdm.Sequence, 
 	pinActive := false
 	if part.pinProbe != nil && spec.ShardFor != nil {
 		if pruned, ok := ex.pruneShards(part, spec, t); ok {
-			obsv.Global.ShardsPruned.Add(int64(len(selected) - len(pruned)))
+			t.st.engine.m.shardsPruned.Add(int64(len(selected) - len(pruned)))
 			selected = pruned
 			pinActive = true
 			transformed = true
@@ -249,20 +248,21 @@ func (ex *flworExec) gatherPartitioned(op *planOp, t *scope) (seq xdm.Sequence, 
 	}
 	wg.Wait()
 
-	obsv.Global.FederatedScans.Inc()
+	m := &t.st.engine.m
+	m.fedScans.Inc()
 	for i, shardIdx := range selected {
 		sh := spec.Shards[shardIdx]
 		oc := &outcomes[i]
 		if oc.skipped {
-			obsv.Global.ShardsSkipped.Inc()
+			m.shardsSkipped.Inc()
 			transformed = true
 			continue
 		}
 		if oc.err != nil {
 			return nil, false, oc.err
 		}
-		obsv.Global.ShardScans.Inc()
-		obsv.Global.SourceScans.Add(sh.Source, 1)
+		m.shardScans.Inc()
+		m.sourceScans.Add(sh.Source, 1)
 		rows := oc.rows
 		if pinActive && part.pinCond != nil {
 			rows, err = ex.filterShardRows(op, part, t, rows)

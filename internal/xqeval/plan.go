@@ -5,7 +5,6 @@ import (
 	"slices"
 	"strings"
 
-	"repro/internal/obsv"
 	"repro/internal/xquery"
 )
 
@@ -250,10 +249,6 @@ func buildPlan(q *xquery.Query, sp StatsProvider) *Plan {
 		xquery.RecordReads(q.Body, p.keepReads)
 	}
 	p.Stream.fuse(p.flwors)
-	obsv.Global.PlansBuilt.Inc()
-	obsv.Global.PlanHashJoins.Add(int64(p.HashJoins))
-	obsv.Global.PlanPredicatesPushed.Add(int64(p.PredicatesPushed))
-	obsv.Global.PlanInvariantsHoisted.Add(int64(p.InvariantsHoisted))
 	return p
 }
 

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/obsv"
 	"repro/internal/xdm"
 )
 
@@ -71,16 +70,16 @@ type sourceStatsStore struct {
 }
 
 // SourceStats returns the cached statistics for one data service function.
-// It is the StatsProvider the planner consults; hit/miss counts aggregate
-// into obsv.Global.
+// It is the StatsProvider the planner consults; the engine counts its hits
+// and misses.
 func (e *Engine) SourceStats(namespace, local string) (*SourceStats, bool) {
 	e.srcStats.mu.RLock()
 	s, ok := e.srcStats.stats[funcKey{namespace, local}]
 	e.srcStats.mu.RUnlock()
 	if ok {
-		obsv.Global.SourceStatsHits.Inc()
+		e.m.statsHits.Inc()
 	} else {
-		obsv.Global.SourceStatsMisses.Inc()
+		e.m.statsMisses.Inc()
 	}
 	return s, ok
 }

@@ -175,10 +175,12 @@ type Cursor struct {
 	errCh  chan error
 	cancel context.CancelFunc
 
-	aligned bool
 	start   time.Time
+	m       *engineMetrics // the engine's counters, folded into at finish
+	aligned bool
 
-	closed atomic.Bool
+	closed   atomic.Bool
+	finished atomic.Bool
 
 	mu         sync.Mutex
 	done       bool
@@ -190,7 +192,6 @@ type Cursor struct {
 	produced atomic.Int64
 	consumed atomic.Int64
 	peak     atomic.Int64
-	finished atomic.Bool
 
 	counters *evalCounters
 }
@@ -246,7 +247,7 @@ func (c *Cursor) next() (xdm.Sequence, error) {
 		c.consumed.Add(1)
 		if !c.sawFirst {
 			c.sawFirst = true
-			obsv.Global.TimeToFirstRow.Observe(time.Since(c.start))
+			c.m.firstRow.Observe(time.Since(c.start))
 		}
 		return chunk, nil
 	}
@@ -257,7 +258,7 @@ func (c *Cursor) next() (xdm.Sequence, error) {
 		c.err = nil
 	}
 	c.done = true
-	c.finishMetrics()
+	c.finishMetrics(c.consumed.Load())
 	if c.err != nil {
 		return nil, c.err
 	}
@@ -295,6 +296,12 @@ func (c *Cursor) Close() error {
 	c.cancel()
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	// What the consumer took: everything pulled, less a primed chunk it
+	// never read. The drain below delivers nothing.
+	delivered := c.consumed.Load()
+	if c.hasPending {
+		delivered--
+	}
 	c.pending, c.hasPending = nil, false
 	for !c.done {
 		_, ok := <-c.ch
@@ -308,7 +315,7 @@ func (c *Cursor) Close() error {
 			c.err = err
 		}
 	}
-	c.finishMetrics()
+	c.finishMetrics(delivered)
 	return nil
 }
 
@@ -326,11 +333,17 @@ func (c *Cursor) Stats() (steps, tuples int64) {
 	return c.counters.steps, c.counters.tuples
 }
 
-func (c *Cursor) finishMetrics() {
+// finishMetrics folds the finished cursor into its engine's counters,
+// once: its peak in-flight rows and, when every chunk is a row, the rows
+// it delivered. A cursor over arbitrary XQuery delivers items, not rows.
+func (c *Cursor) finishMetrics(delivered int64) {
 	if c.finished.Swap(true) {
 		return
 	}
-	obsv.Global.PeakInFlightRows.SetMax(c.peak.Load())
+	c.m.peakInFlight.SetMax(c.peak.Load())
+	if c.aligned {
+		c.m.rows.Add(delivered)
+	}
 }
 
 // EvalStream evaluates a planned query as a row stream. The returned
@@ -357,6 +370,7 @@ func (e *Engine) evalStream(ctx context.Context, q *xquery.Query, p *Plan, sp *S
 		cancel:   cancel,
 		aligned:  sp.Streamable(),
 		start:    time.Now(),
+		m:        &e.m,
 		counters: counters,
 	}
 	go func() {
@@ -368,16 +382,7 @@ func (e *Engine) evalStream(ctx context.Context, q *xquery.Query, p *Plan, sp *S
 			emitted++
 			return nil
 		})
-		obsv.Global.QueriesExecuted.Inc()
-		obsv.Global.EvalSteps.Add(counters.steps)
-		obsv.Global.TuplesPruned.Add(counters.pruned)
-		span.SetOutput(emitted)
-		span.Add("steps", counters.steps)
-		span.Add("tuples", counters.tuples)
-		if counters.pruned > 0 {
-			span.Add("pruned", counters.pruned)
-		}
-		span.End()
+		e.endEval(span, counters, emitted)
 		cur.errCh <- err
 		close(cur.ch)
 	}()

@@ -10,6 +10,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -158,7 +159,7 @@ func TestOverloadContract(t *testing.T) {
 		return d[min(len(d)-1, len(d)*99/100)]
 	}
 
-	accepted, shed := run("uncontended", server.Config{MaxConcurrentQueries: capacity, CostPerSlot: -1,
+	accepted, shed := run("uncontended", server.Config{MaxConcurrentQueries: capacity, CostPerSlot: math.MaxInt64,
 		AdmissionWait: 10 * time.Second, SessionIdleTimeout: time.Minute, FetchRows: 64}, capacity)
 	if len(shed) != 0 {
 		t.Errorf("uncontended phase shed %d ops", len(shed))

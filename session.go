@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/driver"
-	"repro/internal/obsv"
 	"repro/internal/resultset"
 )
 
@@ -35,12 +34,10 @@ func (st prepared) Columns() []resultset.Column { return st.cq.Columns }
 
 func (st prepared) ParamCount() int { return st.cq.Res.ParamCount }
 
-// Execute traces the evaluation into the process-wide stage histograms, so
-// database/sql statements appear in Stats().
+// Execute traces the evaluation into the platform's stage histograms, so
+// database/sql statements appear in its Stats.
 func (st prepared) Execute(ctx context.Context, args ...any) (*Rows, error) {
-	tr := obsv.NewTrace(st.cq.SQL)
-	tr.Hook = obsv.Global.ObserveStage
-	return st.p.execute(ctx, st.cq, args, tr)
+	return st.p.execute(ctx, st.cq, args, st.p.trace(st.cq.SQL))
 }
 
 // Call implements driver.Session.

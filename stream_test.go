@@ -331,12 +331,12 @@ func FuzzStreamDifferential(f *testing.F) {
 }
 
 // TestStreamingMetricsSurface pins the streaming observability through the
-// public facade: a streamed query must show up in aqualogic.Stats() as
-// RowsStreamed, a TimeToFirstRow observation, and a nonzero in-flight
-// high-water mark.
+// public facade: a streamed query must show up in the platform's Stats as
+// rows, a TimeToFirstRow observation, and a nonzero in-flight high-water
+// mark.
 func TestStreamingMetricsSurface(t *testing.T) {
 	p := Demo()
-	before := Stats()
+	before := p.Stats()
 	rows, err := p.Query("SELECT CUSTOMERID FROM CUSTOMERS")
 	if err != nil {
 		t.Fatal(err)
@@ -349,14 +349,48 @@ func TestStreamingMetricsSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	rows.Close()
-	after := Stats()
-	if got := after.RowsStreamed - before.RowsStreamed; got < int64(n) {
-		t.Fatalf("RowsStreamed advanced by %d, want >= %d", got, n)
+	after := p.Stats()
+	if got := after.Rows - before.Rows; got < int64(n) {
+		t.Fatalf("Rows advanced by %d, want >= %d", got, n)
 	}
 	if after.TimeToFirstRowCount <= before.TimeToFirstRowCount {
 		t.Fatalf("TimeToFirstRow not observed: %d -> %d", before.TimeToFirstRowCount, after.TimeToFirstRowCount)
 	}
 	if after.PeakInFlightRows <= 0 {
 		t.Fatal("PeakInFlightRows never recorded")
+	}
+}
+
+// TestRowsCountedOnce: a materialized result is a drained cursor, so each
+// of its rows counts once, and so does each row of a result closed
+// part-way, while the rows the close discards count not at all.
+func TestRowsCountedOnce(t *testing.T) {
+	p := Demo()
+	before := p.Stats().Rows
+	rows, err := p.Query("SELECT CUSTOMERID FROM CUSTOMERS")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rows.Materialize(); err != nil {
+		t.Fatal(err)
+	}
+	rows.Close()
+	if got := p.Stats().Rows - before; got != 50 {
+		t.Fatalf("materializing 50 rows counted %d", got)
+	}
+
+	before = p.Stats().Rows
+	rows, err = p.Query("SELECT CUSTOMERID FROM CUSTOMERS")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if !rows.Next() {
+			t.Fatalf("row %d: %v", i, rows.Err())
+		}
+	}
+	rows.Close()
+	if got := p.Stats().Rows - before; got != 3 {
+		t.Fatalf("reading 3 rows, then closing, counted %d", got)
 	}
 }
