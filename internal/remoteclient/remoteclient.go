@@ -320,7 +320,7 @@ func (c *Client) execute(ctx context.Context, req wire.ExecuteRequest) (*results
 	if err != nil {
 		return nil, err
 	}
-	cur := &remoteCursor{c: c, ctx: ctx, cursor: resp.Cursor, cols: resp.Columns}
+	cur := &remoteCursor{c: c, ctx: ctx, cursor: resp.Cursor, dec: resultset.TextDecoder{Cols: resp.Columns}}
 	cur.take(1, wire.FetchResponse{Chunk: resp.Chunk, EOF: resp.EOF, Error: resp.Error})
 	return resultset.NewStreaming(cur), nil
 }
@@ -438,8 +438,8 @@ func (c *Client) Procedures() ([]*catalog.TableMeta, error) {
 type remoteCursor struct {
 	c      *Client
 	ctx    context.Context
-	cursor int64 // 0: closed by the server at execute
-	cols   []resultset.Column
+	cursor int64                 // 0: closed by the server at execute
+	dec    resultset.TextDecoder // types rows, carving them from one slab
 
 	seq     int64 // last successfully consumed chunk sequence number
 	buf     []string
@@ -450,7 +450,7 @@ type remoteCursor struct {
 }
 
 // Columns implements resultset.RowCursor.
-func (rc *remoteCursor) Columns() []resultset.Column { return rc.cols }
+func (rc *remoteCursor) Columns() []resultset.Column { return rc.dec.Cols }
 
 // Next implements resultset.RowCursor: one row per call, typed by the
 // in-process decoder (failing as it fails), io.EOF after the last.
@@ -459,7 +459,7 @@ func (rc *remoteCursor) Next() ([]xdm.Atomic, error) {
 		if rc.pos < len(rc.buf) {
 			row := rc.buf[rc.pos]
 			rc.pos++
-			return resultset.DecodeTextRow(row, rc.cols)
+			return rc.dec.Decode(row)
 		}
 		if rc.pending != nil {
 			return nil, rc.pending

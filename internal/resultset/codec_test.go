@@ -1,9 +1,12 @@
 package resultset
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"unicode/utf8"
@@ -70,7 +73,7 @@ func checkRoundTrip(t *testing.T, row []xdm.Atomic, cols []Column) {
 	if strings.Contains(text, RowDelimiter) || strings.Count(text, ColumnDelimiter) != len(cols)-1 {
 		t.Fatalf("row %v encodes as malformed %q", row, text)
 	}
-	got, err := DecodeTextRow(text, cols)
+	got, err := (&TextDecoder{Cols: cols}).Decode(text)
 	if err != nil {
 		t.Fatalf("row %v: decode %q: %v", row, text, err)
 	}
@@ -86,7 +89,7 @@ func checkRoundTrip(t *testing.T, row []xdm.Atomic, cols []Column) {
 	}
 }
 
-// TestTextRowCodecRoundTrip: DecodeTextRow inverts appendTextRow — the
+// TestTextRowCodecRoundTrip: TextDecoder inverts appendTextRow — the
 // encoder the server uses for rows it holds typed — for every atomic type
 // the schema maps SQL types to, with NULL in every position, every edge
 // string in every string column, and random rows besides.
@@ -122,9 +125,12 @@ func TestTextRowCodecRoundTrip(t *testing.T) {
 
 // FuzzTextRowCodec: any text and numbers, NULL or not per column,
 // round-trip through the row codec. Values are XML text, so valid UTF-8.
+// Encoded many to one batch, as the evaluator sends rows, and decoded
+// through one slab, each row is what a fresh TextDecoder makes of it, and
+// stays so while the rows after it decode.
 func FuzzTextRowCodec(f *testing.F) {
 	for i, s := range edgeStrings {
-		f.Add(s, edgeStrings[len(edgeStrings)-1-i], int64(i), float64(i)/3, uint8(i))
+		f.Add(s, edgeStrings[len(edgeStrings)-1-i], int64(i), float64(i)/3, uint8(i), uint8(3*i))
 	}
 	cols := []Column{
 		{Label: "A", Type: catalog.SQLVarchar, Nullable: true},
@@ -133,7 +139,7 @@ func FuzzTextRowCodec(f *testing.F) {
 		{Label: "D", Type: catalog.SQLDouble, Nullable: true},
 		{Label: "U", Type: catalog.SQLUnknown, Nullable: true},
 	}
-	f.Fuzz(func(t *testing.T, a, b string, k int64, d float64, nulls uint8) {
+	f.Fuzz(func(t *testing.T, a, b string, k int64, d float64, nulls, batch uint8) {
 		for _, s := range []string{a, b, a + b} {
 			if got, want := unescape(s), unescapeReplacer.Replace(s); got != want {
 				t.Fatalf("unescape(%q) = %q, the replacer gives %q", s, got, want)
@@ -149,8 +155,70 @@ func FuzzTextRowCodec(f *testing.F) {
 			}
 		}
 		checkRoundTrip(t, row, cols)
+		checkBatch(t, row, int(batch%80)+1, cols)
 	})
 }
+
+// checkBatch encodes n variants of row — each with another column NULL —
+// back to back into one §4 batch, reads them through StreamText's row
+// pull, materialized, and holds every kept row to a fresh TextDecoder's
+// decoding of its text.
+func checkBatch(t *testing.T, row []xdm.Atomic, n int, cols []Column) {
+	t.Helper()
+	var batch []byte
+	ends := make([]int, n)
+	for i := range ends {
+		v := slices.Clone(row)
+		if j := i % (len(v) + 1); j < len(v) {
+			v[j] = nil
+		}
+		batch = appendTextRow(append(batch, RowDelimiter...), v)
+		ends[i] = len(batch)
+	}
+	src := &batchPull{text: string(batch), ends: ends}
+	rows := NewStreaming(StreamText(src, cols))
+	if err := rows.Materialize(); err != nil {
+		t.Fatalf("batch of %d: %v", n, err)
+	}
+	from := 0
+	for i := 0; rows.Next(); i++ {
+		text := src.text[from+len(RowDelimiter) : ends[i]]
+		from = ends[i]
+		want, err := (&TextDecoder{Cols: cols}).Decode(text)
+		if err != nil {
+			t.Fatalf("row %d: decode %q: %v", i, text, err)
+		}
+		got, _ := rows.current()
+		for c := range want {
+			if (got[c] == nil) != (want[c] == nil) || got[c] != nil && (got[c].Type() != want[c].Type() || got[c].Lexical() != want[c].Lexical()) {
+				t.Fatalf("row %d of %d, column %d: kept %v, a fresh decoder gives %v (via %q)", i, n, c, got[c], want[c], text)
+			}
+		}
+	}
+}
+
+// batchPull is a row pull over one batch of §4 rows, handing out each as a
+// substring, as xqeval.Cursor does.
+type batchPull struct {
+	text string
+	ends []int
+	from int
+}
+
+func (p *batchPull) NextText() (string, error) {
+	if len(p.ends) == 0 {
+		return "", io.EOF
+	}
+	row := p.text[p.from:p.ends[0]]
+	p.from, p.ends = p.ends[0], p.ends[1:]
+	return row, nil
+}
+
+func (p *batchPull) Next() (xdm.Sequence, error) {
+	return nil, errors.New("batchPull: rows come through NextText")
+}
+func (p *batchPull) Close() error     { return nil }
+func (p *batchPull) RowAligned() bool { return true }
 
 // unescapeReplacer is the strings.Replacer unescape once was: the
 // definition the one-pass scan is held to.

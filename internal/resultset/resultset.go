@@ -97,7 +97,7 @@ func (r *Rows) Next() bool {
 	return r.pos <= len(r.data)
 }
 
-// NextText advances like Next, returning the row as DecodeTextRow reads
+// NextText advances like Next, returning the row as TextDecoder reads
 // it: one §4 row without its leading RowDelimiter. A text-mode stream's
 // rows are passed on as the evaluator produced them, untyped; any other
 // row is encoded. False means past the last row or an error (see Err).
@@ -329,9 +329,8 @@ func FromXML(result xdm.Sequence, cols []Column) (*Rows, error) {
 		return nil, fmt.Errorf("resultset: expected RECORDSET element, got %v", it)
 	}
 	rows := &Rows{cols: cols}
-	dups := duplicateNames(cols)
 	for _, rec := range root.ChildElements("RECORD") {
-		row, err := decodeRecord(rec, cols, dups)
+		row, err := decodeRecord(rec, cols)
 		if err != nil {
 			return nil, err
 		}
@@ -361,8 +360,9 @@ func FromText(payload string, cols []Column) (*Rows, error) {
 	if !strings.HasPrefix(payload, RowDelimiter) {
 		return nil, errMissingRowDelimiter
 	}
+	dec := TextDecoder{Cols: cols}
 	for _, rowText := range strings.Split(payload[1:], RowDelimiter) {
-		row, err := DecodeTextRow(rowText, cols)
+		row, err := dec.Decode(rowText)
 		if err != nil {
 			return nil, err
 		}

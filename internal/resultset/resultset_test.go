@@ -1,6 +1,7 @@
 package resultset
 
 import (
+	"errors"
 	"io"
 	"strings"
 	"testing"
@@ -173,11 +174,10 @@ func TestFromTextErrors(t *testing.T) {
 	}
 }
 
-// chunkStream is an ItemStream over fixed chunks, row-aligned or not.
-type chunkStream struct {
-	chunks  []xdm.Sequence
-	aligned bool
-}
+// chunkStream is an ItemStream over fixed chunks that is not row-aligned.
+// Like the evaluator's materialized fallback it has a row pull, which
+// fails: its items are payload fragments, and must be split as such.
+type chunkStream struct{ chunks []xdm.Sequence }
 
 func (s *chunkStream) Next() (xdm.Sequence, error) {
 	if len(s.chunks) == 0 {
@@ -187,33 +187,31 @@ func (s *chunkStream) Next() (xdm.Sequence, error) {
 	s.chunks = s.chunks[1:]
 	return chunk, nil
 }
-func (s *chunkStream) Close() error     { return nil }
-func (s *chunkStream) RowAligned() bool { return s.aligned }
+func (s *chunkStream) Close() error { return nil }
+func (s *chunkStream) NextText() (string, error) {
+	return "", errors.New("chunkStream: rows are not text")
+}
 
-// TestStreamTextChunkShapes: a row arriving as one string (the evaluator's
-// fused rows), as a token sequence, or as arbitrary fragments of the
-// payload decodes to what FromText makes of the whole payload — and a
-// malformed payload fails with FromText's error on every path.
+// TestStreamTextChunkShapes: rows pulled one at a time from a batch, as
+// the evaluator's text rows arrive, or a payload arriving as one string
+// per row, as a token sequence per row, or as arbitrary fragments, decode
+// to what FromText makes of the whole payload — and a malformed payload
+// fails with FromText's error on every path.
 func TestStreamTextChunkShapes(t *testing.T) {
-	str := func(parts ...string) xdm.Sequence {
-		var s xdm.Sequence
-		for _, p := range parts {
-			s = append(s, xdm.String(p))
-		}
-		return s
-	}
-	shapes := func(rows ...[]string) map[string]*chunkStream {
-		fused := &chunkStream{aligned: true}
-		tokens := &chunkStream{aligned: true}
-		frags := &chunkStream{}
+	shapes := func(rows ...[]string) map[string]ItemStream {
+		pull, fused, tokens, frags := &batchPull{}, &chunkStream{}, &chunkStream{}, &chunkStream{}
 		for _, r := range rows {
-			fused.chunks = append(fused.chunks, str(strings.Join(r, "")))
-			tokens.chunks = append(tokens.chunks, str(r...))
+			pull.text += strings.Join(r, "")
+			pull.ends = append(pull.ends, len(pull.text))
+			fused.chunks = append(fused.chunks, xdm.SequenceOf(xdm.String(strings.Join(r, ""))))
+			var toks xdm.Sequence
 			for _, tok := range r {
-				frags.chunks = append(frags.chunks, str(tok))
+				toks = append(toks, xdm.String(tok))
+				frags.chunks = append(frags.chunks, xdm.SequenceOf(xdm.String(tok)))
 			}
+			tokens.chunks = append(tokens.chunks, toks)
 		}
-		return map[string]*chunkStream{"one string per row": fused, "tokens per row": tokens, "fragments": frags}
+		return map[string]ItemStream{"row pull over a batch": pull, "one string per row": fused, "tokens per row": tokens, "fragments": frags}
 	}
 	drain := func(cur RowCursor) (string, error) {
 		var b strings.Builder
@@ -254,8 +252,7 @@ func TestStreamTextChunkShapes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, src := range shapes(good...) {
-		got, err := drain(StreamText(src, testCols()))
-		if err != nil || got != want {
+		if got, err := drain(StreamText(src, testCols())); err != nil || got != want {
 			t.Fatalf("%s: got %q, %v; want %q", name, got, err, want)
 		}
 	}
@@ -379,21 +376,17 @@ func TestTableRendering(t *testing.T) {
 // whatever order its children come in.
 func TestDecodeRecordAllocs(t *testing.T) {
 	cols := append(testCols(), Column{Label: "CITY", ElementName: "CITY", Type: catalog.SQLVarchar, Nullable: true})
-	dups := duplicateNames(cols)
-	if dups {
-		t.Fatal("duplicateNames: the schema has none")
-	}
 	children := [][2]string{{"ID", "100000"}, {"NAME", "Acme"}, {"AMOUNT", "12.5"}} // CITY absent: NULL
 	for _, order := range [][]int{{0, 1, 2}, {2, 0, 1}} {
 		rec := xdm.NewElement("RECORD")
 		for _, i := range order {
 			rec.AddChild(xdm.NewTextElement(children[i][0], children[i][1]))
 		}
-		row, err := decodeRecord(rec, cols, dups)
+		row, err := decodeRecord(rec, cols)
 		if err != nil || row[0] != xdm.Integer(100000) || row[1] != xdm.String("Acme") || row[2] != xdm.Decimal(12.5) || row[3] != nil {
 			t.Fatalf("children in order %v: decoded %v, %v", order, row, err)
 		}
-		allocs := testing.AllocsPerRun(100, func() { decodeRecord(rec, cols, dups) })
+		allocs := testing.AllocsPerRun(100, func() { decodeRecord(rec, cols) })
 		if allocs > 4 { // the row, then an integer, a string and a decimal
 			t.Fatalf("children in order %v: a 4-column row costs %.0f allocations, want 4", order, allocs)
 		}

@@ -2,8 +2,8 @@
 // decoders that type one row per Next instead of materializing the whole
 // result first. Both decoding paths exist in streaming form — the XML path
 // consumes RECORD elements as the evaluator produces them, and the text
-// path tokenizes the delimiter-separated payload as its fragments arrive —
-// so the driver's JDBC-style result sets can deliver a first row while the
+// path types each delimiter-separated row the evaluator hands over — so
+// the driver's JDBC-style result sets can deliver a first row while the
 // query is still running.
 package resultset
 
@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"slices"
 	"strings"
 
 	"repro/internal/xdm"
@@ -26,8 +25,9 @@ type ItemStream interface {
 	Close() error
 }
 
-// rowAligned is the optional hint that every chunk is exactly one result
-// row, letting the decoders skip buffering.
+// rowAligned is the optional hint that every chunk — or, through a row
+// pull, every text row — is exactly one result row, letting the decoders
+// skip buffering.
 type rowAligned interface {
 	RowAligned() bool
 }
@@ -51,13 +51,12 @@ func isAligned(src ItemStream) bool {
 // deliver one RECORD element per chunk; a materialized fallback chunk
 // holding the whole RECORDSET is expanded in place.
 func StreamXML(src ItemStream, cols []Column) RowCursor {
-	return &xmlCursor{src: src, cols: cols, dups: duplicateNames(cols), aligned: isAligned(src)}
+	return &xmlCursor{src: src, cols: cols, aligned: isAligned(src)}
 }
 
 type xmlCursor struct {
 	src     ItemStream
 	cols    []Column
-	dups    bool
 	aligned bool
 	queue   []*xdm.Element
 	closed  bool
@@ -70,7 +69,7 @@ func (c *xmlCursor) Next() ([]xdm.Atomic, error) {
 		if len(c.queue) > 0 {
 			rec := c.queue[0]
 			c.queue = c.queue[1:]
-			row, err := decodeRecord(rec, c.cols, c.dups)
+			row, err := decodeRecord(rec, c.cols)
 			if err != nil {
 				return nil, err
 			}
@@ -110,115 +109,86 @@ func (c *xmlCursor) Close() error {
 	return c.src.Close()
 }
 
-// StreamText decodes the §4 text-encoded result incrementally. Aligned
-// streams deliver one row's token sequence per chunk and decode it
-// immediately; unaligned fragments are buffered and split on the row
-// delimiter, which escaping guarantees cannot occur inside values.
+// rowPull is a text-rows stream's row pull: NextText returns one row's §4
+// text, leading row delimiter included, and io.EOF after the last.
+// xqeval.Cursor implements it.
+type rowPull interface {
+	NextText() (string, error)
+}
+
+// StreamText decodes the §4 text-encoded result incrementally. A
+// row-aligned stream with a row pull hands over one row per pull, decoded
+// at once; any other stream's items are payload fragments, buffered and
+// split on the row delimiter, which escaping guarantees cannot occur
+// inside values.
 func StreamText(src ItemStream, cols []Column) RowCursor {
-	return &textCursor{src: src, cols: cols, aligned: isAligned(src)}
+	c := &textCursor{src: src, dec: TextDecoder{Cols: cols}}
+	if rows, ok := src.(rowPull); ok && isAligned(src) {
+		c.rows = rows
+	}
+	return c
 }
 
 type textCursor struct {
-	src     ItemStream
-	cols    []Column
-	aligned bool
+	src  ItemStream
+	rows rowPull // nil: src's items are fragments of the payload
+	dec  TextDecoder
 
-	pending []string // complete, undecoded row texts (leading '>' stripped)
-	partial string   // bytes after the last row delimiter seen
-	started bool     // leading row delimiter consumed
-	srcEOF  bool
-	closed  bool
+	buf            string // payload received, not handed out, past its leading '>'
+	started        bool   // leading row delimiter consumed
+	srcEOF, closed bool
 }
 
-func (c *textCursor) Columns() []Column { return c.cols }
+func (c *textCursor) Columns() []Column { return c.dec.Cols }
 
 func (c *textCursor) Next() ([]xdm.Atomic, error) {
 	rowText, err := c.nextText()
 	if err != nil {
 		return nil, err
 	}
-	row, err := DecodeTextRow(rowText, c.cols)
-	if err != nil {
-		return nil, err
-	}
-	return row, nil
+	return c.dec.Decode(rowText)
 }
 
 // nextText returns the next row's text as the payload carries it (leading
 // row delimiter stripped, still escaped), and io.EOF after the last row.
 func (c *textCursor) nextText() (string, error) {
-	for {
-		if len(c.pending) > 0 {
-			rowText := c.pending[0]
-			c.pending = c.pending[1:]
-			return rowText, nil
+	if c.rows != nil && !c.closed {
+		text, err := c.rows.NextText()
+		if row, ok := strings.CutPrefix(text, RowDelimiter); ok || err != nil {
+			return row, err
 		}
-		if c.closed || c.srcEOF {
-			return "", io.EOF
+		return "", errMissingRowDelimiter
+	}
+	for !c.closed {
+		if row, rest, ok := strings.Cut(c.buf, RowDelimiter); ok && c.started {
+			c.buf = rest
+			return row, nil
+		}
+		if c.srcEOF {
+			if !c.started { // an empty payload, or its last row handed out
+				break
+			}
+			c.started = false
+			return c.buf, nil
 		}
 		chunk, err := c.src.Next()
 		if err == io.EOF {
 			c.srcEOF = true
-			// Flush the trailing buffered row; aligned rows complete per
-			// chunk, and an empty payload has none.
-			if !c.aligned && c.started {
-				c.pending = append(c.pending, c.partial)
-				c.partial = ""
-			}
 			continue
 		}
 		if err != nil {
 			return "", err
 		}
-		text := chunkText(chunk)
-		if c.aligned {
-			// One whole row, delimiter included.
-			if !strings.HasPrefix(text, RowDelimiter) {
+		for _, it := range chunk {
+			c.buf += xdm.StringValue(it)
+		}
+		if !c.started && c.buf != "" {
+			if c.buf, c.started = strings.CutPrefix(c.buf, RowDelimiter); !c.started {
 				return "", errMissingRowDelimiter
 			}
-			return text[len(RowDelimiter):], nil
-		}
-		if err := c.feed(text); err != nil {
-			return "", err
 		}
 	}
-}
-
-var errMissingRowDelimiter = errors.New("resultset: malformed text payload: missing leading row delimiter")
-
-// chunkText is a chunk's text: a fused row arrives as one string and is
-// taken as is; a token sequence is concatenated.
-func chunkText(chunk xdm.Sequence) string {
-	if len(chunk) == 1 {
-		return xdm.StringValue(chunk[0])
-	}
-	var b strings.Builder
-	for _, it := range chunk {
-		b.WriteString(xdm.StringValue(it))
-	}
-	return b.String()
-}
-
-// feed appends one fragment of an unaligned payload, splitting complete
-// rows off into the pending queue.
-func (c *textCursor) feed(text string) error {
-	if !c.started {
-		if text == "" {
-			return nil
-		}
-		if !strings.HasPrefix(text, RowDelimiter) {
-			return errMissingRowDelimiter
-		}
-		c.started = true
-		text = text[1:]
-	} else {
-		text = c.partial + text
-		c.partial = ""
-	}
-	parts := strings.Split(text, RowDelimiter)
-	c.pending = append(c.pending, parts[:len(parts)-1]...)
-	c.partial = parts[len(parts)-1]
-	return nil
+	return "", io.EOF
 }
 
 func (c *textCursor) Close() error {
@@ -226,16 +196,18 @@ func (c *textCursor) Close() error {
 		return nil
 	}
 	c.closed = true
-	c.pending, c.partial = nil, ""
+	c.buf = ""
 	return c.src.Close()
 }
 
+var errMissingRowDelimiter = errors.New("resultset: malformed text payload: missing leading row delimiter")
+
 // decodeRecord types one RECORD element against the result schema — the
 // per-row core FromXML loops over — in one walk of its children: each
-// fills the first empty column of its name, so duplicate names match
-// positionally and an absent element is NULL. Without duplicates (dups) the
-// search starts after the last column filled: schema order hits at once.
-func decodeRecord(rec *xdm.Element, cols []Column, dups bool) ([]xdm.Atomic, error) {
+// fills the first empty column of its name, searching from the column
+// after the last one filled, so children in schema order hit at once and
+// an absent element is NULL.
+func decodeRecord(rec *xdm.Element, cols []Column) ([]xdm.Atomic, error) {
 	row := make([]xdm.Atomic, len(cols))
 	from := 0
 	for _, n := range rec.Children {
@@ -250,31 +222,38 @@ func decodeRecord(rec *xdm.Element, cols []Column, dups bool) ([]xdm.Atomic, err
 				return nil, err
 			}
 			row[i], looking = v, false
-			if !dups {
-				from = i + 1
-			}
+			from = i + 1
 		}
 	}
 	return row, nil
 }
 
-// duplicateNames reports whether two columns share an element name.
-func duplicateNames(cols []Column) bool {
-	for i, c := range cols {
-		if slices.ContainsFunc(cols[:i], func(d Column) bool { return d.ElementName == c.ElementName }) {
-			return true
-		}
-	}
-	return false
+// TextDecoder types §4 text rows — the per-row core of FromText,
+// StreamText and the wire client — carving each from one []xdm.Atomic
+// slab. The slab starts at one row and doubles up to slabCells cells, so a
+// one-row result allocates one row. A slab is never reused: a decoded row
+// stays valid however long it is kept (Materialize keeps every row).
+type TextDecoder struct {
+	Cols []Column
+	slab []xdm.Atomic
+	n    int // rows the last slab held
 }
 
-// DecodeTextRow types one delimiter-separated row (leading row delimiter
-// already stripped) — the per-row core of FromText, StreamText and fetch.
-func DecodeTextRow(rowText string, cols []Column) ([]xdm.Atomic, error) {
+// slabCells caps a slab at 4 KiB with the 8-byte header the allocator
+// puts on a pointerful object of that size.
+const slabCells = (4096 - 8) / 16
+
+// Decode types one row (leading row delimiter already stripped).
+func (d *TextDecoder) Decode(rowText string) ([]xdm.Atomic, error) {
+	cols := d.Cols
 	if n := strings.Count(rowText, ColumnDelimiter) + 1; n != len(cols) {
 		return nil, fmt.Errorf("resultset: row has %d fields, schema has %d columns", n, len(cols))
 	}
-	row := make([]xdm.Atomic, len(cols))
+	if len(d.slab) < len(cols) {
+		d.n = max(min(2*d.n, slabCells/len(cols)), 1)
+		d.slab = make([]xdm.Atomic, d.n*len(cols))
+	}
+	row := d.slab[:len(cols):len(cols)]
 	for i := range cols {
 		var field string
 		field, rowText, _ = strings.Cut(rowText, ColumnDelimiter)
@@ -288,10 +267,11 @@ func DecodeTextRow(rowText string, cols []Column) ([]xdm.Atomic, error) {
 		}
 		row[i] = v
 	}
+	d.slab = d.slab[len(cols):]
 	return row, nil
 }
 
-// appendTextRow appends row in the form DecodeTextRow reads back.
+// appendTextRow appends row in the form TextDecoder reads back.
 func appendTextRow(dst []byte, row []xdm.Atomic) []byte {
 	for i, v := range row {
 		if i > 0 {

@@ -689,7 +689,9 @@ func chunkResponse(id int64, cur *cursor, chunk wire.FetchResponse) wire.Execute
 // past the end a chunk re-reports them — and the end of the stream
 // returns the admission slots at once, before the cursor closes. A chunk
 // after the first is sized for its predecessor's row count up front: a
-// result that filled one chunk most likely fills the next.
+// result that filled one chunk most likely fills the next. A text-mode
+// row is the evaluator's own text, a substring of the batch it crossed the
+// cursor in, so filling a chunk copies no row.
 func (c *cursor) nextChunkLocked(s *Server, limit int) wire.FetchResponse {
 	if c.failed != nil {
 		return wire.FetchResponse{Error: c.failed}

@@ -10,7 +10,8 @@ import (
 // FuzzTranslate runs arbitrary SQL through the full three-stage pipeline
 // against the demo catalog. The contract mirrors the driver's: bad input
 // produces an error, never a panic, and every successful translation must
-// serialize to XQuery that our own XQuery parser accepts.
+// serialize to XQuery that our own XQuery parser accepts and name each
+// result column's element uniquely, so $row/NAME selects one column.
 func FuzzTranslate(f *testing.F) {
 	seeds := []string{
 		"SELECT * FROM CUSTOMERS",
@@ -28,6 +29,9 @@ func FuzzTranslate(f *testing.F) {
 		"SELECT EXTRACT(YEAR FROM PAYDATE), SUM(PAYMENT) FROM PAYMENTS GROUP BY EXTRACT(YEAR FROM PAYDATE)",
 		"SELECT * FROM PO_CUSTOMERS WHERE STATUS = 'OPEN' AND TOTAL BETWEEN 10 AND 500",
 		"SELECT CUSTOMERID FROM CUSTOMERS EXCEPT SELECT CUSTID FROM PAYMENTS",
+		"SELECT CUSTOMERID, CUSTOMERID FROM CUSTOMERS",
+		"SELECT CUSTOMERID AS A, CUSTOMERNAME AS A, CITY AS \"A-2\" FROM CUSTOMERS ORDER BY A",
+		"SELECT *, CUSTOMERID FROM CUSTOMERS",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -44,6 +48,13 @@ func FuzzTranslate(f *testing.F) {
 		}
 		if _, err := xquery.Parse(xq); err != nil {
 			t.Fatalf("generated XQuery does not parse back (input %q): %v\n%s", sql, err, xq)
+		}
+		for i, c := range res.Columns {
+			for _, d := range res.Columns[:i] {
+				if d.ElementName == c.ElementName {
+					t.Fatalf("columns %q and %q share element name %q (input %q)", d.Label, c.Label, c.ElementName, sql)
+				}
+			}
 		}
 	})
 }

@@ -347,6 +347,7 @@ func (g *generator) genSelectItems(spec *qfront.QuerySpec, sc *qscope, agg *aggE
 	if len(items) == 0 {
 		return nil, nil, semErr(spec.Pos, "empty select list")
 	}
+	uniqueElementNames(items)
 	cols := make([]outCol, len(items))
 	for i, it := range items {
 		cols[i] = outCol{
@@ -360,6 +361,29 @@ func (g *generator) genSelectItems(spec *qfront.QuerySpec, sc *qscope, agg *aggE
 		}
 	}
 	return items, cols, nil
+}
+
+// uniqueElementNames renames each item whose element name an earlier item
+// already has to NAME-2, NAME-3, …, the first one free, so that $row/NAME
+// selects exactly one column — what the §4 text wrapper and every
+// by-name reader of a RECORD assume. Labels are untouched, and an
+// unquoted SQL identifier cannot contain '-', so ORDER BY still resolves
+// as written.
+func uniqueElementNames(items []selItem) {
+	taken := func(upTo int, name string) bool {
+		for _, it := range items[:upTo] {
+			if it.ElementName == name {
+				return true
+			}
+		}
+		return false
+	}
+	for i := range items {
+		base := items[i].ElementName
+		for n := 2; taken(i, items[i].ElementName); n++ {
+			items[i].ElementName = base + "-" + strconv.Itoa(n)
+		}
+	}
 }
 
 // expandWildcard expands a bare `*` over every visible range binding. With

@@ -111,26 +111,32 @@ func (ex *flworExec) canParallel(ops []planOp, tuples []*scope) (ExecConfig, boo
 }
 
 // morselResult is one morsel's buffered output: emitted values on the final
-// segment, surviving tuple scopes on a barrier segment, and the first
-// error the morsel hit (processing stops there, so vals/tups hold the
-// morsel's pre-error prefix). The charge ledger — how many rows and tuples
-// the morsel charged in total, and the running counts at the moment each
-// val was buffered — is what lets the merge loop advance the serial
-// counters exactly, including through a mid-morsel FETCH FIRST stop.
+// segment (a row program's text rows back to back, batchRows to a string),
+// surviving tuple scopes on a barrier segment, and the first error the
+// morsel hit (processing stops there, so vals/texts/tups hold the morsel's
+// pre-error prefix). The charge ledger — how many rows and tuples the
+// morsel charged in total, and the running counts at the moment each row
+// was buffered — is what lets the merge loop advance the serial counters
+// exactly, including through a mid-morsel FETCH FIRST stop.
 type morselResult struct {
-	vals []xdm.Sequence
-	tups []*scope
-	err  error
+	vals  []xdm.Sequence
+	texts []string
+	tups  []*scope
+	err   error
 
 	rowsCharged   int64
 	tuplesCharged int64
 	chargedAt     []morselCharge
 }
 
-// morselCharge is the morsel's running row/tuple charge once a val was
-// buffered. A val's own row charge is not its length: a fused text row is
-// one item that charges the RECORD and every token it stands for.
-type morselCharge struct{ rows, tuples int64 }
+// morselCharge is the morsel's running row/tuple charge once a row was
+// buffered, and where its text ends in its string. A row's own row charge
+// is not its length: a fused text row charges the RECORD and every token
+// it stands for.
+type morselCharge struct {
+	rows, tuples int64
+	end          int
+}
 
 // runParallel fans ops[0]'s materialized source out to morsel workers.
 // With final=true each surviving tuple's return value is buffered and the
@@ -231,19 +237,33 @@ func (ex *flworExec) runParallel(ops []planOp, base *scope, cfg ExecConfig, fina
 	}
 	defer join()
 
-	// flush hands one morsel's buffered rows to emit in order, advancing
-	// the serial counters per row so an early stop (the FETCH FIRST
-	// limiter's sentinel coming back through emit, a cursor-side abort)
-	// leaves them exactly where serial execution would have stopped
-	// charging, and then past the whole morsel. emit may charge too — the
-	// unfused text path tokenizes each row on this goroutine, against the
-	// caller's counters — so those hold the serial count while it runs,
-	// and what it adds is serial work the later rows are charged on top of.
+	// flush hands one morsel's buffered rows in order to emit, or to the
+	// stream's writer as substrings of the morsel's texts, advancing the
+	// serial counters per row so an early stop (the FETCH FIRST limiter's
+	// sentinel coming back, a cursor-side abort) leaves them exactly where
+	// serial execution would have stopped charging, and then past the
+	// whole morsel. emit may charge too — the unfused text path tokenizes
+	// each row on this goroutine, against the caller's counters — so those
+	// hold the serial count while it runs, and what it adds is serial work
+	// the later rows are charged on top of.
+	w := ex.w
 	flush := func(r *morselResult, rowBase, tupleBase int64) error {
-		for i, v := range r.vals {
-			at := r.chargedAt[i]
+		for i, at := range r.chargedAt {
 			counters.rows, counters.tuples = rowBase+at.rows, tupleBase+at.tuples
-			err := emit(v)
+			var err error
+			if ex.prog != nil {
+				from := 0
+				if i%batchRows > 0 {
+					from = r.chargedAt[i-1].end
+				} else {
+					err = w.flush() // a batch's rows share one string
+				}
+				if err == nil {
+					err = w.endIn(r.texts[i/batchRows], from, at.end)
+				}
+			} else {
+				err = emit(r.vals[i])
+			}
 			serRows, serTuples = counters.rows, counters.tuples
 			rowBase, tupleBase = serRows-at.rows, serTuples-at.tuples
 			if err != nil {
@@ -251,6 +271,9 @@ func (ex *flworExec) runParallel(ops []planOp, base *scope, cfg ExecConfig, fina
 			}
 		}
 		serRows, serTuples = rowBase+r.rowsCharged, tupleBase+r.tuplesCharged
+		if ex.prog != nil {
+			return w.flush()
+		}
 		return nil
 	}
 
@@ -356,20 +379,36 @@ func (ex *flworExec) runMorsel(ops []planOp, ws *scope, seq xdm.Sequence, start,
 	}()
 	var sink tupleSink
 	if final {
-		// Sized once: each item emits one value unless a later for fans out.
-		r.vals = make([]xdm.Sequence, 0, end-start)
+		// Sized once: each item emits one row unless a later for fans out.
 		r.chargedAt = make([]morselCharge, 0, end-start)
-		var buf []byte
+		// A row program's rows go to a scratch buffer and are copied out
+		// exactly, batchRows to a string: no estimate sizes a morsel's text.
+		var text []byte
+		if ex.prog != nil {
+			text = make([]byte, 0, 64*batchRows)
+			defer func() { r.texts = append(r.texts, string(text)) }()
+		} else {
+			r.vals = make([]xdm.Sequence, 0, end-start)
+		}
 		sink = func(t2 *scope) error {
-			// finalValue charges before we buffer — a row is never buffered
+			// A row is charged before it is buffered — never buffered
 			// without having been counted — and the watermarks let the
 			// merger advance the serial counters row by row.
-			v, err := ex.finalValue(t2, &buf)
-			if err != nil {
-				return err
+			if ex.prog != nil {
+				if err := ex.prog.run(t2, &text); err != nil {
+					return err
+				}
+			} else {
+				v, err := ex.finalValue(t2)
+				if err != nil {
+					return err
+				}
+				r.vals = append(r.vals, v)
 			}
-			r.chargedAt = append(r.chargedAt, morselCharge{counters.rows - rows0, counters.tuples - tups0})
-			r.vals = append(r.vals, v)
+			r.chargedAt = append(r.chargedAt, morselCharge{counters.rows - rows0, counters.tuples - tups0, len(text)})
+			if ex.prog != nil && len(r.chargedAt)%batchRows == 0 {
+				r.texts, text = append(r.texts, string(text)), text[:0]
+			}
 			return nil
 		}
 	} else {

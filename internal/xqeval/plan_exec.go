@@ -22,8 +22,9 @@ type flworExec struct {
 	fp     *flworPlan
 	states []opState
 	// prog, when set, replaces the return clause in the final tuple sink
-	// (rowprog.go) — the streaming text path only.
+	// (rowprog.go), and its rows go to w — the streaming text path only.
 	prog *rowProgram
+	w    *rowWriter
 }
 
 // opState is the lazily-filled per-run state of one op: the cached
@@ -49,7 +50,7 @@ type tupleSink func(t *scope) error
 // the sequence-valued entry point evalFLWOR uses.
 func execPlannedFLWOR(fp *flworPlan, env *scope) (xdm.Sequence, error) {
 	var out xdm.Sequence
-	err := execPlannedFLWORTo(fp, env, nil, func(v xdm.Sequence) error {
+	err := execPlannedFLWORTo(fp, env, nil, nil, func(v xdm.Sequence) error {
 		out = append(out, v...)
 		return nil
 	})
@@ -60,9 +61,10 @@ func execPlannedFLWOR(fp *flworPlan, env *scope) (xdm.Sequence, error) {
 }
 
 // execPlannedFLWORTo runs the planned pipeline, delivering each tuple's
-// return value to emit as it is produced. The final segment streams
-// straight from the tuple sink into emit — this is the cursor boundary
-// EvalStream pulls from; earlier segments materialize for their barrier.
+// return value to emit as it is produced — or, with a row program, each
+// tuple's text row to w. The final segment streams straight from the tuple
+// sink into emit or w — this is the cursor boundary EvalStream pulls from;
+// earlier segments materialize for their barrier.
 //
 // Stats-built (eager) plans materialize each segment's invariant states and
 // hash tables before its tuple loop, which enables two things the lazy path
@@ -70,8 +72,8 @@ func execPlannedFLWOR(fp *flworPlan, env *scope) (xdm.Sequence, error) {
 // emits nothing, so the whole tuple loop is skipped; and with the shared
 // state read-only from then on, an eligible segment can fan its outer scan
 // out to morsel workers (parallel.go) without synchronizing on it.
-func execPlannedFLWORTo(fp *flworPlan, env *scope, prog *rowProgram, emit func(xdm.Sequence) error) error {
-	ex := &flworExec{fp: fp, states: make([]opState, fp.numStates), prog: prog}
+func execPlannedFLWORTo(fp *flworPlan, env *scope, prog *rowProgram, w *rowWriter, emit func(xdm.Sequence) error) error {
+	ex := &flworExec{fp: fp, states: make([]opState, fp.numStates), prog: prog, w: w}
 	tuples := []*scope{env}
 	for si, seg := range fp.segments {
 		final := si == len(fp.segments)-1
@@ -91,16 +93,25 @@ func execPlannedFLWORTo(fp *flworPlan, env *scope, prog *rowProgram, emit func(x
 				_, err := ex.runParallel(seg.ops, tuples[0], cfg, true, emit)
 				return err
 			}
-			var buf []byte
-			for _, t := range tuples {
-				err := ex.feed(seg.ops, 0, t, func(t2 *scope) error {
-					v, err := ex.finalValue(t2, &buf)
+			var sink tupleSink
+			if prog != nil {
+				sink = func(t2 *scope) error {
+					if err := prog.run(t2, w.open()); err != nil {
+						return err
+					}
+					return w.end()
+				}
+			} else {
+				sink = func(t2 *scope) error {
+					v, err := ex.finalValue(t2)
 					if err != nil {
 						return err
 					}
 					return emit(v)
-				})
-				if err != nil {
+				}
+			}
+			for _, t := range tuples {
+				if err := ex.feed(seg.ops, 0, t, sink); err != nil {
 					return err
 				}
 			}
@@ -138,15 +149,11 @@ func execPlannedFLWORTo(fp *flworPlan, env *scope, prog *rowProgram, emit func(x
 	return nil
 }
 
-// finalValue produces and charges what one surviving tuple emits: the
-// return clause's value, or the row program's fused text row. buf is the
-// calling goroutine's scratch for the latter.
-func (ex *flworExec) finalValue(t *scope, buf *[]byte) (xdm.Sequence, error) {
+// finalValue produces and charges the return clause's value for one
+// surviving tuple (a row program's text row is its run).
+func (ex *flworExec) finalValue(t *scope) (xdm.Sequence, error) {
 	if err := t.checkCancel(); err != nil {
 		return nil, err
-	}
-	if ex.prog != nil {
-		return ex.prog.run(t, buf)
 	}
 	v, err := evalExpr(ex.fp.flwor.Return, t)
 	if err != nil {

@@ -23,9 +23,9 @@ import (
 // fired) is the if-empty default. A row program is that composition,
 // compiled once per plan: one entry per output column holding the value
 // expression, its NULL guard and its delimiter. Run against a tuple, it
-// appends delimiter + escaped lexical form straight into one buffer and
-// emits the row as a single xs:string — the same bytes fn:string-join
-// would have produced from the row's tokens.
+// appends delimiter + escaped lexical form straight into the stream's
+// batch buffer (or a morsel's) — the same bytes fn:string-join would have
+// produced from the row's tokens.
 //
 // The program exists only on plans (buildPlan). The naive evaluator never
 // sees one: it keeps building and re-reading the RECORD, and is the oracle
@@ -86,7 +86,6 @@ func (sp *StreamPlan) fuse(flwors map[xquery.Expr]*flworPlan) {
 		return
 	}
 	prog.cols = make([]rowCol, len(rec.Content))
-	names := make([]string, len(rec.Content))
 	for i, content := range rec.Content {
 		c := &prog.cols[i]
 		name, ok := c.matchCtor(content)
@@ -94,14 +93,6 @@ func (sp *StreamPlan) fuse(flwors map[xquery.Expr]*flworPlan) {
 			sp.unfused = "a RECORD child is not a column constructor"
 			return
 		}
-		for _, seen := range names[:i] {
-			if seen == name {
-				// $tokenQuery/NAME would select both children.
-				sp.unfused = "duplicate output name " + name
-				return
-			}
-		}
-		names[i] = name
 		if !c.matchToken(toks.Items[2*i], toks.Items[2*i+1], sp.tokenVar, name) {
 			sp.unfused = "token for " + name + " is not the serialize/escape/if-empty chain"
 			return
@@ -232,49 +223,51 @@ func pureExpr(e xquery.Expr) bool {
 	return pure
 }
 
-// stream runs the row FLWOR with the program as its return clause.
-func (p *rowProgram) stream(env *scope, emit func(xdm.Sequence) error) error {
-	run := func(emit func(xdm.Sequence) error) error {
-		return execPlannedFLWORTo(p.fp, env, p, emit)
+// stream runs the row FLWOR with the program as its return clause,
+// writing its rows to w; FETCH FIRST n stops w at row n.
+func (p *rowProgram) stream(env *scope, w *rowWriter) error {
+	if p.limit == 0 {
+		return nil
 	}
-	if p.limit < 0 {
-		return run(emit)
+	w.limit = p.limit
+	err := execPlannedFLWORTo(p.fp, env, p, w, nil)
+	if err == errRowLimit { //nolint:errorlint // sentinel identity, never wrapped
+		return nil
 	}
-	return limitStream(p.limit, emit, run)
+	return err
 }
 
-// run produces one tuple's row into buf (scratch owned by the calling
-// goroutine) and returns it as a one-string chunk. It charges exactly what
-// the unfused pipeline charges for the row, in the same order: the RECORD
-// item against MaxRows, the $tokenQuery binding against MaxTuples, a
-// cancellation check, then the row's tokens against MaxRows.
-func (p *rowProgram) run(t *scope, buf *[]byte) (xdm.Sequence, error) {
-	if err := t.step(); err != nil {
-		return nil, err
+// run appends one tuple's row to *buf. It charges exactly what the unfused
+// pipeline charges for the row, in the same order: a cancellation check,
+// the RECORD item against MaxRows, the $tokenQuery binding against
+// MaxTuples, a cancellation check, then the row's tokens against MaxRows.
+func (p *rowProgram) run(t *scope, buf *[]byte) error {
+	if err := t.checkCancel(); err != nil {
+		return err
 	}
-	b := (*buf)[:0]
+	if err := t.step(); err != nil {
+		return err
+	}
+	b := *buf
 	for i := range p.cols {
 		c := &p.cols[i]
 		b = append(b, c.delim...)
 		var err error
 		if b, err = c.appendValue(b, t); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	*buf = b
 	if err := t.countRows(1); err != nil {
-		return nil, err
+		return err
 	}
 	if err := t.countTuple(); err != nil {
-		return nil, err
+		return err
 	}
 	if err := t.checkCancel(); err != nil {
-		return nil, err
+		return err
 	}
-	if err := t.countRows(2 * len(p.cols)); err != nil {
-		return nil, err
-	}
-	return xdm.SequenceOf(xdm.String(b)), nil
+	return t.countRows(2 * len(p.cols))
 }
 
 // appendValue appends one column's token: the escaped string value the

@@ -144,7 +144,7 @@ func fusedCases(t testing.TB) []fusedCase {
 		{"SELECT A, COUNT(*), MAX(D) FROM E GROUP BY A", true},
 		{"SELECT K + 1, D * 2, UPPER(B), S || B FROM E", true},
 		{"SELECT K, (SELECT MAX(D) FROM E) FROM E WHERE K > ?", false}, // guarded nested query
-		{"SELECT K, K FROM E", false},                                  // duplicate output names
+		{"SELECT K, K FROM E", true},                                   // duplicate output names
 		{"SELECT K, S FROM E FETCH FIRST 0 ROWS ONLY", true},
 	} {
 		res, err := etrans.Translate(c.sql)
@@ -216,8 +216,7 @@ func TestFusedMatchesNaive(t *testing.T) {
 			fusedSeen++
 		}
 
-		// A statement may fail (duplicate output names make the wrapper's
-		// serialize-atomic see two values): then every path must fail alike.
+		// A statement may fail: then every path must fail alike.
 		want, _, werr := drainRows(c.engine.EvalStreamNaive(ctx, c.query, c.ext, nil))
 		out, err := c.engine.EvalPlanWithTrace(ctx, plan, c.ext, nil)
 		if (err == nil) != (werr == nil) {
@@ -346,6 +345,48 @@ func TestFusedLimitParity(t *testing.T) {
 		}
 	}
 	engine.SetExec(xqeval.ExecConfig{})
+
+	// FETCH FIRST n where a serial stream closes a batch — after 1, 3, 7,
+	// 15, 31 and 63 rows, the last at the batch cap — one either side of
+	// each, and n inside a second morsel, whether morsels are shorter than
+	// a batch or longer: rows and tuples are the serial run's. Steps also
+	// count the morsel workers' speculation past the stop, so they are held
+	// equal only between two serial runs.
+	for _, n := range []int{0, 1, 2, 3, 4, 6, 7, 8, 14, 15, 16, 30, 31, 32, 62, 63, 64, 65, 150} {
+		scan, plan := fusedScanSetup(t, 400, fmt.Sprintf("SELECT C0, C1, C2, C4 FROM W WHERE C0 > ? FETCH FIRST %d ROWS ONLY", n))
+		ext := map[string]xdm.Sequence{"p1": xdm.SequenceOf(xdm.Integer(0))}
+		var want []string
+		var wantSteps, wantTuples int64
+		for i, cfg := range []xqeval.ExecConfig{{Workers: 1}, {Workers: 1}, parallelExec(2), {Workers: 2, MorselSize: 100, MinParallelItems: 2}} {
+			scan.SetExec(cfg)
+			cur := scan.EvalStream(ctx, plan, ext, nil)
+			var got []string
+			for {
+				row, err := cur.NextText()
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					t.Fatalf("FETCH FIRST %d, %+v: %v", n, cfg, err)
+				}
+				got = append(got, row)
+			}
+			steps, tuples := cur.Stats()
+			if i == 0 {
+				want, wantSteps, wantTuples = got, steps, tuples
+				if len(want) != n {
+					t.Fatalf("FETCH FIRST %d delivered %d rows", n, len(want))
+				}
+				continue
+			}
+			if cfg.Workers == 1 && steps != wantSteps {
+				t.Fatalf("FETCH FIRST %d: serial runs took %d and %d steps", n, wantSteps, steps)
+			}
+			if strings.Join(got, "") != strings.Join(want, "") || len(got) != len(want) || tuples != wantTuples {
+				t.Fatalf("FETCH FIRST %d, %+v: %d rows, %d tuples; serial %d rows, %d tuples", n, cfg, len(got), tuples, len(want), wantTuples)
+			}
+		}
+	}
 }
 
 // TestFusedScanAllocs is the erosion guard for the hot loop: draining the
@@ -354,7 +395,7 @@ func TestFusedLimitParity(t *testing.T) {
 // row string, chunk); the filter's column kernel allocates nothing.
 func TestFusedScanAllocs(t *testing.T) {
 	const n = 2000
-	engine, plan := fusedScanSetup(t, n)
+	engine, plan := fusedScanSetup(t, n, scanSQL)
 	engine.SetExec(xqeval.ExecConfig{Workers: 1})
 	ext := map[string]xdm.Sequence{"p1": xdm.SequenceOf(xdm.Integer(0))}
 	ctx := context.Background()
@@ -394,9 +435,12 @@ func TestFusedScanAllocs(t *testing.T) {
 	}
 }
 
-// fusedScanSetup compiles the scan shape over an n-row table: one source
-// filtered by C0 > $p1, plain column references, text mode.
-func fusedScanSetup(t *testing.T, n int) (*xqeval.Engine, *xqeval.Plan) {
+// scanSQL is the scan shape: one source filtered by C0 > $p1, plain column
+// references.
+const scanSQL = "SELECT C0, C1, C2, C4 FROM W WHERE C0 > ?"
+
+// fusedScanSetup compiles sql, in text mode, over an n-row table W.
+func fusedScanSetup(t *testing.T, n int, sql string) (*xqeval.Engine, *xqeval.Plan) {
 	t.Helper()
 	app := &catalog.Application{Name: "ScanApp"}
 	app.AddDSFile(&catalog.DSFile{Path: "Scan", Name: "W", Functions: []*catalog.Function{
@@ -422,7 +466,7 @@ func fusedScanSetup(t *testing.T, n int) (*xqeval.Engine, *xqeval.Plan) {
 	engine.RegisterRows("ld:Scan/W", "W", rows)
 	trans := translator.New(catalog.NewCache(app))
 	trans.Options.Mode = translator.ModeText
-	res, err := trans.Translate("SELECT C0, C1, C2, C4 FROM W WHERE C0 > ?")
+	res, err := trans.Translate(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +486,7 @@ func fusedScanSetup(t *testing.T, n int) (*xqeval.Engine, *xqeval.Plan) {
 // as a timeout.
 func TestFusedParallelScanCancellation(t *testing.T) {
 	const n = 20000
-	engine, plan := fusedScanSetup(t, n)
+	engine, plan := fusedScanSetup(t, n, scanSQL)
 	defer engine.SetExec(xqeval.ExecConfig{})
 	ext := map[string]xdm.Sequence{"p1": xdm.SequenceOf(xdm.Integer(0))}
 	for _, workers := range []int{1, 4} {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -47,8 +48,8 @@ const (
 	// StreamXMLRows is the XML result shape: each emitted chunk is one item
 	// of the RECORDSET constructor's content (one RECORD element per row).
 	StreamXMLRows
-	// StreamTextRows is the §4 text shape: each emitted chunk is one row's
-	// delimiter/value token sequence.
+	// StreamTextRows is the §4 text shape: rows are sent as batches of §4
+	// text, each row its delimiters and escaped values.
 	StreamTextRows
 )
 
@@ -159,19 +160,49 @@ func recordsetRows(e xquery.Expr) (xquery.Expr, bool) {
 	return enc.Expr, true
 }
 
-// streamBuffer is the cursor channel's capacity: enough slack that the
-// producer is rarely blocked on a consumer doing per-row work, small enough
-// that early termination leaves only a bounded number of rows in flight.
-const streamBuffer = 64
+// streamBuffer bounds the rows sent but not yet handed out: enough slack
+// that the producer is rarely blocked on a consumer doing per-row work,
+// little enough that early termination leaves few rows in flight. XML rows
+// and materialized items go one per send, into streamBuffer slots; text
+// rows in batches of at most batchRows, into streamBuffer/batchRows - 1
+// slots, which with the batch being read hold at most streamBuffer rows.
+const (
+	streamBuffer = 64
+	batchRows    = 32
+)
+
+// chunk is one send on the cursor channel: one XML row or materialized
+// item, or a batch of text rows.
+type chunk struct {
+	items xdm.Sequence
+	batch *rowBatch
+}
+
+// rowBatch is up to batchRows §4 text rows, back to back in text: row i
+// is text[ends[i]:ends[i+1]]. It is immutable once sent.
+type rowBatch struct {
+	text string
+	n    int
+	ends [batchRows + 1]int32
+}
+
+// rows is how many rows the chunk carries.
+func (ch *chunk) rows() int {
+	if ch.batch != nil {
+		return ch.batch.n
+	}
+	return min(len(ch.items), 1)
+}
 
 // Cursor is the pull end of a streaming evaluation. The producing goroutine
-// evaluates the query and pushes one chunk per row into a bounded channel;
-// Next pulls them. Next returns io.EOF after the last row, or the
-// evaluation's error. Close is idempotent, cancels the evaluation through
-// the context plumbing, and waits for the producer to exit — after Close
-// returns, no evaluation work is running.
+// evaluates the query and sends its rows into a bounded channel — text rows
+// in batches, anything else one per send — and Next and NextText hand them
+// out one row at a time, counting each, then io.EOF or the evaluation's
+// error. Close is idempotent, cancels the evaluation through the context
+// plumbing, and waits for the producer to exit — after Close returns, no
+// evaluation work is running.
 type Cursor struct {
-	ch     chan xdm.Sequence
+	ch     chan chunk
 	errCh  chan error
 	cancel context.CancelFunc
 
@@ -182,12 +213,12 @@ type Cursor struct {
 	closed   atomic.Bool
 	finished atomic.Bool
 
-	mu         sync.Mutex
-	done       bool
-	err        error
-	pending    xdm.Sequence
-	hasPending bool
-	sawFirst   bool
+	mu       sync.Mutex
+	done     bool
+	sawFirst bool
+	err      error
+	cur      chunk // the chunk rows are handed out from
+	pos      int   // rows of cur handed out
 
 	produced atomic.Int64
 	consumed atomic.Int64
@@ -196,17 +227,17 @@ type Cursor struct {
 	counters *evalCounters
 }
 
-// RowAligned reports whether each chunk is exactly one result row (true
-// for the recognized XML and text shapes; false for the materialized
-// fallback, where chunks are arbitrary result items).
+// RowAligned reports whether each row Next or NextText hands out is exactly
+// one result row (true for the recognized XML and text shapes; false for
+// the materialized fallback, whose chunks are arbitrary result items).
 func (c *Cursor) RowAligned() bool { return c.aligned }
 
-// emit delivers one chunk from the producing goroutine, giving up when the
+// send delivers one chunk from the producing goroutine, giving up when the
 // cursor's context is cancelled (Close, statement close, or deadline).
-func (c *Cursor) emit(ctx context.Context, chunk xdm.Sequence) error {
+func (c *Cursor) send(ctx context.Context, ch chunk) error {
 	select {
-	case c.ch <- chunk:
-		inFlight := c.produced.Add(1) - c.consumed.Load()
+	case c.ch <- ch:
+		inFlight := c.produced.Add(int64(ch.rows())) - c.consumed.Load()
 		for {
 			p := c.peak.Load()
 			if inFlight <= p || c.peak.CompareAndSwap(p, inFlight) {
@@ -219,70 +250,94 @@ func (c *Cursor) emit(ctx context.Context, chunk xdm.Sequence) error {
 	}
 }
 
-// Next returns the next chunk, io.EOF after the last one, or the
-// evaluation's error. Safe for use concurrently with Close.
+// Next returns the next row (one item of the materialized fallback), io.EOF
+// after the last one, or the evaluation's error. A text row comes as one
+// xs:string. Safe for use concurrently with Close.
 func (c *Cursor) Next() (xdm.Sequence, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.next()
+	if err := c.fill(); err != nil {
+		return nil, err
+	}
+	if text, isText := c.take(); isText {
+		return xdm.SequenceOf(xdm.String(text)), nil
+	}
+	return c.cur.items, nil
 }
 
-func (c *Cursor) next() (xdm.Sequence, error) {
-	if c.hasPending {
-		chunk := c.pending
-		c.pending, c.hasPending = nil, false
-		return chunk, nil
+// NextText returns the next row of a text-rows stream as the §4 text the
+// evaluator wrote, leading row delimiter included — a substring of its
+// batch, so handing it out allocates nothing. Other rows are an error.
+func (c *Cursor) NextText() (string, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err := c.fill(); err != nil {
+		return "", err
 	}
-	if c.done {
-		if c.err != nil {
-			return nil, c.err
+	if text, isText := c.take(); isText {
+		return text, nil
+	}
+	return "", errors.New("xqeval: NextText on a stream whose rows are not text")
+}
+
+// fill makes cur hold a row not yet handed out, receiving from the
+// producer as needed: io.EOF after the last row, or the evaluation's error.
+func (c *Cursor) fill() error {
+	for c.pos >= c.cur.rows() {
+		if c.done {
+			if c.err != nil {
+				return c.err
+			}
+			return io.EOF
 		}
-		return nil, io.EOF
-	}
-	if c.closed.Load() {
-		return nil, io.EOF
-	}
-	chunk, ok := <-c.ch
-	if ok {
-		c.consumed.Add(1)
+		if c.closed.Load() {
+			return io.EOF
+		}
+		ch, ok := <-c.ch
+		if !ok {
+			c.err = <-c.errCh
+			// A producer aborted by a deliberate Close ends with
+			// context.Canceled; that is termination working as designed,
+			// not an error.
+			if c.closed.Load() && errors.Is(c.err, context.Canceled) {
+				c.err = nil
+			}
+			c.done = true
+			c.finishMetrics(c.consumed.Load())
+			continue
+		}
 		if !c.sawFirst {
 			c.sawFirst = true
 			c.m.firstRow.Observe(time.Since(c.start))
 		}
-		return chunk, nil
+		c.cur, c.pos = ch, 0
 	}
-	c.err = <-c.errCh
-	// A producer aborted by a deliberate Close ends with context.Canceled;
-	// that is termination working as designed, not an error.
-	if c.closed.Load() && errors.Is(c.err, context.Canceled) {
-		c.err = nil
-	}
-	c.done = true
-	c.finishMetrics(c.consumed.Load())
-	if c.err != nil {
-		return nil, c.err
-	}
-	return nil, io.EOF
+	return nil
 }
 
-// Prime pulls the first chunk and holds it for the next call to Next, so
+// take hands out cur's next row, counting it: a text row as its substring
+// of the batch, any other as cur.items.
+func (c *Cursor) take() (text string, isText bool) {
+	i := c.pos
+	c.pos++
+	c.consumed.Add(1)
+	b := c.cur.batch
+	if b == nil {
+		return "", false
+	}
+	return b.text[b.ends[i]:b.ends[i+1]], true
+}
+
+// Prime receives the first chunk and holds it for the next call to Next, so
 // errors raised before the first row (missing data services, injected
 // faults at source-call time, bad bindings) surface synchronously to the
 // caller that opened the cursor. An empty result primes successfully.
 func (c *Cursor) Prime() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.hasPending || c.done || c.closed.Load() {
-		return c.err
-	}
-	chunk, err := c.next()
-	if err == io.EOF {
-		return nil
-	}
-	if err != nil {
+	if err := c.fill(); err != io.EOF {
 		return err
 	}
-	c.pending, c.hasPending = chunk, true
 	return nil
 }
 
@@ -296,17 +351,15 @@ func (c *Cursor) Close() error {
 	c.cancel()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	// What the consumer took: everything pulled, less a primed chunk it
-	// never read. The drain below delivers nothing.
+	// What the consumer took is every row handed out; the rows left in cur
+	// and the channel are dropped, and stop counting as in flight.
 	delivered := c.consumed.Load()
-	if c.hasPending {
-		delivered--
-	}
-	c.pending, c.hasPending = nil, false
+	c.consumed.Add(int64(c.cur.rows() - c.pos))
+	c.cur, c.pos = chunk{}, 0
 	for !c.done {
-		_, ok := <-c.ch
+		ch, ok := <-c.ch
 		if ok {
-			c.consumed.Add(1)
+			c.consumed.Add(int64(ch.rows()))
 			continue
 		}
 		err := <-c.errCh
@@ -346,6 +399,78 @@ func (c *Cursor) finishMetrics(delivered int64) {
 	}
 }
 
+// rowWriter is a text-rows stream's producer end. A row is appended to the
+// buffer open returns and closed by end, or, written to a string that
+// outlives the batch (a morsel's text), closed by endIn without a copy.
+// Rows leave in batches of 1, 2, 4, … up to batchRows, so the first leaves
+// as soon as it is written. The buffer is reused, and grown for a whole
+// batch at once from the mean row of the one before.
+type rowWriter struct {
+	buf    []byte
+	b      *rowBatch // the batch being filled; nil between batches
+	size   int       // rows the batch is closed at
+	perRow int       // bytes a row is expected to take
+	rows   int64     // rows written
+	limit  int64     // FETCH FIRST n: the stream stops at row n; < 0 none
+	cur    *Cursor
+	ctx    context.Context
+}
+
+// errRowLimit is the writer's stop once a FETCH FIRST limit has its rows.
+var errRowLimit = errors.New("xqeval: row limit reached")
+
+// open returns the buffer the next row is appended to.
+func (w *rowWriter) open() *[]byte {
+	if w.b == nil {
+		w.b = new(rowBatch)
+		w.buf = slices.Grow(w.buf, w.size*w.perRow)
+	}
+	return &w.buf
+}
+
+// end closes the row appended to the buffer since the previous end.
+func (w *rowWriter) end() error { return w.endIn("", 0, len(w.buf)) }
+
+// endIn closes the row text[from:to]; all rows of a batch lie in one text,
+// back to back, so the caller flushes before moving to another. (end's
+// rows lie in the buffer, whose batch open made.) A full batch is sent.
+func (w *rowWriter) endIn(text string, from, to int) error {
+	if w.b == nil {
+		w.b = &rowBatch{text: text}
+		w.b.ends[0] = int32(from)
+	}
+	w.b.n++
+	w.b.ends[w.b.n] = int32(to)
+	w.rows++
+	if w.b.n == w.size {
+		if err := w.flush(); err != nil {
+			return err
+		}
+		w.size = min(2*w.size, batchRows)
+	}
+	if w.rows == w.limit {
+		return errRowLimit
+	}
+	return nil
+}
+
+// flush sends the rows closed so far. The bytes of a row an error left
+// open stay behind.
+func (w *rowWriter) flush() error {
+	b := w.b
+	if b == nil || b.n == 0 {
+		return nil
+	}
+	w.b = nil
+	if b.text == "" { // the rows are in buf
+		n := int(b.ends[b.n])
+		b.text = string(w.buf[:n])
+		w.perRow = n/b.n + n/(8*b.n) + 1
+		w.buf = w.buf[:0]
+	}
+	return w.cur.send(w.ctx, chunk{batch: b})
+}
+
 // EvalStream evaluates a planned query as a row stream. The returned
 // cursor owns a goroutine until it is exhausted or closed; callers must
 // call Close (reading through io.EOF also releases it).
@@ -364,8 +489,12 @@ func (e *Engine) evalStream(ctx context.Context, q *xquery.Query, p *Plan, sp *S
 	counters := &evalCounters{}
 	env := e.rootScope(sctx, q, p, external, counters)
 	span := tr.StartStage(obsv.StageEvaluate)
+	slots := streamBuffer
+	if sp.Kind == StreamTextRows {
+		slots = streamBuffer/batchRows - 1
+	}
 	cur := &Cursor{
-		ch:       make(chan xdm.Sequence, streamBuffer),
+		ch:       make(chan chunk, slots),
 		errCh:    make(chan error, 1),
 		cancel:   cancel,
 		aligned:  sp.Streamable(),
@@ -374,24 +503,29 @@ func (e *Engine) evalStream(ctx context.Context, q *xquery.Query, p *Plan, sp *S
 		counters: counters,
 	}
 	go func() {
-		var emitted int
-		err := runStream(q.Body, sp, env, func(chunk xdm.Sequence) error {
-			if err := cur.emit(sctx, chunk); err != nil {
+		w := &rowWriter{size: 1, perRow: 128, limit: -1, cur: cur, ctx: sctx}
+		var emitted int64
+		err := runStream(q.Body, sp, env, w, func(items xdm.Sequence) error {
+			if err := cur.send(sctx, chunk{items: items}); err != nil {
 				return err
 			}
 			emitted++
 			return nil
 		})
-		e.endEval(span, counters, emitted)
+		// Rows written before a stop or an error still go out, ahead of it.
+		if ferr := w.flush(); err == nil {
+			err = ferr
+		}
+		e.endEval(span, counters, int(emitted+w.rows))
 		cur.errCh <- err
 		close(cur.ch)
 	}()
 	return cur
 }
 
-// runStream drives the decomposed body into emit, one chunk per row (or
-// per item in the materialized fallback).
-func runStream(body xquery.Expr, sp *StreamPlan, env *scope, emit func(xdm.Sequence) error) error {
+// runStream drives the decomposed body: text rows into w, any other row
+// (or item, in the materialized fallback) into emit, one chunk each.
+func runStream(body xquery.Expr, sp *StreamPlan, env *scope, w *rowWriter, emit func(xdm.Sequence) error) error {
 	switch sp.Kind {
 	case StreamXMLRows:
 		return streamItems(sp.rows, env, func(it xdm.Item) error {
@@ -399,10 +533,10 @@ func runStream(body xquery.Expr, sp *StreamPlan, env *scope, emit func(xdm.Seque
 		})
 	case StreamTextRows:
 		if sp.prog != nil {
-			return sp.prog.stream(env, emit)
+			return sp.prog.stream(env, w)
 		}
 		return streamItems(sp.rows, env, func(it xdm.Item) error {
-			return streamTextTokens(it, sp, env, emit)
+			return streamTextTokens(it, sp, env, w)
 		})
 	default:
 		out, err := evalExpr(body, env)
@@ -421,15 +555,16 @@ func runStream(body xquery.Expr, sp *StreamPlan, env *scope, emit func(xdm.Seque
 // streamTextTokens is the unfused text path — the naive evaluator's, and
 // the fallback for shapes no row program covers. It replays the wrapper's
 // `for $tokenQuery in $actualQuery/RECORD return (tokens)` for one streamed
-// rows item, without ever building the RECORDSET element: element children named RECORD become
-// rows, documents splice their children (as enclosed content would), and
+// rows item, without ever building the RECORDSET element: element children
+// named RECORD become rows, written to w as their tokens' string values,
+// documents splice their children (as enclosed content would), and
 // anything else is dropped exactly as the /RECORD step drops non-element
 // content.
-func streamTextTokens(it xdm.Item, sp *StreamPlan, env *scope, emit func(xdm.Sequence) error) error {
+func streamTextTokens(it xdm.Item, sp *StreamPlan, env *scope, w *rowWriter) error {
 	switch n := it.(type) {
 	case *xdm.Document:
 		for _, ch := range n.Children {
-			if err := streamTextTokens(ch, sp, env, emit); err != nil {
+			if err := streamTextTokens(ch, sp, env, w); err != nil {
 				return err
 			}
 		}
@@ -451,7 +586,11 @@ func streamTextTokens(it xdm.Item, sp *StreamPlan, env *scope, emit func(xdm.Seq
 		if err := t.countRows(len(v)); err != nil {
 			return err
 		}
-		return emit(v)
+		buf := w.open()
+		for _, tok := range v {
+			*buf = append(*buf, xdm.StringValue(tok)...)
+		}
+		return w.end()
 	}
 	return nil
 }
@@ -474,7 +613,7 @@ func streamItems(e xquery.Expr, env *scope, emitItem func(xdm.Item) error) error
 		}
 		if env.st.plan != nil {
 			if fp, ok := env.st.plan.flwors[n]; ok {
-				return execPlannedFLWORTo(fp, env, nil, emitSeq)
+				return execPlannedFLWORTo(fp, env, nil, nil, emitSeq)
 			}
 		}
 		return streamNaiveFLWOR(n, env, emitSeq)
@@ -505,28 +644,18 @@ func streamItems(e xquery.Expr, env *scope, emitItem func(xdm.Item) error) error
 }
 
 // streamLimited streams inner's first limit items — the cursor-boundary
-// short circuit behind FETCH FIRST.
+// short circuit behind FETCH FIRST. The stop sentinel is unique per
+// limiter, so a nested outer limit propagates through an inner one.
 func streamLimited(inner xquery.Expr, env *scope, limit int64, emitItem func(xdm.Item) error) error {
-	return limitStream(limit, emitItem, func(emit func(xdm.Item) error) error {
-		return streamItems(inner, env, emit)
-	})
-}
-
-// limitStream runs a producer until it has emitted limit values, then
-// stops it with a sentinel caught here. The sentinel is unique per limiter
-// so a nested outer limit propagates through an inner one.
-func limitStream[T any](limit int64, emit func(T) error, run func(emit func(T) error) error) error {
 	if limit <= 0 {
 		return nil
 	}
 	stop := errors.New("xqeval: stream limit reached")
-	remaining := limit
-	err := run(func(v T) error {
-		if err := emit(v); err != nil {
+	err := streamItems(inner, env, func(it xdm.Item) error {
+		if err := emitItem(it); err != nil {
 			return err
 		}
-		remaining--
-		if remaining == 0 {
+		if limit--; limit == 0 {
 			return stop
 		}
 		return nil

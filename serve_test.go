@@ -167,42 +167,12 @@ func driverMatchesFacade(t *testing.T, p *Platform, dsn string, mode ResultMode)
 		if err != nil {
 			t.Fatalf("%s: %q: facade: %v", dsn, q, err)
 		}
-		var want []string
-		for local.Next() {
-			row := make([]any, len(local.Columns()))
-			for i := range row {
-				v, err := local.Value(i)
-				if err != nil {
-					t.Fatal(err)
-				}
-				row[i] = sqlValue(v)
-			}
-			want = append(want, fmt.Sprintf("%#v", row))
-		}
-		if err := local.Err(); err != nil {
-			t.Fatalf("%s: %q: facade iteration: %v", dsn, q, err)
-		}
+		want := facadeValues(t, local)
 		rows, err := db.Query(q, args...)
 		if err != nil {
 			t.Fatalf("%s: %q: database/sql: %v", dsn, q, err)
 		}
-		cols, _ := rows.Columns()
-		var got []string
-		for rows.Next() {
-			row := make([]any, len(cols))
-			ptrs := make([]any, len(cols))
-			for i := range row {
-				ptrs[i] = &row[i]
-			}
-			if err := rows.Scan(ptrs...); err != nil {
-				t.Fatal(err)
-			}
-			got = append(got, fmt.Sprintf("%#v", row))
-		}
-		if err := rows.Err(); err != nil {
-			t.Fatalf("%s: %q: database/sql iteration: %v", dsn, q, err)
-		}
-		rows.Close()
+		got := scanValues(t, rows)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: %q: database/sql diverged from the facade\ngot:  %v\nwant: %v", dsn, q, got, want)
 		}
@@ -215,6 +185,101 @@ func driverMatchesFacade(t *testing.T, p *Platform, dsn string, mode ResultMode)
 		}
 		if lk, rk := errKindName(lerr), errKindName(rerr); lk != rk {
 			t.Fatalf("%s: %q: error kind diverged: facade %s, database/sql %s (%v vs %v)", dsn, q, lk, rk, lerr, rerr)
+		}
+	}
+}
+
+// facadeValues reads a facade result as database/sql would hand it out,
+// one formatted row each.
+func facadeValues(t *testing.T, r *Rows) []string {
+	t.Helper()
+	var out []string
+	for r.Next() {
+		row := make([]any, len(r.Columns()))
+		for i := range row {
+			v, err := r.Value(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			row[i] = sqlValue(v)
+		}
+		out = append(out, fmt.Sprintf("%#v", row))
+	}
+	if err := r.Err(); err != nil {
+		t.Fatalf("facade iteration: %v", err)
+	}
+	return out
+}
+
+// scanValues drains and closes a database/sql result, one formatted row
+// each.
+func scanValues(t *testing.T, rows *sql.Rows) []string {
+	t.Helper()
+	defer rows.Close()
+	cols, _ := rows.Columns()
+	var out []string
+	for rows.Next() {
+		row := make([]any, len(cols))
+		ptrs := make([]any, len(cols))
+		for i := range row {
+			ptrs[i] = &row[i]
+		}
+		if err := rows.Scan(ptrs...); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, fmt.Sprintf("%#v", row))
+	}
+	if err := rows.Err(); err != nil {
+		t.Fatalf("database/sql iteration: %v", err)
+	}
+	return out
+}
+
+// TestDuplicateOutputNamesInTextMode: two output columns with one name — a
+// repeated column, or a repeated alias — give the XML-mode answer in text
+// mode too: in process, served, and through database/sql over both
+// transports. The §4 wrapper reads each column by element name, so the
+// names differ even where the labels do not.
+func TestDuplicateOutputNamesInTextMode(t *testing.T) {
+	p, _, c := newLoopback(t, server.Config{FetchRows: 7, SessionIdleTimeout: time.Minute})
+	p.RegisterDriver("duplicate-names")
+	_, remote := serveTCP(t, p)
+	for _, q := range []string{
+		"SELECT CUSTOMERID, CUSTOMERID FROM CUSTOMERS",
+		"SELECT CUSTOMERID AS A, CUSTOMERNAME AS A FROM CUSTOMERS",
+	} {
+		xml, err := p.QueryMode(ModeXML, q)
+		if err != nil {
+			t.Fatalf("%q: XML mode: %v", q, err)
+		}
+		want := marshalRows(xml)
+		xml.Reset()
+		wantValues := facadeValues(t, xml)
+		if len(wantValues) != 50 {
+			t.Fatalf("%q: XML mode returned %d rows, want 50", q, len(wantValues))
+		}
+		local, err := p.QueryMode(ModeText, q)
+		if err != nil {
+			t.Fatalf("%q: text mode in process: %v", q, err)
+		}
+		if got := marshalRows(local); got != want {
+			t.Fatalf("%q: text mode in process\ngot:  %s\nwant: %s", q, got, want)
+		}
+		served, err := c.QueryDialect(context.Background(), "", ModeText, q)
+		if err != nil {
+			t.Fatalf("%q: text mode served: %v", q, err)
+		}
+		if got, err := drainClose(served); err != nil || got != want {
+			t.Fatalf("%q: text mode served: %v\ngot:  %s\nwant: %s", q, err, got, want)
+		}
+		for _, dsn := range []string{"duplicate-names", remote} {
+			rows, err := openSQL(t, dsn+"?mode=text").Query(q)
+			if err != nil {
+				t.Fatalf("%s: %q: %v", dsn, q, err)
+			}
+			if got := scanValues(t, rows); !reflect.DeepEqual(got, wantValues) {
+				t.Fatalf("%s: %q: text mode through database/sql\ngot:  %v\nwant: %v", dsn, q, got, wantValues)
+			}
 		}
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"repro/internal/obsv"
 	"repro/internal/resultset"
 	"repro/internal/xdm"
+	"repro/internal/xquery"
 )
 
 // materializedOracle executes a compiled statement the pre-streaming way —
@@ -54,6 +55,25 @@ func naiveStreamOracle(p *Platform, mode ResultMode, sql string, args []any) (*R
 		return resultset.NewStreaming(resultset.StreamText(cur, cols)), nil
 	}
 	return resultset.NewStreaming(resultset.StreamXML(cur, cols)), nil
+}
+
+// unalignedTextOracle streams a text-mode statement whose body the stream
+// planner does not recognize (the wrapper under fn:string): the
+// materialized fallback, the whole payload in one chunk, not row-aligned.
+// StreamText must split it, not pull rows.
+func unalignedTextOracle(p *Platform, sql string, args []any) (*Rows, error) {
+	cq, ext, cols, err := oracleInputs(p, ModeText, sql, args)
+	if err != nil {
+		return nil, err
+	}
+	q := *cq.Res.Query
+	q.Body = xquery.Call("fn:string", q.Body)
+	cur := p.Engine.EvalStreamNaive(context.Background(), &q, ext, nil)
+	if cur.RowAligned() {
+		cur.Close()
+		return nil, fmt.Errorf("fn:string over the text wrapper planned as a row stream")
+	}
+	return resultset.NewStreaming(resultset.StreamText(cur, cols)), nil
 }
 
 // oracleInputs compiles a statement and binds its arguments and result
@@ -109,7 +129,8 @@ func marshalStreamed(r *Rows) (string, error) {
 
 // TestStreamedMatchesMaterialized is the streaming differential: the pull
 // cursor and the materialized decode must agree byte-for-byte over the
-// whole corpus in both result modes.
+// whole corpus in both result modes — and in text mode so must a
+// materialized payload split by StreamText.
 func TestStreamedMatchesMaterialized(t *testing.T) {
 	p := Demo()
 	streamable := 0
@@ -139,6 +160,15 @@ func TestStreamedMatchesMaterialized(t *testing.T) {
 			if want, err := marshalStreamed(nrows); err != nil || got != want {
 				t.Fatalf("mode %v: %q: planned stream diverged from the naive (unfused) stream: %v\ngot:  %s\nwant: %s",
 					mode, sql, err, got, want)
+			}
+			if mode == ModeText {
+				urows, err := unalignedTextOracle(p, sql, args)
+				if err != nil {
+					t.Fatalf("%q: unaligned text oracle: %v", sql, err)
+				}
+				if want, err := marshalStreamed(urows); err != nil || got != want {
+					t.Fatalf("%q: planned stream diverged from the split materialized payload: %v\ngot:  %s\nwant: %s", sql, err, got, want)
+				}
 			}
 			if cq, err := p.Compile(sql, mode); err == nil && cq.Streamable() {
 				streamable++
@@ -363,7 +393,8 @@ func TestStreamingMetricsSurface(t *testing.T) {
 
 // TestRowsCountedOnce: a materialized result is a drained cursor, so each
 // of its rows counts once, and so does each row of a result closed
-// part-way, while the rows the close discards count not at all.
+// part-way — also where the close falls inside a batch — while the rows
+// the close discards count not at all.
 func TestRowsCountedOnce(t *testing.T) {
 	p := Demo()
 	before := p.Stats().Rows
@@ -379,18 +410,22 @@ func TestRowsCountedOnce(t *testing.T) {
 		t.Fatalf("materializing 50 rows counted %d", got)
 	}
 
-	before = p.Stats().Rows
-	rows, err = p.Query("SELECT CUSTOMERID FROM CUSTOMERS")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if !rows.Next() {
-			t.Fatalf("row %d: %v", i, rows.Err())
+	// Rows cross the cursor in batches of 1, 2, 4, …: 2 and 4 rows stop
+	// inside one.
+	for _, read := range []int{2, 3, 4} {
+		before = p.Stats().Rows
+		rows, err = p.Query("SELECT CUSTOMERID FROM CUSTOMERS")
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	rows.Close()
-	if got := p.Stats().Rows - before; got != 3 {
-		t.Fatalf("reading 3 rows, then closing, counted %d", got)
+		for i := 0; i < read; i++ {
+			if !rows.Next() {
+				t.Fatalf("row %d: %v", i, rows.Err())
+			}
+		}
+		rows.Close()
+		if got := p.Stats().Rows - before; got != int64(read) {
+			t.Fatalf("reading %d rows, then closing, counted %d", read, got)
+		}
 	}
 }
