@@ -28,8 +28,9 @@ race:
 
 # Executor stress: the morsel executor's limit, error, FETCH FIRST, barrier and
 # cancellation nets plus the fused and correlated paths, repeated under
-# the race detector — where a worker trips and which morsels the merge
-# point re-runs depend on scheduling, so one pass proves little — the
+# the race detector — where a worker trips, which morsels the merge point
+# re-runs and which goroutine encodes a set operation's text rows depend
+# on scheduling, so one pass proves little — the
 # cursor's batch nets (FETCH FIRST at every batch boundary, serial and
 # merged from morsels; batch sizes; the in-flight bound under a slow
 # reader; rows counted when a close stops inside a batch), and the
@@ -38,7 +39,7 @@ race:
 # over aql:// (real TCP): every database/sql connection shares one
 # platform's compile and metadata caches.
 stress:
-	$(GO) test -race -count=20 -run 'TestParallel|TestBarrierAfterFanOut|TestFusedLimitParity|TestFusedBatchesDouble|TestInFlightBound|TestCorrelated|TestColumnKernels|TestRecordKernel|TestHashJoinNegativeZero' ./internal/xqeval/
+	$(GO) test -race -count=20 -run 'TestParallel|TestBarrierAfterFanOut|TestFusedLimitParity|TestFusedMatchesNaive|TestFusedBatchesDouble|TestInFlightBound|TestCorrelated|TestColumnKernels|TestRecordKernel|TestHashJoinNegativeZero' ./internal/xqeval/
 	$(GO) test -race -count=20 -run 'TestRowsCountedOnce' .
 	$(GO) test -race -count=10 -run 'TestConcurrent|TestStreaming|TestRows' ./internal/driver/
 

@@ -79,6 +79,12 @@ func TestExplainGolden(t *testing.T) {
 	for _, tc := range explainCases {
 		t.Run(tc.name, func(t *testing.T) {
 			got := normalizeExplain(runExplain(t, tc.sql))
+			// Every case runs in text mode, the driver's default, whose rows
+			// are encoded by the row program: a footer without "fused:" is
+			// a new decline, not a golden to re-bless.
+			if _, footer, _ := strings.Cut(got, "\n-- streaming: "); !strings.Contains(strings.SplitN(footer, "\n", 2)[0], "fused:") {
+				t.Fatalf("the -- streaming: footer must read fused:, got %q", strings.SplitN(footer, "\n", 2)[0])
+			}
 			path := filepath.Join("testdata", "explain", tc.name+".golden")
 			if *updateGolden {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {

@@ -210,7 +210,8 @@ func TestCorrelatedLookupsMatchNaive(t *testing.T) {
 }
 
 // drainChunks pulls a cursor dry, one line per chunk: a text row's string
-// (fused or token by token, the same characters), or an XML row's markup.
+// (from tuples or from RECORD elements, the same characters), or an XML
+// row's markup.
 func drainChunks(cur *xqeval.Cursor, text bool) (string, error) {
 	defer cur.Close()
 	var out []string

@@ -197,7 +197,7 @@ func (ex *flworExec) runParallel(ops []planOp, base *scope, cfg ExecConfig, fina
 				}
 				wc.rows, wc.tuples = 0, 0
 				r := &morselResult{}
-				ex.runMorsel(ops, ws, seq, m*cfg.MorselSize, min((m+1)*cfg.MorselSize, len(seq)), final, r)
+				ex.runMorsel(ops, ws, seq, m*cfg.MorselSize, min((m+1)*cfg.MorselSize, len(seq)), final, r, nil)
 				results[m] = r
 				close(done[m])
 				completed.Add(1)
@@ -242,13 +242,38 @@ func (ex *flworExec) runParallel(ops []planOp, base *scope, cfg ExecConfig, fina
 	// serial counters per row so an early stop (the FETCH FIRST limiter's
 	// sentinel coming back, a cursor-side abort) leaves them exactly where
 	// serial execution would have stopped charging, and then past the
-	// whole morsel. emit may charge too — the unfused text path tokenizes
-	// each row on this goroutine, against the caller's counters — so those
-	// hold the serial count while it runs, and what it adds is serial work
-	// the later rows are charged on top of.
+	// whole morsel. emit may charge too — the record source encodes each
+	// row on this goroutine, against the caller's counters — so those hold
+	// the serial count while it runs, and what it adds (drift, per row) is
+	// serial work the later rows are charged on top of. Once that pushes a
+	// row's own charges past a limit, serial execution trips producing it:
+	// the morsel is re-run serially, replaying the drift, to trip there.
 	w := ex.w
-	flush := func(r *morselResult, rowBase, tupleBase int64) error {
+	lim := st.limits
+	over := func(rows, tuples int64) bool {
+		return lim.MaxRows > 0 && rows > lim.MaxRows || lim.MaxTuples > 0 && tuples > lim.MaxTuples
+	}
+	// rerun runs morsel m single-threaded from the serial counts given.
+	rerun := func(m int, rows, tuples int64, drift []morselCharge) *morselResult {
+		rc := &evalCounters{rows: rows, tuples: tuples}
+		r := &morselResult{}
+		ex.runMorsel(ops, base.on(parentCtx, rc), seq, m*cfg.MorselSize, min((m+1)*cfg.MorselSize, len(seq)), final, r, drift)
+		counters.steps += rc.steps
+		counters.pruned += rc.pruned
+		return r
+	}
+	flush := func(r *morselResult, m int, rowBase, tupleBase int64) error {
+		rows0, tuples0 := rowBase, tupleBase
+		var drift []morselCharge
+		replay := func() error {
+			rr := rerun(m, rows0, tuples0, drift)
+			serRows, serTuples = rows0+rr.rowsCharged, tuples0+rr.tuplesCharged
+			return rr.err
+		}
 		for i, at := range r.chargedAt {
+			if drift != nil && over(rowBase+at.rows, tupleBase+at.tuples) {
+				return replay()
+			}
 			counters.rows, counters.tuples = rowBase+at.rows, tupleBase+at.tuples
 			var err error
 			if ex.prog != nil {
@@ -264,11 +289,17 @@ func (ex *flworExec) runParallel(ops []planOp, base *scope, cfg ExecConfig, fina
 			} else {
 				err = emit(r.vals[i])
 			}
+			if d := (morselCharge{rows: counters.rows - rowBase - at.rows, tuples: counters.tuples - tupleBase - at.tuples}); drift != nil || d != (morselCharge{}) {
+				drift = append(append(drift, make([]morselCharge, i-len(drift))...), d)
+			}
 			serRows, serTuples = counters.rows, counters.tuples
 			rowBase, tupleBase = serRows-at.rows, serTuples-at.tuples
 			if err != nil {
 				return err
 			}
+		}
+		if drift != nil && over(rowBase+r.rowsCharged, tupleBase+r.tuplesCharged) {
+			return replay()
 		}
 		serRows, serTuples = rowBase+r.rowsCharged, tupleBase+r.tuplesCharged
 		if ex.prog != nil {
@@ -321,20 +352,13 @@ func (ex *flworExec) runParallel(ops []planOp, base *scope, cfg ExecConfig, fina
 		// row, and is safe while siblings still speculate. Under external
 		// cancellation the re-run aborts on its first cancel check.
 		rowBase, tupleBase := serRows, serTuples
-		lim := st.limits
-		if isContextErr(r.err) || isLimitErr(r.err) ||
-			(lim.MaxRows > 0 && serRows+r.rowsCharged > lim.MaxRows) ||
-			(lim.MaxTuples > 0 && serTuples+r.tuplesCharged > lim.MaxTuples) {
-			rc := &evalCounters{rows: serRows, tuples: serTuples}
-			r = &morselResult{}
-			ex.runMorsel(ops, base.on(parentCtx, rc), seq, m*cfg.MorselSize, min((m+1)*cfg.MorselSize, len(seq)), final, r)
-			counters.steps += rc.steps
-			counters.pruned += rc.pruned
+		if isContextErr(r.err) || isLimitErr(r.err) || over(serRows+r.rowsCharged, serTuples+r.tuplesCharged) {
+			r = rerun(m, serRows, serTuples, nil)
 		}
 		if final {
 			// A stop here — the FETCH FIRST sentinel included — lands
 			// before any error later in the morsel, as in serial execution.
-			if err := flush(r, rowBase, tupleBase); err != nil {
+			if err := flush(r, m, rowBase, tupleBase); err != nil {
 				return nil, err
 			}
 		} else {
@@ -368,9 +392,10 @@ func (ex *flworExec) runParallel(ops []planOp, base *scope, cfg ExecConfig, fina
 // buffering into r and stopping at the first error. ws's counters double as
 // the charge ledger: the deltas accumulated here are what the merge loop
 // replays against the serial counters. The same code serves the worker
-// pass (counters starting at zero) and the merge-time re-run (counters
-// starting at the serial counts).
-func (ex *flworExec) runMorsel(ops []planOp, ws *scope, seq xdm.Sequence, start, end int, final bool, r *morselResult) {
+// pass (counters starting at zero) and the merge-time re-runs (counters
+// starting at the serial counts), which add drift[i] — what emitting row i
+// charged — once row i is buffered.
+func (ex *flworExec) runMorsel(ops []planOp, ws *scope, seq xdm.Sequence, start, end int, final bool, r *morselResult, drift []morselCharge) {
 	counters := ws.st.counters
 	rows0, tups0 := counters.rows, counters.tuples
 	defer func() {
@@ -406,6 +431,10 @@ func (ex *flworExec) runMorsel(ops []planOp, ws *scope, seq xdm.Sequence, start,
 				r.vals = append(r.vals, v)
 			}
 			r.chargedAt = append(r.chargedAt, morselCharge{counters.rows - rows0, counters.tuples - tups0, len(text)})
+			if i := len(r.chargedAt) - 1; i < len(drift) {
+				counters.rows += drift[i].rows
+				counters.tuples += drift[i].tuples
+			}
 			if ex.prog != nil && len(r.chargedAt)%batchRows == 0 {
 				r.texts, text = append(r.texts, string(text)), text[:0]
 			}

@@ -487,22 +487,21 @@ func TestParallelSpeculationBounded(t *testing.T) {
 // serial run's exactly, not include the window of morsels workers
 // processed past the stop.
 //
-// The unfused text shapes tokenize each row on the merging goroutine, in
-// the cursor's emit: those $tokenQuery tuple and token row charges are
-// serial work too, and must survive the merge — and count against
-// MaxTuples at the row serial execution trips on.
+// Text rows that are not one FLWOR are encoded from their RECORD elements
+// on the merging goroutine, in the cursor's emit: those $tokenQuery tuple
+// and token row charges are serial work too, and must survive the merge —
+// and count against MaxTuples at the row serial execution trips on.
 func TestParallelTupleAccountingMatchesSerial(t *testing.T) {
 	ctx := context.Background()
 	e, plan := parallelStreamSetup(t, 5000, "fn:subsequence(", ", 1, 20)")
-	for _, unfused := range []struct{ name, rows string }{
-		{"unfused text, FETCH FIRST", "fn:subsequence(for $r in p:T() return <RECORD><ID>{fn:data($r/ID)}</ID></RECORD>, 1, 20)"},
-		{"unfused text", "for $r in p:T() where $r/ID mod 3 = 0 return <RECORD><ID>{fn:data($r/ID)}</ID></RECORD>"},
+	for _, recordSource := range []struct{ name, rows string }{
+		{"record-source text, FETCH FIRST", "fn:subsequence((for $r in p:T() return <RECORD><ID>{fn:data($r/ID)}</ID></RECORD>, ()), 1, 20)"},
+		{"record-source text", "(for $r in p:T() where $r/ID mod 3 = 0 return <RECORD><ID>{fn:data($r/ID)}</ID></RECORD>, ())"},
 	} {
-		// The token is not the serialize/escape/if-empty chain, so no row
-		// program covers it.
 		q, err := xquery.Parse(`import schema namespace p = "ld:ParTest" at "ParTest.xsd";
-fn:string-join(let $actualQuery := <RECORDSET>{` + unfused.rows + `}</RECORDSET>
-for $tokenQuery in $actualQuery/RECORD return (">", fn:data($tokenQuery/ID)), "")`)
+fn:string-join(let $actualQuery := <RECORDSET>{` + recordSource.rows + `}</RECORDSET>
+for $tokenQuery in $actualQuery/RECORD
+return (">", fn-bea:if-empty(fn-bea:xml-escape(fn-bea:serialize-atomic(fn:data($tokenQuery/ID))), "&amp;null;")), "")`)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -510,8 +509,8 @@ for $tokenQuery in $actualQuery/RECORD return (">", fn:data($tokenQuery/ID)), ""
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d := tplan.Stream.Describe(); !strings.Contains(d, "unfused") {
-			t.Fatalf("%s: want an unfused text plan, got %s", unfused.name, d)
+		if d := tplan.Stream.Describe(); !strings.Contains(d, ", reads RECORD elements") {
+			t.Fatalf("%s: want a record-source text plan, got %s", recordSource.name, d)
 		}
 		serialRows, serialTuples, serr := drainAt(e, tplan, parallelExec(1))
 		if serr != nil {
@@ -523,7 +522,7 @@ for $tokenQuery in $actualQuery/RECORD return (">", fn:data($tokenQuery/ID)), ""
 				t.Fatal(err)
 			}
 			if strings.Join(rows, "") != strings.Join(serialRows, "") || tuples != serialTuples {
-				t.Fatalf("%s, workers %d: %d rows, %d tuples; serial %d rows, %d tuples", unfused.name, workers, len(rows), tuples, len(serialRows), serialTuples)
+				t.Fatalf("%s, workers %d: %d rows, %d tuples; serial %d rows, %d tuples", recordSource.name, workers, len(rows), tuples, len(serialRows), serialTuples)
 			}
 		}
 		// A tuple cap between the worker-side and the full count trips in
@@ -534,7 +533,7 @@ for $tokenQuery in $actualQuery/RECORD return (">", fn:data($tokenQuery/ID)), ""
 			rows, _, err := drainAt(e, tplan, parallelExec(workers))
 			if serr == nil || err == nil || err.Error() != serr.Error() || strings.Join(rows, "") != strings.Join(serialRows, "") {
 				t.Fatalf("%s, workers %d, MaxTuples %d: %d rows then %v; serial %d rows then %v",
-					unfused.name, workers, serialTuples*3/4, len(rows), err, len(serialRows), serr)
+					recordSource.name, workers, serialTuples*3/4, len(rows), err, len(serialRows), serr)
 			}
 		}
 		e.SetLimits(xqeval.Limits{})

@@ -217,7 +217,7 @@ func drain(cur *xqeval.Cursor) evaluation {
 			steps, tuples := cur.Stats()
 			return evaluation{strings.Join(chunks, " | "), steps, tuples}
 		}
-		// A fused text row is one string, naive's the row's tokens.
+		// A text row is one string, an XML row its markup.
 		var b strings.Builder
 		for _, it := range chunk {
 			if a, ok := it.(xdm.Atomic); ok {

@@ -1,14 +1,15 @@
 package xqeval
 
 import (
+	"slices"
 	"strings"
 
 	"repro/internal/xdm"
 	"repro/internal/xquery"
 )
 
-// rowprog.go fuses the translator's RECORD constructor with the §4 token
-// wrapper that consumes it. In text mode the generated query builds
+// rowprog.go is the one encoder of §4 text rows. In text mode the
+// generated query builds
 //
 //	<RECORD><COL>{value}</COL> …</RECORD>
 //
@@ -17,31 +18,28 @@ import (
 //	(">", fn-bea:if-empty(fn-bea:xml-escape(fn-bea:serialize-atomic(
 //	          fn:data($tokenQuery/COL))), "&null;"), "<", …)
 //
-// Composing the constructor with the paths over it removes the element:
-// $tokenQuery/COL is the constructed <COL>, its typed value is the string
-// value of the constructor's content, and an absent <COL> (a NULL guard that
-// fired) is the if-empty default. A row program is that composition,
-// compiled once per plan: one entry per output column holding the value
-// expression, its NULL guard and its delimiter. Run against a tuple, it
-// appends delimiter + escaped lexical form straight into the stream's
-// batch buffer (or a morsel's) — the same bytes fn:string-join would have
-// produced from the row's tokens.
-//
-// The program exists only on plans (buildPlan). The naive evaluator never
-// sees one: it keeps building and re-reading the RECORD, and is the oracle
-// the fused path is held byte-identical to.
+// A row program is those tokens compiled once (planStream). It appends the
+// bytes fn:string-join would have made of a row's tokens straight into the
+// stream's batch buffer (or a morsel's), reading the row from RECORD
+// elements (the record source) or, fused with a row FLWOR's RECORD
+// constructor, from its tuples (the tuple source, plans only): there
+// $tokenQuery/COL is the constructed <COL>, its typed value the string
+// value of the constructor's content, and an absent <COL> (a NULL guard
+// that fired) the if-empty default. The naive evaluator never fuses; its
+// fn:string-join is the oracle both sources are held byte-identical to.
 
 // rowProgram is the compiled form of one text-mode row.
 type rowProgram struct {
-	// fp is the row FLWOR's plan; the program replaces its return clause
-	// in the final tuple sink.
+	// fp is the row FLWOR's plan on the tuple source: the program replaces
+	// its return clause in the final tuple sink. nil on the record source.
 	fp *flworPlan
-	// limit is FETCH FIRST n over the rows, -1 when absent.
+	// limit is FETCH FIRST n over the tuple source's rows, -1 when absent.
 	limit int64
 	cols  []rowCol
 }
 
-// rowCol is one output column.
+// rowCol is one output column. On the record source it is guarded, srcCol
+// names the RECORD child read, srcVar is $tokenQuery and value the token.
 type rowCol struct {
 	// delim is the literal token preceding the value; null is the token
 	// for an absent column (the wrapper's if-empty default).
@@ -57,56 +55,66 @@ type rowCol struct {
 	srcVar, srcCol string
 }
 
-// fuse compiles the row program for a text-rows decomposition, or records
-// why the shape does not qualify. flwors is the plan's FLWOR table.
-func (sp *StreamPlan) fuse(flwors map[xquery.Expr]*flworPlan) {
-	if sp.Kind != StreamTextRows {
-		return
+// newRowProgram compiles the wrapper's tokens into a record-source program:
+// each pair a literal delimiter, then if-empty(xml-escape(serialize-atomic(
+// fn:data($rowVar/NAME))), "null literal"). nil when they are not.
+func newRowProgram(tokens xquery.Expr, rowVar string) *rowProgram {
+	toks, ok := tokens.(*xquery.Seq)
+	if !ok || len(toks.Items) == 0 || len(toks.Items)%2 != 0 {
+		return nil
 	}
-	prog := &rowProgram{limit: -1}
-	rows := sp.rows
-	if fc, ok := rows.(*xquery.FuncCall); ok {
-		if n, inner, ok := subsequenceLimit(fc); ok {
-			prog.limit, rows = n, inner
+	p := &rowProgram{limit: -1, cols: make([]rowCol, len(toks.Items)/2)}
+	for i := range p.cols {
+		if !p.cols[i].matchToken(toks.Items[2*i], toks.Items[2*i+1], rowVar) {
+			return nil
 		}
 	}
-	f, ok := rows.(*xquery.FLWOR)
-	if !ok {
-		sp.unfused = "rows are not a single FLWOR"
+	return p
+}
+
+// fuse switches a text-rows plan's program to the tuple source when its
+// rows are one FLWOR (FETCH FIRST allowed) whose RECORD constructor builds
+// the columns the tokens read, in order and once each; flwors is the
+// plan's FLWOR table. Columns are rewritten in place once all qualify.
+func (sp *StreamPlan) fuse(flwors map[xquery.Expr]*flworPlan) {
+	p := sp.prog
+	if p == nil {
+		return
+	}
+	limit, rows := int64(-1), sp.rows
+	if fc, ok := rows.(*xquery.FuncCall); ok {
+		if n, inner, ok := subsequenceLimit(fc); ok {
+			limit, rows = n, inner
+		}
+	}
+	f, _ := rows.(*xquery.FLWOR)
+	fp := flwors[f] // nil unless rows is a planned FLWOR
+	if fp == nil {
 		return
 	}
 	rec, ok := f.Return.(*xquery.ElementCtor)
-	if !ok || rec.Name != "RECORD" {
-		sp.unfused = "return is not a RECORD constructor"
+	if !ok || rec.Name != "RECORD" || len(rec.Content) != len(p.cols) {
 		return
 	}
-	toks, ok := sp.ret.(*xquery.Seq)
-	if !ok || len(toks.Items) != 2*len(rec.Content) || len(rec.Content) == 0 {
-		sp.unfused = "tokens do not pair with the constructor's columns"
-		return
-	}
-	prog.cols = make([]rowCol, len(rec.Content))
 	for i, content := range rec.Content {
-		c := &prog.cols[i]
+		var c rowCol
 		name, ok := c.matchCtor(content)
-		if !ok {
-			sp.unfused = "a RECORD child is not a column constructor"
+		if !ok || name != p.cols[i].srcCol || slices.ContainsFunc(p.cols[:i], func(d rowCol) bool { return d.srcCol == name }) {
 			return
 		}
-		if !c.matchToken(toks.Items[2*i], toks.Items[2*i+1], sp.tokenVar, name) {
-			sp.unfused = "token for " + name + " is not the serialize/escape/if-empty chain"
-			return
-		}
-		// The unfused pipeline evaluates a guarded value twice (guard, then
-		// content). Once is the same only if evaluation charges nothing and
-		// calls nothing outside the evaluator (a plain column read is).
+		// The RECORD evaluates a guarded value twice (guard, then content).
+		// Once is the same only if evaluation charges nothing and calls
+		// nothing outside the evaluator (a plain column read is).
 		if c.guarded && c.srcCol == "" && !pureExpr(c.value) {
-			sp.unfused = "guarded value of " + name + " holds a nested query or data service call"
 			return
 		}
 	}
-	prog.fp = flwors[f]
-	sp.prog = prog
+	for i, content := range rec.Content {
+		c := &p.cols[i]
+		*c = rowCol{delim: c.delim, null: c.null}
+		c.matchCtor(content)
+	}
+	p.fp, p.limit = fp, limit
 }
 
 // matchCtor recognizes <COL>{value}</COL> and its NULL-guarded form
@@ -160,9 +168,9 @@ func unaryCall(e xquery.Expr, name string) (arg xquery.Expr, ok bool) {
 }
 
 // matchToken recognizes the wrapper's token pair for one column: a literal
-// delimiter, then if-empty(xml-escape(serialize-atomic(fn:data($tokenVar/
-// name))), "null literal").
-func (c *rowCol) matchToken(delim, value xquery.Expr, tokenVar, name string) bool {
+// delimiter, then if-empty(xml-escape(serialize-atomic(fn:data($rowVar/
+// NAME))), "null literal").
+func (c *rowCol) matchToken(delim, value xquery.Expr, rowVar string) bool {
 	d, ok := delim.(*xquery.StringLit)
 	if !ok {
 		return false
@@ -181,10 +189,11 @@ func (c *rowCol) matchToken(delim, value xquery.Expr, tokenVar, name string) boo
 			return false
 		}
 	}
-	if v, col, ok := childPath(e); !ok || v != tokenVar || col != name {
+	v, name, ok := childPath(e)
+	if !ok || v != rowVar {
 		return false
 	}
-	c.delim, c.null = d.Value, null.Value
+	c.delim, c.null, c.guarded, c.value, c.srcVar, c.srcCol = d.Value, null.Value, true, value, rowVar, name
 	return true
 }
 
@@ -223,9 +232,15 @@ func pureExpr(e xquery.Expr) bool {
 	return pure
 }
 
-// stream runs the row FLWOR with the program as its return clause,
-// writing its rows to w; FETCH FIRST n stops w at row n.
-func (p *rowProgram) stream(env *scope, w *rowWriter) error {
+// stream writes the rows to w. The tuple source runs the row FLWOR with
+// the program as its return clause, FETCH FIRST n stopping w at row n; the
+// record source encodes each item rows produces.
+func (p *rowProgram) stream(rows xquery.Expr, env *scope, w *rowWriter) error {
+	if p.fp == nil {
+		return streamItems(rows, env, func(it xdm.Item) error {
+			return p.record(it, env, w)
+		})
+	}
 	if p.limit == 0 {
 		return nil
 	}
@@ -237,10 +252,54 @@ func (p *rowProgram) stream(env *scope, w *rowWriter) error {
 	return err
 }
 
-// run appends one tuple's row to *buf. It charges exactly what the unfused
-// pipeline charges for the row, in the same order: a cancellation check,
-// the RECORD item against MaxRows, the $tokenQuery binding against
-// MaxTuples, a cancellation check, then the row's tokens against MaxRows.
+// record writes the rows in one item of the row expression — the record
+// source: a RECORD element is a row, a document splices its children, and
+// anything else is dropped, as the wrapper's /RECORD step drops it. A row
+// charges what its tokens charge: the $tokenQuery tuple against MaxTuples,
+// a cancellation check, then the 2n tokens against MaxRows.
+func (p *rowProgram) record(it xdm.Item, env *scope, w *rowWriter) error {
+	switch n := it.(type) {
+	case *xdm.Document:
+		for _, ch := range n.Children {
+			if err := p.record(ch, env, w); err != nil {
+				return err
+			}
+		}
+	case *xdm.Element:
+		if n.Name.Local != "RECORD" {
+			return nil
+		}
+		if err := env.countTuple(); err != nil {
+			return err
+		}
+		if err := env.checkCancel(); err != nil {
+			return err
+		}
+		buf := w.open()
+		b := *buf
+		for i := range p.cols {
+			c := &p.cols[i]
+			b = append(b, c.delim...)
+			var k int
+			if b, k = c.appendChildText(b, n); k > 1 { // the token's own error
+				_, err := evalExpr(c.value, env.bindItem(c.srcVar, n))
+				return err
+			}
+		}
+		*buf = b
+		if err := env.countRows(2 * len(p.cols)); err != nil {
+			return err
+		}
+		return w.end()
+	}
+	return nil
+}
+
+// run appends one tuple's row to *buf — the tuple source. It charges
+// exactly what the RECORD and its record-source row charge, in the same
+// order: a cancellation check, the RECORD item against MaxRows, the
+// $tokenQuery binding against MaxTuples, a cancellation check, then the
+// row's tokens against MaxRows.
 func (p *rowProgram) run(t *scope, buf *[]byte) error {
 	if err := t.checkCancel(); err != nil {
 		return err
@@ -277,7 +336,8 @@ func (c *rowCol) appendValue(b []byte, t *scope) ([]byte, error) {
 	if c.srcCol != "" {
 		if v, ok := t.lookupVar(c.srcVar); ok && len(v) == 1 {
 			if row, ok := v[0].(*xdm.Element); ok {
-				return c.appendChildText(b, row), nil
+				b, _ = c.appendChildText(b, row)
+				return b, nil
 			}
 		}
 	}
@@ -291,9 +351,11 @@ func (c *rowCol) appendValue(b []byte, t *scope) ([]byte, error) {
 	return xdm.AppendEscapedText(b, contentString(v)), nil
 }
 
-// appendChildText is fn:data($row/srcCol) as element content: the string
-// value of each child named srcCol, space-joined (adjacent atomics).
-func (c *rowCol) appendChildText(b []byte, row *xdm.Element) []byte {
+// appendChildText appends fn:data($row/srcCol) as element content — the
+// string value of each child named srcCol, space-joined (adjacent atomics)
+// — or, when there is none, the NULL token if guarded, and reports how
+// many children it read.
+func (c *rowCol) appendChildText(b []byte, row *xdm.Element) ([]byte, int) {
 	n := 0
 	for _, ch := range row.Children {
 		el, ok := ch.(*xdm.Element)
@@ -309,7 +371,7 @@ func (c *rowCol) appendChildText(b []byte, row *xdm.Element) []byte {
 	if n == 0 && c.guarded {
 		b = append(b, c.null...)
 	}
-	return b
+	return b, n
 }
 
 // contentString is the string value of an element constructed with v as

@@ -1,10 +1,11 @@
-// Nets for the fused text path (rowprog.go). The naive evaluator never
-// fuses, so it is the oracle: for every statement below, rows streamed from
-// a compiled plan — serial and at 2 and 4 morsel workers — must be
-// byte-identical, row for row, to EvalStreamNaive, and their concatenation
-// to the materialized string the unfused fn:string-join evaluation returns.
-// Resource limits must trip at the same row with the same typed error and
-// the same tuple count either way.
+// Nets for the §4 text encoder (rowprog.go). The naive evaluator never
+// composes the row program with the RECORD constructor, so it is the
+// oracle: for every statement below, rows streamed from a compiled plan —
+// serial and at 2 and 4 morsel workers, from tuples or from RECORD
+// elements — must be byte-identical, row for row, to EvalStreamNaive, and
+// their concatenation to the string EvalNaiveWithTrace's fn:string-join
+// returns. Resource limits must trip at the same row with the same typed
+// error and the same tuple count either way.
 package xqeval_test
 
 import (
@@ -19,6 +20,7 @@ import (
 	"repro/internal/aqerr"
 	"repro/internal/catalog"
 	"repro/internal/demo"
+	"repro/internal/resultset"
 	"repro/internal/translator"
 	"repro/internal/xdm"
 	"repro/internal/xqeval"
@@ -96,6 +98,69 @@ fn:string-join(
           "<", fn-bea:if-empty(fn-bea:xml-escape(fn-bea:serialize-atomic(fn:data($tokenQuery/Z))), "&amp;null;"))
 , "")`
 
+// recordSourced is a hand-written wrapper whose rows are not one FLWOR, so
+// its row program reads RECORD elements: RECORDs of copied source children
+// (row K=7 has two As, serialize-atomic's singleton error), then a data
+// service's documents, whose RECORDs are spliced, and the elements and
+// atomics the /RECORD step drops.
+const recordSourced = `import schema namespace e = "ld:Edge/E" at "E.xsd";
+import schema namespace d = "ld:Edge/Docs" at "Docs.xsd";
+fn:string-join(
+  let $actualQuery := <RECORDSET>{(
+    for $r in e:E()
+    where ($r/K > xs:integer($p1))
+    return <RECORD><K>{fn:data($r/K)}</K>{$r/A}</RECORD>,
+    for $x in d:D() return $x
+  )}</RECORDSET>
+  for $tokenQuery in $actualQuery/RECORD
+  return (">", fn-bea:if-empty(fn-bea:xml-escape(fn-bea:serialize-atomic(fn:data($tokenQuery/K))), "&amp;null;"),
+          "<", fn-bea:if-empty(fn-bea:xml-escape(fn-bea:serialize-atomic(fn:data($tokenQuery/A))), "&amp;null;"))
+, "")`
+
+// repeatedCtor builds a RECORD naming one column twice, both copies
+// present: the tokens fail on it, so the constructor must not fuse.
+const repeatedCtor = `import schema namespace e = "ld:Edge/E" at "E.xsd";
+fn:string-join(
+  let $actualQuery := <RECORDSET>{
+    for $r in e:E() return <RECORD><S>{fn:data($r/S)}</S><S>{fn:data($r/K)}</S></RECORD>
+  }</RECORDSET>
+  for $tokenQuery in $actualQuery/RECORD
+  return (">", fn-bea:if-empty(fn-bea:xml-escape(fn-bea:serialize-atomic(fn:data($tokenQuery/S))), "&amp;null;"),
+          "<", fn-bea:if-empty(fn-bea:xml-escape(fn-bea:serialize-atomic(fn:data($tokenQuery/S))), "&amp;null;"))
+, "")`
+
+// unchained is a wrapper whose tokens are not the serialize/escape/if-empty
+// chain (a computed delimiter, a predicate on the path): no row program
+// compiles, and the body streams materialized.
+const unchained = `import schema namespace e = "ld:Edge/E" at "E.xsd";
+fn:string-join(
+  let $actualQuery := <RECORDSET>{
+    for $r in e:E() return <RECORD><K>{fn:data($r/K)}</K><S>{fn:data($r/S)}</S></RECORD>
+  }</RECORDSET>
+  for $tokenQuery in $actualQuery/RECORD
+  return (fn:concat(">", ""), fn-bea:if-empty(fn-bea:xml-escape(fn-bea:serialize-atomic(fn:data($tokenQuery/K))), "&amp;null;"),
+          "<", fn-bea:if-empty(fn-bea:xml-escape(fn-bea:serialize-atomic(fn:data($tokenQuery/S[1]))), "&amp;null;"))
+, "")`
+
+// edgeDocs is what recordSourced's d:D() returns.
+func edgeDocs() xdm.Sequence {
+	rec := func(cells ...string) *xdm.Element {
+		r := xdm.NewElement("RECORD")
+		for i := 0; i+1 < len(cells); i += 2 {
+			r.AddChild(xdm.NewTextElement(cells[i], cells[i+1]))
+		}
+		return r
+	}
+	other := xdm.NewElement("OTHER")
+	other.AddChild(xdm.NewTextElement("K", "dropped"))
+	return xdm.Sequence{
+		&xdm.Document{Children: []xdm.Node{rec("K", "d1", "A", "x<y & z"), xdm.NewElement("NOTE"), rec("A", "no K")}},
+		other, xdm.Integer(42), xdm.String("dropped"),
+		&xdm.Document{},
+		rec("K", "", "B", "no A"),
+	}
+}
+
 // fusedCase is one statement of the differential.
 type fusedCase struct {
 	name   string
@@ -103,9 +168,12 @@ type fusedCase struct {
 	query  *xquery.Query
 	ext    map[string]xdm.Sequence
 	params int
-	// fused is whether the plan must carry a row program; a declined shape
-	// must say why.
-	fused bool
+	// fused is whether the row program runs on the row FLWOR's tuples;
+	// every other text plan's program reads RECORD elements. materialized
+	// marks tokens no program compiles from.
+	fused, materialized bool
+	// fail, when set, is part of the error every path must fail with.
+	fail string
 }
 
 func fusedCases(t testing.TB) []fusedCase {
@@ -114,7 +182,7 @@ func fusedCases(t testing.TB) []fusedCase {
 
 	// The translator's golden corpus over the demo data, text mode. Set
 	// operations and DISTINCT sit behind fn-bea:distinct-rows / rows-except
-	// and keep the unfused path.
+	// and read RECORD elements.
 	app, _, engine := demo.Setup(demo.DefaultSizes)
 	trans := translator.New(catalog.NewCache(app))
 	trans.Options.Mode = translator.ModeText
@@ -158,13 +226,32 @@ func fusedCases(t testing.TB) []fusedCase {
 		cases = append(cases, fusedCase{name: c.sql, engine: edgeEngine, query: res.Query, ext: ext, params: res.ParamCount, fused: c.fused})
 	}
 
-	q, err := xquery.Parse(handWrapped)
+	edgeEngine.Register("ld:Edge/Docs", "D", func([]xdm.Sequence) (xdm.Sequence, error) { return edgeDocs(), nil })
+	p := func(n int) map[string]xdm.Sequence {
+		return map[string]xdm.Sequence{"p1": xdm.SequenceOf(xdm.Integer(n))}
+	}
+	for _, h := range []fusedCase{
+		{name: "hand-written multi-atom and node-valued columns", query: parseQuery(t, handWrapped), ext: p(0), params: 1, fused: true},
+		{name: "hand-written RECORDs, documents and dropped items", query: parseQuery(t, recordSourced), ext: p(7), params: 1},
+		{name: "hand-written RECORD repeating a column", query: parseQuery(t, recordSourced), ext: p(0), params: 1,
+			fail: "fn-bea:serialize-atomic argument: xdm: expected singleton, got sequence of 2 items"},
+		{name: "hand-written RECORD constructor repeating a column", query: parseQuery(t, repeatedCtor),
+			fail: "fn-bea:serialize-atomic argument: xdm: expected singleton, got sequence of 2 items"},
+		{name: "hand-written tokens outside the chain", query: parseQuery(t, unchained), materialized: true},
+	} {
+		h.engine = edgeEngine
+		cases = append(cases, h)
+	}
+	return cases
+}
+
+func parseQuery(t testing.TB, src string) *xquery.Query {
+	t.Helper()
+	q, err := xquery.Parse(src)
 	if err != nil {
 		t.Fatalf("hand-written wrapper must parse: %v", err)
 	}
-	cases = append(cases, fusedCase{name: "hand-written multi-atom and node-valued columns", engine: edgeEngine, query: q,
-		ext: map[string]xdm.Sequence{"p1": xdm.SequenceOf(xdm.Integer(0))}, params: 1, fused: true})
-	return cases
+	return q
 }
 
 // rowText is what fn:string-join makes of one chunk: its items' string
@@ -206,11 +293,15 @@ func TestFusedMatchesNaive(t *testing.T) {
 			t.Fatalf("%s: must compile: %v", c.name, err)
 		}
 		desc := plan.Stream.Describe()
-		if got := strings.Contains(desc, ", fused: "); got != c.fused {
-			t.Fatalf("%s: fused = %v, want %v (%s)", c.name, got, c.fused, desc)
-		}
-		if !c.fused && !strings.Contains(desc, ", unfused: ") {
-			t.Fatalf("%s: a declined text shape must say why: %s", c.name, desc)
+		switch {
+		case c.materialized:
+			if plan.Stream.Streamable() {
+				t.Fatalf("%s: tokens outside the chain must stream materialized: %s", c.name, desc)
+			}
+		case !strings.Contains(desc, ", fused: "):
+			t.Fatalf("%s: every text plan must encode through its row program: %s", c.name, desc)
+		case strings.Contains(desc, ", reads RECORD elements") == c.fused:
+			t.Fatalf("%s: tuple source = %v, want %v (%s)", c.name, !c.fused, c.fused, desc)
 		}
 		if c.fused {
 			fusedSeen++
@@ -218,19 +309,28 @@ func TestFusedMatchesNaive(t *testing.T) {
 
 		// A statement may fail: then every path must fail alike.
 		want, _, werr := drainRows(c.engine.EvalStreamNaive(ctx, c.query, c.ext, nil))
-		out, err := c.engine.EvalPlanWithTrace(ctx, plan, c.ext, nil)
+		out, err := c.engine.EvalNaiveWithTrace(ctx, c.query, c.ext, nil)
 		if (err == nil) != (werr == nil) {
 			t.Fatalf("%s: materialized error %v, naive stream error %v", c.name, err, werr)
 		}
+		if c.fail != "" {
+			var xe *xqeval.Error
+			if werr == nil || !errors.As(werr, &xe) || !strings.Contains(werr.Error(), c.fail) || err.Error() != werr.Error() {
+				t.Fatalf("%s: naive stream error %v, materialized %v; want the typed %q", c.name, werr, err, c.fail)
+			}
+		}
 		if got := rowText(out); werr == nil && got != strings.Join(want, "") {
 			t.Fatalf("%s: naive stream diverges from the materialized string\ngot:  %q\nwant: %q", c.name, strings.Join(want, ""), got)
+		}
+		if c.materialized {
+			checkDecodes(t, c, plan, rowText(out))
 		}
 
 		check := func(label string, p *xqeval.Plan) {
 			t.Helper()
 			cur := c.engine.EvalStream(ctx, p, c.ext, nil)
-			if !cur.RowAligned() {
-				t.Fatalf("%s, %s: text rows must stream row-aligned", c.name, label)
+			if cur.RowAligned() == c.materialized {
+				t.Fatalf("%s, %s: row-aligned = %v", c.name, label, cur.RowAligned())
 			}
 			got, _, err := drainRows(cur)
 			if (err == nil) != (werr == nil) || (err != nil && err.Error() != werr.Error()) {
@@ -254,6 +354,39 @@ func TestFusedMatchesNaive(t *testing.T) {
 	}
 	if fusedSeen < 20 {
 		t.Fatalf("only %d statements fused: the net no longer exercises the row program", fusedSeen)
+	}
+}
+
+// checkDecodes holds a materialized text stream, decoded through
+// resultset.StreamText's splitter, to the naive string's rows.
+func checkDecodes(t *testing.T, c fusedCase, plan *xqeval.Plan, naive string) {
+	t.Helper()
+	cols := []resultset.Column{
+		{Label: "K", ElementName: "K", Type: catalog.SQLVarchar},
+		{Label: "S", ElementName: "S", Type: catalog.SQLVarchar},
+	}
+	dec := resultset.TextDecoder{Cols: cols}
+	rc := resultset.StreamText(c.engine.EvalStream(context.Background(), plan, c.ext, nil), cols)
+	defer rc.Close()
+	want := strings.Split(strings.TrimPrefix(naive, resultset.RowDelimiter), resultset.RowDelimiter)
+	for i := 0; ; i++ {
+		row, err := rc.Next()
+		if err == io.EOF {
+			if i != len(want) {
+				t.Fatalf("%s: decoded %d rows, naive has %d", c.name, i, len(want))
+			}
+			return
+		}
+		if err != nil || i >= len(want) {
+			t.Fatalf("%s: row %d: %v", c.name, i, err)
+		}
+		wantRow, err := dec.Decode(want[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(row) != fmt.Sprint(wantRow) {
+			t.Fatalf("%s: row %d decodes to %v, naive to %v", c.name, i, row, wantRow)
+		}
 	}
 }
 
@@ -284,9 +417,9 @@ func TestFusedChunkIsOneString(t *testing.T) {
 
 // TestFusedLimitParity sweeps MaxRows and MaxTuples across every charge a
 // row makes — the RECORD item, the $tokenQuery tuple, the tokens — and
-// holds the fused path, serial and parallel, to the naive one: the same
-// rows delivered before the error, the same typed error, the same tuple
-// count.
+// holds the planned stream, serial and parallel, from tuples and from
+// RECORD elements (DISTINCT, UNION ALL), to the naive one: the same rows
+// delivered before the error, the same typed error, the same tuple count.
 func TestFusedLimitParity(t *testing.T) {
 	ctx := context.Background()
 	app, engine := edgeSetup()
@@ -296,6 +429,8 @@ func TestFusedLimitParity(t *testing.T) {
 	for _, sql := range []string{
 		"SELECT K, A, D FROM E WHERE K > 3",
 		"SELECT K, S FROM E WHERE K > 3 FETCH FIRST 9 ROWS ONLY",
+		"SELECT DISTINCT A FROM E",
+		"SELECT K, B FROM E WHERE K > 20 UNION ALL SELECT K, A FROM E WHERE K < 9",
 	} {
 		res, err := trans.Translate(sql)
 		if err != nil {
@@ -308,6 +443,7 @@ func TestFusedLimitParity(t *testing.T) {
 		if !strings.Contains(plan.Stream.Describe(), ", fused: ") {
 			t.Fatalf("%q must fuse: %s", sql, plan.Stream.Describe())
 		}
+		records := strings.Contains(plan.Stream.Describe(), ", reads RECORD elements")
 		var limits []xqeval.Limits
 		for n := int64(1); n <= 200; n += 1 + n/40 {
 			limits = append(limits, xqeval.Limits{MaxRows: n}, xqeval.Limits{MaxTuples: n})
@@ -324,10 +460,19 @@ func TestFusedLimitParity(t *testing.T) {
 					t.Fatalf("%q %+v: naive error is not a typed resource limit: %v", sql, lim, werr)
 				}
 			}
+			// The naive evaluator runs a FLWOR nested in the rows (DISTINCT's
+			// argument, a UNION branch's derived table) breadth-first, every
+			// tuple before any row, and the planned executor depth-first: a
+			// MaxRows trip inside it leaves different tuple counts. There the
+			// parallel runs are held to the serial planned one.
+			heldToSerial := records && lim.MaxRows > 0
 			for _, workers := range []int{1, 2, 4} {
 				engine.SetExec(parallelExec(workers))
 				for iter := 0; iter < 3; iter++ { // worker scheduling varies
 					got, tuples, err := drainRows(engine.EvalStream(ctx, plan, nil, nil))
+					if heldToSerial && workers == 1 && iter == 0 {
+						wantTuples = tuples
+					}
 					if (err == nil) != (werr == nil) || (err != nil && err.Error() != werr.Error()) {
 						t.Fatalf("%q %+v, %d workers: error %v, naive %v", sql, lim, workers, err, werr)
 					}

@@ -26,10 +26,10 @@ import (
 // statically (the decomposition rides on the Plan, so compiled-query
 // artifacts carry it), and EvalStream runs the row expression through the
 // planned executor's existing tuple sink, delivering rows to the consumer
-// as they are produced. GROUP BY and ORDER BY remain the only
-// materialization points (they are barriers inside the FLWOR pipeline);
-// set operations pass through fn-bea:distinct-rows and therefore fall back
-// to whole-body evaluation before streaming out.
+// as they are produced, text rows through the row program (rowprog.go).
+// GROUP BY and ORDER BY remain the only materialization points (they are
+// barriers inside the FLWOR pipeline); set operations pass through
+// fn-bea:distinct-rows and therefore evaluate whole before streaming out.
 //
 // FETCH FIRST n ROWS ONLY — translated as fn:subsequence(rows, 1, n) —
 // short-circuits here: the limiter stops the producing pipeline after n
@@ -73,15 +73,9 @@ type StreamPlan struct {
 	// rows produces the row items (the RECORDSET constructor's enclosed
 	// expression); nil when Kind is StreamMaterialized.
 	rows xquery.Expr
-	// tokenVar/ret replay the text wrapper's per-RECORD token FLWOR: for
-	// each streamed RECORD element, ret evaluates with tokenVar bound to it.
-	tokenVar string
-	ret      xquery.Expr
-	// prog is the row program fusing the RECORD constructor with ret
-	// (rowprog.go); unfused says why a text-rows plan has none. Both are
-	// empty on decompositions made outside buildPlan — the naive path.
-	prog    *rowProgram
-	unfused string
+	// prog encodes text rows (rowprog.go), from RECORD elements or, once
+	// buildPlan fuses it, the row FLWOR's tuples. Set iff StreamTextRows.
+	prog *rowProgram
 }
 
 // Streamable reports whether rows can be produced incrementally.
@@ -95,18 +89,21 @@ func (sp *StreamPlan) Describe() string {
 		return "materialized (body has no row-stream decomposition)"
 	}
 	kind := sp.Kind.String()
-	switch {
-	case sp.prog != nil:
-		kind += fmt.Sprintf(", fused: %d columns", len(sp.prog.cols))
-	case sp.unfused != "":
-		kind += ", unfused: " + sp.unfused
+	if sp.prog != nil {
+		kind += fmt.Sprintf(", fused: %d column", len(sp.prog.cols))
+		if len(sp.prog.cols) != 1 {
+			kind += "s"
+		}
+		if sp.prog.fp == nil {
+			kind += ", reads RECORD elements"
+		}
 	}
 	return "row cursor (" + kind + "); barriers: group by / order by segments materialize"
 }
 
 // planStream pattern-matches the translator's two generated top-level
-// shapes. Anything else — including hand-written XQuery — degrades to
-// StreamMaterialized, which is always correct.
+// shapes. Anything else — including a text wrapper whose tokens compile to
+// no row program — degrades to StreamMaterialized, which is always correct.
 func planStream(body xquery.Expr) *StreamPlan {
 	if rows, ok := recordsetRows(body); ok {
 		return &StreamPlan{Kind: StreamXMLRows, rows: rows}
@@ -139,12 +136,11 @@ func planStream(body xquery.Expr) *StreamPlan {
 	if !ok || base.Name != let.Var {
 		return &StreamPlan{Kind: StreamMaterialized}
 	}
-	// The token expression must not see the whole recordset — per-row
-	// evaluation would otherwise change its meaning.
-	if xquery.FreeVars(f.Return)[let.Var] {
+	prog := newRowProgram(f.Return, forC.Var)
+	if prog == nil {
 		return &StreamPlan{Kind: StreamMaterialized}
 	}
-	return &StreamPlan{Kind: StreamTextRows, rows: rows, tokenVar: forC.Var, ret: f.Return}
+	return &StreamPlan{Kind: StreamTextRows, rows: rows, prog: prog}
 }
 
 // recordsetRows unwraps <RECORDSET>{rows}</RECORDSET>.
@@ -532,12 +528,7 @@ func runStream(body xquery.Expr, sp *StreamPlan, env *scope, w *rowWriter, emit 
 			return emit(xdm.SequenceOf(it))
 		})
 	case StreamTextRows:
-		if sp.prog != nil {
-			return sp.prog.stream(env, w)
-		}
-		return streamItems(sp.rows, env, func(it xdm.Item) error {
-			return streamTextTokens(it, sp, env, w)
-		})
+		return sp.prog.stream(sp.rows, env, w)
 	default:
 		out, err := evalExpr(body, env)
 		if err != nil {
@@ -550,49 +541,6 @@ func runStream(body xquery.Expr, sp *StreamPlan, env *scope, w *rowWriter, emit 
 		}
 		return nil
 	}
-}
-
-// streamTextTokens is the unfused text path — the naive evaluator's, and
-// the fallback for shapes no row program covers. It replays the wrapper's
-// `for $tokenQuery in $actualQuery/RECORD return (tokens)` for one streamed
-// rows item, without ever building the RECORDSET element: element children
-// named RECORD become rows, written to w as their tokens' string values,
-// documents splice their children (as enclosed content would), and
-// anything else is dropped exactly as the /RECORD step drops non-element
-// content.
-func streamTextTokens(it xdm.Item, sp *StreamPlan, env *scope, w *rowWriter) error {
-	switch n := it.(type) {
-	case *xdm.Document:
-		for _, ch := range n.Children {
-			if err := streamTextTokens(ch, sp, env, w); err != nil {
-				return err
-			}
-		}
-	case *xdm.Element:
-		if n.Name.Local != "RECORD" {
-			return nil
-		}
-		if err := env.countTuple(); err != nil {
-			return err
-		}
-		t := env.bindItem(sp.tokenVar, n)
-		if err := t.checkCancel(); err != nil {
-			return err
-		}
-		v, err := evalExpr(sp.ret, t)
-		if err != nil {
-			return err
-		}
-		if err := t.countRows(len(v)); err != nil {
-			return err
-		}
-		buf := w.open()
-		for _, tok := range v {
-			*buf = append(*buf, xdm.StringValue(tok)...)
-		}
-		return w.end()
-	}
-	return nil
 }
 
 // streamItems produces a row expression's items one at a time: FLWORs run

@@ -55,39 +55,39 @@ func TestStreamPlanKinds(t *testing.T) {
 
 	// The §4 text wrapper: fn:string-join over a let/for FLWOR tokenizing
 	// $actualQuery/RECORD — exactly what translator.wrapTextMode emits.
-	text := planStream(xquery.Call("fn:string-join",
-		&xquery.FLWOR{
-			Clauses: []xquery.Clause{
-				&xquery.Let{Var: "actualQuery", Expr: recordsetBody(rows)},
-				&xquery.For{Var: "tokenQuery", In: xquery.ChildPath("actualQuery", "RECORD")},
+	wrapper := func(tokens xquery.Expr) *StreamPlan {
+		return planStream(xquery.Call("fn:string-join",
+			&xquery.FLWOR{
+				Clauses: []xquery.Clause{
+					&xquery.Let{Var: "actualQuery", Expr: recordsetBody(rows)},
+					&xquery.For{Var: "tokenQuery", In: xquery.ChildPath("actualQuery", "RECORD")},
+				},
+				Return: tokens,
 			},
-			Return: &xquery.Seq{Items: []xquery.Expr{
-				xquery.Str(">"), xquery.ChildPath("tokenQuery", "N"),
-			}},
-		},
-		xquery.Str("")))
+			xquery.Str("")))
+	}
+	text := wrapper(&xquery.Seq{Items: []xquery.Expr{
+		xquery.Str(">"),
+		xquery.Call("fn-bea:if-empty", xquery.Call("fn-bea:xml-escape", xquery.Call("fn-bea:serialize-atomic",
+			xquery.Call("fn:data", xquery.ChildPath("tokenQuery", "N")))), xquery.Str("&null;")),
+	}})
 	if text.Kind != StreamTextRows || !text.Streamable() {
 		t.Fatalf("text wrapper classified %v, want text rows", text.Kind)
 	}
-	if text.tokenVar != "tokenQuery" {
-		t.Fatalf("tokenVar = %q", text.tokenVar)
+	if len(text.prog.cols) != 1 || text.prog.cols[0].srcCol != "N" || text.prog.fp != nil {
+		t.Fatalf("row program = %+v, want a record-source program reading N", text.prog)
 	}
 
-	// A body with no recognized row-stream decomposition materializes, and a
-	// return referencing the whole recordset variable must refuse to stream.
+	// A body with no recognized row-stream decomposition materializes, and
+	// so does a wrapper whose tokens are not the serialize/escape/if-empty
+	// chain — one reading the whole recordset variable included.
 	if sp := planStream(rows); sp.Streamable() {
 		t.Fatalf("bare FLWOR classified %v, want materialized", sp.Kind)
 	}
-	leaky := planStream(xquery.Call("fn:string-join",
-		&xquery.FLWOR{
-			Clauses: []xquery.Clause{
-				&xquery.Let{Var: "actualQuery", Expr: recordsetBody(rows)},
-				&xquery.For{Var: "tokenQuery", In: xquery.ChildPath("actualQuery", "RECORD")},
-			},
-			Return: xquery.Call("fn:count", xquery.VarRef("actualQuery")),
-		},
-		xquery.Str("")))
-	if leaky.Streamable() {
+	if sp := wrapper(&xquery.Seq{Items: []xquery.Expr{xquery.Str(">"), xquery.ChildPath("tokenQuery", "N")}}); sp.Streamable() {
+		t.Fatalf("tokens outside the chain classified %v, want materialized", sp.Kind)
+	}
+	if leaky := wrapper(xquery.Call("fn:count", xquery.VarRef("actualQuery"))); leaky.Streamable() {
 		t.Fatal("return referencing the recordset variable must not stream")
 	}
 

@@ -158,7 +158,7 @@ func TestStreamedMatchesMaterialized(t *testing.T) {
 				t.Fatalf("mode %v: %q: naive stream oracle: %v", mode, sql, err)
 			}
 			if want, err := marshalStreamed(nrows); err != nil || got != want {
-				t.Fatalf("mode %v: %q: planned stream diverged from the naive (unfused) stream: %v\ngot:  %s\nwant: %s",
+				t.Fatalf("mode %v: %q: planned stream diverged from the naive stream: %v\ngot:  %s\nwant: %s",
 					mode, sql, err, got, want)
 			}
 			if mode == ModeText {
@@ -349,7 +349,7 @@ func FuzzStreamDifferential(f *testing.F) {
 				t.Fatalf("mode %v: %q: streamed diverged from materialized\ngot:  %s\nwant: %s",
 					mode, sql, got, want)
 			}
-			// Fused (planned) against unfused (naive) streaming.
+			// Planned against naive streaming.
 			if nrows, err := naiveStreamOracle(p, mode, sql, args); err == nil {
 				if want, err := marshalStreamed(nrows); err == nil && got != want {
 					t.Fatalf("mode %v: %q: planned stream diverged from the naive stream\ngot:  %s\nwant: %s",
