@@ -57,6 +57,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/aqerr"
 	"repro/internal/catalog"
@@ -286,8 +287,21 @@ func encodeArgs(op string, args []any) ([]*wire.Atom, error) {
 			return nil, aqerr.Errorf(aqerr.KindPermanent, op, "parameter %d: %v", i+1, err)
 		}
 		out[i] = &wire.Atom{T: int(v.Type()), V: v.Lexical()}
+		if err := validText(op, out[i].V); err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
+}
+
+// validText refuses text that is not UTF-8: requests travel as JSON, which
+// would carry it with U+FFFD in place of the bytes — another statement or
+// value than the caller's.
+func validText(op, text string) error {
+	if !utf8.ValidString(text) {
+		return aqerr.Errorf(aqerr.KindPermanent, op, "text is not valid UTF-8")
+	}
+	return nil
 }
 
 // QueryDialect runs an ad-hoc statement in the given dialect and result
@@ -296,6 +310,9 @@ func encodeArgs(op string, args []any) ([]*wire.Atom, error) {
 // governs the whole stream: cancelling it fails the next fetch with a
 // timeout-kind error wrapping the context error.
 func (c *Client) QueryDialect(ctx context.Context, dialect string, mode translator.ResultMode, text string, args ...any) (*resultset.Rows, error) {
+	if err := validText("execute", text); err != nil {
+		return nil, err
+	}
 	wargs, err := encodeArgs("execute", args)
 	if err != nil {
 		return nil, err
@@ -343,6 +360,9 @@ func (c *Client) Prepare(ctx context.Context, sql string, mode translator.Result
 // SQL-92). Each execution re-resolves through the server's compile cache,
 // so catalog changes (CREATE VIEW) transparently recompile.
 func (c *Client) PrepareDialect(ctx context.Context, dialect, text string, mode translator.ResultMode) (*Stmt, error) {
+	if err := validText("prepare", text); err != nil {
+		return nil, err
+	}
 	// Retry-safe: a duplicate prepare pins a second copy of the statement,
 	// reclaimed with the session — never a semantic change.
 	resp, err := postRetry[wire.PrepareResponse](ctx, c, "prepare", wire.PathPrepare,
@@ -371,6 +391,9 @@ func (s *Stmt) Execute(ctx context.Context, args ...any) (*resultset.Rows, error
 // ExplainDialect compiles a statement remotely and returns its rendered
 // artifact, as EXPLAIN prints it ("" dialect = SQL-92).
 func (c *Client) ExplainDialect(ctx context.Context, dialect, text string, mode translator.ResultMode) (string, error) {
+	if err := validText("explain", text); err != nil {
+		return "", err
+	}
 	resp, err := postRetry[wire.ExplainResponse](ctx, c, "explain", wire.PathExplain,
 		wire.ExplainRequest{Session: c.session, SQL: text, Mode: wire.ModeName(mode), Dialect: dialect}, true)
 	return resp.Text, err
@@ -380,6 +403,9 @@ func (c *Client) ExplainDialect(ctx context.Context, dialect, text string, mode 
 // one verb with a durable side effect, so it is never retried: a lost
 // response must surface to the caller, not risk a second registration.
 func (c *Client) DefineView(ctx context.Context, path, name, sql string) error {
+	if err := validText("create view", sql); err != nil {
+		return err
+	}
 	_, err := postRetry[wire.CreateViewResponse](ctx, c, "create view", wire.PathCreateView,
 		wire.CreateViewRequest{Session: c.session, Path: path, Name: name, SQL: sql}, false)
 	return err

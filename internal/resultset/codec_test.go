@@ -9,17 +9,18 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"unicode/utf8"
 
 	"repro/internal/catalog"
 	"repro/internal/xdm"
 )
 
 // edgeStrings are the values the §4 escaping exists for, plus the NULL
-// token and an escaped carriage return as literal data.
+// token, an escaped carriage return as literal data, and bytes that are
+// not UTF-8 beside specials.
 var edgeStrings = []string{
 	"", "&null;", "<", ">", "&", "\r", "&#xD;", "&amp;#xD;", "a\rb", "x<y>z&w",
 	"&lt;&gt;&amp;", "café € <é> ü 😀", "tab\tnl\n", `"quoted" \back`, "\x01\x1f",
+	"\xff&\xfe<",
 }
 
 // codecCols is one nullable column of every SQL type the schema maps.
@@ -124,7 +125,7 @@ func TestTextRowCodecRoundTrip(t *testing.T) {
 }
 
 // FuzzTextRowCodec: any text and numbers, NULL or not per column,
-// round-trip through the row codec. Values are XML text, so valid UTF-8.
+// round-trip through the row codec — any bytes, valid UTF-8 or not.
 // Encoded many to one batch, as the evaluator sends rows, and decoded
 // through one slab, each row is what a fresh TextDecoder makes of it, and
 // stays so while the rows after it decode.
@@ -141,12 +142,9 @@ func FuzzTextRowCodec(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, a, b string, k int64, d float64, nulls, batch uint8) {
 		for _, s := range []string{a, b, a + b} {
-			if got, want := unescape(s), unescapeReplacer.Replace(s); got != want {
+			if got, want := (&TextDecoder{}).unescape(s), unescapeReplacer.Replace(s); got != want {
 				t.Fatalf("unescape(%q) = %q, the replacer gives %q", s, got, want)
 			}
-		}
-		if !utf8.ValidString(a) || !utf8.ValidString(b) {
-			return
 		}
 		row := []xdm.Atomic{xdm.String(a), xdm.Integer(k), xdm.String(b), xdm.Double(d), xdm.String(a + b)}
 		for i := range row {
@@ -239,8 +237,64 @@ func TestUnescapeMatchesReplacer(t *testing.T) {
 		}
 	}
 	for _, s := range inputs {
-		if got, want := unescape(s), unescapeReplacer.Replace(s); got != want {
+		if got, want := (&TextDecoder{}).unescape(s), unescapeReplacer.Replace(s); got != want {
 			t.Errorf("unescape(%q) = %q, the replacer gives %q", s, got, want)
 		}
 	}
+}
+
+// TestTextDecoderAllocs is the erosion guard for the client's per-row
+// cost: decoding 1,000 rows that each hold two escaped VARCHARs costs at
+// most one allocation per non-NULL typed cell (its boxing) plus 0.1 —
+// rows and unescaped values are carved from slabs. Every value stays
+// intact while later rows decode, and a decoder copied by value keeps
+// decoding on slabs of its own.
+func TestTextDecoderAllocs(t *testing.T) {
+	cols := []Column{
+		{Label: "A", Type: catalog.SQLVarchar, Nullable: true},
+		{Label: "K", Type: catalog.SQLInteger, Nullable: true},
+		{Label: "B", Type: catalog.SQLVarchar, Nullable: true},
+	}
+	const n = 1000
+	texts := make([]string, n)
+	for i := range texts {
+		texts[i] = string(appendTextRow(nil, []xdm.Atomic{
+			xdm.String(fmt.Sprintf("a<%d>&b", i)), xdm.Integer(1000 + i), xdm.String(fmt.Sprintf("\r%d&amp;", i)),
+		}))
+	}
+	check := func(rows [][]xdm.Atomic) {
+		t.Helper()
+		for i, r := range rows {
+			if a, b := r[0].Lexical(), r[2].Lexical(); a != fmt.Sprintf("a<%d>&b", i) || b != fmt.Sprintf("\r%d&amp;", i) {
+				t.Fatalf("row %d decoded as %q, %q", i, a, b)
+			}
+		}
+	}
+	rows := make([][]xdm.Atomic, n)
+	perRow := testing.AllocsPerRun(5, func() {
+		dec := TextDecoder{Cols: cols}
+		for i, text := range texts {
+			r, err := dec.Decode(text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows[i] = r
+		}
+	}) / n
+	check(rows)
+	t.Logf("%.3f allocations per row (3 typed cells)", perRow)
+	if perRow > 3+0.1 {
+		t.Fatalf("decoding costs %.3f allocations per row, want <= 3.1", perRow)
+	}
+
+	dec := TextDecoder{Cols: cols}
+	for i := range texts[:n/2] {
+		rows[i], _ = dec.Decode(texts[i])
+	}
+	cp := dec
+	for i := n / 2; i < n; i += 2 {
+		rows[i], _ = dec.Decode(texts[i])
+		rows[i+1], _ = cp.Decode(texts[i+1])
+	}
+	check(rows)
 }

@@ -385,38 +385,6 @@ func parseValue(text string, c Column) (xdm.Atomic, error) {
 	return v, nil
 }
 
-// unescape reverses fn-bea:xml-escape in one left-to-right pass: each "&"
-// that starts one of the four entities becomes its character, any other is
-// kept, and scanning resumes after the replacement — so "&amp;lt;" is
-// "&lt;", and a literal "&#xD;" (which arrives as "&amp;#xD;") survives.
-func unescape(s string) string {
-	i := strings.IndexByte(s, '&')
-	if i < 0 {
-		return s
-	}
-	var b strings.Builder
-	b.Grow(len(s))
-	for ; i >= 0; i = strings.IndexByte(s, '&') {
-		b.WriteString(s[:i])
-		s = s[i:]
-		n, c := 1, byte('&')
-		switch {
-		case strings.HasPrefix(s, "&lt;"):
-			n, c = 4, '<'
-		case strings.HasPrefix(s, "&gt;"):
-			n, c = 4, '>'
-		case strings.HasPrefix(s, "&#xD;"):
-			n, c = 5, '\r'
-		case strings.HasPrefix(s, "&amp;"):
-			n, c = 5, '&'
-		}
-		b.WriteByte(c)
-		s = s[n:]
-	}
-	b.WriteString(s)
-	return b.String()
-}
-
 // Table renders the rows as an ASCII table (used by the shell and
 // examples). It consumes from the current cursor position.
 func (r *Rows) Table() string {

@@ -230,21 +230,33 @@ func decodeRecord(rec *xdm.Element, cols []Column) ([]xdm.Atomic, error) {
 
 // TextDecoder types §4 text rows — the per-row core of FromText,
 // StreamText and the wire client — carving each from one []xdm.Atomic
-// slab. The slab starts at one row and doubles up to slabCells cells, so a
-// one-row result allocates one row. A slab is never reused: a decoded row
-// stays valid however long it is kept (Materialize keeps every row).
+// slab, and unescapes values into one append-only text slab. Each slab
+// starts at what its first row or value needs and the next doubles, up to
+// 4 KiB, so a one-row result allocates one small slab of each. A slab is
+// never reused or rewritten, only replaced when full: a decoded row and
+// its values stay valid however long they are kept (Materialize keeps
+// every row). A value with no entity is a substring of its row's text. A
+// decoder copied by value starts slabs of its own.
 type TextDecoder struct {
 	Cols []Column
 	slab []xdm.Atomic
-	n    int // rows the last slab held
+	n    int             // rows the last slab held
+	text strings.Builder // unescaped values, handed out as substrings
+	self *TextDecoder    // the decoder the slabs belong to
 }
 
 // slabCells caps a slab at 4 KiB with the 8-byte header the allocator
-// puts on a pointerful object of that size.
-const slabCells = (4096 - 8) / 16
+// puts on a pointerful object of that size; slabText caps a text slab.
+const (
+	slabCells = (4096 - 8) / 16
+	slabText  = 4096
+)
 
 // Decode types one row (leading row delimiter already stripped).
 func (d *TextDecoder) Decode(rowText string) ([]xdm.Atomic, error) {
+	if d.self != d {
+		*d = TextDecoder{Cols: d.Cols, self: d}
+	}
 	cols := d.Cols
 	if n := strings.Count(rowText, ColumnDelimiter) + 1; n != len(cols) {
 		return nil, fmt.Errorf("resultset: row has %d fields, schema has %d columns", n, len(cols))
@@ -261,7 +273,7 @@ func (d *TextDecoder) Decode(rowText string) ([]xdm.Atomic, error) {
 			row[i] = nil
 			continue
 		}
-		v, err := parseValue(unescape(field), cols[i])
+		v, err := parseValue(d.unescape(field), cols[i])
 		if err != nil {
 			return nil, err
 		}
@@ -269,6 +281,44 @@ func (d *TextDecoder) Decode(rowText string) ([]xdm.Atomic, error) {
 	}
 	d.slab = d.slab[len(cols):]
 	return row, nil
+}
+
+// unescape reverses fn-bea:xml-escape in one left-to-right pass: each "&"
+// that starts one of the four entities becomes its character, any other is
+// kept, and scanning resumes after the replacement — so "&amp;lt;" is
+// "&lt;", and a literal "&#xD;" (which arrives as "&amp;#xD;") survives.
+// The runs between entities are copied as they are, into the text slab.
+func (d *TextDecoder) unescape(s string) string {
+	i := strings.IndexByte(s, '&')
+	if i < 0 {
+		return s
+	}
+	b := &d.text
+	if b.Cap()-b.Len() < len(s) { // unescaping never lengthens a value
+		size := max(min(2*b.Cap(), slabText), len(s))
+		*b = strings.Builder{}
+		b.Grow(size)
+	}
+	from := b.Len()
+	for ; i >= 0; i = strings.IndexByte(s, '&') {
+		b.WriteString(s[:i])
+		s = s[i:]
+		n, c := 1, byte('&')
+		switch {
+		case strings.HasPrefix(s, "&lt;"):
+			n, c = 4, '<'
+		case strings.HasPrefix(s, "&gt;"):
+			n, c = 4, '>'
+		case strings.HasPrefix(s, "&#xD;"):
+			n, c = 5, '\r'
+		case strings.HasPrefix(s, "&amp;"):
+			n, c = 5, '&'
+		}
+		b.WriteByte(c)
+		s = s[n:]
+	}
+	b.WriteString(s)
+	return b.String()[from:]
 }
 
 // appendTextRow appends row in the form TextDecoder reads back.

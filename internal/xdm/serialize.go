@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"unicode/utf8"
 )
 
 // EscapeText escapes XML text content: the three markup characters, plus
@@ -18,26 +17,29 @@ func EscapeText(s string) string {
 }
 
 // AppendEscapedText appends EscapeText(s) to dst — the allocation-free
-// form for callers assembling escaped text in a buffer of their own.
+// form for callers assembling escaped text in a buffer of their own. The
+// runs between the specials are copied as they are, so bytes that are not
+// valid UTF-8 pass through unchanged, escaped or not.
 func AppendEscapedText(dst []byte, s string) []byte {
-	if !strings.ContainsAny(s, "&<>\r") {
-		return append(dst, s...)
-	}
-	for _, r := range s {
-		switch r {
+	last := 0
+	for i := 0; i < len(s); i++ {
+		var esc string
+		switch s[i] {
 		case '&':
-			dst = append(dst, "&amp;"...)
+			esc = "&amp;"
 		case '<':
-			dst = append(dst, "&lt;"...)
+			esc = "&lt;"
 		case '>':
-			dst = append(dst, "&gt;"...)
+			esc = "&gt;"
 		case '\r':
-			dst = append(dst, "&#xD;"...)
+			esc = "&#xD;"
 		default:
-			dst = utf8.AppendRune(dst, r)
+			continue
 		}
+		dst = append(append(dst, s[last:i]...), esc...)
+		last = i + 1
 	}
-	return dst
+	return append(dst, s[last:]...)
 }
 
 // escapeAttr escapes XML attribute values: text escapes plus quotes, plus

@@ -507,6 +507,28 @@ func TestEscapeTextFastPath(t *testing.T) {
 	}
 }
 
+// TestEscapeTextTable: the four specials become entities and every other
+// byte is copied, so invalid UTF-8 survives whether or not the value also
+// holds a special.
+func TestEscapeTextTable(t *testing.T) {
+	for _, c := range []struct{ in, want string }{
+		{"", ""},
+		{"a<b>c&d\re", "a&lt;b&gt;c&amp;d&#xD;e"},
+		{"&&", "&amp;&amp;"},
+		{"café € <é> 😀", "café € &lt;é&gt; 😀"},
+		{"\xff", "\xff"},
+		{"\xff&", "\xff&amp;"},
+		{"<\xc3", "&lt;\xc3"},
+	} {
+		if got := EscapeText(c.in); got != c.want {
+			t.Errorf("EscapeText(%q) = %q, want %q", c.in, got, c.want)
+		}
+		if got := string(AppendEscapedText([]byte("x"), c.in)); got != "x"+c.want {
+			t.Errorf("AppendEscapedText(%q) = %q, want %q", c.in, got, "x"+c.want)
+		}
+	}
+}
+
 // ParseAtomic's direct parse of string/integer/decimal forms is a second
 // path beside Cast(Untyped(...)): hold the two identical — value, type and
 // error text — over well-formed, lenient and malformed lexical forms.

@@ -403,7 +403,10 @@ func (ex *flworExec) runMorsel(ops []planOp, ws *scope, seq xdm.Sequence, start,
 		r.tuplesCharged = counters.tuples - tups0
 	}()
 	var sink tupleSink
+	var buf [16]*scope
+	var cs cells // the call's own: each worker and re-run binds in its own
 	if final {
+		cs = ex.cells(ops, &buf)
 		// Sized once: each item emits one row unless a later for fans out.
 		r.chargedAt = make([]morselCharge, 0, end-start)
 		// A row program's rows go to a scratch buffer and are copied out
@@ -456,11 +459,11 @@ func (ex *flworExec) runMorsel(ops []planOp, ws *scope, seq xdm.Sequence, start,
 			r.err = err
 			return
 		}
-		nt := ws.bindItem(op.forClause.Var, seq[idx])
+		nt := cs.bind(0, ws, op.forClause.Var, nil, seq[idx])
 		if op.forClause.At != "" {
-			nt = nt.bindItem(op.forClause.At, xdm.Integer(idx+1))
+			nt = cs.bind(1, nt, op.forClause.At, nil, xdm.Integer(idx+1))
 		}
-		if err := ex.feed(ops, 1, nt, sink); err != nil {
+		if err := ex.feed(ops, 1, nt, sink, cs); err != nil {
 			r.err = err
 			return
 		}

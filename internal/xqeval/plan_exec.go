@@ -110,8 +110,10 @@ func execPlannedFLWORTo(fp *flworPlan, env *scope, prog *rowProgram, w *rowWrite
 					return emit(v)
 				}
 			}
+			var buf [16]*scope
+			cs := ex.cells(seg.ops, &buf)
 			for _, t := range tuples {
-				if err := ex.feed(seg.ops, 0, t, sink); err != nil {
+				if err := ex.feed(seg.ops, 0, t, sink, cs); err != nil {
 					return err
 				}
 			}
@@ -130,7 +132,7 @@ func execPlannedFLWORTo(fp *flworPlan, env *scope, prog *rowProgram, w *rowWrite
 					err := ex.feed(seg.ops, 0, t, func(t2 *scope) error {
 						next = append(next, t2)
 						return nil
-					})
+					}, nil)
 					if err != nil {
 						return err
 					}
@@ -147,6 +149,48 @@ func execPlannedFLWORTo(fp *flworPlan, env *scope, prog *rowProgram, w *rowWrite
 		tuples = next
 	}
 	return nil
+}
+
+// cells are a transient final segment's tuple cells: slot 2i holds the one
+// cell op i rebinds for every tuple after the first, 2i+1 its at
+// variable's. A segment is transient when its sink is done with a tuple
+// before the next is bound: a row program copies it into text, a
+// constructor into a new element, and no state outlives the tuple (a hash
+// build, invariant or hoisted operand reads no FLWOR-local variable). Any
+// other return — `return $x` hands out the cell's item — and every
+// collected tuple keeps fresh cells: nil cells.
+type cells []*scope
+
+// cells returns the final segment's cells, on buf when they fit.
+func (ex *flworExec) cells(ops []planOp, buf *[16]*scope) cells {
+	if _, ctor := ex.fp.flwor.Return.(*xquery.ElementCtor); !ctor && ex.prog == nil {
+		return nil
+	}
+	if 2*len(ops) <= len(buf) {
+		return buf[:2*len(ops)]
+	}
+	return make(cells, 2*len(ops))
+}
+
+// bind binds name under t to value, or to it alone when it is set: in a
+// fresh cell, or in slot k's, which the first tuple allocates.
+func (cs cells) bind(k int, t *scope, name string, value xdm.Sequence, it xdm.Item) *scope {
+	if cs == nil {
+		if it != nil {
+			return t.bindItem(name, it)
+		}
+		return t.bind(name, value)
+	}
+	if cs[k] == nil {
+		cs[k] = new(scope)
+	}
+	c := cs[k]
+	*c = scope{parent: t, st: t.st, name: name, value: value, ctx: t.ctx, depth: t.depth + 1}
+	if it != nil {
+		c.item[0] = it
+		c.value = c.item[:]
+	}
+	return c
 }
 
 // finalValue produces and charges the return clause's value for one
@@ -207,8 +251,9 @@ func (ex *flworExec) prepare(ops []planOp, t *scope) (dead bool, err error) {
 	return false, nil
 }
 
-// feed pushes one tuple through ops[i:], calling out for each survivor.
-func (ex *flworExec) feed(ops []planOp, i int, t *scope, out tupleSink) error {
+// feed pushes one tuple through ops[i:], calling out for each survivor,
+// binding in cs.
+func (ex *flworExec) feed(ops []planOp, i int, t *scope, out tupleSink, cs cells) error {
 	if i == len(ops) {
 		return out(t)
 	}
@@ -223,7 +268,7 @@ func (ex *flworExec) feed(ops []planOp, i int, t *scope, out tupleSink) error {
 			t.prune(1)
 			return nil
 		}
-		return ex.feed(ops, i+1, t, out)
+		return ex.feed(ops, i+1, t, out, cs)
 
 	case opKindLet:
 		var v xdm.Sequence
@@ -247,7 +292,7 @@ func (ex *flworExec) feed(ops []planOp, i int, t *scope, out tupleSink) error {
 				return err
 			}
 		}
-		return ex.feed(ops, i+1, t.bind(op.letClause.Var, v), out)
+		return ex.feed(ops, i+1, cs.bind(2*i, t, op.letClause.Var, v, nil), out, cs)
 
 	case opKindFor:
 		if err := t.checkCancel(); err != nil {
@@ -258,7 +303,7 @@ func (ex *flworExec) feed(ops []planOp, i int, t *scope, out tupleSink) error {
 			if err != nil {
 				return err
 			}
-			return ex.probeHash(ops, i, op, t, h, out)
+			return ex.probeHash(ops, i, op, t, h, out, cs)
 		}
 		var seq xdm.Sequence
 		var err error
@@ -274,11 +319,11 @@ func (ex *flworExec) feed(ops []planOp, i int, t *scope, out tupleSink) error {
 			if err := t.countTuple(); err != nil {
 				return err
 			}
-			nt := t.bindItem(op.forClause.Var, it)
+			nt := cs.bind(2*i, t, op.forClause.Var, nil, it)
 			if op.forClause.At != "" {
-				nt = nt.bindItem(op.forClause.At, xdm.Integer(idx+1))
+				nt = cs.bind(2*i+1, nt, op.forClause.At, nil, xdm.Integer(idx+1))
 			}
-			if err := ex.feed(ops, i+1, nt, out); err != nil {
+			if err := ex.feed(ops, i+1, nt, out, cs); err != nil {
 				return err
 			}
 		}
@@ -440,7 +485,7 @@ func execFilter(fp *flworPlan, env *scope) (xdm.Sequence, error) {
 		v, _ := t.lookupVar(filterVar)
 		out = append(out, v...)
 		return nil
-	})
+	}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -456,7 +501,7 @@ func execFilter(fp *flworPlan, env *scope) (xdm.Sequence, error) {
 // turn that into NULL padding and the anti-join. Against an empty table the
 // probe is not evaluated at all, as the nested loop over no items
 // evaluates no predicate.
-func (ex *flworExec) probeHash(ops []planOp, i int, op *planOp, t *scope, h *hashTable, out tupleSink) error {
+func (ex *flworExec) probeHash(ops []planOp, i int, op *planOp, t *scope, h *hashTable, out tupleSink, cs cells) error {
 	if len(h.items) == 0 {
 		return nil
 	}
@@ -477,8 +522,8 @@ func (ex *flworExec) probeHash(ops []planOp, i int, op *planOp, t *scope, h *has
 		if err := t.countTuple(); err != nil {
 			return err
 		}
-		nt := t.bindItem(op.forClause.Var, h.items[ci])
-		if err := ex.feed(ops, i+1, nt, out); err != nil {
+		nt := cs.bind(2*i, t, op.forClause.Var, nil, h.items[ci])
+		if err := ex.feed(ops, i+1, nt, out, cs); err != nil {
 			return err
 		}
 	}

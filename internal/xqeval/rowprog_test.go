@@ -536,8 +536,9 @@ func TestFusedLimitParity(t *testing.T) {
 
 // TestFusedScanAllocs is the erosion guard for the hot loop: draining the
 // scan shape — one filtered source, plain column references, text mode —
-// costs the evaluator at most 8 allocations per row, all in (tuple scope,
-// row string, chunk); the filter's column kernel allocates nothing.
+// costs the evaluator at most 8 allocations per row, all in (row string,
+// chunk); the for rebinds one tuple cell and the filter's column kernel
+// allocates nothing, so a rejected tuple costs next to nothing.
 func TestFusedScanAllocs(t *testing.T) {
 	const n = 2000
 	engine, plan := fusedScanSetup(t, n, scanSQL)
@@ -567,16 +568,16 @@ func TestFusedScanAllocs(t *testing.T) {
 		t.Fatalf("the fused scan costs %.1f allocations per row, want <= 8", perRow)
 	}
 
-	// A threshold no row passes leaves the tuple scope and the filter's
-	// column kernel as the whole per-tuple cost.
+	// A threshold no row passes leaves the rebound tuple cell and the
+	// filter's column kernel as the whole per-tuple cost.
 	ext["p1"] = xdm.SequenceOf(xdm.Integer(n))
 	if got := drain(); got != 0 {
 		t.Fatalf("scan above every key returned %d rows", got)
 	}
 	perTuple := testing.AllocsPerRun(5, func() { drain() }) / n
-	t.Logf("%.2f allocations per rejected tuple (tuple scope and filter)", perTuple)
-	if perTuple > 3 {
-		t.Fatalf("a rejected tuple costs %.2f allocations, want <= 3", perTuple)
+	t.Logf("%.2f allocations per rejected tuple (tuple cell and filter)", perTuple)
+	if perTuple > 0.1 {
+		t.Fatalf("a rejected tuple costs %.2f allocations, want <= 0.1", perTuple)
 	}
 }
 

@@ -15,11 +15,12 @@ import (
 // TestPlannedScanAllocs is the erosion guard for the streamed scan: a
 // 5,000-row filtered scan in the translator's text-mode shape, run by the
 // row program serially and fanned out to two morsel workers and pulled
-// row by row through NextText, costs at most 1.1 allocations and 180 bytes
-// per source row. A bound tuple is one cell holding its row inline — the
-// one allocation left per row — and rows cross the cursor in batches: a
-// morsel's output buffers are allocated once, and a batch costs a few
-// allocations whatever its row count.
+// row by row through NextText, costs at most 0.15 allocations and 90 bytes
+// per source row. The row program copies each tuple into text before the
+// next is bound, so the for rebinds one cell instead of allocating one per
+// row, and rows cross the cursor in batches: a morsel's output buffers are
+// allocated once, and a batch costs a few allocations whatever its row
+// count.
 func TestPlannedScanAllocs(t *testing.T) {
 	const n = 5000
 	e, plan, ext := plannedScan(t, n)
@@ -51,8 +52,8 @@ func TestPlannedScanAllocs(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		bytesPerRow := float64(after.TotalAlloc-before.TotalAlloc) / (5 * n)
 		t.Logf("workers %d: %.2f allocations, %.0f bytes per source row", workers, perRow, bytesPerRow)
-		if perRow > 1.1 || bytesPerRow > 180 {
-			t.Fatalf("workers %d: the scan costs %.2f allocations and %.0f bytes per source row, want <= 1.1 and <= 180",
+		if perRow > 0.15 || bytesPerRow > 90 {
+			t.Fatalf("workers %d: the scan costs %.2f allocations and %.0f bytes per source row, want <= 0.15 and <= 90",
 				workers, perRow, bytesPerRow)
 		}
 	}
