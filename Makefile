@@ -35,12 +35,14 @@ race:
 # merged from morsels; batch sizes; the in-flight bound under a slow
 # reader; rows counted when a close stops inside a batch), and the
 # column and record kernels' differentials against the generic path and
-# naive, and the rebound tuple cells' aliasing net (each morsel worker
-# rebinds cells of its own). The driver's concurrency and streaming nets
-# follow, in process and over aql:// (real TCP): every database/sql
-# connection shares one platform's compile and metadata caches.
+# naive, the flat records' net (records built by morsel workers are read
+# on the merging goroutine), and the rebound tuple cells' aliasing net
+# (each morsel worker rebinds cells of its own). The driver's concurrency
+# and streaming nets follow, in process and over aql:// (real TCP): every
+# database/sql connection shares one platform's compile and metadata
+# caches.
 stress:
-	$(GO) test -race -count=20 -run 'TestParallel|TestBarrierAfterFanOut|TestFusedLimitParity|TestFusedMatchesNaive|TestFusedBatchesDouble|TestInFlightBound|TestCorrelated|TestColumnKernels|TestRecordKernel|TestHashJoinNegativeZero|TestTransientCells' ./internal/xqeval/
+	$(GO) test -race -count=20 -run 'TestParallel|TestBarrierAfterFanOut|TestFusedLimitParity|TestFusedMatchesNaive|TestFusedBatchesDouble|TestInFlightBound|TestCorrelated|TestColumnKernels|TestRecordKernel|TestFlatRecordsMatchNaive|TestHashJoinNegativeZero|TestTransientCells' ./internal/xqeval/
 	$(GO) test -race -count=20 -run 'TestRowsCountedOnce' .
 	$(GO) test -race -count=10 -run 'TestConcurrent|TestStreaming|TestRows' ./internal/driver/
 

@@ -1028,19 +1028,19 @@ func (p *Platform) DefineView(path, name, sql string) error {
 		if err != nil {
 			return nil, fmt.Errorf("view %s: %v", name, err)
 		}
-		recordset, ok := it.(*xdm.Element)
-		if !ok {
+		recordset, ok := it.(xdm.Node)
+		if !ok || xdm.LocalName(recordset) == "" {
 			return nil, fmt.Errorf("view %s: unexpected result shape", name)
 		}
 		var rows Sequence
-		for _, rec := range recordset.ChildElements("RECORD") {
+		for _, rec := range xdm.AppendChildren(nil, recordset, "RECORD") {
 			row := xdm.NewElement(name)
 			for i, c := range resCols {
-				src := rec.FirstChildElement(c.ElementName)
-				if src == nil {
+				text, n := xdm.Column(rec.(xdm.Node), c.ElementName)
+				if n == 0 {
 					continue // NULL stays absent
 				}
-				row.AddChild(xdm.NewTextElement(cols[i].Name, src.StringValue()))
+				row.AddChild(xdm.NewTextElement(cols[i].Name, text))
 			}
 			rows = append(rows, row)
 		}

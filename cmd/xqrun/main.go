@@ -75,8 +75,8 @@ func main() {
 	}
 	for _, it := range out {
 		switch v := it.(type) {
-		case *xdm.Element:
-			fmt.Print(xdm.MarshalIndent(v))
+		case *xdm.Element, *xdm.Record:
+			fmt.Print(xdm.MarshalIndent(v.(xdm.Node)))
 		default:
 			fmt.Println(xdm.StringValue(it))
 		}

@@ -324,13 +324,14 @@ func FromXML(result xdm.Sequence, cols []Column) (*Rows, error) {
 	if err != nil {
 		return nil, fmt.Errorf("resultset: expected a single RECORDSET element: %v", err)
 	}
-	root, ok := it.(*xdm.Element)
-	if !ok || root.Name.Local != "RECORDSET" {
+	root, ok := it.(xdm.Node)
+	if !ok || xdm.LocalName(root) != "RECORDSET" {
 		return nil, fmt.Errorf("resultset: expected RECORDSET element, got %v", it)
 	}
 	rows := &Rows{cols: cols}
-	for _, rec := range root.ChildElements("RECORD") {
-		row, err := decodeRecord(rec, cols)
+	var slab rowSlab
+	for _, rec := range xdm.AppendChildren(nil, root, "RECORD") {
+		row, err := decodeRecord(rec.(xdm.Node), cols, &slab)
 		if err != nil {
 			return nil, err
 		}

@@ -371,9 +371,9 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
-// TestDecodeRecordAllocs: an XML-mode row costs its row slice and its
-// boxed atoms — no per-row map of names, no child slice per column —
-// whatever order its children come in.
+// TestDecodeRecordAllocs: an XML-mode row costs its boxed atoms and a share
+// of its row slab — no per-row map of names, no child slice per column,
+// no row slice of its own — whatever order its children come in.
 func TestDecodeRecordAllocs(t *testing.T) {
 	cols := append(testCols(), Column{Label: "CITY", ElementName: "CITY", Type: catalog.SQLVarchar, Nullable: true})
 	children := [][2]string{{"ID", "100000"}, {"NAME", "Acme"}, {"AMOUNT", "12.5"}} // CITY absent: NULL
@@ -382,13 +382,14 @@ func TestDecodeRecordAllocs(t *testing.T) {
 		for _, i := range order {
 			rec.AddChild(xdm.NewTextElement(children[i][0], children[i][1]))
 		}
-		row, err := decodeRecord(rec, cols)
+		var slab rowSlab
+		row, err := decodeRecord(rec, cols, &slab)
 		if err != nil || row[0] != xdm.Integer(100000) || row[1] != xdm.String("Acme") || row[2] != xdm.Decimal(12.5) || row[3] != nil {
 			t.Fatalf("children in order %v: decoded %v, %v", order, row, err)
 		}
-		allocs := testing.AllocsPerRun(100, func() { decodeRecord(rec, cols) })
-		if allocs > 4 { // the row, then an integer, a string and a decimal
-			t.Fatalf("children in order %v: a 4-column row costs %.0f allocations, want 4", order, allocs)
+		allocs := testing.AllocsPerRun(100, func() { decodeRecord(rec, cols, &slab) })
+		if allocs > 3 { // an integer, a string and a decimal; slabs amortize
+			t.Fatalf("children in order %v: a 4-column row costs %.0f allocations, want 3", order, allocs)
 		}
 	}
 }

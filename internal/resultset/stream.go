@@ -58,7 +58,9 @@ type xmlCursor struct {
 	src     ItemStream
 	cols    []Column
 	aligned bool
-	queue   []*xdm.Element
+	queue   xdm.Sequence // RECORDs received, queue[head:] not handed out
+	head    int
+	rows    rowSlab
 	closed  bool
 }
 
@@ -66,14 +68,9 @@ func (c *xmlCursor) Columns() []Column { return c.cols }
 
 func (c *xmlCursor) Next() ([]xdm.Atomic, error) {
 	for {
-		if len(c.queue) > 0 {
-			rec := c.queue[0]
-			c.queue = c.queue[1:]
-			row, err := decodeRecord(rec, c.cols)
-			if err != nil {
-				return nil, err
-			}
-			return row, nil
+		if c.head < len(c.queue) {
+			c.head++
+			return decodeRecord(c.queue[c.head-1].(xdm.Node), c.cols, &c.rows)
 		}
 		if c.closed {
 			return nil, io.EOF
@@ -82,19 +79,21 @@ func (c *xmlCursor) Next() ([]xdm.Atomic, error) {
 		if err != nil {
 			return nil, err // io.EOF included
 		}
+		c.queue, c.head = c.queue[:0], 0
 		for _, it := range chunk {
-			el, ok := it.(*xdm.Element)
-			switch {
-			case ok && el.Name.Local == "RECORD":
-				c.queue = append(c.queue, el)
-			case ok && el.Name.Local == "RECORDSET":
-				c.queue = append(c.queue, el.ChildElements("RECORD")...)
-			case c.aligned:
+			n, _ := it.(xdm.Node)
+			switch xdm.LocalName(n) {
+			case "RECORD":
+				c.queue = append(c.queue, n)
+			case "RECORDSET":
+				c.queue = xdm.AppendChildren(c.queue, n, "RECORD")
+			default:
 				// Aligned chunks are RECORDSET content items: anything that
 				// is not a RECORD element is dropped, exactly as FromXML's
-				// ChildElements walk drops it.
-			default:
-				return nil, fmt.Errorf("resultset: expected RECORDSET element, got %v", it)
+				// child step drops it.
+				if !c.aligned {
+					return nil, fmt.Errorf("resultset: expected RECORDSET element, got %v", it)
+				}
 			}
 		}
 	}
@@ -202,45 +201,60 @@ func (c *textCursor) Close() error {
 
 var errMissingRowDelimiter = errors.New("resultset: malformed text payload: missing leading row delimiter")
 
-// decodeRecord types one RECORD element against the result schema — the
-// per-row core FromXML loops over — in one walk of its children: each
-// fills the first empty column of its name, searching from the column
-// after the last one filled, so children in schema order hit at once and
-// an absent element is NULL.
-func decodeRecord(rec *xdm.Element, cols []Column) ([]xdm.Atomic, error) {
-	row := make([]xdm.Atomic, len(cols))
+// decodeRecord types one RECORD (element or record) into a row carved from
+// rows, in one walk of its columns: each fills the first empty column of
+// its name, searching from the column after the last one filled, so
+// columns in schema order hit at once and an absent one is NULL.
+func decodeRecord(rec xdm.Node, cols []Column, rows *rowSlab) (row []xdm.Atomic, err error) {
+	row = rows.carve(len(cols))
 	from := 0
-	for _, n := range rec.Children {
-		el, looking := n.(*xdm.Element)
-		for j := 0; looking && j < len(cols); j++ {
+	xdm.Columns(rec, func(name, text string) bool {
+		for j := range cols {
 			i := (from + j) % len(cols)
-			if row[i] != nil || cols[i].ElementName != el.Name.Local {
+			if row[i] != nil || cols[i].ElementName != name {
 				continue
 			}
-			v, err := parseValue(el.StringValue(), cols[i])
-			if err != nil {
-				return nil, err
+			if row[i], err = parseValue(text, cols[i]); err != nil {
+				return false
 			}
-			row[i], looking = v, false
 			from = i + 1
+			break
 		}
+		return true
+	})
+	if err != nil {
+		return nil, err
 	}
 	return row, nil
 }
 
+// rowSlab carves rows from []xdm.Atomic slabs, the first one row long and
+// each next one twice that, up to 4 KiB; a slab is never reused, so a row
+// stays valid however long it is kept (Materialize keeps every row).
+type rowSlab struct {
+	slab []xdm.Atomic
+	n    int // rows the last slab held
+}
+
+func (s *rowSlab) carve(width int) []xdm.Atomic {
+	if len(s.slab) < width {
+		s.n = max(min(2*s.n, slabCells/width), 1)
+		s.slab = make([]xdm.Atomic, s.n*width)
+	}
+	row := s.slab[:width:width]
+	s.slab = s.slab[width:]
+	return row
+}
+
 // TextDecoder types §4 text rows — the per-row core of FromText,
-// StreamText and the wire client — carving each from one []xdm.Atomic
-// slab, and unescapes values into one append-only text slab. Each slab
-// starts at what its first row or value needs and the next doubles, up to
-// 4 KiB, so a one-row result allocates one small slab of each. A slab is
-// never reused or rewritten, only replaced when full: a decoded row and
-// its values stay valid however long they are kept (Materialize keeps
-// every row). A value with no entity is a substring of its row's text. A
-// decoder copied by value starts slabs of its own.
+// StreamText and the wire client — carving each from a rowSlab, and
+// unescapes values into one append-only text slab, which starts at what
+// its first value needs and doubles up to 4 KiB on the same rule. A value
+// with no entity is a substring of its row's text. A decoder copied by
+// value starts slabs of its own.
 type TextDecoder struct {
 	Cols []Column
-	slab []xdm.Atomic
-	n    int             // rows the last slab held
+	rows rowSlab
 	text strings.Builder // unescaped values, handed out as substrings
 	self *TextDecoder    // the decoder the slabs belong to
 }
@@ -261,11 +275,7 @@ func (d *TextDecoder) Decode(rowText string) ([]xdm.Atomic, error) {
 	if n := strings.Count(rowText, ColumnDelimiter) + 1; n != len(cols) {
 		return nil, fmt.Errorf("resultset: row has %d fields, schema has %d columns", n, len(cols))
 	}
-	if len(d.slab) < len(cols) {
-		d.n = max(min(2*d.n, slabCells/len(cols)), 1)
-		d.slab = make([]xdm.Atomic, d.n*len(cols))
-	}
-	row := d.slab[:len(cols):len(cols)]
+	row := d.rows.carve(len(cols))
 	for i := range cols {
 		var field string
 		field, rowText, _ = strings.Cut(rowText, ColumnDelimiter)
@@ -279,7 +289,6 @@ func (d *TextDecoder) Decode(rowText string) ([]xdm.Atomic, error) {
 		}
 		row[i] = v
 	}
-	d.slab = d.slab[len(cols):]
 	return row, nil
 }
 

@@ -84,7 +84,7 @@ func MarshalSequence(s Sequence) string {
 }
 
 func marshalNode(b *strings.Builder, n Node) {
-	switch n := n.(type) {
+	switch n := tree(n).(type) {
 	case *Text:
 		b.WriteString(EscapeText(n.Value))
 	case *Element:
@@ -134,7 +134,7 @@ func marshalElement(b *strings.Builder, e *Element, declared map[string]string) 
 	}
 	b.WriteByte('>')
 	for _, c := range e.Children {
-		switch c := c.(type) {
+		switch c := tree(c).(type) {
 		case *Text:
 			b.WriteString(EscapeText(c.Value))
 		case *Element:
@@ -155,7 +155,7 @@ func MarshalIndent(n Node) string {
 }
 
 func marshalIndentNode(b *strings.Builder, n Node, depth int) {
-	switch n := n.(type) {
+	switch n := tree(n).(type) {
 	case *Text:
 		indent(b, depth)
 		b.WriteString(EscapeText(n.Value))
@@ -215,17 +215,16 @@ func indent(b *strings.Builder, depth int) {
 	}
 }
 
-// SortKey builds a deterministic string key for a row element, used when the
-// engine needs set semantics over rows (UNION/INTERSECT/EXCEPT, DISTINCT).
-// Child elements contribute name=value pairs; absent children (SQL NULL)
-// are distinguishable from empty strings.
-func SortKey(e *Element) string {
-	parts := make([]string, 0, len(e.Children))
-	for _, c := range e.Children {
-		if el, ok := c.(*Element); ok {
-			parts = append(parts, el.Name.Local+"\x00="+el.StringValue())
-		}
-	}
+// SortKey builds a deterministic string key for a row element (an Element
+// or a Record), used when the engine needs set semantics over rows
+// (UNION/INTERSECT/EXCEPT, DISTINCT). Columns contribute name=value pairs;
+// absent columns (SQL NULL) are distinguishable from empty strings.
+func SortKey(n Node) string {
+	var parts []string
+	Columns(n, func(name, text string) bool {
+		parts = append(parts, name+"\x00="+text)
+		return true
+	})
 	return strings.Join(parts, "\x00|")
 }
 

@@ -196,6 +196,8 @@ func (e *Element) appendText(b *strings.Builder) {
 			b.WriteString(c.Value)
 		case *Element:
 			c.appendText(b)
+		case *Record:
+			b.WriteString(c.StringValue())
 		}
 	}
 }
@@ -234,14 +236,14 @@ func (e *Element) Attribute(local string) (string, bool) {
 	return "", false
 }
 
-// ChildElements returns the element children whose local name matches local.
-// A "*" local name matches every element child. This is the child axis step
-// the generated XQueries use ($row/COLUMN).
+// ChildElements returns the element children whose local name matches local,
+// a Record child as the element it stands for. A "*" local name matches
+// every element child.
 func (e *Element) ChildElements(local string) []*Element {
 	var out []*Element
 	for _, c := range e.Children {
-		if el, ok := c.(*Element); ok && (local == "*" || el.Name.Local == local) {
-			out = append(out, el)
+		if l := LocalName(c); l != "" && (local == "*" || l == local) {
+			out = append(out, tree(c).(*Element))
 		}
 	}
 	return out
@@ -251,11 +253,19 @@ func (e *Element) ChildElements(local string) []*Element {
 // nil if absent. Absence of a column element is how SQL NULL travels.
 func (e *Element) FirstChildElement(local string) *Element {
 	for _, c := range e.Children {
-		if el, ok := c.(*Element); ok && el.Name.Local == local {
-			return el
+		if LocalName(c) == local {
+			return tree(c).(*Element)
 		}
 	}
 	return nil
+}
+
+// tree is n with a Record built as the Element it stands for.
+func tree(n Node) Node {
+	if r, ok := n.(*Record); ok {
+		return r.Element()
+	}
+	return n
 }
 
 // Clone returns a deep copy of the element.
@@ -422,6 +432,7 @@ func deepEqualItem(a, b Item) bool {
 }
 
 func deepEqualNode(a, b Node) bool {
+	a, b = tree(a), tree(b)
 	switch a := a.(type) {
 	case *Text:
 		bt, ok := b.(*Text)

@@ -132,10 +132,8 @@ func evalSteps(base xdm.Sequence, steps []xquery.PathStep, env *scope) (xdm.Sequ
 		var next xdm.Sequence
 		for _, it := range cur {
 			switch n := it.(type) {
-			case *xdm.Element:
-				for _, c := range n.ChildElements(step.Name) {
-					next = append(next, c)
-				}
+			case *xdm.Element, *xdm.Record:
+				next = xdm.AppendChildren(next, n.(xdm.Node), step.Name)
 			case *xdm.Document:
 				if root := n.Root(); root != nil && (step.Name == "*" || root.Name.Local == step.Name) {
 					next = append(next, root)
@@ -689,7 +687,7 @@ func compareOrderKeys(a, b xdm.Sequence, emptyGreatest bool) (int, error) {
 // constructors become child elements, text content becomes text nodes, and
 // enclosed expressions contribute their result sequences (nodes copied,
 // atomics space-joined into text, per XQuery content construction).
-func constructElement(e *xquery.ElementCtor, env *scope) (*xdm.Element, error) {
+func constructElement(e *xquery.ElementCtor, env *scope) (xdm.Node, error) {
 	if env.st.plan != nil {
 		if k, ok := env.st.plan.records[e]; ok {
 			if el, handled, err := k.build(env); handled {
@@ -723,8 +721,8 @@ func appendContent(el *xdm.Element, seq xdm.Sequence) {
 	prevAtomic := false
 	for _, it := range seq {
 		switch v := it.(type) {
-		case *xdm.Element:
-			el.AddChild(v)
+		case *xdm.Element, *xdm.Record:
+			el.AddChild(v.(xdm.Node))
 			prevAtomic = false
 		case *xdm.Text:
 			el.AddChild(&xdm.Text{Value: v.Value})

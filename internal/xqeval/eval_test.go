@@ -106,7 +106,7 @@ func TestEvalDataServiceFunction(t *testing.T) {
 	if len(out) != 3 {
 		t.Fatalf("rows = %d", len(out))
 	}
-	if out[0].(*xdm.Element).FirstChildElement("CUSTOMERNAME").StringValue() != "Joe" {
+	if elementOf(out[0]).FirstChildElement("CUSTOMERNAME").StringValue() != "Joe" {
 		t.Fatal("first row should be Joe")
 	}
 }
@@ -141,7 +141,7 @@ func TestEvalExample3Shape(t *testing.T) {
 	if len(out) != 1 {
 		t.Fatalf("rows = %d", len(out))
 	}
-	rec := out[0].(*xdm.Element)
+	rec := elementOf(out[0])
 	if rec.FirstChildElement("CUSTOMERS.CUSTOMERID").StringValue() != "23" {
 		t.Fatalf("record = %s", xdm.Marshal(rec))
 	}
@@ -226,7 +226,7 @@ func TestEvalOuterJoinFilterShape(t *testing.T) {
 	}
 	var annRec *xdm.Element
 	for _, it := range out {
-		rec := it.(*xdm.Element)
+		rec := elementOf(it)
 		if rec.FirstChildElement("NAME").StringValue() == "Ann" {
 			annRec = rec
 		}
@@ -258,13 +258,13 @@ func TestEvalGroupByPartitions(t *testing.T) {
 	if len(out) != 2 {
 		t.Fatalf("groups = %d", len(out))
 	}
-	g0 := out[0].(*xdm.Element) // first-encounter order: CUSTID 55
+	g0 := elementOf(out[0]) // first-encounter order: CUSTID 55
 	if g0.FirstChildElement("CUST").StringValue() != "55" ||
 		g0.FirstChildElement("N").StringValue() != "2" ||
 		g0.FirstChildElement("SUM").StringValue() != "175.5" {
 		t.Fatalf("group 0 = %s", xdm.Marshal(g0))
 	}
-	g1 := out[1].(*xdm.Element)
+	g1 := elementOf(out[1])
 	if g1.FirstChildElement("CUST").StringValue() != "23" || g1.FirstChildElement("N").StringValue() != "1" {
 		t.Fatalf("group 1 = %s", xdm.Marshal(g1))
 	}
@@ -522,7 +522,7 @@ func TestEvalElementConstruction(t *testing.T) {
 		}},
 	}}
 	out := evalBody(t, ctor)
-	got := xdm.Marshal(out[0].(*xdm.Element))
+	got := xdm.Marshal(elementOf(out[0]))
 	want := "<ROW>prefix <INNER>1 2</INNER></ROW>"
 	if got != want {
 		t.Fatalf("got %s want %s", got, want)
@@ -534,7 +534,7 @@ func TestEvalPositionalPredicate(t *testing.T) {
 		Base:       xquery.Call("ns0:CUSTOMERS"),
 		Predicates: []xquery.Expr{xquery.Num("2")},
 	})
-	if len(out) != 1 || out[0].(*xdm.Element).FirstChildElement("CUSTOMERNAME").StringValue() != "Sue" {
+	if len(out) != 1 || elementOf(out[0]).FirstChildElement("CUSTOMERNAME").StringValue() != "Sue" {
 		t.Fatalf("out = %v", out)
 	}
 }
@@ -560,4 +560,13 @@ func TestEvalPathOverAtomicErrors(t *testing.T) {
 	if err == nil {
 		t.Fatal("path over atomic should error")
 	}
+}
+
+// elementOf is a result item as an element: a planned RECORD of column
+// copies is a flat xdm.Record, read here as the element it stands for.
+func elementOf(it xdm.Item) *xdm.Element {
+	if r, ok := it.(*xdm.Record); ok {
+		return r.Element()
+	}
+	return it.(*xdm.Element)
 }

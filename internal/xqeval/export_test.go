@@ -36,6 +36,7 @@ func KeepAllColumns(p *Plan) *Plan {
 	for ctor, k := range p.records {
 		whole := *k
 		whole.cols = append([]recordCol(nil), k.cols...)
+		whole.shape.Cols = make([]string, 0, len(k.cols))
 		cp.records[ctor] = &whole
 		cp.keepReads(ctor, "*")
 	}

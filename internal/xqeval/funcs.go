@@ -61,6 +61,11 @@ func evalFuncCall(e *xquery.FuncCall, env *scope) (xdm.Sequence, error) {
 		return out, nil
 	}
 
+	if env.st.plan != nil && e.Name == "fn:data" && len(e.Args) == 1 {
+		if out, ok, err := columnData(e.Args[0], env); ok {
+			return out, err
+		}
+	}
 	builtin, ok := builtins[e.Name]
 	if !ok {
 		return nil, dynErr("unknown function %s", e.Name)
@@ -80,6 +85,31 @@ func evalFuncCall(e *xquery.FuncCall, env *scope) (xdm.Sequence, error) {
 		args[i] = v
 	}
 	return builtin.impl(args)
+}
+
+// columnData is fn:data($v/NAME) on the planned path when $v holds only
+// rows (a row, or a group partition): the texts, untyped, with no column
+// element built, charging the path's step and the variable's.
+func columnData(arg xquery.Expr, env *scope) (xdm.Sequence, bool, error) {
+	v, col, ok := childPath(arg)
+	if !ok {
+		return nil, false, nil
+	}
+	rows, ok := env.lookupVar(v)
+	if !ok {
+		return nil, false, nil
+	}
+	var out xdm.Sequence
+	for _, it := range rows {
+		n, isNode := it.(xdm.Node)
+		if !isNode || xdm.LocalName(n) == "" {
+			return nil, false, nil
+		}
+		for text, i := xdm.NextColumn(n, col, 0); i >= 0; text, i = xdm.NextColumn(n, col, i) {
+			out = append(out, xdm.Untyped(text))
+		}
+	}
+	return out, true, columnSteps(env, env.depth)
 }
 
 type builtinFunc struct {
@@ -699,17 +729,24 @@ func beaDistinctRows(args []xdm.Sequence) (xdm.Sequence, error) {
 	seen := map[string]bool{}
 	var out xdm.Sequence
 	for _, it := range args[0] {
-		el, ok := it.(*xdm.Element)
+		key, ok := rowKey(it)
 		if !ok {
 			return nil, dynErr("fn-bea:distinct-rows over non-element item")
 		}
-		key := xdm.SortKey(el)
 		if !seen[key] {
 			seen[key] = true
-			out = append(out, el)
+			out = append(out, it)
 		}
 	}
 	return out, nil
+}
+
+// rowKey is the xdm.SortKey of a row element — an Element or a Record.
+func rowKey(it xdm.Item) (string, bool) {
+	if n, ok := it.(xdm.Node); ok && xdm.LocalName(n) != "" {
+		return xdm.SortKey(n), true
+	}
+	return "", false
 }
 
 // beaRowsSetOp implements EXCEPT/INTERSECT over row elements with SQL
@@ -727,42 +764,41 @@ func beaRowsSetOp(intersect bool) func([]xdm.Sequence) (xdm.Sequence, error) {
 		}
 		rightCount := map[string]int{}
 		for _, it := range args[1] {
-			el, ok := it.(*xdm.Element)
+			key, ok := rowKey(it)
 			if !ok {
 				return nil, dynErr("row set operation over non-element item")
 			}
-			rightCount[xdm.SortKey(el)]++
+			rightCount[key]++
 		}
 		var out xdm.Sequence
 		emitted := map[string]bool{}
 		for _, it := range args[0] {
-			el, ok := it.(*xdm.Element)
+			key, ok := rowKey(it)
 			if !ok {
 				return nil, dynErr("row set operation over non-element item")
 			}
-			key := xdm.SortKey(el)
 			inRight := rightCount[key] > 0
 			switch {
 			case all && intersect:
 				if inRight {
 					rightCount[key]--
-					out = append(out, el)
+					out = append(out, it)
 				}
 			case all && !intersect:
 				if inRight {
 					rightCount[key]--
 				} else {
-					out = append(out, el)
+					out = append(out, it)
 				}
 			case intersect:
 				if inRight && !emitted[key] {
 					emitted[key] = true
-					out = append(out, el)
+					out = append(out, it)
 				}
 			default: // EXCEPT DISTINCT
 				if !inRight && !emitted[key] {
 					emitted[key] = true
-					out = append(out, el)
+					out = append(out, it)
 				}
 			}
 		}

@@ -312,7 +312,7 @@ func TestBeaRowsExcept(t *testing.T) {
 	right := seq(rowOf("A", "1"), rowOf("A", "3"))
 	// EXCEPT DISTINCT: {2}
 	out := callF(t, "fn-bea:rows-except", left, right, seq(xdm.Boolean(false)))
-	if len(out) != 1 || out[0].(*xdm.Element).FirstChildElement("A").StringValue() != "2" {
+	if len(out) != 1 || elementOf(out[0]).FirstChildElement("A").StringValue() != "2" {
 		t.Fatalf("except = %v", out)
 	}
 	// EXCEPT ALL: one "1" survives (2 minus 1), plus "2" → {1, 2}

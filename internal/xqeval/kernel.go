@@ -13,14 +13,14 @@ import (
 // recognizes three shapes once per plan: a hash join's build or probe key
 // that is a column read; a general comparison between a column read and a
 // hoisted invariant operand; and one between two column reads. At run time
-// a kernel reads each matching child's StringValue() as untyped text
+// a kernel reads each matching column's text (xdm.Column) as untyped text
 // instead of binding a scope, building sequences and boxing atoms, and
 // compares through xdm.CompareUntyped — CompareAtomic(Untyped(text), …) to
 // the error text. Every kernel charges the steps the generic evaluation
 // would have, in the same order, and hands a tuple whose variable is not
-// bound to one element back to the generic path. The hash tables the key
-// kernels build and probe are plan_exec.go's. The naive evaluator has no
-// kernels: it stays the oracle.
+// bound to one row, an element or a record, back to the generic path. The
+// hash tables the key kernels build and probe are plan_exec.go's. The
+// naive evaluator has no kernels: it stays the oracle.
 
 // colRead is a column read $v/col (childPath); the zero value is none.
 type colRead struct{ v, col string }
@@ -32,23 +32,26 @@ func colReadOf(e xquery.Expr) colRead {
 	return colRead{}
 }
 
-// row returns the element $v is bound to, when it is bound to exactly one.
-func (c colRead) row(t *scope) (*xdm.Element, bool) {
+// row returns the row $v is bound to, when it is bound to exactly one.
+func (c colRead) row(t *scope) (xdm.Node, bool) {
 	if c.col == "" {
 		return nil, false
 	}
 	return boundRow(t, c.v)
 }
 
-// boundRow returns the element variable v is bound to on t, when it is
-// bound to exactly one.
-func boundRow(t *scope, name string) (*xdm.Element, bool) {
-	v, ok := t.lookupVar(name)
-	if !ok || len(v) != 1 {
-		return nil, false
+// boundRow returns the row — an element or a record — variable v is bound
+// to on t, when it is bound to exactly one.
+func boundRow(t *scope, name string) (xdm.Node, bool) {
+	if v, _ := t.lookupVar(name); len(v) == 1 {
+		switch row := v[0].(type) {
+		case *xdm.Element:
+			return row, true
+		case *xdm.Record:
+			return row, true
+		}
 	}
-	row, ok := v[0].(*xdm.Element)
-	return row, ok
+	return nil, false
 }
 
 // columnSteps charges what evaluating $v/col charges on a scope at depth:
@@ -60,38 +63,12 @@ func columnSteps(t *scope, depth int64) error {
 	return t.stepAt(depth)
 }
 
-// columnText is the atomized value of child n when it is a column element
-// named col: its string value, untyped.
-func columnText(n xdm.Node, col string) (string, bool) {
-	el, ok := n.(*xdm.Element)
-	if !ok || el.Name.Local != col {
-		return "", false
-	}
-	return el.StringValue(), true
-}
-
-// firstColumn returns the text of row's first col child and how many
-// there are.
-func firstColumn(row *xdm.Element, col string) (first string, n int) {
-	for _, ch := range row.Children {
-		if text, isCol := columnText(ch, col); isCol {
-			if n == 0 {
-				first = text
-			}
-			n++
-		}
-	}
-	return first, n
-}
-
 // columnAtoms is fn:data($row/col), boxed: the generic key, for the rare
 // comparisons the kernels leave to the generic code.
-func columnAtoms(row *xdm.Element, col string) xdm.Sequence {
+func columnAtoms(row xdm.Node, col string) xdm.Sequence {
 	var out xdm.Sequence
-	for _, ch := range row.Children {
-		if text, ok := columnText(ch, col); ok {
-			out = append(out, xdm.Untyped(text))
-		}
+	for text, i := xdm.NextColumn(row, col, 0); i >= 0; text, i = xdm.NextColumn(row, col, i) {
+		out = append(out, xdm.Untyped(text))
 	}
 	return out
 }
@@ -129,16 +106,15 @@ func columnFilterOf(op *planOp) *filterKernel {
 }
 
 // columnFilter runs op's kernel on t. handled is false, with nothing
-// charged, when a column read's variable is not bound to one element: the
-// caller then takes the generic path.
+// charged, when a column read's variable is not bound to one row: the
+// caller then takes the generic path. compare reads the rows again rather
+// than take them from this frame, which the hoisted operand's first
+// evaluation runs below: a few bytes more here cost a point lookup's
+// evaluation goroutine a second stack growth.
 func (ex *flworExec) columnFilter(op *planOp, t *scope) (ok, handled bool, err error) {
 	k := op.column
-	var rows [2]*xdm.Element
-	for i, c := range k.sides {
-		if c.col == "" {
-			continue
-		}
-		if rows[i], handled = c.row(t); !handled {
+	for _, c := range k.sides {
+		if _, bound := c.row(t); c.col != "" && !bound {
 			return false, false, nil
 		}
 	}
@@ -147,8 +123,8 @@ func (ex *flworExec) columnFilter(op *planOp, t *scope) (ok, handled bool, err e
 		return false, true, err
 	}
 	var atoms [2]xdm.Sequence
-	for i := range rows {
-		if rows[i] != nil {
+	for i, c := range k.sides {
+		if c.col != "" {
 			err = columnSteps(t, t.depth)
 		} else {
 			atoms[i], err = ex.operand(op, i, t)
@@ -157,35 +133,32 @@ func (ex *flworExec) columnFilter(op *planOp, t *scope) (ok, handled bool, err e
 			return false, true, err
 		}
 	}
-	ok, err = k.compare(rows, atoms)
+	ok, err = k.compare(t, atoms)
 	return ok, true, err
 }
 
-// compare is evalGeneralCompare over the two sides — a column's children's
-// texts or a hoisted operand's atoms — with the same loop nesting (left
-// outer), so the first error or match is the one the generic code meets.
-func (k *filterKernel) compare(rows [2]*xdm.Element, atoms [2]xdm.Sequence) (bool, error) {
+// compare is evalGeneralCompare over the two sides — a column's texts or a
+// hoisted operand's atoms — with the same loop nesting (left outer), so the
+// first error or match is the one the generic code meets.
+func (k *filterKernel) compare(t *scope, atoms [2]xdm.Sequence) (bool, error) {
 	lcol, rcol := k.sides[0].col, k.sides[1].col
+	var rows [2]xdm.Node
+	rows[0], _ = k.sides[0].row(t)
+	rows[1], _ = k.sides[1].row(t)
 	if rows[0] == nil {
 		// CompareAtomic(l, Untyped(rt), op) is CompareUntyped(rt, l) under
 		// the mirrored operator.
 		op := mirrored(k.op)
 		for _, l := range atoms[0] {
-			for _, r := range rows[1].Children {
-				if rt, isCol := columnText(r, rcol); isCol {
-					if ok, err := xdm.CompareUntyped(rt, l.(xdm.Atomic), op); err != nil || ok {
-						return ok, wrapCompareErr(err)
-					}
+			for rt, j := xdm.NextColumn(rows[1], rcol, 0); j >= 0; rt, j = xdm.NextColumn(rows[1], rcol, j) {
+				if ok, err := xdm.CompareUntyped(rt, l.(xdm.Atomic), op); err != nil || ok {
+					return ok, wrapCompareErr(err)
 				}
 			}
 		}
 		return false, nil
 	}
-	for _, l := range rows[0].Children {
-		lt, isCol := columnText(l, lcol)
-		if !isCol {
-			continue
-		}
+	for lt, i := xdm.NextColumn(rows[0], lcol, 0); i >= 0; lt, i = xdm.NextColumn(rows[0], lcol, i) {
 		if rows[1] == nil {
 			for _, r := range atoms[1] {
 				if ok, err := xdm.CompareUntyped(lt, r.(xdm.Atomic), k.op); err != nil || ok {
@@ -194,11 +167,9 @@ func (k *filterKernel) compare(rows [2]*xdm.Element, atoms [2]xdm.Sequence) (boo
 			}
 			continue
 		}
-		for _, r := range rows[1].Children {
-			if rt, isCol := columnText(r, rcol); isCol {
-				if ok, err := xdm.CompareUntyped(lt, xdm.Untyped(rt), k.op); err != nil || ok {
-					return ok, wrapCompareErr(err)
-				}
+		for rt, j := xdm.NextColumn(rows[1], rcol, 0); j >= 0; rt, j = xdm.NextColumn(rows[1], rcol, j) {
+			if ok, err := xdm.CompareUntyped(lt, xdm.Untyped(rt), k.op); err != nil || ok {
+				return ok, wrapCompareErr(err)
 			}
 		}
 	}

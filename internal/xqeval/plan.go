@@ -927,8 +927,8 @@ func (p *Plan) describeRecords(e xquery.Expr) string {
 				if name := "<" + n.Name + ">"; !slices.Contains(names, name) {
 					names = append(names, name)
 				}
-				if k.kept < len(k.cols) {
-					tags += fmt.Sprintf(", reads %d of %d", k.kept, len(k.cols))
+				if kept := len(k.shape.Cols); kept < len(k.cols) {
+					tags += fmt.Sprintf(", reads %d of %d", kept, len(k.cols))
 				}
 				return false
 			}

@@ -553,7 +553,7 @@ func (spec *hashJoinSpec) probeKey(t *scope) (joinProbe, error) {
 	if err := columnSteps(t, t.depth); err != nil {
 		return joinProbe{}, err
 	}
-	first, n := firstColumn(row, spec.probeCol.col)
+	first, n := xdm.Column(row, spec.probeCol.col)
 	if n == 1 {
 		return joinProbe{text: first, one: true}, nil
 	}
@@ -685,11 +685,11 @@ func numberKeys(f float64) (keys [2]hashKey, n int, ok bool) {
 }
 
 // buildHashTable files every source item under its build key. A column-read
-// key over row elements is read by the kernel and not stored.
+// key over rows (elements or records) is read by the kernel and not stored.
 func buildHashTable(op *planOp, t *scope, items xdm.Sequence) (*hashTable, error) {
 	spec := op.hash
 	h := &hashTable{items: items, col: spec.keyCol}
-	if h.col != "" && !allElements(items) {
+	if h.col != "" && !allRows(items) {
 		h.col = ""
 	}
 	if h.col == "" {
@@ -707,7 +707,7 @@ func buildHashTable(op *planOp, t *scope, items xdm.Sequence) (*hashTable, error
 			if err := columnSteps(t, t.depth+1); err != nil {
 				return nil, err
 			}
-			b.fileRow(it.(*xdm.Element), int32(i), spec.valueCmp)
+			b.fileRow(it.(xdm.Node), int32(i), spec.valueCmp)
 			continue
 		}
 		kseq, err := evalExpr(spec.buildExpr, t.bindItem(op.forClause.Var, it))
@@ -722,9 +722,9 @@ func buildHashTable(op *planOp, t *scope, items xdm.Sequence) (*hashTable, error
 	return h, nil
 }
 
-func allElements(items xdm.Sequence) bool {
+func allRows(items xdm.Sequence) bool {
 	for _, it := range items {
-		if _, ok := it.(*xdm.Element); !ok {
+		if n, ok := it.(xdm.Node); !ok || xdm.LocalName(n) == "" {
 			return false
 		}
 	}
@@ -796,8 +796,8 @@ func (b *tableBuilder) fileAtoms(key xdm.Sequence, item int32, valueCmp bool) {
 }
 
 // fileRow is fileAtoms over a row's key column, read as untyped texts.
-func (b *tableBuilder) fileRow(row *xdm.Element, item int32, valueCmp bool) {
-	first, n := firstColumn(row, b.h.col)
+func (b *tableBuilder) fileRow(row xdm.Node, item int32, valueCmp bool) {
+	first, n := xdm.Column(row, b.h.col)
 	if n == 1 {
 		if keys, k, ok := textKeys(first); ok {
 			for _, key := range keys[:k] {
@@ -893,18 +893,14 @@ func (h *hashTable) verify(p *joinProbe, ci int32, valueCmp bool) (bool, error) 
 	if h.col == "" {
 		return verifyJoinPair(p.seq(), h.keys[ci], valueCmp)
 	}
-	row := h.items[ci].(*xdm.Element)
+	row := h.items[ci].(xdm.Node)
 	if valueCmp {
-		if _, n := firstColumn(row, h.col); p.size() != 1 || n != 1 {
+		if _, n := xdm.Column(row, h.col); p.size() != 1 || n != 1 {
 			return verifyJoinPair(p.seq(), columnAtoms(row, h.col), true)
 		}
 	}
 	for i := 0; i < p.size(); i++ {
-		for _, ch := range row.Children {
-			text, isCol := columnText(ch, h.col)
-			if !isCol {
-				continue
-			}
+		for text, j := xdm.NextColumn(row, h.col, 0); j >= 0; text, j = xdm.NextColumn(row, h.col, j) {
 			var eq bool
 			if p.one {
 				eq = text == p.text

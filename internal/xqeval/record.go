@@ -20,12 +20,12 @@ import (
 // slice. The planner recognizes such a constructor once per plan, with the
 // row program's rowCol.matchCtor, and constructElement hands it to the
 // kernel: each source variable is resolved once, each column's text is read
-// straight from the source row, and the RECORD is assembled from three slab
-// allocations however many columns it has. The children are fresh nodes,
-// never the source row's, and only those xquery.RecordReads finds read; the
-// others are still looked up. The kernel charges exactly the steps the
+// straight from the source row — an element or a record — and the RECORD is
+// one flat xdm.Record, two allocations however many columns it has. It
+// keeps only the columns xquery.RecordReads finds read; the others are
+// still looked up. The kernel charges exactly the steps the
 // generic evaluation charges, and hands back — with nothing charged — a
-// record whose source variable is not bound to one element, whose source
+// record whose source variable is not bound to one row, whose source
 // row repeats a column, or whose unguarded column is missing. The naive
 // evaluator has no plan, so it never sees a kernel and stays the oracle.
 
@@ -39,17 +39,17 @@ const (
 	absentGuardSteps  = 6
 )
 
-// recordKernel builds one RECORD constructor's element.
+// recordKernel builds one RECORD constructor's record.
 type recordKernel struct {
-	name string
+	shape xdm.RecordShape // every record built points at it
 	// vars are the distinct source variables, in order of first use.
 	vars []string
 	cols []recordCol
-	kept int // columns built; a column's slot among them, -1 if dropped
 }
 
 // recordCol is one column copy: the row program's recognized constructor,
-// its element name, and the index of its source variable in vars.
+// its element name, the index of its source variable in vars, and its
+// slot among the kept columns, -1 if dropped.
 type recordCol struct {
 	rowCol
 	name string
@@ -58,23 +58,30 @@ type recordCol struct {
 }
 
 // recordKernelOf recognizes a constructor every content item of which is a
-// column copy, plain or NULL-guarded, of fn:data($v/COL); nil otherwise.
+// column copy, plain or NULL-guarded, of fn:data($v/COL); nil otherwise,
+// and for more columns than a record holds.
 func recordKernelOf(e *xquery.ElementCtor) *recordKernel {
-	if len(e.Content) == 0 {
+	n := len(e.Content)
+	if n == 0 || n > 64 {
 		return nil
 	}
-	k := &recordKernel{name: e.Name, cols: make([]recordCol, len(e.Content))}
+	cols := make([]recordCol, n)
 	for i, content := range e.Content {
-		c := &k.cols[i]
+		c := &cols[i]
 		name, ok := c.matchCtor(content)
 		if !ok || c.srcCol == "" {
 			return nil
 		}
-		c.name = name
-		c.src = k.varIndex(c.srcVar)
-		c.slot = i
+		c.name, c.slot = name, i
 	}
-	k.kept = len(k.cols)
+	// One slab of strings: the kept columns' names, then the source
+	// variables.
+	names := make([]string, 2*n)
+	k := &recordKernel{shape: xdm.RecordShape{Name: e.Name, Cols: names[:n:n]}, vars: names[n:n], cols: cols}
+	for i := range cols {
+		names[i] = cols[i].name
+		cols[i].src = k.varIndex(cols[i].srcVar)
+	}
 	return k
 }
 
@@ -85,12 +92,12 @@ func (p *Plan) keepReads(ctor *xquery.ElementCtor, name string) {
 	if k == nil {
 		return
 	}
-	k.kept = 0
+	k.shape.Cols = k.shape.Cols[:0]
 	for i := range k.cols {
 		c := &k.cols[i]
 		if name == "*" || name != "" && (c.slot >= 0 || c.name == name) {
-			c.slot = k.kept
-			k.kept++
+			c.slot = len(k.shape.Cols)
+			k.shape.Cols = append(k.shape.Cols, c.name)
 		} else {
 			c.slot = -1
 		}
@@ -109,13 +116,13 @@ func (k *recordKernel) varIndex(v string) int {
 
 // build constructs the record on t. handled is false, with nothing charged,
 // when the record is one the kernel hands back.
-func (k *recordKernel) build(t *scope) (el *xdm.Element, handled bool, err error) {
+func (k *recordKernel) build(t *scope) (rec *xdm.Record, handled bool, err error) {
 	// A join RECORD reads two rows; more than four is rare enough to
 	// allocate for.
-	var buf [4]*xdm.Element
+	var buf [4]xdm.Node
 	rows := buf[:0]
 	if len(k.vars) > len(buf) {
-		rows = make([]*xdm.Element, 0, len(k.vars))
+		rows = make([]xdm.Node, 0, len(k.vars))
 	}
 	for _, v := range k.vars {
 		row, ok := boundRow(t, v)
@@ -124,14 +131,12 @@ func (k *recordKernel) build(t *scope) (el *xdm.Element, handled bool, err error
 		}
 		rows = append(rows, row)
 	}
-	// One slab of elements (the kept columns, then the record), one of
-	// texts. A kept column is present when its element is named.
-	els := make([]xdm.Element, k.kept+1)
-	texts := make([]xdm.Text, k.kept)
-	present, nonEmpty, steps := 0, 0, 0
+	cells := make([]string, len(k.shape.Cols))
+	var present uint64
+	steps := 0
 	for i := range k.cols {
 		c := &k.cols[i]
-		text, n := firstColumn(rows[c.src], c.srcCol)
+		text, n := xdm.Column(rows[c.src], c.srcCol)
 		switch {
 		case n > 1, n == 0 && !c.guarded:
 			return nil, false, nil
@@ -143,40 +148,15 @@ func (k *recordKernel) build(t *scope) (el *xdm.Element, handled bool, err error
 		default:
 			steps += plainColumnSteps
 		}
-		if c.slot < 0 {
-			continue
+		if c.slot >= 0 {
+			cells[c.slot] = text
+			present |= 1 << c.slot
 		}
-		els[c.slot].Name.Local = c.name
-		texts[c.slot].Value = text
-		present++
-		if text != "" {
-			nonEmpty++
-		}
-	}
-	rec := &els[k.kept]
-	rec.Name.Local = k.name
-	if present > 0 {
-		// The record's children, then each column's one text child, each
-		// slice capped at its length.
-		nodes := make([]xdm.Node, present+nonEmpty)
-		children, textNodes := nodes[:0:present], nodes[present:]
-		for i := range texts {
-			col := &els[i]
-			if col.Name.Local == "" {
-				continue
-			}
-			children = append(children, col)
-			if texts[i].Value != "" {
-				textNodes[0] = &texts[i]
-				col.Children, textNodes = textNodes[:1:1], textNodes[1:]
-			}
-		}
-		rec.Children = children
 	}
 	for ; steps > 0; steps-- {
 		if err := t.step(); err != nil {
 			return nil, true, err
 		}
 	}
-	return rec, true, nil
+	return &xdm.Record{Shape: &k.shape, Cells: cells, Present: present}, true, nil
 }

@@ -13,9 +13,9 @@ import (
 
 // TestRecordKernelAllocs is the erosion guard for the column-record kernel:
 // a RECORD of column copies — plain, guarded present and guarded absent
-// columns from two source rows — costs a small constant number of
-// allocations that does not grow with its column count; a join RECORD
-// whose consumer reads 2 of its 9 columns builds only those 2.
+// columns from two source rows — is one flat xdm.Record, two allocations
+// (the node and its cells) whatever its column count; a join RECORD whose
+// consumer reads 2 of its 9 columns builds only those 2.
 func TestRecordKernelAllocs(t *testing.T) {
 	for _, n := range []int{4, 12} {
 		var ctor strings.Builder
@@ -48,21 +48,22 @@ func TestRecordKernelAllocs(t *testing.T) {
 		kernel, _ := measureRecord(t, e, p, c)
 		generic, _ := measureRecord(t, e, nil, c)
 		t.Logf("%d columns: %.0f allocations per kernel-built RECORD, %.0f generic", n, kernel, generic)
-		if kernel > 6 {
-			t.Fatalf("%d columns: the kernel costs %.0f allocations per RECORD, want <= 6", n, kernel)
+		if kernel > 2 {
+			t.Fatalf("%d columns: the kernel costs %.0f allocations per RECORD, want <= 2", n, kernel)
 		}
 	}
 
-	// Pruned: a whole 9-column join RECORD takes 1,456 bytes on 64-bit
-	// Go 1.24, one building the 2 columns its consumer reads 384.
+	// Pruned: a 9-column join RECORD building the 2 columns its consumer
+	// reads takes 80 bytes on 64-bit Go 1.24, a 48-byte node and two
+	// 16-byte cells (384 as an element tree, 1,456 with every column).
 	e, p, c := joinRecord9(t)
 	if _, ok := p.records[e]; !ok {
 		t.Fatal("9-column join: no record kernel planned")
 	}
 	allocs, bytes := measureRecord(t, e, p, c)
 	t.Logf("9-column join reading 2: %.0f allocations, %.0f bytes per RECORD", allocs, bytes)
-	if allocs > 3 || bytes > 512 {
-		t.Fatalf("9-column join reading 2: the kernel costs %.0f allocations and %.0f bytes per RECORD, want <= 3 and <= 512", allocs, bytes)
+	if allocs > 2 || bytes > 128 {
+		t.Fatalf("9-column join reading 2: the kernel costs %.0f allocations and %.0f bytes per RECORD, want <= 2 and <= 128", allocs, bytes)
 	}
 }
 

@@ -265,8 +265,8 @@ func (p *rowProgram) record(it xdm.Item, env *scope, w *rowWriter) error {
 				return err
 			}
 		}
-	case *xdm.Element:
-		if n.Name.Local != "RECORD" {
+	case *xdm.Element, *xdm.Record:
+		if xdm.LocalName(n.(xdm.Node)) != "RECORD" {
 			return nil
 		}
 		if err := env.countTuple(); err != nil {
@@ -281,7 +281,7 @@ func (p *rowProgram) record(it xdm.Item, env *scope, w *rowWriter) error {
 			c := &p.cols[i]
 			b = append(b, c.delim...)
 			var k int
-			if b, k = c.appendChildText(b, n); k > 1 { // the token's own error
+			if b, k = c.appendChildText(b, n.(xdm.Node)); k > 1 { // the token's own error
 				_, err := evalExpr(c.value, env.bindItem(c.srcVar, n))
 				return err
 			}
@@ -334,11 +334,9 @@ func (p *rowProgram) run(t *scope, buf *[]byte) error {
 // been absent.
 func (c *rowCol) appendValue(b []byte, t *scope) ([]byte, error) {
 	if c.srcCol != "" {
-		if v, ok := t.lookupVar(c.srcVar); ok && len(v) == 1 {
-			if row, ok := v[0].(*xdm.Element); ok {
-				b, _ = c.appendChildText(b, row)
-				return b, nil
-			}
+		if row, ok := boundRow(t, c.srcVar); ok {
+			b, _ = c.appendChildText(b, row)
+			return b, nil
 		}
 	}
 	v, err := evalExpr(c.value, t)
@@ -352,23 +350,21 @@ func (c *rowCol) appendValue(b []byte, t *scope) ([]byte, error) {
 }
 
 // appendChildText appends fn:data($row/srcCol) as element content — the
-// string value of each child named srcCol, space-joined (adjacent atomics)
-// — or, when there is none, the NULL token if guarded, and reports how
-// many children it read.
-func (c *rowCol) appendChildText(b []byte, row *xdm.Element) ([]byte, int) {
-	n := 0
-	for _, ch := range row.Children {
-		el, ok := ch.(*xdm.Element)
-		if !ok || el.Name.Local != c.srcCol {
-			continue
+// text of each column named srcCol, space-joined (adjacent atomics) — or,
+// when there is none, the NULL token if guarded, and reports how many
+// columns it read.
+func (c *rowCol) appendChildText(b []byte, row xdm.Node) ([]byte, int) {
+	text, n := xdm.Column(row, c.srcCol)
+	switch {
+	case n == 1:
+		b = xdm.AppendEscapedText(b, text)
+	case n > 1:
+		sep := ""
+		for text, i := xdm.NextColumn(row, c.srcCol, 0); i >= 0; text, i = xdm.NextColumn(row, c.srcCol, i) {
+			b = xdm.AppendEscapedText(append(b, sep...), text)
+			sep = " "
 		}
-		if n > 0 {
-			b = append(b, ' ')
-		}
-		n++
-		b = xdm.AppendEscapedText(b, el.StringValue())
-	}
-	if n == 0 && c.guarded {
+	case c.guarded:
 		b = append(b, c.null...)
 	}
 	return b, n
@@ -393,14 +389,8 @@ func contentString(v xdm.Sequence) string {
 			}
 			sb.WriteString(n.Lexical())
 			prevAtomic = true
-		case *xdm.Element:
-			sb.WriteString(n.StringValue())
-			prevAtomic = false
-		case *xdm.Text:
-			sb.WriteString(n.Value)
-			prevAtomic = false
-		case *xdm.Document:
-			sb.WriteString(n.StringValue())
+		case *xdm.Element, *xdm.Text, *xdm.Record, *xdm.Document:
+			sb.WriteString(xdm.StringValue(n))
 			prevAtomic = false
 		}
 	}

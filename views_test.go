@@ -248,3 +248,32 @@ func TestDefineViewInvalidatesCompiledQueries(t *testing.T) {
 		t.Fatalf("compile stats = %+v", cs)
 	}
 }
+
+// TestViewOverJoin: a view over an outer join hands back the join's rows,
+// NULL padding included, in either result mode. The view's RECORDs are
+// flat records built by the record kernel, which the view function reads
+// column by column.
+func TestViewOverJoin(t *testing.T) {
+	p := Demo()
+	const join = "SELECT C.CUSTOMERID AS ID, C.CITY, P.PAYMENT FROM CUSTOMERS C LEFT OUTER JOIN PAYMENTS P ON C.CUSTOMERID = P.CUSTID"
+	if err := p.DefineView("Logical", "CUSTPAY", join); err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []ResultMode{ModeXML, ModeText} {
+		view, err := p.QueryMode(mode, "SELECT ID, CITY, PAYMENT FROM CUSTPAY")
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct, err := p.QueryMode(mode, join)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := view.Table(), direct.Table()
+		if got != want {
+			t.Fatalf("mode %v: view rows\n%s\ndirect rows\n%s", mode, got, want)
+		}
+		if !strings.Contains(got, "NULL") {
+			t.Fatalf("mode %v: the outer join's NULL padding must survive the view:\n%s", mode, got)
+		}
+	}
+}
