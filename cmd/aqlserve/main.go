@@ -22,7 +22,6 @@ import (
 
 	"repro"
 	"repro/internal/faultnet"
-	"repro/internal/resilient"
 	"repro/internal/server"
 )
 
@@ -37,21 +36,14 @@ func main() {
 	costPerSlot := flag.Int64("cost-per-slot", 0, "predicted cost per admission slot (0 = default 10000)")
 	maxWeight := flag.Int64("max-query-weight", 0, "admission-weight clamp per query (0 = default max-queries/4)")
 	admissionQueue := flag.Int("admission-queue", 0, "bounded admission queue length (0 = default 4×max-queries)")
-	brownoutDecay := flag.Duration("brownout-decay", 0, "brownout level step-down interval after pressure stops (0 = default 250ms)")
 	resilience := flag.Bool("resilient", true, "enable the retry/breaker/stale-cache layer")
 	faultRate := flag.Float64("fault-rate", 0, "faultnet injection probability in [0,1] (0 = off)")
 	faultSeed := flag.Uint64("fault-seed", 1, "faultnet deterministic schedule seed")
 	flag.Parse()
 
 	p := aqualogic.Demo()
-	rc := resilient.Config{
-		MaxSessions:          *maxSessions,
-		MaxConcurrentQueries: *maxQueries,
-		SessionIdleTimeout:   *idle,
-		QueryTimeout:         *queryTimeout,
-	}.WithDefaults()
 	if *resilience {
-		p.EnableResilience(rc)
+		p.EnableResilience(aqualogic.ResilienceConfig{QueryTimeout: *queryTimeout})
 	}
 	var inj *faultnet.Injector
 	if *faultRate > 0 {
@@ -59,15 +51,14 @@ func main() {
 	}
 
 	srv := server.New(p, server.Config{
-		MaxSessions:          rc.MaxSessions,
-		MaxConcurrentQueries: rc.MaxConcurrentQueries,
+		MaxSessions:          *maxSessions,
+		MaxConcurrentQueries: *maxQueries,
 		AdmissionWait:        *admissionWait,
 		CostPerSlot:          *costPerSlot,
 		MaxQueryWeight:       *maxWeight,
 		AdmissionQueue:       *admissionQueue,
-		BrownoutDecay:        *brownoutDecay,
-		SessionIdleTimeout:   rc.SessionIdleTimeout,
-		QueryTimeout:         rc.QueryTimeout,
+		SessionIdleTimeout:   *idle,
+		QueryTimeout:         *queryTimeout,
 		FetchRows:            *fetchRows,
 		Faults:               inj,
 	})
@@ -78,8 +69,7 @@ func main() {
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	fmt.Printf("aqlserve: listening on %s (sessions<=%d queries<=%d idle=%s)\n",
-		*addr, rc.MaxSessions, rc.MaxConcurrentQueries, rc.SessionIdleTimeout)
+	fmt.Printf("aqlserve: listening on %s (admission slots %d)\n", *addr, srv.Stats().WeightedCapacity)
 
 	select {
 	case err := <-done:

@@ -27,7 +27,7 @@
 // a running aqlserve process (CALL is refused: the wire has no verb for
 // it). \s renders the server's pipeline metrics, session and cursor
 // counters, and its platform's compile and metadata caches; \r renders
-// the server's admission/brownout/shed gauges from /v1/stats alongside
+// the server's admission/queue/shed gauges from /v1/stats alongside
 // the shell's stats client's breaker. \x, \c, \p, \q and \src read the
 // in-process platform and are unavailable with -server.
 package main
@@ -272,9 +272,9 @@ func renderRemoteStats(c *remoteclient.Client) {
 }
 
 // renderRemoteResilience is the wire-mode \r: the server's overload
-// posture (weighted admission, queue, sheds by reason, brownout level,
-// idempotent replays, recovered panics) and its platform's defenses, then
-// this shell's own: its client's breaker and retries.
+// posture (weighted admission, queue, sheds by reason, idempotent
+// replays, recovered panics) and its platform's defenses, then this
+// shell's own: its client's breaker and retries.
 func renderRemoteResilience(c *remoteclient.Client) {
 	if resp, err := c.ServerStats(statsCtx()); err != nil {
 		fmt.Println("error:", err)
@@ -282,8 +282,7 @@ func renderRemoteResilience(c *remoteclient.Client) {
 		s := resp.Server
 		fmt.Printf("server admission: weighted in-flight %d/%d (peak %d), queue depth %d (peak %d)\n",
 			s.WeightedInFlight, s.WeightedCapacity, s.WeightedPeak, s.QueueDepth, s.QueuePeak)
-		fmt.Printf("server shed: queue-full=%d queue-timeout=%d brownout=%d (level %d, engaged %d)\n",
-			s.ShedQueueFull, s.ShedQueueTimeout, s.ShedBrownout, s.BrownoutLevel, s.BrownoutEngaged)
+		fmt.Printf("server shed: queue-full=%d queue-timeout=%d\n", s.ShedQueueFull, s.ShedQueueTimeout)
 		fmt.Printf("server replays: execute=%d fetch=%d; sessions open=%d cursors open=%d; panics recovered=%d\n",
 			s.ExecReplays, s.FetchReplays, s.SessionsOpen, s.CursorsOpen, s.PanicsRecovered)
 		resp.Pipeline.RenderResilience(os.Stdout)

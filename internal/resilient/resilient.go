@@ -59,16 +59,6 @@ type Config struct {
 	// memory-starved degraded mode). Applied to qcache.Config by the
 	// facade, not here.
 	CompileCacheEntries int
-	// MaxSessions caps concurrently open wire sessions. Applied to the
-	// network server's config by cmd/aqlserve, not here (default 4096).
-	MaxSessions int
-	// MaxConcurrentQueries sizes the network server's admission semaphore:
-	// evaluations in flight at once across all sessions (default 256).
-	MaxConcurrentQueries int
-	// SessionIdleTimeout is how long a wire session may sit idle before
-	// the server reaps it, closing its cursors and cancelling their
-	// evaluations (default 60s).
-	SessionIdleTimeout time.Duration
 }
 
 // WithDefaults fills zero fields with the package defaults.
@@ -87,15 +77,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.BreakerCooldown <= 0 {
 		c.BreakerCooldown = 100 * time.Millisecond
-	}
-	if c.MaxSessions == 0 {
-		c.MaxSessions = 4096
-	}
-	if c.MaxConcurrentQueries == 0 {
-		c.MaxConcurrentQueries = 256
-	}
-	if c.SessionIdleTimeout == 0 {
-		c.SessionIdleTimeout = 60 * time.Second
 	}
 	return c
 }

@@ -17,30 +17,28 @@ import (
 // and a large scan-join weighs many. The semaphore's capacity is
 // MaxConcurrentQueries slots.
 //
-// Three layers of degradation, in order of onset:
+// Two layers of degradation, in order of onset:
 //
 //  1. Weighted admission — cheap queries keep flowing while an expensive
 //     scan holds most of the capacity; an arriving query that does not fit
-//     waits in a bounded FIFO queue.
+//     waits in a bounded FIFO queue, and an arrival that finds the queue
+//     full is shed at once (typed unavailable, Retry-After hint).
 //  2. Deadline-aware queue timeout — a waiter is shed (typed unavailable,
 //     Retry-After hint) after AdmissionWait, or sooner when the client's
 //     remaining deadline budget is shorter: work that cannot finish inside
 //     the caller's deadline is never admitted.
-//  3. Brownout — queue overflow and queue timeouts raise a pressure level
-//     that halves the admissible weight ceiling per step. Under sustained
-//     overload the server progressively refuses the most expensive
-//     queries up front (predicted cost, fail-fast, Retry-After = remaining
-//     brownout) while weight-1 traffic is never brownout-shed. The level
-//     decays one step per BrownoutDecay once pressure events stop.
+//
+// These two are all the overload contract (TestOverloadContract) needs:
+// every shed is a queue-full or a queue-timeout shed, counted under
+// exactly that reason (DESIGN.md, "Overload and degradation").
 
-// admission is the weighted semaphore plus its queue and brownout state.
+// admission is the weighted semaphore plus its queue.
 type admission struct {
 	capacity    int64
 	costPerSlot int64
 	maxWeight   int64
 	queueLimit  int
 	wait        time.Duration
-	decay       time.Duration
 
 	mu        sync.Mutex
 	inFlight  int64      // weighted slots held
@@ -48,14 +46,8 @@ type admission struct {
 	peak      int64
 	queuePeak int64
 
-	brownoutLevel int
-	maxLevel      int
-	lastPressure  time.Time
-
 	shedQueueFull    int64
 	shedQueueTimeout int64
-	shedBrownout     int64
-	brownoutEngaged  int64
 }
 
 type waiter struct {
@@ -64,21 +56,14 @@ type waiter struct {
 }
 
 func newAdmission(cfg Config) *admission {
-	a := &admission{
+	return &admission{
 		capacity:    int64(cfg.MaxConcurrentQueries),
 		costPerSlot: cfg.CostPerSlot,
 		maxWeight:   cfg.MaxQueryWeight,
 		queueLimit:  cfg.AdmissionQueue,
 		wait:        cfg.AdmissionWait,
-		decay:       cfg.BrownoutDecay,
 		queue:       list.New(),
 	}
-	// Brownout bottoms out where the ceiling reaches weight 1: below that
-	// there is nothing left to shed by cost.
-	for w := a.maxWeight; w > 1; w >>= 1 {
-		a.maxLevel++
-	}
-	return a
 }
 
 // weightFor converts a compiled cost estimate into admission slots:
@@ -103,20 +88,7 @@ func shedErr(format string, retryAfter time.Duration, args ...any) error {
 // wait never exceeds it, so a request that would be admitted only after
 // its caller gave up is shed instead.
 func (a *admission) admit(ctx context.Context, weight int64, budget time.Duration) error {
-	now := time.Now()
 	a.mu.Lock()
-	a.decayLocked(now)
-	if a.brownoutLevel > 0 && weight > a.ceilingLocked() {
-		a.shedBrownout++
-		retry := a.decay - now.Sub(a.lastPressure)
-		if retry < time.Millisecond {
-			retry = time.Millisecond
-		}
-		level := a.brownoutLevel
-		a.mu.Unlock()
-		return shedErr("brownout level %d: predicted cost too high (weight %d > ceiling %d)",
-			retry, level, weight, a.ceiling(level))
-	}
 	if a.queue.Len() == 0 && a.inFlight+weight <= a.capacity {
 		a.grantDirectLocked(weight)
 		a.mu.Unlock()
@@ -124,7 +96,6 @@ func (a *admission) admit(ctx context.Context, weight int64, budget time.Duratio
 	}
 	if a.queue.Len() >= a.queueLimit {
 		a.shedQueueFull++
-		a.raisePressureLocked(now)
 		a.mu.Unlock()
 		return shedErr("admission queue full (%d waiting)", a.wait, a.queueLimit)
 	}
@@ -166,9 +137,9 @@ func (a *admission) admit(ctx context.Context, weight int64, budget time.Duratio
 
 // abandonWaiter removes a timed-out or cancelled waiter from the queue.
 // Returns false when the grant won the race — the caller holds its slots
-// and must proceed. pressure marks the abandonment as an overload signal
-// (queue timeout) rather than a caller cancellation.
-func (a *admission) abandonWaiter(el *list.Element, w *waiter, pressure bool) bool {
+// and must proceed. timedOut counts the abandonment as a queue-timeout
+// shed rather than a caller cancellation.
+func (a *admission) abandonWaiter(el *list.Element, w *waiter, timedOut bool) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	select {
@@ -177,9 +148,8 @@ func (a *admission) abandonWaiter(el *list.Element, w *waiter, pressure bool) bo
 	default:
 	}
 	a.queue.Remove(el)
-	if pressure {
+	if timedOut {
 		a.shedQueueTimeout++
-		a.raisePressureLocked(time.Now())
 	}
 	// Removing a heavy queue head may unblock lighter successors.
 	a.grantQueueLocked()
@@ -216,53 +186,11 @@ func (a *admission) release(weight int64) {
 	a.mu.Unlock()
 }
 
-// ceilingLocked is the maximum admissible weight at the current brownout
-// level; weight-1 queries always pass.
-func (a *admission) ceilingLocked() int64 { return a.ceiling(a.brownoutLevel) }
-
-func (a *admission) ceiling(level int) int64 {
-	c := a.maxWeight >> level
-	if c < 1 {
-		c = 1
-	}
-	return c
-}
-
-// raisePressureLocked records one overload event (queue overflow or queue
-// timeout): the brownout level steps up, at most once per decay interval
-// so a single burst of timeouts counts as one escalation, not fifty.
-func (a *admission) raisePressureLocked(now time.Time) {
-	if !a.lastPressure.IsZero() && now.Sub(a.lastPressure) < a.decay/4 && a.brownoutLevel > 0 {
-		a.lastPressure = now
-		return
-	}
-	if a.brownoutLevel < a.maxLevel {
-		a.brownoutLevel++
-		a.brownoutEngaged++
-	}
-	a.lastPressure = now
-}
-
-// decayLocked steps the brownout level down once per quiet decay interval.
-func (a *admission) decayLocked(now time.Time) {
-	if a.brownoutLevel == 0 || a.decay <= 0 {
-		return
-	}
-	for a.brownoutLevel > 0 && now.Sub(a.lastPressure) >= a.decay {
-		a.brownoutLevel--
-		a.lastPressure = a.lastPressure.Add(a.decay)
-	}
-	if a.brownoutLevel == 0 {
-		a.lastPressure = time.Time{}
-	}
-}
-
 // snapshot reads the admission gauges and shed counters into the fields of
 // the server's Stats they own.
 func (a *admission) snapshot() wire.ServerStats {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.decayLocked(time.Now())
 	return wire.ServerStats{
 		WeightedInFlight: a.inFlight,
 		WeightedCapacity: a.capacity,
@@ -271,8 +199,5 @@ func (a *admission) snapshot() wire.ServerStats {
 		QueuePeak:        a.queuePeak,
 		ShedQueueFull:    a.shedQueueFull,
 		ShedQueueTimeout: a.shedQueueTimeout,
-		ShedBrownout:     a.shedBrownout,
-		BrownoutLevel:    int64(a.brownoutLevel),
-		BrownoutEngaged:  a.brownoutEngaged,
 	}
 }

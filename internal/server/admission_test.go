@@ -1,10 +1,10 @@
 package server
 
 // White-box tests for the weighted admission semaphore: cost→weight
-// conversion, queue overflow and timeout sheds (typed, with Retry-After),
-// deadline-budget truncation of the queue wait, and the brownout ladder —
-// heavy queries shed under pressure while weight-1 traffic always flows,
-// and the level decays once pressure stops.
+// conversion and its clamp to the capacity, queue overflow and timeout
+// sheds (typed, with Retry-After, each counted under its own reason),
+// deadline-budget truncation of the queue wait, and FIFO hand-off on
+// release.
 
 import (
 	"context"
@@ -25,7 +25,6 @@ func admissionConfig() Config {
 		MaxQueryWeight:       4,
 		AdmissionWait:        20 * time.Millisecond,
 		AdmissionQueue:       2,
-		BrownoutDecay:        50 * time.Millisecond,
 	}
 }
 
@@ -141,71 +140,28 @@ func TestBudgetTruncatesWait(t *testing.T) {
 	a.release(4)
 }
 
-// TestBrownoutShedsHeavyKeepsCheap pins the degradation ladder: after a
-// pressure event the heavy class sheds immediately with a typed error
-// naming the level, weight-1 queries still admit, and a quiet decay
-// interval restores full service.
-func TestBrownoutShedsHeavyKeepsCheap(t *testing.T) {
-	a := newAdmission(admissionConfig())
-	a.mu.Lock()
-	a.raisePressureLocked(time.Now())
-	level := a.brownoutLevel
-	a.mu.Unlock()
-	if level != 1 {
-		t.Fatalf("level after one pressure event = %d, want 1", level)
+// TestMaxQueryWeightClampedToCapacity pins the weight clamp: a
+// MaxQueryWeight above MaxConcurrentQueries is lowered to the capacity, so
+// the heaviest query admits at once on an idle server instead of waiting
+// out AdmissionWait and shedding as "server saturated".
+func TestMaxQueryWeightClampedToCapacity(t *testing.T) {
+	cfg := admissionConfig()
+	cfg.MaxConcurrentQueries = 2
+	cfg.MaxQueryWeight = 4
+	cfg.AdmissionWait = 5 * time.Second
+	a := newAdmission(cfg.withDefaults())
+	w := a.weightFor(1 << 40)
+	if w != 2 {
+		t.Fatalf("heaviest weight = %d, want the capacity 2", w)
 	}
-
-	// Heavy (weight 3 > ceiling 2 at level 1) sheds instantly.
 	start := time.Now()
-	err := a.admit(context.Background(), 3, 0)
-	shedKind(t, err, "brownout admit")
-	if d := time.Since(start); d > 10*time.Millisecond {
-		t.Fatalf("brownout shed took %v, want immediate", d)
+	if err := a.admit(context.Background(), w, 0); err != nil {
+		t.Fatalf("heaviest query on an idle server: %v", err)
 	}
-
-	// Weight-1 traffic is never brownout-shed.
-	if err := a.admit(context.Background(), 1, 0); err != nil {
-		t.Fatalf("weight-1 under brownout: %v", err)
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("heaviest query admitted after %v, want at once", d)
 	}
-	a.release(1)
-
-	if st := a.snapshot(); st.ShedBrownout != 1 || st.BrownoutEngaged != 1 {
-		t.Fatalf("shedBrownout = %d, brownoutEngaged = %d, want 1/1", st.ShedBrownout, st.BrownoutEngaged)
-	}
-
-	// After a full quiet decay interval the heavy class admits again.
-	a.mu.Lock()
-	a.lastPressure = time.Now().Add(-time.Second)
-	a.mu.Unlock()
-	if err := a.admit(context.Background(), 3, 0); err != nil {
-		t.Fatalf("heavy after decay: %v", err)
-	}
-	a.release(3)
-	if lvl := a.snapshot().BrownoutLevel; lvl != 0 {
-		t.Fatalf("level after decay = %d, want 0", lvl)
-	}
-}
-
-// TestBrownoutCeilingFloor pins the ladder bottom: the level never rises
-// past the point where the ceiling reaches weight 1 — below that there is
-// nothing left to shed by cost.
-func TestBrownoutCeilingFloor(t *testing.T) {
-	a := newAdmission(admissionConfig()) // maxWeight 4 → maxLevel 2
-	if a.maxLevel != 2 {
-		t.Fatalf("maxLevel = %d, want 2", a.maxLevel)
-	}
-	now := time.Now()
-	a.mu.Lock()
-	for i := 0; i < 10; i++ {
-		// Space the events out past decay/4 so each one escalates.
-		a.raisePressureLocked(now.Add(time.Duration(i) * time.Hour))
-	}
-	level := a.brownoutLevel
-	ceiling := a.ceilingLocked()
-	a.mu.Unlock()
-	if level != 2 || ceiling != 1 {
-		t.Fatalf("saturated ladder: level=%d ceiling=%d, want 2/1", level, ceiling)
-	}
+	a.release(w)
 }
 
 // TestWeightedReleaseWakesQueue pins FIFO hand-off: releasing a heavy

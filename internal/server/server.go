@@ -95,20 +95,21 @@ type Config struct {
 	// CostPerSlot converts a compiled query's cost estimate (predicted
 	// tuple visits) into admission slots: weight = 1 + (cost-1)/CostPerSlot,
 	// so statements under one slot's worth of work weigh 1. Zero or
-	// negative takes the default (10000).
+	// negative takes the default (10000). The weights are load-bearing:
+	// with every query weighing 1 (math.MaxInt64) TestOverloadContract's
+	// 2x phase shed nothing on 5 of 20 runs.
 	CostPerSlot int64
 	// MaxQueryWeight clamps one query's admission weight so a single
 	// monster statement cannot starve the server (default
-	// MaxConcurrentQueries/4, minimum 1).
+	// MaxConcurrentQueries/4, minimum 1). It never exceeds
+	// MaxConcurrentQueries: a heavier query could never be admitted, and
+	// at the head of the queue it would block every arrival behind it.
+	// Kept with CostPerSlot: it is the weights' upper end.
 	MaxQueryWeight int64
 	// AdmissionQueue bounds how many executions may wait for admission at
 	// once; arrivals beyond it shed immediately (default
 	// 4×MaxConcurrentQueries).
 	AdmissionQueue int
-	// BrownoutDecay is how long the brownout level takes to step down one
-	// notch after pressure (queue overflow / queue timeout) stops
-	// (default 250ms).
-	BrownoutDecay time.Duration
 	// SessionIdleTimeout reaps sessions (and their cursors: the attached
 	// evaluations are cancelled) that have not issued a request for this
 	// long (default 60s; negative disables reaping).
@@ -145,16 +146,13 @@ func (c Config) withDefaults() Config {
 		c.CostPerSlot = 10000
 	}
 	if c.MaxQueryWeight <= 0 {
-		c.MaxQueryWeight = int64(c.MaxConcurrentQueries) / 4
-		if c.MaxQueryWeight < 1 {
-			c.MaxQueryWeight = 1
-		}
+		c.MaxQueryWeight = max(int64(c.MaxConcurrentQueries)/4, 1)
+	}
+	if slots := int64(c.MaxConcurrentQueries); slots > 0 && c.MaxQueryWeight > slots {
+		c.MaxQueryWeight = slots
 	}
 	if c.AdmissionQueue == 0 {
 		c.AdmissionQueue = 4 * c.MaxConcurrentQueries
-	}
-	if c.BrownoutDecay == 0 {
-		c.BrownoutDecay = 250 * time.Millisecond
 	}
 	return c
 }
@@ -168,7 +166,7 @@ type Server struct {
 	baseCtx context.Context // parent of every evaluation; Close cancels it
 	stop    context.CancelFunc
 
-	adm *admission // cost-weighted admission slots + queue + brownout
+	adm *admission // cost-weighted admission slots + queue
 
 	mu       sync.Mutex
 	sessions map[string]*session

@@ -306,16 +306,10 @@ type ServerStats struct {
 	WeightedPeak     int64 `json:"weighted_peak"`
 	QueueDepth       int64 `json:"queue_depth"`
 	QueuePeak        int64 `json:"queue_peak"`
-	// Shed counters by reason: queue overflow, deadline-aware queue
-	// timeout, and brownout (predicted cost over the degraded ceiling).
+	// Shed counters by reason: queue overflow and deadline-aware queue
+	// timeout. Every admission shed is counted under exactly one.
 	ShedQueueFull    int64 `json:"shed_queue_full"`
 	ShedQueueTimeout int64 `json:"shed_queue_timeout"`
-	ShedBrownout     int64 `json:"shed_brownout"`
-	// BrownoutLevel is the current degradation level (0 = normal); each
-	// level halves the maximum admissible query weight. BrownoutEngaged
-	// counts the steps up the ladder over the server's lifetime.
-	BrownoutLevel   int64 `json:"brownout_level"`
-	BrownoutEngaged int64 `json:"brownout_engaged"`
 	// Idempotent replays served from cursor state instead of re-running.
 	ExecReplays  int64 `json:"exec_replays"`
 	FetchReplays int64 `json:"fetch_replays"`

@@ -23,7 +23,7 @@ const (
 	// (tuple-correlated) for, e.g. iterating child elements of a row.
 	costDependentFanout = 4
 	// costCap saturates the score so pathological nesting cannot overflow;
-	// anything at the cap sheds first under brownout regardless.
+	// anything at the cap weighs the server's MaxQueryWeight.
 	costCap = int64(1) << 40
 )
 

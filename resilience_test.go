@@ -85,7 +85,8 @@ func TestShedVsCancelTaxonomyAcrossWire(t *testing.T) {
 // with cost-weighted admission, a short queue and an admission deadline of
 // 2× the uncontended p99. Every op must complete or shed with a typed
 // error; nothing sheds uncontended, something sheds overloaded; a shed
-// answers within the deadline plus 100 ms; the drain leaks no goroutine.
+// answers within the deadline plus 100 ms; the server counts each shed
+// the clients saw under exactly one reason; the drain leaks no goroutine.
 func TestOverloadContract(t *testing.T) {
 	const capacity, opsPerClient = 2, 15
 	const reportSQL = `SELECT C.CITY, COUNT(*) AS ORDERS, SUM(O.TOTAL) AS REVENUE
@@ -97,7 +98,8 @@ func TestOverloadContract(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
 	// run drives clients closed-loop clients against a fresh server and
-	// returns the accepted and shed latencies, each sorted.
+	// returns the accepted and shed latencies, each sorted. It reads the
+	// server's shed counters before the server closes.
 	run := func(name string, cfg server.Config, clients int) (accepted, shed []time.Duration) {
 		srv := server.New(p, cfg)
 		defer srv.Close()
@@ -147,6 +149,11 @@ func TestOverloadContract(t *testing.T) {
 		if n := len(accepted) + len(shed) + untyped; n != clients*opsPerClient {
 			t.Errorf("%s: %d of %d ops accounted for", name, n, clients*opsPerClient)
 		}
+		st := srv.Stats()
+		if got := st.ShedQueueFull + st.ShedQueueTimeout; got != int64(len(shed)) {
+			t.Errorf("%s: server counted %d sheds (queue-full %d, queue-timeout %d), clients saw %d",
+				name, got, st.ShedQueueFull, st.ShedQueueTimeout, len(shed))
+		}
 		for _, d := range [][]time.Duration{accepted, shed} {
 			sort.Slice(d, func(i, j int) bool { return d[i] < d[j] })
 		}
@@ -177,7 +184,7 @@ func TestOverloadContract(t *testing.T) {
 	wait := max(2*p99(accepted), 5*time.Millisecond)
 	_, shed = run("overload 2x", server.Config{MaxConcurrentQueries: capacity,
 		CostPerSlot: min(cost(reportSQL), cost(pointSQL)) + 1, MaxQueryWeight: capacity,
-		AdmissionWait: wait, AdmissionQueue: capacity / 2, BrownoutDecay: 100 * time.Millisecond,
+		AdmissionWait: wait, AdmissionQueue: capacity / 2,
 		SessionIdleTimeout: time.Minute, FetchRows: 64}, 2*capacity)
 	if len(shed) == 0 {
 		t.Error("overload phase shed nothing: admission control never engaged")
