@@ -40,12 +40,16 @@ race:
 # (each morsel worker rebinds cells of its own). The driver's concurrency
 # and streaming nets follow, in process and over aql:// (real TCP): every
 # database/sql connection shares one platform's compile and metadata
-# caches. Last, the overload contract: whether its 2x phase sheds at all
-# depends on scheduling, so it too runs 20 times under the race detector.
+# caches. The cached-statement rendering net follows: EXPLAIN, TranslateText
+# and executions read one shared artifact, which keeps no query text, so
+# every rendering is made anew by its reader. Last, the overload contract:
+# whether its 2x phase sheds at all depends on scheduling, so it too runs
+# 20 times under the race detector.
 stress:
 	$(GO) test -race -count=20 -run 'TestParallel|TestBarrierAfterFanOut|TestFusedLimitParity|TestFusedMatchesNaive|TestFusedBatchesDouble|TestInFlightBound|TestCorrelated|TestColumnKernels|TestRecordKernel|TestFlatRecordsMatchNaive|TestHashJoinNegativeZero|TestTransientCells' ./internal/xqeval/
 	$(GO) test -race -count=20 -run 'TestRowsCountedOnce' .
 	$(GO) test -race -count=10 -run 'TestConcurrent|TestStreaming|TestRows' ./internal/driver/
+	$(GO) test -race -count=10 -run 'TestConcurrentRenderOfCachedStatement$$' .
 	$(GO) test -race -count=20 -run 'TestOverloadContract$$' .
 
 # Chaos soak: the fault-injection net at several fault rates under the

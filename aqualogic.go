@@ -863,10 +863,11 @@ func (p *Platform) FederationStats() []SourceHealth {
 	return out
 }
 
-// Explain runs a traced translation: the returned Trace holds one stage
-// record per pipeline stage (lex, parse, semantic-validate, restructure,
-// generate, serialize) with wall time, sizes, and stage detail — the
-// programmatic form of the driver's EXPLAIN statement.
+// Explain runs a traced translation and renders its query text: the
+// returned Trace holds one stage record per pipeline stage (lex, parse,
+// semantic-validate, restructure, generate, serialize) with wall time,
+// sizes, and stage detail — the programmatic form of the driver's EXPLAIN
+// statement.
 func (p *Platform) Explain(sql string, mode ResultMode) (*Translation, *Trace, error) {
 	return p.ExplainDialect(DialectSQL, sql, mode)
 }
@@ -880,6 +881,11 @@ func (p *Platform) ExplainDialect(dialect Dialect, text string, mode ResultMode)
 	}
 	tr := p.trace(text)
 	res, err := p.translate(context.Background(), fe, text, mode, tr)
+	if err == nil {
+		sp := tr.StartStage(obsv.StageSerialize)
+		sp.SetOutput(len(res.XQuery()))
+		sp.End()
+	}
 	return res, tr, err
 }
 

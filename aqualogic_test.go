@@ -2,6 +2,8 @@ package aqualogic
 
 import (
 	"database/sql"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -55,6 +57,59 @@ func TestParamCountMismatch(t *testing.T) {
 	}
 	if _, err := p.Query("SELECT CUSTOMERID FROM CUSTOMERS", 1); err == nil {
 		t.Fatal("extra parameter should error")
+	}
+}
+
+// stageCount reads how many times the platform's per-stage histogram saw
+// the named stage.
+func stageCount(p *Platform, stage string) int64 {
+	for _, st := range p.Stats().Stages {
+		if st.Stage == stage {
+			return st.Count
+		}
+	}
+	return 0
+}
+
+// TestCompileRecordsNoSerialize: a compile hands the AST to the engine and
+// renders no query text, so its trace has no serialize span; EXPLAIN of
+// the artifact renders the text itself and prints the serialize row, with
+// the text's byte count, between generate and compile — without writing
+// the artifact's trace.
+func TestCompileRecordsNoSerialize(t *testing.T) {
+	p := Demo()
+	cq, err := p.Compile("SELECT CUSTOMERNAME FROM CUSTOMERS WHERE CUSTOMERID = ? AND CITY = ?", ModeText)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stages := func() string {
+		var names []string
+		for _, ev := range cq.Trace.Stages() {
+			names = append(names, ev.Stage.String())
+		}
+		return strings.Join(names, " ")
+	}
+	const want = "lex parse semantic-validate restructure generate compile"
+	if got := stages(); got != want {
+		t.Fatalf("compile trace stages = %q, want %q", got, want)
+	}
+	if n := stageCount(p, "serialize"); n != 0 {
+		t.Fatalf("a compile recorded %d serialize spans", n)
+	}
+
+	explain := strings.Join(cq.Explain(), "\n")
+	row := regexp.MustCompile(`(?m)^generate .*\nserialize +\S+ +- +(\d+) +-\ncompile `).FindStringSubmatch(explain)
+	if row == nil {
+		t.Fatalf("EXPLAIN has no serialize row between generate and compile:\n%s", explain)
+	}
+	if row[1] != strconv.Itoa(len(cq.XQuery())) {
+		t.Fatalf("serialize row says %s bytes, the text is %d", row[1], len(cq.XQuery()))
+	}
+	if got := stages(); got != want {
+		t.Fatalf("EXPLAIN wrote the artifact's trace: stages now %q", got)
+	}
+	if n := stageCount(p, "serialize"); n != 1 {
+		t.Fatalf("serialize histogram = %d after one EXPLAIN, want 1", n)
 	}
 }
 

@@ -10,6 +10,7 @@ package aqualogic
 //	    BenchmarkEndToEnd       — full driver path per mode
 //	    BenchmarkJoinShapes     — ablation: generated join patterns
 //	    BenchmarkEngine         — the substrate's own evaluation cost
+//	    BenchmarkCompileMiss    — the compile-cache miss path, in process
 //	P11 BenchmarkParallelScan   — morsel-parallel execution through the facade
 
 import (
@@ -383,6 +384,32 @@ func BenchmarkXQueryCompile(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkCompileMiss is the compile-cache miss path in process: the
+// golden corpus compiled through the Platform with its compile cache
+// disabled, so every op lexes, parses, translates, checks and plans one
+// statement — and renders no XQuery text. Run with -benchmem; ns/op and
+// allocs/op are per statement.
+func BenchmarkCompileMiss(b *testing.B) {
+	p := Demo()
+	p.EnableResilience(ResilienceConfig{CompileCacheEntries: -1})
+	corpus := compiledCorpus()
+	for _, sql := range corpus { // warm the metadata cache
+		if _, err := p.Compile(sql, ModeText); err != nil {
+			b.Fatalf("%q: %v", sql, err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.Compile(corpus[i%len(corpus)], ModeText); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if s := p.CompileStats(); s.Hits != 0 {
+		b.Fatalf("compile cache served %d hits; every op must miss", s.Hits)
 	}
 }
 

@@ -27,15 +27,15 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7117", "listen address")
-	maxSessions := flag.Int("max-sessions", 0, "session cap (0 = default 4096)")
-	maxQueries := flag.Int("max-queries", 0, "concurrent evaluation cap (0 = default 256)")
-	idle := flag.Duration("session-idle", 0, "idle-session reap timeout (0 = default 60s)")
+	maxSessions := flag.Int("max-sessions", 0, "session cap (≤ 0 = default 4096)")
+	maxQueries := flag.Int("max-queries", 0, "concurrent evaluation cap (≤ 0 = default 256)")
+	idle := flag.Duration("session-idle", 0, "idle-session reap timeout (0 = default 60s, negative = never reap)")
 	queryTimeout := flag.Duration("query-timeout", 30*time.Second, "per-query evaluation deadline (0 = unbounded)")
-	fetchRows := flag.Int("fetch-rows", 0, "rows per fetch chunk (0 = default 256)")
-	admissionWait := flag.Duration("admission-wait", 0, "max queue wait before a shed (0 = default 50ms)")
-	costPerSlot := flag.Int64("cost-per-slot", 0, "predicted cost per admission slot (0 = default 10000)")
-	maxWeight := flag.Int64("max-query-weight", 0, "admission-weight clamp per query (0 = default max-queries/4)")
-	admissionQueue := flag.Int("admission-queue", 0, "bounded admission queue length (0 = default 4×max-queries)")
+	fetchRows := flag.Int("fetch-rows", 0, "rows per fetch chunk (≤ 0 = default 256)")
+	admissionWait := flag.Duration("admission-wait", 0, "max queue wait before a shed (≤ 0 = default 50ms)")
+	costPerSlot := flag.Int64("cost-per-slot", 0, "predicted cost per admission slot (≤ 0 = default 10000)")
+	maxWeight := flag.Int64("max-query-weight", 0, "admission-weight clamp per query (≤ 0 = default max-queries/4)")
+	admissionQueue := flag.Int("admission-queue", 0, "bounded admission queue length (≤ 0 = default 4×max-queries)")
 	resilience := flag.Bool("resilient", true, "enable the retry/breaker/stale-cache layer")
 	faultRate := flag.Float64("fault-rate", 0, "faultnet injection probability in [0,1] (0 = off)")
 	faultSeed := flag.Uint64("fault-seed", 1, "faultnet deterministic schedule seed")

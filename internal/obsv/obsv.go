@@ -35,11 +35,15 @@ import (
 // Stage identifies one pipeline stage, in pipeline order.
 type Stage int
 
-// The pipeline stages. Lex through Serialize are the translator's
+// The pipeline stages. Lex through Generate are the translator's
 // (§3.4.1); Evaluate is the engine's; Decode is the result-set
 // materialization of §4; Compile is the post-translation static check +
 // plan construction that turns a translation into an executable
-// CompiledQuery (the internal/qcache boundary).
+// CompiledQuery (the internal/qcache boundary). Serialize, §3.4.1's
+// tree-walk to text, is recorded only where text is rendered — EXPLAIN
+// and Platform.ExplainDialect (sql2xq -explain) — never by a compile,
+// which hands the AST to the engine; so the serialize histogram counts
+// renderings, not compiles.
 const (
 	StageLex Stage = iota
 	StageParse
@@ -206,6 +210,30 @@ func (t *Trace) Record(ev StageEvent) {
 	if hook != nil {
 		hook(ev)
 	}
+}
+
+// WithStage records ev on a copy of t, leaving t unchanged: the copy holds
+// t's events with ev placed before the first one of a later Stage, and ev
+// (ev alone) goes to t's Hook. It is how a reader of a shared trace — a
+// cached artifact's compile trace — adds a stage it ran itself, such as
+// EXPLAIN rendering the query text. The copy has no hook.
+func (t *Trace) WithStage(ev StageEvent) *Trace {
+	events := t.Stages()
+	i := 0
+	for i < len(events) && events[i].Stage <= ev.Stage {
+		i++
+	}
+	events = append(events, StageEvent{})
+	copy(events[i+1:], events[i:])
+	events[i] = ev
+	out := &Trace{stages: events}
+	if t != nil {
+		out.SQL = t.SQL
+		if t.Hook != nil {
+			t.Hook(ev)
+		}
+	}
+	return out
 }
 
 // Stages returns the recorded events in completion order.

@@ -41,6 +41,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 
 	"repro/internal/obsv"
 	"repro/internal/qfront"
@@ -83,8 +84,9 @@ type CompiledQuery struct {
 	// time, so a cached statement streams rows without re-analyzing the
 	// query shape on each execution.
 	Plan *xqeval.Plan
-	// Trace holds the compile-time stage spans (lex … serialize, compile);
-	// EXPLAIN renders it instead of re-translating.
+	// Trace holds the compile-time stage spans (lex … generate, compile);
+	// EXPLAIN renders it instead of re-translating. A compile renders no
+	// query text, so the trace has no serialize span.
 	Trace *obsv.Trace
 	// Sources lists the federation backends the statement's table
 	// references resolved against, in first-touch order (nil outside a
@@ -122,13 +124,17 @@ func (cq *CompiledQuery) Streamable() bool { return cq.Plan.Stream.Streamable() 
 
 // Explain renders the artifact as EXPLAIN prints it, one line per element:
 // the dialect and the federation sources the statement resolved against,
-// the compile-time stage trace (wall time, sizes, stage detail), the
+// the compile-time stage trace (wall time, sizes, stage detail) with this
+// call's own rendering of the query text as its serialize row, the
 // caller's effects lines (what this call did to the caches), the
 // query-context tree (the paper's Figure 4 view), the generated XQuery,
 // and the evaluator plan with its streaming decomposition. Every section
 // comes from the artifact, so rendering a cached statement translates
-// nothing.
+// nothing, and the artifact's trace is never written.
 func (cq *CompiledQuery) Explain(effects ...string) []string {
+	start := time.Now()
+	xq := cq.XQuery()
+	trace := cq.Trace.WithStage(obsv.StageEvent{Stage: obsv.StageSerialize, Duration: time.Since(start), OutSize: len(xq)})
 	var out []string
 	add := func(text string) {
 		out = append(out, strings.Split(strings.TrimRight(text, "\n"), "\n")...)
@@ -138,12 +144,12 @@ func (cq *CompiledQuery) Explain(effects ...string) []string {
 		add("-- sources: " + strings.Join(cq.Res.Sources, ", "))
 	}
 	add("-- stage trace:")
-	add(cq.Trace.RenderString(true))
+	add(trace.RenderString(true))
 	out = append(out, effects...)
 	add("-- query contexts (stage one):")
 	add(cq.Res.Contexts.Tree())
 	add("-- generated XQuery (stage three):")
-	add(cq.XQuery())
+	add(xq)
 	add("-- query plan (evaluator):")
 	for _, line := range cq.Plan.Describe() {
 		add(line)

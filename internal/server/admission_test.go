@@ -164,6 +164,21 @@ func TestMaxQueryWeightClampedToCapacity(t *testing.T) {
 	a.release(w)
 }
 
+// TestNegativeLimitsTakeDefaults: withDefaults reads a negative session
+// cap, capacity, queue length or queue wait as unset, like zero; a
+// negative SessionIdleTimeout keeps its meaning, "never reap".
+func TestNegativeLimitsTakeDefaults(t *testing.T) {
+	got := Config{MaxSessions: -1, MaxConcurrentQueries: -1, AdmissionQueue: -1,
+		AdmissionWait: -1, SessionIdleTimeout: -1}.withDefaults()
+	want := Config{SessionIdleTimeout: -1}.withDefaults()
+	if got != want {
+		t.Fatalf("negative limits = %+v, want the defaults %+v", got, want)
+	}
+	if want.MaxConcurrentQueries != 256 || want.AdmissionQueue != 1024 || want.SessionIdleTimeout != -1 {
+		t.Fatalf("defaults = %+v", want)
+	}
+}
+
 // TestWeightedReleaseWakesQueue pins FIFO hand-off: releasing a heavy
 // grant admits the parked waiters in order, and the weighted gauge
 // returns to zero when everything releases.

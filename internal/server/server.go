@@ -81,7 +81,9 @@ type Backend interface {
 	Stats() obsv.Snapshot
 }
 
-// Config bounds one server instance. Zero fields take the defaults below.
+// Config bounds one server instance. Zero fields take the defaults below;
+// so do negative ones, except SessionIdleTimeout, where negative disables
+// reaping.
 type Config struct {
 	// MaxSessions caps concurrently open sessions (default 4096).
 	MaxSessions int
@@ -127,13 +129,13 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.MaxSessions == 0 {
+	if c.MaxSessions <= 0 {
 		c.MaxSessions = 4096
 	}
-	if c.MaxConcurrentQueries == 0 {
+	if c.MaxConcurrentQueries <= 0 {
 		c.MaxConcurrentQueries = 256
 	}
-	if c.AdmissionWait == 0 {
+	if c.AdmissionWait <= 0 {
 		c.AdmissionWait = 50 * time.Millisecond
 	}
 	if c.SessionIdleTimeout == 0 {
@@ -148,10 +150,8 @@ func (c Config) withDefaults() Config {
 	if c.MaxQueryWeight <= 0 {
 		c.MaxQueryWeight = max(int64(c.MaxConcurrentQueries)/4, 1)
 	}
-	if slots := int64(c.MaxConcurrentQueries); slots > 0 && c.MaxQueryWeight > slots {
-		c.MaxQueryWeight = slots
-	}
-	if c.AdmissionQueue == 0 {
+	c.MaxQueryWeight = min(c.MaxQueryWeight, int64(c.MaxConcurrentQueries))
+	if c.AdmissionQueue <= 0 {
 		c.AdmissionQueue = 4 * c.MaxConcurrentQueries
 	}
 	return c

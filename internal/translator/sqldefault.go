@@ -25,8 +25,8 @@ func (t *Translator) TranslateContext(ctx context.Context, sql string) (*Result,
 }
 
 // TranslateTraced is Translate with stage observation: each pipeline stage
-// (lex, parse, semantic-validate, restructure, generate, serialize) is
-// recorded as a span on tr with wall time, sizes, and stage detail. A nil
+// (lex, parse, semantic-validate, restructure, generate) is recorded as a
+// span on tr with wall time, sizes, and stage detail. A nil
 // trace is valid and costs nothing beyond the untraced path.
 func (t *Translator) TranslateTraced(sql string, tr *obsv.Trace) (*Result, error) {
 	return t.TranslateTracedContext(context.Background(), sql, tr)

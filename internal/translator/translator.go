@@ -105,20 +105,12 @@ type Result struct {
 	// duplicates removed (nil when the metadata source does not name
 	// sources — the single-backend configuration).
 	Sources []string
-
-	// xq is the serialized query text, filled during traced translation
-	// (the serialize stage) and never mutated afterwards.
-	xq string
 }
 
-// XQuery serializes the generated query (returning the text cached by the
-// serialize stage when the translation was traced).
-func (r *Result) XQuery() string {
-	if r.xq != "" {
-		return r.xq
-	}
-	return r.Query.Serialize()
-}
+// XQuery renders the generated query as text, anew on every call: a
+// translation keeps no text, so compiling one never pays for it and a
+// cached Result read by many sessions holds no mutable state.
+func (r *Result) XQuery() string { return r.Query.Serialize() }
 
 // Translator converts SQL-92 SELECT statements into XQuery. Metadata is
 // fetched through Meta; wrap the source in a catalog.Cache to reproduce the
@@ -221,16 +213,6 @@ func (t *Translator) translateStmt(ctx context.Context, stmt *qfront.SelectStmt,
 	sp.Add("columns", int64(len(resultCols)))
 	sp.Add("imports", int64(len(q.Prolog.SchemaImports)))
 	sp.End()
-
-	// Serialize eagerly only when traced, so the span covers the real
-	// rendering cost; the untraced path keeps serializing lazily.
-	if tr != nil {
-		sp = tr.StartStage(obsv.StageSerialize)
-		res.xq = q.Serialize()
-		sp.SetOutput(len(res.xq))
-		sp.End()
-	}
-
 	return res, nil
 }
 

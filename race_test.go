@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -57,6 +59,67 @@ func TestPlatformConcurrentUse(t *testing.T) {
 	stats := p.MetadataStats()
 	if stats.Hits+stats.Misses == 0 {
 		t.Fatal("no cache traffic recorded")
+	}
+}
+
+// TestConcurrentRenderOfCachedStatement races every reader of one cached
+// statement's query text: EXPLAIN renders it from the shared artifact,
+// TranslateText from a fresh translation, and executions run the same
+// artifact's plan. The artifact keeps no text, so each rendering is its
+// own; all must agree, and EXPLAIN must never write the shared trace.
+func TestConcurrentRenderOfCachedStatement(t *testing.T) {
+	p := Demo()
+	const sql = "SELECT CITY, COUNT(*) FROM CUSTOMERS WHERE CUSTOMERID < 1020 GROUP BY CITY"
+	cq, err := p.Compile(sql, ModeXML)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := cq.XQuery()
+	spans := len(cq.Trace.Stages())
+	var wg sync.WaitGroup
+	var explains atomic.Int64
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				switch (g + i) % 3 {
+				case 0:
+					explains.Add(1)
+					hit, err := p.Compile(sql, ModeXML)
+					if err != nil || hit != cq {
+						t.Errorf("compile: %v (cached artifact reused: %v)", err, hit == cq)
+						return
+					}
+					if text := strings.Join(hit.Explain(), "\n"); !strings.Contains(text, want) {
+						t.Errorf("EXPLAIN lacks the generated XQuery:\n%s", text)
+						return
+					}
+				case 1:
+					if text, err := p.TranslateText(sql); err != nil || text != want {
+						t.Errorf("TranslateText: %v (same text as the artifact: %v)", err, text == want)
+						return
+					}
+				case 2:
+					rows, err := p.QueryMode(ModeXML, sql)
+					if err != nil {
+						t.Errorf("query: %v", err)
+						return
+					}
+					if rows.Len() == 0 {
+						t.Error("query returned no rows")
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if got := len(cq.Trace.Stages()); got != spans {
+		t.Fatalf("the shared compile trace grew from %d to %d spans", spans, got)
+	}
+	if n := stageCount(p, "serialize"); n != explains.Load() {
+		t.Fatalf("serialize histogram = %d, want one per EXPLAIN (%d)", n, explains.Load())
 	}
 }
 

@@ -912,6 +912,33 @@ func TestServeAdmissionControl(t *testing.T) {
 	}
 }
 
+// TestServeNegativeCapsTakeDefaults: a negative session cap, admission
+// capacity, queue length or queue wait means "unset", as zero does. A
+// negative capacity once reached admission as is, and every execute shed
+// as "admission queue full (-4 waiting)".
+func TestServeNegativeCapsTakeDefaults(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  server.Config
+	}{
+		{"MaxSessions", server.Config{MaxSessions: -1}},
+		{"MaxConcurrentQueries", server.Config{MaxConcurrentQueries: -1}},
+		{"AdmissionQueue", server.Config{AdmissionQueue: -1}},
+		{"AdmissionWait", server.Config{AdmissionWait: -1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, _, c := newLoopback(t, tc.cfg)
+			rows, err := c.QueryDialect(context.Background(), "", ModeText, "SELECT CITY FROM CUSTOMERS WHERE CUSTOMERID < 1003")
+			if err != nil {
+				t.Fatalf("execute: %v", err)
+			}
+			if got, err := drainClose(rows); err != nil || got == "" {
+				t.Fatalf("drain = %q, %v", got, err)
+			}
+		})
+	}
+}
+
 // TestResultColumnFacetsAgree checks every surface that hands out a result
 // schema — the facade, database/sql, served prepare, and served ad-hoc
 // execute — reports PAYMENT's declared DECIMAL(10,2) facets.
