@@ -42,7 +42,10 @@ race:
 # database/sql connection shares one platform's compile and metadata
 # caches. The cached-statement rendering net follows: EXPLAIN, TranslateText
 # and executions read one shared artifact, which keeps no query text, so
-# every rendering is made anew by its reader. Last, the overload contract:
+# every rendering is made anew by its reader. Then the prepared handle's
+# swap: one statement executed from several goroutines, in process and
+# served, while another session's CREATE VIEW retires its artifact. Last,
+# the overload contract:
 # whether its 2x phase sheds at all depends on scheduling, so it too runs
 # 20 times under the race detector.
 stress:
@@ -50,6 +53,7 @@ stress:
 	$(GO) test -race -count=20 -run 'TestRowsCountedOnce' .
 	$(GO) test -race -count=10 -run 'TestConcurrent|TestStreaming|TestRows' ./internal/driver/
 	$(GO) test -race -count=10 -run 'TestConcurrentRenderOfCachedStatement$$' .
+	$(GO) test -race -count=10 -run 'TestConcurrentPreparedAcrossViewChurn$$' .
 	$(GO) test -race -count=20 -run 'TestOverloadContract$$' .
 
 # Chaos soak: the fault-injection net at several fault rates under the

@@ -704,12 +704,14 @@ func (p *Platform) QueryDialect(ctx context.Context, dialect Dialect, mode Resul
 }
 
 // execute is the one bind → evaluate → decode tail behind the facade and
-// every database/sql statement. A parameter that does not convert is the
+// every prepared statement. A parameter that does not convert is the
 // caller's error, typed permanent with the message the wire client gives.
 // Priming pulls the first chunk, so errors raised before any row exists
 // (unbound sources, source faults at open) return here; later ones surface
 // through rows.Err(). tr, when non-nil, traces the evaluation and the
-// decode stage, which spans the result's whole delivery window.
+// decode stage, which spans the result's whole delivery window. The decode
+// span watches the Rows rather than wrapping its cursor, so a text-mode
+// result keeps NextText's raw path (the server's chunks).
 func (p *Platform) execute(ctx context.Context, cq *CompiledQuery, args []any, tr *Trace) (*Rows, error) {
 	if len(args) != cq.Res.ParamCount {
 		return nil, fmt.Errorf("aqualogic: statement has %d parameter(s), got %d value(s)", cq.Res.ParamCount, len(args))
@@ -735,35 +737,15 @@ func (p *Platform) execute(ctx context.Context, cq *CompiledQuery, args []any, t
 	} else {
 		rc = resultset.StreamXML(cur, cq.Columns)
 	}
+	rows := resultset.NewStreaming(rc)
 	if tr != nil {
-		rc = &decodeSpan{RowCursor: rc, sp: tr.StartStage(obsv.StageDecode)}
+		sp := tr.StartStage(obsv.StageDecode)
+		rows.OnEnd(func(n int) {
+			sp.SetOutput(n)
+			sp.End()
+		})
 	}
-	return resultset.NewStreaming(rc), nil
-}
-
-// decodeSpan closes a decode stage span, with the delivered row count, when
-// its cursor closes.
-type decodeSpan struct {
-	resultset.RowCursor
-	sp *obsv.Span
-	n  int
-}
-
-func (d *decodeSpan) Next() ([]Atomic, error) {
-	row, err := d.RowCursor.Next()
-	if err == nil {
-		d.n++
-	}
-	return row, err
-}
-
-func (d *decodeSpan) Close() error {
-	if d.sp != nil {
-		d.sp.SetOutput(d.n)
-		d.sp.End()
-		d.sp = nil
-	}
-	return d.RowCursor.Close()
+	return rows, nil
 }
 
 // RegisterDriver exposes the platform through database/sql under the given
@@ -771,7 +753,7 @@ func (d *decodeSpan) Close() error {
 // live state, so sources, views and resilience settings added after
 // registration reach them.
 func (p *Platform) RegisterDriver(name string) {
-	driver.Register(name, session{p})
+	driver.Register(name, p)
 }
 
 // metaCache returns the platform's cache if it has been built yet.
@@ -863,17 +845,12 @@ func (p *Platform) FederationStats() []SourceHealth {
 	return out
 }
 
-// Explain runs a traced translation and renders its query text: the
-// returned Trace holds one stage record per pipeline stage (lex, parse,
-// semantic-validate, restructure, generate, serialize) with wall time,
-// sizes, and stage detail — the programmatic form of the driver's EXPLAIN
-// statement.
-func (p *Platform) Explain(sql string, mode ResultMode) (*Translation, *Trace, error) {
-	return p.ExplainDialect(DialectSQL, sql, mode)
-}
-
-// ExplainDialect is Explain with an explicit query dialect; the stage
-// trace starts with the dialect's own lex/parse spans.
+// ExplainDialect runs a traced translation in the given dialect and
+// renders its query text: the returned Trace holds one stage record per
+// pipeline stage (the dialect's own lex and parse, semantic-validate,
+// restructure, generate, serialize) with wall time, sizes, and stage
+// detail — what `sql2xq -explain` prints. Explain, the session's EXPLAIN
+// statement, renders the compiled artifact instead.
 func (p *Platform) ExplainDialect(dialect Dialect, text string, mode ResultMode) (*Translation, *Trace, error) {
 	fe, err := qfront.Lookup(dialect)
 	if err != nil {

@@ -30,50 +30,26 @@
 package driver
 
 import (
-	"context"
 	"database/sql"
 	"database/sql/driver"
 	"net"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/aqerr"
-	"repro/internal/catalog"
 	"repro/internal/qfront"
 	"repro/internal/remoteclient"
-	"repro/internal/resultset"
+	"repro/internal/session"
 	"repro/internal/translator"
-	"repro/internal/xdm"
 )
 
-// Session is the platform a connection is a client of: one registered in
-// this process, or a wire session to a server (aql:// DSNs). Every call
-// reads the platform's current state, so metadata, compile-cache and
-// configuration changes made after registration reach every connection.
-type Session interface {
-	// Prepare compiles a statement through the platform's compile cache.
-	Prepare(ctx context.Context, dialect qfront.Dialect, text string, mode translator.ResultMode) (Prepared, error)
-	// Explain renders a statement's compiled artifact, one line per row.
-	Explain(ctx context.Context, dialect qfront.Dialect, text string, mode translator.ResultMode) ([]string, error)
-	// Call invokes a data service function — what CALL runs.
-	Call(ctx context.Context, namespace, name string, args []xdm.Sequence) (xdm.Sequence, error)
-	// DefineView registers a logical data service (CREATE VIEW).
-	DefineView(path, name, sql string) error
-	// Metadata is the catalog SHOW and CALL resolve against.
-	Metadata() catalog.Source
-	// QueryTimeout bounds executions that arrive without a deadline; zero
-	// means unbounded.
-	QueryTimeout() time.Duration
-}
-
-// Prepared is a compiled statement that executes many times with
-// different parameters, concurrently if need be.
-type Prepared interface {
-	Columns() []resultset.Column
-	ParamCount() int
-	Execute(ctx context.Context, args ...any) (*resultset.Rows, error)
-}
+// Session and Prepared are the platform's client contract: a connection
+// holds a Session, in this process or a wire session to a server (aql://
+// DSNs), and a prepared SELECT holds its Prepared.
+type (
+	Session  = session.Session
+	Prepared = session.Prepared
+)
 
 var (
 	registryMu sync.RWMutex

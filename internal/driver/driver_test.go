@@ -600,6 +600,39 @@ func TestCreateViewAcrossConnections(t *testing.T) {
 	})
 }
 
+// TestPreparedRecompilesAfterCreateView: a prepared statement re-executed
+// after CREATE VIEW recompiles against the new catalog (the compile cache
+// counts a miss) and answers as before. The rule is
+// TestServePreparedAcrossViewChange's, held on every transport.
+func TestPreparedRecompilesAfterCreateView(t *testing.T) {
+	onEachTransport(t, func(t *testing.T, e env) {
+		db := e.open("")
+		db.SetMaxOpenConns(1)
+		st, err := db.Prepare("SELECT CUSTOMERNAME FROM CUSTOMERS WHERE CUSTOMERID = ?")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		var before, after string
+		if err := st.QueryRow(1005).Scan(&before); err != nil {
+			t.Fatal(err)
+		}
+		misses := e.p.CompileStats().Misses
+		if _, err := db.Exec("CREATE VIEW V_PREPARED_CHURN AS SELECT CUSTOMERID, CITY FROM CUSTOMERS"); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.QueryRow(1005).Scan(&after); err != nil {
+			t.Fatalf("execute after CREATE VIEW: %v", err)
+		}
+		if after != before {
+			t.Fatalf("prepared result changed across unrelated view churn: %q, was %q", after, before)
+		}
+		if got := e.p.CompileStats().Misses; got <= misses {
+			t.Fatalf("execution after CREATE VIEW reused a stale compile (misses %d -> %d)", misses, got)
+		}
+	})
+}
+
 // TestRegisterBeforeAddSource: a source added after RegisterDriver is
 // visible through database/sql, as it is through the facade.
 func TestRegisterBeforeAddSource(t *testing.T) {

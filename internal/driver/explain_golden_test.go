@@ -141,49 +141,50 @@ func TestExplainStageOrder(t *testing.T) {
 }
 
 // TestExplainRepeatedCacheHits checks the cache-effect lines on a warm
-// platform: the first EXPLAIN compiles (catalog miss included), the second
-// reuses the cached artifact — no translation, no catalog traffic, and
-// the stage trace rendered is the original compile's.
+// platform, on every transport: the first EXPLAIN compiles (catalog miss
+// included), the second reuses the cached artifact — no translation, no
+// catalog traffic, and the stage trace rendered is the original compile's.
 func TestExplainRepeatedCacheHits(t *testing.T) {
-	db, _ := openIsolated(t, "")
-	conn, err := db.Conn(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	read := func() string {
-		rows, err := conn.QueryContext(context.Background(), "EXPLAIN SELECT CUSTOMERID FROM CUSTOMERS")
+	onEachTransport(t, func(t *testing.T, e env) {
+		conn, err := e.open("").Conn(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer rows.Close()
-		var lines []string
-		for rows.Next() {
-			var line string
-			if err := rows.Scan(&line); err != nil {
+		defer conn.Close()
+		read := func() string {
+			rows, err := conn.QueryContext(context.Background(), "EXPLAIN SELECT CUSTOMERID FROM CUSTOMERS")
+			if err != nil {
 				t.Fatal(err)
 			}
-			lines = append(lines, line)
+			defer rows.Close()
+			var lines []string
+			for rows.Next() {
+				var line string
+				if err := rows.Scan(&line); err != nil {
+					t.Fatal(err)
+				}
+				lines = append(lines, line)
+			}
+			return strings.Join(lines, "\n")
 		}
-		return strings.Join(lines, "\n")
-	}
-	first, second := read(), read()
-	if !strings.Contains(first, "-- compile cache: miss (compiled now)") {
-		t.Fatalf("cold compile line missing:\n%s", first)
-	}
-	if !strings.Contains(first, "-- catalog cache: hits=0 misses=1") {
-		t.Fatalf("cold cache line missing:\n%s", first)
-	}
-	if !strings.Contains(second, "-- compile cache: hit") {
-		t.Fatalf("warm compile line missing:\n%s", second)
-	}
-	if !strings.Contains(second, "-- catalog cache: hits=0 misses=0 (platform totals: hits=0 misses=1)") {
-		t.Fatalf("warm cache line should show no catalog traffic:\n%s", second)
-	}
-	// A cached EXPLAIN still renders the full artifact.
-	if !strings.Contains(second, "-- stage trace:") || !strings.Contains(second, "-- query plan (evaluator):") {
-		t.Fatalf("cached EXPLAIN missing sections:\n%s", second)
-	}
+		first, second := read(), read()
+		if !strings.Contains(first, "-- compile cache: miss (compiled now)") {
+			t.Fatalf("cold compile line missing:\n%s", first)
+		}
+		if !strings.Contains(first, "-- catalog cache: hits=0 misses=1") {
+			t.Fatalf("cold cache line missing:\n%s", first)
+		}
+		if !strings.Contains(second, "-- compile cache: hit") {
+			t.Fatalf("warm compile line missing:\n%s", second)
+		}
+		if !strings.Contains(second, "-- catalog cache: hits=0 misses=0 (platform totals: hits=0 misses=1)") {
+			t.Fatalf("warm cache line should show no catalog traffic:\n%s", second)
+		}
+		// A cached EXPLAIN still renders the full artifact.
+		if !strings.Contains(second, "-- stage trace:") || !strings.Contains(second, "-- query plan (evaluator):") {
+			t.Fatalf("cached EXPLAIN missing sections:\n%s", second)
+		}
+	})
 }
 
 // TestExplainTranslatesOnce is the regression test for the EXPLAIN

@@ -68,14 +68,17 @@ func TestDialectSplitsTheKey(t *testing.T) {
 		t.Fatalf("repeat lookup recompiled (%d compiles)", compiles)
 	}
 
-	// Peek sees each dialect's artifact under its own key only.
-	if got, ok := c.Peek(beta, text, translator.ModeText); !ok || got != b1 {
-		t.Fatal("beta's Peek missed beta's artifact")
+	// Each dialect finds its own artifact under its own key only.
+	if got, hit, err := c.Get(context.Background(), beta, text, translator.ModeText, mint("never minted")); err != nil || !hit || got != b1 {
+		t.Fatal("beta's lookup missed beta's artifact")
 	}
-	if got, ok := c.Peek(collidingFront{d: "gamma"}, text, translator.ModeText); ok {
-		t.Fatalf("unregistered dialect peeked another dialect's artifact: %q", got.SQL)
+	if got, hit, err := c.Get(context.Background(), collidingFront{d: "gamma"}, text, translator.ModeText, mint("gamma artifact")); err != nil || hit || got.SQL != "gamma artifact" {
+		t.Fatalf("unregistered dialect found another dialect's artifact: %q", got.SQL)
 	}
-	if s := c.Stats(); s.Size != 2 {
-		t.Fatalf("cache holds %d entries, want 2", s.Size)
+	if compiles != 3 {
+		t.Fatalf("compile ran %d times, want 3 (one per dialect)", compiles)
+	}
+	if s := c.Stats(); s.Size != 3 {
+		t.Fatalf("cache holds %d entries, want 3", s.Size)
 	}
 }

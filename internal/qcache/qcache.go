@@ -325,17 +325,17 @@ func (c *Cache) Get(ctx context.Context, fe qfront.Frontend, text string, mode t
 		cq, cerr := compile(ctx, text)
 		return cq, false, cerr
 	}
-	if c.cfg.MaxEntries < 0 {
-		cq, cerr := compile(ctx, text)
-		if cq != nil {
-			cq.NormalizedSQL = norm
-		}
-		return cq, false, cerr
-	}
 	// The generation reads happen before c.mu so a Generation func that
 	// consults other locks (the platform's metadata stack) never nests
 	// inside the cache's.
 	key := Key{Dialect: fe.Dialect(), SQL: norm, Mode: mode, Generation: c.generation(), StatsGen: c.statsGeneration()}
+	if c.cfg.MaxEntries < 0 {
+		cq, cerr := compile(ctx, text)
+		if cerr == nil {
+			c.stamp(cq, key)
+		}
+		return cq, false, cerr
+	}
 
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
@@ -389,24 +389,12 @@ func (c *Cache) Get(ctx context.Context, fe qfront.Frontend, text string, mode t
 
 	cq, err := compile(ctx, text)
 	if err == nil {
-		// Stamp the per-source generations the artifact was stored under.
-		// The sources are only known after translation, so the gens are
-		// read post-compile: an invalidation racing the compile can stamp
-		// a generation the compile's lookups mostly preceded — the same
-		// narrow window the global key accepts between its pre-compile
-		// read and the store, and closed the same way (the next
-		// invalidation advances the gen again and retires the entry).
-		c.stampSources(cq)
+		c.stamp(cq, key)
 	}
 
 	c.mu.Lock()
-	if err == nil {
-		cq.NormalizedSQL = norm
-		cq.Generation = key.Generation
-		cq.StatsGen = key.StatsGen
-		if c.epoch == epoch {
-			c.storeLocked(key, cq)
-		}
+	if err == nil && c.epoch == epoch {
+		c.storeLocked(key, cq)
 	}
 	fl.cq, fl.err = cq, err
 	delete(c.flights, key)
@@ -415,11 +403,18 @@ func (c *Cache) Get(ctx context.Context, fe qfront.Frontend, text string, mode t
 	return cq, false, err
 }
 
-// stampSources copies the translation's resolved source list onto the
-// artifact and records each source's current generation. Called outside
-// c.mu (the SourceGeneration func may take platform locks).
-func (c *Cache) stampSources(cq *CompiledQuery) {
-	if c.cfg.SourceGeneration == nil || cq == nil || cq.Res == nil || len(cq.Res.Sources) == 0 {
+// stamp records on a fresh artifact the key it was compiled under and,
+// from the translation's resolved source list, each source's current
+// generation: the stamps Fresh checks. The sources are only known after
+// translation, so their gens are read post-compile: an invalidation
+// racing the compile can stamp a generation the compile's lookups mostly
+// preceded — the same narrow window the global key accepts between its
+// pre-compile read and the store, and closed the same way (the next
+// invalidation advances the gen again and retires the entry). Called
+// outside c.mu (the SourceGeneration func may take platform locks).
+func (c *Cache) stamp(cq *CompiledQuery, key Key) {
+	cq.NormalizedSQL, cq.Generation, cq.StatsGen = key.SQL, key.Generation, key.StatsGen
+	if c.cfg.SourceGeneration == nil || cq.Res == nil || len(cq.Res.Sources) == 0 {
 		return
 	}
 	cq.Sources = cq.Res.Sources
@@ -440,27 +435,13 @@ func (c *Cache) sourcesFresh(cq *CompiledQuery) bool {
 	return true
 }
 
-// Peek reports whether an artifact for text/mode in fe's dialect is
-// cached under the current generation, without populating or promoting
-// it.
-func (c *Cache) Peek(fe qfront.Frontend, text string, mode translator.ResultMode) (*CompiledQuery, bool) {
-	norm, err := fe.Normalize(text)
-	if err != nil || c.cfg.MaxEntries < 0 {
-		return nil, false
-	}
-	key := Key{Dialect: fe.Dialect(), SQL: norm, Mode: mode, Generation: c.generation(), StatsGen: c.statsGeneration()}
-	c.mu.Lock()
-	el, ok := c.entries[key]
-	if !ok {
-		c.mu.Unlock()
-		return nil, false
-	}
-	cq := el.Value.(*entry).cq
-	c.mu.Unlock()
-	if len(cq.SourceGens) > 0 && c.cfg.SourceGeneration != nil && !c.sourcesFresh(cq) {
-		return nil, false
-	}
-	return cq, true
+// Fresh reports whether cq was compiled under the current metadata and
+// statistics generations, with every federation source it touched still at
+// its stamped generation: how a prepared statement checks its artifact
+// instead of resolving its text again. Called outside c.mu.
+func (c *Cache) Fresh(cq *CompiledQuery) bool {
+	return cq.Generation == c.generation() && cq.StatsGen == c.statsGeneration() &&
+		(c.cfg.SourceGeneration == nil || c.sourcesFresh(cq))
 }
 
 // storeLocked inserts (or refreshes) an artifact and evicts beyond the

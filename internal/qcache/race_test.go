@@ -157,7 +157,9 @@ func TestInvalidationDuringChurn(t *testing.T) {
 // cache is being populated and flushed (the aqlshell \q path).
 func TestConcurrentStatsAndGet(t *testing.T) {
 	c := New(Config{MaxEntries: 8})
+	var compiles atomic.Int64
 	compile := func(ctx context.Context, sql string) (*CompiledQuery, error) {
+		compiles.Add(1)
 		return &CompiledQuery{SQL: sql}, nil
 	}
 	var wg sync.WaitGroup
@@ -176,12 +178,18 @@ func TestConcurrentStatsAndGet(t *testing.T) {
 				case 1:
 					_ = c.Stats()
 				case 2:
-					if _, ok := c.Peek(sqlparser.Front{}, "SELECT C0 FROM T", translator.ModeText); ok {
-						continue
+					cq, _, err := c.Get(context.Background(), sqlparser.Front{}, "SELECT C0 FROM T", translator.ModeText, compile)
+					if err != nil || cq.SQL != "SELECT C0 FROM T" {
+						t.Errorf("lookup of SELECT C0: %v, %v", cq, err)
+						return
 					}
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
+	s := c.Stats()
+	if s.Misses != compiles.Load() || s.Hits+s.Misses+s.Shared != 4*200 {
+		t.Fatalf("4×200 lookups counted as %d hits, %d misses, %d shared; %d compiles ran", s.Hits, s.Misses, s.Shared, compiles.Load())
+	}
 }

@@ -43,3 +43,32 @@ func TestStatsGenerationRetiresArtifacts(t *testing.T) {
 		t.Fatalf("stats generation in Stats() = %d, want %d", s.StatsGeneration, sgen)
 	}
 }
+
+// TestFreshFollowsStamps: an artifact stays fresh exactly while the
+// metadata, statistics and source generations it was stamped under hold,
+// also from a disabled cache, which stores nothing but stamps alike.
+func TestFreshFollowsStamps(t *testing.T) {
+	var gens [3]uint64 // metadata, statistics, the one source
+	names := [3]string{"metadata", "statistics", "source"}
+	for _, maxEntries := range []int{0, -1} {
+		c := New(Config{
+			MaxEntries:       maxEntries,
+			Generation:       func() uint64 { return gens[0] },
+			StatsGeneration:  func() uint64 { return gens[1] },
+			SourceGeneration: func(string) uint64 { return gens[2] },
+		})
+		compile := func(ctx context.Context, sql string) (*CompiledQuery, error) {
+			return &CompiledQuery{SQL: sql, Res: &translator.Result{Sources: []string{"billing"}}}, nil
+		}
+		for i := range gens {
+			cq, _, err := c.Get(context.Background(), sqlparser.Front{}, "SELECT A FROM T", translator.ModeText, compile)
+			if err != nil || !c.Fresh(cq) {
+				t.Fatalf("MaxEntries %d: a new artifact is not fresh (err %v)", maxEntries, err)
+			}
+			gens[i]++
+			if c.Fresh(cq) {
+				t.Fatalf("MaxEntries %d: artifact still fresh after the %s generation moved", maxEntries, names[i])
+			}
+		}
+	}
+}

@@ -21,6 +21,7 @@ import (
 	"repro/internal/qfront"
 	"repro/internal/resultset"
 	"repro/internal/server"
+	"repro/internal/session"
 	"repro/internal/translator"
 	"repro/internal/wire"
 	"repro/internal/xdm"
@@ -36,12 +37,27 @@ var edgeColumns = []resultset.Column{
 	{Label: "S", ElementName: "S", Type: catalog.SQLVarchar, Nullable: true},
 }
 
-func (edgeTable) CompileDialect(context.Context, qfront.Dialect, string, translator.ResultMode) (*qcache.CompiledQuery, error) {
+// Prepare compiles nothing; every statement is the table.
+func (b edgeTable) Prepare(context.Context, qfront.Dialect, string, translator.ResultMode) (session.Prepared, error) {
+	return b, nil
+}
+
+func (edgeTable) Columns() []resultset.Column { return edgeColumns }
+
+func (edgeTable) ParamCount() int { return 0 }
+
+func (edgeTable) Cost() int64 { return 1 }
+
+func (b edgeTable) Execute(context.Context, ...any) (*resultset.Rows, error) {
+	return resultset.NewStreaming(&edgeCursor{n: b.n}), nil
+}
+
+func (edgeTable) Explain(context.Context, qfront.Dialect, string, translator.ResultMode) ([]string, error) {
 	return nil, errors.New("edge backend: no compiler")
 }
 
-func (b edgeTable) QueryDialect(context.Context, qfront.Dialect, translator.ResultMode, string, ...any) (*resultset.Rows, error) {
-	return resultset.NewStreaming(&edgeCursor{n: b.n}), nil
+func (edgeTable) Call(context.Context, string, string, []xdm.Sequence) (xdm.Sequence, error) {
+	return nil, errors.New("edge backend: no functions")
 }
 
 func (edgeTable) DefineView(string, string, string) error {
@@ -49,6 +65,8 @@ func (edgeTable) DefineView(string, string, string) error {
 }
 
 func (edgeTable) Metadata() catalog.Source { return nil }
+
+func (edgeTable) QueryTimeout() time.Duration { return 0 }
 
 func (edgeTable) CompileStats() qcache.Stats { return qcache.Stats{} }
 

@@ -357,8 +357,8 @@ func (c *Client) Prepare(ctx context.Context, sql string, mode translator.Result
 
 // PrepareDialect compiles a statement server-side and pins it in the
 // session's prepared table until the session closes ("" dialect =
-// SQL-92). Each execution re-resolves through the server's compile cache,
-// so catalog changes (CREATE VIEW) transparently recompile.
+// SQL-92). The server recompiles it only when the catalog, statistics or
+// a source it touched moved on (CREATE VIEW, say).
 func (c *Client) PrepareDialect(ctx context.Context, dialect, text string, mode translator.ResultMode) (*Stmt, error) {
 	if err := validText("prepare", text); err != nil {
 		return nil, err
@@ -378,6 +378,9 @@ func (s *Stmt) Columns() []resultset.Column { return s.cols }
 
 // ParamCount returns the number of ? placeholders.
 func (s *Stmt) ParamCount() int { return s.params }
+
+// Cost is 1: the server that holds the statement weighs it itself.
+func (s *Stmt) Cost() int64 { return 1 }
 
 // Execute runs the prepared statement with the given parameters.
 func (s *Stmt) Execute(ctx context.Context, args ...any) (*resultset.Rows, error) {

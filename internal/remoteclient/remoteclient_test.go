@@ -19,6 +19,7 @@ import (
 	"repro/internal/qfront"
 	"repro/internal/resultset"
 	"repro/internal/server"
+	"repro/internal/session"
 	"repro/internal/translator"
 	"repro/internal/wire"
 	"repro/internal/xdm"
@@ -38,20 +39,40 @@ type script struct {
 // scripted is a server.Backend whose statement texts name scripts.
 type scripted map[string]script
 
-// CompileDialect compiles nothing, so admission weighs every statement 1.
-func (scripted) CompileDialect(context.Context, qfront.Dialect, string, translator.ResultMode) (*qcache.CompiledQuery, error) {
-	return nil, errors.New("scripted backend: no compiler")
+// Prepare compiles nothing: the statement looks its script up when it
+// executes, and admission weighs it 1.
+func (b scripted) Prepare(_ context.Context, _ qfront.Dialect, text string, _ translator.ResultMode) (session.Prepared, error) {
+	return scriptedStmt{b, text}, nil
 }
 
-func (b scripted) QueryDialect(ctx context.Context, _ qfront.Dialect, _ translator.ResultMode, text string, _ ...any) (*resultset.Rows, error) {
-	sc, ok := b[text]
+type scriptedStmt struct {
+	b    scripted
+	text string
+}
+
+func (scriptedStmt) Columns() []resultset.Column { return counterColumns }
+
+func (scriptedStmt) ParamCount() int { return 0 }
+
+func (scriptedStmt) Cost() int64 { return 1 }
+
+func (st scriptedStmt) Execute(ctx context.Context, _ ...any) (*resultset.Rows, error) {
+	sc, ok := st.b[st.text]
 	switch {
 	case !ok:
-		return nil, aqerr.Errorf(aqerr.KindPermanent, "scripted", "no script %q", text)
+		return nil, aqerr.Errorf(aqerr.KindPermanent, "scripted", "no script %q", st.text)
 	case sc.early:
 		return nil, sc.err
 	}
 	return resultset.NewStreaming(&counter{n: sc.rows, err: sc.err, stall: sc.stall, ctx: ctx}), nil
+}
+
+func (scripted) Explain(context.Context, qfront.Dialect, string, translator.ResultMode) ([]string, error) {
+	return nil, errors.New("scripted backend: no compiler")
+}
+
+func (scripted) Call(context.Context, string, string, []xdm.Sequence) (xdm.Sequence, error) {
+	return nil, errors.New("scripted backend: no functions")
 }
 
 func (scripted) DefineView(string, string, string) error {
@@ -59,6 +80,8 @@ func (scripted) DefineView(string, string, string) error {
 }
 
 func (scripted) Metadata() catalog.Source { return nil }
+
+func (scripted) QueryTimeout() time.Duration { return 0 }
 
 func (scripted) CompileStats() qcache.Stats { return qcache.Stats{} }
 

@@ -9,9 +9,11 @@
 // line, each row written straight from the chunk's row strings (in text
 // mode, the evaluator's own).
 //
-// The server is deliberately a thin shell over a Backend (the aqualogic
-// Platform satisfies it): translation, planning, caching, resilience, and
-// streaming all stay where they are. What the server adds is the
+// The server is deliberately a thin shell over a Backend, the client
+// contract session.Session that the aqualogic Platform implements: each
+// wire verb serializes one of its calls, a prepared statement is the
+// session's own Prepared, and translation, planning, caching, resilience,
+// and streaming all stay where they are. What the server adds is the
 // multi-tenant discipline a wire boundary forces:
 //
 //   - Sessions. A handshake opens a session; prepared statements and open
@@ -54,28 +56,17 @@ import (
 	"repro/internal/qcache"
 	"repro/internal/qfront"
 	"repro/internal/resultset"
+	"repro/internal/session"
 	"repro/internal/translator"
 	"repro/internal/wire"
 	"repro/internal/xdm"
 )
 
-// Backend is the query-processing surface the server fronts. The
-// aqualogic.Platform satisfies it; tests may substitute fakes.
+// Backend is the session the server serves, plus the three stats reads
+// /v1/stats reports next to the server's own counters. The aqualogic
+// Platform satisfies it; tests may substitute fakes.
 type Backend interface {
-	// CompileDialect translates, checks, and plans a statement through the
-	// shared compile cache; the text is parsed by the dialect's registered
-	// front end.
-	CompileDialect(ctx context.Context, dialect qfront.Dialect, text string, mode translator.ResultMode) (*qcache.CompiledQuery, error)
-	// QueryDialect compiles (cached), binds parameters, and starts a
-	// streaming evaluation, parsing the text with the dialect's front end.
-	QueryDialect(ctx context.Context, dialect qfront.Dialect, mode translator.ResultMode, text string, args ...any) (*resultset.Rows, error)
-	// DefineView registers a logical data service (CREATE VIEW).
-	DefineView(path, name, sql string) error
-	// Metadata is the catalog source metadata endpoints serve from.
-	Metadata() catalog.Source
-	// CompileStats and MetadataStats report the backend's own compile and
-	// metadata caches, and Stats its pipeline counters; /v1/stats serves
-	// them next to the server's counters.
+	session.Session
 	CompileStats() qcache.Stats
 	MetadataStats() catalog.CacheStats
 	Stats() obsv.Snapshot
@@ -169,7 +160,7 @@ type Server struct {
 	adm *admission // cost-weighted admission slots + queue
 
 	mu       sync.Mutex
-	sessions map[string]*session
+	sessions map[string]*wireSession
 	closed   bool
 
 	nextSession atomic.Int64
@@ -199,7 +190,7 @@ func New(b Backend, cfg Config) *Server {
 		baseCtx:  ctx,
 		stop:     cancel,
 		adm:      newAdmission(cfg),
-		sessions: make(map[string]*session),
+		sessions: make(map[string]*wireSession),
 	}
 	if cfg.SessionIdleTimeout > 0 {
 		s.reaperDone = make(chan struct{})
@@ -218,11 +209,11 @@ func (s *Server) Close() {
 		return
 	}
 	s.closed = true
-	open := make([]*session, 0, len(s.sessions))
+	open := make([]*wireSession, 0, len(s.sessions))
 	for _, ss := range s.sessions {
 		open = append(open, ss)
 	}
-	s.sessions = map[string]*session{}
+	s.sessions = map[string]*wireSession{}
 	s.mu.Unlock()
 
 	for _, ss := range open {
@@ -283,7 +274,7 @@ func (s *Server) reapLoop() {
 func (s *Server) reapIdle(now time.Time) {
 	cutoff := now.Add(-s.cfg.SessionIdleTimeout).UnixNano()
 	s.mu.Lock()
-	var idle []*session
+	var idle []*wireSession
 	for id, ss := range s.sessions {
 		if ss.lastUsed.Load() < cutoff {
 			idle = append(idle, ss)
@@ -332,15 +323,15 @@ func (s *Server) fault(ctx context.Context, site string) error {
 	return s.cfg.Faults.Perform(ctx, site, k)
 }
 
-// session is one wire client's server-side state.
-type session struct {
+// wireSession is one wire client's server-side state.
+type wireSession struct {
 	id  string
 	srv *Server
 
 	lastUsed atomic.Int64 // unix nanos of the last request
 
 	mu      sync.Mutex
-	stmts   map[int64]*prepared
+	stmts   map[int64]session.Prepared
 	cursors map[int64]*cursor
 	// execKeys maps an execute idempotency token to the open cursor it
 	// opened: a retried execute replays the cursor instead of
@@ -348,17 +339,6 @@ type session struct {
 	execKeys map[string]int64
 	nextID   int64
 	closed   bool
-}
-
-// prepared is one prepared-statement table entry. Only the statement
-// text, dialect, and mode are pinned: each execution re-resolves the
-// compiled artifact through the shared compile cache, so a catalog change
-// (CREATE VIEW bumping the metadata generation) transparently recompiles
-// instead of executing against a stale plan.
-type prepared struct {
-	sql     string
-	dialect qfront.Dialect
-	mode    translator.ResultMode
 }
 
 // cursor is one open server-side cursor: a streaming result set plus the
@@ -401,10 +381,10 @@ func (s *Server) handshake(ctx context.Context, req wire.HandshakeRequest) (wire
 			"session limit reached (%d open)", s.cfg.MaxSessions)
 	}
 	id := fmt.Sprintf("s%06x", s.nextSession.Add(1))
-	ss := &session{
+	ss := &wireSession{
 		id:       id,
 		srv:      s,
-		stmts:    make(map[int64]*prepared),
+		stmts:    make(map[int64]session.Prepared),
 		cursors:  make(map[int64]*cursor),
 		execKeys: make(map[string]int64),
 	}
@@ -417,7 +397,7 @@ func (s *Server) handshake(ctx context.Context, req wire.HandshakeRequest) (wire
 // lookupSession resolves a session token, touching its idle clock. A
 // token the server no longer knows — never issued, closed, or reaped —
 // is an unavailable-kind error: the client must open a new session.
-func (s *Server) lookupSession(id string) (*session, error) {
+func (s *Server) lookupSession(id string) (*wireSession, error) {
 	s.mu.Lock()
 	ss, ok := s.sessions[id]
 	s.mu.Unlock()
@@ -447,7 +427,7 @@ func (s *Server) closeSession(ctx context.Context, req wire.CloseSessionRequest)
 // close tears a session down: every open cursor is closed, cancelling its
 // evaluation and returning its admission slot. reaped marks the teardown
 // as the idle reaper's (for the cursor-leak counters).
-func (ss *session) close(reaped bool) {
+func (ss *wireSession) close(reaped bool) {
 	ss.mu.Lock()
 	if ss.closed {
 		ss.mu.Unlock()
@@ -459,7 +439,7 @@ func (ss *session) close(reaped bool) {
 		cursors = append(cursors, c)
 	}
 	ss.cursors = map[int64]*cursor{}
-	ss.stmts = map[int64]*prepared{}
+	ss.stmts = map[int64]session.Prepared{}
 	ss.execKeys = map[string]int64{}
 	ss.mu.Unlock()
 	for _, c := range cursors {
@@ -503,17 +483,9 @@ func (s *Server) prepare(ctx context.Context, req wire.PrepareRequest) (wire.Pre
 	if err := s.fault(ctx, "srv/prepare"); err != nil {
 		return wire.PrepareResponse{}, aqerr.Wrap("prepare", err)
 	}
-	mode, err := parseMode(req.Mode)
+	st, err := s.prepareText(ctx, "prepare", req.SQL, req.Dialect, req.Mode)
 	if err != nil {
 		return wire.PrepareResponse{}, err
-	}
-	dialect, err := parseDialect(req.Dialect)
-	if err != nil {
-		return wire.PrepareResponse{}, err
-	}
-	cq, err := s.b.CompileDialect(ctx, dialect, req.SQL, mode)
-	if err != nil {
-		return wire.PrepareResponse{}, aqerr.Wrap("prepare", err)
 	}
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
@@ -522,12 +494,8 @@ func (s *Server) prepare(ctx context.Context, req wire.PrepareRequest) (wire.Pre
 	}
 	ss.nextID++
 	id := ss.nextID
-	ss.stmts[id] = &prepared{sql: req.SQL, dialect: dialect, mode: mode}
-	return wire.PrepareResponse{
-		Stmt:       id,
-		Columns:    cq.Columns,
-		ParamCount: cq.Res.ParamCount,
-	}, nil
+	ss.stmts[id] = st
+	return wire.PrepareResponse{Stmt: id, Columns: st.Columns(), ParamCount: st.ParamCount()}, nil
 }
 
 // execute starts an evaluation — of a prepared statement or of ad-hoc SQL
@@ -556,25 +524,6 @@ func (s *Server) execute(ctx context.Context, req wire.ExecuteRequest) (wire.Exe
 		}
 	}
 
-	sqlText, dialect, mode := req.SQL, qfront.DialectSQL, translator.ModeText
-	if req.Stmt != 0 {
-		ss.mu.Lock()
-		st, ok := ss.stmts[req.Stmt]
-		ss.mu.Unlock()
-		if !ok {
-			return wire.ExecuteResponse{}, aqerr.Errorf(aqerr.KindPermanent, "execute",
-				"unknown prepared statement %d", req.Stmt)
-		}
-		sqlText, dialect, mode = st.sql, st.dialect, st.mode
-	} else {
-		if mode, err = parseMode(req.Mode); err != nil {
-			return wire.ExecuteResponse{}, err
-		}
-		if dialect, err = parseDialect(req.Dialect); err != nil {
-			return wire.ExecuteResponse{}, err
-		}
-	}
-
 	args := make([]any, len(req.Args))
 	for i, a := range req.Args {
 		if a == nil {
@@ -588,14 +537,14 @@ func (s *Server) execute(ctx context.Context, req wire.ExecuteRequest) (wire.Exe
 		args[i] = v
 	}
 
-	// Score the statement through the compile cache (hot for anything seen
-	// before) so admission weighs predicted cost. Statements that fail to
-	// compile score the minimum weight and fail below, in evaluation,
-	// where the error has always surfaced.
-	weight := int64(1)
-	if cq, cerr := s.b.CompileDialect(ctx, dialect, sqlText, mode); cerr == nil {
-		weight = s.adm.weightFor(cq.Cost())
+	// A prepared statement executes as it stands; ad-hoc text is prepared
+	// first, its one resolution through the compile cache. Either way the
+	// statement carries the cost admission weighs it by.
+	st, err := s.statement(ctx, ss, req)
+	if err != nil {
+		return wire.ExecuteResponse{}, err
 	}
+	weight := s.adm.weightFor(st.Cost())
 	budget := time.Duration(req.BudgetMS) * time.Millisecond
 	if err := s.admit(ctx, weight, budget); err != nil {
 		return wire.ExecuteResponse{}, err
@@ -613,7 +562,7 @@ func (s *Server) execute(ctx context.Context, req wire.ExecuteRequest) (wire.Exe
 	if timeout > 0 {
 		evalCtx, cancel = context.WithTimeout(s.baseCtx, timeout)
 	}
-	rows, err := s.b.QueryDialect(evalCtx, dialect, mode, sqlText, args...)
+	rows, err := st.Execute(evalCtx, args...)
 	if err != nil {
 		cancel()
 		s.release(weight)
@@ -658,6 +607,32 @@ func (s *Server) execute(ctx context.Context, req wire.ExecuteRequest) (wire.Exe
 	}
 	ss.mu.Unlock()
 	return chunkResponse(id, cur, first), nil
+}
+
+// statement resolves an execute's statement: a prepared one by id, or
+// ad-hoc text prepared now and kept by no table.
+func (s *Server) statement(ctx context.Context, ss *wireSession, req wire.ExecuteRequest) (session.Prepared, error) {
+	if req.Stmt == 0 {
+		return s.prepareText(ctx, "execute", req.SQL, req.Dialect, req.Mode)
+	}
+	ss.mu.Lock()
+	st, ok := ss.stmts[req.Stmt]
+	ss.mu.Unlock()
+	if !ok {
+		return nil, aqerr.Errorf(aqerr.KindPermanent, "execute", "unknown prepared statement %d", req.Stmt)
+	}
+	return st, nil
+}
+
+// prepareText prepares statement text through the session, under the
+// dialect and result mode it arrived with.
+func (s *Server) prepareText(ctx context.Context, op, text, dialect, mode string) (session.Prepared, error) {
+	d, m, err := parseText(dialect, mode)
+	if err != nil {
+		return nil, err
+	}
+	st, err := s.b.Prepare(ctx, d, text, m)
+	return st, aqerr.Wrap(op, err)
 }
 
 // replayExecute answers a re-presented exec key from the open cursor it
@@ -812,9 +787,9 @@ func (s *Server) closeCursor(ctx context.Context, req wire.CloseCursorRequest) (
 	return wire.CloseCursorResponse{Closed: true}, nil
 }
 
-// explain compiles a statement and renders its artifact as in-process
-// EXPLAIN does, less the per-call cache effects the backend does not
-// report.
+// explain renders a statement's compiled artifact through the session,
+// with this call's compile- and catalog-cache effects, as in-process
+// EXPLAIN does.
 func (s *Server) explain(ctx context.Context, req wire.ExplainRequest) (wire.ExplainResponse, error) {
 	if _, err := s.lookupSession(req.Session); err != nil {
 		return wire.ExplainResponse{}, err
@@ -822,19 +797,15 @@ func (s *Server) explain(ctx context.Context, req wire.ExplainRequest) (wire.Exp
 	if err := s.fault(ctx, "srv/explain"); err != nil {
 		return wire.ExplainResponse{}, aqerr.Wrap("explain", err)
 	}
-	mode, err := parseMode(req.Mode)
+	dialect, mode, err := parseText(req.Dialect, req.Mode)
 	if err != nil {
 		return wire.ExplainResponse{}, err
 	}
-	dialect, err := parseDialect(req.Dialect)
-	if err != nil {
-		return wire.ExplainResponse{}, err
-	}
-	cq, err := s.b.CompileDialect(ctx, dialect, req.SQL, mode)
+	lines, err := s.b.Explain(ctx, dialect, req.SQL, mode)
 	if err != nil {
 		return wire.ExplainResponse{}, aqerr.Wrap("explain", err)
 	}
-	return wire.ExplainResponse{Text: strings.Join(cq.Explain(), "\n")}, nil
+	return wire.ExplainResponse{Text: strings.Join(lines, "\n")}, nil
 }
 
 // createView registers a logical data service through the backend.
@@ -870,28 +841,24 @@ func (s *Server) lookupMeta(ctx context.Context, req wire.LookupRequest) (wire.L
 	return wire.LookupResponse{Meta: meta}, nil
 }
 
-// parseDialect decodes the wire dialect name ("" defaults to SQL-92, so
-// pre-dialect clients interoperate unchanged). Unknown names are a typed
-// permanent error: retrying cannot help.
-func parseDialect(name string) (qfront.Dialect, error) {
-	fe, err := qfront.Lookup(qfront.Dialect(name))
-	if err != nil {
-		return "", aqerr.Errorf(aqerr.KindPermanent, "prepare", "%v", err)
-	}
-	return fe.Dialect(), nil
-}
-
-// parseMode decodes the wire result-mode name ("" defaults to text, the
-// driver's default).
-func parseMode(mode string) (translator.ResultMode, error) {
+// parseText decodes the wire names of the dialect and result mode a
+// statement's text arrives with: "" is SQL-92, so pre-dialect clients
+// interoperate unchanged, and text, the driver's default. An unknown name
+// is a typed permanent error: retrying cannot help.
+func parseText(dialect, mode string) (qfront.Dialect, translator.ResultMode, error) {
+	m := translator.ModeText
 	switch mode {
 	case "", "text":
-		return translator.ModeText, nil
 	case "xml":
-		return translator.ModeXML, nil
+		m = translator.ModeXML
 	default:
-		return 0, aqerr.Errorf(aqerr.KindPermanent, "prepare", "unknown result mode %q", mode)
+		return "", 0, aqerr.Errorf(aqerr.KindPermanent, "prepare", "unknown result mode %q", mode)
 	}
+	fe, err := qfront.Lookup(qfront.Dialect(dialect))
+	if err != nil {
+		return "", 0, aqerr.Errorf(aqerr.KindPermanent, "prepare", "%v", err)
+	}
+	return fe.Dialect(), m, nil
 }
 
 // wireError flattens an error for transit, classifying unclassified ones

@@ -44,7 +44,7 @@ func TestPlatformConcurrentUse(t *testing.T) {
 						return
 					}
 				case 2:
-					if _, tr, err := p.Explain("SELECT COUNT(*) FROM PAYMENTS", ModeXML); err != nil || tr == nil {
+					if _, tr, err := p.ExplainDialect(DialectSQL, "SELECT COUNT(*) FROM PAYMENTS", ModeXML); err != nil || tr == nil {
 						t.Errorf("explain: %v", err)
 						return
 					}
@@ -120,6 +120,85 @@ func TestConcurrentRenderOfCachedStatement(t *testing.T) {
 	}
 	if n := stageCount(p, "serialize"); n != explains.Load() {
 		t.Fatalf("serialize histogram = %d, want one per EXPLAIN (%d)", n, explains.Load())
+	}
+}
+
+// TestConcurrentPreparedAcrossViewChurn races one prepared statement's
+// executions against CREATE VIEW in another session, on both sides of the
+// wire: an in-process statement and a served one, each executed from
+// several goroutines, while a second wire session defines views. Every
+// view retires the statements' artifacts, and whichever execution finds
+// its artifact stale swaps in the recompiled one; every execution must
+// answer as the first did.
+func TestConcurrentPreparedAcrossViewChurn(t *testing.T) {
+	p, srv, c := newLoopback(t, server.Config{SessionIdleTimeout: time.Minute})
+	other, err := remoteclient.Loopback(srv.Handler())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer other.Close()
+	ctx := context.Background()
+	const q = "SELECT CUSTOMERNAME, CITY FROM CUSTOMERS WHERE CUSTOMERID = ?"
+	local, err := p.Prepare(ctx, DialectSQL, q, ModeText)
+	if err != nil {
+		t.Fatal(err)
+	}
+	served, err := c.Prepare(ctx, q, ModeText)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := local.Execute(ctx, 1005)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := drainClose(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	misses := p.CompileStats().Misses
+
+	type executor interface {
+		Execute(context.Context, ...any) (*Rows, error)
+	}
+	stmts := []executor{local, served}
+	check := func(st executor) bool {
+		rows, err := st.Execute(ctx, 1005)
+		if err != nil {
+			t.Errorf("execute: %v", err)
+			return false
+		}
+		if got, err := drainClose(rows); err != nil || got != want {
+			t.Errorf("execute: %q, %v; want %q", got, err, want)
+			return false
+		}
+		return true
+	}
+	var wg sync.WaitGroup
+	for _, st := range stmts {
+		for g := 0; g < 3; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 20; i++ {
+					if !check(st) {
+						return
+					}
+				}
+			}()
+		}
+	}
+	for v := 0; v < 6; v++ {
+		if err := other.DefineView(ctx, "Views", fmt.Sprintf("V_CHURN_%d", v), "SELECT CUSTOMERID FROM CUSTOMERS"); err != nil {
+			t.Errorf("create view %d: %v", v, err)
+		}
+	}
+	wg.Wait()
+	// Past the last view, each statement recompiles once more at most.
+	for _, st := range stmts {
+		check(st)
+	}
+	if got := p.CompileStats().Misses; got <= misses {
+		t.Fatalf("no execution recompiled across 6 views (misses %d -> %d)", misses, got)
 	}
 }
 

@@ -28,6 +28,7 @@ import (
 
 	"repro/internal/aqerr"
 	"repro/internal/catalog"
+	"repro/internal/demo"
 	"repro/internal/faultnet"
 	"repro/internal/remoteclient"
 	"repro/internal/server"
@@ -592,6 +593,92 @@ func TestServeFetchRowsAreText(t *testing.T) {
 		if ex.Cursor != 0 || !ex.EOF || ex.Error != nil || !reflect.DeepEqual(ex.Rows, want) {
 			t.Fatalf("mode %v: executed %+v, want rows %q, EOF and no cursor", mode, ex, want)
 		}
+	}
+}
+
+// TestServedExecuteResolvesNoText: a served prepared statement executes
+// the artifact it holds, so 50 executions leave the compile cache's
+// lookups (hits, misses and shared flights) where they were, and an
+// ad-hoc execute resolves its text exactly once.
+func TestServedExecuteResolvesNoText(t *testing.T) {
+	p, _, c := newLoopback(t, server.Config{SessionIdleTimeout: time.Minute})
+	ctx := context.Background()
+	lookups := func() int64 {
+		s := p.CompileStats()
+		return s.Hits + s.Misses + s.Shared
+	}
+	st, err := c.Prepare(ctx, "SELECT CUSTOMERNAME FROM CUSTOMERS WHERE CUSTOMERID = ?", ModeText)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := lookups()
+	for i := 0; i < 50; i++ {
+		rows, err := st.Execute(ctx, 1000+i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := drainClose(rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := lookups() - before; got != 0 {
+		t.Fatalf("50 prepared executions made %d compile-cache lookups, want 0", got)
+	}
+	for i := 0; i < 3; i++ {
+		before := lookups()
+		rows, err := c.QueryDialect(ctx, "", ModeText, "SELECT CITY FROM CUSTOMERS WHERE CUSTOMERID = 1003")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := drainClose(rows); err != nil {
+			t.Fatal(err)
+		}
+		if got := lookups() - before; got != 1 {
+			t.Fatalf("ad-hoc execute %d made %d compile-cache lookups, want 1", i, got)
+		}
+	}
+}
+
+// TestServedTextRowsPassRaw: a served text-mode result leaves as the
+// evaluator's own row text, with no row decoded into atoms and encoded
+// again on the way out. Serving a 2,500-row scan through execute and
+// fetch — evaluation, chunking and the handler included — allocates well
+// under once per row; a decode and re-encode costs several allocations
+// per row.
+func TestServedTextRowsPassRaw(t *testing.T) {
+	app, _, engine := demo.Setup(demo.Sizes{Customers: 2500})
+	srv := server.New(New(app, engine), server.Config{SessionIdleTimeout: time.Minute})
+	defer srv.Close()
+	h := srv.Handler()
+	session := wireSession(t, h)
+	const sql = "SELECT CUSTOMERID, CUSTOMERNAME, CITY FROM CUSTOMERS"
+	drain := func() int {
+		_, body := postRaw(t, h, wire.PathExecute, wire.ExecuteRequest{Session: session, SQL: sql})
+		var ex wire.ExecuteResponse
+		if err := wire.ReadBody(body, &ex); err != nil || ex.Error != nil {
+			t.Fatalf("execute: %v %v", err, ex.Error)
+		}
+		n, eof := len(ex.Rows), ex.EOF
+		for seq := int64(2); !eof; seq++ {
+			_, body := postRaw(t, h, wire.PathFetch, wire.FetchRequest{Session: session, Cursor: ex.Cursor, Seq: seq})
+			var fr wire.FetchResponse
+			if err := wire.ReadBody(body, &fr); err != nil || fr.Error != nil {
+				t.Fatalf("fetch %d: %v %v", seq, err, fr.Error)
+			}
+			n, eof = n+len(fr.Rows), fr.EOF
+		}
+		postRaw(t, h, wire.PathCloseCursor, wire.CloseCursorRequest{Session: session, Cursor: ex.Cursor})
+		return n
+	}
+	drain() // compile once, outside the measurement
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	n := drain()
+	runtime.ReadMemStats(&after)
+	perRow := float64(after.Mallocs-before.Mallocs) / float64(n)
+	t.Logf("%d rows, %.2f allocations per row", n, perRow)
+	if n != 2500 || perRow > 1 {
+		t.Fatalf("%d rows at %.2f allocations per row, want 2500 rows at ≤ 1 (are text rows decoded and re-encoded?)", n, perRow)
 	}
 }
 

@@ -3,71 +3,107 @@ package aqualogic
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"time"
 
-	"repro/internal/driver"
+	"repro/internal/qcache"
 	"repro/internal/resultset"
+	"repro/internal/session"
 )
 
-// session is the platform as the database/sql driver sees it: one is
-// registered per RegisterDriver name. It holds nothing but the platform,
-// so every call reads the current metadata stack, compile cache and
-// resilience settings.
-type session struct{ *Platform }
+// Prepare implements session.Session: the statement compiles once,
+// through the platform's compile cache, and executes many times.
+func (p *Platform) Prepare(ctx context.Context, dialect Dialect, text string, mode ResultMode) (session.Prepared, error) {
+	st := &prepared{p: p, dialect: dialect, text: text, mode: mode}
+	if _, err := st.recompile(ctx); err != nil {
+		return nil, err
+	}
+	return st, nil
+}
 
-// Prepare implements driver.Session: the facade's compile step.
-func (s session) Prepare(ctx context.Context, dialect Dialect, text string, mode ResultMode) (driver.Prepared, error) {
-	cq, _, err := s.compile(ctx, dialect, text, mode)
+// prepared is a statement the platform compiled. It resolves no text
+// while its artifact stands: an execution checks the artifact's stamps
+// (metadata, statistics and source generations) and the identity of the
+// cache that issued it, since a rebuilt metadata stack gets a new cache,
+// and recompiles only when one has moved on.
+type prepared struct {
+	p       *Platform
+	dialect Dialect
+	text    string
+	mode    ResultMode
+	cur     atomic.Pointer[issued]
+}
+
+// issued is an artifact and the compile cache that issued it.
+type issued struct {
+	cq *CompiledQuery
+	qc *qcache.Cache
+}
+
+func (st *prepared) Columns() []resultset.Column { return st.cur.Load().cq.Columns }
+
+func (st *prepared) ParamCount() int { return st.cur.Load().cq.Res.ParamCount }
+
+// Cost is the current artifact's admission score; an execution that
+// recompiles is weighed by the artifact it replaces.
+func (st *prepared) Cost() int64 { return st.cur.Load().cq.Cost() }
+
+// Execute traces the evaluation into the platform's stage histograms, so
+// prepared statements on every transport appear in its Stats.
+func (st *prepared) Execute(ctx context.Context, args ...any) (*Rows, error) {
+	is := st.cur.Load()
+	cq := is.cq
+	if is.qc != st.p.queryCache() || !is.qc.Fresh(cq) {
+		var err error
+		if cq, err = st.recompile(ctx); err != nil {
+			return nil, err
+		}
+	}
+	return st.p.execute(ctx, cq, args, st.p.trace(cq.SQL))
+}
+
+// recompile resolves the statement through the platform's compile cache
+// and swaps the result in; executions racing it keep the artifact they
+// loaded. The cache is read first, so an artifact is never labelled with
+// a cache newer than the one it came from.
+func (st *prepared) recompile(ctx context.Context) (*CompiledQuery, error) {
+	qc := st.p.queryCache()
+	cq, _, err := st.p.compile(ctx, st.dialect, st.text, st.mode)
 	if err != nil {
 		return nil, err
 	}
-	return prepared{s.Platform, cq}, nil
+	st.cur.Store(&issued{cq: cq, qc: qc})
+	return cq, nil
 }
 
-// prepared executes one compiled statement through the facade's tail.
-type prepared struct {
-	p  *Platform
-	cq *CompiledQuery
+// Call implements session.Session.
+func (p *Platform) Call(ctx context.Context, namespace, name string, args []Sequence) (Sequence, error) {
+	return p.Engine.CallContext(ctx, namespace, name, args)
 }
 
-func (st prepared) Columns() []resultset.Column { return st.cq.Columns }
-
-func (st prepared) ParamCount() int { return st.cq.Res.ParamCount }
-
-// Execute traces the evaluation into the platform's stage histograms, so
-// database/sql statements appear in its Stats.
-func (st prepared) Execute(ctx context.Context, args ...any) (*Rows, error) {
-	return st.p.execute(ctx, st.cq, args, st.p.trace(st.cq.SQL))
-}
-
-// Call implements driver.Session.
-func (s session) Call(ctx context.Context, namespace, name string, args []Sequence) (Sequence, error) {
-	return s.Engine.CallContext(ctx, namespace, name, args)
-}
-
-// QueryTimeout implements driver.Session: EnableResilience's default
+// QueryTimeout implements session.Session: EnableResilience's default
 // statement deadline.
-func (s session) QueryTimeout() time.Duration {
-	s.cacheMu.Lock()
-	defer s.cacheMu.Unlock()
-	if s.resilience == nil {
+func (p *Platform) QueryTimeout() time.Duration {
+	p.cacheMu.Lock()
+	defer p.cacheMu.Unlock()
+	if p.resilience == nil {
 		return 0
 	}
-	return s.resilience.QueryTimeout
+	return p.resilience.QueryTimeout
 }
 
-// Explain implements driver.Session. It resolves the statement through the
+// Explain implements session.Session. It resolves the statement through the
 // compile cache — compiling only when no artifact exists, exactly like
 // Prepare — and renders the artifact with this call's compile- and
 // catalog-cache effects. EXPLAIN of a statement the platform has already
 // compiled performs no translation at all.
-func (s session) Explain(ctx context.Context, dialect Dialect, text string, mode ResultMode) ([]string, error) {
-	before := s.MetadataStats()
-	cq, hit, err := s.compile(ctx, dialect, text, mode)
+func (p *Platform) Explain(ctx context.Context, dialect Dialect, text string, mode ResultMode) ([]string, error) {
+	before := p.MetadataStats()
+	cq, hit, err := p.compile(ctx, dialect, text, mode)
 	if err != nil {
 		return nil, err
 	}
-	after := s.MetadataStats()
+	after := p.MetadataStats()
 	status := "miss (compiled now)"
 	if hit {
 		status = "hit (stage trace below is the original compile's)"
