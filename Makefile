@@ -5,10 +5,13 @@ FUZZTIME ?= 10s
 
 ci: vet build bench-vet race stress chaos soak federate-smoke serve-smoke bench-smoke fuzz bench-module
 
-# vet also fails on any Go file gofmt would rewrite.
+# vet also fails on any Go file gofmt would rewrite, and on any non-test
+# Go file but its definition that names the morsel executor's test seam:
+# fan-out is the engine's own decision, never a caller's knob.
 vet:
 	$(GO) vet ./...
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
+	@seam=$$(grep -rlw --include='*.go' --exclude='*_test.go' ForceFanOutForTest . | grep -vx './internal/xqeval/parallel.go'); if [ -n "$$seam" ]; then echo "ForceFanOutForTest named outside tests:"; echo "$$seam"; exit 1; fi
 
 build:
 	$(GO) build ./...

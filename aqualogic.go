@@ -140,10 +140,6 @@ type (
 	FaultKind = faultnet.Kind
 	// EvalLimits caps evaluator resources (rows, tuples, recursion depth).
 	EvalLimits = xqeval.Limits
-	// ExecConfig configures the evaluator's morsel-style parallel
-	// execution (worker count, morsel size, minimum scan size); install it
-	// with Platform.ConfigureExec.
-	ExecConfig = xqeval.ExecConfig
 	// SourceStats is one data service's collected statistics (row count,
 	// per-column distinct estimates, average row width) — the cost model's
 	// input, populated lazily on first scan or eagerly by AnalyzeStats.
@@ -311,20 +307,6 @@ func (p *Platform) EnableResilience(cfg ResilienceConfig) {
 		lim.MaxRows = cfg.MaxRows
 		p.Engine.SetLimits(lim)
 	}
-}
-
-// ConfigureExec installs the evaluator's parallel-execution settings:
-// Workers caps the per-query morsel worker pool (0 = GOMAXPROCS, 1 =
-// serial), MorselSize the scan partition size, MinParallelItems the
-// smallest scan worth fanning out. Serial and parallel execution are
-// byte-identical — rows, errors, resource-limit trips and tuple counts —
-// because workers charge limits per morsel and the in-order merge point
-// re-runs serially any morsel that crosses one; the knob trades
-// coordination overhead, and at most a window of 2×Workers morsels of
-// speculative work past a FETCH FIRST stop or limit trip, for scan/join
-// throughput.
-func (p *Platform) ConfigureExec(cfg ExecConfig) {
-	p.Engine.SetExec(cfg)
 }
 
 // AnalyzeStats eagerly collects source statistics for every table-shaped

@@ -25,6 +25,7 @@ import (
 	"repro/internal/resultset"
 	"repro/internal/translator"
 	"repro/internal/xdm"
+	"repro/internal/xqeval"
 	"repro/internal/xquery"
 )
 
@@ -430,7 +431,7 @@ func BenchmarkParallelScan(b *testing.B) {
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			p := Demo()
-			p.ConfigureExec(ExecConfig{Workers: workers, MorselSize: 8, MinParallelItems: 2})
+			xqeval.ForceFanOutForTest(p.Engine, workers, 8, 2)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				rows, err := p.Query(sql)

@@ -23,6 +23,7 @@ import (
 	"repro/internal/faultnet"
 	"repro/internal/remoteclient"
 	"repro/internal/server"
+	"repro/internal/xqeval"
 )
 
 // chaosCorpus mirrors the differential corpus (EXPLAIN golden SQL plus
@@ -512,12 +513,12 @@ func TestServeChaos(t *testing.T) {
 // fault-free (parallel) run. Runs under -race via the chaos CI target.
 func TestChaosParallelExecution(t *testing.T) {
 	sizes := demo.Sizes{Customers: 12, PaymentsPerCustomer: 2, Orders: 12, ItemsPerOrder: 2}
-	parCfg := ExecConfig{Workers: 8, MorselSize: 4, MinParallelItems: 2}
+	parallel := func(p *Platform) { xqeval.ForceFanOutForTest(p.Engine, 8, 4, 2) }
 
 	// Fault-free parallel baseline for byte-identity.
 	app, _, engine := demo.Setup(sizes)
 	base := New(app, engine)
-	base.ConfigureExec(parCfg)
+	parallel(base)
 	want := make(map[string]string, len(chaosCorpus()))
 	for _, sql := range chaosCorpus() {
 		rows, err := base.Query(sql, chaosArgs(strings.Count(sql, "?"))...)
@@ -535,7 +536,8 @@ func TestChaosParallelExecution(t *testing.T) {
 		Latency:      200 * time.Microsecond,
 		StallTimeout: 5 * time.Millisecond,
 	})
-	p.ConfigureExec(parCfg)
+	parallel(p)
+	morsels := p.Stats().MorselsProcessed
 
 	iters := 3
 	if testing.Short() {
@@ -578,6 +580,9 @@ func TestChaosParallelExecution(t *testing.T) {
 
 	if successes == 0 {
 		t.Fatalf("no retried successes under parallel chaos (%d failures)", failures)
+	}
+	if got := p.Stats().MorselsProcessed; got == morsels {
+		t.Fatalf("no scan fanned out under parallel chaos (morsels %d -> %d)", morsels, got)
 	}
 	var injected int64
 	for _, r := range inj.Report() {

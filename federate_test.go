@@ -19,6 +19,7 @@ import (
 	"repro/internal/demo"
 	"repro/internal/translator"
 	"repro/internal/xdm"
+	"repro/internal/xqeval"
 )
 
 // federatedPlatform assembles the multi-source deployment from the demo
@@ -85,14 +86,16 @@ func federatedBindings(res *translator.Result) map[string]xdm.Sequence {
 
 // TestFederatedMatchesSingleSource holds federated execution byte-identical
 // to the single-source oracle across both result modes and worker counts,
-// and proves the scattered path actually ran.
+// and proves the scattered path and the morsel workers actually ran.
 func TestFederatedMatchesSingleSource(t *testing.T) {
 	fed := federatedPlatform(t, demo.DefaultFederatedSizes, false)
 	ora := oraclePlatform(demo.DefaultFederatedSizes)
 
 	before := fed.Stats()
 	for _, workers := range []int{1, 8} {
-		fed.ConfigureExec(ExecConfig{Workers: workers})
+		// 4-item morsels from 2 items up, so the demo-sized scans fan out.
+		xqeval.ForceFanOutForTest(fed.Engine, workers, 4, 2)
+		morsels := fed.Stats().MorselsProcessed
 		for _, mode := range []ResultMode{ModeXML, ModeText} {
 			for _, q := range federatedCorpus() {
 				fcq, err := fed.Compile(q, mode)
@@ -116,6 +119,9 @@ func TestFederatedMatchesSingleSource(t *testing.T) {
 					t.Fatalf("workers=%d mode=%v: %q diverged\nfederated: %s\noracle:    %s", workers, mode, q, g, w)
 				}
 			}
+		}
+		if got := fed.Stats().MorselsProcessed; workers > 1 && got == morsels {
+			t.Fatalf("workers=%d: no scan fanned out (morsels %d -> %d)", workers, morsels, got)
 		}
 	}
 	after := fed.Stats()
@@ -353,8 +359,23 @@ func FuzzFederatedDifferential(f *testing.F) {
 	}
 	sz := demo.FederatedSizes{Accounts: 8, Invoices: 12, Orders: 20, Shards: 3}
 	fed := federatedPlatform(f, sz, false)
-	fed.ConfigureExec(ExecConfig{Workers: 8})
+	xqeval.ForceFanOutForTest(fed.Engine, 8, 4, 2)
 	ora := oraclePlatform(sz)
+	// The federated side must really fan out, or the fuzzer compares
+	// serial against serial.
+	morsels := fed.Stats().MorselsProcessed
+	for _, q := range federatedCorpus() {
+		cq, err := fed.Compile(q, ModeText)
+		if err != nil {
+			f.Fatalf("federated compile %q: %v", q, err)
+		}
+		if _, err := fed.Engine.EvalPlanWithTrace(context.Background(), cq.Plan, federatedBindings(cq.Res), nil); err != nil {
+			f.Fatalf("federated eval %q: %v", q, err)
+		}
+	}
+	if got := fed.Stats().MorselsProcessed; got == morsels {
+		f.Fatalf("no scan fanned out (morsels %d -> %d)", morsels, got)
+	}
 
 	f.Fuzz(func(t *testing.T, sqlText string) {
 		for _, mode := range []ResultMode{ModeXML, ModeText} {

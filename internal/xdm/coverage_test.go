@@ -167,13 +167,6 @@ func TestMarshalStandaloneNodes(t *testing.T) {
 	}
 }
 
-func TestSequenceAppend(t *testing.T) {
-	s := Sequence{}.Append(Integer(1)).Append(Integer(2), Integer(3))
-	if len(s) != 3 {
-		t.Fatalf("len = %d", len(s))
-	}
-}
-
 func TestOperatorStringers(t *testing.T) {
 	ops := []string{OpEq.String(), OpNe.String(), OpLt.String(), OpLe.String(), OpGt.String(), OpGe.String()}
 	if strings.Join(ops, " ") != "eq ne lt le gt ge" {

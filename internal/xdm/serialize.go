@@ -2,7 +2,6 @@ package xdm
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -226,24 +225,4 @@ func SortKey(n Node) string {
 		return true
 	})
 	return strings.Join(parts, "\x00|")
-}
-
-// SortedAtomics returns a copy of the sequence's atomic items in ascending
-// order; non-atomic items are atomized first. Used by distinct-values and
-// by tests that need order-insensitive comparison.
-func SortedAtomics(s Sequence) []Atomic {
-	atoms := make([]Atomic, 0, len(s))
-	for _, it := range Atomize(s) {
-		if a, ok := it.(Atomic); ok {
-			atoms = append(atoms, a)
-		}
-	}
-	sort.Slice(atoms, func(i, j int) bool {
-		c, err := OrderAtomic(atoms[i], atoms[j])
-		if err != nil {
-			return atoms[i].Lexical() < atoms[j].Lexical()
-		}
-		return c < 0
-	})
-	return atoms
 }

@@ -71,23 +71,6 @@ func (s Sequence) Singleton() (Item, error) {
 	}
 }
 
-// Append returns s extended with items; it exists for readability at call
-// sites that assemble result sequences.
-func (s Sequence) Append(items ...Item) Sequence { return append(s, items...) }
-
-// Concat concatenates sequences into a new sequence.
-func Concat(seqs ...Sequence) Sequence {
-	n := 0
-	for _, s := range seqs {
-		n += len(s)
-	}
-	out := make(Sequence, 0, n)
-	for _, s := range seqs {
-		out = append(out, s...)
-	}
-	return out
-}
-
 // SequenceOf builds a sequence from items, dropping nils.
 func SequenceOf(items ...Item) Sequence {
 	out := make(Sequence, 0, len(items))

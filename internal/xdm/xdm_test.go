@@ -36,16 +36,6 @@ func TestSequenceOfDropsNil(t *testing.T) {
 	}
 }
 
-func TestConcat(t *testing.T) {
-	s := Concat(SequenceOf(Integer(1)), nil, SequenceOf(Integer(2), Integer(3)))
-	if len(s) != 3 {
-		t.Fatalf("expected 3 items, got %d", len(s))
-	}
-	if s[2].(Integer) != 3 {
-		t.Fatalf("unexpected order: %v", s)
-	}
-}
-
 func TestQNameEqualIgnoresPrefix(t *testing.T) {
 	a := QName{Space: "urn:x", Prefix: "p", Local: "n"}
 	b := QName{Space: "urn:x", Prefix: "q", Local: "n"}
@@ -478,14 +468,6 @@ func TestSortKeyDistinguishesNullFromEmpty(t *testing.T) {
 	withoutA := NewElement("R")         // column absent: SQL NULL
 	if SortKey(withEmpty) == SortKey(withoutA) {
 		t.Fatal("empty string and NULL must have distinct row keys")
-	}
-}
-
-func TestSortedAtomics(t *testing.T) {
-	s := SequenceOf(Integer(3), Integer(1), Integer(2))
-	atoms := SortedAtomics(s)
-	if len(atoms) != 3 || atoms[0].(Integer) != 1 || atoms[2].(Integer) != 3 {
-		t.Fatalf("sorted = %v", atoms)
 	}
 }
 

@@ -155,7 +155,7 @@ func corrParams(n int) map[string]xdm.Sequence {
 
 func TestCorrelatedLookupsMatchNaive(t *testing.T) {
 	app, e := corrSetup(t)
-	defer e.SetExec(xqeval.ExecConfig{})
+	defer xqeval.ForceFanOutForTest(e, 0, 0, 0)
 	ctx := context.Background()
 	for _, mode := range []translator.ResultMode{translator.ModeXML, translator.ModeText} {
 		tr := translator.New(app)
@@ -188,7 +188,7 @@ func TestCorrelatedLookupsMatchNaive(t *testing.T) {
 				for _, workers := range []int{1, 2, 8} {
 					// Two-row morsels: the eight customers fan out to four
 					// morsels, whose workers race to build the shared table.
-					e.SetExec(xqeval.ExecConfig{Workers: workers, MorselSize: 2, MinParallelItems: 2})
+					xqeval.ForceFanOutForTest(e, workers, 2, 2)
 					got, err := e.EvalPlanWithTrace(ctx, plan, ext, nil)
 					if err != nil {
 						t.Fatalf("%q, mode %v, workers %d: %v", sql, mode, workers, err)

@@ -48,7 +48,6 @@ type Engine struct {
 	funcs       map[funcKey]*registration
 	middlewares []Middleware
 	limits      Limits
-	exec        ExecConfig
 	// srcStats caches per-data-service statistics for the cost-based
 	// planner (stats.go).
 	srcStats sourceStatsStore
@@ -243,21 +242,6 @@ func (e *Engine) Limits() Limits {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return e.limits
-}
-
-// SetExec installs the parallel-execution configuration (parallel.go).
-func (e *Engine) SetExec(c ExecConfig) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.exec = c
-}
-
-// Exec returns the installed parallel-execution configuration, with zero
-// fields resolved to their defaults.
-func (e *Engine) Exec() ExecConfig {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.exec.withDefaults()
 }
 
 // Error is an evaluation error (a dynamic error in XQuery terms).

@@ -268,7 +268,7 @@ func TestColumnKernelsMatchGeneric(t *testing.T) {
 	// materialized and streamed, against naive: filters exactly (same rows
 	// or same error text), hash joins wherever naive raises no error (a
 	// probe may skip a comparison that would have failed).
-	defer e.SetExec(ExecConfig{})
+	defer ForceFanOutForTest(e, 0, 0, 0)
 	ctx := context.Background()
 	type stmt struct {
 		body  string
@@ -286,14 +286,14 @@ func TestColumnKernelsMatchGeneric(t *testing.T) {
 		plans := []*Plan{NewPlan(q), NewPlanStats(q, e)}
 		for _, p := range operands {
 			ext := map[string]xdm.Sequence{"p1": p}
-			e.SetExec(ExecConfig{Workers: 1})
+			ForceFanOutForTest(e, 1, 0, 0)
 			naive, nerr := e.EvalNaiveWithTrace(ctx, q, ext, nil)
 			want := outcomeSeq(naive, nerr)
 			wantStream := drainKernelStream(e.EvalStreamNaive(ctx, q, ext, nil))
 			var first string
 			for pi, plan := range plans {
 				for _, workers := range []int{1, 2, 8} {
-					e.SetExec(ExecConfig{Workers: workers, MorselSize: 2, MinParallelItems: 2})
+					ForceFanOutForTest(e, workers, 2, 2)
 					got, err := e.EvalPlanWithTrace(ctx, plan, ext, nil)
 					gotOut := outcomeSeq(got, err)
 					streamed := drainKernelStream(e.EvalStream(ctx, plan, ext, nil))

@@ -1,6 +1,7 @@
 package xqeval
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"runtime"
@@ -49,65 +50,76 @@ import (
 // left is external cancellation, whose timing is inherently racy in both
 // paths.
 
-// ExecConfig configures parallel query execution. The zero value resolves
-// to GOMAXPROCS workers; Workers=1 (or any negative value) forces the
-// serial path, which is byte-identical anyway.
-type ExecConfig struct {
-	// Workers caps the worker pool per parallel segment. 0 resolves to
-	// runtime.GOMAXPROCS(0); 1 or less disables parallel execution.
-	Workers int
-	// MorselSize is the number of outer-scan items per work unit
-	// (default 1024). Smaller morsels balance skewed per-item cost at more
-	// coordination overhead.
-	MorselSize int
-	// MinParallelItems is the smallest outer scan worth fanning out
-	// (default 4096); below it the serial path always wins.
-	MinParallelItems int
+// The morsel executor decides fan-out itself, as a dispatcher does: no
+// caller configures it. A segment whose source holds at least
+// minParallelItems items is cut into morsels of morselSize items, run by up
+// to GOMAXPROCS workers; GOMAXPROCS=1 is the serial path.
+const (
+	morselSize       = 1024
+	minParallelItems = 4096
+)
+
+// fanOut is the executor's shape for one segment: workers, items per
+// morsel, and the smallest source worth fanning out.
+type fanOut struct{ workers, morselSize, minItems int }
+
+// forcedFanOut maps an *Engine to the fanOut ForceFanOutForTest installed.
+// Nothing outside tests stores into it, so the default decision reads an
+// empty map.
+var forcedFanOut sync.Map
+
+// ForceFanOutForTest makes e fan out with the given shape, so tests can run
+// the morsel executor on demo-sized data: workers per segment (0 reads
+// GOMAXPROCS, 1 is serial), items per morsel and the smallest source that
+// fans out (0 keeps the defaults). All zeros restore the defaults.
+func ForceFanOutForTest(e *Engine, workers, morsel, minItems int) {
+	if workers == 0 && morsel == 0 && minItems == 0 {
+		forcedFanOut.Delete(e)
+		return
+	}
+	forcedFanOut.Store(e, fanOut{workers, cmp.Or(morsel, morselSize), cmp.Or(minItems, minParallelItems)})
 }
 
-func (c ExecConfig) withDefaults() ExecConfig {
-	if c.Workers == 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
+// fanOutFor decides whether e fans out a source of n items, and how. The
+// row count is checked before GOMAXPROCS is read, so a small scan takes no
+// runtime lock.
+func fanOutFor(e *Engine, n int) (fanOut, bool) {
+	f := fanOut{morselSize: morselSize, minItems: minParallelItems}
+	if v, ok := forcedFanOut.Load(e); ok {
+		f = v.(fanOut)
 	}
-	if c.Workers < 1 {
-		c.Workers = 1
+	if n < f.minItems {
+		return f, false
 	}
-	if c.MorselSize <= 0 {
-		c.MorselSize = 1024
+	if f.workers == 0 {
+		f.workers = runtime.GOMAXPROCS(0)
 	}
-	if c.MinParallelItems <= 0 {
-		c.MinParallelItems = 4096
-	}
-	return c
+	return f, f.workers > 1
 }
 
-// canParallel reports whether one segment qualifies for morsel execution
-// under the engine's installed ExecConfig, returning the resolved config.
+// canParallel reports whether one segment qualifies for morsel execution.
 // The shape requirements: exactly one driving tuple (so morsels partition
 // one scan, not a cross product), an invariant plain for as the first op
 // with its source already materialized by prepare (eager plans only), at
-// least MinParallelItems of it, a live evaluation (counters present), and
+// least minParallelItems of it, a live evaluation (counters present), and
 // not already inside a parallel region (no nested fan-out).
-func (ex *flworExec) canParallel(ops []planOp, tuples []*scope) (ExecConfig, bool) {
+func (ex *flworExec) canParallel(ops []planOp, tuples []*scope) bool {
 	if !ex.fp.eager || len(tuples) != 1 {
-		return ExecConfig{}, false
+		return false
 	}
 	eval := tuples[0].st
 	if eval.engine == nil || eval.counters == nil || eval.counters.worker {
-		return ExecConfig{}, false
+		return false
 	}
 	if len(ops) == 0 || ops[0].kind != opKindFor || !ops[0].invariant || ops[0].hash != nil {
-		return ExecConfig{}, false
+		return false
 	}
 	st := &ex.states[ops[0].stateIdx]
 	if !st.done {
-		return ExecConfig{}, false
+		return false
 	}
-	cfg := eval.engine.Exec()
-	if cfg.Workers <= 1 || len(st.seq) < cfg.MinParallelItems {
-		return ExecConfig{}, false
-	}
-	return cfg, true
+	_, ok := fanOutFor(eval.engine, len(st.seq))
+	return ok
 }
 
 // morselResult is one morsel's buffered output: emitted values on the final
@@ -144,14 +156,15 @@ type morselCharge struct {
 // scopes are collected and returned (the caller's barrier input), re-homed
 // on the caller's state since execution is single-threaded again from
 // there.
-func (ex *flworExec) runParallel(ops []planOp, base *scope, cfg ExecConfig, final bool, emit func(xdm.Sequence) error) ([]*scope, error) {
+func (ex *flworExec) runParallel(ops []planOp, base *scope, final bool, emit func(xdm.Sequence) error) ([]*scope, error) {
 	op := &ops[0]
 	seq := ex.states[op.stateIdx].seq
-	num := (len(seq) + cfg.MorselSize - 1) / cfg.MorselSize
-	workers := min(cfg.Workers, num)
+	st := base.st
+	f, _ := fanOutFor(st.engine, len(seq))
+	num := (len(seq) + f.morselSize - 1) / f.morselSize
+	workers := min(f.workers, num)
 	window := min(workers*2, num)
 
-	st := base.st
 	parentCtx := st.goCtx
 	if parentCtx == nil {
 		parentCtx = context.Background()
@@ -197,7 +210,7 @@ func (ex *flworExec) runParallel(ops []planOp, base *scope, cfg ExecConfig, fina
 				}
 				wc.rows, wc.tuples = 0, 0
 				r := &morselResult{}
-				ex.runMorsel(ops, ws, seq, m*cfg.MorselSize, min((m+1)*cfg.MorselSize, len(seq)), final, r, nil)
+				ex.runMorsel(ops, ws, seq, m*f.morselSize, min((m+1)*f.morselSize, len(seq)), final, r, nil)
 				results[m] = r
 				close(done[m])
 				completed.Add(1)
@@ -257,7 +270,7 @@ func (ex *flworExec) runParallel(ops []planOp, base *scope, cfg ExecConfig, fina
 	rerun := func(m int, rows, tuples int64, drift []morselCharge) *morselResult {
 		rc := &evalCounters{rows: rows, tuples: tuples}
 		r := &morselResult{}
-		ex.runMorsel(ops, base.on(parentCtx, rc), seq, m*cfg.MorselSize, min((m+1)*cfg.MorselSize, len(seq)), final, r, drift)
+		ex.runMorsel(ops, base.on(parentCtx, rc), seq, m*f.morselSize, min((m+1)*f.morselSize, len(seq)), final, r, drift)
 		counters.steps += rc.steps
 		counters.pruned += rc.pruned
 		return r

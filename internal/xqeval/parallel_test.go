@@ -29,10 +29,10 @@ import (
 	"repro/internal/xquery"
 )
 
-// parallelExec is the test configuration: tiny morsels and threshold so
-// even the demo dataset's scans fan out.
-func parallelExec(workers int) xqeval.ExecConfig {
-	return xqeval.ExecConfig{Workers: workers, MorselSize: 8, MinParallelItems: 2}
+// parallelExec installs the test configuration on e: tiny morsels and
+// threshold so even the demo dataset's scans fan out.
+func parallelExec(e *xqeval.Engine, workers int) {
+	xqeval.ForceFanOutForTest(e, workers, 8, 2)
 }
 
 // externalNames lists $p1…$pN for CompileAST's static check.
@@ -69,7 +69,7 @@ func drainCursor(cur *xqeval.Cursor) (xdm.Sequence, error) {
 // to workers=1 (the plain serial path).
 func TestParallelMatchesSerialOnCorpus(t *testing.T) {
 	app, _, engine := demo.Setup(demo.DefaultSizes)
-	defer engine.SetExec(xqeval.ExecConfig{})
+	defer xqeval.ForceFanOutForTest(engine, 0, 0, 0)
 	ctx := context.Background()
 	checked := 0
 	for _, mode := range []translator.ResultMode{translator.ModeXML, translator.ModeText} {
@@ -86,7 +86,7 @@ func TestParallelMatchesSerialOnCorpus(t *testing.T) {
 			}
 			ext := bindParams(res)
 
-			engine.SetExec(parallelExec(1))
+			parallelExec(engine, 1)
 			serial, err := engine.EvalPlanWithTrace(ctx, plan, ext, nil)
 			if err != nil {
 				t.Fatalf("mode %v: %q must evaluate serially: %v", mode, sql, err)
@@ -99,7 +99,7 @@ func TestParallelMatchesSerialOnCorpus(t *testing.T) {
 			wantStream := xdm.MarshalSequence(serialStream)
 
 			for _, workers := range []int{2, 8} {
-				engine.SetExec(parallelExec(workers))
+				parallelExec(engine, workers)
 				got, err := engine.EvalPlanWithTrace(ctx, plan, ext, nil)
 				if err != nil {
 					t.Fatalf("mode %v, workers %d: %q must evaluate: %v", mode, workers, sql, err)
@@ -146,7 +146,7 @@ return <ROW>{$r/ID}</ROW>`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.SetExec(parallelExec(8))
+	parallelExec(e, 8)
 	return e, plan
 }
 
@@ -212,12 +212,12 @@ fn:subsequence(for $r in p:T() return <ROW>{$r/ID}</ROW>, 1, 5)`)
 		t.Fatal(err)
 	}
 
-	e.SetExec(parallelExec(1))
+	parallelExec(e, 1)
 	serial, err := drainCursor(e.EvalStream(ctx, plan, nil, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.SetExec(parallelExec(8))
+	parallelExec(e, 8)
 	par, err := drainCursor(e.EvalStream(ctx, plan, nil, nil))
 	if err != nil {
 		t.Fatal(err)
@@ -254,7 +254,7 @@ func parallelStreamSetup(t testing.TB, n int, wrapOpen, wrapClose string) (*xqev
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.SetExec(parallelExec(8))
+	parallelExec(e, 8)
 	return e, plan
 }
 
@@ -291,13 +291,13 @@ func TestParallelFetchFirstUnderRowLimit(t *testing.T) {
 	}
 	e.SetLimits(xqeval.Limits{MaxRows: 40})
 
-	e.SetExec(parallelExec(1))
+	parallelExec(e, 1)
 	serial, err := drainCursor(e.EvalStream(ctx, plan, nil, nil))
 	if err != nil {
 		t.Fatalf("serial FETCH FIRST under MaxRows must succeed: %v", err)
 	}
 	for i := 0; i < 20; i++ { // the race is scheduling-dependent; iterate
-		e.SetExec(parallelExec(8))
+		parallelExec(e, 8)
 		par, err := drainCursor(e.EvalStream(ctx, plan, nil, nil))
 		if err != nil {
 			t.Fatalf("iter %d: parallel FETCH FIRST under MaxRows must succeed like serial: %v", i, err)
@@ -319,13 +319,13 @@ func TestParallelRowLimitPrefixMatchesSerial(t *testing.T) {
 	e, plan := parallelStreamSetup(t, 200, "", "")
 	e.SetLimits(xqeval.Limits{MaxRows: 17})
 
-	e.SetExec(parallelExec(1))
+	parallelExec(e, 1)
 	serialPrefix, serr := drainCursor(e.EvalStream(ctx, plan, nil, nil))
 	if serr == nil {
 		t.Fatal("serial MaxRows=17 over 200 rows must error")
 	}
 	for i := 0; i < 20; i++ {
-		e.SetExec(parallelExec(8))
+		parallelExec(e, 8)
 		parPrefix, perr := drainCursor(e.EvalStream(ctx, plan, nil, nil))
 		if perr == nil {
 			t.Fatalf("iter %d: parallel MaxRows=17 must error like serial", i)
@@ -378,7 +378,7 @@ func TestParallelErrorPrefixMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		e.SetExec(parallelExec(1))
+		parallelExec(e, 1)
 		cur := e.EvalStream(ctx, plan, nil, nil)
 		serialPrefix, serr := drainCursor(cur)
 		if serr == nil {
@@ -386,7 +386,7 @@ func TestParallelErrorPrefixMatchesSerial(t *testing.T) {
 		}
 		_, serialTuples := cur.Stats()
 		for i := 0; i < 10; i++ {
-			e.SetExec(parallelExec(8))
+			parallelExec(e, 8)
 			cur := e.EvalStream(ctx, plan, nil, nil)
 			parPrefix, perr := drainCursor(cur)
 			if perr == nil || !strings.Contains(perr.Error(), "rejected row 137") {
@@ -454,7 +454,7 @@ func TestParallelSpeculationBounded(t *testing.T) {
 		var serialErr error
 		var serialTuples int64
 		for _, workers := range []int{1, 2, 8} {
-			e.SetExec(parallelExec(workers))
+			parallelExec(e, workers)
 			calls.Store(0)
 			hits := e.Stats().ResourceLimitHits
 			cur := e.EvalStream(ctx, plan, nil, nil)
@@ -512,12 +512,12 @@ return (">", fn-bea:if-empty(fn-bea:xml-escape(fn-bea:serialize-atomic(fn:data($
 		if d := tplan.Stream.Describe(); !strings.Contains(d, ", reads RECORD elements") {
 			t.Fatalf("%s: want a record-source text plan, got %s", recordSource.name, d)
 		}
-		serialRows, serialTuples, serr := drainAt(e, tplan, parallelExec(1))
+		serialRows, serialTuples, serr := drainAt(e, tplan, 1)
 		if serr != nil {
 			t.Fatal(serr)
 		}
 		for _, workers := range []int{2, 8} {
-			rows, tuples, err := drainAt(e, tplan, parallelExec(workers))
+			rows, tuples, err := drainAt(e, tplan, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -528,9 +528,9 @@ return (">", fn-bea:if-empty(fn-bea:xml-escape(fn-bea:serialize-atomic(fn:data($
 		// A tuple cap between the worker-side and the full count trips in
 		// both, after the same rows.
 		e.SetLimits(xqeval.Limits{MaxTuples: serialTuples * 3 / 4})
-		serialRows, _, serr = drainAt(e, tplan, parallelExec(1))
+		serialRows, _, serr = drainAt(e, tplan, 1)
 		for _, workers := range []int{2, 8} {
-			rows, _, err := drainAt(e, tplan, parallelExec(workers))
+			rows, _, err := drainAt(e, tplan, workers)
 			if serr == nil || err == nil || err.Error() != serr.Error() || strings.Join(rows, "") != strings.Join(serialRows, "") {
 				t.Fatalf("%s, workers %d, MaxTuples %d: %d rows then %v; serial %d rows then %v",
 					recordSource.name, workers, serialTuples*3/4, len(rows), err, len(serialRows), serr)
@@ -539,14 +539,14 @@ return (">", fn-bea:if-empty(fn-bea:xml-escape(fn-bea:serialize-atomic(fn:data($
 		e.SetLimits(xqeval.Limits{})
 	}
 
-	e.SetExec(parallelExec(1))
+	parallelExec(e, 1)
 	cur := e.EvalStream(ctx, plan, nil, nil)
 	if _, err := drainCursor(cur); err != nil {
 		t.Fatal(err)
 	}
 	_, serialTuples := cur.Stats()
 
-	e.SetExec(parallelExec(8))
+	parallelExec(e, 8)
 	pcur := e.EvalStream(ctx, plan, nil, nil)
 	if _, err := drainCursor(pcur); err != nil {
 		t.Fatal(err)
@@ -579,7 +579,7 @@ func TestBarrierAfterFanOut(t *testing.T) {
 		err           error
 	}
 	run := func(plan *xqeval.Plan, workers int) outcome {
-		e.SetExec(parallelExec(workers))
+		parallelExec(e, workers)
 		cur := e.EvalStream(context.Background(), plan, nil, nil)
 		out, err := drainCursor(cur)
 		steps, tuples := cur.Stats()
@@ -634,10 +634,10 @@ func TestBarrierAfterFanOut(t *testing.T) {
 	e.SetLimits(xqeval.Limits{})
 }
 
-// drainAt streams plan under cfg: one string per row, the tuple count, the
-// error the stream ended with.
-func drainAt(e *xqeval.Engine, plan *xqeval.Plan, cfg xqeval.ExecConfig) ([]string, int64, error) {
-	e.SetExec(cfg)
+// drainAt streams plan at the test configuration with the given workers:
+// one string per row, the tuple count, the error the stream ended with.
+func drainAt(e *xqeval.Engine, plan *xqeval.Plan, workers int) ([]string, int64, error) {
+	parallelExec(e, workers)
 	rows, tuples, err := drainRows(e.EvalStream(context.Background(), plan, nil, nil))
 	return rows, tuples, err
 }
@@ -675,7 +675,7 @@ return p:SLOW($r/ID)`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.SetExec(xqeval.ExecConfig{Workers: 8, MorselSize: 4, MinParallelItems: 2})
+	xqeval.ForceFanOutForTest(e, 8, 4, 2)
 
 	for i := 0; i < 30; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
@@ -750,7 +750,7 @@ return p:SLOW($r/ID)`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.SetExec(parallelExec(8))
+	parallelExec(e, 8)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
@@ -794,9 +794,9 @@ return p:CHECKED($r/ID)`)
 		t.Fatal(err)
 	}
 
-	e.SetExec(parallelExec(1))
+	parallelExec(e, 1)
 	_, serr := e.EvalPlanWithTrace(context.Background(), plan, nil, nil)
-	e.SetExec(parallelExec(8))
+	parallelExec(e, 8)
 	_, perr := e.EvalPlanWithTrace(context.Background(), plan, nil, nil)
 	if serr == nil || perr == nil {
 		t.Fatalf("both paths must fail: serial=%v parallel=%v", serr, perr)
@@ -832,9 +832,9 @@ func FuzzParallelDifferential(f *testing.F) {
 			return
 		}
 		ext := bindParams(res)
-		engine.SetExec(xqeval.ExecConfig{Workers: 1, MorselSize: 4, MinParallelItems: 2})
+		xqeval.ForceFanOutForTest(engine, 1, 4, 2)
 		serial, serr := engine.EvalPlanWithTrace(context.Background(), plan, ext, nil)
-		engine.SetExec(xqeval.ExecConfig{Workers: 8, MorselSize: 4, MinParallelItems: 2})
+		xqeval.ForceFanOutForTest(engine, 8, 4, 2)
 		par, perr := engine.EvalPlanWithTrace(context.Background(), plan, ext, nil)
 		if (serr == nil) != (perr == nil) {
 			t.Fatalf("%q: error-presence divergence\nserial:   %v\nparallel: %v", sql, serr, perr)

@@ -3,6 +3,7 @@ package xqeval
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 
@@ -230,7 +231,7 @@ func (ex *flworExec) gatherPartitioned(op *planOp, t *scope) (seq xdm.Sequence, 
 	}
 
 	outcomes := make([]shardOutcome, len(selected))
-	sem := make(chan struct{}, t.st.engine.Exec().Workers)
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	var wg sync.WaitGroup
 	for i, shardIdx := range selected {
 		wg.Add(1)

@@ -89,8 +89,8 @@ func execPlannedFLWORTo(fp *flworPlan, env *scope, prog *rowProgram, w *rowWrite
 			if dead {
 				return nil
 			}
-			if cfg, ok := ex.canParallel(seg.ops, tuples); ok {
-				_, err := ex.runParallel(seg.ops, tuples[0], cfg, true, emit)
+			if ex.canParallel(seg.ops, tuples) {
+				_, err := ex.runParallel(seg.ops, tuples[0], true, emit)
 				return err
 			}
 			var sink tupleSink
@@ -121,9 +121,9 @@ func execPlannedFLWORTo(fp *flworPlan, env *scope, prog *rowProgram, w *rowWrite
 		}
 		var next []*scope
 		if !dead {
-			if cfg, ok := ex.canParallel(seg.ops, tuples); ok {
+			if ex.canParallel(seg.ops, tuples) {
 				var err error
-				next, err = ex.runParallel(seg.ops, tuples[0], cfg, false, nil)
+				next, err = ex.runParallel(seg.ops, tuples[0], false, nil)
 				if err != nil {
 					return err
 				}

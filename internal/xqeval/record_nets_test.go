@@ -36,7 +36,7 @@ var flatRecordStatements = []string{
 // to naive, and each decodes to naive's rows.
 func TestFlatRecordsMatchNaive(t *testing.T) {
 	app, _, engine := demo.Setup(demo.Sizes{Customers: 12, PaymentsPerCustomer: 2, Orders: 20, ItemsPerOrder: 2})
-	defer engine.SetExec(xqeval.ExecConfig{})
+	defer xqeval.ForceFanOutForTest(engine, 0, 0, 0)
 	ctx := context.Background()
 	for _, sql := range flatRecordStatements {
 		res := translateFor(t, app, translator.ModeXML, sql)
@@ -55,7 +55,7 @@ func TestFlatRecordsMatchNaive(t *testing.T) {
 			t.Fatalf("%q: no record kernel planned:\n%s", sql, strings.Join(plan.Describe(), "\n"))
 		}
 		for _, workers := range []int{1, 2} {
-			engine.SetExec(xqeval.ExecConfig{Workers: workers, MorselSize: 2, MinParallelItems: 2})
+			xqeval.ForceFanOutForTest(engine, workers, 2, 2)
 			planned, err := engine.EvalPlanWithTrace(ctx, plan, nil, nil)
 			if err != nil {
 				t.Fatalf("%q, %d workers: %v", sql, workers, err)
@@ -130,8 +130,8 @@ func TestGroupedJoinAllocs(t *testing.T) {
 		treeBytes = 200298
 	}
 	app, _, engine := demo.Setup(demo.DefaultSizes)
-	engine.SetExec(xqeval.ExecConfig{Workers: 1})
-	defer engine.SetExec(xqeval.ExecConfig{})
+	xqeval.ForceFanOutForTest(engine, 1, 0, 0)
+	defer xqeval.ForceFanOutForTest(engine, 0, 0, 0)
 	res := translateFor(t, app, translator.ModeXML, "SELECT C.CITY, COUNT(*) CNT, SUM(O.TOTAL) REVENUE, MAX(O.TOTAL) TOP FROM CUSTOMERS C INNER JOIN PO_CUSTOMERS O ON C.CUSTOMERID = O.CUSTOMERID GROUP BY C.CITY HAVING COUNT(*) > 1 ORDER BY C.CITY")
 	plan := xqeval.NewPlan(res.Query)
 	ctx := context.Background()

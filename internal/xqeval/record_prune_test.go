@@ -137,7 +137,7 @@ func TestRecordKernelPruningAnalysis(t *testing.T) {
 // with every column built.
 func TestRecordKernelPruningPlans(t *testing.T) {
 	app, _, engine := demo.Setup(demo.Sizes{Customers: 12, PaymentsPerCustomer: 2, Orders: 20, ItemsPerOrder: 2})
-	defer engine.SetExec(xqeval.ExecConfig{})
+	defer xqeval.ForceFanOutForTest(engine, 0, 0, 0)
 	ctx := context.Background()
 	pruned := 0
 	for _, mode := range []translator.ResultMode{translator.ModeXML, translator.ModeText} {
@@ -163,7 +163,7 @@ func TestRecordKernelPruningPlans(t *testing.T) {
 				}
 			}
 			for _, workers := range []int{1, 2, 8} {
-				engine.SetExec(xqeval.ExecConfig{Workers: workers, MorselSize: 2, MinParallelItems: 2})
+				xqeval.ForceFanOutForTest(engine, workers, 2, 2)
 				for how, run := range map[string]func(*xqeval.Plan) evaluation{
 					"materialized": func(p *xqeval.Plan) evaluation { return materialize(ctx, engine, p, ext) },
 					"streamed":     func(p *xqeval.Plan) evaluation { return drain(engine.EvalStream(ctx, p, ext, nil)) },

@@ -149,7 +149,7 @@ func TestRecordKernelMatchesGeneric(t *testing.T) {
 // kernels step for step.
 func TestRecordKernelPlans(t *testing.T) {
 	e := kernelEngine()
-	defer e.SetExec(ExecConfig{})
+	defer ForceFanOutForTest(e, 0, 0, 0)
 	aCols := "<RECORD>" + plainCol("A.N", "a", "N") + guardedCol("A.K", "a", "K") + guardedCol("A.L", "a", "L")
 	bCols := plainCol("B.N", "b", "N") + guardedCol("B.K", "b", "K")
 	bodies := []string{
@@ -167,7 +167,7 @@ func TestRecordKernelPlans(t *testing.T) {
 		}
 		generic := *plan
 		generic.records = nil
-		e.SetExec(ExecConfig{Workers: 1})
+		ForceFanOutForTest(e, 1, 0, 0)
 		steps := func(p *Plan) (string, int64) {
 			counters := &evalCounters{}
 			out, err := evalExpr(q.Body, e.rootScope(ctx, q, p, nil, counters))
@@ -185,7 +185,7 @@ func TestRecordKernelPlans(t *testing.T) {
 		}
 		for _, p := range []*Plan{plan, NewPlanStats(q, e)} {
 			for _, workers := range []int{1, 2, 8} {
-				e.SetExec(ExecConfig{Workers: workers, MorselSize: 2, MinParallelItems: 2})
+				ForceFanOutForTest(e, workers, 2, 2)
 				out, err := e.EvalPlanWithTrace(ctx, p, nil, nil)
 				if got := outcomeSeq(out, err); got != want {
 					t.Fatalf("%s, %d workers: planned %s, naive %s", body, workers, got, want)

@@ -287,7 +287,7 @@ func TestFusedMatchesNaive(t *testing.T) {
 	ctx := context.Background()
 	fusedSeen := 0
 	for _, c := range fusedCases(t) {
-		c.engine.SetExec(parallelExec(1))
+		parallelExec(c.engine, 1)
 		plan, err := c.engine.CompileAST(c.query, externalNames(c.params))
 		if err != nil {
 			t.Fatalf("%s: must compile: %v", c.name, err)
@@ -347,10 +347,10 @@ func TestFusedMatchesNaive(t *testing.T) {
 		}
 		check("structural plan", xqeval.NewPlan(c.query))
 		for _, workers := range []int{1, 2, 4} {
-			c.engine.SetExec(parallelExec(workers))
+			parallelExec(c.engine, workers)
 			check(fmt.Sprintf("%d workers", workers), plan)
 		}
-		c.engine.SetExec(xqeval.ExecConfig{})
+		xqeval.ForceFanOutForTest(c.engine, 0, 0, 0)
 	}
 	if fusedSeen < 20 {
 		t.Fatalf("only %d statements fused: the net no longer exercises the row program", fusedSeen)
@@ -451,7 +451,7 @@ func TestFusedLimitParity(t *testing.T) {
 		tripped := 0
 		for _, lim := range limits {
 			engine.SetLimits(lim)
-			engine.SetExec(parallelExec(1))
+			parallelExec(engine, 1)
 			want, wantTuples, werr := drainRows(engine.EvalStreamNaive(ctx, res.Query, nil, nil))
 			if werr != nil {
 				tripped++
@@ -467,7 +467,7 @@ func TestFusedLimitParity(t *testing.T) {
 			// parallel runs are held to the serial planned one.
 			heldToSerial := records && lim.MaxRows > 0
 			for _, workers := range []int{1, 2, 4} {
-				engine.SetExec(parallelExec(workers))
+				parallelExec(engine, workers)
 				for iter := 0; iter < 3; iter++ { // worker scheduling varies
 					got, tuples, err := drainRows(engine.EvalStream(ctx, plan, nil, nil))
 					if heldToSerial && workers == 1 && iter == 0 {
@@ -489,7 +489,7 @@ func TestFusedLimitParity(t *testing.T) {
 			t.Fatalf("%q: %d of %d limits tripped — the sweep must straddle the query's charges", sql, tripped, len(limits))
 		}
 	}
-	engine.SetExec(xqeval.ExecConfig{})
+	xqeval.ForceFanOutForTest(engine, 0, 0, 0)
 
 	// FETCH FIRST n where a serial stream closes a batch — after 1, 3, 7,
 	// 15, 31 and 63 rows, the last at the batch cap — one either side of
@@ -502,8 +502,9 @@ func TestFusedLimitParity(t *testing.T) {
 		ext := map[string]xdm.Sequence{"p1": xdm.SequenceOf(xdm.Integer(0))}
 		var want []string
 		var wantSteps, wantTuples int64
-		for i, cfg := range []xqeval.ExecConfig{{Workers: 1}, {Workers: 1}, parallelExec(2), {Workers: 2, MorselSize: 100, MinParallelItems: 2}} {
-			scan.SetExec(cfg)
+		// Each configuration is {workers, morsel size, minimum items}.
+		for i, cfg := range [][3]int{{1, 0, 0}, {1, 0, 0}, {2, 8, 2}, {2, 100, 2}} {
+			xqeval.ForceFanOutForTest(scan, cfg[0], cfg[1], cfg[2])
 			cur := scan.EvalStream(ctx, plan, ext, nil)
 			var got []string
 			for {
@@ -512,7 +513,7 @@ func TestFusedLimitParity(t *testing.T) {
 					break
 				}
 				if err != nil {
-					t.Fatalf("FETCH FIRST %d, %+v: %v", n, cfg, err)
+					t.Fatalf("FETCH FIRST %d, %v: %v", n, cfg, err)
 				}
 				got = append(got, row)
 			}
@@ -524,11 +525,11 @@ func TestFusedLimitParity(t *testing.T) {
 				}
 				continue
 			}
-			if cfg.Workers == 1 && steps != wantSteps {
+			if cfg[0] == 1 && steps != wantSteps {
 				t.Fatalf("FETCH FIRST %d: serial runs took %d and %d steps", n, wantSteps, steps)
 			}
 			if strings.Join(got, "") != strings.Join(want, "") || len(got) != len(want) || tuples != wantTuples {
-				t.Fatalf("FETCH FIRST %d, %+v: %d rows, %d tuples; serial %d rows, %d tuples", n, cfg, len(got), tuples, len(want), wantTuples)
+				t.Fatalf("FETCH FIRST %d, %v: %d rows, %d tuples; serial %d rows, %d tuples", n, cfg, len(got), tuples, len(want), wantTuples)
 			}
 		}
 	}
@@ -542,7 +543,7 @@ func TestFusedLimitParity(t *testing.T) {
 func TestFusedScanAllocs(t *testing.T) {
 	const n = 2000
 	engine, plan := fusedScanSetup(t, n, scanSQL)
-	engine.SetExec(xqeval.ExecConfig{Workers: 1})
+	xqeval.ForceFanOutForTest(engine, 1, 0, 0)
 	ext := map[string]xdm.Sequence{"p1": xdm.SequenceOf(xdm.Integer(0))}
 	ctx := context.Background()
 	drain := func() int {
@@ -633,10 +634,10 @@ func fusedScanSetup(t *testing.T, n int, sql string) (*xqeval.Engine, *xqeval.Pl
 func TestFusedParallelScanCancellation(t *testing.T) {
 	const n = 20000
 	engine, plan := fusedScanSetup(t, n, scanSQL)
-	defer engine.SetExec(xqeval.ExecConfig{})
+	defer xqeval.ForceFanOutForTest(engine, 0, 0, 0)
 	ext := map[string]xdm.Sequence{"p1": xdm.SequenceOf(xdm.Integer(0))}
 	for _, workers := range []int{1, 4} {
-		engine.SetExec(parallelExec(workers))
+		parallelExec(engine, workers)
 		ctx, cancel := context.WithCancel(context.Background())
 		cur := engine.EvalStream(ctx, plan, ext, nil)
 		read := 0

@@ -39,7 +39,7 @@ func TestPlannedScanAllocs(t *testing.T) {
 		}
 	}
 	for _, workers := range []int{1, 2} {
-		e.SetExec(ExecConfig{Workers: workers, MinParallelItems: n})
+		ForceFanOutForTest(e, workers, 0, n)
 		if got := drain(); got != n-n/10 {
 			t.Fatalf("workers %d: scan returned %d rows, want %d", workers, got, n-n/10)
 		}
@@ -104,12 +104,35 @@ return (">", fn-bea:if-empty(fn-bea:xml-escape(fn-bea:serialize-atomic(fn:data($
 	return e, plan, map[string]xdm.Sequence{"p1": xdm.SequenceOf(xdm.Integer(n / 10))}
 }
 
+// TestDefaultFanOutBoundary pins the engine's own decision, with nothing
+// forced: at two procs a source of minParallelItems rows fans out into
+// morsels of morselSize, and one row fewer stays serial.
+func TestDefaultFanOutBoundary(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	for _, c := range []struct{ n, morsels int }{{4096, 4}, {4095, 0}} {
+		e, plan, ext := plannedScan(t, c.n)
+		before := e.Stats().MorselsProcessed
+		cur := e.EvalStream(context.Background(), plan, ext, nil)
+		for {
+			if _, err := cur.NextText(); err == io.EOF {
+				break
+			} else if err != nil {
+				t.Fatal(err)
+			}
+		}
+		cur.Close()
+		if got := e.Stats().MorselsProcessed - before; got != int64(c.morsels) {
+			t.Fatalf("%d rows at GOMAXPROCS=2: %d morsels, want %d", c.n, got, c.morsels)
+		}
+	}
+}
+
 // TestFusedBatchesDouble: a serial fused stream sends its first row on its
 // own, so the first row never waits for a second, and then batches of 2,
 // 4, … rows up to batchRows.
 func TestFusedBatchesDouble(t *testing.T) {
 	e, plan, ext := plannedScan(t, 500)
-	e.SetExec(ExecConfig{Workers: 1})
+	ForceFanOutForTest(e, 1, 0, 0)
 	cur := e.EvalStream(context.Background(), plan, ext, nil)
 	defer cur.Close()
 	total, want := 0, 1
@@ -131,7 +154,7 @@ func TestFusedBatchesDouble(t *testing.T) {
 func TestInFlightBound(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		e, plan, ext := plannedScan(t, 5000)
-		e.SetExec(ExecConfig{Workers: workers, MinParallelItems: 5000})
+		ForceFanOutForTest(e, workers, 0, 5000)
 		cur := e.EvalStream(context.Background(), plan, ext, nil)
 		for i := 0; ; i++ {
 			if _, err := cur.NextText(); err == io.EOF {

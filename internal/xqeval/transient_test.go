@@ -35,7 +35,7 @@ func TestTransientCells(t *testing.T) {
 	e := xqeval.New()
 	e.RegisterRows("ld:Tr/T", "T", ts)
 	e.RegisterRows("ld:Tr/S", "S", ss)
-	defer e.SetExec(xqeval.ExecConfig{})
+	defer xqeval.ForceFanOutForTest(e, 0, 0, 0)
 	ctx := context.Background()
 	for _, c := range []struct{ name, flwor, plan string }{
 		{"return $r", `for $r in p:T() where $r/ID >= 1 return $r`, ""},
@@ -67,7 +67,7 @@ import schema namespace q = "ld:Tr/S" at "S.xsd";
 			t.Fatalf("%s: plan lacks %q:\n%s", c.name, c.plan, desc)
 		}
 		for _, workers := range []int{1, 2} {
-			e.SetExec(parallelExec(workers))
+			parallelExec(e, workers)
 			got, err := e.EvalPlanWithTrace(ctx, plan, nil, nil)
 			if err != nil {
 				t.Fatalf("%s, %d workers: %v", c.name, workers, err)
