@@ -43,7 +43,7 @@ race:
 # (each morsel worker rebinds cells of its own). The driver's concurrency
 # and streaming nets follow, in process and over aql:// (real TCP): every
 # database/sql connection shares one platform's compile and metadata
-# caches. The cached-statement rendering net follows: EXPLAIN, TranslateText
+# caches. The cached-statement rendering net follows: EXPLAIN, Translate
 # and executions read one shared artifact, which keeps no query text, so
 # every rendering is made anew by its reader. Then the prepared handle's
 # swap: one statement executed from several goroutines, in process and

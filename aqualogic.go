@@ -32,6 +32,7 @@ package aqualogic
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -54,9 +55,10 @@ import (
 	"repro/internal/xqeval"
 )
 
-// Dialect names a registered query language front end. Every query-text
-// entry point has a *Dialect variant; the plain methods fix the dialect
-// to SQL-92, the platform's historical (and wire-default) surface.
+// Dialect names a registered query language front end. QueryDialect,
+// CompileDialect, Prepare and Explain take one; Query, QueryStreamMode,
+// CompileContext and Translate fix it to SQL-92, the platform's historical
+// (and wire-default) surface.
 type Dialect = qfront.Dialect
 
 // Built-in dialects: the SQL-92 front end (internal/sqlparser) and the
@@ -107,14 +109,11 @@ type (
 	PipelineStats = obsv.Snapshot
 	// RemoteStats are the remote clients' retry counters; see Stats.
 	RemoteStats = remoteclient.RetryStats
-	// QueryPlan is the evaluator's optimized execution plan for a
-	// translation: hash equi-joins, pushed predicates, hoisted invariants.
-	QueryPlan = xqeval.Plan
 	// CompiledQuery is the compiled-query artifact: the completed
 	// translation, the evaluator's plan (checked and built straight from
 	// the generated AST — no serialize→reparse round trip), and the
-	// compile-time stage trace. Compile returns it; the shared compile
-	// cache stores it.
+	// compile-time stage trace. CompileContext returns it; the shared
+	// compile cache stores it.
 	CompiledQuery = qcache.CompiledQuery
 	// CompileCacheStats snapshots the shared compile cache's counters
 	// (hits, misses, single-flight shares, evictions, invalidations, size,
@@ -142,7 +141,7 @@ type (
 	EvalLimits = xqeval.Limits
 	// SourceStats is one data service's collected statistics (row count,
 	// per-column distinct estimates, average row width) — the cost model's
-	// input, populated lazily on first scan or eagerly by AnalyzeStats.
+	// input, populated on a source's first scan.
 	SourceStats = xqeval.SourceStats
 	// Federation is the multi-backend catalog AddSource builds: named
 	// metadata sources resolved together, each behind its own cache and
@@ -309,36 +308,6 @@ func (p *Platform) EnableResilience(cfg ResilienceConfig) {
 	}
 }
 
-// AnalyzeStats eagerly collects source statistics for every table-shaped
-// data service in the catalog — the explicit ANALYZE counterpart to the
-// lazy collection that happens on first scan. Statistics feed the
-// planner's cost model (EXPLAIN's cost annotations, hash-key selection);
-// collecting them advances the statistics generation, which retires
-// compiled artifacts costed against older numbers. Returns the number of
-// sources analyzed; a failing source is skipped and reported in err after
-// the rest have been attempted.
-func (p *Platform) AnalyzeStats(ctx context.Context) (int, error) {
-	tables, err := p.metaSource().Tables()
-	if err != nil {
-		return 0, err
-	}
-	analyzed := 0
-	var firstErr error
-	for _, tm := range tables {
-		if tm.Function == nil || !tm.Function.IsTable() {
-			continue
-		}
-		if _, err := p.Engine.CollectSourceStats(ctx, tm.Function.Namespace, tm.Function.Name); err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("aqualogic: analyze %s: %w", tm.Function.Name, err)
-			}
-			continue
-		}
-		analyzed++
-	}
-	return analyzed, firstErr
-}
-
 // AddSource registers an extra federation backend under a name: its
 // tables and procedures become resolvable alongside the App's, behind
 // the backend's own metadata cache and generation. The first AddSource
@@ -406,7 +375,7 @@ func (p *Platform) InvalidateSourceMetadata(name string) {
 // Federation instead: each backend gets its own injection/retry stack
 // and its own cache, so one backend's faults or invalidations stay its
 // own. Lazy construction is guarded so concurrent callers (parallel
-// Translate/Query, RegisterDriver) share one cache.
+// compiles, queries, database/sql connections) share one cache.
 func (p *Platform) metaSource() catalog.Source {
 	p.cacheMu.Lock()
 	defer p.cacheMu.Unlock()
@@ -490,8 +459,8 @@ func (p *Platform) sourceGeneration(source string) uint64 {
 
 // queryCache lazily builds the platform's shared compiled-query cache,
 // keyed on the metadata cache's generation so catalog changes retire
-// stale artifacts. The same instance backs Compile/Query on the facade
-// and every connection of a registered driver.
+// stale artifacts. The same instance backs every compile and query on the
+// facade and every connection of a registered driver.
 func (p *Platform) queryCache() *qcache.Cache {
 	p.cacheMu.Lock()
 	defer p.cacheMu.Unlock()
@@ -520,17 +489,13 @@ func (p *Platform) metadataGeneration() uint64 {
 	return 0
 }
 
-// Compile translates, statically checks, and plans a SELECT once,
-// returning the compiled-query artifact — the AST handed to the evaluator
-// directly, with no serialize→reparse round trip. Artifacts are cached in
-// the platform's shared compile cache keyed by (normalized SQL, result
-// mode, catalog generation); repeated Compile/Query calls of equivalent
-// statements reuse one compilation.
-func (p *Platform) Compile(sql string, mode ResultMode) (*CompiledQuery, error) {
-	return p.CompileContext(context.Background(), sql, mode)
-}
-
-// CompileContext is Compile observing a context during metadata fetches.
+// CompileContext translates, statically checks, and plans a SQL SELECT
+// once, returning the compiled-query artifact — the AST handed to the
+// evaluator directly, with no serialize→reparse round trip. Artifacts are
+// cached in the platform's shared compile cache keyed by (normalized SQL,
+// result mode, catalog generation); repeated compiles and queries of
+// equivalent statements reuse one compilation. ctx bounds metadata
+// fetches. The benchmark (benchmark/README.md) calls it.
 func (p *Platform) CompileContext(ctx context.Context, sql string, mode ResultMode) (*CompiledQuery, error) {
 	return p.CompileDialect(ctx, DialectSQL, sql, mode)
 }
@@ -539,6 +504,7 @@ func (p *Platform) CompileContext(ctx context.Context, sql string, mode ResultMo
 // text is parsed by the dialect's registered front end, and the artifact
 // is cached under (dialect, normalized text, mode, generations) — two
 // dialects can never share or clobber an entry, even on identical text.
+// The benchmark (benchmark/README.md) calls it.
 func (p *Platform) CompileDialect(ctx context.Context, dialect Dialect, text string, mode ResultMode) (*CompiledQuery, error) {
 	cq, _, err := p.compile(ctx, dialect, text, mode)
 	return cq, err
@@ -551,9 +517,9 @@ func (p *Platform) CompileDialect(ctx context.Context, dialect Dialect, text str
 func (p *Platform) compile(ctx context.Context, dialect Dialect, text string, mode ResultMode) (cq *CompiledQuery, hit bool, err error) {
 	fe, err := qfront.Lookup(dialect)
 	if err != nil {
-		return nil, false, err
+		return nil, false, classify("compile", err)
 	}
-	return p.queryCache().Get(ctx, fe, text, mode, func(ctx context.Context, text string) (*qcache.CompiledQuery, error) {
+	cq, hit, err = p.queryCache().Get(ctx, fe, text, mode, func(ctx context.Context, text string) (*qcache.CompiledQuery, error) {
 		tr := p.trace(text)
 		res, err := p.translate(ctx, fe, text, mode, tr)
 		if err != nil {
@@ -561,6 +527,23 @@ func (p *Platform) compile(ctx context.Context, dialect Dialect, text string, mo
 		}
 		return qcache.Compile(res, p.Engine, fe, text, tr)
 	})
+	return cq, hit, classify("compile", err)
+}
+
+// classify types an error compile or execute returns: aqerr.Wrap's
+// classes first, then whatever is still untyped — a syntax or semantic
+// error, an unknown dialect, a statement failing at open — as the
+// caller's permanent mistake, so it keeps its kind across the wire.
+func classify(op string, err error) error {
+	if err == nil {
+		return nil // before qe, which escapes: a success allocates nothing
+	}
+	err = aqerr.Wrap(op, err)
+	var qe *aqerr.QueryError
+	if !errors.As(err, &qe) {
+		return aqerr.New(aqerr.KindPermanent, op, err)
+	}
+	return err
 }
 
 // trace starts a trace whose stages fold into the platform's per-stage
@@ -612,28 +595,14 @@ func (p *Platform) Translator(mode ResultMode) *translator.Translator {
 }
 
 // Translate converts a SQL-92 SELECT into XQuery, returning the full
-// translation (generated query, result schema, parameter info).
+// translation (generated query, result schema, parameter info); its
+// XQuery method renders the query text.
 func (p *Platform) Translate(sql string, mode ResultMode) (*Translation, error) {
-	return p.TranslateDialect(DialectSQL, sql, mode)
-}
-
-// TranslateDialect is Translate with an explicit query dialect.
-func (p *Platform) TranslateDialect(dialect Dialect, text string, mode ResultMode) (*Translation, error) {
-	fe, err := qfront.Lookup(dialect)
+	fe, err := qfront.Lookup(DialectSQL)
 	if err != nil {
 		return nil, err
 	}
-	return p.translate(context.Background(), fe, text, mode, nil)
-}
-
-// TranslateText is a convenience returning just the XQuery source in XML
-// result mode — what `cmd/sql2xq` prints.
-func (p *Platform) TranslateText(sql string) (string, error) {
-	res, err := p.Translate(sql, ModeXML)
-	if err != nil {
-		return "", err
-	}
-	return res.XQuery(), nil
+	return p.translate(context.Background(), fe, sql, mode, nil)
 }
 
 // Query translates and executes a SELECT end to end, binding the given
@@ -645,20 +614,7 @@ func (p *Platform) TranslateText(sql string) (string, error) {
 // scrollable result; check rows.Err() after iterating, since errors can
 // strike mid-stream.
 func (p *Platform) Query(sql string, args ...any) (*Rows, error) {
-	return p.QueryMode(ModeText, sql, args...)
-}
-
-// QueryMode is Query with an explicit result-handling mode. Statements
-// compile through the shared compile cache: a repeated query reuses the
-// cached plan and skips translation, checking, and planning entirely.
-func (p *Platform) QueryMode(mode ResultMode, sql string, args ...any) (*Rows, error) {
-	return p.QueryStreamMode(context.Background(), mode, sql, args...)
-}
-
-// QueryStream is Query observing a context: cancelling ctx aborts the
-// evaluation at the next tuple boundary, surfacing through rows.Err().
-func (p *Platform) QueryStream(ctx context.Context, sql string, args ...any) (*Rows, error) {
-	return p.QueryStreamMode(ctx, ModeText, sql, args...)
+	return p.QueryDialect(context.Background(), DialectSQL, ModeText, sql, args...)
 }
 
 // QueryStreamMode is the full streaming entry point: compile (cached), bind
@@ -668,7 +624,9 @@ func (p *Platform) QueryStream(ctx context.Context, sql string, args ...any) (*R
 // available long before the last one is computed, and FETCH FIRST n stops
 // the evaluation after n rows. Errors that precede the first row (unknown
 // tables, bad parameters, sources failing at open) are returned here
-// synchronously; later ones via rows.Err().
+// synchronously; later ones via rows.Err(). Cancelling ctx aborts the
+// evaluation at the next tuple boundary, surfacing through rows.Err(). The
+// benchmark (benchmark/README.md) calls it.
 func (p *Platform) QueryStreamMode(ctx context.Context, mode ResultMode, sql string, args ...any) (*Rows, error) {
 	return p.QueryDialect(ctx, DialectSQL, mode, sql, args...)
 }
@@ -686,8 +644,9 @@ func (p *Platform) QueryDialect(ctx context.Context, dialect Dialect, mode Resul
 }
 
 // execute is the one bind → evaluate → decode tail behind the facade and
-// every prepared statement. A parameter that does not convert is the
-// caller's error, typed permanent with the message the wire client gives.
+// every prepared statement. A wrong parameter count, or a parameter that
+// does not convert, is the caller's error, typed permanent with the
+// message the wire client gives.
 // Priming pulls the first chunk, so errors raised before any row exists
 // (unbound sources, source faults at open) return here; later ones surface
 // through rows.Err(). tr, when non-nil, traces the evaluation and the
@@ -696,7 +655,7 @@ func (p *Platform) QueryDialect(ctx context.Context, dialect Dialect, mode Resul
 // result keeps NextText's raw path (the server's chunks).
 func (p *Platform) execute(ctx context.Context, cq *CompiledQuery, args []any, tr *Trace) (*Rows, error) {
 	if len(args) != cq.Res.ParamCount {
-		return nil, fmt.Errorf("aqualogic: statement has %d parameter(s), got %d value(s)", cq.Res.ParamCount, len(args))
+		return nil, aqerr.Errorf(aqerr.KindPermanent, "execute", "statement has %d parameter(s), got %d value(s)", cq.Res.ParamCount, len(args))
 	}
 	// Built here rather than returned from a helper: the evaluator copies
 	// the bindings out, so the map stays off the heap.
@@ -711,7 +670,7 @@ func (p *Platform) execute(ctx context.Context, cq *CompiledQuery, args []any, t
 	cur := p.Engine.EvalStream(ctx, cq.Plan, ext, tr)
 	if err := cur.Prime(); err != nil {
 		cur.Close()
-		return nil, aqerr.Wrap("query", err)
+		return nil, classify("query", err)
 	}
 	var rc resultset.RowCursor
 	if cq.Res.Mode == ModeText {
@@ -825,35 +784,6 @@ func (p *Platform) FederationStats() []SourceHealth {
 		out = append(out, h)
 	}
 	return out
-}
-
-// ExplainDialect runs a traced translation in the given dialect and
-// renders its query text: the returned Trace holds one stage record per
-// pipeline stage (the dialect's own lex and parse, semantic-validate,
-// restructure, generate, serialize) with wall time, sizes, and stage
-// detail — what `sql2xq -explain` prints. Explain, the session's EXPLAIN
-// statement, renders the compiled artifact instead.
-func (p *Platform) ExplainDialect(dialect Dialect, text string, mode ResultMode) (*Translation, *Trace, error) {
-	fe, err := qfront.Lookup(dialect)
-	if err != nil {
-		return nil, nil, err
-	}
-	tr := p.trace(text)
-	res, err := p.translate(context.Background(), fe, text, mode, tr)
-	if err == nil {
-		sp := tr.StartStage(obsv.StageSerialize)
-		sp.SetOutput(len(res.XQuery()))
-		sp.End()
-	}
-	return res, tr, err
-}
-
-// PlanQuery builds the evaluator's execution plan for a translation — the
-// plan the driver caches per prepared statement. Its Describe method
-// renders the clause pipeline (hash joins, pushed filters, hoisted
-// invariants) that EXPLAIN and sql2xq -explain print.
-func PlanQuery(t *Translation) *QueryPlan {
-	return xqeval.NewPlan(t.Query)
 }
 
 // Stats snapshots the platform's pipeline metrics, each read from the

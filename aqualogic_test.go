@@ -1,8 +1,11 @@
 package aqualogic
 
 import (
+	"context"
 	"database/sql"
+	"reflect"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -30,11 +33,11 @@ func TestDemoQuery(t *testing.T) {
 func TestQueryModeEquivalence(t *testing.T) {
 	p := Demo()
 	q := "SELECT CITY, COUNT(*) AS N FROM CUSTOMERS GROUP BY CITY ORDER BY 2 DESC, CITY"
-	a, err := p.QueryMode(ModeText, q)
+	a, err := p.QueryStreamMode(context.Background(), ModeText, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := p.QueryMode(ModeXML, q)
+	b, err := p.QueryStreamMode(context.Background(), ModeXML, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +81,7 @@ func stageCount(p *Platform, stage string) int64 {
 // the artifact's trace.
 func TestCompileRecordsNoSerialize(t *testing.T) {
 	p := Demo()
-	cq, err := p.Compile("SELECT CUSTOMERNAME FROM CUSTOMERS WHERE CUSTOMERID = ? AND CITY = ?", ModeText)
+	cq, err := p.CompileContext(context.Background(), "SELECT CUSTOMERNAME FROM CUSTOMERS WHERE CUSTOMERID = ? AND CITY = ?", ModeText)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,14 +116,41 @@ func TestCompileRecordsNoSerialize(t *testing.T) {
 	}
 }
 
+// TestFacadeSurface pins the platform's Query*, Compile*, Translate* and
+// Explain* methods to one entry per job, so a new variant fails here.
+// QueryTimeout and CompileStats share the prefixes but take no statement:
+// they read the session's deadline and the compile cache's counters.
+func TestFacadeSurface(t *testing.T) {
+	want := []string{
+		"CompileContext", "CompileDialect", "CompileStats",
+		"Explain",
+		"Query", "QueryDialect", "QueryStreamMode", "QueryTimeout",
+		"Translate",
+	}
+	var got []string
+	typ := reflect.TypeOf(&Platform{})
+	for i := 0; i < typ.NumMethod(); i++ {
+		name := typ.Method(i).Name
+		for _, prefix := range []string{"Query", "Compile", "Translate", "Explain"} {
+			if strings.HasPrefix(name, prefix) {
+				got = append(got, name)
+				break
+			}
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("*Platform entry points = %v, want %v", got, want)
+	}
+}
+
 func TestTranslateText(t *testing.T) {
 	p := Demo()
-	xq, err := p.TranslateText("SELECT * FROM CUSTOMERS")
+	res, err := p.Translate("SELECT * FROM CUSTOMERS", ModeXML)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(xq, "for $var1FR1 in ns0:CUSTOMERS()") {
-		t.Fatalf("xquery:\n%s", xq)
+	if xq := res.XQuery(); !strings.Contains(xq, "for $var1FR1 in ns0:CUSTOMERS()") {
+		t.Fatalf("xquery:\n%s", res.XQuery())
 	}
 }
 

@@ -86,7 +86,7 @@ func buildPayloads(rows, cols int) (*payloads, error) {
 	p := New(app, engine)
 	var out payloads
 	for _, mode := range []ResultMode{ModeXML, ModeText} {
-		cq, err := p.Compile("SELECT * FROM W", mode)
+		cq, err := p.CompileContext(context.Background(), "SELECT * FROM W", mode)
 		if err != nil {
 			return nil, err
 		}
@@ -309,7 +309,7 @@ func BenchmarkEndToEnd(b *testing.B) {
 		}{{"Text", ModeText}, {"XML", ModeXML}} {
 			b.Run(fmt.Sprintf("%s/customers=%d", mode.name, customers), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					rows, err := p.QueryMode(mode.m, sql)
+					rows, err := p.QueryStreamMode(context.Background(), mode.m, sql)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -398,14 +398,14 @@ func BenchmarkCompileMiss(b *testing.B) {
 	p.EnableResilience(ResilienceConfig{CompileCacheEntries: -1})
 	corpus := compiledCorpus()
 	for _, sql := range corpus { // warm the metadata cache
-		if _, err := p.Compile(sql, ModeText); err != nil {
+		if _, err := p.CompileContext(context.Background(), sql, ModeText); err != nil {
 			b.Fatalf("%q: %v", sql, err)
 		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.Compile(corpus[i%len(corpus)], ModeText); err != nil {
+		if _, err := p.CompileContext(context.Background(), corpus[i%len(corpus)], ModeText); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -466,7 +466,7 @@ func BenchmarkCorrelatedJoinScaling(b *testing.B) {
 		for _, st := range stmts {
 			b.Run(fmt.Sprintf("%s/customers=%d/orders=%d", st.name, customers, 2*customers), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					rows, err := p.QueryMode(ModeXML, st.sql, st.arg)
+					rows, err := p.QueryStreamMode(context.Background(), ModeXML, st.sql, st.arg)
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -43,7 +43,9 @@ func main() {
 
 	p := aqualogic.Demo()
 	if *resilience {
-		p.EnableResilience(aqualogic.ResilienceConfig{QueryTimeout: *queryTimeout})
+		// No QueryTimeout here: it bounds in-process database/sql
+		// statements only; served evaluations are bounded by the server's.
+		p.EnableResilience(aqualogic.ResilienceConfig{})
 	}
 	var inj *faultnet.Injector
 	if *faultRate > 0 {

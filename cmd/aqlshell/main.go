@@ -8,9 +8,9 @@
 // PROCEDURES, SHOW COLUMNS FROM <t>, CALL <proc>(args), plus the shell
 // commands \d <dialect> (switch the query language: "sql" is the default,
 // "path" the graph-pattern front end — every later statement, \x, \p, and
-// \c parse in the chosen dialect), \x (print the XQuery a statement
-// translates to), \c (query contexts), \p (evaluator query plan), \s
-// (pipeline metrics snapshot),
+// \c parse in the chosen dialect), \x, \c and \p (the XQuery, query
+// contexts and evaluator plan of the statement's compiled artifact, the
+// one its executions run), \s (pipeline metrics snapshot),
 // \r (resilience counters: retries, breaker trips, stale serves, injected
 // faults), \src (per-source federation health: metadata generations,
 // breaker states, and scan attribution for every registered backend),
@@ -85,7 +85,7 @@ func main() {
 	fmt.Println(`"\x SELECT ..." to see the XQuery, "\c SELECT ..." to see the query`)
 	fmt.Println(`contexts (Figure 4), "\p SELECT ..." for the evaluator's query plan`)
 	fmt.Println(`(with per-scan cardinality and hash-join cost annotations once source`)
-	fmt.Println(`statistics are observed — run a query first, or ANALYZE via the API),`)
+	fmt.Println(`statistics are observed — run a query over the tables first),`)
 	fmt.Println(`"\s" for pipeline metrics (incl. stats hits and parallel workers),`)
 	fmt.Println(`"\r" for resilience counters, "\src" for per-source federation`)
 	fmt.Println(`health (metadata generations, breakers, scan attribution), "\q" for`)
@@ -155,12 +155,12 @@ func main() {
 				fmt.Printf("paging %d row(s) at a time\n", n)
 			}
 		case strings.HasPrefix(line, `\x `):
-			res, err := p.TranslateDialect(dialect, strings.TrimPrefix(line, `\x `), aqualogic.ModeXML)
+			cq, err := p.CompileDialect(context.Background(), dialect, strings.TrimPrefix(line, `\x `), aqualogic.ModeXML)
 			if err != nil {
 				fmt.Println("error:", err)
 				continue
 			}
-			fmt.Println(res.XQuery())
+			fmt.Println(cq.XQuery())
 		case line == `\s` && stats != nil:
 			renderRemoteStats(stats)
 		case line == `\s`:
@@ -206,12 +206,12 @@ func main() {
 			}
 			fmt.Println("-- streaming: " + cq.Plan.Stream.Describe())
 		case strings.HasPrefix(line, `\c `):
-			res, err := p.TranslateDialect(dialect, strings.TrimPrefix(line, `\c `), aqualogic.ModeXML)
+			cq, err := p.CompileDialect(context.Background(), dialect, strings.TrimPrefix(line, `\c `), aqualogic.ModeXML)
 			if err != nil {
 				fmt.Println("error:", err)
 				continue
 			}
-			fmt.Print(res.Contexts.Tree())
+			fmt.Print(cq.Res.Contexts.Tree())
 		default:
 			if err := runQuery(db, line, fetchSize, scanner); err != nil {
 				fmt.Println("error:", err)

@@ -8,12 +8,14 @@
 //	echo "SELECT ..." | sql2xq
 //
 // -dialect selects the query language the statement is written in (any
-// registered front end; default sql). -explain prints the stage-by-stage
-// translation trace (wall time, sizes, stage detail) and the catalog
-// cache effect before the generated query.
+// registered front end; default sql). -explain prints the statement's
+// EXPLAIN — the lines the session's EXPLAIN statement returns: stage trace,
+// compile and catalog cache effects, query contexts, the generated XQuery
+// and the evaluator plan the engine runs.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -27,7 +29,7 @@ func main() {
 	mode := flag.String("mode", "xml", "result handling mode: xml (RECORDSET output) or text (§4 delimiter-separated wrapper)")
 	dialect := flag.String("dialect", "sql", "query language the statement is written in (a registered dialect: sql, path)")
 	columns := flag.Bool("columns", false, "also print the computed result schema")
-	explain := flag.Bool("explain", false, "print the stage trace (lex/parse/…/serialize timings and detail) before the query")
+	explain := flag.Bool("explain", false, "print the statement's EXPLAIN (stage trace, cache effects, contexts, XQuery, plan) instead of the bare query")
 	flag.Parse()
 
 	var sql string
@@ -54,49 +56,36 @@ func main() {
 	}
 
 	p := aqualogic.Demo()
-	var res *aqualogic.Translation
-	var err error
+	ctx := context.Background()
 	if *explain {
-		var trace *aqualogic.Trace
-		res, trace, err = p.ExplainDialect(aqualogic.Dialect(*dialect), sql, resultMode)
+		lines, err := p.Explain(ctx, aqualogic.Dialect(*dialect), sql, resultMode)
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("-- dialect: %s\n", *dialect)
-		fmt.Println("-- stage trace:")
-		trace.Render(os.Stdout, true)
-		cache := p.MetadataStats()
-		fmt.Printf("-- catalog cache: hits=%d misses=%d\n", cache.Hits, cache.Misses)
-		fmt.Println("-- query contexts (stage one):")
-		fmt.Print(res.Contexts.Tree())
-		fmt.Println("-- generated XQuery (stage three):")
-	} else {
-		res, err = p.TranslateDialect(aqualogic.Dialect(*dialect), sql, resultMode)
-		if err != nil {
-			fatal(err)
-		}
-	}
-	fmt.Print(res.XQuery())
-	if *explain {
-		fmt.Println("-- query plan (evaluator):")
-		plan := aqualogic.PlanQuery(res)
-		for _, line := range plan.Describe() {
+		for _, line := range lines {
 			fmt.Println(line)
 		}
-		fmt.Println("-- streaming: " + plan.Stream.Describe())
+	}
+	// After -explain this is a compile-cache hit on the artifact it rendered.
+	cq, err := p.CompileDialect(ctx, aqualogic.Dialect(*dialect), sql, resultMode)
+	if err != nil {
+		fatal(err)
+	}
+	if !*explain {
+		fmt.Print(cq.XQuery())
 	}
 	if *columns {
 		fmt.Println()
 		fmt.Println("-- result schema:")
-		for i, c := range res.Columns {
+		for i, c := range cq.Res.Columns {
 			nullable := ""
 			if c.Nullable {
 				nullable = " NULL"
 			}
 			fmt.Printf("--   %d. %s %s%s (element <%s>)\n", i+1, c.Label, c.Type, nullable, c.ElementName)
 		}
-		if res.ParamCount > 0 {
-			fmt.Printf("-- parameters: %d\n", res.ParamCount)
+		if cq.Res.ParamCount > 0 {
+			fmt.Printf("-- parameters: %d\n", cq.Res.ParamCount)
 		}
 	}
 }

@@ -7,16 +7,16 @@ import (
 	aqualogic "repro"
 )
 
-// ExamplePlatform_TranslateText shows the paper's core transformation: a
+// ExamplePlatform_Translate shows the paper's core transformation: a
 // SQL SELECT over a data service presented as a table becomes an XQuery
 // over the data service function.
-func ExamplePlatform_TranslateText() {
+func ExamplePlatform_Translate() {
 	p := aqualogic.Demo()
-	xq, err := p.TranslateText("SELECT CUSTOMERID ID FROM CUSTOMERS WHERE CUSTOMERID = 1000")
+	res, err := p.Translate("SELECT CUSTOMERID ID FROM CUSTOMERS WHERE CUSTOMERID = 1000", aqualogic.ModeXML)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println(xq)
+	fmt.Println(res.XQuery())
 	// Output:
 	// import schema namespace ns0 =
 	//   "ld:TestDataServices/CUSTOMERS" at

@@ -77,12 +77,12 @@ func main() {
 	fmt.Println("-- one SQL query spanning a table and a computed service:")
 	fmt.Println(sql)
 
-	xq, err := p.TranslateText(sql)
+	res, err := p.Translate(sql, aqualogic.ModeXML)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("\n-- translates to a single XQuery over both data service functions:")
-	fmt.Println(xq)
+	fmt.Println(res.XQuery())
 
 	rows, err := p.Query(sql)
 	if err != nil {

@@ -55,9 +55,9 @@ func main() {
 
 	// And the whole logical layer is visible to SQL tools via the driver.
 	fmt.Println("\n== what the generated XQuery for the rollup looks like ==")
-	xq, err := p.TranslateText("SELECT CITY, REVENUE FROM CITY_REVENUE WHERE REVENUE > 1000")
+	res, err := p.Translate("SELECT CITY, REVENUE FROM CITY_REVENUE WHERE REVENUE > 1000", aqualogic.ModeXML)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println(xq)
+	fmt.Println(res.XQuery())
 }

@@ -42,14 +42,14 @@ func main() {
 
 	// 3. Translate a SQL query and inspect the generated XQuery.
 	sql := "SELECT TITLE, PRICE FROM BOOKS WHERE PRICE < 50 ORDER BY PRICE DESC"
-	xq, err := p.TranslateText(sql)
+	res, err := p.Translate(sql, aqualogic.ModeXML)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("-- SQL:")
 	fmt.Println("  ", sql)
 	fmt.Println("-- generated XQuery:")
-	fmt.Println(xq)
+	fmt.Println(res.XQuery())
 
 	// 4. Execute end to end (translation + XQuery evaluation + result
 	//    decoding) with a parameter.

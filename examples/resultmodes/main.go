@@ -38,7 +38,7 @@ func main() {
 	fmt.Println(firstLines(textRes.XQuery(), 6))
 	fmt.Println("  …")
 
-	rows, err := p.QueryMode(aqualogic.ModeText, sql)
+	rows, err := p.QueryStreamMode(context.Background(), aqualogic.ModeText, sql)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func wideTable(rows, cols int) *aqualogic.Platform {
 // payload evaluates SELECT * FROM W in one result mode and returns what
 // would travel to the driver, plus the schema that decodes it.
 func payload(p *aqualogic.Platform, mode aqualogic.ResultMode) (string, []resultset.Column) {
-	cq, err := p.Compile("SELECT * FROM W", mode)
+	cq, err := p.CompileContext(context.Background(), "SELECT * FROM W", mode)
 	if err != nil {
 		log.Fatal(err)
 	}

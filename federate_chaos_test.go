@@ -36,7 +36,7 @@ func TestChaosFederatedSourceIsolation(t *testing.T) {
 		"SELECT A.REGION, R.COUNTRY FROM ACCOUNTS A, REGIONS R WHERE A.REGION = R.REGION ORDER BY A.ACCOUNTID",
 	}
 	run := func(q string) (string, error) {
-		cq, err := p.Compile(q, ModeXML)
+		cq, err := p.CompileContext(context.Background(), q, ModeXML)
 		if err != nil {
 			return "", err
 		}

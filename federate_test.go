@@ -98,11 +98,11 @@ func TestFederatedMatchesSingleSource(t *testing.T) {
 		morsels := fed.Stats().MorselsProcessed
 		for _, mode := range []ResultMode{ModeXML, ModeText} {
 			for _, q := range federatedCorpus() {
-				fcq, err := fed.Compile(q, mode)
+				fcq, err := fed.CompileContext(context.Background(), q, mode)
 				if err != nil {
 					t.Fatalf("workers=%d mode=%v: federated compile %q: %v", workers, mode, q, err)
 				}
-				ocq, err := ora.Compile(q, mode)
+				ocq, err := ora.CompileContext(context.Background(), q, mode)
 				if err != nil {
 					t.Fatalf("workers=%d mode=%v: oracle compile %q: %v", workers, mode, q, err)
 				}
@@ -199,7 +199,7 @@ func TestFederatedSmoke(t *testing.T) {
 func TestFederatedAmbiguity(t *testing.T) {
 	p := federatedPlatform(t, demo.DefaultFederatedSizes, false)
 
-	_, err := p.Compile("SELECT * FROM RATES", ModeXML)
+	_, err := p.CompileContext(context.Background(), "SELECT * FROM RATES", ModeXML)
 	if err == nil {
 		t.Fatalf("unqualified RATES must be ambiguous")
 	}
@@ -207,7 +207,7 @@ func TestFederatedAmbiguity(t *testing.T) {
 		t.Fatalf("ambiguity must name the sources, got: %v", err)
 	}
 
-	cq, err := p.Compile("SELECT CURRENCY FROM billing.RATES.RATES ORDER BY CURRENCY", ModeXML)
+	cq, err := p.CompileContext(context.Background(), "SELECT CURRENCY FROM billing.RATES.RATES ORDER BY CURRENCY", ModeXML)
 	if err != nil {
 		t.Fatalf("source-qualified RATES must resolve: %v", err)
 	}
@@ -303,7 +303,7 @@ func TestFederatedCacheIsolation(t *testing.T) {
 	ordersQ := "SELECT ORDERID FROM ORDERS WHERE QTY > 5"
 	invoicesQ := "SELECT INVOICEID FROM INVOICES WHERE AMOUNT > 50"
 	for _, q := range []string{ordersQ, invoicesQ} {
-		if _, err := p.Compile(q, ModeXML); err != nil {
+		if _, err := p.CompileContext(context.Background(), q, ModeXML); err != nil {
 			t.Fatalf("compile %q: %v", q, err)
 		}
 	}
@@ -311,14 +311,14 @@ func TestFederatedCacheIsolation(t *testing.T) {
 	p.InvalidateSourceMetadata("billing")
 
 	base := p.CompileStats()
-	if _, err := p.Compile(ordersQ, ModeXML); err != nil {
+	if _, err := p.CompileContext(context.Background(), ordersQ, ModeXML); err != nil {
 		t.Fatalf("recompile %q: %v", ordersQ, err)
 	}
 	s := p.CompileStats()
 	if s.Hits != base.Hits+1 {
 		t.Fatalf("central-only artifact churned by billing invalidation: %+v -> %+v", base, s)
 	}
-	if _, err := p.Compile(invoicesQ, ModeXML); err != nil {
+	if _, err := p.CompileContext(context.Background(), invoicesQ, ModeXML); err != nil {
 		t.Fatalf("recompile %q: %v", invoicesQ, err)
 	}
 	s = p.CompileStats()
@@ -333,7 +333,7 @@ func TestFederatedPartitionPruning(t *testing.T) {
 	p := federatedPlatform(t, demo.DefaultFederatedSizes, false)
 	shards := len(demo.FederatedSetup(demo.DefaultFederatedSizes, false).Spec.Shards)
 
-	cq, err := p.Compile("SELECT ORDERID FROM ORDERS WHERE ACCOUNTID = 104", ModeXML)
+	cq, err := p.CompileContext(context.Background(), "SELECT ORDERID FROM ORDERS WHERE ACCOUNTID = 104", ModeXML)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -365,7 +365,7 @@ func FuzzFederatedDifferential(f *testing.F) {
 	// serial against serial.
 	morsels := fed.Stats().MorselsProcessed
 	for _, q := range federatedCorpus() {
-		cq, err := fed.Compile(q, ModeText)
+		cq, err := fed.CompileContext(context.Background(), q, ModeText)
 		if err != nil {
 			f.Fatalf("federated compile %q: %v", q, err)
 		}
@@ -379,8 +379,8 @@ func FuzzFederatedDifferential(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, sqlText string) {
 		for _, mode := range []ResultMode{ModeXML, ModeText} {
-			fcq, ferr := fed.Compile(sqlText, mode)
-			ocq, oerr := ora.Compile(sqlText, mode)
+			fcq, ferr := fed.CompileContext(context.Background(), sqlText, mode)
+			ocq, oerr := ora.CompileContext(context.Background(), sqlText, mode)
 			if ferr != nil || oerr != nil {
 				// Resolution can legitimately differ (RATES is ambiguous only
 				// in the federation); value divergence on doubly-accepted

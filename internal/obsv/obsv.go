@@ -40,8 +40,8 @@ type Stage int
 // materialization of §4; Compile is the post-translation static check +
 // plan construction that turns a translation into an executable
 // CompiledQuery (the internal/qcache boundary). Serialize, §3.4.1's
-// tree-walk to text, is recorded only where text is rendered — EXPLAIN
-// and Platform.ExplainDialect (sql2xq -explain) — never by a compile,
+// tree-walk to text, is recorded only where text is rendered — EXPLAIN,
+// which sql2xq -explain prints too — never by a compile,
 // which hands the AST to the engine; so the serialize histogram counts
 // renderings, not compiles.
 const (

@@ -722,32 +722,22 @@ func (s *Server) fetch(ctx context.Context, req wire.FetchRequest) (wire.FetchRe
 		}
 	}
 
-	limit := req.MaxRows
-	if limit <= 0 || limit > s.cfg.FetchRows {
-		limit = s.cfg.FetchRows
-	}
-
 	cur.mu.Lock()
 	defer cur.mu.Unlock()
-	if req.Seq != 0 {
-		// Sequenced fetch: replay the cached chunk for the current number,
-		// advance for the next, reject anything else. This is what makes
-		// fetch idempotent — a retried duplicate of chunk n gets
-		// the same bytes, never a skipped or doubled chunk.
-		switch {
-		case req.Seq == cur.lastSeq:
-			s.fetchReplays.Add(1)
-			return cur.lastResp, nil
-		case req.Seq != cur.lastSeq+1:
-			return wire.FetchResponse{}, aqerr.Errorf(aqerr.KindPermanent, "fetch",
-				"fetch sequence %d out of order (expected %d or %d)", req.Seq, cur.lastSeq, cur.lastSeq+1)
-		}
+	// Replay the cached chunk for the current number, advance for the
+	// next, reject anything else (0 included). This is what makes fetch
+	// idempotent — a retried duplicate of chunk n gets the same bytes,
+	// never a skipped or doubled chunk.
+	switch {
+	case req.Seq == cur.lastSeq:
+		s.fetchReplays.Add(1)
+		return cur.lastResp, nil
+	case req.Seq != cur.lastSeq+1:
+		return wire.FetchResponse{}, aqerr.Errorf(aqerr.KindPermanent, "fetch",
+			"fetch sequence %d out of order (expected %d or %d)", req.Seq, cur.lastSeq, cur.lastSeq+1)
 	}
-	resp := cur.nextChunkLocked(s, limit)
-	if req.Seq != 0 {
-		cur.lastSeq = req.Seq
-		cur.lastResp = resp
-	}
+	resp := cur.nextChunkLocked(s, s.cfg.FetchRows)
+	cur.lastSeq, cur.lastResp = req.Seq, resp
 	if truncate {
 		// A connection dropped mid-chunk: the prefix travels with the
 		// transient error, exactly like faultnet's data-surface truncation.

@@ -168,19 +168,18 @@ type ExecuteResponse struct {
 // server caches the last chunk it produced. Re-presenting
 // the current sequence number replays that chunk byte-identically (a retry
 // never skips or doubles rows); presenting the next
-// number advances the cursor. Seq 0 selects the legacy non-replayable
-// behavior (every fetch advances).
+// number advances the cursor. Every fetch is numbered: any other number,
+// 0 included, is a typed permanent error.
 type FetchRequest struct {
 	Session string `json:"session"`
 	Cursor  int64  `json:"cursor"`
-	MaxRows int    `json:"max_rows,omitempty"`
 	Seq     int64  `json:"seq,omitempty"`
 }
 
-// FetchResponse carries up to MaxRows rows in resultset.Rows.NextText's
-// form. EOF marks stream end; Error carries a mid-stream failure and may
-// accompany rows already produced (a truncated stream delivers its prefix
-// *and* the error, never silently).
+// FetchResponse carries one chunk of rows, at most the server's FetchRows,
+// in resultset.Rows.NextText's form. EOF marks stream end; Error carries a
+// mid-stream failure and may accompany rows already produced (a truncated
+// stream delivers its prefix *and* the error, never silently).
 type FetchResponse struct {
 	Chunk
 	EOF   bool   `json:"eof,omitempty"`

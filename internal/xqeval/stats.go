@@ -17,8 +17,7 @@ import (
 //
 // Collection is lazy by default — the first planned scan of a source
 // observes its row sequence on the way past, at a bounded sampling cost —
-// and eager on demand via CollectSourceStats (the facade's AnalyzeStats
-// walks the catalog and calls it per table). Lazy observations accumulate
+// and eager on demand via CollectSourceStats. Lazy observations accumulate
 // silently: plans compiled afterwards see them, already-cached plans keep
 // running (they are still correct, just costed blind) and the compile
 // cache stays stable under steady load. The explicit refresh
@@ -147,10 +146,9 @@ func (e *Engine) ObserveSourceStats(namespace, local string, rows xdm.Sequence) 
 }
 
 // CollectSourceStats eagerly (re)collects statistics for one parameterless
-// data service function by invoking it — the catalog-walk hook behind the
-// facade's AnalyzeStats. Unlike lazy observation it overwrites any prior
-// numbers and advances the statistics generation, retiring compiled
-// artifacts costed against them.
+// data service function by invoking it. Unlike lazy observation it
+// overwrites any prior numbers and advances the statistics generation,
+// retiring compiled artifacts costed against them.
 func (e *Engine) CollectSourceStats(ctx context.Context, namespace, local string) (*SourceStats, error) {
 	out, err := e.CallContext(ctx, namespace, local, nil)
 	if err != nil {

@@ -37,7 +37,7 @@ func TestNetChaosDifferential(t *testing.T) {
 	oracle := make(map[key]string)
 	for _, sql := range chaosCorpus() {
 		for _, mode := range modes {
-			rows, err := p.QueryMode(mode, sql, chaosArgs(strings.Count(sql, "?"))...)
+			rows, err := p.QueryStreamMode(context.Background(), mode, sql, chaosArgs(strings.Count(sql, "?"))...)
 			if err != nil {
 				t.Fatalf("oracle %q: %v", sql, err)
 			}

@@ -44,7 +44,7 @@ func TestPlatformConcurrentUse(t *testing.T) {
 						return
 					}
 				case 2:
-					if _, tr, err := p.ExplainDialect(DialectSQL, "SELECT COUNT(*) FROM PAYMENTS", ModeXML); err != nil || tr == nil {
+					if lines, err := p.Explain(context.Background(), DialectSQL, "SELECT COUNT(*) FROM PAYMENTS", ModeXML); err != nil || len(lines) == 0 {
 						t.Errorf("explain: %v", err)
 						return
 					}
@@ -64,13 +64,13 @@ func TestPlatformConcurrentUse(t *testing.T) {
 
 // TestConcurrentRenderOfCachedStatement races every reader of one cached
 // statement's query text: EXPLAIN renders it from the shared artifact,
-// TranslateText from a fresh translation, and executions run the same
+// Translate from a fresh translation, and executions run the same
 // artifact's plan. The artifact keeps no text, so each rendering is its
 // own; all must agree, and EXPLAIN must never write the shared trace.
 func TestConcurrentRenderOfCachedStatement(t *testing.T) {
 	p := Demo()
 	const sql = "SELECT CITY, COUNT(*) FROM CUSTOMERS WHERE CUSTOMERID < 1020 GROUP BY CITY"
-	cq, err := p.Compile(sql, ModeXML)
+	cq, err := p.CompileContext(context.Background(), sql, ModeXML)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestConcurrentRenderOfCachedStatement(t *testing.T) {
 				switch (g + i) % 3 {
 				case 0:
 					explains.Add(1)
-					hit, err := p.Compile(sql, ModeXML)
+					hit, err := p.CompileContext(context.Background(), sql, ModeXML)
 					if err != nil || hit != cq {
 						t.Errorf("compile: %v (cached artifact reused: %v)", err, hit == cq)
 						return
@@ -96,12 +96,13 @@ func TestConcurrentRenderOfCachedStatement(t *testing.T) {
 						return
 					}
 				case 1:
-					if text, err := p.TranslateText(sql); err != nil || text != want {
-						t.Errorf("TranslateText: %v (same text as the artifact: %v)", err, text == want)
+					res, err := p.Translate(sql, ModeXML)
+					if err != nil || res.XQuery() != want {
+						t.Errorf("Translate: %v (same text as the artifact: %v)", err, err == nil && res.XQuery() == want)
 						return
 					}
 				case 2:
-					rows, err := p.QueryMode(ModeXML, sql)
+					rows, err := p.QueryStreamMode(context.Background(), ModeXML, sql)
 					if err != nil {
 						t.Errorf("query: %v", err)
 						return

@@ -385,6 +385,13 @@ func TestFetchSeqReplay(t *testing.T) {
 		t.Fatalf("out-of-order fetch: kind %s, want permanent", we.Kind)
 	}
 
+	// So is a fetch with no sequence number: every fetch is numbered.
+	if we := postWire(t, h, wire.PathFetch, wire.FetchRequest{Session: session, Cursor: ex.Cursor}, &oo); we == nil {
+		t.Fatal("unsequenced fetch succeeded")
+	} else if aqerr.ParseKind(we.Kind) != aqerr.KindPermanent {
+		t.Fatalf("unsequenced fetch: kind %s, want permanent", we.Kind)
+	}
+
 	// The successor still advances normally after the rejected skip.
 	three, _ := fetch(3)
 	if three.Error != nil || len(three.Rows) != 2 {

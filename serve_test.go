@@ -86,7 +86,7 @@ func TestServedMatchesInProcess(t *testing.T) {
 	for _, mode := range []ResultMode{ModeXML, ModeText} {
 		for _, sql := range compiledCorpus() {
 			args := chaosArgs(strings.Count(sql, "?"))
-			local, err := p.QueryMode(mode, sql, args...)
+			local, err := p.QueryStreamMode(context.Background(), mode, sql, args...)
 			if err != nil {
 				t.Fatalf("mode %v: %q: in-process: %v", mode, sql, err)
 			}
@@ -108,7 +108,7 @@ func TestServedMatchesInProcess(t *testing.T) {
 
 	// Failing statements: the typed-error kind must survive the wire.
 	for _, sql := range failingCorpus() {
-		_, lerr := p.QueryMode(ModeText, sql)
+		_, lerr := p.QueryStreamMode(context.Background(), ModeText, sql)
 		_, rerr := c.QueryDialect(context.Background(), "", ModeText, sql)
 		if lerr == nil || rerr == nil {
 			t.Fatalf("%q: expected both paths to fail (local=%v remote=%v)", sql, lerr, rerr)
@@ -127,6 +127,53 @@ func failingCorpus() []string {
 		"SELECT FROM WHERE",
 		"SELECT CUSTOMERID FROM CUSTOMERS WHERE CUSTOMERID = ? AND CITY = ? AND STATUS = ?",
 		"SELECT CUSTOMERID FROM",
+	}
+}
+
+// TestServeCallerMistakesArePermanent: a statement the caller got wrong —
+// bad syntax, an unknown table or column, an unknown dialect, too few or
+// too many parameters — is a typed permanent error in process, through
+// the wire client, and in the raw served response (kind "permanent",
+// HTTP 400), never an untyped one.
+func TestServeCallerMistakesArePermanent(t *testing.T) {
+	p, srv, c := newLoopback(t, server.Config{SessionIdleTimeout: time.Minute})
+	h := srv.Handler()
+	session := wireSession(t, h)
+	want := aqerr.KindPermanent.String()
+	for _, tc := range []struct {
+		name    string
+		dialect Dialect
+		sql     string
+		args    []any
+	}{
+		{"syntax", DialectSQL, "SELEC CUSTOMERID FROM CUSTOMERS", nil},
+		{"unknown table", DialectSQL, "SELECT NOPE FROM NO_SUCH_TABLE", nil},
+		{"unknown column", DialectSQL, "SELECT NOPE FROM CUSTOMERS", nil},
+		{"unknown dialect", "cobol", "SELECT CUSTOMERID FROM CUSTOMERS", nil},
+		{"too few parameters", DialectSQL, "SELECT CUSTOMERID FROM CUSTOMERS WHERE CUSTOMERID = ?", nil},
+		{"too many parameters", DialectSQL, "SELECT CUSTOMERID FROM CUSTOMERS", []any{1000}},
+	} {
+		_, lerr := p.QueryDialect(context.Background(), tc.dialect, ModeText, tc.sql, tc.args...)
+		if k := errKindName(lerr); lerr == nil || k != want {
+			t.Errorf("%s: in process: kind %s (%v), want %s", tc.name, k, lerr, want)
+		}
+		_, rerr := c.QueryDialect(context.Background(), string(tc.dialect), ModeText, tc.sql, tc.args...)
+		if k := errKindName(rerr); rerr == nil || k != want {
+			t.Errorf("%s: served: kind %s (%v), want %s", tc.name, k, rerr, want)
+		}
+		req := wire.ExecuteRequest{Session: session, SQL: tc.sql, Dialect: string(tc.dialect)}
+		for _, a := range tc.args {
+			v, err := ToAtomic(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Args = append(req.Args, &wire.Atom{T: int(v.Type()), V: v.Lexical()})
+		}
+		code, body := postRaw(t, h, wire.PathExecute, req)
+		var er wire.ErrorResponse
+		if err := json.Unmarshal(body, &er); err != nil || er.Error == nil || code != http.StatusBadRequest || er.Error.Kind != want {
+			t.Errorf("%s: raw execute: HTTP %d %s, want HTTP 400 kind %s", tc.name, code, body, want)
+		}
 	}
 }
 
@@ -164,7 +211,7 @@ func driverMatchesFacade(t *testing.T, p *Platform, dsn string, mode ResultMode)
 	db := openSQL(t, dsn)
 	for _, q := range compiledCorpus() {
 		args := chaosArgs(strings.Count(q, "?"))
-		local, err := p.QueryMode(mode, q, args...)
+		local, err := p.QueryStreamMode(context.Background(), mode, q, args...)
 		if err != nil {
 			t.Fatalf("%s: %q: facade: %v", dsn, q, err)
 		}
@@ -179,7 +226,7 @@ func driverMatchesFacade(t *testing.T, p *Platform, dsn string, mode ResultMode)
 		}
 	}
 	for _, q := range failingCorpus() {
-		_, lerr := p.QueryMode(mode, q)
+		_, lerr := p.QueryStreamMode(context.Background(), mode, q)
 		_, rerr := db.Query(q)
 		if lerr == nil || rerr == nil {
 			t.Fatalf("%s: %q: expected both paths to fail (facade=%v database/sql=%v)", dsn, q, lerr, rerr)
@@ -249,7 +296,7 @@ func TestDuplicateOutputNamesInTextMode(t *testing.T) {
 		"SELECT CUSTOMERID, CUSTOMERID FROM CUSTOMERS",
 		"SELECT CUSTOMERID AS A, CUSTOMERNAME AS A FROM CUSTOMERS",
 	} {
-		xml, err := p.QueryMode(ModeXML, q)
+		xml, err := p.QueryStreamMode(context.Background(), ModeXML, q)
 		if err != nil {
 			t.Fatalf("%q: XML mode: %v", q, err)
 		}
@@ -259,7 +306,7 @@ func TestDuplicateOutputNamesInTextMode(t *testing.T) {
 		if len(wantValues) != 50 {
 			t.Fatalf("%q: XML mode returned %d rows, want 50", q, len(wantValues))
 		}
-		local, err := p.QueryMode(ModeText, q)
+		local, err := p.QueryStreamMode(context.Background(), ModeText, q)
 		if err != nil {
 			t.Fatalf("%q: text mode in process: %v", q, err)
 		}
@@ -397,7 +444,7 @@ func TestServedEdgeDataMatchesInProcess(t *testing.T) {
 		}
 		for _, mode := range []ResultMode{ModeXML, ModeText} {
 			for _, st := range stmts {
-				local, err := p.QueryMode(mode, st.sql, st.args...)
+				local, err := p.QueryStreamMode(context.Background(), mode, st.sql, st.args...)
 				if err != nil {
 					t.Fatalf("%q: in-process: %v", st.sql, err)
 				}
@@ -456,7 +503,7 @@ func FuzzServeDifferential(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, sql string) {
 		for _, mode := range []ResultMode{ModeXML, ModeText} {
-			cq, err := p.Compile(sql, mode)
+			cq, err := p.CompileContext(context.Background(), sql, mode)
 			if err != nil || cq.Res.ParamCount > 2 {
 				return
 			}
@@ -464,7 +511,7 @@ func FuzzServeDifferential(f *testing.F) {
 				return // nondeterministic between the two evaluations
 			}
 			args := chaosArgs(cq.Res.ParamCount)
-			local, lerr := p.QueryMode(mode, sql, args...)
+			local, lerr := p.QueryStreamMode(context.Background(), mode, sql, args...)
 			var want string
 			if lerr == nil {
 				want = marshalRows(local)
@@ -571,7 +618,7 @@ func TestServeFetchRowsAreText(t *testing.T) {
 	session := wireSession(t, h)
 	const sql = "SELECT CUSTOMERID, CUSTOMERNAME, CITY FROM CUSTOMERS WHERE CUSTOMERID < 1004"
 	for _, mode := range []ResultMode{ModeText, ModeXML} {
-		local, err := p.QueryMode(mode, sql)
+		local, err := p.QueryStreamMode(context.Background(), mode, sql)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -776,9 +823,11 @@ func TestServeSessionLifecycle(t *testing.T) {
 		t.Fatalf("multi-chunk execute: %+v, want a cursor and four rows", ex)
 	}
 	rows := ex.Rows
+	seq := int64(1) // the execute's chunk
 	for {
+		seq++
 		var fr wire.FetchResponse
-		if we := postWire(t, h, wire.PathFetch, wire.FetchRequest{Session: session, Cursor: ex.Cursor}, &fr); we != nil {
+		if we := postWire(t, h, wire.PathFetch, wire.FetchRequest{Session: session, Cursor: ex.Cursor, Seq: seq}, &fr); we != nil {
 			t.Fatalf("fetch: %v", we)
 		}
 		if fr.Error != nil {
@@ -795,7 +844,7 @@ func TestServeSessionLifecycle(t *testing.T) {
 
 	// Fetch past EOF: EOF again, not an error, no rows.
 	var past wire.FetchResponse
-	if we := postWire(t, h, wire.PathFetch, wire.FetchRequest{Session: session, Cursor: ex.Cursor}, &past); we != nil {
+	if we := postWire(t, h, wire.PathFetch, wire.FetchRequest{Session: session, Cursor: ex.Cursor, Seq: seq + 1}, &past); we != nil {
 		t.Fatalf("fetch past EOF: %v", we)
 	}
 	if !past.EOF || past.Error != nil || len(past.Rows) != 0 {
@@ -812,7 +861,7 @@ func TestServeSessionLifecycle(t *testing.T) {
 	}
 
 	// Fetch on the closed cursor is a typed permanent error.
-	if we := postWire(t, h, wire.PathFetch, wire.FetchRequest{Session: session, Cursor: ex.Cursor}, &past); we == nil {
+	if we := postWire(t, h, wire.PathFetch, wire.FetchRequest{Session: session, Cursor: ex.Cursor, Seq: seq + 2}, &past); we == nil {
 		t.Fatal("fetch on closed cursor succeeded")
 	} else if aqerr.ParseKind(we.Kind) != aqerr.KindPermanent {
 		t.Fatalf("fetch on closed cursor: kind %s, want permanent", we.Kind)
@@ -1299,7 +1348,7 @@ func TestServeSmoke(t *testing.T) {
 	}
 	for _, sql := range compiledCorpus()[:5] {
 		args := chaosArgs(strings.Count(sql, "?"))
-		local, err := p.QueryMode(ModeText, sql, args...)
+		local, err := p.QueryStreamMode(context.Background(), ModeText, sql, args...)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -79,7 +79,7 @@ func unalignedTextOracle(p *Platform, sql string, args []any) (*Rows, error) {
 // oracleInputs compiles a statement and binds its arguments and result
 // schema the way the facade does.
 func oracleInputs(p *Platform, mode ResultMode, sql string, args []any) (*CompiledQuery, map[string]Sequence, []resultset.Column, error) {
-	cq, err := p.Compile(sql, mode)
+	cq, err := p.CompileContext(context.Background(), sql, mode)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -137,7 +137,7 @@ func TestStreamedMatchesMaterialized(t *testing.T) {
 	for _, mode := range []ResultMode{ModeXML, ModeText} {
 		for _, sql := range compiledCorpus() {
 			args := chaosArgs(strings.Count(sql, "?"))
-			srows, err := p.QueryMode(mode, sql, args...)
+			srows, err := p.QueryStreamMode(context.Background(), mode, sql, args...)
 			if err != nil {
 				t.Fatalf("mode %v: %q: streamed query: %v", mode, sql, err)
 			}
@@ -170,7 +170,7 @@ func TestStreamedMatchesMaterialized(t *testing.T) {
 					t.Fatalf("%q: planned stream diverged from the split materialized payload: %v\ngot:  %s\nwant: %s", sql, err, got, want)
 				}
 			}
-			if cq, err := p.Compile(sql, mode); err == nil && cq.Streamable() {
+			if cq, err := p.CompileContext(context.Background(), sql, mode); err == nil && cq.Streamable() {
 				streamable++
 			}
 		}
@@ -222,7 +222,7 @@ func TestQueryStreamCancellation(t *testing.T) {
 	app, _, engine := demo.Setup(demo.Sizes{Customers: 5000, PaymentsPerCustomer: 1, Orders: 1, ItemsPerOrder: 1})
 	p := New(app, engine)
 	ctx, cancel := context.WithCancel(context.Background())
-	rows, err := p.QueryStream(ctx, "SELECT CUSTOMERID FROM CUSTOMERS")
+	rows, err := p.QueryStreamMode(ctx, ModeText, "SELECT CUSTOMERID FROM CUSTOMERS")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,13 +252,13 @@ func TestFetchFirstShortCircuit(t *testing.T) {
 	const sql = "SELECT CUSTOMERID, CUSTOMERNAME FROM CUSTOMERS FETCH FIRST 10 ROWS ONLY"
 
 	for _, mode := range []ResultMode{ModeXML, ModeText} {
-		cq, err := p.Compile(sql, mode)
+		cq, err := p.CompileContext(context.Background(), sql, mode)
 		if err != nil {
 			t.Fatalf("mode %v: %v", mode, err)
 		}
 
 		// Facade, streamed end to end.
-		rows, err := p.QueryMode(mode, sql)
+		rows, err := p.QueryStreamMode(context.Background(), mode, sql)
 		if err != nil {
 			t.Fatalf("mode %v: %v", mode, err)
 		}
@@ -326,7 +326,7 @@ func FuzzStreamDifferential(f *testing.F) {
 	p := New(app, engine)
 	f.Fuzz(func(t *testing.T, sql string) {
 		for _, mode := range []ResultMode{ModeXML, ModeText} {
-			cq, err := p.Compile(sql, mode)
+			cq, err := p.CompileContext(context.Background(), sql, mode)
 			if err != nil || cq.Res.ParamCount > 2 {
 				return
 			}
@@ -334,7 +334,7 @@ func FuzzStreamDifferential(f *testing.F) {
 				return // nondeterministic between the two evaluations
 			}
 			args := chaosArgs(cq.Res.ParamCount)
-			srows, serr := p.QueryMode(mode, sql, args...)
+			srows, serr := p.QueryStreamMode(context.Background(), mode, sql, args...)
 			var got string
 			if serr == nil {
 				got, serr = marshalStreamed(srows)

@@ -156,7 +156,7 @@ func TestViewObservesCallerDeadline(t *testing.T) {
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 		defer cancel()
-		rows, err := p.QueryStream(ctx, "SELECT ID FROM STALLED")
+		rows, err := p.QueryStreamMode(ctx, ModeText, "SELECT ID FROM STALLED")
 		if err == nil {
 			for rows.Next() {
 			}
@@ -260,11 +260,11 @@ func TestViewOverJoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, mode := range []ResultMode{ModeXML, ModeText} {
-		view, err := p.QueryMode(mode, "SELECT ID, CITY, PAYMENT FROM CUSTPAY")
+		view, err := p.QueryStreamMode(context.Background(), mode, "SELECT ID, CITY, PAYMENT FROM CUSTPAY")
 		if err != nil {
 			t.Fatal(err)
 		}
-		direct, err := p.QueryMode(mode, join)
+		direct, err := p.QueryStreamMode(context.Background(), mode, join)
 		if err != nil {
 			t.Fatal(err)
 		}
