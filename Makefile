@@ -92,7 +92,6 @@ federate-smoke:
 # by longer runs land in testdata/fuzz/ and replay as regular tests.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParseSelect -fuzztime=$(FUZZTIME) ./internal/sqlparser/
-	$(GO) test -run='^$$' -fuzz=FuzzPathFrontend -fuzztime=$(FUZZTIME) ./internal/pathfront/
 	$(GO) test -run='^$$' -fuzz=FuzzTranslate -fuzztime=$(FUZZTIME) ./internal/translator/
 	$(GO) test -run='^$$' -fuzz=FuzzFaultedEval -fuzztime=$(FUZZTIME) .
 	$(GO) test -run='^$$' -fuzz=FuzzCompiledDifferential -fuzztime=$(FUZZTIME) .

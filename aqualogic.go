@@ -7,9 +7,8 @@
 //
 // The package is a facade over the internal packages:
 //
-//	internal/qfront     frontend-neutral typed query AST + Frontend seam
+//	internal/qfront     typed query AST + the Frontend seam the kernel reads
 //	internal/sqlparser  SQL-92 SELECT lexer/parser (translation stage one)
-//	internal/pathfront  path-template front end over the same AST
 //	internal/translator three-stage translation kernel (the paper's
 //	                    core contribution: contexts, resultset nodes,
 //	                    typed generation, §4 result wrappers)
@@ -44,32 +43,24 @@ import (
 	"repro/internal/driver"
 	"repro/internal/faultnet"
 	"repro/internal/obsv"
-	_ "repro/internal/pathfront" // register the path-template dialect
 	"repro/internal/qcache"
 	"repro/internal/qfront"
 	"repro/internal/remoteclient"
 	"repro/internal/resilient"
 	"repro/internal/resultset"
+	"repro/internal/sqlparser"
 	"repro/internal/translator"
 	"repro/internal/xdm"
 	"repro/internal/xqeval"
 )
 
-// Dialect names a registered query language front end. QueryDialect,
-// CompileDialect, Prepare and Explain take one; Query, QueryStreamMode,
-// CompileContext and Translate fix it to SQL-92, the platform's historical
-// (and wire-default) surface.
+// Dialect names a query language. SQL-92 is the only one; the alias and
+// DialectSQL stay for benchmark/aqlbench, which calls the CompileDialect
+// and QueryDialect shims, until ROADMAP item 1(c) moves it off them.
 type Dialect = qfront.Dialect
 
-// Built-in dialects: the SQL-92 front end (internal/sqlparser) and the
-// path-template front end (internal/pathfront).
-const (
-	DialectSQL  = qfront.DialectSQL
-	DialectPath = qfront.DialectPath
-)
-
-// Dialects lists the registered query dialects.
-func Dialects() []Dialect { return qfront.Dialects() }
+// DialectSQL is the SQL-92 front end's name.
+const DialectSQL = qfront.DialectSQL
 
 // Re-exported core types, so library users need only this package for the
 // common paths.
@@ -446,15 +437,12 @@ func (p *Platform) federation() *catalog.Federation {
 }
 
 // sourceGeneration is the per-backend epoch the compile cache validates
-// hits against: the backend's metadata generation plus its source-scoped
-// statistics generation. Both are monotonic, so the sum changes whenever
-// either does.
+// hits against: the backend's metadata generation.
 func (p *Platform) sourceGeneration(source string) uint64 {
-	var gen uint64
 	if fed := p.federation(); fed != nil {
-		gen = fed.SourceGeneration(source)
+		return fed.SourceGeneration(source)
 	}
-	return gen + p.Engine.SourceStatsGeneration(source)
+	return 0
 }
 
 // queryCache lazily builds the platform's shared compiled-query cache,
@@ -497,35 +485,39 @@ func (p *Platform) metadataGeneration() uint64 {
 // equivalent statements reuse one compilation. ctx bounds metadata
 // fetches. The benchmark (benchmark/README.md) calls it.
 func (p *Platform) CompileContext(ctx context.Context, sql string, mode ResultMode) (*CompiledQuery, error) {
-	return p.CompileDialect(ctx, DialectSQL, sql, mode)
+	cq, _, err := p.compile(ctx, sql, mode)
+	return cq, err
 }
 
-// CompileDialect is CompileContext with an explicit query dialect: the
-// text is parsed by the dialect's registered front end, and the artifact
-// is cached under (dialect, normalized text, mode, generations) — two
-// dialects can never share or clobber an entry, even on identical text.
-// The benchmark (benchmark/README.md) calls it.
+// CompileDialect is CompileContext for DialectSQL; any other dialect is a
+// typed permanent error. It stays because benchmark/aqlbench overrides it,
+// until ROADMAP item 1(c) moves the benchmark off it.
 func (p *Platform) CompileDialect(ctx context.Context, dialect Dialect, text string, mode ResultMode) (*CompiledQuery, error) {
-	cq, _, err := p.compile(ctx, dialect, text, mode)
-	return cq, err
+	if err := sqlOnly(dialect); err != nil {
+		return nil, err
+	}
+	return p.CompileContext(ctx, text, mode)
+}
+
+// sqlOnly refuses any dialect but SQL-92 as the caller's permanent
+// mistake.
+func sqlOnly(dialect Dialect) error {
+	_, err := qfront.Lookup(dialect)
+	return classify("compile", err)
 }
 
 // compile is the one compile step behind the facade and every database/sql
 // statement: it resolves text through the shared compile cache,
 // translating, checking and planning only on a miss. hit reports artifact
 // reuse, which EXPLAIN's compile-cache line shows.
-func (p *Platform) compile(ctx context.Context, dialect Dialect, text string, mode ResultMode) (cq *CompiledQuery, hit bool, err error) {
-	fe, err := qfront.Lookup(dialect)
-	if err != nil {
-		return nil, false, classify("compile", err)
-	}
-	cq, hit, err = p.queryCache().Get(ctx, fe, text, mode, func(ctx context.Context, text string) (*qcache.CompiledQuery, error) {
+func (p *Platform) compile(ctx context.Context, text string, mode ResultMode) (cq *CompiledQuery, hit bool, err error) {
+	cq, hit, err = p.queryCache().Get(ctx, text, mode, func(ctx context.Context, text string) (*qcache.CompiledQuery, error) {
 		tr := p.trace(text)
-		res, err := p.translate(ctx, fe, text, mode, tr)
+		res, err := p.translate(ctx, text, mode, tr)
 		if err != nil {
 			return nil, err
 		}
-		return qcache.Compile(res, p.Engine, fe, text, tr)
+		return qcache.Compile(res, p.Engine, text, tr)
 	})
 	return cq, hit, classify("compile", err)
 }
@@ -555,8 +547,8 @@ func (p *Platform) trace(text string) *Trace {
 }
 
 // translate is the platform's one translation step, counted by outcome.
-func (p *Platform) translate(ctx context.Context, fe qfront.Frontend, text string, mode ResultMode, tr *Trace) (*Translation, error) {
-	res, err := p.Translator(mode).TranslateFrontend(ctx, fe, text, tr)
+func (p *Platform) translate(ctx context.Context, text string, mode ResultMode, tr *Trace) (*Translation, error) {
+	res, err := p.Translator(mode).TranslateFrontend(ctx, sqlparser.Front{}, text, tr)
 	if err != nil {
 		p.translateErrors.Inc()
 	} else {
@@ -598,11 +590,7 @@ func (p *Platform) Translator(mode ResultMode) *translator.Translator {
 // translation (generated query, result schema, parameter info); its
 // XQuery method renders the query text.
 func (p *Platform) Translate(sql string, mode ResultMode) (*Translation, error) {
-	fe, err := qfront.Lookup(DialectSQL)
-	if err != nil {
-		return nil, err
-	}
-	return p.translate(context.Background(), fe, sql, mode, nil)
+	return p.translate(context.Background(), sql, mode, nil)
 }
 
 // Query translates and executes a SELECT end to end, binding the given
@@ -614,7 +602,7 @@ func (p *Platform) Translate(sql string, mode ResultMode) (*Translation, error) 
 // scrollable result; check rows.Err() after iterating, since errors can
 // strike mid-stream.
 func (p *Platform) Query(sql string, args ...any) (*Rows, error) {
-	return p.QueryDialect(context.Background(), DialectSQL, ModeText, sql, args...)
+	return p.QueryStreamMode(context.Background(), ModeText, sql, args...)
 }
 
 // QueryStreamMode is the full streaming entry point: compile (cached), bind
@@ -628,19 +616,21 @@ func (p *Platform) Query(sql string, args ...any) (*Rows, error) {
 // evaluation at the next tuple boundary, surfacing through rows.Err(). The
 // benchmark (benchmark/README.md) calls it.
 func (p *Platform) QueryStreamMode(ctx context.Context, mode ResultMode, sql string, args ...any) (*Rows, error) {
-	return p.QueryDialect(ctx, DialectSQL, mode, sql, args...)
-}
-
-// QueryDialect is QueryStreamMode with an explicit query dialect: the
-// statement text is parsed by the dialect's front end and then flows
-// through exactly the same compile cache, planner, and streaming cursor
-// as SQL.
-func (p *Platform) QueryDialect(ctx context.Context, dialect Dialect, mode ResultMode, text string, args ...any) (*Rows, error) {
-	cq, _, err := p.compile(ctx, dialect, text, mode)
+	cq, _, err := p.compile(ctx, sql, mode)
 	if err != nil {
 		return nil, err
 	}
 	return p.execute(ctx, cq, args, nil)
+}
+
+// QueryDialect is QueryStreamMode for DialectSQL; any other dialect is a
+// typed permanent error. It stays because benchmark/aqlbench overrides it,
+// until ROADMAP item 1(c) moves the benchmark off it.
+func (p *Platform) QueryDialect(ctx context.Context, dialect Dialect, mode ResultMode, text string, args ...any) (*Rows, error) {
+	if err := sqlOnly(dialect); err != nil {
+		return nil, err
+	}
+	return p.QueryStreamMode(ctx, mode, text, args...)
 }
 
 // execute is the one bind → evaluate → decode tail behind the facade and

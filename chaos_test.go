@@ -456,7 +456,7 @@ func TestServeChaos(t *testing.T) {
 		}
 		for _, sql := range chaosCorpus() {
 			attempts++
-			rows, err := c.QueryDialect(context.Background(), "", ModeText, sql,
+			rows, err := c.Query(context.Background(), ModeText, sql,
 				chaosArgs(strings.Count(sql, "?"))...)
 			var got string
 			if err == nil {
@@ -493,7 +493,7 @@ func TestServeChaos(t *testing.T) {
 		t.Fatalf("post-chaos handshake: %v", err)
 	}
 	sql := "SELECT CUSTOMERID, CUSTOMERNAME FROM CUSTOMERS"
-	rows, err := c.QueryDialect(context.Background(), "", ModeText, sql)
+	rows, err := c.Query(context.Background(), ModeText, sql)
 	if err != nil {
 		t.Fatalf("post-chaos query: %v", err)
 	}

@@ -6,9 +6,7 @@
 // EXPLAIN <select> (stage-by-stage translation trace, cache effect, query
 // contexts, and the generated XQuery), SHOW CATALOGS/SCHEMAS/TABLES/
 // PROCEDURES, SHOW COLUMNS FROM <t>, CALL <proc>(args), plus the shell
-// commands \d <dialect> (switch the query language: "sql" is the default,
-// "path" the graph-pattern front end — every later statement, \x, \p, and
-// \c parse in the chosen dialect), \x, \c and \p (the XQuery, query
+// commands \x, \c and \p (the XQuery, query
 // contexts and evaluator plan of the statement's compiled artifact, the
 // one its executions run), \s (pipeline metrics snapshot),
 // \r (resilience counters: retries, breaker trips, stale serves, injected
@@ -69,13 +67,12 @@ func main() {
 		p = aqualogic.Demo()
 		p.RegisterDriver(dsn)
 	}
-	dialect := aqualogic.DialectSQL
 	db, err := sql.Open("aqualogic", dsn)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "aqlshell:", err)
 		os.Exit(1)
 	}
-	defer func() { db.Close() }()
+	defer db.Close()
 
 	fmt.Println("aqlshell — SQL over the AquaLogic-style demo deployment")
 	if stats != nil {
@@ -90,9 +87,7 @@ func main() {
 	fmt.Println(`"\r" for resilience counters, "\src" for per-source federation`)
 	fmt.Println(`health (metadata generations, breakers, scan attribution), "\q" for`)
 	fmt.Println(`compile-cache counters, "\f n" to page results n rows at a time off`)
-	fmt.Println(`the live cursor (\f 0 to turn paging off), "\d <dialect>" to switch`)
-	fmt.Printf("query language (registered: %s), \"quit\" or \"exit\" to leave\n",
-		strings.Join(dialectNames(), ", "))
+	fmt.Println(`the live cursor (\f 0 to turn paging off), "quit" or "exit" to leave`)
 
 	scanner := bufio.NewScanner(os.Stdin)
 	scanner.Buffer(make([]byte, 1<<20), 1<<20)
@@ -112,25 +107,6 @@ func main() {
 		case p == nil && (line == `\q` || line == `\src` || strings.HasPrefix(line, `\x `) ||
 			strings.HasPrefix(line, `\c `) || strings.HasPrefix(line, `\p `)):
 			fmt.Println(`\x, \c, \p, \q and \src read the in-process platform (run without -server)`)
-		case line == `\d`:
-			fmt.Printf("dialect: %s (registered: %s)\n", dialect, strings.Join(dialectNames(), ", "))
-		case strings.HasPrefix(line, `\d `):
-			name := strings.TrimSpace(strings.TrimPrefix(line, `\d `))
-			d, ok := lookupDialect(name)
-			if !ok {
-				fmt.Printf("unknown dialect %q (registered: %s)\n", name, strings.Join(dialectNames(), ", "))
-				continue
-			}
-			// Reopen the DSN with the dialect option: every connection the
-			// pool hands out from here on parses in the chosen language.
-			next, err := sql.Open("aqualogic", dsn+"?dialect="+string(d))
-			if err != nil {
-				fmt.Println("error:", err)
-				continue
-			}
-			db.Close()
-			db, dialect = next, d
-			fmt.Printf("dialect: %s\n", dialect)
 		case line == `\q`:
 			cs := p.CompileStats()
 			fmt.Printf("compile cache: hits=%d misses=%d shared=%d evictions=%d invalidations=%d\n",
@@ -155,7 +131,7 @@ func main() {
 				fmt.Printf("paging %d row(s) at a time\n", n)
 			}
 		case strings.HasPrefix(line, `\x `):
-			cq, err := p.CompileDialect(context.Background(), dialect, strings.TrimPrefix(line, `\x `), aqualogic.ModeXML)
+			cq, err := p.CompileContext(context.Background(), strings.TrimPrefix(line, `\x `), aqualogic.ModeXML)
 			if err != nil {
 				fmt.Println("error:", err)
 				continue
@@ -195,18 +171,17 @@ func main() {
 				}
 			}
 		case strings.HasPrefix(line, `\p `):
-			cq, err := p.CompileDialect(context.Background(), dialect, strings.TrimPrefix(line, `\p `), aqualogic.ModeText)
+			cq, err := p.CompileContext(context.Background(), strings.TrimPrefix(line, `\p `), aqualogic.ModeText)
 			if err != nil {
 				fmt.Println("error:", err)
 				continue
 			}
-			fmt.Printf("-- dialect: %s\n", cq.Dialect)
 			for _, planLine := range cq.Plan.Describe() {
 				fmt.Println(planLine)
 			}
 			fmt.Println("-- streaming: " + cq.Plan.Stream.Describe())
 		case strings.HasPrefix(line, `\c `):
-			cq, err := p.CompileDialect(context.Background(), dialect, strings.TrimPrefix(line, `\c `), aqualogic.ModeXML)
+			cq, err := p.CompileContext(context.Background(), strings.TrimPrefix(line, `\c `), aqualogic.ModeXML)
 			if err != nil {
 				fmt.Println("error:", err)
 				continue
@@ -218,30 +193,6 @@ func main() {
 			}
 		}
 	}
-}
-
-// dialectNames lists the locally registered dialects.
-func dialectNames() []string {
-	ds := aqualogic.Dialects()
-	names := make([]string, len(ds))
-	for i, d := range ds {
-		names[i] = string(d)
-	}
-	return names
-}
-
-// lookupDialect resolves a dialect name against the local registry
-// ("" = sql).
-func lookupDialect(name string) (aqualogic.Dialect, bool) {
-	if name == "" {
-		return aqualogic.DialectSQL, true
-	}
-	for _, d := range aqualogic.Dialects() {
-		if string(d) == name {
-			return d, true
-		}
-	}
-	return "", false
 }
 
 func statsCtx() context.Context {

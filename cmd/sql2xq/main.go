@@ -4,11 +4,10 @@
 //
 // Usage:
 //
-//	sql2xq [-dialect sql|path] [-mode xml|text] [-columns] [-explain] "SELECT * FROM CUSTOMERS"
+//	sql2xq [-mode xml|text] [-columns] [-explain] "SELECT * FROM CUSTOMERS"
 //	echo "SELECT ..." | sql2xq
 //
-// -dialect selects the query language the statement is written in (any
-// registered front end; default sql). -explain prints the statement's
+// -explain prints the statement's
 // EXPLAIN — the lines the session's EXPLAIN statement returns: stage trace,
 // compile and catalog cache effects, query contexts, the generated XQuery
 // and the evaluator plan the engine runs.
@@ -27,7 +26,6 @@ import (
 
 func main() {
 	mode := flag.String("mode", "xml", "result handling mode: xml (RECORDSET output) or text (§4 delimiter-separated wrapper)")
-	dialect := flag.String("dialect", "sql", "query language the statement is written in (a registered dialect: sql, path)")
 	columns := flag.Bool("columns", false, "also print the computed result schema")
 	explain := flag.Bool("explain", false, "print the statement's EXPLAIN (stage trace, cache effects, contexts, XQuery, plan) instead of the bare query")
 	flag.Parse()
@@ -58,7 +56,7 @@ func main() {
 	p := aqualogic.Demo()
 	ctx := context.Background()
 	if *explain {
-		lines, err := p.Explain(ctx, aqualogic.Dialect(*dialect), sql, resultMode)
+		lines, err := p.Explain(ctx, sql, resultMode)
 		if err != nil {
 			fatal(err)
 		}
@@ -67,7 +65,7 @@ func main() {
 		}
 	}
 	// After -explain this is a compile-cache hit on the artifact it rendered.
-	cq, err := p.CompileDialect(ctx, aqualogic.Dialect(*dialect), sql, resultMode)
+	cq, err := p.CompileContext(ctx, sql, resultMode)
 	if err != nil {
 		fatal(err)
 	}

@@ -25,7 +25,7 @@ func TestCountersStayWithTheirOwner(t *testing.T) {
 
 	const q = "SELECT CITY FROM CUSTOMERS WHERE CUSTOMERID < 1003"
 	for i := 0; i < 2; i++ {
-		rows, err := c1.QueryDialect(ctx, "", ModeText, q)
+		rows, err := c1.Query(ctx, ModeText, q)
 		if err != nil {
 			t.Fatal(err)
 		}

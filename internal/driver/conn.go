@@ -8,20 +8,18 @@ import (
 	"strings"
 
 	"repro/internal/aqerr"
-	"repro/internal/qfront"
 	"repro/internal/resultset"
 	"repro/internal/translator"
 	"repro/internal/xdm"
 )
 
-// conn is one connection: a session plus the result mode and dialect its
-// DSN selected. Everything a statement compiles or caches lives in the
+// conn is one connection: a session plus the result mode its DSN
+// selected. Everything a statement compiles or caches lives in the
 // session, so connections share it all.
 type conn struct {
-	sess    Session
-	mode    translator.ResultMode
-	dialect qfront.Dialect
-	closed  bool
+	sess   Session
+	mode   translator.ResultMode
+	closed bool
 }
 
 // Prepare implements driver.Conn: statements translate once here and
@@ -57,7 +55,7 @@ func (c *conn) PrepareContext(ctx context.Context, query string) (st driver.Stmt
 	// immutable, so one prepared statement can execute it concurrently, and
 	// a repeat of the same statement — on this or any other connection, or
 	// the facade — reuses it without compiling.
-	p, err := c.sess.Prepare(ctx, c.dialect, query, c.mode)
+	p, err := c.sess.Prepare(ctx, query, c.mode)
 	if err != nil {
 		return nil, aqerr.Wrap("prepare", err)
 	}

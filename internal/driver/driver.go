@@ -13,18 +13,17 @@
 //	SHOW COLUMNS FROM <table>
 //	CALL <function>(args…)   — parameterized data service functions
 //
-// The DSN picks the transport and, optionally, the §4 result mode and the
-// query dialect:
+// The DSN picks the transport and, optionally, the §4 result mode:
 //
 //	dsn    = target [ "?" option { "&" option } ]
 //	target = name | "aql://" host ":" port
-//	option = "mode=" ( "text" | "xml" ) | "dialect=" dialect-name
+//	option = "mode=" ( "text" | "xml" )
 //
 // A name opens the session registered under it in this process ("demo",
-// "demo?mode=xml", "demo?dialect=path"). An aql:// address opens a wire
-// session to the aqlserve server there, one per connection, ended when
-// the connection closes ("aql://127.0.0.1:7117?mode=xml"). The defaults
-// are mode=text and dialect=sql. Both transports run the same statements,
+// "demo?mode=xml"). An aql:// address opens a wire session to the
+// aqlserve server there, one per connection, ended when the connection
+// closes ("aql://127.0.0.1:7117?mode=xml"). The default is mode=text.
+// Any other option is an error. Both transports run the same statements,
 // except CALL over aql://, which fails with a permanent error: the wire
 // protocol has no verb that calls a data service function.
 package driver
@@ -37,7 +36,6 @@ import (
 	"sync"
 
 	"repro/internal/aqerr"
-	"repro/internal/qfront"
 	"repro/internal/remoteclient"
 	"repro/internal/session"
 	"repro/internal/translator"
@@ -70,7 +68,7 @@ type Driver struct{}
 // unreachable server is a typed error.
 func (Driver) Open(dsn string) (driver.Conn, error) {
 	name := dsn
-	c := &conn{mode: translator.ModeText, dialect: qfront.DialectSQL}
+	c := &conn{mode: translator.ModeText}
 	if i := strings.IndexByte(dsn, '?'); i >= 0 {
 		name = dsn[:i]
 		for _, kv := range strings.Split(dsn[i+1:], "&") {
@@ -88,15 +86,10 @@ func (Driver) Open(dsn string) (driver.Conn, error) {
 				default:
 					return nil, openError("unknown result mode %q", v)
 				}
-			case "dialect":
-				c.dialect = qfront.Dialect(v)
 			default:
 				return nil, openError("unknown DSN option %q", k)
 			}
 		}
-	}
-	if _, err := qfront.Lookup(c.dialect); err != nil {
-		return nil, openError("%v", err)
 	}
 	if addr, ok := strings.CutPrefix(name, "aql://"); ok {
 		addr = strings.TrimSuffix(addr, "/")

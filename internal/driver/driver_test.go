@@ -373,9 +373,10 @@ func TestReadOnlyRefusals(t *testing.T) {
 	})
 }
 
-// TestBadDSN: a DSN naming nothing usable — an unknown name, a bad option,
-// an aql:// address without host or port, or with nothing listening —
-// fails to open with a typed error, promptly.
+// TestBadDSN: a DSN naming nothing usable — an unknown name, a bad option
+// (dialect= among them: SQL-92 is the only language), an aql:// address
+// without host or port, or with nothing listening — fails to open with a
+// typed error, promptly.
 func TestBadDSN(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -387,6 +388,7 @@ func TestBadDSN(t *testing.T) {
 		"nope",
 		"demo?mode=bogus",
 		"demo?nonsense",
+		"demo?dialect=path",
 		"aql://",
 		"aql://?mode=xml",
 		"aql://127.0.0.1",

@@ -196,7 +196,7 @@ func (r *staticRows) Next(dest []driver.Value) error {
 // Prepare — so EXPLAIN of a statement already compiled anywhere on the
 // platform performs no translation at all.
 func newExplainStmt(ctx context.Context, c *conn, sql string) (driver.Stmt, error) {
-	lines, err := c.sess.Explain(ctx, c.dialect, sql, c.mode)
+	lines, err := c.sess.Explain(ctx, sql, c.mode)
 	if err != nil {
 		return nil, err
 	}

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/aqerr"
 	"repro/internal/catalog"
-	"repro/internal/qfront"
 	"repro/internal/remoteclient"
 	"repro/internal/resultset"
 	"repro/internal/translator"
@@ -21,8 +20,8 @@ import (
 type remoteSession struct{ c *remoteclient.Client }
 
 // Prepare implements Session with the prepare verb.
-func (r remoteSession) Prepare(ctx context.Context, dialect qfront.Dialect, text string, mode translator.ResultMode) (Prepared, error) {
-	st, err := r.c.PrepareDialect(ctx, string(dialect), text, mode)
+func (r remoteSession) Prepare(ctx context.Context, text string, mode translator.ResultMode) (Prepared, error) {
+	st, err := r.c.Prepare(ctx, text, mode)
 	if err != nil {
 		return nil, sessionGone(err)
 	}
@@ -39,8 +38,8 @@ func (s remoteStmt) Execute(ctx context.Context, args ...any) (*resultset.Rows, 
 }
 
 // Explain implements Session with the explain verb.
-func (r remoteSession) Explain(ctx context.Context, dialect qfront.Dialect, text string, mode translator.ResultMode) ([]string, error) {
-	plan, err := r.c.ExplainDialect(ctx, string(dialect), text, mode)
+func (r remoteSession) Explain(ctx context.Context, text string, mode translator.ResultMode) ([]string, error) {
+	plan, err := r.c.Explain(ctx, text, mode)
 	if err != nil {
 		return nil, sessionGone(err)
 	}

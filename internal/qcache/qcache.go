@@ -2,8 +2,8 @@
 // output into a first-class CompiledQuery artifact (translation + static
 // check + immutable evaluator plan, with the compile-time stage trace
 // attached) and caches those artifacts process-shared, keyed by
-// (dialect, normalized query text, result mode, catalog generation,
-// statistics generation).
+// (normalized query text, result mode, catalog generation, statistics
+// generation).
 //
 // The paper's architecture puts a textual XQuery boundary between the
 // JDBC driver and the DSP server: the driver serializes the generated
@@ -18,12 +18,11 @@
 //
 // Cache semantics:
 //
-//   - keying — the query text is normalized by its own front end
-//     (qfront.Frontend.Normalize: case-folded keywords and identifiers,
+//   - keying — the query text is normalized by the SQL front end
+//     (sqlparser.Front.Normalize: case-folded keywords and identifiers,
 //     collapsed whitespace and comments), so trivially re-spelled
-//     statements share one artifact; the dialect, result mode, and the
-//     catalog's metadata generation complete the key, so two dialects
-//     can never collide on identical text and a catalog invalidation, a
+//     statements share one artifact; the result mode and the catalog's
+//     metadata generation complete the key, so a catalog invalidation, a
 //     refresh that changes a table, or a degradation event silently
 //     retires every artifact compiled before it;
 //   - single-flight population — concurrent misses on one key share one
@@ -44,8 +43,8 @@ import (
 	"time"
 
 	"repro/internal/obsv"
-	"repro/internal/qfront"
 	"repro/internal/resultset"
+	"repro/internal/sqlparser"
 	"repro/internal/translator"
 	"repro/internal/xqeval"
 )
@@ -59,10 +58,7 @@ const DefaultMaxEntries = 256
 // trace recorded while compiling. It is immutable after Compile returns;
 // any number of concurrent evaluations may share it.
 type CompiledQuery struct {
-	// Dialect names the front end the statement text is written in.
-	Dialect qfront.Dialect
-	// SQL is the statement text the artifact was compiled from, in the
-	// artifact's dialect (the field predates the second front end).
+	// SQL is the statement text the artifact was compiled from.
 	SQL string
 	// NormalizedSQL is the canonical key form (set when cached).
 	NormalizedSQL string
@@ -123,7 +119,7 @@ func (cq *CompiledQuery) ExternalVars() []string { return externalVars(cq.Res.Pa
 func (cq *CompiledQuery) Streamable() bool { return cq.Plan.Stream.Streamable() }
 
 // Explain renders the artifact as EXPLAIN prints it, one line per element:
-// the dialect and the federation sources the statement resolved against,
+// the federation sources the statement resolved against,
 // the compile-time stage trace (wall time, sizes, stage detail) with this
 // call's own rendering of the query text as its serialize row, the
 // caller's effects lines (what this call did to the caches), the
@@ -139,7 +135,6 @@ func (cq *CompiledQuery) Explain(effects ...string) []string {
 	add := func(text string) {
 		out = append(out, strings.Split(strings.TrimRight(text, "\n"), "\n")...)
 	}
-	add("-- dialect: " + string(cq.Dialect))
 	if len(cq.Res.Sources) > 0 {
 		add("-- sources: " + strings.Join(cq.Res.Sources, ", "))
 	}
@@ -169,11 +164,11 @@ func externalVars(n int) []string {
 	return out
 }
 
-// Compile finishes the compile pipeline over a translation of text made
-// by fe: it statically checks and plans the generated AST against the
-// engine — recorded as the compile stage span on trace. A CompileFunc
-// translates, then calls it.
-func Compile(res *translator.Result, engine *xqeval.Engine, fe qfront.Frontend, text string, trace *obsv.Trace) (*CompiledQuery, error) {
+// Compile finishes the compile pipeline over a translation of text: it
+// statically checks and plans the generated AST against the engine —
+// recorded as the compile stage span on trace. A CompileFunc translates,
+// then calls it.
+func Compile(res *translator.Result, engine *xqeval.Engine, text string, trace *obsv.Trace) (*CompiledQuery, error) {
 	sp := trace.StartStage(obsv.StageCompile)
 	sp.SetInput(len(text))
 	plan, err := engine.CompileAST(res.Query, externalVars(res.ParamCount))
@@ -188,7 +183,7 @@ func Compile(res *translator.Result, engine *xqeval.Engine, fe qfront.Frontend, 
 		cols[i] = resultset.Column{Label: c.Label, ElementName: c.ElementName,
 			Type: c.Type, Nullable: c.Nullable, Precision: c.Precision, Scale: c.Scale}
 	}
-	return &CompiledQuery{Dialect: fe.Dialect(), SQL: text, Mode: res.Mode, Res: res, Columns: cols, Plan: plan, Trace: trace, CostScore: plan.CostEstimate()}, nil
+	return &CompiledQuery{SQL: text, Mode: res.Mode, Res: res, Columns: cols, Plan: plan, Trace: trace, CostScore: plan.CostEstimate()}, nil
 }
 
 // GenerationSource is the metadata-versioning surface the cache keys on;
@@ -216,9 +211,8 @@ type Config struct {
 	// the next Get recompiles and picks up the fresh numbers.
 	StatsGeneration func() uint64
 	// SourceGeneration supplies the per-backend epoch for one named
-	// federation source (typically the backend's metadata generation plus
-	// its source-scoped statistics generation — both monotonic, so their
-	// sum changes whenever either does). When set, cache hits revalidate
+	// federation source (the backend's metadata generation, which is
+	// monotonic). When set, cache hits revalidate
 	// every source the artifact touched, so invalidating one backend
 	// retires only the artifacts compiled against it while the rest of
 	// the cache stays warm. Nil disables per-source validation (the
@@ -246,12 +240,9 @@ type Stats struct {
 	StatsGeneration uint64
 }
 
-// Key identifies one cached artifact. Dialect is part of the key, so
-// identical query text submitted under two front ends can never share
-// (or clobber) an artifact.
+// Key identifies one cached artifact.
 type Key struct {
-	Dialect    qfront.Dialect
-	SQL        string // normalized form, in the key's dialect
+	SQL        string // normalized form
 	Mode       translator.ResultMode
 	Generation uint64
 	// StatsGen is the source-statistics epoch the artifact's plan was
@@ -319,8 +310,8 @@ func (c *Cache) statsGeneration() uint64 {
 // another caller's in-flight compile — rather than compiled by this call.
 // SQL that does not lex bypasses the cache so compile surfaces the
 // canonical error.
-func (c *Cache) Get(ctx context.Context, fe qfront.Frontend, text string, mode translator.ResultMode, compile CompileFunc) (*CompiledQuery, bool, error) {
-	norm, err := fe.Normalize(text)
+func (c *Cache) Get(ctx context.Context, text string, mode translator.ResultMode, compile CompileFunc) (*CompiledQuery, bool, error) {
+	norm, err := sqlparser.Front{}.Normalize(text)
 	if err != nil {
 		cq, cerr := compile(ctx, text)
 		return cq, false, cerr
@@ -328,7 +319,7 @@ func (c *Cache) Get(ctx context.Context, fe qfront.Frontend, text string, mode t
 	// The generation reads happen before c.mu so a Generation func that
 	// consults other locks (the platform's metadata stack) never nests
 	// inside the cache's.
-	key := Key{Dialect: fe.Dialect(), SQL: norm, Mode: mode, Generation: c.generation(), StatsGen: c.statsGeneration()}
+	key := Key{SQL: norm, Mode: mode, Generation: c.generation(), StatsGen: c.statsGeneration()}
 	if c.cfg.MaxEntries < 0 {
 		cq, cerr := compile(ctx, text)
 		if cerr == nil {

@@ -71,7 +71,7 @@ func TestGetCachesByNormalizedSQL(t *testing.T) {
 	c := New(Config{})
 	calls := 0
 	get := func(sql string) *CompiledQuery {
-		cq, _, err := c.Get(context.Background(), sqlparser.Front{}, sql, translator.ModeText, fakeCompile(&calls))
+		cq, _, err := c.Get(context.Background(), sql, translator.ModeText, fakeCompile(&calls))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +98,7 @@ func TestModeSplitsTheKey(t *testing.T) {
 	c := New(Config{})
 	calls := 0
 	for _, mode := range []translator.ResultMode{translator.ModeText, translator.ModeXML} {
-		if _, _, err := c.Get(context.Background(), sqlparser.Front{}, "SELECT A FROM T", mode, fakeCompile(&calls)); err != nil {
+		if _, _, err := c.Get(context.Background(), "SELECT A FROM T", mode, fakeCompile(&calls)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -111,7 +111,7 @@ func TestLRUEviction(t *testing.T) {
 	c := New(Config{MaxEntries: 2})
 	calls := 0
 	get := func(sql string) {
-		if _, _, err := c.Get(context.Background(), sqlparser.Front{}, sql, translator.ModeText, fakeCompile(&calls)); err != nil {
+		if _, _, err := c.Get(context.Background(), sql, translator.ModeText, fakeCompile(&calls)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -137,7 +137,7 @@ func TestNegativeMaxEntriesDisablesCaching(t *testing.T) {
 	c := New(Config{MaxEntries: -1})
 	calls := 0
 	for i := 0; i < 3; i++ {
-		cq, hit, err := c.Get(context.Background(), sqlparser.Front{}, "SELECT A FROM T", translator.ModeText, fakeCompile(&calls))
+		cq, hit, err := c.Get(context.Background(), "SELECT A FROM T", translator.ModeText, fakeCompile(&calls))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +165,7 @@ func TestFailuresAreNotCached(t *testing.T) {
 		return nil, boom
 	}
 	for i := 0; i < 2; i++ {
-		if _, _, err := c.Get(context.Background(), sqlparser.Front{}, "SELECT A FROM T", translator.ModeText, fail); !errors.Is(err, boom) {
+		if _, _, err := c.Get(context.Background(), "SELECT A FROM T", translator.ModeText, fail); !errors.Is(err, boom) {
 			t.Fatalf("err = %v", err)
 		}
 	}
@@ -189,7 +189,7 @@ func TestUnlexableSQLBypassesCache(t *testing.T) {
 	if _, err := (sqlparser.Front{}).Normalize(bad); err == nil {
 		t.Fatal("test needs SQL that fails to lex")
 	}
-	if _, _, err := c.Get(context.Background(), sqlparser.Front{}, bad, translator.ModeText, fail); !errors.Is(err, boom) {
+	if _, _, err := c.Get(context.Background(), bad, translator.ModeText, fail); !errors.Is(err, boom) {
 		t.Fatalf("err = %v (compile's canonical error should surface)", err)
 	}
 	if calls != 1 {
@@ -204,7 +204,7 @@ func TestInvalidateFlushesAndRecompiles(t *testing.T) {
 	c := New(Config{})
 	calls := 0
 	get := func() {
-		if _, _, err := c.Get(context.Background(), sqlparser.Front{}, "SELECT A FROM T", translator.ModeText, fakeCompile(&calls)); err != nil {
+		if _, _, err := c.Get(context.Background(), "SELECT A FROM T", translator.ModeText, fakeCompile(&calls)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -224,7 +224,7 @@ func TestGenerationRetiresArtifacts(t *testing.T) {
 	c := New(Config{Generation: func() uint64 { return gen }})
 	calls := 0
 	get := func() {
-		if _, _, err := c.Get(context.Background(), sqlparser.Front{}, "SELECT A FROM T", translator.ModeText, fakeCompile(&calls)); err != nil {
+		if _, _, err := c.Get(context.Background(), "SELECT A FROM T", translator.ModeText, fakeCompile(&calls)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -250,7 +250,7 @@ func TestInvalidateDuringFlightDropsArtifact(t *testing.T) {
 	finished := make(chan struct{})
 	go func() {
 		defer close(finished)
-		_, _, err := c.Get(context.Background(), sqlparser.Front{}, "SELECT A FROM T", translator.ModeText,
+		_, _, err := c.Get(context.Background(), "SELECT A FROM T", translator.ModeText,
 			func(ctx context.Context, sql string) (*CompiledQuery, error) {
 				close(entered)
 				<-release
@@ -267,7 +267,7 @@ func TestInvalidateDuringFlightDropsArtifact(t *testing.T) {
 
 	// The in-flight artifact must not land in the post-flush cache.
 	calls := 0
-	if _, _, err := c.Get(context.Background(), sqlparser.Front{}, "SELECT A FROM T", translator.ModeText, fakeCompile(&calls)); err != nil {
+	if _, _, err := c.Get(context.Background(), "SELECT A FROM T", translator.ModeText, fakeCompile(&calls)); err != nil {
 		t.Fatal(err)
 	}
 	if calls != 1 {
@@ -287,7 +287,7 @@ func TestCompileBuildsFullArtifact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cq, err := Compile(res, engine, sqlparser.Front{}, sql, trace)
+	cq, err := Compile(res, engine, sql, trace)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func TestCompileRejectsUncheckableQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := &translator.Result{Query: q}
-	if _, err := Compile(res, engine, sqlparser.Front{}, "$nope", obsv.NewTrace("")); err == nil {
+	if _, err := Compile(res, engine, "$nope", obsv.NewTrace("")); err == nil {
 		t.Fatal("expected a static check error for an unbound variable")
 	}
 }

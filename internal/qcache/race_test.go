@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/sqlparser"
 	"repro/internal/translator"
 )
 
@@ -33,7 +32,7 @@ func TestStampedeSingleFlight(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			<-start
-			cq, _, err := c.Get(context.Background(), sqlparser.Front{}, "SELECT A FROM T", translator.ModeText, slow)
+			cq, _, err := c.Get(context.Background(), "SELECT A FROM T", translator.ModeText, slow)
 			if err != nil {
 				t.Error(err)
 				return
@@ -78,7 +77,7 @@ func TestEvictionChurn(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				sql := fmt.Sprintf("SELECT C%d FROM T", (g*7+i)%16)
-				if _, _, err := c.Get(context.Background(), sqlparser.Front{}, sql, translator.ModeText, compile); err != nil {
+				if _, _, err := c.Get(context.Background(), sql, translator.ModeText, compile); err != nil {
 					t.Error(err)
 					return
 				}
@@ -122,7 +121,7 @@ func TestInvalidationDuringChurn(t *testing.T) {
 				default:
 				}
 				sql := fmt.Sprintf("SELECT C%d FROM T", i%8)
-				cq, _, err := c.Get(context.Background(), sqlparser.Front{}, sql, translator.ModeText, compile)
+				cq, _, err := c.Get(context.Background(), sql, translator.ModeText, compile)
 				if err != nil {
 					t.Error(err)
 					return
@@ -171,14 +170,14 @@ func TestConcurrentStatsAndGet(t *testing.T) {
 				switch i % 3 {
 				case 0:
 					sql := fmt.Sprintf("SELECT C%d FROM T", i%12)
-					if _, _, err := c.Get(context.Background(), sqlparser.Front{}, sql, translator.ModeText, compile); err != nil {
+					if _, _, err := c.Get(context.Background(), sql, translator.ModeText, compile); err != nil {
 						t.Error(err)
 						return
 					}
 				case 1:
 					_ = c.Stats()
 				case 2:
-					cq, _, err := c.Get(context.Background(), sqlparser.Front{}, "SELECT C0 FROM T", translator.ModeText, compile)
+					cq, _, err := c.Get(context.Background(), "SELECT C0 FROM T", translator.ModeText, compile)
 					if err != nil || cq.SQL != "SELECT C0 FROM T" {
 						t.Errorf("lookup of SELECT C0: %v, %v", cq, err)
 						return

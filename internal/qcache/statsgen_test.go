@@ -4,7 +4,6 @@ import (
 	"context"
 	"testing"
 
-	"repro/internal/sqlparser"
 	"repro/internal/translator"
 )
 
@@ -17,7 +16,7 @@ func TestStatsGenerationRetiresArtifacts(t *testing.T) {
 	c := New(Config{StatsGeneration: func() uint64 { return sgen }})
 	calls := 0
 	get := func() {
-		if _, _, err := c.Get(context.Background(), sqlparser.Front{}, "SELECT A FROM T", translator.ModeText, fakeCompile(&calls)); err != nil {
+		if _, _, err := c.Get(context.Background(), "SELECT A FROM T", translator.ModeText, fakeCompile(&calls)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -26,7 +25,7 @@ func TestStatsGenerationRetiresArtifacts(t *testing.T) {
 	if calls != 1 {
 		t.Fatalf("same stats generation recompiled (%d)", calls)
 	}
-	cq, hit, err := c.Get(context.Background(), sqlparser.Front{}, "SELECT A FROM T", translator.ModeText, fakeCompile(&calls))
+	cq, hit, err := c.Get(context.Background(), "SELECT A FROM T", translator.ModeText, fakeCompile(&calls))
 	if err != nil || !hit {
 		t.Fatalf("expected a hit: hit=%v err=%v", hit, err)
 	}
@@ -61,7 +60,7 @@ func TestFreshFollowsStamps(t *testing.T) {
 			return &CompiledQuery{SQL: sql, Res: &translator.Result{Sources: []string{"billing"}}}, nil
 		}
 		for i := range gens {
-			cq, _, err := c.Get(context.Background(), sqlparser.Front{}, "SELECT A FROM T", translator.ModeText, compile)
+			cq, _, err := c.Get(context.Background(), "SELECT A FROM T", translator.ModeText, compile)
 			if err != nil || !c.Fresh(cq) {
 				t.Fatalf("MaxEntries %d: a new artifact is not fresh (err %v)", maxEntries, err)
 			}

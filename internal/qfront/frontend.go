@@ -2,92 +2,49 @@ package qfront
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 
 	"repro/internal/obsv"
 )
 
-// Dialect names a query language front end. It participates in compile
-// cache keys and travels over the wire protocol, so values must be
-// short, stable, lowercase identifiers.
+// Dialect names a query language. SQL-92 is the only one; the name
+// survives for callers that still pass it (benchmark/aqlbench's layer
+// timings call Lookup(DialectSQL)) until ROADMAP item 1(c) moves them off.
 type Dialect string
 
-// Registered dialects. DialectSQL is the wire default: every protocol
-// field that carries a dialect treats the empty string as SQL so
-// pre-dialect clients keep working unchanged.
-const (
-	DialectSQL  Dialect = "sql"
-	DialectPath Dialect = "path"
-)
+// DialectSQL is the SQL-92 front end's name.
+const DialectSQL Dialect = "sql"
 
-// Frontend is a query language front end: stage one of the paper's
-// three-stage pipeline, factored out so the kernel (stages two and
-// three) never sees concrete syntax. A front end owns its lexer and
-// parser, reports errors with positions in its own surface syntax, and
-// emits the shared typed AST.
+// Frontend is the query front end: stage one of the paper's three-stage
+// pipeline, factored out so the kernel (stages two and three) never sees
+// concrete syntax. It owns the lexer and parser, reports errors with
+// positions in the query text, and emits the typed AST.
 type Frontend interface {
-	// Dialect returns the front end's registered name.
-	Dialect() Dialect
-
-	// Parse lexes and parses query text into the shared AST. It records
-	// its own stage spans (lex, parse) on tr — a nil trace is valid and
-	// must cost nothing. Errors are typed with positions in the
-	// dialect's own syntax.
+	// Parse lexes and parses query text into the AST. It records its
+	// own stage spans (lex, parse) on tr — a nil trace is valid and must
+	// cost nothing. Errors are typed with positions in the text.
 	Parse(text string, tr *obsv.Trace) (*SelectStmt, error)
 
 	// Normalize returns the canonical cache-key form of query text:
-	// whitespace/comment/case differences that cannot change meaning in
-	// this dialect collapse to one spelling. It must be cheap relative
-	// to Parse and fail on text the dialect cannot lex.
+	// whitespace/comment/case differences that cannot change meaning
+	// collapse to one spelling. It must be cheap relative to Parse and
+	// fail on text that does not lex.
 	Normalize(text string) (string, error)
 }
 
-var (
-	regMu     sync.RWMutex
-	frontends = map[Dialect]Frontend{}
-)
+// sqlFront is the SQL-92 front end, installed by internal/sqlparser at
+// init (that package imports this one, so it cannot be named here).
+var sqlFront Frontend
 
-// Register makes a front end available by dialect name. Like
-// database/sql drivers, front ends self-register from an init function;
-// a duplicate or empty dialect is a programming error and panics.
-func Register(f Frontend) {
-	d := f.Dialect()
-	if d == "" {
-		panic("qfront: Register with empty dialect")
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := frontends[d]; dup {
-		panic(fmt.Sprintf("qfront: Register called twice for dialect %q", d))
-	}
-	frontends[d] = f
-}
+// Register installs the SQL-92 front end; internal/sqlparser calls it
+// from an init function.
+func Register(f Frontend) { sqlFront = f }
 
-// Lookup resolves a dialect name to its registered front end. The empty
-// dialect resolves to SQL, preserving wire and DSN compatibility with
-// pre-dialect clients.
+// Lookup returns the SQL-92 front end for DialectSQL and an error for
+// any other name. It stays for benchmark/aqlbench until ROADMAP item 1(c)
+// moves it off.
 func Lookup(d Dialect) (Frontend, error) {
-	if d == "" {
-		d = DialectSQL
+	if d != DialectSQL {
+		return nil, fmt.Errorf("unknown query dialect %q (only %q)", d, DialectSQL)
 	}
-	regMu.RLock()
-	f, ok := frontends[d]
-	regMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("unknown query dialect %q (registered: %v)", d, Dialects())
-	}
-	return f, nil
-}
-
-// Dialects returns the registered dialect names, sorted.
-func Dialects() []Dialect {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]Dialect, 0, len(frontends))
-	for d := range frontends {
-		out = append(out, d)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return sqlFront, nil
 }

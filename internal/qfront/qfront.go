@@ -1,29 +1,24 @@
-// Package qfront defines the frontend-neutral typed query AST that every
-// query language front end compiles to, plus the Frontend seam the
-// translation kernel consumes.
+// Package qfront defines the typed query AST the SQL-92 front end
+// (internal/sqlparser) emits, plus the Frontend seam the translation
+// kernel consumes.
 //
 // The paper's architecture is a SQL-92 surface feeding a reusable
 // translation core (resultset nodes, query contexts, function mapping,
-// type inference). This package is that seam made explicit: a front end
-// (SQL-92 in internal/sqlparser, the path-template language in
-// internal/pathfront) lexes and parses its own concrete syntax and emits
-// the shared AST defined here. Everything downstream — semantic
-// validation, RSN restructuring, XQuery generation, planning, compile
-// caching, streaming — is front-end agnostic.
+// type inference). This package is that seam made explicit: the kernel
+// in internal/translator imports this package and never the parser, so
+// semantic validation, RSN restructuring, XQuery generation, planning,
+// compile caching and streaming see no concrete syntax
+// (TestKernelImportBoundary pins it).
 //
 // The AST keeps SQL's relational shape (SELECT blocks, table references,
 // the SQL-92 expression repertoire) because that is what the kernel's
-// query-context machinery (§3.4.3 of the paper) is built around; front
-// ends with different surface syntax map onto it, the way SPARQL2Query
-// frameworks map graph patterns onto relational blocks. Node.SQL()
-// renders the canonical relational form of any node, which doubles as
-// the cross-dialect differential-testing oracle.
+// query-context machinery (§3.4.3 of the paper) is built around.
+// Node.SQL() renders the canonical relational form of any node.
 package qfront
 
 import "fmt"
 
-// Pos is a 1-based source position in the original query text, whatever
-// the dialect.
+// Pos is a 1-based source position in the original query text.
 type Pos struct {
 	Line, Col int
 }

@@ -18,7 +18,6 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/obsv"
 	"repro/internal/qcache"
-	"repro/internal/qfront"
 	"repro/internal/resultset"
 	"repro/internal/server"
 	"repro/internal/session"
@@ -38,7 +37,7 @@ var edgeColumns = []resultset.Column{
 }
 
 // Prepare compiles nothing; every statement is the table.
-func (b edgeTable) Prepare(context.Context, qfront.Dialect, string, translator.ResultMode) (session.Prepared, error) {
+func (b edgeTable) Prepare(context.Context, string, translator.ResultMode) (session.Prepared, error) {
 	return b, nil
 }
 
@@ -52,7 +51,7 @@ func (b edgeTable) Execute(context.Context, ...any) (*resultset.Rows, error) {
 	return resultset.NewStreaming(&edgeCursor{n: b.n}), nil
 }
 
-func (edgeTable) Explain(context.Context, qfront.Dialect, string, translator.ResultMode) ([]string, error) {
+func (edgeTable) Explain(context.Context, string, translator.ResultMode) ([]string, error) {
 	return nil, errors.New("edge backend: no compiler")
 }
 
@@ -202,13 +201,13 @@ func TestFramingNet(t *testing.T) {
 		t.Run(d.name, func(t *testing.T) {
 			m := &mangler{damage: d.fn, at: 1}
 			c := mangledClient(t, m, total, fetchRows, Options{MaxRetries: -1})
-			if rows, err := c.QueryDialect(ctx, "", translator.ModeText, "q"); !transient(err) || m.damaged != 1 {
+			if rows, err := c.Query(ctx, translator.ModeText, "q"); !transient(err) || m.damaged != 1 {
 				t.Fatalf("damaged execute (%d damaged): rows %v, err %v; want a typed transient error", m.damaged, rows, err)
 			}
 
 			m = &mangler{damage: d.fn, at: 2}
 			c = mangledClient(t, m, total, fetchRows, Options{MaxRetries: -1})
-			rows, err := c.QueryDialect(ctx, "", translator.ModeText, "q")
+			rows, err := c.Query(ctx, translator.ModeText, "q")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -219,7 +218,7 @@ func TestFramingNet(t *testing.T) {
 
 			m = &mangler{damage: d.fn, at: 1, every: true}
 			c = mangledClient(t, m, total, fetchRows, Options{})
-			rows, err = c.QueryDialect(ctx, "", translator.ModeText, "q")
+			rows, err = c.Query(ctx, translator.ModeText, "q")
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -3,9 +3,9 @@
 // speaks the internal/wire protocol to an aqlserve server and presents the
 // same two surfaces the in-process platform does:
 //
-//   - the query surface, one method per wire verb (QueryDialect returning
-//     *resultset.Rows, PrepareDialect returning reusable statements,
-//     ExplainDialect, DefineView), which the database/sql driver opens
+//   - the query surface, one method per wire verb (Query returning
+//     *resultset.Rows, Prepare returning reusable statements, Explain,
+//     DefineView), which the database/sql driver opens
 //     behind aql:// DSNs, and
 //   - the catalog surface (Client implements catalog.Source, including
 //     the typed NotFoundError/AmbiguousError shapes), so metadata-hungry
@@ -304,12 +304,11 @@ func validText(op, text string) error {
 	return nil
 }
 
-// QueryDialect runs an ad-hoc statement in the given dialect and result
-// mode, returning a streaming result set whose rows arrive in fetch-sized
-// chunks. The dialect name travels on the wire; empty means SQL-92. ctx
+// Query runs an ad-hoc statement in the given result mode, returning a
+// streaming result set whose rows arrive in fetch-sized chunks. ctx
 // governs the whole stream: cancelling it fails the next fetch with a
 // timeout-kind error wrapping the context error.
-func (c *Client) QueryDialect(ctx context.Context, dialect string, mode translator.ResultMode, text string, args ...any) (*resultset.Rows, error) {
+func (c *Client) Query(ctx context.Context, mode translator.ResultMode, text string, args ...any) (*resultset.Rows, error) {
 	if err := validText("execute", text); err != nil {
 		return nil, err
 	}
@@ -317,7 +316,7 @@ func (c *Client) QueryDialect(ctx context.Context, dialect string, mode translat
 	if err != nil {
 		return nil, err
 	}
-	return c.execute(ctx, wire.ExecuteRequest{Session: c.session, SQL: text, Mode: wire.ModeName(mode), Dialect: dialect, Args: wargs})
+	return c.execute(ctx, wire.ExecuteRequest{Session: c.session, SQL: text, Mode: wire.ModeName(mode), Args: wargs})
 }
 
 func (c *Client) execute(ctx context.Context, req wire.ExecuteRequest) (*resultset.Rows, error) {
@@ -350,23 +349,18 @@ type Stmt struct {
 	params int
 }
 
-// Prepare is PrepareDialect in SQL-92.
+// Prepare compiles a statement server-side and pins it in the session's
+// prepared table until the session closes. The server recompiles it only
+// when the catalog, statistics or a source it touched moved on (CREATE
+// VIEW, say).
 func (c *Client) Prepare(ctx context.Context, sql string, mode translator.ResultMode) (*Stmt, error) {
-	return c.PrepareDialect(ctx, "", sql, mode)
-}
-
-// PrepareDialect compiles a statement server-side and pins it in the
-// session's prepared table until the session closes ("" dialect =
-// SQL-92). The server recompiles it only when the catalog, statistics or
-// a source it touched moved on (CREATE VIEW, say).
-func (c *Client) PrepareDialect(ctx context.Context, dialect, text string, mode translator.ResultMode) (*Stmt, error) {
-	if err := validText("prepare", text); err != nil {
+	if err := validText("prepare", sql); err != nil {
 		return nil, err
 	}
 	// Retry-safe: a duplicate prepare pins a second copy of the statement,
 	// reclaimed with the session — never a semantic change.
 	resp, err := postRetry[wire.PrepareResponse](ctx, c, "prepare", wire.PathPrepare,
-		wire.PrepareRequest{Session: c.session, SQL: text, Mode: wire.ModeName(mode), Dialect: dialect}, true)
+		wire.PrepareRequest{Session: c.session, SQL: sql, Mode: wire.ModeName(mode)}, true)
 	if err != nil {
 		return nil, err
 	}
@@ -391,14 +385,14 @@ func (s *Stmt) Execute(ctx context.Context, args ...any) (*resultset.Rows, error
 	return s.c.execute(ctx, wire.ExecuteRequest{Session: s.c.session, Stmt: s.id, Args: wargs})
 }
 
-// ExplainDialect compiles a statement remotely and returns its rendered
-// artifact, as EXPLAIN prints it ("" dialect = SQL-92).
-func (c *Client) ExplainDialect(ctx context.Context, dialect, text string, mode translator.ResultMode) (string, error) {
+// Explain compiles a statement remotely and returns its rendered
+// artifact, as EXPLAIN prints it.
+func (c *Client) Explain(ctx context.Context, text string, mode translator.ResultMode) (string, error) {
 	if err := validText("explain", text); err != nil {
 		return "", err
 	}
 	resp, err := postRetry[wire.ExplainResponse](ctx, c, "explain", wire.PathExplain,
-		wire.ExplainRequest{Session: c.session, SQL: text, Mode: wire.ModeName(mode), Dialect: dialect}, true)
+		wire.ExplainRequest{Session: c.session, SQL: text, Mode: wire.ModeName(mode)}, true)
 	return resp.Text, err
 }
 

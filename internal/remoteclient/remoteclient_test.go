@@ -16,7 +16,6 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/obsv"
 	"repro/internal/qcache"
-	"repro/internal/qfront"
 	"repro/internal/resultset"
 	"repro/internal/server"
 	"repro/internal/session"
@@ -41,7 +40,7 @@ type scripted map[string]script
 
 // Prepare compiles nothing: the statement looks its script up when it
 // executes, and admission weighs it 1.
-func (b scripted) Prepare(_ context.Context, _ qfront.Dialect, text string, _ translator.ResultMode) (session.Prepared, error) {
+func (b scripted) Prepare(_ context.Context, text string, _ translator.ResultMode) (session.Prepared, error) {
 	return scriptedStmt{b, text}, nil
 }
 
@@ -67,7 +66,7 @@ func (st scriptedStmt) Execute(ctx context.Context, _ ...any) (*resultset.Rows, 
 	return resultset.NewStreaming(&counter{n: sc.rows, err: sc.err, stall: sc.stall, ctx: ctx}), nil
 }
 
-func (scripted) Explain(context.Context, qfront.Dialect, string, translator.ResultMode) ([]string, error) {
+func (scripted) Explain(context.Context, string, translator.ResultMode) ([]string, error) {
 	return nil, errors.New("scripted backend: no compiler")
 }
 
@@ -194,7 +193,7 @@ func TestInlineEOFPostsNoClose(t *testing.T) {
 	hn := newHarness(t, scripted{"two": {rows: 2}}, 3)
 	ctx := context.Background()
 
-	rows, err := hn.c.QueryDialect(ctx, "", translator.ModeText, "two")
+	rows, err := hn.c.Query(ctx, translator.ModeText, "two")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +203,7 @@ func TestInlineEOFPostsNoClose(t *testing.T) {
 	rows.Close()
 	hn.expect(t, wire.PathExecute)
 
-	rows, err = hn.c.QueryDialect(ctx, "", translator.ModeText, "two")
+	rows, err = hn.c.Query(ctx, translator.ModeText, "two")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +220,7 @@ func TestMultiChunkStream(t *testing.T) {
 	hn := newHarness(t, scripted{"ten": {rows: 10}}, 3)
 	ctx := context.Background()
 
-	rows, err := hn.c.QueryDialect(ctx, "", translator.ModeText, "ten")
+	rows, err := hn.c.Query(ctx, translator.ModeText, "ten")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +233,7 @@ func TestMultiChunkStream(t *testing.T) {
 	}
 	hn.expect(t, wire.PathExecute, wire.PathFetch, wire.PathFetch, wire.PathFetch, wire.PathCloseCursor)
 
-	rows, err = hn.c.QueryDialect(ctx, "", translator.ModeText, "ten")
+	rows, err = hn.c.Query(ctx, translator.ModeText, "ten")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,11 +299,11 @@ func TestErrorKindsCrossTheWire(t *testing.T) {
 	}
 	for _, s := range table {
 		t.Run(fmt.Sprintf("%v %v", s.kind, s.after), func(t *testing.T) {
-			_, err := hn.c.QueryDialect(ctx, "", translator.ModeText, fmt.Sprintf("early %v %v", s.kind, s.after))
+			_, err := hn.c.Query(ctx, translator.ModeText, fmt.Sprintf("early %v %v", s.kind, s.after))
 			check(t, s, err)
 			hn.expect(t, wire.PathExecute)
 
-			rows, err := hn.c.QueryDialect(ctx, "", translator.ModeText, fmt.Sprintf("late %v %v", s.kind, s.after))
+			rows, err := hn.c.Query(ctx, translator.ModeText, fmt.Sprintf("late %v %v", s.kind, s.after))
 			if err != nil {
 				t.Fatalf("execute: %v", err)
 			}
@@ -334,7 +333,7 @@ func TestServerTimeoutKeepsCause(t *testing.T) {
 		_ = c.Close()
 		srv.Close()
 	})
-	rows, err := c.QueryDialect(context.Background(), "", translator.ModeText, "stall")
+	rows, err := c.Query(context.Background(), translator.ModeText, "stall")
 	if err == nil {
 		rows.Next()
 		err = rows.Err()

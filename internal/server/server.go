@@ -54,7 +54,6 @@ import (
 	"repro/internal/faultnet"
 	"repro/internal/obsv"
 	"repro/internal/qcache"
-	"repro/internal/qfront"
 	"repro/internal/resultset"
 	"repro/internal/session"
 	"repro/internal/translator"
@@ -483,7 +482,7 @@ func (s *Server) prepare(ctx context.Context, req wire.PrepareRequest) (wire.Pre
 	if err := s.fault(ctx, "srv/prepare"); err != nil {
 		return wire.PrepareResponse{}, aqerr.Wrap("prepare", err)
 	}
-	st, err := s.prepareText(ctx, "prepare", req.SQL, req.Dialect, req.Mode)
+	st, err := s.prepareText(ctx, "prepare", req.SQL, req.Mode)
 	if err != nil {
 		return wire.PrepareResponse{}, err
 	}
@@ -613,7 +612,7 @@ func (s *Server) execute(ctx context.Context, req wire.ExecuteRequest) (wire.Exe
 // ad-hoc text prepared now and kept by no table.
 func (s *Server) statement(ctx context.Context, ss *wireSession, req wire.ExecuteRequest) (session.Prepared, error) {
 	if req.Stmt == 0 {
-		return s.prepareText(ctx, "execute", req.SQL, req.Dialect, req.Mode)
+		return s.prepareText(ctx, "execute", req.SQL, req.Mode)
 	}
 	ss.mu.Lock()
 	st, ok := ss.stmts[req.Stmt]
@@ -624,14 +623,14 @@ func (s *Server) statement(ctx context.Context, ss *wireSession, req wire.Execut
 	return st, nil
 }
 
-// prepareText prepares statement text through the session, under the
-// dialect and result mode it arrived with.
-func (s *Server) prepareText(ctx context.Context, op, text, dialect, mode string) (session.Prepared, error) {
-	d, m, err := parseText(dialect, mode)
+// prepareText prepares statement text through the session, in the result
+// mode it arrived with.
+func (s *Server) prepareText(ctx context.Context, op, text, mode string) (session.Prepared, error) {
+	m, err := parseMode(mode)
 	if err != nil {
 		return nil, err
 	}
-	st, err := s.b.Prepare(ctx, d, text, m)
+	st, err := s.b.Prepare(ctx, text, m)
 	return st, aqerr.Wrap(op, err)
 }
 
@@ -787,11 +786,11 @@ func (s *Server) explain(ctx context.Context, req wire.ExplainRequest) (wire.Exp
 	if err := s.fault(ctx, "srv/explain"); err != nil {
 		return wire.ExplainResponse{}, aqerr.Wrap("explain", err)
 	}
-	dialect, mode, err := parseText(req.Dialect, req.Mode)
+	mode, err := parseMode(req.Mode)
 	if err != nil {
 		return wire.ExplainResponse{}, err
 	}
-	lines, err := s.b.Explain(ctx, dialect, req.SQL, mode)
+	lines, err := s.b.Explain(ctx, req.SQL, mode)
 	if err != nil {
 		return wire.ExplainResponse{}, aqerr.Wrap("explain", err)
 	}
@@ -831,24 +830,17 @@ func (s *Server) lookupMeta(ctx context.Context, req wire.LookupRequest) (wire.L
 	return wire.LookupResponse{Meta: meta}, nil
 }
 
-// parseText decodes the wire names of the dialect and result mode a
-// statement's text arrives with: "" is SQL-92, so pre-dialect clients
-// interoperate unchanged, and text, the driver's default. An unknown name
-// is a typed permanent error: retrying cannot help.
-func parseText(dialect, mode string) (qfront.Dialect, translator.ResultMode, error) {
-	m := translator.ModeText
+// parseMode decodes the wire name of the result mode a statement's text
+// arrives with: "" is text, the driver's default. An unknown name is a
+// typed permanent error: retrying cannot help.
+func parseMode(mode string) (translator.ResultMode, error) {
 	switch mode {
 	case "", "text":
+		return translator.ModeText, nil
 	case "xml":
-		m = translator.ModeXML
-	default:
-		return "", 0, aqerr.Errorf(aqerr.KindPermanent, "prepare", "unknown result mode %q", mode)
+		return translator.ModeXML, nil
 	}
-	fe, err := qfront.Lookup(qfront.Dialect(dialect))
-	if err != nil {
-		return "", 0, aqerr.Errorf(aqerr.KindPermanent, "prepare", "%v", err)
-	}
-	return fe.Dialect(), m, nil
+	return 0, aqerr.Errorf(aqerr.KindPermanent, "prepare", "unknown result mode %q", mode)
 }
 
 // wireError flattens an error for transit, classifying unclassified ones

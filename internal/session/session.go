@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/catalog"
-	"repro/internal/qfront"
 	"repro/internal/resultset"
 	"repro/internal/translator"
 	"repro/internal/xdm"
@@ -23,10 +22,10 @@ import (
 // opened it reach the client.
 type Session interface {
 	// Prepare compiles a statement through the platform's compile cache.
-	Prepare(ctx context.Context, dialect qfront.Dialect, text string, mode translator.ResultMode) (Prepared, error)
+	Prepare(ctx context.Context, text string, mode translator.ResultMode) (Prepared, error)
 	// Explain renders a statement's compiled artifact, one line per row,
 	// with what this call did to the compile and metadata caches.
-	Explain(ctx context.Context, dialect qfront.Dialect, text string, mode translator.ResultMode) ([]string, error)
+	Explain(ctx context.Context, text string, mode translator.ResultMode) ([]string, error)
 	// Call invokes a data service function — what CALL runs.
 	Call(ctx context.Context, namespace, name string, args []xdm.Sequence) (xdm.Sequence, error)
 	// DefineView registers a logical data service (CREATE VIEW).

@@ -9,15 +9,11 @@ import (
 )
 
 // Front is the SQL-92 query front end: stage one of the translation
-// pipeline packaged behind the qfront.Frontend seam. It is registered
-// under qfront.DialectSQL at init, the way database/sql drivers
-// self-register.
+// pipeline packaged behind the qfront.Frontend seam. It installs itself
+// as qfront.Lookup's answer at init.
 type Front struct{}
 
 func init() { qfront.Register(Front{}) }
-
-// Dialect implements qfront.Frontend.
-func (Front) Dialect() qfront.Dialect { return qfront.DialectSQL }
 
 // Parse implements qfront.Frontend: syntactic recognition, observed as
 // separate lex and parse spans (the spans the EXPLAIN stage trace has

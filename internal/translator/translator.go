@@ -143,10 +143,9 @@ func semErr(pos qfront.Pos, format string, args ...any) error {
 
 // TranslateFrontend runs the full pipeline with an explicit query front
 // end: stage one (lex + parse, with its own stage spans) is delegated to
-// fe, and the statement it emits flows through the front-end-agnostic
-// kernel (stages two and three). This is the seam every dialect enters
-// through; the SQL-language helpers in sqldefault.go are wrappers over
-// it.
+// fe, and the statement it emits flows through the syntax-free kernel
+// (stages two and three). Passing the front end in keeps the kernel's
+// only import of the parser in sqldefault.go, whose Translate wraps it.
 func (t *Translator) TranslateFrontend(ctx context.Context, fe qfront.Frontend, text string, tr *obsv.Trace) (*Result, error) {
 	stmt, err := fe.Parse(text, tr)
 	if err != nil {

@@ -65,11 +65,12 @@ const (
 
 // ProtocolVersion is sent in the handshake; a server refuses any other
 // value, so peers built from different revisions part there instead of
-// misreading chunks. Version 4 frames execute and fetch bodies as an
-// envelope line plus a §4 payload; version 3 sent rows as a JSON array of
-// row strings, version 2 opened every cursor empty, and clients that
-// carried typed-atom rows sent none.
-const ProtocolVersion = 4
+// misreading chunks. Version 5 dropped the dialect field of prepare,
+// execute and explain: every statement is SQL-92. Version 4 framed
+// execute and fetch bodies as an envelope line plus a §4 payload; version
+// 3 sent rows as a JSON array of row strings, version 2 opened every
+// cursor empty, and clients that carried typed-atom rows sent none.
+const ProtocolVersion = 5
 
 // Atom is one non-NULL execute argument in transit: the lexical form plus
 // the xdm.AtomicType it parses back into. NULL is a nil *Atom.
@@ -107,13 +108,10 @@ type HandshakeResponse struct {
 }
 
 // PrepareRequest compiles a statement into the session's prepared table.
-// Dialect names the query language the SQL field is written in; empty
-// selects SQL-92, so pre-dialect clients interoperate unchanged.
 type PrepareRequest struct {
 	Session string `json:"session"`
 	SQL     string `json:"sql"`
-	Mode    string `json:"mode"`              // "text" (default) or "xml"
-	Dialect string `json:"dialect,omitempty"` // query language; "" = "sql"
+	Mode    string `json:"mode"` // "text" (default) or "xml"
 }
 
 // PrepareResponse describes the prepared statement.
@@ -141,7 +139,6 @@ type ExecuteRequest struct {
 	Stmt     int64   `json:"stmt,omitempty"`
 	SQL      string  `json:"sql,omitempty"`
 	Mode     string  `json:"mode,omitempty"`
-	Dialect  string  `json:"dialect,omitempty"` // ad-hoc SQL's language; "" = "sql"
 	Args     []*Atom `json:"args,omitempty"`
 	ExecKey  string  `json:"exec_key,omitempty"`
 	BudgetMS int64   `json:"budget_ms,omitempty"`
@@ -229,7 +226,6 @@ type ExplainRequest struct {
 	Session string `json:"session"`
 	SQL     string `json:"sql"`
 	Mode    string `json:"mode"`
-	Dialect string `json:"dialect,omitempty"` // query language; "" = "sql"
 }
 
 // ExplainResponse is the rendered plan text.

@@ -1,7 +1,6 @@
 package xqeval
 
 import (
-	"context"
 	"sync"
 	"sync/atomic"
 
@@ -15,16 +14,15 @@ import (
 // selectivities rendered in EXPLAIN, and the choice of hash key when a join
 // offers several equi-conjuncts.
 //
-// Collection is lazy by default — the first planned scan of a source
-// observes its row sequence on the way past, at a bounded sampling cost —
-// and eager on demand via CollectSourceStats. Lazy observations accumulate
-// silently: plans compiled afterwards see them, already-cached plans keep
-// running (they are still correct, just costed blind) and the compile
-// cache stays stable under steady load. The explicit refresh
-// (CollectSourceStats) and invalidation advance a generation counter the
-// compile cache keys artifacts under, so an ANALYZE-style refresh retires
-// every plan costed against the old numbers, exactly as a catalog change
-// retires artifacts keyed under the metadata generation.
+// Collection is lazy: the first planned scan of a source observes its row
+// sequence on the way past, at a bounded sampling cost. Observations
+// accumulate silently: plans compiled afterwards see them, already-cached
+// plans keep running (they are still correct, just costed blind) and the
+// compile cache stays stable under steady load. Invalidation drops every
+// statistic and advances a generation counter the compile cache keys
+// artifacts under, so it retires every plan costed against the old
+// numbers, exactly as a catalog change retires artifacts keyed under the
+// metadata generation.
 
 // statsSampleRows bounds the per-observation sampling work: distinct-key
 // and row-width estimates are computed from at most this many rows and
@@ -60,12 +58,6 @@ type sourceStatsStore struct {
 	mu    sync.RWMutex
 	stats map[funcKey]*SourceStats
 	gen   atomic.Uint64
-	// srcGens (guarded by mu) are per-federated-source statistics epochs:
-	// an eager collection on a source-tagged function advances only its own
-	// source's epoch, so a stats refresh on one backend retires only the
-	// compiled plans that touch it. Untagged (single-source) collections
-	// advance the global gen, the historical behavior.
-	srcGens map[string]uint64
 }
 
 // SourceStats returns the cached statistics for one data service function.
@@ -83,37 +75,21 @@ func (e *Engine) SourceStats(namespace, local string) (*SourceStats, bool) {
 	return s, ok
 }
 
-// StatsGeneration is the statistics epoch: it advances on every eager
-// collection (CollectSourceStats) and on InvalidateSourceStats — never on
-// lazy observation, which would churn the compile cache on every first
-// scan. The compile cache keys artifacts under it so explicit stats
-// refreshes retire stale plans.
+// StatsGeneration is the statistics epoch: it advances on
+// InvalidateSourceStats — never on lazy observation, which would churn
+// the compile cache on every first scan. The compile cache keys artifacts
+// under it so an invalidation retires stale plans.
 func (e *Engine) StatsGeneration() uint64 {
 	return e.srcStats.gen.Load()
-}
-
-// SourceStatsGeneration is the per-federated-source statistics epoch:
-// advanced by eager collections on functions registered under that source
-// name. Zero for sources never eagerly collected. The compiled-query cache
-// folds it (with the source's metadata epoch) into per-source plan
-// validity.
-func (e *Engine) SourceStatsGeneration(source string) uint64 {
-	e.srcStats.mu.RLock()
-	defer e.srcStats.mu.RUnlock()
-	return e.srcStats.srcGens[source]
 }
 
 // InvalidateSourceStats drops every cached statistic and advances the
 // generation — called when the catalog changes underneath the engine
 // (view definition, fault/resilience stack rebuild), since the shapes and
 // cardinalities behind the function registry may have changed with it.
-// Per-source epochs advance too: everything may have changed.
 func (e *Engine) InvalidateSourceStats() {
 	e.srcStats.mu.Lock()
 	e.srcStats.stats = nil
-	for src := range e.srcStats.srcGens {
-		e.srcStats.srcGens[src]++
-	}
 	e.srcStats.mu.Unlock()
 	e.srcStats.gen.Add(1)
 }
@@ -143,47 +119,6 @@ func (e *Engine) ObserveSourceStats(namespace, local string, rows xdm.Sequence) 
 	}
 	e.srcStats.stats[key] = s
 	return s
-}
-
-// CollectSourceStats eagerly (re)collects statistics for one parameterless
-// data service function by invoking it. Unlike lazy observation it
-// overwrites any prior numbers and advances the statistics generation,
-// retiring compiled artifacts costed against them.
-func (e *Engine) CollectSourceStats(ctx context.Context, namespace, local string) (*SourceStats, error) {
-	out, err := e.CallContext(ctx, namespace, local, nil)
-	if err != nil {
-		return nil, err
-	}
-	s := statsFromRows(out)
-	source := e.registeredSource(namespace, local)
-	e.srcStats.mu.Lock()
-	if e.srcStats.stats == nil {
-		e.srcStats.stats = make(map[funcKey]*SourceStats)
-	}
-	e.srcStats.stats[funcKey{namespace, local}] = s
-	if source != "" {
-		// A source-tagged refresh retires only plans touching this source.
-		if e.srcStats.srcGens == nil {
-			e.srcStats.srcGens = make(map[string]uint64)
-		}
-		e.srcStats.srcGens[source]++
-	}
-	e.srcStats.mu.Unlock()
-	if source == "" {
-		e.srcStats.gen.Add(1)
-	}
-	return s, nil
-}
-
-// registeredSource returns the federated source a function was registered
-// under, or "" for single-source registrations.
-func (e *Engine) registeredSource(namespace, local string) string {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if reg, ok := e.funcs[funcKey{namespace, local}]; ok {
-		return reg.source
-	}
-	return ""
 }
 
 // maybeObserveScan is the lazy collection hook: invariant planned scans of

@@ -23,55 +23,28 @@ func statsTestRows(name string, n int) []*xdm.Element {
 	return rows
 }
 
-func TestCollectSourceStats(t *testing.T) {
-	e := New()
-	e.RegisterRows("ld:StatsTest", "CUSTOMERS", statsTestRows("CUSTOMERS", 40))
-
-	gen0 := e.StatsGeneration()
-	if _, ok := e.SourceStats("ld:StatsTest", "CUSTOMERS"); ok {
-		t.Fatal("stats present before collection")
-	}
-	s, err := e.CollectSourceStats(context.Background(), "ld:StatsTest", "CUSTOMERS")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Rows != 40 || s.Sampled != 40 {
-		t.Fatalf("rows/sampled = %d/%d, want 40/40", s.Rows, s.Sampled)
-	}
-	if d := s.DistinctFor("ID"); d != 40 {
-		t.Fatalf("distinct ID = %d, want 40", d)
-	}
-	if d := s.DistinctFor("REGION"); d != 2 {
-		t.Fatalf("distinct REGION = %d, want 2", d)
-	}
-	if s.AvgRowBytes <= 0 {
-		t.Fatalf("avg row bytes = %d", s.AvgRowBytes)
-	}
-	if e.StatsGeneration() != gen0+1 {
-		t.Fatalf("eager collection must advance the generation: %d → %d", gen0, e.StatsGeneration())
-	}
-	if got, ok := e.SourceStats("ld:StatsTest", "CUSTOMERS"); !ok || got != s {
-		t.Fatal("collected stats not served back")
-	}
-
-	e.InvalidateSourceStats()
-	if _, ok := e.SourceStats("ld:StatsTest", "CUSTOMERS"); ok {
-		t.Fatal("stats survived invalidation")
-	}
-	if e.StatsGeneration() != gen0+2 {
-		t.Fatalf("invalidation must advance the generation: got %d", e.StatsGeneration())
-	}
-}
-
 // TestObserveSourceStatsIsSilent locks the lazy-collection contract: the
 // first observation wins, later ones are ignored, and the generation never
-// moves — so a first scan cannot churn the compile cache.
+// moves — so a first scan cannot churn the compile cache. Invalidation
+// drops the numbers and does advance it.
 func TestObserveSourceStatsIsSilent(t *testing.T) {
 	e := New()
 	gen0 := e.StatsGeneration()
+	if _, ok := e.SourceStats("ld:StatsTest", "T"); ok {
+		t.Fatal("stats present before observation")
+	}
 	first := e.ObserveSourceStats("ld:StatsTest", "T", rowsAsSequence(statsTestRows("T", 5)))
-	if first.Rows != 5 {
-		t.Fatalf("observed rows = %d, want 5", first.Rows)
+	if first.Rows != 5 || first.Sampled != 5 {
+		t.Fatalf("observed rows/sampled = %d/%d, want 5/5", first.Rows, first.Sampled)
+	}
+	if d := first.DistinctFor("ID"); d != 5 {
+		t.Fatalf("distinct ID = %d, want 5", d)
+	}
+	if d := first.DistinctFor("REGION"); d != 2 {
+		t.Fatalf("distinct REGION = %d, want 2", d)
+	}
+	if first.AvgRowBytes <= 0 {
+		t.Fatalf("avg row bytes = %d", first.AvgRowBytes)
 	}
 	second := e.ObserveSourceStats("ld:StatsTest", "T", rowsAsSequence(statsTestRows("T", 9)))
 	if second != first || second.Rows != 5 {
@@ -79,6 +52,17 @@ func TestObserveSourceStatsIsSilent(t *testing.T) {
 	}
 	if e.StatsGeneration() != gen0 {
 		t.Fatal("lazy observation must not advance the generation")
+	}
+	if got, ok := e.SourceStats("ld:StatsTest", "T"); !ok || got != first {
+		t.Fatal("observed stats not served back")
+	}
+
+	e.InvalidateSourceStats()
+	if _, ok := e.SourceStats("ld:StatsTest", "T"); ok {
+		t.Fatal("stats survived invalidation")
+	}
+	if e.StatsGeneration() != gen0+1 {
+		t.Fatalf("invalidation must advance the generation: got %d", e.StatsGeneration())
 	}
 }
 
@@ -136,7 +120,7 @@ func statsJoinEngine(t *testing.T) *Engine {
 }
 
 // TestStatsCostAnnotationsAndKeyChoice is the cost-model test: with stats
-// collected, the plan reports per-scan cardinalities and hash-join cost
+// observed, the plan reports per-scan cardinalities and hash-join cost
 // lines, picks the higher-distinct conjunct as the hash key, and still
 // computes the exact same result as the structural plan.
 func TestStatsCostAnnotationsAndKeyChoice(t *testing.T) {
@@ -156,9 +140,15 @@ func TestStatsCostAnnotationsAndKeyChoice(t *testing.T) {
 		t.Fatalf("structural plan cannot stats-pick a key:\n%s", sdesc)
 	}
 
+	// One structural evaluation observes both sources on the way past, as
+	// a first production execution does.
+	want, err := e.EvalPlanWithTrace(ctx, structural, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, src := range []string{"CUSTOMERS", "PAYMENTS"} {
-		if _, err := e.CollectSourceStats(ctx, "ld:StatsTest", src); err != nil {
-			t.Fatal(err)
+		if _, ok := e.SourceStats("ld:StatsTest", src); !ok {
+			t.Fatalf("structural evaluation observed no stats for %s", src)
 		}
 	}
 	costed := NewPlanStats(q, e)
@@ -175,10 +165,6 @@ func TestStatsCostAnnotationsAndKeyChoice(t *testing.T) {
 		}
 	}
 
-	want, err := e.EvalPlanWithTrace(ctx, structural, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	got, err := e.EvalPlanWithTrace(ctx, costed, nil, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -97,7 +97,7 @@ func TestNetChaosDifferential(t *testing.T) {
 			for _, mode := range modes {
 				attempts++
 				ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-				rows, err := c.QueryDialect(ctx, "", mode, sql, chaosArgs(strings.Count(sql, "?"))...)
+				rows, err := c.Query(ctx, mode, sql, chaosArgs(strings.Count(sql, "?"))...)
 				var got string
 				if err == nil {
 					got, err = marshalStreamed(rows)
@@ -142,7 +142,7 @@ func TestNetChaosDifferential(t *testing.T) {
 		t.Fatalf("post-chaos dial: %v", err)
 	}
 	sql := "SELECT CUSTOMERID, CUSTOMERNAME FROM CUSTOMERS"
-	rows, err := c.QueryDialect(context.Background(), "", ModeText, sql)
+	rows, err := c.Query(context.Background(), ModeText, sql)
 	if err != nil {
 		t.Fatalf("post-chaos query: %v", err)
 	}

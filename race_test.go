@@ -44,7 +44,7 @@ func TestPlatformConcurrentUse(t *testing.T) {
 						return
 					}
 				case 2:
-					if lines, err := p.Explain(context.Background(), DialectSQL, "SELECT COUNT(*) FROM PAYMENTS", ModeXML); err != nil || len(lines) == 0 {
+					if lines, err := p.Explain(context.Background(), "SELECT COUNT(*) FROM PAYMENTS", ModeXML); err != nil || len(lines) == 0 {
 						t.Errorf("explain: %v", err)
 						return
 					}
@@ -140,7 +140,7 @@ func TestConcurrentPreparedAcrossViewChurn(t *testing.T) {
 	defer other.Close()
 	ctx := context.Background()
 	const q = "SELECT CUSTOMERNAME, CITY FROM CUSTOMERS WHERE CUSTOMERID = ?"
-	local, err := p.Prepare(ctx, DialectSQL, q, ModeText)
+	local, err := p.Prepare(ctx, q, ModeText)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestServeConcurrentSessions(t *testing.T) {
 					}
 					rows.Close()
 				case 1: // mid-stream disconnect: one row, then walk away
-					rows, err := c.QueryDialect(context.Background(), "", ModeXML,
+					rows, err := c.Query(context.Background(), ModeXML,
 						"SELECT C.CUSTOMERID FROM CUSTOMERS C, PAYMENTS P")
 					if err != nil {
 						t.Errorf("worker %d: big execute: %v", g, err)

@@ -45,14 +45,14 @@ func TestShedVsCancelTaxonomyAcrossWire(t *testing.T) {
 	})
 	ctx := context.Background()
 
-	holder, err := c.QueryDialect(ctx, "", ModeText, "SELECT CUSTOMERID FROM CUSTOMERS")
+	holder, err := c.Query(ctx, ModeText, "SELECT CUSTOMERID FROM CUSTOMERS")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer holder.Close()
 
 	// Shed arm: admission rejects, typed, with backoff guidance.
-	_, err = c.QueryDialect(ctx, "", ModeText, "SELECT CITY FROM CUSTOMERS")
+	_, err = c.Query(ctx, ModeText, "SELECT CITY FROM CUSTOMERS")
 	var qe *aqerr.QueryError
 	if !errors.As(err, &qe) || qe.Kind != aqerr.KindUnavailable {
 		t.Fatalf("shed: %v, want unavailable QueryError", err)
@@ -67,7 +67,7 @@ func TestShedVsCancelTaxonomyAcrossWire(t *testing.T) {
 	// Cancel arm: the caller's own context, not server capacity.
 	cctx, cancel := context.WithCancel(ctx)
 	cancel()
-	_, err = c.QueryDialect(cctx, "", ModeText, "SELECT CITY FROM CUSTOMERS")
+	_, err = c.Query(cctx, ModeText, "SELECT CITY FROM CUSTOMERS")
 	if !errors.As(err, &qe) || qe.Kind != aqerr.KindTimeout {
 		t.Fatalf("cancel: %v, want timeout-kind QueryError", err)
 	}
@@ -122,7 +122,7 @@ func TestOverloadContract(t *testing.T) {
 						sql, args = reportSQL, nil
 					}
 					t0 := time.Now()
-					rows, err := c.QueryDialect(context.Background(), "", ModeText, sql, args...)
+					rows, err := c.Query(context.Background(), ModeText, sql, args...)
 					if err == nil {
 						for rows.Next() {
 						}
@@ -424,7 +424,7 @@ func TestFetchAgainstRestartedServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := c.QueryDialect(context.Background(), "", ModeText, "SELECT CUSTOMERID FROM CUSTOMERS")
+	rows, err := c.Query(context.Background(), ModeText, "SELECT CUSTOMERID FROM CUSTOMERS")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,7 +459,7 @@ func TestFetchAgainstRestartedServer(t *testing.T) {
 		t.Fatalf("redial after restart: %v", err)
 	}
 	defer c2.Close()
-	fresh, err := c2.QueryDialect(context.Background(), "", ModeText, "SELECT CITY FROM CUSTOMERS WHERE CUSTOMERID = 1005")
+	fresh, err := c2.Query(context.Background(), ModeText, "SELECT CITY FROM CUSTOMERS WHERE CUSTOMERID = 1005")
 	if err != nil {
 		t.Fatalf("query after restart: %v", err)
 	}

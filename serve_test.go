@@ -91,7 +91,7 @@ func TestServedMatchesInProcess(t *testing.T) {
 				t.Fatalf("mode %v: %q: in-process: %v", mode, sql, err)
 			}
 			want := marshalRows(local)
-			remote, err := c.QueryDialect(context.Background(), "", mode, sql, args...)
+			remote, err := c.Query(context.Background(), mode, sql, args...)
 			if err != nil {
 				t.Fatalf("mode %v: %q: served: %v", mode, sql, err)
 			}
@@ -109,7 +109,7 @@ func TestServedMatchesInProcess(t *testing.T) {
 	// Failing statements: the typed-error kind must survive the wire.
 	for _, sql := range failingCorpus() {
 		_, lerr := p.QueryStreamMode(context.Background(), ModeText, sql)
-		_, rerr := c.QueryDialect(context.Background(), "", ModeText, sql)
+		_, rerr := c.Query(context.Background(), ModeText, sql)
 		if lerr == nil || rerr == nil {
 			t.Fatalf("%q: expected both paths to fail (local=%v remote=%v)", sql, lerr, rerr)
 		}
@@ -131,10 +131,11 @@ func failingCorpus() []string {
 }
 
 // TestServeCallerMistakesArePermanent: a statement the caller got wrong —
-// bad syntax, an unknown table or column, an unknown dialect, too few or
-// too many parameters — is a typed permanent error in process, through
-// the wire client, and in the raw served response (kind "permanent",
-// HTTP 400), never an untyped one.
+// bad syntax, an unknown table or column, too few or too many parameters
+// — is a typed permanent error in process, through the wire client, and
+// in the raw served response (kind "permanent", HTTP 400), never an
+// untyped one. An unknown dialect is checked in process only, against the
+// QueryDialect shim: the wire can no longer name one.
 func TestServeCallerMistakesArePermanent(t *testing.T) {
 	p, srv, c := newLoopback(t, server.Config{SessionIdleTimeout: time.Minute})
 	h := srv.Handler()
@@ -157,11 +158,14 @@ func TestServeCallerMistakesArePermanent(t *testing.T) {
 		if k := errKindName(lerr); lerr == nil || k != want {
 			t.Errorf("%s: in process: kind %s (%v), want %s", tc.name, k, lerr, want)
 		}
-		_, rerr := c.QueryDialect(context.Background(), string(tc.dialect), ModeText, tc.sql, tc.args...)
+		if tc.dialect != DialectSQL {
+			continue
+		}
+		_, rerr := c.Query(context.Background(), ModeText, tc.sql, tc.args...)
 		if k := errKindName(rerr); rerr == nil || k != want {
 			t.Errorf("%s: served: kind %s (%v), want %s", tc.name, k, rerr, want)
 		}
-		req := wire.ExecuteRequest{Session: session, SQL: tc.sql, Dialect: string(tc.dialect)}
+		req := wire.ExecuteRequest{Session: session, SQL: tc.sql}
 		for _, a := range tc.args {
 			v, err := ToAtomic(a)
 			if err != nil {
@@ -313,7 +317,7 @@ func TestDuplicateOutputNamesInTextMode(t *testing.T) {
 		if got := marshalRows(local); got != want {
 			t.Fatalf("%q: text mode in process\ngot:  %s\nwant: %s", q, got, want)
 		}
-		served, err := c.QueryDialect(context.Background(), "", ModeText, q)
+		served, err := c.Query(context.Background(), ModeText, q)
 		if err != nil {
 			t.Fatalf("%q: text mode served: %v", q, err)
 		}
@@ -366,7 +370,7 @@ func TestNullArgumentSameErrorEverywhere(t *testing.T) {
 	_, facade := p.Query(q, nil)
 	_, viaSQL := openSQL(t, "null-argument").Query(q, nil)
 	_, viaAQL := openSQL(t, remote).Query(q, nil)
-	_, served := c.QueryDialect(context.Background(), "", ModeText, q, nil)
+	_, served := c.Query(context.Background(), ModeText, q, nil)
 	for surface, err := range map[string]error{
 		"facade": facade, "database/sql": viaSQL, "database/sql over aql://": viaAQL, "served": served,
 	} {
@@ -455,7 +459,7 @@ func TestServedEdgeDataMatchesInProcess(t *testing.T) {
 				if !strings.Contains(want, st.holds) {
 					t.Fatalf("mode %v: %q: in-process rows %q lack %q", mode, st.sql, want, st.holds)
 				}
-				adhoc, err := c.QueryDialect(ctx, "", mode, st.sql, st.args...)
+				adhoc, err := c.Query(ctx, mode, st.sql, st.args...)
 				if err != nil {
 					t.Fatalf("%q: served: %v", st.sql, err)
 				}
@@ -516,7 +520,7 @@ func FuzzServeDifferential(f *testing.F) {
 			if lerr == nil {
 				want = marshalRows(local)
 			}
-			remote, rerr := c.QueryDialect(context.Background(), "", mode, sql, args...)
+			remote, rerr := c.Query(context.Background(), mode, sql, args...)
 			var got string
 			if rerr == nil {
 				got, rerr = drainClose(remote)
@@ -583,14 +587,15 @@ func postRaw(t *testing.T, h http.Handler, path string, in any) (int, []byte) {
 
 // TestServeRefusesMismatchedProtocol: a handshake naming any protocol
 // version but the server's — including none, as clients that carried rows
-// as typed atoms sent, 2, whose clients expect an empty execute, and 3,
-// whose clients read rows as a JSON array — is refused with a typed permanent error naming both versions, and opens no
-// session.
+// as typed atoms sent, 2, whose clients expect an empty execute, 3, whose
+// clients read rows as a JSON array, and 4, whose clients may send a
+// statement dialect — is refused with a typed permanent error naming both
+// versions, and opens no session.
 func TestServeRefusesMismatchedProtocol(t *testing.T) {
 	srv := server.New(Demo(), server.Config{SessionIdleTimeout: time.Minute})
 	defer srv.Close()
 	h := srv.Handler()
-	for _, v := range []int{0, 2, 3, wire.ProtocolVersion + 1} {
+	for _, v := range []int{0, 2, 3, 4, wire.ProtocolVersion + 1} {
 		var hs wire.HandshakeResponse
 		we := postWire(t, h, wire.PathHandshake, wire.HandshakeRequest{Client: "other", Protocol: v}, &hs)
 		if we == nil {
@@ -673,7 +678,7 @@ func TestServedExecuteResolvesNoText(t *testing.T) {
 	}
 	for i := 0; i < 3; i++ {
 		before := lookups()
-		rows, err := c.QueryDialect(ctx, "", ModeText, "SELECT CITY FROM CUSTOMERS WHERE CUSTOMERID = 1003")
+		rows, err := c.Query(ctx, ModeText, "SELECT CITY FROM CUSTOMERS WHERE CUSTOMERID = 1003")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -916,7 +921,7 @@ func TestServeOneRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	adhoc := func(mode ResultMode, sql string) func() (*Rows, error) {
-		return func() (*Rows, error) { return c.QueryDialect(ctx, "", mode, sql) }
+		return func() (*Rows, error) { return c.Query(ctx, mode, sql) }
 	}
 
 	oneTrip := []string{wire.PathExecute}
@@ -978,7 +983,7 @@ func TestServeSessionReap(t *testing.T) {
 	})
 
 	// Open a cursor over a large join and abandon it mid-stream.
-	rows, err := c.QueryDialect(context.Background(), "", ModeText,
+	rows, err := c.Query(context.Background(), ModeText,
 		"SELECT C.CUSTOMERID FROM CUSTOMERS C, PAYMENTS P WHERE C.CUSTOMERID = P.CUSTID")
 	if err != nil {
 		t.Fatal(err)
@@ -1001,7 +1006,7 @@ func TestServeSessionReap(t *testing.T) {
 	}
 
 	// The reaped session is gone: new work on it is typed unavailable.
-	_, err = c.QueryDialect(context.Background(), "", ModeText, "SELECT CUSTOMERID FROM CUSTOMERS")
+	_, err = c.Query(context.Background(), ModeText, "SELECT CUSTOMERID FROM CUSTOMERS")
 	var qe *aqerr.QueryError
 	if !errors.As(err, &qe) || qe.Kind != aqerr.KindUnavailable {
 		t.Fatalf("execute on reaped session: %v, want unavailable QueryError", err)
@@ -1021,12 +1026,12 @@ func TestServeAdmissionControl(t *testing.T) {
 	})
 	ctx := context.Background()
 
-	holder, err := c.QueryDialect(ctx, "", ModeText, "SELECT CUSTOMERID FROM CUSTOMERS")
+	holder, err := c.Query(ctx, ModeText, "SELECT CUSTOMERID FROM CUSTOMERS")
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	_, err = c.QueryDialect(ctx, "", ModeText, "SELECT CITY FROM CUSTOMERS")
+	_, err = c.Query(ctx, ModeText, "SELECT CITY FROM CUSTOMERS")
 	var qe *aqerr.QueryError
 	if !errors.As(err, &qe) || qe.Kind != aqerr.KindUnavailable {
 		t.Fatalf("over-admission execute: %v, want unavailable QueryError", err)
@@ -1036,7 +1041,7 @@ func TestServeAdmissionControl(t *testing.T) {
 	}
 
 	holder.Close() // releases the slot
-	again, err := c.QueryDialect(ctx, "", ModeText, "SELECT CITY FROM CUSTOMERS")
+	again, err := c.Query(ctx, ModeText, "SELECT CITY FROM CUSTOMERS")
 	if err != nil {
 		t.Fatalf("execute after release: %v", err)
 	}
@@ -1064,7 +1069,7 @@ func TestServeNegativeCapsTakeDefaults(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, _, c := newLoopback(t, tc.cfg)
-			rows, err := c.QueryDialect(context.Background(), "", ModeText, "SELECT CITY FROM CUSTOMERS WHERE CUSTOMERID < 1003")
+			rows, err := c.Query(context.Background(), ModeText, "SELECT CITY FROM CUSTOMERS WHERE CUSTOMERID < 1003")
 			if err != nil {
 				t.Fatalf("execute: %v", err)
 			}
@@ -1122,7 +1127,7 @@ func TestResultColumnFacetsAgree(t *testing.T) {
 	col = st.Columns()[0]
 	check("served prepare", int64(col.Precision), int64(col.Scale))
 
-	remote, err := c.QueryDialect(ctx, "", ModeText, q)
+	remote, err := c.Query(ctx, ModeText, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1176,7 +1181,7 @@ func TestServePreparedAcrossViewChange(t *testing.T) {
 	}
 
 	// The new view is queryable in the same session.
-	vrows, err := c.QueryDialect(ctx, "", ModeText, "SELECT CITY FROM V_SERVE_CHURN WHERE CUSTOMERID = 1005")
+	vrows, err := c.Query(ctx, ModeText, "SELECT CITY FROM V_SERVE_CHURN WHERE CUSTOMERID = 1005")
 	if err != nil {
 		t.Fatalf("query new view: %v", err)
 	}
@@ -1220,7 +1225,7 @@ func TestRowsErrDistinguishesCancelFromServerFault(t *testing.T) {
 	t.Run("remote cancel", func(t *testing.T) {
 		_, srv, c := newLoopback(t, server.Config{FetchRows: 2, SessionIdleTimeout: time.Minute})
 		ctx, cancel := context.WithCancel(context.Background())
-		rows, err := c.QueryDialect(ctx, "", ModeText, bigJoin)
+		rows, err := c.Query(ctx, ModeText, bigJoin)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -1252,7 +1257,7 @@ func TestRowsErrDistinguishesCancelFromServerFault(t *testing.T) {
 			SessionIdleTimeout: time.Minute,
 			Faults:             inj,
 		})
-		rows, err := c.QueryDialect(context.Background(), "", ModeText, bigJoin)
+		rows, err := c.Query(context.Background(), ModeText, bigJoin)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -1314,7 +1319,7 @@ func TestServeMetadataSurface(t *testing.T) {
 	}
 
 	// EXPLAIN over the wire matches the in-process compile.
-	text, err := c.ExplainDialect(context.Background(), "", "SELECT CUSTOMERID FROM CUSTOMERS", ModeText)
+	text, err := c.Explain(context.Background(), "SELECT CUSTOMERID FROM CUSTOMERS", ModeText)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1352,7 +1357,7 @@ func TestServeSmoke(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		remote, err := c.QueryDialect(context.Background(), "", ModeText, sql, args...)
+		remote, err := c.Query(context.Background(), ModeText, sql, args...)
 		if err != nil {
 			t.Fatalf("%q over TCP: %v", sql, err)
 		}

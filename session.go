@@ -13,8 +13,8 @@ import (
 
 // Prepare implements session.Session: the statement compiles once,
 // through the platform's compile cache, and executes many times.
-func (p *Platform) Prepare(ctx context.Context, dialect Dialect, text string, mode ResultMode) (session.Prepared, error) {
-	st := &prepared{p: p, dialect: dialect, text: text, mode: mode}
+func (p *Platform) Prepare(ctx context.Context, text string, mode ResultMode) (session.Prepared, error) {
+	st := &prepared{p: p, text: text, mode: mode}
 	if _, err := st.recompile(ctx); err != nil {
 		return nil, err
 	}
@@ -27,11 +27,10 @@ func (p *Platform) Prepare(ctx context.Context, dialect Dialect, text string, mo
 // cache that issued it, since a rebuilt metadata stack gets a new cache,
 // and recompiles only when one has moved on.
 type prepared struct {
-	p       *Platform
-	dialect Dialect
-	text    string
-	mode    ResultMode
-	cur     atomic.Pointer[issued]
+	p    *Platform
+	text string
+	mode ResultMode
+	cur  atomic.Pointer[issued]
 }
 
 // issued is an artifact and the compile cache that issued it.
@@ -68,7 +67,7 @@ func (st *prepared) Execute(ctx context.Context, args ...any) (*Rows, error) {
 // a cache newer than the one it came from.
 func (st *prepared) recompile(ctx context.Context) (*CompiledQuery, error) {
 	qc := st.p.queryCache()
-	cq, _, err := st.p.compile(ctx, st.dialect, st.text, st.mode)
+	cq, _, err := st.p.compile(ctx, st.text, st.mode)
 	if err != nil {
 		return nil, err
 	}
@@ -97,9 +96,9 @@ func (p *Platform) QueryTimeout() time.Duration {
 // Prepare — and renders the artifact with this call's compile- and
 // catalog-cache effects. EXPLAIN of a statement the platform has already
 // compiled performs no translation at all.
-func (p *Platform) Explain(ctx context.Context, dialect Dialect, text string, mode ResultMode) ([]string, error) {
+func (p *Platform) Explain(ctx context.Context, text string, mode ResultMode) ([]string, error) {
 	before := p.MetadataStats()
-	cq, hit, err := p.compile(ctx, dialect, text, mode)
+	cq, hit, err := p.compile(ctx, text, mode)
 	if err != nil {
 		return nil, err
 	}
