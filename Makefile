@@ -40,7 +40,11 @@ race:
 # column and record kernels' differentials against the generic path and
 # naive, the flat records' net (records built by morsel workers are read
 # on the merging goroutine), and the rebound tuple cells' aliasing net
-# (each morsel worker rebinds cells of its own). The driver's concurrency
+# (each morsel worker rebinds cells of its own), and the kept-value nets:
+# eight first evaluations of one plan racing to build and keep its closed
+# builds, and evaluations running while a source is re-registered under
+# them (which evaluation builds, keeps or reuses depends on scheduling).
+# The driver's concurrency
 # and streaming nets follow, in process and over aql:// (real TCP): every
 # database/sql connection shares one platform's compile and metadata
 # caches. The cached-statement rendering net follows: EXPLAIN, Translate
@@ -52,7 +56,7 @@ race:
 # whether its 2x phase sheds at all depends on scheduling, so it too runs
 # 20 times under the race detector.
 stress:
-	$(GO) test -race -count=20 -run 'TestParallel|TestBarrierAfterFanOut|TestFusedLimitParity|TestFusedMatchesNaive|TestFusedBatchesDouble|TestInFlightBound|TestCorrelated|TestColumnKernels|TestRecordKernel|TestFlatRecordsMatchNaive|TestHashJoinNegativeZero|TestTransientCells' ./internal/xqeval/
+	$(GO) test -race -count=20 -run 'TestParallel|TestBarrierAfterFanOut|TestFusedLimitParity|TestFusedMatchesNaive|TestFusedBatchesDouble|TestInFlightBound|TestCorrelated|TestColumnKernels|TestRecordKernel|TestFlatRecordsMatchNaive|TestHashJoinNegativeZero|TestTransientCells|TestKeptConcurrentFirstEvaluations|TestKeptValueReregisteredMidRun' ./internal/xqeval/
 	$(GO) test -race -count=20 -run 'TestRowsCountedOnce' .
 	$(GO) test -race -count=10 -run 'TestConcurrent|TestStreaming|TestRows' ./internal/driver/
 	$(GO) test -race -count=10 -run 'TestConcurrentRenderOfCachedStatement$$' .

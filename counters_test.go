@@ -3,12 +3,14 @@ package aqualogic
 import (
 	"context"
 	"net/http"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/remoteclient"
 	"repro/internal/server"
+	"repro/internal/xdm"
 )
 
 // TestCountersStayWithTheirOwner runs two platforms, each behind its own
@@ -128,6 +130,69 @@ func TestCountersStayWithTheirOwner(t *testing.T) {
 	for i, p := range []*Platform{p1, p2, p3} {
 		if n := p.Stats().BreakerOpens; n != 0 {
 			t.Fatalf("platform %d counted %d breaker openings of a wire client", i+1, n)
+		}
+	}
+}
+
+// TestKeptReportCounted runs the demo GROUP BY report twice, prepared and
+// served, with two parameter values. Its RECORDSET reads no parameter, so
+// the first execution builds it and keeps it with the cached plan and the
+// second reuses it: one build and one reuse, in Platform.Stats and in
+// /v1/stats alike. Each execution gives the naive oracle's rows.
+func TestKeptReportCounted(t *testing.T) {
+	ctx := context.Background()
+	p, _, c := newLoopback(t, server.Config{SessionIdleTimeout: time.Minute})
+	const report = "SELECT CITY, COUNT(*) FROM CUSTOMERS GROUP BY CITY HAVING COUNT(*) > ?"
+	st, err := c.Prepare(ctx, report, ModeXML)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cq, err := p.CompileContext(ctx, report, ModeXML)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, floor := range []int{2, 3} {
+		served, err := st.Execute(ctx, floor)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for served.Next() {
+			var cells []string // NULL is an absent column in the naive RECORD
+			for i := 0; i < 2; i++ {
+				if v, _ := served.Value(i); v != nil {
+					cells = append(cells, v.Lexical())
+				}
+			}
+			got = append(got, strings.Join(cells, "="))
+		}
+		if err := served.Err(); err != nil {
+			t.Fatal(err)
+		}
+		served.Close()
+		ext := map[string]xdm.Sequence{"p1": xdm.SequenceOf(xdm.Integer(floor))}
+		naive, err := p.Engine.EvalNaiveWithTrace(ctx, cq.Plan.Query, ext, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []string
+		for _, rec := range xdm.AppendChildren(nil, naive[0].(xdm.Node), "RECORD") {
+			var cells []string
+			xdm.Columns(rec.(xdm.Node), func(_, text string) bool { cells = append(cells, text); return true })
+			want = append(want, strings.Join(cells, "="))
+		}
+		if len(got) == 0 || strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Fatalf("HAVING COUNT(*) > %d: served %v, naive %v", floor, got, want)
+		}
+	}
+	local := p.Stats()
+	stats, err := c.ServerStats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for where, s := range map[string]PipelineStats{"Platform.Stats": local, "/v1/stats": stats.Pipeline} {
+		if s.KeptBuilds != 1 || s.KeptReuses != 1 {
+			t.Errorf("%s: %d kept builds, %d reuses, want 1 and 1", where, s.KeptBuilds, s.KeptReuses)
 		}
 	}
 }

@@ -250,6 +250,13 @@ type Snapshot struct {
 	SourceStatsHits   int64
 	SourceStatsMisses int64
 
+	// Closed builds (an invariant let's value or a hash build table that
+	// reads no parameter) kept with their plans, and the builds skipped
+	// for a kept value: one per execution of the FLWOR that would have
+	// built it (a nested FLWOR or a morsel each count), not per evaluation.
+	KeptBuilds int64
+	KeptReuses int64
+
 	// Scatter-gather evaluations of partitioned scans, the shard calls
 	// they made, shards a pinned key pruned, and degraded shards a
 	// partial-tolerant scan dropped. SourceScans maps federated source
@@ -290,6 +297,9 @@ func (s Snapshot) Render(w io.Writer) {
 	if s.PlansBuilt > 0 {
 		fmt.Fprintf(w, "planner: plans=%d hash joins=%d predicates pushed=%d invariants hoisted=%d tuples pruned=%d\n",
 			s.PlansBuilt, s.HashJoins, s.PredicatesPushed, s.InvariantsHoisted, s.TuplesPruned)
+	}
+	if s.KeptBuilds > 0 {
+		fmt.Fprintf(w, "kept with plans: builds=%d reuses=%d\n", s.KeptBuilds, s.KeptReuses)
 	}
 	if s.SourceStatsHits+s.SourceStatsMisses > 0 {
 		fmt.Fprintf(w, "source stats: hits=%d misses=%d\n", s.SourceStatsHits, s.SourceStatsMisses)

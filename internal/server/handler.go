@@ -112,7 +112,8 @@ func handle[Req, Resp any](mux *router, path string, fn func(ctx context.Context
 	})
 }
 
-// readRequest decodes a request body, read whole into a pooled buffer.
+// readRequest decodes a request body, read whole into a pooled buffer,
+// refusing fields the request does not declare (wire.ReadRequest).
 // The buffer grows to at most maxRequestBytes: a longer body is refused
 // when its first byte past the bound arrives, not buffered (bytes.Buffer's
 // own ReadFrom would double the buffer past the bound first).
@@ -133,7 +134,7 @@ func readRequest(w http.ResponseWriter, r *http.Request, req any) error {
 		buf.Write(free[:n])
 	}
 	if err == io.EOF {
-		err = wire.ReadBody(buf.Bytes(), req)
+		err = wire.ReadRequest(buf.Bytes(), req)
 	}
 	var tooBig *http.MaxBytesError
 	switch {

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -176,4 +177,48 @@ func FuzzChunkFrame(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestReadRequestStrict: a request body with a field its type does not
+// declare, or a second value, is refused; white space around the value is
+// not, and a refused body leaves the next one unaffected.
+func TestReadRequestStrict(t *testing.T) {
+	for _, c := range []struct {
+		body string
+		ok   bool
+	}{
+		{`{"session":"s1","stmt":2}`, true},
+		{` {"session":"s1"}` + "\n", true},
+		{`{"session":"s1","mdoe":"xml"}`, false},
+		{`{"session":"s1","dialect":"sql"}`, false},
+		{`{"session":"s1"}{}`, false},
+		{`{"session":"s1"}}`, false},
+		{`{"session":"s1"`, false},
+		{`{"session":"s1"}`, true},
+	} {
+		var req ExecuteRequest
+		if err := ReadRequest([]byte(c.body), &req); (err == nil) != c.ok || c.ok && req.Session != "s1" {
+			t.Errorf("%q: %+v, error %v; want accepted %v", c.body, req, err, c.ok)
+		}
+	}
+}
+
+// TestReadRequestAllocs: strict decoding costs a served request at most
+// two allocations more than json.Unmarshal did.
+func TestReadRequestAllocs(t *testing.T) {
+	body := []byte(`{"session":"s000001","stmt":3,"args":[{"t":3,"v":"1000"}]}`)
+	strict := testing.AllocsPerRun(200, func() {
+		var req ExecuteRequest
+		if err := ReadRequest(body, &req); err != nil {
+			t.Fatal(err)
+		}
+	})
+	lenient := testing.AllocsPerRun(200, func() {
+		var req ExecuteRequest
+		_ = json.Unmarshal(body, &req)
+	})
+	t.Logf("execute request: %.0f allocations strict, %.0f with json.Unmarshal", strict, lenient)
+	if strict > lenient+2 {
+		t.Errorf("strict decoding costs %.0f allocations, json.Unmarshal %.0f", strict, lenient)
+	}
 }

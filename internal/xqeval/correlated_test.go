@@ -4,12 +4,14 @@
 // instead of rescanning their source per outer row. The naive evaluator is
 // the oracle: every statement below must give it byte-identical results
 // under the structural plan and the stats-built plan at 1, 2 and 8
-// workers, materialized and streamed, in both result modes.
+// workers, materialized and streamed, in both result modes, and again
+// when a plan reuses the tables it kept.
 package xqeval_test
 
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"strconv"
 	"strings"
@@ -185,27 +187,39 @@ func TestCorrelatedLookupsMatchNaive(t *testing.T) {
 				if d := strings.Join(plan.Describe(), "\n"); !strings.Contains(d, "hash probe") {
 					t.Fatalf("%q: no hash probe planned:\n%s", sql, d)
 				}
-				for _, workers := range []int{1, 2, 8} {
+				check := func(workers int, materialized, streamed *xqeval.Plan, label string) {
 					// Two-row morsels: the eight customers fan out to four
 					// morsels, whose workers race to build the shared table.
 					xqeval.ForceFanOutForTest(e, workers, 2, 2)
-					got, err := e.EvalPlanWithTrace(ctx, plan, ext, nil)
+					got, err := e.EvalPlanWithTrace(ctx, materialized, ext, nil)
 					if err != nil {
-						t.Fatalf("%q, mode %v, workers %d: %v", sql, mode, workers, err)
+						t.Fatalf("%q, mode %v, %s: %v", sql, mode, label, err)
 					}
 					if g := xdm.MarshalSequence(got); g != want {
-						t.Fatalf("%q, mode %v, workers %d: planned diverges from naive\nplanned: %s\nnaive:   %s", sql, mode, workers, g, want)
+						t.Fatalf("%q, mode %v, %s: planned diverges from naive\nplanned: %s\nnaive:   %s", sql, mode, label, g, want)
 					}
-					streamed, err := drainChunks(e.EvalStream(ctx, plan, ext, nil), text)
+					rows, err := drainChunks(e.EvalStream(ctx, streamed, ext, nil), text)
 					if err != nil {
-						t.Fatalf("%q, mode %v, workers %d stream: %v", sql, mode, workers, err)
+						t.Fatalf("%q, mode %v, %s stream: %v", sql, mode, label, err)
 					}
-					if g := streamed; g != wantStream {
-						t.Fatalf("%q, mode %v, workers %d: stream diverges from naive\nplanned: %s\nnaive:   %s", sql, mode, workers, g, wantStream)
+					if rows != wantStream {
+						t.Fatalf("%q, mode %v, %s: stream diverges from naive\nplanned: %s\nnaive:   %s", sql, mode, label, rows, wantStream)
 					}
 				}
+				// Every evaluation at each worker count runs on a copy with
+				// nothing kept, so it builds its tables.
+				for _, workers := range []int{1, 2, 8} {
+					check(workers, xqeval.FreshKept(plan), xqeval.FreshKept(plan), fmt.Sprintf("workers %d", workers))
+				}
+				// Then plan itself: the first evaluation builds and keeps
+				// its tables, the later ones reuse them.
+				check(8, plan, plan, "workers 8, build")
+				check(8, plan, plan, "workers 8, reuse")
 			}
 		}
+	}
+	if s := e.Stats(); s.KeptReuses == 0 {
+		t.Fatalf("no plan reused a kept table (%d kept)", s.KeptBuilds)
 	}
 }
 

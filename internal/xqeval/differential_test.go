@@ -1,7 +1,8 @@
 // Differential correctness net for the query planner: every query the
 // translator generates for the EXPLAIN golden corpus and the translator
 // fuzz seeds, in both result modes, must evaluate to an identical sequence
-// planned and naive. The planner is licensed to change error timing
+// planned and naive — twice on one plan, once building its closed builds
+// and once reusing what the first evaluation kept. The planner is licensed to change error timing
 // (XQuery §2.3.4) but never a successful query's value — this test is the
 // proof over the whole generated-query corpus, against the demo dataset.
 //
@@ -17,6 +18,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/demo"
+	"repro/internal/obsv"
 	"repro/internal/translator"
 	"repro/internal/xdm"
 	"repro/internal/xqeval"
@@ -97,6 +99,30 @@ func bindParams(res *translator.Result) map[string]xdm.Sequence {
 	return ext
 }
 
+// evalTwice evaluates plan twice, materialized: the first evaluation builds
+// the plan's closed builds and keeps them, the second reuses them. It fails
+// t unless both give the same items, or the same error, and charge the same
+// steps and tuples; it returns the second's result.
+func evalTwice(t testing.TB, e *xqeval.Engine, plan *xqeval.Plan, ext map[string]xdm.Sequence) (xdm.Sequence, error) {
+	t.Helper()
+	var runs [2]evaluation
+	var out xdm.Sequence
+	var err error
+	for i := range runs {
+		tr := obsv.NewTrace("")
+		out, err = e.EvalPlanWithTrace(context.Background(), plan, ext, tr)
+		ev, _ := tr.Stage(obsv.StageEvaluate)
+		runs[i] = evaluation{xdm.MarshalSequence(out), ev.DetailValue("steps"), ev.DetailValue("tuples")}
+		if err != nil {
+			runs[i].out = "error: " + err.Error()
+		}
+	}
+	if runs[0] != runs[1] {
+		t.Fatalf("%s\nbuild and reuse differ:\nbuild: %+v\nreuse: %+v", strings.Join(plan.Describe(), "\n"), runs[0], runs[1])
+	}
+	return out, err
+}
+
 func TestPlannedMatchesNaiveOnCorpus(t *testing.T) {
 	app, _, engine := demo.Setup(demo.DefaultSizes)
 	checked := 0
@@ -109,7 +135,7 @@ func TestPlannedMatchesNaiveOnCorpus(t *testing.T) {
 				t.Fatalf("mode %v: %q must translate: %v", mode, sql, err)
 			}
 			ext := bindParams(res)
-			planned, perr := engine.EvalPlanWithTrace(context.Background(), xqeval.NewPlan(res.Query), ext, nil)
+			planned, perr := evalTwice(t, engine, xqeval.NewPlan(res.Query), ext)
 			naive, nerr := engine.EvalNaiveWithTrace(context.Background(), res.Query, ext, nil)
 			if (perr == nil) != (nerr == nil) {
 				t.Fatalf("mode %v: %q: error divergence\nplanned: %v\nnaive:   %v", mode, sql, perr, nerr)
@@ -125,6 +151,9 @@ func TestPlannedMatchesNaiveOnCorpus(t *testing.T) {
 	}
 	if checked < 46 { // 23 distinct statements × 2 modes
 		t.Fatalf("corpus shrank: only %d checks ran", checked)
+	}
+	if s := engine.Stats(); s.KeptReuses == 0 || s.KeptReuses != s.KeptBuilds {
+		t.Fatalf("second evaluations reused %d kept values of %d kept", s.KeptReuses, s.KeptBuilds)
 	}
 }
 
@@ -150,7 +179,7 @@ func FuzzPlanDifferential(f *testing.F) {
 			return // nondeterministic between the two evaluations
 		}
 		ext := bindParams(res)
-		planned, perr := engine.EvalPlanWithTrace(context.Background(), xqeval.NewPlan(res.Query), ext, nil)
+		planned, perr := evalTwice(t, engine, xqeval.NewPlan(res.Query), ext)
 		naive, nerr := engine.EvalNaiveWithTrace(context.Background(), res.Query, ext, nil)
 		if perr != nil || nerr != nil {
 			// Error-presence divergence is permitted: conjunct splitting

@@ -28,10 +28,28 @@ func KeptColumns(p *Plan) []string {
 	return out
 }
 
-// KeepAllColumns returns a copy of p whose record kernels build every
-// column, as they did before the consumer analysis pruned them.
-func KeepAllColumns(p *Plan) *Plan {
+// FreshKept returns a copy of p with kept slots of its own, all empty: its
+// first evaluation builds every closed build, whatever p has kept.
+func FreshKept(p *Plan) *Plan {
 	cp := *p
+	cp.kept = make([]keptSlot, len(p.kept))
+	for i := range p.kept {
+		cp.kept[i].srcs, cp.kept[i].let = p.kept[i].srcs, p.kept[i].let
+	}
+	if cp.kept != nil {
+		cp.release = newKeptRelease(cp.kept)
+	}
+	return &cp
+}
+
+// KeptItems is the items the kept values of e's plans hold together.
+func KeptItems(e *Engine) int64 { return e.kept.items.Load() }
+
+// KeepAllColumns returns a copy of p whose record kernels build every
+// column, as they did before the consumer analysis pruned them. The copy
+// keeps its own closed builds: a value p kept holds p's pruned records.
+func KeepAllColumns(p *Plan) *Plan {
+	cp := *FreshKept(p)
 	cp.records = make(map[*xquery.ElementCtor]*recordKernel, len(p.records))
 	for ctor, k := range p.records {
 		whole := *k

@@ -292,12 +292,19 @@ func TestColumnKernelsMatchGeneric(t *testing.T) {
 			wantStream := drainKernelStream(e.EvalStreamNaive(ctx, q, ext, nil))
 			var first string
 			for pi, plan := range plans {
-				for _, workers := range []int{1, 2, 8} {
+				// Each worker count evaluates copies with nothing kept, so
+				// it builds; then plan itself, which keeps its closed
+				// builds on the first operand and reuses them on the next.
+				for _, workers := range []int{1, 2, 8, 0} {
+					materialized, streamedPlan, label := FreshKept(plan), FreshKept(plan), fmt.Sprintf("%s, $p1 = %v, plan %d, %d workers", s.body, p, pi, workers)
+					if workers == 0 {
+						workers, materialized, streamedPlan = 8, plan, plan
+						label = fmt.Sprintf("%s, $p1 = %v, plan %d kept, 8 workers", s.body, p, pi)
+					}
 					ForceFanOutForTest(e, workers, 2, 2)
-					got, err := e.EvalPlanWithTrace(ctx, plan, ext, nil)
+					got, err := e.EvalPlanWithTrace(ctx, materialized, ext, nil)
 					gotOut := outcomeSeq(got, err)
-					streamed := drainKernelStream(e.EvalStream(ctx, plan, ext, nil))
-					label := fmt.Sprintf("%s, $p1 = %v, plan %d, %d workers", s.body, p, pi, workers)
+					streamed := drainKernelStream(e.EvalStream(ctx, streamedPlan, ext, nil))
 					if first == "" {
 						first = gotOut
 					}

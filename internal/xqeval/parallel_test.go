@@ -66,7 +66,8 @@ func drainCursor(cur *xqeval.Cursor) (xdm.Sequence, error) {
 // TestParallelMatchesSerialOnCorpus is the parallel executor's core
 // contract: across the whole generated-query corpus, both result modes,
 // materialized and streamed, workers∈{2,8} produce byte-identical output
-// to workers=1 (the plain serial path).
+// to workers=1 (the plain serial path), building what the serial run
+// built, and again at 8 workers reusing what the serial run kept.
 func TestParallelMatchesSerialOnCorpus(t *testing.T) {
 	app, _, engine := demo.Setup(demo.DefaultSizes)
 	defer xqeval.ForceFanOutForTest(engine, 0, 0, 0)
@@ -92,22 +93,29 @@ func TestParallelMatchesSerialOnCorpus(t *testing.T) {
 				t.Fatalf("mode %v: %q must evaluate serially: %v", mode, sql, err)
 			}
 			want := xdm.MarshalSequence(serial)
-			serialStream, err := drainCursor(engine.EvalStream(ctx, plan, ext, nil))
+			serialStream, err := drainCursor(engine.EvalStream(ctx, xqeval.FreshKept(plan), ext, nil))
 			if err != nil {
 				t.Fatalf("mode %v: %q must stream serially: %v", mode, sql, err)
 			}
 			wantStream := xdm.MarshalSequence(serialStream)
 
-			for _, workers := range []int{2, 8} {
+			// Each parallel evaluation runs on a copy with nothing kept, so
+			// it builds what the serial one built; the last pass is plan
+			// itself at 8 workers, reusing what the serial run kept.
+			for _, workers := range []int{2, 8, 0} {
+				materialized, streamedPlan := xqeval.FreshKept(plan), xqeval.FreshKept(plan)
+				if workers == 0 {
+					workers, materialized, streamedPlan = 8, plan, plan
+				}
 				parallelExec(engine, workers)
-				got, err := engine.EvalPlanWithTrace(ctx, plan, ext, nil)
+				got, err := engine.EvalPlanWithTrace(ctx, materialized, ext, nil)
 				if err != nil {
 					t.Fatalf("mode %v, workers %d: %q must evaluate: %v", mode, workers, sql, err)
 				}
 				if g := xdm.MarshalSequence(got); g != want {
 					t.Fatalf("mode %v, workers %d: %q diverges from serial\ngot:  %s\nwant: %s", mode, workers, sql, g, want)
 				}
-				streamed, err := drainCursor(engine.EvalStream(ctx, plan, ext, nil))
+				streamed, err := drainCursor(engine.EvalStream(ctx, streamedPlan, ext, nil))
 				if err != nil {
 					t.Fatalf("mode %v, workers %d: %q must stream: %v", mode, workers, sql, err)
 				}
@@ -118,7 +126,7 @@ func TestParallelMatchesSerialOnCorpus(t *testing.T) {
 			}
 		}
 	}
-	if checked < 92 { // 23 distinct statements × 2 modes × 2 worker counts
+	if checked < 138 { // 23 distinct statements × 2 modes × 3 passes
 		t.Fatalf("corpus shrank: only %d checks ran", checked)
 	}
 }
@@ -834,16 +842,20 @@ func FuzzParallelDifferential(f *testing.F) {
 		ext := bindParams(res)
 		xqeval.ForceFanOutForTest(engine, 1, 4, 2)
 		serial, serr := engine.EvalPlanWithTrace(context.Background(), plan, ext, nil)
+		// The parallel run builds on a copy with nothing kept, then reuses
+		// on plan what the serial run kept.
 		xqeval.ForceFanOutForTest(engine, 8, 4, 2)
-		par, perr := engine.EvalPlanWithTrace(context.Background(), plan, ext, nil)
-		if (serr == nil) != (perr == nil) {
-			t.Fatalf("%q: error-presence divergence\nserial:   %v\nparallel: %v", sql, serr, perr)
-		}
-		if serr != nil {
-			return
-		}
-		if got, want := xdm.MarshalSequence(par), xdm.MarshalSequence(serial); got != want {
-			t.Fatalf("%q: result divergence\nparallel: %s\nserial:   %s", sql, got, want)
+		for _, p := range []*xqeval.Plan{xqeval.FreshKept(plan), plan} {
+			par, perr := engine.EvalPlanWithTrace(context.Background(), p, ext, nil)
+			if (serr == nil) != (perr == nil) {
+				t.Fatalf("%q: error-presence divergence\nserial:   %v\nparallel: %v", sql, serr, perr)
+			}
+			if serr != nil {
+				return
+			}
+			if got, want := xdm.MarshalSequence(par), xdm.MarshalSequence(serial); got != want {
+				t.Fatalf("%q: result divergence\nparallel: %s\nserial:   %s", sql, got, want)
+			}
 		}
 		// The same statement in text mode, streamed at 8 workers — through
 		// the row program when the shape allows — against the naive stream,

@@ -45,6 +45,11 @@ type Plan struct {
 	// records maps each constructor of column copies to its column-record
 	// kernel (record.go); nil when the query has none.
 	records map[*xquery.ElementCtor]*recordKernel
+	// kept holds one slot per closed build (planOp.keep): the value its
+	// first successful build left for later evaluations (keep.go); release
+	// returns their shares of the engine's budget when the plan is collected.
+	kept    []keptSlot
+	release *keptRelease
 
 	// Static decision counts across all FLWORs in the query.
 	HashJoins         int
@@ -144,6 +149,10 @@ type planOp struct {
 	// hash turns an invariant for into a hash join.
 	hash *hashJoinSpec
 
+	// keep, on an invariant let or a hash for whose value or build table is
+	// closed (keep.go), is 1 + its slot in Plan.kept; 0 otherwise.
+	keep int
+
 	// scan is set when the for-source is a statically resolvable data
 	// service call — the statistics key for lazy collection and cost
 	// lookup. estRows is the stats-estimated source cardinality, -1 when
@@ -220,7 +229,22 @@ func buildPlan(q *xquery.Query, sp StatsProvider) *Plan {
 	for _, imp := range q.Prolog.SchemaImports {
 		pc.prefixes[imp.Prefix] = imp.Namespace
 	}
-	xquery.WalkExprs(q.Body, func(e xquery.Expr) bool {
+	pc.planExprs(p, q.Body, false)
+	if p.records != nil {
+		xquery.RecordReads(q.Body, p.keepReads)
+	}
+	p.Stream.fuse(p.flwors)
+	if p.kept != nil {
+		p.release = newKeptRelease(p.kept)
+	}
+	return p
+}
+
+// planExprs plans every FLWOR, probe filter and record constructor in root,
+// in body order. nested marks root as a kept let's expression (keep.go):
+// what runs only when that let is built keeps nothing of its own.
+func (pc *planCtx) planExprs(p *Plan, root xquery.Expr, nested bool) {
+	xquery.WalkExprs(root, func(e xquery.Expr) bool {
 		var f *xquery.FLWOR
 		switch n := e.(type) {
 		case *xquery.FLWOR:
@@ -237,19 +261,18 @@ func buildPlan(q *xquery.Query, sp StatsProvider) *Plan {
 				return false
 			}
 		}
+		if !nested && e != root && p.keptLet(e) {
+			pc.planExprs(p, e, true)
+			return false
+		}
 		if f != nil {
-			fp := planFLWOR(f, p, pc)
+			fp := planFLWOR(f, p, pc, nested)
 			fp.id = len(p.ordered) + 1
 			p.flwors[e] = fp
 			p.ordered = append(p.ordered, fp)
 		}
 		return true
 	})
-	if p.records != nil {
-		xquery.RecordReads(q.Body, p.keepReads)
-	}
-	p.Stream.fuse(p.flwors)
-	return p
 }
 
 // planCtx carries per-query planning inputs: the prolog's prefix bindings
@@ -385,7 +408,7 @@ type pendingCond struct {
 	consumed bool // absorbed into a hash join
 }
 
-func planFLWOR(f *xquery.FLWOR, p *Plan, pc *planCtx) *flworPlan {
+func planFLWOR(f *xquery.FLWOR, p *Plan, pc *planCtx, nested bool) *flworPlan {
 	fp := &flworPlan{flwor: f, eager: pc.sp != nil}
 
 	entries, conds, rewrite := layoutFLWOR(f)
@@ -468,6 +491,9 @@ func planFLWOR(f *xquery.FLWOR, p *Plan, pc *planCtx) *flworPlan {
 						op.part.projCols = projectionColumns(f, c.Var, spec.Key)
 					}
 				}
+				if op.hash != nil && op.part == nil && !nested {
+					op.keep = pc.keepHash(p, c, op.hash)
+				}
 			}
 			cur.ops = append(cur.ops, op)
 			sawFor = true
@@ -480,6 +506,12 @@ func planFLWOR(f *xquery.FLWOR, p *Plan, pc *planCtx) *flworPlan {
 				fp.numStates++
 				if op.hoisted {
 					p.InvariantsHoisted++
+				}
+				if !nested && !p.Stream.bypasses(c) {
+					var buf [4]funcKey
+					if srcs, ok := pc.closedBuild(c.Expr, "", buf[:0]); ok {
+						op.keep = p.addKeep(srcs, c.Expr)
+					}
 				}
 			}
 			cur.ops = append(cur.ops, op)
@@ -956,6 +988,9 @@ func describeOp(op planOp) string {
 				b.WriteString(", built once per evaluation")
 			}
 			b.WriteString("]")
+			if op.keep > 0 {
+				b.WriteString(" [kept with plan]")
+			}
 			if op.hash.keyCol != "" || op.hash.probeCol.col != "" {
 				b.WriteString(" [column]")
 			}
@@ -1002,6 +1037,9 @@ func describeOp(op planOp) string {
 		s := fmt.Sprintf("let $%s := %s", op.letClause.Var, exprText(op.letClause.Expr))
 		if op.invariant {
 			s += " [invariant]"
+		}
+		if op.keep > 0 {
+			s += " [kept with plan]"
 		}
 		return s
 	case opKindFilter:

@@ -222,7 +222,6 @@ func (ex *flworExec) prepare(ops []planOp, t *scope) (dead bool, err error) {
 		if !op.invariant {
 			continue
 		}
-		st := &ex.states[op.stateIdx]
 		switch op.kind {
 		case opKindFor:
 			var items xdm.Sequence
@@ -239,16 +238,35 @@ func (ex *flworExec) prepare(ops []planOp, t *scope) (dead bool, err error) {
 				return true, nil
 			}
 		case opKindLet:
-			if !st.done {
-				s, err := evalExpr(op.letClause.Expr, t)
-				if err != nil {
-					return false, err
-				}
-				st.seq, st.done = s, true
+			if _, err := ex.letValue(op, t); err != nil {
+				return false, err
 			}
 		}
 	}
 	return false, nil
+}
+
+// letValue returns an invariant let's value, evaluated on the first tuple
+// to need it — invariance means the expression sees identical bindings from
+// every tuple, so evaluating against the first one is sound — or the value
+// kept with the plan, and cached for the rest of this FLWOR execution.
+func (ex *flworExec) letValue(op *planOp, t *scope) (xdm.Sequence, error) {
+	st := &ex.states[op.stateIdx]
+	if st.done {
+		return st.seq, nil
+	}
+	if kv := t.reuse(op.keep); kv != nil {
+		st.seq, st.done = kv.seq, true
+		return st.seq, nil
+	}
+	tk := t.startKeep(op.keep)
+	s, err := evalExpr(op.letClause.Expr, t)
+	if err != nil {
+		return nil, err
+	}
+	t.finishKeep(tk, s, nil)
+	st.seq, st.done = s, true
+	return s, nil
 }
 
 // feed pushes one tuple through ops[i:], calling out for each survivor,
@@ -272,25 +290,14 @@ func (ex *flworExec) feed(ops []planOp, i int, t *scope, out tupleSink, cs cells
 
 	case opKindLet:
 		var v xdm.Sequence
+		var err error
 		if op.invariant {
-			st := &ex.states[op.stateIdx]
-			if !st.done {
-				// Invariance means the expression sees identical bindings
-				// from every tuple, so evaluating against the first one is
-				// sound.
-				s, err := evalExpr(op.letClause.Expr, t)
-				if err != nil {
-					return err
-				}
-				st.seq, st.done = s, true
-			}
-			v = st.seq
+			v, err = ex.letValue(op, t)
 		} else {
-			var err error
 			v, err = evalExpr(op.letClause.Expr, t)
-			if err != nil {
-				return err
-			}
+		}
+		if err != nil {
+			return err
 		}
 		return ex.feed(ops, i+1, cs.bind(2*i, t, op.letClause.Var, v, nil), out, cs)
 
@@ -411,22 +418,32 @@ func (ex *flworExec) source(op *planOp, t *scope) (xdm.Sequence, error) {
 }
 
 // hashTable returns a hash op's build table: the evaluation's shared one
-// when the plan gave it a slot, else this FLWOR execution's own.
+// when the plan gave it a slot, else this FLWOR execution's own — built, or
+// the one kept with the plan.
 func (ex *flworExec) hashTable(op *planOp, t *scope) (*hashTable, error) {
 	if op.hash.table >= 0 {
 		return t.st.tables.get(op, t)
 	}
 	st := &ex.states[op.stateIdx]
-	if st.hash == nil {
-		items, err := ex.source(op, t)
-		if err != nil {
-			return nil, err
-		}
-		if st.hash, err = buildHashTable(op, t, items); err != nil {
-			return nil, err
-		}
+	if st.hash != nil {
+		return st.hash, nil
 	}
-	return st.hash, nil
+	if kv := t.reuse(op.keep); kv != nil {
+		st.hash = kv.table
+		return st.hash, nil
+	}
+	tk := t.startKeep(op.keep)
+	items, err := ex.source(op, t)
+	if err != nil {
+		return nil, err
+	}
+	h, err := buildHashTable(op, t, items)
+	if err != nil {
+		return nil, err
+	}
+	t.finishKeep(tk, nil, h)
+	st.hash = h
+	return h, nil
 }
 
 // evalTables is one evaluation's set of hash tables whose source and build
@@ -443,13 +460,14 @@ type sharedTable struct {
 	built atomic.Pointer[hashTable]
 }
 
-// get returns op's table, building it on first use. The build runs on a
-// copy of the evaluation's root scope — source and key read nothing the
-// query binds, so every prober would build the same table, at the same
-// scope depth — with its own state under the caller's context and
-// counters. Only a finished table is kept: an error, cancellation above
-// all, goes back to its caller and the next prober builds again.
-// Concurrent probers wait on the lock rather than call the source again; the build cannot reach this table
+// get returns op's table, building it on first use, or taking the one kept
+// with the plan. The build runs on a copy of the evaluation's root scope —
+// source and key read nothing the query binds, so every prober would build
+// the same table, at the same scope depth — with its own state under the
+// caller's context and counters. Only a finished table is kept: an error,
+// cancellation above all, goes back to its caller and the next prober
+// builds again. Concurrent probers of one evaluation wait on the lock
+// rather than call the source again; the build cannot reach this table
 // (its source holds no FLWOR, and a view's body is its own evaluation).
 func (et *evalTables) get(op *planOp, t *scope) (*hashTable, error) {
 	st := &et.tables[op.hash.table]
@@ -461,7 +479,12 @@ func (et *evalTables) get(op *planOp, t *scope) (*hashTable, error) {
 	if h := st.built.Load(); h != nil {
 		return h, nil
 	}
+	if kv := t.reuse(op.keep); kv != nil {
+		st.built.Store(kv.table)
+		return kv.table, nil
+	}
 	bs := et.root.on(t.st.goCtx, t.st.counters)
+	tk := bs.startKeep(op.keep)
 	items, err := evalExpr(op.forClause.In, bs)
 	if err != nil {
 		return nil, err
@@ -471,6 +494,7 @@ func (et *evalTables) get(op *planOp, t *scope) (*hashTable, error) {
 	if err != nil {
 		return nil, err
 	}
+	bs.finishKeep(tk, nil, h)
 	st.built.Store(h)
 	return h, nil
 }

@@ -54,9 +54,10 @@ func TestFlatRecordsMatchNaive(t *testing.T) {
 		if !strings.Contains(strings.Join(plan.Describe(), "\n"), "return <RECORD> [column") {
 			t.Fatalf("%q: no record kernel planned:\n%s", sql, strings.Join(plan.Describe(), "\n"))
 		}
+		// Every evaluation runs on a copy with nothing kept, so it builds.
 		for _, workers := range []int{1, 2} {
 			xqeval.ForceFanOutForTest(engine, workers, 2, 2)
-			planned, err := engine.EvalPlanWithTrace(ctx, plan, nil, nil)
+			planned, err := engine.EvalPlanWithTrace(ctx, xqeval.FreshKept(plan), nil, nil)
 			if err != nil {
 				t.Fatalf("%q, %d workers: %v", sql, workers, err)
 			}
@@ -69,10 +70,10 @@ func TestFlatRecordsMatchNaive(t *testing.T) {
 			if got := decodeXML(t, planned, cols); got != wantRows {
 				t.Fatalf("%q, %d workers: FromXML decoded\n%s\nwant\n%s", sql, workers, got, wantRows)
 			}
-			if got := drain(engine.EvalStream(ctx, plan, nil, nil)).out; got != wantStream {
+			if got := drain(engine.EvalStream(ctx, xqeval.FreshKept(plan), nil, nil)).out; got != wantStream {
 				t.Fatalf("%q, %d workers: streamed\n%s\nnaive\n%s", sql, workers, got, wantStream)
 			}
-			if got := streamXML(t, engine.EvalStream(ctx, plan, nil, nil), cols); got != wantRows {
+			if got := streamXML(t, engine.EvalStream(ctx, xqeval.FreshKept(plan), nil, nil), cols); got != wantRows {
 				t.Fatalf("%q, %d workers: StreamXML decoded\n%s\nwant\n%s", sql, workers, got, wantRows)
 			}
 		}
@@ -135,8 +136,10 @@ func TestGroupedJoinAllocs(t *testing.T) {
 	res := translateFor(t, app, translator.ModeXML, "SELECT C.CITY, COUNT(*) CNT, SUM(O.TOTAL) REVENUE, MAX(O.TOTAL) TOP FROM CUSTOMERS C INNER JOIN PO_CUSTOMERS O ON C.CUSTOMERID = O.CUSTOMERID GROUP BY C.CITY HAVING COUNT(*) > 1 ORDER BY C.CITY")
 	plan := xqeval.NewPlan(res.Query)
 	ctx := context.Background()
+	// Each evaluation runs on a copy with nothing kept, so it builds the
+	// join and the records (the copy adds a few hundred bytes).
 	eval := func() {
-		if _, err := engine.EvalPlanWithTrace(ctx, plan, nil, nil); err != nil {
+		if _, err := engine.EvalPlanWithTrace(ctx, xqeval.FreshKept(plan), nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

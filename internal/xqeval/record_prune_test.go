@@ -162,13 +162,24 @@ func TestRecordKernelPruningPlans(t *testing.T) {
 					"streamed":     drain(engine.EvalStreamNaive(ctx, res.Query, ext, nil)).out,
 				}
 			}
-			for _, workers := range []int{1, 2, 8} {
+			// Each worker count evaluates copies with nothing kept, so it
+			// builds; then, at 8 workers again, plan and whole themselves
+			// keep their closed builds and reuse them.
+			for _, workers := range []int{1, 2, 8, 0} {
+				fresh := workers > 0
+				if !fresh {
+					workers = 8
+				}
 				xqeval.ForceFanOutForTest(engine, workers, 2, 2)
 				for how, run := range map[string]func(*xqeval.Plan) evaluation{
 					"materialized": func(p *xqeval.Plan) evaluation { return materialize(ctx, engine, p, ext) },
 					"streamed":     func(p *xqeval.Plan) evaluation { return drain(engine.EvalStream(ctx, p, ext, nil)) },
 				} {
-					got, all := run(plan), run(whole)
+					p, w := plan, whole
+					if fresh {
+						p, w = xqeval.FreshKept(plan), xqeval.FreshKept(whole)
+					}
+					got, all := run(p), run(w)
 					if got.out != all.out || want != nil && got.out != want[how] {
 						t.Fatalf("mode %v, %d workers, %s: %q:\npruned %s\nevery column %s\nnaive %s",
 							mode, workers, how, sql, got.out, all.out, want[how])

@@ -165,7 +165,9 @@ func TestRecordKernelPlans(t *testing.T) {
 		if len(plan.records) == 0 {
 			t.Fatalf("%s: no record kernel planned", body)
 		}
-		generic := *plan
+		// The generic copy keeps its own builds: plan's kept RECORDSET
+		// holds kernel-built records.
+		generic := *FreshKept(plan)
 		generic.records = nil
 		ForceFanOutForTest(e, 1, 0, 0)
 		steps := func(p *Plan) (string, int64) {
@@ -184,13 +186,19 @@ func TestRecordKernelPlans(t *testing.T) {
 			t.Fatalf("%s: naive %s", body, want)
 		}
 		for _, p := range []*Plan{plan, NewPlanStats(q, e)} {
-			for _, workers := range []int{1, 2, 8} {
+			// Each worker count evaluates copies with nothing kept, so it
+			// builds; then p itself reuses what it kept.
+			for _, workers := range []int{1, 2, 8, 0} {
+				materialized, streamed := FreshKept(p), FreshKept(p)
+				if workers == 0 {
+					workers, materialized, streamed = 8, p, p
+				}
 				ForceFanOutForTest(e, workers, 2, 2)
-				out, err := e.EvalPlanWithTrace(ctx, p, nil, nil)
+				out, err := e.EvalPlanWithTrace(ctx, materialized, nil, nil)
 				if got := outcomeSeq(out, err); got != want {
 					t.Fatalf("%s, %d workers: planned %s, naive %s", body, workers, got, want)
 				}
-				if got := drainKernelStream(e.EvalStream(ctx, p, nil, nil)); got != wantStream {
+				if got := drainKernelStream(e.EvalStream(ctx, streamed, nil, nil)); got != wantStream {
 					t.Fatalf("%s, %d workers: streamed %s, naive %s", body, workers, got, wantStream)
 				}
 			}

@@ -346,10 +346,14 @@ func TestFusedMatchesNaive(t *testing.T) {
 			}
 		}
 		check("structural plan", xqeval.NewPlan(c.query))
+		// Each worker count streams a copy with nothing kept, so it builds;
+		// then plan itself keeps its closed builds and reuses them.
 		for _, workers := range []int{1, 2, 4} {
 			parallelExec(c.engine, workers)
-			check(fmt.Sprintf("%d workers", workers), plan)
+			check(fmt.Sprintf("%d workers", workers), xqeval.FreshKept(plan))
 		}
+		check("4 workers, build", plan)
+		check("4 workers, reuse", plan)
 		xqeval.ForceFanOutForTest(c.engine, 0, 0, 0)
 	}
 	if fusedSeen < 20 {

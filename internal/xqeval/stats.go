@@ -87,11 +87,14 @@ func (e *Engine) StatsGeneration() uint64 {
 // generation — called when the catalog changes underneath the engine
 // (view definition, fault/resilience stack rebuild), since the shapes and
 // cardinalities behind the function registry may have changed with it.
+// It also retires every value kept with a plan, whose builds observed the
+// scans that fill the store.
 func (e *Engine) InvalidateSourceStats() {
 	e.srcStats.mu.Lock()
 	e.srcStats.stats = nil
 	e.srcStats.mu.Unlock()
 	e.srcStats.gen.Add(1)
+	e.epoch.Add(1)
 }
 
 // ObserveSourceStats records statistics computed from one full result

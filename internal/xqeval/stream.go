@@ -143,6 +143,13 @@ func planStream(body xquery.Expr) *StreamPlan {
 	return &StreamPlan{Kind: StreamTextRows, rows: rows, prog: prog}
 }
 
+// bypasses reports whether the row stream never evaluates let: a text
+// wrapper's let, whose RECORDSET content the row program streams itself.
+func (sp *StreamPlan) bypasses(let *xquery.Let) bool {
+	rows, ok := recordsetRows(let.Expr)
+	return ok && sp.Kind == StreamTextRows && rows == sp.rows
+}
+
 // recordsetRows unwraps <RECORDSET>{rows}</RECORDSET>.
 func recordsetRows(e xquery.Expr) (xquery.Expr, bool) {
 	ec, ok := e.(*xquery.ElementCtor)

@@ -179,6 +179,18 @@ func TestServeCallerMistakesArePermanent(t *testing.T) {
 			t.Errorf("%s: raw execute: HTTP %d %s, want HTTP 400 kind %s", tc.name, code, body, want)
 		}
 	}
+	// A request field the server does not declare is a mistake too, not a
+	// field to ignore: a misspelled "mode" would run in text mode, and
+	// "dialect" went with protocol 5.
+	for name, field := range map[string]string{"misspelled field": `"mdoe":"xml"`, "stale dialect": `"dialect":"sql"`} {
+		raw := fmt.Sprintf(`{"session":%q,"sql":"SELECT CUSTOMERID FROM CUSTOMERS",%s}`, session, field)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, wire.PathExecute, strings.NewReader(raw)))
+		var er wire.ErrorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || er.Error == nil || rec.Code != http.StatusBadRequest || er.Error.Kind != want {
+			t.Errorf("%s: raw execute: HTTP %d %s, want HTTP 400 kind %s", name, rec.Code, rec.Body, want)
+		}
+	}
 }
 
 // serveTCP puts p behind a server on a real TCP listener and returns the
