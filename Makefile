@@ -44,6 +44,10 @@ race:
 # eight first evaluations of one plan racing to build and keep its closed
 # builds, and evaluations running while a source is re-registered under
 # them (which evaluation builds, keeps or reuses depends on scheduling).
+# Then the facade's counting nets: rows counted once, and one execution
+# through each entry counted once in the stage histograms, also while the
+# entries run concurrently and Stats() reads the histograms (a cursor's
+# clock folds from whichever goroutine closes it, as the reads go on).
 # The driver's concurrency
 # and streaming nets follow, in process and over aql:// (real TCP): every
 # database/sql connection shares one platform's compile and metadata
@@ -57,7 +61,7 @@ race:
 # 20 times under the race detector.
 stress:
 	$(GO) test -race -count=20 -run 'TestParallel|TestBarrierAfterFanOut|TestFusedLimitParity|TestFusedMatchesNaive|TestFusedBatchesDouble|TestInFlightBound|TestCorrelated|TestColumnKernels|TestRecordKernel|TestFlatRecordsMatchNaive|TestHashJoinNegativeZero|TestTransientCells|TestKeptConcurrentFirstEvaluations|TestKeptValueReregisteredMidRun' ./internal/xqeval/
-	$(GO) test -race -count=20 -run 'TestRowsCountedOnce' .
+	$(GO) test -race -count=20 -run 'TestRowsCountedOnce|TestEveryEntryCountedOnce' .
 	$(GO) test -race -count=10 -run 'TestConcurrent|TestStreaming|TestRows' ./internal/driver/
 	$(GO) test -race -count=10 -run 'TestConcurrentRenderOfCachedStatement$$' .
 	$(GO) test -race -count=10 -run 'TestConcurrentPreparedAcrossViewChurn$$' .

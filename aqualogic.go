@@ -512,7 +512,8 @@ func sqlOnly(dialect Dialect) error {
 // reuse, which EXPLAIN's compile-cache line shows.
 func (p *Platform) compile(ctx context.Context, text string, mode ResultMode) (cq *CompiledQuery, hit bool, err error) {
 	cq, hit, err = p.queryCache().Get(ctx, text, mode, func(ctx context.Context, text string) (*qcache.CompiledQuery, error) {
-		tr := p.trace(text)
+		tr := obsv.NewTrace(text) // its stages fold into the platform's histograms
+		tr.Hook = p.stages.Observe
 		res, err := p.translate(ctx, text, mode, tr)
 		if err != nil {
 			return nil, err
@@ -536,14 +537,6 @@ func classify(op string, err error) error {
 		return aqerr.New(aqerr.KindPermanent, op, err)
 	}
 	return err
-}
-
-// trace starts a trace whose stages fold into the platform's per-stage
-// histograms.
-func (p *Platform) trace(text string) *Trace {
-	tr := obsv.NewTrace(text)
-	tr.Hook = p.stages.Observe
-	return tr
 }
 
 // translate is the platform's one translation step, counted by outcome.
@@ -620,7 +613,7 @@ func (p *Platform) QueryStreamMode(ctx context.Context, mode ResultMode, sql str
 	if err != nil {
 		return nil, err
 	}
-	return p.execute(ctx, cq, args, nil)
+	return p.execute(ctx, cq, args)
 }
 
 // QueryDialect is QueryStreamMode for DialectSQL; any other dialect is a
@@ -639,11 +632,13 @@ func (p *Platform) QueryDialect(ctx context.Context, dialect Dialect, mode Resul
 // message the wire client gives.
 // Priming pulls the first chunk, so errors raised before any row exists
 // (unbound sources, source faults at open) return here; later ones surface
-// through rows.Err(). tr, when non-nil, traces the evaluation and the
-// decode stage, which spans the result's whole delivery window. The decode
-// span watches the Rows rather than wrapping its cursor, so a text-mode
-// result keeps NextText's raw path (the server's chunks).
-func (p *Platform) execute(ctx context.Context, cq *CompiledQuery, args []any, tr *Trace) (*Rows, error) {
+// through rows.Err(). Every execution is counted in the platform's stage
+// histograms: the cursor clocks evaluate, and decode over the result's
+// whole delivery window, and folds both in when the result ends (an
+// execution failing at Prime counts evaluate alone). The clock lives in
+// the cursor rather than wrapping it, so a text-mode result keeps
+// NextText's raw path (the server's chunks).
+func (p *Platform) execute(ctx context.Context, cq *CompiledQuery, args []any) (*Rows, error) {
 	if len(args) != cq.Res.ParamCount {
 		return nil, aqerr.Errorf(aqerr.KindPermanent, "execute", "statement has %d parameter(s), got %d value(s)", cq.Res.ParamCount, len(args))
 	}
@@ -657,7 +652,7 @@ func (p *Platform) execute(ctx context.Context, cq *CompiledQuery, args []any, t
 		}
 		ext[fmt.Sprintf("p%d", i+1)] = xdm.SequenceOf(v)
 	}
-	cur := p.Engine.EvalStream(ctx, cq.Plan, ext, tr)
+	cur := p.Engine.EvalStream(ctx, cq.Plan, ext, &p.stages)
 	if err := cur.Prime(); err != nil {
 		cur.Close()
 		return nil, classify("query", err)
@@ -668,15 +663,7 @@ func (p *Platform) execute(ctx context.Context, cq *CompiledQuery, args []any, t
 	} else {
 		rc = resultset.StreamXML(cur, cq.Columns)
 	}
-	rows := resultset.NewStreaming(rc)
-	if tr != nil {
-		sp := tr.StartStage(obsv.StageDecode)
-		rows.OnEnd(func(n int) {
-			sp.SetOutput(n)
-			sp.End()
-		})
-	}
-	return rows, nil
+	return resultset.NewStreaming(rc), nil
 }
 
 // RegisterDriver exposes the platform through database/sql under the given

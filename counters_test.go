@@ -2,8 +2,10 @@ package aqualogic
 
 import (
 	"context"
+	"database/sql"
 	"net/http"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -194,5 +196,139 @@ func TestKeptReportCounted(t *testing.T) {
 		if s.KeptBuilds != 1 || s.KeptReuses != 1 {
 			t.Errorf("%s: %d kept builds, %d reuses, want 1 and 1", where, s.KeptBuilds, s.KeptReuses)
 		}
+	}
+}
+
+// TestEveryEntryCountedOnce: every execution takes one tail, whose cursor
+// clocks it, so one execution through any entry — the facade drained or
+// materialized, database/sql in process and over aql://, the wire
+// client's prepared statement — adds exactly one evaluate and one decode
+// to its platform's stage histograms. Then the entries run concurrently
+// while Stats is read: the clocks fold from producers and closers as the
+// histograms are read, and still count each execution once.
+func TestEveryEntryCountedOnce(t *testing.T) {
+	ctx := context.Background()
+	p, _, c := newLoopback(t, server.Config{SessionIdleTimeout: time.Minute})
+	p.RegisterDriver("every-entry-counted-once")
+	_, remote := serveTCP(t, p)
+	local, overTCP := openSQL(t, "every-entry-counted-once"), openSQL(t, remote)
+	const q = "SELECT CITY FROM CUSTOMERS WHERE CUSTOMERID < ?"
+	stmt, err := c.Prepare(ctx, q, ModeText)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drain := func(rows *Rows, err error) error {
+		if err != nil {
+			return err
+		}
+		_, err = drainClose(rows)
+		return err
+	}
+	scan := func(rows *sql.Rows, err error) error {
+		if err != nil {
+			return err
+		}
+		defer rows.Close()
+		for rows.Next() {
+		}
+		return rows.Err()
+	}
+	entries := []struct {
+		name string
+		run  func() error
+	}{
+		{"Query", func() error { return drain(p.Query(q, 1003)) }},
+		{"QueryStreamMode drained", func() error { return drain(p.QueryStreamMode(ctx, ModeXML, q, 1003)) }},
+		{"QueryStreamMode materialized", func() error {
+			rows, err := p.QueryStreamMode(ctx, ModeText, q, 1003)
+			if err != nil {
+				return err
+			}
+			defer rows.Close()
+			return rows.Materialize()
+		}},
+		{"database/sql", func() error { return scan(local.QueryContext(ctx, q, 1003)) }},
+		{"database/sql over aql://", func() error { return scan(overTCP.QueryContext(ctx, q, 1003)) }},
+		{"wire client Prepare/Execute", func() error { return drain(stmt.Execute(ctx, 1003)) }},
+	}
+	for _, e := range entries {
+		evals, decodes := stageCount(p, "evaluate"), stageCount(p, "decode")
+		if err := e.run(); err != nil {
+			t.Fatalf("%s: %v", e.name, err)
+		}
+		if de, dd := stageCount(p, "evaluate")-evals, stageCount(p, "decode")-decodes; de != 1 || dd != 1 {
+			t.Errorf("%s: one execution added %d evaluate and %d decode, want 1 and 1", e.name, de, dd)
+		}
+	}
+
+	const rounds = 3
+	evals, decodes := stageCount(p, "evaluate"), stageCount(p, "decode")
+	done := make(chan struct{})
+	var reads sync.WaitGroup
+	reads.Add(1)
+	go func() {
+		defer reads.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				_ = p.Stats()
+			}
+		}
+	}()
+	var runs sync.WaitGroup
+	for _, e := range entries {
+		runs.Add(1)
+		go func() {
+			defer runs.Done()
+			for i := 0; i < rounds; i++ {
+				if err := e.run(); err != nil {
+					t.Errorf("%s: %v", e.name, err)
+				}
+			}
+		}()
+	}
+	runs.Wait()
+	close(done)
+	reads.Wait()
+	want := int64(rounds * len(entries))
+	if de, dd := stageCount(p, "evaluate")-evals, stageCount(p, "decode")-decodes; de != want || dd != want {
+		t.Fatalf("%d concurrent executions added %d evaluate and %d decode", want, de, dd)
+	}
+}
+
+// TestPointLookupAllocs: a prepared execution takes the facade's tail and
+// builds no trace, so a Demo() point lookup allocates no more through
+// Prepare/Execute than through QueryStreamMode, which resolves its text
+// in the compile cache on every call; and counting every execution's
+// stages costs the facade nothing. 41 (42 under the race detector) is
+// the facade's figure before its executions were counted (64-bit Go
+// 1.24), when the prepared statement read 46.
+func TestPointLookupAllocs(t *testing.T) {
+	facadeBound := 41.0
+	if raceEnabled {
+		facadeBound = 42
+	}
+	p := Demo()
+	ctx := context.Background()
+	const q = "SELECT CUSTOMERNAME FROM CUSTOMERS WHERE CUSTOMERID = ?"
+	st, err := p.Prepare(ctx, q, ModeText)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drain := func(rows *Rows, err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		for rows.Next() {
+		}
+		rows.Close()
+	}
+	facade := testing.AllocsPerRun(200, func() { drain(p.QueryStreamMode(ctx, ModeText, q, 1001)) })
+	prepared := testing.AllocsPerRun(200, func() { drain(st.Execute(ctx, 1001)) })
+	t.Logf("point lookup: %.0f allocations through QueryStreamMode, %.0f prepared", facade, prepared)
+	if prepared > facade || facade > facadeBound {
+		t.Fatalf("point lookup: %.0f allocations prepared, %.0f through the facade; want prepared ≤ facade ≤ %.0f", prepared, facade, facadeBound)
 	}
 }

@@ -113,7 +113,7 @@ func closedRowsCancelEvaluation(t *testing.T, p *aqualogic.Platform, s sqldriver
 
 // TestRowsCloseReleasesOnce: repeated Close calls on a live stream are
 // safe, end the decode stage exactly once, and leave the statement
-// reusable.
+// reusable. A facade Rows closed three times ends it once too.
 func TestRowsCloseReleasesOnce(t *testing.T) {
 	rawStmt(t, 50, "SELECT CUSTOMERID FROM CUSTOMERS", func(p *aqualogic.Platform, s sqldriver.Stmt) {
 		decodes := func() int64 {
@@ -144,6 +144,21 @@ func TestRowsCloseReleasesOnce(t *testing.T) {
 			if got := decodes() - before; got != 1 {
 				t.Fatalf("round %d: 3 Closes ended %d decode stages, want 1 (exactly once)", round, got)
 			}
+		}
+
+		rows, err := p.Query("SELECT CUSTOMERID FROM CUSTOMERS")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rows.Next() || !rows.Next() {
+			t.Fatalf("facade rows: %v", rows.Err())
+		}
+		before := decodes()
+		for i := 0; i < 3; i++ {
+			rows.Close()
+		}
+		if got := decodes() - before; got != 1 {
+			t.Fatalf("facade: 3 Closes ended %d decode stages, want 1 (exactly once)", got)
 		}
 	})
 }

@@ -174,8 +174,32 @@ func (c *LabeledCounter) Snapshot() map[string]int64 {
 }
 
 // StageTimes holds one duration histogram per pipeline stage. Its owner
-// installs Observe as the Hook of each trace it starts.
+// installs Observe as the Hook of each compile trace it starts, and each
+// execution folds its StageClock in.
 type StageTimes [NumStages]Histogram
+
+// StageClock is one execution's stage durations, indexed by Stage: a
+// fixed record its timer holds by value, so keeping it allocates
+// nothing. Set records a stage that ran; StageTimes.Fold observes the
+// recorded ones.
+type StageClock struct {
+	d   [NumStages]time.Duration
+	ran [NumStages]bool
+}
+
+// Set records stage s's duration.
+func (c *StageClock) Set(s Stage, d time.Duration) {
+	c.d[s], c.ran[s] = d, true
+}
+
+// Fold observes each stage c recorded into its histogram.
+func (st *StageTimes) Fold(c *StageClock) {
+	for s, ran := range c.ran {
+		if ran {
+			st[s].Observe(c.d[s])
+		}
+	}
+}
 
 // Observe folds one completed stage event into its stage's histogram.
 func (st *StageTimes) Observe(ev StageEvent) {

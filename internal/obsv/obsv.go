@@ -19,6 +19,11 @@
 //     platform its translations and per-stage times), and a platform's
 //     Snapshot is read from those owners.
 //
+// A Trace is built for a compile and read by EXPLAIN; an execution is
+// never traced. It times its stages in a StageClock, a fixed array held
+// by value in its cursor, which folds into the owner's StageTimes once,
+// when the result ends.
+//
 // Consumers observe the layer three ways: EXPLAIN-style rendered traces
 // (Trace.Render), snapshot scraping (Snapshot), and structured hooks
 // (Trace.Hook, a func(StageEvent) invoked as each stage closes).
@@ -192,21 +197,6 @@ func (sp *Span) End() {
 	sp.t.stages = append(sp.t.stages, ev)
 	hook := sp.t.Hook
 	sp.t.mu.Unlock()
-	if hook != nil {
-		hook(ev)
-	}
-}
-
-// Record appends an externally measured stage event (used when a stage is
-// timed by code that cannot hold a Span, e.g. accumulated sub-steps).
-func (t *Trace) Record(ev StageEvent) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.stages = append(t.stages, ev)
-	hook := t.Hook
-	t.mu.Unlock()
 	if hook != nil {
 		hook(ev)
 	}

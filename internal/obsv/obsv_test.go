@@ -20,7 +20,6 @@ func TestNilTraceIsNoOp(t *testing.T) {
 	if tr.Total() != 0 {
 		t.Fatalf("nil trace Total() = %v", tr.Total())
 	}
-	tr.Record(StageEvent{Stage: StageParse})
 }
 
 func TestTraceRecordsStagesInOrder(t *testing.T) {

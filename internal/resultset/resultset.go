@@ -62,8 +62,6 @@ type Rows struct {
 	onRow  bool
 	err    error
 	text   []byte // NextText's encoding buffer
-	pulled int    // rows the cursor delivered, for onEnd
-	onEnd  func(rows int)
 }
 
 // Columns returns the result schema.
@@ -88,7 +86,6 @@ func (r *Rows) Next() bool {
 			r.stop(err)
 			return false
 		}
-		r.pulled++
 		r.curRow, r.onRow = row, true
 		return true
 	}
@@ -120,7 +117,6 @@ func (r *Rows) NextText() (string, bool) {
 		r.stop(err)
 		return "", false
 	}
-	r.pulled++
 	r.curRow, r.onRow = nil, false
 	return text, true
 }
@@ -133,12 +129,6 @@ func (r *Rows) stop(err error) {
 	r.endStream(err)
 	r.onRow = false
 }
-
-// OnEnd registers f to run once, when the stream ends — at its last row,
-// at an error, or at Close — with the number of rows the cursor
-// delivered. It observes the stream without wrapping its cursor, so
-// NextText keeps its raw path.
-func (r *Rows) OnEnd(f func(rows int)) { r.onEnd = f }
 
 // endStream detaches and closes the cursor, keeping the first error seen.
 // The kept error is classified at this boundary: a caller-side
@@ -154,10 +144,6 @@ func (r *Rows) endStream(err error) {
 			err = cerr
 		}
 		r.cur = nil
-		if r.onEnd != nil {
-			r.onEnd(r.pulled)
-			r.onEnd = nil
-		}
 	}
 	if err != nil && r.err == nil {
 		r.err = aqerr.Wrap("stream", err)
@@ -182,7 +168,6 @@ func (r *Rows) Materialize() error {
 			r.stop(err)
 			break
 		}
-		r.pulled++
 		r.data = append(r.data, row)
 	}
 	r.pos = 0

@@ -204,13 +204,20 @@ func (ch *chunk) rows() int {
 // error. Close is idempotent, cancels the evaluation through the context
 // plumbing, and waits for the producer to exit — after Close returns, no
 // evaluation work is running.
+//
+// The cursor times its stages in clock: evaluate from its start to the
+// producer's end, decode over the delivery window, from a successful
+// Prime to Close. The first Close folds them into stages, when set.
 type Cursor struct {
 	ch     chan chunk
 	errCh  chan error
 	cancel context.CancelFunc
 
 	start   time.Time
-	m       *engineMetrics // the engine's counters, folded into at finish
+	m       *engineMetrics   // the engine's counters, folded into at finish
+	stages  *obsv.StageTimes // where Close folds clock; nil: not counted
+	clock   obsv.StageClock  // evaluate set by the producer, decode by Close
+	primed  time.Time        // when Prime succeeded; zero: it has not
 	aligned bool
 
 	closed   atomic.Bool
@@ -338,9 +345,10 @@ func (c *Cursor) take() (text string, isText bool) {
 func (c *Cursor) Prime() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.fill(); err != io.EOF {
+	if err := c.fill(); err != nil && err != io.EOF {
 		return err
 	}
+	c.primed = time.Now()
 	return nil
 }
 
@@ -372,6 +380,12 @@ func (c *Cursor) Close() error {
 		}
 	}
 	c.finishMetrics(delivered)
+	if c.stages != nil {
+		if !c.primed.IsZero() {
+			c.clock.Set(obsv.StageDecode, time.Since(c.primed))
+		}
+		c.stages.Fold(&c.clock)
+	}
 	return nil
 }
 
@@ -387,6 +401,14 @@ func (c *Cursor) Err() error {
 // returned); the producing goroutine has exited by then.
 func (c *Cursor) Stats() (steps, tuples int64) {
 	return c.counters.steps, c.counters.tuples
+}
+
+// evaluated is the producer's last act before its error goes out: it
+// folds the evaluation's counters into the engine's and clocks the
+// evaluate stage.
+func (c *Cursor) evaluated() {
+	c.m.evaluated(c.counters)
+	c.clock.Set(obsv.StageEvaluate, time.Since(c.start))
 }
 
 // finishMetrics folds the finished cursor into its engine's counters,
@@ -476,22 +498,22 @@ func (w *rowWriter) flush() error {
 
 // EvalStream evaluates a planned query as a row stream. The returned
 // cursor owns a goroutine until it is exhausted or closed; callers must
-// call Close (reading through io.EOF also releases it).
-func (e *Engine) EvalStream(ctx context.Context, p *Plan, external map[string]xdm.Sequence, tr *obsv.Trace) *Cursor {
-	return e.evalStream(ctx, p.Query, p, p.Stream, external, tr)
+// call Close (reading through io.EOF also releases it). stages, when
+// non-nil, receives the evaluate and decode times at the first Close.
+func (e *Engine) EvalStream(ctx context.Context, p *Plan, external map[string]xdm.Sequence, stages *obsv.StageTimes) *Cursor {
+	return e.evalStream(ctx, p.Query, p, p.Stream, external, stages)
 }
 
 // EvalStreamNaive streams without planning — the differential oracle's
 // second side, mirroring EvalNaiveWithTrace.
-func (e *Engine) EvalStreamNaive(ctx context.Context, q *xquery.Query, external map[string]xdm.Sequence, tr *obsv.Trace) *Cursor {
-	return e.evalStream(ctx, q, nil, planStream(q.Body), external, tr)
+func (e *Engine) EvalStreamNaive(ctx context.Context, q *xquery.Query, external map[string]xdm.Sequence, stages *obsv.StageTimes) *Cursor {
+	return e.evalStream(ctx, q, nil, planStream(q.Body), external, stages)
 }
 
-func (e *Engine) evalStream(ctx context.Context, q *xquery.Query, p *Plan, sp *StreamPlan, external map[string]xdm.Sequence, tr *obsv.Trace) *Cursor {
+func (e *Engine) evalStream(ctx context.Context, q *xquery.Query, p *Plan, sp *StreamPlan, external map[string]xdm.Sequence, stages *obsv.StageTimes) *Cursor {
 	sctx, cancel := context.WithCancel(ctx)
 	counters := &evalCounters{}
 	env := e.rootScope(sctx, q, p, external, counters)
-	span := tr.StartStage(obsv.StageEvaluate)
 	slots := streamBuffer
 	if sp.Kind == StreamTextRows {
 		slots = streamBuffer/batchRows - 1
@@ -503,23 +525,19 @@ func (e *Engine) evalStream(ctx context.Context, q *xquery.Query, p *Plan, sp *S
 		aligned:  sp.Streamable(),
 		start:    time.Now(),
 		m:        &e.m,
+		stages:   stages,
 		counters: counters,
 	}
 	go func() {
 		w := &rowWriter{size: 1, perRow: 128, limit: -1, cur: cur, ctx: sctx}
-		var emitted int64
 		err := runStream(q.Body, sp, env, w, func(items xdm.Sequence) error {
-			if err := cur.send(sctx, chunk{items: items}); err != nil {
-				return err
-			}
-			emitted++
-			return nil
+			return cur.send(sctx, chunk{items: items})
 		})
 		// Rows written before a stop or an error still go out, ahead of it.
 		if ferr := w.flush(); err == nil {
 			err = ferr
 		}
-		e.endEval(span, counters, int(emitted+w.rows))
+		cur.evaluated()
 		cur.errCh <- err
 		close(cur.ch)
 	}()

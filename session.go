@@ -47,8 +47,8 @@ func (st *prepared) ParamCount() int { return st.cur.Load().cq.Res.ParamCount }
 // recompiles is weighed by the artifact it replaces.
 func (st *prepared) Cost() int64 { return st.cur.Load().cq.Cost() }
 
-// Execute traces the evaluation into the platform's stage histograms, so
-// prepared statements on every transport appear in its Stats.
+// Execute runs the statement through the facade's own tail, so prepared
+// statements on every transport are counted like Query.
 func (st *prepared) Execute(ctx context.Context, args ...any) (*Rows, error) {
 	is := st.cur.Load()
 	cq := is.cq
@@ -58,7 +58,7 @@ func (st *prepared) Execute(ctx context.Context, args ...any) (*Rows, error) {
 			return nil, err
 		}
 	}
-	return st.p.execute(ctx, cq, args, st.p.trace(cq.SQL))
+	return st.p.execute(ctx, cq, args)
 }
 
 // recompile resolves the statement through the platform's compile cache
