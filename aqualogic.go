@@ -33,6 +33,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"time"
@@ -89,12 +90,6 @@ type (
 	Element = xdm.Element
 	// Sequence is an XQuery value sequence.
 	Sequence = xdm.Sequence
-	// Trace is a per-query stage trace (lex → … → evaluate) recorded by
-	// the observability layer.
-	Trace = obsv.Trace
-	// StageEvent is one completed stage record; install a hook on a Trace
-	// to stream them.
-	StageEvent = obsv.StageEvent
 	// PipelineStats is a snapshot of one platform's pipeline metrics
 	// (counters plus per-stage timing aggregates); see Platform.Stats.
 	PipelineStats = obsv.Snapshot
@@ -540,7 +535,7 @@ func classify(op string, err error) error {
 }
 
 // translate is the platform's one translation step, counted by outcome.
-func (p *Platform) translate(ctx context.Context, text string, mode ResultMode, tr *Trace) (*Translation, error) {
+func (p *Platform) translate(ctx context.Context, text string, mode ResultMode, tr *obsv.Trace) (*Translation, error) {
 	res, err := p.Translator(mode).TranslateFrontend(ctx, sqlparser.Front{}, text, tr)
 	if err != nil {
 		p.translateErrors.Inc()
@@ -892,23 +887,25 @@ func (p *Platform) DefineView(path, name, sql string) error {
 		if len(args) != 0 {
 			return nil, fmt.Errorf("view %s takes no arguments", name)
 		}
-		out, err := p.Engine.EvalPlanWithTrace(ctx, plan, nil, nil)
-		if err != nil {
-			return nil, fmt.Errorf("view %s: %w", name, err)
-		}
-		it, err := out.Singleton()
-		if err != nil {
-			return nil, fmt.Errorf("view %s: %v", name, err)
-		}
-		recordset, ok := it.(xdm.Node)
-		if !ok || xdm.LocalName(recordset) == "" {
-			return nil, fmt.Errorf("view %s: unexpected result shape", name)
-		}
+		// The view's rows are its XML-rows cursor's RECORDs, one per pull.
+		cur := p.Engine.EvalStream(ctx, plan, nil, nil)
+		defer cur.Close()
 		var rows Sequence
-		for _, rec := range xdm.AppendChildren(nil, recordset, "RECORD") {
+		for {
+			items, err := cur.Next()
+			if err == io.EOF {
+				return rows, nil
+			}
+			if err != nil {
+				return nil, fmt.Errorf("view %s: %w", name, err)
+			}
+			rec, ok := items[0].(xdm.Node)
+			if !ok || xdm.LocalName(rec) != "RECORD" {
+				return nil, fmt.Errorf("view %s: unexpected result shape", name)
+			}
 			row := xdm.NewElement(name)
 			for i, c := range resCols {
-				text, n := xdm.Column(rec.(xdm.Node), c.ElementName)
+				text, n := xdm.Column(rec, c.ElementName)
 				if n == 0 {
 					continue // NULL stays absent
 				}
@@ -916,7 +913,6 @@ func (p *Platform) DefineView(path, name, sql string) error {
 			}
 			rows = append(rows, row)
 		}
-		return rows, nil
 	})
 	return nil
 }

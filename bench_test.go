@@ -90,7 +90,7 @@ func buildPayloads(rows, cols int) (*payloads, error) {
 		if err != nil {
 			return nil, err
 		}
-		seq, err := engine.EvalPlanWithTrace(context.Background(), cq.Plan, nil, nil)
+		seq, err := engine.EvalStream(context.Background(), cq.Plan, nil, nil).Drain()
 		if err != nil {
 			return nil, err
 		}
@@ -179,7 +179,11 @@ func TestBuildPayloadsDecodeEquivalence(t *testing.T) {
 	if p.xml == "" || p.text == "" {
 		t.Fatal("empty payloads")
 	}
-	xmlRows, err := resultset.FromXMLString(p.xml, p.columns)
+	root, err := xdm.ParseElement(p.xml)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xmlRows, err := resultset.FromXML(xdm.SequenceOf(root), p.columns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +236,11 @@ func BenchmarkResultHandling(b *testing.B) {
 			b.Run(fmt.Sprintf("XML/rows=%d/cols=%d", rows, cols), func(b *testing.B) {
 				b.SetBytes(int64(len(p.xml)))
 				for i := 0; i < b.N; i++ {
-					if _, err := resultset.FromXMLString(p.xml, p.columns); err != nil {
+					root, err := xdm.ParseElement(p.xml)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if _, err := resultset.FromXML(xdm.SequenceOf(root), p.columns); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -356,7 +364,7 @@ func BenchmarkEngine(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := engine.EvalPlanWithTrace(context.Background(), plan, nil, nil); err != nil {
+		if _, err := engine.EvalStream(context.Background(), plan, nil, nil).Drain(); err != nil {
 			b.Fatal(err)
 		}
 	}

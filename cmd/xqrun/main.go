@@ -1,6 +1,7 @@
 // Command xqrun compiles and executes XQuery text against the demo
 // deployment's data service functions — the engine's standalone face, the
-// way the paper's DSP server consumes the driver's generated queries.
+// way the paper's DSP server consumes the driver's generated queries. It
+// runs the driver's entry, a row cursor, drained to the query's value.
 //
 // Usage:
 //
@@ -20,9 +21,9 @@ import (
 	"io"
 	"os"
 	"strings"
+	"time"
 
 	"repro/internal/demo"
-	"repro/internal/obsv"
 	"repro/internal/xdm"
 	"repro/internal/xquery"
 )
@@ -62,16 +63,15 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	tr := obsv.NewTrace(src)
-	out, err := engine.EvalPlanWithTrace(context.Background(), plan, nil, tr)
+	start := time.Now()
+	cur := engine.EvalStream(context.Background(), plan, nil, nil)
+	out, err := cur.Drain()
 	if err != nil {
 		fatal(err)
 	}
 	if *stats {
-		if ev, ok := tr.Stage(obsv.StageEvaluate); ok {
-			fmt.Fprintf(os.Stderr, "evaluate: %s, steps=%d, items=%d\n",
-				ev.Duration, ev.DetailValue("steps"), ev.OutSize)
-		}
+		steps, _ := cur.Stats()
+		fmt.Fprintf(os.Stderr, "evaluate: %s, steps=%d, items=%d\n", time.Since(start), steps, len(out))
 	}
 	for _, it := range out {
 		switch v := it.(type) {

@@ -98,7 +98,7 @@ func evalTextual(t *testing.T, engine *Engine, cq *CompiledQuery, ext map[string
 	if err != nil {
 		t.Fatalf("%q: re-parsed XQuery failed static check: %v\n%s", cq.SQL, err, text)
 	}
-	return engine.EvalPlanWithTrace(context.Background(), plan, ext, nil)
+	return engine.EvalStream(context.Background(), plan, ext, nil).Drain()
 }
 
 // TestCompiledMatchesTextual is the compiled-query differential: both
@@ -123,7 +123,7 @@ func TestCompiledMatchesTextual(t *testing.T) {
 					t.Fatalf("%s: mode %v: %q: expected a cache hit, stats %+v -> %+v", pass, mode, sql, before, after)
 				}
 				ext, names := compiledBindings(cq.Res)
-				compiled, cerr := p.Engine.EvalPlanWithTrace(context.Background(), cq.Plan, ext, nil)
+				compiled, cerr := p.Engine.EvalStream(context.Background(), cq.Plan, ext, nil).Drain()
 				textual, terr := evalTextual(t, p.Engine, cq, ext, names)
 				if (cerr == nil) != (terr == nil) {
 					t.Fatalf("%s: mode %v: %q: error divergence\ncompiled: %v\ntextual:  %v", pass, mode, sql, cerr, terr)
@@ -171,7 +171,7 @@ func FuzzCompiledDifferential(f *testing.F) {
 			return // nondeterministic between the two evaluations
 		}
 		ext, names := compiledBindings(cq.Res)
-		compiled, cerr := p.Engine.EvalPlanWithTrace(context.Background(), cq.Plan, ext, nil)
+		compiled, cerr := p.Engine.EvalStream(context.Background(), cq.Plan, ext, nil).Drain()
 		textual, terr := evalTextual(t, p.Engine, cq, ext, names)
 		if cerr != nil || terr != nil {
 			// Both paths run the same planner, but dynamic error timing is

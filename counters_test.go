@@ -173,7 +173,7 @@ func TestKeptReportCounted(t *testing.T) {
 		}
 		served.Close()
 		ext := map[string]xdm.Sequence{"p1": xdm.SequenceOf(xdm.Integer(floor))}
-		naive, err := p.Engine.EvalNaiveWithTrace(ctx, cq.Plan.Query, ext, nil)
+		naive, err := p.Engine.EvalNaive(ctx, cq.Plan.Query, ext)
 		if err != nil {
 			t.Fatal(err)
 		}

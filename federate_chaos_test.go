@@ -40,7 +40,7 @@ func TestChaosFederatedSourceIsolation(t *testing.T) {
 		if err != nil {
 			return "", err
 		}
-		seq, err := p.Engine.EvalPlanWithTrace(context.Background(), cq.Plan, nil, nil)
+		seq, err := p.Engine.EvalStream(context.Background(), cq.Plan, nil, nil).Drain()
 		if err != nil {
 			return "", err
 		}

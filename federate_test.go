@@ -107,11 +107,11 @@ func TestFederatedMatchesSingleSource(t *testing.T) {
 					t.Fatalf("workers=%d mode=%v: oracle compile %q: %v", workers, mode, q, err)
 				}
 				ext := federatedBindings(fcq.Res)
-				got, err := fed.Engine.EvalPlanWithTrace(context.Background(), fcq.Plan, ext, nil)
+				got, err := fed.Engine.EvalStream(context.Background(), fcq.Plan, ext, nil).Drain()
 				if err != nil {
 					t.Fatalf("workers=%d mode=%v: federated eval %q: %v", workers, mode, q, err)
 				}
-				want, err := ora.Engine.EvalPlanWithTrace(context.Background(), ocq.Plan, ext, nil)
+				want, err := ora.Engine.EvalStream(context.Background(), ocq.Plan, ext, nil).Drain()
 				if err != nil {
 					t.Fatalf("workers=%d mode=%v: oracle eval %q: %v", workers, mode, q, err)
 				}
@@ -338,7 +338,7 @@ func TestFederatedPartitionPruning(t *testing.T) {
 		t.Fatalf("compile: %v", err)
 	}
 	before := p.Stats()
-	if _, err := p.Engine.EvalPlanWithTrace(context.Background(), cq.Plan, nil, nil); err != nil {
+	if _, err := p.Engine.EvalStream(context.Background(), cq.Plan, nil, nil).Drain(); err != nil {
 		t.Fatalf("eval: %v", err)
 	}
 	after := p.Stats()
@@ -369,7 +369,7 @@ func FuzzFederatedDifferential(f *testing.F) {
 		if err != nil {
 			f.Fatalf("federated compile %q: %v", q, err)
 		}
-		if _, err := fed.Engine.EvalPlanWithTrace(context.Background(), cq.Plan, federatedBindings(cq.Res), nil); err != nil {
+		if _, err := fed.Engine.EvalStream(context.Background(), cq.Plan, federatedBindings(cq.Res), nil).Drain(); err != nil {
 			f.Fatalf("federated eval %q: %v", q, err)
 		}
 	}
@@ -391,8 +391,8 @@ func FuzzFederatedDifferential(f *testing.F) {
 				continue // nondeterministic between evaluations
 			}
 			ext := federatedBindings(fcq.Res)
-			got, gerr := fed.Engine.EvalPlanWithTrace(context.Background(), fcq.Plan, ext, nil)
-			want, werr := ora.Engine.EvalPlanWithTrace(context.Background(), ocq.Plan, ext, nil)
+			got, gerr := fed.Engine.EvalStream(context.Background(), fcq.Plan, ext, nil).Drain()
+			want, werr := ora.Engine.EvalStream(context.Background(), ocq.Plan, ext, nil).Drain()
 			if gerr != nil || werr != nil {
 				// Dynamic error timing is not part of the contract (XQuery
 				// §2.3.4): pruning may skip a shard whose rows would have

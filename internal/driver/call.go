@@ -178,25 +178,20 @@ func (s *callStmt) queryContext(ctx context.Context, args []any) (dr driver.Rows
 	for i, c := range f.Columns {
 		cols[i] = resultset.Column{Label: c.Name, ElementName: c.Name, Type: c.Type, Nullable: c.Nullable}
 	}
-	// The function returns raw row elements; wrap them in a RECORDSET for
-	// the XML decoder.
-	rs := xdm.NewElement("RECORDSET")
-	for _, it := range out {
+	// Stored-procedure results are materialized by construction: the
+	// function's raw row elements are in hand, and each goes to the XML
+	// decoder as a RECORD over the same children, all in one chunk.
+	recs := make(xdm.Sequence, len(out))
+	for i, it := range out {
 		el, ok := it.(*xdm.Element)
 		if !ok {
 			return nil, fmt.Errorf("aqualogic: %s returned a non-element item", f.Name)
 		}
-		rec := xdm.NewElement("RECORD")
-		for _, c := range el.Children {
-			rec.AddChild(c)
-		}
-		rs.AddChild(rec)
+		recs[i] = &xdm.Element{Name: xdm.QName{Local: "RECORD"}, Children: el.Children}
 	}
-	rows, err := resultset.FromXML(xdm.SequenceOf(rs), cols)
-	if err != nil {
+	rows := resultset.NewStreaming(resultset.StreamXML(resultset.Chunk(recs), cols))
+	if err := rows.Materialize(); err != nil {
 		return nil, err
 	}
-	// Stored-procedure results are materialized by construction: the whole
-	// function result is in hand.
 	return &driverRows{rows: rows}, nil
 }

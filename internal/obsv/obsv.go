@@ -238,17 +238,6 @@ func (t *Trace) Stages() []StageEvent {
 	return out
 }
 
-// Stage returns the first recorded event for a stage (zero event, false
-// if the stage never ran).
-func (t *Trace) Stage(s Stage) (StageEvent, bool) {
-	for _, ev := range t.Stages() {
-		if ev.Stage == s {
-			return ev, true
-		}
-	}
-	return StageEvent{}, false
-}
-
 // Total sums the recorded stage durations.
 func (t *Trace) Total() time.Duration {
 	var d time.Duration

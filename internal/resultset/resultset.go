@@ -1,16 +1,20 @@
 // Package resultset implements the JDBC-driver side of the paper's §4
 // result handling: converting XQuery results into row/column result sets.
 //
-// Two decoding paths exist, mirroring the paper's experiment:
+// Each of the paper's two result formats has one decoder, a row cursor
+// (stream.go), mirroring the paper's experiment:
 //
 //   - XML materialization (the baseline): the query returns the natural
-//     <RECORDSET><RECORD>…</RECORD></RECORDSET> XML, which the client
-//     parses into a tree and walks into rows;
+//     <RECORDSET><RECORD>…</RECORD></RECORDSET> XML, whose RECORDs are
+//     walked into rows (StreamXML);
 //   - text decoding (§4's optimization): the query is wrapped to return a
 //     single string of delimiter-separated values (rows prefixed by '>',
 //     columns separated by '<', values XML-escaped so delimiters cannot
 //     occur in data), which the client splits and types using the computed
-//     result schema.
+//     result schema (StreamText).
+//
+// The whole-payload forms, FromXML and FromText, drain those cursors over
+// a payload in hand.
 //
 // SQL NULL is an absent element on the XML path and the "&null;" token on
 // the text path (a token real data cannot produce, since escaping rewrites
@@ -318,56 +322,26 @@ func (r *Rows) ColumnIndex(label string) (int, error) {
 
 // FromXML materializes a result set from the XML result shape: a sequence
 // holding one RECORDSET element. This is the baseline path the paper's §4
-// improves on — the whole tree exists before decoding begins.
+// improves on — the whole tree exists before decoding begins — and it
+// drains StreamXML over that one chunk.
 func FromXML(result xdm.Sequence, cols []Column) (*Rows, error) {
-	it, err := result.Singleton()
-	if err != nil {
+	if _, err := result.Singleton(); err != nil {
 		return nil, fmt.Errorf("resultset: expected a single RECORDSET element: %v", err)
 	}
-	root, ok := it.(xdm.Node)
-	if !ok || xdm.LocalName(root) != "RECORDSET" {
-		return nil, fmt.Errorf("resultset: expected RECORDSET element, got %v", it)
-	}
-	rows := &Rows{cols: cols}
-	var slab rowSlab
-	for _, rec := range xdm.AppendChildren(nil, root, "RECORD") {
-		row, err := decodeRecord(rec.(xdm.Node), cols, &slab)
-		if err != nil {
-			return nil, err
-		}
-		rows.data = append(rows.data, row)
-	}
-	return rows, nil
+	return drain(StreamXML(Chunk(result), cols))
 }
 
-// FromXMLString parses serialized XML then materializes it — the full
-// client-side cost of the XML path (parse + walk), used by the §4
-// benchmark.
-func FromXMLString(payload string, cols []Column) (*Rows, error) {
-	root, err := xdm.ParseElement(payload)
-	if err != nil {
-		return nil, fmt.Errorf("resultset: %v", err)
-	}
-	return FromXML(xdm.SequenceOf(root), cols)
-}
-
-// FromText decodes the §4 text-encoded result: the single string produced
-// by the translator's wrapper query.
+// FromText decodes the §4 text-encoded result — the single string produced
+// by the translator's wrapper query — by draining StreamText over it.
 func FromText(payload string, cols []Column) (*Rows, error) {
-	rows := &Rows{cols: cols}
-	if payload == "" {
-		return rows, nil
-	}
-	if !strings.HasPrefix(payload, RowDelimiter) {
-		return nil, errMissingRowDelimiter
-	}
-	dec := TextDecoder{Cols: cols}
-	for _, rowText := range strings.Split(payload[1:], RowDelimiter) {
-		row, err := dec.Decode(rowText)
-		if err != nil {
-			return nil, err
-		}
-		rows.data = append(rows.data, row)
+	return drain(StreamText(Chunk(xdm.SequenceOf(xdm.String(payload))), cols))
+}
+
+// drain materializes every row of cur.
+func drain(cur RowCursor) (*Rows, error) {
+	rows := NewStreaming(cur)
+	if err := rows.Materialize(); err != nil {
+		return nil, err
 	}
 	return rows, nil
 }

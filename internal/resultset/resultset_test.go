@@ -102,9 +102,19 @@ func TestColumnIndex(t *testing.T) {
 	}
 }
 
-func TestFromXMLString(t *testing.T) {
+// fromXMLPayload parses serialized XML, then materializes it: the full
+// client-side cost of the XML path (parse + walk).
+func fromXMLPayload(payload string, cols []Column) (*Rows, error) {
+	root, err := xdm.ParseElement(payload)
+	if err != nil {
+		return nil, err
+	}
+	return FromXML(xdm.SequenceOf(root), cols)
+}
+
+func TestFromXMLParsedPayload(t *testing.T) {
 	payload := `<RECORDSET><RECORD><ID>7</ID><NAME>Sue</NAME></RECORD></RECORDSET>`
-	rows, err := FromXMLString(payload, testCols())
+	rows, err := fromXMLPayload(payload, testCols())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +344,7 @@ func TestDuplicateElementNamesMatchPositionally(t *testing.T) {
 		{Label: "X", ElementName: "X", Type: catalog.SQLInteger},
 		{Label: "X", ElementName: "X", Type: catalog.SQLInteger},
 	}
-	rows, err := FromXMLString("<RECORDSET><RECORD><X>1</X><X>2</X></RECORD></RECORDSET>", cols)
+	rows, err := fromXMLPayload("<RECORDSET><RECORD><X>1</X><X>2</X></RECORD></RECORDSET>", cols)
 	if err != nil {
 		t.Fatal(err)
 	}

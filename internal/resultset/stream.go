@@ -1,10 +1,9 @@
-// stream.go is the incremental side of §4 result handling: pull-based
-// decoders that type one row per Next instead of materializing the whole
-// result first. Both decoding paths exist in streaming form — the XML path
-// consumes RECORD elements as the evaluator produces them, and the text
-// path types each delimiter-separated row the evaluator hands over — so
-// the driver's JDBC-style result sets can deliver a first row while the
-// query is still running.
+// stream.go holds the §4 decoders: pull-based row cursors that type one
+// row per Next instead of materializing the whole result first. The XML
+// cursor consumes RECORD elements as the evaluator produces them, and the
+// text cursor types each delimiter-separated row the evaluator hands over,
+// so the driver's JDBC-style result sets can deliver a first row while the
+// query is still running. FromXML and FromText drain them over one Chunk.
 package resultset
 
 import (
@@ -24,6 +23,25 @@ type ItemStream interface {
 	Next() (xdm.Sequence, error)
 	Close() error
 }
+
+// Chunk is an ItemStream of one chunk, items: a whole result already in
+// hand, such as a payload or a stored procedure's rows.
+func Chunk(items xdm.Sequence) ItemStream { return &chunk{items: items} }
+
+type chunk struct {
+	items xdm.Sequence
+	done  bool
+}
+
+func (c *chunk) Next() (xdm.Sequence, error) {
+	if c.done {
+		return nil, io.EOF
+	}
+	c.done = true
+	return c.items, nil
+}
+
+func (c *chunk) Close() error { return nil }
 
 // rowAligned is the optional hint that every chunk — or, through a row
 // pull, every text row — is exactly one result row, letting the decoders
@@ -89,8 +107,8 @@ func (c *xmlCursor) Next() ([]xdm.Atomic, error) {
 				c.queue = xdm.AppendChildren(c.queue, n, "RECORD")
 			default:
 				// Aligned chunks are RECORDSET content items: anything that
-				// is not a RECORD element is dropped, exactly as FromXML's
-				// child step drops it.
+				// is not a RECORD element is dropped, exactly as a
+				// RECORDSET's child step drops it.
 				if !c.aligned {
 					return nil, fmt.Errorf("resultset: expected RECORDSET element, got %v", it)
 				}
@@ -246,8 +264,8 @@ func (s *rowSlab) carve(width int) []xdm.Atomic {
 	return row
 }
 
-// TextDecoder types §4 text rows — the per-row core of FromText,
-// StreamText and the wire client — carving each from a rowSlab, and
+// TextDecoder types §4 text rows — the per-row core of StreamText and
+// the wire client — carving each from a rowSlab, and
 // unescapes values into one append-only text slab, which starts at what
 // its first value needs and doubles up to 4 KiB on the same rule. A value
 // with no entity is a substring of its row's text. A decoder copied by

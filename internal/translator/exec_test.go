@@ -23,7 +23,7 @@ import (
 // evalQuery plans q and evaluates it materialized with the given
 // parameter bindings.
 func evalQuery(e *xqeval.Engine, q *xquery.Query, ext map[string]xdm.Sequence) (xdm.Sequence, error) {
-	return e.EvalPlanWithTrace(context.Background(), xqeval.NewPlan(q), ext, nil)
+	return e.EvalStream(context.Background(), xqeval.NewPlan(q), ext, nil).Drain()
 }
 
 // fixtureEngine builds a small hand-written dataset whose query answers

@@ -55,7 +55,7 @@ func runNullBoth(t *testing.T, app *catalog.Application, e *xqeval.Engine, sql s
 		evals := []func() (xdm.Sequence, error){func() (xdm.Sequence, error) { return evalQuery(e, res.Query, nil) }}
 		if mode == translator.ModeXML {
 			evals = append(evals, func() (xdm.Sequence, error) {
-				return e.EvalNaiveWithTrace(context.Background(), res.Query, nil, nil)
+				return e.EvalNaive(context.Background(), res.Query, nil)
 			})
 		}
 		for _, eval := range evals {

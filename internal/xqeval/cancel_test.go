@@ -45,7 +45,7 @@ func TestEvalCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := e.EvalPlanWithTrace(ctx, NewPlan(crossJoinQuery()), nil, nil)
+		_, err := e.EvalStream(ctx, NewPlan(crossJoinQuery()), nil, nil).Drain()
 		done <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -65,7 +65,7 @@ func TestEvalDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := e.EvalPlanWithTrace(ctx, NewPlan(crossJoinQuery()), nil, nil)
+	_, err := e.EvalStream(ctx, NewPlan(crossJoinQuery()), nil, nil).Drain()
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want deadline exceeded", err)
 	}
@@ -76,7 +76,7 @@ func TestEvalDeadline(t *testing.T) {
 
 func TestEvalContextCompletesNormally(t *testing.T) {
 	e := bigEngine(5)
-	out, err := e.EvalPlanWithTrace(context.Background(), NewPlan(crossJoinQuery()), nil, nil)
+	out, err := e.EvalStream(context.Background(), NewPlan(crossJoinQuery()), nil, nil).Drain()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestEvalStringFrontDoor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := e.EvalPlanWithTrace(context.Background(), plan, nil, nil)
+	out, err := e.EvalStream(context.Background(), plan, nil, nil).Drain()
 	if err != nil {
 		t.Fatal(err)
 	}

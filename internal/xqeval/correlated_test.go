@@ -98,7 +98,7 @@ func corrSetup(t testing.TB) (*catalog.Application, *xqeval.Engine) {
 		catalog.NewRelationalImport("Corr", "V", orderCols[:3]),
 	}})
 	e.Register("ld:Corr/V", "V", func([]xdm.Sequence) (xdm.Sequence, error) {
-		out, err := e.EvalPlanWithTrace(context.Background(), xqeval.NewPlan(res.Query), nil, nil)
+		out, err := e.EvalStream(context.Background(), xqeval.NewPlan(res.Query), nil, nil).Drain()
 		if err != nil {
 			return nil, err
 		}
@@ -168,7 +168,7 @@ func TestCorrelatedLookupsMatchNaive(t *testing.T) {
 				t.Fatalf("%q: %v", sql, err)
 			}
 			ext := corrParams(res.ParamCount)
-			naive, err := e.EvalNaiveWithTrace(ctx, res.Query, ext, nil)
+			naive, err := e.EvalNaive(ctx, res.Query, ext)
 			if err != nil {
 				t.Fatalf("%q naive: %v", sql, err)
 			}
@@ -191,7 +191,7 @@ func TestCorrelatedLookupsMatchNaive(t *testing.T) {
 					// Two-row morsels: the eight customers fan out to four
 					// morsels, whose workers race to build the shared table.
 					xqeval.ForceFanOutForTest(e, workers, 2, 2)
-					got, err := e.EvalPlanWithTrace(ctx, materialized, ext, nil)
+					got, err := e.EvalStream(ctx, materialized, ext, nil).Drain()
 					if err != nil {
 						t.Fatalf("%q, mode %v, %s: %v", sql, mode, label, err)
 					}
@@ -296,12 +296,12 @@ func TestCorrelatedProbeKeyClasses(t *testing.T) {
 			t.Fatalf("%s: %v", body, err)
 		}
 		e := corrAtoms()
-		naive, nerr := e.EvalNaiveWithTrace(context.Background(), q, nil, nil)
+		naive, nerr := e.EvalNaive(context.Background(), q, nil)
 		for _, plan := range []*xqeval.Plan{xqeval.NewPlan(q), xqeval.NewPlanStats(q, e)} {
 			if plan.HashJoins == 0 {
 				t.Fatalf("%s: no hash probe planned:\n%s", body, strings.Join(plan.Describe(), "\n"))
 			}
-			got, perr := e.EvalPlanWithTrace(context.Background(), plan, nil, nil)
+			got, perr := e.EvalStream(context.Background(), plan, nil, nil).Drain()
 			if (perr == nil) != (nerr == nil) {
 				t.Fatalf("%s: error divergence: planned %v, naive %v", body, perr, nerr)
 			}
@@ -325,8 +325,8 @@ func TestCorrelatedLimitsSameKind(t *testing.T) {
 				t.Fatal(err)
 			}
 			ext := corrParams(res.ParamCount)
-			_, nerr := e.EvalNaiveWithTrace(context.Background(), res.Query, ext, nil)
-			_, perr := e.EvalPlanWithTrace(context.Background(), xqeval.NewPlan(res.Query), ext, nil)
+			_, nerr := e.EvalNaive(context.Background(), res.Query, ext)
+			_, perr := e.EvalStream(context.Background(), xqeval.NewPlan(res.Query), ext, nil).Drain()
 			for _, err := range []error{nerr, perr} {
 				var qe *aqerr.QueryError
 				if !errors.As(err, &qe) || qe.Kind != aqerr.KindResourceLimit {
@@ -354,7 +354,7 @@ for $a in j:L() where fn:not(fn:exists(for $b in j:R() where $b = $a return $b))
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := e.EvalPlanWithTrace(context.Background(), xqeval.NewPlan(q), nil, nil)
+	out, err := e.EvalStream(context.Background(), xqeval.NewPlan(q), nil, nil).Drain()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/demo"
-	"repro/internal/obsv"
 	"repro/internal/translator"
 	"repro/internal/xdm"
 	"repro/internal/xqeval"
@@ -109,10 +108,10 @@ func evalTwice(t testing.TB, e *xqeval.Engine, plan *xqeval.Plan, ext map[string
 	var out xdm.Sequence
 	var err error
 	for i := range runs {
-		tr := obsv.NewTrace("")
-		out, err = e.EvalPlanWithTrace(context.Background(), plan, ext, tr)
-		ev, _ := tr.Stage(obsv.StageEvaluate)
-		runs[i] = evaluation{xdm.MarshalSequence(out), ev.DetailValue("steps"), ev.DetailValue("tuples")}
+		cur := e.EvalStream(context.Background(), plan, ext, nil)
+		out, err = cur.Drain()
+		steps, tuples := cur.Stats()
+		runs[i] = evaluation{xdm.MarshalSequence(out), steps, tuples}
 		if err != nil {
 			runs[i].out = "error: " + err.Error()
 		}
@@ -136,7 +135,7 @@ func TestPlannedMatchesNaiveOnCorpus(t *testing.T) {
 			}
 			ext := bindParams(res)
 			planned, perr := evalTwice(t, engine, xqeval.NewPlan(res.Query), ext)
-			naive, nerr := engine.EvalNaiveWithTrace(context.Background(), res.Query, ext, nil)
+			naive, nerr := engine.EvalNaive(context.Background(), res.Query, ext)
 			if (perr == nil) != (nerr == nil) {
 				t.Fatalf("mode %v: %q: error divergence\nplanned: %v\nnaive:   %v", mode, sql, perr, nerr)
 			}
@@ -180,7 +179,7 @@ func FuzzPlanDifferential(f *testing.F) {
 		}
 		ext := bindParams(res)
 		planned, perr := evalTwice(t, engine, xqeval.NewPlan(res.Query), ext)
-		naive, nerr := engine.EvalNaiveWithTrace(context.Background(), res.Query, ext, nil)
+		naive, nerr := engine.EvalNaive(context.Background(), res.Query, ext)
 		if perr != nil || nerr != nil {
 			// Error-presence divergence is permitted: conjunct splitting
 			// drops the naive evaluator's `and` short-circuit, which

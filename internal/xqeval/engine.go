@@ -281,45 +281,16 @@ func dynErr(format string, args ...any) error {
 	return &Error{Msg: fmt.Sprintf(format, args...)}
 }
 
-// EvalPlanWithTrace evaluates a planned query (CompileAST or NewPlan) to a
-// materialized sequence: it binds the prolog's schema-import prefixes and
-// the external variables — prepared-statement parameters, which the
-// translator surfaces as $p1, $p2, … — and evaluates the body. ctx is
-// observed at tuple boundaries, so long evaluations stop promptly on
-// cancellation or deadline expiry. The evaluation is recorded as one
-// evaluate span on tr (nil tr = untraced) with the step count as detail.
-// The plan is immutable, so any number of concurrent evaluations may
-// share it; EvalStream is the same evaluation delivered as a row cursor.
-func (e *Engine) EvalPlanWithTrace(ctx context.Context, p *Plan, external map[string]xdm.Sequence, tr *obsv.Trace) (xdm.Sequence, error) {
-	return e.evalQuery(ctx, p.Query, p, external, tr)
-}
-
-// EvalNaiveWithTrace evaluates without planning — the paper's strawman
-// nested-loop pipeline. It exists as the differential correctness tests'
-// oracle; production paths always plan.
-func (e *Engine) EvalNaiveWithTrace(ctx context.Context, q *xquery.Query, external map[string]xdm.Sequence, tr *obsv.Trace) (xdm.Sequence, error) {
-	return e.evalQuery(ctx, q, nil, external, tr)
-}
-
-func (e *Engine) evalQuery(ctx context.Context, q *xquery.Query, p *Plan, external map[string]xdm.Sequence, tr *obsv.Trace) (xdm.Sequence, error) {
-	sp := tr.StartStage(obsv.StageEvaluate)
+// EvalNaive evaluates without planning — the paper's strawman nested-loop
+// pipeline — to a materialized sequence, binding the prolog's schema-import
+// prefixes and the external variables ($p1, $p2, … for a translated
+// prepared statement). It exists as the differential tests' byte oracle;
+// production paths always plan and stream (EvalStream).
+func (e *Engine) EvalNaive(ctx context.Context, q *xquery.Query, external map[string]xdm.Sequence) (xdm.Sequence, error) {
 	counters := &evalCounters{}
-	out, err := evalExpr(q.Body, e.rootScope(ctx, q, p, external, counters))
-	e.endEval(sp, counters, len(out))
+	out, err := evalExpr(q.Body, e.rootScope(ctx, q, nil, external, counters))
+	e.m.evaluated(counters)
 	return out, err
-}
-
-// endEval folds one finished evaluation into the engine's counters and
-// closes its evaluate span with out result items.
-func (e *Engine) endEval(sp *obsv.Span, c *evalCounters, out int) {
-	e.m.evaluated(c)
-	sp.SetOutput(out)
-	sp.Add("steps", c.steps)
-	sp.Add("tuples", c.tuples)
-	if c.pruned > 0 {
-		sp.Add("pruned", c.pruned)
-	}
-	sp.End()
 }
 
 // evaluated folds one finished evaluation's counters into the engine's.
@@ -553,7 +524,7 @@ func (e *Engine) CallContext(ctx context.Context, namespace, local string, args 
 // the DSP server offers the driver's generated queries). external names
 // the external variables the caller will bind at evaluation time ($p1…$pN
 // for translated prepared statements). The returned plan is immutable and
-// may be executed concurrently any number of times with EvalPlanWithTrace.
+// may be executed concurrently any number of times with EvalStream.
 // Plans built here consult the engine's source statistics (stats.go) for
 // cost annotations and hash-key selection; recompile after a stats refresh
 // (the compile cache keys on StatsGeneration) to pick up new numbers.

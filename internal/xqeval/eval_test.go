@@ -2,12 +2,31 @@ package xqeval
 
 import (
 	"context"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/xdm"
 	"repro/internal/xquery"
 )
+
+// TestEngineSurface pins the engine's evaluation entries: EvalStream is
+// the one production entry (a materialized result is a drained cursor),
+// and the naive pair is the tests' oracle.
+func TestEngineSurface(t *testing.T) {
+	want := []string{"EvalNaive", "EvalStream", "EvalStreamNaive"}
+	var got []string
+	typ := reflect.TypeOf(&Engine{})
+	for i := 0; i < typ.NumMethod(); i++ {
+		if name := typ.Method(i).Name; strings.HasPrefix(name, "Eval") {
+			got = append(got, name)
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("*Engine evaluation entries = %v, want %v", got, want)
+	}
+}
 
 // testEngine builds an engine with a small CUSTOMERS/PAYMENTS data set
 // matching the paper's examples.
@@ -67,7 +86,7 @@ func customersQuery(body xquery.Expr) *xquery.Query {
 // evalQuery plans q and evaluates it materialized — what a caller holding
 // only an AST does.
 func evalQuery(e *Engine, q *xquery.Query, ext map[string]xdm.Sequence) (xdm.Sequence, error) {
-	return e.EvalPlanWithTrace(context.Background(), NewPlan(q), ext, nil)
+	return e.EvalStream(context.Background(), NewPlan(q), ext, nil).Drain()
 }
 
 func evalBody(t *testing.T, body xquery.Expr) xdm.Sequence {

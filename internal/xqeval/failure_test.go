@@ -96,7 +96,7 @@ func TestErrorInsideOuterJoinFilter(t *testing.T) {
 			Return: xquery.Call("fn:count", xquery.VarRef("t")),
 		},
 	}
-	_, err := failingEngine(2).EvalNaiveWithTrace(context.Background(), q, nil, nil)
+	_, err := failingEngine(2).EvalNaive(context.Background(), q, nil)
 	if err == nil || !strings.Contains(err.Error(), "backend unavailable") {
 		t.Fatalf("naive err = %v", err)
 	}

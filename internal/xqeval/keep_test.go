@@ -49,11 +49,11 @@ func intParam(v int64) map[string]xdm.Sequence {
 // oracle's items.
 func mustMatchNaive(t testing.TB, e *xqeval.Engine, q *xquery.Query, plan *xqeval.Plan, ext map[string]xdm.Sequence) string {
 	t.Helper()
-	got, err := e.EvalPlanWithTrace(context.Background(), plan, ext, nil)
+	got, err := e.EvalStream(context.Background(), plan, ext, nil).Drain()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := e.EvalNaiveWithTrace(context.Background(), q, ext, nil)
+	want, err := e.EvalNaive(context.Background(), q, ext)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestKeptReportReusedAcrossParameters(t *testing.T) {
 	for i, p := range []int64{0, 1} {
 		mustMatchNaive(t, e, res.Query, fresh, intParam(p))
 		before := e.Stats()
-		got, err := e.EvalPlanWithTrace(context.Background(), plan, intParam(p), nil)
+		got, err := e.EvalStream(context.Background(), plan, intParam(p), nil).Drain()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +92,7 @@ func TestKeptReportReusedAcrossParameters(t *testing.T) {
 		// same charge.
 		fresh, _ = e.CompileAST(res.Query, externalNames(1))
 		before = e.Stats()
-		want, err := e.EvalPlanWithTrace(context.Background(), fresh, intParam(p), nil)
+		want, err := e.EvalStream(context.Background(), fresh, intParam(p), nil).Drain()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +135,7 @@ func TestKeptValueRetiredByMiddleware(t *testing.T) {
 			return nil, fault
 		}
 	})
-	if _, err := e.EvalPlanWithTrace(context.Background(), plan, intParam(0), nil); !errors.Is(err, fault) {
+	if _, err := e.EvalStream(context.Background(), plan, intParam(0), nil).Drain(); !errors.Is(err, fault) {
 		t.Fatalf("evaluation after Use: %v, want the injected fault", err)
 	}
 }
@@ -146,11 +146,11 @@ func TestFailedBuildsAreNotKept(t *testing.T) {
 	e, res, plan := keptPlan(t, keptReport)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := e.EvalPlanWithTrace(ctx, plan, intParam(0), nil); !errors.Is(err, context.Canceled) {
+	if _, err := e.EvalStream(ctx, plan, intParam(0), nil).Drain(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled evaluation: %v", err)
 	}
 	e.SetLimits(xqeval.Limits{MaxTuples: 5})
-	if _, err := e.EvalPlanWithTrace(context.Background(), plan, intParam(0), nil); err == nil {
+	if _, err := e.EvalStream(context.Background(), plan, intParam(0), nil).Drain(); err == nil {
 		t.Fatal("no limit trip under MaxTuples 5")
 	}
 	if s := e.Stats(); s.KeptBuilds != 0 {
@@ -175,8 +175,8 @@ func TestKeptValueUnderLimits(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, kerr := e.EvalPlanWithTrace(context.Background(), plan, intParam(0), nil)
-		_, ferr := e.EvalPlanWithTrace(context.Background(), fresh, intParam(0), nil)
+		_, kerr := e.EvalStream(context.Background(), plan, intParam(0), nil).Drain()
+		_, ferr := e.EvalStream(context.Background(), fresh, intParam(0), nil).Drain()
 		if kerr == nil || ferr == nil || kerr.Error() != ferr.Error() {
 			t.Fatalf("under %+v: kept plan %v, fresh plan %v", lim, kerr, ferr)
 		}
@@ -314,7 +314,7 @@ func TestKeptConcurrentFirstEvaluations(t *testing.T) {
 	} {
 		e, res, plan := keptPlan(t, sql)
 		ext := intParam(1003)
-		want, err := e.EvalNaiveWithTrace(context.Background(), res.Query, ext, nil)
+		want, err := e.EvalNaive(context.Background(), res.Query, ext)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -324,7 +324,7 @@ func TestKeptConcurrentFirstEvaluations(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				got, err := e.EvalPlanWithTrace(context.Background(), plan, ext, nil)
+				got, err := e.EvalStream(context.Background(), plan, ext, nil).Drain()
 				if err == nil && xdm.MarshalSequence(got) != xdm.MarshalSequence(want) {
 					err = errors.New("planned diverges from naive: " + xdm.MarshalSequence(got))
 				}
@@ -356,7 +356,7 @@ func TestKeptValueReregisteredMidRun(t *testing.T) {
 	var wants [2]string
 	for i, rows := range sets {
 		e.RegisterRows("ld:TestDataServices/PO_CUSTOMERS", "PO_CUSTOMERS", rows)
-		naive, err := e.EvalNaiveWithTrace(context.Background(), res.Query, ext, nil)
+		naive, err := e.EvalNaive(context.Background(), res.Query, ext)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -370,7 +370,7 @@ func TestKeptValueReregisteredMidRun(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for ctx.Err() == nil {
-				got, err := e.EvalPlanWithTrace(context.Background(), plan, ext, nil)
+				got, err := e.EvalStream(context.Background(), plan, ext, nil).Drain()
 				if g := xdm.MarshalSequence(got); err == nil && g != wants[0] && g != wants[1] {
 					err = errors.New("a result from neither row set: " + g)
 				}

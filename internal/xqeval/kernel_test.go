@@ -287,7 +287,7 @@ func TestColumnKernelsMatchGeneric(t *testing.T) {
 		for _, p := range operands {
 			ext := map[string]xdm.Sequence{"p1": p}
 			ForceFanOutForTest(e, 1, 0, 0)
-			naive, nerr := e.EvalNaiveWithTrace(ctx, q, ext, nil)
+			naive, nerr := e.EvalNaive(ctx, q, ext)
 			want := outcomeSeq(naive, nerr)
 			wantStream := drainKernelStream(e.EvalStreamNaive(ctx, q, ext, nil))
 			var first string
@@ -302,7 +302,7 @@ func TestColumnKernelsMatchGeneric(t *testing.T) {
 						label = fmt.Sprintf("%s, $p1 = %v, plan %d kept, 8 workers", s.body, p, pi)
 					}
 					ForceFanOutForTest(e, workers, 2, 2)
-					got, err := e.EvalPlanWithTrace(ctx, materialized, ext, nil)
+					got, err := e.EvalStream(ctx, materialized, ext, nil).Drain()
 					gotOut := outcomeSeq(got, err)
 					streamed := drainKernelStream(e.EvalStream(ctx, streamedPlan, ext, nil))
 					if first == "" {

@@ -34,7 +34,7 @@ func TestMaxRowsAborts(t *testing.T) {
 	for name, eval := range map[string]func() (xdm.Sequence, error){
 		"planned": func() (xdm.Sequence, error) { return evalQuery(e, q, nil) },
 		"naive": func() (xdm.Sequence, error) {
-			return e.EvalNaiveWithTrace(context.Background(), q, nil, nil)
+			return e.EvalNaive(context.Background(), q, nil)
 		},
 	} {
 		_, err := eval()

@@ -88,7 +88,7 @@ func TestParallelMatchesSerialOnCorpus(t *testing.T) {
 			ext := bindParams(res)
 
 			parallelExec(engine, 1)
-			serial, err := engine.EvalPlanWithTrace(ctx, plan, ext, nil)
+			serial, err := engine.EvalStream(ctx, plan, ext, nil).Drain()
 			if err != nil {
 				t.Fatalf("mode %v: %q must evaluate serially: %v", mode, sql, err)
 			}
@@ -108,7 +108,7 @@ func TestParallelMatchesSerialOnCorpus(t *testing.T) {
 					workers, materialized, streamedPlan = 8, plan, plan
 				}
 				parallelExec(engine, workers)
-				got, err := engine.EvalPlanWithTrace(ctx, materialized, ext, nil)
+				got, err := engine.EvalStream(ctx, materialized, ext, nil).Drain()
 				if err != nil {
 					t.Fatalf("mode %v, workers %d: %q must evaluate: %v", mode, workers, sql, err)
 				}
@@ -167,7 +167,7 @@ func TestParallelLimits(t *testing.T) {
 
 	e, plan := parallelScanSetup(t, 200)
 	e.SetLimits(xqeval.Limits{MaxRows: 17})
-	if _, err := e.EvalPlanWithTrace(ctx, plan, nil, nil); err == nil {
+	if _, err := e.EvalStream(ctx, plan, nil, nil).Drain(); err == nil {
 		t.Fatal("MaxRows=17 over 200 rows must error")
 	} else {
 		var qe *aqerr.QueryError
@@ -185,7 +185,7 @@ func TestParallelLimits(t *testing.T) {
 
 	e2, plan2 := parallelScanSetup(t, 200)
 	e2.SetLimits(xqeval.Limits{MaxTuples: 50})
-	if _, err := e2.EvalPlanWithTrace(ctx, plan2, nil, nil); err == nil {
+	if _, err := e2.EvalStream(ctx, plan2, nil, nil).Drain(); err == nil {
 		t.Fatal("MaxTuples=50 over 200 tuples must error")
 	} else {
 		var qe *aqerr.QueryError
@@ -449,7 +449,7 @@ func TestParallelSpeculationBounded(t *testing.T) {
 	depth := int64(1) // the smallest MaxDepth the query runs under
 	for ; ; depth++ {
 		e.SetLimits(xqeval.Limits{MaxDepth: depth})
-		if _, err := e.EvalPlanWithTrace(ctx, plan, nil, nil); err == nil {
+		if _, err := e.EvalStream(ctx, plan, nil, nil).Drain(); err == nil {
 			break
 		}
 	}
@@ -692,7 +692,7 @@ return p:SLOW($r/ID)`)
 		timer := time.AfterFunc(time.Duration(i)*200*time.Microsecond, cancel)
 		ret := make(chan error, 1)
 		go func() {
-			_, err := e.EvalPlanWithTrace(ctx, plan, nil, nil)
+			_, err := e.EvalStream(ctx, plan, nil, nil).Drain()
 			ret <- err
 		}()
 		select {
@@ -763,7 +763,7 @@ return p:SLOW($r/ID)`)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	if _, err := e.EvalPlanWithTrace(ctx, plan, nil, nil); err == nil {
+	if _, err := e.EvalStream(ctx, plan, nil, nil).Drain(); err == nil {
 		t.Fatal("cancelled evaluation must error")
 	}
 	if elapsed := time.Since(start); elapsed > time.Second {
@@ -803,9 +803,9 @@ return p:CHECKED($r/ID)`)
 	}
 
 	parallelExec(e, 1)
-	_, serr := e.EvalPlanWithTrace(context.Background(), plan, nil, nil)
+	_, serr := e.EvalStream(context.Background(), plan, nil, nil).Drain()
 	parallelExec(e, 8)
-	_, perr := e.EvalPlanWithTrace(context.Background(), plan, nil, nil)
+	_, perr := e.EvalStream(context.Background(), plan, nil, nil).Drain()
 	if serr == nil || perr == nil {
 		t.Fatalf("both paths must fail: serial=%v parallel=%v", serr, perr)
 	}
@@ -841,12 +841,12 @@ func FuzzParallelDifferential(f *testing.F) {
 		}
 		ext := bindParams(res)
 		xqeval.ForceFanOutForTest(engine, 1, 4, 2)
-		serial, serr := engine.EvalPlanWithTrace(context.Background(), plan, ext, nil)
+		serial, serr := engine.EvalStream(context.Background(), plan, ext, nil).Drain()
 		// The parallel run builds on a copy with nothing kept, then reuses
 		// on plan what the serial run kept.
 		xqeval.ForceFanOutForTest(engine, 8, 4, 2)
 		for _, p := range []*xqeval.Plan{xqeval.FreshKept(plan), plan} {
-			par, perr := engine.EvalPlanWithTrace(context.Background(), p, ext, nil)
+			par, perr := engine.EvalStream(context.Background(), p, ext, nil).Drain()
 			if (serr == nil) != (perr == nil) {
 				t.Fatalf("%q: error-presence divergence\nserial:   %v\nparallel: %v", sql, serr, perr)
 			}

@@ -25,7 +25,7 @@ import (
 // the value-level equivalence on the whole generated-query corpus.
 
 // Plan is an optimized execution plan for one query. Build it once with
-// NewPlan and evaluate with Engine.EvalPlanWithTrace; the zero decisions
+// NewPlan and evaluate with Engine.EvalStream; the zero decisions
 // case degrades to the naive pipeline's behavior at streaming cost.
 type Plan struct {
 	Query *xquery.Query

@@ -35,8 +35,8 @@ func joinQuery(op string) *xquery.Query {
 // diffEval evaluates q planned and naive and requires identical outcomes.
 func diffEval(t *testing.T, e *Engine, q *xquery.Query) xdm.Sequence {
 	t.Helper()
-	planned, perr := e.EvalPlanWithTrace(context.Background(), NewPlan(q), nil, nil)
-	naive, nerr := e.EvalNaiveWithTrace(context.Background(), q, nil, nil)
+	planned, perr := e.EvalStream(context.Background(), NewPlan(q), nil, nil).Drain()
+	naive, nerr := e.EvalNaive(context.Background(), q, nil)
 	if (perr == nil) != (nerr == nil) {
 		t.Fatalf("error divergence: planned=%v naive=%v", perr, nerr)
 	}
@@ -215,7 +215,7 @@ func TestPlanInvariantForEvaluatedOnce(t *testing.T) {
 		return atoms(xdm.Integer(2)), nil
 	})
 	q := joinQuery("=")
-	out, err := e.EvalPlanWithTrace(context.Background(), NewPlan(q), nil, nil)
+	out, err := e.EvalStream(context.Background(), NewPlan(q), nil, nil).Drain()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,18 +388,18 @@ func TestPlanHoistedOperandIsLazy(t *testing.T) {
 	}
 	ctx := context.Background()
 	bad := map[string]xdm.Sequence{"p": atoms(xdm.String("abc"))}
-	if out, err := joinEngine(nil, nil).EvalPlanWithTrace(ctx, p, bad, nil); err != nil || len(out) != 0 {
+	if out, err := joinEngine(nil, nil).EvalStream(ctx, p, bad, nil).Drain(); err != nil || len(out) != 0 {
 		t.Fatalf("no tuples: out=%v err=%v, want empty and no cast error", out, err)
 	}
 	e := joinEngine(atoms(xdm.Integer(1), xdm.Integer(5), xdm.Integer(9)), nil)
-	if _, err := e.EvalPlanWithTrace(ctx, p, bad, nil); err == nil || !strings.Contains(err.Error(), "cannot cast") {
+	if _, err := e.EvalStream(ctx, p, bad, nil).Drain(); err == nil || !strings.Contains(err.Error(), "cannot cast") {
 		t.Fatalf("with tuples the cast error must surface, got %v", err)
 	}
-	if _, err := e.EvalNaiveWithTrace(ctx, q, bad, nil); err == nil {
+	if _, err := e.EvalNaive(ctx, q, bad); err == nil {
 		t.Fatal("naive must raise the cast error too")
 	}
 	good := map[string]xdm.Sequence{"p": atoms(xdm.String("4"))}
-	out, err := e.EvalPlanWithTrace(ctx, p, good, nil)
+	out, err := e.EvalStream(ctx, p, good, nil).Drain()
 	if err != nil || xdm.MarshalSequence(out) != "5 9" {
 		t.Fatalf("out = %q, err = %v; want \"5 9\"", xdm.MarshalSequence(out), err)
 	}
@@ -518,7 +518,7 @@ func TestHashJoinNegativeZero(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		naive, err := e.EvalNaiveWithTrace(context.Background(), q, nil, nil)
+		naive, err := e.EvalNaive(context.Background(), q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -529,7 +529,7 @@ func TestHashJoinNegativeZero(t *testing.T) {
 			if p.HashJoins != 1 {
 				t.Fatalf("%s: no hash join:\n%s", c.body, strings.Join(p.Describe(), "\n"))
 			}
-			got, err := e.EvalPlanWithTrace(context.Background(), p, nil, nil)
+			got, err := e.EvalStream(context.Background(), p, nil, nil).Drain()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -31,7 +31,7 @@ var flatRecordStatements = []string{
 }
 
 // TestFlatRecordsMatchNaive evaluates each statement at 1 and 2 workers
-// whole (EvalPlanWithTrace), streamed (EvalStream) and decoded
+// whole (a drained EvalStream), streamed (EvalStream) and decoded
 // (resultset.FromXML and StreamXML): each is byte-identical and deep-equal
 // to naive, and each decodes to naive's rows.
 func TestFlatRecordsMatchNaive(t *testing.T) {
@@ -44,7 +44,7 @@ func TestFlatRecordsMatchNaive(t *testing.T) {
 		for i, c := range res.Columns {
 			cols[i] = resultset.Column{Label: c.Label, ElementName: c.ElementName, Type: c.Type, Nullable: c.Nullable}
 		}
-		naive, err := engine.EvalNaiveWithTrace(ctx, res.Query, nil, nil)
+		naive, err := engine.EvalNaive(ctx, res.Query, nil)
 		if err != nil {
 			t.Fatalf("%q: naive: %v", sql, err)
 		}
@@ -57,7 +57,7 @@ func TestFlatRecordsMatchNaive(t *testing.T) {
 		// Every evaluation runs on a copy with nothing kept, so it builds.
 		for _, workers := range []int{1, 2} {
 			xqeval.ForceFanOutForTest(engine, workers, 2, 2)
-			planned, err := engine.EvalPlanWithTrace(ctx, xqeval.FreshKept(plan), nil, nil)
+			planned, err := engine.EvalStream(ctx, xqeval.FreshKept(plan), nil, nil).Drain()
 			if err != nil {
 				t.Fatalf("%q, %d workers: %v", sql, workers, err)
 			}
@@ -139,7 +139,7 @@ func TestGroupedJoinAllocs(t *testing.T) {
 	// Each evaluation runs on a copy with nothing kept, so it builds the
 	// join and the records (the copy adds a few hundred bytes).
 	eval := func() {
-		if _, err := engine.EvalPlanWithTrace(ctx, xqeval.FreshKept(plan), nil, nil); err != nil {
+		if _, err := engine.EvalStream(ctx, xqeval.FreshKept(plan), nil, nil).Drain(); err != nil {
 			t.Fatal(err)
 		}
 	}

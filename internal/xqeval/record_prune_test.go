@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/demo"
-	"repro/internal/obsv"
 	"repro/internal/translator"
 	"repro/internal/xdm"
 	"repro/internal/xqeval"
@@ -156,7 +155,7 @@ func TestRecordKernelPruningPlans(t *testing.T) {
 			// against the plan building every column only: the planner may
 			// move an error.
 			var want map[string]string
-			if naive, err := engine.EvalNaiveWithTrace(ctx, res.Query, ext, nil); err == nil {
+			if naive, err := engine.EvalNaive(ctx, res.Query, ext); err == nil {
 				want = map[string]string{
 					"materialized": xdm.MarshalSequence(naive),
 					"streamed":     drain(engine.EvalStreamNaive(ctx, res.Query, ext, nil)).out,
@@ -203,15 +202,16 @@ type evaluation struct {
 	steps, tuples int64
 }
 
-// materialize evaluates p whole; its charge is the evaluate span's.
+// materialize evaluates p whole, as a drained cursor; its charge is
+// Cursor.Stats.
 func materialize(ctx context.Context, e *xqeval.Engine, p *xqeval.Plan, ext map[string]xdm.Sequence) evaluation {
-	tr := obsv.NewTrace("")
-	out, err := e.EvalPlanWithTrace(ctx, p, ext, tr)
+	cur := e.EvalStream(ctx, p, ext, nil)
+	out, err := cur.Drain()
 	if err != nil {
 		return evaluation{out: "error: " + err.Error()}
 	}
-	ev, _ := tr.Stage(obsv.StageEvaluate)
-	return evaluation{xdm.MarshalSequence(out), ev.DetailValue("steps"), ev.DetailValue("tuples")}
+	steps, tuples := cur.Stats()
+	return evaluation{xdm.MarshalSequence(out), steps, tuples}
 }
 
 // drain pulls a cursor dry, chunk by chunk, each rendered as the

@@ -179,7 +179,7 @@ func TestRecordKernelPlans(t *testing.T) {
 		if want, wantSteps := steps(&generic); got != want || gotSteps != wantSteps {
 			t.Fatalf("%s: kernels %s (%d steps), generic %s (%d steps)", body, got, gotSteps, want, wantSteps)
 		}
-		naive, err := e.EvalNaiveWithTrace(ctx, q, nil, nil)
+		naive, err := e.EvalNaive(ctx, q, nil)
 		want := outcomeSeq(naive, err)
 		wantStream := drainKernelStream(e.EvalStreamNaive(ctx, q, nil, nil))
 		if strings.HasPrefix(want, "error") {
@@ -194,7 +194,7 @@ func TestRecordKernelPlans(t *testing.T) {
 					workers, materialized, streamed = 8, p, p
 				}
 				ForceFanOutForTest(e, workers, 2, 2)
-				out, err := e.EvalPlanWithTrace(ctx, materialized, nil, nil)
+				out, err := e.EvalStream(ctx, materialized, nil, nil).Drain()
 				if got := outcomeSeq(out, err); got != want {
 					t.Fatalf("%s, %d workers: planned %s, naive %s", body, workers, got, want)
 				}

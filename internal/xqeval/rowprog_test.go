@@ -3,7 +3,7 @@
 // oracle: for every statement below, rows streamed from a compiled plan —
 // serial and at 2 and 4 morsel workers, from tuples or from RECORD
 // elements — must be byte-identical, row for row, to EvalStreamNaive, and
-// their concatenation to the string EvalNaiveWithTrace's fn:string-join
+// their concatenation to the string EvalNaive's fn:string-join
 // returns. Resource limits must trip at the same row with the same typed
 // error and the same tuple count either way.
 package xqeval_test
@@ -309,7 +309,7 @@ func TestFusedMatchesNaive(t *testing.T) {
 
 		// A statement may fail: then every path must fail alike.
 		want, _, werr := drainRows(c.engine.EvalStreamNaive(ctx, c.query, c.ext, nil))
-		out, err := c.engine.EvalNaiveWithTrace(ctx, c.query, c.ext, nil)
+		out, err := c.engine.EvalNaive(ctx, c.query, c.ext)
 		if (err == nil) != (werr == nil) {
 			t.Fatalf("%s: materialized error %v, naive stream error %v", c.name, err, werr)
 		}

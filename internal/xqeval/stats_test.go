@@ -142,7 +142,7 @@ func TestStatsCostAnnotationsAndKeyChoice(t *testing.T) {
 
 	// One structural evaluation observes both sources on the way past, as
 	// a first production execution does.
-	want, err := e.EvalPlanWithTrace(ctx, structural, nil, nil)
+	want, err := e.EvalStream(ctx, structural, nil, nil).Drain()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestStatsCostAnnotationsAndKeyChoice(t *testing.T) {
 		}
 	}
 
-	got, err := e.EvalPlanWithTrace(ctx, costed, nil, nil)
+	got, err := e.EvalStream(ctx, costed, nil, nil).Drain()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestLazyObservationFeedsNextCompile(t *testing.T) {
 		t.Fatalf("cold plan saw %d stats scans", cold.StatsSources)
 	}
 	gen0 := e.StatsGeneration()
-	if _, err := e.EvalPlanWithTrace(context.Background(), cold, nil, nil); err != nil {
+	if _, err := e.EvalStream(context.Background(), cold, nil, nil).Drain(); err != nil {
 		t.Fatal(err)
 	}
 	if e.StatsGeneration() != gen0 {

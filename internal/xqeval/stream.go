@@ -39,7 +39,7 @@ import (
 // and the differential tests pin value-level equivalence.
 
 // StreamKind classifies how a query body decomposes into a row stream.
-type StreamKind int
+type StreamKind uint8
 
 const (
 	// StreamMaterialized means the body has no recognized row-stream shape:
@@ -213,12 +213,12 @@ type Cursor struct {
 	errCh  chan error
 	cancel context.CancelFunc
 
-	start   time.Time
-	m       *engineMetrics   // the engine's counters, folded into at finish
-	stages  *obsv.StageTimes // where Close folds clock; nil: not counted
-	clock   obsv.StageClock  // evaluate set by the producer, decode by Close
-	primed  time.Time        // when Prime succeeded; zero: it has not
-	aligned bool
+	start  time.Time
+	m      *engineMetrics   // the engine's counters, folded into at finish
+	stages *obsv.StageTimes // where Close folds clock; nil: not counted
+	clock  obsv.StageClock  // evaluate set by the producer, decode by Close
+	primed time.Time        // when Prime succeeded; zero: it has not
+	kind   StreamKind       // row-aligned unless StreamMaterialized; Drain reads it
 
 	closed   atomic.Bool
 	finished atomic.Bool
@@ -240,7 +240,7 @@ type Cursor struct {
 // RowAligned reports whether each row Next or NextText hands out is exactly
 // one result row (true for the recognized XML and text shapes; false for
 // the materialized fallback, whose chunks are arbitrary result items).
-func (c *Cursor) RowAligned() bool { return c.aligned }
+func (c *Cursor) RowAligned() bool { return c.kind != StreamMaterialized }
 
 // send delivers one chunk from the producing goroutine, giving up when the
 // cursor's context is cancelled (Close, statement close, or deadline).
@@ -389,6 +389,34 @@ func (c *Cursor) Close() error {
 	return nil
 }
 
+// Drain reads the rest of the stream and closes the cursor, returning the
+// value the query body evaluates to: a materialized result is a drained
+// cursor. XML rows go back into their RECORDSET element and text rows are
+// string-joined into the one §4 string, so the value is the body's own.
+func (c *Cursor) Drain() (xdm.Sequence, error) {
+	defer c.Close()
+	var items xdm.Sequence
+	for {
+		row, err := c.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		items = append(items, row...)
+	}
+	switch c.kind {
+	case StreamXMLRows:
+		rs := xdm.NewElement("RECORDSET")
+		appendContent(rs, items)
+		items = xdm.SequenceOf(rs)
+	case StreamTextRows:
+		return fnStringJoin([]xdm.Sequence{items, nil})
+	}
+	return items, nil
+}
+
 // Err returns the evaluation error the stream terminated with, if any.
 func (c *Cursor) Err() error {
 	c.mu.Lock()
@@ -419,7 +447,7 @@ func (c *Cursor) finishMetrics(delivered int64) {
 		return
 	}
 	c.m.peakInFlight.SetMax(c.peak.Load())
-	if c.aligned {
+	if c.RowAligned() {
 		c.m.rows.Add(delivered)
 	}
 }
@@ -505,7 +533,7 @@ func (e *Engine) EvalStream(ctx context.Context, p *Plan, external map[string]xd
 }
 
 // EvalStreamNaive streams without planning — the differential oracle's
-// second side, mirroring EvalNaiveWithTrace.
+// second side, mirroring EvalNaive.
 func (e *Engine) EvalStreamNaive(ctx context.Context, q *xquery.Query, external map[string]xdm.Sequence, stages *obsv.StageTimes) *Cursor {
 	return e.evalStream(ctx, q, nil, planStream(q.Body), external, stages)
 }
@@ -522,7 +550,7 @@ func (e *Engine) evalStream(ctx context.Context, q *xquery.Query, p *Plan, sp *S
 		ch:       make(chan chunk, slots),
 		errCh:    make(chan error, 1),
 		cancel:   cancel,
-		aligned:  sp.Streamable(),
+		kind:     sp.Kind,
 		start:    time.Now(),
 		m:        &e.m,
 		stages:   stages,

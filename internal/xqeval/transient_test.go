@@ -17,7 +17,7 @@ import (
 // bound (a constructor return) rebind one cell per op, and every other
 // return keeps fresh ones. Each shape runs over 20 source rows — three
 // morsels at parallelExec's size — serially and at two workers, streamed
-// and through EvalPlanWithTrace, and must equal the naive evaluator.
+// and drained whole (Cursor.Drain), and must equal the naive evaluator.
 // The final segment after an order by rebinds under each sorted tuple.
 // `return $r` hands out the cell's item, so each of its rows must be a
 // distinct item: a forced rebind there buffers one cell's slice per row.
@@ -51,7 +51,7 @@ import schema namespace q = "ld:Tr/S" at "S.xsd";
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		want, err := e.EvalNaiveWithTrace(ctx, q, nil, nil)
+		want, err := e.EvalNaive(ctx, q, nil)
 		if err != nil {
 			t.Fatalf("%s: naive: %v", c.name, err)
 		}
@@ -69,7 +69,7 @@ import schema namespace q = "ld:Tr/S" at "S.xsd";
 		// Every evaluation runs on a copy with nothing kept, so it builds.
 		for _, workers := range []int{1, 2} {
 			parallelExec(e, workers)
-			got, err := e.EvalPlanWithTrace(ctx, xqeval.FreshKept(plan), nil, nil)
+			got, err := e.EvalStream(ctx, xqeval.FreshKept(plan), nil, nil).Drain()
 			if err != nil {
 				t.Fatalf("%s, %d workers: %v", c.name, workers, err)
 			}

@@ -14,21 +14,20 @@ import (
 	"testing"
 
 	"repro/internal/demo"
-	"repro/internal/obsv"
 	"repro/internal/resultset"
 	"repro/internal/xdm"
 	"repro/internal/xquery"
 )
 
 // materializedOracle executes a compiled statement the pre-streaming way —
-// evaluate to completion, then decode the whole payload — as the byte
-// oracle the cursor path must match.
+// evaluate to completion, unplanned, then decode the whole payload — as
+// the byte oracle the cursor path must match.
 func materializedOracle(p *Platform, mode ResultMode, sql string, args []any) (*Rows, error) {
 	cq, ext, cols, err := oracleInputs(p, mode, sql, args)
 	if err != nil {
 		return nil, err
 	}
-	out, err := p.Engine.EvalPlanWithTrace(context.Background(), cq.Plan, ext, nil)
+	out, err := p.Engine.EvalNaive(context.Background(), cq.Res.Query, ext)
 	if err != nil {
 		return nil, err
 	}
@@ -244,8 +243,8 @@ func TestQueryStreamCancellation(t *testing.T) {
 }
 
 // TestFetchFirstShortCircuit is the acceptance pin: FETCH FIRST 10 ROWS
-// ONLY over a 100 000-row source evaluates O(10) tuples — streamed,
-// materialized-planned, and naive — and the facade returns exactly 10 rows.
+// ONLY over a 100 000-row source evaluates O(10) tuples — streamed, and
+// naive materialized — and the facade returns exactly 10 rows.
 func TestFetchFirstShortCircuit(t *testing.T) {
 	app, _, engine := demo.Setup(demo.Sizes{Customers: 100000, PaymentsPerCustomer: 0, Orders: 1, ItemsPerOrder: 1})
 	p := New(app, engine)
@@ -285,32 +284,15 @@ func TestFetchFirstShortCircuit(t *testing.T) {
 			t.Fatalf("mode %v: streamed FETCH FIRST evaluated %d tuples over a 100000-row source, want O(10)", mode, tuples)
 		}
 
-		// Materialized planned and naive paths take the same short circuit;
-		// the evaluate stage's tuple detail pins them.
-		for _, path := range []struct {
-			name string
-			run  func(tr *Trace) error
-		}{
-			{"planned", func(tr *Trace) error {
-				_, err := p.Engine.EvalPlanWithTrace(context.Background(), cq.Plan, nil, tr)
-				return err
-			}},
-			{"naive", func(tr *Trace) error {
-				_, err := p.Engine.EvalNaiveWithTrace(context.Background(), cq.Res.Query, nil, tr)
-				return err
-			}},
-		} {
-			tr := obsv.NewTrace(sql)
-			if err := path.run(tr); err != nil {
-				t.Fatalf("mode %v: %s: %v", mode, path.name, err)
-			}
-			ev, ok := tr.Stage(obsv.StageEvaluate)
-			if !ok {
-				t.Fatalf("mode %v: %s: no evaluate stage recorded", mode, path.name)
-			}
-			if tuples := ev.DetailValue("tuples"); tuples > 25 { // text mode counts each row twice: build + tokenize
-				t.Fatalf("mode %v: %s FETCH FIRST evaluated %d tuples over a 100000-row source, want O(10)", mode, path.name, tuples)
-			}
+		// The materialized naive path takes the same short circuit: its
+		// steps, the engine's EvalSteps delta, stay O(10) rows' worth where
+		// a scan of the source charges at least one step a row.
+		before := engine.Stats().EvalSteps
+		if _, err := p.Engine.EvalNaive(context.Background(), cq.Res.Query, nil); err != nil {
+			t.Fatalf("mode %v: naive: %v", mode, err)
+		}
+		if steps := engine.Stats().EvalSteps - before; steps > 1000 {
+			t.Fatalf("mode %v: naive FETCH FIRST evaluated %d steps over a 100000-row source, want O(10) rows' worth", mode, steps)
 		}
 	}
 }

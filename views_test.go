@@ -42,6 +42,31 @@ func TestDefineViewBasic(t *testing.T) {
 	}
 }
 
+// TestViewCountedAsAnExecution: a query over a view is two executions in
+// the engine's Stats, the outer query and the view, and the view's rows
+// pass through its cursor, so both row counts are counted.
+func TestViewCountedAsAnExecution(t *testing.T) {
+	p := Demo()
+	if err := p.DefineView("Logical", "FIRST_FIVE", "SELECT CUSTOMERID, CITY FROM CUSTOMERS WHERE CUSTOMERID < 1005"); err != nil {
+		t.Fatal(err)
+	}
+	before := p.Engine.Stats()
+	rows, err := p.Query("SELECT CUSTOMERID FROM FIRST_FIVE")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := rows.Len(); n != 5 {
+		t.Fatalf("view query returned %d rows, want 5", n)
+	}
+	after := p.Engine.Stats()
+	if d := after.QueriesExecuted - before.QueriesExecuted; d != 2 {
+		t.Fatalf("a query over a view added %d executions, want 2 (the query and the view)", d)
+	}
+	if d := after.Rows - before.Rows; d != 10 {
+		t.Fatalf("a query over a view added %d rows, want 10 (5 from the view, 5 from the query)", d)
+	}
+}
+
 func TestViewJoinsWithBaseTable(t *testing.T) {
 	p := Demo()
 	if err := p.DefineView("Logical", "PAYTOTALS", `
