@@ -9,12 +9,16 @@ ci: vet build bench-vet race stress chaos soak federate-smoke serve-smoke bench-
 # Go file but its definition that names the morsel executor's test seam:
 # fan-out is the engine's own decision, never a caller's knob. Likewise
 # for the naive evaluator (EvalNaive, EvalStreamNaive): it is the tests'
-# oracle, and production evaluates planned, through EvalStream.
+# oracle, and production evaluates planned, through EvalStream. And for
+# the metadata stack: a platform builds one, a catalog.Federation (a
+# single-source platform is a federation of one), so no non-test file
+# outside internal/catalog names catalog.NewCache.
 vet:
 	$(GO) vet ./...
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 	@seam=$$(grep -rlw --include='*.go' --exclude='*_test.go' ForceFanOutForTest . | grep -vx './internal/xqeval/parallel.go'); if [ -n "$$seam" ]; then echo "ForceFanOutForTest named outside tests:"; echo "$$seam"; exit 1; fi
 	@naive=$$(grep -rlw --include='*.go' --exclude='*_test.go' -e EvalNaive -e EvalStreamNaive . | grep -vx -e './internal/xqeval/engine.go' -e './internal/xqeval/stream.go'); if [ -n "$$naive" ]; then echo "naive evaluator named outside tests:"; echo "$$naive"; exit 1; fi
+	@cache=$$(grep -rl --include='*.go' --exclude='*_test.go' 'catalog\.NewCache' . | grep -v '^\./internal/catalog/'); if [ -n "$$cache" ]; then echo "catalog.NewCache named outside internal/catalog:"; echo "$$cache"; exit 1; fi
 
 build:
 	$(GO) build ./...

@@ -102,8 +102,8 @@ type (
 	// compile cache stores it.
 	CompiledQuery = qcache.CompiledQuery
 	// CompileCacheStats snapshots the shared compile cache's counters
-	// (hits, misses, single-flight shares, evictions, invalidations, size,
-	// current metadata generation).
+	// (hits, misses, single-flight shares, evictions, source retirements,
+	// size, current statistics generation).
 	CompileCacheStats = qcache.Stats
 	// QueryError is the typed error the resilience layer raises: every
 	// failure carries a Kind (transient, permanent, unavailable, timeout,
@@ -129,9 +129,9 @@ type (
 	// per-column distinct estimates, average row width) — the cost model's
 	// input, populated on a source's first scan.
 	SourceStats = xqeval.SourceStats
-	// Federation is the multi-backend catalog AddSource builds: named
-	// metadata sources resolved together, each behind its own cache and
-	// generation.
+	// Federation is the platform's metadata stack: named metadata
+	// sources resolved together — the App first, then each AddSource
+	// backend — each behind its own cache and generation.
 	Federation = catalog.Federation
 	// PartitionSpec declares a horizontally partitioned data service:
 	// shard functions (possibly on different sources), the shard key, and
@@ -209,8 +209,13 @@ type Platform struct {
 	// metadata API on every uncached lookup.
 	MetadataLatency time.Duration
 
+	// cacheMu guards the setup state below. fed and qc are built together
+	// on first use and dropped together when setup changes the stack (the
+	// next use rebuilds both; prepared statements see the new cache and
+	// recompile), so one compile cache only ever sees one federation's
+	// backends.
 	cacheMu    sync.Mutex
-	cache      *catalog.Cache
+	fed        *catalog.Federation
 	qc         *qcache.Cache
 	resilience *resilient.Config
 	injector   *faultnet.Injector
@@ -223,11 +228,9 @@ type Platform struct {
 	stages                      obsv.StageTimes
 	retries                     resilient.Counters
 
-	// sources are the extra federation backends added with AddSource; when
-	// non-empty the metadata stack is a catalog.Federation with the App as
-	// its first backend (named App.Name), each behind its own cache.
+	// sources are the backends added with AddSource, registered in the
+	// federation after the App.
 	sources []namedSource
-	fed     *catalog.Federation
 }
 
 // namedSource is one federation backend registered with AddSource.
@@ -260,9 +263,7 @@ func (p *Platform) EnableFaults(cfg FaultConfig) *FaultInjector {
 	inj := faultnet.New(cfg)
 	p.cacheMu.Lock()
 	p.injector = inj
-	p.cache = nil // rebuild the metadata stack with the chaos layer inside
-	p.fed = nil
-	p.qc = nil // artifacts compiled over the old stack are stale
+	p.fed, p.qc = nil, nil // rebuild the metadata stack with the chaos layer inside
 	p.cacheMu.Unlock()
 	p.Engine.InvalidateSourceStats() // sources now misbehave; observations are stale
 	p.Engine.Use(inj.Middleware())
@@ -281,9 +282,7 @@ func (p *Platform) EnableResilience(cfg ResilienceConfig) {
 	p.cacheMu.Lock()
 	p.resilience = &cfg
 	p.guard = guard
-	p.cache = nil // rebuild the metadata stack with retries + staleness
-	p.fed = nil
-	p.qc = nil // rebuild the compile cache with CompileCacheEntries applied
+	p.fed, p.qc = nil, nil // rebuild with retries, staleness and CompileCacheEntries
 	p.cacheMu.Unlock()
 	p.Engine.InvalidateSourceStats() // the rebuilt stack may change what scans observe
 	p.Engine.Use(guard.Middleware())
@@ -295,15 +294,14 @@ func (p *Platform) EnableResilience(cfg ResilienceConfig) {
 }
 
 // AddSource registers an extra federation backend under a name: its
-// tables and procedures become resolvable alongside the App's, behind
-// the backend's own metadata cache and generation. The first AddSource
-// turns the platform's metadata stack into a catalog.Federation with the
-// App as its first backend (named App.Name); unqualified table names
-// resolve across every backend (colliding names raise a typed
-// AmbiguousError listing the sources), and a source-qualified name
-// (`billing.INVOICES`) pins resolution to one backend without touching
-// the others. Call during setup; adding a source rebuilds the metadata
-// stack and retires compiled artifacts.
+// tables and procedures become resolvable alongside the App's (the
+// federation's first backend, named App.Name), behind the backend's own
+// metadata cache and generation. Unqualified table names resolve across
+// every backend (colliding names raise a typed AmbiguousError listing
+// the sources), and a source-qualified name (`billing.INVOICES`) pins
+// resolution to one backend without touching the others. Call during
+// setup; adding a source rebuilds the metadata stack and the compile
+// cache.
 func (p *Platform) AddSource(name string, src catalog.Source) error {
 	if name == "" || src == nil {
 		return fmt.Errorf("aqualogic: AddSource requires a name and a source")
@@ -320,9 +318,7 @@ func (p *Platform) AddSource(name string, src catalog.Source) error {
 		}
 	}
 	p.sources = append(p.sources, namedSource{name: name, src: src})
-	p.fed = nil // rebuild the federation with the new backend
-	p.cache = nil
-	p.qc = nil
+	p.fed, p.qc = nil, nil
 	p.cacheMu.Unlock()
 	p.Engine.InvalidateSourceStats() // new names may shadow observed sources
 	return nil
@@ -331,153 +327,96 @@ func (p *Platform) AddSource(name string, src catalog.Source) error {
 // SourceNames lists the federation's backends in registration order (the
 // App first). A platform with no added sources reports just the App.
 func (p *Platform) SourceNames() []string {
-	p.cacheMu.Lock()
-	defer p.cacheMu.Unlock()
-	out := []string{p.App.Name}
-	for _, ns := range p.sources {
-		out = append(out, ns.name)
-	}
-	return out
+	return p.metaSource().SourceNames()
 }
 
 // InvalidateSourceMetadata drops one backend's cached metadata and
 // advances that backend's generation, retiring only the compiled
-// artifacts whose statements touched it — the other backends' caches and
-// artifacts stay warm. Outside a federation it flushes the single
-// metadata cache.
+// artifacts whose statements depend on it — the other backends' caches and
+// artifacts stay warm. The App's backend is named App.Name; an unknown
+// name invalidates nothing.
 func (p *Platform) InvalidateSourceMetadata(name string) {
-	if fed := p.federation(); fed != nil {
-		fed.InvalidateSource(name)
-		return
-	}
-	if c := p.metaCache(); c != nil {
-		c.Invalidate()
-	}
+	p.metaSource().InvalidateSource(name)
 }
 
-// metaSource builds the metadata stack, inside out: application
-// (→ simulated remote) (→ fault injection) (→ retries) → client-side
-// cache with stale-serving. With added sources the stack is a
-// Federation instead: each backend gets its own injection/retry stack
-// and its own cache, so one backend's faults or invalidations stay its
-// own. Lazy construction is guarded so concurrent callers (parallel
-// compiles, queries, database/sql connections) share one cache.
-func (p *Platform) metaSource() catalog.Source {
+// metaSource returns the platform's metadata stack: a federation whose
+// first backend is the App and whose others are the AddSource backends.
+// Each backend is built inside out — source (→ simulated remote, for the
+// App) (→ fault injection) (→ retries) — and the federation puts its own
+// client-side cache with stale-serving in front of each, so one
+// backend's faults or invalidations stay its own. Lazy construction is
+// guarded so concurrent callers (parallel compiles, queries, database/sql
+// connections) share one stack.
+func (p *Platform) metaSource() *catalog.Federation {
+	fed, _ := p.stack()
+	return fed
+}
+
+// queryCache returns the platform's shared compiled-query cache. The same
+// instance backs every compile and query on the facade and every
+// connection of a registered driver.
+func (p *Platform) queryCache() *qcache.Cache {
+	_, qc := p.stack()
+	return qc
+}
+
+// stack builds the federation and the compile cache over it together, on
+// first use after setup. An artifact's metadata stamp sums the generations
+// of the backends its statement depends on: the ones its tables resolved
+// against, or all of them once a name was not pinned to its source.
+func (p *Platform) stack() (*catalog.Federation, *qcache.Cache) {
 	p.cacheMu.Lock()
 	defer p.cacheMu.Unlock()
-	if len(p.sources) > 0 {
-		if p.fed == nil {
-			fed := catalog.NewFederation(p.App.Name)
-			if p.resilience != nil {
-				fed.FreshFor = p.resilience.StaleTTL
-			}
-			var appSrc catalog.Source = p.App
-			if p.MetadataLatency > 0 {
-				appSrc = &catalog.Remote{Inner: p.App, Latency: p.MetadataLatency}
-			}
-			fed.Register(p.App.Name, p.backendStackLocked(p.App.Name, appSrc))
-			for _, ns := range p.sources {
-				fed.Register(ns.name, p.backendStackLocked(ns.name, ns.src))
-			}
-			p.fed = fed
+	if p.fed == nil {
+		fed := catalog.NewFederation(p.App.Name)
+		cfg := qcache.Config{
+			StatsGeneration: p.Engine.StatsGeneration,
+			Stamp: func(cq *qcache.CompiledQuery) uint64 {
+				return fed.Stamp(cq.Res.Sources, cq.Res.Unpinned)
+			},
 		}
-		return p.fed
-	}
-	if p.cache == nil {
-		var src catalog.Source = p.App
+		if p.resilience != nil {
+			fed.FreshFor = p.resilience.StaleTTL
+			cfg.MaxEntries = p.resilience.CompileCacheEntries
+		}
+		var app catalog.Source = p.App
 		if p.MetadataLatency > 0 {
-			src = &catalog.Remote{Inner: p.App, Latency: p.MetadataLatency}
+			app = &catalog.Remote{Inner: p.App, Latency: p.MetadataLatency}
 		}
 		if p.injector != nil {
-			src = p.injector.Source(src)
+			// Unprefixed points ("meta/<ref>"): seeded chaos schedules
+			// over the App keep their sites whatever else is registered.
+			app = p.injector.Source(app)
 		}
-		if p.resilience != nil {
-			src = resilient.NewSource(src, *p.resilience, &p.retries)
+		fed.Register(p.App.Name, p.withRetries(app))
+		for _, ns := range p.sources {
+			src := ns.src
+			if p.injector != nil {
+				src = p.injector.SourceNamed(ns.name, src)
+			}
+			fed.Register(ns.name, p.withRetries(src))
 		}
-		p.cache = catalog.NewCache(src)
-		if p.resilience != nil {
-			p.cache.FreshFor = p.resilience.StaleTTL
-		}
+		p.fed, p.qc = fed, qcache.New(cfg)
 	}
-	return p.cache
+	return p.fed, p.qc
 }
 
-// backendStackLocked wraps one federation backend in the per-source
-// chaos and retry layers (the Federation itself adds the per-source
-// cache). Callers hold cacheMu.
-func (p *Platform) backendStackLocked(name string, src catalog.Source) catalog.Source {
-	if p.injector != nil {
-		src = p.injector.SourceNamed(name, src)
-	}
+// withRetries wraps one backend in the retry layer once EnableResilience
+// has armed it. Callers hold cacheMu.
+func (p *Platform) withRetries(src catalog.Source) catalog.Source {
 	if p.resilience != nil {
 		src = resilient.NewSource(src, *p.resilience, &p.retries)
 	}
 	return src
 }
 
-// federation returns the platform's federation, building the metadata
-// stack if needed; nil when no sources have been added.
-func (p *Platform) federation() *catalog.Federation {
-	p.cacheMu.Lock()
-	has := len(p.sources) > 0
-	fed := p.fed
-	p.cacheMu.Unlock()
-	if fed == nil && has {
-		p.metaSource()
-		p.cacheMu.Lock()
-		fed = p.fed
-		p.cacheMu.Unlock()
-	}
-	return fed
-}
-
-// sourceGeneration is the per-backend epoch the compile cache validates
-// hits against: the backend's metadata generation.
-func (p *Platform) sourceGeneration(source string) uint64 {
-	if fed := p.federation(); fed != nil {
-		return fed.SourceGeneration(source)
-	}
-	return 0
-}
-
-// queryCache lazily builds the platform's shared compiled-query cache,
-// keyed on the metadata cache's generation so catalog changes retire
-// stale artifacts. The same instance backs every compile and query on the
-// facade and every connection of a registered driver.
-func (p *Platform) queryCache() *qcache.Cache {
-	p.cacheMu.Lock()
-	defer p.cacheMu.Unlock()
-	if p.qc == nil {
-		cfg := qcache.Config{Generation: p.metadataGeneration, StatsGeneration: p.Engine.StatsGeneration}
-		if len(p.sources) > 0 {
-			// Federated: hits additionally revalidate each backend the
-			// artifact touched, so one source's invalidation never churns
-			// artifacts compiled purely over the others.
-			cfg.SourceGeneration = p.sourceGeneration
-		}
-		if p.resilience != nil {
-			cfg.MaxEntries = p.resilience.CompileCacheEntries
-		}
-		p.qc = qcache.New(cfg)
-	}
-	return p.qc
-}
-
-// metadataGeneration reads the metadata cache's current epoch (building
-// the stack if needed). Zero when the source does not version itself.
-func (p *Platform) metadataGeneration() uint64 {
-	if gs, ok := p.metaSource().(qcache.GenerationSource); ok {
-		return gs.Generation()
-	}
-	return 0
-}
-
 // CompileContext translates, statically checks, and plans a SQL SELECT
 // once, returning the compiled-query artifact — the AST handed to the
 // evaluator directly, with no serialize→reparse round trip. Artifacts are
 // cached in the platform's shared compile cache keyed by (normalized SQL,
-// result mode, catalog generation); repeated compiles and queries of
-// equivalent statements reuse one compilation. ctx bounds metadata
+// result mode) and served while the sources they depend on stand;
+// repeated compiles and queries of equivalent statements reuse one
+// compilation. ctx bounds metadata
 // fetches. The benchmark (benchmark/README.md) calls it.
 func (p *Platform) CompileContext(ctx context.Context, sql string, mode ResultMode) (*CompiledQuery, error) {
 	cq, _, err := p.compile(ctx, sql, mode)
@@ -570,7 +509,6 @@ func (p *Platform) Metadata() MetadataSource {
 func (p *Platform) Translator(mode ResultMode) *translator.Translator {
 	tr := translator.New(p.metaSource())
 	tr.Options.Mode = mode
-	tr.Options.DefaultCatalog = p.App.Name
 	return tr
 }
 
@@ -669,34 +607,10 @@ func (p *Platform) RegisterDriver(name string) {
 	driver.Register(name, p)
 }
 
-// metaCache returns the platform's cache if it has been built yet.
-func (p *Platform) metaCache() *catalog.Cache {
-	p.cacheMu.Lock()
-	defer p.cacheMu.Unlock()
-	return p.cache
-}
-
-// MetadataStats reports the metadata cache's hit/miss counters. In a
-// federation the per-backend counters are summed; FederationStats breaks
-// them out per source.
+// MetadataStats reports the metadata cache's hit/miss counters, summed
+// over the backends; FederationStats breaks them out per source.
 func (p *Platform) MetadataStats() catalog.CacheStats {
-	if fed := p.federation(); fed != nil {
-		var sum catalog.CacheStats
-		for _, name := range fed.SourceNames() {
-			if st, ok := fed.SourceStats(name); ok {
-				sum.Hits += st.Hits
-				sum.Misses += st.Misses
-				sum.StaleServes += st.StaleServes
-				sum.Shared += st.Shared
-				sum.Degraded = sum.Degraded || st.Degraded
-			}
-		}
-		return sum
-	}
-	if c := p.metaCache(); c != nil {
-		return c.Stats()
-	}
-	return catalog.CacheStats{}
+	return p.metaSource().Stats()
 }
 
 // SourceHealth is one federation backend's health snapshot: its metadata
@@ -718,12 +632,9 @@ type SourceHealth struct {
 }
 
 // FederationStats snapshots every backend's health in registration
-// order; nil when no sources have been added.
+// order, the App first: a single-source platform reports one source.
 func (p *Platform) FederationStats() []SourceHealth {
-	fed := p.federation()
-	if fed == nil {
-		return nil
-	}
+	fed := p.metaSource()
 	p.cacheMu.Lock()
 	guard := p.guard
 	p.cacheMu.Unlock()
@@ -859,25 +770,12 @@ func (p *Platform) DefineView(path, name, sql string) error {
 
 	fn := catalog.NewRelationalImport(path, name, cols)
 	p.App.AddDSFile(&DSFile{Path: path, Name: name, Functions: []*Function{fn}})
-	// The metadata cache may hold a negative entry for the new name; the
-	// generation bump from Invalidate retires compiled artifacts by keying,
-	// and flushing the compile cache frees them immediately. In a
-	// federation only the App backend changed, so only it is invalidated —
-	// artifacts over the other backends stay cached (per-source hit
-	// validation retires the ones that touched the App).
-	if fed := p.federation(); fed != nil {
-		fed.InvalidateSource(p.App.Name)
-	} else {
-		if c := p.metaCache(); c != nil {
-			c.Invalidate()
-		}
-		p.cacheMu.Lock()
-		qc := p.qc
-		p.cacheMu.Unlock()
-		if qc != nil {
-			qc.Invalidate()
-		}
-	}
+	// The App's metadata cache may hold a negative entry for the new name.
+	// Only the App changed, so only it is invalidated: that moves the
+	// stamp of every artifact depending on it, which the compile cache
+	// retires on its next hit, while artifacts over other backends stay
+	// cached.
+	p.InvalidateSourceMetadata(p.App.Name)
 	// Catalog contents changed: collected statistics may describe sources
 	// the view now shadows or composes over.
 	p.Engine.InvalidateSourceStats()

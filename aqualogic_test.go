@@ -200,6 +200,65 @@ func TestMetadataLatencyAndCache(t *testing.T) {
 	}
 }
 
+// TestInvalidateAppMetadata: a single-source platform is a federation of
+// one, the App its only backend. Invalidating the App retires a cached
+// statement and makes a prepared handle recompile; a name that is no
+// backend invalidates nothing.
+func TestInvalidateAppMetadata(t *testing.T) {
+	p := Demo()
+	ctx := context.Background()
+	if h := p.FederationStats(); len(h) != 1 || h[0].Name != p.App.Name {
+		t.Fatalf("FederationStats = %+v, want the App alone", h)
+	}
+	const adhoc = "SELECT CUSTOMERNAME FROM CUSTOMERS WHERE CUSTOMERID < 1003"
+	st, err := p.Prepare(ctx, "SELECT CITY FROM CUSTOMERS WHERE CUSTOMERID = ?", ModeText)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.CompileContext(ctx, adhoc, ModeText); err != nil {
+		t.Fatal(err)
+	}
+	execute := func() {
+		t.Helper()
+		rows, err := st.Execute(ctx, 1005)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := drainClose(rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	p.InvalidateSourceMetadata("nosuchsource")
+	base := p.CompileStats()
+	execute()
+	if _, err := p.CompileContext(ctx, adhoc, ModeText); err != nil {
+		t.Fatal(err)
+	}
+	if s := p.CompileStats(); s.Misses != base.Misses || s.Hits != base.Hits+1 {
+		t.Fatalf("an unknown source name retired artifacts: %+v -> %+v", base, s)
+	}
+
+	p.InvalidateSourceMetadata(p.App.Name)
+	base = p.CompileStats()
+	if _, err := p.CompileContext(ctx, adhoc, ModeText); err != nil {
+		t.Fatal(err)
+	}
+	if s := p.CompileStats(); s.SourceRetirements != base.SourceRetirements+1 || s.Misses != base.Misses+1 {
+		t.Fatalf("invalidating the App must retire the cached statement: %+v -> %+v", base, s)
+	}
+	base = p.CompileStats()
+	execute()
+	if s := p.CompileStats(); s.SourceRetirements != base.SourceRetirements+1 || s.Misses != base.Misses+1 {
+		t.Fatalf("the prepared handle must recompile: %+v -> %+v", base, s)
+	}
+	base = p.CompileStats()
+	execute()
+	if s := p.CompileStats(); s != base {
+		t.Fatalf("a recompiled handle must run without a lookup: %+v -> %+v", base, s)
+	}
+}
+
 func TestCustomPlatform(t *testing.T) {
 	app := &Application{Name: "MyApp"}
 	app.AddDSFile(&DSFile{

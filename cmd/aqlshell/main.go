@@ -11,9 +11,10 @@
 // one its executions run), \s (pipeline metrics snapshot),
 // \r (resilience counters: retries, breaker trips, stale serves, injected
 // faults), \src (per-source federation health: metadata generations,
-// breaker states, and scan attribution for every registered backend),
+// breaker states, and scan attribution for every registered backend, the
+// App first — a single-source platform lists one),
 // \q (compile-cache counters: hits, misses, single-flight
-// shares, evictions, invalidations, size, metadata generation), and
+// shares, evictions, source retirements, size), and
 // \f n (fetch size: page results n rows at a time straight off the live
 // cursor — rows print as the evaluation produces them, and abandoning a
 // page cancels the rest of the query; \f 0 restores whole-result
@@ -109,9 +110,9 @@ func main() {
 			fmt.Println(`\x, \c, \p, \q and \src read the in-process platform (run without -server)`)
 		case line == `\q`:
 			cs := p.CompileStats()
-			fmt.Printf("compile cache: hits=%d misses=%d shared=%d evictions=%d invalidations=%d\n",
-				cs.Hits, cs.Misses, cs.Shared, cs.Evictions, cs.Invalidations)
-			fmt.Printf("entries: %d/%d, metadata generation: %d\n", cs.Size, cs.MaxEntries, cs.Generation)
+			fmt.Printf("compile cache: hits=%d misses=%d shared=%d evictions=%d source retirements=%d\n",
+				cs.Hits, cs.Misses, cs.Shared, cs.Evictions, cs.SourceRetirements)
+			fmt.Printf("entries: %d/%d\n", cs.Size, cs.MaxEntries)
 		case line == `\f`:
 			if fetchSize > 0 {
 				fmt.Printf("fetch size: %d rows per page\n", fetchSize)
@@ -152,13 +153,8 @@ func main() {
 			fmt.Printf("metadata cache: stale serves=%d shared fetches=%d degraded=%v\n",
 				cache.StaleServes, cache.Shared, cache.Degraded)
 		case line == `\src`:
-			health := p.FederationStats()
-			if len(health) == 0 {
-				fmt.Printf("single-source platform (%s): no federation registered\n", p.App.Name)
-				continue
-			}
 			scans := p.Stats().SourceScans
-			for _, h := range health {
+			for _, h := range p.FederationStats() {
 				fmt.Printf("source %s: metadata generation=%d cache hits=%d misses=%d degraded=%v scans=%d\n",
 					h.Name, h.Generation, h.Metadata.Hits, h.Metadata.Misses, h.Metadata.Degraded, scans[h.Name])
 				svcs := make([]string, 0, len(h.Breakers))

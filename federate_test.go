@@ -296,11 +296,12 @@ func TestFederatedShowStatements(t *testing.T) {
 }
 
 // TestFederatedCacheIsolation proves one backend's invalidation retires
-// only the compiled artifacts that touched it.
+// only the compiled artifacts that depend on it. The central statement is
+// source-qualified: an unqualified name depends on every backend's answer.
 func TestFederatedCacheIsolation(t *testing.T) {
 	p := federatedPlatform(t, demo.DefaultFederatedSizes, false)
 
-	ordersQ := "SELECT ORDERID FROM ORDERS WHERE QTY > 5"
+	ordersQ := "SELECT ORDERID FROM " + demo.FederatedAppName + ".ORDERS.ORDERS WHERE QTY > 5"
 	invoicesQ := "SELECT INVOICEID FROM INVOICES WHERE AMOUNT > 50"
 	for _, q := range []string{ordersQ, invoicesQ} {
 		if _, err := p.CompileContext(context.Background(), q, ModeXML); err != nil {
@@ -324,6 +325,37 @@ func TestFederatedCacheIsolation(t *testing.T) {
 	s = p.CompileStats()
 	if s.SourceRetirements != base.SourceRetirements+1 || s.Misses != base.Misses+1 {
 		t.Fatalf("billing artifact must retire and recompile: %+v -> %+v", base, s)
+	}
+}
+
+// TestFederatedStaleUnqualifiedName: an unqualified name's resolution
+// reads every backend's answer, negative ones included, so a cached
+// artifact over billing's INVOICES must not be served once the App also
+// defines INVOICES and is invalidated — the name is ambiguous now, as a
+// fresh platform reports.
+func TestFederatedStaleUnqualifiedName(t *testing.T) {
+	p := federatedPlatform(t, demo.DefaultFederatedSizes, false)
+	const q = "SELECT INVOICEID FROM INVOICES WHERE AMOUNT > 50"
+	if _, err := p.CompileContext(context.Background(), q, ModeXML); err != nil {
+		t.Fatalf("compile %q: %v", q, err)
+	}
+
+	p.App.AddDSFile(&DSFile{Path: "Central", Name: "INVOICES", Functions: []*Function{
+		NewRelationalImport("Central", "INVOICES", []Column{{Name: "INVOICEID", Type: SQLInteger}, {Name: "AMOUNT", Type: SQLDecimal}}),
+	}})
+	p.InvalidateSourceMetadata(p.App.Name)
+
+	base := p.CompileStats()
+	_, err := p.CompileContext(context.Background(), q, ModeXML)
+	if err == nil || !strings.Contains(err.Error(), "ambiguous across sources TestApp, billing") {
+		t.Fatalf("stale artifact served after INVOICES became ambiguous: err %v, stats %+v -> %+v", err, base, p.CompileStats())
+	}
+	if s := p.CompileStats(); s.Hits != base.Hits || s.SourceRetirements != base.SourceRetirements+1 {
+		t.Fatalf("the artifact must retire, not hit: %+v -> %+v", base, s)
+	}
+	// A source-qualified name depends on its pinned backend alone.
+	if _, err := p.CompileContext(context.Background(), "SELECT INVOICEID FROM billing.INVOICES.INVOICES", ModeXML); err != nil {
+		t.Fatalf("pinned INVOICES: %v", err)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -147,9 +148,10 @@ type Cache struct {
 	// generation counts metadata epochs: it advances when the cache is
 	// invalidated, when a refresh replaces an entry with different
 	// metadata, and when the backend first degrades. Consumers that derive
-	// artifacts from metadata (the compiled-query cache) key on it, so a
-	// catalog change or outage retires every artifact compiled before it.
-	generation uint64
+	// artifacts from metadata (the compiled-query cache) stamp them with
+	// it, so a catalog change or outage retires every artifact compiled
+	// before it. It advances under mu and is read without it.
+	generation atomic.Uint64
 }
 
 type cacheEntry struct {
@@ -215,7 +217,7 @@ func (c *Cache) LookupContext(ctx context.Context, ref TableRef) (*TableMeta, er
 		if old, ok := c.entries[ref]; ok && !entryEquivalent(old, meta, err) {
 			// A refresh changed this table's metadata: queries compiled
 			// against the old answer are stale.
-			c.generation++
+			c.generation.Add(1)
 		}
 		c.entries[ref] = cacheEntry{meta: meta, err: err, fetched: time.Now()}
 		c.degraded = false
@@ -225,7 +227,7 @@ func (c *Cache) LookupContext(ctx context.Context, ref TableRef) (*TableMeta, er
 		// the current metadata epoch too — stale-served answers may no
 		// longer match the backend.
 		if !c.degraded {
-			c.generation++
+			c.generation.Add(1)
 		}
 		c.degraded = true
 	}
@@ -310,14 +312,12 @@ func (c *Cache) Invalidate() {
 	defer c.mu.Unlock()
 	c.entries = make(map[TableRef]cacheEntry)
 	c.degraded = false
-	c.generation++
+	c.generation.Add(1)
 }
 
 // Generation returns the current metadata epoch. It advances on
 // Invalidate, on a refresh that changes an entry, and on the transition
-// into the degraded state; derived-artifact caches key on it.
+// into the degraded state; derived-artifact caches stamp with it.
 func (c *Cache) Generation() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.generation
+	return c.generation.Load()
 }

@@ -2,8 +2,8 @@
 // output into a first-class CompiledQuery artifact (translation + static
 // check + immutable evaluator plan, with the compile-time stage trace
 // attached) and caches those artifacts process-shared, keyed by
-// (normalized query text, result mode, catalog generation, statistics
-// generation).
+// (normalized query text, result mode) and served while their stamps
+// hold.
 //
 // The paper's architecture puts a textual XQuery boundary between the
 // JDBC driver and the DSP server: the driver serializes the generated
@@ -21,10 +21,14 @@
 //   - keying — the query text is normalized by the SQL front end
 //     (sqlparser.Front.Normalize: case-folded keywords and identifiers,
 //     collapsed whitespace and comments), so trivially re-spelled
-//     statements share one artifact; the result mode and the catalog's
-//     metadata generation complete the key, so a catalog invalidation, a
-//     refresh that changes a table, or a degradation event silently
-//     retires every artifact compiled before it;
+//     statements share one artifact; the result mode completes the key;
+//   - staleness — each artifact carries a metadata stamp (Config.Stamp:
+//     the platform sums the generations of the sources its statement
+//     depends on) and the statistics generation its plan was costed
+//     under, and a hit whose stamp has moved — a source invalidated, a
+//     refresh that changed a table, a degradation event, a statistics
+//     refresh — retires the artifact and recompiles it in its place,
+//     while artifacts over other sources stay warm;
 //   - single-flight population — concurrent misses on one key share one
 //     compile;
 //   - size bounds — at most MaxEntries artifacts are retained, evicted in
@@ -64,9 +68,10 @@ type CompiledQuery struct {
 	NormalizedSQL string
 	// Mode is the §4 result-handling mode the query was generated for.
 	Mode translator.ResultMode
-	// Generation is the catalog metadata epoch the artifact was keyed
-	// under (zero when the metadata source does not version itself).
-	Generation uint64
+	// MetaStamp is the metadata stamp (Config.Stamp) read right after the
+	// compile; the artifact is served only while the stamp still reads
+	// the same.
+	MetaStamp uint64
 	// StatsGen is the evaluator's source-statistics epoch the artifact's
 	// plan was costed under; a stats refresh retires the cache entry.
 	StatsGen uint64
@@ -84,13 +89,6 @@ type CompiledQuery struct {
 	// EXPLAIN renders it instead of re-translating. A compile renders no
 	// query text, so the trace has no serialize span.
 	Trace *obsv.Trace
-	// Sources lists the federation backends the statement's table
-	// references resolved against, in first-touch order (nil outside a
-	// federation). SourceGens records the per-source generation each was
-	// at when the artifact was stored; a hit revalidates them so one
-	// backend's invalidation retires only the artifacts that touched it.
-	Sources    []string
-	SourceGens map[string]uint64
 	// CostScore is the plan's admission score (Plan.CostEstimate), computed
 	// once at compile time so cost-aware admission is cache-hot: the server
 	// weighs a statement without touching the plan again.
@@ -186,12 +184,6 @@ func Compile(res *translator.Result, engine *xqeval.Engine, text string, trace *
 	return &CompiledQuery{SQL: text, Mode: res.Mode, Res: res, Columns: cols, Plan: plan, Trace: trace, CostScore: plan.CostEstimate()}, nil
 }
 
-// GenerationSource is the metadata-versioning surface the cache keys on;
-// catalog.Cache implements it.
-type GenerationSource interface {
-	Generation() uint64
-}
-
 // CompileFunc populates one cache miss. It receives the original (not
 // normalized) query text.
 type CompileFunc func(ctx context.Context, sql string) (*CompiledQuery, error)
@@ -202,52 +194,42 @@ type Config struct {
 	// DefaultMaxEntries; negative disables caching entirely — every Get
 	// compiles (the degraded configuration, for memory-starved embedders).
 	MaxEntries int
-	// Generation supplies the catalog metadata epoch for keying; nil pins
-	// generation zero (unversioned metadata).
-	Generation func() uint64
 	// StatsGeneration supplies the evaluator's source-statistics epoch
-	// (xqeval.Engine.StatsGeneration); nil pins it to zero. Keying on it
-	// retires artifacts whose plans were costed against stale statistics:
-	// the next Get recompiles and picks up the fresh numbers.
+	// (xqeval.Engine.StatsGeneration); nil pins it to zero. A hit on an
+	// artifact whose plan was costed under an older epoch retires it: the
+	// Get recompiles and picks up the fresh numbers.
 	StatsGeneration func() uint64
-	// SourceGeneration supplies the per-backend epoch for one named
-	// federation source (the backend's metadata generation, which is
-	// monotonic). When set, cache hits revalidate
-	// every source the artifact touched, so invalidating one backend
-	// retires only the artifacts compiled against it while the rest of
-	// the cache stays warm. Nil disables per-source validation (the
-	// single-source configuration, where the global Generation covers
-	// everything).
-	SourceGeneration func(source string) uint64
+	// Stamp reads an artifact's metadata stamp: a number that moves
+	// whenever metadata the artifact's statement depends on may have
+	// changed (the platform sums the generations of those sources). It is
+	// read once after each compile and again on every hit, which serves
+	// the artifact only while the two agree; so invalidating one source
+	// retires only the artifacts that depend on it. Nil pins every stamp
+	// to zero.
+	Stamp func(*CompiledQuery) uint64
 }
 
 // Stats is a point-in-time snapshot of one cache's counters.
 type Stats struct {
-	Hits          int64
-	Misses        int64
-	Shared        int64
-	Evictions     int64
-	Invalidations int64
-	// SourceRetirements counts entries dropped because one of their
-	// federation sources advanced its generation since the store.
+	Hits      int64
+	Misses    int64
+	Shared    int64
+	Evictions int64
+	// SourceRetirements counts entries dropped because their metadata
+	// stamp moved since the store: a source their statement depends on
+	// advanced its generation.
 	SourceRetirements int64
 	// Size is the current entry count; MaxEntries the configured bound.
 	Size       int
 	MaxEntries int
-	// Generation is the metadata epoch current lookups key under;
-	// StatsGeneration is the statistics epoch.
-	Generation      uint64
+	// StatsGeneration is the statistics epoch a fresh artifact carries.
 	StatsGeneration uint64
 }
 
 // Key identifies one cached artifact.
 type Key struct {
-	SQL        string // normalized form
-	Mode       translator.ResultMode
-	Generation uint64
-	// StatsGen is the source-statistics epoch the artifact's plan was
-	// costed under.
-	StatsGen uint64
+	SQL  string // normalized form
+	Mode translator.ResultMode
 }
 
 // Cache is the shared compiled-query cache. It is safe for concurrent
@@ -260,7 +242,6 @@ type Cache struct {
 	entries map[Key]*list.Element
 	lru     *list.List // front = most recently used; values are *entry
 	flights map[Key]*flight
-	epoch   uint64 // advanced by Invalidate; in-flight compiles from an older epoch are not stored
 	stats   Stats
 }
 
@@ -290,13 +271,6 @@ func New(cfg Config) *Cache {
 	}
 }
 
-func (c *Cache) generation() uint64 {
-	if c.cfg.Generation == nil {
-		return 0
-	}
-	return c.cfg.Generation()
-}
-
 func (c *Cache) statsGeneration() uint64 {
 	if c.cfg.StatsGeneration == nil {
 		return 0
@@ -308,22 +282,24 @@ func (c *Cache) statsGeneration() uint64 {
 // (at most once per key, however many callers race) on a miss. hit
 // reports whether the artifact was reused — from the cache or from
 // another caller's in-flight compile — rather than compiled by this call.
-// SQL that does not lex bypasses the cache so compile surfaces the
-// canonical error.
+// A cached artifact whose metadata stamp has moved is retired and
+// recompiled. SQL that does not lex bypasses the cache so compile
+// surfaces the canonical error.
 func (c *Cache) Get(ctx context.Context, text string, mode translator.ResultMode, compile CompileFunc) (*CompiledQuery, bool, error) {
 	norm, err := sqlparser.Front{}.Normalize(text)
 	if err != nil {
 		cq, cerr := compile(ctx, text)
 		return cq, false, cerr
 	}
-	// The generation reads happen before c.mu so a Generation func that
+	// The generation and stamp reads happen outside c.mu, so a hook that
 	// consults other locks (the platform's metadata stack) never nests
 	// inside the cache's.
-	key := Key{SQL: norm, Mode: mode, Generation: c.generation(), StatsGen: c.statsGeneration()}
+	key := Key{SQL: norm, Mode: mode}
+	sgen := c.statsGeneration()
 	if c.cfg.MaxEntries < 0 {
 		cq, cerr := compile(ctx, text)
 		if cerr == nil {
-			c.stamp(cq, key)
+			c.stamp(cq, norm, sgen)
 		}
 		return cq, false, cerr
 	}
@@ -331,18 +307,10 @@ func (c *Cache) Get(ctx context.Context, text string, mode translator.ResultMode
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
 		cq := el.Value.(*entry).cq
-		if len(cq.SourceGens) == 0 || c.cfg.SourceGeneration == nil {
-			c.lru.MoveToFront(el)
-			c.stats.Hits++
-			c.mu.Unlock()
-			return cq, true, nil
-		}
-		// Per-source validation calls the SourceGeneration func, which may
-		// take platform locks — release c.mu around it, like the key reads.
 		c.mu.Unlock()
-		fresh := c.sourcesFresh(cq)
+		moved := c.metaStamp(cq) != cq.MetaStamp
 		c.mu.Lock()
-		if fresh {
+		if !moved && cq.StatsGen == sgen {
 			if el, ok := c.entries[key]; ok {
 				c.lru.MoveToFront(el)
 			}
@@ -350,13 +318,16 @@ func (c *Cache) Get(ctx context.Context, text string, mode translator.ResultMode
 			c.mu.Unlock()
 			return cq, true, nil
 		}
-		// One of the artifact's backends invalidated: retire this entry
-		// (only this entry — artifacts over other sources stay warm) and
-		// fall through to the miss path.
+		// A source the statement depends on, or the statistics, moved:
+		// retire this entry (only this entry — artifacts over other sources
+		// stay warm) and fall through to the miss path, which stores the
+		// recompiled artifact in its place.
 		if el, ok := c.entries[key]; ok && el.Value.(*entry).cq == cq {
 			c.lru.Remove(el)
 			delete(c.entries, key)
-			c.stats.SourceRetirements++
+			if moved {
+				c.stats.SourceRetirements++
+			}
 		}
 	}
 	if fl, ok := c.flights[key]; ok {
@@ -374,17 +345,16 @@ func (c *Cache) Get(ctx context.Context, text string, mode translator.ResultMode
 	}
 	fl := &flight{done: make(chan struct{})}
 	c.flights[key] = fl
-	epoch := c.epoch
 	c.stats.Misses++
 	c.mu.Unlock()
 
 	cq, err := compile(ctx, text)
 	if err == nil {
-		c.stamp(cq, key)
+		c.stamp(cq, norm, sgen)
 	}
 
 	c.mu.Lock()
-	if err == nil && c.epoch == epoch {
+	if err == nil {
 		c.storeLocked(key, cq)
 	}
 	fl.cq, fl.err = cq, err
@@ -394,45 +364,34 @@ func (c *Cache) Get(ctx context.Context, text string, mode translator.ResultMode
 	return cq, false, err
 }
 
-// stamp records on a fresh artifact the key it was compiled under and,
-// from the translation's resolved source list, each source's current
-// generation: the stamps Fresh checks. The sources are only known after
-// translation, so their gens are read post-compile: an invalidation
-// racing the compile can stamp a generation the compile's lookups mostly
-// preceded — the same narrow window the global key accepts between its
-// pre-compile read and the store, and closed the same way (the next
-// invalidation advances the gen again and retires the entry). Called
-// outside c.mu (the SourceGeneration func may take platform locks).
-func (c *Cache) stamp(cq *CompiledQuery, key Key) {
-	cq.NormalizedSQL, cq.Generation, cq.StatsGen = key.SQL, key.Generation, key.StatsGen
-	if c.cfg.SourceGeneration == nil || cq.Res == nil || len(cq.Res.Sources) == 0 {
-		return
+// metaStamp reads cq's current metadata stamp through Config.Stamp.
+// Called outside c.mu (the hook may take platform locks).
+func (c *Cache) metaStamp(cq *CompiledQuery) uint64 {
+	if c.cfg.Stamp == nil {
+		return 0
 	}
-	cq.Sources = cq.Res.Sources
-	cq.SourceGens = make(map[string]uint64, len(cq.Sources))
-	for _, s := range cq.Sources {
-		cq.SourceGens[s] = c.cfg.SourceGeneration(s)
-	}
+	return c.cfg.Stamp(cq)
 }
 
-// sourcesFresh reports whether every backend the artifact touched is
-// still at the generation it was stored under. Called outside c.mu.
-func (c *Cache) sourcesFresh(cq *CompiledQuery) bool {
-	for s, gen := range cq.SourceGens {
-		if c.cfg.SourceGeneration(s) != gen {
-			return false
-		}
-	}
-	return true
+// stamp records on a fresh artifact its normalized text, the statistics
+// generation read before its compile and its metadata stamp: the stamps
+// Fresh checks. The sources a statement depends on are only known after
+// translation, so the metadata stamp is read post-compile: an
+// invalidation racing the compile can be stamped although the compile's
+// lookups mostly preceded it, a narrow window the next invalidation
+// closes (it moves the stamp again and retires the entry). Called
+// outside c.mu.
+func (c *Cache) stamp(cq *CompiledQuery, norm string, sgen uint64) {
+	cq.NormalizedSQL, cq.StatsGen = norm, sgen
+	cq.MetaStamp = c.metaStamp(cq)
 }
 
-// Fresh reports whether cq was compiled under the current metadata and
-// statistics generations, with every federation source it touched still at
-// its stamped generation: how a prepared statement checks its artifact
-// instead of resolving its text again. Called outside c.mu.
+// Fresh reports whether cq was compiled under the current statistics
+// generation with its metadata stamp unmoved: how a prepared statement
+// checks its artifact instead of resolving its text again. Called outside
+// c.mu.
 func (c *Cache) Fresh(cq *CompiledQuery) bool {
-	return cq.Generation == c.generation() && cq.StatsGen == c.statsGeneration() &&
-		(c.cfg.SourceGeneration == nil || c.sourcesFresh(cq))
+	return cq.StatsGen == c.statsGeneration() && cq.MetaStamp == c.metaStamp(cq)
 }
 
 // storeLocked inserts (or refreshes) an artifact and evicts beyond the
@@ -452,28 +411,14 @@ func (c *Cache) storeLocked(key Key, cq *CompiledQuery) {
 	}
 }
 
-// Invalidate drops every cached artifact (a data service redeployment,
-// resilience-layer rebuild, or explicit flush). In-flight compiles that
-// started before the flush complete but are not stored.
-func (c *Cache) Invalidate() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.entries = make(map[Key]*list.Element)
-	c.lru = list.New()
-	c.epoch++
-	c.stats.Invalidations++
-}
-
 // Stats snapshots the cache's counters.
 func (c *Cache) Stats() Stats {
-	gen := c.generation()
 	sgen := c.statsGeneration()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := c.stats
 	s.Size = c.lru.Len()
 	s.MaxEntries = c.cfg.MaxEntries
-	s.Generation = gen
 	s.StatsGeneration = sgen
 	return s
 }

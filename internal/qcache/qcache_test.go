@@ -200,28 +200,12 @@ func TestUnlexableSQLBypassesCache(t *testing.T) {
 	}
 }
 
-func TestInvalidateFlushesAndRecompiles(t *testing.T) {
-	c := New(Config{})
-	calls := 0
-	get := func() {
-		if _, _, err := c.Get(context.Background(), "SELECT A FROM T", translator.ModeText, fakeCompile(&calls)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	get()
-	c.Invalidate()
-	if s := c.Stats(); s.Size != 0 || s.Invalidations != 1 {
-		t.Fatalf("stats = %+v", s)
-	}
-	get()
-	if calls != 2 {
-		t.Fatalf("compile ran %d times, want 2 (flush must recompile)", calls)
-	}
-}
-
+// TestGenerationRetiresArtifacts: an artifact is served while its
+// metadata stamp holds; once a source generation moves the stamp, the
+// next hit retires it and recompiles.
 func TestGenerationRetiresArtifacts(t *testing.T) {
 	var gen uint64
-	c := New(Config{Generation: func() uint64 { return gen }})
+	c := New(Config{Stamp: func(*CompiledQuery) uint64 { return gen }})
 	calls := 0
 	get := func() {
 		if _, _, err := c.Get(context.Background(), "SELECT A FROM T", translator.ModeText, fakeCompile(&calls)); err != nil {
@@ -238,40 +222,8 @@ func TestGenerationRetiresArtifacts(t *testing.T) {
 	if calls != 2 {
 		t.Fatalf("generation bump did not retire the artifact (%d compiles)", calls)
 	}
-	if s := c.Stats(); s.Generation != gen {
-		t.Fatalf("stats generation = %d, want %d", s.Generation, gen)
-	}
-}
-
-func TestInvalidateDuringFlightDropsArtifact(t *testing.T) {
-	c := New(Config{})
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	finished := make(chan struct{})
-	go func() {
-		defer close(finished)
-		_, _, err := c.Get(context.Background(), "SELECT A FROM T", translator.ModeText,
-			func(ctx context.Context, sql string) (*CompiledQuery, error) {
-				close(entered)
-				<-release
-				return &CompiledQuery{SQL: sql}, nil
-			})
-		if err != nil {
-			t.Error(err)
-		}
-	}()
-	<-entered
-	c.Invalidate() // flush while the compile is still in flight
-	close(release)
-	<-finished
-
-	// The in-flight artifact must not land in the post-flush cache.
-	calls := 0
-	if _, _, err := c.Get(context.Background(), "SELECT A FROM T", translator.ModeText, fakeCompile(&calls)); err != nil {
-		t.Fatal(err)
-	}
-	if calls != 1 {
-		t.Fatal("stale in-flight artifact survived Invalidate")
+	if s := c.Stats(); s.SourceRetirements != 1 || s.Misses != 2 || s.Hits != 1 {
+		t.Fatalf("stats = %+v, want 1 retirement, 2 misses, 1 hit", s)
 	}
 }
 
@@ -279,7 +231,6 @@ func TestCompileBuildsFullArtifact(t *testing.T) {
 	app, _, engine := demo.Setup(demo.Sizes{Customers: 4, PaymentsPerCustomer: 1, Orders: 2, ItemsPerOrder: 1})
 	tr := translator.New(catalog.NewCache(app))
 	tr.Options.Mode = translator.ModeText
-	tr.Options.DefaultCatalog = app.Name
 
 	const sql = "SELECT CUSTOMERNAME FROM CUSTOMERS WHERE CUSTOMERID = ?"
 	trace := obsv.NewTrace("")

@@ -98,12 +98,13 @@ func TestEvictionChurn(t *testing.T) {
 	}
 }
 
-// TestInvalidationDuringChurn interleaves Invalidate with concurrent
-// lookups: no artifact compiled against a pre-flush epoch may be served
-// after the flush settles, and the cache must stay internally consistent.
+// TestInvalidationDuringChurn interleaves metadata stamp moves with
+// concurrent lookups: once the moves settle, no artifact stamped under an
+// older generation may be served, and the cache must stay internally
+// consistent.
 func TestInvalidationDuringChurn(t *testing.T) {
 	var gen atomic.Uint64
-	c := New(Config{Generation: gen.Load})
+	c := New(Config{Stamp: func(*CompiledQuery) uint64 { return gen.Load() }})
 	compile := func(ctx context.Context, sql string) (*CompiledQuery, error) {
 		return &CompiledQuery{SQL: sql}, nil
 	}
@@ -133,22 +134,26 @@ func TestInvalidationDuringChurn(t *testing.T) {
 			}
 		}(g)
 	}
-	// The invalidator plays the catalog refresher: bump the generation and
-	// flush, repeatedly, mid-churn.
+	// The invalidator plays the catalog refresher: advance a source
+	// generation, repeatedly, mid-churn.
 	for i := 0; i < 50; i++ {
 		gen.Add(1)
-		c.Invalidate()
 		time.Sleep(200 * time.Microsecond)
 	}
 	close(stop)
 	wg.Wait()
 
-	s := c.Stats()
-	if s.Invalidations != 50 {
-		t.Fatalf("invalidations = %d", s.Invalidations)
+	for i := 0; i < 8; i++ {
+		cq, _, err := c.Get(context.Background(), fmt.Sprintf("SELECT C%d FROM T", i), translator.ModeText, compile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cq.MetaStamp != gen.Load() {
+			t.Fatalf("after the moves settled: stamp %d served at generation %d", cq.MetaStamp, gen.Load())
+		}
 	}
-	if s.Generation != gen.Load() {
-		t.Fatalf("generation = %d, want %d", s.Generation, gen.Load())
+	if s := c.Stats(); s.SourceRetirements == 0 || s.Size > 8 {
+		t.Fatalf("stats = %+v: stamp moves retired nothing, or retired entries stayed", s)
 	}
 }
 

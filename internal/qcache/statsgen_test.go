@@ -44,17 +44,16 @@ func TestStatsGenerationRetiresArtifacts(t *testing.T) {
 }
 
 // TestFreshFollowsStamps: an artifact stays fresh exactly while the
-// metadata, statistics and source generations it was stamped under hold,
+// metadata stamp and the statistics generation it was stamped under hold,
 // also from a disabled cache, which stores nothing but stamps alike.
 func TestFreshFollowsStamps(t *testing.T) {
-	var gens [3]uint64 // metadata, statistics, the one source
-	names := [3]string{"metadata", "statistics", "source"}
+	var gens [2]uint64 // metadata stamp, statistics
+	names := [2]string{"metadata", "statistics"}
 	for _, maxEntries := range []int{0, -1} {
 		c := New(Config{
-			MaxEntries:       maxEntries,
-			Generation:       func() uint64 { return gens[0] },
-			StatsGeneration:  func() uint64 { return gens[1] },
-			SourceGeneration: func(string) uint64 { return gens[2] },
+			MaxEntries:      maxEntries,
+			Stamp:           func(*CompiledQuery) uint64 { return gens[0] },
+			StatsGeneration: func() uint64 { return gens[1] },
 		})
 		compile := func(ctx context.Context, sql string) (*CompiledQuery, error) {
 			return &CompiledQuery{SQL: sql, Res: &translator.Result{Sources: []string{"billing"}}}, nil
@@ -69,5 +68,36 @@ func TestFreshFollowsStamps(t *testing.T) {
 				t.Fatalf("MaxEntries %d: artifact still fresh after the %s generation moved", maxEntries, names[i])
 			}
 		}
+	}
+}
+
+// TestRetiredArtifactReplacedInPlace: a stale artifact — its metadata
+// stamp or its statistics generation moved — is retired on its next hit
+// and the recompiled one takes its entry, so no unreachable artifact is
+// left holding a slot until eviction. Only a metadata move counts as a
+// source retirement.
+func TestRetiredArtifactReplacedInPlace(t *testing.T) {
+	var stamp, sgen uint64
+	c := New(Config{
+		Stamp:           func(*CompiledQuery) uint64 { return stamp },
+		StatsGeneration: func() uint64 { return sgen },
+	})
+	calls := 0
+	get := func() {
+		t.Helper()
+		if _, _, err := c.Get(context.Background(), "SELECT A FROM T", translator.ModeText, fakeCompile(&calls)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	get()
+	sgen++
+	get()
+	if s := c.Stats(); calls != 2 || s.Size != 1 || s.SourceRetirements != 0 {
+		t.Fatalf("after a statistics move: %d compiles, stats %+v", calls, s)
+	}
+	stamp++
+	get()
+	if s := c.Stats(); calls != 3 || s.Size != 1 || s.SourceRetirements != 1 {
+		t.Fatalf("after a metadata move: %d compiles, stats %+v", calls, s)
 	}
 }

@@ -29,8 +29,10 @@ type generator struct {
 
 	// sources records the federation backends table lookups resolved
 	// against, in first-touch order without duplicates (empty when the
-	// metadata source does not name sources).
-	sources []string
+	// metadata source does not name sources); unpinned is set once a
+	// table name resolved without a qualifier pinning it to its source.
+	sources  []string
+	unpinned bool
 
 	// stat counts stage-two work for the restructure trace span.
 	stat genStats
@@ -212,12 +214,16 @@ func (g *generator) lookupTable(t *qfront.TableName) (*catalog.TableMeta, error)
 		return nil, semErr(t.Pos, "%s is a parameterized data service function; call it as a stored procedure, not a table", t.Name)
 	}
 	g.noteSource(meta.Source)
+	if t.Catalog == "" || !strings.EqualFold(t.Catalog, meta.Source) {
+		g.unpinned = true
+	}
 	return meta, nil
 }
 
-// noteSource records which federation backend a lookup resolved against
-// (first-touch order, deduplicated). Single-backend sources leave
-// TableMeta.Source empty and record nothing.
+// noteSource records which backend a lookup resolved against (first-touch
+// order, deduplicated): the TableMeta's Source, which every Application
+// answer sets to the application's name and a federation to the
+// registered backend's. A source that names none records nothing.
 func (g *generator) noteSource(source string) {
 	if source == "" {
 		return

@@ -59,9 +59,6 @@ const (
 // Options configures a translation.
 type Options struct {
 	Mode ResultMode
-	// DefaultCatalog is the application name unqualified tables belong
-	// to; used only for validating fully qualified names.
-	DefaultCatalog string
 }
 
 // ResultColumn describes one column of the translated query's result, in
@@ -103,8 +100,13 @@ type Result struct {
 	// Sources lists the federation backends the statement's base tables
 	// and procedures resolved against, in first-touch order with
 	// duplicates removed (nil when the metadata source does not name
-	// sources — the single-backend configuration).
+	// sources).
 	Sources []string
+	// Unpinned reports that some base table was named without a catalog
+	// qualifier naming the source that answered it. Resolving such a name
+	// read every backend's answer, negative ones included, so the
+	// statement depends on all of them, not only on Sources.
+	Unpinned bool
 }
 
 // XQuery renders the generated query as text, anew on every call: a
@@ -208,6 +210,7 @@ func (t *Translator) translateStmt(ctx context.Context, stmt *qfront.SelectStmt,
 		Contexts:   contexts,
 		Mode:       t.Options.Mode,
 		Sources:    g.sources,
+		Unpinned:   g.unpinned,
 	}
 	sp.Add("columns", int64(len(resultCols)))
 	sp.Add("imports", int64(len(q.Prolog.SchemaImports)))

@@ -527,7 +527,8 @@ func (e *Engine) CallContext(ctx context.Context, namespace, local string, args 
 // may be executed concurrently any number of times with EvalStream.
 // Plans built here consult the engine's source statistics (stats.go) for
 // cost annotations and hash-key selection; recompile after a stats refresh
-// (the compile cache keys on StatsGeneration) to pick up new numbers.
+// (the compile cache stamps artifacts with StatsGeneration) to pick up new
+// numbers.
 func (e *Engine) CompileAST(q *xquery.Query, external []string) (*Plan, error) {
 	if err := e.Check(q, external); err != nil {
 		return nil, err

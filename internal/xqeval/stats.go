@@ -19,10 +19,10 @@ import (
 // accumulate silently: plans compiled afterwards see them, already-cached
 // plans keep running (they are still correct, just costed blind) and the
 // compile cache stays stable under steady load. Invalidation drops every
-// statistic and advances a generation counter the compile cache keys
-// artifacts under, so it retires every plan costed against the old
-// numbers, exactly as a catalog change retires artifacts keyed under the
-// metadata generation.
+// statistic and advances a generation counter the compile cache stamps
+// artifacts with, so it retires every plan costed against the old
+// numbers, as a catalog change retires the artifacts whose metadata
+// stamp it moves.
 
 // statsSampleRows bounds the per-observation sampling work: distinct-key
 // and row-width estimates are computed from at most this many rows and
@@ -77,8 +77,8 @@ func (e *Engine) SourceStats(namespace, local string) (*SourceStats, bool) {
 
 // StatsGeneration is the statistics epoch: it advances on
 // InvalidateSourceStats — never on lazy observation, which would churn
-// the compile cache on every first scan. The compile cache keys artifacts
-// under it so an invalidation retires stale plans.
+// the compile cache on every first scan. The compile cache stamps
+// artifacts with it so an invalidation retires stale plans.
 func (e *Engine) StatsGeneration() uint64 {
 	return e.srcStats.gen.Load()
 }

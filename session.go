@@ -23,7 +23,7 @@ func (p *Platform) Prepare(ctx context.Context, text string, mode ResultMode) (s
 
 // prepared is a statement the platform compiled. It resolves no text
 // while its artifact stands: an execution checks the artifact's stamps
-// (metadata, statistics and source generations) and the identity of the
+// (statistics generation and metadata stamp) and the identity of the
 // cache that issued it, since a rebuilt metadata stack gets a new cache,
 // and recompiles only when one has moved on.
 type prepared struct {

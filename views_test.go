@@ -248,6 +248,13 @@ func TestCreateViewThroughDriver(t *testing.T) {
 func TestDefineViewInvalidatesCompiledQueries(t *testing.T) {
 	p := Demo()
 	sql := "SELECT BIG FROM BIGSPENDERS"
+	// A statement over the App cached before the view exists must be
+	// retired by the definition: it depends on the App's metadata.
+	const payments = "SELECT PAYMENT FROM PAYMENTS WHERE PAYMENT > 100"
+	before, err := p.CompileContext(context.Background(), payments, ModeText)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Compiling before the view exists fails — and that failure must not
 	// pin the name: defining the view retires everything compiled against
 	// the old catalog, so the verbatim statement then succeeds.
@@ -269,8 +276,19 @@ func TestDefineViewInvalidatesCompiledQueries(t *testing.T) {
 	if _, err := p.Query(sql); err != nil {
 		t.Fatal(err)
 	}
-	if cs := p.CompileStats(); cs.Hits < 1 || cs.Invalidations < 1 {
+	if cs := p.CompileStats(); cs.Hits < 1 {
 		t.Fatalf("compile stats = %+v", cs)
+	}
+	if p.queryCache().Fresh(before) {
+		t.Fatal("an artifact over PAYMENTS compiled before the view is still fresh")
+	}
+	base := p.CompileStats()
+	after, err := p.CompileContext(context.Background(), payments, ModeText)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cs := p.CompileStats(); after == before || cs.Misses != base.Misses+1 || cs.Hits != base.Hits {
+		t.Fatalf("the PAYMENTS statement was served, not recompiled: %+v -> %+v", base, cs)
 	}
 }
 
