@@ -12,13 +12,17 @@ ci: vet build bench-vet race stress chaos soak federate-smoke serve-smoke bench-
 # oracle, and production evaluates planned, through EvalStream. And for
 # the metadata stack: a platform builds one, a catalog.Federation (a
 # single-source platform is a federation of one), so no non-test file
-# outside internal/catalog names catalog.NewCache.
+# outside internal/catalog names catalog.NewCache. And for goroutines in
+# the evaluator: a cursor's pulls run the evaluation on the reader's
+# goroutine, so only the morsel workers (parallel.go) and the shard
+# scatter (partition.go) may hold a go statement in internal/xqeval.
 vet:
 	$(GO) vet ./...
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 	@seam=$$(grep -rlw --include='*.go' --exclude='*_test.go' ForceFanOutForTest . | grep -vx './internal/xqeval/parallel.go'); if [ -n "$$seam" ]; then echo "ForceFanOutForTest named outside tests:"; echo "$$seam"; exit 1; fi
 	@naive=$$(grep -rlw --include='*.go' --exclude='*_test.go' -e EvalNaive -e EvalStreamNaive . | grep -vx -e './internal/xqeval/engine.go' -e './internal/xqeval/stream.go'); if [ -n "$$naive" ]; then echo "naive evaluator named outside tests:"; echo "$$naive"; exit 1; fi
 	@cache=$$(grep -rl --include='*.go' --exclude='*_test.go' 'catalog\.NewCache' . | grep -v '^\./internal/catalog/'); if [ -n "$$cache" ]; then echo "catalog.NewCache named outside internal/catalog:"; echo "$$cache"; exit 1; fi
+	@spawn=$$(grep -rlE --include='*.go' --exclude='*_test.go' '^[[:space:]]*go[[:space:]]' ./internal/xqeval | grep -vx -e './internal/xqeval/parallel.go' -e './internal/xqeval/partition.go'); if [ -n "$$spawn" ]; then echo "go statement in internal/xqeval outside the morsel workers and the shard scatter:"; echo "$$spawn"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -38,12 +42,13 @@ race:
 
 # Executor stress: the morsel executor's limit, error, FETCH FIRST, barrier and
 # cancellation nets plus the fused and correlated paths, repeated under
-# the race detector — where a worker trips, which morsels the merge point
-# re-runs and which goroutine encodes a set operation's text rows depend
-# on scheduling, so one pass proves little — the
+# the race detector — where a worker trips and which morsels the merge
+# point re-runs depend on scheduling, so one pass proves little — the
 # cursor's batch nets (FETCH FIRST at every batch boundary, serial and
 # merged from morsels; batch sizes; the in-flight bound under a slow
-# reader; rows counted when a close stops inside a batch), and the
+# reader; rows counted when a close stops inside a batch), its mechanics
+# nets, naive and planned (a close or a cancellation mid-stream, Next
+# racing Close, FETCH FIRST's short circuit), and the
 # column and record kernels' differentials against the generic path and
 # naive, the flat records' net (records built by morsel workers are read
 # on the merging goroutine), and the rebound tuple cells' aliasing net
@@ -63,11 +68,11 @@ race:
 # every rendering is made anew by its reader. Then the prepared handle's
 # swap: one statement executed from several goroutines, in process and
 # served, while another session's CREATE VIEW retires its artifact. Last,
-# the overload contract:
-# whether its 2x phase sheds at all depends on scheduling, so it too runs
-# 20 times under the race detector.
+# the overload contract, 20 times under the race detector: its reports
+# hold their admission slots for a fixed time, so its 2x phase sheds by
+# construction.
 stress:
-	$(GO) test -race -count=20 -run 'TestParallel|TestBarrierAfterFanOut|TestFusedLimitParity|TestFusedMatchesNaive|TestFusedBatchesDouble|TestInFlightBound|TestCorrelated|TestColumnKernels|TestRecordKernel|TestFlatRecordsMatchNaive|TestHashJoinNegativeZero|TestTransientCells|TestKeptConcurrentFirstEvaluations|TestKeptValueReregisteredMidRun' ./internal/xqeval/
+	$(GO) test -race -count=20 -run 'TestParallel|TestBarrierAfterFanOut|TestFusedLimitParity|TestFusedMatchesNaive|TestFusedBatchesDouble|TestInFlightBound|TestCorrelated|TestColumnKernels|TestRecordKernel|TestFlatRecordsMatchNaive|TestHashJoinNegativeZero|TestTransientCells|TestKeptConcurrentFirstEvaluations|TestKeptValueReregisteredMidRun|TestCursor|TestStreamLimitShortCircuit' ./internal/xqeval/
 	$(GO) test -race -count=20 -run 'TestRowsCountedOnce|TestEveryEntryCountedOnce' .
 	$(GO) test -race -count=10 -run 'TestConcurrent|TestStreaming|TestRows' ./internal/driver/
 	$(GO) test -race -count=10 -run 'TestConcurrentRenderOfCachedStatement$$' .

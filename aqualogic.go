@@ -522,8 +522,8 @@ func (p *Platform) Translate(sql string, mode ResultMode) (*Translation, error) 
 // Query translates and executes a SELECT end to end, binding the given
 // parameter values to `?` markers. It uses the §4 text-mode path, the
 // driver's default. The returned Rows is a thin view over a pull cursor:
-// rows decode one Next at a time while the query is still running, and
-// Close cancels any remaining evaluation. Call rows.Materialize() — or any
+// each Next evaluates and decodes the next row, and Close ends the
+// evaluation where it stands. Call rows.Materialize() — or any
 // scroll operation (Len, Reset), which materializes implicitly — for a
 // scrollable result; check rows.Err() after iterating, since errors can
 // strike mid-stream.
@@ -533,7 +533,8 @@ func (p *Platform) Query(sql string, args ...any) (*Rows, error) {
 
 // QueryStreamMode is the full streaming entry point: compile (cached), bind
 // parameters, start the evaluation, and return a Rows over the row cursor.
-// The evaluation runs concurrently with consumption — ORDER BY and GROUP BY
+// The evaluation runs as the rows are read, on the reading goroutine: each
+// rows.Next evaluates only what it hands out — ORDER BY and GROUP BY
 // segments are the only materialization barriers — so the first row is
 // available long before the last one is computed, and FETCH FIRST n stops
 // the evaluation after n rows. Errors that precede the first row (unknown

@@ -12,6 +12,7 @@ package aqualogic
 //	    BenchmarkEngine         — the substrate's own evaluation cost
 //	    BenchmarkCompileMiss    — the compile-cache miss path, in process
 //	P11 BenchmarkParallelScan   — morsel-parallel execution through the facade
+//	    BenchmarkSerialQuery    — a point lookup and a view query, read to the end
 
 import (
 	"context"
@@ -518,6 +519,45 @@ func BenchmarkRepeatedReport(b *testing.B) {
 					b.Fatal(err)
 				}
 				if err := rows.Materialize(); err != nil {
+					b.Fatal(err)
+				}
+				rows.Close()
+			}
+		})
+	}
+}
+
+// BenchmarkSerialQuery times two prepared Demo() statements whose cost is
+// mostly per-execution overhead rather than rows: a point lookup, and a
+// query over a five-row view (the view's own execution runs inside the
+// outer one's data service call). Each is read to its end in text mode.
+func BenchmarkSerialQuery(b *testing.B) {
+	ctx := context.Background()
+	p := Demo()
+	if err := p.DefineView("Logical", "FIRST_FIVE", "SELECT CUSTOMERID, CITY FROM CUSTOMERS WHERE CUSTOMERID < 1005"); err != nil {
+		b.Fatal(err)
+	}
+	for _, st := range []struct {
+		name, sql string
+		args      []any
+	}{
+		{"point", "SELECT CITY FROM CUSTOMERS WHERE CUSTOMERID = ?", []any{1007}},
+		{"view", "SELECT CUSTOMERID, CITY FROM FIRST_FIVE", nil},
+	} {
+		b.Run(st.name, func(b *testing.B) {
+			ps, err := p.Prepare(ctx, st.sql, ModeText)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rows, err := ps.Execute(ctx, st.args...)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for rows.Next() {
+				}
+				if err := rows.Err(); err != nil {
 					b.Fatal(err)
 				}
 				rows.Close()

@@ -301,7 +301,8 @@ func (m *engineMetrics) evaluated(c *evalCounters) {
 }
 
 // evalCounters accumulates one evaluation's work. A single evaluation
-// runs on one goroutine, so plain increments suffice; totals fold into
+// runs on one goroutine at a time — its reader's, under the cursor's
+// lock — so plain increments suffice; totals fold into
 // the engine's counters atomically when the evaluation completes. A
 // morsel worker (parallel.go) owns its own set, marked worker: its
 // rows/tuples restart at zero per morsel, so a limit trip there only ends
@@ -318,8 +319,9 @@ type evalCounters struct {
 // tuple cell is created per for/let per tuple — no map), chained to its
 // parent, and the context item (nil when undefined). A cell never changes
 // once bound — `return $x` hands out a slice of its inline item — except
-// in a transient final segment (plan_exec.go's cells), whose sink is done
-// with a tuple before the next is bound: there each op rebinds one cell.
+// in a transient final segment (plan_exec.go's iter), whose consumer is
+// done with a tuple before the next is pulled: there each op rebinds one
+// cell.
 // What the evaluation shares is in st.
 type scope struct {
 	parent *scope

@@ -47,18 +47,12 @@ func evalFuncCall(e *xquery.FuncCall, env *scope) (xdm.Sequence, error) {
 
 	// FETCH FIRST's fn:subsequence(rows, 1, n) spelling short-circuits in
 	// every evaluation mode — planned and naive alike — so the limit stops
-	// the producing pipeline instead of truncating a finished sequence.
+	// pulling its operand instead of truncating a finished sequence.
 	// Both differential-oracle sides take this path, keeping them aligned.
 	if limit, inner, ok := subsequenceLimit(e); ok {
-		var out xdm.Sequence
-		err := streamLimited(inner, env, limit, func(it xdm.Item) error {
-			out = append(out, it)
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		return out, nil
+		var ps pools
+		defer ps.join()
+		return drain(limited(rowsOf(inner, env, &ps), limit))
 	}
 
 	if env.st.plan != nil && e.Name == "fn:data" && len(e.Args) == 1 {

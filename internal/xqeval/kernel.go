@@ -109,8 +109,8 @@ func columnFilterOf(op *planOp) *filterKernel {
 // charged, when a column read's variable is not bound to one row: the
 // caller then takes the generic path. compare reads the rows again rather
 // than take them from this frame, which the hoisted operand's first
-// evaluation runs below: a few bytes more here cost a point lookup's
-// evaluation goroutine a second stack growth.
+// evaluation runs below: a small frame here spares the reading goroutine
+// a stack growth.
 func (ex *flworExec) columnFilter(op *planOp, t *scope) (ok, handled bool, err error) {
 	k := op.column
 	for _, c := range k.sides {

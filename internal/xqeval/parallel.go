@@ -18,14 +18,14 @@ import (
 // morsels claimed by a bounded worker pool. Each worker runs the segment's
 // remaining ops (filters, dependent fors/lets, hash-join probes against the
 // shared read-only build tables) over its morsel, buffering results; the
-// calling goroutine merges buffers strictly in morsel order, so the emitted
-// stream is byte-identical to the serial path's and ORDER BY barriers see
-// tuples in the exact serial sequence (the ordered-merge requirement comes
-// for free). A window of in-flight morsels (2× workers) bounds speculation
-// ahead of the merge point, which is what keeps FETCH FIRST short-circuits
-// cheap: when the limiter's stop sentinel comes back through emit, at most
-// window × morsel-size items were processed beyond the limit, and the
-// shared context cancels every worker promptly.
+// reading goroutine merges buffers strictly in morsel order, one pull at a
+// time, so the stream is byte-identical to the serial path's and ORDER BY
+// barriers see tuples in the exact serial sequence (the ordered-merge
+// requirement comes for free). A window of in-flight morsels (2× workers)
+// bounds speculation ahead of the merge point, which is what keeps FETCH
+// FIRST short-circuits cheap: when the countdown stops pulling, at most
+// window × morsel-size items were processed beyond the limit, and the end
+// of the evaluation cancels and joins every worker.
 //
 // Resource limits are enforced once, at the merge point, which keeps the
 // serial counters: exactly what serial execution would have charged for
@@ -150,26 +150,44 @@ type morselCharge struct {
 	end          int
 }
 
-// runParallel fans ops[0]'s materialized source out to morsel workers.
-// With final=true each surviving tuple's return value is buffered and the
-// merger forwards buffers to emit in morsel order; otherwise the surviving
-// scopes are collected and returned (the caller's barrier input), re-homed
-// on the caller's state since execution is single-threaded again from
-// there.
-func (ex *flworExec) runParallel(ops []planOp, base *scope, final bool, emit func(xdm.Sequence) error) ([]*scope, error) {
-	op := &ops[0]
-	seq := ex.states[op.stateIdx].seq
+// merge is one fan-out of a segment's outer scan to morsel workers, seen
+// from its merge point: the caller pulls the merged rows strictly in morsel
+// order — next returns the index in r of the next one — so the stream is
+// exactly the serial one; a barrier segment collects its tuples. Each pull
+// waits only for the morsel it needs, the workers running ahead within the
+// window meanwhile. join tears the pool down, once.
+type merge struct {
+	r       *morselResult // the morsel being handed out
+	i       int           // rows of r handed out
+	tups    []*scope      // the tuples of the morsels merged
+	next    func() (int, error)
+	collect func() ([]*scope, error)
+	join    func()
+}
+
+// fanOut starts ops[0]'s materialized source on morsel workers. With
+// final=true each surviving tuple's return value (a row program's text
+// row) is buffered for next; otherwise the surviving scopes are buffered
+// for collect, which re-homes them on the caller's state: execution is
+// single-threaded past the fan-in (cells bound off a head take its state
+// pointer, and no cell reads its parent's). The workers run on a copy of
+// the execution's shared state, so a materializing caller's own stays on
+// its stack.
+func (ex *flworExec) fanOut(ops []planOp, base *scope, final bool) *merge {
+	wex := &flworExec{fp: ex.fp, states: ex.states, prog: ex.prog}
+	seq := ex.states[ops[0].stateIdx].seq
 	st := base.st
 	f, _ := fanOutFor(st.engine, len(seq))
 	num := (len(seq) + f.morselSize - 1) / f.morselSize
 	workers := min(f.workers, num)
 	window := min(workers*2, num)
-
-	parentCtx := st.goCtx
-	if parentCtx == nil {
-		parentCtx = context.Background()
-	}
+	parentCtx := cmp.Or(st.goCtx, context.Background())
 	workCtx, cancel := context.WithCancel(parentCtx)
+	morsel := func(m int, ws *scope, drift []morselCharge) *morselResult {
+		r := &morselResult{}
+		wex.runMorsel(ops, ws, seq, m*f.morselSize, min((m+1)*f.morselSize, len(seq)), final, r, drift)
+		return r
+	}
 
 	results := make([]*morselResult, num)
 	done := make([]chan struct{}, num)
@@ -177,7 +195,7 @@ func (ex *flworExec) runParallel(ops []planOp, base *scope, final bool, emit fun
 		done[i] = make(chan struct{})
 	}
 	// tokens is the speculation window: a worker takes one to claim a
-	// morsel, the merger returns it when that morsel is flushed. Claims are
+	// morsel, the merger returns it when that morsel is merged. Claims are
 	// strictly ascending, so the set of claimed morsels is always a prefix
 	// of [0, num).
 	tokens := make(chan struct{}, window)
@@ -185,7 +203,6 @@ func (ex *flworExec) runParallel(ops []planOp, base *scope, final bool, emit fun
 		tokens <- struct{}{}
 	}
 	var claim, completed, workerSteps, workerPruned atomic.Int64
-
 	st.engine.m.workers.Add(int64(workers))
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -209,8 +226,7 @@ func (ex *flworExec) runParallel(ops []planOp, base *scope, final bool, emit fun
 					return
 				}
 				wc.rows, wc.tuples = 0, 0
-				r := &morselResult{}
-				ex.runMorsel(ops, ws, seq, m*f.morselSize, min((m+1)*f.morselSize, len(seq)), final, r, nil)
+				r := morsel(m, ws, nil)
 				results[m] = r
 				close(done[m])
 				completed.Add(1)
@@ -226,19 +242,15 @@ func (ex *flworExec) runParallel(ops []planOp, base *scope, final bool, emit fun
 		}()
 	}
 
-	// serRows/serTuples are the serial counters: exactly what the serial
-	// path would have charged for everything merged so far. They advance
-	// only at the merge point, so charges by morsels that are discarded
-	// (past a FETCH FIRST stop, beyond an error) are refunded for free, and
-	// they are what the caller's counters hold on every exit path.
+	// counters are the caller's, the serial counters: exactly what the
+	// serial path would have charged for everything merged so far. They
+	// advance only at the merge point, so charges by morsels that are
+	// discarded (past a FETCH FIRST stop, beyond an error) are refunded
+	// for free.
 	counters := st.counters
-	serRows, serTuples := counters.rows, counters.tuples
-	defer func() { counters.rows, counters.tuples = serRows, serTuples }()
-
-	// join tears the pool down and folds the workers' step and prune counts
-	// into the caller's counters.
+	g := &merge{}
 	joined := false
-	join := func() {
+	g.join = func() {
 		if joined {
 			return
 		}
@@ -248,20 +260,6 @@ func (ex *flworExec) runParallel(ops []planOp, base *scope, final bool, emit fun
 		counters.steps += workerSteps.Load()
 		counters.pruned += workerPruned.Load()
 	}
-	defer join()
-
-	// flush hands one morsel's buffered rows in order to emit, or to the
-	// stream's writer as substrings of the morsel's texts, advancing the
-	// serial counters per row so an early stop (the FETCH FIRST limiter's
-	// sentinel coming back, a cursor-side abort) leaves them exactly where
-	// serial execution would have stopped charging, and then past the
-	// whole morsel. emit may charge too — the record source encodes each
-	// row on this goroutine, against the caller's counters — so those hold
-	// the serial count while it runs, and what it adds (drift, per row) is
-	// serial work the later rows are charged on top of. Once that pushes a
-	// row's own charges past a limit, serial execution trips producing it:
-	// the morsel is re-run serially, replaying the drift, to trip there.
-	w := ex.w
 	lim := st.limits
 	over := func(rows, tuples int64) bool {
 		return lim.MaxRows > 0 && rows > lim.MaxRows || lim.MaxTuples > 0 && tuples > lim.MaxTuples
@@ -269,62 +267,38 @@ func (ex *flworExec) runParallel(ops []planOp, base *scope, final bool, emit fun
 	// rerun runs morsel m single-threaded from the serial counts given.
 	rerun := func(m int, rows, tuples int64, drift []morselCharge) *morselResult {
 		rc := &evalCounters{rows: rows, tuples: tuples}
-		r := &morselResult{}
-		ex.runMorsel(ops, base.on(parentCtx, rc), seq, m*f.morselSize, min((m+1)*f.morselSize, len(seq)), final, r, drift)
+		r := morsel(m, base.on(parentCtx, rc), drift)
 		counters.steps += rc.steps
 		counters.pruned += rc.pruned
 		return r
 	}
-	flush := func(r *morselResult, m int, rowBase, tupleBase int64) error {
-		rows0, tuples0 := rowBase, tupleBase
-		var drift []morselCharge
-		replay := func() error {
-			rr := rerun(m, rows0, tuples0, drift)
-			serRows, serTuples = rows0+rr.rowsCharged, tuples0+rr.tuplesCharged
-			return rr.err
-		}
-		for i, at := range r.chargedAt {
-			if drift != nil && over(rowBase+at.rows, tupleBase+at.tuples) {
-				return replay()
-			}
-			counters.rows, counters.tuples = rowBase+at.rows, tupleBase+at.tuples
-			var err error
-			if ex.prog != nil {
-				from := 0
-				if i%batchRows > 0 {
-					from = r.chargedAt[i-1].end
-				} else {
-					err = w.flush() // a batch's rows share one string
-				}
-				if err == nil {
-					err = w.endIn(r.texts[i/batchRows], from, at.end)
-				}
-			} else {
-				err = emit(r.vals[i])
-			}
-			if d := (morselCharge{rows: counters.rows - rowBase - at.rows, tuples: counters.tuples - tupleBase - at.tuples}); drift != nil || d != (morselCharge{}) {
-				drift = append(append(drift, make([]morselCharge, i-len(drift))...), d)
-			}
-			serRows, serTuples = counters.rows, counters.tuples
-			rowBase, tupleBase = serRows-at.rows, serTuples-at.tuples
-			if err != nil {
-				return err
-			}
-		}
-		if drift != nil && over(rowBase+r.rowsCharged, tupleBase+r.tuplesCharged) {
-			return replay()
-		}
-		serRows, serTuples = rowBase+r.rowsCharged, tupleBase+r.tuplesCharged
-		if ex.prog != nil {
-			return w.flush()
-		}
-		return nil
-	}
 
-	// Merge strictly in morsel order — the emitted stream is exactly the
-	// serial one.
-	var collected []*scope
-	for m := 0; m < num; m++ {
+	// The morsel being merged is m. Its charges are added to the serial
+	// counts rowBase/tupleBase, those at its start rows0/tuples0; its last
+	// row handed out is pending until the caller pulls again, and drift
+	// is what the caller charged after each.
+	m := 0
+	var rowBase, tupleBase, rows0, tuples0 int64
+	var drift []morselCharge
+	pending := false
+	// advance makes the next morsel the one being merged; false after the
+	// last, with the pool joined.
+	//
+	// A clean result, or an evaluation error, is exactly what serial
+	// execution produced for the morsel — unless its charges cross a
+	// resource limit at its serial position (every worker-side trip does),
+	// the worker hit a limit, or the pool's cancellation truncated it.
+	// Those are re-run single-threaded against the serial counters:
+	// everything the morsel reads — the source sequence, invariant states,
+	// hash build tables — is immutable, so the re-run is the serial
+	// execution of the morsel, trips at the exact serial row, and is safe
+	// while siblings still speculate. Under external cancellation the
+	// re-run aborts on its first cancel check.
+	advance := func() (bool, error) {
+		if m == num {
+			g.join()
+			return false, nil
+		}
 		if !joined {
 			select {
 			case <-done[m]:
@@ -333,72 +307,142 @@ func (ex *flworExec) runParallel(ops []planOp, base *scope, final bool, emit fun
 				// worker cancelled its siblings after an error. Unclaimed
 				// morsels will never close their done channel, so blocking
 				// on done[m] could hang a cancelled query forever. Settle
-				// the workers instead: after the join every claimed morsel's
-				// result is final, and the merge continues deterministically
-				// over what was actually produced.
-				join()
+				// the workers instead: after the join every claimed
+				// morsel's result is final, and the merge continues
+				// deterministically over what was actually produced.
+				g.join()
 			}
 		}
 		r := results[m]
 		if r == nil {
-			// Only reachable after join. Claims are strictly ascending and a
-			// worker abandons the claim loop only on cancellation, so a nil
-			// slot means the pool observed cancellation before any worker
-			// reached morsel m — and any worker error would sit at a claimed,
-			// hence earlier, slot the merge has already returned at. The
-			// cancellation is therefore external; surface the caller's
-			// context error.
-			if err := parentCtx.Err(); err != nil {
-				return nil, err
-			}
-			return nil, context.Canceled
+			// Only reachable after join. Claims are strictly ascending and
+			// a worker abandons the claim loop only on cancellation, so a
+			// nil slot means the pool observed cancellation before any
+			// worker reached morsel m — and any worker error would sit at
+			// a claimed, hence earlier, slot the merge has already
+			// returned at. The cancellation is therefore external; surface
+			// the caller's context error.
+			return false, cmp.Or(parentCtx.Err(), context.Canceled)
 		}
-
-		// A clean result, or an evaluation error, is exactly what serial
-		// execution produced for this morsel — unless its charges cross a
-		// resource limit at its serial position (every worker-side trip
-		// does), the worker hit a limit, or the pool's cancellation
-		// truncated it. Those are re-run single-threaded against the serial
-		// counters: everything the morsel reads — the source sequence,
-		// invariant states, hash build tables — is immutable, so the re-run
-		// is the serial execution of the morsel, trips at the exact serial
-		// row, and is safe while siblings still speculate. Under external
-		// cancellation the re-run aborts on its first cancel check.
-		rowBase, tupleBase := serRows, serTuples
-		if isContextErr(r.err) || isLimitErr(r.err) || over(serRows+r.rowsCharged, serTuples+r.tuplesCharged) {
-			r = rerun(m, serRows, serTuples, nil)
+		rowBase, tupleBase, drift, g.i = counters.rows, counters.tuples, nil, 0
+		rows0, tuples0 = rowBase, tupleBase
+		if isContextErr(r.err) || isLimitErr(r.err) || over(rowBase+r.rowsCharged, tupleBase+r.tuplesCharged) {
+			r = rerun(m, rowBase, tupleBase, nil)
 		}
-		if final {
-			// A stop here — the FETCH FIRST sentinel included — lands
-			// before any error later in the morsel, as in serial execution.
-			if err := flush(r, m, rowBase, tupleBase); err != nil {
-				return nil, err
-			}
-		} else {
-			collected = append(collected, r.tups...)
-			serRows, serTuples = rowBase+r.rowsCharged, tupleBase+r.tuplesCharged
-		}
+		g.r = r
+		return true, nil
+	}
+	// retire ends the merged morsel, whose charges are in: its error, or
+	// the window's token back.
+	retire := func() error {
+		r := g.r
+		g.r = nil
 		if r.err != nil {
-			return nil, r.err
+			return r.err
 		}
-
+		g.tups = append(g.tups, r.tups...)
 		results[m] = nil
+		m++
 		st.engine.m.morsels.Inc()
-		st.engine.m.backlog.SetMax(completed.Load() - int64(m+1))
+		st.engine.m.backlog.SetMax(completed.Load() - int64(m))
 		if !joined {
 			tokens <- struct{}{}
 		}
+		return nil
 	}
-	join()
-	if !final {
-		// Execution is single-threaded past the fan-in: re-home the
-		// surviving tuples on the caller's state (cells bound off a head
-		// take its state pointer, and no cell reads its parent's).
-		for _, t := range collected {
+	// collect merges a barrier segment's morsels, which hold tuples and
+	// no rows.
+	g.collect = func() ([]*scope, error) {
+		defer g.join()
+		_, err := g.next()
+		for _, t := range g.tups {
 			t.st = st
 		}
+		return g.tups, err
 	}
-	return collected, nil
+	// next advances the serial counters per row so a stop (a FETCH FIRST
+	// countdown, a reader that closes) leaves them exactly where serial
+	// execution would have stopped charging, and then past the whole
+	// morsel. The caller may charge too between pulls — the record source
+	// encodes each row on this goroutine, against the caller's counters —
+	// and what it adds (drift, per row) is serial work the later rows are
+	// charged on top of. Once that pushes a row's own charges past a limit,
+	// serial execution trips producing it: the morsel is re-run serially,
+	// replaying the drift, to trip there.
+	g.next = func() (int, error) {
+		for {
+			if g.r == nil {
+				if ok, err := advance(); !ok {
+					return -1, err
+				}
+			}
+			r := g.r
+			if pending {
+				pending = false
+				at := r.chargedAt[g.i-1]
+				if d := (morselCharge{rows: counters.rows - rowBase - at.rows, tuples: counters.tuples - tupleBase - at.tuples}); drift != nil || d != (morselCharge{}) {
+					drift = append(append(drift, make([]morselCharge, g.i-1-len(drift))...), d)
+				}
+				rowBase, tupleBase = counters.rows-at.rows, counters.tuples-at.tuples
+			}
+			if g.i < len(r.chargedAt) {
+				at := r.chargedAt[g.i]
+				if drift == nil || !over(rowBase+at.rows, tupleBase+at.tuples) {
+					counters.rows, counters.tuples = rowBase+at.rows, tupleBase+at.tuples
+					g.i++
+					pending = true
+					return g.i - 1, nil
+				}
+			} else if drift == nil || !over(rowBase+r.rowsCharged, tupleBase+r.tuplesCharged) {
+				counters.rows, counters.tuples = rowBase+r.rowsCharged, tupleBase+r.tuplesCharged
+				if err := retire(); err != nil {
+					return -1, err
+				}
+				continue
+			}
+			rr := rerun(m, rows0, tuples0, drift)
+			counters.rows, counters.tuples = rows0+rr.rowsCharged, tuples0+rr.tuplesCharged
+			if rr.err != nil {
+				return -1, rr.err
+			}
+			if err := retire(); err != nil {
+				return -1, err
+			}
+		}
+	}
+	return g
+}
+
+// pools are the fan-outs row sources started (rowsOf), which their
+// reader joins once it stops pulling.
+type pools []*merge
+
+func (ps *pools) join() {
+	for _, g := range *ps {
+		g.join()
+	}
+	*ps = nil
+}
+
+// fill writes up to n merged text rows to w as substrings of their
+// morsel's texts. A batch's rows share one string, so it ends where the
+// next row starts another text.
+func (g *merge) fill(w *rowWriter, n int) error {
+	for w.n() < n {
+		if w.n() > 0 && (g.r == nil || g.i%batchRows == 0 || g.i == len(g.r.chargedAt)) {
+			return nil
+		}
+		i, err := g.next()
+		if i < 0 {
+			return err
+		}
+		from := 0
+		if i%batchRows > 0 {
+			from = g.r.chargedAt[i-1].end
+		}
+		w.endIn(g.r.texts[i/batchRows], from, g.r.chargedAt[i].end)
+	}
+	return nil
 }
 
 // runMorsel processes outer-scan items [start,end) through ops[1:],
@@ -406,8 +450,8 @@ func (ex *flworExec) runParallel(ops []planOp, base *scope, final bool, emit fun
 // the charge ledger: the deltas accumulated here are what the merge loop
 // replays against the serial counters. The same code serves the worker
 // pass (counters starting at zero) and the merge-time re-runs (counters
-// starting at the serial counts), which add drift[i] — what emitting row i
-// charged — once row i is buffered.
+// starting at the serial counts), which add drift[i] — what handing out
+// row i charged — once row i is buffered.
 func (ex *flworExec) runMorsel(ops []planOp, ws *scope, seq xdm.Sequence, start, end int, final bool, r *morselResult, drift []morselCharge) {
 	counters := ws.st.counters
 	rows0, tups0 := counters.rows, counters.tuples
@@ -415,53 +459,53 @@ func (ex *flworExec) runMorsel(ops []planOp, ws *scope, seq xdm.Sequence, start,
 		r.rowsCharged = counters.rows - rows0
 		r.tuplesCharged = counters.tuples - tups0
 	}()
-	var sink tupleSink
-	var buf [16]*scope
-	var cs cells // the call's own: each worker and re-run binds in its own
+	// A row program's rows go to a scratch buffer and are copied out
+	// exactly, batchRows to a string: no estimate sizes a morsel's text.
+	var text []byte
 	if final {
-		cs = ex.cells(ops, &buf)
 		// Sized once: each item emits one row unless a later for fans out.
 		r.chargedAt = make([]morselCharge, 0, end-start)
-		// A row program's rows go to a scratch buffer and are copied out
-		// exactly, batchRows to a string: no estimate sizes a morsel's text.
-		var text []byte
 		if ex.prog != nil {
 			text = make([]byte, 0, 64*batchRows)
 			defer func() { r.texts = append(r.texts, string(text)) }()
 		} else {
 			r.vals = make([]xdm.Sequence, 0, end-start)
 		}
-		sink = func(t2 *scope) error {
-			// A row is charged before it is buffered — never buffered
-			// without having been counted — and the watermarks let the
-			// merger advance the serial counters row by row.
-			if ex.prog != nil {
-				if err := ex.prog.run(t2, &text); err != nil {
-					return err
-				}
-			} else {
-				v, err := ex.finalValue(t2)
-				if err != nil {
-					return err
-				}
-				r.vals = append(r.vals, v)
-			}
-			r.chargedAt = append(r.chargedAt, morselCharge{counters.rows - rows0, counters.tuples - tups0, len(text)})
-			if i := len(r.chargedAt) - 1; i < len(drift) {
-				counters.rows += drift[i].rows
-				counters.tuples += drift[i].tuples
-			}
-			if ex.prog != nil && len(r.chargedAt)%batchRows == 0 {
-				r.texts, text = append(r.texts, string(text)), text[:0]
-			}
-			return nil
-		}
-	} else {
-		sink = func(t2 *scope) error {
-			r.tups = append(r.tups, t2)
-			return nil
-		}
 	}
+	// sink buffers one surviving tuple. A row is charged before it is
+	// buffered — never buffered without having been counted — and the
+	// watermarks let the merger advance the serial counters row by row.
+	sink := func(t *scope) error {
+		if !final {
+			r.tups = append(r.tups, t)
+			return nil
+		}
+		if ex.prog != nil {
+			if err := ex.prog.run(t, &text); err != nil {
+				return err
+			}
+		} else {
+			v, err := ex.finalValue(t)
+			if err != nil {
+				return err
+			}
+			r.vals = append(r.vals, v)
+		}
+		r.chargedAt = append(r.chargedAt, morselCharge{counters.rows - rows0, counters.tuples - tups0, len(text)})
+		if i := len(r.chargedAt) - 1; i < len(drift) {
+			counters.rows += drift[i].rows
+			counters.tuples += drift[i].tuples
+		}
+		if ex.prog != nil && len(r.chargedAt)%batchRows == 0 {
+			r.texts, text = append(r.texts, string(text)), text[:0]
+		}
+		return nil
+	}
+	// The call's own iterator and cells: each worker and re-run binds in
+	// its own.
+	var buf [4]opIter
+	it := ex.iter(ops[1:], final, buf[:], nil)
+	var cell, at *scope
 	op := &ops[0]
 	for idx := start; idx < end; idx++ {
 		if err := ws.checkCancel(); err != nil {
@@ -472,13 +516,23 @@ func (ex *flworExec) runMorsel(ops []planOp, ws *scope, seq xdm.Sequence, start,
 			r.err = err
 			return
 		}
-		nt := cs.bind(0, ws, op.forClause.Var, nil, seq[idx])
+		nt := it.bind(&cell, ws, op.forClause.Var, nil, seq[idx])
 		if op.forClause.At != "" {
-			nt = cs.bind(1, nt, op.forClause.At, nil, xdm.Integer(idx+1))
+			nt = it.bind(&at, nt, op.forClause.At, nil, xdm.Integer(idx+1))
 		}
-		if err := ex.feed(ops, 1, nt, sink, cs); err != nil {
-			r.err = err
-			return
+		it.enter(0, nt)
+		for {
+			t, err := ex.pull(&it)
+			if err == nil && t != nil {
+				err = sink(t)
+			}
+			if err != nil {
+				r.err = err
+				return
+			}
+			if t == nil {
+				break
+			}
 		}
 	}
 }

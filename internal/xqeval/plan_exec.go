@@ -12,19 +12,29 @@ import (
 
 // plan_exec.go executes a flworPlan. All mutable run state lives here, in
 // flworExec, created fresh per FLWOR execution — the plan itself is shared
-// and immutable. Tuples stream through each segment's ops via a recursive
-// feed (no intermediate []*scope materialization); only barriers (group by,
-// order by) collect the tuple set, reusing the naive applyClause
-// implementations so barrier semantics are byte-identical.
+// and immutable. Each segment's ops are one resumable iterator (segIter):
+// a pull resumes the ops where the last surviving tuple left them, so the
+// final segment hands its tuples out one per pull — to the cursor, or to a
+// caller that materializes them — with no intermediate []*scope. Only
+// barriers (group by, order by) collect the tuple set, draining the segment
+// before them and reusing the naive applyClause implementations so barrier
+// semantics are byte-identical.
 
 // flworExec is one execution of one FLWOR plan.
 type flworExec struct {
 	fp     *flworPlan
 	states []opState
-	// prog, when set, replaces the return clause in the final tuple sink
-	// (rowprog.go), and its rows go to w — the streaming text path only.
+	// prog, when set, replaces the return clause on the final segment
+	// (rowprog.go): fill writes its text rows — the streaming text path only.
 	prog *rowProgram
-	w    *rowWriter
+	// env is the FLWOR's driving tuple until open runs the segments before
+	// the final one, which the pulls then run: its iterator, or its merge
+	// from the morsel workers.
+	env *scope
+	seg segIter
+	par *merge
+	// pools is where the pulls' fan-out goes, for their reader to join.
+	pools *pools
 }
 
 // opState is the lazily-filled per-run state of one op: the cached
@@ -43,16 +53,39 @@ type opState struct {
 	err  error
 }
 
-// tupleSink receives each tuple that survives a segment's ops.
-type tupleSink func(t *scope) error
+func newExec(fp *flworPlan, env *scope, prog *rowProgram, ps *pools) *flworExec {
+	return &flworExec{fp: fp, states: make([]opState, fp.numStates), prog: prog, env: env, pools: ps}
+}
 
 // execPlannedFLWOR runs the planned pipeline and materializes the result —
-// the sequence-valued entry point evalFLWOR uses.
+// the sequence-valued entry point evalFLWOR uses. Run to its end in one
+// call, the execution and its iterator stay off the heap.
 func execPlannedFLWOR(fp *flworPlan, env *scope) (xdm.Sequence, error) {
+	ex := flworExec{fp: fp, states: make([]opState, fp.numStates)}
+	tuples := []*scope{env}
+	ops, err := ex.prelude(&tuples)
+	if err != nil {
+		return nil, err
+	}
 	var out xdm.Sequence
-	err := execPlannedFLWORTo(fp, env, nil, nil, func(v xdm.Sequence) error {
+	if ex.canParallel(ops, tuples) {
+		g := ex.fanOut(ops, tuples[0], true)
+		defer g.join()
+		for {
+			i, err := g.next()
+			if i < 0 {
+				if err != nil {
+					return nil, err
+				}
+				return out, nil
+			}
+			out = append(out, g.r.vals[i]...)
+		}
+	}
+	err = ex.each(ops, true, tuples, func(t *scope) error {
+		v, err := ex.finalValue(t)
 		out = append(out, v...)
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -60,11 +93,10 @@ func execPlannedFLWOR(fp *flworPlan, env *scope) (xdm.Sequence, error) {
 	return out, nil
 }
 
-// execPlannedFLWORTo runs the planned pipeline, delivering each tuple's
-// return value to emit as it is produced — or, with a row program, each
-// tuple's text row to w. The final segment streams straight from the tuple
-// sink into emit or w — this is the cursor boundary EvalStream pulls from;
-// earlier segments materialize for their barrier.
+// prelude runs the segments before the final one — each drained for its
+// barrier — from the driving tuples, and returns the final segment's ops,
+// leaving its driving tuples in *tuples: none when an eager plan proves it
+// dead.
 //
 // Stats-built (eager) plans materialize each segment's invariant states and
 // hash tables before its tuple loop, which enables two things the lazy path
@@ -72,125 +104,360 @@ func execPlannedFLWOR(fp *flworPlan, env *scope) (xdm.Sequence, error) {
 // emits nothing, so the whole tuple loop is skipped; and with the shared
 // state read-only from then on, an eligible segment can fan its outer scan
 // out to morsel workers (parallel.go) without synchronizing on it.
-func execPlannedFLWORTo(fp *flworPlan, env *scope, prog *rowProgram, w *rowWriter, emit func(xdm.Sequence) error) error {
-	ex := &flworExec{fp: fp, states: make([]opState, fp.numStates), prog: prog, w: w}
-	tuples := []*scope{env}
-	for si, seg := range fp.segments {
-		final := si == len(fp.segments)-1
-		dead := false
-		if fp.eager && len(tuples) > 0 {
-			var err error
-			dead, err = ex.prepare(seg.ops, tuples[0])
+func (ex *flworExec) prelude(tuples *[]*scope) ([]planOp, error) {
+	for si, seg := range ex.fp.segments {
+		if ex.fp.eager && len(*tuples) > 0 {
+			dead, err := ex.prepare(seg.ops, (*tuples)[0])
 			if err != nil {
-				return err
+				return nil, err
+			}
+			if dead {
+				*tuples = nil
 			}
 		}
-		if final {
-			if dead {
-				return nil
-			}
-			if ex.canParallel(seg.ops, tuples) {
-				_, err := ex.runParallel(seg.ops, tuples[0], true, emit)
-				return err
-			}
-			var sink tupleSink
-			if prog != nil {
-				sink = func(t2 *scope) error {
-					if err := prog.run(t2, w.open()); err != nil {
-						return err
-					}
-					return w.end()
-				}
-			} else {
-				sink = func(t2 *scope) error {
-					v, err := ex.finalValue(t2)
-					if err != nil {
-						return err
-					}
-					return emit(v)
-				}
-			}
-			var buf [16]*scope
-			cs := ex.cells(seg.ops, &buf)
-			for _, t := range tuples {
-				if err := ex.feed(seg.ops, 0, t, sink, cs); err != nil {
-					return err
-				}
-			}
-			return nil
+		if si == len(ex.fp.segments)-1 {
+			return seg.ops, nil
 		}
 		var next []*scope
-		if !dead {
-			if ex.canParallel(seg.ops, tuples) {
-				var err error
-				next, err = ex.runParallel(seg.ops, tuples[0], false, nil)
-				if err != nil {
-					return err
-				}
-			} else {
-				for _, t := range tuples {
-					err := ex.feed(seg.ops, 0, t, func(t2 *scope) error {
-						next = append(next, t2)
-						return nil
-					}, nil)
-					if err != nil {
-						return err
-					}
-				}
-			}
+		var err error
+		if ex.canParallel(seg.ops, *tuples) {
+			next, err = ex.fanOut(seg.ops, (*tuples)[0], false).collect()
+		} else {
+			err = ex.each(seg.ops, false, *tuples, func(t *scope) error {
+				next = append(next, t)
+				return nil
+			})
 		}
-		if seg.barrier != nil {
-			var err error
+		if err == nil && seg.barrier != nil {
 			next, err = applyClause(seg.barrier, next)
-			if err != nil {
-				return err
-			}
 		}
-		tuples = next
+		if err != nil {
+			return nil, err
+		}
+		*tuples = next
+	}
+	return nil, nil
+}
+
+// open runs the prelude before the first pull: the final segment's tuples
+// come from its iterator, or merged from the morsel workers.
+func (ex *flworExec) open() error {
+	if ex.env == nil {
+		return nil
+	}
+	tuples := []*scope{ex.env}
+	ops, err := ex.prelude(&tuples)
+	ex.env = nil
+	switch {
+	case err != nil:
+		return err
+	case ex.canParallel(ops, tuples):
+		ex.par = ex.fanOut(ops, tuples[0], true)
+		*ex.pools = append(*ex.pools, ex.par)
+	default:
+		ex.seg = ex.iter(ops, true, nil, tuples)
 	}
 	return nil
 }
 
-// cells are a transient final segment's tuple cells: slot 2i holds the one
-// cell op i rebinds for every tuple after the first, 2i+1 its at
-// variable's. A segment is transient when its sink is done with a tuple
-// before the next is bound: a row program copies it into text, a
-// constructor into a new element, and no state outlives the tuple (a hash
-// build, invariant or hoisted operand reads no FLWOR-local variable). Any
-// other return — `return $x` hands out the cell's item — and every
-// collected tuple keeps fresh cells: nil cells.
-type cells []*scope
+// each hands every tuple that survives ops from the driving tuples to f,
+// pulled by an iterator on the stack.
+func (ex *flworExec) each(ops []planOp, final bool, tuples []*scope, f func(t *scope) error) error {
+	var buf [4]opIter
+	it := ex.iter(ops, final, buf[:], tuples)
+	for {
+		t, err := ex.pull(&it)
+		if t == nil || err != nil {
+			return err
+		}
+		if err := f(t); err != nil {
+			return err
+		}
+	}
+}
 
-// cells returns the final segment's cells, on buf when they fit.
-func (ex *flworExec) cells(ops []planOp, buf *[16]*scope) cells {
-	if _, ctor := ex.fp.flwor.Return.(*xquery.ElementCtor); !ctor && ex.prog == nil {
+// value returns the final segment's next return value — a surviving
+// tuple's, or the next one merged from the morsel workers; ok is false
+// after the last.
+func (ex *flworExec) value() (v xdm.Sequence, ok bool, err error) {
+	if err := ex.open(); err != nil {
+		return nil, false, err
+	}
+	if ex.par != nil {
+		i, err := ex.par.next()
+		if i < 0 {
+			return nil, false, err
+		}
+		return ex.par.r.vals[i], true, nil
+	}
+	t, err := ex.pull(&ex.seg)
+	if t == nil {
+		return nil, false, err
+	}
+	v, err = ex.finalValue(t)
+	return v, err == nil, err
+}
+
+// fill writes the next n text rows, each the row program's run of one
+// surviving tuple — the tuple source — or merged from the morsel workers'
+// texts; FETCH FIRST n stops the stream at row n.
+func (ex *flworExec) fill(w *rowWriter, n int) error {
+	if lim := ex.prog.limit; lim >= 0 {
+		n = min(n, int(lim-w.rows))
+	}
+	if n <= 0 {
 		return nil
 	}
-	if 2*len(ops) <= len(buf) {
-		return buf[:2*len(ops)]
+	if err := ex.open(); err != nil {
+		return err
 	}
-	return make(cells, 2*len(ops))
+	if ex.par != nil {
+		return ex.par.fill(w, n)
+	}
+	for w.n() < n {
+		t, err := ex.pull(&ex.seg)
+		if t == nil {
+			return err
+		}
+		if err := ex.prog.run(t, w.open()); err != nil {
+			return err
+		}
+		w.end()
+	}
+	return nil
+}
+
+// segIter is one segment's ops as a resumable iterator: pull returns the
+// next tuple that survives them all, resuming each op where the previous
+// survivor left it — a for at its next item, a hash probe at its next
+// candidate, a let or filter done once its tuple went on. st holds a state
+// per op (a segment without ops, one for the tuple it passes on). Charges
+// are the nested loop's, in its order: a for checks cancellation once per
+// entry and charges a tuple per item, a rejected filter tuple and a
+// probe's unmatched build items are pruned.
+//
+// The iterator holds no pointer it hands out, only its states', so one
+// that a caller runs to the end stays on that caller's stack.
+type segIter struct {
+	ops       []planOp
+	st        []opIter
+	in        []*scope // the driving tuples, in[:started] entered
+	started   int
+	open      int  // st[:open] hold a live state
+	transient bool // bind rebinds each op's cells
+}
+
+// opIter is one op's progress through the tuple it was entered with.
+type opIter struct {
+	t *scope
+	// cell and at are the op's tuple cells on a transient segment.
+	cell, at *scope
+	// items are a for's items; on a hash for, the probe key's atoms,
+	// which with text and one are its joinProbe.
+	items      xdm.Sequence
+	h          *hashTable // a hash for's table, cands its candidates
+	cands      []int32
+	text       string
+	i, matched int32 // the next item or candidate; a hash for's matches
+	entered    bool
+	one        bool
+}
+
+// iter returns an iterator over ops, its states on buf when they fit. A
+// final segment is transient when its consumer is done with a tuple before
+// the next is pulled: a row program copies it into text, a constructor
+// into a new element, and no state outlives the tuple (a hash build,
+// invariant or hoisted operand reads no FLWOR-local variable). There each
+// op rebinds one cell — its at variable another — for every tuple after
+// the first. Any other return — `return $x` hands out the cell's item —
+// and every collected tuple keeps fresh cells.
+func (ex *flworExec) iter(ops []planOp, final bool, buf []opIter, in []*scope) segIter {
+	_, ctor := ex.fp.flwor.Return.(*xquery.ElementCtor)
+	n := max(len(ops), 1)
+	return segIter{ops: ops, st: slices.Grow(buf[:0], n)[:n], in: in, transient: final && (ctor || ex.prog != nil)}
+}
+
+// enter starts op i on tuple t, keeping its cells.
+func (it *segIter) enter(i int, t *scope) {
+	s := &it.st[i]
+	*s = opIter{t: t, cell: s.cell, at: s.at}
+	it.open = i + 1
+}
+
+// pull returns the iterator's next surviving tuple, nil after the last.
+func (ex *flworExec) pull(it *segIter) (*scope, error) {
+	for {
+		if it.open == 0 {
+			if it.started == len(it.in) {
+				return nil, nil
+			}
+			it.started++
+			it.enter(0, it.in[it.started-1])
+		}
+		i := it.open - 1
+		if i == len(it.ops) { // no ops: the tuple passes
+			it.open--
+			return it.st[i].t, nil
+		}
+		// A let or filter passes its tuple on once; a for resumes.
+		var t *scope
+		var err error
+		s := &it.st[i]
+		if first := !s.entered; first || it.ops[i].kind == opKindFor {
+			s.entered = true
+			t, err = ex.step(it, i, first)
+		}
+		if err != nil {
+			return nil, err
+		}
+		if t == nil {
+			it.open--
+			continue
+		}
+		if i == len(it.ops)-1 {
+			return t, nil
+		}
+		it.enter(i+1, t)
+	}
+}
+
+// step returns op i's next output for its tuple, nil once it has none;
+// first is the call that enters it.
+func (ex *flworExec) step(it *segIter, i int, first bool) (*scope, error) {
+	op, s := &it.ops[i], &it.st[i]
+	t := s.t
+	switch op.kind {
+	case opKindFilter:
+		ok, err := ex.evalFilter(op, t)
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			t.prune(1)
+			return nil, nil
+		}
+		return t, nil
+
+	case opKindLet:
+		var v xdm.Sequence
+		var err error
+		if op.invariant {
+			v, err = ex.letValue(op, t)
+		} else {
+			v, err = evalExpr(op.letClause.Expr, t)
+		}
+		if err != nil {
+			return nil, err
+		}
+		return it.bind(&s.cell, t, op.letClause.Var, v, nil), nil
+
+	case opKindFor:
+		if first {
+			if err := t.checkCancel(); err != nil {
+				return nil, err
+			}
+			if op.hash != nil {
+				return ex.startProbe(it, op, s)
+			}
+			var err error
+			if op.invariant {
+				s.items, err = ex.source(op, t)
+			} else {
+				s.items, err = evalExpr(op.forClause.In, t)
+			}
+			if err != nil {
+				return nil, err
+			}
+		}
+		if op.hash != nil {
+			return it.probeNext(op, s)
+		}
+		if int(s.i) == len(s.items) {
+			return nil, nil
+		}
+		if err := t.countTuple(); err != nil {
+			return nil, err
+		}
+		s.i++
+		nt := it.bind(&s.cell, t, op.forClause.Var, nil, s.items[s.i-1])
+		if op.forClause.At != "" {
+			nt = it.bind(&s.at, nt, op.forClause.At, nil, xdm.Integer(int(s.i)))
+		}
+		return nt, nil
+	}
+	return nil, dynErr("unknown plan op")
 }
 
 // bind binds name under t to value, or to it alone when it is set: in a
-// fresh cell, or in slot k's, which the first tuple allocates.
-func (cs cells) bind(k int, t *scope, name string, value xdm.Sequence, it xdm.Item) *scope {
-	if cs == nil {
-		if it != nil {
-			return t.bindItem(name, it)
+// fresh cell, or, transient, in *c, which the first tuple allocates.
+func (it *segIter) bind(c **scope, t *scope, name string, value xdm.Sequence, item xdm.Item) *scope {
+	if !it.transient {
+		if item != nil {
+			return t.bindItem(name, item)
 		}
 		return t.bind(name, value)
 	}
-	if cs[k] == nil {
-		cs[k] = new(scope)
+	if *c == nil {
+		*c = new(scope)
 	}
-	c := cs[k]
-	*c = scope{parent: t, st: t.st, name: name, value: value, ctx: t.ctx, depth: t.depth + 1}
-	if it != nil {
-		c.item[0] = it
-		c.value = c.item[:]
+	cell := *c
+	*cell = scope{parent: t, st: t.st, name: name, value: value, ctx: t.ctx, depth: t.depth + 1}
+	if item != nil {
+		cell.item[0] = item
+		cell.value = cell.item[:]
 	}
-	return c
+	return cell
+}
+
+// startProbe enters a hash-join for: it evaluates the tuple's probe key
+// and finds the build items to verify, then hands out the first match.
+// Against an empty table the probe is not evaluated at all, as the nested
+// loop over no items evaluates no predicate.
+func (ex *flworExec) startProbe(it *segIter, op *planOp, s *opIter) (*scope, error) {
+	h, err := ex.hashTable(op, s.t)
+	if err != nil || len(h.items) == 0 {
+		return nil, err
+	}
+	p, err := op.hash.probeKey(s.t)
+	if err != nil {
+		return nil, err
+	}
+	s.h, s.cands = h, h.candidates(&p, op.hash.valueCmp)
+	if len(s.cands) > 0 && (h.col == "" || op.hash.valueCmp) {
+		p.seq() // boxed once for verify, which may compare it whole
+	}
+	s.items, s.text, s.one = p.atoms, p.text, p.one
+	return it.probeNext(op, s)
+}
+
+// probeNext hands out the next build item that matches the probe, in
+// source order. Every candidate is re-verified under the exact comparison
+// semantics, so bucket collisions (and the deliberately lossy key
+// normalization) can only cost time, never change results. An empty probe
+// (SQL NULL) matches nothing; the `if (fn:empty(…))` and
+// `fn:not(fn:exists(…))` around a correlated lookup turn that into NULL
+// padding and the anti-join. Once the candidates run out, the unmatched
+// build items are pruned.
+func (it *segIter) probeNext(op *planOp, s *opIter) (*scope, error) {
+	p := joinProbe{atoms: s.items, text: s.text, one: s.one}
+	for int(s.i) < len(s.cands) {
+		ci := s.cands[s.i]
+		s.i++
+		ok, err := s.h.verify(&p, ci, op.hash.valueCmp)
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			continue
+		}
+		s.matched++
+		if err := s.t.countTuple(); err != nil {
+			return nil, err
+		}
+		return it.bind(&s.cell, s.t, op.forClause.Var, nil, s.h.items[ci]), nil
+	}
+	s.t.prune(int64(len(s.h.items) - int(s.matched)))
+	return nil, nil
 }
 
 // finalValue produces and charges the return clause's value for one
@@ -267,76 +534,6 @@ func (ex *flworExec) letValue(op *planOp, t *scope) (xdm.Sequence, error) {
 	t.finishKeep(tk, s, nil)
 	st.seq, st.done = s, true
 	return s, nil
-}
-
-// feed pushes one tuple through ops[i:], calling out for each survivor,
-// binding in cs.
-func (ex *flworExec) feed(ops []planOp, i int, t *scope, out tupleSink, cs cells) error {
-	if i == len(ops) {
-		return out(t)
-	}
-	op := &ops[i]
-	switch op.kind {
-	case opKindFilter:
-		ok, err := ex.evalFilter(op, t)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			t.prune(1)
-			return nil
-		}
-		return ex.feed(ops, i+1, t, out, cs)
-
-	case opKindLet:
-		var v xdm.Sequence
-		var err error
-		if op.invariant {
-			v, err = ex.letValue(op, t)
-		} else {
-			v, err = evalExpr(op.letClause.Expr, t)
-		}
-		if err != nil {
-			return err
-		}
-		return ex.feed(ops, i+1, cs.bind(2*i, t, op.letClause.Var, v, nil), out, cs)
-
-	case opKindFor:
-		if err := t.checkCancel(); err != nil {
-			return err
-		}
-		if op.hash != nil {
-			h, err := ex.hashTable(op, t)
-			if err != nil {
-				return err
-			}
-			return ex.probeHash(ops, i, op, t, h, out, cs)
-		}
-		var seq xdm.Sequence
-		var err error
-		if op.invariant {
-			seq, err = ex.source(op, t)
-		} else {
-			seq, err = evalExpr(op.forClause.In, t)
-		}
-		if err != nil {
-			return err
-		}
-		for idx, it := range seq {
-			if err := t.countTuple(); err != nil {
-				return err
-			}
-			nt := cs.bind(2*i, t, op.forClause.Var, nil, it)
-			if op.forClause.At != "" {
-				nt = cs.bind(2*i+1, nt, op.forClause.At, nil, xdm.Integer(idx+1))
-			}
-			if err := ex.feed(ops, i+1, nt, out, cs); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return dynErr("unknown plan op")
 }
 
 // evalFilter is evalEBV(op.cond) with hoisted operands (plan.go's
@@ -503,56 +700,17 @@ func (et *evalTables) get(op *planOp, t *scope) (*hashTable, error) {
 // items bound to its for variable are the filter's result. No return
 // clause runs and no row is charged — the naive filter charges none.
 func execFilter(fp *flworPlan, env *scope) (xdm.Sequence, error) {
-	ex := &flworExec{fp: fp, states: make([]opState, fp.numStates)}
+	ex := flworExec{fp: fp, states: make([]opState, fp.numStates)}
 	var out xdm.Sequence
-	err := ex.feed(fp.segments[0].ops, 0, env, func(t *scope) error {
+	err := ex.each(fp.segments[0].ops, false, []*scope{env}, func(t *scope) error {
 		v, _ := t.lookupVar(filterVar)
 		out = append(out, v...)
 		return nil
-	}, nil)
+	})
 	if err != nil {
 		return nil, err
 	}
 	return out, nil
-}
-
-// probeHash executes a hash-join for: per tuple evaluate the probe key and
-// emit only the matching build items, in source order. Every candidate is
-// re-verified under the exact comparison semantics, so bucket collisions
-// (and the deliberately lossy key normalization) can only cost time, never
-// change results. An empty probe (SQL NULL) matches nothing; the
-// `if (fn:empty(…))` and `fn:not(fn:exists(…))` around a correlated lookup
-// turn that into NULL padding and the anti-join. Against an empty table the
-// probe is not evaluated at all, as the nested loop over no items
-// evaluates no predicate.
-func (ex *flworExec) probeHash(ops []planOp, i int, op *planOp, t *scope, h *hashTable, out tupleSink, cs cells) error {
-	if len(h.items) == 0 {
-		return nil
-	}
-	probe, err := op.hash.probeKey(t)
-	if err != nil {
-		return err
-	}
-	matched := 0
-	for _, ci := range h.candidates(&probe, op.hash.valueCmp) {
-		ok, err := h.verify(&probe, ci, op.hash.valueCmp)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			continue
-		}
-		matched++
-		if err := t.countTuple(); err != nil {
-			return err
-		}
-		nt := cs.bind(2*i, t, op.forClause.Var, nil, h.items[ci])
-		if err := ex.feed(ops, i+1, nt, out, cs); err != nil {
-			return err
-		}
-	}
-	t.prune(int64(len(h.items) - matched))
-	return nil
 }
 
 // joinProbe is one tuple's atomized probe key. A column-read probe with one

@@ -31,7 +31,7 @@ import (
 // rowProgram is the compiled form of one text-mode row.
 type rowProgram struct {
 	// fp is the row FLWOR's plan on the tuple source: the program replaces
-	// its return clause in the final tuple sink. nil on the record source.
+	// its return clause on the final segment. nil on the record source.
 	fp *flworPlan
 	// limit is FETCH FIRST n over the tuple source's rows, -1 when absent.
 	limit int64
@@ -232,24 +232,26 @@ func pureExpr(e xquery.Expr) bool {
 	return pure
 }
 
-// stream writes the rows to w. The tuple source runs the row FLWOR with
-// the program as its return clause, FETCH FIRST n stopping w at row n; the
-// record source encodes each item rows produces.
-func (p *rowProgram) stream(rows xquery.Expr, env *scope, w *rowWriter) error {
-	if p.fp == nil {
-		return streamItems(rows, env, func(it xdm.Item) error {
-			return p.record(it, env, w)
-		})
+// rows is the text rows' source: on the tuple source the row FLWOR's
+// executor, running the program as its return clause; on the record
+// source the program encoding each item rows produces.
+func (p *rowProgram) rows(rows xquery.Expr, env *scope, ps *pools) textRows {
+	if p.fp != nil {
+		return newExec(p.fp, env, p, ps).fill
 	}
-	if p.limit == 0 {
+	items := rowsOf(rows, env, ps)
+	return func(w *rowWriter, n int) error {
+		for w.n() < n {
+			it, err := items()
+			if it == nil || err != nil {
+				return err
+			}
+			if err := p.record(it, env, w); err != nil {
+				return err
+			}
+		}
 		return nil
 	}
-	w.limit = p.limit
-	err := execPlannedFLWORTo(p.fp, env, p, w, nil)
-	if err == errRowLimit { //nolint:errorlint // sentinel identity, never wrapped
-		return nil
-	}
-	return err
 }
 
 // record writes the rows in one item of the row expression — the record
@@ -290,7 +292,7 @@ func (p *rowProgram) record(it xdm.Item, env *scope, w *rowWriter) error {
 		if err := env.countRows(2 * len(p.cols)); err != nil {
 			return err
 		}
-		return w.end()
+		w.end()
 	}
 	return nil
 }

@@ -127,20 +127,39 @@ func TestDefaultFanOutBoundary(t *testing.T) {
 	}
 }
 
-// TestFusedBatchesDouble: a serial fused stream sends its first row on its
-// own, so the first row never waits for a second, and then batches of 2,
-// 4, … rows up to batchRows.
+// TestFusedBatchesDouble: a serial fused stream evaluates one row for
+// Prime, so the first row never waits for a second, and each later pull
+// evaluates a batch of 2, 4, … rows up to batchRows — evaluated only when
+// the reader has taken every row of the one before.
 func TestFusedBatchesDouble(t *testing.T) {
 	e, plan, ext := plannedScan(t, 500)
 	ForceFanOutForTest(e, 1, 0, 0)
 	cur := e.EvalStream(context.Background(), plan, ext, nil)
 	defer cur.Close()
+	if err := cur.Prime(); err != nil {
+		t.Fatal(err)
+	}
+	if cur.w.rows != 1 {
+		t.Fatalf("Prime evaluated %d rows, want 1", cur.w.rows)
+	}
 	total, want := 0, 1
-	for ch := range cur.ch {
-		if n := ch.rows(); n != want && n != 450-total {
+	for {
+		if _, err := cur.NextText(); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		if cur.pos > 1 {
+			continue
+		}
+		// The pull evaluated a batch, and nothing past it.
+		if n := cur.w.n(); n != want && n != 450-total {
 			t.Fatalf("batch after %d rows holds %d rows, want %d", total, n, want)
 		}
-		total += ch.rows()
+		total += cur.w.n()
+		if cur.w.rows != int64(total) {
+			t.Fatalf("%d rows evaluated once %d are in batches", cur.w.rows, total)
+		}
 		want = min(2*want, batchRows)
 	}
 	if total != 450 {
@@ -149,7 +168,7 @@ func TestFusedBatchesDouble(t *testing.T) {
 }
 
 // TestInFlightBound: however far a slow reader falls behind, no more than
-// streamBuffer rows are ever sent but not yet handed out — serially, or
+// batchRows rows are ever evaluated but not yet handed out — serially, or
 // merged from morsel workers.
 func TestInFlightBound(t *testing.T) {
 	for _, workers := range []int{1, 2} {
@@ -169,8 +188,8 @@ func TestInFlightBound(t *testing.T) {
 		cur.Close()
 		peak := e.Stats().PeakInFlightRows
 		t.Logf("workers %d: %d rows in flight at the peak", workers, peak)
-		if peak > streamBuffer || peak < batchRows {
-			t.Fatalf("workers %d: %d rows in flight at the peak, want %d to %d", workers, peak, batchRows, streamBuffer)
+		if peak != batchRows {
+			t.Fatalf("workers %d: %d rows in flight at the peak, want %d", workers, peak, batchRows)
 		}
 	}
 }

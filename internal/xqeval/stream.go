@@ -17,26 +17,24 @@ import (
 )
 
 // stream.go is the pull side of the evaluator: a Volcano-style cursor over
-// the generated query's row stream. The translator always builds results
-// through one of two fixed top-level shapes — the XML mode's
-// <RECORDSET>{rows}</RECORDSET> constructor, or the §4 text mode's
-// fn:string-join over a per-RECORD token FLWOR — and both expose a
-// row-producing expression whose items can be emitted one at a time instead
-// of materialized into a sequence. planStream recognizes those shapes
-// statically (the decomposition rides on the Plan, so compiled-query
-// artifacts carry it), and EvalStream runs the row expression through the
-// planned executor's existing tuple sink, delivering rows to the consumer
-// as they are produced, text rows through the row program (rowprog.go).
-// GROUP BY and ORDER BY remain the only materialization points (they are
-// barriers inside the FLWOR pipeline); set operations pass through
+// the generated query's row stream, evaluated on the reader's goroutine.
+// The translator always builds results through one of two fixed top-level
+// shapes — the XML mode's <RECORDSET>{rows}</RECORDSET> constructor, or the
+// §4 text mode's fn:string-join over a per-RECORD token FLWOR — and both
+// expose a row-producing expression whose items can be pulled one at a time
+// instead of materialized into a sequence. planStream recognizes those
+// shapes statically (the decomposition rides on the Plan, so compiled-query
+// artifacts carry it), and EvalStream composes a row source over the row
+// expression (rowsOf): each Next or NextText evaluates just the rows it
+// hands out, resuming the planned executor's final segment where the last
+// pull left it, text rows through the row program (rowprog.go). GROUP BY
+// and ORDER BY remain the only materialization points (they are barriers
+// inside the FLWOR pipeline); set operations pass through
 // fn-bea:distinct-rows and therefore evaluate whole before streaming out.
 //
 // FETCH FIRST n ROWS ONLY — translated as fn:subsequence(rows, 1, n) —
-// short-circuits here: the limiter stops the producing pipeline after n
-// rows instead of truncating a finished sequence. Stopping early can
-// suppress dynamic errors a full evaluation would have raised in rows the
-// consumer never asked for; XQuery §2.3.4 grants exactly that latitude,
-// and the differential tests pin value-level equivalence.
+// short-circuits here: a countdown never pulls row n+1 instead of
+// truncating a finished sequence.
 
 // StreamKind classifies how a query body decomposes into a row stream.
 type StreamKind uint8
@@ -163,102 +161,53 @@ func recordsetRows(e xquery.Expr) (xquery.Expr, bool) {
 	return enc.Expr, true
 }
 
-// streamBuffer bounds the rows sent but not yet handed out: enough slack
-// that the producer is rarely blocked on a consumer doing per-row work,
-// little enough that early termination leaves few rows in flight. XML rows
-// and materialized items go one per send, into streamBuffer slots; text
-// rows in batches of at most batchRows, into streamBuffer/batchRows - 1
-// slots, which with the batch being read hold at most streamBuffer rows.
-const (
-	streamBuffer = 64
-	batchRows    = 32
-)
+// batchRows caps the text rows one pull evaluates: the first evaluates 1,
+// so the first row never waits for a second, and each later one doubles,
+// up to batchRows — enough to amortize a batch's string over its rows, few
+// enough that a reader who stops early leaves little evaluated and unread.
+const batchRows = 32
 
-// chunk is one send on the cursor channel: one XML row or materialized
-// item, or a batch of text rows.
-type chunk struct {
-	items xdm.Sequence
-	batch *rowBatch
-}
-
-// rowBatch is up to batchRows §4 text rows, back to back in text: row i
-// is text[ends[i]:ends[i+1]]. It is immutable once sent.
-type rowBatch struct {
-	text string
-	n    int
-	ends [batchRows + 1]int32
-}
-
-// rows is how many rows the chunk carries.
-func (ch *chunk) rows() int {
-	if ch.batch != nil {
-		return ch.batch.n
-	}
-	return min(len(ch.items), 1)
-}
-
-// Cursor is the pull end of a streaming evaluation. The producing goroutine
-// evaluates the query and sends its rows into a bounded channel — text rows
-// in batches, anything else one per send — and Next and NextText hand them
-// out one row at a time, counting each, then io.EOF or the evaluation's
-// error. Close is idempotent, cancels the evaluation through the context
-// plumbing, and waits for the producer to exit — after Close returns, no
-// evaluation work is running.
+// Cursor is the pull end of a streaming evaluation. Next and NextText
+// evaluate the query on the caller's goroutine, one chunk per pull — text
+// rows a batch at a time, anything else one item — and hand it out one row
+// at a time, counting each, then io.EOF or the evaluation's error. Close is
+// idempotent and safe while another goroutine is in Next: it cancels the
+// evaluation through the context plumbing, then waits for that pull to
+// return — after Close returns, no evaluation work is running and no morsel
+// worker is alive.
 //
 // The cursor times its stages in clock: evaluate from its start to the
-// producer's end, decode over the delivery window, from a successful
+// evaluation's end, decode over the delivery window, from a successful
 // Prime to Close. The first Close folds them into stages, when set.
 type Cursor struct {
-	ch     chan chunk
-	errCh  chan error
 	cancel context.CancelFunc
-
+	env    *scope // the evaluation's root: its state and counters
 	start  time.Time
-	m      *engineMetrics   // the engine's counters, folded into at finish
+	m      *engineMetrics   // the engine's counters, folded into at the end
 	stages *obsv.StageTimes // where Close folds clock; nil: not counted
-	clock  obsv.StageClock  // evaluate set by the producer, decode by Close
+	clock  obsv.StageClock  // evaluate set at the evaluation's end, decode by Close
 	primed time.Time        // when Prime succeeded; zero: it has not
 	kind   StreamKind       // row-aligned unless StreamMaterialized; Drain reads it
+	closed atomic.Bool
 
-	closed   atomic.Bool
-	finished atomic.Bool
-
-	mu       sync.Mutex
-	done     bool
-	sawFirst bool
-	err      error
-	cur      chunk // the chunk rows are handed out from
-	pos      int   // rows of cur handed out
-
-	produced atomic.Int64
-	consumed atomic.Int64
-	peak     atomic.Int64
-
-	counters *evalCounters
+	mu    sync.Mutex
+	items itemIter // the source of XML rows and materialized items
+	text  textRows // the source of text rows
+	// done: the evaluation ended, its pools joined and its counters folded;
+	// counted: the cursor's rows are folded too.
+	done, counted, sawFirst bool
+	err                     error
+	item                    xdm.Item  // the item Next hands out next; nil: none
+	w                       rowWriter // text rows: the batch handed out from
+	pos                     int       // rows of the batch handed out
+	delivered, peak         int64
+	pools                   pools // fan-outs the sources left running
 }
 
 // RowAligned reports whether each row Next or NextText hands out is exactly
 // one result row (true for the recognized XML and text shapes; false for
 // the materialized fallback, whose chunks are arbitrary result items).
 func (c *Cursor) RowAligned() bool { return c.kind != StreamMaterialized }
-
-// send delivers one chunk from the producing goroutine, giving up when the
-// cursor's context is cancelled (Close, statement close, or deadline).
-func (c *Cursor) send(ctx context.Context, ch chunk) error {
-	select {
-	case c.ch <- ch:
-		inFlight := c.produced.Add(int64(ch.rows())) - c.consumed.Load()
-		for {
-			p := c.peak.Load()
-			if inFlight <= p || c.peak.CompareAndSwap(p, inFlight) {
-				break
-			}
-		}
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
 
 // Next returns the next row (one item of the materialized fallback), io.EOF
 // after the last one, or the evaluation's error. A text row comes as one
@@ -269,10 +218,13 @@ func (c *Cursor) Next() (xdm.Sequence, error) {
 	if err := c.fill(); err != nil {
 		return nil, err
 	}
-	if text, isText := c.take(); isText {
-		return xdm.SequenceOf(xdm.String(text)), nil
+	c.delivered++
+	if c.text != nil {
+		return xdm.SequenceOf(xdm.String(c.row())), nil
 	}
-	return c.cur.items, nil
+	it := c.item
+	c.item = nil
+	return xdm.SequenceOf(it), nil
 }
 
 // NextText returns the next row of a text-rows stream as the §4 text the
@@ -281,20 +233,41 @@ func (c *Cursor) Next() (xdm.Sequence, error) {
 func (c *Cursor) NextText() (string, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.text == nil {
+		return "", errors.New("xqeval: NextText on a stream whose rows are not text")
+	}
 	if err := c.fill(); err != nil {
 		return "", err
 	}
-	if text, isText := c.take(); isText {
-		return text, nil
-	}
-	return "", errors.New("xqeval: NextText on a stream whose rows are not text")
+	c.delivered++
+	return c.row(), nil
 }
 
-// fill makes cur hold a row not yet handed out, receiving from the
-// producer as needed: io.EOF after the last row, or the evaluation's error.
+// row hands out the batch's next text row.
+func (c *Cursor) row() string {
+	c.pos++
+	return c.w.text[c.w.ends[c.pos-1]:c.w.ends[c.pos]]
+}
+
+// ready is how many evaluated rows are not handed out yet.
+func (c *Cursor) ready() int {
+	if c.text != nil {
+		return c.w.n() - c.pos
+	}
+	if c.item != nil {
+		return 1
+	}
+	return 0
+}
+
+// fill makes a row ready to hand out, pulling the next chunk as needed:
+// io.EOF after the last row, or the evaluation's error. The evaluation
+// ends at a chunk with no rows, or at an error — once the rows written
+// before it are handed out.
 func (c *Cursor) fill() error {
-	for c.pos >= c.cur.rows() {
+	for c.ready() == 0 {
 		if c.done {
+			c.count()
 			if c.err != nil {
 				return c.err
 			}
@@ -303,42 +276,39 @@ func (c *Cursor) fill() error {
 		if c.closed.Load() {
 			return io.EOF
 		}
-		ch, ok := <-c.ch
-		if !ok {
-			c.err = <-c.errCh
-			// A producer aborted by a deliberate Close ends with
-			// context.Canceled; that is termination working as designed,
-			// not an error.
-			if c.closed.Load() && errors.Is(c.err, context.Canceled) {
-				c.err = nil
-			}
-			c.done = true
-			c.finishMetrics(c.consumed.Load())
-			continue
+		var err error
+		if c.pos = 0; c.text != nil {
+			err = c.w.refill(c.text)
+		} else {
+			c.item, err = c.items()
 		}
-		if !c.sawFirst {
+		n := int64(c.ready())
+		if n > 0 && !c.sawFirst {
 			c.sawFirst = true
 			c.m.firstRow.Observe(time.Since(c.start))
 		}
-		c.cur, c.pos = ch, 0
+		if c.peak = max(c.peak, n); n == 0 || err != nil {
+			c.end(err)
+		}
 	}
 	return nil
 }
 
-// take hands out cur's next row, counting it: a text row as its substring
-// of the batch, any other as cur.items.
-func (c *Cursor) take() (text string, isText bool) {
-	i := c.pos
-	c.pos++
-	c.consumed.Add(1)
-	b := c.cur.batch
-	if b == nil {
-		return "", false
+// end ends the evaluation: the fan-outs its sources left running are
+// joined, and its counters fold into the engine's with the evaluate stage
+// clocked. An evaluation aborted by a deliberate Close ends with
+// context.Canceled; that is termination working as designed, not an error.
+func (c *Cursor) end(err error) {
+	if c.closed.Load() && errors.Is(err, context.Canceled) {
+		err = nil
 	}
-	return b.text[b.ends[i]:b.ends[i+1]], true
+	c.err, c.done = err, true
+	c.pools.join()
+	c.m.evaluated(c.env.st.counters)
+	c.clock.Set(obsv.StageEvaluate, time.Since(c.start))
 }
 
-// Prime receives the first chunk and holds it for the next call to Next, so
+// Prime pulls the first chunk and holds it for the next call to Next, so
 // errors raised before the first row (missing data services, injected
 // faults at source-call time, bad bindings) surface synchronously to the
 // caller that opened the cursor. An empty result primes successfully.
@@ -352,9 +322,10 @@ func (c *Cursor) Prime() error {
 	return nil
 }
 
-// Close cancels the evaluation (if still running), drains the channel so
-// the producer goroutine exits, and releases the cursor. It is idempotent
-// and never reports the cancellation its own call caused as an error.
+// Close cancels the evaluation, waits for a pull in progress to return,
+// ends the evaluation if it has not ended — the rows evaluated but not
+// handed out are dropped — and releases the cursor. It is idempotent and
+// never reports the cancellation its own call caused as an error.
 func (c *Cursor) Close() error {
 	if c.closed.Swap(true) {
 		return nil
@@ -362,24 +333,11 @@ func (c *Cursor) Close() error {
 	c.cancel()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	// What the consumer took is every row handed out; the rows left in cur
-	// and the channel are dropped, and stop counting as in flight.
-	delivered := c.consumed.Load()
-	c.consumed.Add(int64(c.cur.rows() - c.pos))
-	c.cur, c.pos = chunk{}, 0
-	for !c.done {
-		ch, ok := <-c.ch
-		if ok {
-			c.consumed.Add(int64(ch.rows()))
-			continue
-		}
-		err := <-c.errCh
-		c.done = true
-		if err != nil && !errors.Is(err, context.Canceled) {
-			c.err = err
-		}
+	c.item, c.pos = nil, c.w.n()
+	c.count()
+	if !c.done {
+		c.end(nil)
 	}
-	c.finishMetrics(delivered)
 	if c.stages != nil {
 		if !c.primed.IsZero() {
 			c.clock.Set(obsv.StageDecode, time.Since(c.primed))
@@ -426,107 +384,83 @@ func (c *Cursor) Err() error {
 
 // Stats reports the evaluation's step and tuple counters. Valid once the
 // stream has terminated (Next returned io.EOF or an error, or Close
-// returned); the producing goroutine has exited by then.
+// returned); every morsel worker has been joined by then.
 func (c *Cursor) Stats() (steps, tuples int64) {
-	return c.counters.steps, c.counters.tuples
+	return c.env.st.counters.steps, c.env.st.counters.tuples
 }
 
-// evaluated is the producer's last act before its error goes out: it
-// folds the evaluation's counters into the engine's and clocks the
-// evaluate stage.
-func (c *Cursor) evaluated() {
-	c.m.evaluated(c.counters)
-	c.clock.Set(obsv.StageEvaluate, time.Since(c.start))
-}
-
-// finishMetrics folds the finished cursor into its engine's counters,
-// once: its peak in-flight rows and, when every chunk is a row, the rows
-// it delivered. A cursor over arbitrary XQuery delivers items, not rows.
-func (c *Cursor) finishMetrics(delivered int64) {
-	if c.finished.Swap(true) {
+// count folds the cursor into its engine's counters, once: its peak of
+// rows evaluated but not handed out and, when every chunk is a row, the
+// rows it handed out. A cursor over arbitrary XQuery hands out items, not
+// rows.
+func (c *Cursor) count() {
+	if c.counted {
 		return
 	}
-	c.m.peakInFlight.SetMax(c.peak.Load())
+	c.counted = true
+	c.m.peakInFlight.SetMax(c.peak)
 	if c.RowAligned() {
-		c.m.rows.Add(delivered)
+		c.m.rows.Add(c.delivered)
 	}
 }
 
-// rowWriter is a text-rows stream's producer end. A row is appended to the
-// buffer open returns and closed by end, or, written to a string that
-// outlives the batch (a morsel's text), closed by endIn without a copy.
-// Rows leave in batches of 1, 2, 4, … up to batchRows, so the first leaves
-// as soon as it is written. The buffer is reused, and grown for a whole
-// batch at once from the mean row of the one before.
+// rowWriter builds a batch of text rows, back to back in text: row i is
+// text[ends[i]:ends[i+1]]. A row is appended to the buffer open returns
+// and closed by end, or, lying in a string that outlives the batch (a
+// morsel's text), closed by endIn without a copy. The buffer is reused,
+// and grown for a whole batch at once from the mean row of the one before.
 type rowWriter struct {
+	text   string
+	ends   []int32 // on arr, unless a document's rows outgrow it
+	arr    [batchRows + 1]int32
 	buf    []byte
-	b      *rowBatch // the batch being filled; nil between batches
-	size   int       // rows the batch is closed at
-	perRow int       // bytes a row is expected to take
-	rows   int64     // rows written
-	limit  int64     // FETCH FIRST n: the stream stops at row n; < 0 none
-	cur    *Cursor
-	ctx    context.Context
+	size   int   // rows the next refill evaluates: 1, 2, 4, … up to batchRows
+	perRow int   // bytes a row is expected to take
+	rows   int64 // rows written
 }
 
-// errRowLimit is the writer's stop once a FETCH FIRST limit has its rows.
-var errRowLimit = errors.New("xqeval: row limit reached")
+// n is how many rows the batch holds.
+func (w *rowWriter) n() int { return max(len(w.ends)-1, 0) }
+
+// refill replaces the batch with the next one src writes, and doubles the
+// size of the one after. The rows written to the buffer become the
+// batch's one string; the bytes of a row an error left open stay behind.
+func (w *rowWriter) refill(src textRows) error {
+	w.text, w.ends, w.buf = "", w.arr[:0], w.buf[:0]
+	err := src(w, w.size)
+	if n := w.n(); n > 0 && w.text == "" {
+		end := int(w.ends[n])
+		w.text = string(w.buf[:end])
+		w.perRow = end/n + end/(8*n) + 1
+	}
+	w.size = min(2*w.size, batchRows)
+	return err
+}
 
 // open returns the buffer the next row is appended to.
 func (w *rowWriter) open() *[]byte {
-	if w.b == nil {
-		w.b = new(rowBatch)
-		w.buf = slices.Grow(w.buf, w.size*w.perRow)
+	if len(w.ends) == 0 {
+		w.buf = slices.Grow(w.buf[:0], w.size*w.perRow)
 	}
 	return &w.buf
 }
 
 // end closes the row appended to the buffer since the previous end.
-func (w *rowWriter) end() error { return w.endIn("", 0, len(w.buf)) }
+func (w *rowWriter) end() { w.endIn("", 0, len(w.buf)) }
 
 // endIn closes the row text[from:to]; all rows of a batch lie in one text,
-// back to back, so the caller flushes before moving to another. (end's
-// rows lie in the buffer, whose batch open made.) A full batch is sent.
-func (w *rowWriter) endIn(text string, from, to int) error {
-	if w.b == nil {
-		w.b = &rowBatch{text: text}
-		w.b.ends[0] = int32(from)
+// back to back. (end's rows lie in the buffer.)
+func (w *rowWriter) endIn(text string, from, to int) {
+	if len(w.ends) == 0 {
+		w.text, w.ends = text, append(w.ends, int32(from))
 	}
-	w.b.n++
-	w.b.ends[w.b.n] = int32(to)
+	w.ends = append(w.ends, int32(to))
 	w.rows++
-	if w.b.n == w.size {
-		if err := w.flush(); err != nil {
-			return err
-		}
-		w.size = min(2*w.size, batchRows)
-	}
-	if w.rows == w.limit {
-		return errRowLimit
-	}
-	return nil
 }
 
-// flush sends the rows closed so far. The bytes of a row an error left
-// open stay behind.
-func (w *rowWriter) flush() error {
-	b := w.b
-	if b == nil || b.n == 0 {
-		return nil
-	}
-	w.b = nil
-	if b.text == "" { // the rows are in buf
-		n := int(b.ends[b.n])
-		b.text = string(w.buf[:n])
-		w.perRow = n/b.n + n/(8*b.n) + 1
-		w.buf = w.buf[:0]
-	}
-	return w.cur.send(w.ctx, chunk{batch: b})
-}
-
-// EvalStream evaluates a planned query as a row stream. The returned
-// cursor owns a goroutine until it is exhausted or closed; callers must
-// call Close (reading through io.EOF also releases it). stages, when
+// EvalStream evaluates a planned query as a row stream, which the cursor's
+// Next and NextText pull on the caller's goroutine. Callers must call
+// Close (reading through io.EOF also ends the evaluation). stages, when
 // non-nil, receives the evaluate and decode times at the first Close.
 func (e *Engine) EvalStream(ctx context.Context, p *Plan, external map[string]xdm.Sequence, stages *obsv.StageTimes) *Cursor {
 	return e.evalStream(ctx, p.Query, p, p.Stream, external, stages)
@@ -538,133 +472,133 @@ func (e *Engine) EvalStreamNaive(ctx context.Context, q *xquery.Query, external 
 	return e.evalStream(ctx, q, nil, planStream(q.Body), external, stages)
 }
 
+// evalStream composes the body's row source; the cursor's pulls run it.
 func (e *Engine) evalStream(ctx context.Context, q *xquery.Query, p *Plan, sp *StreamPlan, external map[string]xdm.Sequence, stages *obsv.StageTimes) *Cursor {
 	sctx, cancel := context.WithCancel(ctx)
-	counters := &evalCounters{}
-	env := e.rootScope(sctx, q, p, external, counters)
-	slots := streamBuffer
-	if sp.Kind == StreamTextRows {
-		slots = streamBuffer/batchRows - 1
+	env := e.rootScope(sctx, q, p, external, &evalCounters{})
+	cur := &Cursor{cancel: cancel, env: env, kind: sp.Kind, start: time.Now(), m: &e.m, stages: stages,
+		w: rowWriter{size: 1, perRow: 128}}
+	switch sp.Kind {
+	case StreamXMLRows:
+		cur.items = rowsOf(sp.rows, env, &cur.pools)
+	case StreamTextRows:
+		cur.text = sp.prog.rows(sp.rows, env, &cur.pools)
+	default:
+		cur.items = whole(q.Body, env)
 	}
-	cur := &Cursor{
-		ch:       make(chan chunk, slots),
-		errCh:    make(chan error, 1),
-		cancel:   cancel,
-		kind:     sp.Kind,
-		start:    time.Now(),
-		m:        &e.m,
-		stages:   stages,
-		counters: counters,
-	}
-	go func() {
-		w := &rowWriter{size: 1, perRow: 128, limit: -1, cur: cur, ctx: sctx}
-		err := runStream(q.Body, sp, env, w, func(items xdm.Sequence) error {
-			return cur.send(sctx, chunk{items: items})
-		})
-		// Rows written before a stop or an error still go out, ahead of it.
-		if ferr := w.flush(); err == nil {
-			err = ferr
-		}
-		cur.evaluated()
-		cur.errCh <- err
-		close(cur.ch)
-	}()
 	return cur
 }
 
-// runStream drives the decomposed body: text rows into w, any other row
-// (or item, in the materialized fallback) into emit, one chunk each.
-func runStream(body xquery.Expr, sp *StreamPlan, env *scope, w *rowWriter, emit func(xdm.Sequence) error) error {
-	switch sp.Kind {
-	case StreamXMLRows:
-		return streamItems(sp.rows, env, func(it xdm.Item) error {
-			return emit(xdm.SequenceOf(it))
-		})
-	case StreamTextRows:
-		return sp.prog.stream(sp.rows, env, w)
-	default:
-		out, err := evalExpr(body, env)
-		if err != nil {
-			return err
-		}
-		for _, it := range out {
-			if err := emit(xdm.SequenceOf(it)); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-}
+// A row source is pulled: each call evaluates, on the caller's goroutine,
+// just enough for what it returns. An itemIter returns the next item, nil
+// after the last; a textRows writes up to n more rows to w, fewer only at
+// the end of the stream or of a morsel's text, none only at its end. A
+// fan-out a source starts goes to ps, for the reader to join.
+type (
+	itemIter func() (xdm.Item, error)
+	textRows func(w *rowWriter, n int) error
+)
 
-// streamItems produces a row expression's items one at a time: FLWORs run
-// through the planned executor's tuple sink (or the naive segmented
-// streamer), sequences stream element-wise, and fn:subsequence(rows, 1, n)
-// — the translated FETCH FIRST — stops the producer after n items. Every
-// other expression evaluates whole and emits item by item.
-func streamItems(e xquery.Expr, env *scope, emitItem func(xdm.Item) error) error {
+// rowsOf composes e's items as a row source: a FLWOR is its planned
+// executor's values (or the naive pipeline's), a sequence the
+// concatenation of its members', and fn:subsequence(rows, 1, n) — the
+// translated FETCH FIRST — a countdown that never pulls item n+1. Any
+// other expression is evaluated whole on the first pull.
+func rowsOf(e xquery.Expr, env *scope, ps *pools) itemIter {
 	switch n := e.(type) {
 	case *xquery.FLWOR:
-		emitSeq := func(v xdm.Sequence) error {
-			for _, it := range v {
-				if err := emitItem(it); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
 		if env.st.plan != nil {
 			if fp, ok := env.st.plan.flwors[n]; ok {
-				return execPlannedFLWORTo(fp, env, nil, nil, emitSeq)
+				return items(newExec(fp, env, nil, ps).value)
 			}
 		}
-		return streamNaiveFLWOR(n, env, emitSeq)
-
+		return items(naiveValues(n, env))
 	case *xquery.Seq:
-		for _, item := range n.Items {
-			if err := streamItems(item, env, emitItem); err != nil {
-				return err
+		members := n.Items
+		var cur itemIter
+		return func() (xdm.Item, error) {
+			for {
+				if cur == nil {
+					if len(members) == 0 {
+						return nil, nil
+					}
+					cur, members = rowsOf(members[0], env, ps), members[1:]
+				}
+				if it, err := cur(); it != nil || err != nil {
+					return it, err
+				}
+				cur = nil
 			}
 		}
-		return nil
-
 	case *xquery.FuncCall:
-		if limit, inner, ok := subsequenceLimit(n); ok {
-			return streamLimited(inner, env, limit, emitItem)
+		if left, inner, ok := subsequenceLimit(n); ok {
+			return limited(rowsOf(inner, env, ps), left)
 		}
 	}
-	v, err := evalExpr(e, env)
-	if err != nil {
-		return err
-	}
-	for _, it := range v {
-		if err := emitItem(it); err != nil {
-			return err
-		}
-	}
-	return nil
+	return whole(e, env)
 }
 
-// streamLimited streams inner's first limit items — the cursor-boundary
-// short circuit behind FETCH FIRST. The stop sentinel is unique per
-// limiter, so a nested outer limit propagates through an inner one.
-func streamLimited(inner xquery.Expr, env *scope, limit int64, emitItem func(xdm.Item) error) error {
-	if limit <= 0 {
-		return nil
+// items hands out the values pulled from next item by item.
+func items(next func() (xdm.Sequence, bool, error)) itemIter {
+	var v xdm.Sequence
+	return func() (xdm.Item, error) {
+		for len(v) == 0 {
+			var ok bool
+			var err error
+			if v, ok, err = next(); !ok {
+				return nil, err
+			}
+		}
+		it := v[0]
+		v = v[1:]
+		return it, nil
 	}
-	stop := errors.New("xqeval: stream limit reached")
-	err := streamItems(inner, env, func(it xdm.Item) error {
-		if err := emitItem(it); err != nil {
-			return err
+}
+
+// whole is e evaluated on the first pull, its items handed out one per
+// pull.
+func whole(e xquery.Expr, env *scope) itemIter {
+	done := false
+	return items(func() (xdm.Sequence, bool, error) {
+		if done {
+			return nil, false, nil
 		}
-		if limit--; limit == 0 {
-			return stop
-		}
-		return nil
+		done = true
+		v, err := evalExpr(e, env)
+		return v, err == nil, err
 	})
-	if err == stop { //nolint:errorlint // sentinel identity, never wrapped
-		return nil
+}
+
+// limited is the first left items of in — the short circuit behind FETCH
+// FIRST. Stopping early can suppress dynamic errors a full evaluation
+// would have raised in rows nobody asked for; XQuery §2.3.4 grants exactly
+// that latitude.
+func limited(in itemIter, left int64) itemIter {
+	return func() (xdm.Item, error) {
+		if left <= 0 {
+			return nil, nil
+		}
+		it, err := in()
+		if it != nil {
+			left--
+		}
+		return it, err
 	}
-	return err
+}
+
+// drain pulls every item of in.
+func drain(in itemIter) (xdm.Sequence, error) {
+	var out xdm.Sequence
+	for {
+		it, err := in()
+		if err != nil {
+			return nil, err
+		}
+		if it == nil {
+			return out, nil
+		}
+		out = append(out, it)
+	}
 }
 
 // subsequenceLimit matches the translator's FETCH FIRST spelling —
@@ -697,94 +631,113 @@ func intLiteral(e xquery.Expr) (int64, bool) {
 	return n, true
 }
 
-// streamNaiveFLWOR is the unplanned pipeline with a streaming tail: every
-// clause up to and including the last barrier runs through applyClause
-// (byte-identical barrier semantics), and the remaining for/let/where
-// suffix streams tuples depth-first into the return clause.
-func streamNaiveFLWOR(f *xquery.FLWOR, env *scope, emit func(xdm.Sequence) error) error {
-	last := -1
-	for i, c := range f.Clauses {
-		switch c.(type) {
-		case *xquery.GroupBy, *xquery.OrderByClause:
-			last = i
-		}
-	}
-	tuples := []*scope{env}
-	var err error
-	for _, c := range f.Clauses[:last+1] {
-		tuples, err = applyClause(c, tuples)
-		if err != nil {
-			return err
-		}
-	}
-	rest := f.Clauses[last+1:]
-	for _, t := range tuples {
-		err := streamClauses(rest, t, func(t2 *scope) error {
-			if err := t2.checkCancel(); err != nil {
-				return err
+// naiveValues is the unplanned FLWOR's return values, pulled — the oracle
+// the planned executor is held to. On the first pull every clause up to
+// and including the last barrier runs through applyClause (byte-identical
+// barrier semantics), and the for/let/where suffix after it becomes a
+// chain of tuple sources, each pulling the one before, so the return
+// clause sees the tuples depth-first. The order is the naive breadth-first
+// pipeline's; only error timing can differ, which XQuery §2.3.4 permits.
+func naiveValues(f *xquery.FLWOR, env *scope) func() (xdm.Sequence, bool, error) {
+	var tuples func() (*scope, error)
+	return func() (xdm.Sequence, bool, error) {
+		if tuples == nil {
+			last := -1
+			for i, c := range f.Clauses {
+				switch c.(type) {
+				case *xquery.GroupBy, *xquery.OrderByClause:
+					last = i
+				}
 			}
-			v, err := evalExpr(f.Return, t2)
-			if err != nil {
-				return err
+			prefix := []*scope{env}
+			for _, c := range f.Clauses[:last+1] {
+				var err error
+				if prefix, err = applyClause(c, prefix); err != nil {
+					return nil, false, err
+				}
 			}
-			if err := t2.countRows(len(v)); err != nil {
-				return err
+			tuples = func() (*scope, error) {
+				if len(prefix) == 0 {
+					return nil, nil
+				}
+				t := prefix[0]
+				prefix = prefix[1:]
+				return t, nil
 			}
-			return emit(v)
-		})
-		if err != nil {
-			return err
+			for _, c := range f.Clauses[last+1:] {
+				tuples = naiveClause(c, tuples)
+			}
 		}
+		t, err := tuples()
+		if t == nil || err != nil {
+			return nil, false, err
+		}
+		if err := t.checkCancel(); err != nil {
+			return nil, false, err
+		}
+		v, err := evalExpr(f.Return, t)
+		if err == nil {
+			err = t.countRows(len(v))
+		}
+		return v, err == nil, err
 	}
-	return nil
 }
 
-// streamClauses pushes one tuple depth-first through a barrier-free clause
-// suffix. For/let/where produce tuples in the same order as the naive
-// breadth-first applyClause pipeline; only error timing can differ, which
-// XQuery §2.3.4 permits.
-func streamClauses(clauses []xquery.Clause, t *scope, sink tupleSink) error {
-	if len(clauses) == 0 {
-		return sink(t)
-	}
-	switch c := clauses[0].(type) {
+// naiveClause is one for, let or where clause over the tuples in pulls.
+func naiveClause(c xquery.Clause, in func() (*scope, error)) func() (*scope, error) {
+	switch c := c.(type) {
 	case *xquery.For:
-		if err := t.checkCancel(); err != nil {
-			return err
-		}
-		seq, err := evalExpr(c.In, t)
-		if err != nil {
-			return err
-		}
-		for i, it := range seq {
+		var t *scope
+		var seq xdm.Sequence
+		i := 0
+		return func() (*scope, error) {
+			for i == len(seq) {
+				var err error
+				if t, err = in(); t == nil || err != nil {
+					return nil, err
+				}
+				if err := t.checkCancel(); err != nil {
+					return nil, err
+				}
+				if seq, err = evalExpr(c.In, t); err != nil {
+					return nil, err
+				}
+				i = 0
+			}
 			if err := t.countTuple(); err != nil {
-				return err
+				return nil, err
 			}
-			nt := t.bindItem(c.Var, it)
+			i++
+			nt := t.bindItem(c.Var, seq[i-1])
 			if c.At != "" {
-				nt = nt.bindItem(c.At, xdm.Integer(i+1))
+				nt = nt.bindItem(c.At, xdm.Integer(i))
 			}
-			if err := streamClauses(clauses[1:], nt, sink); err != nil {
-				return err
-			}
+			return nt, nil
 		}
-		return nil
 	case *xquery.Let:
-		v, err := evalExpr(c.Expr, t)
-		if err != nil {
-			return err
+		return func() (*scope, error) {
+			t, err := in()
+			if t == nil || err != nil {
+				return nil, err
+			}
+			v, err := evalExpr(c.Expr, t)
+			if err != nil {
+				return nil, err
+			}
+			return t.bind(c.Var, v), nil
 		}
-		return streamClauses(clauses[1:], t.bind(c.Var, v), sink)
 	case *xquery.Where:
-		ok, err := evalEBV(c.Cond, t)
-		if err != nil {
-			return err
+		return func() (*scope, error) {
+			for {
+				t, err := in()
+				if t == nil || err != nil {
+					return nil, err
+				}
+				if ok, err := evalEBV(c.Cond, t); err != nil || ok {
+					return t, err
+				}
+			}
 		}
-		if !ok {
-			return nil
-		}
-		return streamClauses(clauses[1:], t, sink)
-	default:
-		return dynErr("unsupported FLWOR clause %T", clauses[0])
 	}
+	return func() (*scope, error) { return nil, dynErr("unsupported FLWOR clause %T", c) }
 }

@@ -146,66 +146,83 @@ func TestEvalStreamMatchesEval(t *testing.T) {
 	}
 }
 
-// TestCursorCloseCancelsEvaluation: closing a cursor with rows in flight
-// must cancel the producer's evaluation — the tuple counter stays far below
-// the query's full cardinality.
+// bothStreams runs check on q streamed naive and planned, the way
+// production plans it (CompileAST).
+func bothStreams(t *testing.T, e *Engine, q *xquery.Query, check func(t *testing.T, open func(context.Context) *Cursor)) {
+	plan, err := e.CompileAST(q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Run("naive", func(t *testing.T) {
+		check(t, func(ctx context.Context) *Cursor { return e.EvalStreamNaive(ctx, q, nil, nil) })
+	})
+	t.Run("planned", func(t *testing.T) {
+		check(t, func(ctx context.Context) *Cursor { return e.EvalStream(ctx, plan, nil, nil) })
+	})
+}
+
+// TestCursorCloseCancelsEvaluation: closing a cursor with rows left must
+// end the evaluation — the tuple counter stays far below the query's full
+// cardinality.
 func TestCursorCloseCancelsEvaluation(t *testing.T) {
-	e := bigEngine(300) // 90 000 tuples if run to completion
-	cur := e.EvalStreamNaive(context.Background(), streamingCrossQuery(), nil, nil)
-	for i := 0; i < 5; i++ {
-		if _, err := cur.Next(); err != nil {
-			t.Fatalf("row %d: %v", i, err)
+	bothStreams(t, bigEngine(300), streamingCrossQuery(), func(t *testing.T, open func(context.Context) *Cursor) {
+		cur := open(context.Background()) // 90 000 tuples if run to completion
+		for i := 0; i < 5; i++ {
+			if _, err := cur.Next(); err != nil {
+				t.Fatalf("row %d: %v", i, err)
+			}
 		}
-	}
-	if err := cur.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-	if err := cur.Err(); err != nil {
-		t.Fatalf("deliberate close surfaced an error: %v", err)
-	}
-	_, tuples := cur.Stats()
-	// 5 consumed + the bounded producer buffer; anywhere near 90 000 means
-	// the evaluation ran to completion after Close.
-	if tuples > 2000 {
-		t.Fatalf("closed cursor evaluated %d tuples, want far fewer than 90000", tuples)
-	}
-	if _, err := cur.Next(); err != io.EOF {
-		t.Fatalf("Next after Close = %v, want io.EOF", err)
-	}
-	if err := cur.Close(); err != nil {
-		t.Fatalf("second Close = %v, want nil (idempotent)", err)
-	}
+		if err := cur.Close(); err != nil {
+			t.Fatalf("close: %v", err)
+		}
+		if err := cur.Err(); err != nil {
+			t.Fatalf("deliberate close surfaced an error: %v", err)
+		}
+		_, tuples := cur.Stats()
+		// 5 consumed, give or take a batch; anywhere near 90 000 means the
+		// evaluation ran to completion after Close.
+		if tuples > 2000 {
+			t.Fatalf("closed cursor evaluated %d tuples, want far fewer than 90000", tuples)
+		}
+		if _, err := cur.Next(); err != io.EOF {
+			t.Fatalf("Next after Close = %v, want io.EOF", err)
+		}
+		if err := cur.Close(); err != nil {
+			t.Fatalf("second Close = %v, want nil (idempotent)", err)
+		}
+	})
 }
 
 // TestCursorContextCancellation: cancelling the evaluation context
 // mid-stream surfaces context.Canceled from Next and Err.
 func TestCursorContextCancellation(t *testing.T) {
-	e := bigEngine(300)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	cur := e.EvalStreamNaive(ctx, streamingCrossQuery(), nil, nil)
-	defer cur.Close()
-	if _, err := cur.Next(); err != nil {
-		t.Fatalf("first row: %v", err)
-	}
-	cancel()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		_, err := cur.Next()
-		if err == nil {
-			if time.Now().After(deadline) {
-				t.Fatal("cancellation never surfaced")
+	bothStreams(t, bigEngine(300), streamingCrossQuery(), func(t *testing.T, open func(context.Context) *Cursor) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		cur := open(ctx)
+		defer cur.Close()
+		if _, err := cur.Next(); err != nil {
+			t.Fatalf("first row: %v", err)
+		}
+		cancel()
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			_, err := cur.Next()
+			if err == nil {
+				if time.Now().After(deadline) {
+					t.Fatal("cancellation never surfaced")
+				}
+				continue // rows evaluated before the cancellation may still come
 			}
-			continue // buffered rows may still drain
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			break
 		}
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want context.Canceled", err)
+		if err := cur.Err(); !errors.Is(err, context.Canceled) {
+			t.Fatalf("Err() = %v, want context.Canceled", err)
 		}
-		break
-	}
-	if err := cur.Err(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Err() = %v, want context.Canceled", err)
-	}
+	})
 }
 
 // TestCursorPrimeSurfacesEarlyErrors: failures before the first row (an
@@ -223,36 +240,37 @@ func TestCursorPrimeSurfacesEarlyErrors(t *testing.T) {
 // another closes the cursor — the consumer surface is mutex-protected, so
 // this pins the locking under -race.
 func TestCursorConcurrentNextClose(t *testing.T) {
-	e := bigEngine(60) // 3600 rows
-	for round := 0; round < 4; round++ {
-		cur := e.EvalStreamNaive(context.Background(), streamingCrossQuery(), nil, nil)
-		var wg sync.WaitGroup
-		for g := 0; g < 4; g++ {
+	bothStreams(t, bigEngine(60), streamingCrossQuery(), func(t *testing.T, open func(context.Context) *Cursor) {
+		for round := 0; round < 4; round++ { // 3600 rows each
+			cur := open(context.Background())
+			var wg sync.WaitGroup
+			for g := 0; g < 4; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for {
+						if _, err := cur.Next(); err != nil {
+							return
+						}
+					}
+				}()
+			}
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				for {
-					if _, err := cur.Next(); err != nil {
-						return
-					}
-				}
+				time.Sleep(time.Duration(round) * 100 * time.Microsecond)
+				cur.Close()
 			}()
+			wg.Wait()
+			if err := cur.Err(); err != nil {
+				t.Fatalf("round %d: %v", round, err)
+			}
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			time.Sleep(time.Duration(round) * 100 * time.Microsecond)
-			cur.Close()
-		}()
-		wg.Wait()
-		if err := cur.Err(); err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
-	}
+	})
 }
 
 // TestStreamLimitShortCircuit: fn:subsequence(rows, 1, n) — FETCH FIRST —
-// stops the naive evaluator after n tuples, both streamed and materialized.
+// stops the evaluation after n tuples, both streamed and materialized.
 func TestStreamLimitShortCircuit(t *testing.T) {
 	inner := &xquery.FLWOR{
 		Clauses: []xquery.Clause{
@@ -271,27 +289,27 @@ func TestStreamLimitShortCircuit(t *testing.T) {
 			&xquery.NumberLit{Text: "1"}, &xquery.NumberLit{Text: "10"})),
 	}
 	e := bigEngine(300) // 90 000 tuples without the short circuit
-
-	// Streamed path.
-	cur := e.EvalStreamNaive(context.Background(), q, nil, nil)
-	n := 0
-	for {
-		_, err := cur.Next()
-		if err == io.EOF {
-			break
+	bothStreams(t, e, q, func(t *testing.T, open func(context.Context) *Cursor) {
+		cur := open(context.Background())
+		n := 0
+		for {
+			_, err := cur.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			n++
 		}
-		if err != nil {
-			t.Fatal(err)
+		cur.Close()
+		if n != 10 {
+			t.Fatalf("streamed %d rows, want 10", n)
 		}
-		n++
-	}
-	cur.Close()
-	if n != 10 {
-		t.Fatalf("streamed %d rows, want 10", n)
-	}
-	if _, tuples := cur.Stats(); tuples > 12 {
-		t.Fatalf("streamed FETCH FIRST evaluated %d tuples, want O(10)", tuples)
-	}
+		if _, tuples := cur.Stats(); tuples > 12 {
+			t.Fatalf("streamed FETCH FIRST evaluated %d tuples, want O(10)", tuples)
+		}
+	})
 
 	// Materialized path: evalFuncCall takes the same short circuit.
 	out, err := evalQuery(e, q, nil)

@@ -26,6 +26,8 @@ import (
 	"repro/internal/remoteclient"
 	"repro/internal/server"
 	"repro/internal/wire"
+	"repro/internal/xdm"
+	"repro/internal/xqeval"
 )
 
 // TestShedVsCancelTaxonomyAcrossWire pins the three-way error taxonomy a
@@ -82,8 +84,12 @@ func TestShedVsCancelTaxonomyAcrossWire(t *testing.T) {
 // TestOverloadContract pins the overload contract through the real server.
 // Closed-loop clients (retries off, so every shed is seen raw) run an
 // aggregate-join / point-lookup mix, first at capacity, then at 2× capacity
-// with cost-weighted admission, a short queue and an admission deadline of
-// 2× the uncontended p99. Every op must complete or shed with a typed
+// with cost-weighted admission, a short queue and an admission deadline
+// shorter than a report's run. A report holds its admission slots for at
+// least hold: its PO_CUSTOMERS call waits that long first, so at 2× load
+// the ops arriving while two reports run find the slots and the queue full
+// or wait out the deadline — the overload happens by construction, not by
+// the scheduler's leave. Every op must complete or shed with a typed
 // error; nothing sheds uncontended, something sheds overloaded; a shed
 // answers within the deadline plus 100 ms; the server counts each shed
 // the clients saw under exactly one reason; the drain leaks no goroutine.
@@ -93,7 +99,23 @@ func TestOverloadContract(t *testing.T) {
 		FROM CUSTOMERS C INNER JOIN PO_CUSTOMERS O ON C.CUSTOMERID = O.CUSTOMERID
 		WHERE C.CITY IS NOT NULL GROUP BY C.CITY HAVING COUNT(*) > 1 ORDER BY 3 DESC`
 	const pointSQL = "SELECT CITY FROM CUSTOMERS WHERE CUSTOMERID = ?"
+	const hold = 25 * time.Millisecond
 	p := Demo()
+	// Middleware also keeps the report's build from being kept with its
+	// plan, so every report calls PO_CUSTOMERS and waits.
+	p.Engine.Use(func(name string, fn xqeval.ContextFunc) xqeval.ContextFunc {
+		if name != "PO_CUSTOMERS" {
+			return fn
+		}
+		return func(ctx context.Context, args []xdm.Sequence) (xdm.Sequence, error) {
+			select {
+			case <-time.After(hold):
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+			return fn(ctx, args)
+		}
+	})
 	runtime.GC()
 	baseline := runtime.NumGoroutine()
 
@@ -166,7 +188,7 @@ func TestOverloadContract(t *testing.T) {
 		return d[min(len(d)-1, len(d)*99/100)]
 	}
 
-	accepted, shed := run("uncontended", server.Config{MaxConcurrentQueries: capacity, CostPerSlot: math.MaxInt64,
+	_, shed := run("uncontended", server.Config{MaxConcurrentQueries: capacity, CostPerSlot: math.MaxInt64,
 		AdmissionWait: 10 * time.Second, SessionIdleTimeout: time.Minute, FetchRows: 64}, capacity)
 	if len(shed) != 0 {
 		t.Errorf("uncontended phase shed %d ops", len(shed))
@@ -181,7 +203,7 @@ func TestOverloadContract(t *testing.T) {
 		}
 		return cq.Cost()
 	}
-	wait := max(2*p99(accepted), 5*time.Millisecond)
+	wait := hold / 5
 	_, shed = run("overload 2x", server.Config{MaxConcurrentQueries: capacity,
 		CostPerSlot: min(cost(reportSQL), cost(pointSQL)) + 1, MaxQueryWeight: capacity,
 		AdmissionWait: wait, AdmissionQueue: capacity / 2,

@@ -10,12 +10,14 @@ package aqualogic
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/demo"
 	"repro/internal/resultset"
 	"repro/internal/xdm"
+	"repro/internal/xqeval"
 	"repro/internal/xquery"
 )
 
@@ -408,6 +410,79 @@ func TestRowsCountedOnce(t *testing.T) {
 		rows.Close()
 		if got := p.Stats().Rows - before; got != int64(read) {
 			t.Fatalf("reading %d rows, then closing, counted %d", read, got)
+		}
+	}
+}
+
+// goroutineID is the calling goroutine's id, read from the header of its
+// runtime.Stack trace ("goroutine 17 [running]: …").
+func goroutineID() string {
+	var buf [64]byte
+	return strings.Fields(string(buf[:runtime.Stack(buf[:], false)]))[1]
+}
+
+// TestSerialEvaluationOnCallersGoroutine: a serial evaluation — planned, in
+// text and XML mode, naive, and a query over a view, whose data service
+// evaluates the view's own query — runs every data service call on the
+// goroutine that pulls the rows: no evaluation starts a goroutine of its
+// own.
+func TestSerialEvaluationOnCallersGoroutine(t *testing.T) {
+	ctx := context.Background()
+	p := Demo()
+	if err := p.DefineView("Logical", "FIRST_FIVE", "SELECT CUSTOMERID, CITY FROM CUSTOMERS WHERE CUSTOMERID < 1005"); err != nil {
+		t.Fatal(err)
+	}
+	var calls []string // data service name and the goroutine it ran on
+	p.Engine.Use(func(name string, fn xqeval.ContextFunc) xqeval.ContextFunc {
+		return func(ctx context.Context, args []xdm.Sequence) (xdm.Sequence, error) {
+			calls = append(calls, name+" on "+goroutineID())
+			return fn(ctx, args)
+		}
+	})
+	const sql = "SELECT CUSTOMERID, CITY FROM CUSTOMERS WHERE CUSTOMERID < 1010"
+	naive := func() (int, error) {
+		cq, err := p.CompileContext(ctx, sql, ModeText)
+		if err != nil {
+			return 0, err
+		}
+		out, err := p.Engine.EvalStreamNaive(ctx, cq.Plan.Query, nil, nil).Drain()
+		return len(out), err
+	}
+	facade := func(mode ResultMode, sql string) func() (int, error) {
+		return func() (int, error) {
+			rows, err := p.QueryStreamMode(ctx, mode, sql)
+			if err != nil {
+				return 0, err
+			}
+			defer rows.Close()
+			n := 0
+			for rows.Next() {
+				n++
+			}
+			return n, rows.Err()
+		}
+	}
+	for _, c := range []struct {
+		name  string
+		run   func() (int, error)
+		calls int
+	}{
+		{"planned text", facade(ModeText, sql), 1},
+		{"planned xml", facade(ModeXML, sql), 1},
+		{"naive", naive, 1},
+		{"view", facade(ModeText, "SELECT CUSTOMERID FROM FIRST_FIVE"), 2},
+	} {
+		calls = nil
+		if n, err := c.run(); err != nil || n == 0 {
+			t.Fatalf("%s: %d rows, %v", c.name, n, err)
+		}
+		if len(calls) != c.calls {
+			t.Fatalf("%s: data service calls %q, want %d", c.name, calls, c.calls)
+		}
+		for _, call := range calls {
+			if !strings.HasSuffix(call, " on "+goroutineID()) {
+				t.Errorf("%s: %s, not on the reading goroutine %s", c.name, call, goroutineID())
+			}
 		}
 	}
 }
