@@ -51,7 +51,9 @@ race:
 # racing Close, FETCH FIRST's short circuit), and the
 # column and record kernels' differentials against the generic path and
 # naive, the flat records' net (records built by morsel workers are read
-# on the merging goroutine), and the rebound tuple cells' aliasing net
+# on the merging goroutine), the fan-out step ledger's net (a failing
+# evaluation charges the serial steps, a stopped one the same on every
+# run), and the rebound tuple cells' aliasing net
 # (each morsel worker rebinds cells of its own), and the kept-value nets:
 # eight first evaluations of one plan racing to build and keep its closed
 # builds, and evaluations running while a source is re-registered under
@@ -72,7 +74,7 @@ race:
 # hold their admission slots for a fixed time, so its 2x phase sheds by
 # construction.
 stress:
-	$(GO) test -race -count=20 -run 'TestParallel|TestBarrierAfterFanOut|TestFusedLimitParity|TestFusedMatchesNaive|TestFusedBatchesDouble|TestInFlightBound|TestCorrelated|TestColumnKernels|TestRecordKernel|TestFlatRecordsMatchNaive|TestHashJoinNegativeZero|TestTransientCells|TestKeptConcurrentFirstEvaluations|TestKeptValueReregisteredMidRun|TestCursor|TestStreamLimitShortCircuit' ./internal/xqeval/
+	$(GO) test -race -count=20 -run 'TestParallel|TestBarrierAfterFanOut|TestFusedLimitParity|TestFusedMatchesNaive|TestFusedBatchesDouble|TestInFlightBound|TestCorrelated|TestColumnKernels|TestRecordKernel|TestFlatRecordsMatchNaive|TestFanOutChargesSerialSteps|TestHashJoinNegativeZero|TestTransientCells|TestKeptConcurrentFirstEvaluations|TestKeptValueReregisteredMidRun|TestCursor|TestStreamLimitShortCircuit' ./internal/xqeval/
 	$(GO) test -race -count=20 -run 'TestRowsCountedOnce|TestEveryEntryCountedOnce' .
 	$(GO) test -race -count=10 -run 'TestConcurrent|TestStreaming|TestRows' ./internal/driver/
 	$(GO) test -race -count=10 -run 'TestConcurrentRenderOfCachedStatement$$' .

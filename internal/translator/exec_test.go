@@ -20,10 +20,18 @@ import (
 	"repro/internal/xquery"
 )
 
-// evalQuery plans q and evaluates it materialized with the given
+// evalQuery compiles q and evaluates it materialized with the given
 // parameter bindings.
 func evalQuery(e *xqeval.Engine, q *xquery.Query, ext map[string]xdm.Sequence) (xdm.Sequence, error) {
-	return e.EvalStream(context.Background(), xqeval.NewPlan(q), ext, nil).Drain()
+	names := make([]string, 0, len(ext))
+	for name := range ext {
+		names = append(names, name)
+	}
+	p, err := e.CompileAST(q, names)
+	if err != nil {
+		return nil, err
+	}
+	return e.EvalStream(context.Background(), p, ext, nil).Drain()
 }
 
 // fixtureEngine builds a small hand-written dataset whose query answers

@@ -43,9 +43,10 @@ func crossJoinQuery() *xquery.Query {
 func TestEvalCancellation(t *testing.T) {
 	e := bigEngine(300) // 300³ tuples — far too many to finish quickly
 	ctx, cancel := context.WithCancel(context.Background())
+	plan := MustCompile(t, e, crossJoinQuery(), nil)
 	done := make(chan error, 1)
 	go func() {
-		_, err := e.EvalStream(ctx, NewPlan(crossJoinQuery()), nil, nil).Drain()
+		_, err := e.EvalStream(ctx, plan, nil, nil).Drain()
 		done <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -65,7 +66,7 @@ func TestEvalDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := e.EvalStream(ctx, NewPlan(crossJoinQuery()), nil, nil).Drain()
+	_, err := e.EvalStream(ctx, MustCompile(t, e, crossJoinQuery(), nil), nil, nil).Drain()
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want deadline exceeded", err)
 	}
@@ -76,7 +77,7 @@ func TestEvalDeadline(t *testing.T) {
 
 func TestEvalContextCompletesNormally(t *testing.T) {
 	e := bigEngine(5)
-	out, err := e.EvalStream(context.Background(), NewPlan(crossJoinQuery()), nil, nil).Drain()
+	out, err := e.EvalStream(context.Background(), MustCompile(t, e, crossJoinQuery(), nil), nil, nil).Drain()
 	if err != nil {
 		t.Fatal(err)
 	}

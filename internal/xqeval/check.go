@@ -27,16 +27,27 @@ func staticErr(format string, args ...any) error {
 // bound by an enclosing FLWOR or quantified expression, or declared
 // external.
 func (e *Engine) Check(q *xquery.Query, external []string) error {
-	prefixes := map[string]string{}
-	for _, imp := range q.Prolog.SchemaImports {
-		prefixes[imp.Prefix] = imp.Namespace
-	}
+	return e.check(q, external, prologPrefixes(q))
+}
+
+// check is Check with the prefix map CompileAST shares with the planner.
+func (e *Engine) check(q *xquery.Query, external []string, prefixes map[string]string) error {
 	bound := map[string]bool{}
 	for _, v := range external {
 		bound[v] = true
 	}
 	c := &checker{engine: e, prefixes: prefixes}
 	return c.expr(q.Body, bound)
+}
+
+// prologPrefixes maps each schema-import prefix of q's prolog to its
+// namespace.
+func prologPrefixes(q *xquery.Query) map[string]string {
+	prefixes := make(map[string]string, len(q.Prolog.SchemaImports))
+	for _, imp := range q.Prolog.SchemaImports {
+		prefixes[imp.Prefix] = imp.Namespace
+	}
+	return prefixes
 }
 
 type checker struct {

@@ -3,9 +3,9 @@
 // NOT IN and ANY subqueries, probe a hash table built once per evaluation
 // instead of rescanning their source per outer row. The naive evaluator is
 // the oracle: every statement below must give it byte-identical results
-// under the structural plan and the stats-built plan at 1, 2 and 8
-// workers, materialized and streamed, in both result modes, and again
-// when a plan reuses the tables it kept.
+// under the engine's plan at 1, 2 and 8 workers, materialized and
+// streamed, in both result modes, and again when a plan reuses the tables
+// it kept.
 package xqeval_test
 
 import (
@@ -94,11 +94,12 @@ func corrSetup(t testing.TB) (*catalog.Application, *xqeval.Engine) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	view := xqeval.MustCompile(t, e, res.Query, nil)
 	app.AddDSFile(&catalog.DSFile{Path: "Corr", Name: "V", Functions: []*catalog.Function{
 		catalog.NewRelationalImport("Corr", "V", orderCols[:3]),
 	}})
 	e.Register("ld:Corr/V", "V", func([]xdm.Sequence) (xdm.Sequence, error) {
-		out, err := e.EvalStream(context.Background(), xqeval.NewPlan(res.Query), nil, nil).Drain()
+		out, err := e.EvalStream(context.Background(), view, nil, nil).Drain()
 		if err != nil {
 			return nil, err
 		}
@@ -159,6 +160,7 @@ func TestCorrelatedLookupsMatchNaive(t *testing.T) {
 	app, e := corrSetup(t)
 	defer xqeval.ForceFanOutForTest(e, 0, 0, 0)
 	ctx := context.Background()
+	fanned := false
 	for _, mode := range []translator.ResultMode{translator.ModeXML, translator.ModeText} {
 		tr := translator.New(app)
 		tr.Options.Mode = mode
@@ -179,47 +181,50 @@ func TestCorrelatedLookupsMatchNaive(t *testing.T) {
 				t.Fatalf("%q naive stream: %v", sql, err)
 			}
 
-			stats, err := e.CompileAST(res.Query, externalNames(res.ParamCount))
+			plan, err := e.CompileAST(res.Query, externalNames(res.ParamCount))
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, plan := range []*xqeval.Plan{xqeval.NewPlan(res.Query), stats} {
-				if d := strings.Join(plan.Describe(), "\n"); !strings.Contains(d, "hash probe") {
-					t.Fatalf("%q: no hash probe planned:\n%s", sql, d)
-				}
-				check := func(workers int, materialized, streamed *xqeval.Plan, label string) {
-					// Two-row morsels: the eight customers fan out to four
-					// morsels, whose workers race to build the shared table.
-					xqeval.ForceFanOutForTest(e, workers, 2, 2)
-					got, err := e.EvalStream(ctx, materialized, ext, nil).Drain()
-					if err != nil {
-						t.Fatalf("%q, mode %v, %s: %v", sql, mode, label, err)
-					}
-					if g := xdm.MarshalSequence(got); g != want {
-						t.Fatalf("%q, mode %v, %s: planned diverges from naive\nplanned: %s\nnaive:   %s", sql, mode, label, g, want)
-					}
-					rows, err := drainChunks(e.EvalStream(ctx, streamed, ext, nil), text)
-					if err != nil {
-						t.Fatalf("%q, mode %v, %s stream: %v", sql, mode, label, err)
-					}
-					if rows != wantStream {
-						t.Fatalf("%q, mode %v, %s: stream diverges from naive\nplanned: %s\nnaive:   %s", sql, mode, label, rows, wantStream)
-					}
-				}
-				// Every evaluation at each worker count runs on a copy with
-				// nothing kept, so it builds its tables.
-				for _, workers := range []int{1, 2, 8} {
-					check(workers, xqeval.FreshKept(plan), xqeval.FreshKept(plan), fmt.Sprintf("workers %d", workers))
-				}
-				// Then plan itself: the first evaluation builds and keeps
-				// its tables, the later ones reuse them.
-				check(8, plan, plan, "workers 8, build")
-				check(8, plan, plan, "workers 8, reuse")
+			if d := strings.Join(plan.Describe(), "\n"); !strings.Contains(d, "hash probe") {
+				t.Fatalf("%q: no hash probe planned:\n%s", sql, d)
 			}
+			check := func(workers int, materialized, streamed *xqeval.Plan, label string) {
+				// Two-row morsels: the eight customers fan out to four
+				// morsels, whose workers race to build the shared table.
+				xqeval.ForceFanOutForTest(e, workers, 2, 2)
+				morsels := e.Stats().MorselsProcessed
+				got, err := e.EvalStream(ctx, materialized, ext, nil).Drain()
+				if err != nil {
+					t.Fatalf("%q, mode %v, %s: %v", sql, mode, label, err)
+				}
+				if g := xdm.MarshalSequence(got); g != want {
+					t.Fatalf("%q, mode %v, %s: planned diverges from naive\nplanned: %s\nnaive:   %s", sql, mode, label, g, want)
+				}
+				rows, err := drainChunks(e.EvalStream(ctx, streamed, ext, nil), text)
+				if err != nil {
+					t.Fatalf("%q, mode %v, %s stream: %v", sql, mode, label, err)
+				}
+				if rows != wantStream {
+					t.Fatalf("%q, mode %v, %s: stream diverges from naive\nplanned: %s\nnaive:   %s", sql, mode, label, rows, wantStream)
+				}
+				fanned = fanned || workers > 1 && e.Stats().MorselsProcessed > morsels
+			}
+			// Every evaluation at each worker count runs on a copy with
+			// nothing kept, so it builds its tables.
+			for _, workers := range []int{1, 2, 8} {
+				check(workers, xqeval.FreshKept(plan), xqeval.FreshKept(plan), fmt.Sprintf("workers %d", workers))
+			}
+			// Then plan itself: the first evaluation builds and keeps
+			// its tables, the later ones reuse them.
+			check(8, plan, plan, "workers 8, build")
+			check(8, plan, plan, "workers 8, reuse")
 		}
 	}
 	if s := e.Stats(); s.KeptReuses == 0 {
 		t.Fatalf("no plan reused a kept table (%d kept)", s.KeptBuilds)
+	}
+	if !fanned {
+		t.Fatal("no statement fanned out to morsel workers")
 	}
 }
 
@@ -297,17 +302,16 @@ func TestCorrelatedProbeKeyClasses(t *testing.T) {
 		}
 		e := corrAtoms()
 		naive, nerr := e.EvalNaive(context.Background(), q, nil)
-		for _, plan := range []*xqeval.Plan{xqeval.NewPlan(q), xqeval.NewPlanStats(q, e)} {
-			if plan.HashJoins == 0 {
-				t.Fatalf("%s: no hash probe planned:\n%s", body, strings.Join(plan.Describe(), "\n"))
-			}
-			got, perr := e.EvalStream(context.Background(), plan, nil, nil).Drain()
-			if (perr == nil) != (nerr == nil) {
-				t.Fatalf("%s: error divergence: planned %v, naive %v", body, perr, nerr)
-			}
-			if g, w := xdm.MarshalSequence(got), xdm.MarshalSequence(naive); g != w {
-				t.Fatalf("%s: planned diverges from naive\nplanned: %s\nnaive:   %s", body, g, w)
-			}
+		plan := xqeval.MustCompile(t, e, q, nil)
+		if plan.HashJoins == 0 {
+			t.Fatalf("%s: no hash probe planned:\n%s", body, strings.Join(plan.Describe(), "\n"))
+		}
+		got, perr := e.EvalStream(context.Background(), plan, nil, nil).Drain()
+		if (perr == nil) != (nerr == nil) {
+			t.Fatalf("%s: error divergence: planned %v, naive %v", body, perr, nerr)
+		}
+		if g, w := xdm.MarshalSequence(got), xdm.MarshalSequence(naive); g != w {
+			t.Fatalf("%s: planned diverges from naive\nplanned: %s\nnaive:   %s", body, g, w)
 		}
 	}
 }
@@ -326,7 +330,7 @@ func TestCorrelatedLimitsSameKind(t *testing.T) {
 			}
 			ext := corrParams(res.ParamCount)
 			_, nerr := e.EvalNaive(context.Background(), res.Query, ext)
-			_, perr := e.EvalStream(context.Background(), xqeval.NewPlan(res.Query), ext, nil).Drain()
+			_, perr := e.EvalStream(context.Background(), xqeval.MustCompile(t, e, res.Query, ext), ext, nil).Drain()
 			for _, err := range []error{nerr, perr} {
 				var qe *aqerr.QueryError
 				if !errors.As(err, &qe) || qe.Kind != aqerr.KindResourceLimit {
@@ -354,7 +358,7 @@ for $a in j:L() where fn:not(fn:exists(for $b in j:R() where $b = $a return $b))
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := e.EvalStream(context.Background(), xqeval.NewPlan(q), nil, nil).Drain()
+	out, err := e.EvalStream(context.Background(), xqeval.MustCompile(t, e, q, nil), nil, nil).Drain()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,7 +423,7 @@ func TestProbeFilterDeclines(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", body, err)
 		}
-		if p := xqeval.NewPlan(q); p.HashJoins != 0 {
+		if p := xqeval.MustCompile(t, corrAtoms(), q, nil); p.HashJoins != 0 {
 			t.Errorf("%s: planned a hash probe:\n%s", body, strings.Join(p.Describe(), "\n"))
 		}
 	}

@@ -8,7 +8,7 @@ package xqeval
 // The model is deliberately coarse — it only has to rank queries, not
 // predict runtimes. When statistics are available (estRows/estBuild from
 // stats.go) the score is cardinality-driven; without them it degrades to a
-// structural complexity estimate: every unresolved scan is assumed to be
+// shape-only complexity estimate: every unresolved scan is assumed to be
 // costDefaultScanRows rows, every dependent (non-invariant) for a small
 // fan-out, so joins still multiply and nesting still compounds. Both paths
 // are pure functions of the immutable plan, so the score is computed once
@@ -17,7 +17,7 @@ package xqeval
 
 const (
 	// costDefaultScanRows is the assumed cardinality of a data-service scan
-	// whose statistics have not been observed — the structural fallback.
+	// whose statistics have not been observed — the shape-only fallback.
 	costDefaultScanRows = 1000
 	// costDependentFanout is the assumed per-tuple yield of a dependent
 	// (tuple-correlated) for, e.g. iterating child elements of a row.

@@ -6,28 +6,25 @@ import (
 	"repro/internal/xquery"
 )
 
-func costOf(t *testing.T, src string, sp StatsProvider) int64 {
+func costOf(t *testing.T, src string, sp fixedStats) int64 {
 	t.Helper()
 	q, err := xquery.Parse(src)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	if sp != nil {
-		return NewPlanStats(q, sp).CostEstimate()
-	}
-	return NewPlan(q).CostEstimate()
+	return buildPlan(q, sp, prologPrefixes(q)).CostEstimate()
 }
 
 const costProlog = `import schema namespace j="urn:j" at "j.xsd";`
 
-// Structural fallback: with no statistics, joins must still rank above
+// Shape-only fallback: with no statistics, joins must still rank above
 // single scans, and single scans above constant bodies.
 func TestCostEstimateStructuralOrdering(t *testing.T) {
 	constant := costOf(t, `<r/>`, nil)
 	scan := costOf(t, costProlog+` for $a in j:L() return $a`, nil)
 	join := costOf(t, costProlog+` for $a in j:L() for $b in j:R() where $a/K = $b/K return $a`, nil)
 	if !(constant < scan && scan < join) {
-		t.Fatalf("structural ordering violated: constant=%d scan=%d join=%d", constant, scan, join)
+		t.Fatalf("shape-only ordering violated: constant=%d scan=%d join=%d", constant, scan, join)
 	}
 	if constant < 1 {
 		t.Fatalf("cost must be >= 1, got %d", constant)
@@ -40,6 +37,8 @@ func (f fixedStats) SourceStats(ns, local string) (*SourceStats, bool) {
 	s, ok := f[local]
 	return s, ok
 }
+
+func (fixedStats) SourcePartition(ns, local string) (*PartitionSpec, bool) { return nil, false }
 
 // Stats-driven scoring: a big scan must outrank a small one, and a hash
 // join must score far below the nested-loop cross product of its inputs.

@@ -134,7 +134,7 @@ func TestPlannedMatchesNaiveOnCorpus(t *testing.T) {
 				t.Fatalf("mode %v: %q must translate: %v", mode, sql, err)
 			}
 			ext := bindParams(res)
-			planned, perr := evalTwice(t, engine, xqeval.NewPlan(res.Query), ext)
+			planned, perr := evalTwice(t, engine, xqeval.MustCompile(t, engine, res.Query, ext), ext)
 			naive, nerr := engine.EvalNaive(context.Background(), res.Query, ext)
 			if (perr == nil) != (nerr == nil) {
 				t.Fatalf("mode %v: %q: error divergence\nplanned: %v\nnaive:   %v", mode, sql, perr, nerr)
@@ -178,7 +178,11 @@ func FuzzPlanDifferential(f *testing.F) {
 			return // nondeterministic between the two evaluations
 		}
 		ext := bindParams(res)
-		planned, perr := evalTwice(t, engine, xqeval.NewPlan(res.Query), ext)
+		plan, err := engine.CompileAST(res.Query, externalNames(res.ParamCount))
+		if err != nil {
+			return // a static error: what an evaluation error would have been
+		}
+		planned, perr := evalTwice(t, engine, plan, ext)
 		naive, nerr := engine.EvalNaive(context.Background(), res.Query, ext)
 		if perr != nil || nerr != nil {
 			// Error-presence divergence is permitted: conjunct splitting

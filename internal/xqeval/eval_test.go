@@ -83,10 +83,14 @@ func customersQuery(body xquery.Expr) *xquery.Query {
 	}
 }
 
-// evalQuery plans q and evaluates it materialized — what a caller holding
-// only an AST does.
+// evalQuery compiles q and evaluates it materialized — what a caller
+// holding only an AST does.
 func evalQuery(e *Engine, q *xquery.Query, ext map[string]xdm.Sequence) (xdm.Sequence, error) {
-	return e.EvalStream(context.Background(), NewPlan(q), ext, nil).Drain()
+	p, err := e.CompileAST(q, externalNames(ext))
+	if err != nil {
+		return nil, err
+	}
+	return e.EvalStream(context.Background(), p, ext, nil).Drain()
 }
 
 func evalBody(t *testing.T, body xquery.Expr) xdm.Sequence {
@@ -442,18 +446,21 @@ func TestEvalArithmeticNullPropagation(t *testing.T) {
 }
 
 func TestEvalLogicShortCircuit(t *testing.T) {
-	// false and <error> should not evaluate the right side.
-	out := evalBody(t, &xquery.Binary{Op: "and",
-		Left:  xquery.Call("fn:false"),
-		Right: xquery.Call("fn:no-such-function")})
-	if out[0].(xdm.Boolean) != false {
-		t.Fatalf("out = %v", out)
-	}
-	out = evalBody(t, &xquery.Binary{Op: "or",
-		Left:  xquery.Call("fn:true"),
-		Right: xquery.Call("fn:no-such-function")})
-	if out[0].(xdm.Boolean) != true {
-		t.Fatalf("out = %v", out)
+	// false and <error> should not evaluate the right side: a data service
+	// that fails when called.
+	e := testEngine()
+	e.Register("ld:TestDataServices/CUSTOMERS", "FAIL", func([]xdm.Sequence) (xdm.Sequence, error) {
+		return nil, dynErr("FAIL called")
+	})
+	for _, c := range []struct {
+		op, left string
+		want     xdm.Boolean
+	}{{"and", "fn:false", false}, {"or", "fn:true", true}} {
+		body := &xquery.Binary{Op: c.op, Left: xquery.Call(c.left), Right: xquery.Call("ns0:FAIL")}
+		out, err := evalQuery(e, customersQuery(body), nil)
+		if err != nil || out[0].(xdm.Boolean) != c.want {
+			t.Fatalf("%s: out = %v, err = %v", xquery.String(body), out, err)
+		}
 	}
 }
 

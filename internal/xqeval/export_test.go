@@ -2,9 +2,31 @@ package xqeval
 
 import (
 	"strings"
+	"testing"
 
+	"repro/internal/xdm"
 	"repro/internal/xquery"
 )
+
+// MustCompile is e.CompileAST(q) with ext's names declared external,
+// failing tb on a static error.
+func MustCompile(tb testing.TB, e *Engine, q *xquery.Query, ext map[string]xdm.Sequence) *Plan {
+	tb.Helper()
+	p, err := e.CompileAST(q, externalNames(ext))
+	if err != nil {
+		tb.Fatalf("compile: %v", err)
+	}
+	return p
+}
+
+// externalNames is the names ext binds.
+func externalNames(ext map[string]xdm.Sequence) []string {
+	names := make([]string, 0, len(ext))
+	for name := range ext {
+		names = append(names, name)
+	}
+	return names
+}
 
 // KeptColumns lists, for each column-record kernel of p in body order, the
 // names of the columns it builds, space-separated.

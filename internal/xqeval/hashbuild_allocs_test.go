@@ -26,11 +26,14 @@ for $a in j:A() for $b in j:B() where $b/K = $a/K return $b`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	op := &NewPlan(q).flwors[q.Body].segments[0].ops[1]
+	e := New()
+	e.RegisterRows("urn:j", "A", nil)
+	e.RegisterRows("urn:j", "B", nil)
+	op := &MustCompile(t, e, q, nil).flwors[q.Body].segments[0].ops[1]
 	if op.hash == nil {
 		t.Fatal("no hash join planned")
 	}
-	root := &scope{st: &evalState{engine: New(), prefixes: map[string]string{}, counters: &evalCounters{}}}
+	root := &scope{st: &evalState{engine: e, prefixes: map[string]string{}, counters: &evalCounters{}}}
 	perItem := testing.AllocsPerRun(20, func() {
 		if _, err := buildHashTable(op, root, items); err != nil {
 			t.Fatal(err)

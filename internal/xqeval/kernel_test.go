@@ -84,6 +84,12 @@ func kernelQuery(t *testing.T, body string) *xquery.Query {
 	return q
 }
 
+// kernelPlan compiles a kernel statement, $p1 external.
+func kernelPlan(t *testing.T, e *Engine, q *xquery.Query) *Plan {
+	t.Helper()
+	return MustCompile(t, e, q, map[string]xdm.Sequence{"p1": nil})
+}
+
 // outcome renders a boolean or error result.
 func outcome(ok bool, err error) string {
 	if err != nil {
@@ -135,7 +141,7 @@ func TestColumnKernelsMatchGeneric(t *testing.T) {
 	// evalEBV, and kernel vs generic step charges.
 	for _, body := range kernelFilters() {
 		q := kernelQuery(t, body)
-		fp := NewPlan(q).flwors[q.Body]
+		fp := kernelPlan(t, e, q).flwors[q.Body]
 		op := &fp.segments[0].ops[1]
 		if op.kind != opKindFilter || op.column == nil {
 			t.Fatalf("%s: no column filter planned", body)
@@ -175,7 +181,7 @@ func TestColumnKernelsMatchGeneric(t *testing.T) {
 	// the hash raises no error, and must raise one wherever the hash does.
 	for _, body := range kernelJoins {
 		q := kernelQuery(t, body)
-		fp := NewPlan(q).flwors[q.Body]
+		fp := kernelPlan(t, e, q).flwors[q.Body]
 		outer, op := &fp.segments[0].ops[0], &fp.segments[0].ops[1]
 		if op.hash == nil || op.hash.keyCol == "" && op.hash.probeCol.col == "" {
 			t.Fatalf("%s: no column hash join planned", body)
@@ -264,10 +270,11 @@ func TestColumnKernelsMatchGeneric(t *testing.T) {
 		}
 	}
 
-	// Whole plans, structural and stats-built, at 1, 2 and 8 workers,
-	// materialized and streamed, against naive: filters exactly (same rows
-	// or same error text), hash joins wherever naive raises no error (a
-	// probe may skip a comparison that would have failed).
+	// Whole plans at 1, 2 and 8 workers, materialized and streamed, against
+	// naive: filters exactly (same rows or same error text), hash joins
+	// wherever naive raises no error (a probe may skip a comparison that
+	// would have failed). The sweep must fan out: the lookups' outer scans
+	// are morsel-eligible.
 	defer ForceFanOutForTest(e, 0, 0, 0)
 	ctx := context.Background()
 	type stmt struct {
@@ -281,9 +288,10 @@ func TestColumnKernelsMatchGeneric(t *testing.T) {
 	for _, body := range append(kernelJoins, kernelLookups...) {
 		stmts = append(stmts, stmt{body, false})
 	}
+	fanned := false
 	for _, s := range stmts {
 		q := kernelQuery(t, s.body)
-		plans := []*Plan{NewPlan(q), NewPlanStats(q, e)}
+		plan := kernelPlan(t, e, q)
 		for _, p := range operands {
 			ext := map[string]xdm.Sequence{"p1": p}
 			ForceFanOutForTest(e, 1, 0, 0)
@@ -291,37 +299,40 @@ func TestColumnKernelsMatchGeneric(t *testing.T) {
 			want := outcomeSeq(naive, nerr)
 			wantStream := drainKernelStream(e.EvalStreamNaive(ctx, q, ext, nil))
 			var first string
-			for pi, plan := range plans {
-				// Each worker count evaluates copies with nothing kept, so
-				// it builds; then plan itself, which keeps its closed
-				// builds on the first operand and reuses them on the next.
-				for _, workers := range []int{1, 2, 8, 0} {
-					materialized, streamedPlan, label := FreshKept(plan), FreshKept(plan), fmt.Sprintf("%s, $p1 = %v, plan %d, %d workers", s.body, p, pi, workers)
-					if workers == 0 {
-						workers, materialized, streamedPlan = 8, plan, plan
-						label = fmt.Sprintf("%s, $p1 = %v, plan %d kept, 8 workers", s.body, p, pi)
+			// Each worker count evaluates copies with nothing kept, so it
+			// builds; then plan itself, which keeps its closed builds on the
+			// first operand and reuses them on the next.
+			for _, workers := range []int{1, 2, 8, 0} {
+				materialized, streamedPlan, label := FreshKept(plan), FreshKept(plan), fmt.Sprintf("%s, $p1 = %v, %d workers", s.body, p, workers)
+				if workers == 0 {
+					workers, materialized, streamedPlan = 8, plan, plan
+					label = fmt.Sprintf("%s, $p1 = %v, kept, 8 workers", s.body, p)
+				}
+				ForceFanOutForTest(e, workers, 2, 2)
+				morsels := e.Stats().MorselsProcessed
+				got, err := e.EvalStream(ctx, materialized, ext, nil).Drain()
+				gotOut := outcomeSeq(got, err)
+				streamed := drainKernelStream(e.EvalStream(ctx, streamedPlan, ext, nil))
+				fanned = fanned || workers > 1 && e.Stats().MorselsProcessed > morsels
+				if first == "" {
+					first = gotOut
+				}
+				if gotOut != first {
+					t.Fatalf("%s: %s, the serial run %s", label, gotOut, first)
+				}
+				if s.exact || nerr == nil {
+					if gotOut != want {
+						t.Fatalf("%s: planned %s, naive %s", label, gotOut, want)
 					}
-					ForceFanOutForTest(e, workers, 2, 2)
-					got, err := e.EvalStream(ctx, materialized, ext, nil).Drain()
-					gotOut := outcomeSeq(got, err)
-					streamed := drainKernelStream(e.EvalStream(ctx, streamedPlan, ext, nil))
-					if first == "" {
-						first = gotOut
-					}
-					if gotOut != first {
-						t.Fatalf("%s: %s, the serial structural plan %s", label, gotOut, first)
-					}
-					if s.exact || nerr == nil {
-						if gotOut != want {
-							t.Fatalf("%s: planned %s, naive %s", label, gotOut, want)
-						}
-						if streamed != wantStream {
-							t.Fatalf("%s: streamed %s, naive stream %s", label, streamed, wantStream)
-						}
+					if streamed != wantStream {
+						t.Fatalf("%s: streamed %s, naive stream %s", label, streamed, wantStream)
 					}
 				}
 			}
 		}
+	}
+	if !fanned {
+		t.Fatal("no statement fanned out to morsel workers")
 	}
 }
 

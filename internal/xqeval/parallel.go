@@ -13,42 +13,34 @@ import (
 )
 
 // parallel.go is the morsel-style parallel executor. An eligible segment —
-// eager plan, a single driving tuple, an invariant non-hash outer for whose
-// source is already materialized — partitions that source into fixed-size
-// morsels claimed by a bounded worker pool. Each worker runs the segment's
-// remaining ops (filters, dependent fors/lets, hash-join probes against the
-// shared read-only build tables) over its morsel, buffering results; the
-// reading goroutine merges buffers strictly in morsel order, one pull at a
-// time, so the stream is byte-identical to the serial path's and ORDER BY
-// barriers see tuples in the exact serial sequence (the ordered-merge
-// requirement comes for free). A window of in-flight morsels (2× workers)
-// bounds speculation ahead of the merge point, which is what keeps FETCH
-// FIRST short-circuits cheap: when the countdown stops pulling, at most
-// window × morsel-size items were processed beyond the limit, and the end
-// of the evaluation cancels and joins every worker.
+// a single driving tuple, an invariant non-hash outer for whose source is
+// materialized — cuts that source into fixed-size morsels claimed by a
+// bounded worker pool. Each worker runs the segment's remaining ops over
+// its morsel, buffering results; the reading goroutine merges buffers
+// strictly in morsel order, one pull at a time, so the stream is
+// byte-identical to the serial path's and ORDER BY barriers see tuples in
+// serial order. A window of in-flight morsels (2× workers) bounds
+// speculation past the merge point, which keeps FETCH FIRST cheap.
 //
-// Resource limits are enforced once, at the merge point, which keeps the
-// serial counters: exactly what serial execution would have charged for
-// everything merged so far. A worker charges each morsel as serial code
-// does, through the same countRows/countTuple checks, but against its own
-// counters reset to zero at every claim. The morsel's charge at any row is
-// therefore at most the serial charge at that row (serial adds everything
-// merged before it), so a worker-side trip proves serial execution trips
-// at or before that row: it is an ordinary error that ends the morsel and
-// cancels its siblings, and it is never surfaced or counted as is. Any
-// morsel whose charges would cross a limit at its serial position — which
-// includes every morsel that tripped — any morsel that hit another guard
-// (MaxDepth), and any morsel truncated by a sibling's cancellation is
-// re-run single-threaded against the serial counters
-// (everything it reads is immutable, so the re-run IS the serial execution
-// of that morsel, at the cost of re-invoking its source calls). A worker
-// never charges more than the limit in one morsel, so a limit bounds the
-// wasted speculative work at window × the limit. The result: rows
-// delivered, the error surfaced, and the counters folded back into the
-// caller are all byte-identical to the serial path, on success, on limit
-// trips, on evaluation errors, and under FETCH FIRST — the only latitude
-// left is external cancellation, whose timing is inherently racy in both
-// paths.
+// Charges are made once, at the merge point, which keeps the serial
+// counters. A worker charges each morsel as serial code does, through the
+// same countRows/countTuple checks, against its own counters reset to zero
+// at every claim: the morsel's charge at any row is at most the serial one
+// there, so a worker-side limit trip proves serial execution trips at or
+// before that row. It only ends the morsel and cancels its siblings. Any
+// morsel whose charges would cross a limit at its serial position, that hit
+// another guard (MaxDepth), or that a sibling's cancellation truncated is
+// re-run single-threaded against the serial counters: everything it reads
+// is immutable, so the re-run is the serial execution of that morsel. A
+// morsel's steps are charged when the merge leaves it (retired, failed, or
+// stopped in), and a build the morsels share (a per-evaluation hash table,
+// a hoisted filter operand) with the first merged morsel that read it,
+// whichever worker built it (buildCharge). So rows delivered, the error
+// surfaced and the counters are the serial path's on success, on limit
+// trips and on evaluation errors; a FETCH FIRST stop or an early close
+// charges its rows and tuples exactly and the stopped morsel's steps
+// whole, on every run alike. External cancellation, racy in both paths, is
+// the only latitude left.
 
 // The morsel executor decides fan-out itself, as a dispatcher does: no
 // caller configures it. A segment whose source holds at least
@@ -97,28 +89,21 @@ func fanOutFor(e *Engine, n int) (fanOut, bool) {
 	return f, f.workers > 1
 }
 
-// canParallel reports whether one segment qualifies for morsel execution.
-// The shape requirements: exactly one driving tuple (so morsels partition
-// one scan, not a cross product), an invariant plain for as the first op
-// with its source already materialized by prepare (eager plans only), at
-// least minParallelItems of it, a live evaluation (counters present), and
-// not already inside a parallel region (no nested fan-out).
+// canParallel reports whether one segment, prepared, qualifies for morsel
+// execution. The shape requirements: exactly one driving tuple (so morsels
+// partition one scan, not a cross product), an invariant plain for as the
+// first op (prepare materialized its source), at least minParallelItems of
+// it, a live evaluation (counters present), and not already inside a
+// parallel region (no nested fan-out).
 func (ex *flworExec) canParallel(ops []planOp, tuples []*scope) bool {
-	if !ex.fp.eager || len(tuples) != 1 {
+	if len(tuples) != 1 || len(ops) == 0 || ops[0].kind != opKindFor || !ops[0].invariant || ops[0].hash != nil {
 		return false
 	}
 	eval := tuples[0].st
 	if eval.engine == nil || eval.counters == nil || eval.counters.worker {
 		return false
 	}
-	if len(ops) == 0 || ops[0].kind != opKindFor || !ops[0].invariant || ops[0].hash != nil {
-		return false
-	}
-	st := &ex.states[ops[0].stateIdx]
-	if !st.done {
-		return false
-	}
-	_, ok := fanOutFor(eval.engine, len(st.seq))
+	_, ok := fanOutFor(eval.engine, len(ex.states[ops[0].stateIdx].seq))
 	return ok
 }
 
@@ -126,19 +111,20 @@ func (ex *flworExec) canParallel(ops []planOp, tuples []*scope) bool {
 // segment (a row program's text rows back to back, batchRows to a string),
 // surviving tuple scopes on a barrier segment, and the first error the
 // morsel hit (processing stops there, so vals/texts/tups hold the morsel's
-// pre-error prefix). The charge ledger — how many rows and tuples the
-// morsel charged in total, and the running counts at the moment each row
-// was buffered — is what lets the merge loop advance the serial counters
-// exactly, including through a mid-morsel FETCH FIRST stop.
+// pre-error prefix). The charge ledger — how many rows, tuples, steps and
+// pruned tuples the morsel charged in total, the running row and tuple
+// counts at the moment each row was buffered, and the shared builds it
+// read — is what lets the merge loop advance the serial counters exactly,
+// including through a mid-morsel FETCH FIRST stop.
 type morselResult struct {
 	vals  []xdm.Sequence
 	texts []string
 	tups  []*scope
 	err   error
 
-	rowsCharged   int64
-	tuplesCharged int64
-	chargedAt     []morselCharge
+	rowsCharged, tuplesCharged, stepsCharged, prunedCharged int64
+	chargedAt                                               []morselCharge
+	builds                                                  []*buildCharge
 }
 
 // morselCharge is the morsel's running row/tuple charge once a row was
@@ -202,7 +188,7 @@ func (ex *flworExec) fanOut(ops []planOp, base *scope, final bool) *merge {
 	for i := 0; i < window; i++ {
 		tokens <- struct{}{}
 	}
-	var claim, completed, workerSteps, workerPruned atomic.Int64
+	var claim, completed atomic.Int64
 	st.engine.m.workers.Add(int64(workers))
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -210,10 +196,6 @@ func (ex *flworExec) fanOut(ops []planOp, base *scope, final bool) *merge {
 		go func() {
 			defer wg.Done()
 			wc := &evalCounters{worker: true}
-			defer func() {
-				workerSteps.Add(wc.steps)
-				workerPruned.Add(wc.pruned)
-			}()
 			ws := base.on(workCtx, wc)
 			for {
 				select {
@@ -242,12 +224,18 @@ func (ex *flworExec) fanOut(ops []planOp, base *scope, final bool) *merge {
 		}()
 	}
 
-	// counters are the caller's, the serial counters: exactly what the
-	// serial path would have charged for everything merged so far. They
-	// advance only at the merge point, so charges by morsels that are
-	// discarded (past a FETCH FIRST stop, beyond an error) are refunded
-	// for free.
+	// counters are the caller's, the serial counters: they advance only
+	// here, so morsels discarded past a stop or an error charge nothing.
 	counters := st.counters
+	// leave charges the steps of a morsel the merge is done with, and the
+	// shared builds it read that no earlier morsel paid.
+	leave := func(r *morselResult) {
+		counters.steps += r.stepsCharged
+		counters.pruned += r.prunedCharged
+		for _, b := range r.builds {
+			counters.pay(b)
+		}
+	}
 	g := &merge{}
 	joined := false
 	g.join = func() {
@@ -257,8 +245,10 @@ func (ex *flworExec) fanOut(ops []planOp, base *scope, final bool) *merge {
 		joined = true
 		cancel()
 		wg.Wait()
-		counters.steps += workerSteps.Load()
-		counters.pruned += workerPruned.Load()
+		if g.r != nil {
+			leave(g.r)
+			g.r = nil
+		}
 	}
 	lim := st.limits
 	over := func(rows, tuples int64) bool {
@@ -266,11 +256,7 @@ func (ex *flworExec) fanOut(ops []planOp, base *scope, final bool) *merge {
 	}
 	// rerun runs morsel m single-threaded from the serial counts given.
 	rerun := func(m int, rows, tuples int64, drift []morselCharge) *morselResult {
-		rc := &evalCounters{rows: rows, tuples: tuples}
-		r := morsel(m, base.on(parentCtx, rc), drift)
-		counters.steps += rc.steps
-		counters.pruned += rc.pruned
-		return r
+		return morsel(m, base.on(parentCtx, &evalCounters{rows: rows, tuples: tuples}), drift)
 	}
 
 	// The morsel being merged is m. Its charges are added to the serial
@@ -281,19 +267,10 @@ func (ex *flworExec) fanOut(ops []planOp, base *scope, final bool) *merge {
 	var rowBase, tupleBase, rows0, tuples0 int64
 	var drift []morselCharge
 	pending := false
-	// advance makes the next morsel the one being merged; false after the
-	// last, with the pool joined.
-	//
-	// A clean result, or an evaluation error, is exactly what serial
-	// execution produced for the morsel — unless its charges cross a
-	// resource limit at its serial position (every worker-side trip does),
-	// the worker hit a limit, or the pool's cancellation truncated it.
-	// Those are re-run single-threaded against the serial counters:
-	// everything the morsel reads — the source sequence, invariant states,
-	// hash build tables — is immutable, so the re-run is the serial
-	// execution of the morsel, trips at the exact serial row, and is safe
-	// while siblings still speculate. Under external cancellation the
-	// re-run aborts on its first cancel check.
+	// advance makes the next morsel the one being merged, re-run serially
+	// if the header's rule says so; false after the last, with the pool
+	// joined. Under external cancellation a re-run aborts on its first
+	// cancel check.
 	advance := func() (bool, error) {
 		if m == num {
 			g.join()
@@ -332,11 +309,12 @@ func (ex *flworExec) fanOut(ops []planOp, base *scope, final bool) *merge {
 		g.r = r
 		return true, nil
 	}
-	// retire ends the merged morsel, whose charges are in: its error, or
-	// the window's token back.
+	// retire ends the merged morsel, whose row and tuple charges are in:
+	// its steps, then its error or the window's token back.
 	retire := func() error {
 		r := g.r
 		g.r = nil
+		leave(r)
 		if r.err != nil {
 			return r.err
 		}
@@ -400,11 +378,8 @@ func (ex *flworExec) fanOut(ops []planOp, base *scope, final bool) *merge {
 				}
 				continue
 			}
-			rr := rerun(m, rows0, tuples0, drift)
-			counters.rows, counters.tuples = rows0+rr.rowsCharged, tuples0+rr.tuplesCharged
-			if rr.err != nil {
-				return -1, rr.err
-			}
+			g.r = rerun(m, rows0, tuples0, drift)
+			counters.rows, counters.tuples = rows0+g.r.rowsCharged, tuples0+g.r.tuplesCharged
 			if err := retire(); err != nil {
 				return -1, err
 			}
@@ -447,17 +422,22 @@ func (g *merge) fill(w *rowWriter, n int) error {
 
 // runMorsel processes outer-scan items [start,end) through ops[1:],
 // buffering into r and stopping at the first error. ws's counters double as
-// the charge ledger: the deltas accumulated here are what the merge loop
-// replays against the serial counters. The same code serves the worker
-// pass (counters starting at zero) and the merge-time re-runs (counters
-// starting at the serial counts), which add drift[i] — what handing out
-// row i charged — once row i is buffered.
+// the charge ledger: the deltas accumulated here, and the shared builds
+// read (noted on r while it runs), are what the merge loop replays against
+// the serial counters. The same code serves the worker pass (row and tuple
+// counters starting at zero) and the merge-time re-runs (counters starting
+// at the serial counts), which add drift[i] — what handing out row i
+// charged — once row i is buffered.
 func (ex *flworExec) runMorsel(ops []planOp, ws *scope, seq xdm.Sequence, start, end int, final bool, r *morselResult, drift []morselCharge) {
 	counters := ws.st.counters
-	rows0, tups0 := counters.rows, counters.tuples
+	rows0, tups0, steps0, pruned0 := counters.rows, counters.tuples, counters.steps, counters.pruned
+	counters.morsel = r
 	defer func() {
+		counters.morsel = nil
 		r.rowsCharged = counters.rows - rows0
 		r.tuplesCharged = counters.tuples - tups0
+		r.stepsCharged = counters.steps - steps0
+		r.prunedCharged = counters.pruned - pruned0
 	}()
 	// A row program's rows go to a scratch buffer and are copied out
 	// exactly, batchRows to a string: no estimate sizes a morsel's text.

@@ -818,7 +818,7 @@ return p:CHECKED($r/ID)`)
 // axis: any SQL the translator accepts is evaluated serially and at 8
 // workers over the same compiled plan; divergence in values, or in error
 // presence, fails. (Parallel execution has no §2.3.4 latitude against its
-// own serial run — both execute the identical eager plan.)
+// own serial run — both execute the identical plan.)
 func FuzzParallelDifferential(f *testing.F) {
 	for _, s := range append(differentialCorpus(), correlatedSeeds...) {
 		f.Add(s)
@@ -877,4 +877,75 @@ func FuzzParallelDifferential(f *testing.F) {
 			t.Fatalf("%q: text stream diverges from naive\nplanned: %s\nnaive:   %s", sql, got, want)
 		}
 	})
+}
+
+// TestFanOutChargesSerialSteps: a fanned-out evaluation that fails charges
+// the steps and tuples of the serial one, whichever morsels the workers ran
+// ahead and whichever worker built what the morsels share. The failing
+// statement's cast error comes in its first morsel, past a per-evaluation
+// table its probes share. One stopped early — by FETCH FIRST, or closed
+// after its first chunk — charges the serial tuples and the same steps on
+// every run. Each run evaluates a copy with nothing kept, so it builds.
+func TestFanOutChargesSerialSteps(t *testing.T) {
+	app, _, e := demo.Setup(demo.Sizes{Customers: 12, PaymentsPerCustomer: 2, Orders: 20, ItemsPerOrder: 2})
+	defer xqeval.ForceFanOutForTest(e, 0, 0, 0)
+	ctx := context.Background()
+	charged := func(cur *xqeval.Cursor, err error) evaluation {
+		steps, tuples := cur.Stats()
+		return evaluation{fmt.Sprint(err), steps, tuples}
+	}
+	runs := map[string]func(*xqeval.Plan) evaluation{
+		"drained": func(p *xqeval.Plan) evaluation {
+			cur := e.EvalStream(ctx, p, nil, nil)
+			_, err := cur.Drain()
+			return charged(cur, err)
+		},
+		"streamed": func(p *xqeval.Plan) evaluation {
+			cur := e.EvalStream(ctx, p, nil, nil)
+			_, err := drainCursor(cur)
+			return charged(cur, err)
+		},
+		"closed after a chunk": func(p *xqeval.Plan) evaluation {
+			cur := e.EvalStream(ctx, p, nil, nil)
+			_, err := cur.Next()
+			cur.Close()
+			return charged(cur, err)
+		},
+	}
+	for _, c := range []struct {
+		sql  string
+		fail bool
+	}{
+		{"SELECT CUSTOMERID FROM CUSTOMERS C WHERE 100 < ANY (SELECT P.PAYMENT FROM PAYMENTS P WHERE P.CUSTID = C.CUSTOMERID)", true},
+		{"SELECT CUSTOMERID FROM CUSTOMERS C WHERE EXISTS (SELECT P.PAYMENT FROM PAYMENTS P WHERE P.CUSTID = C.CUSTOMERID) FETCH FIRST 5 ROWS ONLY", false},
+	} {
+		for _, mode := range []translator.ResultMode{translator.ModeXML, translator.ModeText} {
+			plan := xqeval.MustCompile(t, e, translateFor(t, app, mode, c.sql).Query, nil)
+			for how, run := range runs {
+				xqeval.ForceFanOutForTest(e, 1, 2, 2)
+				serial := run(xqeval.FreshKept(plan))
+				if strings.Contains(serial.out, "cannot cast") != c.fail {
+					t.Fatalf("%q, mode %v, %s: serial run ended with %s", c.sql, mode, how, serial.out)
+				}
+				for _, workers := range []int{2, 8} {
+					xqeval.ForceFanOutForTest(e, workers, 2, 2)
+					started := e.Stats().ParallelWorkers
+					want := serial
+					for i := 0; i < 30; i++ {
+						got := run(xqeval.FreshKept(plan))
+						if i == 0 && !c.fail {
+							want.steps = got.steps
+						}
+						if got != want {
+							t.Fatalf("%q, mode %v, %s, %d workers, run %d: %s after %d steps, %d tuples; want %s after %d steps, %d tuples",
+								c.sql, mode, how, workers, i, got.out, got.steps, got.tuples, want.out, want.steps, want.tuples)
+						}
+					}
+					if e.Stats().ParallelWorkers == started {
+						t.Fatalf("%q, mode %v, %s, %d workers: no morsel worker started", c.sql, mode, how, workers)
+					}
+				}
+			}
+		}
+	}
 }

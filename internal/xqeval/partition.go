@@ -14,12 +14,11 @@ import (
 // partition.go is the engine side of federated horizontal partitioning: a
 // data service function whose rows are split across shards living on
 // different federated sources. Registration installs both a serial
-// shard-concatenation function (so naive evaluation, static checking, and
-// structural plans see an ordinary data service) and a PartitionSpec the
-// cost-based planner discovers through the PartitionProvider interface.
-// Stats-built plans then scatter the shard calls concurrently and gather
-// them in shard order — byte-identical to the serial concatenation — with
-// two per-shard pushdowns when an equality conjunct pins the shard key:
+// shard-concatenation function (so naive evaluation and static checking see
+// an ordinary data service) and a PartitionSpec the planner looks up with
+// Engine.SourcePartition. Plans then scatter the shard calls concurrently
+// and gather them in shard order — byte-identical to the serial
+// concatenation — with two per-shard pushdowns when an equality conjunct pins the shard key:
 // partition pruning (only the shards the key can live on are called) and a
 // per-shard filter/projection that trims rows before they enter the central
 // pipeline. The central plan keeps the original conjunct as a filter, so
@@ -55,7 +54,7 @@ type PartitionSpec struct {
 
 // RegisterPartitioned installs a partitioned data service function: the
 // namespace/local pair evaluates as the in-order concatenation of its
-// shards' rows, and stats-built plans additionally see the spec for
+// shards' rows, and plans additionally see the spec for
 // scatter-gather execution with shard pruning. Each shard function must be
 // registered separately (typically with RegisterSourceRows under its own
 // source, giving it per-source fault sites and breakers); shard calls go
@@ -88,20 +87,14 @@ func (e *Engine) RegisterPartitioned(namespace, local string, spec *PartitionSpe
 }
 
 // SourcePartition returns the partition spec registered for a function, if
-// any. It makes the Engine a PartitionProvider for the planner.
+// any: the planner scatters its scans. Naive evaluation keeps the serial
+// concatenation function — the differential oracle the scattered path is
+// held to.
 func (e *Engine) SourcePartition(namespace, local string) (*PartitionSpec, bool) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	spec, ok := e.partitions[funcKey{namespace, local}]
 	return spec, ok
-}
-
-// PartitionProvider is the optional StatsProvider extension through which
-// stats-built plans discover partitioned scans. Structural plans (no
-// provider) and naive evaluation keep the serial concatenation function —
-// they are the differential oracle the scattered path is held to.
-type PartitionProvider interface {
-	SourcePartition(namespace, local string) (*PartitionSpec, bool)
 }
 
 // partitionPlan is the plan-time annotation of one partitioned for: the

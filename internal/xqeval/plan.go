@@ -25,10 +25,13 @@ import (
 // the value-level equivalence on the whole generated-query corpus.
 
 // Plan is an optimized execution plan for one query. Build it once with
-// NewPlan and evaluate with Engine.EvalStream; the zero decisions
+// Engine.CompileAST and evaluate with Engine.EvalStream; the zero decisions
 // case degrades to the naive pipeline's behavior at streaming cost.
 type Plan struct {
 	Query *xquery.Query
+	// prefixes is the prolog's schema-import prefix map, built once by the
+	// compile and read by every evaluation of the plan.
+	prefixes map[string]string
 
 	// Stream is the body's streaming decomposition (stream.go): how — and
 	// whether — EvalStream can deliver rows incrementally. Compiled-query
@@ -56,21 +59,15 @@ type Plan struct {
 	PredicatesPushed  int
 	InvariantsHoisted int
 	// StatsSources counts scans the cost model annotated with an estimated
-	// cardinality — zero when the plan was built without statistics (the
-	// structural fallback) or before any source had been observed.
+	// cardinality — zero when no source had been observed yet.
 	StatsSources int
-	// PartitionedScans counts scans of partitioned data services the plan
-	// will scatter-gather; ShardPins counts those whose shard key is pinned
-	// by an equality conjunct (eligible for partition pruning).
-	PartitionedScans int
-	ShardPins        int
 }
 
-// StatsProvider supplies per-data-service statistics to the planner; the
-// Engine implements it (stats.go). A nil provider yields the structural
-// plan — identical decisions to the pre-statistics planner.
-type StatsProvider interface {
+// statsProvider supplies per-data-service statistics and partition specs to
+// the planner: the Engine (stats.go, partition.go), or a cost test's fake.
+type statsProvider interface {
 	SourceStats(namespace, local string) (*SourceStats, bool)
+	SourcePartition(namespace, local string) (*PartitionSpec, bool)
 }
 
 // scanRef statically identifies a for-source as one registered data
@@ -91,12 +88,6 @@ type flworPlan struct {
 	// numStates sizes the per-execution state array (invariant caches and
 	// hash tables, keyed by op stateIdx).
 	numStates int
-	// eager marks a stats-built plan: invariant states and hash tables are
-	// materialized up front (before the tuple loop) rather than lazily on
-	// the first tuple, enabling the empty-build early-out and the parallel
-	// executor's shared read-only build tables. Error *timing* may differ
-	// from the lazy path (§2.3.4 latitude); values never do.
-	eager bool
 }
 
 // planSegment is a run of streaming ops ending at an optional barrier
@@ -124,8 +115,8 @@ type planOp struct {
 
 	// invariant marks a for/let whose expression references no FLWOR-local
 	// variable bound earlier in the pipeline: it is evaluated once per
-	// FLWOR execution (lazily, on the first tuple) instead of once per
-	// tuple.
+	// FLWOR execution (by prepare, before the tuple loop) instead of once
+	// per tuple.
 	invariant bool
 	// hoisted marks an invariant op that the naive pipeline would actually
 	// have re-evaluated (a for precedes it) — the cases worth counting.
@@ -156,15 +147,14 @@ type planOp struct {
 	// scan is set when the for-source is a statically resolvable data
 	// service call — the statistics key for lazy collection and cost
 	// lookup. estRows is the stats-estimated source cardinality, -1 when
-	// unknown (no provider, or source not yet observed).
+	// unknown (source not yet observed).
 	scan    *scanRef
 	estRows int64
 
 	// part annotates an invariant scan of a partitioned data service
 	// (partition.go): the executor scatter-gathers its shards instead of
-	// calling the serial concatenation function. Only stats-built plans
-	// carry it, so the structural plan and the naive pipeline remain the
-	// single-source differential oracle.
+	// calling the serial concatenation function, which the naive pipeline
+	// keeps as the single-source differential oracle.
 	part *partitionPlan
 }
 
@@ -193,7 +183,7 @@ type hashJoinSpec struct {
 	keyCol   string
 	probeCol colRead
 
-	// Cost-model annotations (stats-built plans only; see pickHashConjunct):
+	// Cost-model annotations (see pickHashConjunct):
 	// estBuild/estDistinct are the estimated build cardinality and key
 	// distinctness (-1/0 = unknown); statsPick records that statistics chose
 	// this key over at least one other hashable equi-conjunct.
@@ -202,33 +192,15 @@ type hashJoinSpec struct {
 	statsPick   bool
 }
 
-// NewPlan plans every FLWOR in the query body structurally, with no
-// statistics input. The result is immutable and safe for concurrent
-// executions. The differential oracle compares this plan against the naive
-// pipeline, so its decisions stay purely syntactic.
-func NewPlan(q *xquery.Query) *Plan {
-	return buildPlan(q, nil)
-}
-
-// NewPlanStats plans with a statistics provider: scans resolved against
-// the prolog's schema imports are annotated with estimated cardinalities,
-// hash joins carry build-side cost estimates, and when a join offers
-// several hashable equi-conjuncts the highest-distinct key wins (an
-// order-preserving choice — unchosen conjuncts remain ordinary filters, so
-// the tuple stream is identical to the structural plan's). Stats-built
-// plans also evaluate invariant states eagerly, which lets empty build
-// sides short-circuit whole segments. A provider with no observations
-// degrades to exactly the structural plan, plus eagerness.
-func NewPlanStats(q *xquery.Query, sp StatsProvider) *Plan {
-	return buildPlan(q, sp)
-}
-
-func buildPlan(q *xquery.Query, sp StatsProvider) *Plan {
-	p := &Plan{Query: q, Stream: planStream(q.Body), flwors: map[xquery.Expr]*flworPlan{}}
-	pc := &planCtx{sp: sp, prefixes: map[string]string{}, body: q.Body}
-	for _, imp := range q.Prolog.SchemaImports {
-		pc.prefixes[imp.Prefix] = imp.Namespace
-	}
+// buildPlan plans every FLWOR in the query body, resolving scans through
+// the prolog's prefixes against the provider's statistics: estimated
+// cardinalities, hash-join cost estimates and, among several hashable
+// equi-conjuncts, the highest-distinct key (the rest stay filters, so
+// tuples flow as under the first-match rule, which an unobserved source
+// gets). The result is immutable and safe for concurrent executions.
+func buildPlan(q *xquery.Query, sp statsProvider, prefixes map[string]string) *Plan {
+	p := &Plan{Query: q, prefixes: prefixes, Stream: planStream(q.Body), flwors: map[xquery.Expr]*flworPlan{}}
+	pc := &planCtx{sp: sp, prefixes: prefixes, body: q.Body}
 	pc.planExprs(p, q.Body, false)
 	if p.records != nil {
 		xquery.RecordReads(q.Body, p.keepReads)
@@ -276,11 +248,11 @@ func (pc *planCtx) planExprs(p *Plan, root xquery.Expr, nested bool) {
 }
 
 // planCtx carries per-query planning inputs: the prolog's prefix bindings
-// (to resolve scan sources), the optional statistics provider, and the
-// query body, whose binders boundVars collects on first need.
+// (to resolve scan sources), the statistics provider, and the query body,
+// whose binders boundVars collects on first need.
 type planCtx struct {
 	prefixes map[string]string
-	sp       StatsProvider
+	sp       statsProvider
 	body     xquery.Expr
 	bound    map[string]bool
 }
@@ -352,11 +324,10 @@ func (pc *planCtx) sharedProbe(spec *hashJoinSpec, c *xquery.For) bool {
 // partition returns the partition spec of a partitioned scan, if the
 // provider knows one.
 func (pc *planCtx) partition(ref *scanRef) (*PartitionSpec, bool) {
-	pp, ok := pc.sp.(PartitionProvider)
-	if !ok || ref == nil {
+	if ref == nil {
 		return nil, false
 	}
-	return pp.SourcePartition(ref.namespace, ref.local)
+	return pc.sp.SourcePartition(ref.namespace, ref.local)
 }
 
 // resolveScan recognizes a for-source of the form prefix:LOCAL() — a
@@ -378,10 +349,10 @@ func (pc *planCtx) resolveScan(e xquery.Expr) *scanRef {
 	return &scanRef{prefix: prefix, namespace: ns, local: local}
 }
 
-// sourceStats looks up statistics for a resolved scan; nil when no
-// provider is installed or the source has not been observed.
+// sourceStats looks up statistics for a resolved scan; nil when the source
+// has not been observed.
 func (pc *planCtx) sourceStats(ref *scanRef) *SourceStats {
-	if pc.sp == nil || ref == nil {
+	if ref == nil {
 		return nil
 	}
 	st, ok := pc.sp.SourceStats(ref.namespace, ref.local)
@@ -409,7 +380,7 @@ type pendingCond struct {
 }
 
 func planFLWOR(f *xquery.FLWOR, p *Plan, pc *planCtx, nested bool) *flworPlan {
-	fp := &flworPlan{flwor: f, eager: pc.sp != nil}
+	fp := &flworPlan{flwor: f}
 
 	entries, conds, rewrite := layoutFLWOR(f)
 
@@ -477,7 +448,6 @@ func planFLWOR(f *xquery.FLWOR, p *Plan, pc *planCtx, nested bool) *flworPlan {
 				}
 				if partitioned {
 					op.part = &partitionPlan{spec: spec}
-					p.PartitionedScans++
 					// Positional binding pins row indices to the full
 					// concatenation; pruning and filtering would shift them,
 					// so the pushdowns require no `at` clause.
@@ -486,7 +456,6 @@ func planFLWOR(f *xquery.FLWOR, p *Plan, pc *planCtx, nested bool) *flworPlan {
 							op.part.pinCond = cond
 							op.part.pinProbe = probe
 							op.part.pinValueCmp = valueCmp
-							p.ShardPins++
 						}
 						op.part.projCols = projectionColumns(f, c.Var, spec.Key)
 					}
@@ -658,8 +627,8 @@ func hoistableOperand(e xquery.Expr, local map[string]bool) bool {
 // makes a correlated lookup, accepted only when the build table can be
 // shared across FLWOR executions — otherwise every execution would rebuild
 // it at the cost of the scan it replaces. A probe reading no binding at all
-// is a constant filter, not a join. Without statistics the first match wins
-// — the original structural rule. With statistics and several candidates,
+// is a constant filter, not a join. Without statistics the first match
+// wins. With statistics and several candidates,
 // the key with the highest estimated distinctness wins (fewest expected
 // matches per probe); every unchosen candidate remains an ordinary filter,
 // so the choice never changes which tuples flow or in what order. The

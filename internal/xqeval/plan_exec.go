@@ -37,20 +37,16 @@ type flworExec struct {
 	pools *pools
 }
 
-// opState is the lazily-filled per-run state of one op: the cached
-// sequence of an invariant for/let, and the hash table of a hash join.
-// transformed marks a partitioned scan whose gathered sequence differs
-// from the plain shard concatenation (pruned, filtered, projected, or a
-// partial-mode skip) — such sequences must not feed the statistics store.
+// opState is the per-run state of one op that prepare fills: the sequence
+// of an invariant for/let, and the hash table of a hash join.
 type opState struct {
-	done        bool
-	transformed bool
-	seq         xdm.Sequence
-	hash        *hashTable
-	// once/err serve a hoisted filter operand, the one state filled lazily
-	// even on eager plans — where morsel workers share it.
-	once sync.Once
-	err  error
+	seq  xdm.Sequence
+	hash *hashTable
+	// once/err/charge serve a hoisted filter operand, the one state filled
+	// lazily — where morsel workers share it.
+	once   sync.Once
+	err    error
+	charge buildCharge
 }
 
 func newExec(fp *flworPlan, env *scope, prog *rowProgram, ps *pools) *flworExec {
@@ -95,18 +91,17 @@ func execPlannedFLWOR(fp *flworPlan, env *scope) (xdm.Sequence, error) {
 
 // prelude runs the segments before the final one — each drained for its
 // barrier — from the driving tuples, and returns the final segment's ops,
-// leaving its driving tuples in *tuples: none when an eager plan proves it
-// dead.
+// leaving its driving tuples in *tuples: none when prepare proves it dead.
 //
-// Stats-built (eager) plans materialize each segment's invariant states and
-// hash tables before its tuple loop, which enables two things the lazy path
-// cannot do: an empty invariant source or build side proves the segment
-// emits nothing, so the whole tuple loop is skipped; and with the shared
-// state read-only from then on, an eligible segment can fan its outer scan
-// out to morsel workers (parallel.go) without synchronizing on it.
+// Each segment's invariant states and hash tables are materialized before
+// its tuple loop, which enables two things: an empty invariant source or
+// build side proves the segment emits nothing, so the whole tuple loop is
+// skipped; and with the shared state read-only from then on, an eligible
+// segment can fan its outer scan out to morsel workers (parallel.go)
+// without synchronizing on it.
 func (ex *flworExec) prelude(tuples *[]*scope) ([]planOp, error) {
 	for si, seg := range ex.fp.segments {
-		if ex.fp.eager && len(*tuples) > 0 {
+		if len(*tuples) > 0 {
 			dead, err := ex.prepare(seg.ops, (*tuples)[0])
 			if err != nil {
 				return nil, err
@@ -342,11 +337,8 @@ func (ex *flworExec) step(it *segIter, i int, first bool) (*scope, error) {
 		var v xdm.Sequence
 		var err error
 		if op.invariant {
-			v, err = ex.letValue(op, t)
-		} else {
-			v, err = evalExpr(op.letClause.Expr, t)
-		}
-		if err != nil {
+			v = ex.states[op.stateIdx].seq // prepared
+		} else if v, err = evalExpr(op.letClause.Expr, t); err != nil {
 			return nil, err
 		}
 		return it.bind(&s.cell, t, op.letClause.Var, v, nil), nil
@@ -361,11 +353,8 @@ func (ex *flworExec) step(it *segIter, i int, first bool) (*scope, error) {
 			}
 			var err error
 			if op.invariant {
-				s.items, err = ex.source(op, t)
-			} else {
-				s.items, err = evalExpr(op.forClause.In, t)
-			}
-			if err != nil {
+				s.items = ex.states[op.stateIdx].seq // prepared
+			} else if s.items, err = evalExpr(op.forClause.In, t); err != nil {
 				return nil, err
 			}
 		}
@@ -476,9 +465,10 @@ func (ex *flworExec) finalValue(t *scope) (xdm.Sequence, error) {
 	return v, nil
 }
 
-// prepare eagerly fills every invariant state in one segment's ops,
-// evaluating against t (soundly: invariance means the expressions see
-// identical bindings from every tuple). It reports dead=true as soon as an
+// prepare fills every invariant state in one segment's ops before its tuple
+// loop, which reads them — a let's value is built here, or taken from the
+// plan — evaluating against t (soundly: invariance means the expressions
+// see identical bindings from every tuple). It reports dead=true as soon as an
 // invariant for's source — hash build side included — is empty: no tuple
 // can survive that op, so the caller skips the segment's tuple loop
 // entirely. Freshly scanned sources feed the statistics store on the way
@@ -505,35 +495,19 @@ func (ex *flworExec) prepare(ops []planOp, t *scope) (dead bool, err error) {
 				return true, nil
 			}
 		case opKindLet:
-			if _, err := ex.letValue(op, t); err != nil {
+			st := &ex.states[op.stateIdx]
+			if kv := t.reuse(op.keep); kv != nil {
+				st.seq = kv.seq
+				continue
+			}
+			tk := t.startKeep(op.keep)
+			if st.seq, err = evalExpr(op.letClause.Expr, t); err != nil {
 				return false, err
 			}
+			t.finishKeep(tk, st.seq, nil)
 		}
 	}
 	return false, nil
-}
-
-// letValue returns an invariant let's value, evaluated on the first tuple
-// to need it — invariance means the expression sees identical bindings from
-// every tuple, so evaluating against the first one is sound — or the value
-// kept with the plan, and cached for the rest of this FLWOR execution.
-func (ex *flworExec) letValue(op *planOp, t *scope) (xdm.Sequence, error) {
-	st := &ex.states[op.stateIdx]
-	if st.done {
-		return st.seq, nil
-	}
-	if kv := t.reuse(op.keep); kv != nil {
-		st.seq, st.done = kv.seq, true
-		return st.seq, nil
-	}
-	tk := t.startKeep(op.keep)
-	s, err := evalExpr(op.letClause.Expr, t)
-	if err != nil {
-		return nil, err
-	}
-	t.finishKeep(tk, s, nil)
-	st.seq, st.done = s, true
-	return s, nil
 }
 
 // evalFilter is evalEBV(op.cond) with hoisted operands (plan.go's
@@ -584,34 +558,38 @@ func (ex *flworExec) operand(op *planOp, side int, t *scope) (xdm.Sequence, erro
 		// blocks, and the slot outlives this tuple — a worker whose sibling
 		// cancelled it would otherwise cache context.Canceled for the
 		// merger's serial re-run (live parent context, same states) to read.
+		c := t.st.counters
+		steps := c.steps
 		var v xdm.Sequence
-		v, st.err = evalExpr([2]xquery.Expr{b.Left, b.Right}[side], t.on(nil, t.st.counters))
+		v, st.err = evalExpr([2]xquery.Expr{b.Left, b.Right}[side], t.on(nil, c))
 		st.seq = xdm.Atomize(v)
+		st.charge.steps, c.steps = c.steps-steps, steps
 	})
+	t.st.counters.pay(&st.charge)
 	return st.seq, st.err
 }
 
-// source returns an invariant for's items, evaluated on the first tuple to
-// need them and cached for the rest of this FLWOR execution.
+// source evaluates an invariant for's items into its state, once per FLWOR
+// execution (prepare). A partitioned scan whose gathered sequence differs
+// from the plain shard concatenation (pruned, filtered, projected, or a
+// partial-mode skip) does not feed the statistics store.
 func (ex *flworExec) source(op *planOp, t *scope) (xdm.Sequence, error) {
-	st := &ex.states[op.stateIdx]
-	if !st.done {
-		var s xdm.Sequence
-		var err error
-		if op.part != nil {
-			s, st.transformed, err = ex.gatherPartitioned(op, t)
-		} else {
-			s, err = evalExpr(op.forClause.In, t)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if !st.transformed {
-			maybeObserveScan(t, op, s)
-		}
-		st.seq, st.done = s, true
+	var s xdm.Sequence
+	var transformed bool
+	var err error
+	if op.part != nil {
+		s, transformed, err = ex.gatherPartitioned(op, t)
+	} else {
+		s, err = evalExpr(op.forClause.In, t)
 	}
-	return st.seq, nil
+	if err != nil {
+		return nil, err
+	}
+	if !transformed {
+		maybeObserveScan(t, op, s)
+	}
+	ex.states[op.stateIdx].seq = s
+	return s, nil
 }
 
 // hashTable returns a hash op's build table: the evaluation's shared one
@@ -653,31 +631,49 @@ type evalTables struct {
 }
 
 type sharedTable struct {
-	mu    sync.Mutex
-	built atomic.Pointer[hashTable]
+	mu     sync.Mutex
+	built  atomic.Pointer[hashTable]
+	charge buildCharge // set before built
 }
 
 // get returns op's table, building it on first use, or taking the one kept
 // with the plan. The build runs on a copy of the evaluation's root scope —
 // source and key read nothing the query binds, so every prober would build
 // the same table, at the same scope depth — with its own state under the
-// caller's context and counters. Only a finished table is kept: an error,
-// cancellation above all, goes back to its caller and the next prober
-// builds again. Concurrent probers of one evaluation wait on the lock
-// rather than call the source again; the build cannot reach this table
-// (its source holds no FLWOR, and a view's body is its own evaluation).
+// caller's context and counters, whose steps move to the table's charge,
+// which every prober pays (buildCharge). Only a finished table is kept: an
+// error, cancellation above all, goes back to its caller, charged to it,
+// and the next prober builds again. Concurrent probers of one evaluation
+// wait on the lock rather than call the source again; the build cannot
+// reach this table (its source holds no FLWOR, and a view's body is its own
+// evaluation).
 func (et *evalTables) get(op *planOp, t *scope) (*hashTable, error) {
 	st := &et.tables[op.hash.table]
 	if h := st.built.Load(); h != nil {
+		t.st.counters.pay(&st.charge)
 		return h, nil
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if h := st.built.Load(); h != nil {
+		t.st.counters.pay(&st.charge)
 		return h, nil
 	}
+	c := t.st.counters
+	steps := c.steps
+	h, err := et.build(op, t)
+	if err != nil {
+		return nil, err
+	}
+	st.charge.steps, c.steps = c.steps-steps, steps
+	st.built.Store(h)
+	c.pay(&st.charge)
+	return h, nil
+}
+
+// build builds op's table for get, or takes the one kept with the plan.
+func (et *evalTables) build(op *planOp, t *scope) (*hashTable, error) {
 	if kv := t.reuse(op.keep); kv != nil {
-		st.built.Store(kv.table)
 		return kv.table, nil
 	}
 	bs := et.root.on(t.st.goCtx, t.st.counters)
@@ -692,7 +688,6 @@ func (et *evalTables) get(op *planOp, t *scope) (*hashTable, error) {
 		return nil, err
 	}
 	bs.finishKeep(tk, nil, h)
-	st.built.Store(h)
 	return h, nil
 }
 

@@ -35,7 +35,7 @@ func joinQuery(op string) *xquery.Query {
 // diffEval evaluates q planned and naive and requires identical outcomes.
 func diffEval(t *testing.T, e *Engine, q *xquery.Query) xdm.Sequence {
 	t.Helper()
-	planned, perr := e.EvalStream(context.Background(), NewPlan(q), nil, nil).Drain()
+	planned, perr := e.EvalStream(context.Background(), MustCompile(t, e, q, nil), nil, nil).Drain()
 	naive, nerr := e.EvalNaive(context.Background(), q, nil)
 	if (perr == nil) != (nerr == nil) {
 		t.Fatalf("error divergence: planned=%v naive=%v", perr, nerr)
@@ -59,7 +59,7 @@ func atoms(vs ...xdm.Atomic) xdm.Sequence {
 
 func TestPlanDetectsHashJoin(t *testing.T) {
 	for _, op := range []string{"=", "eq"} {
-		p := NewPlan(joinQuery(op))
+		p := MustCompile(t, joinEngine(nil, nil), joinQuery(op), nil)
 		if p.HashJoins != 1 {
 			t.Fatalf("op %s: HashJoins = %d, want 1", op, p.HashJoins)
 		}
@@ -162,7 +162,8 @@ func TestPlanPredicatePushdown(t *testing.T) {
 	flwor.Clauses[2] = &xquery.Where{Cond: &xquery.Binary{Op: "and",
 		Left:  &xquery.Binary{Op: "=", Left: xquery.VarRef("a"), Right: xquery.Str("x")},
 		Right: &xquery.Binary{Op: "=", Left: xquery.VarRef("a"), Right: xquery.VarRef("b")}}}
-	p := NewPlan(q)
+	e := joinEngine(atoms(xdm.String("x"), xdm.String("z")), atoms(xdm.Untyped("x"), xdm.Untyped("z")))
+	p := MustCompile(t, e, q, nil)
 	if p.PredicatesPushed != 1 {
 		t.Fatalf("PredicatesPushed = %d, want 1", p.PredicatesPushed)
 	}
@@ -177,7 +178,6 @@ func TestPlanPredicatePushdown(t *testing.T) {
 		t.Fatalf("unexpected pipeline: %v", p.Describe())
 	}
 	// And the engine result matches naive.
-	e := joinEngine(atoms(xdm.String("x"), xdm.String("z")), atoms(xdm.Untyped("x"), xdm.Untyped("z")))
 	out := diffEval(t, e, q)
 	if len(out) != 2 {
 		t.Fatalf("len = %d, want 2", len(out))
@@ -196,11 +196,11 @@ func TestPlanInvariantHoisting(t *testing.T) {
 		&xquery.For{Var: "b", In: xquery.Call("j:R")},
 	}
 	flwor.Return = &xquery.Seq{Items: []xquery.Expr{xquery.VarRef("n"), xquery.VarRef("m")}}
-	p := NewPlan(q)
+	e := joinEngine(atoms(xdm.Integer(1), xdm.Integer(2)), atoms(xdm.Integer(3)))
+	p := MustCompile(t, e, q, nil)
 	if p.InvariantsHoisted != 2 { // let $n and for $b; let $m is variant
 		t.Fatalf("InvariantsHoisted = %d, want 2", p.InvariantsHoisted)
 	}
-	e := joinEngine(atoms(xdm.Integer(1), xdm.Integer(2)), atoms(xdm.Integer(3)))
 	diffEval(t, e, q)
 }
 
@@ -215,7 +215,7 @@ func TestPlanInvariantForEvaluatedOnce(t *testing.T) {
 		return atoms(xdm.Integer(2)), nil
 	})
 	q := joinQuery("=")
-	out, err := e.EvalStream(context.Background(), NewPlan(q), nil, nil).Drain()
+	out, err := e.EvalStream(context.Background(), MustCompile(t, e, q, nil), nil, nil).Drain()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,8 @@ func TestPlanGroupByBarrier(t *testing.T) {
 			Return: xquery.VarRef("k"),
 		},
 	}
-	p := NewPlan(q)
+	e := joinEngine(atoms(xdm.Untyped("a"), xdm.Untyped("b"), xdm.Untyped("a")), nil)
+	p := MustCompile(t, e, q, nil)
 	if p.PredicatesPushed != 0 {
 		t.Fatalf("PredicatesPushed = %d, want 0 (group-by barrier)", p.PredicatesPushed)
 	}
@@ -255,7 +256,6 @@ func TestPlanGroupByBarrier(t *testing.T) {
 	if len(fp.segments[1].ops) != 1 || fp.segments[1].ops[0].kind != opKindFilter {
 		t.Fatalf("HAVING filter not in post-group segment: %v", p.Describe())
 	}
-	e := joinEngine(atoms(xdm.Untyped("a"), xdm.Untyped("b"), xdm.Untyped("a")), nil)
 	out := diffEval(t, e, q)
 	if len(out) != 1 || out[0].(xdm.Atomic).Lexical() != "a" {
 		t.Fatalf("out = %s", xdm.MarshalSequence(out))
@@ -278,11 +278,11 @@ func TestPlanShadowedBindersFallBack(t *testing.T) {
 			Return: xquery.VarRef("x"),
 		},
 	}
-	p := NewPlan(q)
+	e := joinEngine(atoms(xdm.String("l")), atoms(xdm.String("r")))
+	p := MustCompile(t, e, q, nil)
 	if p.PredicatesPushed != 0 || p.HashJoins != 0 || p.InvariantsHoisted != 0 {
 		t.Fatalf("shadowed FLWOR must not be rewritten: %+v", p)
 	}
-	e := joinEngine(atoms(xdm.String("l")), atoms(xdm.String("r")))
 	out := diffEval(t, e, q)
 	if len(out) != 1 {
 		t.Fatalf("len = %d, want 1", len(out))
@@ -305,11 +305,11 @@ func TestPlanOrderByCrossable(t *testing.T) {
 			Return: xquery.VarRef("r"),
 		},
 	}
-	p := NewPlan(q)
+	e := joinEngine(atoms(xdm.Untyped("a"), xdm.Untyped("b"), xdm.Untyped("c")), nil)
+	p := MustCompile(t, e, q, nil)
 	if p.PredicatesPushed != 1 {
 		t.Fatalf("PredicatesPushed = %d, want 1", p.PredicatesPushed)
 	}
-	e := joinEngine(atoms(xdm.Untyped("a"), xdm.Untyped("b"), xdm.Untyped("c")), nil)
 	out := diffEval(t, e, q)
 	if got := xdm.MarshalSequence(out); got != "c a" {
 		t.Fatalf("out = %q, want %q", got, "c a")
@@ -347,11 +347,11 @@ func TestPlanPositionalVarDisablesHash(t *testing.T) {
 	q := joinQuery("=")
 	q.Body.(*xquery.FLWOR).Clauses[1].(*xquery.For).At = "pos"
 	q.Body.(*xquery.FLWOR).Return = xquery.VarRef("pos")
-	p := NewPlan(q)
+	e := joinEngine(atoms(xdm.Untyped("q")), atoms(xdm.Untyped("p"), xdm.Untyped("q")))
+	p := MustCompile(t, e, q, nil)
 	if p.HashJoins != 0 {
 		t.Fatalf("HashJoins = %d, want 0 with a positional variable", p.HashJoins)
 	}
-	e := joinEngine(atoms(xdm.Untyped("q")), atoms(xdm.Untyped("p"), xdm.Untyped("q")))
 	out := diffEval(t, e, q)
 	if xdm.MarshalSequence(out) != "2" {
 		t.Fatalf("out = %s, want 2", xdm.MarshalSequence(out))
@@ -382,7 +382,8 @@ func hoistedFilterQuery() *xquery.Query {
 // with one it is, and either way planned agrees with naive.
 func TestPlanHoistedOperandIsLazy(t *testing.T) {
 	q := hoistedFilterQuery()
-	p := NewPlan(q)
+	e := joinEngine(atoms(xdm.Integer(1), xdm.Integer(5), xdm.Integer(9)), nil)
+	p := MustCompile(t, e, q, map[string]xdm.Sequence{"p": nil})
 	if p.InvariantsHoisted != 1 {
 		t.Fatalf("InvariantsHoisted = %d, want 1:\n%s", p.InvariantsHoisted, strings.Join(p.Describe(), "\n"))
 	}
@@ -391,7 +392,6 @@ func TestPlanHoistedOperandIsLazy(t *testing.T) {
 	if out, err := joinEngine(nil, nil).EvalStream(ctx, p, bad, nil).Drain(); err != nil || len(out) != 0 {
 		t.Fatalf("no tuples: out=%v err=%v, want empty and no cast error", out, err)
 	}
-	e := joinEngine(atoms(xdm.Integer(1), xdm.Integer(5), xdm.Integer(9)), nil)
 	if _, err := e.EvalStream(ctx, p, bad, nil).Drain(); err == nil || !strings.Contains(err.Error(), "cannot cast") {
 		t.Fatalf("with tuples the cast error must surface, got %v", err)
 	}
@@ -413,7 +413,7 @@ func TestPlanHoistedOperandIsLazy(t *testing.T) {
 // a live one — the second call must never read back context.Canceled.
 func TestPlanHoistedOperandIgnoresCancellation(t *testing.T) {
 	q := hoistedFilterQuery()
-	fp := NewPlan(q).flwors[q.Body.(*xquery.FLWOR)]
+	fp := MustCompile(t, joinEngine(nil, nil), q, map[string]xdm.Sequence{"p": nil}).flwors[q.Body.(*xquery.FLWOR)]
 	var filter *planOp
 	for i := range fp.segments[0].ops {
 		if op := &fp.segments[0].ops[i]; op.kind == opKindFilter {
@@ -458,7 +458,7 @@ for $a in j:L() where fn:not(fn:exists(for $b in j:R() where $b = $a return $b))
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewPlan(q)
+	p := MustCompile(t, e, q, nil)
 	var probe *planOp
 	for _, fp := range p.ordered {
 		for _, seg := range fp.segments {
@@ -493,8 +493,8 @@ for $a in j:L() where fn:not(fn:exists(for $b in j:R() where $b = $a return $b))
 // Decimal keys of -0 and 0 are equal (OrderAtomic compares the values), so
 // they must share a bucket: a key filed by its formatted lexical form split
 // "-0" from "0" and the hash join missed the pairs the nested loop finds.
-// The join and a correlated NOT EXISTS over the same keys, planned both
-// ways, against naive.
+// The join and a correlated NOT EXISTS over the same keys, planned, against
+// naive.
 func TestHashJoinNegativeZero(t *testing.T) {
 	row := func(name, k string) *xdm.Element {
 		el := xdm.NewElement(name)
@@ -525,17 +525,16 @@ func TestHashJoinNegativeZero(t *testing.T) {
 		if got := xdm.MarshalSequence(naive); got != c.want {
 			t.Fatalf("%s: naive = %q, want %q", c.body, got, c.want)
 		}
-		for _, p := range []*Plan{NewPlan(q), NewPlanStats(q, e)} {
-			if p.HashJoins != 1 {
-				t.Fatalf("%s: no hash join:\n%s", c.body, strings.Join(p.Describe(), "\n"))
-			}
-			got, err := e.EvalStream(context.Background(), p, nil, nil).Drain()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if g := xdm.MarshalSequence(got); g != c.want {
-				t.Fatalf("%s: planned = %q, naive %q", c.body, g, c.want)
-			}
+		p := MustCompile(t, e, q, nil)
+		if p.HashJoins != 1 {
+			t.Fatalf("%s: no hash join:\n%s", c.body, strings.Join(p.Describe(), "\n"))
+		}
+		got, err := e.EvalStream(context.Background(), p, nil, nil).Drain()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g := xdm.MarshalSequence(got); g != c.want {
+			t.Fatalf("%s: planned = %q, naive %q", c.body, g, c.want)
 		}
 	}
 }

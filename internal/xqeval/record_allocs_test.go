@@ -117,5 +117,5 @@ func joinRecord9(t *testing.T) (*xquery.ElementCtor, *Plan, recordCase) {
 		}
 		return true
 	})
-	return rec, NewPlan(q), recordCase{a: xdm.SequenceOf(recordRow(a...)), b: xdm.SequenceOf(recordRow(b...))}
+	return rec, MustCompile(t, kernelEngine(), q, nil), recordCase{a: xdm.SequenceOf(recordRow(a...)), b: xdm.SequenceOf(recordRow(b...))}
 }

@@ -33,7 +33,7 @@ var flatRecordStatements = []string{
 // TestFlatRecordsMatchNaive evaluates each statement at 1 and 2 workers
 // whole (a drained EvalStream), streamed (EvalStream) and decoded
 // (resultset.FromXML and StreamXML): each is byte-identical and deep-equal
-// to naive, and each decodes to naive's rows.
+// to naive, and each decodes to naive's rows. Each fans out at 2 workers.
 func TestFlatRecordsMatchNaive(t *testing.T) {
 	app, _, engine := demo.Setup(demo.Sizes{Customers: 12, PaymentsPerCustomer: 2, Orders: 20, ItemsPerOrder: 2})
 	defer xqeval.ForceFanOutForTest(engine, 0, 0, 0)
@@ -50,13 +50,14 @@ func TestFlatRecordsMatchNaive(t *testing.T) {
 		}
 		want, wantRows := xdm.MarshalSequence(naive), decodeXML(t, naive, cols)
 		wantStream := drain(engine.EvalStreamNaive(ctx, res.Query, nil, nil)).out
-		plan := xqeval.NewPlan(res.Query)
+		plan := xqeval.MustCompile(t, engine, res.Query, nil)
 		if !strings.Contains(strings.Join(plan.Describe(), "\n"), "return <RECORD> [column") {
 			t.Fatalf("%q: no record kernel planned:\n%s", sql, strings.Join(plan.Describe(), "\n"))
 		}
 		// Every evaluation runs on a copy with nothing kept, so it builds.
 		for _, workers := range []int{1, 2} {
 			xqeval.ForceFanOutForTest(engine, workers, 2, 2)
+			morsels := engine.Stats().MorselsProcessed
 			planned, err := engine.EvalStream(ctx, xqeval.FreshKept(plan), nil, nil).Drain()
 			if err != nil {
 				t.Fatalf("%q, %d workers: %v", sql, workers, err)
@@ -75,6 +76,9 @@ func TestFlatRecordsMatchNaive(t *testing.T) {
 			}
 			if got := streamXML(t, engine.EvalStream(ctx, xqeval.FreshKept(plan), nil, nil), cols); got != wantRows {
 				t.Fatalf("%q, %d workers: StreamXML decoded\n%s\nwant\n%s", sql, workers, got, wantRows)
+			}
+			if workers > 1 && engine.Stats().MorselsProcessed == morsels {
+				t.Fatalf("%q, %d workers: no morsel processed", sql, workers)
 			}
 		}
 	}
@@ -134,7 +138,7 @@ func TestGroupedJoinAllocs(t *testing.T) {
 	xqeval.ForceFanOutForTest(engine, 1, 0, 0)
 	defer xqeval.ForceFanOutForTest(engine, 0, 0, 0)
 	res := translateFor(t, app, translator.ModeXML, "SELECT C.CITY, COUNT(*) CNT, SUM(O.TOTAL) REVENUE, MAX(O.TOTAL) TOP FROM CUSTOMERS C INNER JOIN PO_CUSTOMERS O ON C.CUSTOMERID = O.CUSTOMERID GROUP BY C.CITY HAVING COUNT(*) > 1 ORDER BY C.CITY")
-	plan := xqeval.NewPlan(res.Query)
+	plan := xqeval.MustCompile(t, engine, res.Query, nil)
 	ctx := context.Background()
 	// Each evaluation runs on a copy with nothing kept, so it builds the
 	// join and the records (the copy adds a few hundred bytes).

@@ -56,7 +56,7 @@ func translateFor(t *testing.T, app *catalog.Application, mode translator.Result
 }
 
 func TestRecordKernelPruningAnalysis(t *testing.T) {
-	app, _, _ := demo.Setup(demo.Sizes{Customers: 8, PaymentsPerCustomer: 2, Orders: 10, ItemsPerOrder: 2})
+	app, _, engine := demo.Setup(demo.Sizes{Customers: 8, PaymentsPerCustomer: 2, Orders: 10, ItemsPerOrder: 2})
 	// Translated statements: each kernel's kept columns, in body order.
 	for _, c := range []struct {
 		name string
@@ -86,11 +86,14 @@ func TestRecordKernelPruningAnalysis(t *testing.T) {
 			[]string{"CUSTOMERID", "CUSTID", "CUSTOMERID"}},
 	} {
 		res := translateFor(t, app, c.mode, c.sql)
-		if got := xqeval.KeptColumns(xqeval.NewPlan(res.Query)); !reflect.DeepEqual(got, c.want) {
+		if got := xqeval.KeptColumns(xqeval.MustCompile(t, engine, res.Query, bindParams(res))); !reflect.DeepEqual(got, c.want) {
 			t.Errorf("%s: kept %q, want %q", c.name, got, c.want)
 		}
 	}
 
+	je := xqeval.New()
+	je.RegisterRows("urn:j", "R", nil)
+	je.RegisterRows("urn:j", "S", nil)
 	all := "A.N A.K A.L"
 	set := `let $t := <RECORDSET>{ ` + pruneRecords + ` }</RECORDSET> `
 	for _, c := range []struct {
@@ -122,7 +125,7 @@ func TestRecordKernelPruningAnalysis(t *testing.T) {
 		{"a let over the records", set + `let $p := $t/RECORD return fn:sum(fn:data($p/A.K))`, all},
 	} {
 		q := pruneQuery(t, c.body)
-		got := xqeval.KeptColumns(xqeval.NewPlan(q))
+		got := xqeval.KeptColumns(xqeval.MustCompile(t, je, q, nil))
 		if len(got) != 1 || got[0] != c.want {
 			t.Errorf("%s: kept %q, want [%q]\n%s", c.name, got, c.want, c.body)
 		}
@@ -133,12 +136,13 @@ func TestRecordKernelPruningAnalysis(t *testing.T) {
 // seeds and the benchmark statement shapes in both result modes at 1, 2
 // and 8 workers, streamed and materialized: each result is byte-identical
 // to naive, and each run charges the steps and tuples of the same plan
-// with every column built.
+// with every column built. The sweep must fan out.
 func TestRecordKernelPruningPlans(t *testing.T) {
 	app, _, engine := demo.Setup(demo.Sizes{Customers: 12, PaymentsPerCustomer: 2, Orders: 20, ItemsPerOrder: 2})
 	defer xqeval.ForceFanOutForTest(engine, 0, 0, 0)
 	ctx := context.Background()
 	pruned := 0
+	fanned := false
 	for _, mode := range []translator.ResultMode{translator.ModeXML, translator.ModeText} {
 		for _, sql := range append(append(differentialCorpus(), correlatedSeeds...), pruningShapes...) {
 			res := translateFor(t, app, mode, sql)
@@ -146,7 +150,7 @@ func TestRecordKernelPruningPlans(t *testing.T) {
 				continue
 			}
 			ext := bindParams(res)
-			plan := xqeval.NewPlan(res.Query)
+			plan := xqeval.MustCompile(t, engine, res.Query, ext)
 			whole := xqeval.KeepAllColumns(plan)
 			if !reflect.DeepEqual(xqeval.KeptColumns(plan), xqeval.KeptColumns(whole)) {
 				pruned++
@@ -170,6 +174,7 @@ func TestRecordKernelPruningPlans(t *testing.T) {
 					workers = 8
 				}
 				xqeval.ForceFanOutForTest(engine, workers, 2, 2)
+				morsels := engine.Stats().MorselsProcessed
 				for how, run := range map[string]func(*xqeval.Plan) evaluation{
 					"materialized": func(p *xqeval.Plan) evaluation { return materialize(ctx, engine, p, ext) },
 					"streamed":     func(p *xqeval.Plan) evaluation { return drain(engine.EvalStream(ctx, p, ext, nil)) },
@@ -188,11 +193,15 @@ func TestRecordKernelPruningPlans(t *testing.T) {
 							mode, workers, how, sql, got.steps, got.tuples, all.steps, all.tuples)
 					}
 				}
+				fanned = fanned || workers > 1 && engine.Stats().MorselsProcessed > morsels
 			}
 		}
 	}
 	if pruned < 6 {
 		t.Fatalf("only %d plans pruned a record kernel", pruned)
+	}
+	if !fanned {
+		t.Fatal("no statement fanned out to morsel workers")
 	}
 }
 
@@ -242,12 +251,13 @@ func drain(cur *xqeval.Cursor) evaluation {
 }
 
 // TestRecordReadsPlanAllocs keeps the consumer analysis off the compile
-// path's allocation budget: planning a statement whose records no consumer
-// reads allocates what it did before the analysis existed (21 on 64-bit Go
-// 1.24), and the outer-join golden, with three kernels analysed, at most 4
-// more than its 100.
+// path's allocation budget: compiling a statement whose records no consumer
+// reads — static check and plan, which share the prolog's prefix map —
+// allocates no more than planning alone did before the analysis existed
+// (21 on 64-bit Go 1.24), and the outer-join golden, with three kernels
+// analysed, at most 4 more than its 100.
 func TestRecordReadsPlanAllocs(t *testing.T) {
-	app, _, _ := demo.Setup(demo.Sizes{Customers: 8, PaymentsPerCustomer: 2, Orders: 10, ItemsPerOrder: 2})
+	app, _, engine := demo.Setup(demo.Sizes{Customers: 8, PaymentsPerCustomer: 2, Orders: 10, ItemsPerOrder: 2})
 	for _, c := range []struct {
 		mode translator.ResultMode
 		sql  string
@@ -257,10 +267,14 @@ func TestRecordReadsPlanAllocs(t *testing.T) {
 		{translator.ModeText, "SELECT A.CUSTOMERNAME, B.PAYMENT FROM CUSTOMERS A LEFT OUTER JOIN PAYMENTS B ON A.CUSTOMERID = B.CUSTID", 100 + 4},
 	} {
 		q := translateFor(t, app, c.mode, c.sql).Query
-		allocs := testing.AllocsPerRun(100, func() { xqeval.NewPlan(q) })
-		t.Logf("mode %v %q: %.0f allocations per plan", c.mode, c.sql, allocs)
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := engine.CompileAST(q, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("mode %v %q: %.0f allocations per compile", c.mode, c.sql, allocs)
 		if allocs > c.max {
-			t.Errorf("mode %v %q: planning costs %.0f allocations, want <= %.0f", c.mode, c.sql, allocs, c.max)
+			t.Errorf("mode %v %q: compiling costs %.0f allocations, want <= %.0f", c.mode, c.sql, allocs, c.max)
 		}
 	}
 }

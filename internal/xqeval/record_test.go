@@ -68,7 +68,8 @@ func recordCases() []recordCase {
 	}
 }
 
-// recordPlan parses a bare constructor and plans it.
+// recordPlan parses a bare constructor and compiles it, $a and $b
+// external.
 func recordPlan(t *testing.T, ctor string) (*xquery.ElementCtor, *Plan) {
 	t.Helper()
 	q, err := xquery.Parse(ctor)
@@ -79,7 +80,7 @@ func recordPlan(t *testing.T, ctor string) (*xquery.ElementCtor, *Plan) {
 	if !ok {
 		t.Fatalf("%s parsed to %T", ctor, q.Body)
 	}
-	return e, NewPlan(q)
+	return e, MustCompile(t, New(), q, map[string]xdm.Sequence{"a": nil, "b": nil})
 }
 
 // recordScope is a tuple scope binding $a and $b (when set), whose counters
@@ -146,7 +147,7 @@ func TestRecordKernelMatchesGeneric(t *testing.T) {
 // RECORD per row, a join's, an outer join's padded and matched records, and
 // records read back out of a RECORDSET — at 1, 2 and 8 workers, streamed
 // and materialized, against naive; serially, against the same plan without
-// kernels step for step.
+// kernels step for step. The sweep must fan out.
 func TestRecordKernelPlans(t *testing.T) {
 	e := kernelEngine()
 	defer ForceFanOutForTest(e, 0, 0, 0)
@@ -159,9 +160,10 @@ func TestRecordKernelPlans(t *testing.T) {
 		`let $rs := <RECORDSET>{ for $a in j:R() return ` + aCols + `</RECORD> }</RECORDSET> for $r in $rs/RECORD where $r/A.N > 2 return <OUT>` + guardedCol("N", "r", "A.N") + guardedCol("K", "r", "A.K") + `</OUT>`,
 	}
 	ctx := context.Background()
+	fanned := false
 	for _, body := range bodies {
 		q := kernelQuery(t, body)
-		plan := NewPlan(q)
+		plan := MustCompile(t, e, q, nil)
 		if len(plan.records) == 0 {
 			t.Fatalf("%s: no record kernel planned", body)
 		}
@@ -185,23 +187,26 @@ func TestRecordKernelPlans(t *testing.T) {
 		if strings.HasPrefix(want, "error") {
 			t.Fatalf("%s: naive %s", body, want)
 		}
-		for _, p := range []*Plan{plan, NewPlanStats(q, e)} {
-			// Each worker count evaluates copies with nothing kept, so it
-			// builds; then p itself reuses what it kept.
-			for _, workers := range []int{1, 2, 8, 0} {
-				materialized, streamed := FreshKept(p), FreshKept(p)
-				if workers == 0 {
-					workers, materialized, streamed = 8, p, p
-				}
-				ForceFanOutForTest(e, workers, 2, 2)
-				out, err := e.EvalStream(ctx, materialized, nil, nil).Drain()
-				if got := outcomeSeq(out, err); got != want {
-					t.Fatalf("%s, %d workers: planned %s, naive %s", body, workers, got, want)
-				}
-				if got := drainKernelStream(e.EvalStream(ctx, streamed, nil, nil)); got != wantStream {
-					t.Fatalf("%s, %d workers: streamed %s, naive %s", body, workers, got, wantStream)
-				}
+		// Each worker count evaluates copies with nothing kept, so it
+		// builds; then plan itself reuses what it kept.
+		for _, workers := range []int{1, 2, 8, 0} {
+			materialized, streamed := FreshKept(plan), FreshKept(plan)
+			if workers == 0 {
+				workers, materialized, streamed = 8, plan, plan
 			}
+			ForceFanOutForTest(e, workers, 2, 2)
+			morsels := e.Stats().MorselsProcessed
+			out, err := e.EvalStream(ctx, materialized, nil, nil).Drain()
+			if got := outcomeSeq(out, err); got != want {
+				t.Fatalf("%s, %d workers: planned %s, naive %s", body, workers, got, want)
+			}
+			if got := drainKernelStream(e.EvalStream(ctx, streamed, nil, nil)); got != wantStream {
+				t.Fatalf("%s, %d workers: streamed %s, naive %s", body, workers, got, wantStream)
+			}
+			fanned = fanned || workers > 1 && e.Stats().MorselsProcessed > morsels
 		}
+	}
+	if !fanned {
+		t.Fatal("no statement fanned out to morsel workers")
 	}
 }

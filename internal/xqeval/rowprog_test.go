@@ -286,6 +286,7 @@ func drainRows(cur *xqeval.Cursor) (rows []string, tuples int64, err error) {
 func TestFusedMatchesNaive(t *testing.T) {
 	ctx := context.Background()
 	fusedSeen := 0
+	var fanned int64
 	for _, c := range fusedCases(t) {
 		parallelExec(c.engine, 1)
 		plan, err := c.engine.CompileAST(c.query, externalNames(c.params))
@@ -345,12 +346,15 @@ func TestFusedMatchesNaive(t *testing.T) {
 				}
 			}
 		}
-		check("structural plan", xqeval.NewPlan(c.query))
 		// Each worker count streams a copy with nothing kept, so it builds;
 		// then plan itself keeps its closed builds and reuses them.
 		for _, workers := range []int{1, 2, 4} {
 			parallelExec(c.engine, workers)
+			morsels := c.engine.Stats().MorselsProcessed
 			check(fmt.Sprintf("%d workers", workers), xqeval.FreshKept(plan))
+			if workers > 1 {
+				fanned += c.engine.Stats().MorselsProcessed - morsels
+			}
 		}
 		check("4 workers, build", plan)
 		check("4 workers, reuse", plan)
@@ -358,6 +362,9 @@ func TestFusedMatchesNaive(t *testing.T) {
 	}
 	if fusedSeen < 20 {
 		t.Fatalf("only %d statements fused: the net no longer exercises the row program", fusedSeen)
+	}
+	if fanned == 0 {
+		t.Fatal("no statement fanned out to morsel workers")
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 // stats.go is the engine's per-data-service statistics store: row counts,
 // per-column distinct-key estimates, and average row widths, keyed like the
 // function registry (namespace × local name). Statistics feed the planner's
-// cost model (NewPlanStats): estimated scan cardinalities and hash-join
+// cost model (CompileAST): estimated scan cardinalities and hash-join
 // selectivities rendered in EXPLAIN, and the choice of hash key when a join
 // offers several equi-conjuncts.
 //
@@ -61,8 +61,7 @@ type sourceStatsStore struct {
 }
 
 // SourceStats returns the cached statistics for one data service function.
-// It is the StatsProvider the planner consults; the engine counts its hits
-// and misses.
+// It is what the planner consults; the engine counts its hits and misses.
 func (e *Engine) SourceStats(namespace, local string) (*SourceStats, bool) {
 	e.srcStats.mu.RLock()
 	s, ok := e.srcStats.stats[funcKey{namespace, local}]

@@ -94,9 +94,9 @@ func TestStatsSamplingScales(t *testing.T) {
 	}
 }
 
-// statsJoinQuery joins two sources on two equi-conjuncts. Structurally the
-// first conjunct (REGION, 2 distinct values on the build side) would be
-// the hash key; statistics should flip the choice to CID.
+// statsJoinQuery joins two sources on two equi-conjuncts. Without
+// statistics the first conjunct (REGION, 2 distinct values on the build
+// side) would be the hash key; statistics should flip the choice to CID.
 const statsJoinQuery = `import schema namespace b = "ld:StatsTest" at "StatsTest.xsd";
 for $c in b:CUSTOMERS()
 for $p in b:PAYMENTS()
@@ -122,7 +122,8 @@ func statsJoinEngine(t *testing.T) *Engine {
 // TestStatsCostAnnotationsAndKeyChoice is the cost-model test: with stats
 // observed, the plan reports per-scan cardinalities and hash-join cost
 // lines, picks the higher-distinct conjunct as the hash key, and still
-// computes the exact same result as the structural plan.
+// computes the exact same result as the plan compiled before any source was
+// observed.
 func TestStatsCostAnnotationsAndKeyChoice(t *testing.T) {
 	e := statsJoinEngine(t)
 	ctx := context.Background()
@@ -131,27 +132,33 @@ func TestStatsCostAnnotationsAndKeyChoice(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	structural := NewPlan(q)
-	sdesc := strings.Join(structural.Describe(), "\n")
+	cold, err := e.CompileAST(q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sdesc := strings.Join(cold.Describe(), "\n")
 	if !strings.Contains(sdesc, "stats: none") {
-		t.Fatalf("structural plan claims stats:\n%s", sdesc)
+		t.Fatalf("cold plan claims stats:\n%s", sdesc)
 	}
 	if strings.Contains(sdesc, "stats-picked key") {
-		t.Fatalf("structural plan cannot stats-pick a key:\n%s", sdesc)
+		t.Fatalf("cold plan cannot stats-pick a key:\n%s", sdesc)
 	}
 
-	// One structural evaluation observes both sources on the way past, as
-	// a first production execution does.
-	want, err := e.EvalStream(ctx, structural, nil, nil).Drain()
+	// One cold evaluation observes both sources on the way past, as a
+	// first production execution does.
+	want, err := e.EvalStream(ctx, cold, nil, nil).Drain()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, src := range []string{"CUSTOMERS", "PAYMENTS"} {
 		if _, ok := e.SourceStats("ld:StatsTest", src); !ok {
-			t.Fatalf("structural evaluation observed no stats for %s", src)
+			t.Fatalf("cold evaluation observed no stats for %s", src)
 		}
 	}
-	costed := NewPlanStats(q, e)
+	costed, err := e.CompileAST(q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	desc := strings.Join(costed.Describe(), "\n")
 	for _, want := range []string{
 		"stats: 2 scans",
